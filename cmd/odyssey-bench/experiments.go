@@ -1,0 +1,897 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"time"
+
+	odyssey "spaceodyssey"
+	"spaceodyssey/cluster"
+	"spaceodyssey/internal/bench"
+	"spaceodyssey/internal/workload"
+)
+
+// experiment is one row of the table: what -experiment NAME runs.
+type experiment struct {
+	name string // the -experiment value
+	// id is the "experiment" field of the row's JSON artifact: how validate
+	// finds a file's row.
+	id string
+	// title opens the stdout banner of a row that runs on a fixture; shape
+	// is the workload drawn for it (nil: the row draws its own).
+	title string
+	shape *workload.Config
+	// flags are the flags the row reads; setting any other is an error, so
+	// a flag never silently measures something else.
+	flags   []string
+	workers int // pool size when -parallel is not given
+	run     func(p *params, f *fixture, queries []odyssey.Query) report
+	// report returns an empty report for validate to decode into (nil: the
+	// row prints tables and writes no artifact).
+	report func() report
+}
+
+var (
+	sizing   = []string{"experiment", "datasets", "objects", "queries", "qvol", "seed", "data-seed", "layout", "seek-us", "transfer-us"}
+	topology = []string{"devices", "channels", "placement"}
+	pooled   = []string{"parallel", "realtime-scale", "json"}
+	figure   = slices.Concat(sizing, topology, []string{"grid-cells", "ks", "verify", "csv"})
+)
+
+// Workload shapes. The fig4a distributions are the paper's default
+// exploration; the other two are what a shared archive portal sees.
+var (
+	fig4aShape = func() workload.Config {
+		spec := ok(bench.FigureByID("fig4a"))
+		return workload.Config{RangeDist: spec.RangeDist, CombDist: spec.CombDist, ClusterCenters: spec.ClusterCenters}
+	}()
+	// Overlapping hot regions: two tight query clusters and a heavy-hitter
+	// combination drawing 70% of the traffic — many users revisiting the
+	// same hot sky regions over the same dataset bundle.
+	hotRegionShape = workload.Config{
+		RangeDist: workload.RangeClustered, CombDist: workload.CombHeavyHitter,
+		ClusterCenters: 2, SigmaFactor: 0.25, HeavyHitterShare: 0.7,
+	}
+	// Zipf hot regions: a few regions and dataset bundles draw most of the
+	// traffic, with a long tail that keeps some datasets unrefined.
+	zipfShape = workload.Config{
+		RangeDist: workload.RangeClustered, CombDist: workload.CombZipf,
+		ClusterCenters: 4, SigmaFactor: 0.2,
+	}
+)
+
+// figureIDs is what "-experiment all" expands to.
+var figureIDs = []string{"fig4a", "fig4b", "fig4c", "fig4d", "fig5a", "fig5b", "fig5c"}
+
+// experiments is the table. The figure rows reproduce the paper in
+// simulated seconds; every other row demonstrates one serving mode and
+// exists for its invariant, which its report's check asserts.
+var experiments []experiment
+
+func init() { // not an initializer: validate's row reads the table it is in
+	experiments = []experiment{
+		{
+			name: "parallel", id: "parallel-serving", title: "concurrent serving", shape: &fig4aShape, workers: 8,
+			flags: slices.Concat(sizing, topology, pooled, []string{"deadline", "maxinflight", "queuewait"}),
+			run:   runParallel, report: func() report { return new(servingReport) },
+		},
+		{
+			name: "async", id: "async-maintenance", title: "async-maintenance comparison", shape: &fig4aShape, workers: 8,
+			flags: slices.Concat(sizing, topology, pooled, []string{"maintworkers", "maintbudget"}),
+			run:   runAsync, report: func() report { return new(asyncReport) },
+		},
+		{
+			name: "sharing", id: "scan-sharing", title: "scan-sharing comparison", shape: &hotRegionShape, workers: 8,
+			flags: slices.Concat(sizing, topology, pooled, []string{"async", "maintworkers", "batchwindow"}),
+			run:   runSharing, report: func() report { return new(sharingReport) },
+		},
+		{
+			name: "cache", id: "result-cache", title: "result-cache comparison", shape: &zipfShape, workers: 8,
+			flags: slices.Concat(sizing, topology, pooled, []string{"share", "async", "maintworkers"}),
+			run:   runCache, report: func() report { return new(cacheReport) },
+		},
+		{
+			name: "faults", id: "fault-storm", title: "fault-storm availability", shape: &zipfShape, workers: 8,
+			flags: slices.Concat(sizing, topology, pooled, []string{"share", "cache", "async", "maintworkers", "faultrate"}),
+			run:   runFaults, report: func() report { return new(faultsReport) },
+		},
+		{
+			// Availability is measured on the instant disk, without admission
+			// shedding and with a fixed submitter count: no pool flags.
+			name: "cluster", id: "cluster-serving", title: "cluster serving", shape: &zipfShape, workers: 8,
+			flags: slices.Concat(sizing, topology, []string{"json", "shards", "replicas", "shardfaults"}),
+			run:   runCluster, report: func() report { return new(clusterReport) },
+		},
+		{
+			// Fewer workers than a burst: the dispatcher's group-sorted flush
+			// then decides which queries run concurrently, which is where
+			// batching earns its sharing wins.
+			name: "scenarios", id: "scenario-lab", title: "scenario lab", workers: 4,
+			flags: slices.Concat(sizing, topology, pooled, []string{"scenario", "adaptive", "gap"}),
+			run:   runScenarios, report: func() report { return new(scenariosReport) },
+		},
+		{name: "validate", flags: []string{"experiment"}, run: runValidate},
+	}
+	for _, id := range append(slices.Clone(figureIDs), "gridsweep") {
+		experiments = append(experiments, experiment{name: id, flags: figure, run: runFigure(id)})
+	}
+}
+
+func findExperiment(match func(experiment) bool) (experiment, bool) {
+	i := slices.IndexFunc(experiments, match)
+	if i < 0 {
+		return experiment{}, false
+	}
+	return experiments[i], true
+}
+
+func (e experiment) unread(set []string) (string, bool) {
+	i := slices.IndexFunc(set, func(name string) bool { return !slices.Contains(e.flags, name) })
+	if i < 0 {
+		return "", false
+	}
+	return set[i], true
+}
+
+// execute runs one row and returns its check's verdict — artifact written
+// first, so a failing report can be read.
+func (e experiment) execute(p *params) error {
+	if p.workers == 0 {
+		p.workers = e.workers
+	}
+	if !slices.Contains(e.flags, "realtime-scale") {
+		p.scale = 0 // the row runs on the instant disk
+	}
+	var f *fixture
+	var queries []odyssey.Query
+	if e.title != "" {
+		f = newFixture(p.cfg)
+		if e.shape != nil {
+			queries = generate(p.wcfg, p.cfg.Datasets, p.wcfg.Seed, *e.shape)
+		}
+		fmt.Printf("%s: %d datasets x %d objects, %d queries, %d workers, realtime x%g\n",
+			e.title, p.cfg.Datasets, p.cfg.ObjectsPerDataset, p.wcfg.Queries, p.workers, p.scale)
+		fmt.Printf("storage: %d device(s) x %d channel(s), placement %s; set: -%s\n\n",
+			p.cfg.Devices, p.cfg.Channels, p.cfg.Placement, strings.Join(p.set, " -"))
+	}
+	p.header = header{
+		Experiment: e.id, Devices: p.cfg.Devices, Channels: p.cfg.Channels, Placement: p.cfg.Placement,
+		Workers: p.workers, Queries: p.wcfg.Queries, RealtimeScale: p.scale,
+	}
+	rep := e.run(p, f, queries)
+	if rep == nil {
+		return nil
+	}
+	writeJSON(p.jsonPath, rep)
+	return rep.check()
+}
+
+func ratio(num, den float64) float64 {
+	if den <= 0 {
+		return 0
+	}
+	return num / den
+}
+
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// engine is the option preset behind -async/-maintworkers/-share/-cache,
+// the engine modifiers that compose with the rows reading them; more is the
+// row's own setting on top.
+func (p *params) engine(more func(*odyssey.Options)) func(*odyssey.Options) {
+	return func(o *odyssey.Options) {
+		o.AsyncMaintenance, o.MaintenanceWorkers = p.async, p.maintWorkers
+		o.ShareScans, o.CacheResults = p.share, p.cache
+		if more != nil {
+			more(o)
+		}
+	}
+}
+
+// runParallel replays the converged workload serially and through the pool
+// with real-time emulation on (platter charges sleep their scaled simulated
+// duration), so the pool's wall-clock speedup is genuinely overlapped I/O
+// waits. The admission flags apply to the pooled run only: the serial
+// baseline runs without deadlines so the two stay comparable.
+func runParallel(p *params, f *fixture, queries []odyssey.Query) report {
+	serial, convS := f.measure(queries, nil, p.scale, replayOpts{})
+	fmt.Printf("serial:     %8.3fs wall  %8.3fs simulated  %7.1f q/s\n",
+		serial.wall.Seconds(), serial.sim.Seconds(), ratio(float64(len(queries)), serial.wall.Seconds()))
+	pool, convP := f.measure(queries, nil, p.scale, replayOpts{workers: p.workers, admission: p.admission, tolerate: odyssey.IsCanceled})
+	st := pool.admission
+	rep := &servingReport{
+		header:    p.header,
+		Converged: convS && convP,
+		Serial:    servingRun{timing: serial.timing()},
+		Pool:      servingRun{timing: pool.timing(), Speedup: ratio(serial.wall.Seconds(), pool.wall.Seconds())},
+		Admission: admissionReport{
+			Admitted: st.Admitted, Rejected: st.Rejected, Canceled: st.Canceled,
+			Swept: st.Swept, Completed: st.Completed, Failed: st.Failed,
+		},
+	}
+	fmt.Printf("%d workers: %8.3fs wall  %8.3fs simulated  %7.1f q/s admitted  (%.2fx speedup)\n",
+		p.workers, pool.wall.Seconds(), pool.sim.Seconds(), ratio(float64(st.Admitted), pool.wall.Seconds()), rep.Pool.Speedup)
+	fmt.Printf("admission: %d admitted  %d rejected  %d canceled (%d swept in queue)  %d completed\n",
+		st.Admitted, st.Rejected, st.Canceled, st.Swept, st.Completed)
+	fmt.Printf("latency  service: %v\n", pool.latency(serviceTime))
+	fmt.Printf("         queue:   %v\n", pool.latency(func(o outcome) time.Duration { return o.wait }))
+	fmt.Printf("         e2e:     %v\n\nper-worker throughput:\n", pool.latency(func(o outcome) time.Duration { return o.wait + o.wall }))
+	for _, ws := range pool.workers {
+		fmt.Printf("  worker %2d: %4d queries (%d canceled) in %8.3fs busy  %7.1f q/s\n",
+			ws.Worker, ws.Queries, ws.Canceled, ws.Busy.Seconds(), ws.Throughput())
+	}
+	// Busy platter time relative to the pooled run's simulated elapsed time.
+	fmt.Println("\nper-channel utilization (measured run):")
+	for di, chans := range pool.after.channels {
+		for _, cs := range chans {
+			cu := channelUtil{
+				Device: di, Channel: cs.Channel, BusySeconds: cs.Busy.Seconds(),
+				Utilization: ratio(cs.Busy.Seconds(), pool.sim.Seconds()), Seeks: cs.Seeks, SeqPages: cs.SeqPages,
+			}
+			fmt.Printf("  device %d channel %d: %8.3fs busy  %5.1f%% util  %6d seeks  %6d seq pages\n",
+				di, cu.Channel, cu.BusySeconds, 100*cu.Utilization, cu.Seeks, cu.SeqPages)
+			rep.ChannelUtil = append(rep.ChannelUtil, cu)
+		}
+	}
+	fmt.Println()
+	return rep
+}
+
+// asyncPasses caps the async row's replays, the cold measured pass included.
+const asyncPasses = 10
+
+// runAsync compares inline against background layout maintenance: both
+// modes serve the same COLD workload through the pool, so the measured pass
+// includes level-0 builds, refinements and merges. In sync mode the unlucky
+// queries pay for them inline; in async mode they answer from the current
+// layout while a scheduler converges it. Both then keep replaying through
+// the pool until the layout is quiescent: deferred maintenance is not free,
+// it is just off the query path, and time-to-convergence shows its price.
+func runAsync(p *params, f *fixture, queries []odyssey.Query) report {
+	if p.cfg.Datasets < 2 || p.maintBudget <= 0 || p.maintBudget >= 1 {
+		fatalf("the async row needs -datasets >= 2 (its contention leg serves one half while churning the other) and -maintbudget in (0,1)")
+	}
+	mode := func(name string, async bool) asyncModeReport {
+		ex := f.explorer(p.engine(func(o *odyssey.Options) { o.AsyncMaintenance = async }))
+		defer shut(ex)
+		ex.SetRealTimeScale(p.scale)
+		t0 := time.Now()
+		cold := replay(ex, queries, replayOpts{workers: p.workers})
+		passes, converged := converge(ex, queries, asyncPasses-1, p.workers)
+		convergedWall := time.Since(t0)
+		must(ex.MaintenanceErr())
+		m, disk := ex.Metrics(), ex.DiskStats()
+		rep := asyncModeReport{
+			timing: cold.timing(), latencyReport: cold.latency(serviceTime),
+			Converged: converged, ConvergenceWallSeconds: convergedWall.Seconds(), ConvergencePasses: 1 + passes,
+			Refinements: m.Refinements, PartitionsMerged: m.PartitionsMerged, MergeFiles: ex.MergeFileCount(),
+			ThrottledOps: disk.ThrottledOps, QueuedDelaySeconds: disk.QueuedDelay.Seconds(),
+		}
+		fmt.Printf("%-5s measured pass: %8.3fs wall  %8.3fs simulated  %7.1f q/s\n      latency: %v\n",
+			name, rep.WallSeconds, rep.SimSeconds, ratio(float64(len(queries)), rep.WallSeconds), rep.latencyReport)
+		fmt.Printf("      converged after %d pass(es), %.3fs wall (%d refinements, %d partitions merged, %d merge files)\n",
+			rep.ConvergencePasses, rep.ConvergenceWallSeconds, m.Refinements, m.PartitionsMerged, rep.MergeFiles)
+		if async {
+			st := ex.MaintenanceStats()
+			rep.Maintenance = &maintenanceReport{
+				Queued: st.Queued, Coalesced: st.Coalesced, Completed: st.Completed, Failed: st.Failed, Dropped: st.Dropped,
+				RefineTasks: st.RefineTasks, MergeTasks: st.MergeTasks,
+				Refinements: st.Refinements, QueueDepthHighWater: st.QueueDepthHighWater,
+			}
+			fmt.Printf("      maintenance: %d queued, %d coalesced, %d completed, %d refine / %d merge tasks, queue high-water %d\n",
+				st.Queued, st.Coalesced, st.Completed, st.RefineTasks, st.MergeTasks, st.QueueDepthHighWater)
+		}
+		fmt.Println()
+		return rep
+	}
+	rep := &asyncReport{header: p.header, MaintenanceWorkers: p.maintWorkers, Sync: mode("sync", false), Async: mode("async", true)}
+	rep.P99Speedup = ratio(rep.Sync.P99, rep.Async.P99)
+	fmt.Printf("p99 latency: sync %.2fms  async %.2fms  (%.2fx)\n\n", 1e3*rep.Sync.P99, 1e3*rep.Async.P99, rep.P99Speedup)
+	rep.Contention = runContention(p, f)
+	return rep
+}
+
+// runContention is the async row's second leg (see contentionReport). The
+// foreground workload touches only the first half of the datasets, the churn
+// only the second. Per leg (budget off, then -maintbudget) a fresh async
+// engine converges the foreground datasets with emulation off (setup, not
+// measurement); then a 2-worker side pool fires the cold churn batch, every
+// query scheduling refinement and merge work, while the main pool serves the
+// paced foreground workload. The foreground layout no longer changes, so any
+// latency difference between the legs is maintenance interference —
+// channel-frontier pushes lengthening foreground emulation sleeps, plus CPU
+// and lock pressure — which the throttle confines to foreground-idle gaps.
+func runContention(p *params, f *fixture) contentionReport {
+	fgN := p.cfg.Datasets / 2
+	bgN := p.cfg.Datasets - fgN
+	fg := generate(p.wcfg, fgN, p.wcfg.Seed+101, fig4aShape)
+	churn := generate(p.wcfg, bgN, p.wcfg.Seed+202, fig4aShape)
+	// Shift the churn workload onto the background half of the datasets.
+	// Copy each combination first: generated queries may share one
+	// underlying slice (the heavy-hitter combination), and shifting in place
+	// would compound across the queries aliasing it.
+	for i := range churn {
+		shifted := slices.Clone(churn[i].Datasets)
+		for j := range shifted {
+			shifted[j] += odyssey.DatasetID(fgN)
+		}
+		churn[i].Datasets = shifted
+	}
+	fmt.Printf("contention comparison: foreground = %d converged dataset(s), churn = %d cold queries over %d dataset(s), budget %.2f\n",
+		fgN, len(churn), bgN, p.maintBudget)
+
+	var gap time.Duration // derived once in the first leg, shared by both
+	leg := func(name string, budget float64) contentionLegReport {
+		ex := f.explorer(p.engine(func(o *odyssey.Options) { o.AsyncMaintenance = true }))
+		defer shut(ex)
+		converge(ex, fg, asyncPasses, 0)
+		ex.SetRealTimeScale(p.scale)
+		if gap == 0 {
+			// Capacity probe (first leg only): one unpaced pooled replay of
+			// the converged foreground workload, no churn. Open-loop arrivals
+			// in both legs then target ~60% of that capacity.
+			probe := replay(ex, fg, replayOpts{workers: p.workers})
+			gap = time.Duration(float64(probe.wall) / (0.6 * float64(len(fg))))
+			fmt.Printf("  open-loop arrival gap %v (~60%% of measured foreground capacity)\n", gap.Round(10*time.Microsecond))
+		}
+		ex.SetMaintenanceBudget(budget)
+		before := ex.DiskStats()
+		churned := make(chan struct{})
+		go func() {
+			defer close(churned)
+			replay(ex, churn, replayOpts{workers: 2, overlapped: true})
+		}()
+		served := replay(ex, fg, replayOpts{workers: p.workers, gap: gap, overlapped: true})
+		<-churned
+		// Drain deferred maintenance at full speed before tearing down.
+		ex.SetRealTimeScale(0)
+		ex.SetMaintenanceBudget(0)
+		must(ex.Quiesce(context.Background()))
+		must(ex.MaintenanceErr())
+		after := ex.DiskStats()
+		rep := contentionLegReport{
+			MaintenanceBudget: budget, latencyReport: served.latency(serviceTime),
+			ThrottledOps:       after.ThrottledOps - before.ThrottledOps,
+			QueuedDelaySeconds: (after.QueuedDelay - before.QueuedDelay).Seconds(),
+		}
+		fmt.Printf("%-5s fg latency: %v   (%d maintenance waits gated)\n", name, rep.latencyReport, rep.ThrottledOps)
+		return rep
+	}
+	unthr, thr := leg("unthr", 0), leg("thrtl", p.maintBudget)
+	fmt.Printf("\nfg p99 under churn: unthrottled %.2fms  budget %.2f %.2fms  (%.2fx)\n\n",
+		1e3*unthr.P99, p.maintBudget, 1e3*thr.P99, ratio(unthr.P99, thr.P99))
+	return contentionReport{
+		MaintenanceBudget: p.maintBudget, ArrivalGapSeconds: gap.Seconds(),
+		ForegroundDatasets: fgN, BackgroundDatasets: bgN, BackgroundQueries: len(churn),
+		Unthrottled: unthr, Throttled: thr,
+		FgP99UnderContentionSeconds: unthr.P99, FgP99ThrottledSeconds: thr.P99,
+		P99Improvement: ratio(unthr.P99, thr.P99),
+	}
+}
+
+func savings(offPages, onPages int64, off, on timing, identical bool) (reduction, speedup float64) {
+	if offPages > 0 {
+		reduction = 1 - float64(onPages)/float64(offPages)
+	}
+	speedup = ratio(off.SimSeconds, on.SimSeconds)
+	fmt.Printf("\npages read: %d -> %d (%.1f%% fewer)  simulated: %.3fs -> %.3fs (%.2fx)  results identical: %v\n\n",
+		offPages, onPages, 100*reduction, off.SimSeconds, on.SimSeconds, speedup, identical)
+	return reduction, speedup
+}
+
+// runSharing replays the overlapping hot-region workload with
+// Options.ShareScans off and on. The sharing mode also stages submissions in
+// the dispatcher's micro-batch window so workers present coalescable work.
+// Sharing may change I/O, never answers.
+func runSharing(p *params, f *fixture, queries []odyssey.Query) report {
+	mode := func(on bool) (sharingModeReport, map[int]uint64) {
+		var adm odyssey.AdmissionConfig
+		if on {
+			adm.BatchWindow = p.batchWindow
+		}
+		ps, converged := f.measure(queries, p.engine(func(o *odyssey.Options) { o.ShareScans = on }), p.scale,
+			replayOpts{workers: p.workers, admission: adm})
+		// Coalesced reads are device counters and restarted with the clock;
+		// the scan registry's are engine-lifetime.
+		ss, ss0 := ps.after.sharing, ps.before.sharing
+		rep := sharingModeReport{
+			Share: on, Converged: converged, timing: ps.timing(),
+			PagesRead: ps.after.disk.PageReads, CacheHits: ps.after.disk.CacheHits,
+			CoalescedReads: ss.CoalescedReads, PagesSaved: ss.PagesSaved,
+			AttachedScans: ss.AttachedScans - ss0.AttachedScans, SharedBuilds: ss.SharedBuilds - ss0.SharedBuilds,
+			Invalidations: ss.Invalidations - ss0.Invalidations,
+			Batches:       ps.admission.Batches, BatchedQueries: ps.admission.BatchedQueries,
+		}
+		fmt.Printf("share=%-5v %8.3fs wall  %8.3fs simulated  %8d pages read  %6d cache hits\n",
+			on, rep.WallSeconds, rep.SimSeconds, rep.PagesRead, rep.CacheHits)
+		if on {
+			fmt.Printf("          sharing: %d coalesced reads (%d pages saved), %d attached scans, %d shared builds, %d batches/%d batched\n",
+				rep.CoalescedReads, rep.PagesSaved, rep.AttachedScans, rep.SharedBuilds, rep.Batches, rep.BatchedQueries)
+		}
+		return rep, ps.prints()
+	}
+	off, offPrints := mode(false)
+	on, onPrints := mode(true)
+	rep := &sharingReport{header: p.header, Async: p.async, BatchWindowMS: millis(p.batchWindow), Off: off, On: on, ResultsIdentical: samePrints(onPrints, offPrints)}
+	rep.PagesReadReduction, rep.SimSpeedupOffOverOn = savings(off.PagesRead, on.PagesRead, off.timing, on.timing, rep.ResultsIdentical)
+	return rep
+}
+
+// runCache replays the zipf hot-region workload with Options.CacheResults
+// off and on. Converged serving means no layout publish flushes the cache
+// mid-replay, and the cache-on replay runs against what the convergence
+// passes populated: the report shows the steady-state gain, split into exact
+// per-cell hits and containment answers (a query window inside a cached
+// coarse region — merge-frozen cells and unrefined zipf-tail datasets are
+// the prime source). Caching may change I/O, never answers.
+func runCache(p *params, f *fixture, queries []odyssey.Query) report {
+	mode := func(on bool) (cacheModeReport, map[int]uint64) {
+		ps, converged := f.measure(queries, p.engine(func(o *odyssey.Options) { o.CacheResults = on }), p.scale, replayOpts{workers: p.workers})
+		cs, cs0 := ps.after.cache, ps.before.cache
+		rep := cacheModeReport{
+			Cache: on, Converged: converged, timing: ps.timing(), PagesRead: ps.after.disk.PageReads,
+			Hits: cs.Hits - cs0.Hits, ContainmentHits: cs.ContainmentHits - cs0.ContainmentHits,
+			Misses: cs.Misses - cs0.Misses, Inserts: cs.Inserts - cs0.Inserts,
+			Evictions: cs.Evictions - cs0.Evictions, Invalidations: cs.Invalidations - cs0.Invalidations,
+			ZeroReadQueries: cs.ZeroReadQueries - cs0.ZeroReadQueries,
+			Entries:         cs.Entries, CachedObjects: cs.CachedObjects,
+		}
+		rep.ZeroReadFraction = ratio(float64(rep.ZeroReadQueries), float64(len(queries)))
+		fmt.Printf("cache=%-5v %8.3fs wall  %8.3fs simulated  %8d pages read\n", on, rep.WallSeconds, rep.SimSeconds, rep.PagesRead)
+		if on {
+			fmt.Printf("          cache: %d exact + %d containment hits, %d/%d queries zero-read (%.1f%%), %d inserts, %d evictions, %d invalidations\n",
+				rep.Hits, rep.ContainmentHits, rep.ZeroReadQueries, len(queries),
+				100*rep.ZeroReadFraction, rep.Inserts, rep.Evictions, rep.Invalidations)
+		}
+		return rep, ps.prints()
+	}
+	off, offPrints := mode(false)
+	on, onPrints := mode(true)
+	rep := &cacheReport{header: p.header, Share: p.share, Async: p.async, Off: off, On: on, ResultsIdentical: samePrints(onPrints, offPrints)}
+	rep.PagesReadReduction, rep.SimSpeedupOffOverOn = savings(off.PagesRead, on.PagesRead, off.timing, on.timing, rep.ResultsIdentical)
+	return rep
+}
+
+// runFaults replays the converged zipf workload fault-free, then again under
+// a seeded transient-fault plan with periodic 10x storm windows, read
+// retries on throughout. The report is the availability ledger, plus
+// fingerprint identity of every query served mid-storm with its fault-free
+// answer: a degraded device may fail queries, never corrupt them. The result
+// cache (-cache) is the degradation backstop — windows it contains are
+// answered with zero device reads no matter how sick the platter is.
+func runFaults(p *params, f *fixture, queries []odyssey.Query) report {
+	const retryAttempts = 4
+	if p.faultRate <= 0 || p.faultRate >= 1 {
+		fatalf("-faultrate must be in (0,1)")
+	}
+	fmt.Printf("faults: transient rate %g (10x in storm windows), retries: %d attempts\n\n", p.faultRate, retryAttempts)
+	ex, converged := f.steady(queries, p.engine(func(o *odyssey.Options) {
+		o.Retry = odyssey.RetryPolicy{MaxAttempts: retryAttempts, Backoff: 200 * time.Microsecond}
+		// The brownout controller runs but should only engage in a real
+		// catastrophe — the experiment measures retry-backed availability,
+		// not shedding.
+		o.BrownoutThreshold, o.BrownoutWindow = 0.5, 10*time.Millisecond
+	}), p.scale)
+	defer shut(ex)
+
+	phase := func(name string) (faultsModeReport, map[int]uint64) {
+		// Both replays start cold-cache so their device traffic is
+		// symmetric: misses hit the (possibly faulting) platter, and the
+		// zipf repeats re-populate and then hit the cache mid-replay.
+		ps := replay(ex, queries, replayOpts{workers: p.workers, coldCache: true, tolerate: anyError})
+		prints, ds := ps.prints(), ps.after.disk
+		rep := faultsModeReport{
+			timing: ps.timing(), Served: len(prints), Failed: len(queries) - len(prints),
+			ServedFraction: ratio(float64(len(prints)), float64(len(queries))),
+			latencyReport:  ps.served().latency(serviceTime),
+			PagesRead:      ds.PageReads, TransientFaults: ds.TransientFaults, PermanentFaults: ds.PermanentFaults,
+			LatencySpikes: ds.LatencySpikes, RetriedOps: ds.RetriedOps, RetryExhausted: ds.RetryExhausted,
+			ZeroReadQueries: ps.after.cache.ZeroReadQueries - ps.before.cache.ZeroReadQueries,
+		}
+		fmt.Printf("%-11s %4d/%d served (%.2f%%)  wall %7.3fs  %v\n",
+			name, rep.Served, len(queries), 100*rep.ServedFraction, rep.WallSeconds, rep.latencyReport)
+		if rep.TransientFaults+rep.PermanentFaults > 0 {
+			fmt.Printf("            faults: %d transient, %d permanent, %d spikes; retries: %d performed, %d exhausted; %d zero-read queries\n",
+				rep.TransientFaults, rep.PermanentFaults, rep.LatencySpikes, rep.RetriedOps, rep.RetryExhausted, rep.ZeroReadQueries)
+		}
+		return rep, prints
+	}
+	clean, cleanPrints := phase("fault-free")
+	ex.SetFaultPlan(odyssey.FaultPlan{
+		Seed: p.wcfg.Seed + 101, TransientRate: p.faultRate,
+		StormEvery: 2048, StormLength: 256, StormFactor: 10,
+	})
+	storm, stormPrints := phase("fault-storm")
+	bs := ex.BrownoutStats()
+	rep := &faultsReport{
+		header: p.header,
+		Share:  p.share, Cache: p.cache, Async: p.async, Converged: converged,
+		FaultRate: p.faultRate, RetryMaxAttempts: retryAttempts,
+		Clean: clean, Storm: storm, ServedResultsIdentical: samePrints(stormPrints, cleanPrints),
+		BrownoutEngagements: bs.Engagements, BrownoutSheds: bs.ShedQueries, DegradedAtEnd: bs.Engaged,
+	}
+	fmt.Printf("\nserved fraction mid-storm: %.2f%%  served results identical to fault-free: %v  brownout engagements: %d\n\n",
+		100*storm.ServedFraction, rep.ServedResultsIdentical, bs.Engagements)
+	return rep
+}
+
+// runCluster replays the zipf workload through a sharded, replicated Router
+// — clean, through a deterministic crash window, and through a slow-shard
+// storm hedged and unhedged — against a single Explorer over the union of
+// the datasets as the oracle. Every fully-served answer must fingerprint
+// identical to the oracle's, and the cluster-wide charge ledger must
+// conserve exactly: ChargedSim + WastedSim equals the shards' device-side
+// charges — hedging re-routes work, it never double-counts it.
+func runCluster(p *params, f *fixture, queries []odyssey.Query) report {
+	const slowDelay = 25 * time.Millisecond
+	if p.shards < 2 || p.replicas < 1 {
+		fatalf("-shards must be >= 2 and -replicas >= 1")
+	}
+	n := len(queries)
+	// The one row that keeps the buffer cache across queries — the setting
+	// BENCH_cluster.json's baseline_sim_seconds was recorded under.
+	warm := func(o *odyssey.Options) { o.DropCachesPerQuery = false }
+	fmt.Printf("%d shards, R=%d; shard faults: %v\n\n", p.shards, p.replicas, p.shardFaults)
+
+	base, converged := f.measure(queries, warm, 0, replayOpts{})
+	basePrints := base.prints()
+	fmt.Printf("%-15s %d/%d served, sim %.3fs (single Explorer, serial)\n", "baseline", n, n, base.sim.Seconds())
+
+	newRouter := func(hedged bool) *cluster.Router {
+		r := ok(cluster.New(cluster.Config{
+			Shards: p.shards, Replicas: p.replicas, Options: f.options(warm),
+			Policy:   cluster.ServePartial,
+			Failover: odyssey.RetryPolicy{MaxAttempts: 3, Backoff: 200 * time.Microsecond, Budget: 50 * time.Millisecond},
+			Health:   cluster.HealthConfig{ProbeInterval: 2 * time.Millisecond},
+			Hedge:    cluster.HedgeConfig{Enabled: hedged, MinDelay: 2 * time.Millisecond},
+		}))
+		f.load(r)
+		// A Router converges like a single Explorer, on its shards' summed
+		// adaptation counters.
+		_, quiet := untilQuiet(steadyPasses, func() (sum odyssey.Metrics) {
+			for _, m := range r.ShardMetrics() {
+				sum.Refinements += m.Refinements
+				sum.PartitionsMerged += m.PartitionsMerged
+				sum.MergeEvictions += m.MergeEvictions
+			}
+			return sum
+		}, func() {
+			direct(r, queries, 1, true)
+			must(r.Quiesce(context.Background()))
+		})
+		converged = converged && quiet
+		return r
+	}
+	phase := func(name string, r *cluster.Router) *clusterPhaseReport {
+		st0 := r.Stats()
+		ps := direct(r, queries, p.workers, false)
+		st := r.Stats()
+		rep := &clusterPhaseReport{
+			WallSeconds: ps.wall.Seconds(), ResultsIdentical: samePrints(ps.prints(), basePrints),
+			latencyReport: ps.latency(serviceTime),
+			Failovers:     st.Failovers - st0.Failovers, Retries: st.Retries - st0.Retries,
+			HedgesFired: st.HedgesFired - st0.HedgesFired, HedgeWins: st.HedgeWins - st0.HedgeWins,
+			ShardRejects: st.ShardRejects - st0.ShardRejects,
+		}
+		for _, o := range ps.outcomes {
+			switch {
+			case o.err == nil:
+				rep.Served++
+			case errors.Is(o.err, cluster.ErrPartial):
+				rep.Partial++
+			default:
+				rep.Failed++
+			}
+		}
+		rep.Availability = float64(rep.Served+rep.Partial) / float64(n)
+		rep.FullFraction = float64(rep.Served) / float64(n)
+		fmt.Printf("%-15s %d/%d full + %d partial (availability %.2f%%)  wall %.3fs  %v  failovers %d  rejects %d  hedges %d (%d won)  identical %v\n",
+			name, rep.Served, n, rep.Partial, 100*rep.Availability, rep.WallSeconds, rep.latencyReport,
+			rep.Failovers, rep.ShardRejects, rep.HedgesFired, rep.HedgeWins, rep.ResultsIdentical)
+		return rep
+	}
+	// conservation closes r and compares the cluster charge ledger with the
+	// shards' device-side charges.
+	conservation := func(r *cluster.Router) (charged, wasted, ledger time.Duration) {
+		shut(r)
+		disks := r.ShardDiskStats()
+		for si, dev := range r.ShardChannelStats() {
+			for _, chans := range dev {
+				for _, ch := range chans {
+					ledger += ch.Busy
+				}
+			}
+			ledger += time.Duration(disks[si].CacheHits)*f.base.Cost.CacheHit + disks[si].QueuedDelay
+		}
+		st := r.Stats()
+		return st.ChargedSim, st.WastedSim, ledger
+	}
+
+	r := newRouter(true)
+	rep := &clusterReport{
+		header: p.header,
+		Shards: p.shards, Replicas: p.replicas, Datasets: len(f.data), ShardFaults: p.shardFaults,
+		BaselineSimSeconds: base.sim.Seconds(), Clean: *phase("clean", r),
+	}
+	if p.shardFaults {
+		// Crash window, in query ordinals relative to this replay: shard 1
+		// is down for the middle third, and for a brief overlap shard 2 dies
+		// too — any dataset replicated exactly on that pair is unreachable,
+		// so the partial path and the reject ledger are exercised for real.
+		ord, nn := r.Stats().Queries, int64(n)
+		r.SetShardFaultPlan(cluster.ShardFaultPlan{Faults: []cluster.ShardFault{
+			{Shard: 1 % p.shards, CrashAfter: ord + nn/4, CrashFor: nn / 3},
+			{Shard: 2 % p.shards, CrashAfter: ord + nn/3, CrashFor: nn / 8},
+		}})
+		rep.Crash = phase("crash-window", r)
+		r.SetShardFaultPlan(cluster.ShardFaultPlan{})
+
+		// Slow-shard storm, unhedged first (a fresh Router with hedging off,
+		// converged the same way), then hedged on the main Router: identical
+		// storms, so the p99 delta is the hedging win.
+		slow := func(r *cluster.Router) {
+			r.SetShardFaultPlan(cluster.ShardFaultPlan{Faults: []cluster.ShardFault{{
+				Shard: 0, SlowAfter: r.Stats().Queries, SlowFor: nn, SlowDelay: slowDelay,
+			}}})
+		}
+		ru := newRouter(false)
+		slow(ru)
+		rep.SlowUnhedged = phase("slow-unhedged", ru)
+		if charged, wasted, ledger := conservation(ru); charged+wasted != ledger {
+			fatalf("unhedged charge conservation broken: charged %v + wasted %v != device ledger %v", charged, wasted, ledger)
+		}
+		slow(r)
+		rep.SlowHedged = phase("slow-hedged", r)
+		r.SetShardFaultPlan(cluster.ShardFaultPlan{})
+		rep.HedgeP99Speedup = ratio(rep.SlowUnhedged.P99, rep.SlowHedged.P99)
+		fmt.Printf("\nslow-shard storm p99: unhedged %.1fms, hedged %.1fms (speedup x%.1f)\n",
+			1e3*rep.SlowUnhedged.P99, 1e3*rep.SlowHedged.P99, rep.HedgeP99Speedup)
+	}
+	for _, h := range r.Health() {
+		rep.ShardHealth = append(rep.ShardHealth, shardHealthReport{
+			Shard: h.Shard, State: h.State.String(), Probes: h.Probes, ProbeFailures: h.ProbeFailures,
+			Transitions: h.Transitions, Serves: h.Serves, Rejects: h.Rejects,
+		})
+	}
+	charged, wasted, ledger := conservation(r)
+	rep.Converged = converged
+	rep.ChargedSimSeconds, rep.WastedSimSeconds, rep.DeviceLedgerSeconds = charged.Seconds(), wasted.Seconds(), ledger.Seconds()
+	rep.ChargeConserved = charged+wasted == ledger
+	fmt.Printf("charge ledger: attributed %.3fs + wasted %.3fs vs device %.3fs — conserved: %v\n\n",
+		charged.Seconds(), wasted.Seconds(), ledger.Seconds(), rep.ChargeConserved)
+	return rep
+}
+
+type scenarioMode struct {
+	name     string
+	window   time.Duration
+	capacity int64
+	adaptive bool
+}
+
+// scenarioModes is the sweep, the adaptive mode last. The static grid crosses
+// both batch-window extremes with both capacity extremes: the small capacity
+// thrashes on any repeating hotspot; the large one comfortably holds a whole
+// phase's working set — but not every phase of a drifting workload at once,
+// which is exactly the regime where frequency-kept heat goes stale and decay
+// earns its keep. The adaptive mode starts from the same small budget and
+// must grow its way out.
+var scenarioModes = []scenarioMode{
+	{name: "static-w0-small", window: 0, capacity: 16},
+	{name: "static-w0-large", window: 0, capacity: 1 << 10},
+	{name: "static-w4-small", window: 4 * time.Millisecond, capacity: 16},
+	{name: "static-w4-large", window: 4 * time.Millisecond, capacity: 1 << 10},
+	{name: "adaptive", window: 2 * time.Millisecond, capacity: 16, adaptive: true},
+}
+
+// runScenarios is the scenario lab: each named scenario of
+// internal/workload's matrix is replayed open-loop — queries submitted on
+// the scenario's own arrival pacing, in units of -gap — once per serving
+// mode: the static grid, and with -adaptive the self-tuning mode (adaptive
+// batch window + auto-sized result cache + heat decay). Latency is taken
+// from scheduled arrival, and every mode must return identical results.
+func runScenarios(p *params, f *fixture, _ []odyssey.Query) report {
+	names := []string{p.scenario}
+	if p.scenario == "all" {
+		names = workload.ScenarioNames()
+	} else if workload.ScenarioDescription(p.scenario) == "" {
+		fatalf("unknown scenario %q (want one of %v or 'all')", p.scenario, workload.ScenarioNames())
+	}
+	rep := &scenariosReport{header: p.header, GapMS: millis(p.gap)}
+	for _, name := range names {
+		w := ok(workload.GenerateScenario(name, workload.ScenarioConfig{
+			Seed: p.wcfg.Seed, NumQueries: p.wcfg.Queries,
+			NumDatasets: p.cfg.Datasets, DatasetsPerQuery: min(3, p.cfg.Datasets),
+			Bounds: p.cfg.Bounds, QueryVolumeFrac: p.wcfg.QueryVolumeFrac,
+		}))
+		fmt.Printf("--- %s: %s\n", name, w.Description)
+		srep := scenarioReport{Scenario: name, Description: w.Description, Queries: len(w.Queries), ResultsIdentical: true}
+		var basePrints map[int]uint64
+		for _, mode := range scenarioModes {
+			if mode.adaptive && !p.adaptive {
+				continue
+			}
+			mrep, prints := runScenarioMode(p, f, w, mode)
+			srep.Modes = append(srep.Modes, mrep)
+			if basePrints == nil {
+				basePrints = prints
+			}
+			srep.ResultsIdentical = srep.ResultsIdentical && samePrints(prints, basePrints)
+			if mode.adaptive {
+				srep.AdaptiveP99 = mrep.P99
+				continue
+			}
+			if srep.BestStaticP99 == 0 || mrep.P99 < srep.BestStaticP99 {
+				srep.BestStaticP99 = mrep.P99
+			}
+			srep.WorstStaticP99 = max(srep.WorstStaticP99, mrep.P99)
+		}
+		srep.AdaptiveBeatsAllStatic = srep.AdaptiveP99 > 0 && srep.AdaptiveP99 < srep.BestStaticP99
+		rep.Scenarios = append(rep.Scenarios, srep)
+		fmt.Println()
+	}
+	return rep
+}
+
+// runScenarioMode measures one mode on one scenario. The replay starts
+// cold-cache: fresh-cache serving against a warm layout, so repeats in the
+// scenario stream have to re-earn their hits under each mode's capacity.
+func runScenarioMode(p *params, f *fixture, w workload.ScenarioWorkload, mode scenarioMode) (scenarioModeReport, map[int]uint64) {
+	adm := odyssey.AdmissionConfig{BatchWindow: mode.window}
+	if mode.adaptive {
+		adm.AdaptiveBatch = true
+		adm.MinBatchWindow, adm.MaxBatchWindow = 250*time.Microsecond, 8*time.Millisecond
+	}
+	ps, converged := f.measure(w.Queries, func(o *odyssey.Options) {
+		o.ShareScans, o.CacheResults, o.CacheCapacity = true, true, mode.capacity
+		if mode.adaptive {
+			o.AdaptiveCache, o.HeatHalfLife = true, 64
+		}
+	}, p.scale, replayOpts{workers: p.workers, admission: adm, gap: p.gap, gaps: w.Gaps, coldCache: true})
+	cs, cs0 := ps.after.cache, ps.before.cache
+	rep := scenarioModeReport{
+		Mode: mode.name, BatchWindowMS: millis(mode.window), Adaptive: mode.adaptive, CacheCapacity: mode.capacity,
+		Converged: converged, timing: ps.timing(), PagesRead: ps.after.disk.PageReads,
+		Refinements:   ps.after.metrics.Refinements - ps.before.metrics.Refinements,
+		Merges:        ps.after.metrics.PartitionsMerged - ps.before.metrics.PartitionsMerged,
+		latencyReport: ps.latency(func(o outcome) time.Duration { return o.e2e }),
+		CacheHits:     cs.Hits - cs0.Hits + cs.ContainmentHits - cs0.ContainmentHits,
+		GhostHits:     cs.GhostHits - cs0.GhostHits, FinalCapacity: cs.Capacity,
+		CapGrows: cs.CapacityGrows - cs0.CapacityGrows, CapShrinks: cs.CapacityShrinks - cs0.CapacityShrinks,
+		FinalWindowMS: millis(ps.admission.BatchWindow),
+		WindowGrows:   ps.admission.WindowGrows, WindowShrinks: ps.admission.WindowShrinks, Batches: ps.admission.Batches,
+	}
+	fmt.Printf("%-16s %v  %7d pages  cap %6d  win %5.2fms\n", mode.name, rep.latencyReport, rep.PagesRead, rep.FinalCapacity, rep.FinalWindowMS)
+	return rep, ps.prints()
+}
+
+func runValidate(p *params, _ *fixture, _ []odyssey.Query) report {
+	if len(p.args) == 0 {
+		fatalf("validate needs the artifact files to check as arguments")
+	}
+	for _, path := range p.args {
+		if err := validateFile(path); err != nil {
+			fatalf("%s: %v", path, err)
+		}
+		fmt.Printf("%s ok\n", path)
+	}
+	return nil
+}
+
+// validateFile decodes an artifact — strictly, so a renamed field is caught
+// — into the report of the row that wrote it, runs that row's check, and
+// holds the file to the complete recording (see complete).
+func validateFile(path string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	// A report object names its row in "experiment"; the two trajectory
+	// arrays, which no row writes, tell themselves apart in check.
+	var rep report = new(trajectory)
+	if !bytes.HasPrefix(bytes.TrimSpace(data), []byte("[")) {
+		var obj struct{ Experiment string }
+		if err := json.Unmarshal(data, &obj); err != nil {
+			return err
+		}
+		row, found := findExperiment(func(e experiment) bool { return e.report != nil && e.id == obj.Experiment })
+		if !found {
+			return fmt.Errorf("no experiment writes %q reports", obj.Experiment)
+		}
+		rep = row.report()
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(rep); err != nil {
+		return err
+	}
+	if err := rep.check(); err != nil {
+		return err
+	}
+	if c, ok := rep.(interface{ complete() error }); ok {
+		return c.complete()
+	}
+	return nil
+}
+
+// runFigure reproduces one of the paper's figures (or the grid-baseline
+// parameter sweep) as a text table of simulated seconds.
+func runFigure(id string) func(*params, *fixture, []odyssey.Query) report {
+	return func(p *params, _ *fixture, _ []odyssey.Query) report {
+		env := p.environment()
+		if id == "gridsweep" {
+			bench.PrintGridSweep(os.Stdout, ok(bench.GridSweep(env, p.wcfg, nil, nil)))
+			fmt.Println()
+			return nil
+		}
+		spec := ok(bench.FigureByID(id))
+		start := time.Now()
+		switch {
+		case strings.HasPrefix(id, "fig4"):
+			res := ok(bench.Figure4(env, spec, p.wcfg, p.ks, nil))
+			bench.PrintFigure4(os.Stdout, res)
+			writeCSV(p.csvDir, id, func(w io.Writer) error { return bench.WriteFigure4CSV(w, res) })
+		case id == "fig5c":
+			res := ok(bench.Figure5c(env, p.wcfg))
+			bench.PrintFigure5c(os.Stdout, res)
+			writeCSV(p.csvDir, id, func(w io.Writer) error { return bench.WriteFigure5cCSV(w, res) })
+		default: // fig5a, fig5b
+			res := ok(bench.Figure5(env, spec, p.wcfg, nil))
+			bench.PrintFigure5(os.Stdout, res)
+			writeCSV(p.csvDir, id, func(w io.Writer) error { return bench.WriteFigure5CSV(w, res) })
+		}
+		fmt.Printf("(%s completed in %.1fs wall time)\n\n", id, time.Since(start).Seconds())
+		return nil
+	}
+}
+
+// environment generates the figure rows' datasets once per invocation and,
+// with -verify, checks every engine against the oracle on a reduced
+// workload before trusting the numbers.
+func (p *params) environment() *bench.Env {
+	if p.env != nil {
+		return p.env
+	}
+	p.env = bench.NewEnv(p.cfg)
+	fmt.Printf("environment: %d datasets x %d objects (%s), %d queries, qvol=%g, grid=%d^3\n\n",
+		p.cfg.Datasets, p.cfg.ObjectsPerDataset, p.cfg.DataLayout, p.wcfg.Queries, p.wcfg.QueryVolumeFrac, p.cfg.GridCells)
+	if !p.verify {
+		return p.env
+	}
+	fmt.Println("verifying engines against the naive-scan oracle...")
+	small := p.wcfg
+	small.Queries = min(small.Queries, 100)
+	w := ok(bench.WorkloadForSpec(p.env, ok(bench.FigureByID("fig4a")), small, 3))
+	for _, kind := range []bench.EngineKind{
+		bench.KindOdyssey, bench.KindOdysseyNoMerge, bench.KindFLATAin1,
+		bench.KindFLAT1fE, bench.KindRTreeAin1, bench.KindRTree1fE,
+		bench.KindGrid1fE, bench.KindGridAin1,
+	} {
+		if err := p.env.VerifyAgainstOracle(kind, w); err != nil {
+			fatalf("VERIFICATION FAILED: %v", err)
+		}
+		fmt.Printf("  %-16s ok\n", kind)
+	}
+	fmt.Println()
+	return p.env
+}
+
+func writeCSV(dir, id string, write func(io.Writer) error) {
+	if dir == "" {
+		return
+	}
+	var buf bytes.Buffer
+	must(write(&buf))
+	must(os.MkdirAll(dir, 0o755))
+	path := filepath.Join(dir, id+".csv")
+	must(os.WriteFile(path, buf.Bytes(), 0o644))
+	fmt.Printf("(wrote %s)\n", path)
+}

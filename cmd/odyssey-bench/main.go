@@ -1,2263 +1,162 @@
 // Command odyssey-bench reproduces the paper's evaluation figures on the
-// simulated disk and prints them as text tables.
+// simulated disk, and demonstrates each serving mode grown on top of the
+// reproduction together with the invariant that mode is held to.
 //
-// Usage:
+//	odyssey-bench -experiment fig4a                  # one figure
+//	odyssey-bench -experiment all                    # every figure (slow)
+//	odyssey-bench -experiment fig4a -verify          # check engines vs oracle first
+//	odyssey-bench -experiment parallel -parallel 8   # serial vs pooled serving
+//	odyssey-bench -experiment cache -json out.json   # one serving mode, with its report
+//	odyssey-bench -experiment validate BENCH_*.json  # re-check committed reports
 //
-//	odyssey-bench -experiment fig4a            # one figure
-//	odyssey-bench -experiment all              # everything (slow)
-//	odyssey-bench -experiment fig4a -objects 20000 -queries 500
-//	odyssey-bench -experiment fig4a -verify    # check engines vs oracle first
-//	odyssey-bench -parallel 8                  # concurrent serving experiment
-//	odyssey-bench -parallel 8 -deadline 5ms    # + per-query deadlines
-//	odyssey-bench -parallel 8 -maxinflight 16  # + admission control fast-fail
-//
-// The reported times are simulated disk seconds (deterministic), matching
-// the paper's disk-bound methodology; see DESIGN.md §3. With -parallel N
-// the tool instead drives the converged workload through the Explorer's
-// worker pool on a real-time emulated disk and reports per-worker
-// throughput, the wall-clock speedup over serial serving, and — when
-// -deadline or -maxinflight are set — the admission ledger plus per-query
-// latency percentiles (service, queue wait, end-to-end).
+// -experiment selects a row of the table in experiments.go. The figure rows
+// print text tables of simulated disk seconds — deterministic, matching the
+// paper's disk-bound methodology (README, "Reproduction scale"). The serving
+// rows drive a workload through the Explorer's worker pool on a real-time
+// emulated disk, print a summary, write their report to -json PATH, and exit
+// non-zero when the report fails the row's check. Their wall-clock figures
+// are illustrative (sleeps on a 1 ms timer tick); host time, allocations and
+// page counts are gated by benchmark/, not here.
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"os"
-	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	odyssey "spaceodyssey"
-	"spaceodyssey/cluster"
 	"spaceodyssey/internal/bench"
 	"spaceodyssey/internal/datagen"
-	"spaceodyssey/internal/workload"
 )
 
-func main() {
-	var (
-		experiment = flag.String("experiment", "all", "figure id (fig4a..fig4d, fig5a..fig5c), comma list, or 'all'")
-		datasets   = flag.Int("datasets", 10, "number of datasets (paper: 10)")
-		objects    = flag.Int("objects", 100000, "objects per dataset")
-		queries    = flag.Int("queries", 1000, "queries per workload (paper: 1000)")
-		qvol       = flag.Float64("qvol", 1e-4, "query volume fraction of the explored volume")
-		seed       = flag.Int64("seed", 7, "workload seed")
-		dataSeed   = flag.Int64("data-seed", 1, "dataset generation seed")
-		gridCells  = flag.Int("grid-cells", 6, "grid baseline cells per dimension")
-		ksFlag     = flag.String("ks", "1,3,5,7,9", "datasets-per-query sweep for figure 4")
-		layout     = flag.String("layout", "clustered", "data layout: clustered|uniform|filamentary")
-		verify     = flag.Bool("verify", false, "verify each engine against the naive oracle first (slow)")
-		seekUS     = flag.Int("seek-us", 500, "simulated seek+rotational latency in microseconds (8000 = unscaled SAS; 500 = reduced-scale calibration, see DESIGN.md)")
-		transferUS = flag.Int("transfer-us", 25, "simulated per-page transfer time in microseconds")
-		csvDir     = flag.String("csv", "", "also write plot-ready CSV files into this directory")
-		parallel   = flag.Int("parallel", 0, "run the concurrent-serving experiment with this many pool workers (0 = off)")
-		rtScale    = flag.Float64("realtime-scale", 1.0, "wall-clock seconds slept per simulated second in the -parallel experiment")
-		deadline   = flag.Duration("deadline", 0, "per-query deadline in the -parallel experiment (0 = none); canceled queries are counted and abort at the next page boundary")
-		maxInFl    = flag.Int("maxinflight", 0, "admission cap on in-flight queries in the -parallel experiment (0 = unlimited); beyond it submissions fast-fail with ErrOverloaded")
-		queueWait  = flag.Duration("queuewait", 0, "how long a submission may wait for an in-flight slot before fast-failing (needs -maxinflight)")
-		devices    = flag.Int("devices", 1, "number of simulated member devices to stripe files across")
-		channels   = flag.Int("channels", 1, "independent I/O channels (platter heads) per device")
-		placement  = flag.String("placement", "affinity", "file placement across devices: affinity|roundrobin")
-		jsonPath   = flag.String("json", "", "also write the -parallel serving report (topology, timings, per-channel utilization) as JSON to this file")
-		asyncCmp   = flag.Bool("async", false, "with -parallel: compare synchronous vs asynchronous layout maintenance on the miss-heavy adapting workload (per-query latency percentiles + time-to-convergence); with -share: run the sharing comparison's engines in async-maintenance mode")
-		maintWk    = flag.Int("maintworkers", 2, "maintenance worker pool size for async-maintenance modes")
-		share      = flag.Bool("share", false, "with -parallel: compare ShareScans off vs on under an overlapping hot-region pooled workload (coalesced reads, pages saved, byte-identical results), writing BENCH_sharing.json fields via -json")
-		cacheCmp   = flag.Bool("cache", false, "with -parallel: compare CacheResults off vs on under a zipf hot-region pooled workload (exact + containment cache hits, zero-device-read queries, byte-identical results), writing BENCH_cache.json fields via -json; composes with -share and -async")
-		batchWin   = flag.Duration("batchwindow", 2*time.Millisecond, "dispatcher micro-batch window for the -share comparison's sharing mode (0 disables batching)")
-		faults     = flag.Bool("faults", false, "with -parallel: availability experiment under a seeded transient device fault storm — the converged workload is replayed fault-free and then mid-storm with read retries on, reporting served fraction, latency percentiles, the retry ledger and fingerprint identity of every served query, writing BENCH_faults.json via -json; composes with -share/-cache/-async")
-		faultRate  = flag.Float64("faultrate", 0.01, "base transient fault probability per read attempt for -faults (storm windows run at 10x this rate)")
-		contention = flag.Bool("contention", false, "with -parallel -async: additionally replay the cold async pass with the background I/O budget on (-maintbudget), reporting foreground latency percentiles under mixed query+maintenance contention, throttled vs unthrottled")
-		maintBgt   = flag.Float64("maintbudget", 0.2, "background I/O budget fraction for -contention: the share of platter busy time maintenance may consume while foreground queries are in flight")
-		scenario   = flag.String("scenario", "", "run the workload scenario lab on this named scenario (zipf|drift|scanheavy|pointheavy|diurnal|adversarial) or 'all': sweep static batch-window x cache-capacity settings (plus the adaptive mode with -adaptive) over an open-loop paced replay and write BENCH_scenarios.json")
-		adaptive   = flag.Bool("adaptive", false, "with -scenario: include the adaptive self-tuning mode (adaptive batch window, auto-sized result cache, heat decay) in the sweep")
-		gapDur     = flag.Duration("gap", 2*time.Millisecond, "with -scenario: base open-loop inter-arrival unit; each scenario scales it by its own pacing curve")
-		clusterOn  = flag.Bool("cluster", false, "run the replicated-cluster serving experiment: the workload replays through a sharded, replicated Router (health-checked failover, hedged reads) and is pinned byte-identical to a single Explorer over the union of the datasets, writing BENCH_cluster.json via -json")
-		shards     = flag.Int("shards", 4, "with -cluster: shard count N")
-		replicas   = flag.Int("replicas", 2, "with -cluster: replication factor R (clamped to -shards)")
-		shardFlts  = flag.Bool("shardfaults", false, "with -cluster: additionally replay under deterministic shard fault plans — a crash window (availability + failover) and a slow-shard storm (hedged vs unhedged tail latency)")
-	)
-	flag.Parse()
+// params is the parsed command line.
+type params struct {
+	cfg  bench.Config
+	wcfg bench.WorkloadConfig
 
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fatalf("%v", err)
-		}
-	}
+	experiment, layout, ksList, csvDir, jsonPath, scenario string
+	seekUS, transferUS, workers, maintWorkers              int
+	shards, replicas                                       int
+	verify, async, share, cache, adaptive, shardFaults     bool
+	scale, maintBudget, faultRate                          float64
+	batchWindow, gap                                       time.Duration
+	admission                                              odyssey.AdmissionConfig
 
-	cfg := bench.DefaultConfig()
-	cfg.Datasets = *datasets
-	cfg.ObjectsPerDataset = *objects
-	cfg.DataSeed = *dataSeed
-	cfg.GridCells = *gridCells
-	cfg.Cost.Seek = time.Duration(*seekUS) * time.Microsecond
-	cfg.Cost.Transfer = time.Duration(*transferUS) * time.Microsecond
-	cfg.Devices = *devices
-	cfg.Channels = *channels
-	cfg.Placement = *placement
-	if *devices < 1 || *channels < 1 {
+	header header     // the envelope of the report of the row being run
+	ks     []int      // figure 4's datasets-per-query sweep, parsed from -ks
+	env    *bench.Env // the figure rows' shared datasets, see environment
+	set    []string   // the flags given on the command line
+	args   []string   // validate's files
+}
+
+// flags declares the command line over p. Sizing, topology and rate flags
+// apply to whichever row reads them (see experiment.flags).
+func flags(p *params) *flag.FlagSet {
+	fs := flag.NewFlagSet("odyssey-bench", flag.ExitOnError)
+	p.cfg = bench.DefaultConfig()
+	fs.StringVar(&p.experiment, "experiment", "all", "table row to run: a figure id (fig4a..fig4d, fig5a..fig5c, gridsweep), a comma list of them or 'all'; parallel, async, sharing, cache, faults, cluster, scenarios; or 'validate FILE...' to re-check written reports")
+	fs.IntVar(&p.cfg.Datasets, "datasets", 10, "number of datasets (paper: 10)")
+	fs.IntVar(&p.cfg.ObjectsPerDataset, "objects", 100000, "objects per dataset")
+	fs.IntVar(&p.wcfg.Queries, "queries", 1000, "queries per workload (paper: 1000)")
+	fs.Float64Var(&p.wcfg.QueryVolumeFrac, "qvol", 1e-4, "query volume fraction of the explored volume")
+	fs.Int64Var(&p.wcfg.Seed, "seed", 7, "workload seed")
+	fs.Int64Var(&p.cfg.DataSeed, "data-seed", 1, "dataset generation seed")
+	fs.IntVar(&p.cfg.GridCells, "grid-cells", 6, "grid baseline cells per dimension")
+	fs.StringVar(&p.ksList, "ks", "1,3,5,7,9", "datasets-per-query sweep for figure 4")
+	fs.StringVar(&p.layout, "layout", "clustered", "data layout: clustered|uniform|filamentary")
+	fs.BoolVar(&p.verify, "verify", false, "verify each engine against the naive oracle first (slow)")
+	fs.IntVar(&p.seekUS, "seek-us", 500, "simulated seek+rotational latency in microseconds (8000 = unscaled SAS; 500 = reduced-scale calibration, see README \"Reproduction scale\")")
+	fs.IntVar(&p.transferUS, "transfer-us", 25, "simulated per-page transfer time in microseconds")
+	fs.StringVar(&p.csvDir, "csv", "", "also write plot-ready CSV files into this directory")
+	fs.IntVar(&p.workers, "parallel", 0, "pool workers for the serving rows (0 = the row's default: 8, scenarios 4)")
+	fs.Float64Var(&p.scale, "realtime-scale", 1.0, "wall-clock seconds slept per simulated second in the measured replays")
+	fs.DurationVar(&p.admission.Deadline, "deadline", 0, "parallel: per-query deadline (0 = none); canceled queries are counted and abort at the next page boundary")
+	fs.IntVar(&p.admission.MaxInFlight, "maxinflight", 0, "parallel: admission cap on in-flight queries (0 = unlimited); beyond it submissions fast-fail with ErrOverloaded")
+	fs.DurationVar(&p.admission.QueueWait, "queuewait", 0, "parallel: how long a submission may wait for an in-flight slot before fast-failing (needs -maxinflight)")
+	fs.IntVar(&p.cfg.Devices, "devices", 1, "number of simulated member devices to stripe files across")
+	fs.IntVar(&p.cfg.Channels, "channels", 1, "independent I/O channels (platter heads) per device")
+	fs.StringVar(&p.cfg.Placement, "placement", "affinity", "file placement across devices: affinity|roundrobin")
+	fs.StringVar(&p.jsonPath, "json", "", "write the serving row's report as JSON to this file")
+	fs.BoolVar(&p.async, "async", false, "sharing, cache, faults: run the engines with asynchronous layout maintenance")
+	fs.IntVar(&p.maintWorkers, "maintworkers", 2, "maintenance worker pool size for async-maintenance engines")
+	fs.BoolVar(&p.share, "share", false, "cache, faults: run the engines with scan sharing on")
+	fs.BoolVar(&p.cache, "cache", false, "faults: run the engine with the result cache on")
+	fs.DurationVar(&p.batchWindow, "batchwindow", 2*time.Millisecond, "sharing: dispatcher micro-batch window of the share-on mode (0 disables batching)")
+	fs.Float64Var(&p.faultRate, "faultrate", 0.01, "faults: base transient fault probability per read attempt (storm windows run at 10x this rate)")
+	fs.Float64Var(&p.maintBudget, "maintbudget", 0.2, "async: background I/O budget of the contention leg — the share of platter busy time maintenance may consume while foreground queries are in flight")
+	fs.StringVar(&p.scenario, "scenario", "all", "scenarios: the named scenario to sweep (zipf|drift|scanheavy|pointheavy|diurnal|adversarial) or 'all'")
+	fs.BoolVar(&p.adaptive, "adaptive", false, "scenarios: include the adaptive self-tuning mode (adaptive batch window, auto-sized result cache, heat decay) in the sweep")
+	fs.DurationVar(&p.gap, "gap", 2*time.Millisecond, "scenarios: base open-loop inter-arrival unit; each scenario scales it by its own pacing curve")
+	fs.IntVar(&p.shards, "shards", 4, "cluster: shard count N")
+	fs.IntVar(&p.replicas, "replicas", 2, "cluster: replication factor R (clamped to -shards)")
+	fs.BoolVar(&p.shardFaults, "shardfaults", false, "cluster: additionally replay under deterministic shard fault plans — a crash window (availability + failover) and a slow-shard storm (hedged vs unhedged tail latency)")
+	return fs
+}
+
+// resolve turns the parsed flag values into the configuration the rows run
+// on, and the -experiment value into table rows.
+func (p *params) resolve() []experiment {
+	p.cfg.Cost.Seek = time.Duration(p.seekUS) * time.Microsecond
+	p.cfg.Cost.Transfer = time.Duration(p.transferUS) * time.Microsecond
+	if p.cfg.Devices < 1 || p.cfg.Channels < 1 {
 		fatalf("-devices and -channels must be >= 1")
 	}
-	if _, err := bench.PlacementByName(*placement); err != nil {
-		fatalf("%v", err)
+	if p.admission.QueueWait != 0 && p.admission.MaxInFlight == 0 {
+		fatalf("-queuewait needs -maxinflight (there is no slot wait without an in-flight cap)")
 	}
-	switch *layout {
-	case "clustered":
-		cfg.DataLayout = datagen.Clustered
-	case "uniform":
-		cfg.DataLayout = datagen.Uniform
-	case "filamentary":
-		cfg.DataLayout = datagen.Filamentary
-	default:
-		fatalf("unknown layout %q", *layout)
+	layouts := map[string]datagen.Layout{"clustered": datagen.Clustered, "uniform": datagen.Uniform, "filamentary": datagen.Filamentary}
+	var known bool
+	if p.cfg.DataLayout, known = layouts[p.layout]; !known {
+		fatalf("unknown layout %q", p.layout)
 	}
-	wcfg := bench.WorkloadConfig{Queries: *queries, QueryVolumeFrac: *qvol, Seed: *seed}
-
-	var ks []int
-	for _, part := range strings.Split(*ksFlag, ",") {
+	for _, part := range strings.Split(p.ksList, ",") {
 		k, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || k < 1 {
 			fatalf("bad -ks entry %q", part)
 		}
-		ks = append(ks, k)
+		p.ks = append(p.ks, k)
 	}
-
-	ids := map[bool][]string{
-		true:  {"fig4a", "fig4b", "fig4c", "fig4d", "fig5a", "fig5b", "fig5c"},
-		false: strings.Split(*experiment, ","),
-	}[*experiment == "all"]
-
-	if *scenario != "" {
-		// The scenario lab generates its own workload and mode grid; the
-		// comparison and admission flags belong to the other experiments.
-		if *verify || *experiment != "all" {
-			fatalf("-scenario cannot be combined with -verify or -experiment (the lab runs its own workload)")
-		}
-		if *share || *cacheCmp || *asyncCmp || *faults || *contention {
-			fatalf("-scenario cannot be combined with -share/-cache/-async/-faults/-contention")
-		}
-		if *deadline != 0 || *maxInFl != 0 || *queueWait != 0 {
-			fatalf("-deadline/-maxinflight/-queuewait cannot be combined with -scenario (the lab measures raw serving latency)")
-		}
-		runScenarios(cfg, wcfg, *scenario, *adaptive, *parallel, *rtScale, *gapDur, *jsonPath)
-		return
+	names := strings.Split(p.experiment, ",")
+	if p.experiment == "all" {
+		names = figureIDs
 	}
-
-	if *clusterOn {
-		// The cluster experiment replays its own fixed workload through a
-		// Router; the single-Explorer experiment flags would silently
-		// measure something else.
-		if *verify || *experiment != "all" {
-			fatalf("-cluster cannot be combined with -verify or -experiment (it replays a fixed workload)")
+	var rows []experiment
+	for _, name := range names {
+		row, found := findExperiment(func(e experiment) bool { return e.name == strings.TrimSpace(name) })
+		// Only the figure rows share an invocation: they write no report,
+		// so a list cannot fight over -json or over the arguments.
+		if !found || len(names) > 1 && !slices.Equal(row.flags, figure) {
+			fatalf("unknown experiment %q, or one that cannot be part of a list", name)
 		}
-		if *parallel > 0 || *share || *cacheCmp || *asyncCmp || *faults || *contention {
-			fatalf("-cluster cannot be combined with -parallel/-share/-cache/-async/-faults/-contention")
-		}
-		if *deadline != 0 || *maxInFl != 0 || *queueWait != 0 {
-			fatalf("-deadline/-maxinflight/-queuewait cannot be combined with -cluster (availability is measured without admission shedding)")
-		}
-		if *shards < 2 {
-			fatalf("-shards must be >= 2")
-		}
-		if *replicas < 1 {
-			fatalf("-replicas must be >= 1")
-		}
-		runClusterServing(cfg, wcfg, *shards, *replicas, *shardFlts, *jsonPath)
-		return
+		rows = append(rows, row)
 	}
-	if *shardFlts {
-		fatalf("-shardfaults needs -cluster")
-	}
-
-	if *parallel > 0 {
-		// The serving experiment has a fixed workload shape (fig4a's
-		// distributions); combining it with figure selection or oracle
-		// verification would silently measure something else.
-		if *verify {
-			fatalf("-verify is not supported with -parallel")
-		}
-		if *experiment != "all" {
-			fatalf("-experiment cannot be combined with -parallel (the serving workload is fixed to fig4a's distributions)")
-		}
-		if *queueWait != 0 && *maxInFl == 0 {
-			fatalf("-queuewait needs -maxinflight (there is no slot wait without an in-flight cap)")
-		}
-		if *contention {
-			if !*asyncCmp || *share || *cacheCmp {
-				fatalf("-contention needs -async without -share/-cache (it extends the async-maintenance comparison)")
-			}
-			if *maintBgt <= 0 || *maintBgt >= 1 {
-				fatalf("-maintbudget must be in (0,1)")
-			}
-		}
-		if *faults {
-			if *deadline != 0 || *maxInFl != 0 || *queueWait != 0 {
-				fatalf("-deadline/-maxinflight/-queuewait cannot be combined with -faults (availability is measured without admission shedding)")
-			}
-			if *faultRate <= 0 || *faultRate >= 1 {
-				fatalf("-faultrate must be in (0,1)")
-			}
-			runFaultsServing(cfg, wcfg, *parallel, *rtScale, *share, *cacheCmp, *asyncCmp, *maintWk, *faultRate, *jsonPath)
-			return
-		}
-		if *cacheCmp {
-			if *deadline != 0 || *maxInFl != 0 || *queueWait != 0 {
-				fatalf("-deadline/-maxinflight/-queuewait cannot be combined with -cache (the comparison measures raw caching gains)")
-			}
-			runCacheServing(cfg, wcfg, *parallel, *rtScale, *share, *asyncCmp, *maintWk, *jsonPath)
-			return
-		}
-		if *share {
-			if *deadline != 0 || *maxInFl != 0 || *queueWait != 0 {
-				fatalf("-deadline/-maxinflight/-queuewait cannot be combined with -share (the comparison measures raw sharing gains)")
-			}
-			runSharingServing(cfg, wcfg, *parallel, *rtScale, *asyncCmp, *maintWk, *batchWin, *jsonPath)
-			return
-		}
-		if *asyncCmp {
-			if *deadline != 0 || *maxInFl != 0 || *queueWait != 0 {
-				fatalf("-deadline/-maxinflight/-queuewait cannot be combined with -async (the comparison measures raw serving latency)")
-			}
-			runAsyncServing(cfg, wcfg, *parallel, *rtScale, *maintWk, *jsonPath, *contention, *maintBgt)
-			return
-		}
-		adm := odyssey.AdmissionConfig{
-			MaxInFlight: *maxInFl,
-			Deadline:    *deadline,
-			QueueWait:   *queueWait,
-		}
-		runParallelServing(cfg, wcfg, *parallel, *rtScale, adm, *jsonPath)
-		return
-	}
-	if *asyncCmp {
-		fatalf("-async needs -parallel (it compares pooled serving under both maintenance modes)")
-	}
-	if *contention {
-		fatalf("-contention needs -parallel -async (it measures the pooled serving experiment under maintenance contention)")
-	}
-	if *share {
-		fatalf("-share needs -parallel (sharing only pays off across concurrent queries)")
-	}
-	if *cacheCmp {
-		fatalf("-cache needs -parallel (the caching comparison replays a pooled serving workload)")
-	}
-	if *faults {
-		fatalf("-faults needs -parallel (availability is measured on the pooled serving workload)")
-	}
-	if *deadline != 0 || *maxInFl != 0 || *queueWait != 0 {
-		fatalf("-deadline/-maxinflight/-queuewait only apply to the -parallel experiment")
-	}
-	if *jsonPath != "" {
-		fatalf("-json only applies to the -parallel experiment")
-	}
-
-	env := bench.NewEnv(cfg)
-	fmt.Printf("environment: %d datasets x %d objects (%s), %d queries, qvol=%g, grid=%d^3\n\n",
-		cfg.Datasets, cfg.ObjectsPerDataset, cfg.DataLayout, wcfg.Queries,
-		wcfg.QueryVolumeFrac, cfg.GridCells)
-
-	if *verify {
-		runVerification(env, wcfg)
-	}
-
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		if id == "gridsweep" {
-			rows, err := bench.GridSweep(env, wcfg, nil, nil)
-			if err != nil {
-				fatalf("gridsweep: %v", err)
-			}
-			bench.PrintGridSweep(os.Stdout, rows)
-			fmt.Println()
-			continue
-		}
-		spec, err := bench.FigureByID(id)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		start := time.Now()
-		switch {
-		case strings.HasPrefix(id, "fig4"):
-			res, err := bench.Figure4(env, spec, wcfg, ks, nil)
-			if err != nil {
-				fatalf("%s: %v", id, err)
-			}
-			bench.PrintFigure4(os.Stdout, res)
-			writeCSV(*csvDir, id, func(w io.Writer) error { return bench.WriteFigure4CSV(w, res) })
-		case id == "fig5c":
-			res, err := bench.Figure5c(env, wcfg)
-			if err != nil {
-				fatalf("%s: %v", id, err)
-			}
-			bench.PrintFigure5c(os.Stdout, res)
-			writeCSV(*csvDir, id, func(w io.Writer) error { return bench.WriteFigure5cCSV(w, res) })
-		default: // fig5a, fig5b
-			res, err := bench.Figure5(env, spec, wcfg, nil)
-			if err != nil {
-				fatalf("%s: %v", id, err)
-			}
-			bench.PrintFigure5(os.Stdout, res)
-			writeCSV(*csvDir, id, func(w io.Writer) error { return bench.WriteFigure5CSV(w, res) })
-		}
-		fmt.Printf("(%s completed in %.1fs wall time)\n\n", id, time.Since(start).Seconds())
-	}
+	return rows
 }
 
-// runParallelServing measures concurrent query serving: the configured
-// workload is converged once on a purely virtual disk, then replayed both
-// serially and through an Explorer worker pool with real-time emulation on
-// (platter charges sleep their scaled simulated duration), so the pool's
-// wall-clock speedup reflects genuinely overlapped I/O waits. With a
-// deadline or in-flight cap configured, the pooled run additionally reports
-// the admission ledger (admitted/rejected/canceled/swept/completed) and
-// per-query latency percentiles; the serial baseline always runs without
-// deadlines so the two runs are comparable. The storage topology follows
-// -devices/-channels/-placement, and the report breaks utilization down per
-// device and per channel (jsonPath non-empty also writes it as JSON).
-func runParallelServing(cfg bench.Config, wcfg bench.WorkloadConfig, workers int, scale float64, adm odyssey.AdmissionConfig, jsonPath string) {
-	spec, err := bench.FigureByID("fig4a")
-	if err != nil {
-		fatalf("%v", err)
-	}
-	k := 3
-	if k > cfg.Datasets {
-		k = cfg.Datasets
-	}
-	w, err := workload.Generate(workload.Config{
-		Seed: wcfg.Seed, NumQueries: wcfg.Queries, NumDatasets: cfg.Datasets,
-		DatasetsPerQuery: k, QueryVolumeFrac: wcfg.QueryVolumeFrac,
-		RangeDist: spec.RangeDist, CombDist: spec.CombDist,
-		ClusterCenters: spec.ClusterCenters,
-	})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	data := datagen.GenerateDatasets(datagen.Config{
-		Seed: cfg.DataSeed, NumObjects: cfg.ObjectsPerDataset,
-		Bounds: cfg.Bounds, Layout: cfg.DataLayout,
-	}, cfg.Datasets)
-
-	newConverged := func() *odyssey.Explorer {
-		policy, err := bench.PlacementByName(cfg.Placement)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		ex, err := odyssey.NewExplorer(odyssey.Options{
-			Bounds: cfg.Bounds, Cost: cfg.Cost, CachePages: cfg.CachePages,
-			DropCachesPerQuery: true,
-			Devices:            cfg.Devices, Channels: cfg.Channels, Placement: policy,
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
-		for i, objs := range data {
-			if err := ex.AddDataset(odyssey.DatasetID(i), objs); err != nil {
-				fatalf("%v", err)
-			}
-		}
-		// Replay the workload until the layout is quiescent (no refinements
-		// or merges in a full pass, up to a small bound): repeat queries
-		// cross merge thresholds on later passes, and a measured run should
-		// observe steady-state serving, not leftover reorganization. The
-		// extra passes are nearly free on the virtual (instant) disk.
-		for pass := 0; pass < 4; pass++ {
-			before := ex.Metrics()
-			for _, q := range w.Queries {
-				if _, err := ex.Query(q.Range, q.Datasets); err != nil {
-					fatalf("converge: %v", err)
-				}
-			}
-			after := ex.Metrics()
-			if after.Refinements == before.Refinements &&
-				after.PartitionsMerged == before.PartitionsMerged &&
-				after.MergeEvictions == before.MergeEvictions {
-				break
-			}
-		}
-		ex.SetRealTimeScale(scale)
-		return ex
-	}
-
-	fmt.Printf("concurrent serving: %d datasets x %d objects, %d queries, %d workers, realtime x%g\n",
-		cfg.Datasets, cfg.ObjectsPerDataset, wcfg.Queries, workers, scale)
-	fmt.Printf("storage: %d device(s) x %d channel(s), placement %s\n\n",
-		cfg.Devices, cfg.Channels, cfg.Placement)
-
-	// Serial baseline.
-	ex := newConverged()
-	// Measure from a zeroed clock: on a multi-channel topology, deltas
-	// across the (imbalanced) convergence phase under-report — the busiest
-	// channel's head start shadows measured-phase work on the others.
-	ex.ResetClock()
-	sim0 := ex.Clock()
-	t0 := time.Now()
-	for _, q := range w.Queries {
-		if _, err := ex.Query(q.Range, q.Datasets); err != nil {
-			fatalf("serial: %v", err)
-		}
-	}
-	serialWall := time.Since(t0)
-	serialSim := ex.Clock() - sim0
-	fmt.Printf("serial:     %8.3fs wall  %8.3fs simulated  %7.1f q/s\n",
-		serialWall.Seconds(), serialSim.Seconds(),
-		float64(len(w.Queries))/serialWall.Seconds())
-
-	// Pooled run via the dispatcher, to surface per-worker stats and (when
-	// configured) the admission controller's behaviour under deadlines.
-	ex = newConverged()
-	ex.ResetClock() // see the serial baseline's comment
-	m0 := ex.Metrics()
-	chan0 := ex.ChannelStats() // baseline for the measured run's utilization
-	sim0 = ex.Clock()
-	d := odyssey.NewDispatcherWithAdmission(ex, workers, adm)
-	out := make(chan odyssey.BatchResult, len(w.Queries))
-	t0 = time.Now()
-	for i, q := range w.Queries {
-		switch err := d.Submit(i, q, out); {
-		case err == nil:
-		case errors.Is(err, odyssey.ErrOverloaded):
-			// Fast-failed by admission control; counted in the ledger.
-		default:
-			fatalf("%v", err)
-		}
-	}
-	d.Close()
-	poolWall := time.Since(t0)
-	poolSim := ex.Clock() - sim0
-	close(out)
-	var service, wait, e2e []time.Duration
-	canceled := 0
-	for r := range out {
-		if r.Err != nil && !odyssey.IsCanceled(r.Err) {
-			fatalf("worker %d query %d: %v", r.Worker, r.Index, r.Err)
-		}
-		if r.Err != nil {
-			canceled++
-		}
-		service = append(service, r.Wall)
-		wait = append(wait, r.Wait)
-		e2e = append(e2e, r.Wait+r.Wall)
-	}
-	st := d.AdmissionStats()
-	admitted := len(service)
-	m := ex.Metrics()
-	if r, p := m.Refinements-m0.Refinements, m.PartitionsMerged-m0.PartitionsMerged; r > 0 || p > 0 {
-		fmt.Printf("note: layout still adapting during the measured run (%d refinements, %d partitions merged)\n", r, p)
-	}
-	fmt.Printf("%d workers: %8.3fs wall  %8.3fs simulated  %7.1f q/s admitted  (%.2fx speedup)\n",
-		workers, poolWall.Seconds(), poolSim.Seconds(),
-		float64(admitted)/poolWall.Seconds(),
-		serialWall.Seconds()/poolWall.Seconds())
-	fmt.Printf("admission: %d admitted  %d rejected  %d canceled (%d swept in queue)  %d completed\n",
-		st.Admitted, st.Rejected, st.Canceled, st.Swept, st.Completed) // failures fatal above
-	if adm.Deadline > 0 {
-		fmt.Printf("deadline %v: %d of %d admitted queries canceled (%.1f%%)\n",
-			adm.Deadline, canceled, admitted,
-			100*float64(canceled)/float64(max(admitted, 1)))
-	}
-	fmt.Printf("latency  service: p50 %-10v p95 %-10v p99 %v\n",
-		pct(service, 50), pct(service, 95), pct(service, 99))
-	fmt.Printf("         queue:   p50 %-10v p95 %-10v p99 %v\n",
-		pct(wait, 50), pct(wait, 95), pct(wait, 99))
-	fmt.Printf("         e2e:     p50 %-10v p95 %-10v p99 %v\n\n",
-		pct(e2e, 50), pct(e2e, 95), pct(e2e, 99))
-	fmt.Println("per-worker throughput:")
-	for _, ws := range d.WorkerStats() {
-		fmt.Printf("  worker %2d: %4d queries (%d canceled) in %8.3fs busy  %7.1f q/s\n",
-			ws.Worker, ws.Queries, ws.Canceled, ws.Busy.Seconds(), ws.Throughput())
-	}
-
-	// Per-device / per-channel utilization of the measured pooled run:
-	// busy platter time relative to the run's simulated elapsed time.
-	chans := ex.ChannelStats()
-	topo := ex.Topology()
-	report := servingReport{
-		Devices:   topo.Devices,
-		Channels:  topo.Channels,
-		Placement: topo.Placement,
-		Workers:   workers,
-		Queries:   len(w.Queries),
-		Serial:    servingRun{WallSeconds: serialWall.Seconds(), SimSeconds: serialSim.Seconds()},
-		Pool: servingRun{
-			WallSeconds: poolWall.Seconds(), SimSeconds: poolSim.Seconds(),
-			Speedup: serialWall.Seconds() / poolWall.Seconds(),
-		},
-		Admission: admissionReport{
-			Admitted: st.Admitted, Rejected: st.Rejected, Canceled: st.Canceled,
-			Swept: st.Swept, Completed: st.Completed, Failed: st.Failed,
-		},
-	}
-	fmt.Println("\nper-channel utilization (measured run):")
-	for di := range chans {
-		for ci := range chans[di] {
-			cs := chans[di][ci]
-			if di < len(chan0) && ci < len(chan0[di]) {
-				base := chan0[di][ci]
-				cs.Busy -= base.Busy
-				cs.Seeks -= base.Seeks
-				cs.SeqPages -= base.SeqPages
-			}
-			util := 0.0
-			if poolSim > 0 {
-				util = cs.Busy.Seconds() / poolSim.Seconds()
-			}
-			fmt.Printf("  device %d channel %d: %8.3fs busy  %5.1f%% util  %6d seeks  %6d seq pages\n",
-				di, ci, cs.Busy.Seconds(), 100*util, cs.Seeks, cs.SeqPages)
-			report.ChannelUtil = append(report.ChannelUtil, channelUtil{
-				Device: di, Channel: cs.Channel,
-				BusySeconds: cs.Busy.Seconds(), Utilization: util,
-				Seeks: cs.Seeks, SeqPages: cs.SeqPages,
-			})
-		}
-	}
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("\n(wrote %s)\n", jsonPath)
-	}
-}
-
-// runAsyncServing compares synchronous (inline) against asynchronous
-// (background) layout maintenance on the miss-heavy adapting workload: both
-// modes serve the SAME cold workload through a pool of the given size on a
-// real-time emulated disk, WITHOUT pre-converging the layout — so the
-// measured pass includes level-0 builds, refinements and merges. In sync
-// mode the unlucky queries pay that maintenance inline; in async mode they
-// answer from the current layout while a background scheduler converges it.
-// After the measured pass, both modes replay the workload until the layout
-// is quiescent (async quiesces the pipeline each pass), yielding
-// time-to-convergence. The report (stdout + optional JSON) carries p50/p95/
-// p99 per-query wall latency, simulated time, convergence wall time and
-// pass count, and the async maintenance ledger.
-//
-// With contention set, the cold async pass runs a third time with the
-// background I/O budget on (Options.MaintenanceBudget = maintBudget):
-// maintenance device operations wait, wall-clock only, whenever foreground
-// queries are in flight and maintenance exceeds its share of platter busy
-// time. The report's contention section compares foreground latency
-// percentiles throttled vs unthrottled — same queries, same layout work,
-// byte-identical results; only when maintenance I/O runs moves.
-func runAsyncServing(cfg bench.Config, wcfg bench.WorkloadConfig, workers int, scale float64, maintWorkers int, jsonPath string, contention bool, maintBudget float64) {
-	spec, err := bench.FigureByID("fig4a")
-	if err != nil {
-		fatalf("%v", err)
-	}
-	k := 3
-	if k > cfg.Datasets {
-		k = cfg.Datasets
-	}
-	w, err := workload.Generate(workload.Config{
-		Seed: wcfg.Seed, NumQueries: wcfg.Queries, NumDatasets: cfg.Datasets,
-		DatasetsPerQuery: k, QueryVolumeFrac: wcfg.QueryVolumeFrac,
-		RangeDist: spec.RangeDist, CombDist: spec.CombDist,
-		ClusterCenters: spec.ClusterCenters,
-	})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	data := datagen.GenerateDatasets(datagen.Config{
-		Seed: cfg.DataSeed, NumObjects: cfg.ObjectsPerDataset,
-		Bounds: cfg.Bounds, Layout: cfg.DataLayout,
-	}, cfg.Datasets)
-	policy, err := bench.PlacementByName(cfg.Placement)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	fmt.Printf("async-maintenance comparison: %d datasets x %d objects, %d queries, %d workers, realtime x%g\n",
-		cfg.Datasets, cfg.ObjectsPerDataset, wcfg.Queries, workers, scale)
-	fmt.Printf("storage: %d device(s) x %d channel(s), placement %s; maintenance workers (async mode): %d\n\n",
-		cfg.Devices, cfg.Channels, cfg.Placement, maintWorkers)
-
-	// runPass replays the workload through a fresh pool. gap > 0 paces the
-	// submissions open-loop (one query per gap) instead of firing the whole
-	// workload at once: per-query wall latency then measures service under
-	// concurrent load rather than position in a saturated queue.
-	runPass := func(ex *odyssey.Explorer, gap time.Duration) []time.Duration {
-		d := odyssey.NewDispatcher(ex, workers)
-		out := make(chan odyssey.BatchResult, len(w.Queries))
-		for i, q := range w.Queries {
-			if err := d.Submit(i, q, out); err != nil {
-				fatalf("submit: %v", err)
-			}
-			if gap > 0 && i < len(w.Queries)-1 {
-				time.Sleep(gap)
-			}
-		}
-		d.Close()
-		close(out)
-		lat := make([]time.Duration, 0, len(w.Queries))
-		for r := range out {
-			if r.Err != nil {
-				fatalf("worker %d query %d: %v", r.Worker, r.Index, r.Err)
-			}
-			lat = append(lat, r.Wall)
-		}
-		return lat
-	}
-
-	runMode := func(name string, async bool, budget float64) asyncModeReport {
-		ex, err := odyssey.NewExplorer(odyssey.Options{
-			Bounds: cfg.Bounds, Cost: cfg.Cost, CachePages: cfg.CachePages,
-			DropCachesPerQuery: true,
-			Devices:            cfg.Devices, Channels: cfg.Channels, Placement: policy,
-			AsyncMaintenance: async, MaintenanceWorkers: maintWorkers,
-			MaintenanceBudget: budget,
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer func() {
-			if err := ex.Close(); err != nil {
-				fatalf("close: %v", err)
-			}
-		}()
-		for i, objs := range data {
-			if err := ex.AddDataset(odyssey.DatasetID(i), objs); err != nil {
-				fatalf("%v", err)
-			}
-		}
-		ex.SetRealTimeScale(scale)
-
-		// Measured pass: cold layout, the pool serves while the engine
-		// adapts (inline in sync mode, in the background in async mode).
-		t0 := time.Now()
-		sim0 := ex.Clock()
-		lat := runPass(ex, 0)
-		measuredWall := time.Since(t0)
-		// Quiesce before reading the pass's simulated time: in async mode
-		// background maintenance is still charging the clock when the pool
-		// drains, and a mid-flight snapshot would compare sync's complete
-		// total against a racy partial one. After the quiesce, sim_seconds
-		// covers the pass's queries plus all maintenance they scheduled —
-		// the same work sync pays inline.
-		if err := ex.Quiesce(context.Background()); err != nil {
-			fatalf("quiesce: %v", err)
-		}
-		measuredSim := ex.Clock() - sim0
-
-		// Convergence: replay until a full pass leaves the layout alone.
-		// The async pipeline is quiesced each pass, so convergence time
-		// includes its background work — deferred maintenance is not free,
-		// it is just off the query path.
-		const maxPasses = 10
-		converged := false
-		passes := 1
-		for ; passes < maxPasses; passes++ {
-			before := ex.Metrics()
-			runPass(ex, 0)
-			if err := ex.Quiesce(context.Background()); err != nil {
-				fatalf("quiesce: %v", err)
-			}
-			after := ex.Metrics()
-			if after.Refinements == before.Refinements &&
-				after.PartitionsMerged == before.PartitionsMerged &&
-				after.MergeEvictions == before.MergeEvictions {
-				converged = true
-				break
-			}
-		}
-		if !converged {
-			fmt.Printf("      WARNING: layout still adapting after %d passes — convergence figures are a lower bound\n", maxPasses)
-		}
-		convergedWall := time.Since(t0)
-		if err := ex.MaintenanceErr(); err != nil {
-			fatalf("maintenance task failed: %v", err)
-		}
-
-		m := ex.Metrics()
-		disk := ex.DiskStats()
-		rep := asyncModeReport{
-			WallSeconds:            measuredWall.Seconds(),
-			SimSeconds:             measuredSim.Seconds(),
-			LatencyP50:             bench.Percentile(lat, 50).Seconds(),
-			LatencyP95:             bench.Percentile(lat, 95).Seconds(),
-			LatencyP99:             bench.Percentile(lat, 99).Seconds(),
-			Converged:              converged,
-			ConvergenceWallSeconds: convergedWall.Seconds(),
-			ConvergencePasses:      passes,
-			Refinements:            m.Refinements,
-			PartitionsMerged:       m.PartitionsMerged,
-			MergeFiles:             ex.MergeFileCount(),
-			MaintenanceBudget:      budget,
-			ThrottledOps:           disk.ThrottledOps,
-			QueuedDelaySeconds:     disk.QueuedDelay.Seconds(),
-		}
-		if async {
-			st := ex.MaintenanceStats()
-			rep.Maintenance = &maintenanceReport{
-				Queued: st.Queued, Coalesced: st.Coalesced, Completed: st.Completed,
-				Failed: st.Failed, Dropped: st.Dropped,
-				RefineTasks: st.RefineTasks, MergeTasks: st.MergeTasks,
-				Refinements: st.Refinements, QueueDepthHighWater: st.QueueDepthHighWater,
-			}
-		}
-		fmt.Printf("%-5s measured pass: %8.3fs wall  %8.3fs simulated  %7.1f q/s\n",
-			name, measuredWall.Seconds(), measuredSim.Seconds(),
-			float64(len(w.Queries))/measuredWall.Seconds())
-		fmt.Printf("      latency: p50 %-10v p95 %-10v p99 %v\n",
-			pct(lat, 50), pct(lat, 95), pct(lat, 99))
-		fmt.Printf("      converged after %d pass(es), %.3fs wall (%d refinements, %d partitions merged, %d merge files)\n",
-			passes, convergedWall.Seconds(), m.Refinements, m.PartitionsMerged, ex.MergeFileCount())
-		if rep.Maintenance != nil {
-			fmt.Printf("      maintenance: %d queued, %d coalesced, %d completed, %d refine / %d merge tasks, queue high-water %d\n",
-				rep.Maintenance.Queued, rep.Maintenance.Coalesced, rep.Maintenance.Completed,
-				rep.Maintenance.RefineTasks, rep.Maintenance.MergeTasks,
-				rep.Maintenance.QueueDepthHighWater)
-		}
-		if budget > 0 {
-			fmt.Printf("      budget %.2f: %d maintenance ops gated, %.3fs queueing delay attributed\n",
-				budget, rep.ThrottledOps, rep.QueuedDelaySeconds)
-		}
-		fmt.Println()
-		return rep
-	}
-
-	syncRep := runMode("sync", false, 0)
-	asyncRep := runMode("async", true, 0)
-
-	report := asyncReport{
-		Experiment: "async-maintenance",
-		Devices:    cfg.Devices, Channels: cfg.Channels, Placement: cfg.Placement,
-		Workers: workers, Queries: len(w.Queries), RealtimeScale: scale,
-		MaintenanceWorkers: maintWorkers,
-		Sync:               syncRep,
-		Async:              asyncRep,
-	}
-	if asyncRep.LatencyP99 > 0 {
-		report.P99Speedup = syncRep.LatencyP99 / asyncRep.LatencyP99
-	}
-	fmt.Printf("p99 latency: sync %v  async %v  (%.2fx)\n",
-		time.Duration(syncRep.LatencyP99*float64(time.Second)).Round(10*time.Microsecond),
-		time.Duration(asyncRep.LatencyP99*float64(time.Second)).Round(10*time.Microsecond),
-		report.P99Speedup)
-	if contention {
-		fmt.Println()
-		report.Contention = runContention(cfg, wcfg, spec, data, policy,
-			workers, scale, maintWorkers, maintBudget)
-	}
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("(wrote %s)\n", jsonPath)
-	}
-}
-
-// runContention measures the background I/O budget's foreground-QoS effect
-// in the regime it is designed for: interactive queries over CONVERGED
-// datasets — stable, layout-independent cost — served open-loop while
-// background maintenance churns over OTHER datasets. The datasets are split
-// in half: the foreground workload touches only the first half, the churn
-// workload only the second. Per leg (budget off, then -maintbudget) a fresh
-// async engine converges the foreground datasets with emulation disabled
-// (setup, not measurement), then — emulation on — a 2-worker side pool
-// fires the cold churn batch (every query schedules refinement and merge
-// work) while the main pool serves the paced foreground workload and its
-// per-query wall latency is recorded. Foreground queries' own simulated
-// charges are identical across legs (their layout no longer changes); any
-// latency difference is maintenance interference — channel-frontier pushes
-// lengthening foreground emulation sleeps, plus CPU and lock pressure —
-// which the throttle confines to foreground-idle gaps.
-func runContention(cfg bench.Config, wcfg bench.WorkloadConfig, spec bench.FigureSpec,
-	data [][]odyssey.Object, policy odyssey.PlacementPolicy,
-	workers int, scale float64, maintWorkers int, maintBudget float64) *contentionReport {
-
-	fgN := cfg.Datasets / 2
-	if fgN < 1 {
-		fgN = 1
-	}
-	bgN := cfg.Datasets - fgN
-	kOf := func(n int) int {
-		if n < 3 {
-			return n
-		}
-		return 3
-	}
-	wFg, err := workload.Generate(workload.Config{
-		Seed: wcfg.Seed + 101, NumQueries: wcfg.Queries, NumDatasets: fgN,
-		DatasetsPerQuery: kOf(fgN), QueryVolumeFrac: wcfg.QueryVolumeFrac,
-		RangeDist: spec.RangeDist, CombDist: spec.CombDist,
-		ClusterCenters: spec.ClusterCenters,
-	})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	var bgQueries []workload.Query
-	if bgN > 0 {
-		wBg, err := workload.Generate(workload.Config{
-			Seed: wcfg.Seed + 202, NumQueries: wcfg.Queries, NumDatasets: bgN,
-			DatasetsPerQuery: kOf(bgN), QueryVolumeFrac: wcfg.QueryVolumeFrac,
-			RangeDist: spec.RangeDist, CombDist: spec.CombDist,
-			ClusterCenters: spec.ClusterCenters,
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
-		bgQueries = wBg.Queries
-		// Shift the churn workload onto the background half of the datasets.
-		// Copy each combination first: generated queries may share one
-		// underlying slice (the heavy-hitter combination), and shifting in
-		// place would compound across the queries aliasing it.
-		for i := range bgQueries {
-			shifted := make([]odyssey.DatasetID, len(bgQueries[i].Datasets))
-			for j, d := range bgQueries[i].Datasets {
-				shifted[j] = d + odyssey.DatasetID(fgN)
-			}
-			bgQueries[i].Datasets = shifted
-		}
-	}
-
-	fmt.Printf("contention comparison: foreground = %d converged dataset(s), churn = %d cold queries over %d dataset(s), budget %.2f\n",
-		fgN, len(bgQueries), bgN, maintBudget)
-
-	var gap time.Duration // derived once in the first leg, shared by both
-
-	runLeg := func(name string, budget float64) contentionLegReport {
-		ex, err := odyssey.NewExplorer(odyssey.Options{
-			Bounds: cfg.Bounds, Cost: cfg.Cost, CachePages: cfg.CachePages,
-			DropCachesPerQuery: true,
-			Devices:            cfg.Devices, Channels: cfg.Channels, Placement: policy,
-			AsyncMaintenance: true, MaintenanceWorkers: maintWorkers,
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer func() {
-			if err := ex.Close(); err != nil {
-				fatalf("close: %v", err)
-			}
-		}()
-		for i, objs := range data {
-			if err := ex.AddDataset(odyssey.DatasetID(i), objs); err != nil {
-				fatalf("%v", err)
-			}
-		}
-
-		// Converge the foreground datasets with emulation off: replay until a
-		// full pass leaves their layout alone.
-		for pass := 0; pass < 10; pass++ {
-			before := ex.Metrics()
-			for _, q := range wFg.Queries {
-				if _, err := ex.Query(q.Range, q.Datasets); err != nil {
-					fatalf("%v", err)
-				}
-			}
-			if err := ex.Quiesce(context.Background()); err != nil {
-				fatalf("quiesce: %v", err)
-			}
-			after := ex.Metrics()
-			if after.Refinements == before.Refinements &&
-				after.PartitionsMerged == before.PartitionsMerged &&
-				after.MergeEvictions == before.MergeEvictions {
-				break
-			}
-		}
-
-		ex.SetRealTimeScale(scale)
-		if gap == 0 {
-			// Capacity probe (first leg only): one unpaced pooled replay of
-			// the converged foreground workload, no churn. Open-loop arrivals
-			// in both legs then target ~60% of that capacity.
-			t0 := time.Now()
-			d := odyssey.NewDispatcher(ex, workers)
-			out := make(chan odyssey.BatchResult, len(wFg.Queries))
-			for i, q := range wFg.Queries {
-				if err := d.Submit(i, q, out); err != nil {
-					fatalf("probe submit: %v", err)
-				}
-			}
-			d.Close()
-			close(out)
-			for r := range out {
-				if r.Err != nil {
-					fatalf("probe query %d: %v", r.Index, r.Err)
-				}
-			}
-			gap = time.Duration(float64(time.Since(t0)) / (0.6 * float64(len(wFg.Queries))))
-			fmt.Printf("  open-loop arrival gap %v (~60%% of measured foreground capacity)\n",
-				gap.Round(10*time.Microsecond))
-		}
-
-		ex.SetMaintenanceBudget(budget)
-		statsBefore := ex.DiskStats()
-
-		// Churn: a side pool serves the cold background batch, scheduling
-		// refinement and merge maintenance throughout the foreground pass.
-		var bgDisp *odyssey.Dispatcher
-		var bgFeed sync.WaitGroup
-		bgOut := make(chan odyssey.BatchResult, len(bgQueries))
-		if len(bgQueries) > 0 {
-			bgDisp = odyssey.NewDispatcher(ex, 2)
-			bgFeed.Add(1)
-			go func() {
-				defer bgFeed.Done()
-				for i, q := range bgQueries {
-					if err := bgDisp.Submit(i, q, bgOut); err != nil {
-						fatalf("churn submit: %v", err)
-					}
-				}
-			}()
-		}
-
-		// Measured: the foreground workload, paced open-loop.
-		fgDisp := odyssey.NewDispatcher(ex, workers)
-		fgOut := make(chan odyssey.BatchResult, len(wFg.Queries))
-		for i, q := range wFg.Queries {
-			if err := fgDisp.Submit(i, q, fgOut); err != nil {
-				fatalf("submit: %v", err)
-			}
-			if i < len(wFg.Queries)-1 {
-				time.Sleep(gap)
-			}
-		}
-		fgDisp.Close()
-		close(fgOut)
-		lat := make([]time.Duration, 0, len(wFg.Queries))
-		for r := range fgOut {
-			if r.Err != nil {
-				fatalf("worker %d query %d: %v", r.Worker, r.Index, r.Err)
-			}
-			lat = append(lat, r.Wall)
-		}
-
-		if bgDisp != nil {
-			bgFeed.Wait()
-			bgDisp.Close()
-			close(bgOut)
-			for r := range bgOut {
-				if r.Err != nil {
-					fatalf("churn query %d: %v", r.Index, r.Err)
-				}
-			}
-		}
-		// Drain deferred maintenance at full speed before tearing down.
-		ex.SetRealTimeScale(0)
-		ex.SetMaintenanceBudget(0)
-		if err := ex.Quiesce(context.Background()); err != nil {
-			fatalf("quiesce: %v", err)
-		}
-		if err := ex.MaintenanceErr(); err != nil {
-			fatalf("maintenance task failed: %v", err)
-		}
-
-		stats := ex.DiskStats()
-		leg := contentionLegReport{
-			MaintenanceBudget:  budget,
-			LatencyP50:         bench.Percentile(lat, 50).Seconds(),
-			LatencyP95:         bench.Percentile(lat, 95).Seconds(),
-			LatencyP99:         bench.Percentile(lat, 99).Seconds(),
-			ThrottledOps:       stats.ThrottledOps - statsBefore.ThrottledOps,
-			QueuedDelaySeconds: (stats.QueuedDelay - statsBefore.QueuedDelay).Seconds(),
-		}
-		fmt.Printf("%-5s fg latency: p50 %-10v p95 %-10v p99 %v   (%d maintenance waits gated)\n",
-			name, pct(lat, 50), pct(lat, 95), pct(lat, 99), leg.ThrottledOps)
-		return leg
-	}
-
-	unthr := runLeg("unthr", 0)
-	thr := runLeg("thrtl", maintBudget)
-
-	rep := &contentionReport{
-		MaintenanceBudget:           maintBudget,
-		ArrivalGapSeconds:           gap.Seconds(),
-		ForegroundDatasets:          fgN,
-		BackgroundDatasets:          bgN,
-		BackgroundQueries:           len(bgQueries),
-		Unthrottled:                 unthr,
-		Throttled:                   thr,
-		FgP99UnderContentionSeconds: unthr.LatencyP99,
-		FgP99ThrottledSeconds:       thr.LatencyP99,
-	}
-	if thr.LatencyP99 > 0 {
-		rep.P99Improvement = unthr.LatencyP99 / thr.LatencyP99
-	}
-	fmt.Printf("\nfg p99 under churn: unthrottled %v  budget %.2f %v  (%.2fx)\n",
-		time.Duration(rep.FgP99UnderContentionSeconds*float64(time.Second)).Round(10*time.Microsecond),
-		maintBudget,
-		time.Duration(rep.FgP99ThrottledSeconds*float64(time.Second)).Round(10*time.Microsecond),
-		rep.P99Improvement)
-	return rep
-}
-
-// runSharingServing measures scan sharing & single-flight I/O: the same
-// overlapping hot-region workload (clustered query centers, a heavy-hitter
-// combination — the "many users on the same hot sky region" shape shared
-// archive portals serve) is converged once per mode on a virtual disk, then
-// replayed cold-cache (DropCachesPerQuery) through a pool of the given size
-// on a real-time emulated disk, with Options.ShareScans off and on. The
-// sharing mode also stages submissions in the dispatcher's micro-batch
-// window so workers present coalescable work. The report compares pages
-// read from the device, simulated critical-path time and wall time, carries
-// the sharing ledger (coalesced reads, pages saved, attached scans, shared
-// builds, batches), and verifies byte-identical per-query results between
-// the modes.
-func runSharingServing(cfg bench.Config, wcfg bench.WorkloadConfig, workers int, scale float64, async bool, maintWorkers int, batchWindow time.Duration, jsonPath string) {
-	k := 3
-	if k > cfg.Datasets {
-		k = cfg.Datasets
-	}
-	// The overlapping hot-region shape: two tight query clusters and a
-	// heavy-hitter combination drawing 70% of the traffic — many users
-	// revisiting the same hot sky regions over the same dataset bundle.
-	w, err := workload.Generate(workload.Config{
-		Seed: wcfg.Seed, NumQueries: wcfg.Queries, NumDatasets: cfg.Datasets,
-		DatasetsPerQuery: k, QueryVolumeFrac: wcfg.QueryVolumeFrac,
-		RangeDist: workload.RangeClustered, CombDist: workload.CombHeavyHitter,
-		ClusterCenters: 2, SigmaFactor: 0.25, HeavyHitterShare: 0.7,
-	})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	data := datagen.GenerateDatasets(datagen.Config{
-		Seed: cfg.DataSeed, NumObjects: cfg.ObjectsPerDataset,
-		Bounds: cfg.Bounds, Layout: cfg.DataLayout,
-	}, cfg.Datasets)
-	policy, err := bench.PlacementByName(cfg.Placement)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	fmt.Printf("scan-sharing comparison: %d datasets x %d objects, %d queries, %d workers, realtime x%g\n",
-		cfg.Datasets, cfg.ObjectsPerDataset, wcfg.Queries, workers, scale)
-	fmt.Printf("storage: %d device(s) x %d channel(s), placement %s; async maintenance: %v; batch window (sharing mode): %v\n\n",
-		cfg.Devices, cfg.Channels, cfg.Placement, async, batchWindow)
-
-	runMode := func(shareOn bool) (sharingModeReport, map[int]uint64) {
-		ex, err := odyssey.NewExplorer(odyssey.Options{
-			Bounds: cfg.Bounds, Cost: cfg.Cost, CachePages: cfg.CachePages,
-			DropCachesPerQuery: true, // pooled miss-heavy serving: every query pays platter time
-			Devices:            cfg.Devices, Channels: cfg.Channels, Placement: policy,
-			AsyncMaintenance: async, MaintenanceWorkers: maintWorkers,
-			ShareScans: shareOn,
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer func() {
-			if err := ex.Close(); err != nil {
-				fatalf("close: %v", err)
-			}
-		}()
-		for i, objs := range data {
-			if err := ex.AddDataset(odyssey.DatasetID(i), objs); err != nil {
-				fatalf("%v", err)
-			}
-		}
-		// Converge on the instant disk so the measured pass compares
-		// steady-state serving, not leftover reorganization.
-		for pass := 0; pass < 4; pass++ {
-			before := ex.Metrics()
-			for _, q := range w.Queries {
-				if _, err := ex.Query(q.Range, q.Datasets); err != nil {
-					fatalf("converge: %v", err)
-				}
-			}
-			if err := ex.Quiesce(context.Background()); err != nil {
-				fatalf("quiesce: %v", err)
-			}
-			after := ex.Metrics()
-			if after.Refinements == before.Refinements &&
-				after.PartitionsMerged == before.PartitionsMerged &&
-				after.MergeEvictions == before.MergeEvictions {
-				break
-			}
-		}
-		ex.ResetClock()
-		ex.ResetStats()          // device counters (pages read, coalesced) restart at zero
-		ss0 := ex.SharingStats() // engine-side sharing counters are lifetime; delta below
-		ex.SetRealTimeScale(scale)
-
-		adm := odyssey.AdmissionConfig{}
-		if shareOn {
-			adm.BatchWindow = batchWindow
-		}
-		d := odyssey.NewDispatcherWithAdmission(ex, workers, adm)
-		out := make(chan odyssey.BatchResult, len(w.Queries))
-		t0 := time.Now()
-		for i, q := range w.Queries {
-			if err := d.Submit(i, q, out); err != nil {
-				fatalf("submit: %v", err)
-			}
-		}
-		d.Close()
-		wall := time.Since(t0)
-		close(out)
-		// Per-query result fingerprints, order-independent: sharing may
-		// change I/O, never answers.
-		prints := make(map[int]uint64, len(w.Queries))
-		for r := range out {
-			if r.Err != nil {
-				fatalf("worker %d query %d: %v", r.Worker, r.Index, r.Err)
-			}
-			prints[r.Index] = fingerprint(r.Objects)
-		}
-		if err := ex.Quiesce(context.Background()); err != nil {
-			fatalf("quiesce: %v", err)
-		}
-		sim := ex.Clock()
-		ds := ex.DiskStats()
-		ss := ex.SharingStats()
-		ss.AttachedScans -= ss0.AttachedScans
-		ss.SharedBuilds -= ss0.SharedBuilds
-		ss.Invalidations -= ss0.Invalidations
-		ast := d.AdmissionStats()
-		rep := sharingModeReport{
-			Share:          shareOn,
-			WallSeconds:    wall.Seconds(),
-			SimSeconds:     sim.Seconds(),
-			PagesRead:      ds.PageReads,
-			CacheHits:      ds.CacheHits,
-			CoalescedReads: ss.CoalescedReads,
-			PagesSaved:     ss.PagesSaved,
-			AttachedScans:  ss.AttachedScans,
-			SharedBuilds:   ss.SharedBuilds,
-			Invalidations:  ss.Invalidations,
-			Batches:        ast.Batches,
-			BatchedQueries: ast.BatchedQueries,
-		}
-		name := "share-off"
-		if shareOn {
-			name = "share-on"
-		}
-		fmt.Printf("%-9s %8.3fs wall  %8.3fs simulated  %8d pages read  %6d cache hits\n",
-			name, rep.WallSeconds, rep.SimSeconds, rep.PagesRead, rep.CacheHits)
-		if shareOn {
-			fmt.Printf("          sharing: %d coalesced reads (%d pages saved), %d attached scans, %d shared builds, %d batches/%d batched\n",
-				ss.CoalescedReads, ss.PagesSaved, ss.AttachedScans, ss.SharedBuilds, ast.Batches, ast.BatchedQueries)
-		}
-		return rep, prints
-	}
-
-	offRep, offPrints := runMode(false)
-	onRep, onPrints := runMode(true)
-
-	identical := len(offPrints) == len(onPrints)
-	for i, fp := range offPrints {
-		if onPrints[i] != fp {
-			identical = false
-			break
-		}
-	}
-	report := sharingReport{
-		Experiment: "scan-sharing",
-		Devices:    cfg.Devices, Channels: cfg.Channels, Placement: cfg.Placement,
-		Workers: workers, Queries: len(w.Queries), RealtimeScale: scale,
-		Async: async, BatchWindowMS: float64(batchWindow) / float64(time.Millisecond),
-		Off: offRep, On: onRep,
-		ResultsIdentical: identical,
-	}
-	if offRep.PagesRead > 0 {
-		report.PagesReadReduction = 1 - float64(onRep.PagesRead)/float64(offRep.PagesRead)
-	}
-	if onRep.SimSeconds > 0 {
-		report.SimSpeedupOffOverOn = offRep.SimSeconds / onRep.SimSeconds
-	}
-	fmt.Printf("\npages read: %d -> %d (%.1f%% fewer)  simulated: %.3fs -> %.3fs (%.2fx)  results identical: %v\n",
-		offRep.PagesRead, onRep.PagesRead, 100*report.PagesReadReduction,
-		offRep.SimSeconds, onRep.SimSeconds, report.SimSpeedupOffOverOn, identical)
-	if !identical {
-		fatalf("sharing changed query results — the oracle contract is broken")
-	}
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("(wrote %s)\n", jsonPath)
-	}
-}
-
-// fingerprint hashes a result multiset order-independently: per object an
-// FNV-1a hash of its identity and geometry, combined by addition so
-// delivery order is irrelevant.
-func fingerprint(objs []odyssey.Object) uint64 {
-	var sum uint64
-	for _, o := range objs {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%d/%d/%v/%v", o.Dataset, o.ID, o.Center, o.HalfExtent)
-		sum += h.Sum64()
-	}
-	return sum
-}
-
-// sharingModeReport is one mode's measured behaviour in the -share
-// comparison.
-type sharingModeReport struct {
-	Share          bool    `json:"share"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	SimSeconds     float64 `json:"sim_seconds"`
-	PagesRead      int64   `json:"pages_read"`
-	CacheHits      int64   `json:"cache_hits"`
-	CoalescedReads int64   `json:"coalesced_reads"`
-	PagesSaved     int64   `json:"pages_saved"`
-	AttachedScans  int64   `json:"attached_scans"`
-	SharedBuilds   int64   `json:"shared_builds"`
-	Invalidations  int64   `json:"invalidations"`
-	Batches        int64   `json:"batches"`
-	BatchedQueries int64   `json:"batched_queries"`
-}
-
-// sharingReport is the machine-readable form of the -share comparison
-// (BENCH_sharing.json).
-type sharingReport struct {
-	Experiment          string            `json:"experiment"`
-	Devices             int               `json:"devices"`
-	Channels            int               `json:"channels"`
-	Placement           string            `json:"placement"`
-	Workers             int               `json:"workers"`
-	Queries             int               `json:"queries"`
-	RealtimeScale       float64           `json:"realtime_scale"`
-	Async               bool              `json:"async"`
-	BatchWindowMS       float64           `json:"batch_window_ms"`
-	Off                 sharingModeReport `json:"off"`
-	On                  sharingModeReport `json:"on"`
-	PagesReadReduction  float64           `json:"pages_read_reduction"`
-	SimSpeedupOffOverOn float64           `json:"sim_speedup_off_over_on"`
-	ResultsIdentical    bool              `json:"results_identical"`
-}
-
-// runCacheServing measures the epoch-scoped result cache: a zipf hot-region
-// workload (clustered query centers, a zipf-skewed combination distribution —
-// a few regions and dataset bundles drawing most of the traffic) is converged
-// once per mode on a virtual disk, then replayed cold-cache
-// (DropCachesPerQuery) through a pool of the given size on a real-time
-// emulated disk, with Options.CacheResults off and on. Converged serving
-// means no layout publishes flush the cache mid-replay, so the report shows
-// the steady-state gain: the fraction of queries answered with zero device
-// reads, split into exact per-cell hits and containment answers (a query
-// window inside a cached coarse region — merge-frozen cells and unrefined
-// zipf-tail datasets are the prime source). Per-query fingerprints verify
-// byte-identical results between the modes: caching may change I/O, never
-// answers.
-func runCacheServing(cfg bench.Config, wcfg bench.WorkloadConfig, workers int, scale float64, share, async bool, maintWorkers int, jsonPath string) {
-	k := 3
-	if k > cfg.Datasets {
-		k = cfg.Datasets
-	}
-	w, err := workload.Generate(workload.Config{
-		Seed: wcfg.Seed, NumQueries: wcfg.Queries, NumDatasets: cfg.Datasets,
-		DatasetsPerQuery: k, QueryVolumeFrac: wcfg.QueryVolumeFrac,
-		RangeDist: workload.RangeClustered, CombDist: workload.CombZipf,
-		ClusterCenters: 4, SigmaFactor: 0.2,
-	})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	data := datagen.GenerateDatasets(datagen.Config{
-		Seed: cfg.DataSeed, NumObjects: cfg.ObjectsPerDataset,
-		Bounds: cfg.Bounds, Layout: cfg.DataLayout,
-	}, cfg.Datasets)
-	policy, err := bench.PlacementByName(cfg.Placement)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	fmt.Printf("result-cache comparison: %d datasets x %d objects, %d queries, %d workers, realtime x%g\n",
-		cfg.Datasets, cfg.ObjectsPerDataset, wcfg.Queries, workers, scale)
-	fmt.Printf("storage: %d device(s) x %d channel(s), placement %s; scan sharing: %v; async maintenance: %v\n\n",
-		cfg.Devices, cfg.Channels, cfg.Placement, share, async)
-
-	runMode := func(cacheOn bool) (cacheModeReport, map[int]uint64) {
-		ex, err := odyssey.NewExplorer(odyssey.Options{
-			Bounds: cfg.Bounds, Cost: cfg.Cost, CachePages: cfg.CachePages,
-			DropCachesPerQuery: true, // pooled miss-heavy serving: the page cache never helps
-			Devices:            cfg.Devices, Channels: cfg.Channels, Placement: policy,
-			AsyncMaintenance: async, MaintenanceWorkers: maintWorkers,
-			ShareScans:   share,
-			CacheResults: cacheOn,
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer func() {
-			if err := ex.Close(); err != nil {
-				fatalf("close: %v", err)
-			}
-		}()
-		for i, objs := range data {
-			if err := ex.AddDataset(odyssey.DatasetID(i), objs); err != nil {
-				fatalf("%v", err)
-			}
-		}
-		// Converge on the instant disk so the measured pass compares
-		// steady-state serving — and, with caching on, replays against the
-		// cache the convergence passes populated.
-		for pass := 0; pass < 4; pass++ {
-			before := ex.Metrics()
-			for _, q := range w.Queries {
-				if _, err := ex.Query(q.Range, q.Datasets); err != nil {
-					fatalf("converge: %v", err)
-				}
-			}
-			if err := ex.Quiesce(context.Background()); err != nil {
-				fatalf("quiesce: %v", err)
-			}
-			after := ex.Metrics()
-			if after.Refinements == before.Refinements &&
-				after.PartitionsMerged == before.PartitionsMerged &&
-				after.MergeEvictions == before.MergeEvictions {
-				break
-			}
-		}
-		ex.ResetClock()
-		ex.ResetStats()        // device counters (pages read) restart at zero
-		cs0 := ex.CacheStats() // cache counters are lifetime; delta below
-		ex.SetRealTimeScale(scale)
-
-		d := odyssey.NewDispatcherWithAdmission(ex, workers, odyssey.AdmissionConfig{})
-		out := make(chan odyssey.BatchResult, len(w.Queries))
-		t0 := time.Now()
-		for i, q := range w.Queries {
-			if err := d.Submit(i, q, out); err != nil {
-				fatalf("submit: %v", err)
-			}
-		}
-		d.Close()
-		wall := time.Since(t0)
-		close(out)
-		// Per-query result fingerprints, order-independent: caching may
-		// change I/O, never answers.
-		prints := make(map[int]uint64, len(w.Queries))
-		for r := range out {
-			if r.Err != nil {
-				fatalf("worker %d query %d: %v", r.Worker, r.Index, r.Err)
-			}
-			prints[r.Index] = fingerprint(r.Objects)
-		}
-		if err := ex.Quiesce(context.Background()); err != nil {
-			fatalf("quiesce: %v", err)
-		}
-		sim := ex.Clock()
-		ds := ex.DiskStats()
-		cs := ex.CacheStats()
-		rep := cacheModeReport{
-			Cache:           cacheOn,
-			WallSeconds:     wall.Seconds(),
-			SimSeconds:      sim.Seconds(),
-			PagesRead:       ds.PageReads,
-			Hits:            cs.Hits - cs0.Hits,
-			ContainmentHits: cs.ContainmentHits - cs0.ContainmentHits,
-			Misses:          cs.Misses - cs0.Misses,
-			Inserts:         cs.Inserts - cs0.Inserts,
-			Evictions:       cs.Evictions - cs0.Evictions,
-			Invalidations:   cs.Invalidations - cs0.Invalidations,
-			ZeroReadQueries: cs.ZeroReadQueries - cs0.ZeroReadQueries,
-			Entries:         cs.Entries,
-			CachedObjects:   cs.CachedObjects,
-		}
-		if n := len(w.Queries); n > 0 {
-			rep.ZeroReadFraction = float64(rep.ZeroReadQueries) / float64(n)
-		}
-		name := "cache-off"
-		if cacheOn {
-			name = "cache-on"
-		}
-		fmt.Printf("%-9s %8.3fs wall  %8.3fs simulated  %8d pages read\n",
-			name, rep.WallSeconds, rep.SimSeconds, rep.PagesRead)
-		if cacheOn {
-			fmt.Printf("          cache: %d exact + %d containment hits, %d/%d queries zero-read (%.1f%%), %d inserts, %d evictions, %d invalidations\n",
-				rep.Hits, rep.ContainmentHits, rep.ZeroReadQueries, len(w.Queries),
-				100*rep.ZeroReadFraction, rep.Inserts, rep.Evictions, rep.Invalidations)
-		}
-		return rep, prints
-	}
-
-	offRep, offPrints := runMode(false)
-	onRep, onPrints := runMode(true)
-
-	identical := len(offPrints) == len(onPrints)
-	for i, fp := range offPrints {
-		if onPrints[i] != fp {
-			identical = false
-			break
-		}
-	}
-	report := cacheReport{
-		Experiment: "result-cache",
-		Devices:    cfg.Devices, Channels: cfg.Channels, Placement: cfg.Placement,
-		Workers: workers, Queries: len(w.Queries), RealtimeScale: scale,
-		Share: share, Async: async,
-		Off: offRep, On: onRep,
-		ResultsIdentical: identical,
-	}
-	if offRep.PagesRead > 0 {
-		report.PagesReadReduction = 1 - float64(onRep.PagesRead)/float64(offRep.PagesRead)
-	}
-	if onRep.SimSeconds > 0 {
-		report.SimSpeedupOffOverOn = offRep.SimSeconds / onRep.SimSeconds
-	}
-	fmt.Printf("\npages read: %d -> %d (%.1f%% fewer)  simulated: %.3fs -> %.3fs (%.2fx)  results identical: %v\n",
-		offRep.PagesRead, onRep.PagesRead, 100*report.PagesReadReduction,
-		offRep.SimSeconds, onRep.SimSeconds, report.SimSpeedupOffOverOn, identical)
-	if !identical {
-		fatalf("caching changed query results — the oracle contract is broken")
-	}
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("(wrote %s)\n", jsonPath)
-	}
-}
-
-// cacheModeReport is one mode's measured behaviour in the -cache
-// comparison. Cache counters are deltas over the measured replay (the
-// convergence passes populate the cache but are not reported); Entries and
-// CachedObjects are the end-of-run snapshot.
-type cacheModeReport struct {
-	Cache            bool    `json:"cache"`
-	WallSeconds      float64 `json:"wall_seconds"`
-	SimSeconds       float64 `json:"sim_seconds"`
-	PagesRead        int64   `json:"pages_read"`
-	Hits             int64   `json:"hits"`
-	ContainmentHits  int64   `json:"containment_hits"`
-	Misses           int64   `json:"misses"`
-	Inserts          int64   `json:"inserts"`
-	Evictions        int64   `json:"evictions"`
-	Invalidations    int64   `json:"invalidations"`
-	ZeroReadQueries  int64   `json:"zero_read_queries"`
-	ZeroReadFraction float64 `json:"zero_read_fraction"`
-	Entries          int     `json:"entries"`
-	CachedObjects    int64   `json:"cached_objects"`
-}
-
-// cacheReport is the machine-readable form of the -cache comparison
-// (BENCH_cache.json).
-type cacheReport struct {
-	Experiment          string          `json:"experiment"`
-	Devices             int             `json:"devices"`
-	Channels            int             `json:"channels"`
-	Placement           string          `json:"placement"`
-	Workers             int             `json:"workers"`
-	Queries             int             `json:"queries"`
-	RealtimeScale       float64         `json:"realtime_scale"`
-	Share               bool            `json:"share"`
-	Async               bool            `json:"async"`
-	Off                 cacheModeReport `json:"off"`
-	On                  cacheModeReport `json:"on"`
-	PagesReadReduction  float64         `json:"pages_read_reduction"`
-	SimSpeedupOffOverOn float64         `json:"sim_speedup_off_over_on"`
-	ResultsIdentical    bool            `json:"results_identical"`
-}
-
-// runFaultsServing measures availability under a deterministic device fault
-// storm: the zipf hot-region workload converges once on a healthy instant
-// disk, replays once fault-free through the pool (recording a per-query
-// result fingerprint — every query must succeed on a healthy device), then a
-// seeded transient-fault plan with periodic 10x storm windows is installed
-// alongside the read retry policy and the identical workload replays again.
-// The report is the availability ledger: the fraction of queries served
-// mid-storm, their latency percentiles, the device's fault/retry counters,
-// and fingerprint identity of every served query with its fault-free answer —
-// a degraded device may fail queries, never corrupt them. The result cache
-// (-cache) is the degradation backstop: windows it contains are answered with
-// zero device reads no matter how sick the platter is.
-func runFaultsServing(cfg bench.Config, wcfg bench.WorkloadConfig, workers int, scale float64, share, cache, async bool, maintWorkers int, faultRate float64, jsonPath string) {
-	const retryAttempts = 4
-	k := 3
-	if k > cfg.Datasets {
-		k = cfg.Datasets
-	}
-	w, err := workload.Generate(workload.Config{
-		Seed: wcfg.Seed, NumQueries: wcfg.Queries, NumDatasets: cfg.Datasets,
-		DatasetsPerQuery: k, QueryVolumeFrac: wcfg.QueryVolumeFrac,
-		RangeDist: workload.RangeClustered, CombDist: workload.CombZipf,
-		ClusterCenters: 4, SigmaFactor: 0.2,
-	})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	data := datagen.GenerateDatasets(datagen.Config{
-		Seed: cfg.DataSeed, NumObjects: cfg.ObjectsPerDataset,
-		Bounds: cfg.Bounds, Layout: cfg.DataLayout,
-	}, cfg.Datasets)
-	policy, err := bench.PlacementByName(cfg.Placement)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	fmt.Printf("fault-storm availability: %d datasets x %d objects, %d queries, %d workers, realtime x%g\n",
-		cfg.Datasets, cfg.ObjectsPerDataset, wcfg.Queries, workers, scale)
-	fmt.Printf("storage: %d device(s) x %d channel(s), placement %s; share: %v; cache: %v; async maintenance: %v\n",
-		cfg.Devices, cfg.Channels, cfg.Placement, share, cache, async)
-	fmt.Printf("faults: transient rate %g (10x in storm windows), retries: %d attempts\n\n",
-		faultRate, retryAttempts)
-
-	ex, err := odyssey.NewExplorer(odyssey.Options{
-		Bounds: cfg.Bounds, Cost: cfg.Cost, CachePages: cfg.CachePages,
-		DropCachesPerQuery: true,
-		Devices:            cfg.Devices, Channels: cfg.Channels, Placement: policy,
-		AsyncMaintenance: async, MaintenanceWorkers: maintWorkers,
-		ShareScans:   share,
-		CacheResults: cache,
-		Retry:        odyssey.RetryPolicy{MaxAttempts: retryAttempts, Backoff: 200 * time.Microsecond},
-		// The brownout controller runs but should only engage in a real
-		// catastrophe — the experiment measures retry-backed availability,
-		// not shedding.
-		BrownoutThreshold: 0.5,
-		BrownoutWindow:    10 * time.Millisecond,
-	})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer func() {
-		if err := ex.Close(); err != nil {
-			fatalf("close: %v", err)
-		}
-	}()
-	for i, objs := range data {
-		if err := ex.AddDataset(odyssey.DatasetID(i), objs); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	for pass := 0; pass < 4; pass++ {
-		before := ex.Metrics()
-		for _, q := range w.Queries {
-			if _, err := ex.Query(q.Range, q.Datasets); err != nil {
-				fatalf("converge: %v", err)
-			}
-		}
-		if err := ex.Quiesce(context.Background()); err != nil {
-			fatalf("quiesce: %v", err)
-		}
-		after := ex.Metrics()
-		if after.Refinements == before.Refinements &&
-			after.PartitionsMerged == before.PartitionsMerged &&
-			after.MergeEvictions == before.MergeEvictions {
-			break
-		}
-	}
-	ex.SetRealTimeScale(scale)
-
-	replay := func(name string) (faultsModeReport, map[int]uint64) {
-		// Both replays start cold-cache so their device traffic is
-		// symmetric: misses hit the (possibly faulting) platter, and the
-		// zipf repeats re-populate and then hit the cache mid-replay.
-		ex.FlushResultCache()
-		ex.ResetClock()
-		ex.ResetStats()
-		cs0 := ex.CacheStats()
-		d := odyssey.NewDispatcherWithAdmission(ex, workers, odyssey.AdmissionConfig{})
-		out := make(chan odyssey.BatchResult, len(w.Queries))
-		t0 := time.Now()
-		for i, q := range w.Queries {
-			if err := d.Submit(i, q, out); err != nil {
-				fatalf("submit: %v", err)
-			}
-		}
-		d.Close()
-		wall := time.Since(t0)
-		close(out)
-		prints := make(map[int]uint64, len(w.Queries))
-		var lat []time.Duration
-		var served, failed int
-		for r := range out {
-			if r.Err != nil {
-				failed++
-				continue
-			}
-			served++
-			prints[r.Index] = fingerprint(r.Objects)
-			lat = append(lat, r.Wall)
-		}
-		if err := ex.Quiesce(context.Background()); err != nil {
-			fatalf("quiesce: %v", err)
-		}
-		ds := ex.DiskStats()
-		cs := ex.CacheStats()
-		rep := faultsModeReport{
-			WallSeconds:     wall.Seconds(),
-			SimSeconds:      ex.Clock().Seconds(),
-			Served:          served,
-			Failed:          failed,
-			LatencyP50:      pct(lat, 50).Seconds(),
-			LatencyP95:      pct(lat, 95).Seconds(),
-			LatencyP99:      pct(lat, 99).Seconds(),
-			PagesRead:       ds.PageReads,
-			TransientFaults: ds.TransientFaults,
-			PermanentFaults: ds.PermanentFaults,
-			LatencySpikes:   ds.LatencySpikes,
-			RetriedOps:      ds.RetriedOps,
-			RetryExhausted:  ds.RetryExhausted,
-			ZeroReadQueries: cs.ZeroReadQueries - cs0.ZeroReadQueries,
-		}
-		if n := len(w.Queries); n > 0 {
-			rep.ServedFraction = float64(rep.Served) / float64(n)
-		}
-		fmt.Printf("%-11s %4d/%d served (%.2f%%)  wall %7.3fs  fg p50 %-10v p99 %v\n",
-			name, served, len(w.Queries), 100*rep.ServedFraction, rep.WallSeconds,
-			pct(lat, 50), pct(lat, 99))
-		if rep.TransientFaults+rep.PermanentFaults > 0 {
-			fmt.Printf("            faults: %d transient, %d permanent, %d spikes; retries: %d performed, %d exhausted; %d zero-read queries\n",
-				rep.TransientFaults, rep.PermanentFaults, rep.LatencySpikes,
-				rep.RetriedOps, rep.RetryExhausted, rep.ZeroReadQueries)
-		}
-		return rep, prints
-	}
-
-	cleanRep, cleanPrints := replay("fault-free")
-	if cleanRep.Failed > 0 {
-		fatalf("healthy device failed %d queries", cleanRep.Failed)
-	}
-	ex.SetFaultPlan(odyssey.FaultPlan{
-		Seed:          wcfg.Seed + 101,
-		TransientRate: faultRate,
-		StormEvery:    2048,
-		StormLength:   256,
-		StormFactor:   10,
-	})
-	stormRep, stormPrints := replay("fault-storm")
-
-	identical := true
-	for i, fp := range stormPrints {
-		if cleanPrints[i] != fp {
-			identical = false
-			break
-		}
-	}
-	bs := ex.BrownoutStats()
-	report := faultsReport{
-		Experiment: "fault-storm",
-		Devices:    cfg.Devices, Channels: cfg.Channels, Placement: cfg.Placement,
-		Workers: workers, Queries: len(w.Queries), RealtimeScale: scale,
-		Share: share, Cache: cache, Async: async,
-		FaultRate: faultRate, RetryMaxAttempts: retryAttempts,
-		Clean: cleanRep, Storm: stormRep,
-		ServedResultsIdentical: identical,
-		BrownoutEngagements:    bs.Engagements,
-		BrownoutSheds:          bs.ShedQueries,
-		DegradedAtEnd:          bs.Engaged,
-	}
-	fmt.Printf("\nserved fraction mid-storm: %.2f%%  served results identical to fault-free: %v  brownout engagements: %d\n",
-		100*stormRep.ServedFraction, identical, bs.Engagements)
-	if !identical {
-		fatalf("a query served mid-storm returned a different result than fault-free — partial results leaked")
-	}
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("(wrote %s)\n", jsonPath)
-	}
-}
-
-// faultsModeReport is one replay's measured behaviour in the -faults
-// experiment. Device counters are deltas over the replay; latency
-// percentiles cover served queries only.
-type faultsModeReport struct {
-	WallSeconds     float64 `json:"wall_seconds"`
-	SimSeconds      float64 `json:"sim_seconds"`
-	Served          int     `json:"served"`
-	Failed          int     `json:"failed"`
-	ServedFraction  float64 `json:"served_fraction"`
-	LatencyP50      float64 `json:"latency_p50_seconds"`
-	LatencyP95      float64 `json:"latency_p95_seconds"`
-	LatencyP99      float64 `json:"latency_p99_seconds"`
-	PagesRead       int64   `json:"pages_read"`
-	TransientFaults int64   `json:"transient_faults"`
-	PermanentFaults int64   `json:"permanent_faults"`
-	LatencySpikes   int64   `json:"latency_spikes"`
-	RetriedOps      int64   `json:"retried_ops"`
-	RetryExhausted  int64   `json:"retry_exhausted"`
-	ZeroReadQueries int64   `json:"zero_read_queries"`
-}
-
-// faultsReport is the machine-readable form of the -faults experiment
-// (BENCH_faults.json).
-type faultsReport struct {
-	Experiment             string           `json:"experiment"`
-	Devices                int              `json:"devices"`
-	Channels               int              `json:"channels"`
-	Placement              string           `json:"placement"`
-	Workers                int              `json:"workers"`
-	Queries                int              `json:"queries"`
-	RealtimeScale          float64          `json:"realtime_scale"`
-	Share                  bool             `json:"share"`
-	Cache                  bool             `json:"cache"`
-	Async                  bool             `json:"async"`
-	FaultRate              float64          `json:"fault_rate"`
-	RetryMaxAttempts       int              `json:"retry_max_attempts"`
-	Clean                  faultsModeReport `json:"clean"`
-	Storm                  faultsModeReport `json:"storm"`
-	ServedResultsIdentical bool             `json:"served_results_identical"`
-	BrownoutEngagements    int64            `json:"brownout_engagements"`
-	BrownoutSheds          int64            `json:"brownout_sheds"`
-	DegradedAtEnd          bool             `json:"degraded_at_end"`
-}
-
-// runClusterServing measures the replicated-cluster serving stack: the zipf
-// hot-region workload converges once on a single Explorer (the oracle,
-// recording per-query result fingerprints), then replays through a sharded,
-// replicated Router — clean, through a deterministic crash window (one
-// shard down for a third of the replay, plus a brief overlap where a whole
-// replica pair is down, exercising rejects, failover and partial serving),
-// and through a slow-shard storm twice, hedged and unhedged, so the report
-// pins the tail-latency win of hedged reads. Every fully-served answer must
-// fingerprint-identical to the oracle, and the cluster-wide charge ledger
-// must conserve exactly: ChargedSim + WastedSim equals the shards'
-// device-side charges — hedging re-routes work, it never double-counts it.
-func runClusterServing(cfg bench.Config, wcfg bench.WorkloadConfig, shards, replicas int, shardFaults bool, jsonPath string) {
-	const workers = 8
-	const slowDelay = 25 * time.Millisecond
-	k := 3
-	if k > cfg.Datasets {
-		k = cfg.Datasets
-	}
-	w, err := workload.Generate(workload.Config{
-		Seed: wcfg.Seed, NumQueries: wcfg.Queries, NumDatasets: cfg.Datasets,
-		DatasetsPerQuery: k, QueryVolumeFrac: wcfg.QueryVolumeFrac,
-		RangeDist: workload.RangeClustered, CombDist: workload.CombZipf,
-		ClusterCenters: 4, SigmaFactor: 0.2,
-	})
-	if err != nil {
-		fatalf("%v", err)
-	}
-	n := len(w.Queries)
-	data := datagen.GenerateDatasets(datagen.Config{
-		Seed: cfg.DataSeed, NumObjects: cfg.ObjectsPerDataset,
-		Bounds: cfg.Bounds, Layout: cfg.DataLayout,
-	}, cfg.Datasets)
-	policy, err := bench.PlacementByName(cfg.Placement)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	opts := odyssey.Options{
-		Bounds: cfg.Bounds, Cost: cfg.Cost, CachePages: cfg.CachePages,
-		Devices: cfg.Devices, Channels: cfg.Channels, Placement: policy,
-	}
-
-	fmt.Printf("cluster serving: %d shards, R=%d, %d datasets x %d objects, %d queries, %d submitters\n",
-		shards, replicas, cfg.Datasets, cfg.ObjectsPerDataset, n, workers)
-	fmt.Printf("storage per shard: %d device(s) x %d channel(s), placement %s; shard faults: %v\n\n",
-		cfg.Devices, cfg.Channels, cfg.Placement, shardFaults)
-
-	// Oracle: one Explorer over the union of the datasets, converged, then
-	// replayed serially for the per-query result fingerprints.
-	ex, err := odyssey.NewExplorer(opts)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	for i, objs := range data {
-		if err := ex.AddDataset(odyssey.DatasetID(i), objs); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	for pass := 0; pass < 4; pass++ {
-		before := ex.Metrics()
-		for _, q := range w.Queries {
-			if _, err := ex.Query(q.Range, q.Datasets); err != nil {
-				fatalf("converge: %v", err)
-			}
-		}
-		after := ex.Metrics()
-		if after.Refinements == before.Refinements &&
-			after.PartitionsMerged == before.PartitionsMerged &&
-			after.MergeEvictions == before.MergeEvictions {
-			break
-		}
-	}
-	ex.ResetClock()
-	basePrints := make([]uint64, n)
-	for i, q := range w.Queries {
-		objs, err := ex.Query(q.Range, q.Datasets)
-		if err != nil {
-			fatalf("baseline: %v", err)
-		}
-		basePrints[i] = fingerprint(objs)
-	}
-	baseSim := ex.Clock()
-	if err := ex.Close(); err != nil {
-		fatalf("close baseline: %v", err)
-	}
-	fmt.Printf("%-15s %d/%d served, sim %.3fs (single Explorer, serial)\n",
-		"baseline", n, n, baseSim.Seconds())
-
-	newRouter := func(hedged bool) *cluster.Router {
-		r, err := cluster.New(cluster.Config{
-			Shards: shards, Replicas: replicas, Options: opts,
-			Policy:   cluster.ServePartial,
-			Failover: odyssey.RetryPolicy{MaxAttempts: 3, Backoff: 200 * time.Microsecond, Budget: 50 * time.Millisecond},
-			Health:   cluster.HealthConfig{ProbeInterval: 2 * time.Millisecond},
-			Hedge:    cluster.HedgeConfig{Enabled: hedged, MinDelay: 2 * time.Millisecond},
-		})
-		if err != nil {
-			fatalf("%v", err)
-		}
-		for i, objs := range data {
-			if err := r.AddDataset(odyssey.DatasetID(i), objs); err != nil {
-				fatalf("%v", err)
-			}
-		}
-		for pass := 0; pass < 4; pass++ {
-			var before, after odyssey.Metrics
-			for _, m := range r.ShardMetrics() {
-				before.Refinements += m.Refinements
-				before.PartitionsMerged += m.PartitionsMerged
-				before.MergeEvictions += m.MergeEvictions
-			}
-			for _, q := range w.Queries {
-				if _, err := r.Query(q.Range, q.Datasets); err != nil {
-					fatalf("cluster converge: %v", err)
-				}
-			}
-			if err := r.Quiesce(context.Background()); err != nil {
-				fatalf("quiesce: %v", err)
-			}
-			for _, m := range r.ShardMetrics() {
-				after.Refinements += m.Refinements
-				after.PartitionsMerged += m.PartitionsMerged
-				after.MergeEvictions += m.MergeEvictions
-			}
-			if after.Refinements == before.Refinements &&
-				after.PartitionsMerged == before.PartitionsMerged &&
-				after.MergeEvictions == before.MergeEvictions {
-				break
-			}
-		}
-		return r
-	}
-
-	// phase replays the workload through r from `workers` submitting
-	// goroutines and reports the availability ledger of the replay.
-	phase := func(name string, r *cluster.Router) clusterPhaseReport {
-		st0 := r.Stats()
-		errs := make([]error, n)
-		lats := make([]time.Duration, n)
-		prints := make([]uint64, n)
-		var wg sync.WaitGroup
-		t0 := time.Now()
-		for s := 0; s < workers; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				for i := s; i < n; i += workers {
-					q0 := time.Now()
-					objs, err := r.Query(w.Queries[i].Range, w.Queries[i].Datasets)
-					lats[i] = time.Since(q0)
-					errs[i] = err
-					if err == nil {
-						prints[i] = fingerprint(objs)
-					}
-				}
-			}(s)
-		}
-		wg.Wait()
-		wall := time.Since(t0)
-		st := r.Stats()
-		rep := clusterPhaseReport{
-			WallSeconds:      wall.Seconds(),
-			ResultsIdentical: true,
-			LatencyP50:       pct(lats, 50).Seconds(),
-			LatencyP95:       pct(lats, 95).Seconds(),
-			LatencyP99:       pct(lats, 99).Seconds(),
-			Failovers:        st.Failovers - st0.Failovers,
-			Retries:          st.Retries - st0.Retries,
-			HedgesFired:      st.HedgesFired - st0.HedgesFired,
-			HedgeWins:        st.HedgeWins - st0.HedgeWins,
-			ShardRejects:     st.ShardRejects - st0.ShardRejects,
-		}
-		for i, err := range errs {
-			switch {
-			case err == nil:
-				rep.Served++
-				if prints[i] != basePrints[i] {
-					rep.ResultsIdentical = false
-				}
-			case errors.Is(err, cluster.ErrPartial):
-				rep.Partial++
-			default:
-				rep.Failed++
-			}
+func main() {
+	var p params
+	fs := flags(&p)
+	fs.Parse(os.Args[1:]) // ExitOnError
+	p.args = fs.Args()
+	rows := p.resolve()
+	fs.Visit(func(f *flag.Flag) { p.set = append(p.set, f.Name) })
+	for _, row := range rows {
+		if name, bad := row.unread(p.set); bad {
+			fatalf("-experiment %s does not read -%s (it reads: -%s)", row.name, name, strings.Join(row.flags, " -"))
 		}
-		rep.Availability = float64(rep.Served+rep.Partial) / float64(n)
-		rep.FullFraction = float64(rep.Served) / float64(n)
-		fmt.Printf("%-15s %d/%d full + %d partial (availability %.2f%%)  wall %.3fs  p50 %-10v p99 %-10v  failovers %d  rejects %d  hedges %d (%d won)  identical %v\n",
-			name, rep.Served, n, rep.Partial, 100*rep.Availability, rep.WallSeconds,
-			pct(lats, 50), pct(lats, 99), rep.Failovers, rep.ShardRejects,
-			rep.HedgesFired, rep.HedgeWins, rep.ResultsIdentical)
-		return rep
-	}
-
-	// conservation closes r and checks the cluster charge ledger against
-	// the shards' device-side charges.
-	conservation := func(r *cluster.Router) (charged, wasted, ledger time.Duration) {
-		if err := r.Close(); err != nil {
-			fatalf("close cluster: %v", err)
-		}
-		st := r.Stats()
-		for si, dev := range r.ShardChannelStats() {
-			for _, chans := range dev {
-				for _, ch := range chans {
-					ledger += ch.Busy
-				}
-			}
-			ds := r.ShardDiskStats()[si]
-			ledger += time.Duration(ds.CacheHits)*cfg.Cost.CacheHit + ds.QueuedDelay
-		}
-		return st.ChargedSim, st.WastedSim, ledger
-	}
-
-	r := newRouter(true)
-	report := clusterReport{
-		Experiment: "cluster-serving",
-		Shards:     shards, Replicas: replicas, Workers: workers,
-		Queries: n, Datasets: cfg.Datasets, ShardFaults: shardFaults,
-		BaselineSimSeconds: baseSim.Seconds(),
-	}
-	report.Clean = phase("clean", r)
-	if report.Clean.Served != n {
-		fatalf("healthy cluster failed %d of %d queries", n-report.Clean.Served, n)
-	}
-	if !report.Clean.ResultsIdentical {
-		fatalf("a healthy cluster query diverged from the single-Explorer oracle")
-	}
-
-	if shardFaults {
-		// Crash window, in query ordinals relative to this replay: shard 1
-		// is down for the middle third, and for a brief overlap shard 2 dies
-		// too — any dataset replicated exactly on that pair is unreachable,
-		// so the partial path and the reject ledger are exercised for real.
-		base := r.Stats().Queries
-		nn := int64(n)
-		crashPlan := cluster.ShardFaultPlan{Faults: []cluster.ShardFault{
-			{Shard: 1 % shards, CrashAfter: base + nn/4, CrashFor: nn / 3},
-			{Shard: 2 % shards, CrashAfter: base + nn/3, CrashFor: nn / 8},
-		}}
-		r.SetShardFaultPlan(crashPlan)
-		rep := phase("crash-window", r)
-		r.SetShardFaultPlan(cluster.ShardFaultPlan{})
-		if !rep.ResultsIdentical {
-			fatalf("a query fully served through the crash window diverged from the oracle")
-		}
-		report.Crash = &rep
-
-		// Slow-shard storm, unhedged first (a fresh Router with hedging off,
-		// converged the same way), then hedged on the main Router: identical
-		// storms, so the p99 delta is the hedging win.
-		slow := func(r *cluster.Router) cluster.ShardFaultPlan {
-			return cluster.ShardFaultPlan{Faults: []cluster.ShardFault{{
-				Shard: 0, SlowAfter: r.Stats().Queries, SlowFor: nn, SlowDelay: slowDelay,
-			}}}
-		}
-		ru := newRouter(false)
-		ru.SetShardFaultPlan(slow(ru))
-		repU := phase("slow-unhedged", ru)
-		report.SlowUnhedged = &repU
-		chU, waU, ledU := conservation(ru)
-		if chU+waU != ledU {
-			fatalf("unhedged charge conservation broken: charged %v + wasted %v != device ledger %v", chU, waU, ledU)
-		}
-
-		r.SetShardFaultPlan(slow(r))
-		repH := phase("slow-hedged", r)
-		r.SetShardFaultPlan(cluster.ShardFaultPlan{})
-		if !repH.ResultsIdentical {
-			fatalf("a hedged query diverged from the oracle")
-		}
-		report.SlowHedged = &repH
-		if repH.LatencyP99 > 0 {
-			report.HedgeP99Speedup = repU.LatencyP99 / repH.LatencyP99
+		if len(p.args) > 0 && row.name != "validate" {
+			fatalf("unexpected arguments %q", p.args)
 		}
-		fmt.Printf("\nslow-shard storm p99: unhedged %.1fms, hedged %.1fms (speedup x%.1f)\n",
-			1e3*repU.LatencyP99, 1e3*repH.LatencyP99, report.HedgeP99Speedup)
-	}
-
-	for _, h := range r.Health() {
-		report.ShardHealth = append(report.ShardHealth, shardHealthReport{
-			Shard: h.Shard, State: h.State.String(),
-			Probes: h.Probes, ProbeFailures: h.ProbeFailures,
-			Transitions: h.Transitions, Serves: h.Serves, Rejects: h.Rejects,
-		})
-	}
-	charged, wasted, ledger := conservation(r)
-	report.ChargedSimSeconds = charged.Seconds()
-	report.WastedSimSeconds = wasted.Seconds()
-	report.DeviceLedgerSeconds = ledger.Seconds()
-	report.ChargeConserved = charged+wasted == ledger
-	fmt.Printf("charge ledger: attributed %.3fs + wasted %.3fs vs device %.3fs — conserved: %v\n",
-		charged.Seconds(), wasted.Seconds(), ledger.Seconds(), report.ChargeConserved)
-	if !report.ChargeConserved {
-		fatalf("cluster charge conservation broken: hedged reads double- or under-counted device work")
-	}
-
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("(wrote %s)\n", jsonPath)
-	}
-}
-
-// clusterPhaseReport is one replay's availability ledger in the -cluster
-// experiment. Counter fields are deltas over the replay; latency
-// percentiles are wall-clock and cover every query.
-type clusterPhaseReport struct {
-	WallSeconds float64 `json:"wall_seconds"`
-	Served      int     `json:"served"`
-	Partial     int     `json:"partial"`
-	Failed      int     `json:"failed"`
-	// Availability counts every answered query (full or partial) against
-	// the workload; FullFraction counts only complete answers.
-	Availability float64 `json:"availability"`
-	FullFraction float64 `json:"full_fraction"`
-	// ResultsIdentical reports whether every fully-served query
-	// fingerprint-matched the single-Explorer oracle.
-	ResultsIdentical bool    `json:"results_identical"`
-	LatencyP50       float64 `json:"latency_p50_seconds"`
-	LatencyP95       float64 `json:"latency_p95_seconds"`
-	LatencyP99       float64 `json:"latency_p99_seconds"`
-	Failovers        int64   `json:"failovers"`
-	Retries          int64   `json:"retries"`
-	HedgesFired      int64   `json:"hedges_fired"`
-	HedgeWins        int64   `json:"hedge_wins"`
-	ShardRejects     int64   `json:"shard_rejects"`
-}
-
-// shardHealthReport mirrors cluster.ShardHealth with snake_case keys.
-type shardHealthReport struct {
-	Shard         int    `json:"shard"`
-	State         string `json:"state"`
-	Probes        int64  `json:"probes"`
-	ProbeFailures int64  `json:"probe_failures"`
-	Transitions   int64  `json:"transitions"`
-	Serves        int64  `json:"serves"`
-	Rejects       int64  `json:"rejects"`
-}
-
-// clusterReport is the machine-readable form of the -cluster experiment
-// (BENCH_cluster.json).
-type clusterReport struct {
-	Experiment          string              `json:"experiment"`
-	Shards              int                 `json:"shards"`
-	Replicas            int                 `json:"replicas"`
-	Workers             int                 `json:"workers"`
-	Queries             int                 `json:"queries"`
-	Datasets            int                 `json:"datasets"`
-	ShardFaults         bool                `json:"shard_faults"`
-	BaselineSimSeconds  float64             `json:"baseline_sim_seconds"`
-	Clean               clusterPhaseReport  `json:"clean"`
-	Crash               *clusterPhaseReport `json:"crash,omitempty"`
-	SlowUnhedged        *clusterPhaseReport `json:"slow_unhedged,omitempty"`
-	SlowHedged          *clusterPhaseReport `json:"slow_hedged,omitempty"`
-	HedgeP99Speedup     float64             `json:"hedge_p99_speedup"`
-	ChargedSimSeconds   float64             `json:"charged_sim_seconds"`
-	WastedSimSeconds    float64             `json:"wasted_sim_seconds"`
-	DeviceLedgerSeconds float64             `json:"device_ledger_seconds"`
-	ChargeConserved     bool                `json:"charge_conserved"`
-	ShardHealth         []shardHealthReport `json:"shard_health"`
-}
-
-// asyncModeReport is one maintenance mode's measured behaviour.
-type asyncModeReport struct {
-	WallSeconds            float64 `json:"wall_seconds"`
-	SimSeconds             float64 `json:"sim_seconds"`
-	LatencyP50             float64 `json:"latency_p50_seconds"`
-	LatencyP95             float64 `json:"latency_p95_seconds"`
-	LatencyP99             float64 `json:"latency_p99_seconds"`
-	Converged              bool    `json:"converged"`
-	ConvergenceWallSeconds float64 `json:"convergence_wall_seconds"`
-	ConvergencePasses      int     `json:"convergence_passes"`
-	Refinements            int     `json:"refinements"`
-	PartitionsMerged       int     `json:"partitions_merged"`
-	MergeFiles             int     `json:"merge_files"`
-	// MaintenanceBudget is the background I/O budget this mode ran under (0
-	// = unthrottled); ThrottledOps counts maintenance device operations the
-	// budget gated, and QueuedDelaySeconds is the total arrival-gated
-	// queueing delay the contention model attributed to queries.
-	MaintenanceBudget  float64            `json:"maintenance_budget"`
-	ThrottledOps       int64              `json:"throttled_ops"`
-	QueuedDelaySeconds float64            `json:"queued_delay_seconds"`
-	Maintenance        *maintenanceReport `json:"maintenance,omitempty"`
-}
-
-// maintenanceReport mirrors odyssey.MaintenanceStats with snake_case keys.
-type maintenanceReport struct {
-	Queued              int64 `json:"queued"`
-	Coalesced           int64 `json:"coalesced"`
-	Completed           int64 `json:"completed"`
-	Failed              int64 `json:"failed"`
-	Dropped             int64 `json:"dropped"`
-	RefineTasks         int64 `json:"refine_tasks"`
-	MergeTasks          int64 `json:"merge_tasks"`
-	Refinements         int64 `json:"refinements"`
-	QueueDepthHighWater int   `json:"queue_depth_high_water"`
-}
-
-// asyncReport is the machine-readable form of the -async comparison.
-type asyncReport struct {
-	Experiment         string            `json:"experiment"`
-	Devices            int               `json:"devices"`
-	Channels           int               `json:"channels"`
-	Placement          string            `json:"placement"`
-	Workers            int               `json:"workers"`
-	Queries            int               `json:"queries"`
-	RealtimeScale      float64           `json:"realtime_scale"`
-	MaintenanceWorkers int               `json:"maintenance_workers"`
-	Sync               asyncModeReport   `json:"sync"`
-	Async              asyncModeReport   `json:"async"`
-	P99Speedup         float64           `json:"p99_speedup_sync_over_async"`
-	Contention         *contentionReport `json:"contention,omitempty"`
-}
-
-// contentionReport is the -contention extension of the -async comparison:
-// foreground QoS measured in the regime the background I/O budget targets.
-// The foreground half of the datasets is converged first (stable,
-// layout-independent query cost), then its workload is replayed open-loop
-// (arrivals paced to ~60% of the pool's measured capacity) while a side
-// pool fires cold queries at the remaining datasets, churning refinement
-// and merge maintenance through the whole pass. The two legs differ only
-// in the budget (off / -maintbudget). Throttling moves maintenance work in
-// wall-clock time only — results and simulated charges are identical — so
-// any foreground tail improvement is contention relief, not skipped work.
-type contentionReport struct {
-	MaintenanceBudget           float64             `json:"maintenance_budget"`
-	ArrivalGapSeconds           float64             `json:"arrival_gap_seconds"`
-	ForegroundDatasets          int                 `json:"foreground_datasets"`
-	BackgroundDatasets          int                 `json:"background_datasets"`
-	BackgroundQueries           int                 `json:"background_queries"`
-	Unthrottled                 contentionLegReport `json:"unthrottled"`
-	Throttled                   contentionLegReport `json:"throttled"`
-	FgP99UnderContentionSeconds float64             `json:"fg_p99_under_contention_seconds"`
-	FgP99ThrottledSeconds       float64             `json:"fg_p99_throttled_seconds"`
-	P99Improvement              float64             `json:"p99_improvement_unthrottled_over_throttled"`
-}
-
-// contentionLegReport is one leg of the contention comparison: the paced
-// foreground pass's latency profile plus the throttle's activity during it.
-type contentionLegReport struct {
-	MaintenanceBudget  float64 `json:"maintenance_budget"`
-	LatencyP50         float64 `json:"latency_p50_seconds"`
-	LatencyP95         float64 `json:"latency_p95_seconds"`
-	LatencyP99         float64 `json:"latency_p99_seconds"`
-	ThrottledOps       int64   `json:"throttled_ops"`
-	QueuedDelaySeconds float64 `json:"queued_delay_seconds"`
-}
-
-// servingRun is one timed replay of the workload.
-type servingRun struct {
-	WallSeconds float64 `json:"wall_seconds"`
-	SimSeconds  float64 `json:"sim_seconds"`
-	Speedup     float64 `json:"speedup_vs_serial,omitempty"`
-}
-
-// channelUtil is one channel's share of the measured run.
-type channelUtil struct {
-	Device      int     `json:"device"`
-	Channel     int     `json:"channel"`
-	BusySeconds float64 `json:"busy_seconds"`
-	Utilization float64 `json:"utilization"`
-	Seeks       int64   `json:"seeks"`
-	SeqPages    int64   `json:"seq_pages"`
-}
-
-// admissionReport mirrors odyssey.AdmissionStats with snake_case keys so
-// the whole JSON document keeps one naming convention.
-type admissionReport struct {
-	Admitted  int64 `json:"admitted"`
-	Rejected  int64 `json:"rejected"`
-	Canceled  int64 `json:"canceled"`
-	Swept     int64 `json:"swept"`
-	Completed int64 `json:"completed"`
-	Failed    int64 `json:"failed"`
-}
-
-// servingReport is the machine-readable form of the -parallel experiment.
-type servingReport struct {
-	Devices     int             `json:"devices"`
-	Channels    int             `json:"channels"`
-	Placement   string          `json:"placement"`
-	Workers     int             `json:"workers"`
-	Queries     int             `json:"queries"`
-	Serial      servingRun      `json:"serial"`
-	Pool        servingRun      `json:"pool"`
-	Admission   admissionReport `json:"admission"`
-	ChannelUtil []channelUtil   `json:"channel_utilization"`
-}
-
-// pct rounds bench.Percentile for display.
-func pct(ds []time.Duration, p float64) time.Duration {
-	return bench.Percentile(ds, p).Round(10 * time.Microsecond)
-}
-
-// writeCSV writes one figure's CSV into dir (no-op when dir is empty).
-func writeCSV(dir, id string, write func(io.Writer) error) {
-	if dir == "" {
-		return
-	}
-	path := filepath.Join(dir, id+".csv")
-	f, err := os.Create(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		fatalf("writing %s: %v", path, err)
-	}
-	if err := f.Close(); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("(wrote %s)\n", path)
-}
-
-// runVerification checks every engine against the oracle on a reduced
-// workload before trusting the numbers.
-func runVerification(env *bench.Env, wcfg bench.WorkloadConfig) {
-	fmt.Println("verifying engines against the naive-scan oracle...")
-	spec, err := bench.FigureByID("fig4a")
-	if err != nil {
-		fatalf("%v", err)
-	}
-	small := wcfg
-	if small.Queries > 100 {
-		small.Queries = 100
-	}
-	w, err := bench.WorkloadForSpec(env, spec, small, 3)
-	if err != nil {
-		fatalf("%v", err)
 	}
-	for _, kind := range []bench.EngineKind{
-		bench.KindOdyssey, bench.KindOdysseyNoMerge, bench.KindFLATAin1,
-		bench.KindFLAT1fE, bench.KindRTreeAin1, bench.KindRTree1fE,
-		bench.KindGrid1fE, bench.KindGridAin1,
-	} {
-		if err := env.VerifyAgainstOracle(kind, w); err != nil {
-			fatalf("VERIFICATION FAILED: %v", err)
+	for _, row := range rows {
+		if err := row.execute(&p); err != nil {
+			fatalf("%s: check failed: %v", row.name, err)
 		}
-		fmt.Printf("  %-16s ok\n", kind)
 	}
-	fmt.Println()
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -1,8 +1,8 @@
 // Command odyssey-gen synthesizes spatial datasets and writes them as .sod
 // files that odyssey-explore (and any program using internal/dsfile) can
 // load. The generator models the paper's neuroscience data: clustered 3D
-// micro-objects inside a shared brain volume (see DESIGN.md §3 for the
-// substitution rationale).
+// micro-objects inside a shared brain volume (see README, "Reproduction
+// scale").
 //
 // Usage:
 //

@@ -21,8 +21,7 @@ const (
 )
 
 // DataConfig parametrizes synthetic dataset generation (a stand-in for the
-// paper's Human Brain Project meshes; see DESIGN.md for the substitution
-// rationale).
+// paper's Human Brain Project meshes; see README, "Reproduction scale").
 type DataConfig = datagen.Config
 
 // GenerateObjects produces one synthetic dataset tagged with id.

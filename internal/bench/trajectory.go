@@ -1,14 +1,8 @@
 package bench
 
-import (
-	"encoding/json"
-	"os"
-	"time"
-)
-
-// TrajectoryPoint is one recorded measurement of a performance trajectory —
-// the benchmarks append these to BENCH_*.json files so successive revisions
-// of the engine leave a comparable series behind.
+// TrajectoryPoint is one recorded measurement of a performance trajectory:
+// BENCH_parallel.json and BENCH_channels.json are arrays of these, which
+// `odyssey-bench -experiment validate` re-checks.
 type TrajectoryPoint struct {
 	// Name identifies the experiment (e.g. "parallel-query").
 	Name string `json:"name"`
@@ -37,33 +31,4 @@ type TrajectoryPoint struct {
 	// time (0 when the series has no topology baseline).
 	SimSpeedupVsBase  float64 `json:"sim_speedup_vs_base,omitempty"`
 	WallSpeedupVsBase float64 `json:"wall_speedup_vs_base,omitempty"`
-}
-
-// NewTrajectoryPoint derives the throughput fields from raw measurements.
-func NewTrajectoryPoint(name string, workers, queries int, wall, sim, serialWall time.Duration) TrajectoryPoint {
-	p := TrajectoryPoint{
-		Name:        name,
-		Workers:     workers,
-		Queries:     queries,
-		WallSeconds: wall.Seconds(),
-		SimSeconds:  sim.Seconds(),
-	}
-	if wall > 0 {
-		p.QueriesPerSecond = float64(queries) / wall.Seconds()
-		if serialWall > 0 {
-			p.SpeedupVsSerial = serialWall.Seconds() / wall.Seconds()
-		}
-	}
-	return p
-}
-
-// WriteTrajectory writes points as an indented JSON array to path,
-// replacing any previous contents (each benchmark run records a complete,
-// self-consistent series).
-func WriteTrajectory(path string, points []TrajectoryPoint) error {
-	data, err := json.MarshalIndent(points, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

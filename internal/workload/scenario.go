@@ -268,8 +268,8 @@ func genDrift(cfg ScenarioConfig) (ScenarioWorkload, error) {
 func genMix(cfg ScenarioConfig, scanFrac float64) (ScenarioWorkload, error) {
 	r := rand.New(rand.NewSource(cfg.Seed))
 	baseSide := math.Cbrt(cfg.QueryVolumeFrac * cfg.Bounds.Volume())
-	scanSide := baseSide * 4   // 64x the base volume
-	pointSide := baseSide / 4  // base volume / 64
+	scanSide := baseSide * 4  // 64x the base volume
+	pointSide := baseSide / 4 // base volume / 64
 	combos := shuffledCombos(r, cfg.NumDatasets, cfg.DatasetsPerQuery)
 	var comboSampler IndexSampler
 	if scanFrac >= 0.5 {
