@@ -270,8 +270,10 @@ func (o Options) engineConfig() core.Config {
 // resets the simulated clock (registered data pre-exists the session), and
 // that reset must not land in the middle of an in-flight query's timing.
 type Explorer struct {
-	opts   Options
-	dev    simdisk.Storage
+	opts Options
+	// dev is the storage's control handle; every layer below the Explorer
+	// gets the data-path simdisk.Storage it embeds.
+	dev    simdisk.Control
 	engine *core.Odyssey
 	// brown is the graceful-degradation controller
 	// (Options.BrownoutThreshold); nil when degradation is off.
@@ -364,6 +366,10 @@ func (e *Explorer) AddDataset(id DatasetID, objs []Object) error {
 		return err
 	}
 	if err := e.engine.AddRaw(raw); err != nil {
+		// The engine refused the dataset: take its raw file back off the
+		// device, or it would stay there unreachable. Best effort — the
+		// engine's error is the one the caller needs.
+		_ = raw.Delete()
 		return err
 	}
 	e.raws[id] = raw
@@ -372,7 +378,7 @@ func (e *Explorer) AddDataset(id DatasetID, objs []Object) error {
 	// background maintenance tasks run on their own locks — drain them
 	// first so the clock reset can never land inside a task's timing
 	// interval (a reset mid-task would charge negative phase durations).
-	if err := e.engine.Quiesce(nil); err != nil {
+	if err := e.engine.Quiesce(context.Background()); err != nil {
 		return err
 	}
 	e.dev.ResetClock()
@@ -500,11 +506,16 @@ func (e *Explorer) ResetStats() { e.dev.ResetStats() }
 // Topology reports the storage layout: device count, channels per device
 // and the placement policy in effect.
 func (e *Explorer) Topology() Topology {
-	return Topology{
-		Devices:   e.dev.NumDevices(),
-		Channels:  e.dev.NumChannels(),
-		Placement: e.dev.PlacementName(),
+	// The same defaulting simdisk.NewStorage applied to these options.
+	t := Topology{Devices: max(e.opts.Devices, 1), Channels: max(e.opts.Channels, 1), Placement: "single"}
+	if t.Devices > 1 {
+		policy := e.opts.Placement
+		if policy == nil {
+			policy = GroupAffinityPlacement()
+		}
+		t.Placement = policy.String()
 	}
+	return t
 }
 
 // DeviceStats returns per-member-device counters (one entry per device;

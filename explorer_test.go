@@ -1,6 +1,7 @@
 package odyssey
 
 import (
+	"math"
 	"testing"
 
 	"spaceodyssey/internal/engine"
@@ -47,6 +48,59 @@ func TestAddDatasetValidation(t *testing.T) {
 	}
 	if ex.NumDatasets() != 1 {
 		t.Fatalf("NumDatasets = %d", ex.NumDatasets())
+	}
+}
+
+// TestAddDatasetRejectedLeavesNoTrace pins that a dataset rejected for one
+// bad object leaves nothing behind: no raw file on the device, no write in
+// the counters, no time on the paper clock — and the repaired data goes in.
+func TestAddDatasetRejectedLeavesNoTrace(t *testing.T) {
+	ex, err := NewExplorer(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := testData(1, 500, 3)[0]
+	good := data[len(data)-1]
+	data[len(data)-1].Center.X = math.NaN()
+	if err := ex.AddDataset(0, data); err == nil {
+		t.Fatal("non-finite object accepted")
+	}
+	if ds := ex.DiskStats(); ds.PageWrites != 0 || ds.BytesWritten != 0 {
+		t.Fatalf("rejected dataset left writes behind: %+v", ds)
+	}
+	if ex.Clock() != 0 {
+		t.Fatalf("rejected dataset left %v on the clock", ex.Clock())
+	}
+	if ex.NumDatasets() != 0 {
+		t.Fatalf("NumDatasets = %d after a rejected add", ex.NumDatasets())
+	}
+	data[len(data)-1] = good
+	if err := ex.AddDataset(0, data); err != nil {
+		t.Fatalf("retry with repaired data: %v", err)
+	}
+	got, err := ex.Query(good.Box(), []DatasetID{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, o := range got {
+		found = found || o == good
+	}
+	if !found {
+		t.Fatalf("repaired object missing from %d results", len(got))
+	}
+
+	// A dataset the engine refuses after its raw file was written (here: a
+	// fanout no octree can have) takes the file back off the device.
+	bad, err := NewExplorer(Options{PartitionsPerLevel: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bad.AddDataset(0, data); err == nil {
+		t.Fatal("dataset accepted under an invalid octree fanout")
+	}
+	if pages := bad.dev.TotalPages(); pages != 0 {
+		t.Fatalf("refused dataset left %d pages on the device", pages)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestQuerySurvivesTransientDeviceFault(t *testing.T) {
 	buf := make([]byte, simdisk.PageSize)
 	for id := simdisk.FileID(1); id < 40; id++ {
 		if n, err := dev.NumPages(id); err == nil && n > 0 {
-			_ = dev.ReadPage(id, 0, buf) // consume any armed fault
+			_ = dev.ReadPageCtx(context.Background(), id, 0, buf) // consume any armed fault
 		}
 	}
 	got, err := eng.Query(q, dss)

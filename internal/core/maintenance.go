@@ -567,22 +567,12 @@ func (m *maintainer) SetPaused(paused bool) {
 
 // Quiesce blocks until the pipeline has no queued or running tasks — the
 // point where the layout has absorbed every scheduled mutation. Returns
-// early with a cancellation error when ctx expires first; ctx == nil waits
-// indefinitely.
+// early with a cancellation error when ctx expires first.
 func (m *maintainer) Quiesce(ctx context.Context) error {
 	m.mu.Lock()
 	ch := m.idle
 	m.mu.Unlock()
-	if ctx == nil {
-		<-ch
-		return nil
-	}
-	select {
-	case <-ch:
-		return nil
-	case <-ctx.Done():
-		return simdisk.Canceled(ctx.Err())
-	}
+	return simdisk.WaitDone(ctx, ch)
 }
 
 // Close cancels-and-drains the pipeline: queued tasks are dropped (counted

@@ -386,9 +386,9 @@ func (m *Merger) NeedsMerge(key ComboKey, datasets []object.DatasetID, candidate
 // thresholds allow, and appends every qualifying partition from candidates
 // that is not already covered. Qualification follows the configured
 // LevelPolicy — by default the paper's same-refinement-level rule. Returns
-// the number of partitions appended. ctx (nil disables) carries the QoS
-// scope the copy I/O is charged to; callers pass a non-cancelable context —
-// a merge is never interrupted mid-way.
+// the number of partitions appended. ctx carries the QoS scope the copy I/O
+// is charged to; callers pass a non-cancelable context — a merge is never
+// interrupted mid-way.
 func (m *Merger) MergeOrExtend(
 	ctx context.Context,
 	key ComboKey,
@@ -687,14 +687,9 @@ func (m *Merger) appendJob(ctx context.Context, mf *MergeFile, datasets []object
 	return nil
 }
 
-// ReadSegment reads the objects of one dataset for one merged partition,
-// following a shared-segment reference when present.
-func (m *Merger) ReadSegment(mf *MergeFile, key octree.Key, ds object.DatasetID) ([]object.Object, error) {
-	return m.ReadSegmentCtx(nil, mf, key, ds)
-}
-
-// ReadSegmentCtx is ReadSegment with cancellation (nil ctx disables it); the
-// underlying run read aborts at the page boundary where the context expired.
+// ReadSegmentCtx reads the objects of one dataset for one merged partition,
+// following a shared-segment reference when present; the underlying run read
+// aborts at the page boundary where the context expired.
 func (m *Merger) ReadSegmentCtx(ctx context.Context, mf *MergeFile, key octree.Key, ds object.DatasetID) ([]object.Object, error) {
 	segs, ok := mf.entries[key]
 	if !ok {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"spaceodyssey/internal/geom"
@@ -109,7 +110,7 @@ func TestLookupPrefersLargerSubset(t *testing.T) {
 func TestMergeOrExtendRespectsMinCombination(t *testing.T) {
 	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
 	m := NewMerger(dev, MergerConfig{MinCombination: 3})
-	n, err := m.MergeOrExtend(nil, "1,2", []object.DatasetID{1, 2},
+	n, err := m.MergeOrExtend(context.Background(), "1,2", []object.DatasetID{1, 2},
 		[]octree.Key{{Level: 1}}, nil)
 	if err != nil || n != 0 {
 		t.Fatalf("small combination merged: n=%d err=%v", n, err)
@@ -141,11 +142,11 @@ func TestReadSegmentErrors(t *testing.T) {
 	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
 	m := NewMerger(dev, MergerConfig{})
 	mf := mkMergeFile(m, dev, 1, 2, 3)
-	if _, err := m.ReadSegment(mf, octree.Key{Level: 1}, 1); err == nil {
+	if _, err := m.ReadSegmentCtx(context.Background(), mf, octree.Key{Level: 1}, 1); err == nil {
 		t.Fatal("missing entry accepted")
 	}
 	mf.entries[octree.Key{Level: 1}] = map[object.DatasetID]segment{}
-	if _, err := m.ReadSegment(mf, octree.Key{Level: 1}, 1); err == nil {
+	if _, err := m.ReadSegmentCtx(context.Background(), mf, octree.Key{Level: 1}, 1); err == nil {
 		t.Fatal("missing dataset segment accepted")
 	}
 }

@@ -560,7 +560,7 @@ func (o *Odyssey) answerContained(ds object.DatasetID, tree *octree.Tree, q geom
 // post-query merge step. Queries may run concurrently; see the type comment
 // for the locking discipline.
 func (o *Odyssey) Query(q geom.Box, datasets []object.DatasetID) ([]object.Object, error) {
-	return o.QueryCtx(nil, q, datasets)
+	return o.QueryCtx(context.Background(), q, datasets)
 }
 
 // QueryCtx is Query with cancellation. The context is observed on the read
@@ -851,10 +851,7 @@ func (o *Odyssey) QueryCtx(ctx context.Context, q geom.Box, datasets []object.Da
 	// interrupted mid-way) that keeps the query's QoS scope, so the merge
 	// I/O is charged to the query that triggered it.
 	if doMerge {
-		mctx := ctx
-		if mctx != nil {
-			mctx = context.WithoutCancel(mctx)
-		}
+		mctx := context.WithoutCancel(ctx)
 		if _, err := o.mergeFlight.Do(key, func() error {
 			return o.runMergeStep(mctx, key, ordered)
 		}); err != nil {

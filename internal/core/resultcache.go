@@ -504,11 +504,8 @@ type cacheScope struct {
 // cacheScopeKey is the context key for the per-query cacheScope.
 type cacheScopeKey struct{}
 
-// withCacheScope attaches a fresh scope to ctx (nil ctx allowed).
+// withCacheScope attaches a fresh scope to ctx.
 func withCacheScope(ctx context.Context) (context.Context, *cacheScope) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	s := &cacheScope{}
 	return context.WithValue(ctx, cacheScopeKey{}, s), s
 }
@@ -518,9 +515,6 @@ func withCacheScope(ctx context.Context) (context.Context, *cacheScope) {
 // read function — a query attached to another's single-flight scan stays
 // clean, which is correct: it charged no device read of its own.
 func missCacheScope(ctx context.Context) {
-	if ctx == nil {
-		return
-	}
 	if s, _ := ctx.Value(cacheScopeKey{}).(*cacheScope); s != nil {
 		s.missed.Store(true)
 	}

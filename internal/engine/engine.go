@@ -5,6 +5,7 @@
 package engine
 
 import (
+	"context"
 	"sort"
 
 	"spaceodyssey/internal/geom"
@@ -52,7 +53,7 @@ func (e *NaiveScan) Query(q geom.Box, datasets []object.DatasetID) ([]object.Obj
 		if !ok {
 			continue
 		}
-		err := raw.ScanRange(q, func(o object.Object) error {
+		err := raw.ScanRange(context.Background(), q, func(o object.Object) error {
 			out = append(out, o)
 			return nil
 		})

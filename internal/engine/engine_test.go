@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestNaiveScanFiltersByRange(t *testing.T) {
 	}
 	// Cross-check the count against a direct scan.
 	want := 0
-	if err := raws[0].ScanRange(q, func(object.Object) error {
+	if err := raws[0].ScanRange(context.Background(), q, func(object.Object) error {
 		want++
 		return nil
 	}); err != nil {

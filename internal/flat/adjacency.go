@@ -15,6 +15,7 @@
 package flat
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -48,7 +49,7 @@ type adjacencyStore struct {
 func buildAdjacency(dev simdisk.Storage, name string, lists [][]uint32) (*adjacencyStore, error) {
 	s := &adjacencyStore{
 		dev:  dev,
-		file: dev.CreateFile(name),
+		file: dev.CreateFileInGroup(name, ""),
 		locs: make([]adjLoc, len(lists)),
 	}
 	page := make([]byte, simdisk.PageSize)
@@ -62,7 +63,7 @@ func buildAdjacency(dev simdisk.Storage, name string, lists [][]uint32) (*adjace
 				i, len(list))
 		}
 		if off+recSize > simdisk.PageSize {
-			if _, err := dev.AppendPage(s.file, page); err != nil {
+			if _, err := dev.AppendPageCtx(context.Background(), s.file, page); err != nil {
 				return nil, err
 			}
 			page = make([]byte, simdisk.PageSize)
@@ -80,7 +81,7 @@ func buildAdjacency(dev simdisk.Storage, name string, lists [][]uint32) (*adjace
 		dirty = true
 	}
 	if dirty {
-		if _, err := dev.AppendPage(s.file, page); err != nil {
+		if _, err := dev.AppendPageCtx(context.Background(), s.file, page); err != nil {
 			return nil, err
 		}
 	}
@@ -95,7 +96,7 @@ func (s *adjacencyStore) neighbors(id int) ([]uint32, error) {
 	}
 	loc := s.locs[id]
 	buf := make([]byte, simdisk.PageSize)
-	if err := s.dev.ReadPage(s.file, loc.page, buf); err != nil {
+	if err := s.dev.ReadPageCtx(context.Background(), s.file, loc.page, buf); err != nil {
 		return nil, err
 	}
 	off := int(loc.off)

@@ -1,6 +1,7 @@
 package flat
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -101,7 +102,7 @@ func BuildIndex(dev simdisk.Storage, name string, objs []object.Object, cfg Conf
 	if err := rtree.ChargeExternalSort(dev, object.PagesFor(len(objs)), cfg.SortPasses); err != nil {
 		return nil, err
 	}
-	idx := &Index{cfg: cfg, dev: dev, file: dev.CreateFile(name + ".leaves"), numObj: len(objs)}
+	idx := &Index{cfg: cfg, dev: dev, file: dev.CreateFileInGroup(name+".leaves", ""), numObj: len(objs)}
 
 	// Dense leaf pages in STR order.
 	packed := rtree.STRPack(objs, cfg.LeafCapacity)
@@ -110,7 +111,7 @@ func BuildIndex(dev simdisk.Storage, name string, objs []object.Object, cfg Conf
 		if err != nil {
 			return nil, err
 		}
-		p, err := dev.AppendPage(idx.file, page)
+		p, err := dev.AppendPageCtx(context.Background(), idx.file, page)
 		if err != nil {
 			return nil, err
 		}
@@ -334,7 +335,7 @@ func (idx *Index) Query(q geom.Box, filter map[object.DatasetID]bool) ([]object.
 // readLeaf reads and decodes one dense leaf page.
 func (idx *Index) readLeaf(id int) ([]object.Object, error) {
 	buf := make([]byte, simdisk.PageSize)
-	if err := idx.dev.ReadPage(idx.file, idx.leaves[id].page, buf); err != nil {
+	if err := idx.dev.ReadPageCtx(context.Background(), idx.file, idx.leaves[id].page, buf); err != nil {
 		return nil, err
 	}
 	return object.DecodePage(buf)

@@ -1,6 +1,7 @@
 package flat
 
 import (
+	"context"
 	"fmt"
 
 	"spaceodyssey/internal/geom"
@@ -17,7 +18,7 @@ func readAll(raws []*rawfile.Raw) ([]object.Object, error) {
 	}
 	objs := make([]object.Object, 0, total)
 	for _, r := range raws {
-		err := r.Scan(func(o object.Object) error {
+		err := r.ScanCtx(context.Background(), func(o object.Object) error {
 			objs = append(objs, o)
 			return nil
 		})

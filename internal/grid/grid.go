@@ -8,6 +8,7 @@
 package grid
 
 import (
+	"context"
 	"fmt"
 
 	"spaceodyssey/internal/geom"
@@ -111,7 +112,7 @@ func (g *Index) Build() error {
 			if len(objs) == 0 {
 				continue
 			}
-			run, err := g.file.AppendObjects(objs)
+			run, err := g.file.AppendObjectsCtx(context.Background(), objs)
 			if err != nil {
 				return err
 			}
@@ -123,7 +124,7 @@ func (g *Index) Build() error {
 		return nil
 	}
 	for _, raw := range g.raws {
-		err := raw.Scan(func(o object.Object) error {
+		err := raw.ScanCtx(context.Background(), func(o object.Object) error {
 			for _, ci := range g.cellsOf(o) {
 				buffers[ci] = append(buffers[ci], o)
 				buffered++
@@ -193,7 +194,7 @@ func (g *Index) Query(q geom.Box, filter map[object.DatasetID]bool) ([]object.Ob
 		for y := loY; y <= hiY; y++ {
 			for x := loX; x <= hiX; x++ {
 				ci := (z*k+y)*k + x
-				objs, err := g.file.ReadRuns(g.cells[ci])
+				objs, err := g.file.ReadRunsCtx(context.Background(), g.cells[ci])
 				if err != nil {
 					return nil, err
 				}

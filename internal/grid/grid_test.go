@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -78,7 +79,7 @@ func TestIndexMatchesNaiveScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want []object.Object
-		if err := raws[0].ScanRange(q, func(o object.Object) error {
+		if err := raws[0].ScanRange(context.Background(), q, func(o object.Object) error {
 			want = append(want, o)
 			return nil
 		}); err != nil {
@@ -251,7 +252,7 @@ func TestReplicatingGridMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want []object.Object
-		if err := raws[0].ScanRange(q, func(o object.Object) error {
+		if err := raws[0].ScanRange(context.Background(), q, func(o object.Object) error {
 			want = append(want, o)
 			return nil
 		}); err != nil {

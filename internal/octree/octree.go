@@ -189,7 +189,7 @@ type Tree struct {
 // bounds. Storage pages are allocated on dev in a file named after the raw
 // file, placed under the dataset's affinity group so tree and raw file
 // co-locate on a device array. No I/O happens until the first query
-// (EnsureBuilt).
+// (EnsureBuiltCtx).
 func New(dev simdisk.Storage, raw *rawfile.Raw, bounds geom.Box, cfg Config) (*Tree, error) {
 	cfg, k, err := cfg.withDefaults()
 	if err != nil {
@@ -234,16 +234,11 @@ func (t *Tree) FanoutPerDim() int { return t.k }
 // the same epoch return the same bytes.
 func (t *Tree) Epoch() int64 { return t.epoch.Load() }
 
-// EnsureBuilt runs the level-0 partitioning if it has not happened yet: one
-// full in-situ scan of the raw file, assigning every object to one of ppl
-// uniform cells by its center, then writing each cell sequentially. This is
-// the expensive first query of the paper's Figure 5.
-func (t *Tree) EnsureBuilt() error {
-	return t.EnsureBuiltCtx(nil)
-}
-
-// EnsureBuiltCtx is EnsureBuilt with cancellation. The context is observed
-// only during the read phase (the in-situ scan, which dominates the cost):
+// EnsureBuiltCtx runs the level-0 partitioning if it has not happened yet:
+// one full in-situ scan of the raw file, assigning every object to one of
+// ppl uniform cells by its center, then writing each cell sequentially. This
+// is the expensive first query of the paper's Figure 5. The context is
+// observed only during the read phase (the in-situ scan, which dominates the cost):
 // an abort there leaves the tree untouched and unbuilt — no partial
 // partitioning can ever be observed. Once the scan has completed, the cell
 // writes always run to completion, so the built state commits atomically.
@@ -275,10 +270,7 @@ func (t *Tree) EnsureBuiltCtx(ctx context.Context) error {
 	// The cell writes always complete (the built state commits atomically),
 	// but their I/O is still attributed to the caller's QoS scope: strip
 	// cancellation, keep context values.
-	wctx := ctx
-	if wctx != nil {
-		wctx = context.WithoutCancel(wctx)
-	}
+	wctx := context.WithoutCancel(ctx)
 	for ci, cell := range cells {
 		cx := ci % t.k
 		cy := (ci / t.k) % t.k
@@ -354,12 +346,7 @@ func (t *Tree) LeafAt(key Key) *Partition {
 	return p
 }
 
-// ReadPartition reads every object stored in p from disk.
-func (t *Tree) ReadPartition(p *Partition) ([]object.Object, error) {
-	return t.file.ReadRuns(p.runs)
-}
-
-// ReadPartitionCtx is ReadPartition with cancellation (nil ctx disables it).
+// ReadPartitionCtx reads every object stored in p from disk.
 func (t *Tree) ReadPartitionCtx(ctx context.Context, p *Partition) ([]object.Object, error) {
 	return t.file.ReadRunsCtx(ctx, p.runs)
 }

@@ -1,6 +1,7 @@
 package octree
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestLazyBuild(t *testing.T) {
 	if st := dev.Stats(); st.PageReads != 0 {
 		t.Fatal("unbuilt tree performed I/O")
 	}
-	if err := tree.EnsureBuilt(); err != nil {
+	if err := tree.EnsureBuiltCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !tree.Built() || tree.NumObjects() != 1000 {
@@ -74,7 +75,7 @@ func TestLazyBuild(t *testing.T) {
 	}
 	// Idempotent.
 	dev.ResetStats()
-	if err := tree.EnsureBuilt(); err != nil {
+	if err := tree.EnsureBuiltCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if st := dev.Stats(); st.PageReads != 0 || st.PageWrites != 0 {
@@ -96,7 +97,7 @@ func leafInvariants(t *testing.T, tree *Tree) {
 		}
 		vol += p.Box().Volume()
 		total += p.Count()
-		objs, err := tree.ReadPartition(p)
+		objs, err := tree.ReadPartitionCtx(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +137,7 @@ func onUpperBoundary(p geom.Vec, cell, bounds geom.Box) bool {
 
 func TestLevel0Invariants(t *testing.T) {
 	tree, _, _ := testTree(t, 3000, DefaultConfig(), 2)
-	if err := tree.EnsureBuilt(); err != nil {
+	if err := tree.EnsureBuiltCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	leafInvariants(t, tree)
@@ -152,12 +153,12 @@ func TestQueryMatchesNaiveScan(t *testing.T) {
 		if !ok {
 			continue
 		}
-		res, err := tree.Query(q, nil)
+		res, err := tree.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var want []object.Object
-		if err := raw.ScanRange(q, func(o object.Object) error {
+		if err := raw.ScanRange(context.Background(), q, func(o object.Object) error {
 			want = append(want, o)
 			return nil
 		}); err != nil {
@@ -196,7 +197,7 @@ func TestRefinementOneLevelPerQuery(t *testing.T) {
 	q := geom.Cube(geom.V(0.5, 0.5, 0.5), 0.01)
 
 	// First query builds level 0, then refines the hit partitions once.
-	res, err := tree.Query(q, nil)
+	res, err := tree.QueryCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestRefinementOneLevelPerQuery(t *testing.T) {
 
 	// The same query again refines at most one more level of the hit cells.
 	prevLeaves := tree.NumLeaves()
-	res2, err := tree.Query(q, nil)
+	res2, err := tree.QueryCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestRefinementConverges(t *testing.T) {
 	q := geom.Cube(geom.V(0.25, 0.25, 0.25), 0.02)
 	var last int
 	for i := 0; i < 12; i++ {
-		res, err := tree.Query(q, nil)
+		res, err := tree.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +252,7 @@ func TestRefinementConverges(t *testing.T) {
 func TestConvergenceMatchesTargetLevels(t *testing.T) {
 	cfg := DefaultConfig() // rt=4, ppl=64
 	tree, _, _ := testTree(t, 20000, cfg, 7)
-	if err := tree.EnsureBuilt(); err != nil {
+	if err := tree.EnsureBuiltCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	vp := 1.0 / 64 // level-1 partition volume over the unit box
@@ -264,7 +265,7 @@ func TestConvergenceMatchesTargetLevels(t *testing.T) {
 	q := geom.Cube(geom.V(0.3, 0.3, 0.3), cbrt(vq))
 	hits := 0
 	for ; hits < 20; hits++ {
-		res, err := tree.Query(q, nil)
+		res, err := tree.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +321,7 @@ func TestEmptyPartitionsNeverRefine(t *testing.T) {
 	}
 	q := geom.Cube(geom.V(0.9, 0.9, 0.9), 0.01)
 	for i := 0; i < 3; i++ {
-		res, err := tree.Query(q, nil)
+		res, err := tree.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +339,7 @@ func TestMaxDepthBoundsRefinement(t *testing.T) {
 	tree, _, _ := testTree(t, 2000, cfg, 10)
 	q := geom.Cube(geom.V(0.5, 0.5, 0.5), 1e-4)
 	for i := 0; i < 10; i++ {
-		if _, err := tree.Query(q, nil); err != nil {
+		if _, err := tree.QueryCtx(context.Background(), q, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -351,7 +352,7 @@ func TestMaxDepthBoundsRefinement(t *testing.T) {
 
 func TestInPlaceReuseBoundsFileGrowth(t *testing.T) {
 	tree, raw, _ := testTree(t, 5000, DefaultConfig(), 11)
-	if err := tree.EnsureBuilt(); err != nil {
+	if err := tree.EnsureBuiltCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	after0, err := tree.File().NumPages()
@@ -366,7 +367,7 @@ func TestInPlaceReuseBoundsFileGrowth(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if _, err := tree.Query(q, nil); err != nil {
+		if _, err := tree.QueryCtx(context.Background(), q, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -391,7 +392,7 @@ func TestLeafAt(t *testing.T) {
 	if tree.LeafAt(Key{Level: 1}) != nil {
 		t.Fatal("LeafAt on unbuilt tree returned partition")
 	}
-	if err := tree.EnsureBuilt(); err != nil {
+	if err := tree.EnsureBuiltCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Every level-1 cell is a leaf right after build.
@@ -414,7 +415,7 @@ func TestLeafAt(t *testing.T) {
 		if !ok {
 			t.Fatal("query construction failed")
 		}
-		if _, err := tree.Query(q, nil); err != nil {
+		if _, err := tree.QueryCtx(context.Background(), q, nil); err != nil {
 			t.Fatal(err)
 		}
 		if target.Count() == 0 {
@@ -440,12 +441,12 @@ func TestLeafAt(t *testing.T) {
 func TestServeFromStoreHookSkipsReads(t *testing.T) {
 	tree, _, dev := testTree(t, 3000, DefaultConfig(), 14)
 	q := geom.Cube(geom.V(0.5, 0.5, 0.5), 0.05)
-	if _, err := tree.Query(q, nil); err != nil {
+	if _, err := tree.QueryCtx(context.Background(), q, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Serve everything from the (imaginary) store: no reads, no objects.
 	dev.ResetStats()
-	res, err := tree.Query(q, func(*Partition) bool { return true })
+	res, err := tree.QueryCtx(context.Background(), q, func(*Partition) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +477,7 @@ func TestKeysShareGeometryAcrossTrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tree.EnsureBuilt(); err != nil {
+		if err := tree.EnsureBuiltCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return tree
@@ -484,10 +485,10 @@ func TestKeysShareGeometryAcrossTrees(t *testing.T) {
 	a := mk(1, 100)
 	b := mk(2, 200)
 	q := geom.Cube(geom.V(0.7, 0.2, 0.4), 0.01)
-	if _, err := a.Query(q, nil); err != nil {
+	if _, err := a.QueryCtx(context.Background(), q, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Query(q, nil); err != nil {
+	if _, err := b.QueryCtx(context.Background(), q, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Boxes for equal keys must be identical.
@@ -524,7 +525,7 @@ func TestKeyChild(t *testing.T) {
 func TestRefineNonLeafFails(t *testing.T) {
 	tree, _, _ := testTree(t, 2000, DefaultConfig(), 15)
 	q := geom.Cube(geom.V(0.5, 0.5, 0.5), 0.01)
-	if _, err := tree.Query(q, nil); err != nil {
+	if _, err := tree.QueryCtx(context.Background(), q, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Find a refined partition.
@@ -546,7 +547,7 @@ func TestRefineNonLeafFails(t *testing.T) {
 	if refined == nil {
 		t.Skip("no refined partition produced")
 	}
-	if _, err := tree.Refine(refined); err == nil {
+	if _, err := tree.refineCtx(context.Background(), refined); err == nil {
 		t.Fatal("refining a non-leaf succeeded")
 	}
 }
@@ -564,7 +565,7 @@ func TestRandomWorkloadInvariantsProperty(t *testing.T) {
 			if !ok || q.Volume() == 0 {
 				continue
 			}
-			if _, err := tree.Query(q, nil); err != nil {
+			if _, err := tree.QueryCtx(context.Background(), q, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package octree
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -21,14 +22,14 @@ func TestQueryReadOnlyMatchesQuery(t *testing.T) {
 	rwTree, _, _ := testTree(t, 5000, DefaultConfig(), 51)
 
 	q := geom.Cube(geom.V(0.3, 0.3, 0.3), 0.08)
-	if _, err := roTree.QueryReadOnlyCtx(nil, q, nil); err == nil {
+	if _, err := roTree.QueryReadOnlyCtx(context.Background(), q, nil); err == nil {
 		t.Fatal("read-only query on an unbuilt tree must fail")
 	}
-	if err := roTree.EnsureBuilt(); err != nil {
+	if err := roTree.EnsureBuiltCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	ro, err := roTree.QueryReadOnlyCtx(nil, q, nil)
+	ro, err := roTree.QueryReadOnlyCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestQueryReadOnlyMatchesQuery(t *testing.T) {
 		t.Fatal("hot query reported no refinement demand")
 	}
 
-	rw, err := rwTree.Query(q, nil)
+	rw, err := rwTree.QueryCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +72,13 @@ func TestQueryReadOnlyMatchesQuery(t *testing.T) {
 func TestRefineRegionConverges(t *testing.T) {
 	bgTree, _, _ := testTree(t, 5000, DefaultConfig(), 52)
 	fgTree, _, _ := testTree(t, 5000, DefaultConfig(), 52)
-	if err := bgTree.EnsureBuilt(); err != nil {
+	if err := bgTree.EnsureBuiltCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	q := geom.Cube(geom.V(0.3, 0.3, 0.3), 0.05)
 	qVol := q.Volume()
-	ro, err := bgTree.QueryReadOnlyCtx(nil, q, nil)
+	ro, err := bgTree.QueryReadOnlyCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestRefineRegionConverges(t *testing.T) {
 	}
 	total := 0
 	for _, key := range ro.WantRefine {
-		n, err := bgTree.RefineRegion(nil, key, q, qVol)
+		n, err := bgTree.RefineRegion(context.Background(), key, q, qVol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +96,7 @@ func TestRefineRegionConverges(t *testing.T) {
 	if total == 0 {
 		t.Fatal("RefineRegion applied no refinements")
 	}
-	after, err := bgTree.QueryReadOnlyCtx(nil, q, nil)
+	after, err := bgTree.QueryReadOnlyCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestRefineRegionConverges(t *testing.T) {
 	// The foreground tree converges by repeating the query (one level per
 	// pass); both must land on the same leaf structure.
 	for i := 0; i < 20; i++ {
-		res, err := fgTree.Query(q, nil)
+		res, err := fgTree.QueryCtx(context.Background(), q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

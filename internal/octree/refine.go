@@ -24,21 +24,17 @@ func (t *Tree) NeedsRefinement(p *Partition, qVol float64) bool {
 	return p.box.Volume()/qVol > t.cfg.RefinementThreshold
 }
 
-// Refine splits leaf p into ppl children, reassigning its objects by center
-// and rewriting them in place: children reuse p's pages first and overflow
-// is appended at end of file, exactly as §3.1.2 describes. It returns the
-// objects that were read in the process so callers answering a query can
-// filter them without a second read.
-func (t *Tree) Refine(p *Partition) ([]object.Object, error) {
-	return t.refineCtx(nil, p)
-}
-
-// refineCtx is Refine with cancellation limited to the read phase: aborting
-// while the partition is being read leaves it exactly as it was (runs and
-// children untouched), while the split-and-rewrite phase always runs to
-// completion so the tree can never hold a half-rewritten partition. This is
-// the "check cancellation between level steps, never inside a layout
-// mutation" rule the concurrent storm tests pin down.
+// refineCtx splits leaf p into ppl children, reassigning its objects by
+// center and rewriting them in place: children reuse p's pages first and
+// overflow is appended at end of file, exactly as §3.1.2 describes. It
+// returns the objects that were read in the process so callers answering a
+// query can filter them without a second read. Cancellation is limited to
+// the read phase: aborting while the partition is being read leaves it
+// exactly as it was (runs and children untouched), while the
+// split-and-rewrite phase always runs to completion so the tree can never
+// hold a half-rewritten partition. This is the "check cancellation between
+// level steps, never inside a layout mutation" rule the concurrent storm
+// tests pin down.
 func (t *Tree) refineCtx(ctx context.Context, p *Partition) ([]object.Object, error) {
 	if !p.IsLeaf() {
 		return nil, fmt.Errorf("octree: refine on non-leaf %v", p.key)
@@ -60,10 +56,7 @@ func (t *Tree) refineCtx(ctx context.Context, p *Partition) ([]object.Object, er
 	// The rewrite phase always completes (no half-rewritten partition), but
 	// its I/O is still attributed to the caller's QoS scope: strip
 	// cancellation, keep context values.
-	wctx := ctx
-	if wctx != nil {
-		wctx = context.WithoutCancel(wctx)
-	}
+	wctx := context.WithoutCancel(ctx)
 	alloc := &runAllocator{free: p.runs}
 	cells := p.box.Subdivide(t.k)
 	children := make([]*Partition, 0, len(cells))
@@ -95,14 +88,14 @@ func (t *Tree) refineCtx(ctx context.Context, p *Partition) ([]object.Object, er
 // NeedsWrite reports whether answering q could mutate the tree: either the
 // level-0 build has not run yet, or some leaf the (extended) query window
 // hits qualifies for refinement. servedElsewhere, when non-nil, mirrors
-// Query's serveFromStore hook: leaves it claims are served from a merge
-// file are neither read nor refined by Query (§3.2.2), so they do not count
-// as pending writes — without this, a partition merged before converging
-// would keep the exclusive lock engaged on every query forever. Concurrent
-// callers use NeedsWrite to decide between a shared and an exclusive tree
-// lock before calling Query; it performs no I/O, and the predicate must be
-// read-only. A false answer is stable for as long as the caller excludes
-// writers, since only Query itself builds or refines.
+// QueryCtx's serveFromStore hook: leaves it claims are served from a merge
+// file are neither read nor refined by QueryCtx (§3.2.2), so they do not
+// count as pending writes — without this, a partition merged before
+// converging would keep the exclusive lock engaged on every query forever.
+// Concurrent callers use NeedsWrite to decide between a shared and an
+// exclusive tree lock before calling QueryCtx; it performs no I/O, and the
+// predicate must be read-only. A false answer is stable for as long as the
+// caller excludes writers, since only QueryCtx itself builds or refines.
 func (t *Tree) NeedsWrite(q geom.Box, servedElsewhere func(*Partition) bool) bool {
 	if !t.built {
 		return true
@@ -139,7 +132,7 @@ type QueryResult struct {
 	ReadTime   time.Duration
 }
 
-// Query runs a range query against this tree alone: it builds level 0 on
+// QueryCtx runs a range query against this tree alone: it builds level 0 on
 // first use, locates the hit partitions via the extended query window,
 // refines each hit partition by at most one level (the paper's
 // one-level-per-query rule), and returns the intersecting objects.
@@ -148,16 +141,13 @@ type QueryResult struct {
 // returns true the partition's objects are assumed served elsewhere (e.g.
 // from a merge file) — it is neither read nor refined here. The core engine
 // uses this hook to route partitions to merge files.
-func (t *Tree) Query(q geom.Box, serveFromStore func(*Partition) bool) (QueryResult, error) {
-	return t.QueryCtx(nil, q, serveFromStore)
-}
-
-// QueryCtx is Query with cancellation. The context is checked between level
-// steps — before the level-0 build, before each partition read or
-// refinement — and inside the reads themselves down to the page boundary,
-// so an abandoned query stops charging simulated I/O almost immediately.
-// Refinements that already started always complete (see refineCtx), keeping
-// the tree consistent; on error the partial QueryResult must be discarded.
+//
+// The context is checked between level steps — before the level-0 build,
+// before each partition read or refinement — and inside the reads themselves
+// down to the page boundary, so an abandoned query stops charging simulated
+// I/O almost immediately. Refinements that already started always complete
+// (see refineCtx), keeping the tree consistent; on error the partial
+// QueryResult must be discarded.
 func (t *Tree) QueryCtx(ctx context.Context, q geom.Box, serveFromStore func(*Partition) bool) (QueryResult, error) {
 	var res QueryResult
 	// Phase times are exact per-query attribution when the context carries a
@@ -299,8 +289,8 @@ func (t *Tree) QueryReadOnlyCtx(ctx context.Context, q geom.Box, serveFromStore 
 // happened — false means the region has converged for this demand. The
 // caller must hold the tree's write lock; a background scheduler calls it
 // in a lock-release loop so queries interleave between steps instead of
-// waiting out a whole region's convergence. The context (nil allowed)
-// carries the caller's QoS scope — the maintenance scheduler's refinement
+// waiting out a whole region's convergence. The context carries the
+// caller's QoS scope — the maintenance scheduler's refinement
 // I/O is charged as PriMaintenance through it.
 func (t *Tree) RefineRegionStep(ctx context.Context, key Key, q geom.Box, qVol float64) (bool, error) {
 	if !t.built {
@@ -396,18 +386,13 @@ func (t *Tree) LeafCovering(key Key) *Partition {
 	return p
 }
 
-// RefineTo refines the tree along the path to key until a leaf exists at
+// RefineToCtx refines the tree along the path to key until a leaf exists at
 // exactly that cell, and returns it. This implements the paper's §3.2.5
 // "refine all partitions to the same level as the finest before merging"
 // strategy: lagging datasets are brought to the leader's refinement level
-// at merge time (the refinement I/O is charged like any other). It fails
-// when the tree is unbuilt or already refined past the key.
-func (t *Tree) RefineTo(key Key) (*Partition, error) {
-	return t.RefineToCtx(nil, key)
-}
-
-// RefineToCtx is RefineTo with the context (and its QoS scope) threaded to
-// the refinement I/O.
+// at merge time (the refinement I/O is charged like any other, to the
+// context's QoS scope). It fails when the tree is unbuilt or already refined
+// past the key.
 func (t *Tree) RefineToCtx(ctx context.Context, key Key) (*Partition, error) {
 	if !t.built {
 		return nil, fmt.Errorf("octree: RefineTo on unbuilt tree")

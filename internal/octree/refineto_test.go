@@ -1,6 +1,7 @@
 package octree
 
 import (
+	"context"
 	"testing"
 
 	"spaceodyssey/internal/geom"
@@ -12,7 +13,7 @@ func deepen(t *testing.T, tree *Tree, level uint8) *Partition {
 	t.Helper()
 	q := geom.Cube(geom.V(0.3, 0.3, 0.3), 1e-4)
 	for i := 0; i < 20; i++ {
-		if _, err := tree.Query(q, nil); err != nil {
+		if _, err := tree.QueryCtx(context.Background(), q, nil); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range tree.Lookup(q) {
@@ -30,7 +31,7 @@ func TestLeafCovering(t *testing.T) {
 	if tree.LeafCovering(Key{Level: 1}) != nil {
 		t.Fatal("unbuilt tree returned covering leaf")
 	}
-	if err := tree.EnsureBuilt(); err != nil {
+	if err := tree.EnsureBuiltCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// A level-1 key is covered by exactly the leaf at that key.
@@ -57,10 +58,10 @@ func TestLeafCovering(t *testing.T) {
 
 func TestRefineTo(t *testing.T) {
 	tree, _, _ := testTree(t, 4000, DefaultConfig(), 42)
-	if _, err := tree.RefineTo(Key{Level: 1}); err == nil {
+	if _, err := tree.RefineToCtx(context.Background(), Key{Level: 1}); err == nil {
 		t.Fatal("RefineTo on unbuilt tree succeeded")
 	}
-	if err := tree.EnsureBuilt(); err != nil {
+	if err := tree.EnsureBuiltCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Pick a populated level-1 leaf and force two levels of refinement.
@@ -77,7 +78,7 @@ func TestRefineTo(t *testing.T) {
 	k := tree.FanoutPerDim()
 	deepKey := target.Key().Child(k, 1, 1, 1).Child(k, 2, 2, 2)
 	before := tree.NumObjects()
-	leaf, err := tree.RefineTo(deepKey)
+	leaf, err := tree.RefineToCtx(context.Background(), deepKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,23 +92,23 @@ func TestRefineTo(t *testing.T) {
 		t.Fatal("RefineTo lost objects")
 	}
 	// Idempotent.
-	again, err := tree.RefineTo(deepKey)
+	again, err := tree.RefineToCtx(context.Background(), deepKey)
 	if err != nil || again != leaf {
 		t.Fatalf("second RefineTo: %v %v", again, err)
 	}
 	// RefineTo above an already-deeper area fails.
-	if _, err := tree.RefineTo(target.Key()); err == nil {
+	if _, err := tree.RefineToCtx(context.Background(), target.Key()); err == nil {
 		t.Fatal("RefineTo on internal cell succeeded")
 	}
 	// MaxDepth guard.
 	cfg := DefaultConfig()
 	cfg.MaxDepth = 1
 	shallow, _, _ := testTree(t, 500, cfg, 43)
-	if err := shallow.EnsureBuilt(); err != nil {
+	if err := shallow.EnsureBuiltCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	tooDeep := Key{Level: 3, X: 1, Y: 1, Z: 1}
-	if _, err := shallow.RefineTo(tooDeep); err == nil {
+	if _, err := shallow.RefineToCtx(context.Background(), tooDeep); err == nil {
 		t.Fatal("RefineTo past MaxDepth succeeded")
 	}
 }
@@ -117,7 +118,7 @@ func TestLeavesUnder(t *testing.T) {
 	if tree.LeavesUnder(Key{}) != nil {
 		t.Fatal("unbuilt tree returned leaves")
 	}
-	if err := tree.EnsureBuilt(); err != nil {
+	if err := tree.EnsureBuiltCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Under the root: all leaves.

@@ -64,16 +64,11 @@ func (f *File) NumPages() (int64, error) { return f.dev.NumPages(f.id) }
 // Delete removes the file from the device.
 func (f *File) Delete() error { return f.dev.DeleteFile(f.id) }
 
-// AppendObjects writes objs to freshly appended pages and returns the run
-// they occupy. An empty slice returns a zero-length run at EOF.
-func (f *File) AppendObjects(objs []object.Object) (Run, error) {
-	return f.AppendObjectsCtx(nil, objs)
-}
-
-// AppendObjectsCtx is AppendObjects with the context threaded to the device,
-// so the write I/O is charged to the context's QoS scope. Callers that must
-// not leave a partial append pass a non-cancelable context
-// (context.WithoutCancel keeps the scope).
+// AppendObjectsCtx writes objs to freshly appended pages and returns the run
+// they occupy. An empty slice returns a zero-length run at EOF. The context
+// is threaded to the device, so the write I/O is charged to the context's
+// QoS scope. Callers that must not leave a partial append pass a
+// non-cancelable context (context.WithoutCancel keeps the scope).
 func (f *File) AppendObjectsCtx(ctx context.Context, objs []object.Object) (Run, error) {
 	end, err := f.dev.NumPages(f.id)
 	if err != nil {
@@ -97,16 +92,11 @@ func (f *File) AppendObjectsCtx(ctx context.Context, objs []object.Object) (Run,
 	return run, nil
 }
 
-// OverwriteObjects writes objs into the existing pages of run. The objects
-// must fit: object.PagesFor(len(objs)) <= run.Count. Pages of the run beyond
-// the data are rewritten empty so stale records cannot resurface. It returns
-// the sub-run actually holding data.
-func (f *File) OverwriteObjects(run Run, objs []object.Object) (Run, error) {
-	return f.OverwriteObjectsCtx(nil, run, objs)
-}
-
-// OverwriteObjectsCtx is OverwriteObjects with the context threaded to the
-// device for QoS charge attribution (see AppendObjectsCtx).
+// OverwriteObjectsCtx writes objs into the existing pages of run. The
+// objects must fit: object.PagesFor(len(objs)) <= run.Count. Pages of the
+// run beyond the data are rewritten empty so stale records cannot resurface.
+// It returns the sub-run actually holding data. The context is threaded to
+// the device for QoS charge attribution (see AppendObjectsCtx).
 func (f *File) OverwriteObjectsCtx(ctx context.Context, run Run, objs []object.Object) (Run, error) {
 	need := object.PagesFor(len(objs))
 	if need > run.Count {
@@ -133,24 +123,14 @@ func (f *File) OverwriteObjectsCtx(ctx context.Context, run Run, objs []object.O
 	return Run{Start: run.Start, Count: need}, nil
 }
 
-// ReadRun reads and decodes every object stored in run.
-func (f *File) ReadRun(run Run) ([]object.Object, error) {
-	return f.ReadRunIntoCtx(nil, nil, run)
-}
-
-// ReadRunCtx is ReadRun with cancellation: the device aborts at the page
-// boundary where the context expired, charging only the pages actually read.
+// ReadRunCtx reads and decodes every object stored in run. On cancellation
+// the device aborts at the page boundary where the context expired,
+// charging only the pages actually read.
 func (f *File) ReadRunCtx(ctx context.Context, run Run) ([]object.Object, error) {
 	return f.ReadRunIntoCtx(ctx, nil, run)
 }
 
-// ReadRunInto appends the objects of run to dst.
-func (f *File) ReadRunInto(dst []object.Object, run Run) ([]object.Object, error) {
-	return f.ReadRunIntoCtx(nil, dst, run)
-}
-
-// ReadRunIntoCtx appends the objects of run to dst, aborting on ctx (nil
-// disables cancellation).
+// ReadRunIntoCtx appends the objects of run to dst, aborting on ctx.
 func (f *File) ReadRunIntoCtx(ctx context.Context, dst []object.Object, run Run) ([]object.Object, error) {
 	if run.Count == 0 {
 		return dst, nil
@@ -168,13 +148,8 @@ func (f *File) ReadRunIntoCtx(ctx context.Context, dst []object.Object, run Run)
 	return dst, nil
 }
 
-// ReadRuns reads all objects across runs in order.
-func (f *File) ReadRuns(runs []Run) ([]object.Object, error) {
-	return f.ReadRunsCtx(nil, runs)
-}
-
 // ReadRunsCtx reads all objects across runs in order, aborting between and
-// within runs when ctx is canceled (nil disables cancellation).
+// within runs when ctx is canceled.
 func (f *File) ReadRunsCtx(ctx context.Context, runs []Run) ([]object.Object, error) {
 	return f.ReadRunsIntoCtx(ctx, nil, runs)
 }
@@ -216,17 +191,12 @@ func PutObjSlice(s *[]object.Object) {
 	objSlicePool.Put(s)
 }
 
-// WriteInto distributes objs across the free capacity described by reuse
+// WriteIntoCtx distributes objs across the free capacity described by reuse
 // (pages to overwrite, in order) and appends whatever does not fit. It
 // returns the runs now holding the data. This is the primitive behind the
 // paper's in-place partition refinement: children reuse the parent's pages
-// first, overflow goes to end of file.
-func (f *File) WriteInto(reuse []Run, objs []object.Object) ([]Run, error) {
-	return f.WriteIntoCtx(nil, reuse, objs)
-}
-
-// WriteIntoCtx is WriteInto with the context threaded to the device for QoS
-// charge attribution (see AppendObjectsCtx).
+// first, overflow goes to end of file. The context is threaded to the
+// device for QoS charge attribution (see AppendObjectsCtx).
 func (f *File) WriteIntoCtx(ctx context.Context, reuse []Run, objs []object.Object) ([]Run, error) {
 	var out []Run
 	remaining := objs

@@ -1,6 +1,7 @@
 package pagefile
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -33,14 +34,14 @@ func mkObjs(n int, seed int64) []object.Object {
 func TestAppendAndReadRun(t *testing.T) {
 	f := newFile(t)
 	objs := mkObjs(object.PageCapacity*2+5, 1)
-	run, err := f.AppendObjects(objs)
+	run, err := f.AppendObjectsCtx(context.Background(), objs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if run.Start != 0 || run.Count != 3 {
 		t.Fatalf("run = %+v", run)
 	}
-	got, err := f.ReadRun(run)
+	got, err := f.ReadRunCtx(context.Background(), run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +57,14 @@ func TestAppendAndReadRun(t *testing.T) {
 
 func TestAppendEmpty(t *testing.T) {
 	f := newFile(t)
-	run, err := f.AppendObjects(nil)
+	run, err := f.AppendObjectsCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if run.Count != 0 {
 		t.Fatalf("empty append run = %+v", run)
 	}
-	got, err := f.ReadRun(run)
+	got, err := f.ReadRunCtx(context.Background(), run)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("read empty run: %v, %d objects", err, len(got))
 	}
@@ -72,13 +73,13 @@ func TestAppendEmpty(t *testing.T) {
 func TestOverwriteObjects(t *testing.T) {
 	f := newFile(t)
 	orig := mkObjs(object.PageCapacity*3, 2)
-	run, err := f.AppendObjects(orig)
+	run, err := f.AppendObjectsCtx(context.Background(), orig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite with fewer objects; trailing pages must be emptied.
 	repl := mkObjs(object.PageCapacity+1, 3)
-	used, err := f.OverwriteObjects(run, repl)
+	used, err := f.OverwriteObjectsCtx(context.Background(), run, repl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestOverwriteObjects(t *testing.T) {
 		t.Fatalf("used = %+v", used)
 	}
 	// Reading the full original run yields only the replacement records.
-	got, err := f.ReadRun(run)
+	got, err := f.ReadRunCtx(context.Background(), run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +103,11 @@ func TestOverwriteObjects(t *testing.T) {
 
 func TestOverwriteTooMany(t *testing.T) {
 	f := newFile(t)
-	run, err := f.AppendObjects(mkObjs(object.PageCapacity, 4))
+	run, err := f.AppendObjectsCtx(context.Background(), mkObjs(object.PageCapacity, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.OverwriteObjects(run, mkObjs(object.PageCapacity+1, 5)); err == nil {
+	if _, err := f.OverwriteObjectsCtx(context.Background(), run, mkObjs(object.PageCapacity+1, 5)); err == nil {
 		t.Fatal("overflow overwrite succeeded")
 	}
 }
@@ -115,15 +116,15 @@ func TestReadRuns(t *testing.T) {
 	f := newFile(t)
 	a := mkObjs(10, 6)
 	b := mkObjs(20, 7)
-	ra, err := f.AppendObjects(a)
+	ra, err := f.AppendObjectsCtx(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := f.AppendObjects(b)
+	rb, err := f.AppendObjectsCtx(context.Background(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.ReadRuns([]Run{ra, rb})
+	got, err := f.ReadRunsCtx(context.Background(), []Run{ra, rb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestReadRuns(t *testing.T) {
 func TestWriteIntoReusesPagesThenAppends(t *testing.T) {
 	f := newFile(t)
 	// Occupy pages 0..4.
-	parent, err := f.AppendObjects(mkObjs(object.PageCapacity*5, 8))
+	parent, err := f.AppendObjectsCtx(context.Background(), mkObjs(object.PageCapacity*5, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestWriteIntoReusesPagesThenAppends(t *testing.T) {
 	}
 	// Write 7 pages worth: 5 reused + 2 appended.
 	objs := mkObjs(object.PageCapacity*7, 9)
-	runs, err := f.WriteInto([]Run{parent}, objs)
+	runs, err := f.WriteIntoCtx(context.Background(), []Run{parent}, objs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestWriteIntoReusesPagesThenAppends(t *testing.T) {
 	if n, _ := f.NumPages(); n != 7 {
 		t.Fatalf("file has %d pages, want 7", n)
 	}
-	got, err := f.ReadRuns(runs)
+	got, err := f.ReadRunsCtx(context.Background(), runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +187,11 @@ func TestWriteIntoReusesPagesThenAppends(t *testing.T) {
 func TestWriteIntoMergesAdjacentRuns(t *testing.T) {
 	f := newFile(t)
 	// Two adjacent reuse runs [0,2) and [2,4).
-	if _, err := f.AppendObjects(mkObjs(object.PageCapacity*4, 10)); err != nil {
+	if _, err := f.AppendObjectsCtx(context.Background(), mkObjs(object.PageCapacity*4, 10)); err != nil {
 		t.Fatal(err)
 	}
 	objs := mkObjs(object.PageCapacity*4, 11)
-	runs, err := f.WriteInto([]Run{{0, 2}, {2, 2}}, objs)
+	runs, err := f.WriteIntoCtx(context.Background(), []Run{{0, 2}, {2, 2}}, objs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,12 +202,12 @@ func TestWriteIntoMergesAdjacentRuns(t *testing.T) {
 
 func TestWriteIntoSmallData(t *testing.T) {
 	f := newFile(t)
-	if _, err := f.AppendObjects(mkObjs(object.PageCapacity*4, 12)); err != nil {
+	if _, err := f.AppendObjectsCtx(context.Background(), mkObjs(object.PageCapacity*4, 12)); err != nil {
 		t.Fatal(err)
 	}
 	// One object: should use a single reused page, no appends.
 	objs := mkObjs(1, 13)
-	runs, err := f.WriteInto([]Run{{0, 4}}, objs)
+	runs, err := f.WriteIntoCtx(context.Background(), []Run{{0, 4}}, objs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestWriteIntoSmallData(t *testing.T) {
 func TestWriteIntoNoReuse(t *testing.T) {
 	f := newFile(t)
 	objs := mkObjs(5, 14)
-	runs, err := f.WriteInto(nil, objs)
+	runs, err := f.WriteIntoCtx(context.Background(), nil, objs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,13 +234,13 @@ func TestWriteIntoNoReuse(t *testing.T) {
 func TestReadRunPropagatesDeviceError(t *testing.T) {
 	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
 	f := Create(dev, "test")
-	run, err := f.AppendObjects(mkObjs(object.PageCapacity*2, 15))
+	run, err := f.AppendObjectsCtx(context.Background(), mkObjs(object.PageCapacity*2, 15))
 	if err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("media error")
 	dev.InjectReadFault(f.ID(), 1, boom)
-	if _, err := f.ReadRun(run); !errors.Is(err, boom) {
+	if _, err := f.ReadRunCtx(context.Background(), run); !errors.Is(err, boom) {
 		t.Fatalf("device fault not propagated: %v", err)
 	}
 }
@@ -247,7 +248,7 @@ func TestReadRunPropagatesDeviceError(t *testing.T) {
 func TestReadRunDetectsCorruption(t *testing.T) {
 	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
 	f := Create(dev, "test")
-	run, err := f.AppendObjects(mkObjs(object.PageCapacity, 16))
+	run, err := f.AppendObjectsCtx(context.Background(), mkObjs(object.PageCapacity, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,10 +257,10 @@ func TestReadRunDetectsCorruption(t *testing.T) {
 	for i := range garbage {
 		garbage[i] = 0x5A
 	}
-	if err := dev.WritePage(f.ID(), 0, garbage); err != nil {
+	if err := dev.WritePageCtx(context.Background(), f.ID(), 0, garbage); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ReadRun(run); !errors.Is(err, object.ErrBadMagic) {
+	if _, err := f.ReadRunCtx(context.Background(), run); !errors.Is(err, object.ErrBadMagic) {
 		t.Fatalf("corruption not detected: %v", err)
 	}
 }
@@ -275,14 +276,14 @@ func TestPagesHelper(t *testing.T) {
 
 func TestDelete(t *testing.T) {
 	f := newFile(t)
-	run, err := f.AppendObjects(mkObjs(3, 17))
+	run, err := f.AppendObjectsCtx(context.Background(), mkObjs(3, 17))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Delete(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ReadRun(run); !errors.Is(err, simdisk.ErrNoSuchFile) {
+	if _, err := f.ReadRunCtx(context.Background(), run); !errors.Is(err, simdisk.ErrNoSuchFile) {
 		t.Fatalf("read after delete: %v", err)
 	}
 }
@@ -296,7 +297,7 @@ func TestWriteIntoRoundTripProperty(t *testing.T) {
 		f := newFile(t)
 		// Build a file with some pages to reuse.
 		totalPages := 1 + r.Intn(6)
-		if _, err := f.AppendObjects(mkObjs(object.PageCapacity*totalPages, int64(trial))); err != nil {
+		if _, err := f.AppendObjectsCtx(context.Background(), mkObjs(object.PageCapacity*totalPages, int64(trial))); err != nil {
 			t.Fatal(err)
 		}
 		// Random non-overlapping reuse runs.
@@ -314,14 +315,14 @@ func TestWriteIntoRoundTripProperty(t *testing.T) {
 		}
 		n := r.Intn(object.PageCapacity * 8)
 		objs := mkObjs(n, int64(trial*31))
-		runs, err := f.WriteInto(reuse, objs)
+		runs, err := f.WriteIntoCtx(context.Background(), reuse, objs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if Pages(runs) != object.PagesFor(n) {
 			t.Fatalf("trial %d: runs hold %d pages, want %d", trial, Pages(runs), object.PagesFor(n))
 		}
-		got, err := f.ReadRuns(runs)
+		got, err := f.ReadRunsCtx(context.Background(), runs)
 		if err != nil {
 			t.Fatal(err)
 		}

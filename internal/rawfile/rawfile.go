@@ -46,11 +46,8 @@ type Raw struct {
 // array the file is placed under the dataset's affinity group, so the raw
 // file and the octree built over it land on the same member device.
 func Write(dev simdisk.Storage, name string, dataset object.DatasetID, objs []object.Object) (*Raw, error) {
-	f := pagefile.CreateInGroup(dev, name, GroupName(dataset))
-	run, err := f.AppendObjects(objs)
-	if err != nil {
-		return nil, fmt.Errorf("rawfile %q: %w", name, err)
-	}
+	// Validate before the first append: a rejected dataset must leave no
+	// file on the device and no write time on its clock.
 	bounds := geom.Box{}
 	for i, o := range objs {
 		if err := o.Validate(); err != nil {
@@ -61,6 +58,11 @@ func Write(dev simdisk.Storage, name string, dataset object.DatasetID, objs []ob
 		} else {
 			bounds = bounds.Union(o.Box())
 		}
+	}
+	f := pagefile.CreateInGroup(dev, name, GroupName(dataset))
+	run, err := f.AppendObjectsCtx(context.Background(), objs)
+	if err != nil {
+		return nil, fmt.Errorf("rawfile %q: %w", name, err)
 	}
 	return &Raw{
 		name:    name,
@@ -87,24 +89,19 @@ func (r *Raw) NumPages() int64 { return r.run.Count }
 // Bounds returns the union of all object boxes (dataset metadata).
 func (r *Raw) Bounds() geom.Box { return r.bounds }
 
-// Scan performs a full sequential in-situ scan, invoking fn for every
-// record in storage order. fn returning an error aborts the scan.
-func (r *Raw) Scan(fn func(object.Object) error) error {
-	return r.ScanCtx(nil, fn)
-}
-
 // scanChunkPages is the run size in-situ scans read at a time: large enough
 // that a chunk is a genuine sequential run, small enough that huge files
 // never need one giant buffer (128 pages = 512 KB).
 const scanChunkPages = 128
 
-// ScanCtx is Scan with cancellation: the context (nil disables) is checked
-// at every page boundary, so an abandoned in-situ scan stops charging
-// simulated I/O where it was abandoned. The in-situ first-touch scan is the
-// most expensive single operation in the system — exactly the one an
-// interactive caller most wants to walk away from.
+// ScanCtx performs a full sequential in-situ scan, invoking fn for every
+// record in storage order. fn returning an error aborts the scan. The
+// context is checked at every page boundary, so an abandoned in-situ scan
+// stops charging simulated I/O where it was abandoned. The in-situ
+// first-touch scan is the most expensive single operation in the system —
+// exactly the one an interactive caller most wants to walk away from.
 //
-// The scan reads ReadRun-sized chunks aligned to fixed offsets from the
+// The scan reads run-sized chunks aligned to fixed offsets from the
 // run's start (not single pages): every concurrent scan of the same file
 // issues identical page ranges, so with single-flight run coalescing on,
 // concurrent cold-start scans of one dataset coalesce — one charged read
@@ -144,9 +141,9 @@ func (r *Raw) ScanCtx(ctx context.Context, fn func(object.Object) error) error {
 }
 
 // All reads every record into memory.
-func (r *Raw) All() ([]object.Object, error) {
+func (r *Raw) All(ctx context.Context) ([]object.Object, error) {
 	out := make([]object.Object, 0, r.count)
-	err := r.Scan(func(o object.Object) error {
+	err := r.ScanCtx(ctx, func(o object.Object) error {
 		out = append(out, o)
 		return nil
 	})
@@ -158,8 +155,8 @@ func (r *Raw) All() ([]object.Object, error) {
 
 // ScanRange performs a full scan and reports only records intersecting q —
 // the query path of a completely unindexed dataset.
-func (r *Raw) ScanRange(q geom.Box, fn func(object.Object) error) error {
-	return r.Scan(func(o object.Object) error {
+func (r *Raw) ScanRange(ctx context.Context, q geom.Box, fn func(object.Object) error) error {
+	return r.ScanCtx(ctx, func(o object.Object) error {
 		if o.Intersects(q) {
 			return fn(o)
 		}

@@ -1,6 +1,7 @@
 package rawfile
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -43,7 +44,7 @@ func TestWriteAndScan(t *testing.T) {
 	if want := object.PagesFor(200); raw.NumPages() != want {
 		t.Fatalf("NumPages = %d, want %d", raw.NumPages(), want)
 	}
-	got, err := raw.All()
+	got, err := raw.All(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestScanRange(t *testing.T) {
 	}
 	q := geom.NewBox(geom.V(2, 2, 2), geom.V(5, 5, 5))
 	var got []object.Object
-	if err := raw.ScanRange(q, func(o object.Object) error {
+	if err := raw.ScanRange(context.Background(), q, func(o object.Object) error {
 		got = append(got, o)
 		return nil
 	}); err != nil {
@@ -112,7 +113,7 @@ func TestScanAbortsOnCallbackError(t *testing.T) {
 	}
 	boom := errors.New("stop")
 	calls := 0
-	err = raw.Scan(func(o object.Object) error {
+	err = raw.ScanCtx(context.Background(), func(o object.Object) error {
 		calls++
 		if calls == 5 {
 			return boom
@@ -144,7 +145,7 @@ func TestDelete(t *testing.T) {
 	if err := raw.Delete(); err != nil {
 		t.Fatal(err)
 	}
-	if err := raw.Scan(func(object.Object) error { return nil }); !errors.Is(err, ErrClosed) {
+	if err := raw.ScanCtx(context.Background(), func(object.Object) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("scan after delete: %v", err)
 	}
 	if err := raw.Delete(); !errors.Is(err, ErrClosed) {
@@ -161,7 +162,7 @@ func TestScanChargesSequentialCost(t *testing.T) {
 	}
 	dev.ResetClock()
 	dev.DropCaches()
-	if err := raw.Scan(func(object.Object) error { return nil }); err != nil {
+	if err := raw.ScanCtx(context.Background(), func(object.Object) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	// One seek, then 10 sequential transfers.
@@ -196,7 +197,7 @@ func TestConcurrentScansCoalesce(t *testing.T) {
 
 	scan := func() (int, error) {
 		n := 0
-		err := raw.Scan(func(object.Object) error { n++; return nil })
+		err := raw.ScanCtx(context.Background(), func(object.Object) error { n++; return nil })
 		return n, err
 	}
 	var wg sync.WaitGroup
@@ -247,7 +248,7 @@ func TestScanPropagatesDeviceFault(t *testing.T) {
 	boom := errors.New("media error")
 	// Raw files are created on a fresh device; file IDs start at 1.
 	dev.InjectReadFault(simdisk.FileID(1), 1, boom)
-	if err := raw.Scan(func(object.Object) error { return nil }); !errors.Is(err, boom) {
+	if err := raw.ScanCtx(context.Background(), func(object.Object) error { return nil }); !errors.Is(err, boom) {
 		t.Fatalf("fault not propagated: %v", err)
 	}
 }
@@ -261,7 +262,7 @@ func TestEmptyRawFile(t *testing.T) {
 	if raw.NumObjects() != 0 || raw.NumPages() != 0 {
 		t.Fatalf("empty file: %d objects %d pages", raw.NumObjects(), raw.NumPages())
 	}
-	if err := raw.Scan(func(object.Object) error {
+	if err := raw.ScanCtx(context.Background(), func(object.Object) error {
 		t.Fatal("callback invoked on empty file")
 		return nil
 	}); err != nil {

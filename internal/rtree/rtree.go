@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"context"
 	"fmt"
 
 	"spaceodyssey/internal/geom"
@@ -74,7 +75,7 @@ func Build(dev simdisk.Storage, name string, objs []object.Object, cfg Config) (
 		return nil, fmt.Errorf("rtree sort: %w", err)
 	}
 
-	t := &Tree{dev: dev, file: dev.CreateFile(name), numObjs: len(objs)}
+	t := &Tree{dev: dev, file: dev.CreateFileInGroup(name, ""), numObjs: len(objs)}
 	if len(objs) == 0 {
 		return t, nil
 	}
@@ -88,7 +89,7 @@ func Build(dev simdisk.Storage, name string, objs []object.Object, cfg Config) (
 		if err != nil {
 			return nil, err
 		}
-		idx, err := dev.AppendPage(t.file, page)
+		idx, err := dev.AppendPageCtx(context.Background(), t.file, page)
 		if err != nil {
 			return nil, err
 		}
@@ -114,7 +115,7 @@ func Build(dev simdisk.Storage, name string, objs []object.Object, cfg Config) (
 			if err != nil {
 				return nil, err
 			}
-			idx, err := dev.AppendPage(t.file, page)
+			idx, err := dev.AppendPageCtx(context.Background(), t.file, page)
 			if err != nil {
 				return nil, err
 			}
@@ -169,7 +170,7 @@ func (t *Tree) Walk(q geom.Box, fn func(object.Object) error) error {
 	buf := make([]byte, simdisk.PageSize)
 	var visit func(page int64) error
 	visit = func(page int64) error {
-		if err := t.dev.ReadPage(t.file, page, buf); err != nil {
+		if err := t.dev.ReadPageCtx(context.Background(), t.file, page, buf); err != nil {
 			return err
 		}
 		entries, level, err := decodeNode(buf)
@@ -188,7 +189,7 @@ func (t *Tree) Walk(q geom.Box, fn func(object.Object) error) error {
 			}
 			// level 0: child is a leaf object page.
 			leafBuf := make([]byte, simdisk.PageSize)
-			if err := t.dev.ReadPage(t.file, e.child, leafBuf); err != nil {
+			if err := t.dev.ReadPageCtx(context.Background(), t.file, e.child, leafBuf); err != nil {
 				return err
 			}
 			objs, err := object.DecodePage(leafBuf)
@@ -220,7 +221,7 @@ func (t *Tree) FirstHit(q geom.Box) (object.Object, bool, error) {
 	buf := make([]byte, simdisk.PageSize)
 	var visit func(page int64) (object.Object, bool, error)
 	visit = func(page int64) (object.Object, bool, error) {
-		if err := t.dev.ReadPage(t.file, page, buf); err != nil {
+		if err := t.dev.ReadPageCtx(context.Background(), t.file, page, buf); err != nil {
 			return object.Object{}, false, err
 		}
 		entries, level, err := decodeNode(buf)
@@ -239,7 +240,7 @@ func (t *Tree) FirstHit(q geom.Box) (object.Object, bool, error) {
 				continue
 			}
 			leafBuf := make([]byte, simdisk.PageSize)
-			if err := t.dev.ReadPage(t.file, e.child, leafBuf); err != nil {
+			if err := t.dev.ReadPageCtx(context.Background(), t.file, e.child, leafBuf); err != nil {
 				return object.Object{}, false, err
 			}
 			objs, err := object.DecodePage(leafBuf)
@@ -268,7 +269,7 @@ func (t *Tree) LeafMBRs() ([]geom.Box, []int64, error) {
 	buf := make([]byte, simdisk.PageSize)
 	var visit func(page int64) error
 	visit = func(page int64) error {
-		if err := t.dev.ReadPage(t.file, page, buf); err != nil {
+		if err := t.dev.ReadPageCtx(context.Background(), t.file, page, buf); err != nil {
 			return err
 		}
 		entries, level, err := decodeNode(buf)

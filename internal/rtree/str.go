@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"context"
 	"math"
 	"sort"
 
@@ -58,25 +59,25 @@ func ChargeExternalSort(dev simdisk.Storage, pages int64, passes int) error {
 	if pages == 0 || passes == 0 {
 		return nil
 	}
-	scratch := dev.CreateFile("sort-scratch")
+	scratch := dev.CreateFileInGroup("sort-scratch", "")
 	defer dev.DeleteFile(scratch) //nolint:errcheck // best-effort cleanup
 	buf := make([]byte, simdisk.PageSize)
 	for p := 0; p < passes; p++ {
 		if p == 0 {
 			for i := int64(0); i < pages; i++ {
-				if _, err := dev.AppendPage(scratch, buf); err != nil {
+				if _, err := dev.AppendPageCtx(context.Background(), scratch, buf); err != nil {
 					return err
 				}
 			}
 		} else {
 			for i := int64(0); i < pages; i++ {
-				if err := dev.WritePage(scratch, i, buf); err != nil {
+				if err := dev.WritePageCtx(context.Background(), scratch, i, buf); err != nil {
 					return err
 				}
 			}
 		}
 		for i := int64(0); i < pages; i++ {
-			if err := dev.ReadPage(scratch, i, buf); err != nil {
+			if err := dev.ReadPageCtx(context.Background(), scratch, i, buf); err != nil {
 				return err
 			}
 		}

@@ -130,11 +130,6 @@ func (a *DeviceArray) decode(id FileID) (*Device, FileID) {
 	return a.members[uint32(id)%d], FileID(uint32(id) / d)
 }
 
-// CreateFile places a new file via the placement policy (no affinity hint).
-func (a *DeviceArray) CreateFile(name string) FileID {
-	return a.CreateFileInGroup(name, "")
-}
-
 // CreateFileInGroup places a new file via the placement policy with an
 // affinity group hint. On a closed array it returns InvalidFile (members
 // are closed together, so checking one suffices).
@@ -151,7 +146,7 @@ func (a *DeviceArray) CreateFileInGroup(name, group string) FileID {
 	if m < 0 || m >= len(a.members) {
 		m = ((m % len(a.members)) + len(a.members)) % len(a.members)
 	}
-	local := a.members[m].CreateFile(name)
+	local := a.members[m].CreateFileInGroup(name, group)
 	return a.encode(m, local)
 }
 
@@ -202,13 +197,8 @@ func (a *DeviceArray) TotalPages() int64 {
 	return total
 }
 
-// ReadPage reads one page on the file's member device (the chunk-mapped
+// ReadPageCtx reads one page on the file's member device (the chunk-mapped
 // member for a striped file).
-func (a *DeviceArray) ReadPage(id FileID, idx int64, buf []byte) error {
-	return a.ReadPageCtx(nil, id, idx, buf)
-}
-
-// ReadPageCtx is ReadPage with cancellation.
 func (a *DeviceArray) ReadPageCtx(ctx context.Context, id FileID, idx int64, buf []byte) error {
 	if f, ok := a.striped(id); ok {
 		m, lp := a.stripeLoc(idx)
@@ -218,12 +208,7 @@ func (a *DeviceArray) ReadPageCtx(ctx context.Context, id FileID, idx int64, buf
 	return dev.ReadPageCtx(ctx, local, idx, buf)
 }
 
-// WritePage overwrites one page on the file's member device.
-func (a *DeviceArray) WritePage(id FileID, idx int64, data []byte) error {
-	return a.WritePageCtx(nil, id, idx, data)
-}
-
-// WritePageCtx is WritePage with cancellation and QoS attribution.
+// WritePageCtx overwrites one page on the file's member device.
 func (a *DeviceArray) WritePageCtx(ctx context.Context, id FileID, idx int64, data []byte) error {
 	if f, ok := a.striped(id); ok {
 		m, lp := a.stripeLoc(idx)
@@ -233,13 +218,8 @@ func (a *DeviceArray) WritePageCtx(ctx context.Context, id FileID, idx int64, da
 	return dev.WritePageCtx(ctx, local, idx, data)
 }
 
-// AppendPage appends one page on the file's member device (at the logical
-// end of file, on the chunk-mapped member, for a striped file).
-func (a *DeviceArray) AppendPage(id FileID, data []byte) (int64, error) {
-	return a.AppendPageCtx(nil, id, data)
-}
-
-// AppendPageCtx is AppendPage with cancellation and QoS attribution.
+// AppendPageCtx appends one page on the file's member device (at the
+// logical end of file, on the chunk-mapped member, for a striped file).
 func (a *DeviceArray) AppendPageCtx(ctx context.Context, id FileID, data []byte) (int64, error) {
 	if f, ok := a.striped(id); ok {
 		return a.stripedAppend(ctx, f, data)
@@ -248,13 +228,8 @@ func (a *DeviceArray) AppendPageCtx(ctx context.Context, id FileID, data []byte)
 	return dev.AppendPageCtx(ctx, local, data)
 }
 
-// ReadRun reads n consecutive pages on the file's member device (fanned
+// ReadRunCtx reads n consecutive pages on the file's member device (fanned
 // out across all members concurrently for a striped file).
-func (a *DeviceArray) ReadRun(id FileID, start, n int64) ([]byte, error) {
-	return a.ReadRunCtx(nil, id, start, n)
-}
-
-// ReadRunCtx is ReadRun with cancellation.
 func (a *DeviceArray) ReadRunCtx(ctx context.Context, id FileID, start, n int64) ([]byte, error) {
 	if f, ok := a.striped(id); ok {
 		return a.stripedReadRun(ctx, f, start, n)
@@ -281,28 +256,12 @@ func (a *DeviceArray) ResetClock() {
 	}
 }
 
-// AdvanceClock charges a CPU-side cost to every member, so the array clock
-// (a max) advances by dt exactly like a single device's would.
-func (a *DeviceArray) AdvanceClock(dt time.Duration) {
-	if dt <= 0 {
-		return
-	}
-	for _, m := range a.members {
-		m.shared.Add(int64(dt))
-	}
-	// Emulate once, not per member: the CPU stall is one wall-clock wait.
-	a.members[0].emulate(dt)
-}
-
 // SetRealTimeScale fans the emulation scale out to every member.
 func (a *DeviceArray) SetRealTimeScale(scale float64) {
 	for _, m := range a.members {
 		m.SetRealTimeScale(scale)
 	}
 }
-
-// RealTimeScale returns the members' common emulation scale.
-func (a *DeviceArray) RealTimeScale() float64 { return a.members[0].RealTimeScale() }
 
 // Stats sums the member counters: total I/O is invariant under placement.
 func (a *DeviceArray) Stats() Stats {
@@ -327,36 +286,6 @@ func (a *DeviceArray) DropCaches() {
 		m.DropCaches()
 	}
 }
-
-// CachedPages sums cached pages across members.
-func (a *DeviceArray) CachedPages() int {
-	n := 0
-	for _, m := range a.members {
-		n += m.CachedPages()
-	}
-	return n
-}
-
-// SetCacheCapacity resizes the array's total cache, split evenly across
-// members.
-func (a *DeviceArray) SetCacheCapacity(pages int) {
-	perMember := pages / len(a.members)
-	if pages > 0 && perMember == 0 {
-		perMember = 1
-	}
-	for _, m := range a.members {
-		m.SetCacheCapacity(perMember)
-	}
-}
-
-// NumDevices returns the member count D.
-func (a *DeviceArray) NumDevices() int { return len(a.members) }
-
-// NumChannels returns the per-member channel count C.
-func (a *DeviceArray) NumChannels() int { return a.members[0].NumChannels() }
-
-// PlacementName names the placement policy.
-func (a *DeviceArray) PlacementName() string { return a.policy.String() }
 
 // DeviceStats snapshots each member's counters.
 func (a *DeviceArray) DeviceStats() []Stats {

@@ -1,6 +1,7 @@
 package simdisk
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -12,7 +13,7 @@ func TestArrayPlacementRoundRobin(t *testing.T) {
 	a := NewDeviceArray(DefaultCostModel(), 64, 3, 1, RoundRobin())
 	var members []int
 	for i := 0; i < 6; i++ {
-		id := a.CreateFile("f")
+		id := a.CreateFileInGroup("f", "")
 		members = append(members, a.MemberOf(id))
 		if name, err := a.FileName(id); err != nil || name != "f" {
 			t.Fatalf("FileName(%d) = %q, %v", id, name, err)
@@ -53,25 +54,25 @@ func TestArrayPlacementAffinity(t *testing.T) {
 // cross-checks against per-member state.
 func TestArrayFileOps(t *testing.T) {
 	a := NewDeviceArray(DefaultCostModel(), 64, 2, 2, RoundRobin())
-	f := a.CreateFile("data")
-	idx, err := a.AppendPage(f, page(7))
+	f := a.CreateFileInGroup("data", "")
+	idx, err := a.AppendPageCtx(context.Background(), f, page(7))
 	if err != nil || idx != 0 {
 		t.Fatalf("AppendPage = %d, %v", idx, err)
 	}
-	if _, err := a.AppendPage(f, page(8)); err != nil {
+	if _, err := a.AppendPageCtx(context.Background(), f, page(8)); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := a.NumPages(f); err != nil || n != 2 {
 		t.Fatalf("NumPages = %d, %v", n, err)
 	}
-	if err := a.WritePage(f, 1, page(9)); err != nil {
+	if err := a.WritePageCtx(context.Background(), f, 1, page(9)); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, PageSize)
-	if err := a.ReadPage(f, 1, buf); err != nil || buf[0] != 9 {
+	if err := a.ReadPageCtx(context.Background(), f, 1, buf); err != nil || buf[0] != 9 {
 		t.Fatalf("ReadPage: %v, buf[0]=%d", err, buf[0])
 	}
-	run, err := a.ReadRun(f, 0, 2)
+	run, err := a.ReadRunCtx(context.Background(), f, 0, 2)
 	if err != nil || run[0] != 7 || run[PageSize] != 9 {
 		t.Fatalf("ReadRun: %v", err)
 	}
@@ -81,10 +82,10 @@ func TestArrayFileOps(t *testing.T) {
 	if err := a.DeleteFile(f); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.ReadPage(f, 0, buf); !errors.Is(err, ErrNoSuchFile) {
+	if err := a.ReadPageCtx(context.Background(), f, 0, buf); !errors.Is(err, ErrNoSuchFile) {
 		t.Fatalf("read of deleted file: %v, want ErrNoSuchFile", err)
 	}
-	if err := a.ReadPage(InvalidFile, 0, buf); !errors.Is(err, ErrNoSuchFile) {
+	if err := a.ReadPageCtx(context.Background(), InvalidFile, 0, buf); !errors.Is(err, ErrNoSuchFile) {
 		t.Fatalf("read of InvalidFile: %v, want ErrNoSuchFile", err)
 	}
 }
@@ -94,25 +95,25 @@ func TestArrayFileOps(t *testing.T) {
 func TestArrayStatsAndClock(t *testing.T) {
 	cost := CostModel{Seek: 10 * time.Millisecond, Transfer: time.Millisecond}
 	a := NewDeviceArray(cost, 0, 2, 1, RoundRobin())
-	f0 := a.CreateFile("m0") // member 0
-	f1 := a.CreateFile("m1") // member 1
+	f0 := a.CreateFileInGroup("m0", "") // member 0
+	f1 := a.CreateFileInGroup("m1", "") // member 1
 	for p := 0; p < 3; p++ {
-		if _, err := a.AppendPage(f0, page(1)); err != nil {
+		if _, err := a.AppendPageCtx(context.Background(), f0, page(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := a.AppendPage(f1, page(2)); err != nil {
+	if _, err := a.AppendPageCtx(context.Background(), f1, page(2)); err != nil {
 		t.Fatal(err)
 	}
 	a.ResetClock()
 	a.ResetStats()
 	buf := make([]byte, PageSize)
 	for i := int64(0); i < 3; i++ {
-		if err := a.ReadPage(f0, i, buf); err != nil {
+		if err := a.ReadPageCtx(context.Background(), f0, i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := a.ReadPage(f1, 0, buf); err != nil {
+	if err := a.ReadPageCtx(context.Background(), f1, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	// Member 0: seek + 3 transfers. Member 1: seek + 1 transfer. The array
@@ -147,7 +148,7 @@ func TestArrayDropCachesEveryMemberChannel(t *testing.T) {
 	// One file per member per channel, 3 pages each.
 	files := make(map[[2]int]FileID)
 	for i := 0; len(files) < 4 && i < 128; i++ {
-		id := a.CreateFile("f")
+		id := a.CreateFileInGroup("f", "")
 		dev, local := a.decode(id)
 		ci := 0
 		if dev.channelOf(local) == &dev.channels[1] {
@@ -162,7 +163,7 @@ func TestArrayDropCachesEveryMemberChannel(t *testing.T) {
 		}
 		files[key] = id
 		for p := 0; p < 3; p++ {
-			if _, err := dev.AppendPage(local, page(byte(p))); err != nil {
+			if _, err := dev.AppendPageCtx(context.Background(), local, page(byte(p))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -174,7 +175,7 @@ func TestArrayDropCachesEveryMemberChannel(t *testing.T) {
 	// Establish all four heads.
 	for _, id := range files {
 		for i := int64(0); i < 2; i++ {
-			if err := a.ReadPage(id, i, buf); err != nil {
+			if err := a.ReadPageCtx(context.Background(), id, i, buf); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -182,7 +183,7 @@ func TestArrayDropCachesEveryMemberChannel(t *testing.T) {
 	a.DropCaches()
 	a.ResetStats()
 	for _, id := range files {
-		if err := a.ReadPage(id, 2, buf); err != nil {
+		if err := a.ReadPageCtx(context.Background(), id, 2, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,15 +204,15 @@ func TestArrayDropCachesEveryMemberChannel(t *testing.T) {
 // one member's cache holds at most its share of the array total.
 func TestArrayCacheSplit(t *testing.T) {
 	a := NewDeviceArray(DefaultCostModel(), 64, 2, 1, RoundRobin())
-	f := a.CreateFile("big") // member 0
+	f := a.CreateFileInGroup("big", "") // member 0
 	for p := 0; p < 40; p++ {
-		if _, err := a.AppendPage(f, page(byte(p))); err != nil {
+		if _, err := a.AppendPageCtx(context.Background(), f, page(byte(p))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	buf := make([]byte, PageSize)
 	for i := int64(0); i < 40; i++ {
-		if err := a.ReadPage(f, i, buf); err != nil {
+		if err := a.ReadPageCtx(context.Background(), f, i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -47,12 +47,18 @@ func CheckCtx(ctx context.Context) error {
 	return nil
 }
 
+// orBackground is the input check of the exported entry points that accept
+// a nil context: everything behind them sees a real one.
+func orBackground(ctx context.Context) context.Context {
+	if ctx == nil {
+		return context.Background()
+	}
+	return ctx
+}
+
 // checkCtx is the device-side cancellation gate: like CheckCtx, but a hit
 // also counts one canceled operation in the device stats.
 func (d *Device) checkCtx(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
 	if err := ctx.Err(); err != nil {
 		d.canceledOps.Add(1)
 		return Canceled(err)
@@ -60,14 +66,28 @@ func (d *Device) checkCtx(ctx context.Context) error {
 	return nil
 }
 
-// ReadPageCtx is ReadPage with cancellation: a context that is already done
-// aborts before any clock charge, and the real-time emulation sleep (if any)
-// aborts early on ctx.Done. A nil ctx behaves exactly like ReadPage.
-func (d *Device) ReadPageCtx(ctx context.Context, id FileID, idx int64, buf []byte) error {
-	s := ScopeFrom(ctx)
-	if err := d.gateOp(ctx, s); err != nil {
-		return err
+// sleepCtx waits dt of wall-clock time (a real-time emulation sleep, a retry
+// backoff), aborting early when ctx is canceled — counted as a canceled op,
+// like any device-side abort.
+func (d *Device) sleepCtx(ctx context.Context, dt time.Duration) error {
+	timer := time.NewTimer(dt)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return nil
+	case <-ctx.Done():
+		d.canceledOps.Add(1)
+		return Canceled(ctx.Err())
 	}
+}
+
+// ReadPageCtx reads page idx of file id into buf (see readPage for the
+// charge): a context that is already done aborts before any clock charge,
+// and the real-time emulation sleep (if any) aborts early on ctx.Done.
+func (d *Device) ReadPageCtx(ctx context.Context, id FileID, idx int64, buf []byte) error {
+	ctx = orBackground(ctx)
+	s := ScopeFrom(ctx)
+	d.gateOp(s)
 	defer d.ungateOp(s)
 	dt, err := d.readPageRetry(ctx, id, idx, buf)
 	if err != nil {
@@ -76,21 +96,23 @@ func (d *Device) ReadPageCtx(ctx context.Context, id FileID, idx int64, buf []by
 	return d.emulateCtx(ctx, dt)
 }
 
-// ReadRunCtx is ReadRun with cancellation. The context is checked before
-// every page, so an abort stops charging at the page boundary it was
-// observed: pages already read stay charged to the simulated clock (that
-// I/O really happened), pages after the abort are never charged. The
-// aggregated real-time sleep is skipped on abort — the caller is abandoning
-// the query, so emulating the latency of work it no longer waits for would
-// only hold the worker hostage.
+// ReadRunCtx reads n consecutive pages starting at start into a single
+// buffer of n*PageSize bytes. It is the sequential-scan primitive partitions
+// and merge files use. Real-time emulation sleeps once for the whole run,
+// not per page, so OS sleep granularity does not inflate sequential scans.
+// The context is checked before every page, so an abort stops charging at
+// the page boundary it was observed: pages already read stay charged to the
+// simulated clock (that I/O really happened), pages after the abort are
+// never charged. The aggregated real-time sleep is skipped on abort — the
+// caller is abandoning the query, so emulating the latency of work it no
+// longer waits for would only hold the worker hostage.
 func (d *Device) ReadRunCtx(ctx context.Context, id FileID, start, n int64) ([]byte, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("simdisk: negative run length %d", n)
 	}
+	ctx = orBackground(ctx)
 	s := ScopeFrom(ctx)
-	if err := d.gateOp(ctx, s); err != nil {
-		return nil, err
-	}
+	d.gateOp(s)
 	defer d.ungateOp(s)
 	if n > 0 && d.shareReads.Load() {
 		return d.readRunShared(ctx, id, start, n)
@@ -98,7 +120,7 @@ func (d *Device) ReadRunCtx(ctx context.Context, id FileID, start, n int64) ([]b
 	return d.readRunDirect(ctx, id, start, n)
 }
 
-// readRunDirect is the uncoalesced run read every ReadRun ultimately runs
+// readRunDirect is the uncoalesced run read every ReadRunCtx ultimately runs
 // on: page-by-page charging with one aggregated real-time sleep at the end.
 func (d *Device) readRunDirect(ctx context.Context, id FileID, start, n int64) ([]byte, error) {
 	buf := make([]byte, n*PageSize)
@@ -143,10 +165,7 @@ type clockLimitCtx struct {
 // rather than wrapping it further. Use real deadlines for wall-clock
 // control; use WithClockLimit for deterministic simulated budgets.
 func WithClockLimit(parent context.Context, dev Clocker, limit time.Duration) context.Context {
-	if parent == nil {
-		parent = context.Background()
-	}
-	return &clockLimitCtx{Context: parent, dev: dev, limit: limit}
+	return &clockLimitCtx{Context: orBackground(parent), dev: dev, limit: limit}
 }
 
 func (c *clockLimitCtx) Err() error {

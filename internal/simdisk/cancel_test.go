@@ -15,10 +15,10 @@ func cancelTestDevice(t *testing.T, pages int64) (*Device, FileID, CostModel) {
 	t.Helper()
 	cost := CostModel{Seek: time.Millisecond, Transfer: 100 * time.Microsecond, CacheHit: time.Microsecond}
 	d := NewDevice(cost, 0)
-	id := d.CreateFile("cancel-test")
+	id := d.CreateFileInGroup("cancel-test", "")
 	page := make([]byte, PageSize)
 	for i := int64(0); i < pages; i++ {
-		if _, err := d.AppendPage(id, page); err != nil {
+		if _, err := d.AppendPageCtx(context.Background(), id, page); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,10 +133,10 @@ func TestCancelClockLimitExactBoundary(t *testing.T) {
 func TestCancelAbortsRealTimeEmulationWait(t *testing.T) {
 	cost := CostModel{Seek: time.Second, Transfer: 250 * time.Millisecond, CacheHit: time.Microsecond}
 	d := NewDevice(cost, 0)
-	id := d.CreateFile("rt")
+	id := d.CreateFileInGroup("rt", "")
 	page := make([]byte, PageSize)
 	for i := 0; i < 4; i++ {
-		if _, err := d.AppendPage(id, page); err != nil {
+		if _, err := d.AppendPageCtx(context.Background(), id, page); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package simdisk
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -11,7 +12,7 @@ func twoChannelFiles(t *testing.T, d *Device, n int) (onCh0, onCh1 FileID) {
 	t.Helper()
 	have := map[*channel]FileID{}
 	for i := 0; len(have) < 2 && i < 64; i++ {
-		id := d.CreateFile("f")
+		id := d.CreateFileInGroup("f", "")
 		ch := d.channelOf(id)
 		if _, ok := have[ch]; ok {
 			if err := d.DeleteFile(id); err != nil {
@@ -21,7 +22,7 @@ func twoChannelFiles(t *testing.T, d *Device, n int) (onCh0, onCh1 FileID) {
 		}
 		have[ch] = id
 		for p := 0; p < n; p++ {
-			if _, err := d.AppendPage(id, page(byte(p))); err != nil {
+			if _, err := d.AppendPageCtx(context.Background(), id, page(byte(p))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -44,10 +45,10 @@ func TestChannelsIndependentHeads(t *testing.T) {
 	d.ResetStats()
 	buf := make([]byte, PageSize)
 	for i := int64(0); i < 4; i++ { // interleave a and b page by page
-		if err := d.ReadPage(a, i, buf); err != nil {
+		if err := d.ReadPageCtx(context.Background(), a, i, buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.ReadPage(b, i, buf); err != nil {
+		if err := d.ReadPageCtx(context.Background(), b, i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,22 +58,22 @@ func TestChannelsIndependentHeads(t *testing.T) {
 
 	// The same interleave on a single-channel device seeks every access.
 	d1 := NewDevice(DefaultCostModel(), 0)
-	a1 := d1.CreateFile("a")
-	b1 := d1.CreateFile("b")
+	a1 := d1.CreateFileInGroup("a", "")
+	b1 := d1.CreateFileInGroup("b", "")
 	for p := 0; p < 4; p++ {
-		if _, err := d1.AppendPage(a1, page(byte(p))); err != nil {
+		if _, err := d1.AppendPageCtx(context.Background(), a1, page(byte(p))); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d1.AppendPage(b1, page(byte(p))); err != nil {
+		if _, err := d1.AppendPageCtx(context.Background(), b1, page(byte(p))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	d1.ResetStats()
 	for i := int64(0); i < 4; i++ {
-		if err := d1.ReadPage(a1, i, buf); err != nil {
+		if err := d1.ReadPageCtx(context.Background(), a1, i, buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := d1.ReadPage(b1, i, buf); err != nil {
+		if err := d1.ReadPageCtx(context.Background(), b1, i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,11 +92,11 @@ func TestChannelClockIsCriticalPath(t *testing.T) {
 	buf := make([]byte, PageSize)
 	// One seek + 3 transfers on channel of a; one seek + 1 transfer on b's.
 	for i := int64(0); i < 3; i++ {
-		if err := d.ReadPage(a, i, buf); err != nil {
+		if err := d.ReadPageCtx(context.Background(), a, i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := d.ReadPage(b, 0, buf); err != nil {
+	if err := d.ReadPageCtx(context.Background(), b, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	want := cost.Seek + 3*cost.Transfer // critical path: channel of a
@@ -122,9 +123,9 @@ func TestChannelClockIsCriticalPath(t *testing.T) {
 func TestSingleChannelClockUnchanged(t *testing.T) {
 	cost := CostModel{Seek: 8 * time.Millisecond, Transfer: 25 * time.Microsecond, CacheHit: 200 * time.Nanosecond}
 	d := NewDevice(cost, 16)
-	f := d.CreateFile("f")
+	f := d.CreateFileInGroup("f", "")
 	for p := 0; p < 3; p++ {
-		if _, err := d.AppendPage(f, page(byte(p))); err != nil {
+		if _, err := d.AppendPageCtx(context.Background(), f, page(byte(p))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,11 +133,11 @@ func TestSingleChannelClockUnchanged(t *testing.T) {
 	d.DropCaches()
 	buf := make([]byte, PageSize)
 	for i := int64(0); i < 3; i++ { // sequential misses: 1 seek + 3 transfers
-		if err := d.ReadPage(f, i, buf); err != nil {
+		if err := d.ReadPageCtx(context.Background(), f, i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := d.ReadPage(f, 1, buf); err != nil { // cache hit
+	if err := d.ReadPageCtx(context.Background(), f, 1, buf); err != nil { // cache hit
 		t.Fatal(err)
 	}
 	d.AdvanceClock(time.Millisecond) // CPU charge
@@ -160,7 +161,7 @@ func TestDropCachesForgetsEveryChannel(t *testing.T) {
 		d.cache.Clear()
 		for _, id := range []FileID{a, b} {
 			for i := int64(0); i < 2; i++ {
-				if err := d.ReadPage(id, i, buf); err != nil {
+				if err := d.ReadPageCtx(context.Background(), id, i, buf); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -170,10 +171,10 @@ func TestDropCachesForgetsEveryChannel(t *testing.T) {
 	// Control: without a drop, continuing each run is sequential (page 2 is
 	// no longer cached — the pre-establish clear removed the appends' entry).
 	d.ResetStats()
-	if err := d.ReadPage(a, 2, buf); err != nil {
+	if err := d.ReadPageCtx(context.Background(), a, 2, buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ReadPage(b, 2, buf); err != nil {
+	if err := d.ReadPageCtx(context.Background(), b, 2, buf); err != nil {
 		t.Fatal(err)
 	}
 	if s := d.Stats(); s.Seeks != 0 || s.SeqPages != 2 {
@@ -184,10 +185,10 @@ func TestDropCachesForgetsEveryChannel(t *testing.T) {
 	establish()
 	d.DropCaches()
 	d.ResetStats()
-	if err := d.ReadPage(a, 2, buf); err != nil {
+	if err := d.ReadPageCtx(context.Background(), a, 2, buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ReadPage(b, 2, buf); err != nil {
+	if err := d.ReadPageCtx(context.Background(), b, 2, buf); err != nil {
 		t.Fatal(err)
 	}
 	cs := d.ChannelStats()
@@ -202,12 +203,12 @@ func TestDropCachesForgetsEveryChannel(t *testing.T) {
 // per-channel counters.
 func TestResetStatsClearsChannels(t *testing.T) {
 	d := NewDeviceChannels(DefaultCostModel(), 0, 4)
-	f := d.CreateFile("f")
-	if _, err := d.AppendPage(f, page(1)); err != nil {
+	f := d.CreateFileInGroup("f", "")
+	if _, err := d.AppendPageCtx(context.Background(), f, page(1)); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, PageSize)
-	if err := d.ReadPage(f, 0, buf); err != nil {
+	if err := d.ReadPageCtx(context.Background(), f, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if s := d.Stats(); s.Seeks == 0 {

@@ -1,6 +1,7 @@
 package simdisk
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -10,9 +11,9 @@ import (
 // the paper's, but the device promises thread safety.
 func TestConcurrentAccess(t *testing.T) {
 	d := NewDefaultDevice(32)
-	f := d.CreateFile("shared")
+	f := d.CreateFileInGroup("shared", "")
 	for i := 0; i < 64; i++ {
-		if _, err := d.AppendPage(f, page(byte(i))); err != nil {
+		if _, err := d.AppendPageCtx(context.Background(), f, page(byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -27,12 +28,12 @@ func TestConcurrentAccess(t *testing.T) {
 				idx := int64((g*31 + i) % 64)
 				switch i % 5 {
 				case 0:
-					if err := d.ReadPage(f, idx, buf); err != nil {
+					if err := d.ReadPageCtx(context.Background(), f, idx, buf); err != nil {
 						t.Error(err)
 						return
 					}
 				case 1:
-					if err := d.WritePage(f, idx, page(byte(i))); err != nil {
+					if err := d.WritePageCtx(context.Background(), f, idx, page(byte(i))); err != nil {
 						t.Error(err)
 						return
 					}
@@ -67,7 +68,7 @@ func TestConcurrentFileCreation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				ids <- d.CreateFile("f")
+				ids <- d.CreateFileInGroup("f", "")
 			}
 		}()
 	}

@@ -294,10 +294,11 @@ func (d *Device) Close() error {
 	return nil
 }
 
-// CreateFile allocates a new empty page file and returns its handle, or
-// InvalidFile on a closed device (every operation on InvalidFile then fails
-// with ErrDeviceClosed via lookup).
-func (d *Device) CreateFile(name string) FileID {
+// CreateFileInGroup allocates a new empty page file and returns its handle,
+// or InvalidFile on a closed device (every operation on InvalidFile then
+// fails with ErrDeviceClosed via lookup). On a single device the affinity
+// group is irrelevant; a DeviceArray uses it to co-locate related files.
+func (d *Device) CreateFileInGroup(name, group string) FileID {
 	if d.closed.Load() {
 		return InvalidFile
 	}
@@ -361,11 +362,14 @@ func (d *Device) NumPages(id FileID) (int64, error) {
 	return n, nil
 }
 
-// readPage is ReadPage without the real-time emulation: it returns the
-// charged simulated duration so callers (ReadRun) can aggregate sleeps. The
-// context (nil allowed) is checked before any charge, so a read that aborts
-// here has cost nothing — ReadRunCtx relies on this to stop charging exactly
-// at the page boundary where cancellation was observed.
+// readPage reads page idx of file id into buf (which must be PageSize
+// bytes) without the real-time emulation: it returns the charged simulated
+// duration so callers (ReadRunCtx) can aggregate sleeps. A cached page pays
+// CacheHit; otherwise the access pays Transfer, plus Seek if it does not
+// continue the previous platter access. Parallel reads of cached pages
+// proceed concurrently. The context is checked before any charge, so a read
+// that aborts here has cost nothing — ReadRunCtx relies on this to stop
+// charging exactly at the page boundary where cancellation was observed.
 func (d *Device) readPage(ctx context.Context, id FileID, idx int64, buf []byte) (time.Duration, error) {
 	if err := d.checkCtx(ctx); err != nil {
 		return 0, err
@@ -417,34 +421,16 @@ func (d *Device) readPage(ctx context.Context, id FileID, idx int64, buf []byte)
 	return dt + spike, nil
 }
 
-// ReadPage reads page idx of file id into buf (which must be PageSize
-// bytes). A cached page pays CacheHit; otherwise the access pays Transfer,
-// plus Seek if it does not continue the previous platter access. Parallel
-// reads of cached pages proceed concurrently.
-func (d *Device) ReadPage(id FileID, idx int64, buf []byte) error {
-	dt, err := d.readPageRetry(nil, id, idx, buf)
-	if err != nil {
-		return err
-	}
-	d.emulate(dt)
-	return nil
-}
-
-// WritePage overwrites an existing page in place (partition refinement
+// WritePageCtx overwrites an existing page in place (partition refinement
 // reuses the pages the old partition occupied). The write pays platter cost
-// and refreshes the cache (write-through).
-func (d *Device) WritePage(id FileID, idx int64, data []byte) error {
-	return d.WritePageCtx(nil, id, idx, data)
-}
-
-// WritePageCtx is WritePage with cancellation and QoS: the context is
-// checked before any charge or mutation (an abort there has cost and changed
-// nothing), the platter charge is attributed to the context's OpScope, and a
-// maintenance-scoped write waits out the background I/O budget first. Once
-// the page is written the operation is charged and durable — only the
-// real-time emulation sleep can still be cut short, returning the
-// cancellation error with the write already applied.
+// and refreshes the cache (write-through). The context is checked before
+// any charge or mutation (an abort there has cost and changed nothing) and
+// the platter charge is attributed to the context's OpScope. Once the page
+// is written the operation is charged and durable — only the real-time
+// emulation sleep can still be cut short, returning the cancellation error
+// with the write already applied.
 func (d *Device) WritePageCtx(ctx context.Context, id FileID, idx int64, data []byte) error {
+	ctx = orBackground(ctx)
 	if err := d.checkCtx(ctx); err != nil {
 		return err
 	}
@@ -452,9 +438,7 @@ func (d *Device) WritePageCtx(ctx context.Context, id FileID, idx int64, data []
 		return ErrBadPageSize
 	}
 	s := ScopeFrom(ctx)
-	if err := d.gateOp(ctx, s); err != nil {
-		return err
-	}
+	d.gateOp(s)
 	defer d.ungateOp(s)
 	f, err := d.lookup(id)
 	if err != nil {
@@ -484,17 +468,13 @@ func (d *Device) WritePageCtx(ctx context.Context, id FileID, idx int64, data []
 	return d.emulateCtx(ctx, dt)
 }
 
-// AppendPage appends data as a new page at the end of the file and returns
-// its index. Appends to the file most recently touched at its tail are
-// sequential.
-func (d *Device) AppendPage(id FileID, data []byte) (int64, error) {
-	return d.AppendPageCtx(nil, id, data)
-}
-
-// AppendPageCtx is AppendPage with cancellation and QoS, with the same
-// contract as WritePageCtx: abort before the charge costs nothing; once the
-// page is appended it is charged and durable.
+// AppendPageCtx appends data as a new page at the end of the file and
+// returns its index. Appends to the file most recently touched at its tail
+// are sequential. Cancellation and QoS follow the same contract as
+// WritePageCtx: abort before the charge costs nothing; once the page is
+// appended it is charged and durable.
 func (d *Device) AppendPageCtx(ctx context.Context, id FileID, data []byte) (int64, error) {
+	ctx = orBackground(ctx)
 	if err := d.checkCtx(ctx); err != nil {
 		return 0, err
 	}
@@ -502,9 +482,7 @@ func (d *Device) AppendPageCtx(ctx context.Context, id FileID, data []byte) (int
 		return 0, ErrBadPageSize
 	}
 	s := ScopeFrom(ctx)
-	if err := d.gateOp(ctx, s); err != nil {
-		return 0, err
-	}
+	d.gateOp(s)
 	defer d.ungateOp(s)
 	f, err := d.lookup(id)
 	if err != nil {
@@ -523,20 +501,12 @@ func (d *Device) AppendPageCtx(ctx context.Context, id FileID, data []byte) (int
 	page := make([]byte, PageSize)
 	copy(page, data)
 	f.pages = append(f.pages, page)
-	d.cache.Insert(key) // under f.mu; see WritePage
+	d.cache.Insert(key) // under f.mu; see WritePageCtx
 	f.mu.Unlock()
 	if err := d.emulateCtx(ctx, dt); err != nil {
 		return idx, err
 	}
 	return idx, nil
-}
-
-// ReadRun reads n consecutive pages starting at start into a single buffer
-// of n*PageSize bytes. It is the sequential-scan primitive partitions and
-// merge files use. Real-time emulation sleeps once for the whole run, not
-// per page, so OS sleep granularity does not inflate sequential scans.
-func (d *Device) ReadRun(id FileID, start, n int64) ([]byte, error) {
-	return d.ReadRunCtx(nil, id, start, n)
 }
 
 // chargePlatter advances the file's channel clock for one platter access to
@@ -654,7 +624,7 @@ func (d *Device) AdvanceClock(dt time.Duration) {
 		return
 	}
 	d.shared.Add(int64(dt))
-	d.emulate(dt)
+	_ = d.emulateCtx(context.Background(), dt) // uncancelable: the sleep always completes
 }
 
 // SetRealTimeScale turns on real-time emulation: every charged simulated
@@ -670,19 +640,9 @@ func (d *Device) SetRealTimeScale(scale float64) {
 	d.realTime.Store(math.Float64bits(scale))
 }
 
-// RealTimeScale returns the current real-time emulation scale (0 = off).
-func (d *Device) RealTimeScale() float64 {
-	return math.Float64frombits(d.realTime.Load())
-}
-
-// emulate sleeps the scaled wall-clock equivalent of a charged simulated
-// duration when real-time emulation is on. Called with no locks held.
-func (d *Device) emulate(dt time.Duration) {
-	_ = d.emulateCtx(nil, dt)
-}
-
-// emulateCtx is emulate with an abortable wait: when ctx (nil allowed) is
-// canceled mid-sleep the wait ends immediately and the cancellation error is
+// emulateCtx sleeps the scaled wall-clock equivalent of a charged simulated
+// duration when real-time emulation is on. The wait is abortable: when ctx
+// is canceled mid-sleep it ends immediately and the cancellation error is
 // returned, so a real-time emulated device never holds an abandoned query
 // hostage for the remainder of its simulated latency. The simulated clock
 // was charged before the sleep either way — the I/O itself happened; only
@@ -696,19 +656,7 @@ func (d *Device) emulateCtx(ctx context.Context, dt time.Duration) error {
 	if ns < 1000 { // below timer resolution; cache hits are meant to be free
 		return nil
 	}
-	if ctx == nil {
-		time.Sleep(time.Duration(ns))
-		return nil
-	}
-	timer := time.NewTimer(time.Duration(ns))
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-ctx.Done():
-		d.canceledOps.Add(1)
-		return Canceled(ctx.Err())
-	}
+	return d.sleepCtx(ctx, time.Duration(ns))
 }
 
 // Stats returns a snapshot of the device counters, aggregating the cache's
@@ -778,9 +726,6 @@ func (d *Device) DropCaches() {
 	}
 }
 
-// NumChannels returns the device's I/O channel count.
-func (d *Device) NumChannels() int { return len(d.channels) }
-
 // ChannelStats snapshots every channel's busy time and seek counters.
 func (d *Device) ChannelStats() []ChannelStats {
 	out := make([]ChannelStats, len(d.channels))
@@ -796,24 +741,12 @@ func (d *Device) ChannelStats() []ChannelStats {
 	return out
 }
 
-// NumDevices implements Storage: a Device is its own single-member array.
-func (d *Device) NumDevices() int { return 1 }
-
-// PlacementName implements Storage; a single device places nothing.
-func (d *Device) PlacementName() string { return "single" }
-
-// DeviceStats implements Storage: the per-member view of a single device.
+// DeviceStats implements Control: the per-member view of a single device.
 func (d *Device) DeviceStats() []Stats { return []Stats{d.Stats()} }
 
-// DeviceChannelStats implements Storage: per-member, per-channel counters.
+// DeviceChannelStats implements Control: per-member, per-channel counters.
 func (d *Device) DeviceChannelStats() [][]ChannelStats {
 	return [][]ChannelStats{d.ChannelStats()}
-}
-
-// CreateFileInGroup implements Storage. On a single device the affinity
-// group is irrelevant; a DeviceArray uses it to co-locate related files.
-func (d *Device) CreateFileInGroup(name, group string) FileID {
-	return d.CreateFile(name)
 }
 
 // CachedPages returns the number of pages currently cached.

@@ -2,6 +2,7 @@ package simdisk
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -17,8 +18,8 @@ func page(fill byte) []byte {
 
 func TestCreateWriteRead(t *testing.T) {
 	d := NewDefaultDevice(16)
-	f := d.CreateFile("data")
-	idx, err := d.AppendPage(f, page(0xAB))
+	f := d.CreateFileInGroup("data", "")
+	idx, err := d.AppendPageCtx(context.Background(), f, page(0xAB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func TestCreateWriteRead(t *testing.T) {
 		t.Fatalf("first append idx = %d", idx)
 	}
 	buf := make([]byte, PageSize)
-	if err := d.ReadPage(f, 0, buf); err != nil {
+	if err := d.ReadPageCtx(context.Background(), f, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, page(0xAB)) {
@@ -43,15 +44,15 @@ func TestCreateWriteRead(t *testing.T) {
 
 func TestWriteInPlace(t *testing.T) {
 	d := NewDefaultDevice(16)
-	f := d.CreateFile("data")
-	if _, err := d.AppendPage(f, page(1)); err != nil {
+	f := d.CreateFileInGroup("data", "")
+	if _, err := d.AppendPageCtx(context.Background(), f, page(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WritePage(f, 0, page(2)); err != nil {
+	if err := d.WritePageCtx(context.Background(), f, 0, page(2)); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, PageSize)
-	if err := d.ReadPage(f, 0, buf); err != nil {
+	if err := d.ReadPageCtx(context.Background(), f, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 2 {
@@ -61,25 +62,25 @@ func TestWriteInPlace(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	d := NewDefaultDevice(16)
-	f := d.CreateFile("data")
+	f := d.CreateFileInGroup("data", "")
 	buf := make([]byte, PageSize)
 
-	if err := d.ReadPage(FileID(999), 0, buf); !errors.Is(err, ErrNoSuchFile) {
+	if err := d.ReadPageCtx(context.Background(), FileID(999), 0, buf); !errors.Is(err, ErrNoSuchFile) {
 		t.Errorf("read unknown file: %v", err)
 	}
-	if err := d.ReadPage(f, 0, buf); !errors.Is(err, ErrOutOfRange) {
+	if err := d.ReadPageCtx(context.Background(), f, 0, buf); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("read past EOF: %v", err)
 	}
-	if err := d.ReadPage(f, -1, buf); !errors.Is(err, ErrOutOfRange) {
+	if err := d.ReadPageCtx(context.Background(), f, -1, buf); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("read negative idx: %v", err)
 	}
-	if err := d.ReadPage(f, 0, make([]byte, 10)); !errors.Is(err, ErrBadPageSize) {
+	if err := d.ReadPageCtx(context.Background(), f, 0, make([]byte, 10)); !errors.Is(err, ErrBadPageSize) {
 		t.Errorf("short buffer: %v", err)
 	}
-	if _, err := d.AppendPage(f, make([]byte, 10)); !errors.Is(err, ErrBadPageSize) {
+	if _, err := d.AppendPageCtx(context.Background(), f, make([]byte, 10)); !errors.Is(err, ErrBadPageSize) {
 		t.Errorf("short append: %v", err)
 	}
-	if err := d.WritePage(f, 5, page(0)); !errors.Is(err, ErrOutOfRange) {
+	if err := d.WritePageCtx(context.Background(), f, 5, page(0)); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("write past EOF: %v", err)
 	}
 	if err := d.DeleteFile(FileID(999)); !errors.Is(err, ErrNoSuchFile) {
@@ -89,15 +90,15 @@ func TestErrors(t *testing.T) {
 
 func TestDeleteFile(t *testing.T) {
 	d := NewDefaultDevice(16)
-	f := d.CreateFile("data")
-	if _, err := d.AppendPage(f, page(1)); err != nil {
+	f := d.CreateFileInGroup("data", "")
+	if _, err := d.AppendPageCtx(context.Background(), f, page(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.DeleteFile(f); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, PageSize)
-	if err := d.ReadPage(f, 0, buf); !errors.Is(err, ErrNoSuchFile) {
+	if err := d.ReadPageCtx(context.Background(), f, 0, buf); !errors.Is(err, ErrNoSuchFile) {
 		t.Errorf("read deleted file: %v", err)
 	}
 	if d.TotalPages() != 0 {
@@ -108,9 +109,9 @@ func TestDeleteFile(t *testing.T) {
 func TestSequentialVsRandomCost(t *testing.T) {
 	cost := CostModel{Seek: time.Millisecond, Transfer: time.Microsecond}
 	d := NewDevice(cost, 0) // no cache
-	f := d.CreateFile("data")
+	f := d.CreateFileInGroup("data", "")
 	for i := 0; i < 10; i++ {
-		if _, err := d.AppendPage(f, page(byte(i))); err != nil {
+		if _, err := d.AppendPageCtx(context.Background(), f, page(byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,7 +126,7 @@ func TestSequentialVsRandomCost(t *testing.T) {
 	// Sequential scan of all 10 pages: the first read follows the last
 	// append (page 9), so it pays a seek; the rest stream.
 	for i := int64(0); i < 10; i++ {
-		if err := d.ReadPage(f, i, buf); err != nil {
+		if err := d.ReadPageCtx(context.Background(), f, i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +138,7 @@ func TestSequentialVsRandomCost(t *testing.T) {
 	d.ResetClock()
 	// Random reads: every one seeks.
 	for _, i := range []int64{5, 2, 8, 1} {
-		if err := d.ReadPage(f, i, buf); err != nil {
+		if err := d.ReadPageCtx(context.Background(), f, i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,14 +151,14 @@ func TestSequentialVsRandomCost(t *testing.T) {
 func TestCacheHitsAreCheap(t *testing.T) {
 	cost := CostModel{Seek: time.Millisecond, Transfer: time.Microsecond, CacheHit: time.Nanosecond}
 	d := NewDevice(cost, 8)
-	f := d.CreateFile("data")
-	if _, err := d.AppendPage(f, page(1)); err != nil {
+	f := d.CreateFileInGroup("data", "")
+	if _, err := d.AppendPageCtx(context.Background(), f, page(1)); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, PageSize)
 	// Append populated the cache; this read is a hit.
 	d.ResetClock()
-	if err := d.ReadPage(f, 0, buf); err != nil {
+	if err := d.ReadPageCtx(context.Background(), f, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Clock(); got != cost.CacheHit {
@@ -171,7 +172,7 @@ func TestCacheHitsAreCheap(t *testing.T) {
 	// Dropping caches forces platter reads again.
 	d.DropCaches()
 	d.ResetClock()
-	if err := d.ReadPage(f, 0, buf); err != nil {
+	if err := d.ReadPageCtx(context.Background(), f, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Clock(); got != cost.Seek+cost.Transfer {
@@ -181,9 +182,9 @@ func TestCacheHitsAreCheap(t *testing.T) {
 
 func TestCacheEviction(t *testing.T) {
 	d := NewDevice(CostModel{Seek: 1, Transfer: 1, CacheHit: 0}, 2)
-	f := d.CreateFile("data")
+	f := d.CreateFileInGroup("data", "")
 	for i := 0; i < 3; i++ {
-		if _, err := d.AppendPage(f, page(byte(i))); err != nil {
+		if _, err := d.AppendPageCtx(context.Background(), f, page(byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +193,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatalf("CachedPages = %d", got)
 	}
 	buf := make([]byte, PageSize)
-	if err := d.ReadPage(f, 0, buf); err != nil {
+	if err := d.ReadPageCtx(context.Background(), f, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	st := d.Stats()
@@ -203,9 +204,9 @@ func TestCacheEviction(t *testing.T) {
 
 func TestSetCacheCapacityShrinks(t *testing.T) {
 	d := NewDevice(CostModel{}, 10)
-	f := d.CreateFile("data")
+	f := d.CreateFileInGroup("data", "")
 	for i := 0; i < 5; i++ {
-		if _, err := d.AppendPage(f, page(0)); err != nil {
+		if _, err := d.AppendPageCtx(context.Background(), f, page(0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,39 +222,39 @@ func TestSetCacheCapacityShrinks(t *testing.T) {
 
 func TestReadRun(t *testing.T) {
 	d := NewDefaultDevice(0)
-	f := d.CreateFile("data")
+	f := d.CreateFileInGroup("data", "")
 	for i := 0; i < 4; i++ {
-		if _, err := d.AppendPage(f, page(byte(i))); err != nil {
+		if _, err := d.AppendPageCtx(context.Background(), f, page(byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	buf, err := d.ReadRun(f, 1, 2)
+	buf, err := d.ReadRunCtx(context.Background(), f, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(buf) != 2*PageSize || buf[0] != 1 || buf[PageSize] != 2 {
 		t.Fatal("ReadRun returned wrong data")
 	}
-	if _, err := d.ReadRun(f, 3, 2); !errors.Is(err, ErrOutOfRange) {
+	if _, err := d.ReadRunCtx(context.Background(), f, 3, 2); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("ReadRun past EOF: %v", err)
 	}
-	if _, err := d.ReadRun(f, 0, -1); err == nil {
+	if _, err := d.ReadRunCtx(context.Background(), f, 0, -1); err == nil {
 		t.Error("ReadRun negative length succeeded")
 	}
 }
 
 func TestStatsAccounting(t *testing.T) {
 	d := NewDevice(CostModel{Seek: 1, Transfer: 1}, 4)
-	f := d.CreateFile("data")
+	f := d.CreateFileInGroup("data", "")
 	for i := 0; i < 3; i++ {
-		if _, err := d.AppendPage(f, page(0)); err != nil {
+		if _, err := d.AppendPageCtx(context.Background(), f, page(0)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	d.DropCaches()
 	buf := make([]byte, PageSize)
 	for i := int64(0); i < 3; i++ {
-		if err := d.ReadPage(f, i, buf); err != nil {
+		if err := d.ReadPageCtx(context.Background(), f, i, buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -286,18 +287,18 @@ func TestStatsAdd(t *testing.T) {
 
 func TestInjectReadFault(t *testing.T) {
 	d := NewDefaultDevice(0)
-	f := d.CreateFile("data")
-	if _, err := d.AppendPage(f, page(1)); err != nil {
+	f := d.CreateFileInGroup("data", "")
+	if _, err := d.AppendPageCtx(context.Background(), f, page(1)); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("media error")
 	d.InjectReadFault(f, 0, boom)
 	buf := make([]byte, PageSize)
-	if err := d.ReadPage(f, 0, buf); !errors.Is(err, boom) {
+	if err := d.ReadPageCtx(context.Background(), f, 0, buf); !errors.Is(err, boom) {
 		t.Fatalf("fault not delivered: %v", err)
 	}
 	// One-shot: second read succeeds.
-	if err := d.ReadPage(f, 0, buf); err != nil {
+	if err := d.ReadPageCtx(context.Background(), f, 0, buf); err != nil {
 		t.Fatalf("fault not cleared: %v", err)
 	}
 }
@@ -333,14 +334,14 @@ func TestDefaultAndSSDCostModels(t *testing.T) {
 func TestWriteIsolation(t *testing.T) {
 	// The device must copy page data on write so callers can reuse buffers.
 	d := NewDefaultDevice(4)
-	f := d.CreateFile("data")
+	f := d.CreateFileInGroup("data", "")
 	buf := page(1)
-	if _, err := d.AppendPage(f, buf); err != nil {
+	if _, err := d.AppendPageCtx(context.Background(), f, buf); err != nil {
 		t.Fatal(err)
 	}
 	buf[0] = 99 // mutate caller buffer
 	out := make([]byte, PageSize)
-	if err := d.ReadPage(f, 0, out); err != nil {
+	if err := d.ReadPageCtx(context.Background(), f, 0, out); err != nil {
 		t.Fatal(err)
 	}
 	if out[0] != 1 {

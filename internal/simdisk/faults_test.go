@@ -11,11 +11,11 @@ import (
 func faultDev(t *testing.T, n int64) (*Device, FileID) {
 	t.Helper()
 	d := NewDevice(CostModel{Seek: 8 * time.Millisecond, Transfer: 25 * time.Microsecond, CacheHit: 5 * time.Microsecond}, 0)
-	id := d.CreateFile("f")
+	id := d.CreateFileInGroup("f", "")
 	page := make([]byte, PageSize)
 	for i := int64(0); i < n; i++ {
 		page[0] = byte(i)
-		if _, err := d.AppendPage(id, page); err != nil {
+		if _, err := d.AppendPageCtx(context.Background(), id, page); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -31,7 +31,7 @@ func faultSequence(t *testing.T, plan FaultPlan, pages, nReads int64) []string {
 	buf := make([]byte, PageSize)
 	var seq []string
 	for i := int64(0); i < nReads; i++ {
-		err := d.ReadPage(id, i%pages, buf)
+		err := d.ReadPageCtx(context.Background(), id, i%pages, buf)
 		switch {
 		case err == nil:
 			seq = append(seq, "ok")
@@ -95,16 +95,16 @@ func TestFaultClassification(t *testing.T) {
 	})
 	buf := make([]byte, PageSize)
 	for i := 0; i < 2; i++ {
-		err := d.ReadPage(id, 0, buf)
+		err := d.ReadPageCtx(context.Background(), id, 0, buf)
 		if !errors.Is(err, ErrTransient) || errors.Is(err, ErrPermanent) {
 			t.Fatalf("read %d of page 0: want transient, got %v", i, err)
 		}
 	}
-	if err := d.ReadPage(id, 0, buf); err != nil {
+	if err := d.ReadPageCtx(context.Background(), id, 0, buf); err != nil {
 		t.Fatalf("transient pattern did not clear after Count reads: %v", err)
 	}
 	for i := 0; i < 3; i++ {
-		err := d.ReadPage(id, 1, buf)
+		err := d.ReadPageCtx(context.Background(), id, 1, buf)
 		if !errors.Is(err, ErrPermanent) {
 			t.Fatalf("read %d of page 1: want permanent, got %v", i, err)
 		}
@@ -118,7 +118,7 @@ func TestFaultClassification(t *testing.T) {
 	}
 	// Clearing the plan stops injection.
 	d.SetFaultPlan(FaultPlan{})
-	if err := d.ReadPage(id, 1, buf); err != nil {
+	if err := d.ReadPageCtx(context.Background(), id, 1, buf); err != nil {
 		t.Fatalf("cleared plan still faulting: %v", err)
 	}
 }
@@ -135,13 +135,13 @@ func TestRetryTransientToSuccess(t *testing.T) {
 	// A clean read of page 1 measures the per-read simulated charge.
 	buf := make([]byte, PageSize)
 	before := d.Clock()
-	if err := d.ReadPage(id, 1, buf); err != nil {
+	if err := d.ReadPageCtx(context.Background(), id, 1, buf); err != nil {
 		t.Fatal(err)
 	}
 	perRead := d.Clock() - before
 
 	before = d.Clock()
-	if err := d.ReadPage(id, 0, buf); err != nil {
+	if err := d.ReadPageCtx(context.Background(), id, 0, buf); err != nil {
 		t.Fatalf("retries did not absorb transient faults: %v", err)
 	}
 	if got := d.Clock() - before; got > perRead {
@@ -162,7 +162,7 @@ func TestRetryPermanentFailsFast(t *testing.T) {
 	d.SetFaultPlan(FaultPlan{Seed: 7, Pages: []PageFault{{File: id, Page: 0, Kind: FaultPermanent}}})
 	d.SetRetryPolicy(RetryPolicy{MaxAttempts: 5, Backoff: time.Microsecond})
 	buf := make([]byte, PageSize)
-	err := d.ReadPage(id, 0, buf)
+	err := d.ReadPageCtx(context.Background(), id, 0, buf)
 	if !errors.Is(err, ErrPermanent) {
 		t.Fatalf("want permanent fault, got %v", err)
 	}
@@ -182,7 +182,7 @@ func TestRetryExhaustion(t *testing.T) {
 	d.SetFaultPlan(FaultPlan{Seed: 7, Pages: []PageFault{{File: id, Page: 0, Kind: FaultTransient}}}) // forever
 	d.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, Backoff: time.Microsecond})
 	buf := make([]byte, PageSize)
-	err := d.ReadPage(id, 0, buf)
+	err := d.ReadPageCtx(context.Background(), id, 0, buf)
 	if !errors.Is(err, ErrTransient) {
 		t.Fatalf("exhausted retry lost fault classification: %v", err)
 	}
@@ -201,7 +201,7 @@ func TestRetryBudget(t *testing.T) {
 	// (2ms, cumulative 3ms) does not.
 	d.SetRetryPolicy(RetryPolicy{MaxAttempts: 10, Backoff: time.Millisecond, Budget: 2 * time.Millisecond})
 	buf := make([]byte, PageSize)
-	err := d.ReadPage(id, 0, buf)
+	err := d.ReadPageCtx(context.Background(), id, 0, buf)
 	if !errors.Is(err, ErrTransient) {
 		t.Fatalf("budget-exhausted error lost classification: %v", err)
 	}
@@ -247,7 +247,7 @@ func TestLatencySpikeWallClockOnly(t *testing.T) {
 	buf := make([]byte, PageSize)
 	// Clean read first: page 0's charge without any plan.
 	before := d.Clock()
-	if err := d.ReadPage(id, 0, buf); err != nil {
+	if err := d.ReadPageCtx(context.Background(), id, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	clean := d.Clock() - before
@@ -255,7 +255,7 @@ func TestLatencySpikeWallClockOnly(t *testing.T) {
 	d.DropCaches()
 	d.SetFaultPlan(FaultPlan{Seed: 1, SpikeLatency: time.Hour, Pages: []PageFault{{File: id, Page: 0, Kind: FaultSpike, Count: 1}}})
 	before = d.Clock()
-	if err := d.ReadPage(id, 0, buf); err != nil {
+	if err := d.ReadPageCtx(context.Background(), id, 0, buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Clock() - before; got > clean {
@@ -276,7 +276,7 @@ func TestStormModeWindows(t *testing.T) {
 	buf := make([]byte, PageSize)
 	var inStorm, faulted int
 	for i := 0; i < 64; i++ {
-		err := d.ReadPage(id, int64(i%8), buf)
+		err := d.ReadPageCtx(context.Background(), id, int64(i%8), buf)
 		if i%16 < 4 {
 			inStorm++
 			if !errors.Is(err, ErrTransient) {
@@ -331,11 +331,11 @@ func TestOneShotInjectCoexistsWithPlan(t *testing.T) {
 	d.InjectReadFault(id, 1, boom)
 	d.SetFaultPlan(FaultPlan{Seed: 3, Pages: []PageFault{{File: id, Page: 0, Kind: FaultTransient, Count: 1}}})
 	buf := make([]byte, PageSize)
-	err := d.ReadPage(id, 1, buf)
+	err := d.ReadPageCtx(context.Background(), id, 1, buf)
 	if !errors.Is(err, boom) || !errors.Is(err, ErrTransient) {
 		t.Fatalf("one-shot fault lost shape: %v", err)
 	}
-	if err := d.ReadPage(id, 1, buf); err != nil {
+	if err := d.ReadPageCtx(context.Background(), id, 1, buf); err != nil {
 		t.Fatalf("one-shot fault not one-shot: %v", err)
 	}
 }

@@ -83,15 +83,12 @@ func NewOpScope(pri Priority) *OpScope {
 // opScopeKey keys the scope in a context.
 type opScopeKey struct{}
 
-// WithOpScope attaches a fresh OpScope of the given priority to ctx (nil
-// allowed) and returns both. Device operations performed with the returned
-// context are attributed to the scope.
+// WithOpScope attaches a fresh OpScope of the given priority to ctx (a nil
+// ctx counts as context.Background()) and returns both. Device operations
+// performed with the returned context are attributed to the scope.
 func WithOpScope(ctx context.Context, pri Priority) (context.Context, *OpScope) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	s := NewOpScope(pri)
-	return context.WithValue(ctx, opScopeKey{}, s), s
+	return context.WithValue(orBackground(ctx), opScopeKey{}, s), s
 }
 
 // ScopeFrom returns the OpScope attached to ctx, or nil.
@@ -202,12 +199,10 @@ func (a *DeviceArray) MaintenanceBudget() float64 { return a.members[0].Maintena
 // the very foreground queries the budget protects. The matching ungateOp
 // must be called when the operation (including its real-time emulation
 // sleep) finishes.
-func (d *Device) gateOp(ctx context.Context, s *OpScope) error {
-	if s == nil || s.pri == PriMaintenance {
-		return nil
+func (d *Device) gateOp(s *OpScope) {
+	if s != nil && s.pri != PriMaintenance {
+		d.fgInFlight.Add(1)
 	}
-	d.fgInFlight.Add(1)
-	return nil
 }
 
 // ungateOp undoes gateOp's in-flight registration.
@@ -217,37 +212,17 @@ func (d *Device) ungateOp(s *OpScope) {
 	}
 }
 
-// AwaitMaintenanceTurn blocks — wall-clock only — until background
-// maintenance is within its I/O budget or the foreground goes idle (see
-// SetMaintenanceBudget). Maintenance schedulers call it at task boundaries,
-// BEFORE acquiring engine locks: the wait must happen at a lock-free point,
-// or throttling would extend lock holds and invert priorities. Returns a
-// cancellation error when ctx dies mid-wait; immediate when no budget is
-// set.
-func (d *Device) AwaitMaintenanceTurn(ctx context.Context) error {
-	return d.throttleMaintenance(ctx)
-}
-
-// AwaitMaintenanceTurn waits for every member's turn: a maintenance task
-// may touch files on any member, so it proceeds when all members are
-// within budget (each member's wait is independent and self-limiting — a
-// gated class stops accruing busy time, so its share only falls).
-func (a *DeviceArray) AwaitMaintenanceTurn(ctx context.Context) error {
-	for _, m := range a.members {
-		if err := m.AwaitMaintenanceTurn(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// throttleMaintenance blocks — wall-clock only — while foreground
+// AwaitMaintenanceTurn blocks — wall-clock only — while foreground
 // operations are in flight and maintenance platter time exceeds its
-// budgeted share. The wait never touches the simulated clock, so results
-// and charges are byte-identical with throttling on or off; it only
-// reorders wall-clock execution so background I/O yields the device to
-// interactive queries.
-func (d *Device) throttleMaintenance(ctx context.Context) error {
+// budgeted share (see SetMaintenanceBudget). Maintenance schedulers call it
+// at task boundaries, BEFORE acquiring engine locks: the wait must happen at
+// a lock-free point, or throttling would extend lock holds and invert
+// priorities. The wait never touches the simulated clock, so results and
+// charges are byte-identical with throttling on or off; it only reorders
+// wall-clock execution so background I/O yields the device to interactive
+// queries. Returns a cancellation error when ctx dies mid-wait; immediate
+// when no budget is set.
+func (d *Device) AwaitMaintenanceTurn(ctx context.Context) error {
 	bits := d.maintBudget.Load()
 	if bits == 0 {
 		return nil
@@ -270,6 +245,19 @@ func (d *Device) throttleMaintenance(ctx context.Context) error {
 			d.throttledOps.Add(1)
 		}
 		time.Sleep(50 * time.Microsecond)
+	}
+	return nil
+}
+
+// AwaitMaintenanceTurn waits for every member's turn: a maintenance task
+// may touch files on any member, so it proceeds when all members are
+// within budget (each member's wait is independent and self-limiting — a
+// gated class stops accruing busy time, so its share only falls).
+func (a *DeviceArray) AwaitMaintenanceTurn(ctx context.Context) error {
+	for _, m := range a.members {
+		if err := m.AwaitMaintenanceTurn(ctx); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -17,10 +17,10 @@ func qosTestDevice(t *testing.T, channels int) *Device {
 // unscoped (background setup — nothing to attribute).
 func fillFile(t *testing.T, d *Device, name string, n int64) FileID {
 	t.Helper()
-	id := d.CreateFile(name)
+	id := d.CreateFileInGroup(name, "")
 	page := make([]byte, PageSize)
 	for i := int64(0); i < n; i++ {
-		if _, err := d.AppendPage(id, page); err != nil {
+		if _, err := d.AppendPageCtx(context.Background(), id, page); err != nil {
 			t.Fatalf("AppendPage: %v", err)
 		}
 	}
@@ -225,8 +225,9 @@ func TestMaintenanceThrottleGate(t *testing.T) {
 	// blocks until the context dies, and counts as throttled once — while a
 	// maintenance *operation* still passes the per-op gate untouched.
 	d.SetMaintenanceBudget(0.2)
-	if err := d.gateOp(context.Background(), sm); err != nil {
-		t.Fatalf("maintenance op gated mid-flight: %v", err)
+	d.gateOp(sm) // returns at once, and registers nothing in flight
+	if got := d.fgInFlight.Load(); got != 1 {
+		t.Fatalf("maintenance op registered as foreground in flight: %d, want 1", got)
 	}
 	d.ungateOp(sm)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -262,9 +263,7 @@ func TestMaintenanceThrottleGate(t *testing.T) {
 func TestForegroundGateCounts(t *testing.T) {
 	d := qosTestDevice(t, 1)
 	sf := NewOpScope(PriForeground)
-	if err := d.gateOp(context.Background(), sf); err != nil {
-		t.Fatal(err)
-	}
+	d.gateOp(sf)
 	if got := d.fgInFlight.Load(); got != 1 {
 		t.Fatalf("fgInFlight %d, want 1", got)
 	}
@@ -273,14 +272,10 @@ func TestForegroundGateCounts(t *testing.T) {
 		t.Fatalf("fgInFlight %d, want 0", got)
 	}
 	// Unscoped and maintenance ops never count as foreground in flight.
-	if err := d.gateOp(context.Background(), nil); err != nil {
-		t.Fatal(err)
-	}
+	d.gateOp(nil)
 	d.ungateOp(nil)
 	sm := NewOpScope(PriMaintenance)
-	if err := d.gateOp(context.Background(), sm); err != nil {
-		t.Fatal(err)
-	}
+	d.gateOp(sm)
 	d.ungateOp(sm)
 	if got := d.fgInFlight.Load(); got != 0 {
 		t.Fatalf("fgInFlight %d, want 0", got)

@@ -77,7 +77,7 @@ func (d *Device) readPageRetry(ctx context.Context, id FileID, idx int64, buf []
 				d.retryExhausted.Add(1)
 				return 0, fmt.Errorf("simdisk: retry budget %v exhausted after %d attempts: %w", p.Budget, attempt-1, err)
 			}
-			if serr := d.sleepBackoff(ctx, backoff); serr != nil {
+			if serr := d.sleepCtx(ctx, backoff); serr != nil {
 				return 0, fmt.Errorf("%w (while backing off from %w)", serr, err)
 			}
 			slept += backoff
@@ -91,22 +91,4 @@ func (d *Device) readPageRetry(ctx context.Context, id FileID, idx int64, buf []
 	}
 	d.retryExhausted.Add(1)
 	return 0, fmt.Errorf("simdisk: %d read attempts failed: %w", p.MaxAttempts, err)
-}
-
-// sleepBackoff waits a retry backoff in wall-clock time, aborting early when
-// ctx is canceled (counted as a canceled op, like any device-side abort).
-func (d *Device) sleepBackoff(ctx context.Context, dt time.Duration) error {
-	if ctx == nil {
-		time.Sleep(dt)
-		return nil
-	}
-	timer := time.NewTimer(dt)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-ctx.Done():
-		d.canceledOps.Add(1)
-		return Canceled(ctx.Err())
-	}
 }

@@ -16,28 +16,22 @@ type inflightRun struct {
 }
 
 // SetShareReads turns single-flight run coalescing on or off. With sharing
-// on, concurrent ReadRun/ReadRunCtx calls whose page ranges overlap on the
-// same file coalesce: one reader (the leader) performs and is charged the
-// physical read, every other reader whose range the leader's covers attaches
-// to it and receives its slice of the same buffer — no platter charge, no
-// cache traffic, counted in Stats.CoalescedReads/CoalescedPages. Off (the
-// default) every read is independent, bit-for-bit the original model.
+// on, concurrent ReadRunCtx calls whose page ranges overlap on the same file
+// coalesce: one reader (the leader) performs and is charged the physical
+// read, every other reader whose range the leader's covers attaches to it
+// and receives its slice of the same buffer — no platter charge, no cache
+// traffic, counted in Stats.CoalescedReads/CoalescedPages. Off (the default)
+// every read is independent, bit-for-bit the original model.
 func (d *Device) SetShareReads(share bool) {
 	d.shareReads.Store(share)
 }
 
-// ShareReads reports whether single-flight run coalescing is on.
-func (d *Device) ShareReads() bool { return d.shareReads.Load() }
-
-// WaitDone blocks until ch closes or ctx (nil allowed) is canceled,
+// WaitDone blocks until ch closes or ctx is canceled (a nil ctx never is),
 // returning the wrapped cancellation error in the latter case. It is the
 // attach-side wait every single-flight layer (device run coalescing here,
 // the engine's scan registry and build flights above) shares.
 func WaitDone(ctx context.Context, ch <-chan struct{}) error {
-	if ctx == nil {
-		<-ch
-		return nil
-	}
+	ctx = orBackground(ctx)
 	// ctx.Done() may be nil (context.Background()); a nil channel case is
 	// simply never ready.
 	select {
@@ -129,6 +123,3 @@ func (a *DeviceArray) SetShareReads(share bool) {
 		m.SetShareReads(share)
 	}
 }
-
-// ShareReads reports the members' common coalescing state.
-func (a *DeviceArray) ShareReads() bool { return a.members[0].ShareReads() }

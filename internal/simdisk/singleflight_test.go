@@ -15,13 +15,13 @@ func sfTestDevice(t *testing.T, n int, cache int) (*Device, FileID) {
 	t.Helper()
 	d := NewDevice(DefaultCostModel(), cache)
 	d.SetShareReads(true)
-	id := d.CreateFile("shared")
+	id := d.CreateFileInGroup("shared", "")
 	page := make([]byte, PageSize)
 	for i := 0; i < n; i++ {
 		for j := range page {
 			page[j] = byte(i + j)
 		}
-		if _, err := d.AppendPage(id, page); err != nil {
+		if _, err := d.AppendPageCtx(context.Background(), id, page); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,7 +59,7 @@ func TestSingleFlightChargesOneRead(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		leaderBuf, leaderErr = d.ReadRun(id, 0, pages)
+		leaderBuf, leaderErr = d.ReadRunCtx(context.Background(), id, 0, pages)
 	}()
 	// Wait until the leader's run is registered before starting the waiter.
 	deadline := time.Now().Add(5 * time.Second)
@@ -72,7 +72,7 @@ func TestSingleFlightChargesOneRead(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		waiterBuf, waiterErr = d.ReadRun(id, 8, 16) // contained sub-range
+		waiterBuf, waiterErr = d.ReadRunCtx(context.Background(), id, 8, 16) // contained sub-range
 	}()
 	wg.Wait()
 	if leaderErr != nil || waiterErr != nil {
@@ -102,10 +102,10 @@ func TestSingleFlightChargesOneRead(t *testing.T) {
 // pay their own I/O even with sharing on.
 func TestSingleFlightDisjointRangesDoNotCoalesce(t *testing.T) {
 	d, id := sfTestDevice(t, 32, 0)
-	if _, err := d.ReadRun(id, 0, 16); err != nil {
+	if _, err := d.ReadRunCtx(context.Background(), id, 0, 16); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ReadRun(id, 16, 16); err != nil {
+	if _, err := d.ReadRunCtx(context.Background(), id, 16, 16); err != nil {
 		t.Fatal(err)
 	}
 	st := d.Stats()
@@ -124,7 +124,7 @@ func TestSingleFlightOffBitForBit(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := d.ReadRun(id, 0, 16); err != nil {
+			if _, err := d.ReadRunCtx(context.Background(), id, 0, 16); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -152,7 +152,7 @@ func TestSingleFlightWaiterCancellation(t *testing.T) {
 	var leaderErr error
 	go func() {
 		defer wg.Done()
-		_, leaderErr = d.ReadRun(id, 0, pages)
+		_, leaderErr = d.ReadRunCtx(context.Background(), id, 0, pages)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for d.inflightRuns(id) == 0 {
@@ -192,9 +192,9 @@ func TestSingleFlightLeaderFailureFallsBack(t *testing.T) {
 	var leaderErr error
 	go func() {
 		defer wg.Done()
-		_, leaderErr = d.ReadRun(id, 0, pages)
+		_, leaderErr = d.ReadRunCtx(context.Background(), id, 0, pages)
 	}()
-	buf, err := d.ReadRun(id, 0, 8)
+	buf, err := d.ReadRunCtx(context.Background(), id, 0, 8)
 	wg.Wait()
 	if !errors.Is(leaderErr, bang) {
 		t.Fatalf("leader error = %v, want the injected fault", leaderErr)
@@ -235,7 +235,7 @@ func TestSingleFlightFailedLeaderSingleRetry(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bufs[g], errs[g] = d.ReadRun(id, 0, pages)
+			bufs[g], errs[g] = d.ReadRunCtx(context.Background(), id, 0, pages)
 		}()
 	}
 
@@ -289,7 +289,7 @@ func TestSingleFlightConcurrentStorm(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				start := int64((g*7 + i*3) % (pages - 8))
 				n := int64(1 + (g+i)%8)
-				buf, err := d.ReadRun(id, start, n)
+				buf, err := d.ReadRunCtx(context.Background(), id, start, n)
 				if err != nil {
 					t.Errorf("goroutine %d read %d: %v", g, start, err)
 					return

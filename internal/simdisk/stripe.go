@@ -82,11 +82,12 @@ func (a *DeviceArray) stripeLoc(p int64) (int, int64) {
 }
 
 // createStriped creates one backing file per member and registers the
-// striped id. On a closed array it returns InvalidFile like CreateFile.
+// striped id. On a closed array it returns InvalidFile like
+// CreateFileInGroup.
 func (a *DeviceArray) createStriped(name string) FileID {
 	f := &stripedFile{name: name, locals: make([]FileID, len(a.members))}
 	for i, m := range a.members {
-		local := m.CreateFile(name)
+		local := m.CreateFileInGroup(name, "")
 		if local == InvalidFile {
 			return InvalidFile // closed; members close together
 		}

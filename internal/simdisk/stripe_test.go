@@ -2,6 +2,7 @@ package simdisk
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 )
@@ -27,7 +28,7 @@ func pageOf(b byte) []byte {
 func TestPageStripeRoundTrip(t *testing.T) {
 	const devices, chunk, pages = 3, 2, 13
 	a := stripeArray(t, devices, chunk)
-	id := a.CreateFile("striped.raw")
+	id := a.CreateFileInGroup("striped.raw", "")
 	if id == InvalidFile {
 		t.Fatal("CreateFile returned InvalidFile")
 	}
@@ -35,7 +36,7 @@ func TestPageStripeRoundTrip(t *testing.T) {
 		t.Fatalf("striped id %d missing the stripe tag", id)
 	}
 	for i := 0; i < pages; i++ {
-		idx, err := a.AppendPage(id, pageOf(byte(i)))
+		idx, err := a.AppendPageCtx(context.Background(), id, pageOf(byte(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +49,7 @@ func TestPageStripeRoundTrip(t *testing.T) {
 	}
 	buf := make([]byte, PageSize)
 	for i := 0; i < pages; i++ {
-		if err := a.ReadPage(id, int64(i), buf); err != nil {
+		if err := a.ReadPageCtx(context.Background(), id, int64(i), buf); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf, pageOf(byte(i))) {
@@ -72,15 +73,15 @@ func TestPageStripeRoundTrip(t *testing.T) {
 func TestPageStripeReadRunCrossesChunks(t *testing.T) {
 	const devices, chunk, pages = 2, 4, 40
 	a := stripeArray(t, devices, chunk)
-	id := a.CreateFile("run.raw")
+	id := a.CreateFileInGroup("run.raw", "")
 	for i := 0; i < pages; i++ {
-		if _, err := a.AppendPage(id, pageOf(byte(i))); err != nil {
+		if _, err := a.AppendPageCtx(context.Background(), id, pageOf(byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, run := range [][2]int64{{0, 40}, {3, 9}, {5, 1}, {7, 25}, {36, 4}, {0, 0}} {
 		start, n := run[0], run[1]
-		got, err := a.ReadRun(id, start, n)
+		got, err := a.ReadRunCtx(context.Background(), id, start, n)
 		if err != nil {
 			t.Fatalf("ReadRun(%d,%d): %v", start, n, err)
 		}
@@ -92,7 +93,7 @@ func TestPageStripeReadRunCrossesChunks(t *testing.T) {
 			t.Fatalf("ReadRun(%d,%d) reassembled wrong bytes", start, n)
 		}
 	}
-	if _, err := a.ReadRun(id, 38, 4); err == nil {
+	if _, err := a.ReadRunCtx(context.Background(), id, 38, 4); err == nil {
 		t.Fatal("ReadRun past EOF succeeded")
 	}
 }
@@ -101,20 +102,20 @@ func TestPageStripeReadRunCrossesChunks(t *testing.T) {
 // all-members delete.
 func TestPageStripeWriteAndDelete(t *testing.T) {
 	a := stripeArray(t, 3, 2)
-	id := a.CreateFile("w.raw")
+	id := a.CreateFileInGroup("w.raw", "")
 	for i := 0; i < 9; i++ {
-		if _, err := a.AppendPage(id, pageOf(0)); err != nil {
+		if _, err := a.AppendPageCtx(context.Background(), id, pageOf(0)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := a.WritePage(id, 5, pageOf(0xAB)); err != nil {
+	if err := a.WritePageCtx(context.Background(), id, 5, pageOf(0xAB)); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, PageSize)
-	if err := a.ReadPage(id, 5, buf); err != nil || buf[0] != 0xAB {
+	if err := a.ReadPageCtx(context.Background(), id, 5, buf); err != nil || buf[0] != 0xAB {
 		t.Fatalf("overwritten page 5 reads %d, %v", buf[0], err)
 	}
-	if err := a.ReadPage(id, 4, buf); err != nil || buf[0] != 0 {
+	if err := a.ReadPageCtx(context.Background(), id, 4, buf); err != nil || buf[0] != 0 {
 		t.Fatalf("neighbour page 4 disturbed: %d, %v", buf[0], err)
 	}
 	if err := a.DeleteFile(id); err != nil {
@@ -134,22 +135,22 @@ func TestPageStripeWriteAndDelete(t *testing.T) {
 // armed on a global index fires on the read of exactly that page.
 func TestPageStripeFaultInjection(t *testing.T) {
 	a := stripeArray(t, 2, 2)
-	id := a.CreateFile("f.raw")
+	id := a.CreateFileInGroup("f.raw", "")
 	for i := 0; i < 8; i++ {
-		if _, err := a.AppendPage(id, pageOf(byte(i))); err != nil {
+		if _, err := a.AppendPageCtx(context.Background(), id, pageOf(byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	boom := errors.New("boom")
 	a.InjectReadFault(id, 6, boom)
 	buf := make([]byte, PageSize)
-	if err := a.ReadPage(id, 5, buf); err != nil {
+	if err := a.ReadPageCtx(context.Background(), id, 5, buf); err != nil {
 		t.Fatalf("unfaulted page errored: %v", err)
 	}
-	if err := a.ReadPage(id, 6, buf); !errors.Is(err, boom) {
+	if err := a.ReadPageCtx(context.Background(), id, 6, buf); !errors.Is(err, boom) {
 		t.Fatalf("faulted page 6: %v, want boom", err)
 	}
-	if err := a.ReadPage(id, 6, buf); err != nil {
+	if err := a.ReadPageCtx(context.Background(), id, 6, buf); err != nil {
 		t.Fatalf("one-shot fault did not clear: %v", err)
 	}
 }
