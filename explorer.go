@@ -33,8 +33,6 @@ type Options struct {
 	// MergeThreshold is mt: a combination is merged after this many
 	// queries (default 2).
 	MergeThreshold int
-	// MinMergeCombination is the smallest |C| worth merging (default 3).
-	MinMergeCombination int
 	// MergeSpaceBudgetPages caps merge-file disk usage with LRU eviction
 	// (default 0 = unlimited).
 	MergeSpaceBudgetPages int64
@@ -82,10 +80,12 @@ type Options struct {
 	// AsyncMaintenance moves layout maintenance (partition refinement and
 	// the merge step) off the query path: queries answer immediately from
 	// the current layout and enqueue coalescing background tasks that a
-	// bounded scheduler drains concurrently across datasets. Use Quiesce to
-	// wait for the layout to converge, and Close to shut the pipeline down.
-	// Default off — the paper's synchronous inline pipeline, whose oracle
-	// contract is byte-for-byte untouched.
+	// bounded scheduler drains concurrently across datasets. The tasks run
+	// the same refinement and merge step a synchronous query would, the
+	// merge's copy stage under shared locks where the merge policy allows.
+	// Use Quiesce to wait for the layout to converge, and Close to shut the
+	// pipeline down. Default off — maintenance runs inline on the query that
+	// triggered it, as in the paper.
 	AsyncMaintenance bool
 	// MaintenanceWorkers bounds the background scheduler's pool (<= 0
 	// defaults to 2). Only meaningful with AsyncMaintenance.
@@ -102,15 +102,15 @@ type Options struct {
 	// contention to arbitrate).
 	MaintenanceBudget float64
 	// ShareScans turns on work sharing across concurrent queries through
-	// the whole serving stack: overlapping run reads on the simulated disk
-	// coalesce into one charged single-flight device read, queries attach
-	// to in-flight partition scans of the same (dataset, cell) within a
-	// layout epoch instead of re-walking the octree, and a cold dataset's
-	// level-0 first-touch build is single-flight per dataset (one builder,
-	// no thundering herd). Query results are unchanged — only redundant
-	// physical work is removed; see SharingStats for the ledger. Default
-	// off: every query pays its own I/O, and single-worker behaviour is
-	// bit-for-bit the original model.
+	// the serving stack: overlapping run reads on the simulated disk
+	// coalesce into one charged single-flight device read, and queries
+	// attach to in-flight scans of the same (dataset, cell) — a tree
+	// partition or a merge segment — within a layout epoch instead of
+	// reading it again. (A cold dataset's level-0 first-touch build is
+	// single-flight per dataset with or without this switch.) Query results
+	// are unchanged — only redundant physical work is removed; see
+	// SharingStats for the ledger. Default off: every query pays its own
+	// reads, and single-worker behaviour is bit-for-bit the original model.
 	ShareScans bool
 	// CacheResults turns on the epoch-scoped result cache: completed
 	// partition scans are retained keyed on (dataset, cell, layout epoch)
@@ -189,8 +189,8 @@ type Options struct {
 }
 
 // SharingStats is the scan-sharing ledger (Options.ShareScans): what the
-// serving stack saved by coalescing concurrent work. All zeros with sharing
-// off.
+// serving stack saved by coalescing concurrent work. With sharing off only
+// SharedBuilds can count.
 type SharingStats struct {
 	// CoalescedReads counts device run reads answered by attaching to an
 	// overlapping in-flight read on the same file (one physical read, many
@@ -235,9 +235,6 @@ func (o Options) engineConfig() core.Config {
 	}
 	if o.MergeThreshold > 0 {
 		cfg.Merger.MergeThreshold = o.MergeThreshold
-	}
-	if o.MinMergeCombination > 0 {
-		cfg.Merger.MinCombination = o.MinMergeCombination
 	}
 	if o.MergeSpaceBudgetPages > 0 {
 		cfg.Merger.SpaceBudgetPages = o.MergeSpaceBudgetPages
@@ -674,7 +671,7 @@ func (e *Explorer) shedLowPri() bool {
 
 // SharingStats returns the scan-sharing ledger: the device layer's
 // coalesced single-flight reads plus the engine layer's attached scans and
-// shared builds. All zeros when Options.ShareScans is off.
+// shared builds. With Options.ShareScans off only SharedBuilds can count.
 func (e *Explorer) SharingStats() SharingStats {
 	ds := e.dev.Stats()
 	es := e.engine.SharingStats()

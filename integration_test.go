@@ -198,3 +198,18 @@ func TestIntegrationGrowingDatasetCollection(t *testing.T) {
 		t.Fatalf("grown collection: %d objects, oracle %d", len(got), want)
 	}
 }
+
+// TestSharedSegmentClockRepeats holds the read order of merge segments fixed
+// when segment sharing spreads a query's segments over several files: run
+// starts in different files can tie, and the order among ties — which decides
+// the seeks charged — once followed map iteration. Five runs of the pinned
+// exploration (pin_test.go) must agree to the nanosecond.
+func TestSharedSegmentClockRepeats(t *testing.T) {
+	opts := Options{DropCachesPerQuery: true, ShareMergeSegments: true}
+	want := runPin(t, opts)
+	for i := 1; i < 5; i++ {
+		if got := runPin(t, opts); got != want {
+			t.Fatalf("run %d diverged from run 0:\n got  %#v\n want %#v", i, got, want)
+		}
+	}
+}

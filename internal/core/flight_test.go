@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -19,7 +20,7 @@ func TestFlightGroupSingleRun(t *testing.T) {
 	boom := errors.New("boom")
 
 	go func() {
-		g.Do("k", func() error {
+		g.Do(context.Background(), "k", func() error {
 			runs.Add(1)
 			close(started)
 			<-release
@@ -42,7 +43,7 @@ func TestFlightGroupSingleRun(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			ready.Done()
-			attached, err := g.Do("k", func() error {
+			attached, err := g.Do(context.Background(), "k", func() error {
 				runs.Add(1)
 				return nil
 			})
@@ -79,7 +80,7 @@ func TestFlightGroupReRunsAfterCompletion(t *testing.T) {
 	var g flightGroup[int]
 	var runs int
 	for i := 0; i < 3; i++ {
-		attached, err := g.Do(7, func() error {
+		attached, err := g.Do(context.Background(), 7, func() error {
 			runs++
 			return nil
 		})
@@ -101,7 +102,7 @@ func TestFlightGroupDistinctKeysIndependent(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		g.Do("a", func() error {
+		g.Do(context.Background(), "a", func() error {
 			close(started)
 			<-release
 			return nil
@@ -111,7 +112,7 @@ func TestFlightGroupDistinctKeysIndependent(t *testing.T) {
 	<-started
 
 	ran := false
-	attached, err := g.Do("b", func() error {
+	attached, err := g.Do(context.Background(), "b", func() error {
 		ran = true
 		return nil
 	})

@@ -443,7 +443,7 @@ func (m *maintainer) worker() {
 		var refined int
 		var err error
 		if task.isMerge {
-			err = m.o.runMergeAsync(task.merge.key, task.merge.members)
+			err = m.o.runMergeTask(task.merge)
 		} else {
 			refined, err = m.o.runRefineTask(task.ds, task.refine)
 		}

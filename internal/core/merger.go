@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -115,22 +117,15 @@ func (m *MergeFile) EntryKeys() []octree.Key {
 	return out
 }
 
-// sortKeys orders keys by (level, z, y, x), the collector's canonical order.
-func sortKeys(keys []octree.Key) {
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Level != b.Level {
-			return a.Level < b.Level
-		}
-		if a.Z != b.Z {
-			return a.Z < b.Z
-		}
-		if a.Y != b.Y {
-			return a.Y < b.Y
-		}
-		return a.X < b.X
-	})
+// compareKeys orders keys by (level, z, y, x), the collector's canonical
+// order.
+func compareKeys(a, b octree.Key) int {
+	return cmp.Or(cmp.Compare(a.Level, b.Level), cmp.Compare(a.Z, b.Z),
+		cmp.Compare(a.Y, b.Y), cmp.Compare(a.X, b.X))
 }
+
+// sortKeys sorts keys into the canonical order.
+func sortKeys(keys []octree.Key) { slices.SortFunc(keys, compareKeys) }
 
 // MergerConfig tunes the Merger.
 type MergerConfig struct {
@@ -166,8 +161,8 @@ type MergerConfig struct {
 // them (§3.2).
 //
 // Synchronization: the engine's layout lock serializes every structural
-// mutation (MergeOrExtend, EnforceBudget) against the shared read path
-// (Lookup, ReadSegment). The read path still mutates accounting state —
+// mutation (publish, EnforceBudget) against the shared read path (Lookup,
+// ReadSegment). The read path still mutates accounting state —
 // recency ticks, segment-read counts, the adaptive threshold — so those
 // fields live under the internal accMu, making Lookup/ReadSegment safe for
 // parallel readers.
@@ -299,26 +294,32 @@ func (m *Merger) TotalPages() int64 {
 }
 
 // Lookup applies the paper's routing: exact combination first, then the
-// smallest superset, then the subset covering the most requested datasets.
-// The chosen file's recency is ticked for budget eviction.
+// smallest superset, then the subset covering the most requested datasets;
+// among equally good candidates the lowest ComboKey wins, so routing — and
+// with it the simulated clock and the converged layout — never depends on
+// map order. The chosen file's recency is ticked for budget eviction.
 func (m *Merger) Lookup(datasets []object.DatasetID) (*MergeFile, Relation) {
-	f, rel := m.lookup(datasets)
-	if f != nil {
-		m.touch(f)
-	}
-	return f, rel
+	return m.route(KeyOf(datasets), datasets)
 }
 
 // LookupNoTouch is Lookup without the recency tick: background maintenance
 // re-checks coverage through it so observation never perturbs the LRU
 // eviction order queries establish.
 func (m *Merger) LookupNoTouch(datasets []object.DatasetID) (*MergeFile, Relation) {
-	return m.lookup(datasets)
+	return m.lookup(KeyOf(datasets), datasets)
 }
 
-// lookup is the routing rule shared by Lookup and LookupNoTouch.
-func (m *Merger) lookup(datasets []object.DatasetID) (*MergeFile, Relation) {
-	key := KeyOf(datasets)
+// route is Lookup for a caller that already holds the combination's key.
+func (m *Merger) route(key ComboKey, datasets []object.DatasetID) (*MergeFile, Relation) {
+	f, rel := m.lookup(key, datasets)
+	if f != nil {
+		m.touch(f)
+	}
+	return f, rel
+}
+
+// lookup is the routing rule; key must be KeyOf(datasets).
+func (m *Merger) lookup(key ComboKey, datasets []object.DatasetID) (*MergeFile, Relation) {
 	if f, ok := m.files[key]; ok {
 		return f, RelExact
 	}
@@ -346,12 +347,14 @@ func (m *Merger) lookup(datasets []object.DatasetID) (*MergeFile, Relation) {
 		case super:
 			// Prefer the smallest superset (fewest segments to skip); any
 			// superset beats any subset.
-			if bestRel != RelSuperset || len(f.members) < len(best.members) {
+			if bestRel != RelSuperset || len(f.members) < len(best.members) ||
+				len(f.members) == len(best.members) && f.combo < best.combo {
 				best, bestRel = f, RelSuperset
 			}
 		case sub && bestRel != RelSuperset:
 			// Prefer the subset holding the most requested datasets.
-			if bestRel != RelSubset || len(f.members) > len(best.members) {
+			if bestRel != RelSubset || len(f.members) > len(best.members) ||
+				len(f.members) == len(best.members) && f.combo < best.combo {
 				best, bestRel = f, RelSubset
 			}
 		}
@@ -359,7 +362,7 @@ func (m *Merger) lookup(datasets []object.DatasetID) (*MergeFile, Relation) {
 	return best, bestRel
 }
 
-// NeedsMerge reports whether MergeOrExtend could possibly do work for the
+// NeedsMerge reports whether a merge step could possibly do work for the
 // combination: merging is allowed and some candidate partition is not yet
 // covered by the combination's merge file. It over-approximates (an
 // uncovered candidate may still fail level-policy qualification); the
@@ -382,77 +385,10 @@ func (m *Merger) NeedsMerge(key ComboKey, datasets []object.DatasetID, candidate
 	return false
 }
 
-// MergeOrExtend creates the merge file for the combination if the
-// thresholds allow, and appends every qualifying partition from candidates
-// that is not already covered. Qualification follows the configured
-// LevelPolicy — by default the paper's same-refinement-level rule. Returns
-// the number of partitions appended. ctx carries the QoS scope the copy I/O
-// is charged to; callers pass a non-cancelable context — a merge is never
-// interrupted mid-way.
-func (m *Merger) MergeOrExtend(
-	ctx context.Context,
-	key ComboKey,
-	datasets []object.DatasetID,
-	candidates []octree.Key,
-	trees map[object.DatasetID]*octree.Tree,
-) (int, error) {
-	if len(datasets) < m.cfg.MinCombination {
-		return 0, nil
-	}
-	mf := m.files[key]
-	fanout := 0
-	for _, t := range trees {
-		fanout = t.FanoutPerDim()
-		break
-	}
-
-	appended := 0
-	for _, cand := range candidates {
-		if mf != nil {
-			if _, covered := mf.covering(cand, fanout); covered {
-				continue
-			}
-		}
-		job, ok := m.planJob(cand, datasets, trees)
-		if !ok {
-			continue
-		}
-		if mf != nil {
-			// The policy may have lifted or kept the key; re-check both
-			// directions against existing entries to keep them disjoint.
-			if _, covered := mf.covering(job.key, fanout); covered {
-				continue
-			}
-			if overlapsEntry(mf, job.key, fanout) {
-				continue
-			}
-		}
-		if mf == nil {
-			mf = m.newMergeFile(key, datasets)
-		}
-		if err := m.appendJob(ctx, mf, datasets, job); err != nil {
-			return appended, err
-		}
-		appended++
-	}
-	if mf != nil {
-		m.touch(mf)
-	}
-	return appended, nil
-}
-
-// newMergeFile registers an empty merge file for the combination.
+// newMergeFile allocates an empty merge file for the combination without
+// registering it in the directory — a staged merge keeps a new file private
+// until publish.
 func (m *Merger) newMergeFile(key ComboKey, datasets []object.DatasetID) *MergeFile {
-	mf := m.buildMergeFile(key, datasets)
-	m.files[key] = mf
-	m.MergesCreated++
-	return mf
-}
-
-// buildMergeFile allocates an empty merge file for the combination without
-// registering it in the directory — staged merges keep the file private
-// until PublishMerge.
-func (m *Merger) buildMergeFile(key ComboKey, datasets []object.DatasetID) *MergeFile {
 	members := append([]object.DatasetID(nil), datasets...)
 	memberOf := make(map[object.DatasetID]bool, len(members))
 	for _, ds := range members {
@@ -471,43 +407,38 @@ func (m *Merger) buildMergeFile(key ComboKey, datasets []object.DatasetID) *Merg
 	}
 }
 
-// PreparedMerge is a staged merge step: partition copies already appended to
-// the merge file's pages but not yet published — no reader can reach pages
-// that have no directory entry, so the expensive copy I/O of PrepareMerge
-// runs under shared locks, off the query path, and PublishMerge flips the
-// entries in under the exclusive layout lock in O(entries) map inserts.
-// The stage's reads and appends are charged to the context's QoS scope —
-// background merges carry a maintenance-priority scope the storage budget
-// can throttle.
-type PreparedMerge struct {
+// stagedMerge is one merge step between its two halves: partition copies
+// already appended to the merge file's pages but not yet registered. No
+// reader can reach pages that have no directory entry, so the copy I/O of
+// stage may run under shared locks while queries keep flowing, and publish
+// flips the entries in under the exclusive layout lock in O(entries) map
+// inserts.
+type stagedMerge struct {
 	key     ComboKey
-	mf      *MergeFile
+	mf      *MergeFile // the combination's file; private while isNew
 	isNew   bool
 	entries map[octree.Key]map[object.DatasetID]segment
 	order   []octree.Key // append order, for deterministic publication
 }
 
-// Appended returns how many partition entries the staged merge holds.
-func (p *PreparedMerge) Appended() int { return len(p.order) }
-
 // covering reports whether key's cell is covered by a published or staged
 // entry.
-func (p *PreparedMerge) covering(key octree.Key, fanout int) bool {
-	if p.mf != nil {
-		if _, ok := p.mf.covering(key, fanout); ok {
+func (st *stagedMerge) covering(key octree.Key, fanout int) bool {
+	if st.mf != nil {
+		if _, ok := st.mf.covering(key, fanout); ok {
 			return true
 		}
 	}
-	_, ok := coveringIn(p.entries, key, fanout)
+	_, ok := coveringIn(st.entries, key, fanout)
 	return ok
 }
 
 // overlaps reports whether key contains a published or staged entry.
-func (p *PreparedMerge) overlaps(key octree.Key, fanout int) bool {
-	if p.mf != nil && overlapsEntry(p.mf, key, fanout) {
+func (st *stagedMerge) overlaps(key octree.Key, fanout int) bool {
+	if st.mf != nil && overlapsEntry(st.mf, key, fanout) {
 		return true
 	}
-	for existing := range p.entries {
+	for existing := range st.entries {
 		if key.AncestorOf(existing, fanout) {
 			return true
 		}
@@ -515,49 +446,49 @@ func (p *PreparedMerge) overlaps(key octree.Key, fanout int) bool {
 	return false
 }
 
-// CanStageMerges reports whether the configuration allows the two-stage
-// prepare/publish merge path: the paper's SameLevel policy with segment
-// sharing off. RefineToFinest and CoarsestCover may mutate member trees
-// mid-merge and segment sharing reads the cross-file segment index, so both
-// fall back to the classic exclusive MergeOrExtend.
+// CanStageMerges reports whether a merge step's copy stage may run under
+// shared locks: the paper's SameLevel policy with segment sharing off.
+// RefineToFinest refines member trees mid-merge (CoarsestCover is kept with
+// it) and segment sharing reads the cross-file segment index, so those
+// configurations stage under the exclusive locks instead.
 func (m *Merger) CanStageMerges() bool {
 	return m.cfg.LevelPolicy == SameLevel && !m.cfg.ShareSegments
 }
 
-// PrepareMerge is stage one of a two-stage merge: it plans and copies every
-// qualifying uncovered candidate into the combination's merge file (created
-// privately when none exists) WITHOUT registering the entries, and returns
-// the staged state for PublishMerge. Because unregistered pages are
-// unreachable, the caller only needs the engine's shared layout lock plus
-// read locks on every member tree — queries keep flowing while the copies
-// run. The caller must guarantee single-flight per combination (two
-// concurrent prepares for one combination would race on the file's append
-// position). Returns nil when there is nothing to stage.
-func (m *Merger) PrepareMerge(
+// stage is the first half of a merge step and its one candidate loop: every
+// candidate not yet covered is qualified under the configured LevelPolicy —
+// by default the paper's same-refinement-level rule — and copied into the
+// combination's merge file (created privately when none exists), member by
+// member in order and back to back (§3.2.2's layout), WITHOUT registering
+// the entries. With segment sharing on, a member whose copy of the cell
+// another merge file already owns is referenced instead of copied.
+//
+// When CanStageMerges, the caller needs only the engine's shared layout lock
+// plus read locks on every member tree; otherwise it must hold them
+// exclusively. Either way it must guarantee single-flight per combination
+// (two concurrent stages would race on the file's append position). ctx
+// carries the QoS scope the copy I/O is charged to; callers pass a
+// non-cancelable context — a merge is never interrupted mid-way.
+//
+// On an error the stage keeps the entries it completed (their pages are
+// written; dropping them would leak unreachable space in a live file) and
+// deletes a private file nothing was staged into; the caller publishes
+// whatever it gets back.
+func (m *Merger) stage(
 	ctx context.Context,
 	key ComboKey,
 	datasets []object.DatasetID,
 	candidates []octree.Key,
 	trees map[object.DatasetID]*octree.Tree,
-) (*PreparedMerge, error) {
-	if !m.CanStageMerges() {
-		return nil, fmt.Errorf("core: merge staging requires the same-level policy without segment sharing")
-	}
+) (*stagedMerge, error) {
+	st := &stagedMerge{key: key, mf: m.files[key]}
 	if len(datasets) < m.cfg.MinCombination {
-		return nil, nil
+		return st, nil
 	}
-	fanout := 0
-	for _, t := range trees {
-		fanout = t.FanoutPerDim()
-		break
-	}
-	prep := &PreparedMerge{
-		key:     key,
-		mf:      m.files[key],
-		entries: make(map[octree.Key]map[object.DatasetID]segment),
-	}
+	st.entries = make(map[octree.Key]map[object.DatasetID]segment)
+	fanout := trees[datasets[0]].FanoutPerDim()
 	for _, cand := range candidates {
-		if prep.covering(cand, fanout) {
+		if st.covering(cand, fanout) {
 			continue
 		}
 		job, ok := m.planJob(cand, datasets, trees)
@@ -567,102 +498,41 @@ func (m *Merger) PrepareMerge(
 		// The policy may have lifted or kept the key; re-check both
 		// directions against published and staged entries to keep them
 		// disjoint.
-		if job.key != cand && prep.covering(job.key, fanout) {
+		if job.key != cand && st.covering(job.key, fanout) {
 			continue
 		}
-		if prep.overlaps(job.key, fanout) {
+		if st.overlaps(job.key, fanout) {
 			continue
 		}
-		if prep.mf == nil {
-			prep.mf = m.buildMergeFile(key, datasets)
-			prep.isNew = true
+		if st.mf == nil {
+			st.mf = m.newMergeFile(key, datasets)
+			st.isNew = true
 		}
-		segs := make(map[object.DatasetID]segment, len(datasets))
-		for i, ds := range datasets {
-			objs, err := job.readers[i](ctx)
-			if err != nil {
-				return prep.failed(), fmt.Errorf("merge read %v ds %d: %w", job.key, ds, err)
+		segs, err := m.copyJob(ctx, st.mf, datasets, job)
+		if err != nil {
+			if len(st.order) == 0 && st.isNew {
+				_ = st.mf.file.Delete() // best effort: the copy error is the one to report
+				st.mf, st.isNew = nil, false
 			}
-			run, err := prep.mf.file.AppendObjectsCtx(ctx, objs)
-			if err != nil {
-				return prep.failed(), fmt.Errorf("merge write %v ds %d: %w", job.key, ds, err)
-			}
-			segs[ds] = segment{run: run}
+			return st, err
 		}
-		prep.entries[job.key] = segs
-		prep.order = append(prep.order, job.key)
+		st.entries[job.key] = segs
+		st.order = append(st.order, job.key)
 	}
-	if len(prep.order) == 0 {
-		return nil, nil
-	}
-	return prep, nil
+	return st, nil
 }
 
-// failed trims a stage that hit an error down to its completed entries —
-// mirroring the synchronous MergeOrExtend, which also keeps the partitions
-// it appended before failing. A failed stage with nothing completed
-// deletes the private file it may have created, so no unreachable pages
-// leak; the caller publishes whatever non-nil stage remains.
-func (p *PreparedMerge) failed() *PreparedMerge {
-	if len(p.order) > 0 {
-		return p
-	}
-	if p.isNew && p.mf != nil {
-		_ = p.mf.file.Delete()
-	}
-	return nil
-}
-
-// PublishMerge is stage two: it registers the staged entries (and, for a
-// fresh combination, the merge file itself) so readers can route to them.
-// The caller holds the exclusive layout lock, so publication is atomic —
-// a query sees either none or all of the staged entries, never a partial
-// merge step. If the target merge file was evicted between the stages the
-// staged pages died with the file and nothing is published. Returns the
-// number of entries published.
-func (m *Merger) PublishMerge(prep *PreparedMerge) int {
-	if prep == nil || len(prep.order) == 0 {
-		return 0
-	}
-	if prep.isNew {
-		if m.files[prep.key] != nil {
-			// A competing merge registered the combination mid-stage; the
-			// scheduler's single-flight rule makes this unreachable, but
-			// dropping the stage (and its private file) is always safe.
-			_ = prep.mf.file.Delete()
-			return 0
-		}
-		m.files[prep.key] = prep.mf
-		m.MergesCreated++
-	} else if m.files[prep.key] != prep.mf {
-		return 0 // evicted mid-stage; the staged pages are gone with the file
-	}
-	for _, k := range prep.order {
-		segs := prep.entries[k]
-		prep.mf.entries[k] = segs
-		m.PartitionsMerged++
-		m.segmentsWritten += len(segs)
-	}
-	m.touch(prep.mf)
-	return len(prep.order)
-}
-
-// appendJob copies one partition into the merge file: for every member
-// dataset (in order) the objects are read from the original partitions and
-// appended back to back (§3.2.2's layout) — unless another merge file
-// already holds that exact copy and sharing is enabled. The copy I/O is
-// charged to ctx's QoS scope.
-func (m *Merger) appendJob(ctx context.Context, mf *MergeFile, datasets []object.DatasetID, job mergeJob) error {
+// copyJob copies one partition into mf's pages: for every member dataset (in
+// order) the objects are read from the original partitions and appended —
+// unless sharing is on and another live merge file owns that exact copy.
+func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.DatasetID, job mergeJob) (map[object.DatasetID]segment, error) {
 	segs := make(map[object.DatasetID]segment, len(datasets))
 	for i, ds := range datasets {
-		ref := segRef{key: job.key, ds: ds}
 		if m.cfg.ShareSegments {
-			if owner, ok := m.segIndex[ref]; ok && owner != mf.combo {
+			if owner, ok := m.segIndex[segRef{key: job.key, ds: ds}]; ok && owner != mf.combo {
 				if ownerFile, live := m.files[owner]; live {
-					seg, ok := ownerFile.entries[job.key][ds]
-					if ok && seg.sharedFrom == "" {
+					if seg, ok := ownerFile.entries[job.key][ds]; ok && seg.sharedFrom == "" {
 						segs[ds] = segment{run: seg.run, sharedFrom: owner}
-						m.SegmentsShared++
 						continue
 					}
 				}
@@ -670,21 +540,70 @@ func (m *Merger) appendJob(ctx context.Context, mf *MergeFile, datasets []object
 		}
 		objs, err := job.readers[i](ctx)
 		if err != nil {
-			return fmt.Errorf("merge read %v ds %d: %w", job.key, ds, err)
+			return nil, fmt.Errorf("merge read %v ds %d: %w", job.key, ds, err)
 		}
 		run, err := mf.file.AppendObjectsCtx(ctx, objs)
 		if err != nil {
-			return fmt.Errorf("merge write %v ds %d: %w", job.key, ds, err)
+			return nil, fmt.Errorf("merge write %v ds %d: %w", job.key, ds, err)
 		}
 		segs[ds] = segment{run: run}
-		m.segmentsWritten++
-		if _, taken := m.segIndex[ref]; !taken {
-			m.segIndex[ref] = mf.combo
+	}
+	return segs, nil
+}
+
+// publish is the second half of a merge step: it registers the staged
+// entries (and, for a fresh combination, the merge file itself) so readers
+// can route to them. The caller holds the exclusive layout lock, so
+// publication is atomic — a query sees either none or all of the staged
+// entries, never a partial merge step. If the target merge file was evicted
+// between the halves the staged pages died with the file and nothing is
+// published. Returns the number of entries published.
+func (m *Merger) publish(st *stagedMerge) int {
+	if len(st.order) == 0 {
+		return 0
+	}
+	if st.isNew {
+		if m.files[st.key] != nil {
+			// A competing merge registered the combination mid-stage; the
+			// engine's single-flight rule makes this unreachable, but
+			// dropping the stage (and its private file) is always safe.
+			_ = st.mf.file.Delete()
+			return 0
+		}
+		m.files[st.key] = st.mf
+		m.MergesCreated++
+	} else if m.files[st.key] != st.mf {
+		return 0 // evicted mid-stage; the staged pages are gone with the file
+	}
+	for _, k := range st.order {
+		segs := st.entries[k]
+		st.mf.entries[k] = segs
+		m.PartitionsMerged++
+		for ds, seg := range segs {
+			if seg.sharedFrom != "" {
+				m.SegmentsShared++
+				continue
+			}
+			m.segmentsWritten++
+			if !m.cfg.ShareSegments {
+				continue // the cross-file index is only read with sharing on
+			}
+			ref := segRef{key: k, ds: ds}
+			if _, owned := m.segIndex[ref]; !owned {
+				m.segIndex[ref] = st.key // the first file to copy a cell owns it
+			}
 		}
 	}
-	mf.entries[job.key] = segs
-	m.PartitionsMerged++
-	return nil
+	m.touch(st.mf)
+	return len(st.order)
+}
+
+// touchCombo ticks the recency of the combination's merge file, if it has
+// one.
+func (m *Merger) touchCombo(key ComboKey) {
+	if mf := m.files[key]; mf != nil {
+		m.touch(mf)
+	}
 }
 
 // ReadSegmentCtx reads the objects of one dataset for one merged partition,

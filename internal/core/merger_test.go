@@ -107,13 +107,40 @@ func TestLookupPrefersLargerSubset(t *testing.T) {
 	}
 }
 
-func TestMergeOrExtendRespectsMinCombination(t *testing.T) {
+// TestLookupBreaksTiesByLowestKey pins deterministic routing: among equally
+// small supersets (or equally large subsets) the lowest ComboKey wins,
+// whatever order the directory map happens to iterate in — 200 fresh mergers
+// see 200 fresh map layouts.
+func TestLookupBreaksTiesByLowestKey(t *testing.T) {
+	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	for i := 0; i < 200; i++ {
+		m := NewMerger(dev, MergerConfig{})
+		mkMergeFile(m, dev, 1, 2, 3, 6)
+		mkMergeFile(m, dev, 1, 2, 3, 4)
+		mkMergeFile(m, dev, 1, 2, 3, 5)
+		if mf, rel := m.Lookup([]object.DatasetID{1, 2, 3}); rel != RelSuperset || mf.combo != "1,2,3,4" {
+			t.Fatalf("merger %d: superset lookup = %s (%v), want 1,2,3,4", i, mf.combo, rel)
+		}
+		m = NewMerger(dev, MergerConfig{})
+		mkMergeFile(m, dev, 2, 3)
+		mkMergeFile(m, dev, 1, 3)
+		mkMergeFile(m, dev, 1, 2)
+		if mf, rel := m.LookupNoTouch([]object.DatasetID{1, 2, 3}); rel != RelSubset || mf.combo != "1,2" {
+			t.Fatalf("merger %d: subset lookup = %s (%v), want 1,2", i, mf.combo, rel)
+		}
+	}
+}
+
+func TestMergeStageRespectsMinCombination(t *testing.T) {
 	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
 	m := NewMerger(dev, MergerConfig{MinCombination: 3})
-	n, err := m.MergeOrExtend(context.Background(), "1,2", []object.DatasetID{1, 2},
+	st, err := m.stage(context.Background(), "1,2", []object.DatasetID{1, 2},
 		[]octree.Key{{Level: 1}}, nil)
-	if err != nil || n != 0 {
-		t.Fatalf("small combination merged: n=%d err=%v", n, err)
+	if err != nil {
+		t.Fatalf("stage: %v", err)
+	}
+	if n := m.publish(st); n != 0 {
+		t.Fatalf("small combination merged: n=%d", n)
 	}
 	if m.NumFiles() != 0 {
 		t.Fatal("merge file created for |C|<3")

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -30,19 +32,19 @@ type Config struct {
 	// off the query path: queries answer immediately from the current
 	// layout — the level-0 scan or the best-available tree partitions —
 	// and enqueue coalescing maintenance tasks that a background scheduler
-	// drains concurrently across datasets. Default off: the synchronous
-	// inline pipeline of the paper.
+	// drains concurrently across datasets. Default off: maintenance runs
+	// inline on the query that triggered it, as in the paper.
 	AsyncMaintenance bool
 	// MaintenanceWorkers bounds the background scheduler's worker pool
 	// (<= 0 defaults to 2). Only meaningful with AsyncMaintenance.
 	MaintenanceWorkers int
 	// ShareScans turns on work sharing across concurrent queries: the
 	// storage layer coalesces overlapping run reads into single-flight
-	// device reads, the engine attaches queries to in-flight partition
-	// scans of the same (dataset, cell) within a layout epoch, and level-0
-	// first-touch builds are single-flight per dataset. Results are
-	// unchanged — only the redundant physical work is. Default off: every
-	// query pays its own I/O, the original cost model bit for bit.
+	// device reads, and the engine attaches queries to in-flight reads of
+	// the same (dataset, cell) — partition or merge segment — within a
+	// layout epoch. Results are unchanged — only the redundant physical
+	// work is. Default off: every query pays its own I/O, the original cost
+	// model bit for bit. (Level-0 builds are single-flight either way.)
 	ShareScans bool
 	// CacheResults turns on the epoch-scoped result cache: completed
 	// partition scans and merge-segment reads are retained keyed on
@@ -149,14 +151,15 @@ type Metrics struct {
 //
 //   - mu (the layout lock) is held shared for the whole read side of a
 //     query — merge-file routing, the per-dataset tree walks, merge-segment
-//     reads — and exclusively only by layout mutations: the post-query merge
-//     step (MergeOrExtend + EnforceBudget) and AddRaw.
-//   - treeMu[ds] guards one dataset's octree. Queries take it shared when
-//     octree.Tree.NeedsWrite proves the walk is read-only, exclusive when
-//     the query must run the level-0 build or refine a partition — so
-//     refinement excludes only readers of the affected dataset, never the
-//     whole engine. The merge step takes the write lock of every member
-//     dataset (RefineTo can refine lagging trees).
+//     reads — and exclusively only by layout mutations: the merge step's
+//     publication (and, when its copy stage can mutate a tree, the stage
+//     too) and AddRaw.
+//   - treeMu[ds] guards one dataset's octree. Queries take it shared for a
+//     read-only walk, exclusive for the level-0 build and — with no
+//     maintainer attached, when octree.Tree.NeedsWrite finds a leaf to
+//     refine — for a refining walk, so refinement excludes only readers of
+//     the affected dataset, never the whole engine. The merge step's copy
+//     stage takes every member's lock, shared or exclusive like mu.
 //   - statsMu guards the statistics collector and the metric counters;
 //     critical sections are a few map operations.
 //
@@ -175,23 +178,23 @@ type Odyssey struct {
 
 	// mergeFlight single-flights the merge step per combination: concurrent
 	// triggers for one ComboKey — synchronous queries racing past the
-	// threshold, or the async scheduler's task — attach to the in-flight
-	// step instead of queueing repeated exclusive merges of the same
-	// candidates. It also discharges PrepareMerge's single-flight
-	// precondition structurally rather than by scheduler convention.
-	mergeFlight flightGroup[ComboKey]
+	// threshold, or the scheduler's task — attach to the in-flight step
+	// instead of queueing repeated exclusive merges of the same candidates.
+	// It also discharges Merger.stage's single-flight precondition
+	// structurally rather than by scheduler convention. buildFlight does the
+	// same for level-0 first-touch builds, per dataset; sharedBuilds counts
+	// the queries that waited on one. See ensureBuilt.
+	mergeFlight  flightGroup[ComboKey]
+	buildFlight  flightGroup[object.DatasetID]
+	sharedBuilds atomic.Int64
 
 	// maint is the background maintenance scheduler; nil unless
 	// Config.AsyncMaintenance is set. See maintenance.go.
 	maint *maintainer
 
 	// scans is the in-flight scan-sharing registry; nil unless
-	// Config.ShareScans is set. buildMu/building single-flight the level-0
-	// first-touch builds (one builder per dataset, waiters block on the
-	// channel instead of herding on the tree lock). See scanshare.go.
-	scans    *scanRegistry
-	buildMu  sync.Mutex
-	building map[object.DatasetID]chan struct{}
+	// Config.ShareScans is set. See scanshare.go.
+	scans *scanRegistry
 
 	// rcache is the epoch-scoped result cache; nil unless
 	// Config.CacheResults is set. See resultcache.go.
@@ -204,7 +207,7 @@ type Odyssey struct {
 	layoutEpoch atomic.Int64
 	// futile (guarded by statsMu) records, per combination, the candidate
 	// count and layout epoch as of the last time merging was found to have
-	// no work: a MergeOrExtend attempt that appended nothing (candidates
+	// no work: a merge step that appended nothing (candidates
 	// can be unmergeable under the level policy — e.g. a key one tree has
 	// refined past), or a NeedsMerge scan that found everything covered.
 	// While neither count nor epoch has changed, the merge step would be a
@@ -248,25 +251,12 @@ func (h *dsHeat) decayed(now int64, halfLife float64) float64 {
 // New creates the engine over the given raw files. Nothing is indexed until
 // queries arrive.
 func New(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Config) (*Odyssey, error) {
-	trees := make(map[object.DatasetID]*octree.Tree, len(raws))
-	treeMu := make(map[object.DatasetID]*sync.RWMutex, len(raws))
-	for _, raw := range raws {
-		if _, dup := trees[raw.Dataset()]; dup {
-			return nil, fmt.Errorf("core: duplicate dataset %d", raw.Dataset())
-		}
-		tree, err := octree.New(dev, raw, bounds, cfg.Octree)
-		if err != nil {
-			return nil, err
-		}
-		trees[raw.Dataset()] = tree
-		treeMu[raw.Dataset()] = new(sync.RWMutex)
-	}
 	o := &Odyssey{
 		dev:            dev,
 		cfg:            cfg,
 		bounds:         bounds,
-		trees:          trees,
-		treeMu:         treeMu,
+		trees:          make(map[object.DatasetID]*octree.Tree, len(raws)),
+		treeMu:         make(map[object.DatasetID]*sync.RWMutex, len(raws)),
 		futile:         make(map[ComboKey]futileMark),
 		stats:          NewCollector(),
 		merger:         NewMerger(dev, cfg.Merger),
@@ -283,7 +273,6 @@ func New(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Config) 
 	}
 	if cfg.ShareScans {
 		o.scans = newScanRegistry()
-		o.building = make(map[object.DatasetID]chan struct{})
 		dev.SetShareReads(true)
 	}
 	if cfg.CacheResults {
@@ -294,12 +283,9 @@ func New(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Config) 
 			o.rcache.enableAdaptive()
 		}
 	}
-	if o.scans != nil || o.rcache != nil {
-		// The share-reader hook carries both layers: single-flight scan
-		// attachment (sharing) and result retention (caching); either one
-		// alone still needs the hook installed.
-		for ds, tree := range trees {
-			tree.ShareReader = o.shareReaderFor(ds, tree)
+	for _, raw := range raws {
+		if err := o.AddRaw(raw); err != nil {
+			return nil, err
 		}
 	}
 	if cfg.AsyncMaintenance {
@@ -340,18 +326,24 @@ type futileMark struct {
 func (o *Odyssey) AddRaw(raw *rawfile.Raw) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if _, dup := o.trees[raw.Dataset()]; dup {
-		return fmt.Errorf("core: duplicate dataset %d", raw.Dataset())
+	ds := raw.Dataset()
+	if _, dup := o.trees[ds]; dup {
+		return fmt.Errorf("core: duplicate dataset %d", ds)
 	}
 	tree, err := octree.New(o.dev, raw, o.bounds, o.cfg.Octree)
 	if err != nil {
 		return err
 	}
 	if o.scans != nil || o.rcache != nil {
-		tree.ShareReader = o.shareReaderFor(raw.Dataset(), tree)
+		// Sharing and caching both ride the tree's partition reads; either
+		// one alone still needs the hook. Without them the tree keeps its
+		// pooled direct read.
+		tree.ShareReader = func(ctx context.Context, p *octree.Partition, read cellRead) ([]object.Object, error) {
+			return o.readCell(ctx, ds, p.Key(), p.Box(), read)
+		}
 	}
-	o.trees[raw.Dataset()] = tree
-	o.treeMu[raw.Dataset()] = new(sync.RWMutex)
+	o.trees[ds] = tree
+	o.treeMu[ds] = new(sync.RWMutex)
 	return nil
 }
 
@@ -466,92 +458,66 @@ func (o *Odyssey) Metrics() Metrics {
 	return m
 }
 
-// queryTree runs the per-dataset tree walk with the read/mutate split: a
-// shared lock when NeedsWrite proves the walk is read-only, an exclusive
-// lock when the query must build level 0 or refine. covered is the
-// side-effect-free merge-coverage predicate matching hook, so leaves served
-// from a merge file do not force the exclusive path. Because NeedsWrite is
-// evaluated under the shared lock and only Query mutates trees, the
-// read-only decision cannot be invalidated before the walk completes.
-// Cancellation mid-walk releases the lock like any other error; refinements
-// that completed before the abort still bump the layout epoch.
-func (o *Odyssey) queryTree(ctx context.Context, tree *octree.Tree, lk *sync.RWMutex, q geom.Box,
-	hook, covered func(*octree.Partition) bool) (octree.QueryResult, error) {
-	lk.RLock()
-	if !tree.NeedsWrite(q, covered) {
-		res, err := tree.QueryCtx(ctx, q, hook)
-		lk.RUnlock()
-		return res, err
-	}
-	lk.RUnlock()
-	lk.Lock()
-	built := tree.Built()
-	res, err := tree.QueryCtx(ctx, q, hook)
-	if res.Refined > 0 || (!built && tree.Built()) {
-		o.bumpLayoutEpoch()
-	}
-	lk.Unlock()
-	return res, err
+// mergeRead names one merge-file segment a query reads: an entry cell and one
+// member dataset's copy of it.
+type mergeRead struct {
+	entry octree.Key
+	ds    object.DatasetID
 }
 
-// queryTreeAsync is the read-mostly variant of queryTree used when the
-// maintenance pipeline is on: the walk never refines — leaves that qualify
-// are reported in the result's WantRefine for the scheduler to pick up —
-// so the exclusive tree lock is taken only for the level-0 first-touch
-// build (the one mutation a query cannot answer without).
-func (o *Odyssey) queryTreeAsync(ctx context.Context, tree *octree.Tree, lk *sync.RWMutex, q geom.Box,
-	hook func(*octree.Partition) bool) (octree.QueryResult, error) {
-	lk.RLock()
-	if tree.Built() {
-		res, err := tree.QueryReadOnlyCtx(ctx, q, hook)
-		lk.RUnlock()
-		return res, err
-	}
-	lk.RUnlock()
-	lk.Lock()
-	var res octree.QueryResult
-	built := tree.Built()
-	clock := simdisk.PhaseClock(ctx, o.dev)
-	t0 := clock()
-	err := tree.EnsureBuiltCtx(ctx)
-	buildTime := clock() - t0
-	if err == nil {
-		res, err = tree.QueryReadOnlyCtx(ctx, q, hook)
-	}
-	res.BuildTime += buildTime
-	if !built && tree.Built() {
-		o.bumpLayoutEpoch()
-	}
-	lk.Unlock()
-	return res, err
+// dsWants is one dataset's refinement demand from a read-only walk.
+type dsWants struct {
+	ds   object.DatasetID
+	keys []octree.Key
 }
 
-// answerContained tries to answer one dataset's share of a query entirely
-// from the result cache: under the dataset's shared tree lock (so Built and
-// MaxExtent are stable) it extends the query window by the tree's max
-// object half-extent and probes the cache for a region containing it. On a
-// hit the cached region content is filtered by the original query box —
-// exact, because every object intersecting q has its center inside the
-// extended window, hence inside the region. Only called with caching on.
-func (o *Odyssey) answerContained(ds object.DatasetID, tree *octree.Tree, q geom.Box) ([]object.Object, bool) {
-	lk := o.treeMu[ds]
-	lk.RLock()
-	defer lk.RUnlock()
-	if !tree.Built() {
-		return nil, false
+// queryAcc is one query's state as it moves through the stages of QueryCtx.
+// It lives on QueryCtx's stack: the stages take it by pointer and none
+// retains it.
+type queryAcc struct {
+	q       geom.Box
+	ordered []object.DatasetID // the requested datasets, sorted, duplicates dropped
+	key     ComboKey
+	fanout  int // per-dimension fanout every tree of the engine shares
+
+	// Set by route.
+	count int        // times the combination has been queried, this one included
+	mf    *MergeFile // the merge file serving the combination (nil: none)
+	scope *cacheScope
+
+	// Accumulated by the read stages.
+	out          []object.Object
+	touched      []octree.Key           // every leaf hit, for the statistics collector
+	served       map[mergeRead]struct{} // segments readMerged owes; nil until the first
+	servedLeaves int                    // leaves among touched that a segment serves
+	wants        []dsWants
+	phases       PhaseTimes
+
+	// Snapshotted by record for the merge-due test, and its verdict.
+	epoch    int64
+	nCand    int
+	mark     futileMark
+	tried    bool
+	mergeDue bool
+}
+
+// serve books one leaf as served by the routed merge file's segment for
+// (ds, entry); several leaves may share a segment, which is read once.
+func (a *queryAcc) serve(ds object.DatasetID, entry octree.Key) {
+	if a.served == nil {
+		a.served = make(map[mergeRead]struct{})
 	}
-	ext := q.Expand(tree.MaxExtent())
-	objs, ok := o.rcache.AnswerContained(ds, tree.FanoutPerDim(), o.layoutEpoch.Load(), ext)
-	if !ok {
-		return nil, false
-	}
-	var out []object.Object
-	for _, obj := range objs {
-		if obj.Intersects(q) {
-			out = append(out, obj)
+	a.served[mergeRead{entry: entry, ds: ds}] = struct{}{}
+	a.servedLeaves++
+}
+
+// keep adds the objects of one cell that intersect the query to the result.
+func (a *queryAcc) keep(cell []object.Object) {
+	for _, obj := range cell {
+		if obj.Intersects(a.q) {
+			a.out = append(a.out, obj)
 		}
 	}
-	return out, true
 }
 
 // Query implements engine.Engine: it executes the paper's full pipeline —
@@ -563,43 +529,76 @@ func (o *Odyssey) Query(q geom.Box, datasets []object.DatasetID) ([]object.Objec
 	return o.QueryCtx(context.Background(), q, datasets)
 }
 
-// QueryCtx is Query with cancellation. The context is observed on the read
-// side only — between and inside the per-dataset tree walks and the
-// merge-segment reads, down to page-boundary granularity in simdisk — and a
-// canceled query returns a wrapped simdisk.ErrCanceled with nil objects,
-// never a partial result. Layout mutations are never interrupted mid-way:
-// a refinement that already started completes, and the post-query merge
-// step is skipped entirely (not aborted) when the context has expired —
-// merging is housekeeping for future queries, so a caller that walked away
-// should not pay for it. A query whose context expires only after the read
-// side finished still returns its full, correct result.
+// QueryCtx is Query with cancellation: five stages over one accumulator —
+// route, readDataset per dataset, readMerged, record, maintain — the first
+// four under the shared layout lock.
+//
+// The context is observed on the read side only — between and inside the
+// per-dataset tree walks and the merge-segment reads, down to page-boundary
+// granularity in simdisk — and a canceled query returns a wrapped
+// simdisk.ErrCanceled with nil objects, never a partial result. Layout
+// mutations are never interrupted mid-way: a refinement that already started
+// completes, and the post-query merge step is skipped entirely (not aborted)
+// when the context has expired — merging is housekeeping for future queries,
+// so a caller that walked away should not pay for it. A query whose context
+// expires only after the read side finished still returns its full, correct
+// result.
 func (o *Odyssey) QueryCtx(ctx context.Context, q geom.Box, datasets []object.DatasetID) ([]object.Object, error) {
 	if err := simdisk.CheckCtx(ctx); err != nil {
 		return nil, err
 	}
-	// With caching on, a per-query scope rides the context so the layers
-	// that actually perform device I/O can mark it; a query whose scope
-	// stays clean is counted as served with zero device reads.
-	var scope *cacheScope
-	if o.rcache != nil {
-		ctx, scope = withCacheScope(ctx)
-	}
-	ordered := append([]object.DatasetID(nil), datasets...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-	key := KeyOf(ordered)
-
+	acc := queryAcc{q: q}
 	o.mu.RLock()
-	for _, ds := range ordered {
+	ctx, err := o.route(ctx, &acc, datasets)
+	for i := 0; err == nil && i < len(acc.ordered); i++ {
+		err = o.readDataset(ctx, &acc, acc.ordered[i])
+	}
+	if err == nil {
+		err = o.readMerged(ctx, &acc)
+	}
+	if err == nil {
+		o.record(ctx, &acc)
+	}
+	o.mu.RUnlock()
+	if err == nil {
+		err = o.maintain(ctx, &acc)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return acc.out, nil
+}
+
+// route is stage one: it canonicalises the requested datasets (sorted,
+// duplicates dropped — a dataset named twice is still one member of the
+// combination and is read once), derives the combination's key once for
+// every later stage, ticks the heat clock and the statistics collector, and
+// asks the merger which merge file, if any, serves the combination (§3.2.3).
+// With the result cache on it returns a context carrying the query's cache
+// scope, so the layers that actually perform device I/O can mark it; a query
+// whose scope stays clean is counted as served with zero device reads.
+func (o *Odyssey) route(ctx context.Context, acc *queryAcc, datasets []object.DatasetID) (context.Context, error) {
+	acc.ordered = append([]object.DatasetID(nil), datasets...)
+	slices.Sort(acc.ordered)
+	acc.ordered = slices.Compact(acc.ordered)
+	for _, ds := range acc.ordered {
 		if o.trees[ds] == nil {
-			o.mu.RUnlock()
-			return nil, fmt.Errorf("core: unknown dataset %d", ds)
+			return ctx, fmt.Errorf("core: unknown dataset %d", ds)
 		}
+	}
+	acc.key = keyOfSorted(acc.ordered)
+	if len(acc.ordered) > 0 {
+		acc.fanout = o.trees[acc.ordered[0]].FanoutPerDim()
+	}
+	rel := RelNone
+	if !o.cfg.DisableMerging {
+		acc.mf, rel = o.merger.route(acc.key, acc.ordered)
 	}
 
 	tick := o.heatTick.Add(1) // one decay tick per query
 	o.statsMu.Lock()
 	o.queries++
-	for _, ds := range ordered {
+	for _, ds := range acc.ordered {
 		h := o.dsQueries[ds]
 		if h == nil {
 			h = &dsHeat{}
@@ -608,323 +607,379 @@ func (o *Odyssey) QueryCtx(ctx context.Context, q geom.Box, datasets []object.Da
 		h.val = h.decayed(tick, o.halfLife) + 1
 		h.tick = tick
 	}
-	count := o.stats.RecordQuery(key)
-	o.statsMu.Unlock()
-
-	// Merge-file routing (§3.2.3).
-	var mf *MergeFile
-	rel := RelNone
-	if !o.cfg.DisableMerging {
-		mf, rel = o.merger.Lookup(ordered)
-	}
-	o.statsMu.Lock()
+	acc.count = o.stats.RecordQuery(acc.key)
 	o.relationCounts[rel]++
 	o.statsMu.Unlock()
 
-	// Per-dataset execution through the Adaptor. Partitions covered by the
-	// chosen merge file are served from it (and, per §3.2.2, not refined).
-	type mergeRead struct {
-		entry octree.Key
-		ds    object.DatasetID
+	if o.rcache != nil {
+		ctx, acc.scope = withCacheScope(ctx)
 	}
-	servedSet := make(map[mergeRead]bool)
-	servedLeaves := 0
-	async := o.maint != nil
-	type dsWants struct {
-		ds   object.DatasetID
-		keys []octree.Key
-	}
-	var wants []dsWants
-	var out []object.Object
-	var touched []octree.Key
-	var phases PhaseTimes
-	for _, ds := range ordered {
-		tree := o.trees[ds]
-		if o.rcache != nil {
-			// Containment answering: a query whose extended window lies
-			// inside a cached region is answered by filtering the region's
-			// objects — no build, no walk, no merge routing, zero device
-			// reads for this dataset. Objects are keyed by center, so every
-			// object intersecting q has its center inside the extended
-			// window and therefore inside the cached cell; filtering the
-			// full cell content is exact. Partition statistics are not
-			// accumulated for contained answers (there was no walk); the
-			// layout keeps converging from the queries that do walk.
-			if objs, ok := o.answerContained(ds, tree, q); ok {
-				out = append(out, objs...)
-				continue
-			}
-		}
-		if o.scans != nil {
-			// Single-flight the level-0 first touch: one builder per
-			// dataset, concurrent queries wait on the build instead of
-			// herding on the exclusive tree lock.
-			bt, err := o.ensureBuiltShared(ctx, ds, tree, o.treeMu[ds])
-			if err != nil {
-				o.mu.RUnlock()
-				return nil, fmt.Errorf("core: dataset %d: %w", ds, err)
-			}
-			if bt > 0 {
-				missCacheScope(ctx)
-			}
-			phases.LevelZeroBuild += bt
-		}
-		var hook, covered func(*octree.Partition) bool
-		if mf != nil && mf.memberOf[ds] {
-			ds := ds
-			fanout := tree.FanoutPerDim()
-			hook = func(p *octree.Partition) bool {
-				entry, ok := mf.covering(p.Key(), fanout)
-				if !ok {
-					return false
-				}
-				servedSet[mergeRead{entry, ds}] = true
-				servedLeaves++
-				return true
-			}
-			covered = func(p *octree.Partition) bool {
-				_, ok := mf.covering(p.Key(), fanout)
-				return ok
-			}
-		}
-		var res octree.QueryResult
-		var err error
-		if async {
-			res, err = o.queryTreeAsync(ctx, tree, o.treeMu[ds], q, hook)
-		} else {
-			res, err = o.queryTree(ctx, tree, o.treeMu[ds], q, hook, covered)
-		}
-		if err != nil {
-			o.mu.RUnlock()
-			return nil, fmt.Errorf("core: dataset %d: %w", ds, err)
-		}
-		if o.rcache != nil && (res.BuildTime > 0 || res.RefineTime > 0 || res.Refined > 0) {
-			// Builds and refinements read the device outside the
-			// share-reader hook; a query that triggered either was not
-			// answered read-free.
-			missCacheScope(ctx)
-		}
-		if len(res.WantRefine) > 0 {
-			wants = append(wants, dsWants{ds: ds, keys: res.WantRefine})
-		}
-		phases.LevelZeroBuild += res.BuildTime
-		phases.Refinement += res.RefineTime
-		phases.TreeReads += res.ReadTime
-		out = append(out, res.Objects...)
-		for _, p := range res.Touched {
-			touched = append(touched, p.Key())
-		}
-	}
-
-	// Read the merge-file segments, ordered by file position so the device
-	// sees a (mostly) sequential pass over the merge file.
-	if len(servedSet) > 0 {
-		reads := make([]mergeRead, 0, len(servedSet))
-		for r := range servedSet {
-			reads = append(reads, r)
-		}
-		sort.Slice(reads, func(i, j int) bool {
-			a := mf.entries[reads[i].entry][reads[i].ds].run.Start
-			b := mf.entries[reads[j].entry][reads[j].ds].run.Start
-			return a < b
-		})
-		// Merge segments cache like partitions: a segment is the full
-		// per-dataset content of its entry cell, so the entry key and its
-		// cell box are the cache's (cell, region) metadata. Merged cells
-		// are frozen coarse (merged partitions are never refined, §3.2.2),
-		// which makes their cached regions the prime source of containment
-		// answers.
-		var qEpoch int64
-		var fanout int
-		if o.rcache != nil {
-			qEpoch = o.layoutEpoch.Load()
-			fanout = o.trees[ordered[0]].FanoutPerDim()
-		}
-		clock := simdisk.PhaseClock(ctx, o.dev)
-		t0 := clock()
-		for _, r := range reads {
-			var objs []object.Object
-			hit := false
-			if o.rcache != nil {
-				objs, hit = o.rcache.Lookup(r.ds, r.entry, qEpoch)
-			}
-			if !hit {
-				var err error
-				objs, err = o.merger.ReadSegmentCtx(ctx, mf, r.entry, r.ds)
-				if err != nil {
-					o.mu.RUnlock()
-					return nil, err
-				}
-				if o.rcache != nil {
-					missCacheScope(ctx)
-					o.rcache.Insert(r.ds, r.entry, qEpoch, EntryBox(o.bounds, r.entry, fanout), objs)
-				}
-			}
-			for _, obj := range objs {
-				if obj.Intersects(q) {
-					out = append(out, obj)
-				}
-			}
-		}
-		phases.MergeReads += clock() - t0
-	}
-
-	o.statsMu.Lock()
-	o.phases.LevelZeroBuild += phases.LevelZeroBuild
-	o.phases.Refinement += phases.Refinement
-	o.phases.TreeReads += phases.TreeReads
-	o.phases.MergeReads += phases.MergeReads
-	o.partsFromMerge += len(servedSet)
-	o.partsFromTree += len(touched) - servedLeaves
-	o.stats.RecordPartitions(key, touched)
-	o.statsMu.Unlock()
-
-	// The read side is complete; a scope no I/O layer marked means every
-	// partition and segment came from the result cache (or another query's
-	// in-flight scan) — the query cost zero device reads. The merge step
-	// below is layout maintenance, not query reading, and is not attributed.
-	if scope != nil && !scope.missed.Load() {
-		o.rcache.zeroReads.Add(1)
-	}
-
-	o.merger.OnQuery()
-	// A context that expired after the read side completed skips the merge
-	// step instead of aborting inside it: the result is already correct and
-	// complete, and layout reorganization must never be left half-done.
-	doMerge := !o.cfg.DisableMerging && count >= o.merger.Threshold() &&
-		simdisk.CheckCtx(ctx) == nil
-	if doMerge {
-		// Steady-state fast path: skip the exclusive merge step when it
-		// would provably be a no-op — either every accumulated partition is
-		// already covered by the combination's merge file, or the last
-		// attempt was futile and nothing it depends on (candidate set,
-		// physical layout) has changed since. Without this, every
-		// post-threshold query would barrier the whole engine on the layout
-		// lock.
-		epoch := o.layoutEpoch.Load()
-		o.statsMu.Lock()
-		nCand := o.stats.NumPartitions(key)
-		mark, tried := o.futile[key]
-		o.statsMu.Unlock()
-		if tried && nCand <= mark.candidates && epoch == mark.epoch {
-			doMerge = false
-		} else if nCand == 0 {
-			doMerge = false
-		} else {
-			fanout := o.trees[ordered[0]].FanoutPerDim()
-			o.statsMu.Lock()
-			candidates := o.stats.PartitionsUnsorted(key)
-			o.statsMu.Unlock()
-			doMerge = o.merger.NeedsMerge(key, ordered, candidates, fanout)
-			if !doMerge {
-				// Everything covered: memoize so converged steady-state
-				// traffic skips even this coverage scan next time.
-				o.statsMu.Lock()
-				o.futile[key] = futileMark{candidates: nCand, epoch: epoch}
-				o.statsMu.Unlock()
-			}
-		}
-	}
-	o.mu.RUnlock()
-
-	// Asynchronous maintenance: the query returns now; refinement and the
-	// merge step become coalescing background tasks. The refinements are
-	// enqueued first so the scheduler's merge gate (members must be
-	// refinement-quiescent) orders this query's merge after them.
-	if async {
-		qVol := q.Volume()
-		for _, w := range wants {
-			o.maint.EnqueueRefine(w.ds, w.keys, q, qVol, ordered)
-		}
-		if doMerge {
-			o.maint.EnqueueMerge(key, ordered)
-		}
-		return out, nil
-	}
-
-	// Post-query merge step (§3.2.1): once the combination crossed mt,
-	// merge (or extend the merge file with) every qualifying partition.
-	// Concurrent queries that crossed the threshold together single-flight
-	// the step per combination — the late arrivals attach to the leader's
-	// merge instead of queueing identical exclusive steps behind it. The
-	// step runs under a non-cancelable context (layout mutations are never
-	// interrupted mid-way) that keeps the query's QoS scope, so the merge
-	// I/O is charged to the query that triggered it.
-	if doMerge {
-		mctx := context.WithoutCancel(ctx)
-		if _, err := o.mergeFlight.Do(key, func() error {
-			return o.runMergeStep(mctx, key, ordered)
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return ctx, nil
 }
 
-// runMergeStep is the synchronous merge step. Layout reorganization takes
-// the exclusive layout lock plus the write lock of every member dataset
-// (RefineTo may refine lagging trees), runs MergeOrExtend plus the budget
-// enforcement, and maintains the futility memo and the layout epoch.
-func (o *Odyssey) runMergeStep(ctx context.Context, key ComboKey, ordered []object.DatasetID) error {
-	o.mu.Lock()
+// readDataset is stage two, run once per dataset: make sure level 0 exists,
+// then answer from a cached region containing the query, or walk the tree.
+// Leaves the routed merge file covers are left to readMerged (and, per
+// §3.2.2, not refined). With a maintainer attached the walk is read-only
+// under the shared tree lock and reports the leaves that want refining; with
+// none it refines them on the spot under the exclusive lock — so refinement
+// excludes only readers of this dataset, never the whole engine.
+func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.DatasetID) error {
+	tree, lk := o.trees[ds], o.treeMu[ds]
+	built, err := o.ensureBuilt(ctx, ds, tree, lk)
+	if err != nil {
+		return fmt.Errorf("core: dataset %d: %w", ds, err)
+	}
+	acc.phases.LevelZeroBuild += built
+
+	lk.RLock()
+	if o.rcache != nil && o.answerContained(acc, ds, tree) {
+		lk.RUnlock()
+		return nil
+	}
+	// covered is the side-effect-free twin of serve, so leaves served from
+	// the merge file do not force the exclusive path.
+	var serve, covered func(*octree.Partition) bool
+	if mf := acc.mf; mf != nil && mf.memberOf[ds] {
+		covered = func(p *octree.Partition) bool {
+			_, ok := mf.covering(p.Key(), acc.fanout)
+			return ok
+		}
+		serve = func(p *octree.Partition) bool {
+			entry, ok := mf.covering(p.Key(), acc.fanout)
+			if ok {
+				acc.serve(ds, entry)
+			}
+			return ok
+		}
+	}
+	var res octree.QueryResult
+	if o.maint != nil || !tree.NeedsWrite(acc.q, covered) {
+		res, err = tree.QueryReadOnlyCtx(ctx, acc.q, serve)
+		lk.RUnlock()
+	} else {
+		lk.RUnlock()
+		lk.Lock()
+		res, err = tree.QueryCtx(ctx, acc.q, serve)
+		if res.Refined > 0 {
+			// Refinements that completed before an abort still publish. They
+			// read the device outside readCell, so the query was not answered
+			// read-free.
+			o.bumpLayoutEpoch()
+			missCacheScope(ctx)
+		}
+		lk.Unlock()
+	}
+	if err != nil {
+		return fmt.Errorf("core: dataset %d: %w", ds, err)
+	}
+	if len(res.WantRefine) > 0 {
+		acc.wants = append(acc.wants, dsWants{ds: ds, keys: res.WantRefine})
+	}
+	acc.phases.Refinement += res.RefineTime
+	acc.phases.TreeReads += res.ReadTime
+	acc.out = append(acc.out, res.Objects...)
+	for _, p := range res.Touched {
+		acc.touched = append(acc.touched, p.Key())
+	}
+	return nil
+}
+
+// ensureBuilt is the one level-0 build path: the first query to find a
+// dataset unbuilt scans its raw file under the tree's exclusive lock, and
+// every query arriving meanwhile waits on that flight — off the tree lock,
+// giving up when its own context does — then proceeds down its ordinary
+// shared-lock read path. A later arrival finds the tree built whether it
+// waited on the flight or would have waited on the lock, so single-flight
+// changes no result and no charge. Returns the simulated build time charged
+// to this caller (zero for waiters).
+func (o *Odyssey) ensureBuilt(ctx context.Context, ds object.DatasetID, tree *octree.Tree, lk *sync.RWMutex) (time.Duration, error) {
+	for !tree.Built() {
+		var dt time.Duration
+		attached, err := o.buildFlight.Do(ctx, ds, func() error {
+			lk.Lock()
+			defer lk.Unlock()
+			if tree.Built() {
+				return nil
+			}
+			missCacheScope(ctx)
+			clock := simdisk.PhaseClock(ctx, o.dev)
+			t0 := clock()
+			err := tree.EnsureBuiltCtx(ctx)
+			dt = clock() - t0
+			if err == nil {
+				o.bumpLayoutEpoch()
+			}
+			return err
+		})
+		if !attached {
+			return dt, err
+		}
+		o.sharedBuilds.Add(1)
+		// The leader's outcome is not ours — its build may have died with
+		// its own context. Re-check, and maybe lead.
+		if err := simdisk.CheckCtx(ctx); err != nil {
+			return 0, err
+		}
+	}
+	return 0, nil
+}
+
+// answerContained tries to answer one dataset's share of a query entirely
+// from the result cache: the query window, extended by the tree's max object
+// half-extent, is probed against the cached regions. On a hit the region's
+// content is filtered by the original query box — exact, because objects are
+// keyed by center: every object intersecting q has its center inside the
+// extended window, hence inside the region. No walk, no merge routing, zero
+// device reads for this dataset; partition statistics are not accumulated
+// either (the layout keeps converging from the queries that do walk). The
+// caller holds the dataset's shared tree lock, so MaxExtent is stable, and
+// only calls it with caching on.
+func (o *Odyssey) answerContained(acc *queryAcc, ds object.DatasetID, tree *octree.Tree) bool {
+	ext := acc.q.Expand(tree.MaxExtent())
+	objs, ok := o.rcache.AnswerContained(ds, acc.fanout, o.layoutEpoch.Load(), ext)
+	if ok {
+		acc.keep(objs)
+	}
+	return ok
+}
+
+// readMerged is stage three: it reads the merge-file segments the walks left
+// to it, ordered by file position so the device sees a (mostly) sequential
+// pass over the merge file. Segments go through readCell like partitions: a
+// segment is the full per-dataset content of its entry cell, and merged cells
+// are frozen coarse (merged partitions are never refined, §3.2.2), which
+// makes their cached regions the prime source of containment answers.
+func (o *Odyssey) readMerged(ctx context.Context, acc *queryAcc) error {
+	if len(acc.served) == 0 {
+		return nil
+	}
+	mf := acc.mf
+	reads := make([]mergeRead, 0, len(acc.served))
+	for r := range acc.served {
+		reads = append(reads, r)
+	}
+	// Shared segments live in other files, so run starts can tie; the
+	// (dataset, cell) tie-break keeps the read order — and the seeks it
+	// charges — independent of map order.
+	start := func(r mergeRead) int64 { return mf.entries[r.entry][r.ds].run.Start }
+	slices.SortFunc(reads, func(a, b mergeRead) int {
+		if c := cmp.Compare(start(a), start(b)); c != 0 {
+			return c
+		}
+		return cmp.Or(cmp.Compare(a.ds, b.ds), compareKeys(a.entry, b.entry))
+	})
+	clock := simdisk.PhaseClock(ctx, o.dev)
+	t0 := clock()
+	for _, r := range reads {
+		objs, err := o.readCell(ctx, r.ds, r.entry, EntryBox(o.bounds, r.entry, acc.fanout),
+			func(ctx context.Context) ([]object.Object, error) {
+				return o.merger.ReadSegmentCtx(ctx, mf, r.entry, r.ds)
+			})
+		if err != nil {
+			return err
+		}
+		acc.keep(objs)
+	}
+	acc.phases.MergeReads += clock() - t0
+	return nil
+}
+
+// record is stage four, the query's one statsMu section on the steady-state
+// path: it books the phase charges and partition counts, adds the touched
+// leaves to the combination's statistics and snapshots what the merge-due
+// test needs, then advances the merger's adaptation clock and — while the
+// layout lock the coverage scan needs is still held — decides whether a
+// merge step is due. The read side is complete here; a cache scope no I/O
+// layer marked means every partition and segment came from the result cache
+// (or another query's in-flight scan) — the query cost zero device reads.
+func (o *Odyssey) record(ctx context.Context, acc *queryAcc) {
+	acc.epoch = o.layoutEpoch.Load()
+	o.statsMu.Lock()
+	o.phases.LevelZeroBuild += acc.phases.LevelZeroBuild
+	o.phases.Refinement += acc.phases.Refinement
+	o.phases.TreeReads += acc.phases.TreeReads
+	o.phases.MergeReads += acc.phases.MergeReads
+	o.partsFromMerge += len(acc.served)
+	o.partsFromTree += len(acc.touched) - acc.servedLeaves
+	o.stats.RecordPartitions(acc.key, acc.touched)
+	acc.nCand = o.stats.NumPartitions(acc.key)
+	acc.mark, acc.tried = o.futile[acc.key]
+	o.statsMu.Unlock()
+	if acc.scope != nil && !acc.scope.missed.Load() {
+		o.rcache.zeroReads.Add(1)
+	}
+	o.merger.OnQuery()
+	acc.mergeDue = o.mergeDue(ctx, acc)
+}
+
+// maintain is stage five, after the layout lock is released: what the query
+// learned becomes layout maintenance (§3.2.1). With a maintainer attached
+// the query returns now and refinement and the merge step become coalescing
+// background tasks — refinements first, so the scheduler's merge gate
+// (members must be refinement-quiescent) orders this query's merge after
+// them. With none, a due merge step runs inline, single-flight per
+// combination: queries that crossed the threshold together attach to the
+// leader's step instead of queueing identical exclusive steps behind it. The
+// step runs under a non-cancelable context (layout mutations are never
+// interrupted mid-way) that keeps the query's QoS scope, so the merge I/O is
+// charged to the query that triggered it.
+func (o *Odyssey) maintain(ctx context.Context, acc *queryAcc) error {
+	if o.maint != nil {
+		qVol := acc.q.Volume()
+		for _, w := range acc.wants {
+			o.maint.EnqueueRefine(w.ds, w.keys, acc.q, qVol, acc.ordered)
+		}
+		if acc.mergeDue {
+			o.maint.EnqueueMerge(acc.key, acc.ordered)
+		}
+		return nil
+	}
+	if !acc.mergeDue {
+		return nil
+	}
+	mctx, key, ordered := context.WithoutCancel(ctx), acc.key, acc.ordered
+	_, err := o.mergeFlight.Do(mctx, key, func() error {
+		return o.mergeStep(mctx, key, ordered)
+	})
+	return err
+}
+
+// mergeDue reports whether the combination crossed mt and a merge step could
+// do work; callers hold the shared layout lock. A context that expired after the read side completed skips the
+// step instead of aborting inside it: the result is already correct and
+// complete, and layout reorganization must never be left half-done.
+//
+// Steady-state fast path: the step is skipped when it would provably be a
+// no-op — either the last attempt was futile and nothing it depends on
+// (candidate set, physical layout) has changed since, or every accumulated
+// partition is already covered by the combination's merge file. Without
+// this, every post-threshold query would barrier the whole engine on the
+// layout lock.
+func (o *Odyssey) mergeDue(ctx context.Context, acc *queryAcc) bool {
+	if o.cfg.DisableMerging || acc.count < o.merger.Threshold() || simdisk.CheckCtx(ctx) != nil {
+		return false
+	}
+	if acc.nCand == 0 || acc.tried && acc.nCand <= acc.mark.candidates && acc.epoch == acc.mark.epoch {
+		return false
+	}
+	o.statsMu.Lock()
+	candidates := o.stats.PartitionsUnsorted(acc.key)
+	o.statsMu.Unlock()
+	due := o.merger.NeedsMerge(acc.key, acc.ordered, candidates, acc.fanout)
+	if !due {
+		// Everything covered: memoize so converged steady-state traffic
+		// skips even this coverage scan next time.
+		o.statsMu.Lock()
+		o.futile[acc.key] = futileMark{candidates: acc.nCand, epoch: acc.epoch}
+		o.statsMu.Unlock()
+	}
+	return due
+}
+
+// mergeStep is the one merge step: merge (or extend the merge file with)
+// every qualifying partition the combination accumulated, enforce the space
+// budget, and maintain the layout epoch, the futility memo and the evicted
+// combinations' statistics. Callers hold the combination's mergeFlight slot
+// and pass a non-cancelable context whose QoS scope the copy I/O is charged
+// to.
+//
+// The copy stage takes the layout lock and every member's tree lock — shared
+// when a maintainer is attached and the merge policy cannot mutate a tree
+// (CanStageMerges), so queries keep flowing during the copy I/O; exclusive
+// otherwise. Publication always happens under the exclusive layout lock, so
+// a racing query observes either none or all of the step's entries.
+func (o *Odyssey) mergeStep(ctx context.Context, key ComboKey, ordered []object.DatasetID) error {
+	shared := o.maint != nil && o.merger.CanStageMerges()
+	lock, unlock := (*sync.RWMutex).Lock, (*sync.RWMutex).Unlock
+	if shared {
+		lock, unlock = (*sync.RWMutex).RLock, (*sync.RWMutex).RUnlock
+	}
+	clock := simdisk.PhaseClock(ctx, o.dev)
+	epochBefore := o.layoutEpoch.Load()
+
+	lock(&o.mu)
 	for _, ds := range ordered {
-		o.treeMu[ds].Lock()
+		lock(o.treeMu[ds])
 	}
 	o.statsMu.Lock()
 	candidates := o.stats.Partitions(key)
 	o.statsMu.Unlock()
-	refBefore := 0
-	for _, ds := range ordered {
-		refBefore += o.trees[ds].Refinements
-	}
-	clock := simdisk.PhaseClock(ctx, o.dev)
+	refBefore := o.refinementsOf(ordered)
 	t0 := clock()
-	appended, err := o.merger.MergeOrExtend(ctx, key, ordered, candidates, o.trees)
-	var evicted []ComboKey
-	if err == nil {
-		evicted, err = o.merger.EnforceBudget()
-	}
+	st, stageErr := o.merger.stage(ctx, key, ordered, candidates, o.trees)
 	dt := clock() - t0
-	refAfter := 0
-	for _, ds := range ordered {
-		refAfter += o.trees[ds].Refinements
+	refined := o.refinementsOf(ordered) != refBefore // RefineToFinest refines lagging trees
+	for i := len(ordered) - 1; i >= 0; i-- {
+		unlock(o.treeMu[ordered[i]])
 	}
+	if shared {
+		o.mu.RUnlock()
+		o.mu.Lock()
+	}
+
+	// Publish even after a stage error: the entries staged before the
+	// failure are kept (see Merger.stage).
+	t1 := clock()
+	appended := o.merger.publish(st)
+	if appended == 0 && !shared {
+		// The paper's clock depends on it: under the exclusive locks an
+		// attempt that appended nothing has always counted as a use of the
+		// combination's file for LRU eviction. The shared stage has never
+		// ticked it, and keeps not to.
+		o.merger.touchCombo(key)
+	}
+	evicted, err := o.merger.EnforceBudget()
+	dt += clock() - t1
 	bumped := false
 	if err == nil {
-		// Advance the epoch only on real layout change (appends,
-		// merge-time refinement, evictions) — a no-op attempt must not
-		// invalidate other combinations' futile marks, or two stuck
-		// combinations would ping-pong exclusive retries forever.
-		if appended > 0 || refAfter != refBefore || len(evicted) > 0 {
+		// Advance the epoch only on real layout change (appends, merge-time
+		// refinement, evictions) — a no-op attempt must not invalidate other
+		// combinations' futile marks, or two stuck combinations would
+		// ping-pong exclusive retries forever.
+		if appended > 0 || refined || len(evicted) > 0 {
 			o.bumpLayoutEpoch()
 			bumped = true
 		}
 		o.statsMu.Lock()
-		if appended == 0 {
-			o.futile[key] = futileMark{candidates: len(candidates), epoch: o.layoutEpoch.Load()}
+		if appended == 0 && stageErr == nil {
+			// Futility is memoized only on a clean no-op (a failed stage saw
+			// an incomplete picture, so the next query must re-attempt).
+			// Under the exclusive locks nothing else can publish during the
+			// step, and the mark takes the epoch after it — this step's own
+			// evictions and refinements included — so the next query skips.
+			// A shared stage takes the epoch from before it: if anything (a
+			// racing refinement of another region) advanced the layout
+			// mid-stage, the stale mark makes the next query re-attempt
+			// rather than wedge the combination.
+			epoch := epochBefore
+			if !shared {
+				epoch = o.layoutEpoch.Load()
+			}
+			o.futile[key] = futileMark{candidates: len(candidates), epoch: epoch}
 		} else {
 			delete(o.futile, key)
 		}
-		// Reset evicted combinations' statistics before releasing the
-		// layout lock: a concurrent query that observed the eviction
-		// with stale pre-eviction counts would immediately re-merge
-		// the combination from its old candidates, thrashing the
-		// budget. Evicted combinations must re-earn merging from zero.
+		// Reset evicted combinations' statistics before releasing the layout
+		// lock: a concurrent query that observed the eviction with stale
+		// pre-eviction counts would immediately re-merge the combination
+		// from its old candidates, thrashing the budget. Evicted
+		// combinations must re-earn merging from zero.
 		for _, combo := range evicted {
 			delete(o.futile, combo)
 			o.stats.Reset(combo)
 		}
 		o.statsMu.Unlock()
 	}
-	for i := len(ordered) - 1; i >= 0; i-- {
-		o.treeMu[ordered[i]].Unlock()
-	}
 	o.mu.Unlock()
 	if bumped && o.maint != nil {
 		// The publish may have covered cells with pending refinement
-		// demands; drop them from the heat ledger (behavior-identical —
-		// the worker would skip them — but the heap stays bounded).
+		// demands; drop them from the heat ledger (behavior-identical — the
+		// worker would skip them — but the heap stays bounded).
 		o.maint.PruneCoveredRefines(o.regionCovered)
+	}
+	if err == nil {
+		err = stageErr
 	}
 	if err != nil {
 		return err
@@ -965,8 +1020,8 @@ func (o *Odyssey) runRefineTask(ds object.DatasetID, t refineTask) (int, error) 
 		// Re-check merge coverage before every step: a merge published
 		// since the demanding query ran may now cover this cell for the
 		// query's combination, and merged partitions are not refined
-		// (§3.2.2) — the sync pipeline enforces this with its covered
-		// predicate, the async pipeline re-evaluates it across the gap.
+		// (§3.2.2) — a refining walk enforces this with its covered
+		// predicate, a background task re-evaluates it across the gap.
 		if o.regionCovered(ds, t) {
 			break
 		}
@@ -1018,128 +1073,42 @@ func (o *Odyssey) regionCovered(ds object.DatasetID, t refineTask) bool {
 	return covered
 }
 
-// runMergeAsync executes one background merge task. Under the default
-// configuration (same-level policy, no segment sharing) it uses the
-// two-stage path: PrepareMerge copies partitions under the shared layout
-// lock plus member tree read locks — queries keep flowing during the copy
-// I/O — and PublishMerge registers the entries atomically under a brief
-// exclusive lock, so a racing query observes either none or all of the
-// step's entries, never a partial merge file. Configurations the staged
-// path cannot serve fall back to the synchronous exclusive merge step.
-// The whole step is single-flight per combination (PrepareMerge's
-// precondition), and runs under a maintenance-priority scope: a storage
-// budget throttles the copy I/O while foreground queries are in flight.
-func (o *Odyssey) runMergeAsync(key ComboKey, ordered []object.DatasetID) error {
-	_, err := o.mergeFlight.Do(key, func() error {
-		return o.mergeAsyncStep(key, ordered)
+// refinementsOf sums the members' refinement counts; callers hold their tree
+// locks.
+func (o *Odyssey) refinementsOf(members []object.DatasetID) (n int) {
+	for _, ds := range members {
+		n += o.trees[ds].Refinements
+	}
+	return n
+}
+
+// runMergeTask executes one background merge task: the merge step for the
+// task's combination, single-flight with any direct trigger, under a
+// maintenance-priority scope — so a storage budget can throttle the copy I/O
+// while foreground queries are in flight, and the scope's charges attribute
+// the task's exact cost. The budget is honored before the step acquires any
+// lock (a gated wait under the member tree locks would stall racing writers
+// and, behind them, foreground readers).
+func (o *Odyssey) runMergeTask(t mergeTask) error {
+	ctx, _ := simdisk.WithOpScope(context.Background(), simdisk.PriMaintenance)
+	if err := o.dev.AwaitMaintenanceTurn(ctx); err != nil {
+		return err
+	}
+	_, err := o.mergeFlight.Do(ctx, t.key, func() error {
+		return o.mergeStep(ctx, t.key, t.members)
 	})
 	return err
 }
 
-// mergeAsyncStep is runMergeAsync's body; callers hold the combination's
-// mergeFlight slot.
-func (o *Odyssey) mergeAsyncStep(key ComboKey, ordered []object.DatasetID) error {
-	ctx, _ := simdisk.WithOpScope(context.Background(), simdisk.PriMaintenance)
-	// Honor the background I/O budget before acquiring any tree locks (a
-	// gated wait under the member read locks would stall racing writers and,
-	// behind them, foreground readers). A query whose sync merge attaches to
-	// this flight waits too — but it is doing no device I/O while it waits,
-	// so it does not hold the foreground-in-flight signal up itself.
-	if err := o.dev.AwaitMaintenanceTurn(ctx); err != nil {
-		return err
-	}
-	if !o.merger.CanStageMerges() {
-		// Direct call, not through mergeFlight: this goroutine already
-		// holds the combination's flight slot.
-		return o.runMergeStep(ctx, key, ordered)
-	}
-	clock := simdisk.PhaseClock(ctx, o.dev)
-
-	// The futility memo for a no-op outcome uses the epoch from before the
-	// prepare stage: if anything (a racing refinement of another region)
-	// advances the layout mid-stage, the stale mark makes the next query
-	// re-attempt rather than wedge the combination.
-	epochBefore := o.layoutEpoch.Load()
-
-	o.mu.RLock()
-	for _, ds := range ordered {
-		if o.trees[ds] == nil {
-			o.mu.RUnlock()
-			return nil
-		}
-	}
-	for _, ds := range ordered {
-		o.treeMu[ds].RLock()
-	}
-	o.statsMu.Lock()
-	candidates := o.stats.Partitions(key)
-	o.statsMu.Unlock()
-	t0 := clock()
-	prep, prepErr := o.merger.PrepareMerge(ctx, key, ordered, candidates, o.trees)
-	dt := clock() - t0
-	for i := len(ordered) - 1; i >= 0; i-- {
-		o.treeMu[ordered[i]].RUnlock()
-	}
-	o.mu.RUnlock()
-	if prep == nil && prepErr != nil {
-		return prepErr
-	}
-
-	// Publish even after a prepare error: like the synchronous step, the
-	// entries staged before the failure are kept (their pages are already
-	// written — dropping them would leak unreachable space in a live merge
-	// file). Futility is memoized only on a clean no-op: a failed prepare
-	// saw an incomplete picture, so the next query must re-attempt.
-	o.mu.Lock()
-	t1 := clock()
-	appended := o.merger.PublishMerge(prep)
-	evicted, err := o.merger.EnforceBudget()
-	dt += clock() - t1
-	bumped := false
-	if err == nil {
-		if appended > 0 || len(evicted) > 0 {
-			o.bumpLayoutEpoch()
-			bumped = true
-		}
-		o.statsMu.Lock()
-		if appended == 0 && prepErr == nil {
-			o.futile[key] = futileMark{candidates: len(candidates), epoch: epochBefore}
-		} else {
-			delete(o.futile, key)
-		}
-		for _, combo := range evicted {
-			delete(o.futile, combo)
-			o.stats.Reset(combo)
-		}
-		o.statsMu.Unlock()
-	}
-	o.mu.Unlock()
-	if bumped && o.maint != nil {
-		// See runMergeStep: newly covered cells void their pending
-		// refinement demands.
-		o.maint.PruneCoveredRefines(o.regionCovered)
-	}
-	if err == nil {
-		err = prepErr
-	}
-	if err != nil {
-		return err
-	}
-	o.statsMu.Lock()
-	o.phases.MergeWrites += dt
-	o.statsMu.Unlock()
-	return nil
-}
-
 // AsyncMaintenance reports whether the background maintenance pipeline is
 // on.
-func (o *Odyssey) AsyncMaintenance() bool { return o.maint != nil }
+func (o *Odyssey) AsyncMaintenance() bool { return o.cfg.AsyncMaintenance }
 
 // ShareScans reports whether cross-query work sharing is on.
-func (o *Odyssey) ShareScans() bool { return o.scans != nil }
+func (o *Odyssey) ShareScans() bool { return o.cfg.ShareScans }
 
 // CacheResults reports whether the epoch-scoped result cache is on.
-func (o *Odyssey) CacheResults() bool { return o.rcache != nil }
+func (o *Odyssey) CacheResults() bool { return o.cfg.CacheResults }
 
 // CacheStats snapshots the result-cache ledger (all zero when
 // Config.CacheResults is off).
@@ -1150,14 +1119,18 @@ func (o *Odyssey) CacheStats() CacheStats {
 	return o.rcache.Stats()
 }
 
-// SharingStats snapshots the engine-layer scan-sharing counters (all zero
-// when Config.ShareScans is off). The device-layer counters (coalesced run
-// reads, pages saved) are in the storage Stats.
+// SharingStats snapshots the engine-layer sharing counters. SharedBuilds
+// counts on every configuration (level-0 builds are always single-flight);
+// the scan counters stay zero when Config.ShareScans is off. The
+// device-layer counters (coalesced run reads, pages saved) are in the
+// storage Stats.
 func (o *Odyssey) SharingStats() SharingStats {
-	if o.scans == nil {
-		return SharingStats{}
+	st := SharingStats{SharedBuilds: o.sharedBuilds.Load()}
+	if o.scans != nil {
+		st.AttachedScans = o.scans.attached.Load()
+		st.Invalidations = o.scans.invalidations.Load()
 	}
-	return o.scans.Stats()
+	return st
 }
 
 // MaintenanceStats snapshots the background pipeline's counters (zero when

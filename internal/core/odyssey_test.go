@@ -91,6 +91,7 @@ func TestQueryMatchesOracle(t *testing.T) {
 	clusters := []geom.Vec{
 		geom.V(0.3, 0.3, 0.3), geom.V(0.7, 0.6, 0.4),
 	}
+	combos := map[ComboKey]bool{}
 	for trial := 0; trial < 120; trial++ {
 		// Mix clustered queries (drive refinement + merging) with uniform.
 		var c geom.Vec
@@ -115,7 +116,14 @@ func TestQueryMatchesOracle(t *testing.T) {
 				dss = append(dss, ds)
 			}
 		}
-		got, err := eng.Query(q, dss)
+		// Every fifth query names its first dataset twice: a dataset is one
+		// member of the combination however often it is listed.
+		asked := dss
+		if trial%5 == 0 {
+			asked = append(append([]object.DatasetID(nil), dss...), dss[0])
+		}
+		combos[KeyOf(dss)] = true
+		got, err := eng.Query(q, asked)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,12 +133,15 @@ func TestQueryMatchesOracle(t *testing.T) {
 		}
 		if !engine.SameObjects(got, want) {
 			t.Fatalf("trial %d: odyssey %d objects, oracle %d (q=%v dss=%v)",
-				trial, len(got), len(want), q, dss)
+				trial, len(got), len(want), q, asked)
 		}
 	}
 	m := eng.Metrics()
 	if m.Queries == 0 || m.Refinements == 0 {
 		t.Fatalf("suspicious metrics: %+v", m)
+	}
+	if n := eng.Stats().Combinations(); n != len(combos) {
+		t.Fatalf("collector saw %d combinations, the workload has %d distinct dataset sets", n, len(combos))
 	}
 }
 

@@ -4,20 +4,21 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
 	"spaceodyssey/internal/octree"
 	"spaceodyssey/internal/simdisk"
 )
 
-// SharingStats counts the engine layer of scan sharing (Config.ShareScans).
-// The device layer's counters (coalesced run reads, pages saved) live in
+// SharingStats counts the engine layer of work sharing: the scan registry
+// (Config.ShareScans) and the single-flight level-0 builds (always on). The
+// device layer's counters (coalesced run reads, pages saved) live in
 // simdisk.Stats; the Explorer combines both views.
 type SharingStats struct {
-	// AttachedScans is how many partition reads were answered by attaching
-	// to another query's in-flight scan of the same (dataset, cell) at the
-	// same layout epoch — walks the engine never re-ran.
+	// AttachedScans is how many cell reads (partitions and merge segments)
+	// were answered by attaching to another query's in-flight scan of the
+	// same (dataset, cell) at the same layout epoch.
 	AttachedScans int64
 	// SharedBuilds is how many queries waited out another query's in-flight
 	// level-0 build instead of herding on the tree's exclusive lock.
@@ -29,7 +30,8 @@ type SharingStats struct {
 	Invalidations int64
 }
 
-// scanKey identifies one in-flight partition scan.
+// scanKey identifies one cell: a tree partition or a merge segment of one
+// dataset.
 type scanKey struct {
 	ds   object.DatasetID
 	cell octree.Key
@@ -47,23 +49,22 @@ type scanEntry struct {
 
 // scanRegistry is the engine layer of scan sharing: the first query to read
 // a (dataset, cell) within a layout epoch registers the scan; queries
-// arriving while it is in flight attach to it instead of re-walking the
-// partition, provided the tree's epoch still matches. Entries live only for
+// arriving while it is in flight attach to it instead of re-reading the
+// cell, provided the layout epoch still matches. Entries live only for
 // the duration of the read — this is single-flight, not a cache — and the
 // registry is flushed on every layout publish, so a scan result can never
 // be handed across a refinement or merge (the race-mode oracle contract).
 //
-// Safety: readers hold the engine's shared layout lock and the dataset's
-// shared tree lock for the whole read, and every layout mutation takes one
-// of those exclusively, so an in-flight entry's bytes cannot change under
-// its waiters; the epoch check and publish-time flush are the cross-check
-// that keeps attachment conservative.
+// Safety: readers hold the engine's shared layout lock (and, for a tree
+// partition, the dataset's shared tree lock) for the whole read, and every
+// layout mutation takes one of those exclusively, so an in-flight entry's
+// bytes cannot change under its waiters; the epoch check and publish-time
+// flush are the cross-check that keeps attachment conservative.
 type scanRegistry struct {
 	mu       sync.Mutex
 	inflight map[scanKey]*scanEntry
 
 	attached      atomic.Int64
-	sharedBuilds  atomic.Int64
 	invalidations atomic.Int64
 }
 
@@ -91,8 +92,8 @@ func (r *scanRegistry) Invalidate() {
 }
 
 // readThrough is the single-flight read: attach to a matching in-flight
-// scan, or lead one and fan its result out. read performs the actual
-// partition I/O. epoch is the owning tree's current layout epoch.
+// scan, or lead one and fan its result out. read performs the actual cell
+// I/O. epoch is the engine's layout epoch as of the read.
 //
 // When a leader's read fails (cancellation, an injected fault), its waiters
 // do not each fall back to an independent read — that would be a thundering
@@ -149,55 +150,51 @@ func (r *scanRegistry) readThrough(ctx context.Context, key scanKey, epoch int64
 	}
 }
 
-// Stats snapshots the registry counters.
-func (r *scanRegistry) Stats() SharingStats {
-	return SharingStats{
-		AttachedScans: r.attached.Load(),
-		SharedBuilds:  r.sharedBuilds.Load(),
-		Invalidations: r.invalidations.Load(),
-	}
-}
+// cellRead performs the device read of one cell: a tree partition or a merge
+// segment.
+type cellRead = func(context.Context) ([]object.Object, error)
 
-// shareReaderFor builds the octree.Tree.ShareReader hook routing one
-// dataset's query-path partition reads through the serving stack: the
-// result cache first (an exact (dataset, cell, epoch) hit costs nothing),
-// then the in-flight scan registry (sharing on), then the actual device
-// read — whose completed result is retained in the cache for queries that
-// arrive after the scan finished. The partition carries the region metadata
-// (cell key and box) the cache keys exact and containment answering on.
-func (o *Odyssey) shareReaderFor(ds object.DatasetID, tree *octree.Tree) func(context.Context, *octree.Partition, func(context.Context) ([]object.Object, error)) ([]object.Object, error) {
-	return func(ctx context.Context, p *octree.Partition, read func(context.Context) ([]object.Object, error)) ([]object.Object, error) {
-		var epoch int64
-		if o.rcache != nil {
-			// The epoch is loaded before the read: a layout publish racing
-			// the read flushes the cache and leaves the later insert dead on
-			// arrival (its stored epoch can never match a future lookup) —
-			// conservative, never wrong.
-			epoch = o.layoutEpoch.Load()
-			if objs, ok := o.rcache.Lookup(ds, p.Key(), epoch); ok {
-				return objs, nil
-			}
-			inner := read
-			read = func(ctx context.Context) ([]object.Object, error) {
-				// Only the goroutine performing the device read marks its
-				// own query's scope; queries attached to this scan stay
-				// clean (they charged no device read).
-				missCacheScope(ctx)
-				return inner(ctx)
-			}
+// readCell is the one cell read of the serving stack, shared by tree
+// partitions (through octree.Tree.ShareReader) and merge segments, which live
+// in one (dataset, cell) key space — either is the full content of its cell:
+// the result cache first (an exact hit within the layout epoch costs
+// nothing), then the in-flight scan registry (sharing on), then the device
+// read itself, whose completed result is retained in the cache for queries
+// that arrive after the scan finished. box is the cell's region, which the
+// cache keys containment answering on. Callers hold the shared layout lock —
+// and, for a partition, the dataset's shared tree lock — while publishers
+// take them exclusively, so the cell's bytes cannot change under the read or
+// its attached waiters. The returned slice may be shared with concurrent
+// queries and must be treated as read-only.
+func (o *Odyssey) readCell(ctx context.Context, ds object.DatasetID, cell octree.Key, box geom.Box, read cellRead) ([]object.Object, error) {
+	// The epoch is loaded before the read: a layout publish racing the read
+	// flushes cache and registry and leaves the later insert dead on arrival
+	// (its stored epoch can never match a future lookup) — conservative,
+	// never wrong.
+	epoch := o.layoutEpoch.Load()
+	if o.rcache != nil {
+		if objs, ok := o.rcache.Lookup(ds, cell, epoch); ok {
+			return objs, nil
 		}
-		var objs []object.Object
-		var err error
-		if o.scans != nil {
-			objs, err = o.scans.readThrough(ctx, scanKey{ds: ds, cell: p.Key()}, tree.Epoch(), read)
-		} else {
-			objs, err = read(ctx)
-		}
-		if err == nil && o.rcache != nil {
-			o.rcache.Insert(ds, p.Key(), epoch, p.Box(), objs)
-		}
-		return objs, err
 	}
+	// Only the goroutine performing the device read marks its own query's
+	// cache scope; queries attached to this scan stay clean (they charged no
+	// device read).
+	device := func(ctx context.Context) ([]object.Object, error) {
+		missCacheScope(ctx)
+		return read(ctx)
+	}
+	var objs []object.Object
+	var err error
+	if o.scans != nil {
+		objs, err = o.scans.readThrough(ctx, scanKey{ds: ds, cell: cell}, epoch, device)
+	} else {
+		objs, err = device(ctx)
+	}
+	if err == nil && o.rcache != nil {
+		o.rcache.Insert(ds, cell, epoch, box, objs)
+	}
+	return objs, err
 }
 
 // bumpLayoutEpoch publishes a layout change: the global epoch advances, the
@@ -211,51 +208,5 @@ func (o *Odyssey) bumpLayoutEpoch() {
 	}
 	if o.rcache != nil {
 		o.rcache.Invalidate()
-	}
-}
-
-// ensureBuiltShared single-flights a dataset's level-0 first-touch build:
-// one query builds under the exclusive tree lock while every concurrent
-// query of the dataset waits on the build's completion channel instead of
-// queueing on the lock — and then proceeds down its ordinary (shared-lock)
-// read path. Returns the simulated build time this caller charged (zero for
-// waiters). Only called with ShareScans on.
-func (o *Odyssey) ensureBuiltShared(ctx context.Context, ds object.DatasetID,
-	tree *octree.Tree, lk *sync.RWMutex) (time.Duration, error) {
-	for {
-		lk.RLock()
-		built := tree.Built()
-		lk.RUnlock()
-		if built {
-			return 0, nil
-		}
-		o.buildMu.Lock()
-		if ch, ok := o.building[ds]; ok {
-			o.buildMu.Unlock()
-			o.scans.sharedBuilds.Add(1)
-			if err := simdisk.WaitDone(ctx, ch); err != nil {
-				return 0, err
-			}
-			continue // the build may have failed; re-check and maybe lead
-		}
-		ch := make(chan struct{})
-		o.building[ds] = ch
-		o.buildMu.Unlock()
-
-		lk.Lock()
-		clock := simdisk.PhaseClock(ctx, o.dev)
-		t0 := clock()
-		err := tree.EnsureBuiltCtx(ctx)
-		dt := clock() - t0
-		if err == nil {
-			o.bumpLayoutEpoch()
-		}
-		lk.Unlock()
-
-		o.buildMu.Lock()
-		delete(o.building, ds)
-		o.buildMu.Unlock()
-		close(ch)
-		return dt, err
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
 	"spaceodyssey/internal/octree"
+	"spaceodyssey/internal/simdisk"
 )
 
 // shareConfig returns the default configuration with scan sharing on.
@@ -115,6 +118,43 @@ func TestShareScansSingleFlightBuild(t *testing.T) {
 	}
 }
 
+// TestBuildWaitersObserveTheirContext pins why waiters of a level-0 build
+// wait on the flight and not on the tree lock: a query that gives up while
+// another query's build is still running returns at once, and the build is
+// not disturbed. The test stands in for a slow build by holding the tree's
+// lock itself, so the leader is parked inside the flight for as long as it
+// likes.
+func TestBuildWaitersObserveTheirContext(t *testing.T) {
+	eng, _, _ := testSetup(t, 1, 500, 29, DefaultConfig())
+	q := geom.Cube(geom.V(0.5, 0.5, 0.5), 0.05)
+	eng.treeMu[0].Lock()
+	leader := make(chan error, 1)
+	go func() {
+		_, err := eng.Query(q, []object.DatasetID{0})
+		leader <- err
+	}()
+	for inflight := false; !inflight; runtime.Gosched() {
+		eng.buildFlight.mu.Lock()
+		_, inflight = eng.buildFlight.inflight[0]
+		eng.buildFlight.mu.Unlock()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := eng.QueryCtx(ctx, q, []object.DatasetID{0}); !errors.Is(err, simdisk.ErrCanceled) {
+		t.Fatalf("waiter returned %v while the build was still running, want ErrCanceled", err)
+	}
+	eng.treeMu[0].Unlock()
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if m := eng.Metrics(); m.TreesBuilt != 1 {
+		t.Fatalf("TreesBuilt = %d, want 1", m.TreesBuilt)
+	}
+	if st := eng.SharingStats(); st.SharedBuilds != 1 {
+		t.Fatalf("SharedBuilds = %d, want 1 (the waiter that gave up)", st.SharedBuilds)
+	}
+}
+
 // TestScanRegistryAttachAndInvalidate drives the registry white-box with a
 // hand-registered in-flight entry, so every interleaving is deterministic:
 // a same-epoch reader attaches, a cross-epoch reader reads independently,
@@ -157,8 +197,8 @@ func TestScanRegistryAttachAndInvalidate(t *testing.T) {
 	if len(got) != 1 || got[0].ID != want[0].ID {
 		t.Fatalf("attached read returned %v, want the leader's objects", got)
 	}
-	if st := r.Stats(); st.AttachedScans != 1 {
-		t.Fatalf("AttachedScans = %d, want 1", st.AttachedScans)
+	if n := r.attached.Load(); n != 1 {
+		t.Fatalf("AttachedScans = %d, want 1", n)
 	}
 
 	// Invalidate flushes the registry: the next same-epoch reader performs
@@ -174,8 +214,8 @@ func TestScanRegistryAttachAndInvalidate(t *testing.T) {
 	if !own2 {
 		t.Fatal("reader attached to an invalidated in-flight scan")
 	}
-	if st := r.Stats(); st.Invalidations != 1 {
-		t.Fatalf("Invalidations = %d, want 1", st.Invalidations)
+	if n := r.invalidations.Load(); n != 1 {
+		t.Fatalf("Invalidations = %d, want 1", n)
 	}
 
 	// A failed leader's outcome is not inherited: attachers fall back to
@@ -270,9 +310,8 @@ func TestScanRegistryFailedLeaderSingleRetry(t *testing.T) {
 	if n := reads.Load(); n != 1 {
 		t.Fatalf("failed leader triggered %d retry reads, want exactly 1 (thundering herd)", n)
 	}
-	if st := r.Stats(); st.AttachedScans != waiters-1 {
-		t.Fatalf("AttachedScans = %d, want %d (every non-leader attached the retry)",
-			st.AttachedScans, waiters-1)
+	if n := r.attached.Load(); n != waiters-1 {
+		t.Fatalf("AttachedScans = %d, want %d (every non-leader attached the retry)", n, waiters-1)
 	}
 }
 

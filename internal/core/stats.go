@@ -8,7 +8,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"spaceodyssey/internal/object"
@@ -66,7 +66,12 @@ type CacheStats struct {
 // KeyOf returns the canonical key for a set of datasets.
 func KeyOf(datasets []object.DatasetID) ComboKey {
 	ids := append([]object.DatasetID(nil), datasets...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	return keyOfSorted(ids)
+}
+
+// keyOfSorted is KeyOf for ids already in ascending order.
+func keyOfSorted(ids []object.DatasetID) ComboKey {
 	var b strings.Builder
 	for i, ds := range ids {
 		if i > 0 {

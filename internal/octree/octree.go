@@ -157,28 +157,20 @@ type Tree struct {
 	file   *pagefile.File
 	root   *Partition
 
-	built      bool
-	maxExtent  geom.Vec // per-dimension max object half-extent (query-window extension)
+	built      atomic.Bool // see Built
+	maxExtent  geom.Vec    // per-dimension max object half-extent (query-window extension)
 	numObjects int
 	numLeaves  int
 
-	// epoch tags the tree's physical layout: it advances on every mutation
-	// that changes what a partition read returns — the level-0 build and
-	// each refinement. Scan-sharing registries key in-flight reads by it so
-	// a result can never be handed across a layout change. Mutations run
-	// under the caller's exclusive tree lock, reads under the shared lock,
-	// so the atomic is only needed for cross-dataset observers.
-	epoch atomic.Int64
-
 	// ShareReader, when non-nil, intercepts leaf-partition reads on the
-	// query path (QueryCtx's non-refining reads and QueryReadOnlyCtx): it is
-	// called with the partition and a read function performing the actual
-	// I/O, and may serve the objects from an attached in-flight scan or a
-	// result cache instead. The partition carries the region metadata such
-	// interceptors key on — its cell Key and spatial Box — and its content
-	// is immutable for the duration of the caller's shared tree lock. The
-	// returned slice must be treated as read-only — it may be shared with
-	// concurrent queries. Set once before queries run.
+	// query path (the walk's non-refining reads): it is called with the
+	// partition and a read function performing the actual I/O, and may serve
+	// the objects from an attached in-flight scan or a result cache instead.
+	// The partition carries the region metadata such interceptors key on —
+	// its cell Key and spatial Box — and its content is immutable for the
+	// duration of the caller's shared tree lock. The returned slice must be
+	// treated as read-only — it may be shared with concurrent queries. Set
+	// once before queries run.
 	ShareReader func(ctx context.Context, p *Partition, read func(context.Context) ([]object.Object, error)) ([]object.Object, error)
 
 	// Refinements counts completed refinement operations (for stats).
@@ -207,8 +199,11 @@ func New(dev simdisk.Storage, raw *rawfile.Raw, bounds geom.Box, cfg Config) (*T
 	}, nil
 }
 
-// Built reports whether the level-0 partitioning has run.
-func (t *Tree) Built() bool { return t.built }
+// Built reports whether the level-0 partitioning has run. Unlike the rest of
+// the tree it may be asked without the caller's tree lock: a tree is never
+// un-built, so a true answer is final, and what the build wrote is visible
+// to a caller that takes the lock afterwards.
+func (t *Tree) Built() bool { return t.built.Load() }
 
 // Dataset returns the dataset id the tree indexes.
 func (t *Tree) Dataset() object.DatasetID { return t.raw.Dataset() }
@@ -229,11 +224,6 @@ func (t *Tree) NumLeaves() int { return t.numLeaves }
 // FanoutPerDim returns k where ppl = k^3.
 func (t *Tree) FanoutPerDim() int { return t.k }
 
-// Epoch returns the tree's layout epoch: 0 while unbuilt, advanced by the
-// level-0 build and every refinement. Two reads of the same partition key at
-// the same epoch return the same bytes.
-func (t *Tree) Epoch() int64 { return t.epoch.Load() }
-
 // EnsureBuiltCtx runs the level-0 partitioning if it has not happened yet:
 // one full in-situ scan of the raw file, assigning every object to one of
 // ppl uniform cells by its center, then writing each cell sequentially. This
@@ -243,7 +233,7 @@ func (t *Tree) Epoch() int64 { return t.epoch.Load() }
 // partitioning can ever be observed. Once the scan has completed, the cell
 // writes always run to completion, so the built state commits atomically.
 func (t *Tree) EnsureBuiltCtx(ctx context.Context) error {
-	if t.built {
+	if t.Built() {
 		return nil
 	}
 	buckets := make([][]object.Object, t.k*t.k*t.k)
@@ -288,11 +278,10 @@ func (t *Tree) EnsureBuiltCtx(ctx context.Context) error {
 		})
 	}
 	t.root = root
-	t.built = true
 	t.maxExtent = maxExt
 	t.numObjects = n
 	t.numLeaves = len(root.children)
-	t.epoch.Add(1)
+	t.built.Store(true)
 	return nil
 }
 
@@ -300,7 +289,7 @@ func (t *Tree) EnsureBuiltCtx(ctx context.Context) error {
 // responsible for extending the query window by MaxExtent first when the
 // goal is retrieving all intersecting objects. Lookup never performs I/O.
 func (t *Tree) Lookup(area geom.Box) []*Partition {
-	if !t.built {
+	if !t.Built() {
 		return nil
 	}
 	var out []*Partition
@@ -321,29 +310,32 @@ func (t *Tree) Lookup(area geom.Box) []*Partition {
 	return out
 }
 
-// LeafAt returns the leaf partition with exactly the given key, or nil if
-// that cell is unbuilt, internal, or refined past the key's level. The
-// Merger uses it to enforce the same-refinement-level rule.
-func (t *Tree) LeafAt(key Key) *Partition {
-	if !t.built || key.Level == 0 {
-		return nil
-	}
+// descend follows key's path from the root and returns the deepest partition
+// on it: the one at key's own level, or the leaf above it where the tree is
+// coarser than the key. The tree must be built.
+func (t *Tree) descend(key Key) *Partition {
 	p := t.root
-	for lvl := uint8(0); lvl < key.Level; lvl++ {
-		if p.IsLeaf() {
-			return nil // tree is coarser here than the key
-		}
-		shift := int(key.Level - lvl - 1)
-		div := pow(t.k, shift)
+	for lvl := uint8(0); lvl < key.Level && !p.IsLeaf(); lvl++ {
+		div := pow(t.k, int(key.Level-lvl-1))
 		cx := int(key.X) / div % t.k
 		cy := int(key.Y) / div % t.k
 		cz := int(key.Z) / div % t.k
 		p = p.children[(cz*t.k+cy)*t.k+cx]
 	}
-	if !p.IsLeaf() || p.key != key {
+	return p
+}
+
+// LeafAt returns the leaf partition with exactly the given key, or nil if
+// that cell is unbuilt, internal, or refined past the key's level. The
+// Merger uses it to enforce the same-refinement-level rule.
+func (t *Tree) LeafAt(key Key) *Partition {
+	if !t.Built() || key.Level == 0 {
 		return nil
 	}
-	return p
+	if p := t.descend(key); p.IsLeaf() && p.key == key {
+		return p
+	}
+	return nil // coarser here than the key, or refined past it
 }
 
 // ReadPartitionCtx reads every object stored in p from disk.

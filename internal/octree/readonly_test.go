@@ -65,9 +65,10 @@ func TestQueryReadOnlyMatchesQuery(t *testing.T) {
 	}
 }
 
-// TestRefineRegionConverges pins RefineRegion's fixpoint semantics: after
-// one call per wanted key, the region no longer demands refinement for the
-// same query, and repeated identical queries would have reached the same
+// TestRefineRegionConverges pins RefineRegionStep's fixpoint semantics:
+// stepped until it reports no work for every wanted key — the loop the
+// maintenance scheduler runs — the region no longer demands refinement for
+// the same query, and repeated identical queries would have reached the same
 // leaf structure one level at a time.
 func TestRefineRegionConverges(t *testing.T) {
 	bgTree, _, _ := testTree(t, 5000, DefaultConfig(), 52)
@@ -87,21 +88,26 @@ func TestRefineRegionConverges(t *testing.T) {
 	}
 	total := 0
 	for _, key := range ro.WantRefine {
-		n, err := bgTree.RefineRegion(context.Background(), key, q, qVol)
-		if err != nil {
-			t.Fatal(err)
+		for {
+			step, err := bgTree.RefineRegionStep(context.Background(), key, q, qVol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !step {
+				break
+			}
+			total++
 		}
-		total += n
 	}
 	if total == 0 {
-		t.Fatal("RefineRegion applied no refinements")
+		t.Fatal("RefineRegionStep applied no refinements")
 	}
 	after, err := bgTree.QueryReadOnlyCtx(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(after.WantRefine) != 0 {
-		t.Fatalf("region still wants %d refinements after RefineRegion", len(after.WantRefine))
+		t.Fatalf("region still wants %d refinements after stepping to convergence", len(after.WantRefine))
 	}
 
 	// The foreground tree converges by repeating the query (one level per

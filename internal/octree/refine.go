@@ -81,7 +81,6 @@ func (t *Tree) refineCtx(ctx context.Context, p *Partition) ([]object.Object, er
 	p.runs = nil
 	t.numLeaves += len(children) - 1
 	t.Refinements++
-	t.epoch.Add(1)
 	return objs, nil
 }
 
@@ -97,7 +96,7 @@ func (t *Tree) refineCtx(ctx context.Context, p *Partition) ([]object.Object, er
 // predicate must be read-only. A false answer is stable for as long as the
 // caller excludes writers, since only QueryCtx itself builds or refines.
 func (t *Tree) NeedsWrite(q geom.Box, servedElsewhere func(*Partition) bool) bool {
-	if !t.built {
+	if !t.Built() {
 		return true
 	}
 	qVol := q.Volume()
@@ -149,20 +148,48 @@ type QueryResult struct {
 // (see refineCtx), keeping the tree consistent; on error the partial
 // QueryResult must be discarded.
 func (t *Tree) QueryCtx(ctx context.Context, q geom.Box, serveFromStore func(*Partition) bool) (QueryResult, error) {
-	var res QueryResult
-	// Phase times are exact per-query attribution when the context carries a
-	// QoS scope (any topology); the device-clock fallback is exact only for
-	// a serial caller on C=1 D=1.
 	clock := simdisk.PhaseClock(ctx, t.file.Device())
 	t0 := clock()
 	if err := t.EnsureBuiltCtx(ctx); err != nil {
-		return res, err
+		return QueryResult{}, err
 	}
-	res.BuildTime = clock() - t0
+	build := clock() - t0
+	res, err := t.walk(ctx, q, serveFromStore, true)
+	res.BuildTime = build
+	return res, err
+}
+
+// QueryReadOnlyCtx answers q strictly from the current layout: the tree must
+// already be built, and nothing is built or refined — the walk takes no
+// write intent whatsoever, so concurrent callers can run it under a shared
+// tree lock. Leaves that qualify for refinement under the rt rule are served
+// as-is and reported in res.WantRefine, for the caller to hand to an
+// asynchronous maintenance scheduler. serveFromStore behaves exactly as in
+// QueryCtx: intercepted partitions are neither read nor reported as wanting
+// refinement (merged partitions are not refined, §3.2.2).
+func (t *Tree) QueryReadOnlyCtx(ctx context.Context, q geom.Box, serveFromStore func(*Partition) bool) (QueryResult, error) {
+	if !t.Built() {
+		return QueryResult{}, fmt.Errorf("octree: read-only query on unbuilt tree")
+	}
+	return t.walk(ctx, q, serveFromStore, false)
+}
+
+// walk is the one query loop behind QueryCtx and QueryReadOnlyCtx: every
+// leaf the extended window hits is either left to serveFromStore, or read
+// and filtered. The two entry points differ in the single decision taken on
+// a leaf that qualifies for refinement: refine it now and answer from the
+// objects the refinement read (refine), or serve it as-is and report its key
+// in WantRefine.
+//
+// Phase times are exact per-query attribution when the context carries a
+// QoS scope (any topology); the device-clock fallback is exact only for a
+// serial caller on C=1 D=1.
+func (t *Tree) walk(ctx context.Context, q geom.Box, serveFromStore func(*Partition) bool, refine bool) (QueryResult, error) {
+	var res QueryResult
+	clock := simdisk.PhaseClock(ctx, t.file.Device())
 	extended := q.Expand(t.maxExtent)
 	qVol := q.Volume()
-	leaves := t.Lookup(extended)
-	for _, leaf := range leaves {
+	for _, leaf := range t.Lookup(extended) {
 		if serveFromStore != nil && serveFromStore(leaf) {
 			res.Touched = append(res.Touched, leaf)
 			continue
@@ -171,32 +198,35 @@ func (t *Tree) QueryCtx(ctx context.Context, q geom.Box, serveFromStore func(*Pa
 			return res, err
 		}
 		if t.NeedsRefinement(leaf, qVol) {
-			// Refinement reads the partition; reuse those objects and
-			// descend to the children actually intersecting the query.
-			t1 := clock()
-			objs, err := t.refineCtx(ctx, leaf)
-			res.RefineTime += clock() - t1
-			if err != nil {
-				return res, err
-			}
-			res.Refined++
-			for _, c := range leaf.children {
-				if c.box.Intersects(extended) {
-					res.Touched = append(res.Touched, c)
+			if refine {
+				// Refinement reads the partition; reuse those objects and
+				// descend to the children actually intersecting the query.
+				t1 := clock()
+				objs, err := t.refineCtx(ctx, leaf)
+				res.RefineTime += clock() - t1
+				if err != nil {
+					return res, err
 				}
+				res.Refined++
+				for _, c := range leaf.children {
+					if c.box.Intersects(extended) {
+						res.Touched = append(res.Touched, c)
+					}
+				}
+				filterInto(&res, objs, q)
+				continue
 			}
-			filterInto(&res, objs, q)
-		} else {
-			t1 := clock()
-			objs, token, err := t.readLeaf(ctx, leaf)
-			res.ReadTime += clock() - t1
-			if err != nil {
-				return res, err
-			}
-			res.Touched = append(res.Touched, leaf)
-			filterInto(&res, objs, q)
-			releaseLeaf(token)
+			res.WantRefine = append(res.WantRefine, leaf.key)
 		}
+		t1 := clock()
+		objs, token, err := t.readLeaf(ctx, leaf)
+		res.ReadTime += clock() - t1
+		if err != nil {
+			return res, err
+		}
+		res.Touched = append(res.Touched, leaf)
+		filterInto(&res, objs, q)
+		releaseLeaf(token)
 	}
 	return res, nil
 }
@@ -242,46 +272,6 @@ func releaseLeaf(sp *[]object.Object) {
 	}
 }
 
-// QueryReadOnlyCtx answers q strictly from the current layout: the tree must
-// already be built, and nothing is built or refined — the walk takes no
-// write intent whatsoever, so concurrent callers can run it under a shared
-// tree lock. Leaves that qualify for refinement under the rt rule are served
-// as-is and reported in res.WantRefine, for the caller to hand to an
-// asynchronous maintenance scheduler. serveFromStore behaves exactly as in
-// QueryCtx: intercepted partitions are neither read nor reported as wanting
-// refinement (merged partitions are not refined, §3.2.2).
-func (t *Tree) QueryReadOnlyCtx(ctx context.Context, q geom.Box, serveFromStore func(*Partition) bool) (QueryResult, error) {
-	var res QueryResult
-	if !t.built {
-		return res, fmt.Errorf("octree: read-only query on unbuilt tree")
-	}
-	clock := simdisk.PhaseClock(ctx, t.file.Device())
-	extended := q.Expand(t.maxExtent)
-	qVol := q.Volume()
-	for _, leaf := range t.Lookup(extended) {
-		if serveFromStore != nil && serveFromStore(leaf) {
-			res.Touched = append(res.Touched, leaf)
-			continue
-		}
-		if err := simdisk.CheckCtx(ctx); err != nil {
-			return res, err
-		}
-		if t.NeedsRefinement(leaf, qVol) {
-			res.WantRefine = append(res.WantRefine, leaf.key)
-		}
-		t1 := clock()
-		objs, token, err := t.readLeaf(ctx, leaf)
-		res.ReadTime += clock() - t1
-		if err != nil {
-			return res, err
-		}
-		res.Touched = append(res.Touched, leaf)
-		filterInto(&res, objs, q)
-		releaseLeaf(token)
-	}
-	return res, nil
-}
-
 // RefineRegionStep performs at most one refinement toward the convergence
 // of the region under key for the query window that demanded it: the first
 // leaf under key that intersects the (extended) window and whose volume
@@ -293,7 +283,7 @@ func (t *Tree) QueryReadOnlyCtx(ctx context.Context, q geom.Box, serveFromStore 
 // caller's QoS scope — the maintenance scheduler's refinement
 // I/O is charged as PriMaintenance through it.
 func (t *Tree) RefineRegionStep(ctx context.Context, key Key, q geom.Box, qVol float64) (bool, error) {
-	if !t.built {
+	if !t.Built() {
 		return false, nil
 	}
 	stack := t.LeavesUnder(key)
@@ -316,27 +306,6 @@ func (t *Tree) RefineRegionStep(ctx context.Context, key Key, q geom.Box, qVol f
 		return err == nil, err
 	}
 	return false, nil
-}
-
-// RefineRegion refines, to convergence, the leaves under key that intersect
-// the (extended) window of the query that demanded the refinement: each such
-// leaf whose volume still exceeds rt times qVol is refined, and the children
-// that intersect the window are considered in turn — the fixpoint a stream
-// of identical queries would drive the region to one level at a time. It
-// returns the number of refinement operations performed. The caller must
-// hold the tree's write lock.
-func (t *Tree) RefineRegion(ctx context.Context, key Key, q geom.Box, qVol float64) (int, error) {
-	refined := 0
-	for {
-		step, err := t.RefineRegionStep(ctx, key, q, qVol)
-		if err != nil {
-			return refined, err
-		}
-		if !step {
-			return refined, nil
-		}
-		refined++
-	}
 }
 
 // TargetLevels returns the number of refinement levels (queries hitting the
@@ -365,25 +334,13 @@ func (t *Tree) TargetLevels(vp, vq float64) int {
 // It returns nil when the tree is unbuilt or refined *past* the key — then
 // no single leaf covers the cell.
 func (t *Tree) LeafCovering(key Key) *Partition {
-	if !t.built || key.Level == 0 {
+	if !t.Built() || key.Level == 0 {
 		return nil
 	}
-	p := t.root
-	for lvl := uint8(0); lvl < key.Level; lvl++ {
-		if p.IsLeaf() {
-			return p // coarser than key: this leaf covers the cell
-		}
-		shift := int(key.Level - lvl - 1)
-		div := pow(t.k, shift)
-		cx := int(key.X) / div % t.k
-		cy := int(key.Y) / div % t.k
-		cz := int(key.Z) / div % t.k
-		p = p.children[(cz*t.k+cy)*t.k+cx]
+	if p := t.descend(key); p.IsLeaf() {
+		return p // at the key, or coarser: this leaf covers the cell
 	}
-	if !p.IsLeaf() {
-		return nil // refined deeper than key
-	}
-	return p
+	return nil // refined deeper than key
 }
 
 // RefineToCtx refines the tree along the path to key until a leaf exists at
@@ -394,7 +351,7 @@ func (t *Tree) LeafCovering(key Key) *Partition {
 // context's QoS scope). It fails when the tree is unbuilt or already refined
 // past the key.
 func (t *Tree) RefineToCtx(ctx context.Context, key Key) (*Partition, error) {
-	if !t.built {
+	if !t.Built() {
 		return nil, fmt.Errorf("octree: RefineTo on unbuilt tree")
 	}
 	for {
@@ -418,26 +375,12 @@ func (t *Tree) RefineToCtx(ctx context.Context, key Key) (*Partition, error) {
 // cell (including a leaf exactly at the key). The coarsest-cover merge
 // strategy reads them all to build one segment.
 func (t *Tree) LeavesUnder(key Key) []*Partition {
-	if !t.built {
+	if !t.Built() {
 		return nil
 	}
-	var start *Partition
-	if key.Level == 0 {
-		start = t.root
-	} else {
-		p := t.root
-		for lvl := uint8(0); lvl < key.Level; lvl++ {
-			if p.IsLeaf() {
-				return nil // tree coarser than the key: nothing strictly under it
-			}
-			shift := int(key.Level - lvl - 1)
-			div := pow(t.k, shift)
-			cx := int(key.X) / div % t.k
-			cy := int(key.Y) / div % t.k
-			cz := int(key.Z) / div % t.k
-			p = p.children[(cz*t.k+cy)*t.k+cx]
-		}
-		start = p
+	start := t.descend(key)
+	if start.key.Level < key.Level {
+		return nil // tree coarser than the key: nothing strictly under it
 	}
 	var out []*Partition
 	var walk func(p *Partition)
