@@ -339,8 +339,7 @@ func BenchmarkExplorerQuery(b *testing.B) {
 // simulated duration, outside all locks), so worker pools genuinely overlap
 // simulated I/O the way a real deployment overlaps device latency. It
 // reports wall-clock throughput per configuration plus the 8-worker speedup
-// over serial. The benchmark writes no file: BENCH_parallel.json is one
-// recording of this series, kept as committed evidence.
+// over serial. The benchmark writes no file.
 func BenchmarkParallelQuery(b *testing.B) {
 	const nQueries = 96
 	data := GenerateDatasets(DataConfig{Seed: 3, NumObjects: 4000, Clusters: 5}, 3)
@@ -419,12 +418,11 @@ func BenchmarkParallelQuery(b *testing.B) {
 // time) is replayed through an 8-worker pool on storage topologies from one
 // single-head device up to a 2-device array with 4 channels each. With one
 // channel every miss serializes on one seek queue, so sim_seconds barely
-// moves with workers (BENCH_parallel.json); with C channels per device and
-// D devices the simulated clock is the critical path across C*D heads and
-// drops as the topology widens; the single-channel point also anchors the
-// "bit-for-bit identical to the single-device model" guarantee. The
-// benchmark writes no file: BENCH_channels.json is one recording of this
-// series, kept as committed evidence.
+// moves with workers (BenchmarkParallelQuery); with C channels per device
+// and D devices the simulated clock is the critical path across C*D heads
+// and drops as the topology widens; the single-channel point also anchors
+// the "bit-for-bit identical to the single-device model" guarantee. The
+// benchmark writes no file.
 func BenchmarkChannelScaling(b *testing.B) {
 	const (
 		nQueries = 96

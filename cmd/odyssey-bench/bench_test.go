@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	odyssey "spaceodyssey"
@@ -21,8 +22,8 @@ func TestCommittedArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 8 {
-		t.Fatalf("found %d committed artifacts, want 8: %v", len(files), files)
+	if len(files) != 6 {
+		t.Fatalf("found %d committed artifacts, want 6: %v", len(files), files)
 	}
 	for _, path := range files {
 		if err := validateFile(path); err != nil {
@@ -247,19 +248,38 @@ func TestReplayPoolMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestCacheRowEndToEnd drives one serving row through execute at the CI
-// smoke size, report and check included.
-func TestCacheRowEndToEnd(t *testing.T) {
-	var p params
-	if err := flags(&p).Parse([]string{"-experiment", "cache", "-share", "-datasets", "3", "-objects", "4000",
-		"-queries", "80", "-realtime-scale", "0.02", "-json", filepath.Join(t.TempDir(), "cache.json")}); err != nil {
-		t.Fatal(err)
-	}
-	rows := p.resolve()
-	if err := rows[0].execute(&p); err != nil {
-		t.Fatal(err)
-	}
-	if err := validateFile(p.jsonPath); err != nil {
-		t.Errorf("the written report does not validate: %v", err)
+// TestServingRowsEndToEnd drives the serving rows whose checks hold at any
+// size through execute — fixture, replay, report, check — at the smoke sizes
+// CI used to run them at as separate steps, so a row whose own check fails is
+// a test failure. (cluster and scenarios stay CI steps: their orderings are
+// wall-clock at every size.)
+func TestServingRowsEndToEnd(t *testing.T) {
+	array := "-devices 2 -channels 2 -datasets 3"
+	for _, tc := range []struct{ name, args string }{
+		{"parallel", "-parallel 2 " + array + " -objects 2000 -queries 40 -realtime-scale 0.02"},
+		{"async", "-parallel 2 " + array + " -objects 2000 -queries 40 -realtime-scale 0.02"},
+		{"sharing", "-parallel 8 -async " + array + " -objects 4000 -queries 80 -qvol 1e-3 -realtime-scale 0.05"},
+		{"cache", "-parallel 8 -share -async " + array + " -objects 4000 -queries 80 -qvol 1e-4 -realtime-scale 0.05"},
+		{"faults", "-parallel 8 -share -cache -async " + array + " -objects 4000 -queries 80 -qvol 1e-3 -faultrate 0.02 -realtime-scale 0.05"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var p params
+			fs := flags(&p)
+			args := append([]string{"-experiment", tc.name, "-json", filepath.Join(t.TempDir(), "report.json")}, strings.Fields(tc.args)...)
+			if err := fs.Parse(args); err != nil {
+				t.Fatal(err)
+			}
+			row := p.resolve()[0]
+			fs.Visit(func(f *flag.Flag) { p.set = append(p.set, f.Name) })
+			if name, bad := row.unread(p.set); bad {
+				t.Fatalf("the row does not read -%s", name)
+			}
+			if err := row.execute(&p); err != nil {
+				t.Fatalf("check failed: %v", err)
+			}
+			if err := validateFile(p.jsonPath); err != nil {
+				t.Errorf("the written report does not validate: %v", err)
+			}
+		})
 	}
 }

@@ -399,22 +399,20 @@ func runSharing(p *params, f *fixture, queries []odyssey.Query) report {
 		}
 		ps, converged := f.measure(queries, p.engine(func(o *odyssey.Options) { o.ShareScans = on }), p.scale,
 			replayOpts{workers: p.workers, admission: adm})
-		// Coalesced reads are device counters and restarted with the clock;
-		// the scan registry's are engine-lifetime.
+		// The device counters restarted with the clock; the sharing
+		// counters are engine-lifetime.
 		ss, ss0 := ps.after.sharing, ps.before.sharing
 		rep := sharingModeReport{
 			Share: on, Converged: converged, timing: ps.timing(),
 			PagesRead: ps.after.disk.PageReads, CacheHits: ps.after.disk.CacheHits,
-			CoalescedReads: ss.CoalescedReads, PagesSaved: ss.PagesSaved,
 			AttachedScans: ss.AttachedScans - ss0.AttachedScans, SharedBuilds: ss.SharedBuilds - ss0.SharedBuilds,
-			Invalidations: ss.Invalidations - ss0.Invalidations,
-			Batches:       ps.admission.Batches, BatchedQueries: ps.admission.BatchedQueries,
+			Batches: ps.admission.Batches, BatchedQueries: ps.admission.BatchedQueries,
 		}
 		fmt.Printf("share=%-5v %8.3fs wall  %8.3fs simulated  %8d pages read  %6d cache hits\n",
 			on, rep.WallSeconds, rep.SimSeconds, rep.PagesRead, rep.CacheHits)
 		if on {
-			fmt.Printf("          sharing: %d coalesced reads (%d pages saved), %d attached scans, %d shared builds, %d batches/%d batched\n",
-				rep.CoalescedReads, rep.PagesSaved, rep.AttachedScans, rep.SharedBuilds, rep.Batches, rep.BatchedQueries)
+			fmt.Printf("          sharing: %d attached scans, %d shared builds, %d batches/%d batched\n",
+				rep.AttachedScans, rep.SharedBuilds, rep.Batches, rep.BatchedQueries)
 		}
 		return rep, ps.prints()
 	}
@@ -794,20 +792,16 @@ func validateFile(path string) error {
 	if err != nil {
 		return err
 	}
-	// A report object names its row in "experiment"; the two trajectory
-	// arrays, which no row writes, tell themselves apart in check.
-	var rep report = new(trajectory)
-	if !bytes.HasPrefix(bytes.TrimSpace(data), []byte("[")) {
-		var obj struct{ Experiment string }
-		if err := json.Unmarshal(data, &obj); err != nil {
-			return err
-		}
-		row, found := findExperiment(func(e experiment) bool { return e.report != nil && e.id == obj.Experiment })
-		if !found {
-			return fmt.Errorf("no experiment writes %q reports", obj.Experiment)
-		}
-		rep = row.report()
+	// A report names its row in "experiment".
+	var obj struct{ Experiment string }
+	if err := json.Unmarshal(data, &obj); err != nil {
+		return err
 	}
+	row, found := findExperiment(func(e experiment) bool { return e.report != nil && e.id == obj.Experiment })
+	if !found {
+		return fmt.Errorf("no experiment writes %q reports", obj.Experiment)
+	}
+	rep := row.report()
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(rep); err != nil {

@@ -188,11 +188,8 @@ type sharingModeReport struct {
 	timing
 	PagesRead      int64 `json:"pages_read"`
 	CacheHits      int64 `json:"cache_hits"`
-	CoalescedReads int64 `json:"coalesced_reads"`
-	PagesSaved     int64 `json:"pages_saved"`
 	AttachedScans  int64 `json:"attached_scans"`
 	SharedBuilds   int64 `json:"shared_builds"`
-	Invalidations  int64 `json:"invalidations"`
 	Batches        int64 `json:"batches"`
 	BatchedQueries int64 `json:"batched_queries"`
 }
@@ -408,8 +405,8 @@ func (r *sharingReport) check() error {
 	var v violations
 	off, on := r.Off, r.On
 	v.require(r.ResultsIdentical, "sharing changed query results — the oracle contract is broken")
-	v.require(off.CoalescedReads == 0 && off.PagesSaved == 0, "share-off coalesced %d reads", off.CoalescedReads)
-	v.require(on.CoalescedReads > 0 && on.PagesSaved > 0, "the sharing run coalesced zero reads on the overlapping workload")
+	v.require(off.AttachedScans == 0, "share-off attached %d scans", off.AttachedScans)
+	v.require(on.AttachedScans > 0, "the sharing run attached zero scans on the overlapping workload")
 	v.require(r.BatchWindowMS == 0 || on.BatchedQueries == int64(r.Queries), "%d of %d queries went through the batch stage", on.BatchedQueries, r.Queries)
 	v.require(on.PagesRead < off.PagesRead && r.PagesReadReduction > 0, "sharing saved no device reads: %d -> %d pages", off.PagesRead, on.PagesRead)
 	return v.err()
@@ -509,34 +506,4 @@ func (r *clusterReport) complete() error {
 		return errors.New("recorded without the shard-fault phases (crash window, slow-shard storm)")
 	}
 	return nil
-}
-
-// trajectory is BENCH_parallel.json and BENCH_channels.json: series recorded
-// once from BenchmarkParallelQuery and BenchmarkChannelScaling (full scale,
-// real-time emulation on) and kept as committed evidence; no row writes one.
-// The base point leads: the serial replay (workers 0) of the worker sweep,
-// the single-head device of the topology sweep, whose claim is that more
-// heads shorten the simulated critical path.
-type trajectory []bench.TrajectoryPoint
-
-func (t *trajectory) check() error {
-	var v violations
-	pts := *t
-	if len(pts) < 2 {
-		return errors.New("a trajectory needs a base point and at least one more")
-	}
-	base, widest := pts[0], pts[len(pts)-1]
-	for _, p := range pts {
-		v.require(p.Name == base.Name && p.Queries == base.Queries && p.WallSeconds > 0 && p.SimSeconds > 0, "malformed trajectory point %+v", p)
-	}
-	switch base.Name {
-	case "parallel-query":
-		v.require(base.Workers == 0 && base.SpeedupVsSerial == 1, "the worker sweep does not open with its serial baseline: %+v", base)
-	case "channel-scaling":
-		v.require(base.Devices*base.Channels == 1 && base.SimSpeedupVsBase == 1, "the topology sweep does not open with the single-head device: %+v", base)
-		v.require(widest.SimSpeedupVsBase > 1, "%d devices x %d channels did not shorten simulated time (x%.2f)", widest.Devices, widest.Channels, widest.SimSpeedupVsBase)
-	default:
-		v.require(false, "unknown trajectory %q", base.Name)
-	}
-	return v.err()
 }

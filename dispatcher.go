@@ -132,7 +132,7 @@ type AdmissionConfig struct {
 	// are staged for up to this long and released to the worker pool
 	// grouped by dataset combination and query locality (a coarse spatial
 	// cell of the query center), so concurrent workers pull overlapping
-	// work the scan-sharing layers (Options.ShareScans) can coalesce into
+	// work scan sharing (Options.ShareScans) can coalesce into
 	// single-flight reads. The window adds up to ~2x its length to queue
 	// wait (it buys coalesced I/O with a little latency); 0 (the default)
 	// dispatches every submission immediately. Staging never blocks, and
@@ -593,7 +593,7 @@ func (d *Dispatcher) SubmitCtx(ctx context.Context, index int, q Query, out chan
 // batcher drains the micro-batching stage every BatchWindow, releasing the
 // staged jobs to the worker pool grouped by dataset combination and query
 // locality — so workers executing concurrently hold overlapping work the
-// scan-sharing layers can coalesce. On stop it flushes whatever is staged
+// scan sharing can coalesce. On stop it flushes whatever is staged
 // before signalling done, which is why Close stops the batcher before
 // closing the jobs channel.
 // With AdaptiveBatch set the fixed ticker becomes a re-armed timer: each

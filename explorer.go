@@ -101,16 +101,15 @@ type Options struct {
 	// RealTimeScale (without emulated I/O waits there is no wall-clock
 	// contention to arbitrate).
 	MaintenanceBudget float64
-	// ShareScans turns on work sharing across concurrent queries through
-	// the serving stack: overlapping run reads on the simulated disk
-	// coalesce into one charged single-flight device read, and queries
-	// attach to in-flight scans of the same (dataset, cell) — a tree
-	// partition or a merge segment — within a layout epoch instead of
-	// reading it again. (A cold dataset's level-0 first-touch build is
-	// single-flight per dataset with or without this switch.) Query results
-	// are unchanged — only redundant physical work is removed; see
-	// SharingStats for the ledger. Default off: every query pays its own
-	// reads, and single-worker behaviour is bit-for-bit the original model.
+	// ShareScans turns on work sharing across concurrent queries: a query
+	// attaches to another query's in-flight read of the same (dataset,
+	// cell) — a tree partition or a merge segment — within a layout epoch
+	// instead of reading it again. (A cold dataset's level-0 first-touch
+	// build is single-flight per dataset with or without this switch.)
+	// Query results are unchanged — only redundant physical work is
+	// removed; see SharingStats for the ledger. Default off: every query
+	// pays its own reads, and single-worker behaviour is bit-for-bit the
+	// original model.
 	ShareScans bool
 	// CacheResults turns on the epoch-scoped result cache: completed
 	// partition scans are retained keyed on (dataset, cell, layout epoch)
@@ -186,32 +185,6 @@ type Options struct {
 	// BrownoutWindow is the degradation controller's sampling period
 	// (default 25ms). Only meaningful with BrownoutThreshold > 0.
 	BrownoutWindow time.Duration
-}
-
-// SharingStats is the scan-sharing ledger (Options.ShareScans): what the
-// serving stack saved by coalescing concurrent work. With sharing off only
-// SharedBuilds can count.
-type SharingStats struct {
-	// CoalescedReads counts device run reads answered by attaching to an
-	// overlapping in-flight read on the same file (one physical read, many
-	// logical answers).
-	CoalescedReads int64
-	// PagesSaved is the pages those attached reads did not re-read — the
-	// device-level I/O the sharing layer removed.
-	PagesSaved int64
-	// AttachedScans counts partition scans served from the engine's
-	// in-flight scan registry: a whole (dataset, cell) read another query
-	// was already performing.
-	AttachedScans int64
-	// SharedBuilds counts queries that waited out another query's level-0
-	// first-touch build instead of herding on the tree lock.
-	SharedBuilds int64
-	// Invalidations counts registry flushes on layout publishes
-	// (refinement, merge, eviction) that actually dropped in-flight
-	// entries — the epoch guard that keeps shared results inside one
-	// layout epoch. Publishes that found the registry empty are not
-	// counted: the field measures flushed work, not publish frequency.
-	Invalidations int64
 }
 
 // Topology describes the storage layout an Explorer runs on.
@@ -669,20 +642,11 @@ func (e *Explorer) shedLowPri() bool {
 	return true
 }
 
-// SharingStats returns the scan-sharing ledger: the device layer's
-// coalesced single-flight reads plus the engine layer's attached scans and
-// shared builds. With Options.ShareScans off only SharedBuilds can count.
-func (e *Explorer) SharingStats() SharingStats {
-	ds := e.dev.Stats()
-	es := e.engine.SharingStats()
-	return SharingStats{
-		CoalescedReads: ds.CoalescedReads,
-		PagesSaved:     ds.CoalescedPages,
-		AttachedScans:  es.AttachedScans,
-		SharedBuilds:   es.SharedBuilds,
-		Invalidations:  es.Invalidations,
-	}
-}
+// SharingStats returns the scan-sharing ledger: cell reads answered by
+// attaching to another query's in-flight read, and queries that waited out
+// another's level-0 build. With Options.ShareScans off only SharedBuilds can
+// count.
+func (e *Explorer) SharingStats() SharingStats { return e.engine.SharingStats() }
 
 // CacheStats returns the result-cache ledger (Options.CacheResults): exact
 // and containment hits, queries served with zero device reads, inserts,

@@ -9,54 +9,62 @@ import (
 
 // flightGroup single-flights function calls per key: the first caller for a
 // key (the leader) runs fn; callers arriving while it runs attach — they
-// block until the leader finishes and share its error instead of running fn
-// again. Calls for distinct keys proceed independently. The engine keeps two:
-// one keyed by ComboKey, so concurrent merge triggers for one combination —
-// racing synchronous queries past the threshold, or the scheduler's task
-// racing a direct caller — share one merge step instead of queueing repeated
-// exclusive steps for the same work; and one keyed by dataset, so a cold
-// dataset's level-0 build runs once while every other query of it waits on
-// the flight rather than herding on the tree's exclusive lock.
+// block until the leader finishes and share its value and error instead of
+// running fn again. Calls for distinct keys proceed independently. It is the
+// one single-flight of the stack, and the engine keeps three: merge steps
+// keyed by ComboKey, so concurrent triggers for one combination — racing
+// synchronous queries past the threshold, or the scheduler's task racing a
+// direct caller — share one step instead of queueing repeated exclusive
+// steps for the same work; level-0 builds keyed by dataset, so a cold
+// dataset is built once while every other query of it waits on the flight
+// rather than herding on the tree's exclusive lock; and cell reads keyed by
+// (dataset, cell, layout epoch), the scan sharing of Config.ShareScans.
 //
-// Do must not be re-entered for the same key from inside fn (the leader
-// would wait on itself).
-type flightGroup[K comparable] struct {
+// A flight lives only while fn runs — this is not a cache — and is
+// deregistered before its outcome is published, so a waiter that finds the
+// leader failed and calls Do again leads (or attaches to) a fresh flight,
+// never the dead one. Do must not be re-entered for the same key from inside
+// fn (the leader would wait on itself).
+type flightGroup[K comparable, V any] struct {
 	mu       sync.Mutex
-	inflight map[K]*flightCall
+	inflight map[K]*flightCall[V]
 }
 
-// flightCall is one in-flight leader execution.
-type flightCall struct {
+// flightCall is one in-flight leader execution. The leader fills val and err
+// before closing done; attached callers treat val as read-only.
+type flightCall[V any] struct {
 	done chan struct{}
+	val  V
 	err  error
 }
 
 // Do runs fn under single-flight per key. It reports whether this call
 // attached to another caller's execution (true) or led its own (false),
-// along with the shared error. An attached caller whose ctx is canceled
-// stops waiting and returns the cancellation error instead; the leader is
-// not affected, and fn itself is never interrupted by Do.
-func (g *flightGroup[K]) Do(ctx context.Context, key K, fn func() error) (bool, error) {
+// along with the shared value and error. An attached caller whose ctx is
+// canceled stops waiting and returns the cancellation error instead; the
+// leader is not affected, and fn itself is never interrupted by Do.
+func (g *flightGroup[K, V]) Do(ctx context.Context, key K, fn func() (V, error)) (V, bool, error) {
 	g.mu.Lock()
 	if g.inflight == nil {
-		g.inflight = make(map[K]*flightCall)
+		g.inflight = make(map[K]*flightCall[V])
 	}
 	if c, ok := g.inflight[key]; ok {
 		g.mu.Unlock()
 		if err := simdisk.WaitDone(ctx, c.done); err != nil {
-			return true, err
+			var zero V
+			return zero, true, err
 		}
-		return true, c.err
+		return c.val, true, c.err
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := &flightCall[V]{done: make(chan struct{})}
 	g.inflight[key] = c
 	g.mu.Unlock()
 
-	c.err = fn()
+	c.val, c.err = fn()
 
 	g.mu.Lock()
 	delete(g.inflight, key)
 	g.mu.Unlock()
 	close(c.done)
-	return false, c.err
+	return c.val, false, c.err
 }

@@ -11,20 +11,21 @@ import (
 
 // TestFlightGroupSingleRun pins the single-flight contract: while a call
 // for a key is in flight, concurrent Do calls for the same key attach to
-// it — exactly one fn runs, and every caller observes the leader's error.
+// it — exactly one fn runs, and every caller observes the leader's value and
+// error.
 func TestFlightGroupSingleRun(t *testing.T) {
-	var g flightGroup[string]
+	var g flightGroup[string, int]
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var runs atomic.Int64
 	boom := errors.New("boom")
 
 	go func() {
-		g.Do(context.Background(), "k", func() error {
+		g.Do(context.Background(), "k", func() (int, error) {
 			runs.Add(1)
 			close(started)
 			<-release
-			return boom
+			return 42, boom
 		})
 	}()
 	<-started
@@ -36,6 +37,7 @@ func TestFlightGroupSingleRun(t *testing.T) {
 	var wg sync.WaitGroup
 	var ready sync.WaitGroup
 	attachedCount := make(chan bool, followers)
+	vals := make(chan int, followers)
 	errs := make(chan error, followers)
 	for i := 0; i < followers; i++ {
 		wg.Add(1)
@@ -43,11 +45,12 @@ func TestFlightGroupSingleRun(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			ready.Done()
-			attached, err := g.Do(context.Background(), "k", func() error {
+			v, attached, err := g.Do(context.Background(), "k", func() (int, error) {
 				runs.Add(1)
-				return nil
+				return 0, nil
 			})
 			attachedCount <- attached
+			vals <- v
 			errs <- err
 		}()
 	}
@@ -56,6 +59,7 @@ func TestFlightGroupSingleRun(t *testing.T) {
 	close(release)
 	wg.Wait()
 	close(attachedCount)
+	close(vals)
 	close(errs)
 
 	if n := runs.Load(); n != 1 {
@@ -64,6 +68,11 @@ func TestFlightGroupSingleRun(t *testing.T) {
 	for attached := range attachedCount {
 		if !attached {
 			t.Fatal("a follower reported attached=false while the leader was in flight")
+		}
+	}
+	for v := range vals {
+		if v != 42 {
+			t.Fatalf("follower value = %d, want the leader's 42", v)
 		}
 	}
 	for err := range errs {
@@ -77,15 +86,15 @@ func TestFlightGroupSingleRun(t *testing.T) {
 // slot: a Do after the previous flight finished runs fn again rather than
 // returning the stale result.
 func TestFlightGroupReRunsAfterCompletion(t *testing.T) {
-	var g flightGroup[int]
+	var g flightGroup[int, int]
 	var runs int
 	for i := 0; i < 3; i++ {
-		attached, err := g.Do(context.Background(), 7, func() error {
+		v, attached, err := g.Do(context.Background(), 7, func() (int, error) {
 			runs++
-			return nil
+			return runs, nil
 		})
-		if attached || err != nil {
-			t.Fatalf("call %d: attached=%v err=%v, want a fresh run", i, attached, err)
+		if v != i+1 || attached || err != nil {
+			t.Fatalf("call %d: value=%d attached=%v err=%v, want a fresh run", i, v, attached, err)
 		}
 	}
 	if runs != 3 {
@@ -97,24 +106,24 @@ func TestFlightGroupReRunsAfterCompletion(t *testing.T) {
 // keys do not serialize: a second key's fn runs to completion while the
 // first key's flight is still blocked.
 func TestFlightGroupDistinctKeysIndependent(t *testing.T) {
-	var g flightGroup[string]
+	var g flightGroup[string, struct{}]
 	started := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		g.Do(context.Background(), "a", func() error {
+		g.Do(context.Background(), "a", func() (struct{}, error) {
 			close(started)
 			<-release
-			return nil
+			return struct{}{}, nil
 		})
 		close(done)
 	}()
 	<-started
 
 	ran := false
-	attached, err := g.Do(context.Background(), "b", func() error {
+	_, attached, err := g.Do(context.Background(), "b", func() (struct{}, error) {
 		ran = true
-		return nil
+		return struct{}{}, nil
 	})
 	if attached || err != nil || !ran {
 		t.Fatalf("Do(b) while Do(a) in flight: attached=%v err=%v ran=%v", attached, err, ran)

@@ -38,13 +38,12 @@ type Config struct {
 	// MaintenanceWorkers bounds the background scheduler's worker pool
 	// (<= 0 defaults to 2). Only meaningful with AsyncMaintenance.
 	MaintenanceWorkers int
-	// ShareScans turns on work sharing across concurrent queries: the
-	// storage layer coalesces overlapping run reads into single-flight
-	// device reads, and the engine attaches queries to in-flight reads of
-	// the same (dataset, cell) — partition or merge segment — within a
-	// layout epoch. Results are unchanged — only the redundant physical
-	// work is. Default off: every query pays its own I/O, the original cost
-	// model bit for bit. (Level-0 builds are single-flight either way.)
+	// ShareScans turns on work sharing across concurrent queries: a query
+	// attaches to another query's in-flight read of the same (dataset,
+	// cell) — partition or merge segment — within a layout epoch. Results
+	// are unchanged — only the redundant physical work is. Default off:
+	// every query pays its own I/O, the original cost model bit for bit.
+	// (Level-0 builds are single-flight either way.)
 	ShareScans bool
 	// CacheResults turns on the epoch-scoped result cache: completed
 	// partition scans and merge-segment reads are retained keyed on
@@ -182,19 +181,20 @@ type Odyssey struct {
 	// instead of queueing repeated exclusive merges of the same candidates.
 	// It also discharges Merger.stage's single-flight precondition
 	// structurally rather than by scheduler convention. buildFlight does the
-	// same for level-0 first-touch builds, per dataset; sharedBuilds counts
-	// the queries that waited on one. See ensureBuilt.
-	mergeFlight  flightGroup[ComboKey]
-	buildFlight  flightGroup[object.DatasetID]
-	sharedBuilds atomic.Int64
+	// same for level-0 first-touch builds, per dataset, carrying the build's
+	// simulated time; sharedBuilds counts the queries that waited on one
+	// (see ensureBuilt). cellFlight does it for cell reads when
+	// Config.ShareScans is on; attachedScans counts the reads it answered
+	// (see readCell).
+	mergeFlight   flightGroup[ComboKey, struct{}]
+	buildFlight   flightGroup[object.DatasetID, time.Duration]
+	cellFlight    flightGroup[flightKey, []object.Object]
+	sharedBuilds  atomic.Int64
+	attachedScans atomic.Int64
 
 	// maint is the background maintenance scheduler; nil unless
 	// Config.AsyncMaintenance is set. See maintenance.go.
 	maint *maintainer
-
-	// scans is the in-flight scan-sharing registry; nil unless
-	// Config.ShareScans is set. See scanshare.go.
-	scans *scanRegistry
 
 	// rcache is the epoch-scoped result cache; nil unless
 	// Config.CacheResults is set. See resultcache.go.
@@ -271,10 +271,6 @@ func New(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Config) 
 	o.merger.PlaceGroup = func(members []object.DatasetID) string {
 		return rawfile.GroupName(o.hottestMember(members))
 	}
-	if cfg.ShareScans {
-		o.scans = newScanRegistry()
-		dev.SetShareReads(true)
-	}
 	if cfg.CacheResults {
 		o.rcache = newResultCache(bounds, cfg.CacheCapacity)
 		o.rcache.halfLife = o.halfLife
@@ -334,7 +330,7 @@ func (o *Odyssey) AddRaw(raw *rawfile.Raw) error {
 	if err != nil {
 		return err
 	}
-	if o.scans != nil || o.rcache != nil {
+	if o.cfg.ShareScans || o.rcache != nil {
 		// Sharing and caching both ride the tree's partition reads; either
 		// one alone still needs the hook. Without them the tree keeps its
 		// pooled direct read.
@@ -695,22 +691,20 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 // to this caller (zero for waiters).
 func (o *Odyssey) ensureBuilt(ctx context.Context, ds object.DatasetID, tree *octree.Tree, lk *sync.RWMutex) (time.Duration, error) {
 	for !tree.Built() {
-		var dt time.Duration
-		attached, err := o.buildFlight.Do(ctx, ds, func() error {
+		dt, attached, err := o.buildFlight.Do(ctx, ds, func() (time.Duration, error) {
 			lk.Lock()
 			defer lk.Unlock()
 			if tree.Built() {
-				return nil
+				return 0, nil
 			}
 			missCacheScope(ctx)
 			clock := simdisk.PhaseClock(ctx, o.dev)
 			t0 := clock()
 			err := tree.EnsureBuiltCtx(ctx)
-			dt = clock() - t0
 			if err == nil {
 				o.bumpLayoutEpoch()
 			}
-			return err
+			return clock() - t0, err
 		})
 		if !attached {
 			return dt, err
@@ -838,9 +832,14 @@ func (o *Odyssey) maintain(ctx context.Context, acc *queryAcc) error {
 	if !acc.mergeDue {
 		return nil
 	}
-	mctx, key, ordered := context.WithoutCancel(ctx), acc.key, acc.ordered
-	_, err := o.mergeFlight.Do(mctx, key, func() error {
-		return o.mergeStep(mctx, key, ordered)
+	return o.mergeOnce(context.WithoutCancel(ctx), acc.key, acc.ordered)
+}
+
+// mergeOnce runs the merge step for one combination, single-flight with
+// every other trigger of it.
+func (o *Odyssey) mergeOnce(ctx context.Context, key ComboKey, members []object.DatasetID) error {
+	_, _, err := o.mergeFlight.Do(ctx, key, func() (struct{}, error) {
+		return struct{}{}, o.mergeStep(ctx, key, members)
 	})
 	return err
 }
@@ -1094,10 +1093,7 @@ func (o *Odyssey) runMergeTask(t mergeTask) error {
 	if err := o.dev.AwaitMaintenanceTurn(ctx); err != nil {
 		return err
 	}
-	_, err := o.mergeFlight.Do(ctx, t.key, func() error {
-		return o.mergeStep(ctx, t.key, t.members)
-	})
-	return err
+	return o.mergeOnce(ctx, t.key, t.members)
 }
 
 // AsyncMaintenance reports whether the background maintenance pipeline is
@@ -1119,18 +1115,14 @@ func (o *Odyssey) CacheStats() CacheStats {
 	return o.rcache.Stats()
 }
 
-// SharingStats snapshots the engine-layer sharing counters. SharedBuilds
-// counts on every configuration (level-0 builds are always single-flight);
-// the scan counters stay zero when Config.ShareScans is off. The
-// device-layer counters (coalesced run reads, pages saved) are in the
-// storage Stats.
+// SharingStats snapshots the sharing counters. SharedBuilds counts on every
+// configuration (level-0 builds are always single-flight); AttachedScans
+// stays zero when Config.ShareScans is off.
 func (o *Odyssey) SharingStats() SharingStats {
-	st := SharingStats{SharedBuilds: o.sharedBuilds.Load()}
-	if o.scans != nil {
-		st.AttachedScans = o.scans.attached.Load()
-		st.Invalidations = o.scans.invalidations.Load()
+	return SharingStats{
+		AttachedScans: o.attachedScans.Load(),
+		SharedBuilds:  o.sharedBuilds.Load(),
 	}
-	return st
 }
 
 // MaintenanceStats snapshots the background pipeline's counters (zero when

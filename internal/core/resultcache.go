@@ -71,8 +71,8 @@ func (h *coldHeap) Pop() any {
 // completed partition scans and merge-segment reads are retained keyed on
 // (dataset, cell) and tagged with the global layout epoch they were read
 // under, so a later query of the same cell within the same epoch is served
-// without touching the device — the temporal extension of the scan
-// registry's single-flight sharing. Every layout publish (bumpLayoutEpoch)
+// without touching the device — the temporal extension of readCell's
+// single-flight sharing. Every layout publish (bumpLayoutEpoch)
 // flushes the cache; entries inserted with a stale epoch are dropped lazily
 // on their next lookup. Capacity is bounded in cached objects with
 // heat-aware eviction: every hit bumps the entry's access count, eviction
@@ -441,9 +441,8 @@ func (c *resultCache) removeLocked(it *heatItem[*cachedScan]) {
 	}
 }
 
-// Invalidate flushes the cache on a layout publish. Like the scan
-// registry's Invalidate, a publish that finds the cache empty is not
-// counted — Invalidations measures actual flushes.
+// Invalidate flushes the cache on a layout publish. A publish that finds the
+// cache empty is not counted — Invalidations measures actual flushes.
 func (c *resultCache) Invalidate() {
 	c.mu.Lock()
 	flushed := len(c.entries) > 0

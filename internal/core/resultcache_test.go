@@ -86,9 +86,8 @@ func TestResultCacheEvictsColdestFirst(t *testing.T) {
 	}
 }
 
-// TestResultCacheInvalidateCountsOnlyFlushes mirrors the scan registry's
-// Invalidations semantics: a publish over an empty cache is a no-op and is
-// not counted.
+// TestResultCacheInvalidateCountsOnlyFlushes pins the Invalidations
+// semantics: a publish over an empty cache is a no-op and is not counted.
 func TestResultCacheInvalidateCountsOnlyFlushes(t *testing.T) {
 	c := newResultCache(geom.UnitBox(), 100)
 	c.Invalidate()

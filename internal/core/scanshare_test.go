@@ -155,163 +155,197 @@ func TestBuildWaitersObserveTheirContext(t *testing.T) {
 	}
 }
 
-// TestScanRegistryAttachAndInvalidate drives the registry white-box with a
-// hand-registered in-flight entry, so every interleaving is deterministic:
-// a same-epoch reader attaches, a cross-epoch reader reads independently,
-// and Invalidate flushes the entry so nobody attaches afterwards.
-func TestScanRegistryAttachAndInvalidate(t *testing.T) {
-	r := newScanRegistry()
-	key := scanKey{ds: 1, cell: testKeyAt(1, 2, 3, 1)}
-	want := []object.Object{{ID: 7, Dataset: 1}}
+// attachSpy is a context that reports every Done call. flightGroup.Do asks a
+// caller's context for its Done channel only once the caller has committed
+// to another's flight (readCell asks nowhere else), so one signal is one
+// reader attached: the tests below wait on that instead of sleeping.
+type attachSpy struct {
+	context.Context
+	attached chan<- struct{}
+}
 
-	// Register an entry as a leader mid-flight would.
-	e := &scanEntry{epoch: 5, done: make(chan struct{})}
-	r.mu.Lock()
-	r.inflight[key] = e
-	r.mu.Unlock()
+func (c attachSpy) Done() <-chan struct{} {
+	c.attached <- struct{}{}
+	return c.Context.Done()
+}
 
-	// A cross-epoch reader must not attach — it reads independently even
-	// with the entry present.
+// sharedCell is the fixture of the readCell tests: a sharing engine, one cell
+// of dataset 0, and a read of it held in flight until the test lets it go.
+type sharedCell struct {
+	eng  *Odyssey
+	cell octree.Key
+	// attached receives one signal per reader that attached through spy.
+	attached chan struct{}
+	spy      context.Context
+}
+
+func newSharedCell(t *testing.T) *sharedCell {
+	eng, _, _ := testSetup(t, 1, 100, 41, shareConfig())
+	attached := make(chan struct{}, 64) // every signal of a test fits: nobody blocks in Done
+	return &sharedCell{
+		eng: eng, cell: testKeyAt(1, 2, 3, 1), attached: attached,
+		spy: attachSpy{context.Background(), attached},
+	}
+}
+
+func (c *sharedCell) read(ctx context.Context, read cellRead) ([]object.Object, error) {
+	return c.eng.readCell(ctx, 0, c.cell, geom.UnitBox(), read)
+}
+
+// lead starts a read of the cell that stays in flight until release is
+// called, then finishes with (objs, err); outcome delivers what the leader's
+// readCell returned. lead returns once the read is registered.
+func (c *sharedCell) lead(objs []object.Object, err error) (release func(), outcome <-chan error) {
+	started, gate, out := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		_, rerr := c.read(context.Background(), func(context.Context) ([]object.Object, error) {
+			close(started)
+			<-gate
+			return objs, err
+		})
+		out <- rerr
+	}()
+	<-started
+	return func() { close(gate) }, out
+}
+
+func (c *sharedCell) awaitAttached(n int) {
+	for i := 0; i < n; i++ {
+		<-c.attached
+	}
+}
+
+// TestReadCellConcurrentReadersShareOneRead pins scan sharing's contract: N
+// concurrent readers of one cell cost one device read, and the N-1 that
+// attached are counted in AttachedScans.
+func TestReadCellConcurrentReadersShareOneRead(t *testing.T) {
+	c := newSharedCell(t)
+	want := []object.Object{{ID: 7, Dataset: 0}}
+	release, leader := c.lead(want, nil)
+
+	const followers = 7
+	var wg sync.WaitGroup
+	for g := 0; g < followers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := c.read(c.spy, func(context.Context) ([]object.Object, error) {
+				t.Error("a reader performed its own device read beside the one in flight")
+				return nil, nil
+			})
+			if err != nil || len(got) != 1 || got[0].ID != want[0].ID {
+				t.Errorf("attached read returned %v, %v; want the leader's objects", got, err)
+			}
+		}()
+	}
+	c.awaitAttached(followers)
+	release()
+	wg.Wait()
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	if n := c.eng.SharingStats().AttachedScans; n != followers {
+		t.Fatalf("AttachedScans = %d, want %d", n, followers)
+	}
+}
+
+// TestReadCellNeverAttachesAcrossEpochs: a layout publish while a read is in
+// flight moves later readers of the cell to a new flight key — the reader at
+// epoch e+1 performs its own read and is not counted as attached.
+func TestReadCellNeverAttachesAcrossEpochs(t *testing.T) {
+	c := newSharedCell(t)
+	release, leader := c.lead(nil, nil)
+	c.eng.bumpLayoutEpoch()
 	ownRead := false
-	if _, err := r.readThrough(nil, key, 6, func(context.Context) ([]object.Object, error) {
+	if _, err := c.read(c.spy, func(context.Context) ([]object.Object, error) {
 		ownRead = true
 		return nil, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if !ownRead {
-		t.Fatal("cross-epoch reader did not perform its own read")
+		t.Fatal("a reader attached to a read that started before the layout publish")
 	}
-
-	// Complete the leader's scan (fill, then close — the publish order the
-	// real leader uses) and attach a same-epoch reader.
-	e.objs = want
-	close(e.done)
-	got, err := r.readThrough(nil, key, 5, func(context.Context) ([]object.Object, error) {
-		t.Error("attacher executed its own read despite a matching in-flight scan")
-		return nil, nil
-	})
-	if err != nil {
+	release()
+	if err := <-leader; err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].ID != want[0].ID {
-		t.Fatalf("attached read returned %v, want the leader's objects", got)
-	}
-	if n := r.attached.Load(); n != 1 {
-		t.Fatalf("AttachedScans = %d, want 1", n)
-	}
-
-	// Invalidate flushes the registry: the next same-epoch reader performs
-	// its own read even though the old entry matched its epoch.
-	r.Invalidate()
-	own2 := false
-	if _, err := r.readThrough(nil, key, 5, func(context.Context) ([]object.Object, error) {
-		own2 = true
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !own2 {
-		t.Fatal("reader attached to an invalidated in-flight scan")
-	}
-	if n := r.invalidations.Load(); n != 1 {
-		t.Fatalf("Invalidations = %d, want 1", n)
-	}
-
-	// A failed leader's outcome is not inherited: attachers fall back to
-	// their own read.
-	e2 := &scanEntry{epoch: 9, done: make(chan struct{})}
-	e2.err = context.DeadlineExceeded
-	close(e2.done)
-	r.mu.Lock()
-	r.inflight[key] = e2
-	r.mu.Unlock()
-	fellBack := false
-	if _, err := r.readThrough(nil, key, 9, func(context.Context) ([]object.Object, error) {
-		fellBack = true
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !fellBack {
-		t.Fatal("attacher inherited the failed leader's outcome")
+	if n := c.eng.SharingStats().AttachedScans; n != 0 {
+		t.Fatalf("AttachedScans = %d, want 0", n)
 	}
 }
 
-// TestScanRegistryFailedLeaderSingleRetry is the herd-regression contract:
-// when a leader's read fails, its waiters must re-enter the single-flight
-// path so exactly one of them is charged the retry read — not one
-// independent read per waiter, the thundering herd the registry exists to
-// prevent. A doomed leader is registered by hand, a herd parks on it, and
-// it is failed the way a real leader fails (deregister, then publish); the
-// retry leader's read is gated so the rest of the herd attaches to it.
-func TestScanRegistryFailedLeaderSingleRetry(t *testing.T) {
-	r := newScanRegistry()
-	key := scanKey{ds: 2, cell: testKeyAt(1, 1, 1, 0)}
-	want := []object.Object{{ID: 42, Dataset: 2}}
-
-	doomed := &scanEntry{epoch: 3, done: make(chan struct{})}
-	r.mu.Lock()
-	r.inflight[key] = doomed
-	r.mu.Unlock()
+// TestReadCellFailedLeaderSingleRetry is the herd-regression contract: when a
+// leader's read fails, its waiters neither inherit the failure nor each fall
+// back to an independent read — they re-enter the flight, so exactly one of
+// them performs the retry and the rest attach to it.
+func TestReadCellFailedLeaderSingleRetry(t *testing.T) {
+	c := newSharedCell(t)
+	want := []object.Object{{ID: 42, Dataset: 0}}
+	fail, leader := c.lead(nil, context.DeadlineExceeded)
 
 	var reads atomic.Int64
-	gate := make(chan struct{})
-	read := func(context.Context) ([]object.Object, error) {
-		reads.Add(1)
-		<-gate
-		return want, nil
-	}
+	retryGate := make(chan struct{})
 	const waiters = 8
-	results := make([][]object.Object, waiters)
-	errs := make([]error, waiters)
 	var wg sync.WaitGroup
 	for g := 0; g < waiters; g++ {
-		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[g], errs[g] = r.readThrough(nil, key, 3, read)
+			got, err := c.read(c.spy, func(context.Context) ([]object.Object, error) {
+				reads.Add(1)
+				<-retryGate
+				return want, nil
+			})
+			if err != nil || len(got) != 1 || got[0].ID != want[0].ID {
+				t.Errorf("waiter got %v, %v; want the retry leader's objects", got, err)
+			}
 		}()
 	}
-
-	// Fail the leader in the order a real one publishes: deregister under
-	// the lock, then close done. Every parked waiter wakes and loops back;
-	// mutex serialization makes exactly one the retry leader. (A goroutine
-	// that never parked on the doomed entry attaches to the retry leader's
-	// registration instead — same coalescing, same count.)
-	doomed.err = context.DeadlineExceeded
-	r.mu.Lock()
-	delete(r.inflight, key)
-	r.mu.Unlock()
-	close(doomed.done)
-
-	// Hold the retry leader's read open until the rest of the herd has had
-	// time to loop back and attach, then release it.
-	deadline := time.Now().Add(5 * time.Second)
-	for reads.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no waiter retried the failed leader's read")
-		}
-		time.Sleep(100 * time.Microsecond)
+	c.awaitAttached(waiters) // the whole herd is parked on the doomed read
+	fail()
+	if err := <-leader; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("leader returned %v, want its own read's error", err)
 	}
-	time.Sleep(100 * time.Millisecond)
-	close(gate)
+	// The retry leader's read is held open until the rest of the herd has
+	// come back round and attached to it.
+	c.awaitAttached(waiters - 1)
+	close(retryGate)
 	wg.Wait()
-
-	for g := 0; g < waiters; g++ {
-		if errs[g] != nil {
-			t.Fatalf("waiter %d inherited the dead leader's outcome: %v", g, errs[g])
-		}
-		if len(results[g]) != 1 || results[g][0].ID != want[0].ID {
-			t.Fatalf("waiter %d got %v, want the retry leader's objects", g, results[g])
-		}
-	}
 	if n := reads.Load(); n != 1 {
 		t.Fatalf("failed leader triggered %d retry reads, want exactly 1 (thundering herd)", n)
 	}
-	if n := r.attached.Load(); n != waiters-1 {
+	if n := c.eng.SharingStats().AttachedScans; n != waiters-1 {
 		t.Fatalf("AttachedScans = %d, want %d (every non-leader attached the retry)", n, waiters-1)
+	}
+}
+
+// TestReadCellWaiterObservesItsContext: a reader attached to another query's
+// read returns as soon as its own context expires; the read in flight is not
+// disturbed.
+func TestReadCellWaiterObservesItsContext(t *testing.T) {
+	c := newSharedCell(t)
+	release, leader := c.lead(nil, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := c.read(attachSpy{ctx, c.attached}, func(context.Context) ([]object.Object, error) {
+			t.Error("the waiter performed its own device read")
+			return nil, nil
+		})
+		waiter <- err
+	}()
+	c.awaitAttached(1)
+	cancel()
+	if err := <-waiter; !errors.Is(err, simdisk.ErrCanceled) {
+		t.Fatalf("waiter returned %v while the read was still in flight, want ErrCanceled", err)
+	}
+	release()
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if n := c.eng.SharingStats().AttachedScans; n != 0 {
+		t.Fatalf("AttachedScans = %d, want 0 (the waiter gave up)", n)
 	}
 }
 

@@ -40,8 +40,7 @@ type CacheStats struct {
 	Evictions int64
 	// Invalidations counts layout publishes that actually flushed cached
 	// entries. Publishes that found the cache empty are not counted — the
-	// field measures flushes, not publish frequency (the same semantics as
-	// SharingStats.Invalidations).
+	// field measures flushes, not publish frequency.
 	Invalidations int64
 	// ZeroReadQueries counts queries whose whole read side was served
 	// without any device read: every partition or segment came from the

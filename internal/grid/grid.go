@@ -40,12 +40,17 @@ func DefaultConfig() Config {
 	return Config{CellsPerDim: 60}
 }
 
-func (c Config) withDefaults() (Config, error) {
+// check validates the configuration against the bounds it will grid and
+// fills in the defaults.
+func (c Config) check(bounds geom.Box) (Config, error) {
 	if c.CellsPerDim == 0 {
 		c.CellsPerDim = 60
 	}
 	if c.CellsPerDim < 1 {
 		return c, fmt.Errorf("grid: CellsPerDim %d < 1", c.CellsPerDim)
+	}
+	if bounds.Volume() <= 0 {
+		return c, fmt.Errorf("grid: bounds %v has no volume", bounds)
 	}
 	return c, nil
 }
@@ -67,12 +72,9 @@ type Index struct {
 // NewIndex creates an unbuilt grid over the given raw files (one for the
 // one-for-each strategy, all of them for all-in-one).
 func NewIndex(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Config) (*Index, error) {
-	cfg, err := cfg.withDefaults()
+	cfg, err := cfg.check(bounds)
 	if err != nil {
 		return nil, err
-	}
-	if bounds.Volume() <= 0 {
-		return nil, fmt.Errorf("grid: bounds %v has no volume", bounds)
 	}
 	name := "grid"
 	if len(raws) == 1 {

@@ -1,89 +1,45 @@
 package grid
 
 import (
-	"fmt"
-
+	"spaceodyssey/internal/engine"
 	"spaceodyssey/internal/geom"
-	"spaceodyssey/internal/object"
 	"spaceodyssey/internal/rawfile"
 	"spaceodyssey/internal/simdisk"
 )
 
-// OneForEach is the paper's Grid-1fE strategy: one grid per dataset; a query
-// probes only the grids of the datasets it touches.
-type OneForEach struct {
-	indexes map[object.DatasetID]*Index
-}
-
-// NewOneForEach creates unbuilt per-dataset grids.
-func NewOneForEach(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Config) (*OneForEach, error) {
-	m := make(map[object.DatasetID]*Index, len(raws))
-	for _, raw := range raws {
-		idx, err := NewIndex(dev, []*rawfile.Raw{raw}, bounds, cfg)
+// builder checks the configuration once, so the constructors fail on a bad
+// one, and returns the strategies' build step: one built grid over the given
+// raw files.
+func builder(dev simdisk.Storage, bounds geom.Box, cfg Config) (engine.BuildFunc[*Index], error) {
+	if _, err := cfg.check(bounds); err != nil {
+		return nil, err
+	}
+	return func(raws []*rawfile.Raw, _ string) (*Index, error) {
+		idx, err := NewIndex(dev, raws, bounds, cfg)
 		if err != nil {
 			return nil, err
 		}
-		m[raw.Dataset()] = idx
-	}
-	return &OneForEach{indexes: m}, nil
+		return idx, idx.Build()
+	}, nil
 }
 
-// Name implements engine.Engine.
-func (e *OneForEach) Name() string { return "Grid-1fE" }
-
-// Build implements engine.Engine by building every per-dataset grid.
-func (e *OneForEach) Build() error {
-	for _, idx := range e.indexes {
-		if err := idx.Build(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Query implements engine.Engine.
-func (e *OneForEach) Query(q geom.Box, datasets []object.DatasetID) ([]object.Object, error) {
-	var out []object.Object
-	for _, ds := range datasets {
-		idx, ok := e.indexes[ds]
-		if !ok {
-			return nil, fmt.Errorf("grid: unknown dataset %d", ds)
-		}
-		objs, err := idx.Query(q, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, objs...)
-	}
-	return out, nil
-}
-
-// AllInOne is the Grid-Ain1 strategy: a single grid holding every dataset's
-// objects; queries filter out datasets that were not requested.
-type AllInOne struct {
-	index *Index
-}
-
-// NewAllInOne creates an unbuilt combined grid.
-func NewAllInOne(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Config) (*AllInOne, error) {
-	idx, err := NewIndex(dev, raws, bounds, cfg)
+// NewOneForEach creates the unbuilt Grid-1fE engine, the paper's grid
+// baseline: one grid per dataset; a query probes only the grids of the
+// datasets it touches.
+func NewOneForEach(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Config) (*engine.OneForEach[*Index], error) {
+	build, err := builder(dev, bounds, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &AllInOne{index: idx}, nil
+	return engine.NewOneForEach("Grid", raws, build), nil
 }
 
-// Name implements engine.Engine.
-func (e *AllInOne) Name() string { return "Grid-Ain1" }
-
-// Build implements engine.Engine.
-func (e *AllInOne) Build() error { return e.index.Build() }
-
-// Query implements engine.Engine.
-func (e *AllInOne) Query(q geom.Box, datasets []object.DatasetID) ([]object.Object, error) {
-	filter := make(map[object.DatasetID]bool, len(datasets))
-	for _, ds := range datasets {
-		filter[ds] = true
+// NewAllInOne creates the unbuilt Grid-Ain1 engine: a single grid holding
+// every dataset's objects.
+func NewAllInOne(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Config) (*engine.AllInOne[*Index], error) {
+	build, err := builder(dev, bounds, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return e.index.Query(q, filter)
+	return engine.NewAllInOne("Grid", raws, build), nil
 }

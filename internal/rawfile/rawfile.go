@@ -101,13 +101,10 @@ const scanChunkPages = 128
 // first-touch scan is the most expensive single operation in the system —
 // exactly the one an interactive caller most wants to walk away from.
 //
-// The scan reads run-sized chunks aligned to fixed offsets from the
-// run's start (not single pages): every concurrent scan of the same file
-// issues identical page ranges, so with single-flight run coalescing on,
-// concurrent cold-start scans of one dataset coalesce — one charged read
-// per chunk, fanned out — instead of racing page-by-page past the
-// coalescing layer. The simulated charges are identical to a page-by-page
-// scan: same pages, same order, same head.
+// The scan reads run-sized chunks (not single pages), so real-time
+// emulation sleeps once per chunk and OS sleep granularity does not inflate
+// the scan. The simulated charges are identical to a page-by-page scan: same
+// pages, same order, same head.
 func (r *Raw) ScanCtx(ctx context.Context, fn func(object.Object) error) error {
 	if r.deleted {
 		return ErrClosed

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sync"
 	"testing"
-	"time"
 
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
@@ -169,73 +167,6 @@ func TestScanChargesSequentialCost(t *testing.T) {
 	want := cost.Seek + 10*cost.Transfer
 	if got := dev.Clock(); got != want {
 		t.Fatalf("scan cost = %v, want %v", got, want)
-	}
-}
-
-// TestConcurrentScansCoalesce is the charge-accounting regression for the
-// first-touch scan path: scans read ReadRun-sized chunks, so with
-// single-flight run coalescing on, two concurrent cold scans of the same
-// dataset share chunk reads instead of streaming page-by-page past the
-// coalescing layer (the old behaviour, which charged every page twice).
-func TestConcurrentScansCoalesce(t *testing.T) {
-	cost := simdisk.ReducedScaleCostModel()
-	dev := simdisk.NewDevice(cost, 0) // no cache: every page platter or coalesced
-	nPages := int64(2 * scanChunkPages)
-	raw, err := Write(dev, "r", 0, mkObjs(int(nPages)*object.PageCapacity, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev.SetShareReads(true)
-	dev.DropCaches()
-	dev.ResetClock()
-	dev.ResetStats()
-	// Stretch real time so the first scan is still inside its first chunk's
-	// emulated sleep when the second scan starts — the second attaches to the
-	// in-flight chunk read instead of issuing its own.
-	dev.SetRealTimeScale(5)
-	defer dev.SetRealTimeScale(0)
-
-	scan := func() (int, error) {
-		n := 0
-		err := raw.ScanCtx(context.Background(), func(object.Object) error { n++; return nil })
-		return n, err
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var n1 int
-	var err1 error
-	go func() {
-		defer wg.Done()
-		n1, err1 = scan()
-	}()
-	// Wait until the leader has charged its first chunk (it then sleeps the
-	// emulated latency with the chunk still registered in flight).
-	deadline := time.Now().Add(5 * time.Second)
-	for dev.Stats().PageReads == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("leader never started reading")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	n2, err2 := scan()
-	wg.Wait()
-	if err1 != nil || err2 != nil {
-		t.Fatalf("scan errors: %v, %v", err1, err2)
-	}
-	if want := int(nPages) * object.PageCapacity; n1 != want || n2 != want {
-		t.Fatalf("scans saw %d and %d objects, want %d", n1, n2, want)
-	}
-	st := dev.Stats()
-	// Every page each scan touched was either a charged platter read or a
-	// coalesced fan-out — and at least the first chunk coalesced, so the two
-	// scans together charged strictly less than two full reads.
-	if got, want := st.PageReads+st.CoalescedPages, 2*nPages; got != want {
-		t.Fatalf("pages accounted %d (reads %d + coalesced %d), want %d",
-			got, st.PageReads, st.CoalescedPages, want)
-	}
-	if st.CoalescedPages < int64(scanChunkPages) {
-		t.Fatalf("coalesced %d pages, want at least one full chunk (%d)",
-			st.CoalescedPages, scanChunkPages)
 	}
 }
 

@@ -59,13 +59,13 @@ func TestAllInOneTreeAccessor(t *testing.T) {
 	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
 	raws := mkRaws(t, dev, 2, 200, 52)
 	eng := NewAllInOne(dev, raws, DefaultConfig())
-	if eng.Tree() != nil {
+	if eng.Index() != nil {
 		t.Fatal("Tree non-nil before build")
 	}
 	if err := eng.Build(); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Tree() == nil || eng.Tree().NumObjects() != 400 {
+	if eng.Index() == nil || eng.Index().NumObjects() != 400 {
 		t.Fatal("Tree accessor wrong after build")
 	}
 }

@@ -66,6 +66,22 @@ func (d *Device) checkCtx(ctx context.Context) error {
 	return nil
 }
 
+// WaitDone blocks until ch closes or ctx is canceled (a nil ctx never is),
+// returning the wrapped cancellation error in the latter case. It is the
+// attach-side wait of the engine's single-flight (core.flightGroup) and of
+// its maintenance quiesce: the waiter's error has the device's shape.
+func WaitDone(ctx context.Context, ch <-chan struct{}) error {
+	ctx = orBackground(ctx)
+	// ctx.Done() may be nil (context.Background()); a nil channel case is
+	// simply never ready.
+	select {
+	case <-ch:
+		return nil
+	case <-ctx.Done():
+		return Canceled(ctx.Err())
+	}
+}
+
 // sleepCtx waits dt of wall-clock time (a real-time emulation sleep, a retry
 // backoff), aborting early when ctx is canceled — counted as a canceled op,
 // like any device-side abort.
@@ -114,15 +130,6 @@ func (d *Device) ReadRunCtx(ctx context.Context, id FileID, start, n int64) ([]b
 	s := ScopeFrom(ctx)
 	d.gateOp(s)
 	defer d.ungateOp(s)
-	if n > 0 && d.shareReads.Load() {
-		return d.readRunShared(ctx, id, start, n)
-	}
-	return d.readRunDirect(ctx, id, start, n)
-}
-
-// readRunDirect is the uncoalesced run read every ReadRunCtx ultimately runs
-// on: page-by-page charging with one aggregated real-time sleep at the end.
-func (d *Device) readRunDirect(ctx context.Context, id FileID, start, n int64) ([]byte, error) {
 	buf := make([]byte, n*PageSize)
 	var total time.Duration
 	for i := int64(0); i < n; i++ {

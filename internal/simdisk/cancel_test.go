@@ -156,3 +156,29 @@ func TestCancelAbortsRealTimeEmulationWait(t *testing.T) {
 		t.Errorf("CanceledOps delta = %d, want 1", got)
 	}
 }
+
+// TestCancelWaitDone pins the attach-side wait the engine's single-flight
+// rests on: a closed channel wins over a live context (nil included), and a
+// canceled context releases the waiter — with the device's error shape —
+// while the channel stays open.
+func TestCancelWaitDone(t *testing.T) {
+	closed := make(chan struct{})
+	close(closed)
+	if err := WaitDone(nil, closed); err != nil {
+		t.Errorf("nil context, closed channel: %v", err)
+	}
+	if err := WaitDone(context.Background(), closed); err != nil {
+		t.Errorf("live context, closed channel: %v", err)
+	}
+
+	open := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	released := make(chan error, 1)
+	go func() { released <- WaitDone(ctx, open) }()
+	cancel()
+	wantCanceled(t, <-released, context.Canceled)
+
+	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel2()
+	wantCanceled(t, WaitDone(expired, open), context.DeadlineExceeded)
+}

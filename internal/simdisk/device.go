@@ -38,11 +38,7 @@ type Stats struct {
 	BytesRead    int64
 	BytesWritten int64
 	CanceledOps  int64 // device operations aborted by context cancellation
-	// CoalescedReads and CoalescedPages count the single-flight read path
-	// (SetShareReads): run reads answered by attaching to an overlapping
-	// in-flight read, and the pages those attachments did not have to read
-	// again. Both stay zero with sharing off. A coalesced page appears in no
-	// other counter — it was neither a platter read nor a cache hit.
+	// Always zero; kept only because the frozen benchmark/ledger.go names them.
 	CoalescedReads int64
 	CoalescedPages int64
 	// QueuedDelay is the total arrival-gated queueing delay charged to
@@ -90,8 +86,6 @@ func (s *Stats) Add(o Stats) {
 	s.BytesRead += o.BytesRead
 	s.BytesWritten += o.BytesWritten
 	s.CanceledOps += o.CanceledOps
-	s.CoalescedReads += o.CoalescedReads
-	s.CoalescedPages += o.CoalescedPages
 	s.QueuedDelay += o.QueuedDelay
 	s.ThrottledOps += o.ThrottledOps
 	s.TransientFaults += o.TransientFaults
@@ -191,15 +185,6 @@ type Device struct {
 	retriedOps      atomic.Int64
 	retryExhausted  atomic.Int64
 
-	// Single-flight run coalescing (SetShareReads): sfInflight registers the
-	// in-flight run reads of each file so overlapping readers can attach.
-	// Off by default; the flag keeps the uncoalesced path lock-free.
-	shareReads     atomic.Bool
-	sfMu           sync.Mutex
-	sfInflight     map[FileID][]*inflightRun
-	coalescedReads atomic.Int64
-	coalescedPages atomic.Int64
-
 	// QoS state (see qos.go): queuedDelay and throttledOps are the Stats
 	// counters; fgInFlight counts scoped foreground/urgent operations
 	// currently inside the device (the signal the maintenance throttle
@@ -247,7 +232,6 @@ func NewDeviceChannels(cost CostModel, cacheCapacity, channels int) *Device {
 		channels:   make([]channel, channels),
 		cache:      newShardedCache(cacheCapacity),
 		readFaults: make(map[pageKey]error),
-		sfInflight: make(map[FileID][]*inflightRun),
 	}
 }
 
@@ -671,8 +655,6 @@ func (d *Device) Stats() Stats {
 		BytesRead:       d.bytesRead.Load(),
 		BytesWritten:    d.bytesWritten.Load(),
 		CanceledOps:     d.canceledOps.Load(),
-		CoalescedReads:  d.coalescedReads.Load(),
-		CoalescedPages:  d.coalescedPages.Load(),
 		QueuedDelay:     time.Duration(d.queuedDelay.Load()),
 		ThrottledOps:    d.throttledOps.Load(),
 		TransientFaults: d.transientFaults.Load(),
@@ -695,8 +677,6 @@ func (d *Device) ResetStats() {
 	d.bytesRead.Store(0)
 	d.bytesWritten.Store(0)
 	d.canceledOps.Store(0)
-	d.coalescedReads.Store(0)
-	d.coalescedPages.Store(0)
 	d.queuedDelay.Store(0)
 	d.throttledOps.Store(0)
 	d.transientFaults.Store(0)

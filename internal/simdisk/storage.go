@@ -10,7 +10,7 @@ import (
 // files across several devices, or a wrapper embedding either (a tracer, a
 // future file-backed store). Everything above this interface is
 // placement-oblivious — the same engine code runs on one single-head SAS
-// disk or on an array of multi-channel devices. Sixteen methods, one
+// disk or on an array of multi-channel devices. Fifteen methods, one
 // flavour of I/O: every page operation takes a context.
 type Storage interface {
 	// File lifecycle. CreateFileInGroup carries an affinity hint ("" when
@@ -38,13 +38,6 @@ type Storage interface {
 	Stats() Stats
 	ResetStats()
 	DropCaches()
-
-	// Single-flight run coalescing (scan sharing's device layer): with
-	// sharing on, concurrent ReadRunCtx calls with overlapping page ranges
-	// on one file coalesce into one charged read whose buffer is fanned out
-	// (Stats.CoalescedReads / CoalescedPages). Default off — every read
-	// independent, the original cost model bit for bit.
-	SetShareReads(share bool)
 
 	// AwaitMaintenanceTurn is where maintenance schedulers honor the
 	// background I/O budget (Control.SetMaintenanceBudget): they call it at

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestStorageMethodSet pins the data-path interface to its sixteen methods,
+// TestStorageMethodSet pins the data-path interface to its fifteen methods,
 // so it cannot re-accrete: a method added for one caller's convenience must
 // go on the concrete type or on Control, and a second flavour of an I/O
 // method fails here.
@@ -15,7 +15,7 @@ func TestStorageMethodSet(t *testing.T) {
 		"AppendPageCtx", "AwaitMaintenanceTurn", "Clock", "Close",
 		"CreateFileInGroup", "DeleteFile", "DropCaches", "NumPages",
 		"ReadPageCtx", "ReadRunCtx", "ResetClock", "ResetStats",
-		"SetShareReads", "Stats", "TotalPages", "WritePageCtx",
+		"Stats", "TotalPages", "WritePageCtx",
 	}
 	storage := reflect.TypeOf((*Storage)(nil)).Elem()
 	var got []string

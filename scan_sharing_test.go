@@ -53,8 +53,8 @@ func TestConcurrentQueriesMatchOracleShareScansArray(t *testing.T) {
 		ShareScans: true, Devices: 2, Channels: 2, RealTimeScale: 0.002,
 	}, 3, 2000)
 	runConcurrentOracle(t, env, 8, 15)
-	// Conservation still holds with coalescing: per-device counters sum to
-	// the aggregate view, coalesced counters included.
+	// Conservation still holds with sharing: per-device counters sum to the
+	// aggregate view.
 	var sum DiskStats
 	for _, s := range env.ex.DeviceStats() {
 		sum.Add(s)
@@ -104,11 +104,8 @@ func TestSharingStatsLedger(t *testing.T) {
 		t.Fatalf("sharing off but ledger non-zero: %+v", st)
 	}
 	st := exOn.SharingStats()
-	if st.CoalescedReads+st.AttachedScans+st.SharedBuilds == 0 {
+	if st.AttachedScans+st.SharedBuilds == 0 {
 		t.Fatalf("hot-region pooled run shared nothing: %+v", st)
-	}
-	if ds := exOn.DiskStats(); ds.CoalescedPages != st.PagesSaved {
-		t.Fatalf("PagesSaved %d != device CoalescedPages %d", st.PagesSaved, ds.CoalescedPages)
 	}
 
 	// Identical queries, identical answers — sharing may only change I/O.

@@ -135,7 +135,7 @@ func TestStorageWrapperTransparency(t *testing.T) {
 			if dev, via := got.stats.PageWrites, wrapped.writePages.Load(); dev != via {
 				t.Errorf("device wrote %d pages, %d crossed the wrapper", dev, via)
 			}
-			if dev, via := got.stats.PageReads+got.stats.CacheHits+got.stats.CoalescedPages, wrapped.readPages.Load(); dev != via {
+			if dev, via := got.stats.PageReads+got.stats.CacheHits, wrapped.readPages.Load(); dev != via {
 				t.Errorf("device served %d page reads, %d crossed the wrapper", dev, via)
 			}
 			if got.stats.PageReads == 0 || got.stats.PageWrites == 0 {

@@ -75,6 +75,9 @@ type (
 	RetryPolicy = simdisk.RetryPolicy
 	// CacheStats is the result-cache ledger (see Options.CacheResults).
 	CacheStats = core.CacheStats
+	// SharingStats is the scan-sharing ledger (see Options.ShareScans):
+	// the reads and level-0 builds concurrent queries shared.
+	SharingStats = core.SharingStats
 	// Query couples a range with the datasets it targets.
 	Query = workload.Query
 	// MergeLevelPolicy selects the mixed-refinement-level merge strategy.
