@@ -51,7 +51,8 @@ func (r Relation) String() string {
 // may reference another merge file that already stores the same partition
 // copy (§3.2.5's improved disk space management).
 type segment struct {
-	run pagefile.Run
+	run   pagefile.Run
+	count int // objects in run: what a read of the segment allocates, exactly
 	// sharedFrom, when non-empty, names the merge file actually holding
 	// the pages.
 	sharedFrom ComboKey
@@ -527,26 +528,30 @@ func (m *Merger) stage(
 // unless sharing is on and another live merge file owns that exact copy.
 func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.DatasetID, job mergeJob) (map[object.DatasetID]segment, error) {
 	segs := make(map[object.DatasetID]segment, len(datasets))
+	// One pooled slice is the source of every member's copy in turn.
+	scratch := pagefile.GetObjSlice()
+	defer pagefile.PutObjSlice(scratch)
 	for i, ds := range datasets {
 		if m.cfg.ShareSegments {
 			if owner, ok := m.segIndex[segRef{key: job.key, ds: ds}]; ok && owner != mf.combo {
 				if ownerFile, live := m.files[owner]; live {
 					if seg, ok := ownerFile.entries[job.key][ds]; ok && seg.sharedFrom == "" {
-						segs[ds] = segment{run: seg.run, sharedFrom: owner}
+						segs[ds] = segment{run: seg.run, count: seg.count, sharedFrom: owner}
 						continue
 					}
 				}
 			}
 		}
-		objs, err := job.readers[i](ctx)
+		objs, err := job.readers[i](ctx, (*scratch)[:0])
 		if err != nil {
 			return nil, fmt.Errorf("merge read %v ds %d: %w", job.key, ds, err)
 		}
+		*scratch = objs
 		run, err := mf.file.AppendObjectsCtx(ctx, objs)
 		if err != nil {
 			return nil, fmt.Errorf("merge write %v ds %d: %w", job.key, ds, err)
 		}
-		segs[ds] = segment{run: run}
+		segs[ds] = segment{run: run, count: len(objs)}
 	}
 	return segs, nil
 }
@@ -606,10 +611,12 @@ func (m *Merger) touchCombo(key ComboKey) {
 	}
 }
 
-// ReadSegmentCtx reads the objects of one dataset for one merged partition,
-// following a shared-segment reference when present; the underlying run read
-// aborts at the page boundary where the context expired.
-func (m *Merger) ReadSegmentCtx(ctx context.Context, mf *MergeFile, key octree.Key, ds object.DatasetID) ([]object.Object, error) {
+// ReadSegmentCtx reads the objects of one dataset for one merged partition
+// and appends them to dst, grown once to fit (a nil dst: one allocation of
+// exactly the segment's size). It follows a shared-segment reference when
+// present; the underlying run read aborts at the page boundary where the
+// context expired.
+func (m *Merger) ReadSegmentCtx(ctx context.Context, dst []object.Object, mf *MergeFile, key octree.Key, ds object.DatasetID) ([]object.Object, error) {
 	segs, ok := mf.entries[key]
 	if !ok {
 		return nil, fmt.Errorf("merge file %s has no entry %v", mf.combo, key)
@@ -632,7 +639,7 @@ func (m *Merger) ReadSegmentCtx(ctx context.Context, mf *MergeFile, key octree.K
 		m.touch(owner)
 		file = owner.file
 	}
-	return file.ReadRunCtx(ctx, seg.run)
+	return file.ReadRunIntoCtx(ctx, slices.Grow(dst, seg.count), seg.run)
 }
 
 // EnforceBudget evicts least-recently-used merge files until the space

@@ -169,11 +169,11 @@ func TestReadSegmentErrors(t *testing.T) {
 	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
 	m := NewMerger(dev, MergerConfig{})
 	mf := mkMergeFile(m, dev, 1, 2, 3)
-	if _, err := m.ReadSegmentCtx(context.Background(), mf, octree.Key{Level: 1}, 1); err == nil {
+	if _, err := m.ReadSegmentCtx(context.Background(), nil, mf, octree.Key{Level: 1}, 1); err == nil {
 		t.Fatal("missing entry accepted")
 	}
 	mf.entries[octree.Key{Level: 1}] = map[object.DatasetID]segment{}
-	if _, err := m.ReadSegmentCtx(context.Background(), mf, octree.Key{Level: 1}, 1); err == nil {
+	if _, err := m.ReadSegmentCtx(context.Background(), nil, mf, octree.Key{Level: 1}, 1); err == nil {
 		t.Fatal("missing dataset segment accepted")
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
 	"spaceodyssey/internal/octree"
+	"spaceodyssey/internal/pagefile"
 	"spaceodyssey/internal/rawfile"
 	"spaceodyssey/internal/simdisk"
 )
@@ -330,7 +331,7 @@ func (o *Odyssey) AddRaw(raw *rawfile.Raw) error {
 	if err != nil {
 		return err
 	}
-	if o.cfg.ShareScans || o.rcache != nil {
+	if o.retainsReads() {
 		// Sharing and caching both ride the tree's partition reads; either
 		// one alone still needs the hook. Without them the tree keeps its
 		// pooled direct read.
@@ -342,6 +343,12 @@ func (o *Odyssey) AddRaw(raw *rawfile.Raw) error {
 	o.treeMu[ds] = new(sync.RWMutex)
 	return nil
 }
+
+// retainsReads reports whether a cell read can outlive the query that
+// performed it — retained by the result cache, or handed to the queries
+// attached to it. Such a read allocates its own exact-size slice; any other
+// decodes into pooled scratch.
+func (o *Odyssey) retainsReads() bool { return o.cfg.ShareScans || o.rcache != nil }
 
 // Name implements engine.Engine.
 func (o *Odyssey) Name() string {
@@ -543,7 +550,10 @@ func (o *Odyssey) QueryCtx(ctx context.Context, q geom.Box, datasets []object.Da
 	if err := simdisk.CheckCtx(ctx); err != nil {
 		return nil, err
 	}
-	acc := queryAcc{q: q}
+	// Matches accumulate in pooled scratch; the caller gets one copy of
+	// exactly the result's size.
+	scratch := pagefile.GetObjSlice()
+	acc := queryAcc{q: q, out: *scratch}
 	o.mu.RLock()
 	ctx, err := o.route(ctx, &acc, datasets)
 	for i := 0; err == nil && i < len(acc.ordered); i++ {
@@ -559,10 +569,13 @@ func (o *Odyssey) QueryCtx(ctx context.Context, q geom.Box, datasets []object.Da
 	if err == nil {
 		err = o.maintain(ctx, &acc)
 	}
-	if err != nil {
-		return nil, err
+	var out []object.Object
+	if err == nil && len(acc.out) > 0 {
+		out = slices.Clone(acc.out)
 	}
-	return acc.out, nil
+	*scratch = acc.out
+	pagefile.PutObjSlice(scratch)
+	return out, err
 }
 
 // route is stage one: it canonicalises the requested datasets (sorted,
@@ -651,12 +664,12 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 	}
 	var res octree.QueryResult
 	if o.maint != nil || !tree.NeedsWrite(acc.q, covered) {
-		res, err = tree.QueryReadOnlyCtx(ctx, acc.q, serve)
+		res, err = tree.QueryIntoCtx(ctx, acc.out, acc.q, serve, false)
 		lk.RUnlock()
 	} else {
 		lk.RUnlock()
 		lk.Lock()
-		res, err = tree.QueryCtx(ctx, acc.q, serve)
+		res, err = tree.QueryIntoCtx(ctx, acc.out, acc.q, serve, true)
 		if res.Refined > 0 {
 			// Refinements that completed before an abort still publish. They
 			// read the device outside readCell, so the query was not answered
@@ -666,6 +679,7 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 		}
 		lk.Unlock()
 	}
+	acc.out = res.Objects // the walk appended this dataset's matches
 	if err != nil {
 		return fmt.Errorf("core: dataset %d: %w", ds, err)
 	}
@@ -674,7 +688,6 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 	}
 	acc.phases.Refinement += res.RefineTime
 	acc.phases.TreeReads += res.ReadTime
-	acc.out = append(acc.out, res.Objects...)
 	for _, p := range res.Touched {
 		acc.touched = append(acc.touched, p.Key())
 	}
@@ -763,12 +776,26 @@ func (o *Odyssey) readMerged(ctx context.Context, acc *queryAcc) error {
 		}
 		return cmp.Or(cmp.Compare(a.ds, b.ds), compareKeys(a.entry, b.entry))
 	})
+	// A segment read that readCell may retain or share is a fresh slice of
+	// the segment's exact size (a nil destination); one nobody else can see
+	// decodes into pooled scratch, filtered before the next segment reuses it.
+	private := !o.retainsReads()
+	scratch := pagefile.GetObjSlice()
+	defer pagefile.PutObjSlice(scratch)
 	clock := simdisk.PhaseClock(ctx, o.dev)
 	t0 := clock()
 	for _, r := range reads {
 		objs, err := o.readCell(ctx, r.ds, r.entry, EntryBox(o.bounds, r.entry, acc.fanout),
 			func(ctx context.Context) ([]object.Object, error) {
-				return o.merger.ReadSegmentCtx(ctx, mf, r.entry, r.ds)
+				var dst []object.Object
+				if private {
+					dst = (*scratch)[:0]
+				}
+				objs, err := o.merger.ReadSegmentCtx(ctx, dst, mf, r.entry, r.ds)
+				if private && err == nil {
+					*scratch = objs
+				}
+				return objs, err
 			})
 		if err != nil {
 			return err

@@ -42,12 +42,13 @@ func (p LevelPolicy) String() string {
 }
 
 // mergeJob describes one partition to copy into a merge file: the cell key
-// of the new entry and, per member dataset (in order), a reader producing
-// the objects of that cell. Readers take the merge's context so the read
-// I/O is charged to the merge's QoS scope.
+// of the new entry and, per member dataset (in order), a reader appending
+// the objects of that cell to dst (the copy's scratch: nobody else sees the
+// source of a copy). Readers take the merge's context so the read I/O is
+// charged to the merge's QoS scope.
 type mergeJob struct {
 	key     octree.Key
-	readers []func(context.Context) ([]object.Object, error)
+	readers []func(ctx context.Context, dst []object.Object) ([]object.Object, error)
 }
 
 // planJob applies the level policy to one candidate key, returning the
@@ -85,8 +86,8 @@ func (m *Merger) planSameLevel(
 		if leaf == nil {
 			return mergeJob{}, false
 		}
-		job.readers = append(job.readers, func(ctx context.Context) ([]object.Object, error) {
-			return tree.ReadPartitionCtx(ctx, leaf)
+		job.readers = append(job.readers, func(ctx context.Context, dst []object.Object) ([]object.Object, error) {
+			return tree.ReadPartitionIntoCtx(ctx, dst, leaf)
 		})
 	}
 	return job, true
@@ -112,12 +113,12 @@ func (m *Merger) planRefineToFinest(
 		if tree.LeafAt(cand) == nil && tree.LeafCovering(cand) == nil {
 			return mergeJob{}, false
 		}
-		job.readers = append(job.readers, func(ctx context.Context) ([]object.Object, error) {
+		job.readers = append(job.readers, func(ctx context.Context, dst []object.Object) ([]object.Object, error) {
 			leaf, err := tree.RefineToCtx(ctx, cand)
 			if err != nil {
 				return nil, err
 			}
-			return tree.ReadPartitionCtx(ctx, leaf)
+			return tree.ReadPartitionIntoCtx(ctx, dst, leaf)
 		})
 	}
 	return job, true
@@ -159,16 +160,14 @@ func (m *Merger) planCoarsestCover(
 			// leaf sits above the key); aggregation is impossible.
 			return mergeJob{}, false
 		}
-		job.readers = append(job.readers, func(ctx context.Context) ([]object.Object, error) {
-			var out []object.Object
+		job.readers = append(job.readers, func(ctx context.Context, dst []object.Object) ([]object.Object, error) {
 			for _, leaf := range leaves {
-				objs, err := tree.ReadPartitionCtx(ctx, leaf)
-				if err != nil {
+				var err error
+				if dst, err = tree.ReadPartitionIntoCtx(ctx, dst, leaf); err != nil {
 					return nil, err
 				}
-				out = append(out, objs...)
 			}
-			return out, nil
+			return dst, nil
 		})
 	}
 	return job, true

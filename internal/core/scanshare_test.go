@@ -3,7 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -246,6 +249,123 @@ func TestReadCellConcurrentReadersShareOneRead(t *testing.T) {
 	}
 	if n := c.eng.SharingStats().AttachedScans; n != followers {
 		t.Fatalf("AttachedScans = %d, want %d", n, followers)
+	}
+}
+
+// TestReadCellRetainedSlicesNeverPooled is the oracle for the one way buffer
+// reuse could corrupt an answer: a cell read the result cache retains, or
+// attached queries share, must never be a pooled slice — a later reader's
+// scratch would overwrite it. Two probes fill the cache, one through merge
+// segments (three datasets: merged once the layout settles), one through
+// tree leaves (two datasets, elsewhere: never merged); a second engine in the
+// paper preset (own device and data: the pools are process-wide) then cycles
+// every pool with a few hundred queries over other cells — refinement
+// sources and slabs, merge-copy sources, private leaf and segment reads,
+// results; then the probes are answered again from the cache, from several
+// goroutines, while the churn goes on, and every reply is compared with a
+// brute-force scan. Under -race a pooled cached slice is a reported race as
+// well.
+func TestReadCellRetainedSlicesNeverPooled(t *testing.T) {
+	cfg := shareConfig()
+	cfg.CacheResults = true
+	eng, raws, _ := testSetup(t, 3, 4000, 31, cfg)
+	churn, _, _ := testSetup(t, 3, 4000, 32, DefaultConfig())
+	type probe struct {
+		q    geom.Box
+		dss  []object.DatasetID
+		want []object.Object
+	}
+	probes := []*probe{
+		{q: geom.Cube(geom.V(0.5, 0.5, 0.5), 0.1), dss: []object.DatasetID{0, 1, 2}},
+		{q: geom.Cube(geom.V(0.25, 0.3, 0.7), 0.1), dss: []object.DatasetID{0, 1}},
+	}
+	ask := func(p *probe) error {
+		got, err := eng.Query(p.q, p.dss)
+		if err != nil {
+			return err
+		}
+		engine.SortObjects(got)
+		if !slices.Equal(got, p.want) {
+			return fmt.Errorf("the reply to %v over %v differs from the brute-force scan", p.q, p.dss)
+		}
+		return nil
+	}
+	cycle := func(seed int64, queries int) error {
+		r := rand.New(rand.NewSource(seed))
+		for i := 0; i < queries; i++ {
+			at := geom.V(r.Float64(), r.Float64(), r.Float64())
+			if _, err := churn.Query(geom.Cube(at, 0.02+0.1*r.Float64()), probes[0].dss); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	oracle := engine.NewNaiveScan(raws)
+	for _, p := range probes {
+		var err error
+		if p.want, err = oracle.Query(p.q, p.dss); err != nil {
+			t.Fatal(err)
+		}
+		if len(p.want) == 0 {
+			t.Fatalf("%v matches nothing: the test would compare empty replies", p.q)
+		}
+		engine.SortObjects(p.want)
+	}
+	// Refinements and the merge step flush the cache, so ask until the
+	// layout stops moving: the last round leaves every probe's cells cached.
+	for i := 0; ; i++ {
+		epoch := eng.layoutEpoch.Load()
+		for _, p := range probes {
+			if err := ask(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if eng.layoutEpoch.Load() == epoch {
+			break
+		}
+		if i == 20 {
+			t.Fatal("the probes are still changing the layout after 20 rounds")
+		}
+	}
+	if m := eng.Metrics(); m.PartitionsFromMerge == 0 || m.PartitionsFromTree == 0 {
+		t.Fatalf("the probes read %d segments and %d leaves; they must exercise both", m.PartitionsFromMerge, m.PartitionsFromTree)
+	}
+	before := eng.CacheStats()
+	if err := cycle(1, 300); err != nil {
+		t.Fatal(err)
+	}
+
+	const askers, asks = 4, 6
+	errc := make(chan error, askers+1)
+	var wg sync.WaitGroup
+	for g := 0; g < askers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < asks; i++ {
+				if err := ask(probes[(g+i)%len(probes)]); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := cycle(2, 100); err != nil {
+			errc <- err
+		}
+	}()
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	after := eng.CacheStats()
+	if got := after.ZeroReadQueries - before.ZeroReadQueries; got != askers*asks {
+		t.Fatalf("%d of the %d repeated asks were answered without a device read; all should come from the cache", got, askers*asks)
 	}
 }
 

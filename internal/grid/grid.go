@@ -192,14 +192,17 @@ func (g *Index) Query(q geom.Box, filter map[object.DatasetID]bool) ([]object.Ob
 		seen = make(map[objKey]bool)
 	}
 	var out []object.Object
+	cell := pagefile.GetObjSlice() // every cell decodes into it; matches are copied out
+	defer pagefile.PutObjSlice(cell)
 	for z := loZ; z <= hiZ; z++ {
 		for y := loY; y <= hiY; y++ {
 			for x := loX; x <= hiX; x++ {
 				ci := (z*k+y)*k + x
-				objs, err := g.file.ReadRunsCtx(context.Background(), g.cells[ci])
+				objs, err := g.file.ReadRunsIntoCtx(context.Background(), (*cell)[:0], g.cells[ci])
 				if err != nil {
 					return nil, err
 				}
+				*cell = objs
 				for _, o := range objs {
 					if !o.Intersects(q) {
 						continue

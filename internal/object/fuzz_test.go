@@ -1,13 +1,35 @@
 package object
 
 import (
+	"bytes"
 	"testing"
 
+	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/simdisk"
 )
 
-// FuzzDecodePage checks that arbitrary page bytes never panic the decoder
-// and that accepted pages re-encode consistently.
+// sameRecords compares object slices by their encoded records, so NaN
+// coordinates a fuzzed page may carry compare equal to themselves.
+func sameRecords(a, b []Object) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	var ra, rb [RecordSize]byte
+	for i := range a {
+		EncodeRecord(ra[:], a[i])
+		EncodeRecord(rb[:], b[i])
+		if ra != rb {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzDecodePage checks that arbitrary page bytes never panic the decoder,
+// that accepted pages re-encode consistently, and the buffer-reuse contract
+// of AppendPageInto: decoding into a non-empty dst — with room to decode in
+// place, and without — returns dst's prefix followed by exactly what
+// DecodePage returns, and a rejected page leaves dst as it was.
 func FuzzDecodePage(f *testing.F) {
 	// Seed corpus: a valid page, an empty page, truncated and corrupted
 	// variants.
@@ -27,8 +49,27 @@ func FuzzDecodePage(f *testing.F) {
 	corrupted[100] ^= 0xFF
 	f.Add(corrupted)
 
+	prefix := []Object{{ID: 9, Dataset: 1, Center: geom.V(1, 2, 3)}, {ID: 10, HalfExtent: geom.V(4, 5, 6)}}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		objs, err := DecodePage(data)
+		for _, spare := range []int{0, PageCapacity} {
+			dst := make([]Object, len(prefix), len(prefix)+spare)
+			copy(dst, prefix)
+			got, aerr := AppendPageInto(dst, data)
+			if (aerr == nil) != (err == nil) {
+				t.Fatalf("AppendPageInto: %v, DecodePage: %v", aerr, err)
+			}
+			if err != nil {
+				if !sameRecords(got, prefix) || cap(got) != cap(dst) ||
+					!sameRecords(got[:cap(got)][len(prefix):], make([]Object, spare)) {
+					t.Fatalf("rejected page (%v) changed dst: %v", err, got[:cap(got)])
+				}
+				continue
+			}
+			if want := append(prefix[:len(prefix):len(prefix)], objs...); !sameRecords(got, want) {
+				t.Fatalf("spare %d: decoded %v after the prefix, want %v", spare, got, want)
+			}
+		}
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
@@ -43,6 +84,42 @@ func FuzzDecodePage(f *testing.F) {
 		}
 		if len(again) != len(objs) {
 			t.Fatalf("round trip changed count: %d vs %d", len(again), len(objs))
+		}
+	})
+}
+
+// FuzzEncodePageInto checks the other half of buffer reuse: encoding into a
+// page that holds arbitrary bytes must equal EncodePage byte for byte — a
+// stale tail would sit under the checksum and resurface as records after a
+// count bump, stale header padding would make equal pages differ — and a
+// refused encode must leave the page alone.
+func FuzzEncodePageInto(f *testing.F) {
+	f.Add([]byte{0xFF}, make([]byte, 3*RecordSize))
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{0x5D, 0x0D, 1, 2, 3}, make([]byte, PageCapacity*RecordSize))
+	f.Add([]byte{7}, make([]byte, (PageCapacity+1)*RecordSize))
+	f.Fuzz(func(t *testing.T, fill, recs []byte) {
+		objs := make([]Object, min(len(recs)/RecordSize, PageCapacity+1))
+		for i := range objs {
+			objs[i] = DecodeRecord(recs[i*RecordSize:])
+		}
+		buf := make([]byte, simdisk.PageSize)
+		for i := range buf {
+			if len(fill) > 0 {
+				buf[i] = fill[i%len(fill)]
+			}
+		}
+		before := append([]byte(nil), buf...)
+		want, werr := EncodePage(objs)
+		err := EncodePageInto(buf, objs)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("EncodePageInto: %v, EncodePage: %v", err, werr)
+		}
+		if err != nil {
+			want = before
+		}
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("%d objects into a dirty page: differs from EncodePage (err %v)", len(objs), err)
 		}
 	})
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/simdisk"
@@ -94,6 +95,7 @@ func getVec(buf []byte, off int) (geom.Vec, int) {
 
 // EncodeRecord writes o into buf (at least RecordSize bytes).
 func EncodeRecord(buf []byte, o Object) {
+	buf = buf[:RecordSize] // one bounds check for the whole record
 	binary.LittleEndian.PutUint64(buf[0:], o.ID)
 	binary.LittleEndian.PutUint32(buf[8:], uint32(o.Dataset))
 	binary.LittleEndian.PutUint32(buf[12:], 0) // padding
@@ -104,64 +106,89 @@ func EncodeRecord(buf []byte, o Object) {
 // DecodeRecord reads an Object from buf (at least RecordSize bytes).
 func DecodeRecord(buf []byte) Object {
 	var o Object
+	decodeRecordInto(&o, buf)
+	return o
+}
+
+// decodeRecordInto is DecodeRecord writing through a pointer: a page decodes
+// its records straight into their slots of the destination slice.
+func decodeRecordInto(o *Object, buf []byte) {
+	buf = buf[:RecordSize] // one bounds check for the whole record
 	o.ID = binary.LittleEndian.Uint64(buf[0:])
 	o.Dataset = DatasetID(binary.LittleEndian.Uint32(buf[8:]))
 	var off int
 	o.Center, off = getVec(buf, 16)
 	o.HalfExtent, _ = getVec(buf, off)
-	return o
 }
 
 // EncodePage encodes up to PageCapacity objects into a fresh PageSize
 // buffer with header and checksum.
 func EncodePage(objs []Object) ([]byte, error) {
-	if len(objs) > PageCapacity {
-		return nil, fmt.Errorf("%w: %d > %d", ErrPageFull, len(objs), PageCapacity)
-	}
 	buf := make([]byte, simdisk.PageSize)
+	if err := EncodePageInto(buf, objs); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// EncodePageInto encodes up to PageCapacity objects into the first PageSize
+// bytes of buf, which the caller owns and may hold anything: header, records,
+// the unused tail and the header padding are all written, so the page is
+// byte for byte what EncodePage returns. On error buf is untouched.
+func EncodePageInto(buf []byte, objs []Object) error {
+	if len(objs) > PageCapacity {
+		return fmt.Errorf("%w: %d > %d", ErrPageFull, len(objs), PageCapacity)
+	}
+	if len(buf) < simdisk.PageSize {
+		return ErrShortBuffer
+	}
+	buf = buf[:simdisk.PageSize]
 	binary.LittleEndian.PutUint16(buf[0:], pageMagic)
 	binary.LittleEndian.PutUint16(buf[2:], uint16(len(objs)))
+	clear(buf[8:pageHeaderSize])
 	for i, o := range objs {
 		EncodeRecord(buf[pageHeaderSize+i*RecordSize:], o)
 	}
-	crc := crc32.ChecksumIEEE(buf[pageHeaderSize:])
-	binary.LittleEndian.PutUint32(buf[4:], crc)
-	return buf, nil
+	// A stale tail would sit under the checksum and resurface as records
+	// after a count bump.
+	clear(buf[pageHeaderSize+len(objs)*RecordSize:])
+	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(buf[pageHeaderSize:]))
+	return nil
 }
 
 // DecodePage decodes the objects stored in one page, verifying the header
 // magic and payload checksum.
 func DecodePage(buf []byte) ([]Object, error) {
+	return AppendPageInto(nil, buf)
+}
+
+// AppendPageInto validates one page — length, magic, record count and payload
+// checksum, on every call — and appends its records to dst, returning the
+// extended slice. dst grows once, by the page's record count, and the records
+// are decoded straight into it; a rejected page returns dst unchanged. The
+// result shares nothing with buf (objects are pointer-free values), so the
+// caller may recycle the page as soon as the call returns.
+func AppendPageInto(dst []Object, buf []byte) ([]Object, error) {
 	if len(buf) < simdisk.PageSize {
-		return nil, ErrShortBuffer
+		return dst, ErrShortBuffer
 	}
 	if binary.LittleEndian.Uint16(buf[0:]) != pageMagic {
-		return nil, ErrBadMagic
+		return dst, ErrBadMagic
 	}
 	count := int(binary.LittleEndian.Uint16(buf[2:]))
 	if count > PageCapacity {
-		return nil, fmt.Errorf("%w: %d", ErrBadCount, count)
+		return dst, fmt.Errorf("%w: %d", ErrBadCount, count)
 	}
 	wantCRC := binary.LittleEndian.Uint32(buf[4:])
 	if crc32.ChecksumIEEE(buf[pageHeaderSize:simdisk.PageSize]) != wantCRC {
-		return nil, ErrBadChecksum
+		return dst, ErrBadChecksum
 	}
-	objs := make([]Object, count)
-	for i := 0; i < count; i++ {
-		objs[i] = DecodeRecord(buf[pageHeaderSize+i*RecordSize:])
+	n := len(dst)
+	dst = slices.Grow(dst, count)[:n+count]
+	for i := range dst[n:] {
+		decodeRecordInto(&dst[n+i], buf[pageHeaderSize+i*RecordSize:])
 	}
-	return objs, nil
-}
-
-// AppendPageInto decodes one page and appends the records to dst, returning
-// the extended slice. It avoids re-allocating when callers accumulate many
-// pages.
-func AppendPageInto(dst []Object, buf []byte) ([]Object, error) {
-	objs, err := DecodePage(buf)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, objs...), nil
+	return dst, nil
 }
 
 // PagesFor returns the number of pages needed to store n records.

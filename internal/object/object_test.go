@@ -1,6 +1,7 @@
 package object
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -214,6 +215,60 @@ func TestChecksumDetectsBitFlipsProperty(t *testing.T) {
 		bad[byteIdx] ^= 1 << uint(r.Intn(8))
 		if _, err := DecodePage(bad); err == nil {
 			t.Fatalf("bit flip at byte %d undetected", byteIdx)
+		}
+	}
+}
+
+// The page codec allocates nothing of its own: AppendPageInto decodes
+// straight into a dst with room (it used to decode into a temporary slice and
+// copy), EncodePageInto writes into the caller's page.
+func TestPageCodecDoesNotAllocate(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	objs := make([]Object, PageCapacity)
+	for i := range objs {
+		objs[i] = randObject(r)
+	}
+	page := bytes.Repeat([]byte{0xAB}, simdisk.PageSize)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := EncodePageInto(page, objs); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("EncodePageInto: %v allocations per page, want 0", n)
+	}
+	dst := make([]Object, 0, PageCapacity)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := AppendPageInto(dst, page); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("AppendPageInto into a dst with room: %v allocations per page, want 0", n)
+	}
+}
+
+func BenchmarkAppendPageInto(b *testing.B) {
+	page, err := EncodePage(make([]Object, PageCapacity))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]Object, 0, PageCapacity)
+	b.ReportAllocs()
+	b.SetBytes(simdisk.PageSize)
+	for b.Loop() {
+		if _, err := AppendPageInto(dst, page); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEncodePageInto(b *testing.B) {
+	objs := make([]Object, PageCapacity)
+	page := make([]byte, simdisk.PageSize)
+	b.ReportAllocs()
+	b.SetBytes(simdisk.PageSize)
+	for b.Loop() {
+		if err := EncodePageInto(page, objs); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"spaceodyssey/internal/geom"
@@ -168,9 +169,11 @@ type Tree struct {
 	// the objects from an attached in-flight scan or a result cache instead.
 	// The partition carries the region metadata such interceptors key on —
 	// its cell Key and spatial Box — and its content is immutable for the
-	// duration of the caller's shared tree lock. The returned slice must be
-	// treated as read-only — it may be shared with concurrent queries. Set
-	// once before queries run.
+	// duration of the caller's shared tree lock. read returns a slice of
+	// exactly the partition's size, freshly allocated and never pooled, so the
+	// interceptor may retain it; the slice it returns in turn must be treated
+	// as read-only — it may be shared with concurrent queries. Set once
+	// before queries run.
 	ShareReader func(ctx context.Context, p *Partition, read func(context.Context) ([]object.Object, error)) ([]object.Object, error)
 
 	// Refinements counts completed refinement operations (for stats).
@@ -236,20 +239,18 @@ func (t *Tree) EnsureBuiltCtx(ctx context.Context) error {
 	if t.Built() {
 		return nil
 	}
-	buckets := make([][]object.Object, t.k*t.k*t.k)
+	all := make([]object.Object, 0, t.raw.NumObjects())
 	var maxExt geom.Vec
-	n := 0
 	err := t.raw.ScanCtx(ctx, func(o object.Object) error {
-		ix, iy, iz := t.bounds.CellIndex(t.k, o.Center)
-		idx := (iz*t.k+iy)*t.k + ix
-		buckets[idx] = append(buckets[idx], o)
+		all = append(all, o)
 		maxExt = maxExt.Max(o.HalfExtent)
-		n++
 		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("octree level-0 scan: %w", err)
 	}
+	slab := make([]object.Object, len(all))
+	bounds := bucketByCell(t.bounds, t.k, all, slab)
 
 	cells := t.bounds.Subdivide(t.k)
 	root := &Partition{
@@ -265,7 +266,7 @@ func (t *Tree) EnsureBuiltCtx(ctx context.Context) error {
 		cx := ci % t.k
 		cy := (ci / t.k) % t.k
 		cz := ci / (t.k * t.k)
-		objs := buckets[ci]
+		objs := slab[bounds[ci]:bounds[ci+1]]
 		runs, err := t.file.WriteIntoCtx(wctx, nil, objs)
 		if err != nil {
 			return fmt.Errorf("octree level-0 write: %w", err)
@@ -279,10 +280,40 @@ func (t *Tree) EnsureBuiltCtx(ctx context.Context) error {
 	}
 	t.root = root
 	t.maxExtent = maxExt
-	t.numObjects = n
+	t.numObjects = len(all)
 	t.numLeaves = len(root.children)
 	t.built.Store(true)
 	return nil
+}
+
+// bucketByCell groups objs by the cell of box's k×k×k subdivision that holds
+// their center — the one bucketing behind the level-0 build and every
+// refinement. It is a stable counting sort into slab (len(objs) long), so
+// each bucket keeps objs' order and the pages written from it are byte for
+// byte what per-bucket appends produced. Bucket ci is
+// slab[bounds[ci]:bounds[ci+1]].
+func bucketByCell(box geom.Box, k int, objs, slab []object.Object) (bounds []int) {
+	cellOf := func(o *object.Object) int {
+		ix, iy, iz := box.CellIndex(k, o.Center)
+		return (iz*k+iy)*k + ix
+	}
+	// Counts go in two slots up, so that after the prefix sum b[ci+1] is
+	// bucket ci's start; placing advances it to the bucket's end, which is
+	// bucket ci+1's start — leaving b[ci] the start of every bucket and
+	// b[k³] the total, with no second cursor array.
+	b := make([]int, k*k*k+2)
+	for i := range objs {
+		b[cellOf(&objs[i])+2]++
+	}
+	for j := 1; j < len(b); j++ {
+		b[j] += b[j-1]
+	}
+	for i := range objs {
+		ci := cellOf(&objs[i])
+		slab[b[ci+1]] = objs[i]
+		b[ci+1]++
+	}
+	return b[:len(b)-1]
 }
 
 // Lookup returns the leaf partitions intersecting area. The caller is
@@ -338,9 +369,12 @@ func (t *Tree) LeafAt(key Key) *Partition {
 	return nil // coarser here than the key, or refined past it
 }
 
-// ReadPartitionCtx reads every object stored in p from disk.
-func (t *Tree) ReadPartitionCtx(ctx context.Context, p *Partition) ([]object.Object, error) {
-	return t.file.ReadRunsCtx(ctx, p.runs)
+// ReadPartitionIntoCtx reads every object stored in p from disk and appends
+// them to dst, grown once to fit: a nil dst costs one allocation of exactly
+// the partition's size (the read to keep), pooled scratch with room costs
+// none (the read only the caller sees).
+func (t *Tree) ReadPartitionIntoCtx(ctx context.Context, dst []object.Object, p *Partition) ([]object.Object, error) {
+	return t.file.ReadRunsIntoCtx(ctx, slices.Grow(dst, p.count), p.runs)
 }
 
 // File exposes the partition storage file (merge copies read through it).

@@ -30,6 +30,15 @@ func testTree(t *testing.T, n int, cfg Config, seed int64) (*Tree, *rawfile.Raw,
 	return tree, raw, dev
 }
 
+// queryRefining is the query the sync engine runs against one tree: build
+// level 0 on first use, then a refining walk into a fresh result.
+func queryRefining(tree *Tree, q geom.Box, serveFromStore func(*Partition) bool) (QueryResult, error) {
+	if err := tree.EnsureBuiltCtx(context.Background()); err != nil {
+		return QueryResult{}, err
+	}
+	return tree.QueryIntoCtx(context.Background(), nil, q, serveFromStore, true)
+}
+
 func TestConfigValidation(t *testing.T) {
 	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
 	raw, err := rawfile.Write(dev, "d", 0, nil)
@@ -97,7 +106,7 @@ func leafInvariants(t *testing.T, tree *Tree) {
 		}
 		vol += p.Box().Volume()
 		total += p.Count()
-		objs, err := tree.ReadPartitionCtx(context.Background(), p)
+		objs, err := tree.ReadPartitionIntoCtx(context.Background(), nil, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +162,7 @@ func TestQueryMatchesNaiveScan(t *testing.T) {
 		if !ok {
 			continue
 		}
-		res, err := tree.QueryCtx(context.Background(), q, nil)
+		res, err := queryRefining(tree, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +206,7 @@ func TestRefinementOneLevelPerQuery(t *testing.T) {
 	q := geom.Cube(geom.V(0.5, 0.5, 0.5), 0.01)
 
 	// First query builds level 0, then refines the hit partitions once.
-	res, err := tree.QueryCtx(context.Background(), q, nil)
+	res, err := queryRefining(tree, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +220,7 @@ func TestRefinementOneLevelPerQuery(t *testing.T) {
 
 	// The same query again refines at most one more level of the hit cells.
 	prevLeaves := tree.NumLeaves()
-	res2, err := tree.QueryCtx(context.Background(), q, nil)
+	res2, err := queryRefining(tree, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +239,7 @@ func TestRefinementConverges(t *testing.T) {
 	q := geom.Cube(geom.V(0.25, 0.25, 0.25), 0.02)
 	var last int
 	for i := 0; i < 12; i++ {
-		res, err := tree.QueryCtx(context.Background(), q, nil)
+		res, err := queryRefining(tree, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +274,7 @@ func TestConvergenceMatchesTargetLevels(t *testing.T) {
 	q := geom.Cube(geom.V(0.3, 0.3, 0.3), cbrt(vq))
 	hits := 0
 	for ; hits < 20; hits++ {
-		res, err := tree.QueryCtx(context.Background(), q, nil)
+		res, err := queryRefining(tree, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +330,7 @@ func TestEmptyPartitionsNeverRefine(t *testing.T) {
 	}
 	q := geom.Cube(geom.V(0.9, 0.9, 0.9), 0.01)
 	for i := 0; i < 3; i++ {
-		res, err := tree.QueryCtx(context.Background(), q, nil)
+		res, err := queryRefining(tree, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +348,7 @@ func TestMaxDepthBoundsRefinement(t *testing.T) {
 	tree, _, _ := testTree(t, 2000, cfg, 10)
 	q := geom.Cube(geom.V(0.5, 0.5, 0.5), 1e-4)
 	for i := 0; i < 10; i++ {
-		if _, err := tree.QueryCtx(context.Background(), q, nil); err != nil {
+		if _, err := queryRefining(tree, q, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -367,7 +376,7 @@ func TestInPlaceReuseBoundsFileGrowth(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if _, err := tree.QueryCtx(context.Background(), q, nil); err != nil {
+		if _, err := queryRefining(tree, q, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -415,7 +424,7 @@ func TestLeafAt(t *testing.T) {
 		if !ok {
 			t.Fatal("query construction failed")
 		}
-		if _, err := tree.QueryCtx(context.Background(), q, nil); err != nil {
+		if _, err := queryRefining(tree, q, nil); err != nil {
 			t.Fatal(err)
 		}
 		if target.Count() == 0 {
@@ -441,12 +450,12 @@ func TestLeafAt(t *testing.T) {
 func TestServeFromStoreHookSkipsReads(t *testing.T) {
 	tree, _, dev := testTree(t, 3000, DefaultConfig(), 14)
 	q := geom.Cube(geom.V(0.5, 0.5, 0.5), 0.05)
-	if _, err := tree.QueryCtx(context.Background(), q, nil); err != nil {
+	if _, err := queryRefining(tree, q, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Serve everything from the (imaginary) store: no reads, no objects.
 	dev.ResetStats()
-	res, err := tree.QueryCtx(context.Background(), q, func(*Partition) bool { return true })
+	res, err := queryRefining(tree, q, func(*Partition) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,10 +494,10 @@ func TestKeysShareGeometryAcrossTrees(t *testing.T) {
 	a := mk(1, 100)
 	b := mk(2, 200)
 	q := geom.Cube(geom.V(0.7, 0.2, 0.4), 0.01)
-	if _, err := a.QueryCtx(context.Background(), q, nil); err != nil {
+	if _, err := queryRefining(a, q, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.QueryCtx(context.Background(), q, nil); err != nil {
+	if _, err := queryRefining(b, q, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Boxes for equal keys must be identical.
@@ -525,7 +534,7 @@ func TestKeyChild(t *testing.T) {
 func TestRefineNonLeafFails(t *testing.T) {
 	tree, _, _ := testTree(t, 2000, DefaultConfig(), 15)
 	q := geom.Cube(geom.V(0.5, 0.5, 0.5), 0.01)
-	if _, err := tree.QueryCtx(context.Background(), q, nil); err != nil {
+	if _, err := queryRefining(tree, q, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Find a refined partition.
@@ -547,7 +556,7 @@ func TestRefineNonLeafFails(t *testing.T) {
 	if refined == nil {
 		t.Skip("no refined partition produced")
 	}
-	if _, err := tree.refineCtx(context.Background(), refined); err == nil {
+	if _, err := tree.refineCtx(context.Background(), refined, new([]object.Object)); err == nil {
 		t.Fatal("refining a non-leaf succeeded")
 	}
 }
@@ -565,7 +574,7 @@ func TestRandomWorkloadInvariantsProperty(t *testing.T) {
 			if !ok || q.Volume() == 0 {
 				continue
 			}
-			if _, err := tree.QueryCtx(context.Background(), q, nil); err != nil {
+			if _, err := queryRefining(tree, q, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -40,7 +40,7 @@ func TestQueryReadOnlyMatchesQuery(t *testing.T) {
 		t.Fatal("hot query reported no refinement demand")
 	}
 
-	rw, err := rwTree.QueryCtx(context.Background(), q, nil)
+	rw, err := queryRefining(rwTree, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRefineRegionConverges(t *testing.T) {
 	// The foreground tree converges by repeating the query (one level per
 	// pass); both must land on the same leaf structure.
 	for i := 0; i < 20; i++ {
-		res, err := fgTree.QueryCtx(context.Background(), q, nil)
+		res, err := queryRefining(fgTree, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

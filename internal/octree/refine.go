@@ -3,6 +3,7 @@ package octree
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"spaceodyssey/internal/geom"
@@ -26,31 +27,32 @@ func (t *Tree) NeedsRefinement(p *Partition, qVol float64) bool {
 
 // refineCtx splits leaf p into ppl children, reassigning its objects by
 // center and rewriting them in place: children reuse p's pages first and
-// overflow is appended at end of file, exactly as §3.1.2 describes. It
-// returns the objects that were read in the process so callers answering a
-// query can filter them without a second read. Cancellation is limited to
-// the read phase: aborting while the partition is being read leaves it
-// exactly as it was (runs and children untouched), while the
-// split-and-rewrite phase always runs to completion so the tree can never
-// hold a half-rewritten partition. This is the "check cancellation between
-// level steps, never inside a layout mutation" rule the concurrent storm
-// tests pin down.
-func (t *Tree) refineCtx(ctx context.Context, p *Partition) ([]object.Object, error) {
+// overflow is appended at end of file, exactly as §3.1.2 describes. The
+// partition is read into scratch (a slice from pagefile.GetObjSlice that only
+// the caller sees), and the objects read are returned — valid until scratch is
+// next used — so callers answering a query can filter them without a second
+// read. Cancellation is limited to the read phase: aborting while the
+// partition is being read leaves it exactly as it was (runs and children
+// untouched), while the split-and-rewrite phase always runs to completion so
+// the tree can never hold a half-rewritten partition. This is the "check
+// cancellation between level steps, never inside a layout mutation" rule the
+// concurrent storm tests pin down.
+func (t *Tree) refineCtx(ctx context.Context, p *Partition, scratch *[]object.Object) ([]object.Object, error) {
 	if !p.IsLeaf() {
 		return nil, fmt.Errorf("octree: refine on non-leaf %v", p.key)
 	}
-	objs, err := t.ReadPartitionCtx(ctx, p)
+	objs, err := t.ReadPartitionIntoCtx(ctx, (*scratch)[:0], p)
 	if err != nil {
 		return nil, fmt.Errorf("octree refine read: %w", err)
 	}
+	*scratch = objs
 
 	// Bucket objects into the k^3 children by center.
-	buckets := make([][]object.Object, t.k*t.k*t.k)
-	for _, o := range objs {
-		ix, iy, iz := p.box.CellIndex(t.k, o.Center)
-		idx := (iz*t.k+iy)*t.k + ix
-		buckets[idx] = append(buckets[idx], o)
-	}
+	sp := pagefile.GetObjSlice()
+	defer pagefile.PutObjSlice(sp)
+	slab := slices.Grow(*sp, len(objs))[:len(objs)]
+	*sp = slab
+	bounds := bucketByCell(p.box, t.k, objs, slab)
 
 	// The parent's pages become the free pool children draw from in order.
 	// The rewrite phase always completes (no half-rewritten partition), but
@@ -64,7 +66,7 @@ func (t *Tree) refineCtx(ctx context.Context, p *Partition) ([]object.Object, er
 		cx := ci % t.k
 		cy := (ci / t.k) % t.k
 		cz := ci / (t.k * t.k)
-		bucket := buckets[ci]
+		bucket := slab[bounds[ci]:bounds[ci+1]]
 		reuse := alloc.take(object.PagesFor(len(bucket)))
 		runs, err := t.file.WriteIntoCtx(wctx, reuse, bucket)
 		if err != nil {
@@ -87,14 +89,15 @@ func (t *Tree) refineCtx(ctx context.Context, p *Partition) ([]object.Object, er
 // NeedsWrite reports whether answering q could mutate the tree: either the
 // level-0 build has not run yet, or some leaf the (extended) query window
 // hits qualifies for refinement. servedElsewhere, when non-nil, mirrors
-// QueryCtx's serveFromStore hook: leaves it claims are served from a merge
-// file are neither read nor refined by QueryCtx (§3.2.2), so they do not
-// count as pending writes — without this, a partition merged before
+// QueryIntoCtx's serveFromStore hook: leaves it claims are served from a
+// merge file are neither read nor refined by the query (§3.2.2), so they do
+// not count as pending writes — without this, a partition merged before
 // converging would keep the exclusive lock engaged on every query forever.
 // Concurrent callers use NeedsWrite to decide between a shared and an
-// exclusive tree lock before calling QueryCtx; it performs no I/O, and the
+// exclusive tree lock before querying; it performs no I/O, and the
 // predicate must be read-only. A false answer is stable for as long as the
-// caller excludes writers, since only QueryCtx itself builds or refines.
+// caller excludes writers, since only EnsureBuiltCtx and a refining
+// QueryIntoCtx build or refine.
 func (t *Tree) NeedsWrite(q geom.Box, servedElsewhere func(*Partition) bool) bool {
 	if !t.Built() {
 		return true
@@ -123,40 +126,11 @@ type QueryResult struct {
 	// of leaves that qualified for refinement but were served as-is. The
 	// caller schedules their refinement asynchronously.
 	WantRefine []Key
-	// BuildTime, RefineTime and ReadTime break the simulated cost of this
-	// query down by phase: the level-0 in-situ build (first touch only),
-	// refinement I/O, and partition reads.
-	BuildTime  time.Duration
+	// RefineTime and ReadTime break the simulated cost of this query down
+	// by phase: refinement I/O and partition reads. (The level-0 build is
+	// EnsureBuiltCtx, timed by its caller.)
 	RefineTime time.Duration
 	ReadTime   time.Duration
-}
-
-// QueryCtx runs a range query against this tree alone: it builds level 0 on
-// first use, locates the hit partitions via the extended query window,
-// refines each hit partition by at most one level (the paper's
-// one-level-per-query rule), and returns the intersecting objects.
-//
-// serveFromStore, when non-nil, lets the caller intercept a partition: if it
-// returns true the partition's objects are assumed served elsewhere (e.g.
-// from a merge file) — it is neither read nor refined here. The core engine
-// uses this hook to route partitions to merge files.
-//
-// The context is checked between level steps — before the level-0 build,
-// before each partition read or refinement — and inside the reads themselves
-// down to the page boundary, so an abandoned query stops charging simulated
-// I/O almost immediately. Refinements that already started always complete
-// (see refineCtx), keeping the tree consistent; on error the partial
-// QueryResult must be discarded.
-func (t *Tree) QueryCtx(ctx context.Context, q geom.Box, serveFromStore func(*Partition) bool) (QueryResult, error) {
-	clock := simdisk.PhaseClock(ctx, t.file.Device())
-	t0 := clock()
-	if err := t.EnsureBuiltCtx(ctx); err != nil {
-		return QueryResult{}, err
-	}
-	build := clock() - t0
-	res, err := t.walk(ctx, q, serveFromStore, true)
-	res.BuildTime = build
-	return res, err
 }
 
 // QueryReadOnlyCtx answers q strictly from the current layout: the tree must
@@ -164,28 +138,49 @@ func (t *Tree) QueryCtx(ctx context.Context, q geom.Box, serveFromStore func(*Pa
 // write intent whatsoever, so concurrent callers can run it under a shared
 // tree lock. Leaves that qualify for refinement under the rt rule are served
 // as-is and reported in res.WantRefine, for the caller to hand to an
-// asynchronous maintenance scheduler. serveFromStore behaves exactly as in
-// QueryCtx: intercepted partitions are neither read nor reported as wanting
-// refinement (merged partitions are not refined, §3.2.2).
+// asynchronous maintenance scheduler. It is QueryIntoCtx with a nil dst and
+// refine off, kept as the name the benchmark's octree layer calls.
 func (t *Tree) QueryReadOnlyCtx(ctx context.Context, q geom.Box, serveFromStore func(*Partition) bool) (QueryResult, error) {
-	if !t.Built() {
-		return QueryResult{}, fmt.Errorf("octree: read-only query on unbuilt tree")
-	}
-	return t.walk(ctx, q, serveFromStore, false)
+	return t.QueryIntoCtx(ctx, nil, q, serveFromStore, false)
 }
 
-// walk is the one query loop behind QueryCtx and QueryReadOnlyCtx: every
-// leaf the extended window hits is either left to serveFromStore, or read
-// and filtered. The two entry points differ in the single decision taken on
-// a leaf that qualifies for refinement: refine it now and answer from the
-// objects the refinement read (refine), or serve it as-is and report its key
-// in WantRefine.
+// QueryIntoCtx runs a range query against this tree alone: it locates the
+// hit partitions via the extended query window and appends the intersecting
+// objects to dst (res.Objects is the extended dst), so a caller can
+// accumulate one result over several trees. The tree must already be built
+// (EnsureBuiltCtx).
+//
+// serveFromStore, when non-nil, lets the caller intercept a partition: if it
+// returns true the partition's objects are assumed served elsewhere (e.g.
+// from a merge file) — it is neither read, refined nor reported in
+// WantRefine here (merged partitions are not refined, §3.2.2). The core
+// engine uses this hook to route partitions to merge files.
+//
+// refine selects the single decision a refining and a read-only walk differ
+// in, taken on a leaf that qualifies for refinement: refine it now, by at
+// most one level (the paper's one-level-per-query rule), and answer from the
+// objects the refinement read (the caller holds the tree's write lock), or
+// serve it as-is and report its key in WantRefine.
+//
+// The context is checked before each partition read or refinement and inside
+// the reads themselves down to the page boundary, so an abandoned query stops
+// charging simulated I/O almost immediately. Refinements that already started
+// always complete (see refineCtx), keeping the tree consistent; on error the
+// partial QueryResult must be discarded.
 //
 // Phase times are exact per-query attribution when the context carries a
 // QoS scope (any topology); the device-clock fallback is exact only for a
 // serial caller on C=1 D=1.
-func (t *Tree) walk(ctx context.Context, q geom.Box, serveFromStore func(*Partition) bool, refine bool) (QueryResult, error) {
-	var res QueryResult
+func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, q geom.Box, serveFromStore func(*Partition) bool, refine bool) (QueryResult, error) {
+	res := QueryResult{Objects: dst}
+	if !t.Built() {
+		return res, fmt.Errorf("octree: query on unbuilt tree")
+	}
+	// Every read nobody else can see — a refinement's source, a leaf read
+	// with no ShareReader — decodes into this one slice, filtered before the
+	// next read reuses it.
+	scratch := pagefile.GetObjSlice()
+	defer pagefile.PutObjSlice(scratch)
 	clock := simdisk.PhaseClock(ctx, t.file.Device())
 	extended := q.Expand(t.maxExtent)
 	qVol := q.Volume()
@@ -202,7 +197,7 @@ func (t *Tree) walk(ctx context.Context, q geom.Box, serveFromStore func(*Partit
 				// Refinement reads the partition; reuse those objects and
 				// descend to the children actually intersecting the query.
 				t1 := clock()
-				objs, err := t.refineCtx(ctx, leaf)
+				objs, err := t.refineCtx(ctx, leaf, scratch)
 				res.RefineTime += clock() - t1
 				if err != nil {
 					return res, err
@@ -219,20 +214,19 @@ func (t *Tree) walk(ctx context.Context, q geom.Box, serveFromStore func(*Partit
 			res.WantRefine = append(res.WantRefine, leaf.key)
 		}
 		t1 := clock()
-		objs, token, err := t.readLeaf(ctx, leaf)
+		objs, err := t.readLeaf(ctx, leaf, scratch)
 		res.ReadTime += clock() - t1
 		if err != nil {
 			return res, err
 		}
 		res.Touched = append(res.Touched, leaf)
 		filterInto(&res, objs, q)
-		releaseLeaf(token)
 	}
 	return res, nil
 }
 
 // filterInto appends the objects intersecting q to res.Objects. Objects are
-// values, so the source slice (possibly pooled or shared with concurrent
+// values, so the source slice (pooled scratch, or shared with concurrent
 // queries) is never retained.
 func filterInto(res *QueryResult, objs []object.Object, q geom.Box) {
 	for _, o := range objs {
@@ -242,34 +236,24 @@ func filterInto(res *QueryResult, objs []object.Object, q geom.Box) {
 	}
 }
 
-// readLeaf reads one leaf partition on the query path. With a ShareReader
-// installed (scan sharing) the read routes through it — the result may be a
-// slice shared with concurrent queries, so there is nothing to recycle and
-// the returned pool token is nil. Otherwise the read decodes into a pooled
-// slice and the token returns it via releaseLeaf; the caller must be done
-// with the objects (filtered into its own result) before releasing.
-func (t *Tree) readLeaf(ctx context.Context, p *Partition) ([]object.Object, *[]object.Object, error) {
+// readLeaf is the one leaf read of the query path; the only thing that
+// varies is where the destination comes from. With a ShareReader installed
+// the result may outlive the query (a result cache retains it, concurrent
+// queries attach to it), so it is one fresh slice of exactly the partition's
+// size, immutable afterwards. Otherwise nobody else can see it: it decodes
+// into the walk's pooled scratch and is valid until the next read.
+func (t *Tree) readLeaf(ctx context.Context, p *Partition, scratch *[]object.Object) ([]object.Object, error) {
 	if t.ShareReader != nil {
-		objs, err := t.ShareReader(ctx, p, func(ctx context.Context) ([]object.Object, error) {
-			return t.file.ReadRunsCtx(ctx, p.runs)
+		return t.ShareReader(ctx, p, func(ctx context.Context) ([]object.Object, error) {
+			return t.ReadPartitionIntoCtx(ctx, nil, p)
 		})
-		return objs, nil, err
 	}
-	sp := pagefile.GetObjSlice()
-	objs, err := t.file.ReadRunsIntoCtx(ctx, *sp, p.runs)
-	*sp = objs
+	objs, err := t.ReadPartitionIntoCtx(ctx, (*scratch)[:0], p)
 	if err != nil {
-		pagefile.PutObjSlice(sp)
-		return nil, nil, err
+		return nil, err
 	}
-	return objs, sp, nil
-}
-
-// releaseLeaf returns a readLeaf pool token (nil-safe).
-func releaseLeaf(sp *[]object.Object) {
-	if sp != nil {
-		pagefile.PutObjSlice(sp)
-	}
+	*scratch = objs
+	return objs, nil
 }
 
 // RefineRegionStep performs at most one refinement toward the convergence
@@ -302,7 +286,9 @@ func (t *Tree) RefineRegionStep(ctx context.Context, key Key, q geom.Box, qVol f
 		if !p.IsLeaf() || !p.box.Intersects(extended) || !t.NeedsRefinement(p, qVol) {
 			continue
 		}
-		_, err := t.refineCtx(ctx, p)
+		scratch := pagefile.GetObjSlice()
+		defer pagefile.PutObjSlice(scratch)
+		_, err := t.refineCtx(ctx, p, scratch)
 		return err == nil, err
 	}
 	return false, nil
@@ -354,6 +340,8 @@ func (t *Tree) RefineToCtx(ctx context.Context, key Key) (*Partition, error) {
 	if !t.Built() {
 		return nil, fmt.Errorf("octree: RefineTo on unbuilt tree")
 	}
+	scratch := pagefile.GetObjSlice()
+	defer pagefile.PutObjSlice(scratch)
 	for {
 		if leaf := t.LeafAt(key); leaf != nil {
 			return leaf, nil
@@ -365,7 +353,7 @@ func (t *Tree) RefineToCtx(ctx context.Context, key Key) (*Partition, error) {
 		if int(cover.key.Level) >= t.cfg.MaxDepth {
 			return nil, fmt.Errorf("octree: RefineTo %v exceeds MaxDepth", key)
 		}
-		if _, err := t.refineCtx(ctx, cover); err != nil {
+		if _, err := t.refineCtx(ctx, cover, scratch); err != nil {
 			return nil, err
 		}
 	}

@@ -13,7 +13,7 @@ func deepen(t *testing.T, tree *Tree, level uint8) *Partition {
 	t.Helper()
 	q := geom.Cube(geom.V(0.3, 0.3, 0.3), 1e-4)
 	for i := 0; i < 20; i++ {
-		if _, err := tree.QueryCtx(context.Background(), q, nil); err != nil {
+		if _, err := queryRefining(tree, q, nil); err != nil {
 			t.Fatal(err)
 		}
 		for _, p := range tree.Lookup(q) {

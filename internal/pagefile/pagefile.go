@@ -75,22 +75,28 @@ func (f *File) AppendObjectsCtx(ctx context.Context, objs []object.Object) (Run,
 		return Run{}, err
 	}
 	run := Run{Start: end, Count: 0}
+	page := pagePool.Get().(*[simdisk.PageSize]byte)
+	defer pagePool.Put(page)
 	for off := 0; off < len(objs); off += object.PageCapacity {
 		hi := off + object.PageCapacity
 		if hi > len(objs) {
 			hi = len(objs)
 		}
-		page, err := object.EncodePage(objs[off:hi])
-		if err != nil {
+		if err := object.EncodePageInto(page[:], objs[off:hi]); err != nil {
 			return Run{}, err
 		}
-		if _, err := f.dev.AppendPageCtx(ctx, f.id, page); err != nil {
+		if _, err := f.dev.AppendPageCtx(ctx, f.id, page[:]); err != nil {
 			return Run{}, err
 		}
 		run.Count++
 	}
 	return run, nil
 }
+
+// pagePool holds the one page a write call encodes into, page after page:
+// the device copies what it is handed (see simdisk.Storage), so nothing
+// page-sized is allocated beside the stored pages themselves.
+var pagePool = sync.Pool{New: func() any { return new([simdisk.PageSize]byte) }}
 
 // OverwriteObjectsCtx writes objs into the existing pages of run. The
 // objects must fit: object.PagesFor(len(objs)) <= run.Count. Pages of the
@@ -103,6 +109,8 @@ func (f *File) OverwriteObjectsCtx(ctx context.Context, run Run, objs []object.O
 		return Run{}, fmt.Errorf("pagefile: %d objects need %d pages, run has %d",
 			len(objs), need, run.Count)
 	}
+	page := pagePool.Get().(*[simdisk.PageSize]byte)
+	defer pagePool.Put(page)
 	for i := int64(0); i < run.Count; i++ {
 		lo := int(i) * object.PageCapacity
 		hi := lo + object.PageCapacity
@@ -112,25 +120,20 @@ func (f *File) OverwriteObjectsCtx(ctx context.Context, run Run, objs []object.O
 		if hi > len(objs) {
 			hi = len(objs)
 		}
-		page, err := object.EncodePage(objs[lo:hi])
-		if err != nil {
+		if err := object.EncodePageInto(page[:], objs[lo:hi]); err != nil {
 			return Run{}, err
 		}
-		if err := f.dev.WritePageCtx(ctx, f.id, run.Start+i, page); err != nil {
+		if err := f.dev.WritePageCtx(ctx, f.id, run.Start+i, page[:]); err != nil {
 			return Run{}, err
 		}
 	}
 	return Run{Start: run.Start, Count: need}, nil
 }
 
-// ReadRunCtx reads and decodes every object stored in run. On cancellation
-// the device aborts at the page boundary where the context expired,
-// charging only the pages actually read.
-func (f *File) ReadRunCtx(ctx context.Context, run Run) ([]object.Object, error) {
-	return f.ReadRunIntoCtx(ctx, nil, run)
-}
-
-// ReadRunIntoCtx appends the objects of run to dst, aborting on ctx.
+// ReadRunIntoCtx appends the objects of run to dst. On cancellation the
+// device aborts at the page boundary where the context expired, charging
+// only the pages actually read. The run's byte buffer is recycled before
+// returning, on success and error alike: decoded objects never alias it.
 func (f *File) ReadRunIntoCtx(ctx context.Context, dst []object.Object, run Run) ([]object.Object, error) {
 	if run.Count == 0 {
 		return dst, nil
@@ -139,6 +142,7 @@ func (f *File) ReadRunIntoCtx(ctx context.Context, dst []object.Object, run Run)
 	if err != nil {
 		return dst, err
 	}
+	defer simdisk.PutRunBuf(buf)
 	for i := int64(0); i < run.Count; i++ {
 		dst, err = object.AppendPageInto(dst, buf[i*simdisk.PageSize:(i+1)*simdisk.PageSize])
 		if err != nil {
@@ -148,16 +152,12 @@ func (f *File) ReadRunIntoCtx(ctx context.Context, dst []object.Object, run Run)
 	return dst, nil
 }
 
-// ReadRunsCtx reads all objects across runs in order, aborting between and
-// within runs when ctx is canceled.
-func (f *File) ReadRunsCtx(ctx context.Context, runs []Run) ([]object.Object, error) {
-	return f.ReadRunsIntoCtx(ctx, nil, runs)
-}
-
-// ReadRunsIntoCtx appends the objects of every run, in order, to dst — the
-// allocation-free variant hot read paths combine with GetObjSlice /
-// PutObjSlice so steady-state queries stop allocating a fresh object slice
-// per partition read. Returns dst (possibly regrown) even on error.
+// ReadRunsIntoCtx appends the objects of every run, in order, to dst,
+// aborting between and within runs when ctx is canceled. A caller that knows
+// how many objects the runs hold sizes dst first (slices.Grow), so the read
+// allocates at most once: nothing when dst is scratch from GetObjSlice with
+// room to spare, one exact slice when dst is nil and the result is kept.
+// Returns dst (possibly regrown) even on error.
 func (f *File) ReadRunsIntoCtx(ctx context.Context, dst []object.Object, runs []Run) ([]object.Object, error) {
 	var err error
 	for _, r := range runs {
@@ -169,9 +169,10 @@ func (f *File) ReadRunsIntoCtx(ctx context.Context, dst []object.Object, runs []
 	return dst, nil
 }
 
-// objSlicePool recycles the transient object slices of the query read path:
-// a partition read decodes into a pooled slice, the query filters what it
-// needs (objects are values — filtering copies), and the slice goes back.
+// objSlicePool recycles the object slices only one reader can see — the
+// source of a refinement or a merge copy, a leaf or segment read nobody
+// shares, a query's accumulating result: the reader decodes into the pooled
+// slice, copies out what it keeps (objects are values) and puts it back.
 var objSlicePool = sync.Pool{
 	New: func() any {
 		s := make([]object.Object, 0, 4*object.PageCapacity)
@@ -179,17 +180,30 @@ var objSlicePool = sync.Pool{
 	},
 }
 
-// GetObjSlice returns an empty object slice from the pool.
+// maxPooledObjs is the pool's retention bound, in objects: the content of
+// the longest run simdisk pools a buffer for.
+const maxPooledObjs = simdisk.MaxPooledRunPages * object.PageCapacity
+
+// GetObjSlice returns an empty object slice from the pool. A caller that
+// grows it (append, slices.Grow) stores the result back through the pointer
+// before PutObjSlice, so the pool keeps the larger one.
 func GetObjSlice() *[]object.Object {
 	return objSlicePool.Get().(*[]object.Object)
 }
 
-// PutObjSlice returns a slice obtained from GetObjSlice to the pool. The
-// caller must not retain s (or any alias of its backing array) afterwards.
+// PutObjSlice returns a slice obtained from GetObjSlice to the pool, unless
+// it grew past the retention bound (a whole level-0 partition, a huge
+// result), which is left to the collector. The caller must not retain s (or
+// any alias of its backing array) afterwards.
 func PutObjSlice(s *[]object.Object) {
-	*s = (*s)[:0]
-	objSlicePool.Put(s)
+	if poolableObjs(cap(*s)) {
+		*s = (*s)[:0]
+		objSlicePool.Put(s)
+	}
 }
+
+// poolableObjs is the retention bound of PutObjSlice.
+func poolableObjs(capObjs int) bool { return capObjs <= maxPooledObjs }
 
 // WriteIntoCtx distributes objs across the free capacity described by reuse
 // (pages to overwrite, in order) and appends whatever does not fit. It

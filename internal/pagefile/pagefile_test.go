@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"spaceodyssey/internal/geom"
@@ -41,7 +42,7 @@ func TestAppendAndReadRun(t *testing.T) {
 	if run.Start != 0 || run.Count != 3 {
 		t.Fatalf("run = %+v", run)
 	}
-	got, err := f.ReadRunCtx(context.Background(), run)
+	got, err := f.ReadRunIntoCtx(context.Background(), nil, run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestAppendEmpty(t *testing.T) {
 	if run.Count != 0 {
 		t.Fatalf("empty append run = %+v", run)
 	}
-	got, err := f.ReadRunCtx(context.Background(), run)
+	got, err := f.ReadRunIntoCtx(context.Background(), nil, run)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("read empty run: %v, %d objects", err, len(got))
 	}
@@ -87,7 +88,7 @@ func TestOverwriteObjects(t *testing.T) {
 		t.Fatalf("used = %+v", used)
 	}
 	// Reading the full original run yields only the replacement records.
-	got, err := f.ReadRunCtx(context.Background(), run)
+	got, err := f.ReadRunIntoCtx(context.Background(), nil, run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestReadRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.ReadRunsCtx(context.Background(), []Run{ra, rb})
+	got, err := f.ReadRunsIntoCtx(context.Background(), nil, []Run{ra, rb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestWriteIntoReusesPagesThenAppends(t *testing.T) {
 	if n, _ := f.NumPages(); n != 7 {
 		t.Fatalf("file has %d pages, want 7", n)
 	}
-	got, err := f.ReadRunsCtx(context.Background(), runs)
+	got, err := f.ReadRunsIntoCtx(context.Background(), nil, runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestReadRunPropagatesDeviceError(t *testing.T) {
 	}
 	boom := errors.New("media error")
 	dev.InjectReadFault(f.ID(), 1, boom)
-	if _, err := f.ReadRunCtx(context.Background(), run); !errors.Is(err, boom) {
+	if _, err := f.ReadRunIntoCtx(context.Background(), nil, run); !errors.Is(err, boom) {
 		t.Fatalf("device fault not propagated: %v", err)
 	}
 }
@@ -260,7 +261,7 @@ func TestReadRunDetectsCorruption(t *testing.T) {
 	if err := dev.WritePageCtx(context.Background(), f.ID(), 0, garbage); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ReadRunCtx(context.Background(), run); !errors.Is(err, object.ErrBadMagic) {
+	if _, err := f.ReadRunIntoCtx(context.Background(), nil, run); !errors.Is(err, object.ErrBadMagic) {
 		t.Fatalf("corruption not detected: %v", err)
 	}
 }
@@ -283,7 +284,7 @@ func TestDelete(t *testing.T) {
 	if err := f.Delete(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ReadRunCtx(context.Background(), run); !errors.Is(err, simdisk.ErrNoSuchFile) {
+	if _, err := f.ReadRunIntoCtx(context.Background(), nil, run); !errors.Is(err, simdisk.ErrNoSuchFile) {
 		t.Fatalf("read after delete: %v", err)
 	}
 }
@@ -322,7 +323,7 @@ func TestWriteIntoRoundTripProperty(t *testing.T) {
 		if Pages(runs) != object.PagesFor(n) {
 			t.Fatalf("trial %d: runs hold %d pages, want %d", trial, Pages(runs), object.PagesFor(n))
 		}
-		got, err := f.ReadRunsCtx(context.Background(), runs)
+		got, err := f.ReadRunsIntoCtx(context.Background(), nil, runs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,6 +334,94 @@ func TestWriteIntoRoundTripProperty(t *testing.T) {
 			if got[i] != objs[i] {
 				t.Fatalf("trial %d: object %d mismatch", trial, i)
 			}
+		}
+	}
+}
+
+// The pool retains slices up to one maximal run's worth of objects and drops
+// anything larger (a whole level-0 partition, a huge result).
+func TestPoolRetentionBound(t *testing.T) {
+	for capObjs, want := range map[int]bool{
+		0:                 true,
+		maxPooledObjs:     true,
+		maxPooledObjs + 1: false,
+		100_000:           false,
+	} {
+		if got := poolableObjs(capObjs); got != want {
+			t.Errorf("poolableObjs(%d) = %v, want %v", capObjs, got, want)
+		}
+	}
+	// A caller that grew its slice past the bound puts it back harmlessly.
+	sp := GetObjSlice()
+	*sp = make([]object.Object, 0, maxPooledObjs+1)
+	PutObjSlice(sp)
+	if got := GetObjSlice(); len(*got) != 0 {
+		t.Fatalf("GetObjSlice returned %d stale objects", len(*got))
+	}
+}
+
+// readRunInto is the measured operation of the read guard and benchmark: one
+// 4-page run decoded into a dst with room.
+func readRunInto(tb testing.TB) (f *File, run Run, dst []object.Object) {
+	tb.Helper()
+	f = Create(simdisk.NewDevice(simdisk.CostModel{}, 0), "test")
+	run, err := f.AppendObjectsCtx(context.Background(), mkObjs(4*object.PageCapacity, 21))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f, run, make([]object.Object, 0, 4*object.PageCapacity)
+}
+
+// Allocation guards of the page path. A run read into a pre-sized dst on a
+// warm pool allocates nothing page-sized (it used to allocate the run's
+// n*PageSize buffer and a temporary slice per page), and an append allocates
+// the pages the device stores and nothing page-sized beside them (it used to
+// allocate every page twice: the encoder's and the device's copy).
+func TestPagePathAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	f, run, dst := readRunInto(t)
+	if got := bytesPerOp(500, func() {
+		if _, err := f.ReadRunIntoCtx(context.Background(), dst, run); err != nil {
+			t.Fatal(err)
+		}
+	}); got >= 1024 {
+		t.Errorf("ReadRunIntoCtx of a 4-page run: %d B/op, want < 1 KB", got)
+	}
+
+	objs := mkObjs(4*object.PageCapacity, 22)
+	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	if got, limit := bytesPerOp(500, func() {
+		if _, err := Create(dev, "test").AppendObjectsCtx(context.Background(), objs); err != nil {
+			t.Fatal(err)
+		}
+	}), uint64(4*simdisk.PageSize+2048); got >= limit {
+		t.Errorf("appending 4 pages to a fresh file: %d B/op, want < %d (the stored pages and nothing page-sized beside them)", got, limit)
+	}
+}
+
+// bytesPerOp is what testing.Benchmark's AllocedBytesPerOp reports, over a
+// fixed number of runs (after one to warm the pools) instead of a second's
+// worth — the append above keeps every page it writes.
+func bytesPerOp(runs int, op func()) uint64 {
+	op()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+func BenchmarkReadRunInto(b *testing.B) {
+	f, run, dst := readRunInto(b)
+	b.ReportAllocs()
+	b.SetBytes(run.Count * simdisk.PageSize)
+	for b.Loop() {
+		if _, err := f.ReadRunIntoCtx(context.Background(), dst, run); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

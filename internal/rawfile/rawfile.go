@@ -91,8 +91,15 @@ func (r *Raw) Bounds() geom.Box { return r.bounds }
 
 // scanChunkPages is the run size in-situ scans read at a time: large enough
 // that a chunk is a genuine sequential run, small enough that huge files
-// never need one giant buffer (128 pages = 512 KB).
+// never need one giant buffer (128 pages = 512 KB). It is this package's
+// decision, not the pool's: a chunk is one run and one emulation sleep, so
+// its boundaries are part of the simulated clock (TestPaperClockPinned).
 const scanChunkPages = 128
+
+// The chunk buffer is recycled from chunk to chunk only while the run pool
+// retains buffers this large; retuning the pool below it fails the build
+// here instead of silently turning every chunk back into garbage.
+const _ = uint(simdisk.MaxPooledRunPages - scanChunkPages)
 
 // ScanCtx performs a full sequential in-situ scan, invoking fn for every
 // record in storage order. fn returning an error aborts the scan. The
@@ -112,6 +119,7 @@ func (r *Raw) ScanCtx(ctx context.Context, fn func(object.Object) error) error {
 	dev := r.file.Device()
 	id := r.file.ID()
 	end := r.run.Start + r.run.Count
+	page := make([]object.Object, 0, object.PageCapacity) // every page decodes into it
 	for p := r.run.Start; p < end; {
 		n := scanChunkPages - (p-r.run.Start)%scanChunkPages
 		if p+n > end {
@@ -121,18 +129,29 @@ func (r *Raw) ScanCtx(ctx context.Context, fn func(object.Object) error) error {
 		if err != nil {
 			return err
 		}
-		for i := int64(0); i < n; i++ {
-			objs, err := object.DecodePage(buf[i*simdisk.PageSize : (i+1)*simdisk.PageSize])
-			if err != nil {
-				return fmt.Errorf("rawfile %q page %d: %w", r.name, p+i, err)
-			}
-			for _, o := range objs {
-				if err := fn(o); err != nil {
-					return err
-				}
-			}
+		err = r.scanChunk(buf, p, n, page, fn)
+		simdisk.PutRunBuf(buf)
+		if err != nil {
+			return err
 		}
 		p += n
+	}
+	return nil
+}
+
+// scanChunk decodes the n pages of one chunk (read at page first) into page,
+// one after another, and hands every record to fn.
+func (r *Raw) scanChunk(buf []byte, first, n int64, page []object.Object, fn func(object.Object) error) error {
+	for i := int64(0); i < n; i++ {
+		objs, err := object.AppendPageInto(page[:0], buf[i*simdisk.PageSize:(i+1)*simdisk.PageSize])
+		if err != nil {
+			return fmt.Errorf("rawfile %q page %d: %w", r.name, first+i, err)
+		}
+		for _, o := range objs {
+			if err := fn(o); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -122,6 +122,10 @@ func (d *Device) ReadPageCtx(ctx context.Context, id FileID, idx int64, buf []by
 // never charged. The aggregated real-time sleep is skipped on abort — the
 // caller is abandoning the query, so emulating the latency of work it no
 // longer waits for would only hold the worker hostage.
+//
+// The buffer comes from a pool and belongs to the caller, who may hand it
+// back with PutRunBuf once decoded; on every error path it goes back here
+// and the result is nil.
 func (d *Device) ReadRunCtx(ctx context.Context, id FileID, start, n int64) ([]byte, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("simdisk: negative run length %d", n)
@@ -130,16 +134,18 @@ func (d *Device) ReadRunCtx(ctx context.Context, id FileID, start, n int64) ([]b
 	s := ScopeFrom(ctx)
 	d.gateOp(s)
 	defer d.ungateOp(s)
-	buf := make([]byte, n*PageSize)
+	buf := getRunBuf(n)
 	var total time.Duration
 	for i := int64(0); i < n; i++ {
 		dt, err := d.readPageRetry(ctx, id, start+i, buf[i*PageSize:(i+1)*PageSize])
 		if err != nil {
+			PutRunBuf(buf)
 			return nil, err
 		}
 		total += dt
 	}
 	if err := d.emulateCtx(ctx, total); err != nil {
+		PutRunBuf(buf)
 		return nil, err
 	}
 	return buf, nil

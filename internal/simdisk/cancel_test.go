@@ -18,6 +18,7 @@ func cancelTestDevice(t *testing.T, pages int64) (*Device, FileID, CostModel) {
 	id := d.CreateFileInGroup("cancel-test", "")
 	page := make([]byte, PageSize)
 	for i := int64(0); i < pages; i++ {
+		page[0] = byte(i + 1) // every page differs: wantRunBytes compares them
 		if _, err := d.AppendPageCtx(context.Background(), id, page); err != nil {
 			t.Fatal(err)
 		}
@@ -81,8 +82,11 @@ func TestCancelMidRunStopsAtPageBoundary(t *testing.T) {
 	// value after 3 pages, so the gate before page 3 observes expiry.
 	limit := clock0 + cost.Seek + 3*cost.Transfer
 	ctx := WithClockLimit(context.Background(), d, limit)
-	_, err := d.ReadRunCtx(ctx, id, 0, 8)
+	buf, err := d.ReadRunCtx(ctx, id, 0, 8)
 	wantCanceled(t, err, context.DeadlineExceeded)
+	if buf != nil {
+		t.Error("aborted ReadRunCtx returned its (pooled, partly filled) buffer")
+	}
 
 	if got, want := d.Clock()-clock0, cost.Seek+3*cost.Transfer; got != want {
 		t.Errorf("clock delta = %v, want exactly %v (3 pages then abort)", got, want)
@@ -96,12 +100,14 @@ func TestCancelMidRunStopsAtPageBoundary(t *testing.T) {
 	}
 
 	// The device is not poisoned: the same run under a live context
-	// completes and charges the remaining pages.
-	if _, err := d.ReadRunCtx(context.Background(), id, 0, 8); err != nil {
-		t.Fatalf("post-cancel read failed: %v", err)
-	}
-	if got, want := d.Stats().PageReads-st0.PageReads, int64(11); got != want {
+	// completes — into the buffer the abort put back, most likely — with
+	// the right bytes, and charges all 8 pages on top of the aborted 3.
+	if got, want := wantRunBytes(t, d, id, 8)-st0.PageReads, int64(11); got != want {
 		t.Errorf("total platter reads = %d, want %d", got, want)
+	}
+	// wantRunBytes' own page-by-page compare is 8 more on a cacheless device.
+	if got, want := d.Stats().PageReads-st0.PageReads, int64(3+8+8); got != want {
+		t.Errorf("platter reads after the byte compare = %d, want %d", got, want)
 	}
 }
 

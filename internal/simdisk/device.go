@@ -442,9 +442,8 @@ func (d *Device) WritePageCtx(ctx context.Context, id FileID, idx int64, data []
 	dt := d.chargePlatter(s, key)
 	d.pageWrites.Add(1)
 	d.bytesWritten.Add(PageSize)
-	page := make([]byte, PageSize)
-	copy(page, data)
-	f.pages[idx] = page
+	// In place: stored pages are only ever copied out, under the read lock.
+	copy(f.pages[idx], data)
 	// Insert under f.mu so DeleteFile's purge (which takes f.mu first)
 	// cannot interleave and leave a dead key cached.
 	d.cache.Insert(key)

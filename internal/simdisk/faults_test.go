@@ -1,6 +1,7 @@
 package simdisk
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -20,6 +21,31 @@ func faultDev(t *testing.T, n int64) (*Device, FileID) {
 		}
 	}
 	return d, id
+}
+
+// wantRunBytes is the second half of every ReadRunCtx error-path case: the
+// failed call handed its buffer back to the pool partly filled, so the same
+// run read again must come back complete — each page exactly what
+// ReadPageCtx returns into a buffer of the test's own. It returns the
+// device's platter-read count taken right after the run read (before the
+// page-by-page compare adds its own), for callers that pin the run's charge.
+func wantRunBytes(t *testing.T, d *Device, id FileID, n int64) int64 {
+	t.Helper()
+	run, err := d.ReadRunCtx(context.Background(), id, 0, n)
+	if err != nil {
+		t.Fatalf("run read after a failed one: %v", err)
+	}
+	reads := d.Stats().PageReads
+	page := make([]byte, PageSize)
+	for i := int64(0); i < n; i++ {
+		if err := d.ReadPageCtx(context.Background(), id, i, page); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(run[i*PageSize:(i+1)*PageSize], page) {
+			t.Errorf("page %d of the run read after a failed one holds stale bytes", i)
+		}
+	}
+	return reads
 }
 
 // faultSequence replays nReads sequential reads over the file and records
@@ -190,6 +216,14 @@ func TestRetryExhaustion(t *testing.T) {
 	if st.RetriedOps != 2 || st.RetryExhausted != 1 {
 		t.Fatalf("ledger wrong after exhaustion: retried=%d exhausted=%d", st.RetriedOps, st.RetryExhausted)
 	}
+	// A run read exhausts the same way, on its second page this time, and
+	// keeps no buffer; once the fault is gone the run reads clean.
+	d.SetFaultPlan(FaultPlan{Seed: 7, Pages: []PageFault{{File: id, Page: 1, Kind: FaultTransient}}})
+	if run, err := d.ReadRunCtx(context.Background(), id, 0, 2); !errors.Is(err, ErrTransient) || run != nil {
+		t.Fatalf("exhausted run read returned (%d bytes, %v), want (nil, transient)", len(run), err)
+	}
+	d.SetFaultPlan(FaultPlan{})
+	wantRunBytes(t, d, id, 2)
 }
 
 // TestRetryBudget pins that the cumulative backoff budget cuts the loop off
@@ -338,4 +372,13 @@ func TestOneShotInjectCoexistsWithPlan(t *testing.T) {
 	if err := d.ReadPageCtx(context.Background(), id, 1, buf); err != nil {
 		t.Fatalf("one-shot fault not one-shot: %v", err)
 	}
+	// The same through a run read: the injected fault (armed before the plan
+	// is replaced, and surviving it) fails the run after its first page was
+	// copied, no buffer comes back, the next read is whole.
+	d.InjectReadFault(id, 1, boom)
+	d.SetFaultPlan(FaultPlan{})
+	if run, err := d.ReadRunCtx(context.Background(), id, 0, 2); !errors.Is(err, boom) || run != nil {
+		t.Fatalf("faulted run read returned (%d bytes, %v), want (nil, boom)", len(run), err)
+	}
+	wantRunBytes(t, d, id, 2)
 }

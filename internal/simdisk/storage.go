@@ -27,6 +27,11 @@ type Storage interface {
 	// accounting on any topology), and foreground-scoped operations
 	// register in flight for the maintenance throttle. A nil context is
 	// accepted and treated as context.Background().
+	//
+	// Buffer ownership: an implementation must not retain data past
+	// WritePageCtx / AppendPageCtx (callers reuse the page for the next
+	// write), and the result of ReadRunCtx belongs to the caller, who may
+	// recycle it with PutRunBuf.
 	ReadPageCtx(ctx context.Context, id FileID, idx int64, buf []byte) error
 	ReadRunCtx(ctx context.Context, id FileID, start, n int64) ([]byte, error)
 	WritePageCtx(ctx context.Context, id FileID, idx int64, data []byte) error

@@ -149,6 +149,7 @@ func (a *DeviceArray) stripedAppend(ctx context.Context, f *stripedFile, data []
 // stripedReadRun reads a contiguous global page range by issuing each
 // member's (single, contiguous) share of it concurrently and reassembling
 // the chunks into global order — the bandwidth aggregation striping buys.
+// The result is pooled like Device.ReadRunCtx's.
 func (a *DeviceArray) stripedReadRun(ctx context.Context, f *stripedFile, start, n int64) ([]byte, error) {
 	if n <= 0 {
 		// Preserve the single-device contract for degenerate runs
@@ -193,12 +194,19 @@ func (a *DeviceArray) stripedReadRun(ctx context.Context, f *stripedFile, start,
 		}(m)
 	}
 	wg.Wait()
+	// The member chunks are ours: they go back to the pool once reassembled,
+	// and on an error every chunk that did arrive does.
+	defer func() {
+		for _, b := range bufs {
+			PutRunBuf(b) // nil (inactive or failed member) is a no-op
+		}
+	}()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	out := make([]byte, n*PageSize)
+	out := getRunBuf(n)
 	for s := start / c; s*c < end; s++ {
 		gLo, gHi := s*c, (s+1)*c
 		if gLo < start {
