@@ -9,6 +9,8 @@ package odyssey
 // time Go measures.
 
 import (
+	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -331,6 +333,81 @@ func BenchmarkExplorerQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkServingHotQuery is the frozen benchmark's serve_hot workload at
+// micro-benchmark scale, for profiling the cached query without patching the
+// benchmark: the serving preset (background maintenance, scan sharing, the
+// result cache with its tuner, heat decay), the layout converged on a pool of
+// clustered queries and quiesced, the working set cached — so a query is
+// routing, walks, cache hits and filters, zero device reads — driven from
+// GOMAXPROCS goroutines at once.
+//
+//	go test -run '^$' -bench ServingHotQuery -cpuprofile cpu.out -mutexprofile mu.out .
+func BenchmarkServingHotQuery(b *testing.B) {
+	ex, err := NewExplorer(Options{
+		Cost:             simdisk.ReducedScaleCostModel(),
+		AsyncMaintenance: true,
+		ShareScans:       true,
+		CacheResults:     true,
+		AdaptiveCache:    true,
+		HeatHalfLife:     64,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ex.Close()
+	const datasets = 6
+	data := GenerateDatasets(DataConfig{Seed: 3, NumObjects: 20000, Clusters: 5}, datasets)
+	for i, objs := range data {
+		if err := ex.AddDataset(DatasetID(i), objs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	w, err := GenerateWorkload(WorkloadConfig{
+		Seed: 11, NumQueries: 400, NumDatasets: datasets, DatasetsPerQuery: 3,
+		QueryVolumeFrac: 1e-4, RangeDist: RangeClustered, CombDist: CombZipf,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	// Converge, then pass once more over the settled layout to cache it: a
+	// layout change flushes the cache, so the last pass must make none.
+	for pass := 0; ; pass++ {
+		before := ex.CacheStats().Invalidations
+		for _, q := range w.Queries {
+			if _, err := ex.QueryCtx(ctx, q.Range, q.Datasets); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := ex.Quiesce(ctx); err != nil {
+			b.Fatal(err)
+		}
+		if pass > 0 && ex.CacheStats().Invalidations == before {
+			break
+		}
+		if pass == 20 {
+			b.Fatal("the layout is still moving after 20 passes")
+		}
+	}
+	start := ex.CacheStats()
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			q := w.Queries[int(next.Add(1))%len(w.Queries)]
+			if _, err := ex.QueryCtx(ctx, q.Range, q.Datasets); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	end := ex.CacheStats()
+	b.ReportMetric(float64(end.ZeroReadQueries-start.ZeroReadQueries)/float64(b.N), "zero_read_frac")
+	b.ReportMetric(float64(end.Hits-start.Hits)/float64(b.N), "cache_hits/op")
 }
 
 // BenchmarkParallelQuery measures concurrent serving: the same converged

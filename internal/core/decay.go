@@ -20,7 +20,9 @@ import "math"
 // log2 term and +Δt/h to the t/h term — the score is CONSTANT while the
 // entry is untouched, and comparing two scores at any later tick compares
 // their decayed heats exactly. So the heap never needs rescoring: only the
-// touched entry's key changes, and container/heap.Fix repositions it.
+// touched entry's key changes, and container/heap.Fix repositions it — at
+// once in the maintenance queues, not before the next eviction in the result
+// cache, whose hits only ever raise a key (see coldHeap).
 //
 // A zero half-life disables decay; entries then carry score 0 and the
 // heaps fall back to the exact legacy (heat, FIFO) ordering bit for bit.

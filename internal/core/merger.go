@@ -90,21 +90,22 @@ func (m *MergeFile) Pages() int64 {
 }
 
 // covering returns the merge entry whose cell contains key (walking the
-// ancestor chain), if any.
-func (m *MergeFile) covering(key octree.Key, fanout int) (octree.Key, bool) {
+// ancestor chain), if any, and the entry's segments, so that a caller about
+// to use one does not hash the entry again.
+func (m *MergeFile) covering(key octree.Key, fanout int) (octree.Key, map[object.DatasetID]segment, bool) {
 	return coveringIn(m.entries, key, fanout)
 }
 
 // coveringIn is covering over any entry map (merge files and staged merges
 // share it).
-func coveringIn(entries map[octree.Key]map[object.DatasetID]segment, key octree.Key, fanout int) (octree.Key, bool) {
+func coveringIn(entries map[octree.Key]map[object.DatasetID]segment, key octree.Key, fanout int) (octree.Key, map[object.DatasetID]segment, bool) {
 	for lvl := int(key.Level); lvl >= 1; lvl-- {
 		anc := key.Ancestor(uint8(lvl), fanout)
-		if _, ok := entries[anc]; ok {
-			return anc, true
+		if segs, ok := entries[anc]; ok {
+			return anc, segs, true
 		}
 	}
-	return octree.Key{}, false
+	return octree.Key{}, nil, false
 }
 
 // EntryKeys returns the merged partition keys in a deterministic order (for
@@ -379,7 +380,7 @@ func (m *Merger) NeedsMerge(key ComboKey, datasets []object.DatasetID, candidate
 		return true
 	}
 	for _, cand := range candidates {
-		if _, covered := mf.covering(cand, fanout); !covered {
+		if _, _, covered := mf.covering(cand, fanout); !covered {
 			return true
 		}
 	}
@@ -426,11 +427,11 @@ type stagedMerge struct {
 // entry.
 func (st *stagedMerge) covering(key octree.Key, fanout int) bool {
 	if st.mf != nil {
-		if _, ok := st.mf.covering(key, fanout); ok {
+		if _, _, ok := st.mf.covering(key, fanout); ok {
 			return true
 		}
 	}
-	_, ok := coveringIn(st.entries, key, fanout)
+	_, _, ok := coveringIn(st.entries, key, fanout)
 	return ok
 }
 

@@ -462,10 +462,23 @@ func (o *Odyssey) Metrics() Metrics {
 }
 
 // mergeRead names one merge-file segment a query reads: an entry cell and one
-// member dataset's copy of it.
+// member dataset's copy of it, with the file position (the segment's
+// run.Start) readMerged orders the reads by.
 type mergeRead struct {
 	entry octree.Key
 	ds    object.DatasetID
+	start int64
+}
+
+// compareMergeReads orders segment reads by file position. Shared segments
+// live in other files, so run starts can tie; the (dataset, cell) tie-break
+// keeps the read order — and the seeks it charges — a function of the
+// segments alone.
+func compareMergeReads(a, b mergeRead) int {
+	if c := cmp.Compare(a.start, b.start); c != 0 {
+		return c
+	}
+	return cmp.Or(cmp.Compare(a.ds, b.ds), compareKeys(a.entry, b.entry))
 }
 
 // dsWants is one dataset's refinement demand from a read-only walk.
@@ -474,14 +487,41 @@ type dsWants struct {
 	keys []octree.Key
 }
 
+// queryScratch is the garbage of one query that QueryCtx recycles: the
+// slices of a queryAcc that die with it. Nothing that outlives the query may
+// alias them (the maintainer and the merge step copy the members they keep,
+// the collector copies the keys into its sets).
+type queryScratch struct {
+	ordered []object.DatasetID // the requested datasets, sorted, duplicates dropped
+	touched []octree.Key       // every leaf hit, for the statistics collector
+	served  []mergeRead        // segments readMerged owes, one per served leaf until it dedups them
+	hits    [][]object.Object  // readMerged's current run of cache hits, filtered outside the cache lock
+}
+
+var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
+
+// maxPooledQueryKeys is the pool's retention bound, per slice: a query that
+// touched more cells leaves its scratch to the collector.
+const maxPooledQueryKeys = 1 << 12
+
+// release empties the slices and returns the scratch to the pool.
+func (qs *queryScratch) release() {
+	if max(cap(qs.ordered), cap(qs.touched), cap(qs.served), cap(qs.hits)) > maxPooledQueryKeys {
+		return
+	}
+	clear(qs.hits[:cap(qs.hits)]) // the pool must not keep evicted cells alive
+	qs.ordered, qs.touched, qs.served, qs.hits = qs.ordered[:0], qs.touched[:0], qs.served[:0], qs.hits[:0]
+	queryScratchPool.Put(qs)
+}
+
 // queryAcc is one query's state as it moves through the stages of QueryCtx.
 // It lives on QueryCtx's stack: the stages take it by pointer and none
 // retains it.
 type queryAcc struct {
-	q       geom.Box
-	ordered []object.DatasetID // the requested datasets, sorted, duplicates dropped
-	key     ComboKey
-	fanout  int // per-dimension fanout every tree of the engine shares
+	*queryScratch // pooled: QueryCtx takes it and releases it
+	q             geom.Box
+	key           ComboKey // of ordered
+	fanout        int      // per-dimension fanout every tree of the engine shares
 
 	// Set by route.
 	count int        // times the combination has been queried, this one included
@@ -490,9 +530,7 @@ type queryAcc struct {
 
 	// Accumulated by the read stages.
 	out          []object.Object
-	touched      []octree.Key           // every leaf hit, for the statistics collector
-	served       map[mergeRead]struct{} // segments readMerged owes; nil until the first
-	servedLeaves int                    // leaves among touched that a segment serves
+	servedLeaves int // leaves among touched that a segment serves
 	wants        []dsWants
 	phases       PhaseTimes
 
@@ -504,13 +542,10 @@ type queryAcc struct {
 	mergeDue bool
 }
 
-// serve books one leaf as served by the routed merge file's segment for
+// serve books one leaf as served by the routed merge file's segment seg for
 // (ds, entry); several leaves may share a segment, which is read once.
-func (a *queryAcc) serve(ds object.DatasetID, entry octree.Key) {
-	if a.served == nil {
-		a.served = make(map[mergeRead]struct{})
-	}
-	a.served[mergeRead{entry: entry, ds: ds}] = struct{}{}
+func (a *queryAcc) serve(ds object.DatasetID, entry octree.Key, seg segment) {
+	a.served = append(a.served, mergeRead{entry: entry, ds: ds, start: seg.run.Start})
 	a.servedLeaves++
 }
 
@@ -553,7 +588,7 @@ func (o *Odyssey) QueryCtx(ctx context.Context, q geom.Box, datasets []object.Da
 	// Matches accumulate in pooled scratch; the caller gets one copy of
 	// exactly the result's size.
 	scratch := pagefile.GetObjSlice()
-	acc := queryAcc{q: q, out: *scratch}
+	acc := queryAcc{queryScratch: queryScratchPool.Get().(*queryScratch), q: q, out: *scratch}
 	o.mu.RLock()
 	ctx, err := o.route(ctx, &acc, datasets)
 	for i := 0; err == nil && i < len(acc.ordered); i++ {
@@ -575,6 +610,7 @@ func (o *Odyssey) QueryCtx(ctx context.Context, q geom.Box, datasets []object.Da
 	}
 	*scratch = acc.out
 	pagefile.PutObjSlice(scratch)
+	acc.release()
 	return out, err
 }
 
@@ -587,7 +623,7 @@ func (o *Odyssey) QueryCtx(ctx context.Context, q geom.Box, datasets []object.Da
 // scope, so the layers that actually perform device I/O can mark it; a query
 // whose scope stays clean is counted as served with zero device reads.
 func (o *Odyssey) route(ctx context.Context, acc *queryAcc, datasets []object.DatasetID) (context.Context, error) {
-	acc.ordered = append([]object.DatasetID(nil), datasets...)
+	acc.ordered = append(acc.ordered, datasets...)
 	slices.Sort(acc.ordered)
 	acc.ordered = slices.Compact(acc.ordered)
 	for _, ds := range acc.ordered {
@@ -651,13 +687,13 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 	var serve, covered func(*octree.Partition) bool
 	if mf := acc.mf; mf != nil && mf.memberOf[ds] {
 		covered = func(p *octree.Partition) bool {
-			_, ok := mf.covering(p.Key(), acc.fanout)
+			_, _, ok := mf.covering(p.Key(), acc.fanout)
 			return ok
 		}
 		serve = func(p *octree.Partition) bool {
-			entry, ok := mf.covering(p.Key(), acc.fanout)
+			entry, segs, ok := mf.covering(p.Key(), acc.fanout)
 			if ok {
-				acc.serve(ds, entry)
+				acc.serve(ds, entry, segs[ds])
 			}
 			return ok
 		}
@@ -712,12 +748,12 @@ func (o *Odyssey) ensureBuilt(ctx context.Context, ds object.DatasetID, tree *oc
 			}
 			missCacheScope(ctx)
 			clock := simdisk.PhaseClock(ctx, o.dev)
-			t0 := clock()
+			t0 := clock.Now()
 			err := tree.EnsureBuiltCtx(ctx)
 			if err == nil {
 				o.bumpLayoutEpoch()
 			}
-			return clock() - t0, err
+			return clock.Now() - t0, err
 		})
 		if !attached {
 			return dt, err
@@ -752,58 +788,71 @@ func (o *Odyssey) answerContained(acc *queryAcc, ds object.DatasetID, tree *octr
 }
 
 // readMerged is stage three: it reads the merge-file segments the walks left
-// to it, ordered by file position so the device sees a (mostly) sequential
-// pass over the merge file. Segments go through readCell like partitions: a
-// segment is the full per-dataset content of its entry cell, and merged cells
-// are frozen coarse (merged partitions are never refined, §3.2.2), which
-// makes their cached regions the prime source of containment answers.
+// to it — each once, however many leaves it serves — ordered by file position
+// so the device sees a (mostly) sequential pass over the merge file. Segments
+// are cells like partitions: a segment is the full per-dataset content of its
+// entry cell, and merged cells are frozen coarse (merged partitions are never
+// refined, §3.2.2), which makes their cached regions the prime source of
+// containment answers. With the result cache on, every run of consecutive
+// hits is answered under one shared acquisition of its lock; the read that
+// ends a run goes down readCell like any cell — looked up, missed, read,
+// inserted — before the next run starts.
 func (o *Odyssey) readMerged(ctx context.Context, acc *queryAcc) error {
 	if len(acc.served) == 0 {
 		return nil
 	}
-	mf := acc.mf
-	reads := make([]mergeRead, 0, len(acc.served))
-	for r := range acc.served {
-		reads = append(reads, r)
-	}
-	// Shared segments live in other files, so run starts can tie; the
-	// (dataset, cell) tie-break keeps the read order — and the seeks it
-	// charges — independent of map order.
-	start := func(r mergeRead) int64 { return mf.entries[r.entry][r.ds].run.Start }
-	slices.SortFunc(reads, func(a, b mergeRead) int {
-		if c := cmp.Compare(start(a), start(b)); c != 0 {
-			return c
-		}
-		return cmp.Or(cmp.Compare(a.ds, b.ds), compareKeys(a.entry, b.entry))
-	})
+	slices.SortFunc(acc.served, compareMergeReads)
+	acc.served = slices.Compact(acc.served)
 	// A segment read that readCell may retain or share is a fresh slice of
 	// the segment's exact size (a nil destination); one nobody else can see
 	// decodes into pooled scratch, filtered before the next segment reuses it.
-	private := !o.retainsReads()
-	scratch := pagefile.GetObjSlice()
-	defer pagefile.PutObjSlice(scratch)
+	var scratch *[]object.Object
+	if !o.retainsReads() {
+		scratch = pagefile.GetObjSlice()
+		defer pagefile.PutObjSlice(scratch)
+	}
 	clock := simdisk.PhaseClock(ctx, o.dev)
-	t0 := clock()
-	for _, r := range reads {
-		objs, err := o.readCell(ctx, r.ds, r.entry, EntryBox(o.bounds, r.entry, acc.fanout),
-			func(ctx context.Context) ([]object.Object, error) {
-				var dst []object.Object
-				if private {
-					dst = (*scratch)[:0]
-				}
-				objs, err := o.merger.ReadSegmentCtx(ctx, dst, mf, r.entry, r.ds)
-				if private && err == nil {
-					*scratch = objs
-				}
-				return objs, err
-			})
+	t0 := clock.Now()
+	for reads := acc.served; ; reads = reads[1:] {
+		if o.rcache != nil {
+			acc.hits = o.rcache.LookupRun(acc.hits[:0], reads, &o.layoutEpoch)
+			for _, objs := range acc.hits {
+				acc.keep(objs)
+			}
+			reads = reads[len(acc.hits):]
+		}
+		if len(reads) == 0 {
+			break
+		}
+		objs, err := o.readSegment(ctx, acc, reads[0], scratch)
 		if err != nil {
 			return err
 		}
 		acc.keep(objs)
 	}
-	acc.phases.MergeReads += clock() - t0
+	acc.phases.MergeReads += clock.Now() - t0
 	return nil
+}
+
+// readSegment reads one segment of the routed merge file as the cell it is;
+// scratch is the pooled destination of a read nobody else can see, nil when
+// the read may be retained or shared.
+func (o *Odyssey) readSegment(ctx context.Context, acc *queryAcc, r mergeRead, scratch *[]object.Object) ([]object.Object, error) {
+	var box geom.Box
+	if o.rcache != nil {
+		box = EntryBox(o.bounds, r.entry, acc.fanout) // what the insert keys containment on
+	}
+	return o.readCell(ctx, r.ds, r.entry, box, func(ctx context.Context) ([]object.Object, error) {
+		var dst []object.Object
+		if scratch != nil {
+			dst = (*scratch)[:0]
+		}
+		objs, err := o.merger.ReadSegmentCtx(ctx, dst, acc.mf, r.entry, r.ds)
+		if scratch != nil && err == nil {
+			*scratch = objs
+		}
+		return objs, err
+	})
 }
 
 // record is stage four, the query's one statsMu section on the steady-state
@@ -932,9 +981,9 @@ func (o *Odyssey) mergeStep(ctx context.Context, key ComboKey, ordered []object.
 	candidates := o.stats.Partitions(key)
 	o.statsMu.Unlock()
 	refBefore := o.refinementsOf(ordered)
-	t0 := clock()
+	t0 := clock.Now()
 	st, stageErr := o.merger.stage(ctx, key, ordered, candidates, o.trees)
-	dt := clock() - t0
+	dt := clock.Now() - t0
 	refined := o.refinementsOf(ordered) != refBefore // RefineToFinest refines lagging trees
 	for i := len(ordered) - 1; i >= 0; i-- {
 		unlock(o.treeMu[ordered[i]])
@@ -946,7 +995,7 @@ func (o *Odyssey) mergeStep(ctx context.Context, key ComboKey, ordered []object.
 
 	// Publish even after a stage error: the entries staged before the
 	// failure are kept (see Merger.stage).
-	t1 := clock()
+	t1 := clock.Now()
 	appended := o.merger.publish(st)
 	if appended == 0 && !shared {
 		// The paper's clock depends on it: under the exclusive locks an
@@ -956,7 +1005,7 @@ func (o *Odyssey) mergeStep(ctx context.Context, key ComboKey, ordered []object.
 		o.merger.touchCombo(key)
 	}
 	evicted, err := o.merger.EnforceBudget()
-	dt += clock() - t1
+	dt += clock.Now() - t1
 	bumped := false
 	if err == nil {
 		// Advance the epoch only on real layout change (appends, merge-time
@@ -1056,9 +1105,9 @@ func (o *Odyssey) runRefineTask(ds object.DatasetID, t refineTask) (int, error) 
 			break
 		}
 		lk.Lock()
-		t0 := clock()
+		t0 := clock.Now()
 		step, err := tree.RefineRegionStep(ctx, t.key, t.box, t.qVol)
-		dt += clock() - t0
+		dt += clock.Now() - t0
 		lk.Unlock()
 		if err != nil {
 			taskErr = err
@@ -1095,7 +1144,7 @@ func (o *Odyssey) regionCovered(ds object.DatasetID, t refineTask) bool {
 	if mf == nil || !mf.memberOf[ds] {
 		return false
 	}
-	_, covered := mf.covering(t.key, tree.FanoutPerDim())
+	_, _, covered := mf.covering(t.key, tree.FanoutPerDim())
 	return covered
 }
 

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -20,32 +21,81 @@ const DefaultCacheCapacity = 1 << 17
 
 // cachedScan is one completed partition or merge-segment scan the cache
 // retains: the full object content of region (a cell box) as of the layout
-// epoch it was read under. The slice is shared with every query the entry
-// answers and must be treated as read-only (the engine only filters from
-// it — objects are values).
+// epoch it was read under. Everything but its eviction state is immutable
+// once inserted: the slice is shared with every query the entry answers and
+// must be treated as read-only (the engine only filters from it — objects
+// are values).
 type cachedScan struct {
 	key    scanKey
 	epoch  int64
 	region geom.Box
 	objs   []object.Object
+
+	// The live eviction key is (score, heat, seq). Hits raise heat and score
+	// with atomics, under the cache's shared lock; seq is fixed at insert.
+	heat  atomic.Int64
+	score atomic.Uint64 // math.Float64bits of the decayed-heat key (decay.go); 0 with decay off
+	seq   int64
+
+	// Guarded by the cache's exclusive lock: the entry's slot in the eviction
+	// heap and the key that slot was chosen by (see coldHeap).
+	index    int
+	posHeat  int64
+	posScore float64
 }
 
-// coldHeap is a min-heap of cached scans by (heat, FIFO): the coldest —
-// and, among equals, oldest — entry surfaces first for eviction. It reuses
-// the maintenance scheduler's heatItem access-count machinery with the
-// comparison inverted: the maintainer drains hottest-first, the cache
-// evicts coldest-first. Under Config.HeatHalfLife the decayed-heat score
-// takes precedence (zero scores with decay off restore the legacy order),
-// so a stale hotspot's once-hot entries cool down and become evictable.
-type coldHeap []*heatItem[*cachedScan]
+// touch books one hit: the access count, and under Config.HeatHalfLife the
+// decayed score as of tick. Both only ever rise — bumpScore is monotone, and
+// the max pins that against the last bit of its rounding — which is what
+// lets the eviction heap go unrepaired between evictions.
+func (s *cachedScan) touch(tick int64, halfLife float64) {
+	s.heat.Add(1)
+	if halfLife <= 0 {
+		return
+	}
+	for {
+		old := s.score.Load()
+		score := math.Float64frombits(old)
+		next := max(bumpScore(score, tick, halfLife), score)
+		if next == score || s.score.CompareAndSwap(old, math.Float64bits(next)) {
+			return
+		}
+	}
+}
+
+// reposition brings the key the heap holds the entry by up to its live key
+// and reports whether it had fallen behind. Caller holds the exclusive lock
+// (no hit is in flight) and fixes the heap.
+func (s *cachedScan) reposition() bool {
+	heat, score := s.heat.Load(), math.Float64frombits(s.score.Load())
+	if heat == s.posHeat && score == s.posScore {
+		return false
+	}
+	s.posHeat, s.posScore = heat, score
+	return true
+}
+
+// coldHeap is a min-heap of cached scans by (score, heat, FIFO): the coldest
+// — and, among equals, oldest — entry surfaces first for eviction. Under
+// Config.HeatHalfLife the decayed-heat score takes precedence (zero scores
+// with decay off restore the legacy order), so a stale hotspot's once-hot
+// entries cool down and become evictable.
+//
+// The heap is lazy. A hit does no heap work: it raises the entry's live key
+// and leaves the heap ordered by the keys entries were last positioned by,
+// which are therefore lower bounds of the live ones. Eviction repairs the
+// top until its recorded key is current; that entry's live key is then below
+// every other recorded — hence live — key, so the victim is exactly the one
+// a heap fixed on every hit would surface. Nothing else observes the order.
+type coldHeap []*cachedScan
 
 func (h coldHeap) Len() int { return len(h) }
 func (h coldHeap) Less(i, j int) bool {
-	if h[i].score != h[j].score {
-		return h[i].score < h[j].score
+	if h[i].posScore != h[j].posScore {
+		return h[i].posScore < h[j].posScore
 	}
-	if h[i].heat != h[j].heat {
-		return h[i].heat < h[j].heat
+	if h[i].posHeat != h[j].posHeat {
+		return h[i].posHeat < h[j].posHeat
 	}
 	return h[i].seq < h[j].seq
 }
@@ -54,7 +104,7 @@ func (h coldHeap) Swap(i, j int) {
 	h[i].index, h[j].index = i, j
 }
 func (h *coldHeap) Push(x any) {
-	it := x.(*heatItem[*cachedScan])
+	it := x.(*cachedScan)
 	it.index = len(*h)
 	*h = append(*h, it)
 }
@@ -65,6 +115,30 @@ func (h *coldHeap) Pop() any {
 	old[n-1] = nil
 	*h = old[:n-1]
 	return it
+}
+
+// maxProbeLevel is the deepest cell level the containment probe indexes:
+// cellAt cannot address a grid of more than 2^32 cells a side, which every
+// fanout (>= 2) exceeds past level 31.
+const maxProbeLevel = 31
+
+// levelIndex counts one dataset's cached entries per cell level, with a bit
+// per occupied level, so the containment probe visits exactly the levels
+// that can hit, deepest first.
+type levelIndex struct {
+	mask  uint32
+	count [maxProbeLevel + 1]int32
+}
+
+func (l *levelIndex) add(level uint8, delta int32) {
+	if level > maxProbeLevel {
+		return
+	}
+	if l.count[level] += delta; l.count[level] > 0 {
+		l.mask |= 1 << level
+	} else {
+		l.mask &^= 1 << level
+	}
 }
 
 // resultCache is the epoch-scoped result cache behind Config.CacheResults:
@@ -86,7 +160,11 @@ func (h *coldHeap) Pop() any {
 //
 // Locking: mu is a leaf lock (never held while acquiring any engine lock);
 // callers hold the engine's shared layout lock, so entry content cannot be
-// invalidated between a lookup and the caller's use of the slice.
+// invalidated between a lookup and the caller's use of the slice. A hit —
+// exact or by containment — holds mu shared: a map lookup and the atomics of
+// cachedScan.touch. Everything that changes the cache's structure holds it
+// exclusively: a miss (ghost accounting, dropping a dead entry), Insert and
+// its evictions, the tuner, Invalidate.
 type resultCache struct {
 	bounds geom.Box
 
@@ -95,12 +173,12 @@ type resultCache struct {
 	halfLife float64
 	tick     func() int64
 
-	mu       sync.Mutex
+	mu       sync.RWMutex
 	capacity int64 // max cached objects across all entries
-	entries  map[scanKey]*heatItem[*cachedScan]
-	// levels counts entries per (dataset, cell level) so the containment
-	// probe only computes candidate ancestor keys for levels that can hit.
-	levels  map[object.DatasetID]map[uint8]int
+	entries  map[scanKey]*cachedScan
+	// levels indexes the cached cell levels per dataset for the containment
+	// probe.
+	levels  map[object.DatasetID]*levelIndex
 	cold    coldHeap
 	objects int64 // cached objects across all entries
 	seq     int64 // FIFO tiebreak for equal heat
@@ -111,16 +189,17 @@ type resultCache struct {
 	// — and grows the budget toward the knee of the hit curve. Sustained
 	// low occupancy with no evictions shrinks it back. Tuning runs between
 	// layout epochs (Invalidate) and every tuneEvery operations, entirely
-	// under mu; capacity only changes what the cache retains, never what a
-	// query returns.
-	adaptive       bool
+	// under the exclusive mu (sinceTune, the cadence counter, is atomic
+	// because hits count too); capacity only changes what the cache
+	// retains, never what a query returns.
+	adaptive       bool // set before the first operation, constant afterwards
 	minCap, maxCap int64
 	ghost          map[scanKey]struct{}
 	ghostRing      []scanKey // FIFO bound for the ghost set
 	ghostHitsWin   int64     // capacity misses since the last tune
 	evictionsWin   int64
 	peakObjects    int64
-	sinceTune      int64
+	sinceTune      atomic.Int64
 	ghostHits      int64 // lifetime counters, guarded by mu
 	grows          int64
 	shrinks        int64
@@ -154,8 +233,8 @@ func newResultCache(bounds geom.Box, capacity int64) *resultCache {
 	return &resultCache{
 		bounds:   bounds,
 		capacity: capacity,
-		entries:  make(map[scanKey]*heatItem[*cachedScan]),
-		levels:   make(map[object.DatasetID]map[uint8]int),
+		entries:  make(map[scanKey]*cachedScan),
+		levels:   make(map[object.DatasetID]*levelIndex),
 	}
 }
 
@@ -173,18 +252,8 @@ func (c *resultCache) enableAdaptive() {
 	c.mu.Unlock()
 }
 
-// touchLocked bumps a hit entry's heat (and decayed score) and repositions
-// it in the eviction heap. Caller holds mu.
-func (c *resultCache) touchLocked(it *heatItem[*cachedScan]) {
-	it.heat++
-	if c.halfLife > 0 {
-		it.score = bumpScore(it.score, c.tick(), c.halfLife)
-	}
-	heap.Fix(&c.cold, it.index)
-}
-
 // noteGhostLocked records a capacity miss when the missed key is still on
-// the ghost list. Caller holds mu.
+// the ghost list. Caller holds mu exclusively.
 func (c *resultCache) noteGhostLocked(key scanKey) {
 	if !c.adaptive {
 		return
@@ -196,7 +265,7 @@ func (c *resultCache) noteGhostLocked(key scanKey) {
 }
 
 // pushGhostLocked remembers an evicted key on the bounded shadow list.
-// Caller holds mu.
+// Caller holds mu exclusively.
 func (c *resultCache) pushGhostLocked(key scanKey) {
 	if !c.adaptive {
 		return
@@ -212,22 +281,38 @@ func (c *resultCache) pushGhostLocked(key scanKey) {
 	c.ghostRing = append(c.ghostRing, key)
 }
 
-// maybeTuneLocked runs the capacity tuner on its operation cadence.
-// Caller holds mu.
+// tuneDue counts one cache operation toward the tuner's cadence and reports
+// whether the tuner falls due on it. The counter is atomic because hits,
+// which share the lock, count too.
+func (c *resultCache) tuneDue() bool {
+	return c.adaptive && c.sinceTune.Add(1) >= tuneEvery
+}
+
+// maybeTuneLocked counts one operation and tunes if due. Caller holds mu
+// exclusively.
 func (c *resultCache) maybeTuneLocked() {
-	if !c.adaptive {
-		return
-	}
-	if c.sinceTune++; c.sinceTune >= tuneEvery {
+	if c.tuneDue() {
 		c.tuneLocked()
 	}
+}
+
+// tune runs the tuner a hit found due — at the same operation a hit under
+// the exclusive lock would have — for a caller holding no lock. Of the hits
+// that cross the cadence together, one tunes.
+func (c *resultCache) tune() {
+	c.mu.Lock()
+	if c.sinceTune.Load() >= tuneEvery {
+		c.tuneLocked()
+	}
+	c.mu.Unlock()
 }
 
 // tuneLocked moves capacity toward the knee of the observed hit curve:
 // ghost re-misses in the window mean entries the budget pushed out were
 // still wanted (grow — the hit curve is still climbing past the current
 // size); an eviction-free window that never filled a quarter of the budget
-// means the curve flattened well below it (shrink). Caller holds mu.
+// means the curve flattened well below it (shrink). Caller holds mu
+// exclusively.
 func (c *resultCache) tuneLocked() {
 	if c.peakObjects < c.objects {
 		c.peakObjects = c.objects
@@ -250,50 +335,125 @@ func (c *resultCache) tuneLocked() {
 	c.ghostHitsWin = 0
 	c.evictionsWin = 0
 	c.peakObjects = c.objects
-	c.sinceTune = 0
+	c.sinceTune.Store(0)
+}
+
+// hit is the lookup proper, under mu held either way: the content of key if
+// cached at epoch, with the hit booked on the entry.
+func (c *resultCache) hit(key scanKey, epoch int64) ([]object.Object, bool) {
+	it, ok := c.entries[key]
+	if !ok || it.epoch != epoch {
+		return nil, false
+	}
+	it.touch(c.now(), c.halfLife)
+	c.hits.Add(1)
+	return it.objs, true
+}
+
+// now reads the decay clock (0 with decay off).
+func (c *resultCache) now() int64 {
+	if c.halfLife <= 0 {
+		return 0
+	}
+	return c.tick()
 }
 
 // Lookup returns the cached content of (ds, cell) if present at the given
 // layout epoch. A present entry from an older epoch is dead (the global
 // epoch only advances) and is dropped on sight. ok distinguishes a cached
-// empty cell from a miss.
+// empty cell from a miss. A hit shares the lock; only what did not hit takes
+// it exclusively, and looks again (the cell may have been inserted between
+// the two).
 func (c *resultCache) Lookup(ds object.DatasetID, cell octree.Key, epoch int64) ([]object.Object, bool) {
 	key := scanKey{ds: ds, cell: cell}
+	c.mu.RLock()
+	objs, ok := c.hit(key, epoch)
+	c.mu.RUnlock()
+	if ok {
+		if c.tuneDue() {
+			c.tune()
+		}
+		return objs, true
+	}
 	c.mu.Lock()
-	it, ok := c.entries[key]
-	if !ok {
-		c.noteGhostLocked(key)
-		c.maybeTuneLocked()
-		c.mu.Unlock()
+	if objs, ok = c.hit(key, epoch); !ok {
+		if dead := c.entries[key]; dead != nil {
+			c.removeLocked(dead)
+		} else {
+			c.noteGhostLocked(key)
+		}
 		c.misses.Add(1)
-		return nil, false
 	}
-	if it.task.epoch != epoch {
-		c.removeLocked(it)
-		c.maybeTuneLocked()
-		c.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.touchLocked(it)
 	c.maybeTuneLocked()
-	objs := it.task.objs
 	c.mu.Unlock()
-	c.hits.Add(1)
-	return objs, true
+	return objs, ok
 }
 
-// AnswerContained probes for any cached region of ds (at the given epoch)
+// LookupRun is Lookup for the leading hits of reads, under one shared
+// acquisition: it appends to hits the content of every read up to the first
+// that does not hit at the layout epoch current when its turn comes, and
+// returns hits. The read that ended the run is not booked — it is the
+// caller's to Lookup, miss and Insert before the next run — so a query issues
+// the cache the operations of one Lookup per read, in order.
+func (c *resultCache) LookupRun(hits [][]object.Object, reads []mergeRead, epoch *atomic.Int64) [][]object.Object {
+	c.mu.RLock()
+	for _, r := range reads {
+		objs, ok := c.hit(scanKey{ds: r.ds, cell: r.entry}, epoch.Load())
+		if !ok {
+			break
+		}
+		hits = append(hits, objs)
+		if c.tuneDue() {
+			c.mu.RUnlock()
+			c.tune()
+			c.mu.RLock()
+		}
+	}
+	c.mu.RUnlock()
+	return hits
+}
+
+// AnswerContained probes for a cached region of ds (at the given epoch)
 // containing ext, the query window already extended by the tree's max
 // object half-extent. Because cached regions are cell boxes of the uniform
 // k^level grid, the only candidate at each level is the cell containing
-// ext's min corner — one map lookup per cached level, not a scan. The
-// returned slice is the full region content; the caller filters by the
-// original query box.
+// ext's min corner — one map lookup per cached level, not a scan. Levels are
+// probed deepest first: of several regions containing the window the
+// smallest answers, the one with the fewest objects to filter (and always
+// the same one). The returned slice is the full region content; the caller
+// filters by the original query box.
+//
+// The probe shares the lock like any hit. Meeting a dead entry sends it
+// round again under the exclusive lock, before it booked anything, to drop
+// what is dead on the way.
 func (c *resultCache) AnswerContained(ds object.DatasetID, fanout int, epoch int64,
 	ext geom.Box) ([]object.Object, bool) {
-	c.mu.Lock()
-	for level := range c.levels[ds] {
+	c.mu.RLock()
+	objs, ok, dead := c.probe(ds, fanout, epoch, ext, false)
+	c.mu.RUnlock()
+	if dead {
+		c.mu.Lock()
+		objs, ok, _ = c.probe(ds, fanout, epoch, ext, true)
+		c.mu.Unlock()
+	}
+	if ok {
+		c.containmentHits.Add(1)
+	}
+	return objs, ok
+}
+
+// probe is AnswerContained under mu: held exclusively when drop is set, and
+// dead entries are dropped on sight; shared otherwise, and the first dead
+// entry ends the probe (dead reports it).
+func (c *resultCache) probe(ds object.DatasetID, fanout int, epoch int64, ext geom.Box,
+	drop bool) (objs []object.Object, ok, dead bool) {
+	lv := c.levels[ds]
+	if lv == nil {
+		return nil, false, false
+	}
+	for mask := lv.mask; mask != 0; {
+		level := uint8(bits.Len32(mask) - 1)
+		mask &^= 1 << level
 		cell, ok := cellAt(c.bounds, fanout, level, ext.Min)
 		if !ok {
 			continue
@@ -302,21 +462,20 @@ func (c *resultCache) AnswerContained(ds object.DatasetID, fanout int, epoch int
 		if !ok {
 			continue
 		}
-		if it.task.epoch != epoch {
+		if it.epoch != epoch {
+			if !drop {
+				return nil, false, true
+			}
 			c.removeLocked(it)
 			continue
 		}
-		if !it.task.region.Contains(ext) {
+		if !it.region.Contains(ext) {
 			continue
 		}
-		c.touchLocked(it)
-		objs := it.task.objs
-		c.mu.Unlock()
-		c.containmentHits.Add(1)
-		return objs, true
+		it.touch(c.now(), c.halfLife)
+		return it.objs, true, false
 	}
-	c.mu.Unlock()
-	return nil, false
+	return nil, false, false
 }
 
 // cellAt returns the key of the level-cell of the uniform fanout^level grid
@@ -376,40 +535,41 @@ func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, epoch int64,
 		}
 		c.grows++
 	}
-	heat := int64(1)
-	score := float64(0)
+	it := &cachedScan{key: key, epoch: epoch, region: region, objs: objs, posHeat: 1}
 	if c.halfLife > 0 {
-		score = heatScore(1, c.tick(), c.halfLife)
+		it.posScore = heatScore(1, c.tick(), c.halfLife)
 	}
 	if old, ok := c.entries[key]; ok {
-		heat = old.heat + 1
+		it.posHeat = old.heat.Load() + 1
 		if c.halfLife > 0 {
-			score = bumpScore(old.score, c.tick(), c.halfLife)
+			it.posScore = bumpScore(math.Float64frombits(old.score.Load()), c.tick(), c.halfLife)
 		}
 		c.removeLocked(old)
 	}
 	for c.objects+int64(len(objs)) > c.capacity && len(c.cold) > 0 {
-		evicted := c.cold[0]
-		c.pushGhostLocked(evicted.task.key)
-		c.removeLocked(evicted)
+		victim := c.cold[0]
+		if victim.reposition() {
+			// Hit since it was last positioned: no longer known to be coldest.
+			heap.Fix(&c.cold, 0)
+			continue
+		}
+		c.pushGhostLocked(victim.key)
+		c.removeLocked(victim)
 		c.evictions.Add(1)
 		c.evictionsWin++
 	}
 	c.seq++
-	it := &heatItem[*cachedScan]{
-		task:  &cachedScan{key: key, epoch: epoch, region: region, objs: objs},
-		heat:  heat,
-		score: score,
-		seq:   c.seq,
-	}
+	it.seq = c.seq
+	it.heat.Store(it.posHeat)
+	it.score.Store(math.Float64bits(it.posScore))
 	heap.Push(&c.cold, it)
 	c.entries[key] = it
 	lv := c.levels[ds]
 	if lv == nil {
-		lv = make(map[uint8]int)
+		lv = new(levelIndex)
 		c.levels[ds] = lv
 	}
-	lv[cell.Level]++
+	lv.add(cell.Level, 1)
 	c.objects += int64(len(objs))
 	if c.objects > c.peakObjects {
 		c.peakObjects = c.objects
@@ -425,20 +585,12 @@ func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, epoch int64,
 }
 
 // removeLocked unlinks one entry from the map, the heap, the level index
-// and the object budget. Caller holds mu.
-func (c *resultCache) removeLocked(it *heatItem[*cachedScan]) {
-	delete(c.entries, it.task.key)
+// and the object budget. Caller holds mu exclusively.
+func (c *resultCache) removeLocked(it *cachedScan) {
+	delete(c.entries, it.key)
 	heap.Remove(&c.cold, it.index)
-	c.objects -= int64(len(it.task.objs))
-	ds, level := it.task.key.ds, it.task.key.cell.Level
-	if lv := c.levels[ds]; lv != nil {
-		if lv[level]--; lv[level] <= 0 {
-			delete(lv, level)
-		}
-		if len(lv) == 0 {
-			delete(c.levels, ds)
-		}
-	}
+	c.objects -= int64(len(it.objs))
+	c.levels[it.key.ds].add(it.key.cell.Level, -1)
 }
 
 // Invalidate flushes the cache on a layout publish. A publish that finds the
@@ -455,8 +607,8 @@ func (c *resultCache) Invalidate() {
 		c.ghostRing = nil
 	}
 	if flushed {
-		c.entries = make(map[scanKey]*heatItem[*cachedScan])
-		c.levels = make(map[object.DatasetID]map[uint8]int)
+		c.entries = make(map[scanKey]*cachedScan)
+		c.levels = make(map[object.DatasetID]*levelIndex)
 		c.cold = nil
 		c.objects = 0
 	}
@@ -468,11 +620,11 @@ func (c *resultCache) Invalidate() {
 
 // Stats snapshots the cache ledger.
 func (c *resultCache) Stats() CacheStats {
-	c.mu.Lock()
+	c.mu.RLock()
 	entries, objects := len(c.entries), c.objects
 	capacity := c.capacity
 	ghostHits, grows, shrinks := c.ghostHits, c.grows, c.shrinks
-	c.mu.Unlock()
+	c.mu.RUnlock()
 	return CacheStats{
 		Hits:            c.hits.Load(),
 		ContainmentHits: c.containmentHits.Load(),

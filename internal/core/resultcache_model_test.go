@@ -1,0 +1,430 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"spaceodyssey/internal/geom"
+	"spaceodyssey/internal/object"
+	"spaceodyssey/internal/octree"
+)
+
+// eagerCache is the result cache's specification, written the slow way:
+// entries in a slice, every key current at all times, the victim found by a
+// full scan for min (score, heat, seq). The lazy heap, the shared-lock hit
+// and the atomic tuner cadence of resultCache must be indistinguishable from
+// it on a serial run.
+type eagerCache struct {
+	bounds   geom.Box
+	halfLife float64
+	tick     *int64
+
+	capacity, objects, seq int64
+	entries                []*eagerEntry
+
+	adaptive                                         bool
+	minCap, maxCap                                   int64
+	ghost                                            map[scanKey]bool
+	ghostRing                                        []scanKey
+	ghostHitsWin, evictionsWin, peakObjects, sinceOp int64
+
+	hits, misses, evictions, ghostHits int64
+	evicted                            []scanKey
+}
+
+type eagerEntry struct {
+	key   scanKey
+	epoch int64
+	objs  []object.Object
+	heat  int64
+	score float64
+	seq   int64
+}
+
+func (m *eagerCache) find(key scanKey) int {
+	return slices.IndexFunc(m.entries, func(e *eagerEntry) bool { return e.key == key })
+}
+
+func (m *eagerCache) touch(e *eagerEntry) {
+	e.heat++
+	if m.halfLife > 0 {
+		e.score = bumpScore(e.score, *m.tick, m.halfLife)
+	}
+}
+
+func (m *eagerCache) remove(i int) {
+	m.objects -= int64(len(m.entries[i].objs))
+	m.entries = slices.Delete(m.entries, i, i+1)
+}
+
+func (m *eagerCache) op() {
+	if !m.adaptive {
+		return
+	}
+	if m.sinceOp++; m.sinceOp >= tuneEvery {
+		m.tune()
+	}
+}
+
+func (m *eagerCache) tune() {
+	m.peakObjects = max(m.peakObjects, m.objects)
+	switch {
+	case m.ghostHitsWin >= growAfter && m.capacity < m.maxCap:
+		m.capacity = min(m.capacity*2, m.maxCap)
+	case m.evictionsWin == 0 && m.ghostHitsWin == 0 && m.peakObjects*4 <= m.capacity && m.capacity > m.minCap:
+		m.capacity = max(m.capacity/2, m.minCap)
+	}
+	m.ghostHitsWin, m.evictionsWin, m.peakObjects, m.sinceOp = 0, 0, m.objects, 0
+}
+
+func (m *eagerCache) lookup(key scanKey, epoch int64) ([]object.Object, bool) {
+	defer m.op()
+	i := m.find(key)
+	switch {
+	case i < 0:
+		if m.adaptive && m.ghost[key] {
+			m.ghostHitsWin++
+			m.ghostHits++
+		}
+	case m.entries[i].epoch != epoch:
+		m.remove(i)
+	default:
+		m.touch(m.entries[i])
+		m.hits++
+		return m.entries[i].objs, true
+	}
+	m.misses++
+	return nil, false
+}
+
+// contained probes the cached levels deepest first, as the cache documents.
+func (m *eagerCache) contained(ds object.DatasetID, fanout int, epoch int64, ext geom.Box) ([]object.Object, bool) {
+	for level := 32; level >= 0; level-- {
+		cell, ok := cellAt(m.bounds, fanout, uint8(level), ext.Min)
+		if !ok {
+			continue
+		}
+		i := m.find(scanKey{ds: ds, cell: cell})
+		if i < 0 {
+			continue
+		}
+		if e := m.entries[i]; e.epoch != epoch {
+			m.remove(i)
+		} else if cell.Box(m.bounds, fanout).Contains(ext) {
+			m.touch(e)
+			return e.objs, true
+		}
+	}
+	return nil, false
+}
+
+func (m *eagerCache) insert(key scanKey, epoch int64, objs []object.Object) {
+	n := int64(len(objs))
+	if n > m.capacity {
+		if !m.adaptive || n > m.maxCap {
+			return
+		}
+		for m.capacity < n && m.capacity < m.maxCap {
+			m.capacity *= 2
+		}
+		m.capacity = min(m.capacity, m.maxCap)
+	}
+	e := &eagerEntry{key: key, epoch: epoch, objs: objs, heat: 1}
+	if m.halfLife > 0 {
+		e.score = heatScore(1, *m.tick, m.halfLife)
+	}
+	if i := m.find(key); i >= 0 {
+		old := m.entries[i]
+		e.heat = old.heat + 1
+		if m.halfLife > 0 {
+			e.score = bumpScore(old.score, *m.tick, m.halfLife)
+		}
+		m.remove(i)
+	}
+	for m.objects+n > m.capacity && len(m.entries) > 0 {
+		coldest := 0
+		for i, c := range m.entries {
+			v := m.entries[coldest]
+			if c.score != v.score {
+				if c.score < v.score {
+					coldest = i
+				}
+			} else if c.heat != v.heat {
+				if c.heat < v.heat {
+					coldest = i
+				}
+			} else if c.seq < v.seq {
+				coldest = i
+			}
+		}
+		victim := m.entries[coldest].key
+		if m.adaptive && !m.ghost[victim] {
+			if len(m.ghostRing) >= ghostCap {
+				delete(m.ghost, m.ghostRing[0])
+				m.ghostRing = m.ghostRing[1:]
+			}
+			m.ghost[victim] = true
+			m.ghostRing = append(m.ghostRing, victim)
+		}
+		m.evicted = append(m.evicted, victim)
+		m.remove(coldest)
+		m.evictions++
+		m.evictionsWin++
+	}
+	m.seq++
+	e.seq = m.seq
+	m.entries = append(m.entries, e)
+	m.objects += n
+	m.peakObjects = max(m.peakObjects, m.objects)
+	delete(m.ghost, key)
+	m.op()
+}
+
+func (m *eagerCache) invalidate() {
+	if m.adaptive {
+		m.tune()
+		m.ghost, m.ghostRing = map[scanKey]bool{}, nil
+	}
+	m.entries, m.objects = nil, 0
+}
+
+// TestResultCacheLazyEvictionIsEager drives the cache and the eager model
+// with one seeded sequence of inserts, lookups, containment probes, clock
+// advances and epoch changes at a capacity that forces evictions — with and
+// without heat decay, with and without the capacity tuner — and requires the
+// same answers, the same cached set after every operation (so the same
+// victims, in the same order), and the same ledger.
+func TestResultCacheLazyEvictionIsEager(t *testing.T) {
+	const fanout = 2
+	bounds := geom.UnitBox()
+	var cells []octree.Key
+	for level := uint8(1); level <= 3; level++ {
+		side := uint32(1) << level
+		for x := uint32(0); x < side; x++ {
+			for y := uint32(0); y < side; y++ {
+				for z := uint32(0); z < side; z++ {
+					cells = append(cells, testKeyAt(level, x, y, z))
+				}
+			}
+		}
+	}
+	content := make([]object.Object, 16)
+	for _, halfLife := range []float64{0, 16} {
+		for _, adaptive := range []bool{false, true} {
+			t.Run(fmt.Sprintf("halfLife=%v/adaptive=%v", halfLife, adaptive), func(t *testing.T) {
+				var tick, epoch int64 = 0, 1
+				c := newResultCache(bounds, 300)
+				c.halfLife, c.tick = halfLife, func() int64 { return tick }
+				m := &eagerCache{bounds: bounds, halfLife: halfLife, tick: &tick, capacity: 300}
+				if adaptive {
+					c.enableAdaptive()
+					// The budget floats, below what the cells hold: the tuner moves
+					// both ways and evictions never stop.
+					c.minCap, c.maxCap = 100, 1200
+					m.adaptive, m.minCap, m.maxCap, m.ghost = true, c.minCap, c.maxCap, map[scanKey]bool{}
+				}
+				r := rand.New(rand.NewSource(int64(halfLife)*2 + 41))
+				cached := func() []scanKey {
+					keys := make([]scanKey, 0, len(c.entries))
+					for k := range c.entries {
+						keys = append(keys, k)
+					}
+					return keys
+				}
+				byCell := func(a, b scanKey) int { return compareKeys(a.cell, b.cell) }
+				for i := 0; i < 40000; i++ {
+					// A skewed choice of cell, so that some entries are hot.
+					u := r.Float64()
+					cell := cells[int(float64(len(cells))*u*u*u)]
+					key := scanKey{ds: 1, cell: cell}
+					var got, want []object.Object
+					var gotOK, wantOK bool
+					p := r.Float64()
+					switch {
+					case p < 0.75: // a cell read: what misses is inserted below
+						got, gotOK = c.Lookup(key.ds, cell, epoch)
+						want, wantOK = m.lookup(key, epoch)
+					case p < 0.85:
+						ext := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), 0.05*r.Float64())
+						got, gotOK = c.AnswerContained(1, fanout, epoch, ext)
+						want, wantOK = m.contained(1, fanout, epoch, ext)
+					case p < 0.95:
+						tick += int64(r.Intn(12))
+					case p < 0.951:
+						epoch++
+						c.Invalidate()
+						m.invalidate()
+					}
+					if p < 0.75 && !gotOK || p >= 0.951 {
+						at := epoch
+						if r.Intn(20) == 0 {
+							at-- // a read that raced a publish: dead on arrival
+						}
+						objs := content[:r.Intn(len(content))]
+						before, mark := cached(), len(m.evicted)
+						c.Insert(key.ds, cell, at, cell.Box(bounds, fanout), objs)
+						m.insert(key, at, objs)
+						// What this insert pushed out of the cache, against what it
+						// pushed out of the model: insert by insert, so the victims
+						// come in the same order (as sets within one insert, where
+						// only the model shows an order).
+						evicted := slices.DeleteFunc(before, func(k scanKey) bool { return k == key || c.entries[k] != nil })
+						wantEvicted := slices.Clone(m.evicted[mark:])
+						slices.SortFunc(evicted, byCell)
+						slices.SortFunc(wantEvicted, byCell)
+						if !slices.Equal(evicted, wantEvicted) {
+							t.Fatalf("op %d, insert of %v: the cache evicted %v, the model %v", i, key, evicted, wantEvicted)
+						}
+					}
+					if gotOK != wantOK || len(got) != len(want) {
+						t.Fatalf("op %d on %v: the cache answered %d objects (%v), the model %d (%v)", i, key, len(got), gotOK, len(want), wantOK)
+					}
+					if len(c.entries) != len(m.entries) || c.objects != m.objects {
+						t.Fatalf("op %d: the cache holds %d entries / %d objects, the model %d / %d", i, len(c.entries), c.objects, len(m.entries), m.objects)
+					}
+				}
+				for _, e := range m.entries {
+					it := c.entries[e.key]
+					if it == nil || it.heat.Load() != e.heat || it.seq != e.seq {
+						t.Fatalf("entry %v: cache %+v, model heat %d seq %d", e.key, it, e.heat, e.seq)
+					}
+				}
+				st := c.Stats()
+				if st.Evictions != m.evictions || st.Hits != m.hits || st.Misses != m.misses ||
+					st.GhostHits != m.ghostHits || st.Capacity != m.capacity {
+					t.Fatalf("ledger: cache %+v; model evictions %d hits %d misses %d ghost hits %d capacity %d",
+						st, m.evictions, m.hits, m.misses, m.ghostHits, m.capacity)
+				}
+				if st.Evictions < 1000 || st.Hits < 1000 || adaptive && st.CapacityGrows+st.CapacityShrinks == 0 {
+					t.Fatalf("the sequence exercised too little: %+v", st)
+				}
+			})
+		}
+	}
+}
+
+// TestResultCacheStorm hammers the cache from every side at once — single
+// lookups, run lookups, inserts, and publishes that advance the epoch and
+// flush — and holds the two things sharing the lock on a hit could break:
+// the ledger still counts every lookup exactly once (a run books its hits,
+// never the read that ended it), and no lookup is ever answered from another
+// epoch's entry.
+func TestResultCacheStorm(t *testing.T) {
+	const fanout = 2
+	bounds := geom.UnitBox()
+	c := newResultCache(bounds, 32)
+	var tick atomic.Int64
+	c.halfLife, c.tick = 8, tick.Load
+	c.enableAdaptive()
+	c.maxCap = 128 // the 64 cells below hold 256 objects: the tuner grows the budget, evictions never stop
+	var epoch atomic.Int64
+	epoch.Store(1)
+
+	// A run of reads over the level-2 cells, in a fixed order.
+	var run []mergeRead
+	for x := uint32(0); x < 4; x++ {
+		for y := uint32(0); y < 4; y++ {
+			for z := uint32(0); z < 4; z++ {
+				run = append(run, mergeRead{entry: testKeyAt(2, x, y, z), ds: 1, start: int64(len(run))})
+			}
+		}
+	}
+	// An entry's content names the epoch it was inserted under.
+	insert := func(r mergeRead) {
+		at := epoch.Load()
+		objs := make([]object.Object, 4)
+		objs[0].ID = uint64(at)
+		c.Insert(r.ds, r.entry, at, r.entry.Box(bounds, fanout), objs)
+	}
+	var lookups atomic.Int64
+	errc := make(chan error, 16)
+	fail := func(format string, args ...any) {
+		select {
+		case errc <- fmt.Errorf(format, args...):
+		default:
+		}
+	}
+	var wg sync.WaitGroup
+	worker := func(seed int64, body func(r *rand.Rand)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			for i := 0; i < 3000; i++ {
+				body(r)
+			}
+		}()
+	}
+	// Publishes, for as long as the lookups run: the epoch advances, then the
+	// cache is flushed, as bumpLayoutEpoch does.
+	stop, published := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(published)
+		r := rand.New(rand.NewSource(20))
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(50 * time.Microsecond):
+			}
+			epoch.Add(1)
+			c.Invalidate()
+			c.AnswerContained(1, fanout, epoch.Load(), geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), 0.01))
+		}
+	}()
+	for g := int64(0); g < 2; g++ {
+		worker(g, func(r *rand.Rand) { // single lookups, inserting what missed
+			tick.Add(1)
+			rd := run[r.Intn(len(run))]
+			at := epoch.Load()
+			objs, ok := c.Lookup(rd.ds, rd.entry, at)
+			lookups.Add(1)
+			if ok && objs[0].ID != uint64(at) {
+				fail("Lookup at epoch %d answered from epoch %d's entry", at, objs[0].ID)
+			}
+			if !ok {
+				insert(rd)
+			}
+		})
+		worker(10+g, func(r *rand.Rand) { // run lookups, as readMerged issues them
+			reads := run[r.Intn(len(run)):]
+			for len(reads) > 0 {
+				lo := epoch.Load()
+				hits := c.LookupRun(nil, reads, &epoch)
+				hi := epoch.Load()
+				lookups.Add(int64(len(hits)))
+				for _, objs := range hits {
+					if id := objs[0].ID; id < uint64(lo) || id > uint64(hi) {
+						fail("LookupRun between epochs %d and %d answered from epoch %d's entry", lo, hi, id)
+					}
+				}
+				if reads = reads[len(hits):]; len(reads) > 0 {
+					if _, ok := c.Lookup(reads[0].ds, reads[0].entry, epoch.Load()); !ok {
+						insert(reads[0])
+					}
+					lookups.Add(1)
+					reads = reads[1:]
+				}
+			}
+		})
+	}
+	wg.Wait()
+	close(stop)
+	<-published
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	st := c.Stats()
+	if st.Hits+st.Misses != lookups.Load() {
+		t.Fatalf("%d hits + %d misses, %d lookups issued", st.Hits, st.Misses, lookups.Load())
+	}
+	if st.Hits == 0 || st.Misses == 0 || st.Evictions == 0 || st.Invalidations == 0 {
+		t.Fatalf("the storm exercised too little: %+v", st)
+	}
+}

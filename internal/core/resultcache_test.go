@@ -5,6 +5,7 @@ import (
 
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
+	"spaceodyssey/internal/octree"
 )
 
 // TestResultCacheExactHitAndEpochDrop pins the cache's key contract: an
@@ -161,5 +162,45 @@ func TestCellAt(t *testing.T) {
 	}
 	if _, ok := cellAt(b, 2, 1, geom.V(1.5, 0, 0)); ok {
 		t.Fatal("point outside bounds mapped to a cell")
+	}
+}
+
+// TestResultCacheContainmentDeepestFirst pins the probe's order: when cached
+// regions at two levels both contain the window, the deeper — smaller — one
+// answers and takes the hit, whatever order the entries went in — which one
+// is bumped decides later evictions, so it must not be left to map order.
+func TestResultCacheContainmentDeepestFirst(t *testing.T) {
+	bounds := geom.UnitBox()
+	coarse, fine := testKeyAt(1, 0, 0, 0), testKeyAt(2, 0, 0, 0) // [0,0.5]^3 and [0,0.25]^3 at fanout 2
+	window := geom.Cube(geom.V(0.1, 0.1, 0.1), 0.1)
+	for round := 0; round < 64; round++ {
+		c := newResultCache(bounds, 1000)
+		keys := []octree.Key{coarse, fine}
+		if round%2 == 1 {
+			keys[0], keys[1] = fine, coarse
+		}
+		for _, k := range keys {
+			c.Insert(1, k, 7, k.Box(bounds, 2), []object.Object{{ID: uint64(k.Level), Dataset: 1}})
+		}
+		got, ok := c.AnswerContained(1, 2, 7, window)
+		if !ok || len(got) != 1 || got[0].ID != uint64(fine.Level) {
+			t.Fatalf("round %d: probe = %v, %v; want the level-%d region's content", round, got, ok, fine.Level)
+		}
+		if heat := c.entries[scanKey{ds: 1, cell: fine}].heat.Load(); heat != 2 {
+			t.Fatalf("round %d: the answering region's heat = %d, want 2 (insert + hit)", round, heat)
+		}
+		if heat := c.entries[scanKey{ds: 1, cell: coarse}].heat.Load(); heat != 1 {
+			t.Fatalf("round %d: the coarser region's heat = %d, want 1 (untouched)", round, heat)
+		}
+		// A dead entry on the way is dropped, and the probe goes on to the
+		// next level.
+		c.Insert(1, fine, 6, fine.Box(bounds, 2), nil)
+		got, ok = c.AnswerContained(1, 2, 7, window)
+		if !ok || len(got) != 1 || got[0].ID != uint64(coarse.Level) {
+			t.Fatalf("round %d: probe past a dead region = %v, %v; want the level-%d region's content", round, got, ok, coarse.Level)
+		}
+		if st := c.Stats(); st.Entries != 1 || st.ContainmentHits != 2 {
+			t.Fatalf("round %d: %d entries, %d containment hits; want the dead entry dropped and 2 hits", round, st.Entries, st.ContainmentHits)
+		}
 	}
 }

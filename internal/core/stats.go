@@ -7,9 +7,8 @@
 package core
 
 import (
-	"fmt"
 	"slices"
-	"strings"
+	"strconv"
 
 	"spaceodyssey/internal/object"
 	"spaceodyssey/internal/octree"
@@ -69,16 +68,19 @@ func KeyOf(datasets []object.DatasetID) ComboKey {
 	return keyOfSorted(ids)
 }
 
-// keyOfSorted is KeyOf for ids already in ascending order.
+// keyOfSorted is KeyOf for ids already in ascending order. It renders into a
+// buffer on the stack (for combinations of the usual few members): the one
+// allocation is the key itself.
 func keyOfSorted(ids []object.DatasetID) ComboKey {
-	var b strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for i, ds := range ids {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", ds)
+		b = strconv.AppendUint(b, uint64(ds), 10)
 	}
-	return ComboKey(b.String())
+	return ComboKey(b)
 }
 
 // Collector is the Statistics Collector of Figure 1: it records, per

@@ -2,6 +2,7 @@ package object
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"spaceodyssey/internal/geom"
@@ -142,4 +143,56 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatal("record round trip unstable")
 		}
 	})
+}
+
+// outcome runs a predicate and reports its verdict, or that it panicked.
+func outcome(f func() bool) (verdict, panicked bool) {
+	defer func() {
+		if recover() != nil {
+			verdict, panicked = false, true
+		}
+	}()
+	return f(), false
+}
+
+// FuzzObjectIntersects pins the axis-by-axis Object.Intersects to the
+// definition it inlines, o.Box().Intersects(q), on FuzzBoxIntersect's corpus
+// shape — touching faces, zero extents — and on what that fuzzer filters
+// out: whenever building the box panics (a half-extent negative or not a
+// number, a center not a number), so does Intersects.
+func FuzzObjectIntersects(f *testing.F) {
+	f.Add(0.5, 0.5, 0.5, 0.1, 0.1, 0.1, 0.5, 0.5, 0.5, 0.2, 0.2, 0.2)
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5) // point object
+	f.Add(-3.0, 2.0, 7.5, 1.0, 0.25, 2.0, 4.0, 2.0, -1.0, 8.0, 0.5, 10.0)
+	f.Add(0.25, 0.5, 0.5, 0.25, 0.1, 0.1, 0.75, 0.5, 0.5, 0.25, 0.1, 0.1) // faces touch at x = 0.5
+	f.Add(0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 0.0, 0.0, 0.0)     // two equal points
+	f.Add(0.5, 0.5, 0.5, -0.1, 0.1, 0.1, 0.5, 0.5, 0.5, 0.2, 0.2, 0.2)    // negative half-extent
+	f.Add(0.5, 0.5, 0.5, 0.1, math.NaN(), 0.1, 0.5, 0.5, 0.5, 0.2, 0.2, 0.2)
+	f.Add(math.Inf(1), 0.5, 0.5, math.Inf(1), 0.1, 0.1, 0.5, 0.5, 0.5, 0.2, 0.2, 0.2)
+	f.Fuzz(func(t *testing.T,
+		ocx, ocy, ocz, ohx, ohy, ohz float64,
+		qcx, qcy, qcz, qhx, qhy, qhz float64) {
+		o := Object{Center: geom.V(ocx, ocy, ocz), HalfExtent: geom.V(ohx, ohy, ohz)}
+		// The query is any box value, valid or not: Intersects only compares
+		// against its corners.
+		q := geom.Box{Min: geom.V(qcx-qhx, qcy-qhy, qcz-qhz), Max: geom.V(qcx+qhx, qcy+qhy, qcz+qhz)}
+		want, wantPanic := outcome(func() bool { return o.Box().Intersects(q) })
+		got, gotPanic := outcome(func() bool { return o.Intersects(q) })
+		if got != want || gotPanic != wantPanic {
+			t.Fatalf("%+v against %v: Intersects = %v (panicked %v), Box().Intersects = %v (panicked %v)",
+				o, q, got, gotPanic, want, wantPanic)
+		}
+	})
+}
+
+// TestIntersectsRejectsInvalidExtent: the filter every cell read goes through
+// still refuses an object whose box cannot be built.
+func TestIntersectsRejectsInvalidExtent(t *testing.T) {
+	q := geom.UnitBox()
+	for _, h := range []geom.Vec{geom.V(-1e-9, 0, 0), geom.V(0, 0, -1), geom.V(0, math.NaN(), 0)} {
+		o := Object{Center: geom.V(0.5, 0.5, 0.5), HalfExtent: h}
+		if _, panicked := outcome(func() bool { return o.Intersects(q) }); !panicked {
+			t.Errorf("half-extent %v: Intersects did not panic", h)
+		}
+	}
 }

@@ -37,9 +37,22 @@ func (o Object) Box() geom.Box {
 	return geom.BoxFromCenter(o.Center, o.HalfExtent)
 }
 
-// Intersects reports whether the object's box intersects q.
+// Intersects reports whether the object's box intersects q: it is
+// o.Box().Intersects(q) — closed-box semantics, and the same panic on a
+// half-extent that is negative or not a number — compared axis by axis
+// without materialising the box, because every cell a query reads is
+// filtered through it object by object.
 func (o Object) Intersects(q geom.Box) bool {
-	return o.Box().Intersects(q)
+	c, h := o.Center, o.HalfExtent
+	loX, hiX := c.X-h.X, c.X+h.X
+	loY, hiY := c.Y-h.Y, c.Y+h.Y
+	loZ, hiZ := c.Z-h.Z, c.Z+h.Z
+	if !(loX <= hiX && loY <= hiY && loZ <= hiZ) {
+		o.Box() // invalid: panics, with geom.NewBox's message
+	}
+	return loX <= q.Max.X && q.Min.X <= hiX &&
+		loY <= q.Max.Y && q.Min.Y <= hiY &&
+		loZ <= q.Max.Z && q.Min.Z <= hiZ
 }
 
 // RecordSize is the fixed on-disk size of one object record:

@@ -316,29 +316,64 @@ func bucketByCell(box geom.Box, k int, objs, slab []object.Object) (bounds []int
 	return b[:len(b)-1]
 }
 
-// Lookup returns the leaf partitions intersecting area. The caller is
-// responsible for extending the query window by MaxExtent first when the
-// goal is retrieving all intersecting objects. Lookup never performs I/O.
+// Lookup returns the leaf partitions intersecting area, in child order
+// (ascending z, y, x at every level). The caller is responsible for
+// extending the query window by MaxExtent first when the goal is retrieving
+// all intersecting objects. Lookup never performs I/O.
 func (t *Tree) Lookup(area geom.Box) []*Partition {
 	if !t.Built() {
 		return nil
 	}
-	var out []*Partition
-	var walk func(p *Partition)
-	walk = func(p *Partition) {
-		if !p.box.Intersects(area) {
-			return
-		}
-		if p.IsLeaf() {
-			out = append(out, p)
-			return
-		}
-		for _, c := range p.children {
-			walk(c)
+	return t.appendLeaves(nil, t.root, area)
+}
+
+// appendLeaves appends the leaves under p that intersect area to dst. Below
+// an internal node it descends only into the children that can: on each axis
+// the first and last child whose stored interval meets area's (closed, as in
+// Box.Intersects), found from the node's two ends. Children with equal index
+// on an axis share its interval — geom.Box.Subdivide cuts every axis on its
+// own — so the k children along each axis from the first stand for their
+// slabs, and the product of the three spans is exactly the set of children a
+// walk box-testing all k^3 would enter, in the same (z, y, x) order. Nothing
+// is computed: no division rounds a window face into the wrong cell.
+func (t *Tree) appendLeaves(dst []*Partition, p *Partition, area geom.Box) []*Partition {
+	if !p.box.Intersects(area) {
+		return dst
+	}
+	if p.IsLeaf() {
+		return append(dst, p)
+	}
+	k, c := t.k, p.children
+	x0, x1 := 0, k-1
+	for x0 < k && c[x0].box.Max.X < area.Min.X {
+		x0++
+	}
+	for x1 >= x0 && c[x1].box.Min.X > area.Max.X {
+		x1--
+	}
+	y0, y1 := 0, k-1
+	for y0 < k && c[y0*k].box.Max.Y < area.Min.Y {
+		y0++
+	}
+	for y1 >= y0 && c[y1*k].box.Min.Y > area.Max.Y {
+		y1--
+	}
+	z0, z1 := 0, k-1
+	for z0 < k && c[z0*k*k].box.Max.Z < area.Min.Z {
+		z0++
+	}
+	for z1 >= z0 && c[z1*k*k].box.Min.Z > area.Max.Z {
+		z1--
+	}
+	for z := z0; z <= z1; z++ {
+		for y := y0; y <= y1; y++ {
+			row := (z*k + y) * k
+			for x := x0; x <= x1; x++ {
+				dst = t.appendLeaves(dst, c[row+x], area)
+			}
 		}
 	}
-	walk(t.root)
-	return out
+	return dst
 }
 
 // descend follows key's path from the root and returns the deepest partition

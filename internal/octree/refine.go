@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"spaceodyssey/internal/geom"
@@ -103,7 +104,9 @@ func (t *Tree) NeedsWrite(q geom.Box, servedElsewhere func(*Partition) bool) boo
 		return true
 	}
 	qVol := q.Volume()
-	for _, leaf := range t.Lookup(q.Expand(t.maxExtent)) {
+	sp, leaves := t.scratchLeaves(q.Expand(t.maxExtent))
+	defer putLeafScratch(sp, leaves)
+	for _, leaf := range leaves {
 		if servedElsewhere != nil && servedElsewhere(leaf) {
 			continue
 		}
@@ -184,7 +187,15 @@ func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, q geom.Box
 	clock := simdisk.PhaseClock(ctx, t.file.Device())
 	extended := q.Expand(t.maxExtent)
 	qVol := q.Volume()
-	for _, leaf := range t.Lookup(extended) {
+	// The walk's own leaf list is pooled scratch and never escapes; Touched,
+	// which does, is the caller's, sized once (a refining walk can outgrow
+	// it: a refined leaf is replaced by the children the window hits).
+	sp, leaves := t.scratchLeaves(extended)
+	defer putLeafScratch(sp, leaves)
+	if len(leaves) > 0 {
+		res.Touched = make([]*Partition, 0, len(leaves))
+	}
+	for _, leaf := range leaves {
 		if serveFromStore != nil && serveFromStore(leaf) {
 			res.Touched = append(res.Touched, leaf)
 			continue
@@ -196,9 +207,9 @@ func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, q geom.Box
 			if refine {
 				// Refinement reads the partition; reuse those objects and
 				// descend to the children actually intersecting the query.
-				t1 := clock()
+				t1 := clock.Now()
 				objs, err := t.refineCtx(ctx, leaf, scratch)
-				res.RefineTime += clock() - t1
+				res.RefineTime += clock.Now() - t1
 				if err != nil {
 					return res, err
 				}
@@ -213,9 +224,9 @@ func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, q geom.Box
 			}
 			res.WantRefine = append(res.WantRefine, leaf.key)
 		}
-		t1 := clock()
+		t1 := clock.Now()
 		objs, err := t.readLeaf(ctx, leaf, scratch)
-		res.ReadTime += clock() - t1
+		res.ReadTime += clock.Now() - t1
 		if err != nil {
 			return res, err
 		}
@@ -223,6 +234,32 @@ func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, q geom.Box
 		filterInto(&res, objs, q)
 	}
 	return res, nil
+}
+
+// leafScratchPool recycles the leaf lists of the query path's walks, which
+// are done with them when they return, so a walk allocates nothing.
+var leafScratchPool = sync.Pool{New: func() any { return new([]*Partition) }}
+
+// maxPooledLeaves is the pool's retention bound: a walk that hit more leaves
+// (a whole-volume window over a deep tree) leaves its list to the collector.
+const maxPooledLeaves = 1 << 12
+
+// scratchLeaves is Lookup into pooled scratch, on a built tree; the caller
+// hands both results to putLeafScratch when it is done with the leaves.
+func (t *Tree) scratchLeaves(area geom.Box) (*[]*Partition, []*Partition) {
+	sp := leafScratchPool.Get().(*[]*Partition)
+	return sp, t.appendLeaves((*sp)[:0], t.root, area)
+}
+
+// putLeafScratch returns a walk's leaf list to the pool, cleared so that the
+// pool keeps no tree alive.
+func putLeafScratch(sp *[]*Partition, leaves []*Partition) {
+	if cap(leaves) > maxPooledLeaves {
+		return
+	}
+	clear(leaves)
+	*sp = leaves[:0]
+	leafScratchPool.Put(sp)
 }
 
 // filterInto appends the objects intersecting q to res.Objects. Objects are

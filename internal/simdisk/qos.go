@@ -143,15 +143,28 @@ func (s *OpScope) noteShared(dt time.Duration) {
 	}
 }
 
-// PhaseClock returns the clock phase attribution differences: the scope's
-// exact Total when ctx carries one, the device clock otherwise (the
+// PhaseReader is the clock phase attribution differences: the scope's exact
+// Total when the context carried one, the device clock otherwise (the
 // single-stream fallback, exact on C=1 D=1). Callers take a reading before
-// and after a phase and record the difference.
-func PhaseClock(ctx context.Context, dev Clocker) func() time.Duration {
-	if s := ScopeFrom(ctx); s != nil {
-		return s.Total
+// and after a phase and record the difference. It is a plain value: taking
+// one allocates nothing, and a query takes four.
+type PhaseReader struct {
+	scope *OpScope
+	dev   Clocker
+}
+
+// PhaseClock resolves ctx's scope once and returns the clock to read phases
+// on.
+func PhaseClock(ctx context.Context, dev Clocker) PhaseReader {
+	return PhaseReader{scope: ScopeFrom(ctx), dev: dev}
+}
+
+// Now reads the clock.
+func (c PhaseReader) Now() time.Duration {
+	if c.scope != nil {
+		return c.scope.Total()
 	}
-	return dev.Clock
+	return c.dev.Clock()
 }
 
 // SetMaintenanceBudget sets the background I/O budget: the maximum fraction

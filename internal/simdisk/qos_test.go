@@ -281,3 +281,29 @@ func TestForegroundGateCounts(t *testing.T) {
 		t.Fatalf("fgInFlight %d, want 0", got)
 	}
 }
+
+// TestPhaseClockReadsScopeOrDevice pins PhaseClock's two sources — the
+// context's scope when it carries one, the device clock otherwise — and that
+// taking and reading one allocates nothing: four are taken per query.
+func TestPhaseClockReadsScopeOrDevice(t *testing.T) {
+	d := qosTestDevice(t, 1)
+	id := fillFile(t, d, "f", 4)
+	ctx, scope := WithOpScope(context.Background(), PriForeground)
+	scoped, bare := PhaseClock(ctx, d), PhaseClock(context.Background(), d)
+	s0, b0 := scoped.Now(), bare.Now()
+	if err := d.ReadPageCtx(ctx, id, 2, make([]byte, PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if got := scoped.Now() - s0; got != scope.Total() || got <= 0 {
+		t.Fatalf("scoped phase = %v, the scope charged %v", got, scope.Total())
+	}
+	if got, want := bare.Now()-b0, d.Clock()-b0; got != want || got <= 0 {
+		t.Fatalf("unscoped phase = %v, the device clock moved %v", got, want)
+	}
+	var sink time.Duration
+	if n := testing.AllocsPerRun(100, func() {
+		sink += PhaseClock(ctx, d).Now() + PhaseClock(context.Background(), d).Now()
+	}); n != 0 {
+		t.Fatalf("PhaseClock allocates %v times per pair of readings, want 0", n)
+	}
+}
