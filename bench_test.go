@@ -1,12 +1,11 @@
 package odyssey
 
-// Benchmarks reproducing the paper's evaluation, one per figure, plus
-// ablation benches for the design choices the README calls out. Each bench
-// runs a reduced-scale version of the experiment (the full-scale runs are
-// driven by cmd/odyssey-bench; see EXPERIMENTS.md for the recorded
-// results). The interesting output is the custom metric `sim_sec/op` — the
-// simulated disk time, which is what the paper reports — not the wall
-// time Go measures.
+// Ablation benches for the design choices the README calls out, at reduced
+// scale, and the go test -bench micro-metrics of the serving path. The
+// paper's figures are cmd/odyssey-bench's (recorded in BENCH_paper.json). The
+// ablations' interesting output is the custom metric `sim_sec/op` — the
+// simulated disk time, which is what the paper reports — not the wall time
+// Go measures.
 
 import (
 	"context"
@@ -22,7 +21,7 @@ import (
 	"spaceodyssey/internal/workload"
 )
 
-// benchEnvConfig is the reduced scale used by all figure benches.
+// benchEnvConfig is the reduced scale used by all ablation benches.
 func benchEnvConfig() bench.Config {
 	cfg := bench.DefaultConfig()
 	cfg.Datasets = 6
@@ -33,86 +32,6 @@ func benchEnvConfig() bench.Config {
 
 func benchWorkloadConfig() bench.WorkloadConfig {
 	return bench.WorkloadConfig{Queries: 120, QueryVolumeFrac: 5e-5, Seed: 11}
-}
-
-// runFigure4 runs one Figure 4 subfigure at bench scale and reports the
-// total simulated seconds across engines.
-func runFigure4(b *testing.B, figID string) {
-	env := bench.NewEnv(benchEnvConfig())
-	spec, err := bench.FigureByID(figID)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var sim float64
-	for i := 0; i < b.N; i++ {
-		res, err := bench.Figure4(env, spec, benchWorkloadConfig(), []int{1, 3, 5},
-			bench.Figure4Engines)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim = 0
-		for _, row := range res.Rows {
-			sim += row.Total.Seconds()
-		}
-	}
-	b.ReportMetric(sim, "sim_sec/op")
-}
-
-// BenchmarkFigure4a reproduces Figure 4a (clustered ranges, Zipf ids).
-func BenchmarkFigure4a(b *testing.B) { runFigure4(b, "fig4a") }
-
-// BenchmarkFigure4b reproduces Figure 4b (clustered ranges, heavy-hitter ids).
-func BenchmarkFigure4b(b *testing.B) { runFigure4(b, "fig4b") }
-
-// BenchmarkFigure4c reproduces Figure 4c (clustered ranges, self-similar ids).
-func BenchmarkFigure4c(b *testing.B) { runFigure4(b, "fig4c") }
-
-// BenchmarkFigure4d reproduces Figure 4d (uniform ranges, uniform ids).
-func BenchmarkFigure4d(b *testing.B) { runFigure4(b, "fig4d") }
-
-// runFigure5 runs a Figure 5 per-query-latency series at bench scale.
-func runFigure5(b *testing.B, figID string) {
-	env := bench.NewEnv(benchEnvConfig())
-	spec, err := bench.FigureByID(figID)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var firstOdyssey, lastOdyssey float64
-	for i := 0; i < b.N; i++ {
-		res, err := bench.Figure5(env, spec, benchWorkloadConfig(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		series := res.Series[bench.KindOdyssey]
-		firstOdyssey = series[0].Seconds()
-		lastOdyssey = series[len(series)-1].Seconds()
-	}
-	b.ReportMetric(firstOdyssey, "sim_first_q_sec")
-	b.ReportMetric(lastOdyssey, "sim_last_q_sec")
-}
-
-// BenchmarkFigure5a reproduces Figure 5a (clustered / self-similar, k=5).
-func BenchmarkFigure5a(b *testing.B) { runFigure5(b, "fig5a") }
-
-// BenchmarkFigure5b reproduces Figure 5b (uniform / uniform, k=5).
-func BenchmarkFigure5b(b *testing.B) { runFigure5(b, "fig5b") }
-
-// BenchmarkFigure5c reproduces Figure 5c (effect of merging).
-func BenchmarkFigure5c(b *testing.B) {
-	env := bench.NewEnv(benchEnvConfig())
-	wcfg := benchWorkloadConfig()
-	b.ResetTimer()
-	var gain float64
-	for i := 0; i < b.N; i++ {
-		res, err := bench.Figure5c(env, wcfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gain = res.GainPercent
-	}
-	b.ReportMetric(gain, "merge_gain_%")
 }
 
 // runOdysseyWorkload runs the full 120-query workload through Odyssey with
@@ -160,7 +79,6 @@ func BenchmarkAblationMerging(b *testing.B) {
 // BenchmarkAblationPPL compares ppl = 8 vs 64 convergence (§3.1.2).
 func BenchmarkAblationPPL(b *testing.B) {
 	for _, ppl := range []int{8, 27, 64} {
-		ppl := ppl
 		b.Run(map[int]string{8: "ppl=8", 27: "ppl=27", 64: "ppl=64"}[ppl], func(b *testing.B) {
 			runOdysseyWorkload(b, func(c *bench.Config) {
 				c.Odyssey.Octree.PartitionsPerLevel = ppl
@@ -172,7 +90,6 @@ func BenchmarkAblationPPL(b *testing.B) {
 // BenchmarkAblationRT sweeps the refinement threshold.
 func BenchmarkAblationRT(b *testing.B) {
 	for _, rt := range []float64{1, 4, 16} {
-		rt := rt
 		b.Run(map[float64]string{1: "rt=1", 4: "rt=4", 16: "rt=16"}[rt], func(b *testing.B) {
 			runOdysseyWorkload(b, func(c *bench.Config) {
 				c.Odyssey.Octree.RefinementThreshold = rt
@@ -184,7 +101,6 @@ func BenchmarkAblationRT(b *testing.B) {
 // BenchmarkAblationMinComb sweeps the minimum merge combination size.
 func BenchmarkAblationMinComb(b *testing.B) {
 	for _, mc := range []int{2, 3, 4} {
-		mc := mc
 		b.Run(map[int]string{2: "minC=2", 3: "minC=3", 4: "minC=4"}[mc], func(b *testing.B) {
 			runOdysseyWorkload(b, func(c *bench.Config) {
 				c.Odyssey.Merger.MinCombination = mc
@@ -196,7 +112,6 @@ func BenchmarkAblationMinComb(b *testing.B) {
 // BenchmarkAblationBudget sweeps the merge space budget (LRU pressure).
 func BenchmarkAblationBudget(b *testing.B) {
 	for _, pages := range []int64{0, 512, 64} {
-		pages := pages
 		name := map[int64]string{0: "budget=unlimited", 512: "budget=512p", 64: "budget=64p"}[pages]
 		b.Run(name, func(b *testing.B) {
 			runOdysseyWorkload(b, func(c *bench.Config) {
@@ -210,7 +125,6 @@ func BenchmarkAblationBudget(b *testing.B) {
 // against the two §3.2.5 strategies implemented here.
 func BenchmarkAblationLevelPolicy(b *testing.B) {
 	for _, policy := range []core.LevelPolicy{core.SameLevel, core.RefineToFinest, core.CoarsestCover} {
-		policy := policy
 		b.Run(policy.String(), func(b *testing.B) {
 			runOdysseyWorkload(b, func(c *bench.Config) {
 				c.Odyssey.Merger.LevelPolicy = policy
@@ -223,7 +137,6 @@ func BenchmarkAblationLevelPolicy(b *testing.B) {
 // optimization.
 func BenchmarkAblationSegmentSharing(b *testing.B) {
 	for _, share := range []bool{false, true} {
-		share := share
 		name := map[bool]string{false: "share=off", true: "share=on"}[share]
 		b.Run(name, func(b *testing.B) {
 			runOdysseyWorkload(b, func(c *bench.Config) {
@@ -237,7 +150,6 @@ func BenchmarkAblationSegmentSharing(b *testing.B) {
 // adaptation.
 func BenchmarkAblationAdaptiveMT(b *testing.B) {
 	for _, adaptive := range []bool{false, true} {
-		adaptive := adaptive
 		name := map[bool]string{false: "mt=static", true: "mt=adaptive"}[adaptive]
 		b.Run(name, func(b *testing.B) {
 			runOdysseyWorkload(b, func(c *bench.Config) {
@@ -300,7 +212,6 @@ func BenchmarkBaselines(b *testing.B) {
 		bench.KindFLATAin1, bench.KindFLAT1fE, bench.KindRTreeAin1,
 		bench.KindRTree1fE, bench.KindGrid1fE, bench.KindGridAin1,
 	} {
-		kind := kind
 		b.Run(string(kind), func(b *testing.B) {
 			runOdysseyWorkload(b, nil, kind)
 		})
@@ -566,7 +477,6 @@ func BenchmarkChannelScaling(b *testing.B) {
 
 // BenchmarkMergeRouting measures the merger's directory lookup.
 func BenchmarkMergeRouting(b *testing.B) {
-	_ = core.DefaultConfig() // keep the core import for the metric types
 	env := bench.NewEnv(benchEnvConfig())
 	spec, _ := bench.FigureByID("fig4a")
 	w, err := workload.Generate(workload.Config{

@@ -352,26 +352,16 @@ func (r *Router) serveGroup(ctx context.Context, q odyssey.Box, g group, ord int
 	if attempts <= 1 {
 		attempts = len(cands)
 	}
-	backoff := pol.Backoff
-	var slept time.Duration
+	sched := pol.Schedule()
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
 			r.retries.Add(1)
-			if backoff > 0 {
-				if pol.Budget > 0 && slept+backoff > pol.Budget {
-					return nil, fmt.Errorf("%w: failover budget %v exhausted after %d attempts: %w",
-						ErrNoReplica, pol.Budget, a, lastErr)
-				}
-				timer := time.NewTimer(backoff)
-				select {
-				case <-timer.C:
-				case <-ctx.Done():
-					timer.Stop()
-					return nil, simdisk.Canceled(ctx.Err())
-				}
-				slept += backoff
-				backoff *= 2
+			if ok, err := sched.Wait(ctx); err != nil {
+				return nil, err
+			} else if !ok {
+				return nil, fmt.Errorf("%w: failover budget %v exhausted after %d attempts: %w",
+					ErrNoReplica, pol.Budget, a, lastErr)
 			}
 		}
 		s := cands[a%len(cands)]

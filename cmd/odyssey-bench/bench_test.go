@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"math/rand"
@@ -22,8 +23,8 @@ func TestCommittedArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 6 {
-		t.Fatalf("found %d committed artifacts, want 6: %v", len(files), files)
+	if len(files) != 5 {
+		t.Fatalf("found %d committed artifacts, want 5: %v", len(files), files)
 	}
 	for _, path := range files {
 		if err := validateFile(path); err != nil {
@@ -86,6 +87,15 @@ func TestValidateWantsTheCompleteRecording(t *testing.T) {
 	if validateFile(narrowed("cluster.json", &cl)) == nil {
 		t.Error("validate passed a cluster artifact without the shard-fault phases")
 	}
+	var pa paperReport
+	committed(t, "BENCH_paper.json", &pa)
+	pa.Figure5 = pa.Figure5[:1]
+	if err := pa.check(); err != nil {
+		t.Fatalf("a report of fewer figures is a valid fresh run: %v", err)
+	}
+	if validateFile(narrowed("paper.json", &pa)) == nil {
+		t.Error("validate passed a paper artifact without fig5b")
+	}
 }
 
 // TestChecksCatchABrokenInvariant: the checks are the CI gate, so each of
@@ -101,10 +111,7 @@ func TestChecksCatchABrokenInvariant(t *testing.T) {
 	}
 	var as asyncReport
 	load("BENCH_async.json", &as)
-	as.Contention.FgP99ThrottledSeconds = 2 * as.Contention.FgP99UnderContentionSeconds
-	var sh sharingReport
-	load("BENCH_sharing.json", &sh)
-	sh.ResultsIdentical = false
+	as.Contention.Throttled.QueuedDelaySeconds = 2 * as.Contention.Unthrottled.QueuedDelaySeconds
 	var fa faultsReport
 	load("BENCH_faults.json", &fa)
 	fa.Storm.ServedFraction = 0.9
@@ -114,14 +121,32 @@ func TestChecksCatchABrokenInvariant(t *testing.T) {
 	var noPhases clusterReport
 	load("BENCH_cluster.json", &noPhases)
 	noPhases.Crash = nil
-	var sc scenariosReport
-	load("BENCH_scenarios.json", &sc)
-	for i, s := range sc.Scenarios {
-		if s.Scenario == "drift" {
-			sc.Scenarios[i].AdaptiveP99 = 2 * s.BestStaticP99
+	// The adaptive mode is the last of a scenario's sweep.
+	var drift, zipf scenariosReport
+	load("BENCH_scenarios.json", &drift)
+	load("BENCH_scenarios.json", &zipf)
+	for i, s := range drift.Scenarios {
+		switch ad := len(s.Modes) - 1; s.Scenario {
+		case "drift": // level with a static setting: not a win
+			drift.Scenarios[i].Modes[ad].SimSeconds = s.Modes[0].SimSeconds
+		case "zipf":
+			zipf.Scenarios[i].Modes[ad].SimSeconds = 1.2 * s.Modes[0].SimSeconds
 		}
 	}
-	for name, rep := range map[string]report{"async": &as, "sharing": &sh, "faults": &fa, "cluster": &cl, "cluster without phases": &noPhases, "scenarios": &sc} {
+	// One figure shape per kind: a total ordering, and the merge gain.
+	var slower, noGain paperReport
+	load("BENCH_paper.json", &slower)
+	load("BENCH_paper.json", &noGain)
+	for i, row := range slower.Figure4[0].Rows {
+		if row.Engine == bench.KindOdyssey && row.K == 1 {
+			slower.Figure4[0].Rows[i].Query, slower.Figure4[0].Rows[i].Total = 2*row.Query, 2*row.Total
+		}
+	}
+	noGain.Figure5c.GainPercent = -1
+	for name, rep := range map[string]report{
+		"async": &as, "faults": &fa, "cluster": &cl, "cluster without phases": &noPhases,
+		"scenarios drift": &drift, "scenarios zipf": &zipf, "paper fig4a": &slower, "paper fig5c": &noGain,
+	} {
 		if rep.check() == nil {
 			t.Errorf("%s: check passed a report with its invariant broken", name)
 		}
@@ -141,7 +166,8 @@ func TestTable(t *testing.T) {
 		}
 		names[row.name] = true
 		if row.report != nil {
-			if row.id == "" || ids[row.id] {
+			// The figure rows write one report between them.
+			if row.id == "" || ids[row.id] && row.id != "paper" {
 				t.Errorf("%s: report id %q is empty or taken", row.name, row.id)
 			}
 			ids[row.id] = true
@@ -158,7 +184,7 @@ func TestTable(t *testing.T) {
 			}
 		}
 	}
-	for _, id := range append(slices.Clone(figureIDs), "parallel", "async", "sharing", "cache", "faults", "cluster", "scenarios", "validate") {
+	for _, id := range append(slices.Clone(figureIDs), "gridsweep", "async", "faults", "cluster", "scenarios", "validate") {
 		if !names[id] {
 			t.Errorf("experiment %q is missing from the table", id)
 		}
@@ -243,43 +269,78 @@ func TestReplayPoolMatchesSerial(t *testing.T) {
 			t.Errorf("query %d: replay fingerprint differs from a direct Query", i)
 		}
 	}
-	if serial.sim <= 0 || pooled.admission.Completed != int64(len(queries)) || len(pooled.workers) != 4 {
-		t.Errorf("pass bookkeeping: serial sim %v, pooled admission %+v, %d workers", serial.sim, pooled.admission, len(pooled.workers))
+	if serial.sim <= 0 || pooled.admission.Completed != int64(len(queries)) {
+		t.Errorf("pass bookkeeping: serial sim %v, pooled admission %+v", serial.sim, pooled.admission)
 	}
+}
+
+// runRows parses a command line the way main does and runs its rows, failing
+// the test when a row's own check does; it returns the -json path.
+func runRows(t *testing.T, experiment, args string) string {
+	t.Helper()
+	var p params
+	fs := flags(&p)
+	path := filepath.Join(t.TempDir(), "report.json")
+	if err := fs.Parse(append([]string{"-experiment", experiment, "-json", path}, strings.Fields(args)...)); err != nil {
+		t.Fatal(err)
+	}
+	rows := p.resolve()
+	fs.Visit(func(f *flag.Flag) { p.set = append(p.set, f.Name) })
+	for _, row := range rows {
+		if name, bad := row.unread(p.set); bad {
+			t.Fatalf("%s does not read -%s", row.name, name)
+		}
+		if err := row.execute(&p); err != nil {
+			t.Fatalf("%s: check failed: %v", row.name, err)
+		}
+	}
+	return path
 }
 
 // TestServingRowsEndToEnd drives the serving rows whose checks hold at any
 // size through execute — fixture, replay, report, check — at the smoke sizes
 // CI used to run them at as separate steps, so a row whose own check fails is
-// a test failure. (cluster and scenarios stay CI steps: their orderings are
-// wall-clock at every size.)
+// a test failure. (cluster and scenarios stay CI steps: hedged against
+// unhedged is wall-clock at every size, and the lab sweeps 30 replays.)
 func TestServingRowsEndToEnd(t *testing.T) {
 	array := "-devices 2 -channels 2 -datasets 3"
 	for _, tc := range []struct{ name, args string }{
-		{"parallel", "-parallel 2 " + array + " -objects 2000 -queries 40 -realtime-scale 0.02"},
 		{"async", "-parallel 2 " + array + " -objects 2000 -queries 40 -realtime-scale 0.02"},
-		{"sharing", "-parallel 8 -async " + array + " -objects 4000 -queries 80 -qvol 1e-3 -realtime-scale 0.05"},
-		{"cache", "-parallel 8 -share -async " + array + " -objects 4000 -queries 80 -qvol 1e-4 -realtime-scale 0.05"},
 		{"faults", "-parallel 8 -share -cache -async " + array + " -objects 4000 -queries 80 -qvol 1e-3 -faultrate 0.02 -realtime-scale 0.05"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var p params
-			fs := flags(&p)
-			args := append([]string{"-experiment", tc.name, "-json", filepath.Join(t.TempDir(), "report.json")}, strings.Fields(tc.args)...)
-			if err := fs.Parse(args); err != nil {
-				t.Fatal(err)
-			}
-			row := p.resolve()[0]
-			fs.Visit(func(f *flag.Flag) { p.set = append(p.set, f.Name) })
-			if name, bad := row.unread(p.set); bad {
-				t.Fatalf("the row does not read -%s", name)
-			}
-			if err := row.execute(&p); err != nil {
-				t.Fatalf("check failed: %v", err)
-			}
-			if err := validateFile(p.jsonPath); err != nil {
+			if err := validateFile(runRows(t, tc.name, tc.args)); err != nil {
 				t.Errorf("the written report does not validate: %v", err)
 			}
 		})
+	}
+}
+
+// TestFiguresPinned pins the paper: all seven figures at a reduced scale,
+// held to a golden file for exact equality — every simulated nanosecond,
+// combination count and answered-by-index-end — and computed twice, because
+// the pin (here and BENCH_paper.json's in CI) rests on the figures being a
+// function of their sizes and seeds alone. Page decode, run reads and the
+// tree walk are shared by all five engines; TestPaperClockPinned (root
+// package) pins Odyssey only. After a change that means to move a figure,
+// rewrite the golden with the command below and say so in the PR.
+func TestFiguresPinned(t *testing.T) {
+	const args = "-datasets 6 -objects 3000 -queries 100 -ks 1,3,5"
+	want, err := os.ReadFile("testdata/paper_small.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run <= 2; run++ {
+		path := runRows(t, "all", args)
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("run %d: the figures moved; if they were meant to, from the repository root:\n\tgo run ./cmd/odyssey-bench -experiment all %s -json cmd/odyssey-bench/testdata/paper_small.json", run, args)
+		}
+		if err := validateFile(path); err != nil {
+			t.Errorf("run %d: all seven figures do not validate as a complete recording: %v", run, err)
+		}
 	}
 }

@@ -6,9 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"time"
@@ -43,23 +41,16 @@ var (
 	sizing   = []string{"experiment", "datasets", "objects", "queries", "qvol", "seed", "data-seed", "layout", "seek-us", "transfer-us"}
 	topology = []string{"devices", "channels", "placement"}
 	pooled   = []string{"parallel", "realtime-scale", "json"}
-	figure   = slices.Concat(sizing, topology, []string{"grid-cells", "ks", "verify", "csv"})
+	figure   = slices.Concat(sizing, topology, []string{"grid-cells", "ks", "verify"})
 )
 
 // Workload shapes. The fig4a distributions are the paper's default
-// exploration; the other two are what a shared archive portal sees.
+// exploration; the zipf one is what a shared archive portal sees.
 var (
 	fig4aShape = func() workload.Config {
 		spec := ok(bench.FigureByID("fig4a"))
 		return workload.Config{RangeDist: spec.RangeDist, CombDist: spec.CombDist, ClusterCenters: spec.ClusterCenters}
 	}()
-	// Overlapping hot regions: two tight query clusters and a heavy-hitter
-	// combination drawing 70% of the traffic — many users revisiting the
-	// same hot sky regions over the same dataset bundle.
-	hotRegionShape = workload.Config{
-		RangeDist: workload.RangeClustered, CombDist: workload.CombHeavyHitter,
-		ClusterCenters: 2, SigmaFactor: 0.25, HeavyHitterShare: 0.7,
-	}
 	// Zipf hot regions: a few regions and dataset bundles draw most of the
 	// traffic, with a long tail that keeps some datasets unrefined.
 	zipfShape = workload.Config{
@@ -72,31 +63,18 @@ var (
 var figureIDs = []string{"fig4a", "fig4b", "fig4c", "fig4d", "fig5a", "fig5b", "fig5c"}
 
 // experiments is the table. The figure rows reproduce the paper in
-// simulated seconds; every other row demonstrates one serving mode and
-// exists for its invariant, which its report's check asserts.
+// simulated seconds; every other row carries evidence the repository
+// benchmark (benchmark/) does not — fault tolerance, the cluster, the QoS
+// throttle, the tuners — and exists for its invariant, which its report's
+// check asserts.
 var experiments []experiment
 
 func init() { // not an initializer: validate's row reads the table it is in
 	experiments = []experiment{
 		{
-			name: "parallel", id: "parallel-serving", title: "concurrent serving", shape: &fig4aShape, workers: 8,
-			flags: slices.Concat(sizing, topology, pooled, []string{"deadline", "maxinflight", "queuewait"}),
-			run:   runParallel, report: func() report { return new(servingReport) },
-		},
-		{
 			name: "async", id: "async-maintenance", title: "async-maintenance comparison", shape: &fig4aShape, workers: 8,
 			flags: slices.Concat(sizing, topology, pooled, []string{"maintworkers", "maintbudget"}),
 			run:   runAsync, report: func() report { return new(asyncReport) },
-		},
-		{
-			name: "sharing", id: "scan-sharing", title: "scan-sharing comparison", shape: &hotRegionShape, workers: 8,
-			flags: slices.Concat(sizing, topology, pooled, []string{"async", "maintworkers", "batchwindow"}),
-			run:   runSharing, report: func() report { return new(sharingReport) },
-		},
-		{
-			name: "cache", id: "result-cache", title: "result-cache comparison", shape: &zipfShape, workers: 8,
-			flags: slices.Concat(sizing, topology, pooled, []string{"share", "async", "maintworkers"}),
-			run:   runCache, report: func() report { return new(cacheReport) },
 		},
 		{
 			name: "faults", id: "fault-storm", title: "fault-storm availability", shape: &zipfShape, workers: 8,
@@ -120,9 +98,14 @@ func init() { // not an initializer: validate's row reads the table it is in
 		},
 		{name: "validate", flags: []string{"experiment"}, run: runValidate},
 	}
-	for _, id := range append(slices.Clone(figureIDs), "gridsweep") {
-		experiments = append(experiments, experiment{name: id, flags: figure, run: runFigure(id)})
+	// The figure rows of one invocation write one report between them.
+	for _, id := range figureIDs {
+		experiments = append(experiments, experiment{
+			name: id, id: "paper", flags: append(slices.Clone(figure), "json"),
+			run: runFigure(id), report: func() report { return new(paperReport) },
+		})
 	}
+	experiments = append(experiments, experiment{name: "gridsweep", flags: figure, run: runGridSweep})
 }
 
 func findExperiment(match func(experiment) bool) (experiment, bool) {
@@ -194,55 +177,6 @@ func (p *params) engine(more func(*odyssey.Options)) func(*odyssey.Options) {
 			more(o)
 		}
 	}
-}
-
-// runParallel replays the converged workload serially and through the pool
-// with real-time emulation on (platter charges sleep their scaled simulated
-// duration), so the pool's wall-clock speedup is genuinely overlapped I/O
-// waits. The admission flags apply to the pooled run only: the serial
-// baseline runs without deadlines so the two stay comparable.
-func runParallel(p *params, f *fixture, queries []odyssey.Query) report {
-	serial, convS := f.measure(queries, nil, p.scale, replayOpts{})
-	fmt.Printf("serial:     %8.3fs wall  %8.3fs simulated  %7.1f q/s\n",
-		serial.wall.Seconds(), serial.sim.Seconds(), ratio(float64(len(queries)), serial.wall.Seconds()))
-	pool, convP := f.measure(queries, nil, p.scale, replayOpts{workers: p.workers, admission: p.admission, tolerate: odyssey.IsCanceled})
-	st := pool.admission
-	rep := &servingReport{
-		header:    p.header,
-		Converged: convS && convP,
-		Serial:    servingRun{timing: serial.timing()},
-		Pool:      servingRun{timing: pool.timing(), Speedup: ratio(serial.wall.Seconds(), pool.wall.Seconds())},
-		Admission: admissionReport{
-			Admitted: st.Admitted, Rejected: st.Rejected, Canceled: st.Canceled,
-			Swept: st.Swept, Completed: st.Completed, Failed: st.Failed,
-		},
-	}
-	fmt.Printf("%d workers: %8.3fs wall  %8.3fs simulated  %7.1f q/s admitted  (%.2fx speedup)\n",
-		p.workers, pool.wall.Seconds(), pool.sim.Seconds(), ratio(float64(st.Admitted), pool.wall.Seconds()), rep.Pool.Speedup)
-	fmt.Printf("admission: %d admitted  %d rejected  %d canceled (%d swept in queue)  %d completed\n",
-		st.Admitted, st.Rejected, st.Canceled, st.Swept, st.Completed)
-	fmt.Printf("latency  service: %v\n", pool.latency(serviceTime))
-	fmt.Printf("         queue:   %v\n", pool.latency(func(o outcome) time.Duration { return o.wait }))
-	fmt.Printf("         e2e:     %v\n\nper-worker throughput:\n", pool.latency(func(o outcome) time.Duration { return o.wait + o.wall }))
-	for _, ws := range pool.workers {
-		fmt.Printf("  worker %2d: %4d queries (%d canceled) in %8.3fs busy  %7.1f q/s\n",
-			ws.Worker, ws.Queries, ws.Canceled, ws.Busy.Seconds(), ws.Throughput())
-	}
-	// Busy platter time relative to the pooled run's simulated elapsed time.
-	fmt.Println("\nper-channel utilization (measured run):")
-	for di, chans := range pool.after.channels {
-		for _, cs := range chans {
-			cu := channelUtil{
-				Device: di, Channel: cs.Channel, BusySeconds: cs.Busy.Seconds(),
-				Utilization: ratio(cs.Busy.Seconds(), pool.sim.Seconds()), Seeks: cs.Seeks, SeqPages: cs.SeqPages,
-			}
-			fmt.Printf("  device %d channel %d: %8.3fs busy  %5.1f%% util  %6d seeks  %6d seq pages\n",
-				di, cu.Channel, cu.BusySeconds, 100*cu.Utilization, cu.Seeks, cu.SeqPages)
-			rep.ChannelUtil = append(rep.ChannelUtil, cu)
-		}
-	}
-	fmt.Println()
-	return rep
 }
 
 // asyncPasses caps the async row's replays, the cold measured pass included.
@@ -377,87 +311,6 @@ func runContention(p *params, f *fixture) contentionReport {
 	}
 }
 
-func savings(offPages, onPages int64, off, on timing, identical bool) (reduction, speedup float64) {
-	if offPages > 0 {
-		reduction = 1 - float64(onPages)/float64(offPages)
-	}
-	speedup = ratio(off.SimSeconds, on.SimSeconds)
-	fmt.Printf("\npages read: %d -> %d (%.1f%% fewer)  simulated: %.3fs -> %.3fs (%.2fx)  results identical: %v\n\n",
-		offPages, onPages, 100*reduction, off.SimSeconds, on.SimSeconds, speedup, identical)
-	return reduction, speedup
-}
-
-// runSharing replays the overlapping hot-region workload with
-// Options.ShareScans off and on. The sharing mode also stages submissions in
-// the dispatcher's micro-batch window so workers present coalescable work.
-// Sharing may change I/O, never answers.
-func runSharing(p *params, f *fixture, queries []odyssey.Query) report {
-	mode := func(on bool) (sharingModeReport, map[int]uint64) {
-		var adm odyssey.AdmissionConfig
-		if on {
-			adm.BatchWindow = p.batchWindow
-		}
-		ps, converged := f.measure(queries, p.engine(func(o *odyssey.Options) { o.ShareScans = on }), p.scale,
-			replayOpts{workers: p.workers, admission: adm})
-		// The device counters restarted with the clock; the sharing
-		// counters are engine-lifetime.
-		ss, ss0 := ps.after.sharing, ps.before.sharing
-		rep := sharingModeReport{
-			Share: on, Converged: converged, timing: ps.timing(),
-			PagesRead: ps.after.disk.PageReads, CacheHits: ps.after.disk.CacheHits,
-			AttachedScans: ss.AttachedScans - ss0.AttachedScans, SharedBuilds: ss.SharedBuilds - ss0.SharedBuilds,
-			Batches: ps.admission.Batches, BatchedQueries: ps.admission.BatchedQueries,
-		}
-		fmt.Printf("share=%-5v %8.3fs wall  %8.3fs simulated  %8d pages read  %6d cache hits\n",
-			on, rep.WallSeconds, rep.SimSeconds, rep.PagesRead, rep.CacheHits)
-		if on {
-			fmt.Printf("          sharing: %d attached scans, %d shared builds, %d batches/%d batched\n",
-				rep.AttachedScans, rep.SharedBuilds, rep.Batches, rep.BatchedQueries)
-		}
-		return rep, ps.prints()
-	}
-	off, offPrints := mode(false)
-	on, onPrints := mode(true)
-	rep := &sharingReport{header: p.header, Async: p.async, BatchWindowMS: millis(p.batchWindow), Off: off, On: on, ResultsIdentical: samePrints(onPrints, offPrints)}
-	rep.PagesReadReduction, rep.SimSpeedupOffOverOn = savings(off.PagesRead, on.PagesRead, off.timing, on.timing, rep.ResultsIdentical)
-	return rep
-}
-
-// runCache replays the zipf hot-region workload with Options.CacheResults
-// off and on. Converged serving means no layout publish flushes the cache
-// mid-replay, and the cache-on replay runs against what the convergence
-// passes populated: the report shows the steady-state gain, split into exact
-// per-cell hits and containment answers (a query window inside a cached
-// coarse region — merge-frozen cells and unrefined zipf-tail datasets are
-// the prime source). Caching may change I/O, never answers.
-func runCache(p *params, f *fixture, queries []odyssey.Query) report {
-	mode := func(on bool) (cacheModeReport, map[int]uint64) {
-		ps, converged := f.measure(queries, p.engine(func(o *odyssey.Options) { o.CacheResults = on }), p.scale, replayOpts{workers: p.workers})
-		cs, cs0 := ps.after.cache, ps.before.cache
-		rep := cacheModeReport{
-			Cache: on, Converged: converged, timing: ps.timing(), PagesRead: ps.after.disk.PageReads,
-			Hits: cs.Hits - cs0.Hits, ContainmentHits: cs.ContainmentHits - cs0.ContainmentHits,
-			Misses: cs.Misses - cs0.Misses, Inserts: cs.Inserts - cs0.Inserts,
-			Evictions: cs.Evictions - cs0.Evictions, Invalidations: cs.Invalidations - cs0.Invalidations,
-			ZeroReadQueries: cs.ZeroReadQueries - cs0.ZeroReadQueries,
-			Entries:         cs.Entries, CachedObjects: cs.CachedObjects,
-		}
-		rep.ZeroReadFraction = ratio(float64(rep.ZeroReadQueries), float64(len(queries)))
-		fmt.Printf("cache=%-5v %8.3fs wall  %8.3fs simulated  %8d pages read\n", on, rep.WallSeconds, rep.SimSeconds, rep.PagesRead)
-		if on {
-			fmt.Printf("          cache: %d exact + %d containment hits, %d/%d queries zero-read (%.1f%%), %d inserts, %d evictions, %d invalidations\n",
-				rep.Hits, rep.ContainmentHits, rep.ZeroReadQueries, len(queries),
-				100*rep.ZeroReadFraction, rep.Inserts, rep.Evictions, rep.Invalidations)
-		}
-		return rep, ps.prints()
-	}
-	off, offPrints := mode(false)
-	on, onPrints := mode(true)
-	rep := &cacheReport{header: p.header, Share: p.share, Async: p.async, Off: off, On: on, ResultsIdentical: samePrints(onPrints, offPrints)}
-	rep.PagesReadReduction, rep.SimSpeedupOffOverOn = savings(off.PagesRead, on.PagesRead, off.timing, on.timing, rep.ResultsIdentical)
-	return rep
-}
-
 // runFaults replays the converged zipf workload fault-free, then again under
 // a seeded transient-fault plan with periodic 10x storm windows, read
 // retries on throughout. The report is the availability ledger, plus
@@ -484,7 +337,7 @@ func runFaults(p *params, f *fixture, queries []odyssey.Query) report {
 		// Both replays start cold-cache so their device traffic is
 		// symmetric: misses hit the (possibly faulting) platter, and the
 		// zipf repeats re-populate and then hit the cache mid-replay.
-		ps := replay(ex, queries, replayOpts{workers: p.workers, coldCache: true, tolerate: anyError})
+		ps := replay(ex, queries, replayOpts{workers: p.workers, coldCache: true, tolerate: true})
 		prints, ds := ps.prints(), ps.after.disk
 		rep := faultsModeReport{
 			timing: ps.timing(), Served: len(prints), Failed: len(queries) - len(prints),
@@ -816,35 +669,45 @@ func validateFile(path string) error {
 	return nil
 }
 
-// runFigure reproduces one of the paper's figures (or the grid-baseline
-// parameter sweep) as a text table of simulated seconds.
+// runFigure reproduces one of the paper's figures: a text table of simulated
+// seconds on stdout, the full result added to the invocation's paper report.
+// It returns the report so far, which execute rewrites and re-checks after
+// every figure: a run that stops early leaves the figures it finished.
 func runFigure(id string) func(*params, *fixture, []odyssey.Query) report {
 	return func(p *params, _ *fixture, _ []odyssey.Query) report {
-		env := p.environment()
-		if id == "gridsweep" {
-			bench.PrintGridSweep(os.Stdout, ok(bench.GridSweep(env, p.wcfg, nil, nil)))
-			fmt.Println()
-			return nil
+		env, spec := p.environment(), ok(bench.FigureByID(id))
+		if p.paper == nil {
+			p.paper = &paperReport{
+				header: p.header, Datasets: p.cfg.Datasets, Objects: p.cfg.ObjectsPerDataset,
+				QueryVolumeFrac: p.wcfg.QueryVolumeFrac, Seed: p.wcfg.Seed, DataSeed: p.cfg.DataSeed,
+				Layout: p.layout, SeekUS: p.seekUS, TransferUS: p.transferUS, GridCells: p.cfg.GridCells,
+			}
 		}
-		spec := ok(bench.FigureByID(id))
 		start := time.Now()
 		switch {
 		case strings.HasPrefix(id, "fig4"):
 			res := ok(bench.Figure4(env, spec, p.wcfg, p.ks, nil))
 			bench.PrintFigure4(os.Stdout, res)
-			writeCSV(p.csvDir, id, func(w io.Writer) error { return bench.WriteFigure4CSV(w, res) })
+			p.paper.Figure4 = append(p.paper.Figure4, res)
 		case id == "fig5c":
 			res := ok(bench.Figure5c(env, p.wcfg))
 			bench.PrintFigure5c(os.Stdout, res)
-			writeCSV(p.csvDir, id, func(w io.Writer) error { return bench.WriteFigure5cCSV(w, res) })
+			p.paper.Figure5c = &res
 		default: // fig5a, fig5b
 			res := ok(bench.Figure5(env, spec, p.wcfg, nil))
 			bench.PrintFigure5(os.Stdout, res)
-			writeCSV(p.csvDir, id, func(w io.Writer) error { return bench.WriteFigure5CSV(w, res) })
+			p.paper.Figure5 = append(p.paper.Figure5, res)
 		}
 		fmt.Printf("(%s completed in %.1fs wall time)\n\n", id, time.Since(start).Seconds())
-		return nil
+		return p.paper
 	}
+}
+
+// runGridSweep is the parameter sweep the grid baseline's defaults come from.
+func runGridSweep(p *params, _ *fixture, _ []odyssey.Query) report {
+	bench.PrintGridSweep(os.Stdout, ok(bench.GridSweep(p.environment(), p.wcfg, nil, nil)))
+	fmt.Println()
+	return nil
 }
 
 // environment generates the figure rows' datasets once per invocation and,
@@ -876,16 +739,4 @@ func (p *params) environment() *bench.Env {
 	}
 	fmt.Println()
 	return p.env
-}
-
-func writeCSV(dir, id string, write func(io.Writer) error) {
-	if dir == "" {
-		return
-	}
-	var buf bytes.Buffer
-	must(write(&buf))
-	must(os.MkdirAll(dir, 0o755))
-	path := filepath.Join(dir, id+".csv")
-	must(os.WriteFile(path, buf.Bytes(), 0o644))
-	fmt.Printf("(wrote %s)\n", path)
 }

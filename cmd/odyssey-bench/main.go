@@ -1,22 +1,31 @@
-// Command odyssey-bench reproduces the paper's evaluation figures on the
-// simulated disk, and demonstrates each serving mode grown on top of the
-// reproduction together with the invariant that mode is held to.
+// Command odyssey-bench is the paper: it reproduces the evaluation figures
+// on the simulated disk and records them, and it carries the evidence the
+// repository benchmark (benchmark/) does not.
 //
-//	odyssey-bench -experiment fig4a                  # one figure
-//	odyssey-bench -experiment all                    # every figure (slow)
-//	odyssey-bench -experiment fig4a -verify          # check engines vs oracle first
-//	odyssey-bench -experiment parallel -parallel 8   # serial vs pooled serving
-//	odyssey-bench -experiment cache -json out.json   # one serving mode, with its report
-//	odyssey-bench -experiment validate BENCH_*.json  # re-check committed reports
+//	odyssey-bench -experiment fig4a                         # one figure
+//	odyssey-bench -experiment all -json BENCH_paper.json    # all seven, recorded (slow)
+//	odyssey-bench -experiment fig4a -verify                 # check engines vs oracle first
+//	odyssey-bench -experiment faults -json out.json         # one serving row, with its report
+//	odyssey-bench -experiment validate BENCH_*.json         # re-check committed reports
 //
-// -experiment selects a row of the table in experiments.go. The figure rows
-// print text tables of simulated disk seconds — deterministic, matching the
-// paper's disk-bound methodology (README, "Reproduction scale"). The serving
-// rows drive a workload through the Explorer's worker pool on a real-time
-// emulated disk, print a summary, write their report to -json PATH, and exit
-// non-zero when the report fails the row's check. Their wall-clock figures
-// are illustrative (sleeps on a 1 ms timer tick); host time, allocations and
-// page counts are gated by benchmark/, not here.
+// -experiment selects a row of the table in experiments.go:
+//
+//   - fig4a..fig4d, fig5a..fig5c (a comma list, or "all"): text tables of
+//     simulated disk seconds, and with -json the full results of the
+//     invocation's figures as one report in integer nanoseconds —
+//     deterministic in its sizes and seeds, matching the paper's disk-bound
+//     methodology (README, "Reproduction scale"); gridsweep is the sweep
+//     the grid baseline's defaults come from.
+//   - async (the QoS contention leg), faults, cluster, scenarios (the tuner
+//     lab): each drives a workload through the Explorer's worker pool on a
+//     real-time emulated disk and prints a summary.
+//   - validate FILE...: re-runs the checks on written reports.
+//
+// Every row but gridsweep writes its report to -json PATH and exits non-zero
+// when the report fails the row's check. The checks compare simulated
+// quantities; wall-clock figures in the serving reports are illustrative
+// (sleeps on a 1 ms timer tick). Host time, allocations and page counts are
+// gated by benchmark/, not here.
 package main
 
 import (
@@ -28,7 +37,6 @@ import (
 	"strings"
 	"time"
 
-	odyssey "spaceodyssey"
 	"spaceodyssey/internal/bench"
 	"spaceodyssey/internal/datagen"
 )
@@ -38,19 +46,19 @@ type params struct {
 	cfg  bench.Config
 	wcfg bench.WorkloadConfig
 
-	experiment, layout, ksList, csvDir, jsonPath, scenario string
-	seekUS, transferUS, workers, maintWorkers              int
-	shards, replicas                                       int
-	verify, async, share, cache, adaptive, shardFaults     bool
-	scale, maintBudget, faultRate                          float64
-	batchWindow, gap                                       time.Duration
-	admission                                              odyssey.AdmissionConfig
+	experiment, layout, ksList, jsonPath, scenario     string
+	seekUS, transferUS, workers, maintWorkers          int
+	shards, replicas                                   int
+	verify, async, share, cache, adaptive, shardFaults bool
+	scale, maintBudget, faultRate                      float64
+	gap                                                time.Duration
 
-	header header     // the envelope of the report of the row being run
-	ks     []int      // figure 4's datasets-per-query sweep, parsed from -ks
-	env    *bench.Env // the figure rows' shared datasets, see environment
-	set    []string   // the flags given on the command line
-	args   []string   // validate's files
+	header header       // the envelope of the report of the row being run
+	ks     []int        // figure 4's datasets-per-query sweep, parsed from -ks
+	env    *bench.Env   // the figure rows' shared datasets, see environment
+	paper  *paperReport // the figure rows' shared report, see runFigure
+	set    []string     // the flags given on the command line
+	args   []string     // validate's files
 }
 
 // flags declares the command line over p. Sizing, topology and rate flags
@@ -58,7 +66,7 @@ type params struct {
 func flags(p *params) *flag.FlagSet {
 	fs := flag.NewFlagSet("odyssey-bench", flag.ExitOnError)
 	p.cfg = bench.DefaultConfig()
-	fs.StringVar(&p.experiment, "experiment", "all", "table row to run: a figure id (fig4a..fig4d, fig5a..fig5c, gridsweep), a comma list of them or 'all'; parallel, async, sharing, cache, faults, cluster, scenarios; or 'validate FILE...' to re-check written reports")
+	fs.StringVar(&p.experiment, "experiment", "all", "table row to run: a figure id (fig4a..fig4d, fig5a..fig5c, gridsweep), a comma list of them or 'all'; async, faults, cluster, scenarios; or 'validate FILE...' to re-check written reports")
 	fs.IntVar(&p.cfg.Datasets, "datasets", 10, "number of datasets (paper: 10)")
 	fs.IntVar(&p.cfg.ObjectsPerDataset, "objects", 100000, "objects per dataset")
 	fs.IntVar(&p.wcfg.Queries, "queries", 1000, "queries per workload (paper: 1000)")
@@ -71,21 +79,16 @@ func flags(p *params) *flag.FlagSet {
 	fs.BoolVar(&p.verify, "verify", false, "verify each engine against the naive oracle first (slow)")
 	fs.IntVar(&p.seekUS, "seek-us", 500, "simulated seek+rotational latency in microseconds (8000 = unscaled SAS; 500 = reduced-scale calibration, see README \"Reproduction scale\")")
 	fs.IntVar(&p.transferUS, "transfer-us", 25, "simulated per-page transfer time in microseconds")
-	fs.StringVar(&p.csvDir, "csv", "", "also write plot-ready CSV files into this directory")
 	fs.IntVar(&p.workers, "parallel", 0, "pool workers for the serving rows (0 = the row's default: 8, scenarios 4)")
 	fs.Float64Var(&p.scale, "realtime-scale", 1.0, "wall-clock seconds slept per simulated second in the measured replays")
-	fs.DurationVar(&p.admission.Deadline, "deadline", 0, "parallel: per-query deadline (0 = none); canceled queries are counted and abort at the next page boundary")
-	fs.IntVar(&p.admission.MaxInFlight, "maxinflight", 0, "parallel: admission cap on in-flight queries (0 = unlimited); beyond it submissions fast-fail with ErrOverloaded")
-	fs.DurationVar(&p.admission.QueueWait, "queuewait", 0, "parallel: how long a submission may wait for an in-flight slot before fast-failing (needs -maxinflight)")
 	fs.IntVar(&p.cfg.Devices, "devices", 1, "number of simulated member devices to stripe files across")
 	fs.IntVar(&p.cfg.Channels, "channels", 1, "independent I/O channels (platter heads) per device")
 	fs.StringVar(&p.cfg.Placement, "placement", "affinity", "file placement across devices: affinity|roundrobin")
-	fs.StringVar(&p.jsonPath, "json", "", "write the serving row's report as JSON to this file")
-	fs.BoolVar(&p.async, "async", false, "sharing, cache, faults: run the engines with asynchronous layout maintenance")
+	fs.StringVar(&p.jsonPath, "json", "", "write the row's report as JSON to this file (the figure rows of one invocation share one)")
+	fs.BoolVar(&p.async, "async", false, "faults: run the engine with asynchronous layout maintenance")
 	fs.IntVar(&p.maintWorkers, "maintworkers", 2, "maintenance worker pool size for async-maintenance engines")
-	fs.BoolVar(&p.share, "share", false, "cache, faults: run the engines with scan sharing on")
+	fs.BoolVar(&p.share, "share", false, "faults: run the engine with scan sharing on")
 	fs.BoolVar(&p.cache, "cache", false, "faults: run the engine with the result cache on")
-	fs.DurationVar(&p.batchWindow, "batchwindow", 2*time.Millisecond, "sharing: dispatcher micro-batch window of the share-on mode (0 disables batching)")
 	fs.Float64Var(&p.faultRate, "faultrate", 0.01, "faults: base transient fault probability per read attempt (storm windows run at 10x this rate)")
 	fs.Float64Var(&p.maintBudget, "maintbudget", 0.2, "async: background I/O budget of the contention leg — the share of platter busy time maintenance may consume while foreground queries are in flight")
 	fs.StringVar(&p.scenario, "scenario", "all", "scenarios: the named scenario to sweep (zipf|drift|scanheavy|pointheavy|diurnal|adversarial) or 'all'")
@@ -104,9 +107,6 @@ func (p *params) resolve() []experiment {
 	p.cfg.Cost.Transfer = time.Duration(p.transferUS) * time.Microsecond
 	if p.cfg.Devices < 1 || p.cfg.Channels < 1 {
 		fatalf("-devices and -channels must be >= 1")
-	}
-	if p.admission.QueueWait != 0 && p.admission.MaxInFlight == 0 {
-		fatalf("-queuewait needs -maxinflight (there is no slot wait without an in-flight cap)")
 	}
 	layouts := map[string]datagen.Layout{"clustered": datagen.Clustered, "uniform": datagen.Uniform, "filamentary": datagen.Filamentary}
 	var known bool
@@ -127,9 +127,10 @@ func (p *params) resolve() []experiment {
 	var rows []experiment
 	for _, name := range names {
 		row, found := findExperiment(func(e experiment) bool { return e.name == strings.TrimSpace(name) })
-		// Only the figure rows share an invocation: they write no report,
-		// so a list cannot fight over -json or over the arguments.
-		if !found || len(names) > 1 && !slices.Equal(row.flags, figure) {
+		// Only the figure rows (they read -ks) share an invocation: they
+		// write one report between them, so a list cannot fight over -json
+		// or the arguments.
+		if !found || len(names) > 1 && !slices.Contains(row.flags, "ks") {
 			fatalf("unknown experiment %q, or one that cannot be part of a list", name)
 		}
 		rows = append(rows, row)

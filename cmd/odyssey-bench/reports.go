@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -36,11 +37,14 @@ func (v violations) err() error {
 	return errors.New(strings.Join(v, "; "))
 }
 
-// fullScaleQueries is the workload size from which a report's wall-clock
-// orderings (throttled p99 below unthrottled, adaptive below best static)
-// are asserted. Below it — the CI smoke sizes — a handful of queries decide
-// a p99 and only the structural invariants hold reliably; every committed
-// artifact was recorded at or above it.
+// fullScaleQueries is the workload size from which a serving report's
+// orderings (throttled queued delay below unthrottled, adaptive below best
+// static) are asserted. Below it — the CI smoke sizes — a handful of queries
+// decide them and only the structural invariants hold reliably; every
+// committed artifact was recorded at or above it. The orderings compare
+// simulated quantities, which the device charges exactly, so a report passes
+// or fails the same on every host; the one wall-clock ordering left is
+// hedged against unhedged (see clusterReport.check).
 const fullScaleQueries = 300
 
 // header is the envelope every serving report opens with.
@@ -80,42 +84,6 @@ func (l latencyReport) String() string {
 	return fmt.Sprintf("p50 %8.2fms  p95 %8.2fms  p99 %8.2fms", 1e3*l.P50, 1e3*l.P95, 1e3*l.P99)
 }
 
-type servingRun struct {
-	timing
-	Speedup float64 `json:"speedup_vs_serial,omitempty"`
-}
-
-type channelUtil struct {
-	Device      int     `json:"device"`
-	Channel     int     `json:"channel"`
-	BusySeconds float64 `json:"busy_seconds"`
-	Utilization float64 `json:"utilization"`
-	Seeks       int64   `json:"seeks"`
-	SeqPages    int64   `json:"seq_pages"`
-}
-
-// admissionReport, like maintenanceReport and shardHealthReport below,
-// mirrors the library's stats struct with snake_case keys so the whole JSON
-// document keeps one naming convention.
-type admissionReport struct {
-	Admitted  int64 `json:"admitted"`
-	Rejected  int64 `json:"rejected"`
-	Canceled  int64 `json:"canceled"`
-	Swept     int64 `json:"swept"`
-	Completed int64 `json:"completed"`
-	Failed    int64 `json:"failed"`
-}
-
-// servingReport is the parallel row's report.
-type servingReport struct {
-	header
-	Converged   bool            `json:"converged"`
-	Serial      servingRun      `json:"serial"`
-	Pool        servingRun      `json:"pool"`
-	Admission   admissionReport `json:"admission"`
-	ChannelUtil []channelUtil   `json:"channel_utilization"`
-}
-
 type asyncModeReport struct {
 	timing
 	latencyReport
@@ -135,6 +103,9 @@ type asyncModeReport struct {
 	Maintenance        *maintenanceReport `json:"maintenance,omitempty"`
 }
 
+// maintenanceReport, like shardHealthReport below, mirrors the library's
+// stats struct with snake_case keys so the whole JSON document keeps one
+// naming convention.
 type maintenanceReport struct {
 	Queued              int64 `json:"queued"`
 	Coalesced           int64 `json:"coalesced"`
@@ -180,62 +151,6 @@ type contentionLegReport struct {
 	latencyReport
 	ThrottledOps       int64   `json:"throttled_ops"`
 	QueuedDelaySeconds float64 `json:"queued_delay_seconds"`
-}
-
-type sharingModeReport struct {
-	Share     bool `json:"share"`
-	Converged bool `json:"converged"`
-	timing
-	PagesRead      int64 `json:"pages_read"`
-	CacheHits      int64 `json:"cache_hits"`
-	AttachedScans  int64 `json:"attached_scans"`
-	SharedBuilds   int64 `json:"shared_builds"`
-	Batches        int64 `json:"batches"`
-	BatchedQueries int64 `json:"batched_queries"`
-}
-
-// sharingReport is the sharing row's report (BENCH_sharing.json).
-type sharingReport struct {
-	header
-	Async               bool              `json:"async"`
-	BatchWindowMS       float64           `json:"batch_window_ms"`
-	Off                 sharingModeReport `json:"off"`
-	On                  sharingModeReport `json:"on"`
-	PagesReadReduction  float64           `json:"pages_read_reduction"`
-	SimSpeedupOffOverOn float64           `json:"sim_speedup_off_over_on"`
-	ResultsIdentical    bool              `json:"results_identical"`
-}
-
-// cacheModeReport's counters are deltas over the measured replay (the
-// convergence passes populate the cache but are not reported); Entries and
-// CachedObjects are the end-of-run snapshot.
-type cacheModeReport struct {
-	Cache     bool `json:"cache"`
-	Converged bool `json:"converged"`
-	timing
-	PagesRead        int64   `json:"pages_read"`
-	Hits             int64   `json:"hits"`
-	ContainmentHits  int64   `json:"containment_hits"`
-	Misses           int64   `json:"misses"`
-	Inserts          int64   `json:"inserts"`
-	Evictions        int64   `json:"evictions"`
-	Invalidations    int64   `json:"invalidations"`
-	ZeroReadQueries  int64   `json:"zero_read_queries"`
-	ZeroReadFraction float64 `json:"zero_read_fraction"`
-	Entries          int     `json:"entries"`
-	CachedObjects    int64   `json:"cached_objects"`
-}
-
-// cacheReport is the cache row's report (BENCH_cache.json).
-type cacheReport struct {
-	header
-	Share               bool            `json:"share"`
-	Async               bool            `json:"async"`
-	Off                 cacheModeReport `json:"off"`
-	On                  cacheModeReport `json:"on"`
-	PagesReadReduction  float64         `json:"pages_read_reduction"`
-	SimSpeedupOffOverOn float64         `json:"sim_speedup_off_over_on"`
-	ResultsIdentical    bool            `json:"results_identical"`
 }
 
 // faultsModeReport's device counters are deltas over the replay; its
@@ -367,18 +282,29 @@ type scenariosReport struct {
 	Scenarios []scenarioReport `json:"scenarios"`
 }
 
-// The checks. Each holds its row to the invariant the row exists to show;
-// orderings between wall-clock percentiles wait for fullScaleQueries.
-
-func (r *servingReport) check() error {
-	var v violations
-	a := r.Admission
-	v.require(r.Serial.SimSeconds > 0 && r.Pool.SimSeconds > 0, "a replay charged no simulated time")
-	v.require(a.Admitted+a.Rejected == int64(r.Queries), "%d admitted + %d rejected != %d queries", a.Admitted, a.Rejected, r.Queries)
-	v.require(a.Admitted == a.Completed+a.Canceled+a.Failed && a.Failed == 0, "admission ledger does not balance: %+v", a)
-	v.require(len(r.ChannelUtil) == r.Devices*r.Channels, "%d channel rows for a %dx%d topology", len(r.ChannelUtil), r.Devices, r.Channels)
-	return v.err()
+// paperReport is the figure rows' report (BENCH_paper.json): the paper's
+// evaluation — Figures 4a–d, 5a–b and 5c as internal/bench computes them —
+// in simulated nanoseconds. A figure is a function of the sizes and seeds in
+// this envelope and nothing else, so CI holds a fresh full-scale run to the
+// committed file byte for byte: a change that moves a figure has to say so.
+type paperReport struct {
+	header
+	Datasets        int                   `json:"datasets"`
+	Objects         int                   `json:"objects"`
+	QueryVolumeFrac float64               `json:"qvol"`
+	Seed            int64                 `json:"seed"`
+	DataSeed        int64                 `json:"data_seed"`
+	Layout          string                `json:"layout"`
+	SeekUS          int                   `json:"seek_us"`
+	TransferUS      int                   `json:"transfer_us"`
+	GridCells       int                   `json:"grid_cells"`
+	Figure4         []bench.Figure4Result `json:"figure4,omitempty"`
+	Figure5         []bench.Figure5Result `json:"figure5,omitempty"`
+	Figure5c        *bench.Figure5cResult `json:"figure5c,omitempty"`
 }
+
+// The checks. Each holds its row to the invariant the row exists to show;
+// orderings wait for fullScaleQueries.
 
 func (r *asyncReport) check() error {
 	var v violations
@@ -396,31 +322,10 @@ func (r *asyncReport) check() error {
 	v.require(c.ForegroundDatasets >= 1 && c.BackgroundQueries > 0, "contention leg had no foreground datasets or no churn")
 	v.require(c.Unthrottled.ThrottledOps == 0, "the unthrottled leg gated %d maintenance ops", c.Unthrottled.ThrottledOps)
 	v.require(c.FgP99UnderContentionSeconds > 0 && c.FgP99ThrottledSeconds > 0, "contention leg measured no foreground latency")
-	v.require(!r.fullScale() || c.FgP99ThrottledSeconds < c.FgP99UnderContentionSeconds,
-		"the I/O budget did not relieve the foreground tail: throttled p99 %vs >= unthrottled %vs", c.FgP99ThrottledSeconds, c.FgP99UnderContentionSeconds)
-	return v.err()
-}
-
-func (r *sharingReport) check() error {
-	var v violations
-	off, on := r.Off, r.On
-	v.require(r.ResultsIdentical, "sharing changed query results — the oracle contract is broken")
-	v.require(off.AttachedScans == 0, "share-off attached %d scans", off.AttachedScans)
-	v.require(on.AttachedScans > 0, "the sharing run attached zero scans on the overlapping workload")
-	v.require(r.BatchWindowMS == 0 || on.BatchedQueries == int64(r.Queries), "%d of %d queries went through the batch stage", on.BatchedQueries, r.Queries)
-	v.require(on.PagesRead < off.PagesRead && r.PagesReadReduction > 0, "sharing saved no device reads: %d -> %d pages", off.PagesRead, on.PagesRead)
-	return v.err()
-}
-
-func (r *cacheReport) check() error {
-	var v violations
-	off, on := r.Off, r.On
-	v.require(r.ResultsIdentical, "caching changed query results — the oracle contract is broken")
-	v.require(off.Hits == 0 && off.ZeroReadQueries == 0, "cache-off served %d hits", off.Hits)
-	v.require(on.Hits > 0, "the cache run hit nothing on the zipf hot-region workload")
-	v.require(on.ContainmentHits > 0, "the cache run answered nothing by containment on the zipf hot-region workload")
-	v.require(on.ZeroReadFraction >= 0.3, "only %.0f%% of queries were served with zero device reads", 100*on.ZeroReadFraction)
-	v.require(on.PagesRead < off.PagesRead, "caching saved no device reads: %d -> %d pages", off.PagesRead, on.PagesRead)
+	// The relief, in the simulated time operations spent queued behind
+	// others on their channel: a throttled maintainer works in the gaps.
+	v.require(!r.fullScale() || c.Throttled.QueuedDelaySeconds < c.Unthrottled.QueuedDelaySeconds,
+		"the I/O budget did not relieve the device queue: %vs queued throttled >= %vs unthrottled", c.Throttled.QueuedDelaySeconds, c.Unthrottled.QueuedDelaySeconds)
 	return v.err()
 }
 
@@ -455,8 +360,9 @@ func (r *clusterReport) check() error {
 	v.require(crash.Availability >= 0.99, "availability through the crash window was %.2f%%", 100*crash.Availability)
 	v.require(crash.ResultsIdentical && un.ResultsIdentical && he.ResultsIdentical, "a query fully served under shard faults diverged from the oracle")
 	v.require(he.HedgesFired > 0, "the slow-shard storm fired no hedges — the p99 trigger is not wired")
-	// Asserted at every scale: the injected 25 ms shard delay dwarfs the
-	// timer noise that makes the other rows' p99 orderings smoke-unsafe.
+	// The one ordering left in wall time, and asserted at every scale: the
+	// injected 25 ms shard delay is wall-clock by construction and dwarfs
+	// the 1 ms timer tick.
 	v.require(he.P99 < un.P99, "hedged reads did not beat the unhedged tail under the slow-shard storm: %vs >= %vs", he.P99, un.P99)
 	return v.err()
 }
@@ -475,21 +381,109 @@ func (r *scenariosReport) check() error {
 		// tuner moved, and the cache tuner resized or saw ghost traffic.
 		v.require(ad.Batches > 0 && ad.WindowGrows+ad.WindowShrinks > 0, "%s: the batch tuner never took a step across the replay", s.Scenario)
 		v.require(ad.FinalCapacity != ad.CacheCapacity || ad.CapGrows+ad.CapShrinks+ad.GhostHits > 0, "%s: the cache tuner never engaged (convergence or replay)", s.Scenario)
-		// The two orderings the adaptive stack is held to: it wins the
-		// scenario built for it, and costs at most 10% on the static hotspot.
+		// The two orderings the adaptive stack is held to, in the simulated
+		// time the replay charged: it wins the scenario built for it, and
+		// costs at most 10% on the static hotspot.
+		best := math.Inf(1)
+		for _, m := range s.Modes[:len(s.Modes)-1] {
+			best = min(best, m.SimSeconds)
+		}
 		full := s.Queries >= fullScaleQueries
-		v.require(!full || s.Scenario != "drift" || s.AdaptiveBeatsAllStatic && s.AdaptiveP99 < s.BestStaticP99,
-			"drift: adaptive p99 %vs did not beat the best static setting %vs", s.AdaptiveP99, s.BestStaticP99)
-		v.require(!full || s.Scenario != "zipf" || s.AdaptiveP99 <= 1.10*s.BestStaticP99,
-			"zipf: adaptive p99 %vs regressed past 1.10x the best static setting %vs", s.AdaptiveP99, s.BestStaticP99)
+		v.require(!full || s.Scenario != "drift" || ad.SimSeconds < best,
+			"drift: adaptive charged %vs simulated, not below the best static setting's %vs", ad.SimSeconds, best)
+		v.require(!full || s.Scenario != "zipf" || ad.SimSeconds <= 1.10*best,
+			"zipf: adaptive charged %vs simulated, past 1.10x the best static setting's %vs", ad.SimSeconds, best)
 	}
 	return v.err()
 }
 
-// complete is what validate further asks of the two artifacts a fresh run
-// may legitimately be narrower than (-scenario NAME, no -adaptive, no
-// -shardfaults): check skips what a report does not contain, so an ordering
-// the committed recording left out would be evaluated nowhere.
+// odysseyWins names the Figure 4 panels on which the full-scale recording
+// shows Odyssey's total below every static engine's at every k. Not fig4b:
+// Grid-1fE is 1% ahead at k=5 (18.57 s against 18.77 s). Not fig4d, the
+// uniform workload the paper calls adaptivity's worst case: Grid-1fE leads up
+// to k=7, FLAT-Ain1 and RTree-Ain1 from k=5.
+var odysseyWins = []string{"fig4a", "fig4c"}
+
+// check holds each figure to its shape: what is structural at every scale,
+// and the orderings the recording shows — no more — from the scale it was
+// recorded at, the tool's defaults. Which engine wins depends on the scale
+// (at 20,000 objects FLAT-Ain1 takes fig4c's k=7), so below it they are not
+// the reproduction's claim.
+func (r *paperReport) check() error {
+	var v violations
+	recorded := r.Datasets >= 10 && r.Objects >= 100000 && r.Queries >= 1000
+	v.require(len(r.Figure4)+len(r.Figure5) > 0 || r.Figure5c != nil, "the report holds no figure")
+	for _, f := range r.Figure4 {
+		id := f.Spec.ID
+		odyssey := map[int]bench.Figure4Row{}
+		for _, row := range f.Rows {
+			if row.Engine == bench.KindOdyssey {
+				odyssey[row.K] = row
+			}
+		}
+		v.require(len(odyssey) == len(f.Ks) && len(f.Rows) == len(f.Ks)*len(bench.Figure4Engines), "%s: %d rows, %d of Odyssey, for ks %v", id, len(f.Rows), len(odyssey), f.Ks)
+		for _, row := range f.Rows {
+			ody, static := odyssey[row.K], row.Engine != bench.KindOdyssey
+			v.require(row.Total == row.Index+row.Query && row.Query > 0, "%s k=%d %s: total %v is not index %v + query %v", id, row.K, row.Engine, row.Total, row.Index, row.Query)
+			// Data-to-query time: the adaptive engine indexes nothing up
+			// front, and has answered before any static index is built.
+			v.require(static == (row.Index > 0), "%s k=%d %s: index time %v", id, row.K, row.Engine, row.Index)
+			if !static || !recorded {
+				continue
+			}
+			v.require(row.OdysseyAnsweredByIndexEnd >= 1, "%s k=%d: Odyssey had answered nothing when %s finished indexing", id, row.K, row.Engine)
+			v.require(!slices.Contains(odysseyWins, id) || ody.Total < row.Total, "%s k=%d: Odyssey's total %v is not below %s's %v", id, row.K, ody.Total, row.Engine, row.Total)
+		}
+	}
+	for _, f := range r.Figure5 {
+		id, ody := f.Spec.ID, f.Series[bench.KindOdyssey]
+		for _, e := range f.Engines {
+			v.require(len(f.Series[e]) == r.Queries, "%s: %d times for %s over %d queries", id, len(f.Series[e]), e, r.Queries)
+		}
+		if len(ody) != r.Queries || !recorded {
+			continue
+		}
+		// Convergence: the first query pays the level-0 builds, and the last
+		// tenth of the sequence runs cheaper than the first.
+		tenth := len(ody) / 10
+		v.require(ody[0] == slices.Max(ody), "%s: Odyssey's first query (%v) is not its most expensive", id, ody[0])
+		v.require(bench.Mean(ody[len(ody)-tenth:]) < bench.Mean(ody[:tenth]), "%s: Odyssey's last tenth is not cheaper than its first", id)
+		// On the clustered workload the converged layout wins the median;
+		// on the uniform one (fig5b) FLAT-Ain1's is lower — not asserted.
+		for _, e := range f.Engines {
+			if id == "fig5a" && e != bench.KindOdyssey {
+				v.require(bench.Percentile(ody, 50) < bench.Percentile(f.Series[e], 50), "%s: Odyssey's median is not below %s's", id, e)
+			}
+		}
+	}
+	if c := r.Figure5c; c != nil {
+		v.require(c.PopularCount > 0 && len(c.WithMerge) == c.PopularCount && len(c.WithoutMerge) == c.PopularCount, "fig5c: %d and %d times for %d queries of the popular combination", len(c.WithMerge), len(c.WithoutMerge), c.PopularCount)
+		v.require(!recorded || c.MergeFiles > 0 && c.GainPercent > 0, "fig5c: merging gained %.1f%% over %d merge files", c.GainPercent, c.MergeFiles)
+	}
+	return v.err()
+}
+
+// complete is what validate further asks of the artifacts a fresh run may
+// legitimately be narrower than (one figure, -scenario NAME, no -adaptive,
+// no -shardfaults): check skips what a report does not contain, so an
+// ordering the committed recording left out would be evaluated nowhere.
+func (r *paperReport) complete() error {
+	var got []string
+	for _, f := range r.Figure4 {
+		got = append(got, f.Spec.ID)
+	}
+	for _, f := range r.Figure5 {
+		got = append(got, f.Spec.ID)
+	}
+	if r.Figure5c != nil {
+		got = append(got, r.Figure5c.Spec.ID)
+	}
+	if !slices.Equal(got, figureIDs) {
+		return fmt.Errorf("records figures %v, not all of %v", got, figureIDs)
+	}
+	return nil
+}
+
 func (r *scenariosReport) complete() error {
 	var v violations
 	var got []string

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -165,42 +164,37 @@ type replayOpts struct {
 	coldCache bool
 	// discard drops the results unfingerprinted (convergence passes).
 	discard bool
-	// tolerate reports query errors the experiment counts instead of
-	// stopping on (nil: any query error is fatal).
-	tolerate func(error) bool
+	// tolerate marks a replay whose query errors the experiment counts
+	// instead of stopping on.
+	tolerate bool
 	// overlapped marks a replay sharing its engine with another one still
 	// running: it must not wait out the other's maintenance, and its clock
 	// delta would include the other's charges, so neither is taken.
 	overlapped bool
 }
 
-func anyError(error) bool { return true }
-
 // outcome is one query's result within a pass.
 type outcome struct {
-	delivered bool   // a result came back (false: shed at admission)
-	err       error  // the query's error, if any
-	print     uint64 // result fingerprint (err == nil)
-	// wall is the service time on the worker, wait the queue time before
-	// it, e2e the delivery time since the query's scheduled arrival: when
-	// a paced replay falls behind, blocked submissions count against it
-	// rather than silently throttling the open loop (coordinated omission).
-	wall, wait, e2e time.Duration
+	err   error  // the query's error, if any
+	print uint64 // result fingerprint (err == nil)
+	// wall is the service time on the worker, e2e the delivery time since
+	// the query's scheduled arrival: when a paced replay falls behind,
+	// blocked submissions count against it rather than silently throttling
+	// the open loop (coordinated omission).
+	wall, e2e time.Duration
 }
 
 // ledgers snapshots the counters the reports quote. The device counters
-// restart with zero(); the sharing, cache and layout counters are
-// engine-lifetime, so a pass carries a snapshot from either end.
+// restart with zero(); the cache and layout counters are engine-lifetime, so
+// a pass carries a snapshot from either end.
 type ledgers struct {
-	disk     odyssey.DiskStats
-	channels [][]odyssey.ChannelStats
-	sharing  odyssey.SharingStats
-	cache    odyssey.CacheStats
-	metrics  odyssey.Metrics
+	disk    odyssey.DiskStats
+	cache   odyssey.CacheStats
+	metrics odyssey.Metrics
 }
 
 func snapshot(ex *odyssey.Explorer) ledgers {
-	return ledgers{ex.DiskStats(), ex.ChannelStats(), ex.SharingStats(), ex.CacheStats(), ex.Metrics()}
+	return ledgers{ex.DiskStats(), ex.CacheStats(), ex.Metrics()}
 }
 
 // pass is one replay: wall and outcomes from the submit loop (direct or
@@ -209,7 +203,6 @@ type pass struct {
 	wall          time.Duration // first submission to last result
 	outcomes      []outcome     // by query index
 	admission     odyssey.AdmissionStats
-	workers       []odyssey.WorkerStats
 	sim           time.Duration // simulated clock advance, maintenance included
 	before, after ledgers
 }
@@ -220,7 +213,7 @@ func (p pass) timing() timing { return timing{p.wall.Seconds(), p.sim.Seconds()}
 func (p pass) prints() map[int]uint64 {
 	m := make(map[int]uint64, len(p.outcomes))
 	for i, o := range p.outcomes {
-		if o.delivered && o.err == nil {
+		if o.err == nil {
 			m[i] = o.print
 		}
 	}
@@ -234,13 +227,11 @@ func (p pass) served() pass {
 	return p
 }
 
-// latency profiles one duration per delivered query.
+// latency profiles one duration per query.
 func (p pass) latency(of func(outcome) time.Duration) latencyReport {
-	ds := make([]time.Duration, 0, len(p.outcomes))
-	for _, o := range p.outcomes {
-		if o.delivered {
-			ds = append(ds, of(o))
-		}
+	ds := make([]time.Duration, len(p.outcomes))
+	for i, o := range p.outcomes {
+		ds[i] = of(o)
 	}
 	return latencyOf(ds)
 }
@@ -269,7 +260,7 @@ func replay(ex *odyssey.Explorer, queries []odyssey.Query, o replayOpts) pass {
 	}
 	p.before, p.after = before, snapshot(ex)
 	for i, oc := range p.outcomes {
-		if oc.err != nil && (o.tolerate == nil || !o.tolerate(oc.err)) {
+		if oc.err != nil && !o.tolerate {
 			fatalf("query %d: %v", i, oc.err)
 		}
 	}
@@ -287,7 +278,7 @@ func dispatch(ex *odyssey.Explorer, queries []odyssey.Query, o replayOpts) pass 
 	go func() {
 		defer close(collected)
 		for r := range out {
-			oc := outcome{delivered: true, err: r.Err, wall: r.Wall, wait: r.Wait, e2e: time.Since(due[r.Index])}
+			oc := outcome{err: r.Err, wall: r.Wall, e2e: time.Since(due[r.Index])}
 			if r.Err == nil && !o.discard {
 				oc.print = fingerprint(r.Objects)
 			}
@@ -308,17 +299,13 @@ func dispatch(ex *odyssey.Explorer, queries []odyssey.Query, o replayOpts) pass 
 			time.Sleep(time.Until(next))
 			due[i] = next
 		}
-		// A submission shed by admission control is not an error: the
-		// dispatcher's ledger counts it and its outcome stays undelivered.
-		if err := d.Submit(i, q, out); err != nil && !errors.Is(err, odyssey.ErrOverloaded) {
-			fatalf("submit query %d: %v", i, err)
-		}
+		must(d.Submit(i, q, out))
 	}
 	d.Close()
 	p.wall = time.Since(t0)
 	close(out)
 	<-collected
-	p.admission, p.workers = d.AdmissionStats(), d.WorkerStats()
+	p.admission = d.AdmissionStats()
 	return p
 }
 
@@ -338,7 +325,7 @@ func direct(e querier, queries []odyssey.Query, n int, discard bool) pass {
 				q0 := time.Now()
 				objs, err := e.Query(queries[i].Range, queries[i].Datasets)
 				wall := time.Since(q0)
-				results[i], p.outcomes[i] = objs, outcome{delivered: true, err: err, wall: wall, e2e: wall}
+				results[i], p.outcomes[i] = objs, outcome{err: err, wall: wall, e2e: wall}
 			}
 		}()
 	}

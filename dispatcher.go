@@ -596,27 +596,19 @@ func (d *Dispatcher) SubmitCtx(ctx context.Context, index int, q Query, out chan
 // scan sharing can coalesce. On stop it flushes whatever is staged
 // before signalling done, which is why Close stops the batcher before
 // closing the jobs channel.
-// With AdaptiveBatch set the fixed ticker becomes a re-armed timer: each
-// flush feeds the depth it found to the window tuner and arms the next
-// flush with the tuner's answer, so the cadence tracks the workload — tight
-// when the stage keeps draining empty, wide when flushes keep finding work
-// worth grouping.
+// The flush is a re-armed timer: each one feeds the depth it found to the
+// window tuner and arms the next with the tuner's answer, so with
+// AdaptiveBatch the cadence tracks the workload — tight when the stage keeps
+// draining empty, wide when flushes keep finding work worth grouping. A
+// fixed window is the tuner with min = max = window, which observe cannot
+// move.
 func (d *Dispatcher) batcher() {
 	defer close(d.batchDone)
-	if !d.cfg.AdaptiveBatch {
-		ticker := time.NewTicker(d.cfg.BatchWindow)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				d.flushBatch()
-			case <-d.batchStop:
-				d.flushBatch()
-				return
-			}
-		}
+	lo, hi := d.cfg.BatchWindow, d.cfg.BatchWindow
+	if d.cfg.AdaptiveBatch {
+		lo, hi = d.cfg.MinBatchWindow, d.cfg.MaxBatchWindow
 	}
-	tuner := newBatchTuner(d.cfg.BatchWindow, d.cfg.MinBatchWindow, d.cfg.MaxBatchWindow)
+	tuner := newBatchTuner(d.cfg.BatchWindow, lo, hi)
 	timer := time.NewTimer(tuner.window)
 	defer timer.Stop()
 	for {

@@ -138,9 +138,6 @@ func NewEnvWithData(cfg Config, datasets [][]object.Object) *Env {
 	return &Env{cfg: cfg, datasets: datasets}
 }
 
-// Config returns the environment's configuration.
-func (e *Env) Config() Config { return e.cfg }
-
 // PlacementByName resolves a placement-policy name ("", "affinity",
 // "roundrobin", "pagestripe") to a fresh policy instance, defaulting to
 // affinity.

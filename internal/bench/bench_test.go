@@ -47,7 +47,7 @@ func TestAllEnginesRunAndAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := workloadFor(env, spec, smallWorkload(), 3)
+	w, err := WorkloadForSpec(env, spec, smallWorkload(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestAllEnginesRunAndAgree(t *testing.T) {
 func TestAdaptiveEnginesHaveZeroIndexTime(t *testing.T) {
 	env := NewEnv(smallConfig())
 	spec, _ := FigureByID("fig4a")
-	w, err := workloadFor(env, spec, smallWorkload(), 3)
+	w, err := WorkloadForSpec(env, spec, smallWorkload(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestFigure5cSmallRun(t *testing.T) {
 func TestVerifyAgainstOracle(t *testing.T) {
 	env := NewEnv(smallConfig())
 	spec, _ := FigureByID("fig4a")
-	w, err := workloadFor(env, spec, smallWorkload(), 3)
+	w, err := WorkloadForSpec(env, spec, smallWorkload(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestGridSweep(t *testing.T) {
 func TestWorkloadForUsesFigureSpec(t *testing.T) {
 	env := NewEnv(smallConfig())
 	spec, _ := FigureByID("fig4d")
-	w, err := workloadFor(env, spec, smallWorkload(), 3)
+	w, err := WorkloadForSpec(env, spec, smallWorkload(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,4 +290,51 @@ func TestWorkloadForUsesFigureSpec(t *testing.T) {
 		t.Fatal("query side missing")
 	}
 	_ = workload.RangeUniform
+}
+
+func TestPercentile(t *testing.T) {
+	series := make([]time.Duration, 100)
+	for i := range series {
+		series[i] = time.Duration(i + 1) // 1..100
+	}
+	cases := []struct {
+		p    float64
+		want time.Duration
+	}{
+		{0, 1}, {50, 50}, {95, 95}, {99, 99}, {100, 100},
+	}
+	for _, c := range cases {
+		if got := Percentile(series, c.p); got != c.want {
+			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
+		}
+	}
+	if Percentile(nil, 50) != 0 {
+		t.Error("empty series percentile nonzero")
+	}
+	// Input must not be mutated (sorted copy).
+	shuffled := []time.Duration{5, 1, 4, 2, 3}
+	Percentile(shuffled, 50)
+	if shuffled[0] != 5 || shuffled[4] != 3 {
+		t.Error("Percentile mutated its input")
+	}
+	if got := Percentile([]time.Duration{7}, 50); got != 7 {
+		t.Errorf("single-element percentile = %v", got)
+	}
+}
+
+func TestPrintFigure5IncludesPercentiles(t *testing.T) {
+	res := Figure5Result{
+		Spec:    FigureSpec{ID: "fig5a"},
+		Engines: []EngineKind{KindOdyssey},
+		Series: map[EngineKind][]time.Duration{
+			KindOdyssey: make([]time.Duration, 100),
+		},
+	}
+	var buf bytes.Buffer
+	PrintFigure5(&buf, res)
+	for _, want := range []string{"p50", "p95", "p99"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("output missing %s:\n%s", want, buf.String())
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -36,6 +37,14 @@ var Figures = []FigureSpec{
 	{ID: "fig5c", RangeDist: workload.RangeClustered, CombDist: workload.CombZipf, ClusterCenters: 5},
 }
 
+// A spec is its id in a report; the Figures table holds the rest.
+func (s FigureSpec) MarshalText() ([]byte, error) { return []byte(s.ID), nil }
+
+func (s *FigureSpec) UnmarshalText(id []byte) (err error) {
+	*s, err = FigureByID(string(id))
+	return err
+}
+
 // FigureByID returns the spec for an id.
 func FigureByID(id string) (FigureSpec, error) {
 	for _, f := range Figures {
@@ -65,15 +74,10 @@ func DefaultWorkloadConfig() WorkloadConfig {
 }
 
 // WorkloadForSpec builds the workload of a figure for k datasets per query.
-func WorkloadForSpec(env *Env, spec FigureSpec, wcfg WorkloadConfig, k int) (workload.Workload, error) {
-	return workloadFor(env, spec, wcfg, k)
-}
-
-// workloadFor builds the workload of a figure for k datasets per query.
 // Clustered query centers are sampled from the datasets' shared anatomy —
 // scientists explore areas where structures exist (paper Figure 3 shows the
 // query clusters sitting on the data).
-func workloadFor(env *Env, spec FigureSpec, wcfg WorkloadConfig, k int) (workload.Workload, error) {
+func WorkloadForSpec(env *Env, spec FigureSpec, wcfg WorkloadConfig, k int) (workload.Workload, error) {
 	cfg := workload.Config{
 		Seed:             wcfg.Seed,
 		NumQueries:       wcfg.Queries,
@@ -118,26 +122,27 @@ func workloadFor(env *Env, spec FigureSpec, wcfg WorkloadConfig, k int) (workloa
 	return workload.Generate(cfg)
 }
 
-// Figure4Row is one bar of Figure 4: one engine at one k.
+// Figure4Row is one bar of Figure 4: one engine at one k. In JSON, like
+// every duration of the figure results, its times are simulated nanoseconds.
 type Figure4Row struct {
-	K            int
-	Combinations int // distinct combinations actually queried
-	Engine       EngineKind
-	Index        time.Duration
-	Query        time.Duration
-	Total        time.Duration
+	K            int           `json:"k"`
+	Combinations int           `json:"combinations"` // distinct combinations actually queried
+	Engine       EngineKind    `json:"engine"`
+	Index        time.Duration `json:"index_ns"`
+	Query        time.Duration `json:"query_ns"`
+	Total        time.Duration `json:"total_ns"`
 	// OdysseyAnsweredByIndexEnd: for static engines, how many of the 1000
 	// queries Odyssey had answered by the time this engine finished
 	// indexing (the paper's data-to-query comparison). -1 when not
 	// applicable.
-	OdysseyAnsweredByIndexEnd int
+	OdysseyAnsweredByIndexEnd int `json:"odyssey_answered_by_index_end"`
 }
 
 // Figure4Result is the full sweep of one subfigure.
 type Figure4Result struct {
-	Spec FigureSpec
-	Ks   []int
-	Rows []Figure4Row
+	Spec FigureSpec   `json:"figure"`
+	Ks   []int        `json:"ks"`
+	Rows []Figure4Row `json:"rows"`
 }
 
 // Figure4 runs one subfigure: for each k in ks, every engine processes the
@@ -151,7 +156,7 @@ func Figure4(env *Env, spec FigureSpec, wcfg WorkloadConfig, ks []int, engines [
 	}
 	res := Figure4Result{Spec: spec, Ks: ks}
 	for _, k := range ks {
-		w, err := workloadFor(env, spec, wcfg, k)
+		w, err := WorkloadForSpec(env, spec, wcfg, k)
 		if err != nil {
 			return res, err
 		}
@@ -203,10 +208,10 @@ func PrintFigure4(w io.Writer, r Figure4Result) {
 
 // Figure5Result is a per-query latency series comparison (Figures 5a/5b).
 type Figure5Result struct {
-	Spec    FigureSpec
-	K       int
-	Series  map[EngineKind][]time.Duration
-	Engines []EngineKind
+	Spec    FigureSpec                     `json:"figure"`
+	K       int                            `json:"k"`
+	Series  map[EngineKind][]time.Duration `json:"series_ns"`
+	Engines []EngineKind                   `json:"engines"`
 }
 
 // Figure5 runs the per-query latency experiment: FLAT-Ain1, Grid-1fE and
@@ -216,7 +221,7 @@ func Figure5(env *Env, spec FigureSpec, wcfg WorkloadConfig, engines []EngineKin
 		engines = []EngineKind{KindFLATAin1, KindGrid1fE, KindOdyssey}
 	}
 	const k = 5
-	w, err := workloadFor(env, spec, wcfg, k)
+	w, err := WorkloadForSpec(env, spec, wcfg, k)
 	if err != nil {
 		return Figure5Result{}, err
 	}
@@ -256,7 +261,7 @@ func PrintFigure5(w io.Writer, r Figure5Result) {
 		}
 		fmt.Fprintf(w, "%7d – %-8d", lo+1, hi)
 		for _, e := range r.Engines {
-			fmt.Fprintf(w, " %13.3fs", meanDuration(r.Series[e][lo:hi]).Seconds())
+			fmt.Fprintf(w, " %13.3fs", Mean(r.Series[e][lo:hi]).Seconds())
 		}
 		fmt.Fprintln(w)
 	}
@@ -276,20 +281,23 @@ func PrintFigure5(w io.Writer, r Figure5Result) {
 
 // Figure5cResult isolates the effect of merging.
 type Figure5cResult struct {
-	Spec FigureSpec
+	Spec FigureSpec `json:"figure"`
 	// PopularCombo is the most-queried combination and PopularCount its
 	// query count (paper: 751 of 1000 under Zipf).
-	PopularCombo core.ComboKey
-	PopularCount int
+	PopularCombo core.ComboKey `json:"popular_combo"`
+	PopularCount int           `json:"popular_count"`
 	// WithMerge / WithoutMerge are the per-query times of only the queries
 	// requesting the popular combination.
-	WithMerge    []time.Duration
-	WithoutMerge []time.Duration
+	WithMerge    []time.Duration `json:"with_merge_ns"`
+	WithoutMerge []time.Duration `json:"without_merge_ns"`
 	// GainPercent is the average per-query gain of merging over the
 	// steady-state tail (paper: ~25%).
-	GainPercent float64
-	// Metrics from the merging run.
-	Metrics *core.Metrics
+	GainPercent float64 `json:"gain_percent"`
+	// The merging run's layout: merge files created, partitions copied into
+	// them, partitions served from them.
+	MergeFiles          int `json:"merge_files"`
+	PartitionsMerged    int `json:"partitions_merged"`
+	PartitionsFromMerge int `json:"partitions_from_merge"`
 }
 
 // Figure5c runs Odyssey with and without merging on a Zipf workload with 5
@@ -301,7 +309,7 @@ func Figure5c(env *Env, wcfg WorkloadConfig) (Figure5cResult, error) {
 		return Figure5cResult{}, err
 	}
 	const k = 5
-	w, err := workloadFor(env, spec, wcfg, k)
+	w, err := WorkloadForSpec(env, spec, wcfg, k)
 	if err != nil {
 		return Figure5cResult{}, err
 	}
@@ -328,9 +336,10 @@ func Figure5c(env *Env, wcfg WorkloadConfig) (Figure5cResult, error) {
 		return Figure5cResult{}, err
 	}
 
+	m := withRes.Metrics
 	res := Figure5cResult{
 		Spec: spec, PopularCombo: popular, PopularCount: best,
-		Metrics: withRes.Metrics,
+		MergeFiles: m.MergeFilesCreated, PartitionsMerged: m.PartitionsMerged, PartitionsFromMerge: m.PartitionsFromMerge,
 	}
 	for i, q := range w.Queries {
 		if core.KeyOf(q.Datasets) != popular {
@@ -341,8 +350,8 @@ func Figure5c(env *Env, wcfg WorkloadConfig) (Figure5cResult, error) {
 	}
 	// Steady-state gain over the tail (skip the adaptive warm-up half).
 	tail := len(res.WithMerge) / 2
-	mw := meanDuration(res.WithMerge[tail:])
-	mo := meanDuration(res.WithoutMerge[tail:])
+	mw := Mean(res.WithMerge[tail:])
+	mo := Mean(res.WithoutMerge[tail:])
 	if mo > 0 {
 		res.GainPercent = 100 * (1 - float64(mw)/float64(mo))
 	}
@@ -364,14 +373,12 @@ func PrintFigure5c(w io.Writer, r Figure5cResult) {
 			continue
 		}
 		fmt.Fprintf(w, "%7d – %-8d %13.3fs %13.3fs\n", lo+1, hi,
-			meanDuration(r.WithMerge[lo:hi]).Seconds(),
-			meanDuration(r.WithoutMerge[lo:hi]).Seconds())
+			Mean(r.WithMerge[lo:hi]).Seconds(),
+			Mean(r.WithoutMerge[lo:hi]).Seconds())
 	}
 	fmt.Fprintf(w, "steady-state merging gain: %.1f%%\n", r.GainPercent)
-	if r.Metrics != nil {
-		fmt.Fprintf(w, "merge files: %d, partitions merged: %d, served from merge: %d\n",
-			r.Metrics.MergeFilesCreated, r.Metrics.PartitionsMerged, r.Metrics.PartitionsFromMerge)
-	}
+	fmt.Fprintf(w, "merge files: %d, partitions merged: %d, served from merge: %d\n",
+		r.MergeFiles, r.PartitionsMerged, r.PartitionsFromMerge)
 }
 
 // GridSweepRow is one configuration of the Grid baseline sweep.
@@ -397,7 +404,7 @@ func GridSweep(env *Env, wcfg WorkloadConfig, cells []int, budgets []int) ([]Gri
 	if err != nil {
 		return nil, err
 	}
-	w, err := workloadFor(env, spec, wcfg, 5)
+	w, err := WorkloadForSpec(env, spec, wcfg, 5)
 	if err != nil {
 		return nil, err
 	}
@@ -443,7 +450,20 @@ func PrintGridSweep(w io.Writer, rows []GridSweepRow) {
 	}
 }
 
-func meanDuration(ds []time.Duration) time.Duration {
+// Percentile returns the p-th percentile (0..100) of the series by
+// nearest-rank. An empty series yields 0.
+func Percentile(series []time.Duration, p float64) time.Duration {
+	if len(series) == 0 {
+		return 0
+	}
+	sorted := slices.Clone(series)
+	slices.Sort(sorted)
+	rank := int(p/100*float64(len(sorted))+0.5) - 1
+	return sorted[min(max(rank, 0), len(sorted)-1)]
+}
+
+// Mean returns the series' mean, 0 when it is empty.
+func Mean(ds []time.Duration) time.Duration {
 	if len(ds) == 0 {
 		return 0
 	}

@@ -81,18 +81,6 @@ func (c *lruCache) Clear() {
 // Len returns the number of cached pages.
 func (c *lruCache) Len() int { return len(c.entries) }
 
-// SetCapacity changes the capacity, evicting LRU entries if shrinking.
-func (c *lruCache) SetCapacity(capacity int) {
-	c.capacity = capacity
-	if capacity <= 0 {
-		c.Clear()
-		return
-	}
-	for len(c.entries) > capacity {
-		c.evictTail()
-	}
-}
-
 func (c *lruCache) pushFront(n *lruNode) {
 	n.prev = nil
 	n.next = c.head

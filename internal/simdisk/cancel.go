@@ -83,16 +83,15 @@ func WaitDone(ctx context.Context, ch <-chan struct{}) error {
 }
 
 // sleepCtx waits dt of wall-clock time (a real-time emulation sleep, a retry
-// backoff), aborting early when ctx is canceled — counted as a canceled op,
-// like any device-side abort.
-func (d *Device) sleepCtx(ctx context.Context, dt time.Duration) error {
+// backoff), aborting early with the wrapped cancellation error when ctx is
+// canceled. The device counts such an abort as a canceled op, like any other.
+func sleepCtx(ctx context.Context, dt time.Duration) error {
 	timer := time.NewTimer(dt)
 	defer timer.Stop()
 	select {
 	case <-timer.C:
 		return nil
 	case <-ctx.Done():
-		d.canceledOps.Add(1)
 		return Canceled(ctx.Err())
 	}
 }

@@ -117,7 +117,7 @@ func TestChannelClockIsCriticalPath(t *testing.T) {
 }
 
 // TestSingleChannelClockUnchanged pins the backwards-compatibility
-// guarantee: with one channel, every charge — platter, cache hit, CPU —
+// guarantee: with one channel, every charge — platter and cache hit —
 // accumulates into one clock exactly as the original single-accumulator
 // model did.
 func TestSingleChannelClockUnchanged(t *testing.T) {
@@ -140,8 +140,7 @@ func TestSingleChannelClockUnchanged(t *testing.T) {
 	if err := d.ReadPageCtx(context.Background(), f, 1, buf); err != nil { // cache hit
 		t.Fatal(err)
 	}
-	d.AdvanceClock(time.Millisecond) // CPU charge
-	want := cost.Seek + 3*cost.Transfer + cost.CacheHit + time.Millisecond
+	want := cost.Seek + 3*cost.Transfer + cost.CacheHit
 	if got := d.Clock(); got != want {
 		t.Fatalf("single-channel Clock() = %v, want exact sum %v", got, want)
 	}

@@ -67,8 +67,7 @@ type Stats struct {
 // ChannelStats snapshots one I/O channel's activity: the platter time it
 // has been busy and its share of the seek/sequential split. Busy is the
 // per-channel component of the simulated clock — on a multi-channel device
-// Clock() reports the busiest channel plus the shared (CPU + cache-hit)
-// time.
+// Clock() reports the busiest channel plus the shared cache-hit time.
 type ChannelStats struct {
 	Channel  int
 	Busy     time.Duration
@@ -148,7 +147,7 @@ type channel struct {
 //
 // Simulated time on a multi-channel device is the critical path under
 // perfect channel overlap: Clock() returns the busiest channel's platter
-// time plus the shared (cache-hit and CPU) time. With one channel this is
+// time plus the shared cache-hit time. With one channel this is
 // bit-for-bit the single-accumulator clock of the original model.
 type Device struct {
 	cost CostModel
@@ -158,7 +157,7 @@ type Device struct {
 	next  FileID
 
 	channels []channel
-	shared   atomic.Int64 // non-platter simulated nanoseconds (cache hits, CPU)
+	shared   atomic.Int64 // non-platter simulated nanoseconds (cache hits)
 	cache    *shardedCache
 
 	// device counters (Stats), all atomics; CacheHits lives in the cache's
@@ -566,8 +565,8 @@ func (d *Device) takeFault(key pageKey) (time.Duration, error) {
 }
 
 // Clock returns the simulated time elapsed since creation or the last
-// ResetClock: the busiest channel's platter time plus the shared (cache-hit
-// and CPU) time. On a single-channel device this is exactly the sum of
+// ResetClock: the busiest channel's platter time plus the shared
+// cache-hit time. On a single-channel device this is exactly the sum of
 // every charge; with C > 1 it is the critical path under perfect channel
 // overlap — the time the device needs when all channels work in parallel.
 // Wall-clock behaviour under real-time emulation stays honest either way:
@@ -594,20 +593,6 @@ func (d *Device) ResetClock() {
 		ch.free = 0 // same epoch as busy; new scopes re-position from zero
 		ch.mu.Unlock()
 	}
-}
-
-// AdvanceClock adds a CPU-side cost to the simulated clock. Engines use it
-// to charge in-memory processing (e.g. intersection tests) so that CPU-bound
-// phases are not free; the default experiments leave CPU costs at zero,
-// matching the paper's disk-bound setting. CPU time is charged to the shared
-// accumulator, never to a channel, so per-channel utilization stays pure
-// platter time.
-func (d *Device) AdvanceClock(dt time.Duration) {
-	if dt <= 0 {
-		return
-	}
-	d.shared.Add(int64(dt))
-	_ = d.emulateCtx(context.Background(), dt) // uncancelable: the sleep always completes
 }
 
 // SetRealTimeScale turns on real-time emulation: every charged simulated
@@ -639,7 +624,11 @@ func (d *Device) emulateCtx(ctx context.Context, dt time.Duration) error {
 	if ns < 1000 { // below timer resolution; cache hits are meant to be free
 		return nil
 	}
-	return d.sleepCtx(ctx, time.Duration(ns))
+	err := sleepCtx(ctx, time.Duration(ns))
+	if err != nil {
+		d.canceledOps.Add(1)
+	}
+	return err
 }
 
 // Stats returns a snapshot of the device counters, aggregating the cache's
@@ -731,11 +720,6 @@ func (d *Device) DeviceChannelStats() [][]ChannelStats {
 // CachedPages returns the number of pages currently cached.
 func (d *Device) CachedPages() int {
 	return d.cache.Len()
-}
-
-// SetCacheCapacity resizes the buffer cache (in pages).
-func (d *Device) SetCacheCapacity(pages int) {
-	d.cache.SetCapacity(pages)
 }
 
 // InjectReadFault arms a one-shot read error on (id, idx): the next platter

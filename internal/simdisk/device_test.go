@@ -202,24 +202,6 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-func TestSetCacheCapacityShrinks(t *testing.T) {
-	d := NewDevice(CostModel{}, 10)
-	f := d.CreateFileInGroup("data", "")
-	for i := 0; i < 5; i++ {
-		if _, err := d.AppendPageCtx(context.Background(), f, page(0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d.SetCacheCapacity(2)
-	if got := d.CachedPages(); got != 2 {
-		t.Fatalf("CachedPages after shrink = %d", got)
-	}
-	d.SetCacheCapacity(0)
-	if got := d.CachedPages(); got != 0 {
-		t.Fatalf("CachedPages after disable = %d", got)
-	}
-}
-
 func TestReadRun(t *testing.T) {
 	d := NewDefaultDevice(0)
 	f := d.CreateFileInGroup("data", "")
@@ -300,18 +282,6 @@ func TestInjectReadFault(t *testing.T) {
 	// One-shot: second read succeeds.
 	if err := d.ReadPageCtx(context.Background(), f, 0, buf); err != nil {
 		t.Fatalf("fault not cleared: %v", err)
-	}
-}
-
-func TestAdvanceClock(t *testing.T) {
-	d := NewDefaultDevice(0)
-	d.AdvanceClock(5 * time.Millisecond)
-	if got := d.Clock(); got != 5*time.Millisecond {
-		t.Fatalf("Clock = %v", got)
-	}
-	d.AdvanceClock(-time.Second) // ignored
-	if got := d.Clock(); got != 5*time.Millisecond {
-		t.Fatalf("Clock after negative advance = %v", got)
 	}
 }
 

@@ -53,8 +53,6 @@ func FuzzLRU(f *testing.F) {
 		}
 		// The per-shard structures must still be internally consistent:
 		// walking each shard's list visits exactly its mapped entries.
-		cache.mu.RLock()
-		defer cache.mu.RUnlock()
 		for si, s := range cache.shards {
 			s.mu.Lock()
 			seen := 0

@@ -29,6 +29,35 @@ type RetryPolicy struct {
 
 func (p RetryPolicy) enabled() bool { return p.MaxAttempts > 1 }
 
+// Backoff is one operation's walk through a RetryPolicy's sleep schedule:
+// the device's page-read retries and the cluster Router's failover follow
+// the same one, a fault domain apart.
+type Backoff struct {
+	next, slept, budget time.Duration
+}
+
+// Schedule starts the policy's schedule for one operation.
+func (p RetryPolicy) Schedule() Backoff { return Backoff{next: p.Backoff, budget: p.Budget} }
+
+// Wait sleeps before the next retry — Backoff the first time, doubling on
+// each later one — and reports false, without sleeping, once the cumulative
+// sleep would pass Budget. A ctx canceled mid-sleep aborts it with the
+// wrapped cancellation error.
+func (b *Backoff) Wait(ctx context.Context) (bool, error) {
+	if b.next <= 0 {
+		return true, nil
+	}
+	if b.budget > 0 && b.slept+b.next > b.budget {
+		return false, nil
+	}
+	if err := sleepCtx(ctx, b.next); err != nil {
+		return true, err
+	}
+	b.slept += b.next
+	b.next *= 2
+	return true, nil
+}
+
 // SetRetryPolicy installs the device's page-read retry policy. Safe to call
 // concurrently with reads; in-flight reads may finish under the old policy.
 func (d *Device) SetRetryPolicy(p RetryPolicy) {
@@ -69,19 +98,14 @@ func (d *Device) readPageRetry(ctx context.Context, id FileID, idx int64, buf []
 	if !p.enabled() {
 		return 0, err
 	}
-	backoff := p.Backoff
-	var slept time.Duration
+	sched := p.Schedule()
 	for attempt := 2; attempt <= p.MaxAttempts; attempt++ {
-		if backoff > 0 {
-			if p.Budget > 0 && slept+backoff > p.Budget {
-				d.retryExhausted.Add(1)
-				return 0, fmt.Errorf("simdisk: retry budget %v exhausted after %d attempts: %w", p.Budget, attempt-1, err)
-			}
-			if serr := d.sleepCtx(ctx, backoff); serr != nil {
-				return 0, fmt.Errorf("%w (while backing off from %w)", serr, err)
-			}
-			slept += backoff
-			backoff *= 2
+		if ok, serr := sched.Wait(ctx); serr != nil {
+			d.canceledOps.Add(1)
+			return 0, fmt.Errorf("%w (while backing off from %w)", serr, err)
+		} else if !ok {
+			d.retryExhausted.Add(1)
+			return 0, fmt.Errorf("simdisk: retry budget %v exhausted after %d attempts: %w", p.Budget, attempt-1, err)
 		}
 		d.retriedOps.Add(1)
 		dt, err = d.readPage(ctx, id, idx, buf)

@@ -47,20 +47,11 @@ type hitCounter struct {
 // capacity. With a uniform key hash this approximates global LRU closely
 // while keeping eviction decisions lock-local.
 type shardedCache struct {
-	mu     sync.RWMutex // guards the shards slice (rebuilt on SetCapacity)
-	shards []*cacheShard
-	hits   [maxCacheShards]hitCounter // indexed by hash, fixed across rebuilds
+	shards []*cacheShard              // fixed at construction
+	hits   [maxCacheShards]hitCounter // indexed by hash
 }
 
 func newShardedCache(capacity int) *shardedCache {
-	c := &shardedCache{}
-	c.buildLocked(capacity)
-	return c
-}
-
-// buildLocked allocates the shard array for capacity. Callers hold c.mu (or
-// have exclusive access during construction).
-func (c *shardedCache) buildLocked(capacity int) {
 	if capacity < 0 {
 		capacity = 0
 	}
@@ -74,7 +65,7 @@ func (c *shardedCache) buildLocked(capacity int) {
 		}
 		shards[i] = &cacheShard{lru: newLRUCache(capi)}
 	}
-	c.shards = shards
+	return &shardedCache{shards: shards}
 }
 
 // hash mixes a pageKey into a well-distributed 64-bit value (splitmix64
@@ -92,7 +83,6 @@ func (c *shardedCache) hash(key pageKey) uint64 {
 // inserts it on a miss, all under one shard lock.
 func (c *shardedCache) Touch(key pageKey) bool {
 	h := c.hash(key)
-	c.mu.RLock()
 	s := c.shards[h&uint64(len(c.shards)-1)]
 	s.mu.Lock()
 	hit := s.lru.Contains(key)
@@ -100,7 +90,6 @@ func (c *shardedCache) Touch(key pageKey) bool {
 		s.lru.Insert(key)
 	}
 	s.mu.Unlock()
-	c.mu.RUnlock()
 	if hit {
 		c.hits[h&uint64(maxCacheShards-1)].n.Add(1)
 	}
@@ -110,47 +99,39 @@ func (c *shardedCache) Touch(key pageKey) bool {
 // Insert adds key as most recently used in its shard (write-through path).
 func (c *shardedCache) Insert(key pageKey) {
 	h := c.hash(key)
-	c.mu.RLock()
 	s := c.shards[h&uint64(len(c.shards)-1)]
 	s.mu.Lock()
 	s.lru.Insert(key)
 	s.mu.Unlock()
-	c.mu.RUnlock()
 }
 
 // RemoveFile drops every cached page of file f from all shards.
 func (c *shardedCache) RemoveFile(f FileID) {
-	c.mu.RLock()
 	for _, s := range c.shards {
 		s.mu.Lock()
 		s.lru.RemoveFile(f)
 		s.mu.Unlock()
 	}
-	c.mu.RUnlock()
 }
 
 // Clear empties every shard (the paper's cache drop). Hit counters are
 // untouched; they are statistics, not contents.
 func (c *shardedCache) Clear() {
-	c.mu.RLock()
 	for _, s := range c.shards {
 		s.mu.Lock()
 		s.lru.Clear()
 		s.mu.Unlock()
 	}
-	c.mu.RUnlock()
 }
 
 // Len returns the cached page count across shards.
 func (c *shardedCache) Len() int {
 	n := 0
-	c.mu.RLock()
 	for _, s := range c.shards {
 		s.mu.Lock()
 		n += s.lru.Len()
 		s.mu.Unlock()
 	}
-	c.mu.RUnlock()
 	return n
 }
 
@@ -167,43 +148,5 @@ func (c *shardedCache) Hits() int64 {
 func (c *shardedCache) ResetHits() {
 	for i := range c.hits {
 		c.hits[i].n.Store(0)
-	}
-}
-
-// SetCapacity resizes the cache. When the shard count is unchanged the
-// resize stays in place (exact LRU eviction order within each shard);
-// otherwise the shard array is rebuilt and surviving keys are re-inserted in
-// per-shard recency order.
-func (c *shardedCache) SetCapacity(capacity int) {
-	if capacity < 0 {
-		capacity = 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if shardCount(capacity) == len(c.shards) {
-		n := len(c.shards)
-		base, extra := capacity/n, capacity%n
-		for i, s := range c.shards {
-			capi := base
-			if i < extra {
-				capi++
-			}
-			s.mu.Lock()
-			s.lru.SetCapacity(capi)
-			s.mu.Unlock()
-		}
-		return
-	}
-	old := c.shards
-	c.buildLocked(capacity)
-	// Re-insert surviving keys, least recent first, so recency is preserved
-	// within each old shard.
-	for _, s := range old {
-		s.mu.Lock()
-		for n := s.lru.tail; n != nil; n = n.prev {
-			h := c.hash(n.key)
-			c.shards[h&uint64(len(c.shards)-1)].lru.Insert(n.key)
-		}
-		s.mu.Unlock()
 	}
 }
