@@ -122,9 +122,9 @@ func BenchmarkAblationBudget(b *testing.B) {
 }
 
 // BenchmarkAblationLevelPolicy compares the paper's same-level merge rule
-// against the two §3.2.5 strategies implemented here.
+// against the §3.2.5 strategy kept here.
 func BenchmarkAblationLevelPolicy(b *testing.B) {
-	for _, policy := range []core.LevelPolicy{core.SameLevel, core.RefineToFinest, core.CoarsestCover} {
+	for _, policy := range []core.LevelPolicy{core.SameLevel, core.CoarsestCover} {
 		b.Run(policy.String(), func(b *testing.B) {
 			runOdysseyWorkload(b, func(c *bench.Config) {
 				c.Odyssey.Merger.LevelPolicy = policy

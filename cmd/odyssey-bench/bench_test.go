@@ -73,10 +73,21 @@ func TestValidateWantsTheCompleteRecording(t *testing.T) {
 	committed(t, "BENCH_scenarios.json", &sc)
 	for i := range sc.Scenarios {
 		s := &sc.Scenarios[i]
-		s.Modes, s.AdaptiveP99, s.AdaptiveBeatsAllStatic = s.Modes[:len(s.Modes)-1], 0, false
+		s.Modes = s.Modes[:len(s.Modes)-1]
 	}
 	if validateFile(narrowed("static.json", &sc)) == nil {
 		t.Error("validate passed a scenarios artifact without the adaptive mode")
+	}
+	committed(t, "BENCH_scenarios.json", &sc)
+	for i := range sc.Scenarios {
+		ad := sc.Scenarios[i].adaptive()
+		ad.FinalCapacity = ad.CacheCapacity
+	}
+	if err := sc.check(); err != nil {
+		t.Fatalf("a tuner that stayed at its start is inside its range: %v", err)
+	}
+	if validateFile(narrowed("pinned.json", &sc)) == nil {
+		t.Error("validate passed a scenarios artifact whose cache tuner never left its start")
 	}
 	var cl clusterReport
 	committed(t, "BENCH_cluster.json", &cl)
@@ -122,9 +133,11 @@ func TestChecksCatchABrokenInvariant(t *testing.T) {
 	load("BENCH_cluster.json", &noPhases)
 	noPhases.Crash = nil
 	// The adaptive mode is the last of a scenario's sweep.
-	var drift, zipf scenariosReport
+	var drift, zipf, capacity scenariosReport
 	load("BENCH_scenarios.json", &drift)
 	load("BENCH_scenarios.json", &zipf)
+	load("BENCH_scenarios.json", &capacity)
+	capacity.Scenarios[0].adaptive().FinalCapacity = 16 // the lab's old start, under the tuner's floor
 	for i, s := range drift.Scenarios {
 		switch ad := len(s.Modes) - 1; s.Scenario {
 		case "drift": // level with a static setting: not a win
@@ -145,7 +158,8 @@ func TestChecksCatchABrokenInvariant(t *testing.T) {
 	noGain.Figure5c.GainPercent = -1
 	for name, rep := range map[string]report{
 		"async": &as, "faults": &fa, "cluster": &cl, "cluster without phases": &noPhases,
-		"scenarios drift": &drift, "scenarios zipf": &zipf, "paper fig4a": &slower, "paper fig5c": &noGain,
+		"scenarios drift": &drift, "scenarios zipf": &zipf, "scenarios capacity": &capacity,
+		"paper fig4a": &slower, "paper fig5c": &noGain,
 	} {
 		if rep.check() == nil {
 			t.Errorf("%s: check passed a report with its invariant broken", name)

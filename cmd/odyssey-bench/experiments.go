@@ -533,21 +533,22 @@ type scenarioMode struct {
 // thrashes on any repeating hotspot; the large one comfortably holds a whole
 // phase's working set — but not every phase of a drifting workload at once,
 // which is exactly the regime where frequency-kept heat goes stale and decay
-// earns its keep. The adaptive mode starts from the same small budget and
-// must grow its way out.
+// earns its keep. The adaptive mode is static-w4-large plus the two
+// self-tuning loops: the cache tuner, whose range around that start is
+// [1,024, 65,536] objects, and heat decay.
 var scenarioModes = []scenarioMode{
 	{name: "static-w0-small", window: 0, capacity: 16},
 	{name: "static-w0-large", window: 0, capacity: 1 << 10},
 	{name: "static-w4-small", window: 4 * time.Millisecond, capacity: 16},
 	{name: "static-w4-large", window: 4 * time.Millisecond, capacity: 1 << 10},
-	{name: "adaptive", window: 2 * time.Millisecond, capacity: 16, adaptive: true},
+	{name: "adaptive", window: 4 * time.Millisecond, capacity: 1 << 10, adaptive: true},
 }
 
 // runScenarios is the scenario lab: each named scenario of
 // internal/workload's matrix is replayed open-loop — queries submitted on
 // the scenario's own arrival pacing, in units of -gap — once per serving
-// mode: the static grid, and with -adaptive the self-tuning mode (adaptive
-// batch window + auto-sized result cache + heat decay). Latency is taken
+// mode: the static grid, and with -adaptive the self-tuning mode (auto-sized
+// result cache + heat decay on the fixed window). Latency is taken
 // from scheduled arrival, and every mode must return identical results.
 func runScenarios(p *params, f *fixture, _ []odyssey.Query) report {
 	names := []string{p.scenario}
@@ -576,16 +577,7 @@ func runScenarios(p *params, f *fixture, _ []odyssey.Query) report {
 				basePrints = prints
 			}
 			srep.ResultsIdentical = srep.ResultsIdentical && samePrints(prints, basePrints)
-			if mode.adaptive {
-				srep.AdaptiveP99 = mrep.P99
-				continue
-			}
-			if srep.BestStaticP99 == 0 || mrep.P99 < srep.BestStaticP99 {
-				srep.BestStaticP99 = mrep.P99
-			}
-			srep.WorstStaticP99 = max(srep.WorstStaticP99, mrep.P99)
 		}
-		srep.AdaptiveBeatsAllStatic = srep.AdaptiveP99 > 0 && srep.AdaptiveP99 < srep.BestStaticP99
 		rep.Scenarios = append(rep.Scenarios, srep)
 		fmt.Println()
 	}
@@ -596,17 +588,12 @@ func runScenarios(p *params, f *fixture, _ []odyssey.Query) report {
 // cold-cache: fresh-cache serving against a warm layout, so repeats in the
 // scenario stream have to re-earn their hits under each mode's capacity.
 func runScenarioMode(p *params, f *fixture, w workload.ScenarioWorkload, mode scenarioMode) (scenarioModeReport, map[int]uint64) {
-	adm := odyssey.AdmissionConfig{BatchWindow: mode.window}
-	if mode.adaptive {
-		adm.AdaptiveBatch = true
-		adm.MinBatchWindow, adm.MaxBatchWindow = 250*time.Microsecond, 8*time.Millisecond
-	}
 	ps, converged := f.measure(w.Queries, func(o *odyssey.Options) {
 		o.ShareScans, o.CacheResults, o.CacheCapacity = true, true, mode.capacity
 		if mode.adaptive {
 			o.AdaptiveCache, o.HeatHalfLife = true, 64
 		}
-	}, p.scale, replayOpts{workers: p.workers, admission: adm, gap: p.gap, gaps: w.Gaps, coldCache: true})
+	}, p.scale, replayOpts{workers: p.workers, admission: odyssey.AdmissionConfig{BatchWindow: mode.window}, gap: p.gap, gaps: w.Gaps, coldCache: true})
 	cs, cs0 := ps.after.cache, ps.before.cache
 	rep := scenarioModeReport{
 		Mode: mode.name, BatchWindowMS: millis(mode.window), Adaptive: mode.adaptive, CacheCapacity: mode.capacity,
@@ -617,10 +604,9 @@ func runScenarioMode(p *params, f *fixture, w workload.ScenarioWorkload, mode sc
 		CacheHits:     cs.Hits - cs0.Hits + cs.ContainmentHits - cs0.ContainmentHits,
 		GhostHits:     cs.GhostHits - cs0.GhostHits, FinalCapacity: cs.Capacity,
 		CapGrows: cs.CapacityGrows - cs0.CapacityGrows, CapShrinks: cs.CapacityShrinks - cs0.CapacityShrinks,
-		FinalWindowMS: millis(ps.admission.BatchWindow),
-		WindowGrows:   ps.admission.WindowGrows, WindowShrinks: ps.admission.WindowShrinks, Batches: ps.admission.Batches,
+		Batches: ps.admission.Batches,
 	}
-	fmt.Printf("%-16s %v  %7d pages  cap %6d  win %5.2fms\n", mode.name, rep.latencyReport, rep.PagesRead, rep.FinalCapacity, rep.FinalWindowMS)
+	fmt.Printf("%-16s %v  %7d pages  cap %6d\n", mode.name, rep.latencyReport, rep.PagesRead, rep.FinalCapacity)
 	return rep, ps.prints()
 }
 

@@ -92,7 +92,7 @@ func flags(p *params) *flag.FlagSet {
 	fs.Float64Var(&p.faultRate, "faultrate", 0.01, "faults: base transient fault probability per read attempt (storm windows run at 10x this rate)")
 	fs.Float64Var(&p.maintBudget, "maintbudget", 0.2, "async: background I/O budget of the contention leg — the share of platter busy time maintenance may consume while foreground queries are in flight")
 	fs.StringVar(&p.scenario, "scenario", "all", "scenarios: the named scenario to sweep (zipf|drift|scanheavy|pointheavy|diurnal|adversarial) or 'all'")
-	fs.BoolVar(&p.adaptive, "adaptive", false, "scenarios: include the adaptive self-tuning mode (adaptive batch window, auto-sized result cache, heat decay) in the sweep")
+	fs.BoolVar(&p.adaptive, "adaptive", false, "scenarios: include the adaptive self-tuning mode (auto-sized result cache and heat decay, on the fixed 4 ms window) in the sweep")
 	fs.DurationVar(&p.gap, "gap", 2*time.Millisecond, "scenarios: base open-loop inter-arrival unit; each scenario scales it by its own pacing curve")
 	fs.IntVar(&p.shards, "shards", 4, "cluster: shard count N")
 	fs.IntVar(&p.replicas, "replicas", 2, "cluster: replication factor R (clamped to -shards)")

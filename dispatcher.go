@@ -21,11 +21,6 @@ var (
 	// racing a concurrent Close.
 	ErrClosed = errors.New("odyssey: dispatcher closed")
 
-	// ErrDispatcherClosed is the pre-admission-control name of ErrClosed.
-	//
-	// Deprecated: use ErrClosed.
-	ErrDispatcherClosed = ErrClosed
-
 	// ErrOverloaded is the admission controller's fast-fail: the in-flight
 	// limit is reached and no slot freed up within the queue-wait budget.
 	// Callers should shed the query (or retry with backoff) instead of
@@ -141,22 +136,6 @@ type AdmissionConfig struct {
 	// submissions bypass the stage and take the direct dispatch path with
 	// its ordinary blocking backpressure (they lose grouping, not safety).
 	BatchWindow time.Duration
-	// AdaptiveBatch, with BatchWindow > 0, lets the micro-batcher resize its
-	// window at every flush boundary instead of ticking at a fixed rate: an
-	// EWMA of the stage depth sampled at each flush drives the window down
-	// toward MinBatchWindow when the stage drains near-empty (an idle or
-	// trickling workload should not pay batching latency) and up toward
-	// MaxBatchWindow when flushes keep finding a backlog (a burst is worth
-	// batching harder for coalescing). The window moves by doubling and
-	// halving, so it adapts within a handful of flushes. False (the default)
-	// keeps the fixed window.
-	AdaptiveBatch bool
-	// MinBatchWindow and MaxBatchWindow bound the adaptive window. Zero
-	// values default to BatchWindow/8 (floored at 100µs — the timer must
-	// stay coarser than the flush itself) and 4x BatchWindow respectively.
-	// Ignored unless AdaptiveBatch is set.
-	MinBatchWindow time.Duration
-	MaxBatchWindow time.Duration
 }
 
 // batchStageCap bounds the micro-batcher's stage when no admission cap
@@ -195,108 +174,6 @@ type AdmissionStats struct {
 	// batching off.
 	Batches        int64
 	BatchedQueries int64
-	// BatchWindow is the micro-batcher's current flush window: the
-	// configured window normally, the tuner's latest choice under
-	// AdmissionConfig.AdaptiveBatch. Zero with batching off.
-	BatchWindow time.Duration
-	// WindowGrows and WindowShrinks count the adaptive tuner's moves
-	// (AdmissionConfig.AdaptiveBatch): how many flush boundaries doubled
-	// the window under backlog and how many halved it toward idle. Zero
-	// with the fixed window.
-	WindowGrows   int64
-	WindowShrinks int64
-}
-
-// batchTuner resizes the micro-batcher's flush window from the stage depth
-// and grouping observed at each flush boundary. It is pure state-machine
-// (no clocks, no goroutines) so its trajectory under a given sample
-// sequence is exactly testable: an EWMA of the depth smooths out
-// single-flush noise, a persistent backlog (ewma >= batchGrowDepth) that is
-// actually groupable (multiple queries per dispatch group) doubles the
-// window toward max — batching harder buys more coalescing when there is
-// work to group — and a drained stage (ewma < batchShrinkDepth) OR a
-// backlog whose flushes pack nothing (one query per group) halves it toward
-// min: under saturation with no reuse, a wide window only defers work, so
-// the tuner falls back to immediate dispatch.
-type batchTuner struct {
-	window   time.Duration
-	min, max time.Duration
-	ewma     float64
-	gewma    float64
-	grows    int64
-	shrinks  int64
-}
-
-const (
-	// batchEwmaAlpha weights the newest depth sample; ~3 flushes of history
-	// dominate the average.
-	batchEwmaAlpha = 0.3
-	// batchGrowDepth and batchShrinkDepth are the EWMA thresholds for
-	// doubling and halving the window.
-	batchGrowDepth   = 4.0
-	batchShrinkDepth = 1.0
-	// batchGroupGrow and batchGroupShrink gate window moves on the EWMA of
-	// queries-per-group in flushed batches: widening needs flushes that
-	// actually pack (>= batchGroupGrow per group), and a backlog whose
-	// batches never pack (< batchGroupShrink) narrows instead — grouping
-	// that coalesces nothing is pure staging latency.
-	batchGroupGrow   = 1.5
-	batchGroupShrink = 1.2
-)
-
-func newBatchTuner(start, min, max time.Duration) *batchTuner {
-	if min <= 0 {
-		min = start / 8
-		if min < 100*time.Microsecond {
-			min = 100 * time.Microsecond
-		}
-	}
-	if min > start {
-		min = start
-	}
-	if max <= 0 {
-		max = 4 * start
-	}
-	if max < start {
-		max = start
-	}
-	// The EWMAs are seeded neutrally, not at zero: a cold start moves the
-	// window only on real evidence — an empty stage decays the depth below
-	// the shrink threshold, a backlog jumps it over the grow threshold, and
-	// a steady trickle holds it in the dead zone. The grouping EWMA starts
-	// at the grow gate so early backlog can widen the window until flushes
-	// prove the traffic does not pack.
-	return &batchTuner{
-		window: start, min: min, max: max,
-		ewma: batchShrinkDepth, gewma: batchGroupGrow,
-	}
-}
-
-// observe folds one flush boundary's samples into the EWMAs and returns the
-// window to arm the next flush with. depth is the whole admission backlog
-// at the boundary, staged and groups are what this flush drained and how
-// many dispatch groups it packed into (0/0 for an empty flush, which
-// leaves the grouping estimate untouched).
-func (t *batchTuner) observe(depth, staged, groups int) time.Duration {
-	t.ewma = (1-batchEwmaAlpha)*t.ewma + batchEwmaAlpha*float64(depth)
-	if groups > 0 {
-		t.gewma = (1-batchEwmaAlpha)*t.gewma + batchEwmaAlpha*float64(staged)/float64(groups)
-	}
-	switch {
-	case t.ewma >= batchGrowDepth && t.gewma >= batchGroupGrow && t.window < t.max:
-		t.window *= 2
-		if t.window > t.max {
-			t.window = t.max
-		}
-		t.grows++
-	case (t.ewma < batchShrinkDepth || t.gewma < batchGroupShrink) && t.window > t.min:
-		t.window /= 2
-		if t.window < t.min {
-			t.window = t.min
-		}
-		t.shrinks++
-	}
-	return t.window
 }
 
 // Dispatcher is a bounded worker pool serving queries against one Explorer,
@@ -341,13 +218,6 @@ type Dispatcher struct {
 	batchDone chan struct{}
 	batches   atomic.Int64
 	batched   atomic.Int64
-
-	// Adaptive window telemetry (AdmissionConfig.AdaptiveBatch): the
-	// batcher goroutine owns the tuner; these mirror its state for
-	// AdmissionStats readers.
-	curWindow     atomic.Int64 // nanoseconds
-	windowGrows   atomic.Int64
-	windowShrinks atomic.Int64
 }
 
 type dispatchJob struct {
@@ -397,7 +267,6 @@ func NewDispatcherWithAdmission(ex *Explorer, workers int, cfg AdmissionConfig) 
 	if cfg.BatchWindow > 0 {
 		d.batchStop = make(chan struct{})
 		d.batchDone = make(chan struct{})
-		d.curWindow.Store(int64(cfg.BatchWindow))
 		go d.batcher()
 	}
 	for w := 0; w < workers; w++ {
@@ -423,9 +292,6 @@ func (d *Dispatcher) AdmissionStats() AdmissionStats {
 		Failed:         d.failed.Load(),
 		Batches:        d.batches.Load(),
 		BatchedQueries: d.batched.Load(),
-		BatchWindow:    time.Duration(d.curWindow.Load()),
-		WindowGrows:    d.windowGrows.Load(),
-		WindowShrinks:  d.windowShrinks.Load(),
 	}
 }
 
@@ -595,37 +461,18 @@ func (d *Dispatcher) SubmitCtx(ctx context.Context, index int, q Query, out chan
 // locality — so workers executing concurrently hold overlapping work the
 // scan sharing can coalesce. On stop it flushes whatever is staged
 // before signalling done, which is why Close stops the batcher before
-// closing the jobs channel.
-// The flush is a re-armed timer: each one feeds the depth it found to the
-// window tuner and arms the next with the tuner's answer, so with
-// AdaptiveBatch the cadence tracks the workload — tight when the stage keeps
-// draining empty, wide when flushes keep finding work worth grouping. A
-// fixed window is the tuner with min = max = window, which observe cannot
-// move.
+// closing the jobs channel. The timer is re-armed after each flush, not a
+// ticker: a flush that stalled on a full queue is still followed by a whole
+// window of staging.
 func (d *Dispatcher) batcher() {
 	defer close(d.batchDone)
-	lo, hi := d.cfg.BatchWindow, d.cfg.BatchWindow
-	if d.cfg.AdaptiveBatch {
-		lo, hi = d.cfg.MinBatchWindow, d.cfg.MaxBatchWindow
-	}
-	tuner := newBatchTuner(d.cfg.BatchWindow, lo, hi)
-	timer := time.NewTimer(tuner.window)
+	timer := time.NewTimer(d.cfg.BatchWindow)
 	defer timer.Stop()
 	for {
 		select {
 		case <-timer.C:
-			// The sampled depth is the whole admission backlog at the batch
-			// boundary: what this flush staged plus what earlier flushes
-			// released that the pool has not picked up yet. Counting only
-			// the stage would read a saturated pool as "idle" (arrivals per
-			// window stay small) and hold the window at its floor exactly
-			// when grouping pays most.
-			staged, groups := d.flushBatch()
-			w := tuner.observe(staged+len(d.jobs), staged, groups)
-			d.curWindow.Store(int64(w))
-			d.windowGrows.Store(tuner.grows)
-			d.windowShrinks.Store(tuner.shrinks)
-			timer.Reset(w)
+			d.flushBatch()
+			timer.Reset(d.cfg.BatchWindow)
 		case <-d.batchStop:
 			d.flushBatch()
 			return
@@ -666,18 +513,16 @@ func (d *Dispatcher) batchGroupKey(q Query) string {
 	return sb.String()
 }
 
-// flushBatch groups and forwards every staged job, returning the stage
-// depth it drained and how many dispatch groups it packed into (the
-// adaptive tuner's depth and grouping samples). The sends may block on a
+// flushBatch groups and forwards every staged job. The sends may block on a
 // full jobs queue — the batcher holds no locks here, and the workers drain
 // the queue, so the stall is bounded by pool throughput.
-func (d *Dispatcher) flushBatch() (int, int) {
+func (d *Dispatcher) flushBatch() {
 	d.batchMu.Lock()
 	staged := d.batchBuf
 	d.batchBuf = nil
 	d.batchMu.Unlock()
 	if len(staged) == 0 {
-		return 0, 0
+		return
 	}
 	keys := make([]string, len(staged))
 	order := make([]int, len(staged))
@@ -698,7 +543,6 @@ func (d *Dispatcher) flushBatch() (int, int) {
 	for _, i := range order {
 		d.jobs <- staged[i]
 	}
-	return len(staged), int(groups)
 }
 
 // sweep watches one queued job's context. If the context dies before a

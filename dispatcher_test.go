@@ -3,7 +3,9 @@ package odyssey
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -124,8 +126,8 @@ func TestDispatcherWorkerStats(t *testing.T) {
 	}
 	d.Close()
 	d.Close() // idempotent
-	if err := d.Submit(0, queries[0], out); err != ErrDispatcherClosed {
-		t.Fatalf("Submit after Close = %v, want ErrDispatcherClosed", err)
+	if err := d.Submit(0, queries[0], out); err != ErrClosed {
+		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
 	served := 0
 	for _, st := range d.WorkerStats() {
@@ -304,9 +306,6 @@ func TestDispatcherClosedSubmitNoPanic(t *testing.T) {
 	out := make(chan BatchResult, 1)
 	if err := d.Submit(0, queries[0], out); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
-	}
-	if !errors.Is(ErrDispatcherClosed, ErrClosed) {
-		t.Fatal("ErrDispatcherClosed must alias ErrClosed for existing callers")
 	}
 
 	// Race storm: 8 submitters against a concurrent Close. Every submission
@@ -499,5 +498,25 @@ func TestDispatcherSweeperZombiesNeverBlockSubmit(t *testing.T) {
 	}
 	if st.Admitted != st.Completed+st.Canceled+st.Failed {
 		t.Fatalf("admission ledger does not balance: %+v", st)
+	}
+}
+
+// TestKnobCensus pins the configuration surface so it cannot re-accrete; the
+// failure message carries the rule for whoever wants to add a field.
+func TestKnobCensus(t *testing.T) {
+	const rule = "a new knob needs two callers outside tests and examples that need different values — else make it a constant (see ROADMAP item 2)"
+	var got []string
+	adm := reflect.TypeOf(AdmissionConfig{})
+	for i := 0; i < adm.NumField(); i++ {
+		got = append(got, adm.Field(i).Name)
+	}
+	if want := []string{"MaxInFlight", "Deadline", "QueueWait", "UrgentDeadline", "BatchWindow"}; !slices.Equal(got, want) {
+		t.Errorf("AdmissionConfig has fields %v, want %v: %s", got, want, rule)
+	}
+	if n := reflect.TypeOf(AdmissionStats{}).NumField(); n != 8 {
+		t.Errorf("AdmissionStats has %d fields, want 8: a counter nothing reads is a knob's shadow", n)
+	}
+	if n := reflect.TypeOf(Options{}).NumField(); n != 29 {
+		t.Errorf("Options has %d fields, want 29: %s", n, rule)
 	}
 }

@@ -2,8 +2,8 @@
 // future work; all three are implemented in this reproduction and shown
 // here side by side:
 //
-//  1. merging partitions at different refinement levels (refine-to-finest
-//     and coarsest-cover strategies vs the paper's same-level rule);
+//  1. merging partitions at different refinement levels (the coarsest-cover
+//     strategy vs the paper's same-level rule);
 //
 //  2. a runtime cost model that adapts the merge threshold mt to the
 //     workload;
@@ -64,15 +64,13 @@ func main() {
 
 	fmt.Println("1) merging partitions at different refinement levels")
 	fmt.Printf("%-20s %12s %14s\n", "policy", "merged", "served from merge")
-	for _, p := range []odyssey.MergeLevelPolicy{
-		odyssey.MergeSameLevel, odyssey.MergeRefineToFinest, odyssey.MergeCoarsestCover,
-	} {
+	for _, p := range []odyssey.MergeLevelPolicy{odyssey.MergeSameLevel, odyssey.MergeCoarsestCover} {
 		ex := runSession(odyssey.Options{MergeLevelPolicy: p})
 		m := ex.Metrics()
 		fmt.Printf("%-20s %12d %14d\n", p, m.PartitionsMerged, m.PartitionsFromMerge)
 	}
 	fmt.Println("   (dataset 0 was refined ahead; same-level must wait for the others to catch up,")
-	fmt.Println("    refine-to-finest forces them, coarsest-cover merges above the divergence)")
+	fmt.Println("    coarsest-cover merges above the divergence)")
 
 	fmt.Println("\n2) disk space: sharing partition copies across merge files")
 	for _, share := range []bool{false, true} {

@@ -40,8 +40,8 @@ type Options struct {
 	// indexing only).
 	DisableMerging bool
 	// MergeLevelPolicy selects how partitions at different refinement
-	// levels merge: SameLevel (paper default), RefineToFinest, or
-	// CoarsestCover — the strategies §3.2.5 leaves as future work.
+	// levels merge: MergeSameLevel (paper default) or MergeCoarsestCover,
+	// the one §3.2.5 future-work strategy a recording shows paying.
 	MergeLevelPolicy MergeLevelPolicy
 	// ShareMergeSegments references partition copies that already exist in
 	// other merge files instead of duplicating them (§3.2.5's improved

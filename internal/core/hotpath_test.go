@@ -11,6 +11,7 @@ import (
 	"spaceodyssey/internal/engine"
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
+	"spaceodyssey/internal/octree"
 )
 
 // TestKeyOfRendering pins KeyOf's output, byte for byte, to the fmt rendering
@@ -63,11 +64,12 @@ func TestReadMergedReadsASharedSegmentOnce(t *testing.T) {
 	// Refine the tree below one merged entry, as no query would (merged
 	// partitions are not refined): its cell now holds ppl leaves.
 	tree := eng.trees[0]
-	entry := mf.EntryKeys()[0]
-	if _, err := tree.RefineToCtx(context.Background(), entry.Child(tree.FanoutPerDim(), 0, 0, 0)); err != nil {
-		t.Fatal(err)
-	}
+	entries := mf.EntryKeys()
+	entry := entries[slices.IndexFunc(entries, func(k octree.Key) bool { return tree.LeafAt(k).Count() > 0 })]
 	cell := EntryBox(eng.bounds, entry, tree.FanoutPerDim())
+	if step, err := tree.RefineRegionStep(context.Background(), entry, cell, cell.Volume()/(2*cfg.Octree.RefinementThreshold)); err != nil || !step {
+		t.Fatalf("refining the merged cell: step %v, err %v", step, err)
+	}
 	window := geom.Box{Min: cell.Min.Add(cell.Size().Mul(0.3)), Max: cell.Max.Sub(cell.Size().Mul(0.3))}
 	if leaves := tree.Lookup(window.Expand(tree.MaxExtent())); len(leaves) < 2 {
 		t.Fatalf("the window hits %d leaves; it must hit several under the one entry", len(leaves))

@@ -449,10 +449,15 @@ func (st *stagedMerge) overlaps(key octree.Key, fanout int) bool {
 }
 
 // CanStageMerges reports whether a merge step's copy stage may run under
-// shared locks: the paper's SameLevel policy with segment sharing off.
-// RefineToFinest refines member trees mid-merge (CoarsestCover is kept with
-// it) and segment sharing reads the cross-file segment index, so those
-// configurations stage under the exclusive locks instead.
+// shared locks: the paper's SameLevel policy with segment sharing off. No
+// plan mutates a tree, so both exclusions are about what a stage reads.
+// Segment sharing reads the cross-file segment index and other combinations'
+// entries, which a concurrent publish writes under the exclusive layout lock.
+// CoarsestCover lifts a candidate to an ancestor cell and copies leaves the
+// triggering queries never touched; its layouts (oracle storms, its pinned
+// clock row) have only been established under the exclusive stage, whose
+// LRU-tick and futility-epoch semantics differ from the shared one's (see
+// mergeStep) — staging it shared is a behaviour change nobody has measured.
 func (m *Merger) CanStageMerges() bool {
 	return m.cfg.LevelPolicy == SameLevel && !m.cfg.ShareSegments
 }

@@ -152,8 +152,8 @@ type Metrics struct {
 //   - mu (the layout lock) is held shared for the whole read side of a
 //     query — merge-file routing, the per-dataset tree walks, merge-segment
 //     reads — and exclusively only by layout mutations: the merge step's
-//     publication (and, when its copy stage can mutate a tree, the stage
-//     too) and AddRaw.
+//     publication (and, unless Merger.CanStageMerges, its copy stage too)
+//     and AddRaw.
 //   - treeMu[ds] guards one dataset's octree. Queries take it shared for a
 //     read-only walk, exclusive for the level-0 build and — with no
 //     maintainer attached, when octree.Tree.NeedsWrite finds a leaf to
@@ -202,7 +202,7 @@ type Odyssey struct {
 	rcache *resultCache
 
 	// layoutEpoch counts physical-layout changes: level-0 builds,
-	// refinements (query- and merge-time) and merge-file evictions. The
+	// refinements, merge appends and merge-file evictions. The
 	// steady-state fast path uses it to recognize that a previously futile
 	// merge attempt cannot succeed now either.
 	layoutEpoch atomic.Int64
@@ -960,7 +960,7 @@ func (o *Odyssey) mergeDue(ctx context.Context, acc *queryAcc) bool {
 // to.
 //
 // The copy stage takes the layout lock and every member's tree lock — shared
-// when a maintainer is attached and the merge policy cannot mutate a tree
+// when a maintainer is attached and the merge configuration allows it
 // (CanStageMerges), so queries keep flowing during the copy I/O; exclusive
 // otherwise. Publication always happens under the exclusive layout lock, so
 // a racing query observes either none or all of the step's entries.
@@ -980,11 +980,9 @@ func (o *Odyssey) mergeStep(ctx context.Context, key ComboKey, ordered []object.
 	o.statsMu.Lock()
 	candidates := o.stats.Partitions(key)
 	o.statsMu.Unlock()
-	refBefore := o.refinementsOf(ordered)
 	t0 := clock.Now()
 	st, stageErr := o.merger.stage(ctx, key, ordered, candidates, o.trees)
 	dt := clock.Now() - t0
-	refined := o.refinementsOf(ordered) != refBefore // RefineToFinest refines lagging trees
 	for i := len(ordered) - 1; i >= 0; i-- {
 		unlock(o.treeMu[ordered[i]])
 	}
@@ -1008,11 +1006,11 @@ func (o *Odyssey) mergeStep(ctx context.Context, key ComboKey, ordered []object.
 	dt += clock.Now() - t1
 	bumped := false
 	if err == nil {
-		// Advance the epoch only on real layout change (appends, merge-time
-		// refinement, evictions) — a no-op attempt must not invalidate other
-		// combinations' futile marks, or two stuck combinations would
-		// ping-pong exclusive retries forever.
-		if appended > 0 || refined || len(evicted) > 0 {
+		// Advance the epoch only on real layout change (appends, evictions;
+		// no merge plan refines a tree) — a no-op attempt must not
+		// invalidate other combinations' futile marks, or two stuck
+		// combinations would ping-pong exclusive retries forever.
+		if appended > 0 || len(evicted) > 0 {
 			o.bumpLayoutEpoch()
 			bumped = true
 		}
@@ -1022,7 +1020,7 @@ func (o *Odyssey) mergeStep(ctx context.Context, key ComboKey, ordered []object.
 			// an incomplete picture, so the next query must re-attempt).
 			// Under the exclusive locks nothing else can publish during the
 			// step, and the mark takes the epoch after it — this step's own
-			// evictions and refinements included — so the next query skips.
+			// evictions included — so the next query skips.
 			// A shared stage takes the epoch from before it: if anything (a
 			// racing refinement of another region) advanced the layout
 			// mid-stage, the stale mark makes the next query re-attempt
@@ -1146,15 +1144,6 @@ func (o *Odyssey) regionCovered(ds object.DatasetID, t refineTask) bool {
 	}
 	_, _, covered := mf.covering(t.key, tree.FanoutPerDim())
 	return covered
-}
-
-// refinementsOf sums the members' refinement counts; callers hold their tree
-// locks.
-func (o *Odyssey) refinementsOf(members []object.DatasetID) (n int) {
-	for _, ds := range members {
-		n += o.trees[ds].Refinements
-	}
-	return n
 }
 
 // runMergeTask executes one background merge task: the merge step for the

@@ -10,18 +10,15 @@ import (
 
 // LevelPolicy selects how the Merger handles partitions whose refinement
 // level differs across the datasets of a combination. The paper's current
-// implementation merges only equal-level partitions and names the other two
-// strategies as open issues (§3.2.5); all three are implemented here.
+// implementation merges only equal-level partitions and names merging across
+// levels as an open issue (§3.2.5); CoarsestCover is the one such strategy
+// that pays at the recorded scale, on mixed-volume workloads (ROADMAP 1(c)).
 type LevelPolicy int
 
 const (
 	// SameLevel merges a partition only when every member dataset has a
 	// leaf at exactly that cell — the paper's default.
 	SameLevel LevelPolicy = iota
-	// RefineToFinest refines lagging datasets to the candidate partition's
-	// level at merge time (paying the refinement I/O), so hot areas merge
-	// sooner after their levels diverge.
-	RefineToFinest
 	// CoarsestCover merges at the coarsest cell that is a leaf in some
 	// member dataset, aggregating the finer datasets' leaves under that
 	// cell into one segment. Merges happen earlier but copy more data.
@@ -33,8 +30,6 @@ func (p LevelPolicy) String() string {
 	switch p {
 	case SameLevel:
 		return "same-level"
-	case RefineToFinest:
-		return "refine-to-finest"
 	case CoarsestCover:
 		return "coarsest-cover"
 	}
@@ -59,14 +54,10 @@ func (m *Merger) planJob(
 	datasets []object.DatasetID,
 	trees map[object.DatasetID]*octree.Tree,
 ) (mergeJob, bool) {
-	switch m.cfg.LevelPolicy {
-	case RefineToFinest:
-		return m.planRefineToFinest(cand, datasets, trees)
-	case CoarsestCover:
+	if m.cfg.LevelPolicy == CoarsestCover {
 		return m.planCoarsestCover(cand, datasets, trees)
-	default:
-		return m.planSameLevel(cand, datasets, trees)
 	}
+	return m.planSameLevel(cand, datasets, trees)
 }
 
 // planSameLevel is the paper's rule: all members must hold a leaf at
@@ -87,37 +78,6 @@ func (m *Merger) planSameLevel(
 			return mergeJob{}, false
 		}
 		job.readers = append(job.readers, func(ctx context.Context, dst []object.Object) ([]object.Object, error) {
-			return tree.ReadPartitionIntoCtx(ctx, dst, leaf)
-		})
-	}
-	return job, true
-}
-
-// planRefineToFinest refines datasets that are coarser than the candidate
-// down to its level, then merges like SameLevel. Datasets already refined
-// past the candidate still disqualify it (its cell has no single-level
-// representation there).
-func (m *Merger) planRefineToFinest(
-	cand octree.Key,
-	datasets []object.DatasetID,
-	trees map[object.DatasetID]*octree.Tree,
-) (mergeJob, bool) {
-	job := mergeJob{key: cand}
-	for _, ds := range datasets {
-		tree := trees[ds]
-		if tree == nil || !tree.Built() {
-			return mergeJob{}, false
-		}
-		// Qualify up front: the tree must not be refined past the
-		// candidate (RefineTo would fail mid-merge otherwise).
-		if tree.LeafAt(cand) == nil && tree.LeafCovering(cand) == nil {
-			return mergeJob{}, false
-		}
-		job.readers = append(job.readers, func(ctx context.Context, dst []object.Object) ([]object.Object, error) {
-			leaf, err := tree.RefineToCtx(ctx, cand)
-			if err != nil {
-				return nil, err
-			}
 			return tree.ReadPartitionIntoCtx(ctx, dst, leaf)
 		})
 	}

@@ -239,15 +239,15 @@ func newResultCache(bounds geom.Box, capacity int64) *resultCache {
 }
 
 // enableAdaptive turns on self-tuning capacity around the configured
-// starting capacity: the budget floats in [capacity/16, capacity*64].
+// starting capacity: the budget floats in [capacity/16, capacity*64], the
+// floor at least 1,024 objects, and a start below the floor is raised to it
+// (neither tuner case could ever move it from there).
 func (c *resultCache) enableAdaptive() {
 	c.mu.Lock()
 	c.adaptive = true
-	c.minCap = c.capacity / 16
-	if c.minCap < 1024 {
-		c.minCap = 1024
-	}
-	c.maxCap = c.capacity * 64
+	c.minCap = max(c.capacity/16, 1024)
+	c.maxCap = max(c.capacity*64, c.minCap)
+	c.capacity = max(c.capacity, c.minCap)
 	c.ghost = make(map[scanKey]struct{})
 	c.mu.Unlock()
 }

@@ -62,6 +62,15 @@ func (m *eagerCache) remove(i int) {
 	m.entries = slices.Delete(m.entries, i, i+1)
 }
 
+// enableAdaptive is the tuner's range rule: [start/16, 64 x start], the
+// floor at least 1,024 objects, and the start itself inside the range.
+func (m *eagerCache) enableAdaptive() {
+	m.adaptive, m.ghost = true, map[scanKey]bool{}
+	m.minCap = max(m.capacity/16, 1024)
+	m.maxCap = max(64*m.capacity, m.minCap)
+	m.capacity = min(max(m.capacity, m.minCap), m.maxCap)
+}
+
 func (m *eagerCache) op() {
 	if !m.adaptive {
 		return
@@ -223,10 +232,11 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 				m := &eagerCache{bounds: bounds, halfLife: halfLife, tick: &tick, capacity: 300}
 				if adaptive {
 					c.enableAdaptive()
+					m.enableAdaptive()
 					// The budget floats, below what the cells hold: the tuner moves
 					// both ways and evictions never stop.
-					c.minCap, c.maxCap = 100, 1200
-					m.adaptive, m.minCap, m.maxCap, m.ghost = true, c.minCap, c.maxCap, map[scanKey]bool{}
+					c.minCap, c.maxCap, c.capacity = 100, 1200, 300
+					m.minCap, m.maxCap, m.capacity = 100, 1200, 300
 				}
 				r := rand.New(rand.NewSource(int64(halfLife)*2 + 41))
 				cached := func() []scanKey {
@@ -308,6 +318,32 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 	}
 }
 
+// TestAdaptiveCacheStartsInsideItsRange: enabling the tuner puts the capacity
+// inside the range it will float in before the first operation — a start
+// under the floor could otherwise only leave it by an oversized insert — and
+// leaves a start already inside (the benchmark's 131,072) where it was.
+func TestAdaptiveCacheStartsInsideItsRange(t *testing.T) {
+	for _, tc := range []struct{ start, want, lo, hi int64 }{
+		{16, 1024, 1024, 1024},
+		{300, 1024, 1024, 19200},
+		{1024, 1024, 1024, 65536},
+		{131072, 131072, 8192, 8388608},
+	} {
+		c := newResultCache(geom.UnitBox(), tc.start)
+		m := &eagerCache{capacity: tc.start}
+		c.enableAdaptive()
+		m.enableAdaptive()
+		if c.capacity != m.capacity || c.minCap != m.minCap || c.maxCap != m.maxCap {
+			t.Errorf("start %d: the cache is at %d in [%d, %d], the model at %d in [%d, %d]",
+				tc.start, c.capacity, c.minCap, c.maxCap, m.capacity, m.minCap, m.maxCap)
+		}
+		if st := c.Stats(); st.Capacity != tc.want || c.minCap != tc.lo || c.maxCap != tc.hi {
+			t.Errorf("start %d: capacity %d in [%d, %d], want %d in [%d, %d]",
+				tc.start, st.Capacity, c.minCap, c.maxCap, tc.want, tc.lo, tc.hi)
+		}
+	}
+}
+
 // TestResultCacheStorm hammers the cache from every side at once — single
 // lookups, run lookups, inserts, and publishes that advance the epoch and
 // flush — and holds the two things sharing the lock on a hit could break:
@@ -321,7 +357,7 @@ func TestResultCacheStorm(t *testing.T) {
 	var tick atomic.Int64
 	c.halfLife, c.tick = 8, tick.Load
 	c.enableAdaptive()
-	c.maxCap = 128 // the 64 cells below hold 256 objects: the tuner grows the budget, evictions never stop
+	c.capacity, c.maxCap = 32, 128 // the 64 cells below hold 256 objects: the tuner grows the budget, evictions never stop
 	var epoch atomic.Int64
 	epoch.Store(1)
 

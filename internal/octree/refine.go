@@ -366,36 +366,6 @@ func (t *Tree) LeafCovering(key Key) *Partition {
 	return nil // refined deeper than key
 }
 
-// RefineToCtx refines the tree along the path to key until a leaf exists at
-// exactly that cell, and returns it. This implements the paper's §3.2.5
-// "refine all partitions to the same level as the finest before merging"
-// strategy: lagging datasets are brought to the leader's refinement level
-// at merge time (the refinement I/O is charged like any other, to the
-// context's QoS scope). It fails when the tree is unbuilt or already refined
-// past the key.
-func (t *Tree) RefineToCtx(ctx context.Context, key Key) (*Partition, error) {
-	if !t.Built() {
-		return nil, fmt.Errorf("octree: RefineTo on unbuilt tree")
-	}
-	scratch := pagefile.GetObjSlice()
-	defer pagefile.PutObjSlice(scratch)
-	for {
-		if leaf := t.LeafAt(key); leaf != nil {
-			return leaf, nil
-		}
-		cover := t.LeafCovering(key)
-		if cover == nil {
-			return nil, fmt.Errorf("octree: tree refined past key %v", key)
-		}
-		if int(cover.key.Level) >= t.cfg.MaxDepth {
-			return nil, fmt.Errorf("octree: RefineTo %v exceeds MaxDepth", key)
-		}
-		if _, err := t.refineCtx(ctx, cover, scratch); err != nil {
-			return nil, err
-		}
-	}
-}
-
 // LeavesUnder returns every leaf whose cell lies inside the given key's
 // cell (including a leaf exactly at the key). The coarsest-cover merge
 // strategy reads them all to build one segment.

@@ -56,63 +56,6 @@ func TestLeafCovering(t *testing.T) {
 	}
 }
 
-func TestRefineTo(t *testing.T) {
-	tree, _, _ := testTree(t, 4000, DefaultConfig(), 42)
-	if _, err := tree.RefineToCtx(context.Background(), Key{Level: 1}); err == nil {
-		t.Fatal("RefineTo on unbuilt tree succeeded")
-	}
-	if err := tree.EnsureBuiltCtx(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	// Pick a populated level-1 leaf and force two levels of refinement.
-	var target *Partition
-	for _, p := range tree.Lookup(tree.Bounds()) {
-		if p.Count() > 100 {
-			target = p
-			break
-		}
-	}
-	if target == nil {
-		t.Fatal("no populated leaf")
-	}
-	k := tree.FanoutPerDim()
-	deepKey := target.Key().Child(k, 1, 1, 1).Child(k, 2, 2, 2)
-	before := tree.NumObjects()
-	leaf, err := tree.RefineToCtx(context.Background(), deepKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if leaf.Key() != deepKey {
-		t.Fatalf("RefineTo returned leaf at %v, want %v", leaf.Key(), deepKey)
-	}
-	if tree.LeafAt(deepKey) != leaf {
-		t.Fatal("LeafAt disagrees after RefineTo")
-	}
-	if tree.NumObjects() != before {
-		t.Fatal("RefineTo lost objects")
-	}
-	// Idempotent.
-	again, err := tree.RefineToCtx(context.Background(), deepKey)
-	if err != nil || again != leaf {
-		t.Fatalf("second RefineTo: %v %v", again, err)
-	}
-	// RefineTo above an already-deeper area fails.
-	if _, err := tree.RefineToCtx(context.Background(), target.Key()); err == nil {
-		t.Fatal("RefineTo on internal cell succeeded")
-	}
-	// MaxDepth guard.
-	cfg := DefaultConfig()
-	cfg.MaxDepth = 1
-	shallow, _, _ := testTree(t, 500, cfg, 43)
-	if err := shallow.EnsureBuiltCtx(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	tooDeep := Key{Level: 3, X: 1, Y: 1, Z: 1}
-	if _, err := shallow.RefineToCtx(context.Background(), tooDeep); err == nil {
-		t.Fatal("RefineTo past MaxDepth succeeded")
-	}
-}
-
 func TestLeavesUnder(t *testing.T) {
 	tree, _, _ := testTree(t, 4000, DefaultConfig(), 44)
 	if tree.LeavesUnder(Key{}) != nil {

@@ -28,12 +28,14 @@ func referenceLeaves(out []*Partition, p *Partition, area geom.Box) []*Partition
 	return out
 }
 
-// walkTree builds a tree over bounds and refines it unevenly: scattered
-// cells, the two extreme corners included, down to levels 3 and 4.
+// walkTree builds a tree over bounds and refines it unevenly: around a few
+// scattered objects, one at each extreme corner included, down to levels 3
+// and 4.
 func walkTree(t *testing.T, bounds geom.Box, ppl int, seed int64) *Tree {
 	t.Helper()
 	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
-	objs := datagen.Generate(datagen.Config{Seed: seed, NumObjects: 3000, Clusters: 5}, 1)
+	objs := datagen.Generate(datagen.Config{Seed: seed, NumObjects: 3000, Clusters: 5, Bounds: bounds, ObjectSizeFrac: 1e-5}, 1)
+	objs[0].Center, objs[1].Center = bounds.Min, bounds.Max
 	raw, err := rawfile.Write(dev, "walk", 1, objs)
 	if err != nil {
 		t.Fatal(err)
@@ -47,17 +49,19 @@ func walkTree(t *testing.T, bounds geom.Box, ppl int, seed int64) *Tree {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(seed))
-	// Level 3 before level 4: RefineToCtx cannot coarsen.
-	for _, level := range []uint8{3, 4} {
-		side := uint32(pow(tree.k, int(level)))
-		keys := []Key{{Level: level}, {Level: level, X: side - 1, Y: side - 1, Z: side - 1}}
+	for _, level := range []float64{3, 4} {
+		// A query this small refines every populated cell it hits above
+		// level, and none at it.
+		qVol := bounds.Volume() / math.Pow(float64(ppl), level-0.5) / tree.cfg.RefinementThreshold
+		at := []geom.Vec{bounds.Min, bounds.Max}
 		for i := 0; i < 6; i++ {
-			keys = append(keys, Key{Level: level,
-				X: uint32(r.Intn(int(side))), Y: uint32(r.Intn(int(side))), Z: uint32(r.Intn(int(side)))})
+			at = append(at, objs[r.Intn(len(objs))].Center)
 		}
-		for _, key := range keys {
-			if _, err := tree.RefineToCtx(ctx, key); err != nil {
-				t.Fatal(err)
+		for _, c := range at {
+			for step := true; step; {
+				if step, err = tree.RefineRegionStep(ctx, Key{}, geom.Box{Min: c, Max: c}, qVol); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}

@@ -192,7 +192,7 @@ func genZipf(cfg ScenarioConfig) (ScenarioWorkload, error) {
 // clusters around fresh centers, so heat and cache entries earned in phase
 // p are stale in phase p+1. Arrivals come in bursts of eight (seven
 // back-to-back, then a long idle gap) so the queue oscillates between
-// backlog and idle — the shape an adaptive batch window exploits.
+// backlog and idle.
 func genDrift(cfg ScenarioConfig) (ScenarioWorkload, error) {
 	r := rand.New(rand.NewSource(cfg.Seed))
 	side := math.Cbrt(cfg.QueryVolumeFrac * cfg.Bounds.Volume())

@@ -113,7 +113,7 @@ func runPin(t *testing.T, opts Options) pinGolden {
 // a serial Explorer reproduces its simulated clock, page counts, space and
 // converged layout bit for bit. The constants were recorded at the commit
 // before the query pipeline was restructured into stages (PR 16) and must
-// only ever change in a PR whose point is to change them. The first five
+// only ever change in a PR whose point is to change them. The first four
 // rows are the paper configuration and the merge options that always ran
 // the exclusive merge step; the last is the serving preset driven by one
 // client that waits out background maintenance after every query, which is
@@ -134,8 +134,6 @@ func TestPaperClockPinned(t *testing.T) {
 	}{
 		{"paper", Options{DropCachesPerQuery: true},
 			pinGolden{6451093800, 1211, 1471, 1602, "4c6a44966b00bb40", "d2ffad6ef41806e1"}},
-		{"refine-to-finest", Options{DropCachesPerQuery: true, MergeLevelPolicy: MergeRefineToFinest},
-			pinGolden{6709754200, 1247, 1541, 1665, "a8577a6ae6836252", "d2ffad6ef41806e1"}},
 		{"coarsest-cover", Options{DropCachesPerQuery: true, MergeLevelPolicy: MergeCoarsestCover},
 			pinGolden{6252395200, 1241, 1493, 1624, "8d6a816c1af4e3bd", "d2ffad6ef41806e1"}},
 		{"share-segments", Options{DropCachesPerQuery: true, ShareMergeSegments: true},

@@ -114,8 +114,6 @@ func WithPriority(ctx context.Context, pri Priority) context.Context {
 const (
 	// MergeSameLevel merges only equal-level partitions (paper default).
 	MergeSameLevel = core.SameLevel
-	// MergeRefineToFinest refines lagging datasets before merging.
-	MergeRefineToFinest = core.RefineToFinest
 	// MergeCoarsestCover merges at the coarsest covering cell.
 	MergeCoarsestCover = core.CoarsestCover
 )
