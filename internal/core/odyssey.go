@@ -551,11 +551,7 @@ func (a *queryAcc) serve(ds object.DatasetID, entry octree.Key, seg segment) {
 
 // keep adds the objects of one cell that intersect the query to the result.
 func (a *queryAcc) keep(cell []object.Object) {
-	for _, obj := range cell {
-		if obj.Intersects(a.q) {
-			a.out = append(a.out, obj)
-		}
-	}
+	a.out = object.AppendIntersecting(a.out, cell, a.q)
 }
 
 // Query implements engine.Engine: it executes the paper's full pipeline —

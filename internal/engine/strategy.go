@@ -30,11 +30,8 @@ func ReadAll(raws []*rawfile.Raw) ([]object.Object, error) {
 	}
 	objs := make([]object.Object, 0, total)
 	for _, r := range raws {
-		err := r.ScanCtx(context.Background(), func(o object.Object) error {
-			objs = append(objs, o)
-			return nil
-		})
-		if err != nil {
+		var err error
+		if objs, err = r.AppendAllCtx(context.Background(), objs); err != nil {
 			return nil, err
 		}
 	}

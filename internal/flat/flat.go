@@ -183,8 +183,9 @@ func (idx *Index) computeNeighbors() [][]uint32 {
 		k = 1
 	}
 	hash := make(map[[3]int][]int)
+	grid := bounds.Grid(k)
 	cellOf := func(p geom.Vec) [3]int {
-		ix, iy, iz := bounds.CellIndex(k, p)
+		ix, iy, iz := grid.Cell(p)
 		return [3]int{ix, iy, iz}
 	}
 	for i, l := range idx.leaves {

@@ -173,25 +173,62 @@ func (b Box) Subdivide(k int) []Box {
 	return cells
 }
 
-// CellIndex returns the (i,j,l) grid coordinates of the cell of a k^3
-// subdivision of b that contains point p under half-open semantics, clamping
-// p to the box so boundary points map to the last cell.
-func (b Box) CellIndex(k int, p Vec) (ix, iy, iz int) {
-	step := b.Size().Div(float64(k))
-	idx := func(coord, lo, st float64) int {
-		if st <= 0 {
-			return 0
-		}
-		i := int((coord - lo) / st)
-		if i < 0 {
-			i = 0
-		}
-		if i >= k {
-			i = k - 1
-		}
-		return i
+// CellGrid is the k^3 subdivision of a box prepared for locating many points:
+// the origin and the cell edge are worked out once, so bucketing a dataset
+// costs one division per axis per object. It is the one implementation of the
+// cell arithmetic — Box.CellIndex is written on it — and that arithmetic is
+// part of every layout: int((coord-lo)/step) with step = size/k, clamped to
+// [0, k), a degenerate axis mapping to 0. (Multiplying by a precomputed 1/step
+// instead rounds boundary points into the neighbour cell.)
+type CellGrid struct {
+	lo, step Vec
+	k        int
+}
+
+// Grid returns the k^3 subdivision of b (k >= 1), cells ordered x-fastest as
+// in Subdivide.
+func (b Box) Grid(k int) CellGrid {
+	return CellGrid{lo: b.Min, step: b.Size().Div(float64(k)), k: k}
+}
+
+// axis is the cell coordinate of coord on one axis.
+func (g *CellGrid) axis(coord, lo, st float64) int {
+	if st <= 0 {
+		return 0
 	}
-	return idx(p.X, b.Min.X, step.X), idx(p.Y, b.Min.Y, step.Y), idx(p.Z, b.Min.Z, step.Z)
+	i := int((coord - lo) / st)
+	if i < 0 {
+		i = 0
+	}
+	if i >= g.k {
+		i = g.k - 1
+	}
+	return i
+}
+
+// Cell returns the (i,j,l) grid coordinates of the cell that contains point p
+// under half-open semantics, clamping p to the box so boundary points map to
+// the last cell.
+func (g *CellGrid) Cell(p Vec) (ix, iy, iz int) {
+	return g.axis(p.X, g.lo.X, g.step.X), g.axis(p.Y, g.lo.Y, g.step.Y), g.axis(p.Z, g.lo.Z, g.step.Z)
+}
+
+// Index returns the position of p's cell in Subdivide's order:
+// (iz*k + iy)*k + ix. It spells the three axes out instead of calling Cell,
+// which is past the inliner's budget: the bulk loops pay one call an object.
+func (g *CellGrid) Index(p Vec) int {
+	ix := g.axis(p.X, g.lo.X, g.step.X)
+	iy := g.axis(p.Y, g.lo.Y, g.step.Y)
+	iz := g.axis(p.Z, g.lo.Z, g.step.Z)
+	return (iz*g.k+iy)*g.k + ix
+}
+
+// CellIndex returns the (i,j,l) grid coordinates of the cell of a k^3
+// subdivision of b that contains point p; see CellGrid, which callers
+// locating more than one point build once instead.
+func (b Box) CellIndex(k int, p Vec) (ix, iy, iz int) {
+	g := b.Grid(k)
+	return g.Cell(p)
 }
 
 // Dist returns the minimum Euclidean distance between b and o; zero when

@@ -79,3 +79,69 @@ func FuzzBoxIntersect(f *testing.F) {
 		}
 	})
 }
+
+// cellIndexReference is Box.CellIndex as it was before CellGrid: the step and
+// the three coordinates worked out per call. Which cell an object lands in is
+// part of every layout, so CellGrid must reproduce it bit for bit.
+func cellIndexReference(b Box, k int, p Vec) (ix, iy, iz int) {
+	step := b.Size().Div(float64(k))
+	idx := func(coord, lo, st float64) int {
+		if st <= 0 {
+			return 0
+		}
+		i := int((coord - lo) / st)
+		if i < 0 {
+			i = 0
+		}
+		if i >= k {
+			i = k - 1
+		}
+		return i
+	}
+	return idx(p.X, b.Min.X, step.X), idx(p.Y, b.Min.Y, step.Y), idx(p.Z, b.Min.Z, step.Z)
+}
+
+// FuzzCellGrid checks CellGrid — Cell, Index and Box.CellIndex on top of it —
+// against the reference on arbitrary boxes (degenerate axes included), fanouts
+// and points (outside the box, non-finite), and on the points where an
+// off-by-one would show: every cell boundary of every axis and its two
+// neighbouring floats.
+func FuzzCellGrid(f *testing.F) {
+	f.Add(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, uint8(4), 0.25, 0.5, 1.0)
+	f.Add(0.0, 0.0, 0.0, 10.0, 10.0, 10.0, uint8(5), -1.0, 10.0, 9.999)
+	f.Add(3.0, -2.0, 7.5, 1.0, 0.0, 2.0, uint8(3), 3.0, -2.0, 1e300)
+	f.Add(1e9, 1e-9, -1e9, 0.1, 1e-12, 1e9, uint8(8), 1e9, 0.0, math.Inf(-1))
+	f.Add(0.1, 0.2, 0.3, 0.3, 0.7, 0.9, uint8(2), math.NaN(), 0.2, 0.3)
+	f.Fuzz(func(t *testing.T, cx, cy, cz, hx, hy, hz float64, fanout uint8, px, py, pz float64) {
+		b, ok := fuzzBox(cx, cy, cz, hx, hy, hz)
+		if !ok {
+			t.Skip()
+		}
+		k := 1 + int(fanout)%16
+		g := b.Grid(k)
+		check := func(p Vec) {
+			wx, wy, wz := cellIndexReference(b, k, p)
+			if ix, iy, iz := g.Cell(p); ix != wx || iy != wy || iz != wz {
+				t.Fatalf("Grid(%d) of %v: Cell(%v) = (%d,%d,%d), reference (%d,%d,%d)", k, b, p, ix, iy, iz, wx, wy, wz)
+			}
+			if got, want := g.Index(p), (wz*k+wy)*k+wx; got != want {
+				t.Fatalf("Grid(%d) of %v: Index(%v) = %d, reference %d", k, b, p, got, want)
+			}
+			if ix, iy, iz := b.CellIndex(k, p); ix != wx || iy != wy || iz != wz {
+				t.Fatalf("%v.CellIndex(%d, %v) = (%d,%d,%d), reference (%d,%d,%d)", b, k, p, ix, iy, iz, wx, wy, wz)
+			}
+		}
+		check(V(px, py, pz))
+		step := b.Size().Div(float64(k))
+		for i := 0; i <= k; i++ {
+			edge := b.Min.Add(step.Mul(float64(i)))
+			for _, p := range []Vec{
+				edge,
+				{math.Nextafter(edge.X, math.Inf(-1)), math.Nextafter(edge.Y, math.Inf(-1)), math.Nextafter(edge.Z, math.Inf(-1))},
+				{math.Nextafter(edge.X, math.Inf(1)), math.Nextafter(edge.Y, math.Inf(1)), math.Nextafter(edge.Z, math.Inf(1))},
+			} {
+				check(p)
+			}
+		}
+	})
+}

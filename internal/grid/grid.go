@@ -57,10 +57,10 @@ func (c Config) check(bounds geom.Box) (Config, error) {
 
 // Index is a uniform grid over one or more datasets.
 type Index struct {
-	cfg    Config
-	bounds geom.Box
-	raws   []*rawfile.Raw
-	file   *pagefile.File
+	cfg  Config
+	grid geom.CellGrid // of the indexed bounds, CellsPerDim a side
+	raws []*rawfile.Raw
+	file *pagefile.File
 
 	cells     [][]pagefile.Run // per-cell runs, len k^3
 	counts    []int
@@ -83,7 +83,7 @@ func NewIndex(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Con
 	k := cfg.CellsPerDim
 	return &Index{
 		cfg:    cfg,
-		bounds: bounds,
+		grid:   bounds.Grid(k),
 		raws:   raws,
 		file:   pagefile.Create(dev, name),
 		cells:  make([][]pagefile.Run, k*k*k),
@@ -125,9 +125,11 @@ func (g *Index) Build() error {
 		buffered = 0
 		return nil
 	}
+	var cells []int // of one object, reused
 	for _, raw := range g.raws {
 		err := raw.ScanCtx(context.Background(), func(o object.Object) error {
-			for _, ci := range g.cellsOf(o) {
+			cells = g.appendCellsOf(cells[:0], &o)
+			for _, ci := range cells {
 				buffers[ci] = append(buffers[ci], o)
 				buffered++
 			}
@@ -149,27 +151,25 @@ func (g *Index) Build() error {
 	return nil
 }
 
-// cellsOf returns the cell indexes an object is assigned to: the cell of
-// its center under the query-window-extension scheme, or every overlapping
+// appendCellsOf appends the cell indexes an object is assigned to: the cell
+// of its center under the query-window-extension scheme, or every overlapping
 // cell under replication.
-func (g *Index) cellsOf(o object.Object) []int {
-	k := g.cfg.CellsPerDim
+func (g *Index) appendCellsOf(dst []int, o *object.Object) []int {
 	if !g.cfg.Replicate {
-		ix, iy, iz := g.bounds.CellIndex(k, o.Center)
-		return []int{(iz*k+iy)*k + ix}
+		return append(dst, g.grid.Index(o.Center))
 	}
+	k := g.cfg.CellsPerDim
 	b := o.Box()
-	loX, loY, loZ := g.bounds.CellIndex(k, b.Min)
-	hiX, hiY, hiZ := g.bounds.CellIndex(k, b.Max)
-	var out []int
+	loX, loY, loZ := g.grid.Cell(b.Min)
+	hiX, hiY, hiZ := g.grid.Cell(b.Max)
 	for z := loZ; z <= hiZ; z++ {
 		for y := loY; y <= hiY; y++ {
 			for x := loX; x <= hiX; x++ {
-				out = append(out, (z*k+y)*k+x)
+				dst = append(dst, (z*k+y)*k+x)
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // Query returns all indexed objects intersecting q, optionally restricted to
@@ -185,8 +185,8 @@ func (g *Index) Query(q geom.Box, filter map[object.DatasetID]bool) ([]object.Ob
 	if !g.cfg.Replicate {
 		ext = q.Expand(g.maxExtent)
 	}
-	loX, loY, loZ := g.bounds.CellIndex(k, ext.Min)
-	hiX, hiY, hiZ := g.bounds.CellIndex(k, ext.Max)
+	loX, loY, loZ := g.grid.Cell(ext.Min)
+	hiX, hiY, hiZ := g.grid.Cell(ext.Max)
 	var seen map[objKey]bool
 	if g.cfg.Replicate {
 		seen = make(map[objKey]bool)
@@ -234,7 +234,5 @@ type objKey struct {
 // CellRuns returns the number of storage runs of the cell holding p; tests
 // use it to observe flush fragmentation.
 func (g *Index) CellRuns(p geom.Vec) int {
-	k := g.cfg.CellsPerDim
-	ix, iy, iz := g.bounds.CellIndex(k, p)
-	return len(g.cells[(iz*k+iy)*k+ix])
+	return len(g.cells[g.grid.Index(p)])
 }

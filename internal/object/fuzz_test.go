@@ -3,6 +3,8 @@ package object
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"spaceodyssey/internal/geom"
@@ -182,7 +184,48 @@ func FuzzObjectIntersects(f *testing.F) {
 			t.Fatalf("%+v against %v: Intersects = %v (panicked %v), Box().Intersects = %v (panicked %v)",
 				o, q, got, gotPanic, want, wantPanic)
 		}
+		// The cell filter writes the same test out once more.
+		kept, keptPanic := outcome(func() bool { return len(AppendIntersecting(nil, []Object{o}, q)) == 1 })
+		if kept != want || keptPanic != wantPanic {
+			t.Fatalf("%+v against %v: AppendIntersecting kept %v (panicked %v), Box().Intersects = %v (panicked %v)",
+				o, q, kept, keptPanic, want, wantPanic)
+		}
 	})
+}
+
+// TestAppendIntersectingMatchesIntersects: over generated cells — clustered
+// around the query so that faces touch, with point objects and objects far
+// away — the cell filter keeps exactly the objects Intersects accepts one by
+// one, in order, after whatever dst already held; filtering in place
+// (dst = cell[:0]) gives the same.
+func TestAppendIntersectingMatchesIntersects(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	grid := func() float64 { return float64(r.Intn(9)) / 8 } // coordinates collide
+	for trial := 0; trial < 300; trial++ {
+		q := geom.Box{Min: geom.V(grid(), grid(), grid())}
+		q.Max = q.Min.Add(geom.V(grid(), grid(), grid()))
+		cell := make([]Object, r.Intn(3*PageCapacity))
+		for i := range cell {
+			cell[i] = Object{
+				ID:         uint64(i),
+				Center:     geom.V(grid()*2-0.5, grid()*2-0.5, grid()*2-0.5),
+				HalfExtent: geom.V(grid()/2, grid()/2, grid()/2),
+			}
+		}
+		prefix := []Object{{ID: 1 << 40}, {ID: 1<<40 + 1}}
+		want := slices.Clone(prefix)
+		for _, o := range cell {
+			if o.Intersects(q) {
+				want = append(want, o)
+			}
+		}
+		if got := AppendIntersecting(slices.Clone(prefix), cell, q); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: kept %d objects of %d, Intersects keeps %d", trial, len(got)-len(prefix), len(cell), len(want)-len(prefix))
+		}
+		if got := AppendIntersecting(cell[:0], cell, q); !slices.Equal(got, want[len(prefix):]) {
+			t.Fatalf("trial %d: in place kept %d objects, Intersects keeps %d", trial, len(got), len(want)-len(prefix))
+		}
+	}
 }
 
 // TestIntersectsRejectsInvalidExtent: the filter every cell read goes through
@@ -193,6 +236,11 @@ func TestIntersectsRejectsInvalidExtent(t *testing.T) {
 		o := Object{Center: geom.V(0.5, 0.5, 0.5), HalfExtent: h}
 		if _, panicked := outcome(func() bool { return o.Intersects(q) }); !panicked {
 			t.Errorf("half-extent %v: Intersects did not panic", h)
+		}
+		// Nor does the cell filter skip it, wherever in the cell it sits.
+		ok := Object{Center: geom.V(0.5, 0.5, 0.5)}
+		if _, panicked := outcome(func() bool { return AppendIntersecting(nil, []Object{ok, ok, o, ok}, q) != nil }); !panicked {
+			t.Errorf("half-extent %v: AppendIntersecting did not panic", h)
 		}
 	}
 }

@@ -55,6 +55,31 @@ func (o Object) Intersects(q geom.Box) bool {
 		loZ <= q.Max.Z && q.Min.Z <= hiZ
 }
 
+// AppendIntersecting appends the objects of cell whose box intersects q to
+// dst and returns the extended slice: Intersects over a whole cell, and the
+// one filter loop of the stack (the engine's result accumulator, the octree
+// walk and the unindexed scan all read cells through it). The test is
+// Intersects' own, written out so that an object costs six additions and its
+// comparisons with no call and no copy; an invalid half-extent panics as it
+// does there. dst may be cell[:0]: the filter then runs in place.
+func AppendIntersecting(dst, cell []Object, q geom.Box) []Object {
+	for i := range cell {
+		o := &cell[i]
+		loX, hiX := o.Center.X-o.HalfExtent.X, o.Center.X+o.HalfExtent.X
+		loY, hiY := o.Center.Y-o.HalfExtent.Y, o.Center.Y+o.HalfExtent.Y
+		loZ, hiZ := o.Center.Z-o.HalfExtent.Z, o.Center.Z+o.HalfExtent.Z
+		if !(loX <= hiX && loY <= hiY && loZ <= hiZ) {
+			o.Box() // invalid: panics, with geom.NewBox's message
+		}
+		if loX <= q.Max.X && q.Min.X <= hiX &&
+			loY <= q.Max.Y && q.Min.Y <= hiY &&
+			loZ <= q.Max.Z && q.Min.Z <= hiZ {
+			dst = append(dst, *o)
+		}
+	}
+	return dst
+}
+
 // RecordSize is the fixed on-disk size of one object record:
 // id(8) + dataset(4) + pad(4) + center(3*8) + halfExtent(3*8) = 64 bytes.
 const RecordSize = 64

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"spaceodyssey/internal/geom"
@@ -239,15 +240,13 @@ func (t *Tree) EnsureBuiltCtx(ctx context.Context) error {
 	if t.Built() {
 		return nil
 	}
-	all := make([]object.Object, 0, t.raw.NumObjects())
-	var maxExt geom.Vec
-	err := t.raw.ScanCtx(ctx, func(o object.Object) error {
-		all = append(all, o)
-		maxExt = maxExt.Max(o.HalfExtent)
-		return nil
-	})
+	all, err := t.raw.AppendAllCtx(ctx, make([]object.Object, 0, t.raw.NumObjects()))
 	if err != nil {
 		return fmt.Errorf("octree level-0 scan: %w", err)
+	}
+	var maxExt geom.Vec
+	for i := range all {
+		maxExt = maxExt.Max(all[i].HalfExtent)
 	}
 	slab := make([]object.Object, len(all))
 	bounds := bucketByCell(t.bounds, t.k, all, slab)
@@ -293,28 +292,41 @@ func (t *Tree) EnsureBuiltCtx(ctx context.Context) error {
 // byte what per-bucket appends produced. Bucket ci is
 // slab[bounds[ci]:bounds[ci+1]].
 func bucketByCell(box geom.Box, k int, objs, slab []object.Object) (bounds []int) {
-	cellOf := func(o *object.Object) int {
-		ix, iy, iz := box.CellIndex(k, o.Center)
-		return (iz*k+iy)*k + ix
-	}
+	// Each object's cell is worked out once, into pooled scratch the placing
+	// pass reads back.
+	cp := cellScratchPool.Get().(*[]int32)
+	cells := slices.Grow((*cp)[:0], len(objs))[:len(objs)]
 	// Counts go in two slots up, so that after the prefix sum b[ci+1] is
 	// bucket ci's start; placing advances it to the bucket's end, which is
 	// bucket ci+1's start — leaving b[ci] the start of every bucket and
 	// b[k³] the total, with no second cursor array.
 	b := make([]int, k*k*k+2)
+	grid := box.Grid(k)
 	for i := range objs {
-		b[cellOf(&objs[i])+2]++
+		ci := grid.Index(objs[i].Center)
+		cells[i] = int32(ci)
+		b[ci+2]++
 	}
 	for j := 1; j < len(b); j++ {
 		b[j] += b[j-1]
 	}
-	for i := range objs {
-		ci := cellOf(&objs[i])
+	for i, ci := range cells {
 		slab[b[ci+1]] = objs[i]
 		b[ci+1]++
 	}
+	if len(cells) <= pagefile.MaxPooledObjs {
+		*cp = cells
+	}
+	cellScratchPool.Put(cp)
 	return b[:len(b)-1]
 }
+
+// cellScratchPool recycles bucketByCell's per-object cell indices (int32: the
+// k³ cells are themselves an allocated []int, far below 2³¹), so that a
+// refinement allocates only its bounds. Retention follows the object pools'
+// bound (pagefile.MaxPooledObjs): the indices of a level-0 build — a whole
+// dataset's — are left to the collector like that build's two object slices.
+var cellScratchPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // Lookup returns the leaf partitions intersecting area, in child order
 // (ascending z, y, x at every level). The caller is responsible for

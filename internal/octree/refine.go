@@ -219,7 +219,7 @@ func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, q geom.Box
 						res.Touched = append(res.Touched, c)
 					}
 				}
-				filterInto(&res, objs, q)
+				res.Objects = object.AppendIntersecting(res.Objects, objs, q)
 				continue
 			}
 			res.WantRefine = append(res.WantRefine, leaf.key)
@@ -231,7 +231,9 @@ func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, q geom.Box
 			return res, err
 		}
 		res.Touched = append(res.Touched, leaf)
-		filterInto(&res, objs, q)
+		// Objects are values: objs (pooled scratch, or shared with concurrent
+		// queries) is not retained.
+		res.Objects = object.AppendIntersecting(res.Objects, objs, q)
 	}
 	return res, nil
 }
@@ -260,17 +262,6 @@ func putLeafScratch(sp *[]*Partition, leaves []*Partition) {
 	clear(leaves)
 	*sp = leaves[:0]
 	leafScratchPool.Put(sp)
-}
-
-// filterInto appends the objects intersecting q to res.Objects. Objects are
-// values, so the source slice (pooled scratch, or shared with concurrent
-// queries) is never retained.
-func filterInto(res *QueryResult, objs []object.Object, q geom.Box) {
-	for _, o := range objs {
-		if o.Intersects(q) {
-			res.Objects = append(res.Objects, o)
-		}
-	}
 }
 
 // readLeaf is the one leaf read of the query path; the only thing that

@@ -180,9 +180,9 @@ var objSlicePool = sync.Pool{
 	},
 }
 
-// maxPooledObjs is the pool's retention bound, in objects: the content of
+// MaxPooledObjs is the pool's retention bound, in objects: the content of
 // the longest run simdisk pools a buffer for.
-const maxPooledObjs = simdisk.MaxPooledRunPages * object.PageCapacity
+const MaxPooledObjs = simdisk.MaxPooledRunPages * object.PageCapacity
 
 // GetObjSlice returns an empty object slice from the pool. A caller that
 // grows it (append, slices.Grow) stores the result back through the pointer
@@ -203,7 +203,7 @@ func PutObjSlice(s *[]object.Object) {
 }
 
 // poolableObjs is the retention bound of PutObjSlice.
-func poolableObjs(capObjs int) bool { return capObjs <= maxPooledObjs }
+func poolableObjs(capObjs int) bool { return capObjs <= MaxPooledObjs }
 
 // WriteIntoCtx distributes objs across the free capacity described by reuse
 // (pages to overwrite, in order) and appends whatever does not fit. It

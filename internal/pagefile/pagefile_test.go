@@ -343,8 +343,8 @@ func TestWriteIntoRoundTripProperty(t *testing.T) {
 func TestPoolRetentionBound(t *testing.T) {
 	for capObjs, want := range map[int]bool{
 		0:                 true,
-		maxPooledObjs:     true,
-		maxPooledObjs + 1: false,
+		MaxPooledObjs:     true,
+		MaxPooledObjs + 1: false,
 		100_000:           false,
 	} {
 		if got := poolableObjs(capObjs); got != want {
@@ -353,7 +353,7 @@ func TestPoolRetentionBound(t *testing.T) {
 	}
 	// A caller that grew its slice past the bound puts it back harmlessly.
 	sp := GetObjSlice()
-	*sp = make([]object.Object, 0, maxPooledObjs+1)
+	*sp = make([]object.Object, 0, MaxPooledObjs+1)
 	PutObjSlice(sp)
 	if got := GetObjSlice(); len(*got) != 0 {
 		t.Fatalf("GetObjSlice returned %d stale objects", len(*got))

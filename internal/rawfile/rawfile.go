@@ -101,25 +101,25 @@ const scanChunkPages = 128
 // here instead of silently turning every chunk back into garbage.
 const _ = uint(simdisk.MaxPooledRunPages - scanChunkPages)
 
-// ScanCtx performs a full sequential in-situ scan, invoking fn for every
-// record in storage order. fn returning an error aborts the scan. The
-// context is checked at every page boundary, so an abandoned in-situ scan
-// stops charging simulated I/O where it was abandoned. The in-situ
-// first-touch scan is the most expensive single operation in the system —
-// exactly the one an interactive caller most wants to walk away from.
+// readChunks is the file's one access path: a full sequential read in runs of
+// scanChunkPages, each handed to fn (with the index of its first page) and
+// recycled when fn returns. The context is checked at every page boundary
+// (inside ReadRunCtx), so an abandoned in-situ scan stops charging simulated
+// I/O where it was abandoned. The in-situ first-touch scan is the most
+// expensive single operation in the system — exactly the one an interactive
+// caller most wants to walk away from.
 //
-// The scan reads run-sized chunks (not single pages), so real-time
-// emulation sleeps once per chunk and OS sleep granularity does not inflate
-// the scan. The simulated charges are identical to a page-by-page scan: same
-// pages, same order, same head.
-func (r *Raw) ScanCtx(ctx context.Context, fn func(object.Object) error) error {
+// Reading run-sized chunks (not single pages) means real-time emulation
+// sleeps once per chunk and OS sleep granularity does not inflate the scan.
+// The simulated charges are identical to a page-by-page scan: same pages,
+// same order, same head.
+func (r *Raw) readChunks(ctx context.Context, fn func(buf []byte, first int64) error) error {
 	if r.deleted {
 		return ErrClosed
 	}
 	dev := r.file.Device()
 	id := r.file.ID()
 	end := r.run.Start + r.run.Count
-	page := make([]object.Object, 0, object.PageCapacity) // every page decodes into it
 	for p := r.run.Start; p < end; {
 		n := scanChunkPages - (p-r.run.Start)%scanChunkPages
 		if p+n > end {
@@ -129,7 +129,7 @@ func (r *Raw) ScanCtx(ctx context.Context, fn func(object.Object) error) error {
 		if err != nil {
 			return err
 		}
-		err = r.scanChunk(buf, p, n, page, fn)
+		err = fn(buf, p)
 		simdisk.PutRunBuf(buf)
 		if err != nil {
 			return err
@@ -139,42 +139,86 @@ func (r *Raw) ScanCtx(ctx context.Context, fn func(object.Object) error) error {
 	return nil
 }
 
-// scanChunk decodes the n pages of one chunk (read at page first) into page,
-// one after another, and hands every record to fn.
-func (r *Raw) scanChunk(buf []byte, first, n int64, page []object.Object, fn func(object.Object) error) error {
-	for i := int64(0); i < n; i++ {
-		objs, err := object.AppendPageInto(page[:0], buf[i*simdisk.PageSize:(i+1)*simdisk.PageSize])
+// appendPages decodes the pages in buf — a chunk, or one page of it — one
+// after another onto dst; first is the file index of the first of them.
+func (r *Raw) appendPages(dst []object.Object, buf []byte, first int64) ([]object.Object, error) {
+	for off := 0; off < len(buf); off += simdisk.PageSize {
+		var err error
+		dst, err = object.AppendPageInto(dst, buf[off:off+simdisk.PageSize])
 		if err != nil {
-			return fmt.Errorf("rawfile %q page %d: %w", r.name, first+i, err)
-		}
-		for _, o := range objs {
-			if err := fn(o); err != nil {
-				return err
-			}
+			return dst, fmt.Errorf("rawfile %q page %d: %w", r.name, first+int64(off/simdisk.PageSize), err)
 		}
 	}
-	return nil
+	return dst, nil
+}
+
+// AppendAllCtx reads every record, in storage order, onto dst and returns
+// the extended slice: the pages decode straight into it, so a caller that
+// sized dst (NumObjects) pays no copy and no allocation per record — this is
+// the level-0 build's scan. On error the records decoded so far are returned
+// with it.
+func (r *Raw) AppendAllCtx(ctx context.Context, dst []object.Object) ([]object.Object, error) {
+	err := r.readChunks(ctx, func(buf []byte, first int64) (err error) {
+		dst, err = r.appendPages(dst, buf, first)
+		return err
+	})
+	return dst, err
 }
 
 // All reads every record into memory.
 func (r *Raw) All(ctx context.Context) ([]object.Object, error) {
-	out := make([]object.Object, 0, r.count)
-	err := r.ScanCtx(ctx, func(o object.Object) error {
-		out = append(out, o)
-		return nil
-	})
+	out, err := r.AppendAllCtx(ctx, make([]object.Object, 0, r.count))
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
+// scanPages performs a full scan handing fn the records of one page at a
+// time, in storage order. Every page decodes into the same slice, which is
+// pagefile's pooled scratch (a scan allocates nothing per call); fn must not
+// retain it.
+func (r *Raw) scanPages(ctx context.Context, fn func(page []object.Object) error) error {
+	sp := pagefile.GetObjSlice()
+	defer pagefile.PutObjSlice(sp)
+	return r.readChunks(ctx, func(buf []byte, first int64) error {
+		for off := 0; off < len(buf); off += simdisk.PageSize {
+			page, err := r.appendPages((*sp)[:0], buf[off:off+simdisk.PageSize], first+int64(off/simdisk.PageSize))
+			if err != nil {
+				return err
+			}
+			*sp = page
+			if err := fn(page); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// ScanCtx performs a full sequential in-situ scan (see readChunks), invoking
+// fn for every record in storage order. fn returning an error aborts the
+// scan.
+func (r *Raw) ScanCtx(ctx context.Context, fn func(object.Object) error) error {
+	return r.scanPages(ctx, func(page []object.Object) error {
+		for i := range page {
+			if err := fn(page[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 // ScanRange performs a full scan and reports only records intersecting q —
 // the query path of a completely unindexed dataset.
 func (r *Raw) ScanRange(ctx context.Context, q geom.Box, fn func(object.Object) error) error {
-	return r.ScanCtx(ctx, func(o object.Object) error {
-		if o.Intersects(q) {
-			return fn(o)
+	return r.scanPages(ctx, func(page []object.Object) error {
+		hits := object.AppendIntersecting(page[:0], page, q) // in place
+		for i := range hits {
+			if err := fn(hits[i]); err != nil {
+				return err
+			}
 		}
 		return nil
 	})

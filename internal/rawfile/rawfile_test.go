@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
@@ -198,5 +201,97 @@ func TestEmptyRawFile(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// runRecorder is a Storage that notes the runs read through it and can cancel
+// a context before the nth.
+type runRecorder struct {
+	simdisk.Storage
+	runs     [][2]int64 // start, count
+	cancelAt int        // 1-based read to cancel before; 0: never
+	cancel   context.CancelFunc
+}
+
+func (s *runRecorder) ReadRunCtx(ctx context.Context, id simdisk.FileID, start, n int64) ([]byte, error) {
+	s.runs = append(s.runs, [2]int64{start, n})
+	if len(s.runs) == s.cancelAt {
+		s.cancel()
+	}
+	return s.Storage.ReadRunCtx(ctx, id, start, n)
+}
+
+// TestAppendAllMatchesScan: the level-0 build's scan decodes where it lands,
+// and is otherwise ScanCtx — the same records in the same order after whatever
+// dst held, the same runs read in the same order for the same simulated cost,
+// the same error for a bad page, and a cancellation observed at the same
+// chunk boundary.
+func TestAppendAllMatchesScan(t *testing.T) {
+	cost := simdisk.CostModel{Seek: 1000, Transfer: 7, CacheHit: 1}
+	rec := &runRecorder{Storage: simdisk.NewDevice(cost, 64)}
+	objs := mkObjs(object.PageCapacity*300+17, 9) // two full chunks and a partial one
+	raw, err := Write(rec, "r", 0, objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(read func() error) (runs [][2]int64, clock time.Duration, stats simdisk.Stats) {
+		t.Helper()
+		rec.ResetClock()
+		rec.ResetStats()
+		rec.DropCaches()
+		rec.runs = nil
+		if err := read(); err != nil {
+			t.Fatal(err)
+		}
+		return rec.runs, rec.Clock(), rec.Stats()
+	}
+	var scanned []object.Object
+	wantRuns, wantClock, wantStats := measure(func() error {
+		return raw.ScanCtx(context.Background(), func(o object.Object) error {
+			scanned = append(scanned, o)
+			return nil
+		})
+	})
+	prefix := mkObjs(3, 10)
+	var got []object.Object
+	gotRuns, gotClock, gotStats := measure(func() (err error) {
+		got, err = raw.AppendAllCtx(context.Background(), slices.Clone(prefix))
+		return err
+	})
+	if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], scanned) || !slices.Equal(scanned, objs) {
+		t.Fatalf("AppendAllCtx returned %d records after a prefix of %d, ScanCtx visited %d of %d", len(got), len(prefix), len(scanned), len(objs))
+	}
+	if !slices.Equal(gotRuns, wantRuns) || len(wantRuns) != 3 {
+		t.Fatalf("AppendAllCtx read runs %v, ScanCtx %v", gotRuns, wantRuns)
+	}
+	if gotClock != wantClock || gotStats != wantStats {
+		t.Fatalf("AppendAllCtx cost %v %+v, ScanCtx %v %+v", gotClock, gotStats, wantClock, wantStats)
+	}
+
+	// Cancelled before the second chunk is read: the first chunk's records
+	// come back with the error.
+	ctx, cancel := context.WithCancel(context.Background())
+	rec.runs, rec.cancelAt, rec.cancel = nil, 2, cancel
+	part, err := raw.AppendAllCtx(ctx, nil)
+	rec.cancelAt = 0
+	if !errors.Is(err, context.Canceled) || len(part) != scanChunkPages*object.PageCapacity {
+		t.Fatalf("cancelled scan: %d records, err %v; want the first chunk's %d and context.Canceled", len(part), err, scanChunkPages*object.PageCapacity)
+	}
+
+	// A page that fails its check is named the way ScanCtx names it.
+	if err := rec.WritePageCtx(context.Background(), raw.file.ID(), 130, make([]byte, simdisk.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	scanErr := raw.ScanCtx(context.Background(), func(object.Object) error { return nil })
+	_, appendErr := raw.AppendAllCtx(context.Background(), nil)
+	if !errors.Is(appendErr, object.ErrBadMagic) || appendErr.Error() != scanErr.Error() || !strings.Contains(appendErr.Error(), `rawfile "r" page 130`) {
+		t.Fatalf("bad page: AppendAllCtx %v, ScanCtx %v", appendErr, scanErr)
+	}
+
+	if err := raw.Delete(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.AppendAllCtx(context.Background(), nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("AppendAllCtx on a deleted file: %v", err)
 	}
 }

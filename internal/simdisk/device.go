@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,7 +102,33 @@ type file struct {
 	name    string
 	mu      sync.RWMutex
 	pages   [][]byte
+	chunk   []byte // what is left of the allocation appended pages are carved from
 	deleted bool
+}
+
+// Appended pages are carved from chunks that grow with the file — one
+// allocation per chunk, not per page: a chunk is a 64th of the file's length,
+// at least one page and at most maxChunkPages, rounded down to a power of two
+// (sizes the allocator serves without rounding up; an odd number of pages
+// above 32 KB costs another half page each). The unused end of the last chunk
+// is the only memory the device holds beyond its pages: under 1/64 of the
+// file, and under 128 KB.
+const (
+	chunkGrowth   = 64
+	maxChunkPages = 32
+)
+
+// newPage returns the file's next stored page, its content unspecified; the
+// caller holds f.mu and appends it to f.pages.
+func (f *file) newPage() []byte {
+	if len(f.chunk) < PageSize {
+		n := min(max(len(f.pages)/chunkGrowth, 1), maxChunkPages)
+		n = 1 << (bits.Len(uint(n)) - 1)
+		f.chunk = make([]byte, n*PageSize)
+	}
+	page := f.chunk[:PageSize:PageSize]
+	f.chunk = f.chunk[PageSize:]
+	return page
 }
 
 // channel is one independent I/O channel of a Device: its own platter head
@@ -480,7 +507,7 @@ func (d *Device) AppendPageCtx(ctx context.Context, id FileID, data []byte) (int
 	dt := d.chargePlatter(s, key)
 	d.pageWrites.Add(1)
 	d.bytesWritten.Add(PageSize)
-	page := make([]byte, PageSize)
+	page := f.newPage()
 	copy(page, data)
 	f.pages = append(f.pages, page)
 	d.cache.Insert(key) // under f.mu; see WritePageCtx

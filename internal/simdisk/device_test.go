@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -316,5 +317,57 @@ func TestWriteIsolation(t *testing.T) {
 	}
 	if out[0] != 1 {
 		t.Fatal("device aliased caller buffer")
+	}
+}
+
+// TestAppendAllocatesPerChunk: appended pages are carved from chunks that grow
+// with the file, so N appends cost O(N/maxChunkPages) allocations, not N; the
+// chunk the file ends in is never more than a 64th of it (or one page); and a
+// stored page still shares nothing with its neighbours or the caller's buffer.
+func TestAppendAllocatesPerChunk(t *testing.T) {
+	const pages = 4096
+	d := NewDevice(CostModel{}, 0)
+	id := d.CreateFileInGroup("f", "")
+	data := make([]byte, PageSize)
+	ctx := context.Background()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for p := 0; p < pages; p++ {
+		data[0], data[PageSize-1] = byte(p), byte(p>>8)
+		if _, err := d.AppendPageCtx(ctx, id, data); err != nil {
+			t.Fatal(err)
+		}
+		if f := d.files[id]; len(f.chunk) > PageSize*max(len(f.pages)/chunkGrowth, 1) {
+			t.Fatalf("after %d pages the file holds %d unused bytes", len(f.pages), len(f.chunk))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// 128 one-page chunks, then 64 of each size from 2 to 32 — 448 — plus the
+	// growth of f.pages; from 2,048 pages on it is one allocation per 32.
+	if n := after.Mallocs - before.Mallocs; n > pages/8 {
+		t.Errorf("%d appends made %d allocations, want at most %d (one per chunk)", pages, n, pages/8)
+	}
+	data[0], data[PageSize-1] = 0xEE, 0xEE // the device kept copies
+	buf := make([]byte, PageSize)
+	for p := 0; p < pages; p++ {
+		if _, err := d.readPage(ctx, id, int64(p), buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != byte(p) || buf[PageSize-1] != byte(p>>8) {
+			t.Fatalf("page %d reads back %#x..%#x", p, buf[0], buf[PageSize-1])
+		}
+	}
+	// Overwriting one page in place leaves its chunk neighbours alone.
+	clear(data)
+	if err := d.WritePageCtx(ctx, id, 3000, data); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int64{2999, 3001} {
+		if _, err := d.readPage(ctx, id, p, buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != byte(p) || buf[PageSize-1] != byte(p>>8) {
+			t.Fatalf("page %d changed when page 3000 was overwritten", p)
+		}
 	}
 }

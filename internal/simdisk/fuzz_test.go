@@ -52,26 +52,15 @@ func FuzzLRU(f *testing.F) {
 			t.Fatalf("cache holds %d pages, capacity %d", got, capi)
 		}
 		// The per-shard structures must still be internally consistent:
-		// walking each shard's list visits exactly its mapped entries.
+		// walking each shard's list visits exactly its mapped entries, and
+		// every other slot is free (lruCache.order).
 		for si, s := range cache.shards {
 			s.mu.Lock()
-			seen := 0
-			for n := s.lru.head; n != nil; n = n.next {
-				if _, ok := s.lru.entries[n.key]; !ok {
-					s.mu.Unlock()
-					t.Fatalf("shard %d: list node %v missing from map", si, n.key)
-				}
-				seen++
-				if seen > len(s.lru.entries) {
-					s.mu.Unlock()
-					t.Fatalf("shard %d: list longer than map (cycle?)", si)
-				}
-			}
-			if seen != len(s.lru.entries) {
-				s.mu.Unlock()
-				t.Fatalf("shard %d: list has %d nodes, map %d", si, seen, len(s.lru.entries))
-			}
+			_, err := s.lru.order()
 			s.mu.Unlock()
+			if err != nil {
+				t.Fatalf("shard %d: %v", si, err)
+			}
 		}
 	})
 }
