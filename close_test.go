@@ -95,12 +95,10 @@ func TestExplorerCloseDrainsMaintenance(t *testing.T) {
 func TestExplorerCloseDuringFaultStorm(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ex := asyncEnv(t, Options{
-		MaintenanceWorkers:      3,
-		Retry:                   RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond},
-		QuarantineAfter:         2,
-		MaintenanceRetryBackoff: time.Millisecond,
-		BrownoutThreshold:       0.25,
-		BrownoutWindow:          2 * time.Millisecond,
+		MaintenanceWorkers: 3,
+		Retry:              RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond},
+		BrownoutThreshold:  0.25,
+		BrownoutWindow:     2 * time.Millisecond,
 	})
 	ex.SetRealTimeScale(0.05)
 	ex.SetFaultPlan(FaultPlan{

@@ -326,7 +326,9 @@ func TestFailoverOnDeviceFault(t *testing.T) {
 
 	// Every device read on shard 0 now faults permanently; health probes
 	// still succeed (the shard process is alive), so routing keeps trying
-	// it — the failover path is what saves those queries.
+	// it — the failover path is what saves those queries. The two datasets'
+	// replica arcs are (0,1) and (1,0) and the rotation follows the query's
+	// ordinal, so one of every query's two groups tries shard 0 first.
 	r.shards[0].ex.SetFaultPlan(odyssey.FaultPlan{Seed: 9, PermanentRate: 1})
 
 	dss := []odyssey.DatasetID{0, 1}

@@ -66,9 +66,6 @@ type Router struct {
 	// ord numbers queries; the fault plan's crash and slow windows are
 	// evaluated against it.
 	ord atomic.Int64
-	// rr rotates reads across a group's live replicas.
-	rr atomic.Uint64
-
 	// legs tracks in-flight sub-query goroutines: a hedge loser may outlive
 	// its query, and Close must wait it out before closing the shards.
 	legs sync.WaitGroup
@@ -315,10 +312,13 @@ func failoverable(err error) bool {
 }
 
 // orderCandidates orders a group's replica shards for serving: up shards
-// first (rotated so reads spread across replicas), then degraded, then
-// down — down shards stay in the list as a last resort, so a stale or
-// flapped health verdict can cost a failed attempt but never manufacture
-// an outage on its own.
+// first, then degraded, then down — down shards stay in the list as a last
+// resort, so a stale or flapped health verdict can cost a failed attempt
+// but never manufacture an outage on its own. The up shards are rotated by
+// the query's ordinal, so reads spread across replicas as a function of the
+// query alone: the groups of one query, whose replica arcs start on
+// different shards, start on different shards too, however their goroutines
+// interleave (a counter shared by the groups sent them to the same one).
 func (r *Router) orderCandidates(replicas []int, ord int64) []*shard {
 	var up, deg, down []*shard
 	for _, id := range replicas {
@@ -333,7 +333,7 @@ func (r *Router) orderCandidates(replicas []int, ord int64) []*shard {
 		}
 	}
 	if len(up) > 1 {
-		rot := int(r.rr.Add(1) % uint64(len(up)))
+		rot := int(ord % int64(len(up)))
 		rotated := make([]*shard, 0, len(up))
 		rotated = append(rotated, up[rot:]...)
 		rotated = append(rotated, up[:rot]...)

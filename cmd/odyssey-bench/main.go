@@ -81,7 +81,7 @@ func flags(p *params) *flag.FlagSet {
 	fs.IntVar(&p.transferUS, "transfer-us", 25, "simulated per-page transfer time in microseconds")
 	fs.IntVar(&p.workers, "parallel", 0, "pool workers for the serving rows (0 = the row's default: 8, scenarios 4)")
 	fs.Float64Var(&p.scale, "realtime-scale", 1.0, "wall-clock seconds slept per simulated second in the measured replays")
-	fs.IntVar(&p.cfg.Devices, "devices", 1, "number of simulated member devices to stripe files across")
+	fs.IntVar(&p.cfg.Devices, "devices", 1, "number of simulated member devices to place files on")
 	fs.IntVar(&p.cfg.Channels, "channels", 1, "independent I/O channels (platter heads) per device")
 	fs.StringVar(&p.cfg.Placement, "placement", "affinity", "file placement across devices: affinity|roundrobin")
 	fs.StringVar(&p.jsonPath, "json", "", "write the row's report as JSON to this file (the figure rows of one invocation share one)")

@@ -188,9 +188,10 @@ type Dispatcher struct {
 	jobs  chan dispatchJob
 	slots chan struct{} // in-flight semaphore; nil when MaxInFlight == 0
 	wg    sync.WaitGroup
-	// sweepWg tracks the per-job sweeper watchers; Close drains it after
-	// the workers so no sweeper delivery can race the caller closing its
-	// result channel.
+	// sweepWg counts the registered sweeper callbacks that have neither
+	// returned nor been stopped before starting; Close drains it after the
+	// workers so no sweeper delivery can race the caller closing its result
+	// channel.
 	sweepWg sync.WaitGroup
 	stats   []WorkerStats
 
@@ -228,12 +229,24 @@ type dispatchJob struct {
 	submitted time.Time
 	out       chan<- BatchResult
 
-	// done arbitrates between the worker that pops the job and the sweeper
-	// watching its context: whoever flips it first owns delivery. claimed
-	// is closed by the worker on pop so the watcher can retire. Both are
-	// nil for jobs with an uncancellable context (nothing to sweep).
-	done    *atomic.Bool
-	claimed chan struct{}
+	// sweep is the claim state shared with the sweeper callback on the job's
+	// context; nil for a job with an uncancellable context (nothing to
+	// sweep).
+	sweep *sweepState
+}
+
+// sweepState arbitrates between the worker that pops a job and the sweeper
+// callback registered on its context: whoever flips done first owns
+// delivery. stop unregisters the callback; SubmitCtx publishes it (armed)
+// after the job is queued, so a worker that pops the job earlier skips it
+// and SubmitCtx, finding done already set, stops the callback itself. job is
+// the sweeper's copy, kept here so that a job with nothing to sweep
+// allocates nothing.
+type sweepState struct {
+	done  atomic.Bool
+	armed atomic.Bool
+	stop  func() bool
+	job   dispatchJob
 }
 
 // NewDispatcher starts a pool of the given number of workers over the
@@ -377,16 +390,12 @@ func (d *Dispatcher) SubmitCtx(ctx context.Context, index int, q Query, out chan
 	}
 	if job.ctx.Done() != nil {
 		// The job can expire in the queue; arm the sweeper's claim state.
-		job.done = new(atomic.Bool)
-		job.claimed = make(chan struct{})
+		job.sweep = new(sweepState)
 	}
 	d.sendMu.RLock()
 	if d.closed {
 		d.sendMu.RUnlock()
-		if job.cancel != nil {
-			job.cancel()
-		}
-		d.releaseSlot()
+		d.abandon(job)
 		return ErrClosed
 	}
 	staged := false
@@ -422,10 +431,7 @@ func (d *Dispatcher) SubmitCtx(ctx context.Context, index int, q Query, out chan
 		case d.jobs <- job:
 		default:
 			d.sendMu.RUnlock()
-			if job.cancel != nil {
-				job.cancel()
-			}
-			d.releaseSlot()
+			d.abandon(job)
 			d.rejected.Add(1)
 			return ErrOverloaded
 		}
@@ -440,20 +446,42 @@ func (d *Dispatcher) SubmitCtx(ctx context.Context, index int, q Query, out chan
 		case d.jobs <- job:
 		case <-job.ctx.Done():
 			d.sendMu.RUnlock()
-			if job.cancel != nil {
-				job.cancel()
-			}
-			d.releaseSlot()
+			d.abandon(job)
 			return simdisk.Canceled(job.ctx.Err())
 		}
 	}
 	d.admitted.Add(1)
-	if job.done != nil {
+	if s := job.sweep; s != nil {
+		// No goroutine waits on a queued job: the context runs the sweeper
+		// if it ends first, and whoever pops the job unregisters it.
+		s.job = job
 		d.sweepWg.Add(1)
-		go d.sweep(job)
+		s.stop = context.AfterFunc(job.ctx, func() { d.sweep(s) })
+		s.armed.Store(true)
+		if s.done.Load() {
+			d.retire(s) // popped before stop was published
+		}
 	}
 	d.sendMu.RUnlock()
 	return nil
+}
+
+// abandon releases what SubmitCtx took for a job it is not going to queue:
+// the attached deadline's timer and the in-flight slot.
+func (d *Dispatcher) abandon(job dispatchJob) {
+	if job.cancel != nil {
+		job.cancel()
+	}
+	d.releaseSlot()
+}
+
+// retire unregisters a claimed job's sweeper callback. A callback stopped
+// before it started never runs, so its count is released here; one already
+// running loses the claim and releases its own.
+func (d *Dispatcher) retire(s *sweepState) {
+	if s.stop() {
+		d.sweepWg.Done()
+	}
 }
 
 // batcher drains the micro-batching stage every BatchWindow, releasing the
@@ -545,25 +573,22 @@ func (d *Dispatcher) flushBatch() {
 	}
 }
 
-// sweep watches one queued job's context. If the context dies before a
-// worker claims the job, the sweeper delivers the cancellation result and
-// releases the in-flight slot immediately — the submitter gets its answer
-// and its capacity back at expiry time instead of after the residual queue
-// wait — and the worker that eventually pops the job discards it. Exactly
-// one of worker and sweeper delivers (the done flag arbitrates). The
-// discarded job still occupies a queue entry until that pop, which is why
-// the admission-path enqueue in SubmitCtx is non-blocking: a zombie
-// backlog sheds new submissions instead of blocking them.
-func (d *Dispatcher) sweep(job dispatchJob) {
+// sweep runs when a queued job's context ends (context.AfterFunc). If no
+// worker has claimed the job yet, the sweeper delivers the cancellation
+// result and releases the in-flight slot immediately — the submitter gets
+// its answer and its capacity back at expiry time instead of after the
+// residual queue wait — and the worker that eventually pops the job
+// discards it. Exactly one of worker and sweeper delivers (the done flag
+// arbitrates). The discarded job still occupies a queue entry until that
+// pop, which is why the admission-path enqueue in SubmitCtx is
+// non-blocking: a zombie backlog sheds new submissions instead of blocking
+// them.
+func (d *Dispatcher) sweep(s *sweepState) {
 	defer d.sweepWg.Done()
-	select {
-	case <-job.claimed:
-		return
-	case <-job.ctx.Done():
-	}
-	if !job.done.CompareAndSwap(false, true) {
+	if !s.done.CompareAndSwap(false, true) {
 		return // a worker claimed the job first
 	}
+	job := s.job
 	err := simdisk.Canceled(job.ctx.Err())
 	if job.cancel != nil {
 		job.cancel()
@@ -606,8 +631,9 @@ func (d *Dispatcher) Close() {
 		close(d.jobs)
 	})
 	d.wg.Wait()
-	// Every job has been popped by now (claimed or discarded), so every
-	// watcher can finish; wait so no delivery outlives Close.
+	// Every job has been popped by now (claimed or discarded), so the only
+	// callbacks left are sweeper deliveries in progress; wait so none
+	// outlives Close.
 	d.sweepWg.Wait()
 }
 
@@ -631,11 +657,12 @@ func (d *Dispatcher) worker(w int) {
 	st := &d.stats[w]
 	st.Worker = w
 	for job := range d.jobs {
-		if job.done != nil {
-			won := job.done.CompareAndSwap(false, true)
-			close(job.claimed) // retire the sweeper's watcher
-			if !won {
+		if s := job.sweep; s != nil {
+			if !s.done.CompareAndSwap(false, true) {
 				continue // the sweeper already returned this job
+			}
+			if s.armed.Load() {
+				d.retire(s)
 			}
 		}
 		wait := time.Since(job.submitted)

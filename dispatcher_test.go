@@ -501,6 +501,43 @@ func TestDispatcherSweeperZombiesNeverBlockSubmit(t *testing.T) {
 	}
 }
 
+// TestDispatcherQueuedJobsHoldNoGoroutine pins what a waiting job costs: a
+// stage of deadline-carrying jobs nobody is executing (the batch window never
+// elapses) parks no goroutine per job — the context runs the sweeper when it
+// ends — and ending the context still sweeps every one of them back.
+func TestDispatcherQueuedJobsHoldNoGoroutine(t *testing.T) {
+	ex, queries := batchEnv(t)
+	const workers, n = 2, 1000
+	d := NewDispatcherWithAdmission(ex, workers, AdmissionConfig{BatchWindow: time.Hour, Deadline: time.Hour})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := make(chan BatchResult, n)
+	before := runtime.NumGoroutine()
+	for i := 0; i < n; i++ {
+		if err := d.SubmitCtx(ctx, i, queries[i%len(queries)], out); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	if grown := runtime.NumGoroutine() - before; grown > workers {
+		t.Fatalf("%d staged jobs grew the process by %d goroutines, want at most the pool's %d", n, grown, workers)
+	}
+	cancel()
+	for i := 0; i < n; i++ {
+		select {
+		case r := <-out:
+			if r.Worker != SweptWorker || !IsCanceled(r.Err) {
+				t.Fatalf("job %d came back from worker %d with %v, want swept and canceled", r.Index, r.Worker, r.Err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d staged jobs swept back after their context ended", i, n)
+		}
+	}
+	d.Close()
+	if st := d.AdmissionStats(); st.Admitted != n || st.Swept != n || st.Canceled != n {
+		t.Fatalf("AdmissionStats = %+v, want %d admitted, swept and canceled", st, n)
+	}
+}
+
 // TestKnobCensus pins the configuration surface so it cannot re-accrete; the
 // failure message carries the rule for whoever wants to add a field.
 func TestKnobCensus(t *testing.T) {
@@ -516,7 +553,7 @@ func TestKnobCensus(t *testing.T) {
 	if n := reflect.TypeOf(AdmissionStats{}).NumField(); n != 8 {
 		t.Errorf("AdmissionStats has %d fields, want 8: a counter nothing reads is a knob's shadow", n)
 	}
-	if n := reflect.TypeOf(Options{}).NumField(); n != 29 {
-		t.Errorf("Options has %d fields, want 29: %s", n, rule)
+	if n := reflect.TypeOf(Options{}).NumField(); n != 27 {
+		t.Errorf("Options has %d fields, want 27: %s", n, rule)
 	}
 }

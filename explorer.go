@@ -61,8 +61,8 @@ type Options struct {
 	// QueryBatch/QueryConcurrent exist to exploit. 0 (default) keeps the
 	// disk purely virtual and instant.
 	RealTimeScale float64
-	// Devices is the number of simulated member devices datasets stripe
-	// across (default 1 — a single device, the paper's baseline setup; the
+	// Devices is the number of simulated member devices files are placed
+	// on (default 1 — a single device, the paper's baseline setup; the
 	// paper's own evaluation hardware had two SAS disks). With Devices > 1
 	// file placement follows the Placement policy and the simulated clock
 	// reports the critical path across devices.
@@ -75,7 +75,9 @@ type Options struct {
 	// Placement chooses the member device for each new file when
 	// Devices > 1. Default GroupAffinityPlacement(): a dataset's raw and
 	// tree files co-locate, and merge files land next to their hottest
-	// member dataset. RoundRobinPlacement() stripes files blindly.
+	// member dataset. RoundRobinPlacement() deals files across members
+	// blindly: slower while the layout adapts, faster once it converged
+	// (ROADMAP, "Placement (PR 23)"). Whole files only.
 	Placement PlacementPolicy
 	// AsyncMaintenance moves layout maintenance (partition refinement and
 	// the merge step) off the query path: queries answer immediately from
@@ -158,19 +160,6 @@ type Options struct {
 	// retrying. The zero value disables retries (every fault surfaces on
 	// first sight, the pre-fault-harness behaviour).
 	Retry RetryPolicy
-	// QuarantineAfter is how many consecutive failures of one background
-	// maintenance unit (a cell's refinement, a combination's merge) trip
-	// quarantine: the unit's enqueues are dropped so a poisoned cell cannot
-	// occupy maintenance workers in a retry loop, while queries keep serving
-	// it from its last published layout. <= 0 defaults to 3. Permanent
-	// device faults quarantine on first sight. Only meaningful with
-	// AsyncMaintenance; see MaintenanceHealth and Unquarantine.
-	QuarantineAfter int
-	// MaintenanceRetryBackoff is the base wall-clock delay before a failed
-	// maintenance task is re-enqueued; it doubles per consecutive failure
-	// with up to 50% jitter. 0 defaults to 2ms. Only meaningful with
-	// AsyncMaintenance.
-	MaintenanceRetryBackoff time.Duration
 	// BrownoutThreshold, when positive, turns on graceful degradation under
 	// fault storms: a background controller samples the device's fault rate
 	// (faulted read attempts over all read attempts) every BrownoutWindow,
@@ -223,8 +212,6 @@ func (o Options) engineConfig() core.Config {
 	cfg.CacheCapacity = o.CacheCapacity
 	cfg.AdaptiveCache = o.AdaptiveCache
 	cfg.HeatHalfLife = o.HeatHalfLife
-	cfg.QuarantineAfter = o.QuarantineAfter
-	cfg.MaintenanceRetryBackoff = o.MaintenanceRetryBackoff
 	return cfg
 }
 

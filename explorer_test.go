@@ -369,7 +369,7 @@ func replayWorkload(t *testing.T, opts Options) DiskStats {
 	return ex.DiskStats()
 }
 
-// TestDeviceArrayStatsConservation pins the invariant that striping moves
+// TestDeviceArrayStatsConservation pins the invariant that placement moves
 // I/O between devices but never changes how much I/O the engine performs: a
 // serial workload replayed on a single device and on a 2x2 array produces
 // identical volume counters (reads, writes, bytes, cache hits — the cache

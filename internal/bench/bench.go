@@ -71,14 +71,16 @@ type Config struct {
 	// full scale, found by a parameter sweep; harness default 6, found by
 	// the same sweep at harness scale — see EXPERIMENTS.md).
 	GridCells int
-	// Devices is the number of simulated member devices files stripe
-	// across (0 or 1 = a single device, the original setup).
+	// Devices is the number of simulated member devices files are placed
+	// on (0 or 1 = a single device, the original setup).
 	Devices int
 	// Channels is the number of independent I/O channels (platter heads)
 	// per device (0 or 1 = the original single-head model).
 	Channels int
-	// Placement selects the striping policy for Devices > 1: "affinity"
-	// (default; dataset files co-locate) or "roundrobin".
+	// Placement selects the file-placement policy for Devices > 1:
+	// "affinity" (default; a dataset's files co-locate — the faster layout
+	// while the engine adapts) or "roundrobin" (files dealt across members —
+	// the faster layout once converged). Whole files only.
 	Placement string
 	// GridMemBudgetObjects caps the Grid build's in-memory buffer,
 	// modelling the paper's 1 GB memory limit: cells fragment into
@@ -139,18 +141,15 @@ func NewEnvWithData(cfg Config, datasets [][]object.Object) *Env {
 }
 
 // PlacementByName resolves a placement-policy name ("", "affinity",
-// "roundrobin", "pagestripe") to a fresh policy instance, defaulting to
-// affinity.
+// "roundrobin") to a fresh policy instance, defaulting to affinity.
 func PlacementByName(name string) (simdisk.PlacementPolicy, error) {
 	switch name {
 	case "", "affinity":
 		return simdisk.GroupAffinity(), nil
 	case "roundrobin":
 		return simdisk.RoundRobin(), nil
-	case "pagestripe":
-		return simdisk.PageStripe(0), nil
 	}
-	return nil, fmt.Errorf("bench: unknown placement policy %q (want affinity, roundrobin or pagestripe)", name)
+	return nil, fmt.Errorf("bench: unknown placement policy %q (want affinity|roundrobin)", name)
 }
 
 // NewStorage builds the storage topology cfg describes via

@@ -28,11 +28,13 @@ func TestQuerySurvivesTransientDeviceFault(t *testing.T) {
 	// Fault every file's page 0 so whichever file the next query reads
 	// first fails. File ids 1..N exist on this device.
 	boom := errors.New("media error")
+	var plan simdisk.FaultPlan
 	for id := simdisk.FileID(1); id < 40; id++ {
 		if _, err := dev.NumPages(id); err == nil {
-			dev.InjectReadFault(id, 0, boom)
+			plan.Pages = append(plan.Pages, simdisk.PageFault{File: id, Page: 0, Count: 1, Err: boom})
 		}
 	}
+	dev.SetFaultPlan(plan)
 	// A whole-volume query must touch page 0 of the partition files.
 	all := geom.NewBox(geom.V(0.001, 0.001, 0.001), geom.V(0.999, 0.999, 0.999))
 	if _, err := eng.Query(all, dss); !errors.Is(err, boom) {
@@ -66,7 +68,7 @@ func TestFirstQueryFaultDuringBuild(t *testing.T) {
 	eng, _, dev := testSetup(t, 2, 1000, 92, DefaultConfig())
 	boom := errors.New("raw read error")
 	// Raw files were created first on this device: ids 1 and 2.
-	dev.InjectReadFault(1, 0, boom)
+	dev.SetFaultPlan(simdisk.FaultPlan{Pages: []simdisk.PageFault{{File: 1, Page: 0, Count: 1, Err: boom}}})
 	q := geom.Cube(geom.V(0.5, 0.5, 0.5), 0.05)
 	if _, err := eng.Query(q, []object.DatasetID{0}); !errors.Is(err, boom) {
 		t.Fatalf("build fault not propagated: %v", err)

@@ -240,7 +240,7 @@ func TestReadRunPropagatesDeviceError(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("media error")
-	dev.InjectReadFault(f.ID(), 1, boom)
+	dev.SetFaultPlan(simdisk.FaultPlan{Pages: []simdisk.PageFault{{File: f.ID(), Page: 1, Count: 1, Err: boom}}})
 	if _, err := f.ReadRunIntoCtx(context.Background(), nil, run); !errors.Is(err, boom) {
 		t.Fatalf("device fault not propagated: %v", err)
 	}

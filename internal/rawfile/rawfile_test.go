@@ -181,7 +181,7 @@ func TestScanPropagatesDeviceFault(t *testing.T) {
 	}
 	boom := errors.New("media error")
 	// Raw files are created on a fresh device; file IDs start at 1.
-	dev.InjectReadFault(simdisk.FileID(1), 1, boom)
+	dev.SetFaultPlan(simdisk.FaultPlan{Pages: []simdisk.PageFault{{File: 1, Page: 1, Count: 1, Err: boom}}})
 	if err := raw.ScanCtx(context.Background(), func(object.Object) error { return nil }); !errors.Is(err, boom) {
 		t.Fatalf("fault not propagated: %v", err)
 	}

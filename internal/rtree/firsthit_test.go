@@ -75,13 +75,13 @@ func TestFirstHitPropagatesFault(t *testing.T) {
 	// Fault the root node page: the first FirstHit read must fail. The
 	// tree file is the only file on this device besides the sort scratch
 	// (deleted), so its id is enumerable; fault every page 0..N of it.
+	var plan simdisk.FaultPlan
 	for id := simdisk.FileID(1); id < 10; id++ {
-		if n, err := dev.NumPages(id); err == nil {
-			for p := int64(0); p < n; p++ {
-				dev.InjectReadFault(id, p, simdisk.ErrOutOfRange)
-			}
+		if _, err := dev.NumPages(id); err == nil {
+			plan.Pages = append(plan.Pages, simdisk.PageFault{File: id, Page: -1, Err: simdisk.ErrOutOfRange})
 		}
 	}
+	dev.SetFaultPlan(plan)
 	if _, _, err := tree.FirstHit(geom.UnitBox()); err == nil {
 		t.Fatal("device fault not propagated through FirstHit")
 	}

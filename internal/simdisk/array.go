@@ -3,7 +3,6 @@ package simdisk
 import (
 	"context"
 	"hash/fnv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -24,8 +23,8 @@ type PlacementPolicy interface {
 // roundRobin cycles through the members file by file, ignoring groups.
 type roundRobin struct{ next atomic.Uint32 }
 
-// RoundRobin returns the placement policy that stripes successive files
-// across successive devices regardless of their affinity group. It spreads
+// RoundRobin returns the placement policy that deals successive files onto
+// successive devices regardless of their affinity group. It spreads
 // load evenly but may split a dataset's raw and tree files apart.
 func RoundRobin() PlacementPolicy { return &roundRobin{} }
 
@@ -58,12 +57,13 @@ func (groupAffinity) Place(name, group string, devices int) int {
 
 func (groupAffinity) String() string { return "affinity" }
 
-// DeviceArray stripes files across D member Devices behind the same
+// DeviceArray places whole files on D member Devices behind the same
 // Storage interface a single Device offers — the paper's evaluation runs on
 // 2x 300 GB SAS disks, and this is that second spindle (and more). Each
 // member keeps its own channels, cache shard-set, clock and counters; the
 // array routes every file operation to the member its placement policy
-// chose at creation time.
+// chose at creation time, and does nothing else: every Storage method is
+// decode plus one member call, or a loop over the members.
 //
 // FileIDs are bijectively encoded as memberLocalID*D + memberIndex, so
 // routing is arithmetic (no shared map on the hot path) and the zero
@@ -77,14 +77,6 @@ func (groupAffinity) String() string { return "affinity" }
 type DeviceArray struct {
 	members []*Device
 	policy  PlacementPolicy
-
-	// Page striping (PageStripe policy): chunk > 0 marks the array as
-	// striping, every created file gets a stripeTag'd id and an entry in
-	// stripes mapping it to its per-member backing files. See stripe.go.
-	chunk     int64
-	stripeMu  sync.RWMutex
-	stripes   map[FileID]*stripedFile
-	stripeSeq uint32
 }
 
 // NewDeviceArray creates an array of devices member Devices with channels
@@ -106,12 +98,7 @@ func NewDeviceArray(cost CostModel, cacheCapacity, devices, channels int, policy
 	for i := range members {
 		members[i] = NewDeviceChannels(cost, perMember, channels)
 	}
-	a := &DeviceArray{members: members, policy: policy}
-	if sp, ok := policy.(stripingPolicy); ok {
-		a.chunk = sp.ChunkPages()
-		a.stripes = make(map[FileID]*stripedFile)
-	}
-	return a
+	return &DeviceArray{members: members, policy: policy}
 }
 
 // Members exposes the member devices (for tests and reports).
@@ -137,11 +124,6 @@ func (a *DeviceArray) CreateFileInGroup(name, group string) FileID {
 	if a.members[0].closed.Load() {
 		return InvalidFile
 	}
-	if a.chunk > 0 {
-		// Page striping: the file spans every member; the affinity group is
-		// moot (all groups share all spindles).
-		return a.createStriped(name)
-	}
 	m := a.policy.Place(name, group, len(a.members))
 	if m < 0 || m >= len(a.members) {
 		m = ((m % len(a.members)) + len(a.members)) % len(a.members)
@@ -150,40 +132,25 @@ func (a *DeviceArray) CreateFileInGroup(name, group string) FileID {
 	return a.encode(m, local)
 }
 
-// MemberOf returns the index of the member device holding id, or -1 for a
-// page-striped file (it spans every member).
+// MemberOf returns the index of the member device holding id.
 func (a *DeviceArray) MemberOf(id FileID) int {
-	if _, ok := a.striped(id); ok {
-		return -1
-	}
 	return int(uint32(id) % uint32(len(a.members)))
 }
 
-// DeleteFile removes a file from its member device (all members for a
-// striped file).
+// DeleteFile removes a file from its member device.
 func (a *DeviceArray) DeleteFile(id FileID) error {
-	if f, ok := a.striped(id); ok {
-		return a.deleteStriped(id, f)
-	}
 	dev, local := a.decode(id)
 	return dev.DeleteFile(local)
 }
 
 // FileName returns the debug name a file was created with.
 func (a *DeviceArray) FileName(id FileID) (string, error) {
-	if f, ok := a.striped(id); ok {
-		return f.name, nil
-	}
 	dev, local := a.decode(id)
 	return dev.FileName(local)
 }
 
-// NumPages returns the file length in pages (the logical length for a
-// striped file).
+// NumPages returns the file length in pages.
 func (a *DeviceArray) NumPages(id FileID) (int64, error) {
-	if f, ok := a.striped(id); ok {
-		return a.stripedNumPages(f)
-	}
 	dev, local := a.decode(id)
 	return dev.NumPages(local)
 }
@@ -197,43 +164,26 @@ func (a *DeviceArray) TotalPages() int64 {
 	return total
 }
 
-// ReadPageCtx reads one page on the file's member device (the chunk-mapped
-// member for a striped file).
+// ReadPageCtx reads one page on the file's member device.
 func (a *DeviceArray) ReadPageCtx(ctx context.Context, id FileID, idx int64, buf []byte) error {
-	if f, ok := a.striped(id); ok {
-		m, lp := a.stripeLoc(idx)
-		return a.members[m].ReadPageCtx(ctx, f.locals[m], lp, buf)
-	}
 	dev, local := a.decode(id)
 	return dev.ReadPageCtx(ctx, local, idx, buf)
 }
 
 // WritePageCtx overwrites one page on the file's member device.
 func (a *DeviceArray) WritePageCtx(ctx context.Context, id FileID, idx int64, data []byte) error {
-	if f, ok := a.striped(id); ok {
-		m, lp := a.stripeLoc(idx)
-		return a.members[m].WritePageCtx(ctx, f.locals[m], lp, data)
-	}
 	dev, local := a.decode(id)
 	return dev.WritePageCtx(ctx, local, idx, data)
 }
 
-// AppendPageCtx appends one page on the file's member device (at the
-// logical end of file, on the chunk-mapped member, for a striped file).
+// AppendPageCtx appends one page on the file's member device.
 func (a *DeviceArray) AppendPageCtx(ctx context.Context, id FileID, data []byte) (int64, error) {
-	if f, ok := a.striped(id); ok {
-		return a.stripedAppend(ctx, f, data)
-	}
 	dev, local := a.decode(id)
 	return dev.AppendPageCtx(ctx, local, data)
 }
 
-// ReadRunCtx reads n consecutive pages on the file's member device (fanned
-// out across all members concurrently for a striped file).
+// ReadRunCtx reads n consecutive pages on the file's member device.
 func (a *DeviceArray) ReadRunCtx(ctx context.Context, id FileID, start, n int64) ([]byte, error) {
-	if f, ok := a.striped(id); ok {
-		return a.stripedReadRun(ctx, f, start, n)
-	}
 	dev, local := a.decode(id)
 	return dev.ReadRunCtx(ctx, local, start, n)
 }

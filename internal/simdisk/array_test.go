@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// TestArrayPlacementRoundRobin checks the stateful striping policy and the
+// TestArrayPlacementRoundRobin checks the stateful file-dealing policy and the
 // FileID encoding round-trip.
 func TestArrayPlacementRoundRobin(t *testing.T) {
 	a := NewDeviceArray(DefaultCostModel(), 64, 3, 1, RoundRobin())
@@ -40,7 +40,7 @@ func TestArrayPlacementAffinity(t *testing.T) {
 	}
 	// Different groups must be able to land elsewhere (spot-check that at
 	// least two of a handful of groups differ — all-on-one would defeat
-	// striping).
+	// spreading files).
 	seen := map[int]bool{}
 	for _, g := range []string{"ds0", "ds1", "ds2", "ds3", "ds4", "ds5", "ds6", "ds7"} {
 		seen[a.MemberOf(a.CreateFileInGroup(g+".raw", g))] = true

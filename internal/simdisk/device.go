@@ -195,14 +195,12 @@ type Device struct {
 	bytesWritten atomic.Int64
 	canceledOps  atomic.Int64
 
-	// Failure injection (see faults.go): readFaults holds one-shot injected
-	// faults, faults the installed FaultPlan's evaluation state. faultsArmed
-	// counts armed one-shots plus one for an active plan, letting the hot
+	// Failure injection (see faults.go): faults is the installed FaultPlan's
+	// evaluation state, faultsArmed whether one is installed, letting the hot
 	// path skip faultMu entirely when nothing is injected. retry holds the
 	// page-read retry policy (see retry.go).
 	faultMu         sync.Mutex
-	faultsArmed     atomic.Int32
-	readFaults      map[pageKey]error
+	faultsArmed     atomic.Bool
 	faults          *faultState
 	retry           atomic.Pointer[RetryPolicy]
 	transientFaults atomic.Int64
@@ -252,12 +250,11 @@ func NewDeviceChannels(cost CostModel, cacheCapacity, channels int) *Device {
 		channels = 1
 	}
 	return &Device{
-		cost:       cost,
-		files:      make(map[FileID]*file),
-		next:       1,
-		channels:   make([]channel, channels),
-		cache:      newShardedCache(cacheCapacity),
-		readFaults: make(map[pageKey]error),
+		cost:     cost,
+		files:    make(map[FileID]*file),
+		next:     1,
+		channels: make([]channel, channels),
+		cache:    newShardedCache(cacheCapacity),
 	}
 }
 
@@ -403,7 +400,7 @@ func (d *Device) readPage(ctx context.Context, id FileID, idx int64, buf []byte)
 	}
 	key := pageKey{id, idx}
 	var spike time.Duration
-	if d.faultsArmed.Load() > 0 {
+	if d.faultsArmed.Load() {
 		sp, ferr := d.takeFault(key)
 		if ferr != nil {
 			f.mu.RUnlock()
@@ -583,14 +580,6 @@ func (d *Device) chargePlatter(s *OpScope, key pageKey) time.Duration {
 	return svc + time.Duration(delay)
 }
 
-// takeFault evaluates the injected faults for one platter-path read of key:
-// armed one-shots first, then the installed FaultPlan (see faults.go).
-func (d *Device) takeFault(key pageKey) (time.Duration, error) {
-	d.faultMu.Lock()
-	defer d.faultMu.Unlock()
-	return d.evalFaultLocked(key)
-}
-
 // Clock returns the simulated time elapsed since creation or the last
 // ResetClock: the busiest channel's platter time plus the shared
 // cache-hit time. On a single-channel device this is exactly the sum of
@@ -747,20 +736,6 @@ func (d *Device) DeviceChannelStats() [][]ChannelStats {
 // CachedPages returns the number of pages currently cached.
 func (d *Device) CachedPages() int {
 	return d.cache.Len()
-}
-
-// InjectReadFault arms a one-shot read error on (id, idx): the next platter
-// read of that page fails with a transient-classified fault that unwraps to
-// err (so errors.Is matches both ErrTransient and err). Tests use it to
-// exercise error paths through the storage stack; for richer scenarios —
-// rates, storms, permanent faults, latency spikes — install a FaultPlan.
-func (d *Device) InjectReadFault(id FileID, idx int64, err error) {
-	d.faultMu.Lock()
-	defer d.faultMu.Unlock()
-	if _, dup := d.readFaults[pageKey{id, idx}]; !dup {
-		d.faultsArmed.Add(1)
-	}
-	d.readFaults[pageKey{id, idx}] = err
 }
 
 // TotalPages returns the number of pages across all files (disk usage).

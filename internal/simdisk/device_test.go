@@ -268,24 +268,6 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
-func TestInjectReadFault(t *testing.T) {
-	d := NewDefaultDevice(0)
-	f := d.CreateFileInGroup("data", "")
-	if _, err := d.AppendPageCtx(context.Background(), f, page(1)); err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("media error")
-	d.InjectReadFault(f, 0, boom)
-	buf := make([]byte, PageSize)
-	if err := d.ReadPageCtx(context.Background(), f, 0, buf); !errors.Is(err, boom) {
-		t.Fatalf("fault not delivered: %v", err)
-	}
-	// One-shot: second read succeeds.
-	if err := d.ReadPageCtx(context.Background(), f, 0, buf); err != nil {
-		t.Fatalf("fault not cleared: %v", err)
-	}
-}
-
 func TestDefaultAndSSDCostModels(t *testing.T) {
 	if err := DefaultCostModel().Validate(); err != nil {
 		t.Error(err)

@@ -176,17 +176,13 @@ const (
 // SetFaultPlan installs (or, with a zero plan, clears) the device's fault
 // plan. Installing a plan resets all evaluation state — page read ordinals,
 // sticky permanent pages, pattern budgets, the storm counter — so the same
-// plan replays the same fault sequence. One-shot InjectReadFault entries are
-// independent of the plan and survive it.
+// plan replays the same fault sequence.
 func (d *Device) SetFaultPlan(plan FaultPlan) {
 	d.faultMu.Lock()
 	defer d.faultMu.Unlock()
-	hadPlan := d.faults != nil
 	if !plan.active() {
 		d.faults = nil
-		if hadPlan {
-			d.faultsArmed.Add(-1)
-		}
+		d.faultsArmed.Store(false)
 		return
 	}
 	st := &faultState{
@@ -206,9 +202,7 @@ func (d *Device) SetFaultPlan(plan FaultPlan) {
 		st.plan.StormFactor = 10
 	}
 	d.faults = st
-	if !hadPlan {
-		d.faultsArmed.Add(1)
-	}
+	d.faultsArmed.Store(true)
 }
 
 // FaultPlanActive reports whether a fault plan is currently installed.
@@ -232,23 +226,15 @@ func (st *faultState) stormBoost(pos uint64) float64 {
 	return 1
 }
 
-// evalFault decides the fate of one platter-path read of key: a latency
+// takeFault decides the fate of one platter-path read of key: a latency
 // spike to add to the read's wall-clock emulation (never to the simulated
 // clock), an injected error, or neither. Called from readPage's fault hook
-// under faultMu, before any cache touch or platter charge — a faulted read
-// costs nothing, which is what lets the retry layer promise that retries
-// never extend simulated charges beyond I/O actually performed.
-func (d *Device) evalFaultLocked(key pageKey) (spike time.Duration, err error) {
-	// One-shot injected faults (test compatibility) take precedence; they
-	// are classified transient and unwrap to the injector's error.
-	if len(d.readFaults) > 0 {
-		if cause, ok := d.readFaults[key]; ok {
-			delete(d.readFaults, key)
-			d.faultsArmed.Add(-1)
-			d.transientFaults.Add(1)
-			return 0, &faultErr{kind: FaultTransient, file: key.file, page: key.page, cause: cause}
-		}
-	}
+// before any cache touch or platter charge — a faulted read costs nothing,
+// which is what lets the retry layer promise that retries never extend
+// simulated charges beyond I/O actually performed.
+func (d *Device) takeFault(key pageKey) (spike time.Duration, err error) {
+	d.faultMu.Lock()
+	defer d.faultMu.Unlock()
 	st := d.faults
 	if st == nil {
 		return 0, nil
@@ -309,10 +295,18 @@ func (d *Device) evalFaultLocked(key pageKey) (spike time.Duration, err error) {
 // SetFaultPlan fans the plan out to every member with a per-member seed
 // offset, decorrelating the members' fault sequences (their local page
 // spaces overlap, so a shared seed would fault the same (file, page) keys
-// everywhere in lockstep).
+// everywhere in lockstep). Explicit Pages entries name array-global files:
+// each goes, under its member-local id, to the one member that owns the file.
 func (a *DeviceArray) SetFaultPlan(plan FaultPlan) {
 	for i, m := range a.members {
 		p := plan
+		p.Pages = nil
+		for _, pf := range plan.Pages {
+			if dev, local := a.decode(pf.File); dev == m {
+				pf.File = local
+				p.Pages = append(p.Pages, pf)
+			}
+		}
 		if p.active() {
 			p.Seed = plan.Seed + int64(i)*0x9e37
 		}
@@ -328,17 +322,4 @@ func (a *DeviceArray) FaultPlanActive() bool {
 		}
 	}
 	return false
-}
-
-// InjectReadFault arms a one-shot fault on one member's (file, page); id is
-// array-global. For a page-striped file the global page index routes to the
-// chunk-mapped member's backing file.
-func (a *DeviceArray) InjectReadFault(id FileID, idx int64, err error) {
-	if f, ok := a.striped(id); ok {
-		m, lp := a.stripeLoc(idx)
-		a.members[m].InjectReadFault(f.locals[m], lp, err)
-		return
-	}
-	dev, local := a.decode(id)
-	dev.InjectReadFault(local, idx, err)
 }

@@ -149,6 +149,30 @@ func TestFaultClassification(t *testing.T) {
 	}
 }
 
+// TestOneShotTransientFault pins the fault tests above this package arm: a
+// one-entry plan with Count 1 fails the page's next read once — classified
+// transient, unwrapping to the cause, charging nothing — and then reads clean.
+func TestOneShotTransientFault(t *testing.T) {
+	d, id := faultDev(t, 2)
+	boom := errors.New("media error")
+	d.SetFaultPlan(FaultPlan{Pages: []PageFault{{File: id, Page: 1, Kind: FaultTransient, Count: 1, Err: boom}}})
+	buf := make([]byte, PageSize)
+	before := d.Clock()
+	err := d.ReadPageCtx(context.Background(), id, 1, buf)
+	if !errors.Is(err, boom) || !errors.Is(err, ErrTransient) || errors.Is(err, ErrPermanent) {
+		t.Fatalf("one-shot fault lost shape: %v", err)
+	}
+	if st := d.Stats(); d.Clock() != before || st.PageReads != 0 || st.TransientFaults != 1 {
+		t.Fatalf("faulted read charged %v or miscounted: %+v", d.Clock()-before, st)
+	}
+	if err := d.ReadPageCtx(context.Background(), id, 1, buf); err != nil {
+		t.Fatalf("one-shot fault not one-shot: %v", err)
+	}
+	if buf[0] != 1 {
+		t.Fatalf("read after the fault returned page byte %d, want 1", buf[0])
+	}
+}
+
 // TestRetryTransientToSuccess pins the retry loop: a pattern that faults the
 // first k reads of a page is absorbed by a policy with enough attempts, the
 // ledger records the retries, and no simulated time was charged for the
@@ -354,31 +378,31 @@ func TestArrayFaultPlanFanOut(t *testing.T) {
 	if a.FaultPlanActive() {
 		t.Fatal("zero plan did not clear")
 	}
-}
 
-// TestOneShotInjectCoexistsWithPlan pins the compatibility path: one-shot
-// injected faults fire (classified transient, unwrapping to the cause) even
-// with a plan installed, and survive SetFaultPlan.
-func TestOneShotInjectCoexistsWithPlan(t *testing.T) {
-	d, id := faultDev(t, 2)
+	// An explicit page entry names an array-global file: it reaches the
+	// member that owns the file, and only that one, under the local id.
+	ctx := context.Background()
+	var files [2]FileID
+	for i := range files {
+		files[i] = a.CreateFileInGroup("f", "")
+		if _, err := a.AppendPageCtx(ctx, files[i], make([]byte, PageSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	boom := errors.New("boom")
-	d.InjectReadFault(id, 1, boom)
-	d.SetFaultPlan(FaultPlan{Seed: 3, Pages: []PageFault{{File: id, Page: 0, Kind: FaultTransient, Count: 1}}})
+	a.SetRetryPolicy(RetryPolicy{}) // or the retries above absorb the one fault
+	a.SetFaultPlan(FaultPlan{Pages: []PageFault{{File: files[1], Page: 0, Count: 1, Err: boom}}})
+	if owner := a.MemberOf(files[1]); !a.Members()[owner].FaultPlanActive() || a.Members()[1-owner].FaultPlanActive() {
+		t.Fatalf("page entry for a file on member %d armed the wrong members", owner)
+	}
 	buf := make([]byte, PageSize)
-	err := d.ReadPageCtx(context.Background(), id, 1, buf)
-	if !errors.Is(err, boom) || !errors.Is(err, ErrTransient) {
-		t.Fatalf("one-shot fault lost shape: %v", err)
+	if err := a.ReadPageCtx(ctx, files[0], 0, buf); err != nil {
+		t.Fatalf("fault on file %d hit file %d: %v", files[1], files[0], err)
 	}
-	if err := d.ReadPageCtx(context.Background(), id, 1, buf); err != nil {
-		t.Fatalf("one-shot fault not one-shot: %v", err)
+	if err := a.ReadPageCtx(ctx, files[1], 0, buf); !errors.Is(err, boom) {
+		t.Fatalf("page fault not routed to its file: %v", err)
 	}
-	// The same through a run read: the injected fault (armed before the plan
-	// is replaced, and surviving it) fails the run after its first page was
-	// copied, no buffer comes back, the next read is whole.
-	d.InjectReadFault(id, 1, boom)
-	d.SetFaultPlan(FaultPlan{})
-	if run, err := d.ReadRunCtx(context.Background(), id, 0, 2); !errors.Is(err, boom) || run != nil {
-		t.Fatalf("faulted run read returned (%d bytes, %v), want (nil, boom)", len(run), err)
+	if err := a.ReadPageCtx(ctx, files[1], 0, buf); err != nil {
+		t.Fatalf("Count 1 entry faulted twice: %v", err)
 	}
-	wantRunBytes(t, d, id, 2)
 }

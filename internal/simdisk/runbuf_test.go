@@ -27,5 +27,5 @@ func TestRunBufRetentionBound(t *testing.T) {
 		}
 		PutRunBuf(buf)
 	}
-	PutRunBuf(nil) // a failed member read's share of a striped run
+	PutRunBuf(nil) // what a failed run read returned
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // Storage is the data path the storage stack (pagefile, rawfile, octree,
-// the engines) works against: a single *Device, a *DeviceArray striping
-// files across several devices, or a wrapper embedding either (a tracer, a
+// the engines) works against: a single *Device, a *DeviceArray placing
+// whole files on several devices, or a wrapper embedding either (a tracer, a
 // future file-backed store). Everything above this interface is
 // placement-oblivious — the same engine code runs on one single-head SAS
 // disk or on an array of multi-channel devices. Fifteen methods, one

@@ -31,3 +31,18 @@ func TestStorageMethodSet(t *testing.T) {
 		}
 	}
 }
+
+// TestDeviceArrayIsPlacementAndRouting pins the array to the member list and
+// the policy that places files on it: routing is arithmetic on the FileID, so
+// anything else the array would hold — a table, a lock, a second id space —
+// is a second placement granularity and fails here.
+func TestDeviceArrayIsPlacementAndRouting(t *testing.T) {
+	array := reflect.TypeOf(DeviceArray{})
+	var got []string
+	for i := 0; i < array.NumField(); i++ {
+		got = append(got, array.Field(i).Name)
+	}
+	if want := []string{"members", "policy"}; !slices.Equal(got, want) {
+		t.Fatalf("DeviceArray has fields %v, want exactly %v", got, want)
+	}
+}

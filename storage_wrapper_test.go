@@ -144,57 +144,3 @@ func TestStorageWrapperTransparency(t *testing.T) {
 		})
 	}
 }
-
-// TestPageStripeTopologyResultsIdentical pins the striping satellite at the
-// explorer level: the same datasets and queries on a page-striped 3-device
-// array return exactly the objects a single-device run returns — placement
-// moves I/O between spindles, never changes answers.
-func TestPageStripeTopologyResultsIdentical(t *testing.T) {
-	build := func(opts Options) (*Explorer, []Query) {
-		ex, err := NewExplorer(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := GenerateDatasets(DataConfig{Seed: 11, NumObjects: 2000, Clusters: 3}, 3)
-		for i, objs := range data {
-			if err := ex.AddDataset(DatasetID(i), objs); err != nil {
-				t.Fatal(err)
-			}
-		}
-		w, err := GenerateWorkload(WorkloadConfig{
-			Seed: 4, NumQueries: 60, NumDatasets: 3, DatasetsPerQuery: 2,
-			QueryVolumeFrac: 2e-4,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ex, w.Queries
-	}
-	single, queries := build(Options{})
-	defer single.Close()
-	striped, _ := build(Options{Devices: 3, Placement: PageStripePlacement(4)})
-	defer striped.Close()
-	if top := striped.Topology(); top.Placement != "pagestripe" || top.Devices != 3 {
-		t.Fatalf("topology = %+v, want 3-device pagestripe", top)
-	}
-	for i, q := range queries {
-		want, err := single.Query(q.Range, q.Datasets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := striped.Query(q.Range, q.Datasets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameObjects(got, want) {
-			t.Fatalf("query %d: striped run returned %d objects, single-device %d",
-				i, len(got), len(want))
-		}
-	}
-	// The stripes really spread the I/O: every member device did work.
-	for m, st := range striped.DeviceStats() {
-		if st.PageReads == 0 {
-			t.Fatalf("member %d served no reads under pagestripe", m)
-		}
-	}
-}

@@ -166,11 +166,7 @@ var (
 	// GroupAffinityPlacement co-locates a dataset's files (and the merge
 	// files of its hottest combinations) on one member device.
 	GroupAffinityPlacement = simdisk.GroupAffinity
-	// RoundRobinPlacement stripes successive files across member devices.
+	// RoundRobinPlacement deals successive files onto successive member
+	// devices, ignoring affinity groups.
 	RoundRobinPlacement = simdisk.RoundRobin
-	// PageStripePlacement stripes every file page-granularly across all
-	// member devices in chunks of the given page count (RAID-0 style): one
-	// file's sequential run fans out over every spindle and reads proceed
-	// on all of them concurrently.
-	PageStripePlacement = simdisk.PageStripe
 )
