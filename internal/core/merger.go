@@ -53,9 +53,25 @@ func (r Relation) String() string {
 type segment struct {
 	run   pagefile.Run
 	count int // objects in run: what a read of the segment allocates, exactly
+	// children is the in-memory directory of a segment of more than one
+	// page, whose objects are stored grouped by the entry cell's children
+	// (groupByChildren); nil for a one-page segment, stored in file order.
+	// A shared reference carries its owner's.
+	children []int32
 	// sharedFrom, when non-empty, names the merge file actually holding
 	// the pages.
 	sharedFrom ComboKey
+}
+
+// groupByChildren is the layout of a merge segment of more than one page:
+// objs, stored into slab (len(objs) long), grouped by the k³ children of the
+// entry cell key (its box within bounds) with octree.BucketByCell, the
+// bucketing a refinement of the cell would apply; the k³+1 child bounds are
+// appended to dir. A merged cell is never refined (§3.2.2), so the grouping
+// is what lets a read filter only the children the query's window meets
+// (queryAcc.keepCell) instead of the whole coarse cell.
+func groupByChildren(dir []int32, bounds geom.Box, key octree.Key, k int, objs, slab []object.Object) []int32 {
+	return octree.BucketByCell(dir, EntryBox(bounds, key, k), k, objs, slab)
 }
 
 // MergeFile stores copies of partitions from the datasets of one
@@ -493,7 +509,13 @@ func (m *Merger) stage(
 		return st, nil
 	}
 	st.entries = make(map[octree.Key]map[object.DatasetID]segment)
-	fanout := trees[datasets[0]].FanoutPerDim()
+	fanout, bounds := trees[datasets[0]].FanoutPerDim(), trees[datasets[0]].Bounds()
+	dir := dirScratchPool.Get().(*[]int32)
+	defer func() {
+		st.carveChildren(*dir)
+		*dir = (*dir)[:0]
+		dirScratchPool.Put(dir)
+	}()
 	for _, cand := range candidates {
 		if st.covering(cand, fanout) {
 			continue
@@ -515,7 +537,7 @@ func (m *Merger) stage(
 			st.mf = m.newMergeFile(key, datasets)
 			st.isNew = true
 		}
-		segs, err := m.copyJob(ctx, st.mf, datasets, job)
+		segs, err := m.copyJob(ctx, st.mf, datasets, job, bounds, fanout, dir)
 		if err != nil {
 			if len(st.order) == 0 && st.isNew {
 				_ = st.mf.file.Delete() // best effort: the copy error is the one to report
@@ -531,18 +553,26 @@ func (m *Merger) stage(
 
 // copyJob copies one partition into mf's pages: for every member dataset (in
 // order) the objects are read from the original partitions and appended —
-// unless sharing is on and another live merge file owns that exact copy.
-func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.DatasetID, job mergeJob) (map[object.DatasetID]segment, error) {
+// unless sharing is on and another live merge file owns that exact copy. A
+// copy of more than one page is stored grouped by the entry cell's children
+// (the cell's box within bounds, at the trees' fanout k), its child bounds
+// appended to dir; a one-page copy — which the directory could only make
+// slower to read (a per-child walk over a handful of objects) — is written
+// in file order, as read.
+func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.DatasetID, job mergeJob,
+	bounds geom.Box, k int, dir *[]int32) (map[object.DatasetID]segment, error) {
 	segs := make(map[object.DatasetID]segment, len(datasets))
-	// One pooled slice is the source of every member's copy in turn.
-	scratch := pagefile.GetObjSlice()
+	// One pooled slice is the source of every member's copy in turn, another
+	// the grouped copy of a member of more than one page.
+	scratch, slab := pagefile.GetObjSlice(), pagefile.GetObjSlice()
 	defer pagefile.PutObjSlice(scratch)
+	defer pagefile.PutObjSlice(slab)
 	for i, ds := range datasets {
 		if m.cfg.ShareSegments {
 			if owner, ok := m.segIndex[segRef{key: job.key, ds: ds}]; ok && owner != mf.combo {
 				if ownerFile, live := m.files[owner]; live {
 					if seg, ok := ownerFile.entries[job.key][ds]; ok && seg.sharedFrom == "" {
-						segs[ds] = segment{run: seg.run, count: seg.count, sharedFrom: owner}
+						segs[ds] = segment{run: seg.run, count: seg.count, children: seg.children, sharedFrom: owner}
 						continue
 					}
 				}
@@ -553,13 +583,49 @@ func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.D
 			return nil, fmt.Errorf("merge read %v ds %d: %w", job.key, ds, err)
 		}
 		*scratch = objs
+		var children []int32
+		if len(objs) > object.PageCapacity {
+			*slab = slices.Grow((*slab)[:0], len(objs))[:len(objs)]
+			n := len(*dir)
+			*dir = groupByChildren(*dir, bounds, job.key, k, objs, *slab)
+			objs, children = *slab, (*dir)[n:]
+		}
 		run, err := mf.file.AppendObjectsCtx(ctx, objs)
 		if err != nil {
 			return nil, fmt.Errorf("merge write %v ds %d: %w", job.key, ds, err)
 		}
-		segs[ds] = segment{run: run, count: len(objs)}
+		segs[ds] = segment{run: run, count: len(objs), children: children}
 	}
 	return segs, nil
+}
+
+// dirScratchPool recycles the scratch a merge stage appends its segments'
+// child directories to before carveChildren moves them out.
+var dirScratchPool = sync.Pool{New: func() any { return new([]int32) }}
+
+// carveChildren moves the child directories the stage's copies appended to
+// scratch into one allocation of their total size, which the merge file
+// keeps them in: a stage allocates once for its directories, not once per
+// segment, and the scratch returns to its pool referenced by no segment.
+// (A directory taken before the scratch last grew still reads the array it
+// was written to.)
+func (st *stagedMerge) carveChildren(scratch []int32) {
+	if len(scratch) == 0 {
+		return
+	}
+	arena := make([]int32, 0, len(scratch))
+	for _, key := range st.order {
+		segs := st.entries[key]
+		for ds, seg := range segs {
+			if seg.children == nil || seg.sharedFrom != "" {
+				continue // no directory, or the owner's, carved by the owner's stage
+			}
+			n := len(arena)
+			arena = append(arena, seg.children...)
+			seg.children = arena[n:len(arena):len(arena)]
+			segs[ds] = seg
+		}
+	}
 }
 
 // publish is the second half of a merge step: it registers the staged
@@ -618,18 +684,20 @@ func (m *Merger) touchCombo(key ComboKey) {
 }
 
 // ReadSegmentCtx reads the objects of one dataset for one merged partition
-// and appends them to dst, grown once to fit (a nil dst: one allocation of
-// exactly the segment's size). It follows a shared-segment reference when
-// present; the underlying run read aborts at the page boundary where the
-// context expired.
-func (m *Merger) ReadSegmentCtx(ctx context.Context, dst []object.Object, mf *MergeFile, key octree.Key, ds object.DatasetID) ([]object.Object, error) {
+// into dst's backing array, grown once to fit (a nil dst: one allocation of
+// exactly the segment's size; dst's length is ignored, the content is the
+// segment's alone); the content it returns carries the segment's child
+// directory (nil for a one-page segment). It follows a shared-segment
+// reference when present; the underlying run read aborts at the page
+// boundary where the context expired.
+func (m *Merger) ReadSegmentCtx(ctx context.Context, dst []object.Object, mf *MergeFile, key octree.Key, ds object.DatasetID) (cellContent, error) {
 	segs, ok := mf.entries[key]
 	if !ok {
-		return nil, fmt.Errorf("merge file %s has no entry %v", mf.combo, key)
+		return cellContent{}, fmt.Errorf("merge file %s has no entry %v", mf.combo, key)
 	}
 	seg, ok := segs[ds]
 	if !ok {
-		return nil, fmt.Errorf("merge file %s entry %v has no dataset %d", mf.combo, key, ds)
+		return cellContent{}, fmt.Errorf("merge file %s entry %v has no dataset %d", mf.combo, key, ds)
 	}
 	m.touch(mf)
 	m.accMu.Lock()
@@ -639,13 +707,17 @@ func (m *Merger) ReadSegmentCtx(ctx context.Context, dst []object.Object, mf *Me
 	if seg.sharedFrom != "" {
 		owner, live := m.files[seg.sharedFrom]
 		if !live {
-			return nil, fmt.Errorf("merge file %s entry %v: shared owner %s evicted",
+			return cellContent{}, fmt.Errorf("merge file %s entry %v: shared owner %s evicted",
 				mf.combo, key, seg.sharedFrom)
 		}
 		m.touch(owner)
 		file = owner.file
 	}
-	return file.ReadRunIntoCtx(ctx, slices.Grow(dst, seg.count), seg.run)
+	objs, err := file.ReadRunIntoCtx(ctx, slices.Grow(dst[:0], seg.count), seg.run)
+	if err != nil {
+		return cellContent{}, err
+	}
+	return cellContent{objs: objs, children: seg.children}, nil
 }
 
 // EnforceBudget evicts least-recently-used merge files until the space

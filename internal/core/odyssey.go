@@ -141,6 +141,13 @@ type Metrics struct {
 	CurrentMergeThresh  int
 	RelationCounts      map[Relation]int
 	Phases              PhaseTimes
+	// ObjectsTested and ObjectsKept are the query filter's input and output,
+	// summed over queries: the objects tested against a query window — of
+	// tree leaves, merge segments and containment answers alike — and the
+	// matches returned. A merge segment stored child-grouped is tested only
+	// in the children the window meets.
+	ObjectsTested int64
+	ObjectsKept   int64
 }
 
 // Odyssey is the Space Odyssey engine: adaptive per-dataset octrees plus
@@ -189,7 +196,7 @@ type Odyssey struct {
 	// (see readCell).
 	mergeFlight   flightGroup[ComboKey, struct{}]
 	buildFlight   flightGroup[object.DatasetID, time.Duration]
-	cellFlight    flightGroup[flightKey, []object.Object]
+	cellFlight    flightGroup[flightKey, cellContent]
 	sharedBuilds  atomic.Int64
 	attachedScans atomic.Int64
 
@@ -228,6 +235,8 @@ type Odyssey struct {
 	partsFromMerge int
 	relationCounts map[Relation]int
 	phases         PhaseTimes
+	objectsTested  int64
+	objectsKept    int64
 	// dsQueries tracks how often each dataset appeared in a query — the
 	// per-dataset heat the merge-file placement group is derived from —
 	// decayed under Config.HeatHalfLife (without decay, val is the exact
@@ -334,9 +343,14 @@ func (o *Odyssey) AddRaw(raw *rawfile.Raw) error {
 	if o.retainsReads() {
 		// Sharing and caching both ride the tree's partition reads; either
 		// one alone still needs the hook. Without them the tree keeps its
-		// pooled direct read.
-		tree.ShareReader = func(ctx context.Context, p *octree.Partition, read cellRead) ([]object.Object, error) {
-			return o.readCell(ctx, ds, p.Key(), p.Box(), read)
+		// pooled direct read. A partition is read in file order; whatever
+		// answers its key, the walk filters the objects whole.
+		tree.ShareReader = func(ctx context.Context, p *octree.Partition, read func(context.Context) ([]object.Object, error)) ([]object.Object, error) {
+			c, err := o.readCell(ctx, ds, p.Key(), p.Box(), func(ctx context.Context) (cellContent, error) {
+				objs, err := read(ctx)
+				return cellContent{objs: objs}, err
+			})
+			return c.objs, err
 		}
 	}
 	o.trees[ds] = tree
@@ -457,6 +471,7 @@ func (o *Odyssey) Metrics() Metrics {
 	}
 	m.RelationCounts = rel
 	m.Phases = o.phases
+	m.ObjectsTested, m.ObjectsKept = o.objectsTested, o.objectsKept
 	o.statsMu.Unlock()
 	return m
 }
@@ -493,9 +508,10 @@ type dsWants struct {
 // the collector copies the keys into its sets).
 type queryScratch struct {
 	ordered []object.DatasetID // the requested datasets, sorted, duplicates dropped
+	exts    []geom.Box         // per dataset of ordered, the window its walk trusts (see queryAcc.ext)
 	touched []octree.Key       // every leaf hit, for the statistics collector
 	served  []mergeRead        // segments readMerged owes, one per served leaf until it dedups them
-	hits    [][]object.Object  // readMerged's current run of cache hits, filtered outside the cache lock
+	hits    []cellContent      // readMerged's current run of cache hits, filtered outside the cache lock
 }
 
 var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -510,7 +526,7 @@ func (qs *queryScratch) release() {
 		return
 	}
 	clear(qs.hits[:cap(qs.hits)]) // the pool must not keep evicted cells alive
-	qs.ordered, qs.touched, qs.served, qs.hits = qs.ordered[:0], qs.touched[:0], qs.served[:0], qs.hits[:0]
+	qs.ordered, qs.exts, qs.touched, qs.served, qs.hits = qs.ordered[:0], qs.exts[:0], qs.touched[:0], qs.served[:0], qs.hits[:0]
 	queryScratchPool.Put(qs)
 }
 
@@ -530,6 +546,7 @@ type queryAcc struct {
 
 	// Accumulated by the read stages.
 	out          []object.Object
+	tested       int // objects the read stages' filters tested; len(out) is what they kept
 	servedLeaves int // leaves among touched that a segment serves
 	wants        []dsWants
 	phases       PhaseTimes
@@ -549,9 +566,44 @@ func (a *queryAcc) serve(ds object.DatasetID, entry octree.Key, seg segment) {
 	a.servedLeaves++
 }
 
-// keep adds the objects of one cell that intersect the query to the result.
-func (a *queryAcc) keep(cell []object.Object) {
-	a.out = object.AppendIntersecting(a.out, cell, a.q)
+// ext returns the window readDataset recorded for ds, a requested dataset:
+// the query extended by the tree's max object half-extent, which holds the
+// center of every object of ds that can intersect the query (the window the
+// tree walk trusts).
+func (a *queryAcc) ext(ds object.DatasetID) geom.Box {
+	i, _ := slices.BinarySearch(a.ordered, ds)
+	return a.exts[i]
+}
+
+// keep adds the objects that intersect the query to the result.
+func (a *queryAcc) keep(objs []object.Object) {
+	a.tested += len(objs)
+	a.out = object.AppendIntersecting(a.out, objs, a.q)
+}
+
+// keepCell adds the objects of one cell that intersect the query to the
+// result. Content in file order is filtered whole. Content with a child
+// directory is filtered only in the children ext meets: box is the cell's key
+// box, the one its objects were grouped on (groupByChildren), and the child
+// range on each axis is from ext.Min's cell to ext.Max's under the same
+// geom.CellGrid arithmetic — which is monotone, so a center inside ext lies
+// in a child of the range, clamped edge children included. Each (z, y) row of
+// the range is one contiguous run of objects and one filter call.
+func (a *queryAcc) keepCell(c cellContent, box, ext geom.Box) {
+	if c.children == nil {
+		a.keep(c.objs)
+		return
+	}
+	k := a.fanout
+	g := box.Grid(k)
+	lx, ly, lz := g.Cell(ext.Min)
+	hx, hy, hz := g.Cell(ext.Max)
+	for z := lz; z <= hz; z++ {
+		for y := ly; y <= hy; y++ {
+			row := (z*k + y) * k
+			a.keep(c.objs[c.children[row+lx]:c.children[row+hx+1]])
+		}
+	}
 }
 
 // Query implements engine.Engine: it executes the paper's full pipeline —
@@ -674,7 +726,9 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 	acc.phases.LevelZeroBuild += built
 
 	lk.RLock()
-	if o.rcache != nil && o.answerContained(acc, ds, tree) {
+	ext := acc.q.Expand(tree.MaxExtent())
+	acc.exts = append(acc.exts, ext)
+	if o.rcache != nil && o.answerContained(acc, ds, ext) {
 		lk.RUnlock()
 		return nil
 	}
@@ -712,6 +766,7 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 		lk.Unlock()
 	}
 	acc.out = res.Objects // the walk appended this dataset's matches
+	acc.tested += res.Tested
 	if err != nil {
 		return fmt.Errorf("core: dataset %d: %w", ds, err)
 	}
@@ -765,22 +820,31 @@ func (o *Odyssey) ensureBuilt(ctx context.Context, ds object.DatasetID, tree *oc
 }
 
 // answerContained tries to answer one dataset's share of a query entirely
-// from the result cache: the query window, extended by the tree's max object
-// half-extent, is probed against the cached regions. On a hit the region's
-// content is filtered by the original query box — exact, because objects are
-// keyed by center: every object intersecting q has its center inside the
-// extended window, hence inside the region. No walk, no merge routing, zero
-// device reads for this dataset; partition statistics are not accumulated
-// either (the layout keeps converging from the queries that do walk). The
-// caller holds the dataset's shared tree lock, so MaxExtent is stable, and
-// only calls it with caching on.
-func (o *Odyssey) answerContained(acc *queryAcc, ds object.DatasetID, tree *octree.Tree) bool {
-	ext := acc.q.Expand(tree.MaxExtent())
-	objs, ok := o.rcache.AnswerContained(ds, acc.fanout, o.layoutEpoch.Load(), ext)
+// from the result cache: ext, the query window extended by the tree's max
+// object half-extent, is probed against the cached regions. On a hit the
+// region's content is filtered by the original query box — exact, because
+// objects are keyed by center: every object intersecting q has its center
+// inside the extended window, hence inside the region. No walk, no merge
+// routing, zero device reads for this dataset; partition statistics are not
+// accumulated either (the layout keeps converging from the queries that do
+// walk). Only called with caching on.
+func (o *Odyssey) answerContained(acc *queryAcc, ds object.DatasetID, ext geom.Box) bool {
+	c, cell, ok := o.rcache.AnswerContained(ds, acc.fanout, o.layoutEpoch.Load(), ext)
 	if ok {
-		acc.keep(objs)
+		o.keepContent(acc, ds, cell, c)
 	}
 	return ok
+}
+
+// keepContent filters one cell of ds into the result. The cell's key box and
+// the dataset's window, which a child directory is read through, are worked
+// out only for content that has one: the cached query's cells are one page.
+func (o *Odyssey) keepContent(acc *queryAcc, ds object.DatasetID, cell octree.Key, c cellContent) {
+	if c.children == nil {
+		acc.keep(c.objs)
+		return
+	}
+	acc.keepCell(c, EntryBox(o.bounds, cell, acc.fanout), acc.ext(ds))
 }
 
 // readMerged is stage three: it reads the merge-file segments the walks left
@@ -789,10 +853,15 @@ func (o *Odyssey) answerContained(acc *queryAcc, ds object.DatasetID, tree *octr
 // are cells like partitions: a segment is the full per-dataset content of its
 // entry cell, and merged cells are frozen coarse (merged partitions are never
 // refined, §3.2.2), which makes their cached regions the prime source of
-// containment answers. With the result cache on, every run of consecutive
-// hits is answered under one shared acquisition of its lock; the read that
-// ends a run goes down readCell like any cell — looked up, missed, read,
-// inserted — before the next run starts.
+// containment answers — and why a segment of more than one page is stored
+// grouped by its entry cell's children, so that it is filtered only in the
+// children the dataset's extended window meets (keepCell). With the result
+// cache on, every run of consecutive hits is answered under one shared
+// acquisition of its lock; the read that ends a run goes down readCell like
+// any cell — looked up, missed, read, inserted — before the next run starts.
+// Hit or read, a segment is filtered through the directory its content
+// carries: a key's cached or in-flight content may be the tree partition,
+// in file order, read by a query of another combination.
 func (o *Odyssey) readMerged(ctx context.Context, acc *queryAcc) error {
 	if len(acc.served) == 0 {
 		return nil
@@ -812,19 +881,19 @@ func (o *Odyssey) readMerged(ctx context.Context, acc *queryAcc) error {
 	for reads := acc.served; ; reads = reads[1:] {
 		if o.rcache != nil {
 			acc.hits = o.rcache.LookupRun(acc.hits[:0], reads, &o.layoutEpoch)
-			for _, objs := range acc.hits {
-				acc.keep(objs)
+			for i, c := range acc.hits {
+				o.keepContent(acc, reads[i].ds, reads[i].entry, c)
 			}
 			reads = reads[len(acc.hits):]
 		}
 		if len(reads) == 0 {
 			break
 		}
-		objs, err := o.readSegment(ctx, acc, reads[0], scratch)
+		c, err := o.readSegment(ctx, acc, reads[0], scratch)
 		if err != nil {
 			return err
 		}
-		acc.keep(objs)
+		o.keepContent(acc, reads[0].ds, reads[0].entry, c)
 	}
 	acc.phases.MergeReads += clock.Now() - t0
 	return nil
@@ -833,21 +902,21 @@ func (o *Odyssey) readMerged(ctx context.Context, acc *queryAcc) error {
 // readSegment reads one segment of the routed merge file as the cell it is;
 // scratch is the pooled destination of a read nobody else can see, nil when
 // the read may be retained or shared.
-func (o *Odyssey) readSegment(ctx context.Context, acc *queryAcc, r mergeRead, scratch *[]object.Object) ([]object.Object, error) {
+func (o *Odyssey) readSegment(ctx context.Context, acc *queryAcc, r mergeRead, scratch *[]object.Object) (cellContent, error) {
 	var box geom.Box
 	if o.rcache != nil {
 		box = EntryBox(o.bounds, r.entry, acc.fanout) // what the insert keys containment on
 	}
-	return o.readCell(ctx, r.ds, r.entry, box, func(ctx context.Context) ([]object.Object, error) {
+	return o.readCell(ctx, r.ds, r.entry, box, func(ctx context.Context) (cellContent, error) {
 		var dst []object.Object
 		if scratch != nil {
 			dst = (*scratch)[:0]
 		}
-		objs, err := o.merger.ReadSegmentCtx(ctx, dst, acc.mf, r.entry, r.ds)
+		c, err := o.merger.ReadSegmentCtx(ctx, dst, acc.mf, r.entry, r.ds)
 		if scratch != nil && err == nil {
-			*scratch = objs
+			*scratch = c.objs
 		}
-		return objs, err
+		return c, err
 	})
 }
 
@@ -866,6 +935,8 @@ func (o *Odyssey) record(ctx context.Context, acc *queryAcc) {
 	o.phases.Refinement += acc.phases.Refinement
 	o.phases.TreeReads += acc.phases.TreeReads
 	o.phases.MergeReads += acc.phases.MergeReads
+	o.objectsTested += int64(acc.tested)
+	o.objectsKept += int64(len(acc.out))
 	o.partsFromMerge += len(acc.served)
 	o.partsFromTree += len(acc.touched) - acc.servedLeaves
 	o.stats.RecordPartitions(acc.key, acc.touched)

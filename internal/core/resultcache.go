@@ -20,16 +20,17 @@ import (
 const DefaultCacheCapacity = 1 << 17
 
 // cachedScan is one completed partition or merge-segment scan the cache
-// retains: the full object content of region (a cell box) as of the layout
-// epoch it was read under. Everything but its eviction state is immutable
-// once inserted: the slice is shared with every query the entry answers and
+// retains: the full content of region (a cell box) as of the layout epoch it
+// was read under, with the child directory of the content it is (see
+// cellContent). Everything but its eviction state is immutable once
+// inserted: the content is shared with every query the entry answers and
 // must be treated as read-only (the engine only filters from it — objects
 // are values).
 type cachedScan struct {
-	key    scanKey
-	epoch  int64
-	region geom.Box
-	objs   []object.Object
+	key     scanKey
+	epoch   int64
+	region  geom.Box
+	content cellContent
 
 	// The live eviction key is (score, heat, seq). Hits raise heat and score
 	// with atomics, under the cache's shared lock; seq is fixed at insert.
@@ -340,14 +341,14 @@ func (c *resultCache) tuneLocked() {
 
 // hit is the lookup proper, under mu held either way: the content of key if
 // cached at epoch, with the hit booked on the entry.
-func (c *resultCache) hit(key scanKey, epoch int64) ([]object.Object, bool) {
+func (c *resultCache) hit(key scanKey, epoch int64) (cellContent, bool) {
 	it, ok := c.entries[key]
 	if !ok || it.epoch != epoch {
-		return nil, false
+		return cellContent{}, false
 	}
 	it.touch(c.now(), c.halfLife)
 	c.hits.Add(1)
-	return it.objs, true
+	return it.content, true
 }
 
 // now reads the decay clock (0 with decay off).
@@ -364,19 +365,19 @@ func (c *resultCache) now() int64 {
 // empty cell from a miss. A hit shares the lock; only what did not hit takes
 // it exclusively, and looks again (the cell may have been inserted between
 // the two).
-func (c *resultCache) Lookup(ds object.DatasetID, cell octree.Key, epoch int64) ([]object.Object, bool) {
+func (c *resultCache) Lookup(ds object.DatasetID, cell octree.Key, epoch int64) (cellContent, bool) {
 	key := scanKey{ds: ds, cell: cell}
 	c.mu.RLock()
-	objs, ok := c.hit(key, epoch)
+	content, ok := c.hit(key, epoch)
 	c.mu.RUnlock()
 	if ok {
 		if c.tuneDue() {
 			c.tune()
 		}
-		return objs, true
+		return content, true
 	}
 	c.mu.Lock()
-	if objs, ok = c.hit(key, epoch); !ok {
+	if content, ok = c.hit(key, epoch); !ok {
 		if dead := c.entries[key]; dead != nil {
 			c.removeLocked(dead)
 		} else {
@@ -386,7 +387,7 @@ func (c *resultCache) Lookup(ds object.DatasetID, cell octree.Key, epoch int64) 
 	}
 	c.maybeTuneLocked()
 	c.mu.Unlock()
-	return objs, ok
+	return content, ok
 }
 
 // LookupRun is Lookup for the leading hits of reads, under one shared
@@ -395,14 +396,14 @@ func (c *resultCache) Lookup(ds object.DatasetID, cell octree.Key, epoch int64) 
 // returns hits. The read that ended the run is not booked — it is the
 // caller's to Lookup, miss and Insert before the next run — so a query issues
 // the cache the operations of one Lookup per read, in order.
-func (c *resultCache) LookupRun(hits [][]object.Object, reads []mergeRead, epoch *atomic.Int64) [][]object.Object {
+func (c *resultCache) LookupRun(hits []cellContent, reads []mergeRead, epoch *atomic.Int64) []cellContent {
 	c.mu.RLock()
 	for _, r := range reads {
-		objs, ok := c.hit(scanKey{ds: r.ds, cell: r.entry}, epoch.Load())
+		content, ok := c.hit(scanKey{ds: r.ds, cell: r.entry}, epoch.Load())
 		if !ok {
 			break
 		}
-		hits = append(hits, objs)
+		hits = append(hits, content)
 		if c.tuneDue() {
 			c.mu.RUnlock()
 			c.tune()
@@ -420,36 +421,37 @@ func (c *resultCache) LookupRun(hits [][]object.Object, reads []mergeRead, epoch
 // ext's min corner — one map lookup per cached level, not a scan. Levels are
 // probed deepest first: of several regions containing the window the
 // smallest answers, the one with the fewest objects to filter (and always
-// the same one). The returned slice is the full region content; the caller
-// filters by the original query box.
+// the same one). The returned content is the full region content and cell
+// the key it is cached under (a child directory indexes the content by the
+// key's box); the caller filters by the original query box.
 //
 // The probe shares the lock like any hit. Meeting a dead entry sends it
 // round again under the exclusive lock, before it booked anything, to drop
 // what is dead on the way.
 func (c *resultCache) AnswerContained(ds object.DatasetID, fanout int, epoch int64,
-	ext geom.Box) ([]object.Object, bool) {
+	ext geom.Box) (content cellContent, cell octree.Key, ok bool) {
 	c.mu.RLock()
-	objs, ok, dead := c.probe(ds, fanout, epoch, ext, false)
+	content, cell, ok, dead := c.probe(ds, fanout, epoch, ext, false)
 	c.mu.RUnlock()
 	if dead {
 		c.mu.Lock()
-		objs, ok, _ = c.probe(ds, fanout, epoch, ext, true)
+		content, cell, ok, _ = c.probe(ds, fanout, epoch, ext, true)
 		c.mu.Unlock()
 	}
 	if ok {
 		c.containmentHits.Add(1)
 	}
-	return objs, ok
+	return content, cell, ok
 }
 
 // probe is AnswerContained under mu: held exclusively when drop is set, and
 // dead entries are dropped on sight; shared otherwise, and the first dead
 // entry ends the probe (dead reports it).
 func (c *resultCache) probe(ds object.DatasetID, fanout int, epoch int64, ext geom.Box,
-	drop bool) (objs []object.Object, ok, dead bool) {
+	drop bool) (content cellContent, cell octree.Key, ok, dead bool) {
 	lv := c.levels[ds]
 	if lv == nil {
-		return nil, false, false
+		return cellContent{}, octree.Key{}, false, false
 	}
 	for mask := lv.mask; mask != 0; {
 		level := uint8(bits.Len32(mask) - 1)
@@ -464,7 +466,7 @@ func (c *resultCache) probe(ds object.DatasetID, fanout int, epoch int64, ext ge
 		}
 		if it.epoch != epoch {
 			if !drop {
-				return nil, false, true
+				return cellContent{}, octree.Key{}, false, true
 			}
 			c.removeLocked(it)
 			continue
@@ -473,9 +475,9 @@ func (c *resultCache) probe(ds object.DatasetID, fanout int, epoch int64, ext ge
 			continue
 		}
 		it.touch(c.now(), c.halfLife)
-		return it.objs, true, false
+		return it.content, cell, true, false
 	}
-	return nil, false, false
+	return cellContent{}, octree.Key{}, false, false
 }
 
 // cellAt returns the key of the level-cell of the uniform fanout^level grid
@@ -508,16 +510,17 @@ func cellAt(bounds geom.Box, fanout int, level uint8, p geom.Vec) (octree.Key, b
 	}, true
 }
 
-// Insert retains a completed scan of (ds, cell): region is the cell box the
-// objects are the full content of, epoch the global layout epoch loaded
+// Insert retains a completed scan of (ds, cell): region is the cell box
+// content is the full content of, epoch the global layout epoch loaded
 // before the read began (a publish racing the read leaves a dead entry that
 // never hits — conservative, correct). Entries larger than the whole budget
 // are not admitted; otherwise the coldest entries are evicted until the new
 // one fits. Re-inserting a present key replaces its content and keeps its
 // heat — the region is evidently hot.
 func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, epoch int64,
-	region geom.Box, objs []object.Object) {
+	region geom.Box, content cellContent) {
 	key := scanKey{ds: ds, cell: cell}
+	objs := content.objs
 	c.mu.Lock()
 	if int64(len(objs)) > c.capacity {
 		// An entry that cannot fit at all is the strongest undersizing
@@ -535,7 +538,7 @@ func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, epoch int64,
 		}
 		c.grows++
 	}
-	it := &cachedScan{key: key, epoch: epoch, region: region, objs: objs, posHeat: 1}
+	it := &cachedScan{key: key, epoch: epoch, region: region, content: content, posHeat: 1}
 	if c.halfLife > 0 {
 		it.posScore = heatScore(1, c.tick(), c.halfLife)
 	}
@@ -589,7 +592,7 @@ func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, epoch int64,
 func (c *resultCache) removeLocked(it *cachedScan) {
 	delete(c.entries, it.key)
 	heap.Remove(&c.cold, it.index)
-	c.objects -= int64(len(it.objs))
+	c.objects -= int64(len(it.content.objs))
 	c.levels[it.key.ds].add(it.key.cell.Level, -1)
 }
 

@@ -18,7 +18,8 @@ import (
 // entries in a slice, every key current at all times, the victim found by a
 // full scan for min (score, heat, seq). The lazy heap, the shared-lock hit
 // and the atomic tuner cadence of resultCache must be indistinguishable from
-// it on a serial run.
+// it on a serial run. An entry's content is one value, objects and child
+// directory together, as the cache must keep it.
 type eagerCache struct {
 	bounds   geom.Box
 	halfLife float64
@@ -38,12 +39,12 @@ type eagerCache struct {
 }
 
 type eagerEntry struct {
-	key   scanKey
-	epoch int64
-	objs  []object.Object
-	heat  int64
-	score float64
-	seq   int64
+	key     scanKey
+	epoch   int64
+	content cellContent
+	heat    int64
+	score   float64
+	seq     int64
 }
 
 func (m *eagerCache) find(key scanKey) int {
@@ -58,7 +59,7 @@ func (m *eagerCache) touch(e *eagerEntry) {
 }
 
 func (m *eagerCache) remove(i int) {
-	m.objects -= int64(len(m.entries[i].objs))
+	m.objects -= int64(len(m.entries[i].content.objs))
 	m.entries = slices.Delete(m.entries, i, i+1)
 }
 
@@ -91,7 +92,7 @@ func (m *eagerCache) tune() {
 	m.ghostHitsWin, m.evictionsWin, m.peakObjects, m.sinceOp = 0, 0, m.objects, 0
 }
 
-func (m *eagerCache) lookup(key scanKey, epoch int64) ([]object.Object, bool) {
+func (m *eagerCache) lookup(key scanKey, epoch int64) (cellContent, bool) {
 	defer m.op()
 	i := m.find(key)
 	switch {
@@ -105,14 +106,14 @@ func (m *eagerCache) lookup(key scanKey, epoch int64) ([]object.Object, bool) {
 	default:
 		m.touch(m.entries[i])
 		m.hits++
-		return m.entries[i].objs, true
+		return m.entries[i].content, true
 	}
 	m.misses++
-	return nil, false
+	return cellContent{}, false
 }
 
 // contained probes the cached levels deepest first, as the cache documents.
-func (m *eagerCache) contained(ds object.DatasetID, fanout int, epoch int64, ext geom.Box) ([]object.Object, bool) {
+func (m *eagerCache) contained(ds object.DatasetID, fanout int, epoch int64, ext geom.Box) (cellContent, octree.Key, bool) {
 	for level := 32; level >= 0; level-- {
 		cell, ok := cellAt(m.bounds, fanout, uint8(level), ext.Min)
 		if !ok {
@@ -126,14 +127,14 @@ func (m *eagerCache) contained(ds object.DatasetID, fanout int, epoch int64, ext
 			m.remove(i)
 		} else if cell.Box(m.bounds, fanout).Contains(ext) {
 			m.touch(e)
-			return e.objs, true
+			return e.content, cell, true
 		}
 	}
-	return nil, false
+	return cellContent{}, octree.Key{}, false
 }
 
-func (m *eagerCache) insert(key scanKey, epoch int64, objs []object.Object) {
-	n := int64(len(objs))
+func (m *eagerCache) insert(key scanKey, epoch int64, content cellContent) {
+	n := int64(len(content.objs))
 	if n > m.capacity {
 		if !m.adaptive || n > m.maxCap {
 			return
@@ -143,7 +144,7 @@ func (m *eagerCache) insert(key scanKey, epoch int64, objs []object.Object) {
 		}
 		m.capacity = min(m.capacity, m.maxCap)
 	}
-	e := &eagerEntry{key: key, epoch: epoch, objs: objs, heat: 1}
+	e := &eagerEntry{key: key, epoch: epoch, content: content, heat: 1}
 	if m.halfLife > 0 {
 		e.score = heatScore(1, *m.tick, m.halfLife)
 	}
@@ -206,8 +207,9 @@ func (m *eagerCache) invalidate() {
 // with one seeded sequence of inserts, lookups, containment probes, clock
 // advances and epoch changes at a capacity that forces evictions — with and
 // without heat decay, with and without the capacity tuner — and requires the
-// same answers, the same cached set after every operation (so the same
-// victims, in the same order), and the same ledger.
+// same answers — the same objects with the same child directory, which every
+// insert makes its own — the same cached set after every operation (so the
+// same victims, in the same order), and the same ledger.
 func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 	const fanout = 2
 	bounds := geom.UnitBox()
@@ -252,7 +254,8 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 					u := r.Float64()
 					cell := cells[int(float64(len(cells))*u*u*u)]
 					key := scanKey{ds: 1, cell: cell}
-					var got, want []object.Object
+					var got, want cellContent
+					var gotAt, wantAt octree.Key
 					var gotOK, wantOK bool
 					p := r.Float64()
 					switch {
@@ -261,8 +264,8 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 						want, wantOK = m.lookup(key, epoch)
 					case p < 0.85:
 						ext := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), 0.05*r.Float64())
-						got, gotOK = c.AnswerContained(1, fanout, epoch, ext)
-						want, wantOK = m.contained(1, fanout, epoch, ext)
+						got, gotAt, gotOK = c.AnswerContained(1, fanout, epoch, ext)
+						want, wantAt, wantOK = m.contained(1, fanout, epoch, ext)
 					case p < 0.95:
 						tick += int64(r.Intn(12))
 					case p < 0.951:
@@ -275,10 +278,13 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 						if r.Intn(20) == 0 {
 							at-- // a read that raced a publish: dead on arrival
 						}
-						objs := content[:r.Intn(len(content))]
+						in := cellContent{objs: content[:r.Intn(len(content))]}
+						if r.Intn(3) > 0 {
+							in.children = []int32{int32(i), int32(len(in.objs))} // this insert's own directory
+						}
 						before, mark := cached(), len(m.evicted)
-						c.Insert(key.ds, cell, at, cell.Box(bounds, fanout), objs)
-						m.insert(key, at, objs)
+						c.Insert(key.ds, cell, at, cell.Box(bounds, fanout), in)
+						m.insert(key, at, in)
 						// What this insert pushed out of the cache, against what it
 						// pushed out of the model: insert by insert, so the victims
 						// come in the same order (as sets within one insert, where
@@ -291,8 +297,9 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 							t.Fatalf("op %d, insert of %v: the cache evicted %v, the model %v", i, key, evicted, wantEvicted)
 						}
 					}
-					if gotOK != wantOK || len(got) != len(want) {
-						t.Fatalf("op %d on %v: the cache answered %d objects (%v), the model %d (%v)", i, key, len(got), gotOK, len(want), wantOK)
+					if gotOK != wantOK || len(got.objs) != len(want.objs) || !slices.Equal(got.children, want.children) || gotAt != wantAt {
+						t.Fatalf("op %d on %v: the cache answered %d objects with directory %v at %v (%v), the model %d with %v at %v (%v)",
+							i, key, len(got.objs), got.children, gotAt, gotOK, len(want.objs), want.children, wantAt, wantOK)
 					}
 					if len(c.entries) != len(m.entries) || c.objects != m.objects {
 						t.Fatalf("op %d: the cache holds %d entries / %d objects, the model %d / %d", i, len(c.entries), c.objects, len(m.entries), m.objects)
@@ -349,7 +356,7 @@ func TestAdaptiveCacheStartsInsideItsRange(t *testing.T) {
 // flush — and holds the two things sharing the lock on a hit could break:
 // the ledger still counts every lookup exactly once (a run books its hits,
 // never the read that ended it), and no lookup is ever answered from another
-// epoch's entry.
+// epoch's entry — nor with another entry's child directory.
 func TestResultCacheStorm(t *testing.T) {
 	const fanout = 2
 	bounds := geom.UnitBox()
@@ -370,13 +377,16 @@ func TestResultCacheStorm(t *testing.T) {
 			}
 		}
 	}
-	// An entry's content names the epoch it was inserted under.
+	// An entry's content names the epoch it was inserted under, in its
+	// objects and in its directory.
 	insert := func(r mergeRead) {
 		at := epoch.Load()
 		objs := make([]object.Object, 4)
 		objs[0].ID = uint64(at)
-		c.Insert(r.ds, r.entry, at, r.entry.Box(bounds, fanout), objs)
+		c.Insert(r.ds, r.entry, at, r.entry.Box(bounds, fanout), cellContent{objs: objs, children: []int32{int32(at)}})
 	}
+	// torn reports content whose objects and directory came from two entries.
+	torn := func(got cellContent) bool { return got.objs[0].ID != uint64(got.children[0]) }
 	var lookups atomic.Int64
 	errc := make(chan error, 16)
 	fail := func(format string, args ...any) {
@@ -418,10 +428,10 @@ func TestResultCacheStorm(t *testing.T) {
 			tick.Add(1)
 			rd := run[r.Intn(len(run))]
 			at := epoch.Load()
-			objs, ok := c.Lookup(rd.ds, rd.entry, at)
+			got, ok := c.Lookup(rd.ds, rd.entry, at)
 			lookups.Add(1)
-			if ok && objs[0].ID != uint64(at) {
-				fail("Lookup at epoch %d answered from epoch %d's entry", at, objs[0].ID)
+			if ok && (got.objs[0].ID != uint64(at) || torn(got)) {
+				fail("Lookup at epoch %d answered from epoch %d's entry (directory %v)", at, got.objs[0].ID, got.children)
 			}
 			if !ok {
 				insert(rd)
@@ -434,9 +444,9 @@ func TestResultCacheStorm(t *testing.T) {
 				hits := c.LookupRun(nil, reads, &epoch)
 				hi := epoch.Load()
 				lookups.Add(int64(len(hits)))
-				for _, objs := range hits {
-					if id := objs[0].ID; id < uint64(lo) || id > uint64(hi) {
-						fail("LookupRun between epochs %d and %d answered from epoch %d's entry", lo, hi, id)
+				for _, got := range hits {
+					if id := got.objs[0].ID; id < uint64(lo) || id > uint64(hi) || torn(got) {
+						fail("LookupRun between epochs %d and %d answered from epoch %d's entry (directory %v)", lo, hi, id, got.children)
 					}
 				}
 				if reads = reads[len(hits):]; len(reads) > 0 {

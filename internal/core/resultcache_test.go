@@ -17,16 +17,16 @@ func TestResultCacheExactHitAndEpochDrop(t *testing.T) {
 	region := cell.Box(geom.UnitBox(), 2)
 	objs := []object.Object{{ID: 1, Dataset: 3}, {ID: 2, Dataset: 3}}
 
-	c.Insert(3, cell, 5, region, objs)
+	c.Insert(3, cell, 5, region, cellContent{objs: objs})
 	got, ok := c.Lookup(3, cell, 5)
-	if !ok || len(got) != 2 {
+	if !ok || len(got.objs) != 2 {
 		t.Fatalf("Lookup = %v, %v; want the 2 inserted objects", got, ok)
 	}
 
 	// A cached empty cell is a hit, not a miss — ok carries the answer.
 	empty := testKeyAt(1, 1, 0, 0)
-	c.Insert(3, empty, 5, empty.Box(geom.UnitBox(), 2), nil)
-	if got, ok := c.Lookup(3, empty, 5); !ok || len(got) != 0 {
+	c.Insert(3, empty, 5, empty.Box(geom.UnitBox(), 2), cellContent{})
+	if got, ok := c.Lookup(3, empty, 5); !ok || len(got.objs) != 0 {
 		t.Fatalf("cached empty cell: Lookup = %v, %v; want [], true", got, ok)
 	}
 
@@ -57,10 +57,10 @@ func TestResultCacheEvictsColdestFirst(t *testing.T) {
 	a, b, cc := testKeyAt(2, 0, 0, 0), testKeyAt(2, 1, 0, 0), testKeyAt(2, 2, 0, 0)
 	two := []object.Object{{ID: 1}, {ID: 2}}
 
-	c.Insert(0, a, 1, geom.UnitBox(), two)
-	c.Insert(0, b, 1, geom.UnitBox(), two)
+	c.Insert(0, a, 1, geom.UnitBox(), cellContent{objs: two})
+	c.Insert(0, b, 1, geom.UnitBox(), cellContent{objs: two})
 	c.Lookup(0, a, 1) // heat a above b
-	c.Insert(0, cc, 1, geom.UnitBox(), two)
+	c.Insert(0, cc, 1, geom.UnitBox(), cellContent{objs: two})
 
 	if _, ok := c.Lookup(0, b, 1); ok {
 		t.Fatal("coldest entry survived eviction")
@@ -78,7 +78,7 @@ func TestResultCacheEvictsColdestFirst(t *testing.T) {
 
 	// An oversized scan must not flush the whole cache just to fail to fit.
 	five := make([]object.Object, 5)
-	c.Insert(0, testKeyAt(2, 3, 0, 0), 1, geom.UnitBox(), five)
+	c.Insert(0, testKeyAt(2, 3, 0, 0), 1, geom.UnitBox(), cellContent{objs: five})
 	if _, ok := c.Lookup(0, testKeyAt(2, 3, 0, 0), 1); ok {
 		t.Fatal("entry larger than the whole budget was admitted")
 	}
@@ -95,7 +95,7 @@ func TestResultCacheInvalidateCountsOnlyFlushes(t *testing.T) {
 	if st := c.Stats(); st.Invalidations != 0 {
 		t.Fatalf("empty-cache invalidate counted: %d", st.Invalidations)
 	}
-	c.Insert(0, testKeyAt(1, 0, 0, 0), 1, geom.UnitBox(), []object.Object{{ID: 1}})
+	c.Insert(0, testKeyAt(1, 0, 0, 0), 1, geom.UnitBox(), cellContent{objs: []object.Object{{ID: 1}}})
 	c.Invalidate()
 	st := c.Stats()
 	if st.Invalidations != 1 {
@@ -117,22 +117,22 @@ func TestResultCacheContainment(t *testing.T) {
 	bounds := geom.UnitBox()
 	c := newResultCache(bounds, 1000)
 	cell := testKeyAt(1, 0, 0, 0) // [0,0.5]^3 at fanout 2
-	c.Insert(1, cell, 7, cell.Box(bounds, 2), []object.Object{{ID: 9, Dataset: 1}})
+	c.Insert(1, cell, 7, cell.Box(bounds, 2), cellContent{objs: []object.Object{{ID: 9, Dataset: 1}}})
 
 	inside := geom.Cube(geom.V(0.25, 0.25, 0.25), 0.4)
-	got, ok := c.AnswerContained(1, 2, 7, inside)
-	if !ok || len(got) != 1 || got[0].ID != 9 {
-		t.Fatalf("contained probe = %v, %v; want the cached region content", got, ok)
+	got, at, ok := c.AnswerContained(1, 2, 7, inside)
+	if !ok || len(got.objs) != 1 || got.objs[0].ID != 9 || at != cell {
+		t.Fatalf("contained probe = %v at %v, %v; want the cached region content at %v", got, at, ok, cell)
 	}
 
 	spanning := geom.Cube(geom.V(0.5, 0.25, 0.25), 0.4) // crosses the cell wall
-	if _, ok := c.AnswerContained(1, 2, 7, spanning); ok {
+	if _, _, ok := c.AnswerContained(1, 2, 7, spanning); ok {
 		t.Fatal("region answered a window it does not contain")
 	}
-	if _, ok := c.AnswerContained(2, 2, 7, inside); ok {
+	if _, _, ok := c.AnswerContained(2, 2, 7, inside); ok {
 		t.Fatal("region answered another dataset's window")
 	}
-	if _, ok := c.AnswerContained(1, 2, 8, inside); ok {
+	if _, _, ok := c.AnswerContained(1, 2, 8, inside); ok {
 		t.Fatal("stale-epoch region answered by containment")
 	}
 	st := c.Stats()
@@ -180,10 +180,10 @@ func TestResultCacheContainmentDeepestFirst(t *testing.T) {
 			keys[0], keys[1] = fine, coarse
 		}
 		for _, k := range keys {
-			c.Insert(1, k, 7, k.Box(bounds, 2), []object.Object{{ID: uint64(k.Level), Dataset: 1}})
+			c.Insert(1, k, 7, k.Box(bounds, 2), cellContent{objs: []object.Object{{ID: uint64(k.Level), Dataset: 1}}})
 		}
-		got, ok := c.AnswerContained(1, 2, 7, window)
-		if !ok || len(got) != 1 || got[0].ID != uint64(fine.Level) {
+		got, _, ok := c.AnswerContained(1, 2, 7, window)
+		if !ok || len(got.objs) != 1 || got.objs[0].ID != uint64(fine.Level) {
 			t.Fatalf("round %d: probe = %v, %v; want the level-%d region's content", round, got, ok, fine.Level)
 		}
 		if heat := c.entries[scanKey{ds: 1, cell: fine}].heat.Load(); heat != 2 {
@@ -194,9 +194,9 @@ func TestResultCacheContainmentDeepestFirst(t *testing.T) {
 		}
 		// A dead entry on the way is dropped, and the probe goes on to the
 		// next level.
-		c.Insert(1, fine, 6, fine.Box(bounds, 2), nil)
-		got, ok = c.AnswerContained(1, 2, 7, window)
-		if !ok || len(got) != 1 || got[0].ID != uint64(coarse.Level) {
+		c.Insert(1, fine, 6, fine.Box(bounds, 2), cellContent{})
+		got, _, ok = c.AnswerContained(1, 2, 7, window)
+		if !ok || len(got.objs) != 1 || got.objs[0].ID != uint64(coarse.Level) {
 			t.Fatalf("round %d: probe past a dead region = %v, %v; want the level-%d region's content", round, got, ok, coarse.Level)
 		}
 		if st := c.Stats(); st.Entries != 1 || st.ContainmentHits != 2 {

@@ -37,9 +37,26 @@ type flightKey struct {
 	epoch int64
 }
 
+// cellContent is the full content of one cell as the read path carries it:
+// the objects and, for a merge segment stored grouped by its entry cell's k³
+// children, the child directory — children[ci]..children[ci+1] delimit child
+// ci's objects, ci in geom.CellGrid order over the entry cell's key box (see
+// groupByChildren). A tree partition, and a merge segment of one page, is in
+// file order with nil children and is filtered whole.
+//
+// The two travel as one value — through readCell, the in-flight reads and
+// the result cache — and are never looked up beside each other, because tree
+// partitions and merge segments share the (dataset, cell) key space: what
+// answers a key may be the other kind's content, read by a query of another
+// combination, and only the content knows how it is ordered.
+type cellContent struct {
+	objs     []object.Object
+	children []int32
+}
+
 // cellRead performs the device read of one cell: a tree partition or a merge
 // segment.
-type cellRead = func(context.Context) ([]object.Object, error)
+type cellRead = func(context.Context) (cellContent, error)
 
 // readCell is the one cell read of the serving stack, shared by tree
 // partitions (through octree.Tree.ShareReader) and merge segments, which live
@@ -51,37 +68,37 @@ type cellRead = func(context.Context) ([]object.Object, error)
 // which the cache keys containment answering on. Callers hold the shared
 // layout lock — and, for a partition, the dataset's shared tree lock — while
 // publishers take them exclusively, so the cell's bytes cannot change under
-// the read or its attached waiters. The returned slice may be shared with
+// the read or its attached waiters. The returned content may be shared with
 // concurrent queries and must be treated as read-only.
-func (o *Odyssey) readCell(ctx context.Context, ds object.DatasetID, cell octree.Key, box geom.Box, read cellRead) ([]object.Object, error) {
+func (o *Odyssey) readCell(ctx context.Context, ds object.DatasetID, cell octree.Key, box geom.Box, read cellRead) (cellContent, error) {
 	// The epoch is loaded before the read: a layout publish racing the read
 	// flushes the cache and leaves the later insert dead on arrival (its
 	// stored epoch can never match a future lookup) — conservative, never
 	// wrong.
 	epoch := o.layoutEpoch.Load()
 	if o.rcache != nil {
-		if objs, ok := o.rcache.Lookup(ds, cell, epoch); ok {
-			return objs, nil
+		if c, ok := o.rcache.Lookup(ds, cell, epoch); ok {
+			return c, nil
 		}
 	}
 	// Only the goroutine performing the device read marks its own query's
 	// cache scope; queries attached to this read stay clean (they charged no
 	// device read).
-	device := func() ([]object.Object, error) {
+	device := func() (cellContent, error) {
 		missCacheScope(ctx)
 		return read(ctx)
 	}
-	var objs []object.Object
+	var c cellContent
 	var err error
 	if o.cfg.ShareScans {
-		objs, err = o.sharedRead(ctx, flightKey{scanKey{ds: ds, cell: cell}, epoch}, device)
+		c, err = o.sharedRead(ctx, flightKey{scanKey{ds: ds, cell: cell}, epoch}, device)
 	} else {
-		objs, err = device()
+		c, err = device()
 	}
 	if err == nil && o.rcache != nil {
-		o.rcache.Insert(ds, cell, epoch, box, objs)
+		o.rcache.Insert(ds, cell, epoch, box, c)
 	}
-	return objs, err
+	return c, err
 }
 
 // sharedRead is the single-flight cell read. A waiter does not inherit a
@@ -90,18 +107,18 @@ func (o *Odyssey) readCell(ctx context.Context, ds object.DatasetID, cell octree
 // independent read either — N redundant scans, the herd sharing exists to
 // prevent: each re-enters the flight, so one of them leads the retry and the
 // rest attach to it, the way ensureBuilt's waiters do.
-func (o *Odyssey) sharedRead(ctx context.Context, key flightKey, device func() ([]object.Object, error)) ([]object.Object, error) {
+func (o *Odyssey) sharedRead(ctx context.Context, key flightKey, device func() (cellContent, error)) (cellContent, error) {
 	for {
-		objs, attached, err := o.cellFlight.Do(ctx, key, device)
+		c, attached, err := o.cellFlight.Do(ctx, key, device)
 		if !attached {
-			return objs, err
+			return c, err
 		}
 		if err == nil {
 			o.attachedScans.Add(1)
-			return objs, nil
+			return c, nil
 		}
 		if err := simdisk.CheckCtx(ctx); err != nil {
-			return nil, err
+			return cellContent{}, err
 		}
 	}
 }

@@ -191,8 +191,12 @@ func newSharedCell(t *testing.T) *sharedCell {
 	}
 }
 
-func (c *sharedCell) read(ctx context.Context, read cellRead) ([]object.Object, error) {
-	return c.eng.readCell(ctx, 0, c.cell, geom.UnitBox(), read)
+func (c *sharedCell) read(ctx context.Context, read func(context.Context) ([]object.Object, error)) ([]object.Object, error) {
+	got, err := c.eng.readCell(ctx, 0, c.cell, geom.UnitBox(), func(ctx context.Context) (cellContent, error) {
+		objs, err := read(ctx)
+		return cellContent{objs: objs}, err
+	})
+	return got.objs, err
 }
 
 // lead starts a read of the cell that stays in flight until release is

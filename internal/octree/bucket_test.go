@@ -14,12 +14,12 @@ import (
 	"spaceodyssey/internal/simdisk"
 )
 
-// bucketByCellReference is bucketByCell as it was before geom.CellGrid: two
+// bucketByCellReference is BucketByCell as it was before geom.CellGrid: two
 // passes that each work out every object's cell from scratch, step and all
 // (cellOf is Box.CellIndex's old body). Which bucket an object lands in, and
 // in what order, decides the bytes of every page a build or a refinement
-// writes, so bucketByCell must reproduce it exactly.
-func bucketByCellReference(box geom.Box, k int, objs, slab []object.Object) (bounds []int) {
+// writes, so BucketByCell must reproduce it exactly.
+func bucketByCellReference(box geom.Box, k int, objs, slab []object.Object) (bounds []int32) {
 	cellOf := func(o *object.Object) int {
 		step := box.Size().Div(float64(k))
 		idx := func(coord, lo, st float64) int {
@@ -38,7 +38,7 @@ func bucketByCellReference(box geom.Box, k int, objs, slab []object.Object) (bou
 		ix, iy, iz := idx(o.Center.X, box.Min.X, step.X), idx(o.Center.Y, box.Min.Y, step.Y), idx(o.Center.Z, box.Min.Z, step.Z)
 		return (iz*k+iy)*k + ix
 	}
-	b := make([]int, k*k*k+2)
+	b := make([]int32, k*k*k+2)
 	for i := range objs {
 		b[cellOf(&objs[i])+2]++
 	}
@@ -114,9 +114,10 @@ func TestBucketByCellMatchesReference(t *testing.T) {
 			}
 			for _, in := range [][]object.Object{objs, nil} {
 				got, want := make([]object.Object, len(in)), make([]object.Object, len(in))
-				gotB := bucketByCell(box, k, in, got)
+				// Appended behind bounds already in dst, which stay as they were.
+				gotB := BucketByCell([]int32{-7}, box, k, in, got)
 				wantB := bucketByCellReference(box, k, in, want)
-				if !slices.Equal(gotB, wantB) {
+				if gotB[0] != -7 || !slices.Equal(gotB[1:], wantB) {
 					t.Fatalf("box %v k=%d, %d objects: bounds %v, reference %v", box, k, len(in), gotB, wantB)
 				}
 				if !slices.Equal(got, want) {
@@ -134,16 +135,23 @@ func TestBucketByCellMatchesReference(t *testing.T) {
 
 // TestBucketByCellAllocatesOnlyItsBounds: the per-object cell indices come
 // from a pool, so a refinement-sized bucketing costs one allocation — the
-// bounds it returns.
+// bounds it returns — and none when the caller's dst has room for them (a
+// merge stage's child directories).
 func TestBucketByCellAllocatesOnlyItsBounds(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	objs, slab := benchObjects(2000), make([]object.Object, 2000)
 	if n := testing.AllocsPerRun(100, func() {
-		bucketByCell(geom.UnitBox(), 4, objs, slab)
+		BucketByCell(nil, geom.UnitBox(), 4, objs, slab)
 	}); n != 1 {
-		t.Errorf("bucketByCell on a warm pool: %v allocations, want 1 (its bounds)", n)
+		t.Errorf("BucketByCell on a warm pool: %v allocations, want 1 (its bounds)", n)
+	}
+	dst := make([]int32, 0, 2*(4*4*4+2))
+	if n := testing.AllocsPerRun(100, func() {
+		BucketByCell(BucketByCell(dst, geom.UnitBox(), 4, objs, slab), geom.UnitBox(), 4, objs, slab)
+	}); n != 0 {
+		t.Errorf("BucketByCell into a dst with room: %v allocations, want 0", n)
 	}
 }
 
@@ -157,7 +165,7 @@ func BenchmarkBucketByCell(b *testing.B) {
 	slab := make([]object.Object, len(objs))
 	b.ReportAllocs()
 	for b.Loop() {
-		bucketByCell(geom.UnitBox(), 4, objs, slab)
+		BucketByCell(nil, geom.UnitBox(), 4, objs, slab)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(objs)), "ns/object")
 }

@@ -249,7 +249,7 @@ func (t *Tree) EnsureBuiltCtx(ctx context.Context) error {
 		maxExt = maxExt.Max(all[i].HalfExtent)
 	}
 	slab := make([]object.Object, len(all))
-	bounds := bucketByCell(t.bounds, t.k, all, slab)
+	bounds := BucketByCell(nil, t.bounds, t.k, all, slab)
 
 	cells := t.bounds.Subdivide(t.k)
 	root := &Partition{
@@ -285,13 +285,15 @@ func (t *Tree) EnsureBuiltCtx(ctx context.Context) error {
 	return nil
 }
 
-// bucketByCell groups objs by the cell of box's k×k×k subdivision that holds
-// their center — the one bucketing behind the level-0 build and every
-// refinement. It is a stable counting sort into slab (len(objs) long), so
-// each bucket keeps objs' order and the pages written from it are byte for
-// byte what per-bucket appends produced. Bucket ci is
-// slab[bounds[ci]:bounds[ci+1]].
-func bucketByCell(box geom.Box, k int, objs, slab []object.Object) (bounds []int) {
+// BucketByCell groups objs by the cell of box's k×k×k subdivision that holds
+// their center — the one bucketing behind the level-0 build, every refinement
+// and the child grouping of a multi-page merge segment. It is a stable
+// counting sort into slab (len(objs) long), so each bucket keeps objs' order
+// and the pages written from it are byte for byte what per-bucket appends
+// produced. The k³+1 bucket bounds are appended to dst and the extended dst
+// returned: bucket ci is slab[b[ci]:b[ci+1]] of the appended b. A dst with
+// room costs no allocation (int32: a bucketing never holds 2³¹ objects).
+func BucketByCell(dst []int32, box geom.Box, k int, objs, slab []object.Object) []int32 {
 	// Each object's cell is worked out once, into pooled scratch the placing
 	// pass reads back.
 	cp := cellScratchPool.Get().(*[]int32)
@@ -299,8 +301,12 @@ func bucketByCell(box geom.Box, k int, objs, slab []object.Object) (bounds []int
 	// Counts go in two slots up, so that after the prefix sum b[ci+1] is
 	// bucket ci's start; placing advances it to the bucket's end, which is
 	// bucket ci+1's start — leaving b[ci] the start of every bucket and
-	// b[k³] the total, with no second cursor array.
-	b := make([]int, k*k*k+2)
+	// b[k³] the total, with no second cursor array. The spare slot stays in
+	// dst's capacity, for the next append to overwrite.
+	n := len(dst)
+	dst = slices.Grow(dst, k*k*k+2)
+	b := dst[n : n+k*k*k+2]
+	clear(b)
 	grid := box.Grid(k)
 	for i := range objs {
 		ci := grid.Index(objs[i].Center)
@@ -318,14 +324,14 @@ func bucketByCell(box geom.Box, k int, objs, slab []object.Object) (bounds []int
 		*cp = cells
 	}
 	cellScratchPool.Put(cp)
-	return b[:len(b)-1]
+	return dst[:n+k*k*k+1]
 }
 
-// cellScratchPool recycles bucketByCell's per-object cell indices (int32: the
-// k³ cells are themselves an allocated []int, far below 2³¹), so that a
-// refinement allocates only its bounds. Retention follows the object pools'
-// bound (pagefile.MaxPooledObjs): the indices of a level-0 build — a whole
-// dataset's — are left to the collector like that build's two object slices.
+// cellScratchPool recycles BucketByCell's per-object cell indices (int32: the
+// k³ cells are far below 2³¹), so that a refinement allocates only its
+// bounds. Retention follows the object pools' bound (pagefile.MaxPooledObjs):
+// the indices of a level-0 build — a whole dataset's — are left to the
+// collector like that build's two object slices.
 var cellScratchPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // Lookup returns the leaf partitions intersecting area, in child order

@@ -53,7 +53,7 @@ func (t *Tree) refineCtx(ctx context.Context, p *Partition, scratch *[]object.Ob
 	defer pagefile.PutObjSlice(sp)
 	slab := slices.Grow(*sp, len(objs))[:len(objs)]
 	*sp = slab
-	bounds := bucketByCell(p.box, t.k, objs, slab)
+	bounds := BucketByCell(nil, p.box, t.k, objs, slab)
 
 	// The parent's pages become the free pool children draw from in order.
 	// The rewrite phase always completes (no half-rewritten partition), but
@@ -134,6 +134,9 @@ type QueryResult struct {
 	// EnsureBuiltCtx, timed by its caller.)
 	RefineTime time.Duration
 	ReadTime   time.Duration
+	// Tested counts the objects the walk tested against q: its filter's
+	// input, of which the objects appended to Objects are the output.
+	Tested int
 }
 
 // QueryReadOnlyCtx answers q strictly from the current layout: the tree must
@@ -219,6 +222,7 @@ func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, q geom.Box
 						res.Touched = append(res.Touched, c)
 					}
 				}
+				res.Tested += len(objs)
 				res.Objects = object.AppendIntersecting(res.Objects, objs, q)
 				continue
 			}
@@ -233,6 +237,7 @@ func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, q geom.Box
 		res.Touched = append(res.Touched, leaf)
 		// Objects are values: objs (pooled scratch, or shared with concurrent
 		// queries) is not retained.
+		res.Tested += len(objs)
 		res.Objects = object.AppendIntersecting(res.Objects, objs, q)
 	}
 	return res, nil
