@@ -88,17 +88,14 @@ func TestExplorerCloseDrainsMaintenance(t *testing.T) {
 
 // TestExplorerCloseDuringFaultStorm extends the drain test into the worst
 // weather: Close lands while a fault storm has queries retrying, maintenance
-// tasks failing into backoff re-enqueues and quarantine, and the brownout
-// controller sampling — every goroutine (workers, retry timers, the
-// controller) must still wind down, the ledger must balance, and the device
-// must close cleanly.
+// tasks failing into backoff re-enqueues and quarantine — every goroutine
+// (workers, retry timers) must still wind down, the ledger must balance, and
+// the device must close cleanly.
 func TestExplorerCloseDuringFaultStorm(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ex := asyncEnv(t, Options{
 		MaintenanceWorkers: 3,
 		Retry:              RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond},
-		BrownoutThreshold:  0.25,
-		BrownoutWindow:     2 * time.Millisecond,
 	})
 	ex.SetRealTimeScale(0.05)
 	ex.SetFaultPlan(FaultPlan{

@@ -5,10 +5,9 @@
 // failure. It promotes the fault-tolerance discipline PR 8 built at the
 // device level to a new fault domain — the whole shard:
 //
-//   - Per-shard health checking: a probe loop per shard feeds an
-//     up/degraded/down state machine with hysteresis (the brownout
-//     controller pattern), so routing prefers live replicas without
-//     flapping on one stray probe.
+//   - Per-shard health checking: a probe loop per shard feeds an up/down
+//     state machine with hysteresis, so routing prefers live replicas
+//     without flapping on one stray probe.
 //   - Automatic failover: reads retry against the next replica under a
 //     budgeted retry/backoff policy (the RetryPolicy shape of the
 //     storage-read retries), so a crashed shard costs a failover, not an

@@ -137,46 +137,37 @@ func TestRingPlacement(t *testing.T) {
 
 // TestProberHysteresis pins the health state machine's trajectory without
 // clocks: one flapped probe moves nothing, DownAfter consecutive failures
-// mark the shard down, UpAfter consecutive successes bring it back, and the
-// degraded verdict follows the shard's own brownout immediately while up.
+// mark the shard down, and UpAfter consecutive successes bring it back.
 func TestProberHysteresis(t *testing.T) {
 	s := &shard{}
 	p := &prober{s: s, cfg: HealthConfig{DownAfter: 2, UpAfter: 2}}
 	boom := errors.New("probe failed")
 	state := func() ShardState { return ShardState(s.state.Load()) }
 
-	p.step(false, nil)
+	p.step(nil)
 	if state() != StateUp {
 		t.Fatalf("after clean probe: %v, want up", state())
 	}
-	p.step(false, boom)
+	p.step(boom)
 	if state() != StateUp {
 		t.Fatalf("one flapped probe moved the verdict to %v", state())
 	}
-	p.step(false, boom)
+	p.step(boom)
 	if state() != StateDown {
 		t.Fatalf("after %d consecutive failures: %v, want down", 2, state())
 	}
-	p.step(false, nil)
+	p.step(nil)
 	if state() != StateDown {
 		t.Fatalf("one success resurrected a down shard: %v", state())
 	}
-	p.step(false, boom) // the boundary flap the streak reset exists for
-	p.step(false, nil)
-	p.step(false, nil)
+	p.step(boom) // the boundary flap the streak reset exists for
+	p.step(nil)
+	p.step(nil)
 	if state() != StateUp {
 		t.Fatalf("after %d consecutive successes: %v, want up", 2, state())
 	}
-	p.step(true, nil)
-	if state() != StateDegraded {
-		t.Fatalf("degraded shard health not reflected: %v", state())
-	}
-	p.step(false, nil)
-	if state() != StateUp {
-		t.Fatalf("recovered shard stuck degraded: %v", state())
-	}
-	if got := s.transitions.Load(); got != 4 {
-		t.Fatalf("transitions = %d, want 4 (up->down->up->degraded->up)", got)
+	if got := s.transitions.Load(); got != 2 {
+		t.Fatalf("transitions = %d, want 2 (up->down->up)", got)
 	}
 }
 

@@ -21,13 +21,11 @@ type ShardHealth struct {
 	Rejects int64
 }
 
-// prober is one shard's health loop: the brownout controller pattern (a
-// sampling goroutine, explicit stop/done lifetime) feeding an
-// up/degraded/down state machine with hysteresis. A shard goes down only
-// after DownAfter consecutive probe failures and comes back only after
-// UpAfter consecutive successes, so a single flapped probe moves nothing;
-// the degraded verdict follows the shard's own brownout controller through
-// the unified Health snapshot.
+// prober is one shard's health loop: a sampling goroutine with an explicit
+// stop/done lifetime, feeding an up/down state machine with hysteresis. A
+// shard goes down only after DownAfter consecutive probe failures and comes
+// back only after UpAfter consecutive successes, so a single flapped probe
+// moves nothing.
 type prober struct {
 	s   *shard
 	cfg HealthConfig
@@ -61,34 +59,22 @@ func (p *prober) stop() {
 
 // step feeds one probe outcome through the state machine. Split from run
 // so the hysteresis trajectory is exactly unit-testable without clocks.
-func (p *prober) step(degraded bool, err error) {
+func (p *prober) step(err error) {
 	cur := ShardState(p.s.state.Load())
-	switch {
-	case err != nil:
+	if err != nil {
 		p.oks = 0
 		p.fails++
 		if cur != StateDown && p.fails >= p.cfg.DownAfter {
 			p.transition(StateDown)
 		}
-	default:
-		p.fails = 0
-		p.oks++
-		next := StateUp
-		if degraded {
-			next = StateDegraded
-		}
-		switch cur {
-		case StateDown:
-			// Coming back from down needs a streak; flapping at the
-			// boundary must not bounce routing.
-			if p.oks >= p.cfg.UpAfter {
-				p.transition(next)
-			}
-		default:
-			if next != cur {
-				p.transition(next)
-			}
-		}
+		return
+	}
+	p.fails = 0
+	p.oks++
+	// Coming back from down needs a streak; flapping at the boundary must
+	// not bounce routing.
+	if cur == StateDown && p.oks >= p.cfg.UpAfter {
+		p.transition(StateUp)
 	}
 }
 
@@ -108,7 +94,6 @@ func (p *prober) run() {
 			return
 		case <-ticker.C:
 		}
-		h, err := p.s.probe()
-		p.step(h.Degraded, err)
+		p.step(p.s.probe())
 	}
 }

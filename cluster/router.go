@@ -312,23 +312,20 @@ func failoverable(err error) bool {
 }
 
 // orderCandidates orders a group's replica shards for serving: up shards
-// first, then degraded, then down — down shards stay in the list as a last
-// resort, so a stale or flapped health verdict can cost a failed attempt
-// but never manufacture an outage on its own. The up shards are rotated by
-// the query's ordinal, so reads spread across replicas as a function of the
+// first, then down — down shards stay in the list as a last resort, so a
+// stale or flapped health verdict can cost a failed attempt but never
+// manufacture an outage on its own. The up shards are rotated by the
+// query's ordinal, so reads spread across replicas as a function of the
 // query alone: the groups of one query, whose replica arcs start on
 // different shards, start on different shards too, however their goroutines
 // interleave (a counter shared by the groups sent them to the same one).
 func (r *Router) orderCandidates(replicas []int, ord int64) []*shard {
-	var up, deg, down []*shard
+	var up, down []*shard
 	for _, id := range replicas {
 		s := r.shards[id]
-		switch {
-		case s.down(ord) || ShardState(s.state.Load()) == StateDown:
+		if s.down(ord) || ShardState(s.state.Load()) == StateDown {
 			down = append(down, s)
-		case ShardState(s.state.Load()) == StateDegraded:
-			deg = append(deg, s)
-		default:
+		} else {
 			up = append(up, s)
 		}
 	}
@@ -339,7 +336,7 @@ func (r *Router) orderCandidates(replicas []int, ord int64) []*shard {
 		rotated = append(rotated, up[:rot]...)
 		up = rotated
 	}
-	return append(append(up, deg...), down...)
+	return append(up, down...)
 }
 
 // serveGroup answers one fan-out group, failing over across its replicas

@@ -13,14 +13,9 @@ import (
 type ShardState int32
 
 const (
-	// StateUp: probes succeed and the shard's Explorer is not browned out.
-	// Up replicas are preferred for every sub-query.
+	// StateUp: probes succeed. Up replicas are preferred for every
+	// sub-query.
 	StateUp ShardState = iota
-	// StateDegraded: probes succeed but the shard reports degraded serving
-	// (its brownout controller is engaged). Degraded replicas serve only
-	// when no up replica exists — they still answer correctly, just under
-	// fault pressure.
-	StateDegraded
 	// StateDown: DownAfter consecutive probes failed (crash window, manual
 	// Crash, or closed Explorer). Down replicas are tried only as a last
 	// resort, so a stale verdict can delay a query but never fail one.
@@ -31,8 +26,6 @@ func (s ShardState) String() string {
 	switch s {
 	case StateUp:
 		return "up"
-	case StateDegraded:
-		return "degraded"
 	case StateDown:
 		return "down"
 	}
@@ -75,8 +68,7 @@ func (s *shard) down(ord int64) bool {
 // for a canceled leg, the I/O it performed before aborting — so the router
 // can conserve charges across hedges without ever double-counting: two
 // legs of one query can never share a scope, because serve always attaches
-// a fresh one (preserving the caller's QoS class if the context carries
-// one).
+// a fresh foreground one.
 func (s *shard) serve(ctx context.Context, q odyssey.Box, datasets []odyssey.DatasetID, ord int64) ([]odyssey.Object, time.Duration, error) {
 	if s.down(ord) {
 		s.rejects.Add(1)
@@ -95,33 +87,26 @@ func (s *shard) serve(ctx context.Context, q odyssey.Box, datasets []odyssey.Dat
 		}
 	}
 	s.serves.Add(1)
-	pri := simdisk.PriForeground
-	if sc := simdisk.ScopeFrom(ctx); sc != nil {
-		pri = sc.Priority()
-	}
-	ctx, _ = simdisk.WithOpScope(ctx, pri)
+	ctx, _ = simdisk.WithOpScope(ctx, simdisk.PriForeground)
 	return s.ex.QueryTimedCtx(ctx, q, datasets)
 }
 
 // probe is one health check: it fails while the shard is crashed (manual
 // or planned), while the plan flaps this probe's ordinal, or once the
-// Explorer is closed; otherwise it reports the unified health snapshot, so
-// the prober reads brownout state, maintenance health and device fault
-// counters in one call.
-func (s *shard) probe() (odyssey.Health, error) {
+// Explorer is closed.
+func (s *shard) probe() error {
 	n := s.probes.Add(1)
 	if s.r.plan.Load().flapped(s.id, n-1) {
 		s.probeErr.Add(1)
-		return odyssey.Health{}, ErrShardDown
+		return ErrShardDown
 	}
 	if s.down(s.r.ord.Load()) {
 		s.probeErr.Add(1)
-		return odyssey.Health{}, ErrShardDown
+		return ErrShardDown
 	}
-	h := s.ex.Health()
-	if h.Closed {
+	if s.ex.Health().Closed {
 		s.probeErr.Add(1)
-		return h, ErrClosed
+		return ErrClosed
 	}
-	return h, nil
+	return nil
 }

@@ -326,10 +326,6 @@ func runFaults(p *params, f *fixture, queries []odyssey.Query) report {
 	fmt.Printf("faults: transient rate %g (10x in storm windows), retries: %d attempts\n\n", p.faultRate, retryAttempts)
 	ex, converged := f.steady(queries, p.engine(func(o *odyssey.Options) {
 		o.Retry = odyssey.RetryPolicy{MaxAttempts: retryAttempts, Backoff: 200 * time.Microsecond}
-		// The brownout controller runs but should only engage in a real
-		// catastrophe — the experiment measures retry-backed availability,
-		// not shedding.
-		o.BrownoutThreshold, o.BrownoutWindow = 0.5, 10*time.Millisecond
 	}), p.scale)
 	defer shut(ex)
 
@@ -361,16 +357,14 @@ func runFaults(p *params, f *fixture, queries []odyssey.Query) report {
 		StormEvery: 2048, StormLength: 256, StormFactor: 10,
 	})
 	storm, stormPrints := phase("fault-storm")
-	bs := ex.BrownoutStats()
 	rep := &faultsReport{
 		header: p.header,
 		Share:  p.share, Cache: p.cache, Async: p.async, Converged: converged,
 		FaultRate: p.faultRate, RetryMaxAttempts: retryAttempts,
 		Clean: clean, Storm: storm, ServedResultsIdentical: samePrints(stormPrints, cleanPrints),
-		BrownoutEngagements: bs.Engagements, BrownoutSheds: bs.ShedQueries, DegradedAtEnd: bs.Engaged,
 	}
-	fmt.Printf("\nserved fraction mid-storm: %.2f%%  served results identical to fault-free: %v  brownout engagements: %d\n\n",
-		100*storm.ServedFraction, rep.ServedResultsIdentical, bs.Engagements)
+	fmt.Printf("\nserved fraction mid-storm: %.2f%%  served results identical to fault-free: %v\n\n",
+		100*storm.ServedFraction, rep.ServedResultsIdentical)
 	return rep
 }
 

@@ -182,9 +182,6 @@ type faultsReport struct {
 	Clean                  faultsModeReport `json:"clean"`
 	Storm                  faultsModeReport `json:"storm"`
 	ServedResultsIdentical bool             `json:"served_results_identical"`
-	BrownoutEngagements    int64            `json:"brownout_engagements"`
-	BrownoutSheds          int64            `json:"brownout_sheds"`
-	DegradedAtEnd          bool             `json:"degraded_at_end"`
 }
 
 // clusterPhaseReport is one replay's availability ledger: counters are

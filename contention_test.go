@@ -1,20 +1,18 @@
 package odyssey
 
 import (
-	"context"
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"spaceodyssey/internal/engine"
 )
 
-// Contention-model storms: QoS priority classes and the maintenance I/O
-// budget shape *when* work runs, never *what* a query returns. The
-// throttle gates wall-clock admission of background device operations, so
-// a throttled run must produce byte-identical result sets to an
-// unthrottled one — and both must match the NaiveScan oracle.
+// Contention-model storms: the maintenance I/O budget shapes *when* work
+// runs, never *what* a query returns. The throttle gates wall-clock
+// admission of background device operations, so a throttled run must
+// produce byte-identical result sets to an unthrottled one — and both must
+// match the NaiveScan oracle.
 
 // fixedStormQueries draws a deterministic query list so two independent
 // Explorer runs execute the identical workload.
@@ -94,49 +92,6 @@ func TestThrottledMaintenanceByteIdentical(t *testing.T) {
 		if !engine.SameObjects(base[i], throttled[i]) {
 			t.Errorf("query %d: throttled run returned %d objects, unthrottled %d — results must be byte-identical",
 				i, len(throttled[i]), len(base[i]))
-		}
-	}
-}
-
-// TestUrgentDeadlineOracle covers the dispatcher's deadline-imminent
-// escalation: with AdmissionConfig.UrgentDeadline set, queries whose
-// remaining deadline is inside the threshold run as PriUrgent — they jump
-// per-channel queues but must still return exactly the oracle's answer.
-func TestUrgentDeadlineOracle(t *testing.T) {
-	env := newOracleEnv(t, Options{
-		AsyncMaintenance: true, MaintenanceWorkers: 2, ShareScans: true,
-		RealTimeScale: 0.001, MaintenanceBudget: 0.25,
-	}, 3, 2000)
-	defer env.ex.Close()
-	d := NewDispatcherWithAdmission(env.ex, 4, AdmissionConfig{
-		UrgentDeadline: time.Minute,
-	})
-	defer d.Close()
-
-	queries := fixedStormQueries(env, 32, 7)
-	out := make(chan BatchResult, len(queries))
-	for i, q := range queries {
-		// Every context carries a deadline inside the urgent threshold, so
-		// each query is escalated at worker pickup. The deadline itself is
-		// generous enough that nothing is actually canceled.
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := d.SubmitCtx(ctx, i, q, out); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	for n := 0; n < len(queries); n++ {
-		res := <-out
-		if res.Err != nil {
-			t.Fatalf("query %d: %v", res.Index, res.Err)
-		}
-		want, err := env.oracle.Query(queries[res.Index].Range, queries[res.Index].Datasets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !engine.SameObjects(res.Objects, want) {
-			t.Errorf("urgent query %d: engine returned %d objects, oracle %d",
-				res.Index, len(res.Objects), len(want))
 		}
 	}
 }

@@ -26,16 +26,6 @@ var (
 	// Callers should shed the query (or retry with backoff) instead of
 	// queueing behind an already-saturated pool.
 	ErrOverloaded = errors.New("odyssey: dispatcher overloaded")
-
-	// ErrDegraded is the brownout shed: a PriMaintenance submission refused
-	// because the Explorer is browned out (Options.BrownoutThreshold) —
-	// the shard is degraded, not merely busy. It wraps ErrOverloaded, so
-	// errors.Is(err, ErrOverloaded) keeps matching for callers that treat
-	// both as back-off signals, while errors.Is(err, ErrDegraded) tells
-	// "browning out" from "saturated". Health-aware callers (the cluster
-	// router) key on the distinction: overload calls for retry elsewhere,
-	// degradation for steering background work away entirely.
-	ErrDegraded = fmt.Errorf("odyssey: dispatcher degraded (brownout shed): %w", ErrOverloaded)
 )
 
 // IsCanceled reports whether err is a cancellation outcome: a wrapped
@@ -114,15 +104,6 @@ type AdmissionConfig struct {
 	// failing with ErrOverloaded. 0 means fail immediately (pure fast-fail).
 	// Only meaningful with MaxInFlight > 0.
 	QueueWait time.Duration
-	// UrgentDeadline, when positive, turns on deadline-aware storage
-	// priority: a query picked up by a worker with this much (or less) of
-	// its deadline remaining is tagged urgent, and the storage layer lets
-	// its operations jump the per-channel queue — no queueing-delay charge
-	// (and no emulated queueing wait) behind concurrent queries' I/O. The
-	// service time itself is unchanged, so a quiet device behaves
-	// identically; under contention, deadline-imminent queries stop paying
-	// for earlier arrivals. 0 (the default) tags nothing.
-	UrgentDeadline time.Duration
 	// BatchWindow, when positive, turns on micro-batching: admitted queries
 	// are staged for up to this long and released to the worker pool
 	// grouped by dataset combination and query locality (a coarse spatial
@@ -347,16 +328,6 @@ func (d *Dispatcher) SubmitCtx(ctx context.Context, index int, q Query, out chan
 	// Admitted == Completed + Canceled holds after Close).
 	if err := simdisk.CheckCtx(ctx); err != nil {
 		return err
-	}
-	// Graceful degradation: while the Explorer is browned out
-	// (Options.BrownoutThreshold), submissions tagged as background work —
-	// a PriMaintenance scope on the context — are shed with ErrDegraded
-	// (which wraps ErrOverloaded) before taking an admission slot, keeping
-	// the surviving device capacity for foreground queries. Untagged and
-	// foreground/urgent submissions are unaffected.
-	if sc := simdisk.ScopeFrom(ctx); sc != nil && sc.Priority() == simdisk.PriMaintenance && d.ex.shedLowPri() {
-		d.rejected.Add(1)
-		return ErrDegraded
 	}
 	if d.slots != nil {
 		select {
@@ -670,17 +641,7 @@ func (d *Dispatcher) worker(w int) {
 		err := simdisk.CheckCtx(job.ctx)
 		t0 := time.Now()
 		if err == nil {
-			ctx := job.ctx
-			// Deadline-aware priority: a query whose deadline is imminent at
-			// pickup runs under an urgent scope — its storage operations jump
-			// the per-channel queue instead of absorbing queueing delay it has
-			// no time left to pay.
-			if d.cfg.UrgentDeadline > 0 && simdisk.ScopeFrom(ctx) == nil {
-				if dl, has := ctx.Deadline(); has && time.Until(dl) <= d.cfg.UrgentDeadline {
-					ctx, _ = simdisk.WithOpScope(ctx, simdisk.PriUrgent)
-				}
-			}
-			objs, err = d.ex.QueryCtx(ctx, job.query.Range, job.query.Datasets)
+			objs, err = d.ex.QueryCtx(job.ctx, job.query.Range, job.query.Datasets)
 		}
 		wall := time.Since(t0)
 		if job.cancel != nil {

@@ -547,13 +547,13 @@ func TestKnobCensus(t *testing.T) {
 	for i := 0; i < adm.NumField(); i++ {
 		got = append(got, adm.Field(i).Name)
 	}
-	if want := []string{"MaxInFlight", "Deadline", "QueueWait", "UrgentDeadline", "BatchWindow"}; !slices.Equal(got, want) {
+	if want := []string{"MaxInFlight", "Deadline", "QueueWait", "BatchWindow"}; !slices.Equal(got, want) {
 		t.Errorf("AdmissionConfig has fields %v, want %v: %s", got, want, rule)
 	}
 	if n := reflect.TypeOf(AdmissionStats{}).NumField(); n != 8 {
 		t.Errorf("AdmissionStats has %d fields, want 8: a counter nothing reads is a knob's shadow", n)
 	}
-	if n := reflect.TypeOf(Options{}).NumField(); n != 27 {
-		t.Errorf("Options has %d fields, want 27: %s", n, rule)
+	if n := reflect.TypeOf(Options{}).NumField(); n != 25 {
+		t.Errorf("Options has %d fields, want 25: %s", n, rule)
 	}
 }

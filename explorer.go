@@ -160,20 +160,6 @@ type Options struct {
 	// retrying. The zero value disables retries (every fault surfaces on
 	// first sight, the pre-fault-harness behaviour).
 	Retry RetryPolicy
-	// BrownoutThreshold, when positive, turns on graceful degradation under
-	// fault storms: a background controller samples the device's fault rate
-	// (faulted read attempts over all read attempts) every BrownoutWindow,
-	// and when the rate crosses the threshold the Explorer browns out —
-	// background maintenance pauses (shedding retry pressure and freezing
-	// the layout) and dispatcher submissions tagged PriMaintenance are shed
-	// with ErrDegraded, while foreground queries keep serving from the
-	// last published layout, the result cache, and whatever reads still
-	// succeed. The brownout disengages, with hysteresis, once the observed
-	// rate falls below half the threshold. 0 (default) never degrades.
-	BrownoutThreshold float64
-	// BrownoutWindow is the degradation controller's sampling period
-	// (default 25ms). Only meaningful with BrownoutThreshold > 0.
-	BrownoutWindow time.Duration
 }
 
 // Topology describes the storage layout an Explorer runs on.
@@ -232,9 +218,6 @@ type Explorer struct {
 	// gets the data-path simdisk.Storage it embeds.
 	dev    simdisk.Control
 	engine *core.Odyssey
-	// brown is the graceful-degradation controller
-	// (Options.BrownoutThreshold); nil when degradation is off.
-	brown *brownout
 
 	// mu guards raws, and orders queries (shared) against AddDataset
 	// (exclusive) so the device clock/stat resets in AddDataset never race
@@ -283,17 +266,13 @@ func NewExplorer(opts Options) (*Explorer, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Explorer{
+	return &Explorer{
 		opts:      opts,
 		dev:       dev,
 		engine:    eng,
 		raws:      make(map[DatasetID]*rawfile.Raw),
 		closeDone: make(chan struct{}),
-	}
-	if opts.BrownoutThreshold > 0 {
-		e.brown = startBrownout(e, opts.BrownoutThreshold, opts.BrownoutWindow)
-	}
-	return e, nil
+	}, nil
 }
 
 // AddDataset registers a dataset: its objects are written to a raw file on
@@ -418,8 +397,8 @@ func (e *Explorer) QueryTimedCtx(ctx context.Context, q Box, datasets []DatasetI
 	// device operation the query performs — including queueing delay behind
 	// concurrent queries' operations — to it, making the returned duration an
 	// exact per-query attribution on any topology. A scope already on the
-	// context (the dispatcher attaches one to tag deadline-imminent queries
-	// urgent) is reused so its class survives.
+	// context is reused, so a caller that attached one reads the query's
+	// charge from it.
 	scope := simdisk.ScopeFrom(ctx)
 	if scope == nil {
 		ctx, scope = simdisk.WithOpScope(ctx, simdisk.PriForeground)
@@ -598,37 +577,6 @@ func (e *Explorer) SetFaultPlan(plan FaultPlan) { e.dev.SetFaultPlan(plan) }
 // Options.Retry); the zero policy disables retries.
 func (e *Explorer) SetRetryPolicy(p RetryPolicy) { e.dev.SetRetryPolicy(p) }
 
-// Degraded reports whether the graceful-degradation controller is currently
-// engaged (Options.BrownoutThreshold). Always false with degradation off.
-// It is a thin view over the unified Health snapshot.
-func (e *Explorer) Degraded() bool {
-	return e.brown != nil && e.brown.engaged.Load()
-}
-
-// BrownoutStats snapshots the degradation controller's ledger. All zeros
-// with Options.BrownoutThreshold unset.
-func (e *Explorer) BrownoutStats() BrownoutStats {
-	if e.brown == nil {
-		return BrownoutStats{}
-	}
-	return BrownoutStats{
-		Engaged:     e.brown.engaged.Load(),
-		Engagements: e.brown.engagements.Load(),
-		ShedQueries: e.brown.sheds.Load(),
-	}
-}
-
-// shedLowPri reports whether a low-priority submission should be shed right
-// now because the Explorer is browned out, counting the shed when so. The
-// dispatcher calls it for submissions tagged PriMaintenance.
-func (e *Explorer) shedLowPri() bool {
-	if e.brown == nil || !e.brown.engaged.Load() {
-		return false
-	}
-	e.brown.sheds.Add(1)
-	return true
-}
-
 // SharingStats returns the scan-sharing ledger: cell reads answered by
 // attaching to another query's in-flight read, and queries that waited out
 // another's level-0 build. With Options.ShareScans off only SharedBuilds can
@@ -665,12 +613,6 @@ func (e *Explorer) MaintenanceBudget() float64 { return e.dev.MaintenanceBudget(
 func (e *Explorer) Close() error {
 	e.closeOnce.Do(func() {
 		e.closed.Store(true)
-		// The degradation controller goes first: it pokes the engine's
-		// maintenance pause flag and reads device stats, so it must be gone
-		// before either shuts down.
-		if e.brown != nil {
-			e.brown.stop()
-		}
 		// Taking mu exclusively waits out every in-flight query (they hold
 		// it shared for their full duration); new ones fail fast on the
 		// flag.

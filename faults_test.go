@@ -1,7 +1,6 @@
 package odyssey
 
 import (
-	"context"
 	"errors"
 	"sort"
 	"sync"
@@ -156,80 +155,5 @@ func TestExplorerRetryPolicy(t *testing.T) {
 	// more than the noise of layout work already done.
 	if stormy > 2*clean+time.Millisecond {
 		t.Fatalf("retries extended the simulated clock: clean %v, stormy %v", clean, stormy)
-	}
-}
-
-// TestBrownoutDegradesAndRecovers pins graceful degradation end to end: a
-// fault storm crossing BrownoutThreshold engages the brownout (Degraded
-// flips, PriMaintenance dispatcher submissions shed with ErrDegraded, which
-// still matches ErrOverloaded for compatibility, foreground submissions
-// still admitted), and once the storm clears the controller disengages with
-// hysteresis.
-func TestBrownoutDegradesAndRecovers(t *testing.T) {
-	ex := faultEnv(t, Options{
-		AsyncMaintenance:   true,
-		MaintenanceWorkers: 2,
-		Retry:              RetryPolicy{MaxAttempts: 6, Backoff: 50 * time.Microsecond},
-		BrownoutThreshold:  0.2,
-		BrownoutWindow:     5 * time.Millisecond,
-		DropCachesPerQuery: true,
-	})
-	defer ex.Close()
-	dss := []DatasetID{0, 1}
-	hot := Cube(V(0.45, 0.45, 0.5), 0.08)
-	if _, err := ex.Query(hot, dss); err != nil {
-		t.Fatal(err)
-	}
-	if ex.Degraded() {
-		t.Fatal("Explorer degraded before any fault")
-	}
-
-	// Storm: half of all read attempts fault. The query loop keeps reads
-	// flowing so the controller has windows to judge.
-	ex.SetFaultPlan(FaultPlan{Seed: 21, TransientRate: 0.5})
-	deadline := time.Now().Add(10 * time.Second)
-	for !ex.Degraded() && time.Now().Before(deadline) {
-		ex.Query(hot, dss) // errors expected mid-storm; reads still count
-	}
-	if !ex.Degraded() {
-		t.Fatal("brownout never engaged under a 50% fault storm")
-	}
-
-	// Degraded serving: background-tagged submissions shed, foreground
-	// admitted.
-	d := NewDispatcher(ex, 2)
-	out := make(chan BatchResult, 4)
-	low := WithPriority(context.Background(), PriMaintenance)
-	if err := d.SubmitCtx(low, 0, Query{Range: hot, Datasets: dss}, out); !errors.Is(err, ErrDegraded) {
-		t.Fatalf("PriMaintenance submission during brownout = %v, want ErrDegraded", err)
-	} else if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("brownout shed %v does not wrap ErrOverloaded; compat contract broken", err)
-	}
-	if err := d.Submit(1, Query{Range: hot, Datasets: dss}, out); err != nil {
-		t.Fatalf("foreground submission during brownout refused: %v", err)
-	}
-	d.Close()
-	<-out // the storm may fail the query itself; only admission is asserted
-
-	// The storm clears; clean traffic must disengage the brownout.
-	ex.SetFaultPlan(FaultPlan{})
-	deadline = time.Now().Add(10 * time.Second)
-	for ex.Degraded() && time.Now().Before(deadline) {
-		if _, err := ex.Query(hot, dss); err != nil {
-			t.Fatalf("query after the storm cleared: %v", err)
-		}
-	}
-	if ex.Degraded() {
-		t.Fatal("brownout never disengaged after the storm cleared")
-	}
-	bs := ex.BrownoutStats()
-	if bs.Engagements == 0 {
-		t.Fatalf("no engagement ledgered: %+v", bs)
-	}
-	if bs.ShedQueries == 0 {
-		t.Fatalf("no shed ledgered: %+v", bs)
-	}
-	if ds := ex.DiskStats(); ds.RetriedOps == 0 {
-		t.Fatalf("storm produced no ledgered retries: %+v", ds)
 	}
 }

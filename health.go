@@ -1,18 +1,11 @@
 package odyssey
 
-// Health is the Explorer's unified health snapshot: the brownout
-// controller's state, the maintenance pipeline's health ledger, and the
-// device-level fault/retry counters, in one call. Health checkers (the
-// cluster router's shard probes) read it instead of stitching three
-// ledgers together; the individual accessors (Degraded, BrownoutStats,
-// MaintenanceHealth, DiskStats) remain as thin views over the same state.
+// Health is the Explorer's unified health snapshot: the maintenance
+// pipeline's health ledger and the device-level fault/retry counters, in
+// one call. Health checkers (the cluster router's shard probes) read it
+// instead of stitching ledgers together; the individual accessors
+// (MaintenanceHealth, DiskStats) remain as thin views over the same state.
 type Health struct {
-	// Degraded reports whether the graceful-degradation controller is
-	// engaged right now (Options.BrownoutThreshold); always false with
-	// degradation off.
-	Degraded bool
-	// Brownout is the degradation controller's ledger.
-	Brownout BrownoutStats
 	// Maintenance is the background maintenance pipeline's health ledger:
 	// bounded failure history, quarantine list, pending retries.
 	Maintenance MaintenanceHealth
@@ -31,17 +24,14 @@ type Health struct {
 // Health returns the unified health snapshot. Safe to call concurrently
 // with queries and on a closed Explorer.
 func (e *Explorer) Health() Health {
-	h := Health{
-		Brownout:    e.BrownoutStats(),
-		Maintenance: e.engine.MaintenanceHealth(),
-		Closed:      e.closed.Load(),
-	}
-	h.Degraded = h.Brownout.Engaged
 	ds := e.dev.Stats()
-	h.TransientFaults = ds.TransientFaults
-	h.PermanentFaults = ds.PermanentFaults
-	h.LatencySpikes = ds.LatencySpikes
-	h.RetriedOps = ds.RetriedOps
-	h.RetryExhausted = ds.RetryExhausted
-	return h
+	return Health{
+		Maintenance:     e.engine.MaintenanceHealth(),
+		TransientFaults: ds.TransientFaults,
+		PermanentFaults: ds.PermanentFaults,
+		LatencySpikes:   ds.LatencySpikes,
+		RetriedOps:      ds.RetriedOps,
+		RetryExhausted:  ds.RetryExhausted,
+		Closed:          e.closed.Load(),
+	}
 }

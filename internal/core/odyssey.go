@@ -1298,16 +1298,6 @@ func (o *Odyssey) Unquarantine(q QuarantinedCell) bool {
 	return o.maint.Unquarantine(q)
 }
 
-// SetMaintenancePaused freezes (true) or thaws (false) background task
-// pickup; queued work stays queued while paused. The brownout controller
-// uses it to shed maintenance load during fault storms. A no-op when
-// maintenance is synchronous.
-func (o *Odyssey) SetMaintenancePaused(paused bool) {
-	if o.maint != nil {
-		o.maint.SetPaused(paused)
-	}
-}
-
 // FlushResultCache drops every entry of the result cache (a no-op with
 // caching off). An operator control and measurement knob: benchmarks use it
 // to start a measured phase cold-cache without touching the layout.

@@ -46,7 +46,7 @@ type Stats struct {
 	// scoped operations: simulated time spent waiting behind earlier
 	// operations on the same channel. It is attribution, not extra device
 	// work — channel busy time and Clock() never include it. Zero on serial
-	// single-stream workloads and for PriUrgent scopes.
+	// single-stream workloads.
 	QueuedDelay time.Duration
 	// ThrottledOps counts maintenance operations that waited (wall-clock
 	// only) for the background I/O budget (SetMaintenanceBudget) at least
@@ -210,7 +210,7 @@ type Device struct {
 	retryExhausted  atomic.Int64
 
 	// QoS state (see qos.go): queuedDelay and throttledOps are the Stats
-	// counters; fgInFlight counts scoped foreground/urgent operations
+	// counters; fgInFlight counts scoped foreground operations
 	// currently inside the device (the signal the maintenance throttle
 	// watches); maintBudget holds the float64 bits of the background I/O
 	// budget fraction (0 = throttling off); fgBusy/maintBusy split platter
@@ -523,10 +523,9 @@ func (d *Device) AppendPageCtx(ctx context.Context, id FileID, data []byte) (int
 // frontier), starts it no earlier than the frontier, and charges the scope
 // the service time plus any arrival-gated queueing delay. Channel busy time
 // accumulates pure service time, so Clock() and conservation (scope charges
-// sum to busy) are independent of interleaving. PriUrgent scopes jump the
-// queue: no delay charged, their timeline advances by service time alone.
-// It returns the duration the operation should sleep under real-time
-// emulation: service plus charged delay.
+// sum to busy) are independent of interleaving. It returns the duration the
+// operation should sleep under real-time emulation: service plus charged
+// delay.
 func (d *Device) chargePlatter(s *OpScope, key pageKey) time.Duration {
 	ch := d.channelOf(key.file)
 	ch.mu.Lock()
@@ -545,18 +544,10 @@ func (d *Device) chargePlatter(s *OpScope, key pageKey) time.Duration {
 		if arrival < 0 {
 			arrival = ch.free // first access positions the scope's timeline
 		}
-		start := arrival
-		if ch.free > start {
-			start = ch.free
-		}
+		start := max(arrival, ch.free)
 		ch.free = start + int64(svc)
-		if s.pri == PriUrgent {
-			// Queue jump: completion is arrival + service, no delay.
-			s.now.Store(arrival + int64(svc))
-		} else {
-			delay = start - arrival
-			s.now.Store(start + int64(svc))
-		}
+		delay = start - arrival
+		s.now.Store(ch.free)
 	}
 	ch.mu.Unlock()
 	if sequential {

@@ -8,9 +8,8 @@ import (
 )
 
 // Priority classifies a device operation for QoS purposes. It rides on the
-// operation's context inside an OpScope: the dispatcher tags deadline-
-// imminent queries PriUrgent, the maintenance scheduler tags its background
-// I/O PriMaintenance, and everything else defaults to PriForeground.
+// operation's context inside an OpScope: the maintenance scheduler tags its
+// background I/O PriMaintenance, and everything else is PriForeground.
 type Priority uint8
 
 const (
@@ -25,24 +24,7 @@ const (
 	// clock — while foreground operations are in flight and maintenance
 	// exceeds its busy-time share.
 	PriMaintenance
-	// PriUrgent marks deadline-imminent queries. Urgent operations jump the
-	// per-channel queue: they are never charged queueing delay (and never
-	// sleep it under real-time emulation), though their service time still
-	// occupies the channel like any other access.
-	PriUrgent
 )
-
-// String names the priority for reports.
-func (p Priority) String() string {
-	switch p {
-	case PriMaintenance:
-		return "maintenance"
-	case PriUrgent:
-		return "urgent"
-	default:
-		return "foreground"
-	}
-}
 
 // OpScope accumulates the exact simulated cost of one logical unit of work
 // (one query, one maintenance task) across every device operation its
@@ -100,9 +82,6 @@ func ScopeFrom(ctx context.Context) *OpScope {
 	return s
 }
 
-// Priority returns the scope's QoS class.
-func (s *OpScope) Priority() Priority { return s.pri }
-
 // Charged returns the platter service time (seeks + transfers) attributed
 // to this scope. Concurrent scopes' Charged durations sum exactly to the
 // device's total busy time.
@@ -113,8 +92,8 @@ func (s *OpScope) Charged() time.Duration { return time.Duration(s.charged.Load(
 func (s *OpScope) Shared() time.Duration { return time.Duration(s.shared.Load()) }
 
 // Queued returns the arrival-gated queueing delay this scope's operations
-// waited behind earlier operations on their channels. Always zero for
-// PriUrgent scopes and on single-stream serial workloads.
+// waited behind earlier operations on their channels. Always zero on
+// single-stream serial workloads.
 func (s *OpScope) Queued() time.Duration { return time.Duration(s.queued.Load()) }
 
 // Total returns the scope's complete simulated latency: service time plus
@@ -204,7 +183,7 @@ func (a *DeviceArray) SetMaintenanceBudget(frac float64) {
 func (a *DeviceArray) MaintenanceBudget() float64 { return a.members[0].MaintenanceBudget() }
 
 // gateOp is the QoS entry gate every page I/O operation passes: foreground
-// and urgent scoped operations register as in flight — the signal the
+// scoped operations register as in flight — the signal the
 // maintenance throttle watches. Maintenance operations pass freely: the
 // budget wait happens at task boundaries (AwaitMaintenanceTurn), never
 // mid-operation, because a maintenance step may be holding an engine lock

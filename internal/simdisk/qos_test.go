@@ -135,41 +135,6 @@ func TestQueueingDelayIndependentChannels(t *testing.T) {
 	}
 }
 
-// TestUrgentJumpsQueue pins the PriUrgent queue jump: an urgent scope in the
-// same contended position as TestQueueingDelayCharged's B is charged zero
-// delay.
-func TestUrgentJumpsQueue(t *testing.T) {
-	d := qosTestDevice(t, 1)
-	fa := fillFile(t, d, "a", 64)
-	fb := fillFile(t, d, "b", 2)
-	d.ResetClock()
-	d.ResetStats()
-
-	ctxA, sa := WithOpScope(context.Background(), PriForeground)
-	ctxB, sb := WithOpScope(context.Background(), PriUrgent)
-	buf := make([]byte, PageSize)
-
-	if err := d.ReadPageCtx(ctxB, fb, 0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.ReadRunCtx(ctxA, fa, 0, 64); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ReadPageCtx(ctxB, fb, 1, buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := sb.Queued(); got != 0 {
-		t.Fatalf("urgent scope queued %v, want 0", got)
-	}
-	if sa.Charged() == 0 || sb.Charged() == 0 {
-		t.Fatal("both scopes should have platter charges")
-	}
-	// Service time is still real: conservation holds with the jump.
-	if got, want := sa.Charged()+sb.Charged(), totalBusy(d); got != want {
-		t.Fatalf("charges %v != busy %v", got, want)
-	}
-}
-
 // TestSerialScopeMatchesClock pins the C=1 D=1 compatibility guarantee: a
 // single serial scope's Total is bit-for-bit the device clock delta — the
 // original single-head model.

@@ -21,8 +21,6 @@
 package odyssey
 
 import (
-	"context"
-
 	"spaceodyssey/internal/core"
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
@@ -82,33 +80,7 @@ type (
 	Query = workload.Query
 	// MergeLevelPolicy selects the mixed-refinement-level merge strategy.
 	MergeLevelPolicy = core.LevelPolicy
-	// Priority classifies device operations for QoS: foreground query I/O,
-	// throttleable background maintenance, or deadline-imminent urgent work
-	// (see AdmissionConfig.UrgentDeadline and Options.MaintenanceBudget).
-	Priority = simdisk.Priority
 )
-
-// Storage QoS priority classes.
-const (
-	// PriForeground is interactive query I/O (the default class).
-	PriForeground = simdisk.PriForeground
-	// PriMaintenance is background layout maintenance, throttleable via
-	// Options.MaintenanceBudget.
-	PriMaintenance = simdisk.PriMaintenance
-	// PriUrgent is deadline-imminent query I/O; it jumps per-channel queues.
-	PriUrgent = simdisk.PriUrgent
-)
-
-// WithPriority returns a context whose queries run under the given storage
-// QoS class: their device operations are charged to that class, and
-// dispatcher submissions tagged PriMaintenance are shed with ErrDegraded
-// (wrapping ErrOverloaded) while the Explorer is browned out
-// (Options.BrownoutThreshold). Query APIs
-// attach PriForeground themselves when the context carries no class.
-func WithPriority(ctx context.Context, pri Priority) context.Context {
-	ctx, _ = simdisk.WithOpScope(ctx, pri)
-	return ctx
-}
 
 // Merge level policies (paper §3.2.5).
 const (
