@@ -39,7 +39,7 @@ type experiment struct {
 
 var (
 	sizing   = []string{"experiment", "datasets", "objects", "queries", "qvol", "seed", "data-seed", "layout", "seek-us", "transfer-us"}
-	topology = []string{"devices", "channels", "placement"}
+	topology = []string{"devices", "channels"}
 	pooled   = []string{"parallel", "realtime-scale", "json"}
 	figure   = slices.Concat(sizing, topology, []string{"grid-cells", "ks", "verify"})
 )
@@ -142,11 +142,11 @@ func (e experiment) execute(p *params) error {
 		}
 		fmt.Printf("%s: %d datasets x %d objects, %d queries, %d workers, realtime x%g\n",
 			e.title, p.cfg.Datasets, p.cfg.ObjectsPerDataset, p.wcfg.Queries, p.workers, p.scale)
-		fmt.Printf("storage: %d device(s) x %d channel(s), placement %s; set: -%s\n\n",
-			p.cfg.Devices, p.cfg.Channels, p.cfg.Placement, strings.Join(p.set, " -"))
+		fmt.Printf("storage: %d device(s) x %d channel(s); set: -%s\n\n",
+			p.cfg.Devices, p.cfg.Channels, strings.Join(p.set, " -"))
 	}
 	p.header = header{
-		Experiment: e.id, Devices: p.cfg.Devices, Channels: p.cfg.Channels, Placement: p.cfg.Placement,
+		Experiment: e.id, Devices: p.cfg.Devices, Channels: p.cfg.Channels,
 		Workers: p.workers, Queries: p.wcfg.Queries, RealtimeScale: p.scale,
 	}
 	rep := e.run(p, f, queries)

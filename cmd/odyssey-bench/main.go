@@ -83,7 +83,6 @@ func flags(p *params) *flag.FlagSet {
 	fs.Float64Var(&p.scale, "realtime-scale", 1.0, "wall-clock seconds slept per simulated second in the measured replays")
 	fs.IntVar(&p.cfg.Devices, "devices", 1, "number of simulated member devices to place files on")
 	fs.IntVar(&p.cfg.Channels, "channels", 1, "independent I/O channels (platter heads) per device")
-	fs.StringVar(&p.cfg.Placement, "placement", "affinity", "file placement across devices: affinity|roundrobin")
 	fs.StringVar(&p.jsonPath, "json", "", "write the row's report as JSON to this file (the figure rows of one invocation share one)")
 	fs.BoolVar(&p.async, "async", false, "faults: run the engine with asynchronous layout maintenance")
 	fs.IntVar(&p.maintWorkers, "maintworkers", 2, "maintenance worker pool size for async-maintenance engines")

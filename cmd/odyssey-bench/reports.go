@@ -52,7 +52,6 @@ type header struct {
 	Experiment    string  `json:"experiment"`
 	Devices       int     `json:"devices"`
 	Channels      int     `json:"channels"`
-	Placement     string  `json:"placement"`
 	Workers       int     `json:"workers"`
 	Queries       int     `json:"queries"`
 	RealtimeScale float64 `json:"realtime_scale"`

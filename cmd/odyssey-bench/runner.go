@@ -54,7 +54,6 @@ func newFixture(cfg bench.Config) *fixture {
 			// helps, every query pays platter time.
 			DropCachesPerQuery: true,
 			Devices:            cfg.Devices, Channels: cfg.Channels,
-			Placement: ok(bench.PlacementByName(cfg.Placement)),
 		},
 	}
 }

@@ -138,36 +138,30 @@ func TestConcurrentQueriesMatchOracleNoMerge(t *testing.T) {
 }
 
 // TestConcurrentQueriesMatchOracleDeviceArray runs the main equivalence
-// storm on a 2-device array with 2 channels per device under both placement
-// policies: a dataset's files kept together by affinity with merge files
-// next to their hottest member, or every file dealt to the next device;
-// every cache miss routed to a per-file channel head. Result sets must stay
-// equal to the NaiveScan oracle — placement moves I/O between spindles, it
-// must never change what a query returns.
+// storm on a 2-device array with 2 channels per device: a dataset's files
+// kept together on one member by group affinity, merge files dealt across
+// members, every cache miss routed to a per-file channel head. Result sets
+// must stay equal to the NaiveScan oracle — placement moves I/O between
+// spindles, it must never change what a query returns.
 func TestConcurrentQueriesMatchOracleDeviceArray(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		policy PlacementPolicy // nil: the default
-	}{{"affinity", nil}, {"roundrobin", RoundRobinPlacement()}} {
-		t.Run(tc.name, func(t *testing.T) {
-			env := newOracleEnv(t, Options{Devices: 2, Channels: 2, Placement: tc.policy}, 3, 2000)
-			if topo := env.ex.Topology(); topo.Devices != 2 || topo.Channels != 2 || topo.Placement != tc.name {
-				t.Fatalf("Topology() = %+v, want 2 devices x 2 channels, %s", topo, tc.name)
-			}
-			runConcurrentOracle(t, env, 8, 20)
-			if m := env.ex.Metrics(); m.Queries != 8*20 {
-				t.Errorf("engine recorded %d queries, want %d", m.Queries, 8*20)
-			}
-			// Per-device counters must sum to the aggregate view.
-			var sum DiskStats
-			for _, s := range env.ex.DeviceStats() {
-				sum.Add(s)
-			}
-			if sum != env.ex.DiskStats() {
-				t.Errorf("DeviceStats sum %+v != DiskStats %+v", sum, env.ex.DiskStats())
-			}
-		})
-	}
+	t.Run("affinity", func(t *testing.T) {
+		env := newOracleEnv(t, Options{Devices: 2, Channels: 2}, 3, 2000)
+		if topo := env.ex.Topology(); topo.Devices != 2 || topo.Channels != 2 {
+			t.Fatalf("Topology() = %+v, want 2 devices x 2 channels", topo)
+		}
+		runConcurrentOracle(t, env, 8, 20)
+		if m := env.ex.Metrics(); m.Queries != 8*20 {
+			t.Errorf("engine recorded %d queries, want %d", m.Queries, 8*20)
+		}
+		// Per-device counters must sum to the aggregate view.
+		var sum DiskStats
+		for _, s := range env.ex.DeviceStats() {
+			sum.Add(s)
+		}
+		if sum != env.ex.DiskStats() {
+			t.Errorf("DeviceStats sum %+v != DiskStats %+v", sum, env.ex.DiskStats())
+		}
+	})
 }
 
 // TestConcurrentQueriesMatchOracleAsync is the stale-read regression for

@@ -553,7 +553,7 @@ func TestKnobCensus(t *testing.T) {
 	if n := reflect.TypeOf(AdmissionStats{}).NumField(); n != 8 {
 		t.Errorf("AdmissionStats has %d fields, want 8: a counter nothing reads is a knob's shadow", n)
 	}
-	if n := reflect.TypeOf(Options{}).NumField(); n != 25 {
-		t.Errorf("Options has %d fields, want 25: %s", n, rule)
+	if n := reflect.TypeOf(Options{}).NumField(); n != 24 {
+		t.Errorf("Options has %d fields, want 24: %s", n, rule)
 	}
 }

@@ -64,21 +64,15 @@ type Options struct {
 	// Devices is the number of simulated member devices files are placed
 	// on (default 1 — a single device, the paper's baseline setup; the
 	// paper's own evaluation hardware had two SAS disks). With Devices > 1
-	// file placement follows the Placement policy and the simulated clock
-	// reports the critical path across devices.
+	// each file is placed by what it holds — a dataset's raw and tree files
+	// on one member, merge files dealt across members in turn — and the
+	// simulated clock reports the critical path across devices.
 	Devices int
 	// Channels is the number of independent I/O channels (platter heads,
 	// with per-channel seek detection) per device; default 1, the original
 	// single-head cost model. Cache misses on files of different channels
 	// overlap instead of serializing on one seek queue.
 	Channels int
-	// Placement chooses the member device for each new file when
-	// Devices > 1. Default GroupAffinityPlacement(): a dataset's raw and
-	// tree files co-locate, and merge files land next to their hottest
-	// member dataset. RoundRobinPlacement() deals files across members
-	// blindly: slower while the layout adapts, faster once it converged
-	// (ROADMAP, "Placement (PR 23)"). Whole files only.
-	Placement PlacementPolicy
 	// AsyncMaintenance moves layout maintenance (partition refinement and
 	// the merge step) off the query path: queries answer immediately from
 	// the current layout and enqueue coalescing background tasks that a
@@ -141,15 +135,14 @@ type Options struct {
 	// meaningful with CacheResults; see CacheStats.Capacity/GhostHits.
 	AdaptiveCache bool
 	// HeatHalfLife, when positive, applies exponential decay to the
-	// engine's heat ledgers — the result cache's eviction order, the
-	// maintenance scheduler's task priorities, and the per-dataset heat
-	// that places merge files — with this half-life measured in queries: an
-	// entry untouched for HeatHalfLife queries counts half its accumulated
-	// heat, so a migrated hotspot releases its resources instead of pinning
-	// them forever. Decay is applied lazily in log-space on read (no
-	// background rescoring) and changes only eviction, scheduling and
-	// placement order — never query results. 0 (default) keeps heat
-	// cumulative forever, the original behaviour bit-for-bit.
+	// engine's heat ledgers — the result cache's eviction order and the
+	// maintenance scheduler's task priorities — with this half-life measured
+	// in queries: an entry untouched for HeatHalfLife queries counts half its
+	// accumulated heat, so a migrated hotspot releases its resources instead
+	// of pinning them forever. Decay is applied lazily in log-space on read
+	// (no background rescoring) and changes only eviction and scheduling
+	// order — never query results. 0 (default) keeps heat cumulative
+	// forever, the original behaviour bit-for-bit.
 	HeatHalfLife int
 	// Retry is the storage-read retry policy: transient device read faults
 	// (ErrTransient) are retried up to MaxAttempts times with exponential
@@ -168,8 +161,6 @@ type Topology struct {
 	Devices int
 	// Channels is the per-device I/O channel count C.
 	Channels int
-	// Placement names the file placement policy ("single" when D == 1).
-	Placement string
 }
 
 // engineConfig translates Options into the internal configuration.
@@ -252,7 +243,7 @@ func NewExplorer(opts Options) (*Explorer, error) {
 	if opts.CachePages == 0 {
 		opts.CachePages = 1024
 	}
-	dev := simdisk.NewStorage(opts.Cost, opts.CachePages, opts.Devices, opts.Channels, opts.Placement)
+	dev := simdisk.NewStorage(opts.Cost, opts.CachePages, opts.Devices, opts.Channels, nil)
 	if opts.RealTimeScale > 0 {
 		dev.SetRealTimeScale(opts.RealTimeScale)
 	}
@@ -439,19 +430,10 @@ func (e *Explorer) DiskStats() DiskStats { return e.dev.Stats() }
 // concurrently with in-flight queries whose statistics matter.
 func (e *Explorer) ResetStats() { e.dev.ResetStats() }
 
-// Topology reports the storage layout: device count, channels per device
-// and the placement policy in effect.
+// Topology reports the storage layout: device count and channels per device,
+// with the same defaulting simdisk.NewStorage applied to these options.
 func (e *Explorer) Topology() Topology {
-	// The same defaulting simdisk.NewStorage applied to these options.
-	t := Topology{Devices: max(e.opts.Devices, 1), Channels: max(e.opts.Channels, 1), Placement: "single"}
-	if t.Devices > 1 {
-		policy := e.opts.Placement
-		if policy == nil {
-			policy = GroupAffinityPlacement()
-		}
-		t.Placement = policy.String()
-	}
-	return t
+	return Topology{Devices: max(e.opts.Devices, 1), Channels: max(e.opts.Channels, 1)}
 }
 
 // DeviceStats returns per-member-device counters (one entry per device;

@@ -378,17 +378,11 @@ func replayWorkload(t *testing.T, opts Options) DiskStats {
 // change.
 func TestDeviceArrayStatsConservation(t *testing.T) {
 	single := replayWorkload(t, Options{CachePages: 8192})
-	for name, opts := range map[string]Options{
-		"affinity":   {CachePages: 8192, Devices: 2, Channels: 2},
-		"roundrobin": {CachePages: 8192, Devices: 2, Channels: 2, Placement: RoundRobinPlacement()},
-	} {
-		arr := replayWorkload(t, opts)
-		if arr.PageReads != single.PageReads || arr.PageWrites != single.PageWrites ||
-			arr.BytesRead != single.BytesRead || arr.BytesWritten != single.BytesWritten ||
-			arr.CacheHits != single.CacheHits {
-			t.Errorf("%s: array stats %+v, single-device %+v — I/O volume must be invariant under placement",
-				name, arr, single)
-		}
+	arr := replayWorkload(t, Options{CachePages: 8192, Devices: 2, Channels: 2})
+	if arr.PageReads != single.PageReads || arr.PageWrites != single.PageWrites ||
+		arr.BytesRead != single.BytesRead || arr.BytesWritten != single.BytesWritten ||
+		arr.CacheHits != single.CacheHits {
+		t.Errorf("array stats %+v, single-device %+v — I/O volume must be invariant under placement", arr, single)
 	}
 }
 
@@ -399,7 +393,7 @@ func TestTopologyDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := ex.Topology()
-	if topo.Devices != 1 || topo.Channels != 1 || topo.Placement != "single" {
+	if topo.Devices != 1 || topo.Channels != 1 {
 		t.Fatalf("default Topology() = %+v", topo)
 	}
 	if ds := ex.DeviceStats(); len(ds) != 1 || ds[0] != ex.DiskStats() {

@@ -77,11 +77,6 @@ type Config struct {
 	// Channels is the number of independent I/O channels (platter heads)
 	// per device (0 or 1 = the original single-head model).
 	Channels int
-	// Placement selects the file-placement policy for Devices > 1:
-	// "affinity" (default; a dataset's files co-locate — the faster layout
-	// while the engine adapts) or "roundrobin" (files dealt across members —
-	// the faster layout once converged). Whole files only.
-	Placement string
 	// GridMemBudgetObjects caps the Grid build's in-memory buffer,
 	// modelling the paper's 1 GB memory limit: cells fragment into
 	// multiple runs across flushes. Default: 50% of one dataset, the
@@ -140,37 +135,11 @@ func NewEnvWithData(cfg Config, datasets [][]object.Object) *Env {
 	return &Env{cfg: cfg, datasets: datasets}
 }
 
-// PlacementByName resolves a placement-policy name ("", "affinity",
-// "roundrobin") to a fresh policy instance, defaulting to affinity.
-func PlacementByName(name string) (simdisk.PlacementPolicy, error) {
-	switch name {
-	case "", "affinity":
-		return simdisk.GroupAffinity(), nil
-	case "roundrobin":
-		return simdisk.RoundRobin(), nil
-	}
-	return nil, fmt.Errorf("bench: unknown placement policy %q (want affinity|roundrobin)", name)
-}
-
-// NewStorage builds the storage topology cfg describes via
-// simdisk.NewStorage, resolving a fresh placement policy per call so
-// round-robin runs are reproducible.
-func NewStorage(cfg Config) (simdisk.Storage, error) {
-	policy, err := PlacementByName(cfg.Placement)
-	if err != nil {
-		return nil, err
-	}
-	return simdisk.NewStorage(cfg.Cost, cfg.CachePages, cfg.Devices, cfg.Channels, policy), nil
-}
-
 // Deploy writes the datasets as raw files onto fresh storage (per the
 // configured device/channel topology) and resets the clock, modelling data
 // that already sits on disk.
 func (e *Env) Deploy() (simdisk.Storage, []*rawfile.Raw, error) {
-	dev, err := NewStorage(e.cfg)
-	if err != nil {
-		return nil, nil, err
-	}
+	dev := simdisk.NewStorage(e.cfg.Cost, e.cfg.CachePages, e.cfg.Devices, e.cfg.Channels, nil)
 	raws := make([]*rawfile.Raw, len(e.datasets))
 	for i, objs := range e.datasets {
 		raw, err := rawfile.Write(dev, fmt.Sprintf("ds%d.raw", i), object.DatasetID(i), objs)

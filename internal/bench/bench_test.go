@@ -135,25 +135,6 @@ func TestUnknownEngineKind(t *testing.T) {
 	}
 }
 
-// TestPlacementCensus pins the placement axis to the two whole-file policies
-// a recording shows trading places (ROADMAP, "Placement (PR 23)"): a third
-// name — page striping, measured and deleted — is an error that says which
-// two there are.
-func TestPlacementCensus(t *testing.T) {
-	for name, want := range map[string]string{"": "affinity", "affinity": "affinity", "roundrobin": "roundrobin"} {
-		p, err := PlacementByName(name)
-		if err != nil || p.String() != want {
-			t.Errorf("PlacementByName(%q) = %v, %v; want the %s policy", name, p, err, want)
-		}
-	}
-	for _, name := range []string{"pagestripe", "Affinity", "stripe"} {
-		_, err := PlacementByName(name)
-		if err == nil || !strings.Contains(err.Error(), "affinity|roundrobin") {
-			t.Errorf("PlacementByName(%q) error = %v; want one naming affinity|roundrobin", name, err)
-		}
-	}
-}
-
 func TestFigureByID(t *testing.T) {
 	for _, f := range Figures {
 		got, err := FigureByID(f.ID)

@@ -3,12 +3,11 @@ package core
 import "math"
 
 // Heat decay (Config.HeatHalfLife): the heat ledgers — maintenance task
-// priority, result-cache eviction order, per-dataset placement heat —
-// historically accumulate forever, so a hotspot that migrated away keeps
-// its cache entries pinned and its maintenance priority inflated. With a
-// half-life h (in queries), every accumulated access count halves every h
-// queries, applied lazily on read: no background rescans, no per-entry
-// timers.
+// priority and result-cache eviction order — historically accumulate
+// forever, so a hotspot that migrated away keeps its cache entries pinned
+// and its maintenance priority inflated. With a half-life h (in queries),
+// every accumulated access count halves every h queries, applied lazily on
+// read: no background rescans, no per-entry timers.
 //
 // The trick that keeps the decayed ordering heap-safe is working in log
 // space. An entry whose effective (decayed) heat is `eff` as of logical

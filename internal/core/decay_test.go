@@ -42,21 +42,6 @@ func TestHeatDecayHalfLifeMath(t *testing.T) {
 	}
 }
 
-// TestDSHeatDecay pins the per-dataset placement heat's lazy decay and the
-// exact legacy behavior with decay off.
-func TestDSHeatDecay(t *testing.T) {
-	h := &dsHeat{val: 8, tick: 0}
-	if got := h.decayed(10, 0); got != 8 {
-		t.Fatalf("decay off: %g, want 8", got)
-	}
-	if got := h.decayed(10, 10); math.Abs(got-4) > 1e-9 {
-		t.Fatalf("one half-life: %g, want 4", got)
-	}
-	if got := h.decayed(30, 10); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("three half-lives: %g, want 1", got)
-	}
-}
-
 // TestResultCacheDecayReleasesStaleHotspot pins the tentpole behavior: with
 // a half-life configured, an entry that was very hot long ago is evicted
 // before a fresh barely-touched one — a migrated hotspot releases its cache

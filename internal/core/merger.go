@@ -189,13 +189,6 @@ type Merger struct {
 	dev   simdisk.Storage
 	files map[ComboKey]*MergeFile
 
-	// PlaceGroup, when non-nil, names the placement affinity group for a
-	// new merge file from its member datasets. The engine sets it to the
-	// hottest member's dataset group, so on a device array a merge file
-	// co-locates with the data it is most often read alongside. Nil places
-	// merge files with no affinity (the policy falls back to name hashing).
-	PlaceGroup func(members []object.DatasetID) string
-
 	// accMu guards the accounting fields mutated under the engine's shared
 	// (read) lock: tick, every MergeFile.lastUsed, segmentsRead,
 	// queriesSeen, currentMT and the threshold counters.
@@ -405,22 +398,19 @@ func (m *Merger) NeedsMerge(key ComboKey, datasets []object.DatasetID, candidate
 
 // newMergeFile allocates an empty merge file for the combination without
 // registering it in the directory — a staged merge keeps a new file private
-// until publish.
+// until publish. It holds several datasets, so it is created with no affinity
+// group: a device array deals merge files across its members.
 func (m *Merger) newMergeFile(key ComboKey, datasets []object.DatasetID) *MergeFile {
 	members := append([]object.DatasetID(nil), datasets...)
 	memberOf := make(map[object.DatasetID]bool, len(members))
 	for _, ds := range members {
 		memberOf[ds] = true
 	}
-	group := ""
-	if m.PlaceGroup != nil {
-		group = m.PlaceGroup(members)
-	}
 	return &MergeFile{
 		combo:    key,
 		members:  members,
 		memberOf: memberOf,
-		file:     pagefile.CreateInGroup(m.dev, "merge:"+string(key), group),
+		file:     pagefile.Create(m.dev, "merge:"+string(key)),
 		entries:  make(map[octree.Key]map[object.DatasetID]segment),
 	}
 }

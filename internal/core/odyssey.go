@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -59,13 +58,13 @@ type Config struct {
 	// defaults to DefaultCacheCapacity). Eviction is heat-aware: coldest
 	// entries (fewest hits, oldest among equals) leave first.
 	CacheCapacity int64
-	// HeatHalfLife decays every heat ledger — maintenance task priority,
-	// result-cache eviction order, the per-dataset placement heat — with the
-	// given half-life in queries: an access count halves every HeatHalfLife
-	// queries, applied lazily on read (see decay.go). A migrated hotspot
-	// then releases its cache entries and placement priority instead of
-	// pinning them forever. 0 (the default) disables decay: all orderings
-	// are bit-for-bit the legacy cumulative-count behavior.
+	// HeatHalfLife decays every heat ledger — maintenance task priority and
+	// result-cache eviction order — with the given half-life in queries: an
+	// access count halves every HeatHalfLife queries, applied lazily on read
+	// (see decay.go). A migrated hotspot then releases its cache entries and
+	// scheduling priority instead of pinning them forever. 0 (the default)
+	// disables decay: all orderings are bit-for-bit the legacy
+	// cumulative-count behavior.
 	HeatHalfLife int
 	// AdaptiveCache lets the result cache tune its own capacity between
 	// layout epochs: shadow-LRU ghost entries record recently evicted keys,
@@ -237,25 +236,6 @@ type Odyssey struct {
 	phases         PhaseTimes
 	objectsTested  int64
 	objectsKept    int64
-	// dsQueries tracks how often each dataset appeared in a query — the
-	// per-dataset heat the merge-file placement group is derived from —
-	// decayed under Config.HeatHalfLife (without decay, val is the exact
-	// integer count).
-	dsQueries map[object.DatasetID]*dsHeat
-}
-
-// dsHeat is one dataset's decayed query count: val as of tick.
-type dsHeat struct {
-	val  float64
-	tick int64
-}
-
-// decayed returns the heat as of tick now.
-func (h *dsHeat) decayed(now int64, halfLife float64) float64 {
-	if halfLife <= 0 || now <= h.tick {
-		return h.val
-	}
-	return h.val * math.Exp2(-float64(now-h.tick)/halfLife)
 }
 
 // New creates the engine over the given raw files. Nothing is indexed until
@@ -271,15 +251,7 @@ func New(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Config) 
 		stats:          NewCollector(),
 		merger:         NewMerger(dev, cfg.Merger),
 		relationCounts: make(map[Relation]int),
-		dsQueries:      make(map[object.DatasetID]*dsHeat),
 		halfLife:       float64(cfg.HeatHalfLife),
-	}
-	// Merge files co-locate with their hottest member dataset by default:
-	// a superset/subset-routed query most often reads the merge file next
-	// to that dataset's tree, so placing them together saves cross-device
-	// head movement on an array.
-	o.merger.PlaceGroup = func(members []object.DatasetID) string {
-		return rawfile.GroupName(o.hottestMember(members))
 	}
 	if cfg.CacheResults {
 		o.rcache = newResultCache(bounds, cfg.CacheCapacity)
@@ -298,25 +270,6 @@ func New(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Config) 
 		o.maint = newMaintainer(o, cfg.MaintenanceWorkers)
 	}
 	return o, nil
-}
-
-// hottestMember returns the member dataset queried most often so far (ties
-// resolve to the lowest id; members must be non-empty and sorted).
-func (o *Odyssey) hottestMember(members []object.DatasetID) object.DatasetID {
-	now := o.heatTick.Load()
-	o.statsMu.Lock()
-	defer o.statsMu.Unlock()
-	best, bestN := members[0], -1.0
-	for _, ds := range members {
-		var n float64
-		if h := o.dsQueries[ds]; h != nil {
-			n = h.decayed(now, o.halfLife)
-		}
-		if n > bestN {
-			best, bestN = ds, n
-		}
-	}
-	return best
 }
 
 // futileMark snapshots the state under which a merge attempt appended
@@ -688,18 +641,9 @@ func (o *Odyssey) route(ctx context.Context, acc *queryAcc, datasets []object.Da
 		acc.mf, rel = o.merger.route(acc.key, acc.ordered)
 	}
 
-	tick := o.heatTick.Add(1) // one decay tick per query
+	o.heatTick.Add(1) // one decay tick per query
 	o.statsMu.Lock()
 	o.queries++
-	for _, ds := range acc.ordered {
-		h := o.dsQueries[ds]
-		if h == nil {
-			h = &dsHeat{}
-			o.dsQueries[ds] = h
-		}
-		h.val = h.decayed(tick, o.halfLife) + 1
-		h.tick = tick
-	}
 	acc.count = o.stats.RecordQuery(acc.key)
 	o.relationCounts[rel]++
 	o.statsMu.Unlock()

@@ -46,8 +46,9 @@ func Create(dev simdisk.Storage, name string) *File {
 }
 
 // CreateInGroup allocates a new empty page file with an affinity group hint:
-// on a DeviceArray the placement policy can co-locate files of one group on
-// one member device; on a single Device the hint is ignored.
+// on a DeviceArray files of one group co-locate on one member device, and
+// files of no group are dealt across members; on a single Device the hint is
+// ignored.
 func CreateInGroup(dev simdisk.Storage, name, group string) *File {
 	return &File{dev: dev, id: dev.CreateFileInGroup(name, group)}
 }

@@ -9,53 +9,32 @@ import (
 
 // PlacementPolicy decides which member device of a DeviceArray a new file
 // is created on. group is the caller's affinity hint ("" when none was
-// given) — the storage stack passes "ds<N>" for a dataset's raw and tree
-// files and the hottest member dataset's group for merge files, so an
-// affinity policy keeps the files a query touches together on one device.
-// Implementations must be safe for concurrent use.
+// given). Implementations must be safe for concurrent use. The array's one
+// policy is placeByContent; the interface is the seam tests substitute
+// reference policies through.
 type PlacementPolicy interface {
 	// Place returns the member index in [0, devices) for a new file.
 	Place(name, group string, devices int) int
-	// String names the policy for reports.
-	String() string
 }
 
-// roundRobin cycles through the members file by file, ignoring groups.
-type roundRobin struct{ next atomic.Uint32 }
+// placeByContent places a file by what it holds. A file created with a group
+// is one dataset's raw or tree file ("ds<N>"): it lands on its group's member
+// by hash, so the files a cold query reads and refines together share a
+// spindle while different datasets spread. A file with no group is a merge
+// file, which holds several datasets (or a baseline engine's index): it is
+// dealt to the next member in turn, so the files a converged layout is read
+// from spread evenly. Only group-less files advance the deal. The recording
+// this rule won is in ROADMAP ("Placement").
+type placeByContent struct{ next atomic.Uint32 }
 
-// RoundRobin returns the placement policy that deals successive files onto
-// successive devices regardless of their affinity group. It spreads
-// load evenly but may split a dataset's raw and tree files apart.
-func RoundRobin() PlacementPolicy { return &roundRobin{} }
-
-func (r *roundRobin) Place(name, group string, devices int) int {
-	return int((r.next.Add(1) - 1) % uint32(devices))
-}
-
-func (r *roundRobin) String() string { return "roundrobin" }
-
-// groupAffinity hashes the affinity group (falling back to the file name)
-// so all files of one group land on the same member.
-type groupAffinity struct{}
-
-// GroupAffinity returns the placement policy that co-locates files sharing
-// an affinity group — a dataset's raw and tree files, and the merge files
-// of the combinations it is the hottest member of — on one device, so one
-// query's sequential runs stay on as few spindles as necessary while
-// different datasets spread across the array.
-func GroupAffinity() PlacementPolicy { return groupAffinity{} }
-
-func (groupAffinity) Place(name, group string, devices int) int {
-	key := group
-	if key == "" {
-		key = name
+func (p *placeByContent) Place(name, group string, devices int) int {
+	if group == "" {
+		return int((p.next.Add(1) - 1) % uint32(devices))
 	}
 	h := fnv.New32a()
-	h.Write([]byte(key))
+	h.Write([]byte(group))
 	return int(h.Sum32() % uint32(devices))
 }
-
-func (groupAffinity) String() string { return "affinity" }
 
 // DeviceArray places whole files on D member Devices behind the same
 // Storage interface a single Device offers — the paper's evaluation runs on
@@ -82,13 +61,14 @@ type DeviceArray struct {
 // NewDeviceArray creates an array of devices member Devices with channels
 // I/O channels each, all sharing one cost model. The cache capacity is
 // split evenly across members so the array's total buffer cache matches a
-// single device of the same capacity. policy nil defaults to GroupAffinity.
+// single device of the same capacity. policy nil places by content (see
+// placeByContent).
 func NewDeviceArray(cost CostModel, cacheCapacity, devices, channels int, policy PlacementPolicy) *DeviceArray {
 	if devices <= 0 {
 		devices = 1
 	}
 	if policy == nil {
-		policy = GroupAffinity()
+		policy = &placeByContent{}
 	}
 	perMember := cacheCapacity / devices
 	if cacheCapacity > 0 && perMember == 0 {
@@ -125,9 +105,6 @@ func (a *DeviceArray) CreateFileInGroup(name, group string) FileID {
 		return InvalidFile
 	}
 	m := a.policy.Place(name, group, len(a.members))
-	if m < 0 || m >= len(a.members) {
-		m = ((m % len(a.members)) + len(a.members)) % len(a.members)
-	}
 	local := a.members[m].CreateFileInGroup(name, group)
 	return a.encode(m, local)
 }

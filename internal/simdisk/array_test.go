@@ -3,57 +3,66 @@ package simdisk
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
 
-// TestArrayPlacementRoundRobin checks the stateful file-dealing policy and the
-// FileID encoding round-trip.
+// TestArrayPlacementRoundRobin checks the placement rule's half for
+// group-less (merge) files and the FileID encoding round-trip: they are
+// dealt 0, 1, 2, 0, …, and a grouped file does not advance the deal.
 func TestArrayPlacementRoundRobin(t *testing.T) {
-	a := NewDeviceArray(DefaultCostModel(), 64, 3, 1, RoundRobin())
+	a := NewDeviceArray(DefaultCostModel(), 64, 3, 1, nil)
+	for _, g := range []string{"ds0", "ds1", "ds2", "ds3"} {
+		a.CreateFileInGroup(g+".raw", g)
+	}
+	// The deal starts at member 0 although grouped files came first, and
+	// grouped files created between merge files do not advance it.
 	var members []int
 	for i := 0; i < 6; i++ {
-		id := a.CreateFileInGroup("f", "")
+		id := a.CreateFileInGroup("merge:f", "")
 		members = append(members, a.MemberOf(id))
-		if name, err := a.FileName(id); err != nil || name != "f" {
+		if name, err := a.FileName(id); err != nil || name != "merge:f" {
 			t.Fatalf("FileName(%d) = %q, %v", id, name, err)
 		}
+		a.CreateFileInGroup("ds1.raw.octree", "ds1")
 	}
-	want := []int{0, 1, 2, 0, 1, 2}
-	for i := range want {
-		if members[i] != want[i] {
-			t.Fatalf("round-robin placement = %v, want %v", members, want)
-		}
+	if want := []int{0, 1, 2, 0, 1, 2}; !slices.Equal(members, want) {
+		t.Fatalf("group-less files dealt onto %v, want %v", members, want)
 	}
 }
 
-// TestArrayPlacementAffinity checks that files of one group co-locate and
-// the policy is deterministic.
+// TestArrayPlacementAffinity checks the placement rule's half for grouped
+// files: a dataset's raw and tree files co-locate, different datasets
+// spread, and the placement is deterministic.
 func TestArrayPlacementAffinity(t *testing.T) {
-	a := NewDeviceArray(DefaultCostModel(), 64, 4, 1, GroupAffinity())
-	g1a := a.CreateFileInGroup("ds3.raw", "ds3")
-	g1b := a.CreateFileInGroup("ds3.raw.octree", "ds3")
-	g1c := a.CreateFileInGroup("merge:3|5|7", "ds3")
-	if m := a.MemberOf(g1a); a.MemberOf(g1b) != m || a.MemberOf(g1c) != m {
-		t.Fatalf("group ds3 split across members %d/%d/%d",
-			a.MemberOf(g1a), a.MemberOf(g1b), a.MemberOf(g1c))
+	a := NewDeviceArray(DefaultCostModel(), 64, 4, 1, nil)
+	b := NewDeviceArray(DefaultCostModel(), 64, 4, 1, nil)
+	raw := a.CreateFileInGroup("ds3.raw", "ds3")
+	tree := a.CreateFileInGroup("ds3.raw.octree", "ds3")
+	if a.MemberOf(raw) != a.MemberOf(tree) {
+		t.Fatalf("group ds3 split across members %d/%d", a.MemberOf(raw), a.MemberOf(tree))
 	}
 	// Different groups must be able to land elsewhere (spot-check that at
 	// least two of a handful of groups differ — all-on-one would defeat
 	// spreading files).
 	seen := map[int]bool{}
 	for _, g := range []string{"ds0", "ds1", "ds2", "ds3", "ds4", "ds5", "ds6", "ds7"} {
-		seen[a.MemberOf(a.CreateFileInGroup(g+".raw", g))] = true
+		m := a.MemberOf(a.CreateFileInGroup(g+".raw", g))
+		if mb := b.MemberOf(b.CreateFileInGroup(g+".raw", g)); mb != m {
+			t.Fatalf("group %s placed on member %d, then on %d", g, m, mb)
+		}
+		seen[m] = true
 	}
 	if len(seen) < 2 {
-		t.Fatalf("affinity policy placed 8 groups on %d member(s)", len(seen))
+		t.Fatalf("the rule placed 8 groups on %d member(s)", len(seen))
 	}
 }
 
 // TestArrayFileOps drives the whole Storage surface through an array and
 // cross-checks against per-member state.
 func TestArrayFileOps(t *testing.T) {
-	a := NewDeviceArray(DefaultCostModel(), 64, 2, 2, RoundRobin())
+	a := NewDeviceArray(DefaultCostModel(), 64, 2, 2, nil)
 	f := a.CreateFileInGroup("data", "")
 	idx, err := a.AppendPageCtx(context.Background(), f, page(7))
 	if err != nil || idx != 0 {
@@ -94,7 +103,7 @@ func TestArrayFileOps(t *testing.T) {
 // the critical path, and that resets and drops fan out to every member.
 func TestArrayStatsAndClock(t *testing.T) {
 	cost := CostModel{Seek: 10 * time.Millisecond, Transfer: time.Millisecond}
-	a := NewDeviceArray(cost, 0, 2, 1, RoundRobin())
+	a := NewDeviceArray(cost, 0, 2, 1, nil)
 	f0 := a.CreateFileInGroup("m0", "") // member 0
 	f1 := a.CreateFileInGroup("m1", "") // member 1
 	for p := 0; p < 3; p++ {
@@ -144,7 +153,7 @@ func TestArrayStatsAndClock(t *testing.T) {
 // regression: after a drop, the first read on every channel of every member
 // pays a seek.
 func TestArrayDropCachesEveryMemberChannel(t *testing.T) {
-	a := NewDeviceArray(DefaultCostModel(), 128, 2, 2, RoundRobin())
+	a := NewDeviceArray(DefaultCostModel(), 128, 2, 2, nil)
 	// One file per member per channel, 3 pages each.
 	files := make(map[[2]int]FileID)
 	for i := 0; len(files) < 4 && i < 128; i++ {
@@ -203,7 +212,7 @@ func TestArrayDropCachesEveryMemberChannel(t *testing.T) {
 // TestArrayCacheSplit checks the cache capacity is divided across members:
 // one member's cache holds at most its share of the array total.
 func TestArrayCacheSplit(t *testing.T) {
-	a := NewDeviceArray(DefaultCostModel(), 64, 2, 1, RoundRobin())
+	a := NewDeviceArray(DefaultCostModel(), 64, 2, 1, nil)
 	f := a.CreateFileInGroup("big", "") // member 0
 	for p := 0; p < 40; p++ {
 		if _, err := a.AppendPageCtx(context.Background(), f, page(byte(p))); err != nil {

@@ -356,7 +356,7 @@ func TestStormModeWindows(t *testing.T) {
 // TestArrayFaultPlanFanOut pins that an array installs decorrelated member
 // plans and that retry policy fans out.
 func TestArrayFaultPlanFanOut(t *testing.T) {
-	a := NewDeviceArray(CostModel{Seek: time.Millisecond, Transfer: 10 * time.Microsecond, CacheHit: time.Microsecond}, 0, 2, 1, RoundRobin())
+	a := NewDeviceArray(CostModel{Seek: time.Millisecond, Transfer: 10 * time.Microsecond, CacheHit: time.Microsecond}, 0, 2, 1, nil)
 	a.SetFaultPlan(FaultPlan{Seed: 9, TransientRate: 0.5})
 	if !a.FaultPlanActive() {
 		t.Fatal("plan not active on array")

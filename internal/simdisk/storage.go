@@ -15,7 +15,7 @@ import (
 type Storage interface {
 	// File lifecycle. CreateFileInGroup carries an affinity hint ("" when
 	// the creator has none): a DeviceArray hands it to its placement policy
-	// so a dataset's raw, tree and merge files can co-locate.
+	// so a dataset's raw and tree files co-locate.
 	CreateFileInGroup(name, group string) FileID
 	DeleteFile(id FileID) error
 	NumPages(id FileID) (int64, error)
@@ -92,7 +92,7 @@ type Control interface {
 // NewStorage builds the storage a topology describes: a (possibly
 // multi-channel) single Device when devices <= 1, otherwise a DeviceArray
 // of devices members with channels channels each under the given placement
-// policy (nil defaults to GroupAffinity). This is the one place the
+// policy (nil places each file by what it holds). This is the one place the
 // topology defaulting lives; the Explorer and the bench harness both build
 // through it.
 func NewStorage(cost CostModel, cachePages, devices, channels int, policy PlacementPolicy) Control {

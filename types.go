@@ -45,9 +45,6 @@ type (
 	DiskStats = simdisk.Stats
 	// ChannelStats snapshots one I/O channel's busy time and seek split.
 	ChannelStats = simdisk.ChannelStats
-	// PlacementPolicy decides which member device of a storage array a new
-	// file lands on (see Options.Placement).
-	PlacementPolicy = simdisk.PlacementPolicy
 	// Metrics exposes the engine's internal counters.
 	Metrics = core.Metrics
 	// MaintenanceStats counts the background maintenance pipeline's
@@ -135,10 +132,4 @@ var (
 	DefaultCostModel = simdisk.DefaultCostModel
 	// SSDCostModel returns an SSD-like cost model for sensitivity runs.
 	SSDCostModel = simdisk.SSDCostModel
-	// GroupAffinityPlacement co-locates a dataset's files (and the merge
-	// files of its hottest combinations) on one member device.
-	GroupAffinityPlacement = simdisk.GroupAffinity
-	// RoundRobinPlacement deals successive files onto successive member
-	// devices, ignoring affinity groups.
-	RoundRobinPlacement = simdisk.RoundRobin
 )
