@@ -14,12 +14,12 @@
 //     outage, as long as a replica lives.
 //   - Hedged requests: when a sub-query outlives the tracked p99 of recent
 //     served latencies, a hedge fires against another live replica; the
-//     first response wins (CAS arbitration, the dispatcher sweeper's
-//     idiom) and the loser is canceled through the ordinary QueryCtx
-//     machinery. Every leg runs under its own fresh charge scope, so
-//     hedging can never double-count cache or charge statistics — the
-//     loser's partial charges are ledgered as HedgeWastedSim, keeping the
-//     cluster-wide charge conservation identity exact.
+//     first response wins by CAS arbitration and the loser is canceled
+//     through the ordinary QueryCtx machinery. Every leg runs under its own
+//     fresh charge scope, so hedging can never double-count cache or charge
+//     statistics — the loser's partial charges are ledgered as
+//     HedgeWastedSim, keeping the cluster-wide charge conservation identity
+//     exact.
 //   - Graceful degradation: when a dataset has no live replica the Router
 //     either fails fast (default) or, under ServePartial, returns the
 //     served subset with a PartialError naming the missing datasets.
@@ -95,60 +95,21 @@ const (
 	ServePartial
 )
 
-// HealthConfig tunes the per-shard probe loop and its hysteresis.
+// HealthConfig tunes the per-shard probe loop. Its hysteresis is fixed:
+// probeDownAfter consecutive failures mark a shard down, probeUpAfter
+// consecutive successes bring it back.
 type HealthConfig struct {
 	// ProbeInterval is the probe loop's period (default 5ms).
 	ProbeInterval time.Duration
-	// DownAfter is how many consecutive probe failures mark a shard down
-	// (default 2). A single flapped probe never changes routing.
-	DownAfter int
-	// UpAfter is how many consecutive probe successes bring a down shard
-	// back up (default 2) — hysteresis against flapping at the boundary.
-	UpAfter int
-}
-
-func (h HealthConfig) withDefaults() HealthConfig {
-	if h.ProbeInterval <= 0 {
-		h.ProbeInterval = 5 * time.Millisecond
-	}
-	if h.DownAfter <= 0 {
-		h.DownAfter = 2
-	}
-	if h.UpAfter <= 0 {
-		h.UpAfter = 2
-	}
-	return h
 }
 
 // HedgeConfig tunes hedged sub-queries (off by default).
 type HedgeConfig struct {
-	// Enabled turns hedging on: a sub-query that outlives the hedge delay
-	// fires a second leg against another live replica; first response wins.
+	// Enabled turns hedging on: a sub-query that outlives the hedge delay —
+	// the p99 of recent served latencies, clamped into [hedgeMinDelay,
+	// hedgeMaxDelay] — fires a second leg against another live replica;
+	// first response wins.
 	Enabled bool
-	// MinDelay floors the hedge delay (default 2ms): the tracker's p99 is
-	// never trusted below it, so a cold tracker does not hedge everything.
-	MinDelay time.Duration
-	// MaxDelay caps the hedge delay (default 250ms), bounding how long a
-	// stuck shard can defer its hedge.
-	MaxDelay time.Duration
-	// Window is how many recent served latencies the p99 tracker retains
-	// (default 512). Only winning legs feed the tracker — a slow loser's
-	// latency never drags the p99 up, so hedging keeps engaging for the
-	// whole length of a slow-shard storm.
-	Window int
-}
-
-func (h HedgeConfig) withDefaults() HedgeConfig {
-	if h.MinDelay <= 0 {
-		h.MinDelay = 2 * time.Millisecond
-	}
-	if h.MaxDelay <= 0 {
-		h.MaxDelay = 250 * time.Millisecond
-	}
-	if h.Window <= 0 {
-		h.Window = 512
-	}
-	return h
 }
 
 // Config configures a cluster.

@@ -3,6 +3,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -136,11 +138,12 @@ func TestRingPlacement(t *testing.T) {
 }
 
 // TestProberHysteresis pins the health state machine's trajectory without
-// clocks: one flapped probe moves nothing, DownAfter consecutive failures
-// mark the shard down, and UpAfter consecutive successes bring it back.
+// clocks: one flapped probe moves nothing, probeDownAfter consecutive
+// failures mark the shard down, and probeUpAfter consecutive successes bring
+// it back.
 func TestProberHysteresis(t *testing.T) {
 	s := &shard{}
-	p := &prober{s: s, cfg: HealthConfig{DownAfter: 2, UpAfter: 2}}
+	p := &prober{s: s}
 	boom := errors.New("probe failed")
 	state := func() ShardState { return ShardState(s.state.Load()) }
 
@@ -148,23 +151,31 @@ func TestProberHysteresis(t *testing.T) {
 	if state() != StateUp {
 		t.Fatalf("after clean probe: %v, want up", state())
 	}
-	p.step(boom)
-	if state() != StateUp {
-		t.Fatalf("one flapped probe moved the verdict to %v", state())
+	for i := 1; i < probeDownAfter; i++ {
+		p.step(boom)
+		if state() != StateUp {
+			t.Fatalf("%d flapped probe(s) moved the verdict to %v", i, state())
+		}
 	}
 	p.step(boom)
 	if state() != StateDown {
-		t.Fatalf("after %d consecutive failures: %v, want down", 2, state())
+		t.Fatalf("after %d consecutive failures: %v, want down", probeDownAfter, state())
 	}
-	p.step(nil)
-	if state() != StateDown {
-		t.Fatalf("one success resurrected a down shard: %v", state())
+	for i := 1; i < probeUpAfter; i++ {
+		p.step(nil)
+		if state() != StateDown {
+			t.Fatalf("%d success(es) resurrected a down shard: %v", i, state())
+		}
 	}
 	p.step(boom) // the boundary flap the streak reset exists for
-	p.step(nil)
-	p.step(nil)
+	for i := 0; i < probeUpAfter; i++ {
+		if state() != StateDown {
+			t.Fatalf("a broken streak brought the shard back after %d successes: %v", i, state())
+		}
+		p.step(nil)
+	}
 	if state() != StateUp {
-		t.Fatalf("after %d consecutive successes: %v, want up", 2, state())
+		t.Fatalf("after %d consecutive successes: %v, want up", probeUpAfter, state())
 	}
 	if got := s.transitions.Load(); got != 2 {
 		t.Fatalf("transitions = %d, want 2 (up->down->up)", got)
@@ -172,13 +183,12 @@ func TestProberHysteresis(t *testing.T) {
 }
 
 // TestLatencyTracker pins the hedge trigger: a cold tracker answers
-// MinDelay, the p99 reflects the tail of the retained window, and the delay
-// clamps into [MinDelay, MaxDelay].
+// hedgeMinDelay, the p99 reflects the tail of the retained window, and the
+// delay clamps into [hedgeMinDelay, hedgeMaxDelay].
 func TestLatencyTracker(t *testing.T) {
-	cfg := HedgeConfig{MinDelay: 2 * time.Millisecond, MaxDelay: 250 * time.Millisecond}
-	tr := newLatencyTracker(100)
-	if d := tr.delay(cfg); d != cfg.MinDelay {
-		t.Fatalf("cold tracker delay = %v, want MinDelay %v", d, cfg.MinDelay)
+	tr := newLatencyTracker()
+	if d := tr.delay(); d != hedgeMinDelay {
+		t.Fatalf("cold tracker delay = %v, want hedgeMinDelay %v", d, hedgeMinDelay)
 	}
 	for i := 0; i < 99; i++ {
 		tr.observe(time.Millisecond)
@@ -187,18 +197,38 @@ func TestLatencyTracker(t *testing.T) {
 	if got := tr.p99(); got != 500*time.Millisecond {
 		t.Fatalf("p99 = %v, want the tail observation 500ms", got)
 	}
-	if d := tr.delay(cfg); d != cfg.MaxDelay {
-		t.Fatalf("delay = %v, want clamp to MaxDelay %v", d, cfg.MaxDelay)
+	if d := tr.delay(); d != hedgeMaxDelay {
+		t.Fatalf("delay = %v, want clamp to hedgeMaxDelay %v", d, hedgeMaxDelay)
 	}
 	// The ring retains only the window: overwrite the tail entirely.
-	for i := 0; i < 100; i++ {
+	for i := 0; i < hedgeWindow; i++ {
 		tr.observe(time.Millisecond)
 	}
 	if got := tr.p99(); got != time.Millisecond {
 		t.Fatalf("p99 after the spike rolled out = %v, want 1ms", got)
 	}
-	if d := tr.delay(cfg); d != cfg.MinDelay {
-		t.Fatalf("delay = %v, want floor at MinDelay %v", d, cfg.MinDelay)
+	if d := tr.delay(); d != hedgeMinDelay {
+		t.Fatalf("delay = %v, want floor at hedgeMinDelay %v", d, hedgeMinDelay)
+	}
+}
+
+// TestKnobCensus pins the cluster's serving knobs so they cannot re-accrete;
+// the failure message carries the rule for whoever wants to add a field.
+func TestKnobCensus(t *testing.T) {
+	const rule = "a new knob needs two callers outside tests and examples that need different values — else make it a constant (see ROADMAP item 2)"
+	fields := func(v any) []string {
+		var names []string
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			names = append(names, typ.Field(i).Name)
+		}
+		return names
+	}
+	if got, want := fields(HealthConfig{}), []string{"ProbeInterval"}; !slices.Equal(got, want) {
+		t.Errorf("HealthConfig has fields %v, want %v: %s", got, want, rule)
+	}
+	if got, want := fields(HedgeConfig{}), []string{"Enabled"}; !slices.Equal(got, want) {
+		t.Errorf("HedgeConfig has fields %v, want %v: %s", got, want, rule)
 	}
 }
 
@@ -496,7 +526,7 @@ func TestHedgeChargeConservation(t *testing.T) {
 	r := newCluster(t, Config{
 		Shards: 2, Replicas: 2,
 		Options: odyssey.Options{Cost: cost},
-		Hedge:   HedgeConfig{Enabled: true, MinDelay: 2 * time.Millisecond},
+		Hedge:   HedgeConfig{Enabled: true},
 	}, data)
 	ref := newOracle(t, odyssey.Options{Cost: cost}, data)
 	defer ref.Close()

@@ -21,14 +21,19 @@ type ShardHealth struct {
 	Rejects int64
 }
 
+// The prober's hysteresis: a shard goes down only after probeDownAfter
+// consecutive probe failures and comes back only after probeUpAfter
+// consecutive successes, so a single flapped probe moves nothing.
+const (
+	probeDownAfter = 2
+	probeUpAfter   = 2
+)
+
 // prober is one shard's health loop: a sampling goroutine with an explicit
-// stop/done lifetime, feeding an up/down state machine with hysteresis. A
-// shard goes down only after DownAfter consecutive probe failures and comes
-// back only after UpAfter consecutive successes, so a single flapped probe
-// moves nothing.
+// stop/done lifetime, feeding an up/down state machine with hysteresis.
 type prober struct {
-	s   *shard
-	cfg HealthConfig
+	s        *shard
+	interval time.Duration
 
 	stopCh chan struct{}
 	done   chan struct{}
@@ -41,12 +46,12 @@ type prober struct {
 	oks   int
 }
 
-func startProber(s *shard, cfg HealthConfig) *prober {
+func startProber(s *shard, interval time.Duration) *prober {
 	p := &prober{
-		s:      s,
-		cfg:    cfg,
-		stopCh: make(chan struct{}),
-		done:   make(chan struct{}),
+		s:        s,
+		interval: interval,
+		stopCh:   make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	go p.run()
 	return p
@@ -64,7 +69,7 @@ func (p *prober) step(err error) {
 	if err != nil {
 		p.oks = 0
 		p.fails++
-		if cur != StateDown && p.fails >= p.cfg.DownAfter {
+		if cur != StateDown && p.fails >= probeDownAfter {
 			p.transition(StateDown)
 		}
 		return
@@ -73,7 +78,7 @@ func (p *prober) step(err error) {
 	p.oks++
 	// Coming back from down needs a streak; flapping at the boundary must
 	// not bounce routing.
-	if cur == StateDown && p.oks >= p.cfg.UpAfter {
+	if cur == StateDown && p.oks >= probeUpAfter {
 		p.transition(StateUp)
 	}
 }
@@ -86,7 +91,7 @@ func (p *prober) transition(next ShardState) {
 
 func (p *prober) run() {
 	defer close(p.done)
-	ticker := time.NewTicker(p.cfg.ProbeInterval)
+	ticker := time.NewTicker(p.interval)
 	defer ticker.Stop()
 	for {
 		select {

@@ -19,8 +19,18 @@ type latencyTracker struct {
 	full bool
 }
 
-func newLatencyTracker(window int) *latencyTracker {
-	return &latencyTracker{ring: make([]time.Duration, window)}
+// The hedge trigger's constants: the tracker retains hedgeWindow recent
+// served latencies, and their p99 is clamped into [hedgeMinDelay,
+// hedgeMaxDelay]. The floor keeps a cold tracker from hedging everything;
+// the cap bounds how long a stuck shard can defer its hedge.
+const (
+	hedgeWindow   = 512
+	hedgeMinDelay = 2 * time.Millisecond
+	hedgeMaxDelay = 250 * time.Millisecond
+)
+
+func newLatencyTracker() *latencyTracker {
+	return &latencyTracker{ring: make([]time.Duration, hedgeWindow)}
 }
 
 // observe records one served latency.
@@ -56,16 +66,9 @@ func (t *latencyTracker) p99() time.Duration {
 	return sample[idx]
 }
 
-// delay is the hedge trigger: the tracked p99 clamped into the configured
-// [MinDelay, MaxDelay] band. A cold tracker answers MinDelay — hedging
-// engages conservatively until evidence arrives.
-func (t *latencyTracker) delay(cfg HedgeConfig) time.Duration {
-	d := t.p99()
-	if d < cfg.MinDelay {
-		d = cfg.MinDelay
-	}
-	if d > cfg.MaxDelay {
-		d = cfg.MaxDelay
-	}
-	return d
+// delay is the hedge trigger: the tracked p99 clamped into the
+// [hedgeMinDelay, hedgeMaxDelay] band. A cold tracker answers hedgeMinDelay
+// — hedging engages conservatively until evidence arrives.
+func (t *latencyTracker) delay() time.Duration {
+	return min(max(t.p99(), hedgeMinDelay), hedgeMaxDelay)
 }

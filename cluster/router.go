@@ -105,12 +105,13 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Replicas > cfg.Shards {
 		cfg.Replicas = cfg.Shards
 	}
-	cfg.Health = cfg.Health.withDefaults()
-	cfg.Hedge = cfg.Hedge.withDefaults()
+	if cfg.Health.ProbeInterval <= 0 {
+		cfg.Health.ProbeInterval = 5 * time.Millisecond
+	}
 	r := &Router{
 		cfg:       cfg,
 		place:     newPlacement(cfg.Shards),
-		tracker:   newLatencyTracker(cfg.Hedge.Window),
+		tracker:   newLatencyTracker(),
 		closeDone: make(chan struct{}),
 	}
 	for i := 0; i < cfg.Shards; i++ {
@@ -124,7 +125,7 @@ func New(cfg Config) (*Router, error) {
 		r.shards = append(r.shards, &shard{id: i, ex: ex, r: r})
 	}
 	for _, s := range r.shards {
-		r.probers = append(r.probers, startProber(s, cfg.Health))
+		r.probers = append(r.probers, startProber(s, cfg.Health.ProbeInterval))
 	}
 	return r, nil
 }
@@ -383,12 +384,11 @@ func (r *Router) serveGroup(ctx context.Context, q odyssey.Box, g group, ord int
 
 // runHedged executes one sub-query on shard s, hedging onto alt (when
 // non-nil) if s has not answered within the tracked p99 delay. First
-// response wins by CAS — the dispatcher sweeper's arbitration idiom one
-// level up — and winning cancels the other leg mid-flight through the
-// ordinary QueryCtx machinery. Every leg runs under its own fresh charge
-// scope inside shard.serve, and a losing leg's charges are ledgered as
-// WastedSim by the leg itself, so charge conservation stays exact and
-// nothing is ever double-counted.
+// response wins by CAS arbitration, and winning cancels the other leg
+// mid-flight through the ordinary QueryCtx machinery. Every leg runs under
+// its own fresh charge scope inside shard.serve, and a losing leg's charges
+// are ledgered as WastedSim by the leg itself, so charge conservation stays
+// exact and nothing is ever double-counted.
 func (r *Router) runHedged(ctx context.Context, q odyssey.Box, dss []odyssey.DatasetID, s, alt *shard, ord int64) ([]odyssey.Object, error) {
 	type legOut struct {
 		objs []odyssey.Object
@@ -432,7 +432,7 @@ func (r *Router) runHedged(ctx context.Context, q odyssey.Box, dss []odyssey.Dat
 	launched := 1
 	var hedgeCh <-chan time.Time
 	if alt != nil {
-		timer := time.NewTimer(r.tracker.delay(r.cfg.Hedge))
+		timer := time.NewTimer(r.tracker.delay())
 		defer timer.Stop()
 		hedgeCh = timer.C
 	}

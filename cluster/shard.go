@@ -16,8 +16,8 @@ const (
 	// StateUp: probes succeed. Up replicas are preferred for every
 	// sub-query.
 	StateUp ShardState = iota
-	// StateDown: DownAfter consecutive probes failed (crash window, manual
-	// Crash, or closed Explorer). Down replicas are tried only as a last
+	// StateDown: probeDownAfter consecutive probes failed (crash window,
+	// manual Crash, or closed Explorer). Down replicas are tried only as a last
 	// resort, so a stale verdict can delay a query but never fail one.
 	StateDown
 )

@@ -59,7 +59,7 @@ func TestClusterStormMatchesOracle(t *testing.T) {
 	r := newCluster(t, Config{
 		Shards: 4, Replicas: 2,
 		Failover: odyssey.RetryPolicy{MaxAttempts: 3, Backoff: 200 * time.Microsecond, Budget: 50 * time.Millisecond},
-		Hedge:    HedgeConfig{Enabled: true, MinDelay: 2 * time.Millisecond},
+		Hedge:    HedgeConfig{Enabled: true},
 		Health:   HealthConfig{ProbeInterval: time.Millisecond},
 	}, data)
 	// Deterministic weather, in query/probe ordinals: shard 1 crashes for a
@@ -136,7 +136,7 @@ func TestRouterCloseDuringHedgedStorm(t *testing.T) {
 	r := newCluster(t, Config{
 		Shards: 2, Replicas: 2,
 		Options: odyssey.Options{AsyncMaintenance: true, MaintenanceWorkers: 2},
-		Hedge:   HedgeConfig{Enabled: true, MinDelay: 2 * time.Millisecond},
+		Hedge:   HedgeConfig{Enabled: true},
 	}, data)
 	// Shard 0 stalls every serve far past the hedge delay: most queries
 	// have a hedge leg in flight (and a loser sleeping in the stall) when

@@ -82,8 +82,8 @@ func init() { // not an initializer: validate's row reads the table it is in
 			run:   runFaults, report: func() report { return new(faultsReport) },
 		},
 		{
-			// Availability is measured on the instant disk, without admission
-			// shedding and with a fixed submitter count: no pool flags.
+			// Availability is measured on the instant disk with a fixed
+			// submitter count: no pool flags.
 			name: "cluster", id: "cluster-serving", title: "cluster serving", shape: &zipfShape, workers: 8,
 			flags: slices.Concat(sizing, topology, []string{"json", "shards", "replicas", "shardfaults"}),
 			run:   runCluster, report: func() report { return new(clusterReport) },
@@ -396,7 +396,7 @@ func runCluster(p *params, f *fixture, queries []odyssey.Query) report {
 			Policy:   cluster.ServePartial,
 			Failover: odyssey.RetryPolicy{MaxAttempts: 3, Backoff: 200 * time.Microsecond, Budget: 50 * time.Millisecond},
 			Health:   cluster.HealthConfig{ProbeInterval: 2 * time.Millisecond},
-			Hedge:    cluster.HedgeConfig{Enabled: hedged, MinDelay: 2 * time.Millisecond},
+			Hedge:    cluster.HedgeConfig{Enabled: hedged},
 		}))
 		f.load(r)
 		// A Router converges like a single Explorer, on its shards' summed

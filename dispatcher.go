@@ -14,23 +14,14 @@ import (
 	"spaceodyssey/internal/simdisk"
 )
 
-// Sentinel errors of the serving layer.
-var (
-	// ErrClosed is returned by Submit/SubmitCtx after Close. Submitting to a
-	// closed dispatcher is always a clean error, never a panic, even when
-	// racing a concurrent Close.
-	ErrClosed = errors.New("odyssey: dispatcher closed")
-
-	// ErrOverloaded is the admission controller's fast-fail: the in-flight
-	// limit is reached and no slot freed up within the queue-wait budget.
-	// Callers should shed the query (or retry with backoff) instead of
-	// queueing behind an already-saturated pool.
-	ErrOverloaded = errors.New("odyssey: dispatcher overloaded")
-)
+// ErrClosed is returned by Submit/SubmitCtx after Close. Submitting to a
+// closed dispatcher is always a clean error, never a panic, even when racing
+// a concurrent Close.
+var ErrClosed = errors.New("odyssey: dispatcher closed")
 
 // IsCanceled reports whether err is a cancellation outcome: a wrapped
-// ErrCanceled from the storage stack, or a bare context error. Rejections
-// (ErrOverloaded) and closed-dispatcher errors are not cancellations.
+// ErrCanceled from the storage stack, or a bare context error.
+// Closed-dispatcher errors are not cancellations.
 func IsCanceled(err error) bool {
 	return err != nil && (errors.Is(err, ErrCanceled) ||
 		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
@@ -45,13 +36,10 @@ type BatchResult struct {
 	Query Query
 	// Objects is the result set (nil when Err is set).
 	Objects []Object
-	// Worker is the pool worker that served the query, or SweptWorker (-1)
-	// when the sweeper returned a dead-on-arrival job straight from the
-	// queue without it ever reaching a worker.
+	// Worker is the pool worker that popped the query.
 	Worker int
-	// Wait is the queue wait: submit to worker pickup (or to the sweeper's
-	// early return). A query canceled while still queued is returned with
-	// its real Wait and a ~0 Wall.
+	// Wait is the queue wait: submit to worker pickup. A query canceled while
+	// still queued is returned with its real Wait and a ~0 Wall.
 	Wait time.Duration
 	// Wall is the wall-clock time the query took on its worker.
 	Wall time.Duration
@@ -60,10 +48,6 @@ type BatchResult struct {
 	// context.DeadlineExceeded).
 	Err error
 }
-
-// SweptWorker is the BatchResult.Worker value of a query the sweeper
-// returned while it was still queued: no pool worker ever touched it.
-const SweptWorker = -1
 
 // WorkerStats summarizes one pool worker's activity.
 type WorkerStats struct {
@@ -86,25 +70,11 @@ func (w WorkerStats) Throughput() float64 {
 	return float64(w.Queries) / w.Busy.Seconds()
 }
 
-// AdmissionConfig configures the dispatcher's admission controller. The
-// zero value disables admission control entirely: every Submit is admitted,
-// with the bounded job queue providing blocking backpressure as before.
+// AdmissionConfig configures how the dispatcher hands submissions to its
+// pool. The zero value dispatches every submission immediately, with the
+// bounded job queue providing blocking backpressure.
 type AdmissionConfig struct {
-	// MaxInFlight caps admitted-but-unfinished queries (queued + running).
-	// At the cap, SubmitCtx fast-fails with ErrOverloaded instead of
-	// blocking (after at most QueueWait). 0 disables the cap.
-	MaxInFlight int
-	// Deadline is the per-query deadline attached at admission to any query
-	// whose own context carries none. It covers job-queue wait plus
-	// execution; time spent waiting for an admission slot (bounded by
-	// QueueWait) comes before the deadline is attached. 0 attaches no
-	// deadline.
-	Deadline time.Duration
-	// QueueWait is how long SubmitCtx may wait for an in-flight slot before
-	// failing with ErrOverloaded. 0 means fail immediately (pure fast-fail).
-	// Only meaningful with MaxInFlight > 0.
-	QueueWait time.Duration
-	// BatchWindow, when positive, turns on micro-batching: admitted queries
+	// BatchWindow, when positive, turns on micro-batching: submitted queries
 	// are staged for up to this long and released to the worker pool
 	// grouped by dataset combination and query locality (a coarse spatial
 	// cell of the query center), so concurrent workers pull overlapping
@@ -112,37 +82,31 @@ type AdmissionConfig struct {
 	// single-flight reads. The window adds up to ~2x its length to queue
 	// wait (it buys coalesced I/O with a little latency); 0 (the default)
 	// dispatches every submission immediately. Staging never blocks, and
-	// the stage is bounded: with MaxInFlight set admission caps it, and
-	// without admission it holds at most batchStageCap jobs — beyond that,
-	// submissions bypass the stage and take the direct dispatch path with
-	// its ordinary blocking backpressure (they lose grouping, not safety).
+	// the stage holds at most batchStageCap jobs — beyond that, submissions
+	// bypass the stage and take the direct dispatch path with its ordinary
+	// blocking backpressure (they lose grouping, not safety).
 	BatchWindow time.Duration
 }
 
-// batchStageCap bounds the micro-batcher's stage when no admission cap
-// does: a flush stalled on a saturated pool must shed overflow submissions
-// to the blocking direct path instead of buffering an unbounded backlog.
+// batchStageCap bounds the micro-batcher's stage: a flush stalled on a
+// saturated pool must shed overflow submissions to the blocking direct path
+// instead of buffering an unbounded backlog.
 const batchStageCap = 4096
 
-// AdmissionStats counts the admission controller's decisions and outcomes.
+// AdmissionStats counts the dispatcher's submissions and their outcomes.
 type AdmissionStats struct {
-	// Admitted is how many queries passed admission and were enqueued.
+	// Admitted is how many queries were enqueued (or staged).
 	Admitted int64
-	// Rejected is how many submissions fast-failed with ErrOverloaded.
+	// Rejected is always zero: the dispatcher sheds nothing. It is kept
+	// because the repository benchmark (benchmark/workloads.go) names it.
 	Rejected int64
 	// Canceled is how many admitted queries ended in a cancellation error
-	// (deadline expiry in queue or mid-execution, caller cancellation).
-	// Submissions refused before admission — a context already dead at
-	// Submit, or canceled while waiting for a slot — appear in no bucket,
+	// (their context ended in the queue or mid-execution). Submissions
+	// refused before admission — a context already dead at Submit, or
+	// ended while the submit waited on a full queue — appear in no bucket,
 	// so Admitted == Completed + Canceled + Failed once the dispatcher is
 	// closed.
 	Canceled int64
-	// Swept is how many of the canceled queries the sweeper returned
-	// straight from the queue — their context died before any worker
-	// picked them up, and instead of occupying queue slots until a worker
-	// skipped them they were delivered back to the submitter immediately.
-	// Swept queries are included in Canceled.
-	Swept int64
 	// Completed is how many admitted queries finished successfully.
 	Completed int64
 	// Failed is how many admitted queries ended in a non-cancellation error
@@ -157,29 +121,22 @@ type AdmissionStats struct {
 	BatchedQueries int64
 }
 
-// Dispatcher is a bounded worker pool serving queries against one Explorer,
-// with optional admission control (in-flight cap, default deadlines,
-// fast-fail under overload). It is the concurrency front-end the batch APIs
-// are built on: submit jobs from any goroutine, close the dispatcher to
-// drain, then read per-worker statistics. A Dispatcher must not be reused
+// Dispatcher is a bounded worker pool serving queries against one Explorer.
+// It is the concurrency front-end the batch APIs are built on: submit jobs
+// from any goroutine, close the dispatcher to drain, then read per-worker
+// statistics. A query is bounded one way, by its context: its deadline or
+// cancellation abandons a blocked submit, skips the query if it is still
+// queued, and aborts it mid-execution. A Dispatcher must not be reused
 // after Close.
 type Dispatcher struct {
 	ex    *Explorer
 	cfg   AdmissionConfig
 	jobs  chan dispatchJob
-	slots chan struct{} // in-flight semaphore; nil when MaxInFlight == 0
 	wg    sync.WaitGroup
-	// sweepWg counts the registered sweeper callbacks that have neither
-	// returned nor been stopped before starting; Close drains it after the
-	// workers so no sweeper delivery can race the caller closing its result
-	// channel.
-	sweepWg sync.WaitGroup
-	stats   []WorkerStats
+	stats []WorkerStats
 
 	admitted  atomic.Int64
-	rejected  atomic.Int64
 	canceled  atomic.Int64
-	swept     atomic.Int64
 	completed atomic.Int64
 	failed    atomic.Int64
 
@@ -189,7 +146,7 @@ type Dispatcher struct {
 	closed  bool
 	closing sync.Once
 
-	// Micro-batching (AdmissionConfig.BatchWindow): admitted jobs are
+	// Micro-batching (AdmissionConfig.BatchWindow): submitted jobs are
 	// staged in batchBuf (guarded by batchMu) and a dedicated batcher
 	// goroutine flushes them every window, grouped by combination and
 	// query locality, into the jobs channel. batchStop/batchDone bound the
@@ -206,57 +163,28 @@ type dispatchJob struct {
 	index     int
 	query     Query
 	ctx       context.Context
-	cancel    context.CancelFunc // non-nil when the dispatcher attached a deadline
 	submitted time.Time
 	out       chan<- BatchResult
-
-	// sweep is the claim state shared with the sweeper callback on the job's
-	// context; nil for a job with an uncancellable context (nothing to
-	// sweep).
-	sweep *sweepState
-}
-
-// sweepState arbitrates between the worker that pops a job and the sweeper
-// callback registered on its context: whoever flips done first owns
-// delivery. stop unregisters the callback; SubmitCtx publishes it (armed)
-// after the job is queued, so a worker that pops the job earlier skips it
-// and SubmitCtx, finding done already set, stops the callback itself. job is
-// the sweeper's copy, kept here so that a job with nothing to sweep
-// allocates nothing.
-type sweepState struct {
-	done  atomic.Bool
-	armed atomic.Bool
-	stop  func() bool
-	job   dispatchJob
 }
 
 // NewDispatcher starts a pool of the given number of workers over the
-// Explorer, with admission control disabled. workers <= 0 defaults to
-// GOMAXPROCS.
+// Explorer, dispatching every submission immediately. workers <= 0 defaults
+// to GOMAXPROCS.
 func NewDispatcher(ex *Explorer, workers int) *Dispatcher {
 	return NewDispatcherWithAdmission(ex, workers, AdmissionConfig{})
 }
 
-// NewDispatcherWithAdmission starts a pool with the given admission policy.
-// The job queue is sized to hold MaxInFlight jobs (at least 2x workers), so
-// an admitted query never blocks on the queue itself — admission is the only
-// gate, and it fails fast.
+// NewDispatcherWithAdmission starts a pool with the given dispatch policy.
+// The job queue holds twice the worker count.
 func NewDispatcherWithAdmission(ex *Explorer, workers int, cfg AdmissionConfig) *Dispatcher {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	qcap := 2 * workers
-	if cfg.MaxInFlight > qcap {
-		qcap = cfg.MaxInFlight
-	}
 	d := &Dispatcher{
 		ex:    ex,
 		cfg:   cfg,
-		jobs:  make(chan dispatchJob, qcap),
+		jobs:  make(chan dispatchJob, 2*workers),
 		stats: make([]WorkerStats, workers),
-	}
-	if cfg.MaxInFlight > 0 {
-		d.slots = make(chan struct{}, cfg.MaxInFlight)
 	}
 	if cfg.BatchWindow > 0 {
 		d.batchStop = make(chan struct{})
@@ -279,9 +207,7 @@ func (d *Dispatcher) Workers() int { return len(d.stats) }
 func (d *Dispatcher) AdmissionStats() AdmissionStats {
 	return AdmissionStats{
 		Admitted:       d.admitted.Load(),
-		Rejected:       d.rejected.Load(),
 		Canceled:       d.canceled.Load(),
-		Swept:          d.swept.Load(),
 		Completed:      d.completed.Load(),
 		Failed:         d.failed.Load(),
 		Batches:        d.batches.Load(),
@@ -289,170 +215,69 @@ func (d *Dispatcher) AdmissionStats() AdmissionStats {
 	}
 }
 
-// Topology reports the storage layout of the Explorer the pool serves.
-func (d *Dispatcher) Topology() Topology { return d.ex.Topology() }
-
-// Quiesce waits until the served Explorer's background maintenance
-// pipeline has drained (see Explorer.Quiesce). Serving benchmarks call it
-// after Close to include layout convergence in an async run's
-// time-to-convergence without racing the measurement against background
-// workers. Immediate when the Explorer runs synchronous maintenance.
-func (d *Dispatcher) Quiesce(ctx context.Context) error { return d.ex.Quiesce(ctx) }
-
 // Submit enqueues one query with no caller context; its result is delivered
-// on out. Without admission control Submit blocks when all workers are busy
-// and the (bounded) queue is full — the backpressure that keeps a heavy
-// caller from buffering an unbounded backlog. With MaxInFlight set it
-// fast-fails with ErrOverloaded instead. The out channel must have capacity
-// for every result submitted to it, or be drained concurrently; otherwise
-// workers block delivering. Submitting to a closed dispatcher returns
-// ErrClosed (racing a concurrent Close is safe — never a panic).
+// on out. Submit blocks when all workers are busy and the (bounded) queue is
+// full — the backpressure that keeps a heavy caller from buffering an
+// unbounded backlog. The out channel must have capacity for every result
+// submitted to it, or be drained concurrently; otherwise workers block
+// delivering. Submitting to a closed dispatcher returns ErrClosed (racing a
+// concurrent Close is safe — never a panic).
 func (d *Dispatcher) Submit(index int, q Query, out chan<- BatchResult) error {
 	return d.SubmitCtx(context.Background(), index, q, out)
 }
 
 // SubmitCtx is Submit with a caller context. The context governs the whole
 // lifetime of the query: a submission whose context is already done is
-// refused immediately, cancellation while waiting for an admission slot
-// abandons the wait, and the context travels with the job so the worker
-// aborts the query the moment it expires — whether that happens in the
-// queue or mid-execution. When AdmissionConfig.Deadline is set and ctx
-// carries no deadline of its own, the default deadline is attached here, at
-// submit time, so queue wait counts against it.
+// refused immediately, one whose context ends while it waits on a full
+// queue abandons the wait, and the context travels with the job, so a
+// worker that pops a dead job delivers it canceled without running it and
+// a running query aborts the moment its context ends.
 func (d *Dispatcher) SubmitCtx(ctx context.Context, index int, q Query, out chan<- BatchResult) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	// A dead context is refused before admission; it does not enter the
 	// ledger at all (Canceled counts only admitted queries, so that
-	// Admitted == Completed + Canceled holds after Close).
+	// Admitted == Completed + Canceled + Failed holds after Close).
 	if err := simdisk.CheckCtx(ctx); err != nil {
 		return err
 	}
-	if d.slots != nil {
-		select {
-		case d.slots <- struct{}{}:
-		default:
-			if d.cfg.QueueWait <= 0 {
-				d.rejected.Add(1)
-				return ErrOverloaded
-			}
-			timer := time.NewTimer(d.cfg.QueueWait)
-			select {
-			case d.slots <- struct{}{}:
-				timer.Stop()
-			case <-timer.C:
-				d.rejected.Add(1)
-				return ErrOverloaded
-			case <-ctx.Done():
-				// Canceled while waiting for a slot: never admitted, so it
-				// counts in no ledger bucket (see the dead-context refusal
-				// above).
-				timer.Stop()
-				return simdisk.Canceled(ctx.Err())
-			}
-		}
-	}
 	job := dispatchJob{index: index, query: q, ctx: ctx, submitted: time.Now(), out: out}
-	if d.cfg.Deadline > 0 {
-		if _, has := ctx.Deadline(); !has {
-			job.ctx, job.cancel = context.WithTimeout(ctx, d.cfg.Deadline)
-		}
-	}
-	if job.ctx.Done() != nil {
-		// The job can expire in the queue; arm the sweeper's claim state.
-		job.sweep = new(sweepState)
-	}
 	d.sendMu.RLock()
+	defer d.sendMu.RUnlock()
 	if d.closed {
-		d.sendMu.RUnlock()
-		d.abandon(job)
 		return ErrClosed
 	}
-	staged := false
-	if d.batchStop != nil {
-		// Micro-batching: stage the job for the batcher to flush grouped
-		// with its neighbours. Staging never blocks, so it can never stall
-		// a concurrent Close from here — and it is bounded: admission caps
-		// it when configured, batchStageCap otherwise. Overflow falls
-		// through to the direct dispatch path below, whose blocking send
-		// is the documented backpressure.
-		d.batchMu.Lock()
-		if d.slots != nil || len(d.batchBuf) < batchStageCap {
-			d.batchBuf = append(d.batchBuf, job)
-			staged = true
-		}
-		d.batchMu.Unlock()
-		if staged {
-			d.batched.Add(1)
-		}
-	}
-	switch {
-	case staged:
-		// Already on its way to the pool via the batcher's next flush.
-	case d.slots != nil:
-		// With admission on, the queue is sized for MaxInFlight live jobs —
-		// but swept jobs keep their queue entries until a worker discards
-		// them, so under a backlog of zombies the send could block while
-		// holding sendMu (stalling a concurrent Close). It must not: shed
-		// the submission like any other overload instead. Workers drain
-		// zombies without doing work, so the condition clears in
-		// microseconds.
+	if !d.stage(job) {
+		// The send may block — that is the documented backpressure — but
+		// the context still abandons the wait (the channel cannot be closed
+		// underneath the select: Close needs sendMu exclusively first).
 		select {
 		case d.jobs <- job:
-		default:
-			d.sendMu.RUnlock()
-			d.abandon(job)
-			d.rejected.Add(1)
-			return ErrOverloaded
-		}
-	default:
-		// Without admission the send may block — that is the documented
-		// blocking backpressure — but cancellation still abandons the wait
-		// (the channel cannot be closed underneath the select: Close needs
-		// sendMu exclusively first). Watching job.ctx, not ctx, means a
-		// dispatcher-attached default deadline bounds the queue wait too;
-		// the two are identical when no deadline was attached.
-		select {
-		case d.jobs <- job:
-		case <-job.ctx.Done():
-			d.sendMu.RUnlock()
-			d.abandon(job)
-			return simdisk.Canceled(job.ctx.Err())
+		case <-ctx.Done():
+			return simdisk.Canceled(ctx.Err())
 		}
 	}
 	d.admitted.Add(1)
-	if s := job.sweep; s != nil {
-		// No goroutine waits on a queued job: the context runs the sweeper
-		// if it ends first, and whoever pops the job unregisters it.
-		s.job = job
-		d.sweepWg.Add(1)
-		s.stop = context.AfterFunc(job.ctx, func() { d.sweep(s) })
-		s.armed.Store(true)
-		if s.done.Load() {
-			d.retire(s) // popped before stop was published
-		}
-	}
-	d.sendMu.RUnlock()
 	return nil
 }
 
-// abandon releases what SubmitCtx took for a job it is not going to queue:
-// the attached deadline's timer and the in-flight slot.
-func (d *Dispatcher) abandon(job dispatchJob) {
-	if job.cancel != nil {
-		job.cancel()
+// stage puts a job on the micro-batcher's stage for the next flush and
+// reports whether it did: never with batching off, and not once the stage
+// holds batchStageCap jobs. Staging never blocks, so it can never stall a
+// concurrent Close.
+func (d *Dispatcher) stage(job dispatchJob) bool {
+	if d.batchStop == nil {
+		return false
 	}
-	d.releaseSlot()
-}
-
-// retire unregisters a claimed job's sweeper callback. A callback stopped
-// before it started never runs, so its count is released here; one already
-// running loses the claim and releases its own.
-func (d *Dispatcher) retire(s *sweepState) {
-	if s.stop() {
-		d.sweepWg.Done()
+	d.batchMu.Lock()
+	defer d.batchMu.Unlock()
+	if len(d.batchBuf) >= batchStageCap {
+		return false
 	}
+	d.batchBuf = append(d.batchBuf, job)
+	d.batched.Add(1)
+	return true
 }
 
 // batcher drains the micro-batching stage every BatchWindow, releasing the
@@ -544,49 +369,9 @@ func (d *Dispatcher) flushBatch() {
 	}
 }
 
-// sweep runs when a queued job's context ends (context.AfterFunc). If no
-// worker has claimed the job yet, the sweeper delivers the cancellation
-// result and releases the in-flight slot immediately — the submitter gets
-// its answer and its capacity back at expiry time instead of after the
-// residual queue wait — and the worker that eventually pops the job
-// discards it. Exactly one of worker and sweeper delivers (the done flag
-// arbitrates). The discarded job still occupies a queue entry until that
-// pop, which is why the admission-path enqueue in SubmitCtx is
-// non-blocking: a zombie backlog sheds new submissions instead of blocking
-// them.
-func (d *Dispatcher) sweep(s *sweepState) {
-	defer d.sweepWg.Done()
-	if !s.done.CompareAndSwap(false, true) {
-		return // a worker claimed the job first
-	}
-	job := s.job
-	err := simdisk.Canceled(job.ctx.Err())
-	if job.cancel != nil {
-		job.cancel()
-	}
-	d.releaseSlot()
-	d.canceled.Add(1)
-	d.swept.Add(1)
-	job.out <- BatchResult{
-		Index:  job.index,
-		Query:  job.query,
-		Worker: SweptWorker,
-		Wait:   time.Since(job.submitted),
-		Err:    err,
-	}
-}
-
-// releaseSlot frees one in-flight slot (no-op without admission control).
-func (d *Dispatcher) releaseSlot() {
-	if d.slots != nil {
-		<-d.slots
-	}
-}
-
 // Close stops accepting work and blocks until every submitted query has
-// finished — including any sweeper deliveries, so once Close returns the
-// caller may safely close its result channel. Safe to call more than once
-// and concurrently with Submit.
+// been delivered, so once Close returns the caller may safely close its
+// result channel. Safe to call more than once and concurrently with Submit.
 func (d *Dispatcher) Close() {
 	d.closing.Do(func() {
 		d.sendMu.Lock()
@@ -602,10 +387,6 @@ func (d *Dispatcher) Close() {
 		close(d.jobs)
 	})
 	d.wg.Wait()
-	// Every job has been popped by now (claimed or discarded), so the only
-	// callbacks left are sweeper deliveries in progress; wait so none
-	// outlives Close.
-	d.sweepWg.Wait()
 }
 
 // WorkerStats returns per-worker activity. Call after Close; during a run
@@ -617,25 +398,15 @@ func (d *Dispatcher) WorkerStats() []WorkerStats {
 }
 
 // worker serves jobs until the queue closes. Each worker owns its stats
-// slot, so no locking is needed on the hot path. A job the sweeper already
-// returned is discarded on pop; a job whose context died in the queue but
-// which the worker claimed first is skipped, not executed — delivered
-// straight back with the cancellation error. Either way no worker time is
-// spent on dead-on-arrival queries and the queue drains at full speed
-// during a cancellation storm.
+// slot, so no locking is needed on the hot path. A job whose context died
+// in the queue is skipped, not executed — delivered straight back with the
+// cancellation error — so no worker time is spent on dead-on-arrival
+// queries and the queue drains at full speed during a cancellation storm.
 func (d *Dispatcher) worker(w int) {
 	defer d.wg.Done()
 	st := &d.stats[w]
 	st.Worker = w
 	for job := range d.jobs {
-		if s := job.sweep; s != nil {
-			if !s.done.CompareAndSwap(false, true) {
-				continue // the sweeper already returned this job
-			}
-			if s.armed.Load() {
-				d.retire(s)
-			}
-		}
 		wait := time.Since(job.submitted)
 		var objs []Object
 		err := simdisk.CheckCtx(job.ctx)
@@ -644,10 +415,6 @@ func (d *Dispatcher) worker(w int) {
 			objs, err = d.ex.QueryCtx(job.ctx, job.query.Range, job.query.Datasets)
 		}
 		wall := time.Since(t0)
-		if job.cancel != nil {
-			job.cancel()
-		}
-		d.releaseSlot()
 		st.Queries++
 		st.Busy += wall
 		switch {
@@ -693,9 +460,9 @@ func (e *Explorer) QueryBatchCtx(ctx context.Context, queries []Query, workers i
 	out := make(chan BatchResult, len(queries))
 	results := make([]BatchResult, len(queries))
 	for i, q := range queries {
-		// The dispatcher is private to this call and has no admission cap,
-		// so the only submit failure is a context already done — which gets
-		// recorded in place of a delivered result.
+		// The dispatcher is private to this call, so the only submit
+		// failure is the context ending before the job is queued — which
+		// gets recorded in place of a delivered result.
 		if err := d.SubmitCtx(ctx, i, q, out); err != nil {
 			results[i] = BatchResult{Index: i, Query: q, Err: err}
 		}

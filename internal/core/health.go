@@ -10,8 +10,8 @@ import (
 	"spaceodyssey/internal/simdisk"
 )
 
-// Self-healing defaults (Config.QuarantineAfter / MaintenanceRetryBackoff /
-// MaintenanceHealthRing override them).
+// Self-healing defaults (Config.QuarantineAfter / MaintenanceRetryBackoff
+// override the first two) and the failure-history bound.
 const (
 	// DefaultQuarantineAfter is how many consecutive failures of one
 	// maintenance unit trip quarantine.
@@ -23,8 +23,9 @@ const (
 	DefaultMaintenanceRetryBackoff = 2 * time.Millisecond
 	// maxMaintenanceRetryBackoff caps the exponential growth.
 	maxMaintenanceRetryBackoff = time.Second
-	// DefaultMaintenanceHealthRing bounds the failure-history ring.
-	DefaultMaintenanceHealthRing = 64
+	// maintenanceHealthRing bounds the failure-history ring
+	// MaintenanceHealth reports.
+	maintenanceHealthRing = 64
 )
 
 // MaintenanceFailure is one entry of the bounded failure history every
@@ -146,7 +147,7 @@ func (m *maintainer) noteFailureLocked(task execTask, err error) {
 		f.Retried = true
 	}
 	m.ring = append(m.ring, f)
-	if over := len(m.ring) - m.ringCap; over > 0 {
+	if over := len(m.ring) - maintenanceHealthRing; over > 0 {
 		m.ring = append(m.ring[:0], m.ring[over:]...)
 	}
 }

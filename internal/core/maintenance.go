@@ -152,7 +152,6 @@ type maintainer struct {
 	// while a failed task waits out its backoff; retryStop aborts the
 	// timers on Close).
 	ring            []MaintenanceFailure
-	ringCap         int
 	failCount       map[healthKey]int
 	quarantine      map[healthKey]*quarantineEntry
 	pendingRetries  int
@@ -184,10 +183,6 @@ func newMaintainer(o *Odyssey, workers int) *maintainer {
 	if retryBackoff <= 0 {
 		retryBackoff = DefaultMaintenanceRetryBackoff
 	}
-	ringCap := o.cfg.MaintenanceHealthRing
-	if ringCap <= 0 {
-		ringCap = DefaultMaintenanceHealthRing
-	}
 	m := &maintainer{
 		o:               o,
 		workers:         workers,
@@ -197,7 +192,6 @@ func newMaintainer(o *Odyssey, workers int) *maintainer {
 		activeRefine:    make(map[object.DatasetID]bool),
 		mergePending:    make(map[ComboKey]*heatItem[mergeTask]),
 		activeMerge:     make(map[ComboKey]bool),
-		ringCap:         ringCap,
 		failCount:       make(map[healthKey]int),
 		quarantine:      make(map[healthKey]*quarantineEntry),
 		retryStop:       make(chan struct{}),

@@ -85,9 +85,6 @@ type Config struct {
 	// maintenance task is re-enqueued, doubling per consecutive failure with
 	// up to 50% jitter. <= 0 defaults to DefaultMaintenanceRetryBackoff.
 	MaintenanceRetryBackoff time.Duration
-	// MaintenanceHealthRing bounds the failure-history ring MaintenanceHealth
-	// reports. <= 0 defaults to DefaultMaintenanceHealthRing.
-	MaintenanceHealthRing int
 }
 
 // DefaultConfig returns the paper's configuration: rt=4, ppl=64, mt=2,

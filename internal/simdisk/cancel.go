@@ -171,11 +171,10 @@ type clockLimitCtx struct {
 // device's real-time emulation sleeps — only observe the parent's
 // cancellation, not the clock limit. For the same reason the limit does not
 // survive derivation: a context derived from this one (context.WithCancel,
-// WithTimeout — including a dispatcher-attached default deadline) consults
-// only its own state and the parent's Done channel, never this Err
-// override, so pass a clock-limited context directly to the query APIs
-// rather than wrapping it further. Use real deadlines for wall-clock
-// control; use WithClockLimit for deterministic simulated budgets.
+// WithTimeout) consults only its own state and the parent's Done channel,
+// never this Err override, so pass a clock-limited context directly to the
+// query APIs rather than wrapping it further. Use real deadlines for
+// wall-clock control; use WithClockLimit for deterministic simulated budgets.
 func WithClockLimit(parent context.Context, dev Clocker, limit time.Duration) context.Context {
 	return &clockLimitCtx{Context: orBackground(parent), dev: dev, limit: limit}
 }

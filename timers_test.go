@@ -104,7 +104,6 @@ func TestTimerSiteCensus(t *testing.T) {
 		"cluster/health.go (*prober).run time.NewTicker",
 		"cluster/router.go (*Router).runHedged time.NewTimer",
 		"cluster/shard.go (*shard).serve time.NewTimer",
-		"dispatcher.go (*Dispatcher).SubmitCtx time.NewTimer",
 		"dispatcher.go (*Dispatcher).batcher time.NewTimer",
 		"internal/core/health.go (*maintainer).retryAfter time.NewTimer",
 		"internal/simdisk/cancel.go sleepCtx time.NewTimer",
