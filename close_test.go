@@ -87,9 +87,9 @@ func TestExplorerCloseDrainsMaintenance(t *testing.T) {
 }
 
 // TestExplorerCloseDuringFaultStorm extends the drain test into the worst
-// weather: Close lands while a fault storm has queries retrying, maintenance
-// tasks failing into backoff re-enqueues and quarantine — every goroutine
-// (workers, retry timers) must still wind down, the ledger must balance, and
+// weather: Close lands while a fault storm has queries retrying page reads
+// and maintenance tasks failing — every goroutine (query workers,
+// maintenance workers) must still wind down, the ledger must balance, and
 // the device must close cleanly.
 func TestExplorerCloseDuringFaultStorm(t *testing.T) {
 	before := runtime.NumGoroutine()

@@ -17,7 +17,7 @@ const (
 	// sub-query.
 	StateUp ShardState = iota
 	// StateDown: probeDownAfter consecutive probes failed (crash window,
-	// manual Crash, or closed Explorer). Down replicas are tried only as a last
+	// flap window or manual Crash). Down replicas are tried only as a last
 	// resort, so a stale verdict can delay a query but never fail one.
 	StateDown
 )
@@ -58,7 +58,7 @@ type shard struct {
 }
 
 // down reports whether the shard is unable to serve right now: manually
-// crashed, inside a planned crash window at query ordinal ord, or closed.
+// crashed or inside a planned crash window at query ordinal ord.
 func (s *shard) down(ord int64) bool {
 	return s.crashed.Load() || s.r.plan.Load().crashed(s.id, ord)
 }
@@ -92,8 +92,8 @@ func (s *shard) serve(ctx context.Context, q odyssey.Box, datasets []odyssey.Dat
 }
 
 // probe is one health check: it fails while the shard is crashed (manual
-// or planned), while the plan flaps this probe's ordinal, or once the
-// Explorer is closed.
+// or planned) or while the plan flaps this probe's ordinal. A shard's
+// Explorer closes only after Router.Close has stopped every prober.
 func (s *shard) probe() error {
 	n := s.probes.Add(1)
 	if s.r.plan.Load().flapped(s.id, n-1) {
@@ -103,10 +103,6 @@ func (s *shard) probe() error {
 	if s.down(s.r.ord.Load()) {
 		s.probeErr.Add(1)
 		return ErrShardDown
-	}
-	if s.ex.Health().Closed {
-		s.probeErr.Add(1)
-		return ErrClosed
 	}
 	return nil
 }

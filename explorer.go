@@ -531,17 +531,15 @@ func (e *Explorer) MaintenanceStats() MaintenanceStats {
 func (e *Explorer) MaintenanceErr() error { return e.engine.MaintenanceErr() }
 
 // MaintenanceHealth snapshots the background maintenance pipeline's health
-// ledger: the bounded failure history, the quarantine list, and how many
-// failed tasks are waiting out a retry backoff. Zero-valued when
-// AsyncMaintenance is off.
+// ledger: the bounded failure history and the quarantine list. Zero-valued
+// when AsyncMaintenance is off.
 func (e *Explorer) MaintenanceHealth() MaintenanceHealth {
 	return e.engine.MaintenanceHealth()
 }
 
-// Unquarantine re-admits one quarantined maintenance unit (identified by a
-// QuarantinedCell from MaintenanceHealth), clearing its failure history so
-// the next failure starts a fresh streak. Returns whether the unit was
-// quarantined.
+// Unquarantine re-admits one maintenance unit a permanent fault quarantined
+// (identified by a QuarantinedCell from MaintenanceHealth). Returns whether
+// the unit was quarantined.
 func (e *Explorer) Unquarantine(q QuarantinedCell) bool {
 	return e.engine.Unquarantine(q)
 }

@@ -3,9 +3,7 @@ package core
 import (
 	"container/heap"
 	"context"
-	"math/rand"
 	"sync"
-	"time"
 
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
@@ -27,7 +25,8 @@ type MaintenanceStats struct {
 	// Completed is how many tasks executed to completion.
 	Completed int64
 	// Failed is how many tasks returned an error (the layout stays
-	// consistent — a failed task simply leaves its region unconverged).
+	// consistent — a failed task simply leaves its region unconverged until
+	// the next query that wants the work enqueues it again).
 	Failed int64
 	// Dropped is how many queued tasks Close discarded (cancel-and-drain).
 	Dropped int64
@@ -36,13 +35,9 @@ type MaintenanceStats struct {
 	MergeTasks  int64
 	// Refinements is how many refinement operations maintenance applied.
 	Refinements int64
-	// Retried is how many failed tasks were re-enqueued with backoff by the
-	// self-healing policy (each re-enqueue also counts in Queued when it
-	// lands, so the ledger invariant above still balances).
-	Retried int64
-	// Quarantined is how many units (dataset cells, combinations) were
-	// quarantined after repeated or permanent failures (lifetime count; see
-	// Health for the current list).
+	// Quarantined is how many units (dataset cells, combinations) a
+	// permanent device fault quarantined (lifetime count; see Health for the
+	// current list).
 	Quarantined int64
 	// QueueDepth is the current number of queued (not yet running) tasks.
 	QueueDepth int
@@ -146,20 +141,10 @@ type maintainer struct {
 	inFlight int
 	stats    MaintenanceStats
 
-	// Self-healing state (see health.go): the bounded failure ring, the
-	// per-unit consecutive-failure counts, the quarantine set, and the
-	// in-flight retry timers (pendingRetries holds the pipeline non-idle
-	// while a failed task waits out its backoff; retryStop aborts the
-	// timers on Close).
-	ring            []MaintenanceFailure
-	failCount       map[healthKey]int
-	quarantine      map[healthKey]*quarantineEntry
-	pendingRetries  int
-	retryStop       chan struct{}
-	retryWG         sync.WaitGroup
-	rng             *rand.Rand
-	quarantineAfter int
-	retryBackoff    time.Duration
+	// Health state (see health.go): the bounded failure ring and the
+	// quarantine set, each quarantined unit with the error that tripped it.
+	ring       []MaintenanceFailure
+	quarantine map[healthKey]error
 
 	idleNow bool
 	idle    chan struct{}
@@ -175,31 +160,18 @@ func newMaintainer(o *Odyssey, workers int) *maintainer {
 	if workers <= 0 {
 		workers = 2
 	}
-	quarantineAfter := o.cfg.QuarantineAfter
-	if quarantineAfter <= 0 {
-		quarantineAfter = DefaultQuarantineAfter
-	}
-	retryBackoff := o.cfg.MaintenanceRetryBackoff
-	if retryBackoff <= 0 {
-		retryBackoff = DefaultMaintenanceRetryBackoff
-	}
 	m := &maintainer{
-		o:               o,
-		workers:         workers,
-		halfLife:        o.halfLife,
-		refineQ:         make(map[object.DatasetID]*heatHeap[refineTask]),
-		refinePending:   make(map[object.DatasetID]map[octree.Key]*heatItem[refineTask]),
-		activeRefine:    make(map[object.DatasetID]bool),
-		mergePending:    make(map[ComboKey]*heatItem[mergeTask]),
-		activeMerge:     make(map[ComboKey]bool),
-		failCount:       make(map[healthKey]int),
-		quarantine:      make(map[healthKey]*quarantineEntry),
-		retryStop:       make(chan struct{}),
-		rng:             newMaintRand(),
-		quarantineAfter: quarantineAfter,
-		retryBackoff:    retryBackoff,
-		idleNow:         true,
-		idle:            make(chan struct{}),
+		o:             o,
+		workers:       workers,
+		halfLife:      o.halfLife,
+		refineQ:       make(map[object.DatasetID]*heatHeap[refineTask]),
+		refinePending: make(map[object.DatasetID]map[octree.Key]*heatItem[refineTask]),
+		activeRefine:  make(map[object.DatasetID]bool),
+		mergePending:  make(map[ComboKey]*heatItem[mergeTask]),
+		activeMerge:   make(map[ComboKey]bool),
+		quarantine:    make(map[healthKey]error),
+		idleNow:       true,
+		idle:          make(chan struct{}),
 	}
 	close(m.idle) // idle at birth
 	m.cond = sync.NewCond(&m.mu)
@@ -224,11 +196,9 @@ func (m *maintainer) noteWorkLocked() {
 	}
 }
 
-// maybeIdleLocked closes the idle channel when nothing is queued, running,
-// or waiting out a retry backoff — a pipeline with a pending retry is not
-// done, and Quiesce must wait the retry chain out.
+// maybeIdleLocked closes the idle channel when nothing is queued or running.
 func (m *maintainer) maybeIdleLocked() {
-	if !m.idleNow && m.queueLen == 0 && m.inFlight == 0 && m.pendingRetries == 0 {
+	if !m.idleNow && m.queueLen == 0 && m.inFlight == 0 {
 		close(m.idle)
 		m.idleNow = true
 	}
@@ -240,18 +210,11 @@ func (m *maintainer) maybeIdleLocked() {
 // the priority heap. box and qVol describe the query that demanded the
 // refinement (the worker refines the region to convergence for that
 // demand); members is that query's combination, for the worker's
-// merge-coverage re-check.
+// merge-coverage re-check. Quarantined cells are dropped here — the one gate
+// that keeps a poisoned cell from ever occupying a worker again.
 func (m *maintainer) EnqueueRefine(ds object.DatasetID, keys []octree.Key, box geom.Box, qVol float64, members []object.DatasetID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.enqueueRefineLocked(ds, keys, box, qVol, members)
-}
-
-// enqueueRefineLocked is EnqueueRefine's core, shared with the retry timers
-// (which re-enqueue inside the critical section that releases their
-// pendingRetries hold). Quarantined cells are dropped here — the one gate
-// that keeps a poisoned cell from ever occupying a worker again.
-func (m *maintainer) enqueueRefineLocked(ds object.DatasetID, keys []octree.Key, box geom.Box, qVol float64, members []object.DatasetID) {
 	if m.closed {
 		return
 	}
@@ -313,11 +276,6 @@ func (m *maintainer) freshScore() float64 {
 func (m *maintainer) EnqueueMerge(key ComboKey, members []object.DatasetID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.enqueueMergeLocked(key, members)
-}
-
-// enqueueMergeLocked is EnqueueMerge's core, shared with the retry timers.
-func (m *maintainer) enqueueMergeLocked(key ComboKey, members []object.DatasetID) {
 	if m.closed || m.quarantinedLocked(healthKey{merge: true, combo: key}) {
 		return
 	}
@@ -453,7 +411,6 @@ func (m *maintainer) worker() {
 			m.stats.Failed++
 			m.noteFailureLocked(task, err)
 		} else {
-			m.clearFailuresLocked(task)
 			m.stats.Completed++
 			if task.isMerge {
 				m.stats.MergeTasks++
@@ -577,7 +534,6 @@ func (m *maintainer) Close() {
 	m.mu.Lock()
 	if !m.closed {
 		m.closed = true
-		close(m.retryStop) // wake retry timers; they observe closed and exit
 		m.stats.Dropped += int64(m.queueLen)
 		m.queueLen = 0
 		m.stats.QueueDepth = 0
@@ -590,6 +546,5 @@ func (m *maintainer) Close() {
 		m.cond.Broadcast()
 	}
 	m.mu.Unlock()
-	m.retryWG.Wait()
 	m.wg.Wait()
 }

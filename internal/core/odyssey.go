@@ -74,17 +74,6 @@ type Config struct {
 	// starting point instead of a fixed bound. Capacity only affects which
 	// reads hit the cache — results are identical regardless.
 	AdaptiveCache bool
-	// QuarantineAfter is how many consecutive failures of one maintenance
-	// unit (a dataset cell's refinement, a combination's merge) quarantine
-	// it — its enqueues are then dropped until Unquarantine, so a poisoned
-	// cell cannot wedge the scheduler. <= 0 defaults to
-	// DefaultQuarantineAfter. Permanent device faults quarantine on first
-	// sight. Only meaningful with AsyncMaintenance.
-	QuarantineAfter int
-	// MaintenanceRetryBackoff is the base wall-clock delay before a failed
-	// maintenance task is re-enqueued, doubling per consecutive failure with
-	// up to 50% jitter. <= 0 defaults to DefaultMaintenanceRetryBackoff.
-	MaintenanceRetryBackoff time.Duration
 }
 
 // DefaultConfig returns the paper's configuration: rt=4, ppl=64, mt=2,
@@ -1169,16 +1158,6 @@ func (o *Odyssey) runMergeTask(t mergeTask) error {
 	return o.mergeOnce(ctx, t.key, t.members)
 }
 
-// AsyncMaintenance reports whether the background maintenance pipeline is
-// on.
-func (o *Odyssey) AsyncMaintenance() bool { return o.cfg.AsyncMaintenance }
-
-// ShareScans reports whether cross-query work sharing is on.
-func (o *Odyssey) ShareScans() bool { return o.cfg.ShareScans }
-
-// CacheResults reports whether the epoch-scoped result cache is on.
-func (o *Odyssey) CacheResults() bool { return o.cfg.CacheResults }
-
 // CacheStats snapshots the result-cache ledger (all zero when
 // Config.CacheResults is off).
 func (o *Odyssey) CacheStats() CacheStats {
@@ -1210,7 +1189,7 @@ func (o *Odyssey) MaintenanceStats() MaintenanceStats {
 // MaintenanceErr returns the most recent background task error, nil when
 // every task succeeded or maintenance is synchronous. It is the
 // compatibility accessor over the bounded failure ring — MaintenanceHealth
-// returns the full history, the quarantine list and the retry state.
+// returns the full history and the quarantine list.
 func (o *Odyssey) MaintenanceErr() error {
 	if o.maint == nil {
 		return nil
@@ -1219,9 +1198,8 @@ func (o *Odyssey) MaintenanceErr() error {
 }
 
 // MaintenanceHealth snapshots the background pipeline's structured health
-// ledger: the bounded failure history, the currently quarantined units, and
-// how many failed tasks are waiting out a retry backoff. Zero when
-// maintenance is synchronous.
+// ledger: the bounded failure history and the currently quarantined units.
+// Zero when maintenance is synchronous.
 func (o *Odyssey) MaintenanceHealth() MaintenanceHealth {
 	if o.maint == nil {
 		return MaintenanceHealth{}
@@ -1230,8 +1208,8 @@ func (o *Odyssey) MaintenanceHealth() MaintenanceHealth {
 }
 
 // Unquarantine re-admits one quarantined maintenance unit (operator
-// recovery after replacing a bad device, say), clearing its failure streak.
-// Returns whether the unit was quarantined.
+// recovery after replacing a bad device, say). Returns whether the unit was
+// quarantined.
 func (o *Odyssey) Unquarantine(q QuarantinedCell) bool {
 	if o.maint == nil {
 		return false

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"spaceodyssey/internal/datagen"
@@ -395,5 +397,25 @@ func TestMergeRequiresSameRefinementLevel(t *testing.T) {
 				t.Fatalf("entry %v resolves to different leaf %v in ds %d", k, leaf.Key(), ds)
 			}
 		}
+	}
+}
+
+// TestKnobCensus pins the engine's configuration surface so it cannot
+// re-accrete; the failure message carries the rule for whoever wants to add
+// a field.
+func TestKnobCensus(t *testing.T) {
+	const rule = "a new knob needs two callers outside tests and examples that need different values — else make it a constant (see ROADMAP item 2)"
+	var got []string
+	cfg := reflect.TypeOf(Config{})
+	for i := 0; i < cfg.NumField(); i++ {
+		got = append(got, cfg.Field(i).Name)
+	}
+	want := []string{"Octree", "Merger", "DisableMerging", "AsyncMaintenance", "MaintenanceWorkers",
+		"ShareScans", "CacheResults", "CacheCapacity", "HeatHalfLife", "AdaptiveCache"}
+	if !slices.Equal(got, want) {
+		t.Errorf("Config has fields %v, want %v: %s", got, want, rule)
+	}
+	if n := reflect.TypeOf(MaintenanceStats{}).NumField(); n != 11 {
+		t.Errorf("MaintenanceStats has %d fields, want 11: a counter nothing reads is a knob's shadow", n)
 	}
 }

@@ -13,14 +13,6 @@ import (
 	"spaceodyssey/internal/simdisk"
 )
 
-// healConfig is asyncConfig tightened for fast self-healing tests.
-func healConfig(workers, quarantineAfter int) Config {
-	cfg := asyncConfig(workers)
-	cfg.QuarantineAfter = quarantineAfter
-	cfg.MaintenanceRetryBackoff = time.Millisecond
-	return cfg
-}
-
 // quiesceTimeout fails the test rather than hanging when the pipeline never
 // drains.
 func quiesceTimeout(t *testing.T, eng *Odyssey) {
@@ -32,13 +24,15 @@ func quiesceTimeout(t *testing.T, eng *Odyssey) {
 	}
 }
 
+// hotQuery demands refinement of the level-1 cells it hits.
+var hotQuery = geom.Cube(geom.V(0.42, 0.42, 0.42), 0.1)
+
 // enqueueHotWork runs a refinement-demanding query with the scheduler
 // paused, so tasks are queued but none has run yet.
 func enqueueHotWork(t *testing.T, eng *Odyssey, dss []object.DatasetID) {
 	t.Helper()
 	eng.maint.SetPaused(true)
-	q := geom.Cube(geom.V(0.42, 0.42, 0.42), 0.1)
-	if _, err := eng.Query(q, dss); err != nil {
+	if _, err := eng.Query(hotQuery, dss); err != nil {
 		t.Fatal(err)
 	}
 	if eng.MaintenanceStats().Queued == 0 {
@@ -46,22 +40,26 @@ func enqueueHotWork(t *testing.T, eng *Odyssey, dss []object.DatasetID) {
 	}
 }
 
-// TestMaintenanceRetryToSuccess pins the self-healing happy path: a task
-// that fails on transient device faults is re-enqueued with backoff and
-// eventually completes, with the retry ledgered, the failure recorded in
-// the health ring, and nothing quarantined.
-func TestMaintenanceRetryToSuccess(t *testing.T) {
-	eng, _, dev := testSetup(t, 1, 3000, 11, healConfig(1, 5))
-	defer eng.Close()
-	enqueueHotWork(t, eng, []object.DatasetID{0})
-
-	// Fault the tree file's next two platter reads: the first task execution
-	// fails, its retry (and everything after) succeeds.
-	treeFile := eng.Tree(0).File().ID()
+// failTreeReads makes every read of dataset 0's tree file fail with the
+// given fault kind.
+func failTreeReads(eng *Odyssey, dev *simdisk.Device, kind simdisk.FaultKind) {
 	dev.SetFaultPlan(simdisk.FaultPlan{
-		Seed:  3,
-		Pages: []simdisk.PageFault{{File: treeFile, Page: -1, Kind: simdisk.FaultTransient, Count: 2}},
+		Pages: []simdisk.PageFault{{File: eng.Tree(0).File().ID(), Page: -1, Kind: kind}},
 	})
+}
+
+// TestTransientFailureConvergesOnRedemand pins the one retry a failed
+// maintenance task gets: the traffic that wants it. A task that fails on
+// transient faults is recorded and dropped, nothing is quarantined, and once
+// the faults clear the next query that demands the region enqueues the work
+// again and it converges.
+func TestTransientFailureConvergesOnRedemand(t *testing.T) {
+	eng, _, dev := testSetup(t, 1, 3000, 11, asyncConfig(1))
+	defer eng.Close()
+	dss := []object.DatasetID{0}
+	enqueueHotWork(t, eng, dss)
+
+	failTreeReads(eng, dev, simdisk.FaultTransient)
 	eng.maint.SetPaused(false)
 	quiesceTimeout(t, eng)
 
@@ -69,81 +67,73 @@ func TestMaintenanceRetryToSuccess(t *testing.T) {
 	if st.Failed == 0 {
 		t.Fatal("fault plan never failed a task")
 	}
-	if st.Retried == 0 {
-		t.Fatal("failed task was not retried")
-	}
-	if st.Completed == 0 {
-		t.Fatal("no task completed despite retries")
-	}
 	if st.Quarantined != 0 {
-		t.Fatalf("transient blip quarantined %d units", st.Quarantined)
-	}
-	// Ledger balances at idle: every queued task completed or failed.
-	if st.Queued != st.Completed+st.Failed+st.Dropped {
-		t.Fatalf("ledger unbalanced: queued %d != completed %d + failed %d + dropped %d",
-			st.Queued, st.Completed, st.Failed, st.Dropped)
+		t.Errorf("transient failures quarantined %d units", st.Quarantined)
 	}
 	h := eng.MaintenanceHealth()
 	if len(h.Failures) == 0 {
 		t.Fatal("health ring recorded no failures")
 	}
-	var sawRetry bool
 	for _, f := range h.Failures {
-		if f.Retried {
-			sawRetry = true
-			if !errors.Is(f.Err, simdisk.ErrTransient) {
-				t.Fatalf("retried failure lost classification: %v", f.Err)
-			}
+		if !errors.Is(f.Err, simdisk.ErrTransient) {
+			t.Errorf("recorded failure lost classification: %v", f.Err)
+		}
+		if f.Quarantined {
+			t.Errorf("transient failure marked quarantined: %+v", f)
 		}
 	}
-	if !sawRetry {
-		t.Fatal("no ring entry marked Retried")
-	}
 	if len(h.Quarantined) != 0 {
-		t.Fatalf("quarantine list not empty: %+v", h.Quarantined)
+		t.Errorf("quarantine list not empty: %+v", h.Quarantined)
 	}
 	// Compatibility accessor returns the latest ring entry.
-	if err := eng.MaintenanceErr(); !errors.Is(err, simdisk.ErrTransient) {
-		t.Fatalf("MaintenanceErr = %v, want latest transient fault", err)
+	if err := eng.MaintenanceErr(); err != h.Failures[len(h.Failures)-1].Err {
+		t.Errorf("MaintenanceErr = %v, want the ring's latest entry", err)
 	}
-	if h.Failures[len(h.Failures)-1].Err != eng.MaintenanceErr() {
-		t.Fatal("MaintenanceErr is not the ring's latest entry")
+	before, _ := eng.TreeInfo(0)
+
+	// The faults clear and the same query comes back: it re-demands the
+	// refinement, which now runs to completion.
+	dev.SetFaultPlan(simdisk.FaultPlan{})
+	if _, err := eng.Query(hotQuery, dss); err != nil {
+		t.Fatal(err)
+	}
+	quiesceTimeout(t, eng)
+
+	if after, _ := eng.TreeInfo(0); after.Refinements <= before.Refinements {
+		t.Errorf("re-demand did not converge: refinements %d -> %d", before.Refinements, after.Refinements)
+	}
+	st = eng.MaintenanceStats()
+	if st.Completed == 0 {
+		t.Error("no task completed after the faults cleared")
+	}
+	// Ledger balances at idle: every queued task completed or failed.
+	if st.Queued != st.Completed+st.Failed+st.Dropped {
+		t.Errorf("ledger unbalanced: queued %d != completed %d + failed %d + dropped %d",
+			st.Queued, st.Completed, st.Failed, st.Dropped)
 	}
 }
 
-// TestMaintenanceQuarantine pins the poisoned-cell path: a unit that keeps
-// failing is quarantined after QuarantineAfter consecutive failures, stops
-// consuming workers (its enqueues are dropped), queries keep serving from
-// the last published layout, and Unquarantine re-admits it.
+// TestMaintenanceQuarantine pins the poisoned-cell path: a unit whose task
+// fails on a permanent fault is quarantined, stops consuming workers (its
+// enqueues are dropped), queries keep serving from the last published
+// layout, and Unquarantine re-admits it.
 func TestMaintenanceQuarantine(t *testing.T) {
-	eng, raws, dev := testSetup(t, 1, 3000, 11, healConfig(1, 2))
+	eng, raws, dev := testSetup(t, 1, 3000, 11, asyncConfig(1))
 	defer eng.Close()
 	oracle := engine.NewNaiveScan(raws)
 	enqueueHotWork(t, eng, []object.DatasetID{0})
 
-	// Every tree-file read fails, forever: each queued refinement fails,
-	// retries, fails again and lands in quarantine — Quiesce must still
-	// return because quarantine bounds every retry chain.
-	treeFile := eng.Tree(0).File().ID()
-	dev.SetFaultPlan(simdisk.FaultPlan{
-		Seed:  4,
-		Pages: []simdisk.PageFault{{File: treeFile, Page: -1, Kind: simdisk.FaultTransient}},
-	})
+	failTreeReads(eng, dev, simdisk.FaultPermanent)
 	eng.maint.SetPaused(false)
 	quiesceTimeout(t, eng)
 
 	st := eng.MaintenanceStats()
 	if st.Quarantined == 0 {
-		t.Fatal("persistent failures never quarantined")
+		t.Fatal("permanent failure never quarantined")
 	}
 	h := eng.MaintenanceHealth()
 	if len(h.Quarantined) == 0 {
 		t.Fatal("health reports no quarantined units")
-	}
-	for _, q := range h.Quarantined {
-		if q.Kind == "refine" && q.Failures < 2 {
-			t.Fatalf("unit quarantined after %d failures, want >= QuarantineAfter", q.Failures)
-		}
 	}
 	if st.Queued != st.Completed+st.Failed+st.Dropped {
 		t.Fatalf("ledger unbalanced: queued %d != completed %d + failed %d + dropped %d",
@@ -158,24 +148,24 @@ func TestMaintenanceQuarantine(t *testing.T) {
 	if quarantined.Kind != "refine" {
 		t.Fatalf("expected refine quarantine first, got %+v", quarantined)
 	}
-	eng.maint.EnqueueRefine(quarantined.Dataset, []octree.Key{quarantined.Cell}, geom.Cube(geom.V(0.42, 0.42, 0.42), 0.1), 1e-3, []object.DatasetID{0})
+	eng.maint.EnqueueRefine(quarantined.Dataset, []octree.Key{quarantined.Cell}, hotQuery, 1e-3, []object.DatasetID{0})
 	if got := eng.MaintenanceStats().Queued; got != queuedBefore {
 		t.Fatalf("quarantined cell still accepted work: queued %d -> %d", queuedBefore, got)
 	}
 
 	// Queries keep serving from the last published layout.
-	q := geom.Cube(geom.V(0.42, 0.42, 0.42), 0.1)
-	got, err := eng.Query(q, []object.DatasetID{0})
+	got, err := eng.Query(hotQuery, []object.DatasetID{0})
 	if err != nil {
 		t.Fatalf("query against quarantined layout failed: %v", err)
 	}
-	want, err := oracle.Query(q, []object.DatasetID{0})
+	want, err := oracle.Query(hotQuery, []object.DatasetID{0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !engine.SameObjects(got, want) {
 		t.Fatalf("degraded serving wrong: %d vs %d objects", len(got), len(want))
 	}
+	quiesceTimeout(t, eng)
 
 	// Unquarantine re-admits the unit.
 	if !eng.Unquarantine(quarantined) {
@@ -184,7 +174,8 @@ func TestMaintenanceQuarantine(t *testing.T) {
 	if eng.Unquarantine(quarantined) {
 		t.Fatal("Unquarantine not idempotent")
 	}
-	eng.maint.EnqueueRefine(quarantined.Dataset, []octree.Key{quarantined.Cell}, q, 1e-3, []object.DatasetID{0})
+	queuedBefore = eng.MaintenanceStats().Queued
+	eng.maint.EnqueueRefine(quarantined.Dataset, []octree.Key{quarantined.Cell}, hotQuery, 1e-3, []object.DatasetID{0})
 	if got := eng.MaintenanceStats().Queued; got != queuedBefore+1 {
 		t.Fatalf("unquarantined cell rejected work: queued %d -> %d", queuedBefore, got)
 	}
@@ -192,18 +183,14 @@ func TestMaintenanceQuarantine(t *testing.T) {
 }
 
 // TestMaintenancePermanentFaultQuarantinesImmediately pins the fast path:
-// a permanent device fault quarantines the unit on first failure, with no
-// retries wasted.
+// a permanent device fault quarantines the unit on first failure, and the
+// quarantine entry keeps the fault's classification.
 func TestMaintenancePermanentFaultQuarantinesImmediately(t *testing.T) {
-	eng, _, dev := testSetup(t, 1, 3000, 11, healConfig(1, 5))
+	eng, _, dev := testSetup(t, 1, 3000, 11, asyncConfig(1))
 	defer eng.Close()
 	enqueueHotWork(t, eng, []object.DatasetID{0})
 
-	treeFile := eng.Tree(0).File().ID()
-	dev.SetFaultPlan(simdisk.FaultPlan{
-		Seed:  5,
-		Pages: []simdisk.PageFault{{File: treeFile, Page: -1, Kind: simdisk.FaultPermanent}},
-	})
+	failTreeReads(eng, dev, simdisk.FaultPermanent)
 	eng.maint.SetPaused(false)
 	quiesceTimeout(t, eng)
 
@@ -211,14 +198,10 @@ func TestMaintenancePermanentFaultQuarantinesImmediately(t *testing.T) {
 	if st.Quarantined == 0 {
 		t.Fatal("permanent fault never quarantined")
 	}
-	if st.Retried != 0 {
-		t.Fatalf("permanent fault was retried %d times", st.Retried)
+	if st.Quarantined != st.Failed {
+		t.Fatalf("%d permanent failures quarantined %d units, want one each", st.Failed, st.Quarantined)
 	}
-	h := eng.MaintenanceHealth()
-	for _, q := range h.Quarantined {
-		if !q.Permanent {
-			t.Fatalf("quarantine entry not marked permanent: %+v", q)
-		}
+	for _, q := range eng.MaintenanceHealth().Quarantined {
 		if !errors.Is(q.LastErr, simdisk.ErrPermanent) {
 			t.Fatalf("quarantine LastErr lost classification: %v", q.LastErr)
 		}

@@ -105,7 +105,6 @@ func TestTimerSiteCensus(t *testing.T) {
 		"cluster/router.go (*Router).runHedged time.NewTimer",
 		"cluster/shard.go (*shard).serve time.NewTimer",
 		"dispatcher.go (*Dispatcher).batcher time.NewTimer",
-		"internal/core/health.go (*maintainer).retryAfter time.NewTimer",
 		"internal/simdisk/cancel.go sleepCtx time.NewTimer",
 		"internal/simdisk/qos.go (*Device).AwaitMaintenanceTurn time.Sleep",
 	}

@@ -51,12 +51,12 @@ type (
 	// activity (see Options.AsyncMaintenance).
 	MaintenanceStats = core.MaintenanceStats
 	// MaintenanceHealth is the pipeline's structured health ledger: bounded
-	// failure history, quarantine list, pending retries.
+	// failure history and quarantine list.
 	MaintenanceHealth = core.MaintenanceHealth
 	// MaintenanceFailure is one entry of the failure history.
 	MaintenanceFailure = core.MaintenanceFailure
 	// QuarantinedCell is one maintenance unit the scheduler has stopped
-	// working on after repeated failures (see Explorer.Unquarantine).
+	// working on after a permanent fault (see Explorer.Unquarantine).
 	QuarantinedCell = core.QuarantinedCell
 	// FaultPlan is a deterministic device fault-injection plan (see
 	// Explorer.SetFaultPlan).
