@@ -169,7 +169,7 @@ func TestChildDirectoryMatchesWholeFilter(t *testing.T) {
 	r := rand.New(rand.NewSource(25))
 	for _, bounds := range childDirBounds {
 		for _, k := range []int{2, 3, 4} {
-			for level := uint8(1); level <= 3; level++ {
+			for level := uint32(1); level <= 3; level++ {
 				side := uint32(math.Pow(float64(k), float64(level)))
 				for cell := 0; cell < 3; cell++ {
 					key := octree.Key{Level: level, X: uint32(r.Intn(int(side))), Y: uint32(r.Intn(int(side))), Z: uint32(r.Intn(int(side)))}
@@ -209,7 +209,7 @@ func FuzzChildDirectory(f *testing.F) {
 			return
 		}
 		k := 2 + int(kSel%3)
-		level := 1 + levelSel%3
+		level := 1 + uint32(levelSel%3)
 		side := uint32(math.Pow(float64(k), float64(level)))
 		bounds := childDirBounds[seed&1]
 		key := octree.Key{Level: level, X: x % side, Y: y % side, Z: z % side}
@@ -265,11 +265,11 @@ func TestDirectoryTravelsWithContent(t *testing.T) {
 		}
 		best := -1
 		for _, key := range f.mf.EntryKeys() {
-			if seg := f.mf.entries[key][0]; seg.count > best {
+			if seg := f.mf.entries[scanKey{ds: 0, cell: key}]; seg.count > best {
 				best, f.entry = seg.count, key
 			}
 		}
-		if seg := f.mf.entries[f.entry][0]; len(seg.children) == 0 || seg.count <= object.PageCapacity {
+		if seg := f.mf.entries[scanKey{ds: 0, cell: f.entry}]; len(seg.children) == 0 || seg.count <= object.PageCapacity {
 			t.Fatalf("the fullest segment (%d objects) has no child directory", seg.count)
 		}
 		return f
@@ -304,7 +304,7 @@ func TestDirectoryTravelsWithContent(t *testing.T) {
 		before, epoch := f.eng.Metrics(), f.eng.layoutEpoch.Load()
 		kept := ask(t, f, other)
 		it := f.eng.rcache.entries[scanKey{ds: 0, cell: f.entry}]
-		if it == nil || it.content.children != nil || len(it.content.objs) != f.mf.entries[f.entry][0].count {
+		if it == nil || it.content.children != nil || len(it.content.objs) != f.mf.entries[scanKey{ds: 0, cell: f.entry}].count {
 			t.Fatalf("the walk of %v did not leave the entry's cell cached as its partition, in file order", other)
 		}
 		hits := f.eng.CacheStats().Hits
@@ -391,7 +391,7 @@ func TestDirectoryTravelsWithContent(t *testing.T) {
 		if ref == nil {
 			t.Fatal("the sharing combination has no merge file")
 		}
-		seg, owner := ref.entries[f.entry][0], f.mf.entries[f.entry][0]
+		seg, owner := ref.entries[scanKey{ds: 0, cell: f.entry}], f.mf.entries[scanKey{ds: 0, cell: f.entry}]
 		if seg.sharedFrom != f.mf.combo || len(seg.children) == 0 || !slices.Equal(seg.children, owner.children) {
 			t.Fatalf("the referencing segment %+v does not carry its owner's directory %v", seg, owner.children)
 		}

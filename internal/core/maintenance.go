@@ -268,7 +268,7 @@ func (m *maintainer) freshScore() float64 {
 	if m.halfLife <= 0 {
 		return 0
 	}
-	return heatScore(1, m.o.heatTick.Load(), m.halfLife)
+	return newScore(m.o.heatTick.Load(), m.halfLife)
 }
 
 // EnqueueMerge schedules one combination's merge step, coalescing with (and

@@ -83,7 +83,10 @@ type MergeFile struct {
 	members  []object.DatasetID
 	memberOf map[object.DatasetID]bool
 	file     *pagefile.File
-	entries  map[octree.Key]map[object.DatasetID]segment
+	// entries holds one segment per (entry cell, member): an entry is added
+	// and dropped with a segment of every member, so the segments of any one
+	// member name every entry cell (cells and covers read the first's).
+	entries  map[scanKey]segment
 	lastUsed int64
 }
 
@@ -94,7 +97,7 @@ func (m *MergeFile) Combo() ComboKey { return m.combo }
 func (m *MergeFile) Members() []object.DatasetID { return m.members }
 
 // NumEntries returns the number of merged partitions.
-func (m *MergeFile) NumEntries() int { return len(m.entries) }
+func (m *MergeFile) NumEntries() int { return len(m.entries) / len(m.members) }
 
 // Pages returns the file size in pages.
 func (m *MergeFile) Pages() int64 {
@@ -106,30 +109,46 @@ func (m *MergeFile) Pages() int64 {
 }
 
 // covering returns the merge entry whose cell contains key (walking the
-// ancestor chain), if any, and the entry's segments, so that a caller about
-// to use one does not hash the entry again.
-func (m *MergeFile) covering(key octree.Key, fanout int) (octree.Key, map[object.DatasetID]segment, bool) {
-	return coveringIn(m.entries, key, fanout)
+// ancestor chain), if any, and member ds's segment of it: one lookup per
+// level, and the segment a caller about to read it needs.
+func (m *MergeFile) covering(key octree.Key, ds object.DatasetID, fanout int) (octree.Key, segment, bool) {
+	return coveringIn(m.entries, key, ds, fanout)
+}
+
+// covers reports whether an entry's cell contains key. Every entry holds a
+// segment of every member, so the first member's segments answer it.
+func (m *MergeFile) covers(key octree.Key, fanout int) bool {
+	_, _, ok := m.covering(key, m.members[0], fanout)
+	return ok
+}
+
+// cells yields every entry cell once, in map order: the first member's
+// segments name them all.
+func (m *MergeFile) cells(yield func(octree.Key) bool) {
+	for ref := range m.entries {
+		if ref.ds == m.members[0] && !yield(ref.cell) {
+			return
+		}
+	}
 }
 
 // coveringIn is covering over any entry map (merge files and staged merges
 // share it).
-func coveringIn(entries map[octree.Key]map[object.DatasetID]segment, key octree.Key, fanout int) (octree.Key, map[object.DatasetID]segment, bool) {
-	for lvl := int(key.Level); lvl >= 1; lvl-- {
-		anc := key.Ancestor(uint8(lvl), fanout)
-		if segs, ok := entries[anc]; ok {
-			return anc, segs, true
+func coveringIn(entries map[scanKey]segment, key octree.Key, ds object.DatasetID, fanout int) (octree.Key, segment, bool) {
+	for anc := key; anc.Level >= 1; anc = anc.Ancestor(anc.Level-1, fanout) {
+		if seg, ok := entries[scanKey{ds: ds, cell: anc}]; ok {
+			return anc, seg, true
 		}
 	}
-	return octree.Key{}, nil, false
+	return octree.Key{}, segment{}, false
 }
 
 // EntryKeys returns the merged partition keys in a deterministic order (for
 // layout comparison and diagnostics).
 func (m *MergeFile) EntryKeys() []octree.Key {
-	out := make([]octree.Key, 0, len(m.entries))
-	for k := range m.entries {
-		out = append(out, k)
+	out := make([]octree.Key, 0, m.NumEntries())
+	for cell := range m.cells {
+		out = append(out, cell)
 	}
 	sortKeys(out)
 	return out
@@ -196,9 +215,9 @@ type Merger struct {
 	tick      int64
 	currentMT int // effective merge threshold (adapts when enabled)
 
-	// segIndex maps (entry key, dataset) to the merge file owning a copy,
+	// segIndex maps (dataset, entry cell) to the merge file owning a copy,
 	// for segment sharing.
-	segIndex map[segRef]ComboKey
+	segIndex map[scanKey]ComboKey
 
 	// adaptation bookkeeping
 	queriesSeen     int
@@ -213,13 +232,6 @@ type Merger struct {
 	SegmentsShared   int
 	ThresholdRaises  int
 	ThresholdDrops   int
-}
-
-// segRef identifies one dataset's copy of one partition across all merge
-// files.
-type segRef struct {
-	key octree.Key
-	ds  object.DatasetID
 }
 
 // NewMerger returns an empty merger.
@@ -241,7 +253,7 @@ func NewMerger(dev simdisk.Storage, cfg MergerConfig) *Merger {
 		dev:       dev,
 		files:     make(map[ComboKey]*MergeFile),
 		currentMT: cfg.MergeThreshold,
-		segIndex:  make(map[segRef]ComboKey),
+		segIndex:  make(map[scanKey]ComboKey),
 	}
 }
 
@@ -389,7 +401,7 @@ func (m *Merger) NeedsMerge(key ComboKey, datasets []object.DatasetID, candidate
 		return true
 	}
 	for _, cand := range candidates {
-		if _, _, covered := mf.covering(cand, fanout); !covered {
+		if !mf.covers(cand, fanout) {
 			return true
 		}
 	}
@@ -398,8 +410,9 @@ func (m *Merger) NeedsMerge(key ComboKey, datasets []object.DatasetID, candidate
 
 // newMergeFile allocates an empty merge file for the combination without
 // registering it in the directory — a staged merge keeps a new file private
-// until publish. It holds several datasets, so it is created with no affinity
-// group: a device array deals merge files across its members.
+// until publish, which hands it the staged entries. It holds several
+// datasets, so it is created with no affinity group: a device array deals
+// merge files across its members.
 func (m *Merger) newMergeFile(key ComboKey, datasets []object.DatasetID) *MergeFile {
 	members := append([]object.DatasetID(nil), datasets...)
 	memberOf := make(map[object.DatasetID]bool, len(members))
@@ -411,7 +424,6 @@ func (m *Merger) newMergeFile(key ComboKey, datasets []object.DatasetID) *MergeF
 		members:  members,
 		memberOf: memberOf,
 		file:     pagefile.Create(m.dev, "merge:"+string(key)),
-		entries:  make(map[octree.Key]map[object.DatasetID]segment),
 	}
 }
 
@@ -425,20 +437,18 @@ type stagedMerge struct {
 	key     ComboKey
 	mf      *MergeFile // the combination's file; private while isNew
 	isNew   bool
-	entries map[octree.Key]map[object.DatasetID]segment
-	order   []octree.Key // append order, for deterministic publication
+	entries map[scanKey]segment // as MergeFile.entries
+	order   []octree.Key        // the staged entry cells, in append order
 }
 
 // covering reports whether key's cell is covered by a published or staged
 // entry.
 func (st *stagedMerge) covering(key octree.Key, fanout int) bool {
-	if st.mf != nil {
-		if _, _, ok := st.mf.covering(key, fanout); ok {
-			return true
-		}
+	if st.mf == nil {
+		return false // no file yet: nothing is published or staged
 	}
-	_, _, ok := coveringIn(st.entries, key, fanout)
-	return ok
+	staged := MergeFile{members: st.mf.members, entries: st.entries}
+	return st.mf.covers(key, fanout) || staged.covers(key, fanout)
 }
 
 // overlaps reports whether key contains a published or staged entry.
@@ -446,7 +456,7 @@ func (st *stagedMerge) overlaps(key octree.Key, fanout int) bool {
 	if st.mf != nil && overlapsEntry(st.mf, key, fanout) {
 		return true
 	}
-	for existing := range st.entries {
+	for _, existing := range st.order {
 		if key.AncestorOf(existing, fanout) {
 			return true
 		}
@@ -498,7 +508,7 @@ func (m *Merger) stage(
 	if len(datasets) < m.cfg.MinCombination {
 		return st, nil
 	}
-	st.entries = make(map[octree.Key]map[object.DatasetID]segment)
+	st.entries = make(map[scanKey]segment)
 	fanout, bounds := trees[datasets[0]].FanoutPerDim(), trees[datasets[0]].Bounds()
 	dir := dirScratchPool.Get().(*[]int32)
 	defer func() {
@@ -506,6 +516,7 @@ func (m *Merger) stage(
 		*dir = (*dir)[:0]
 		dirScratchPool.Put(dir)
 	}()
+	segs := make([]segment, len(datasets)) // one job's, by member
 	for _, cand := range candidates {
 		if st.covering(cand, fanout) {
 			continue
@@ -527,42 +538,43 @@ func (m *Merger) stage(
 			st.mf = m.newMergeFile(key, datasets)
 			st.isNew = true
 		}
-		segs, err := m.copyJob(ctx, st.mf, datasets, job, bounds, fanout, dir)
-		if err != nil {
+		if err := m.copyJob(ctx, st.mf, datasets, job, bounds, fanout, dir, segs); err != nil {
 			if len(st.order) == 0 && st.isNew {
 				_ = st.mf.file.Delete() // best effort: the copy error is the one to report
 				st.mf, st.isNew = nil, false
 			}
 			return st, err
 		}
-		st.entries[job.key] = segs
+		for i, ds := range datasets {
+			st.entries[scanKey{ds: ds, cell: job.key}] = segs[i]
+		}
 		st.order = append(st.order, job.key)
 	}
 	return st, nil
 }
 
-// copyJob copies one partition into mf's pages: for every member dataset (in
-// order) the objects are read from the original partitions and appended —
-// unless sharing is on and another live merge file owns that exact copy. A
-// copy of more than one page is stored grouped by the entry cell's children
-// (the cell's box within bounds, at the trees' fanout k), its child bounds
-// appended to dir; a one-page copy — which the directory could only make
-// slower to read (a per-child walk over a handful of objects) — is written
-// in file order, as read.
+// copyJob copies one partition into mf's pages, and writes the segment of
+// each member dataset to segs, in order: the objects are read from the
+// original partitions and appended — unless sharing is on and another live
+// merge file owns that exact copy. A copy of more than one page is stored
+// grouped by the entry cell's children (the cell's box within bounds, at the
+// trees' fanout k), its child bounds appended to dir; a one-page copy — which
+// the directory could only make slower to read (a per-child walk over a
+// handful of objects) — is written in file order, as read.
 func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.DatasetID, job mergeJob,
-	bounds geom.Box, k int, dir *[]int32) (map[object.DatasetID]segment, error) {
-	segs := make(map[object.DatasetID]segment, len(datasets))
+	bounds geom.Box, k int, dir *[]int32, segs []segment) error {
 	// One pooled slice is the source of every member's copy in turn, another
 	// the grouped copy of a member of more than one page.
 	scratch, slab := pagefile.GetObjSlice(), pagefile.GetObjSlice()
 	defer pagefile.PutObjSlice(scratch)
 	defer pagefile.PutObjSlice(slab)
 	for i, ds := range datasets {
+		ref := scanKey{ds: ds, cell: job.key}
 		if m.cfg.ShareSegments {
-			if owner, ok := m.segIndex[segRef{key: job.key, ds: ds}]; ok && owner != mf.combo {
+			if owner, ok := m.segIndex[ref]; ok && owner != mf.combo {
 				if ownerFile, live := m.files[owner]; live {
-					if seg, ok := ownerFile.entries[job.key][ds]; ok && seg.sharedFrom == "" {
-						segs[ds] = segment{run: seg.run, count: seg.count, children: seg.children, sharedFrom: owner}
+					if seg, ok := ownerFile.entries[ref]; ok && seg.sharedFrom == "" {
+						segs[i] = segment{run: seg.run, count: seg.count, children: seg.children, sharedFrom: owner}
 						continue
 					}
 				}
@@ -570,7 +582,7 @@ func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.D
 		}
 		objs, err := job.readers[i](ctx, (*scratch)[:0])
 		if err != nil {
-			return nil, fmt.Errorf("merge read %v ds %d: %w", job.key, ds, err)
+			return fmt.Errorf("merge read %v ds %d: %w", job.key, ds, err)
 		}
 		*scratch = objs
 		var children []int32
@@ -582,11 +594,11 @@ func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.D
 		}
 		run, err := mf.file.AppendObjectsCtx(ctx, objs)
 		if err != nil {
-			return nil, fmt.Errorf("merge write %v ds %d: %w", job.key, ds, err)
+			return fmt.Errorf("merge write %v ds %d: %w", job.key, ds, err)
 		}
-		segs[ds] = segment{run: run, count: len(objs), children: children}
+		segs[i] = segment{run: run, count: len(objs), children: children}
 	}
-	return segs, nil
+	return nil
 }
 
 // dirScratchPool recycles the scratch a merge stage appends its segments'
@@ -604,17 +616,14 @@ func (st *stagedMerge) carveChildren(scratch []int32) {
 		return
 	}
 	arena := make([]int32, 0, len(scratch))
-	for _, key := range st.order {
-		segs := st.entries[key]
-		for ds, seg := range segs {
-			if seg.children == nil || seg.sharedFrom != "" {
-				continue // no directory, or the owner's, carved by the owner's stage
-			}
-			n := len(arena)
-			arena = append(arena, seg.children...)
-			seg.children = arena[n:len(arena):len(arena)]
-			segs[ds] = seg
+	for ref, seg := range st.entries {
+		if seg.children == nil || seg.sharedFrom != "" {
+			continue // no directory, or the owner's, carved by the owner's stage
 		}
+		n := len(arena)
+		arena = append(arena, seg.children...)
+		seg.children = arena[n:len(arena):len(arena)]
+		st.entries[ref] = seg
 	}
 }
 
@@ -638,27 +647,26 @@ func (m *Merger) publish(st *stagedMerge) int {
 			return 0
 		}
 		m.files[st.key] = st.mf
+		st.mf.entries = st.entries // a new file's entries are the staged ones
 		m.MergesCreated++
 	} else if m.files[st.key] != st.mf {
 		return 0 // evicted mid-stage; the staged pages are gone with the file
 	}
-	for _, k := range st.order {
-		segs := st.entries[k]
-		st.mf.entries[k] = segs
-		m.PartitionsMerged++
-		for ds, seg := range segs {
-			if seg.sharedFrom != "" {
-				m.SegmentsShared++
-				continue
-			}
-			m.segmentsWritten++
-			if !m.cfg.ShareSegments {
-				continue // the cross-file index is only read with sharing on
-			}
-			ref := segRef{key: k, ds: ds}
-			if _, owned := m.segIndex[ref]; !owned {
-				m.segIndex[ref] = st.key // the first file to copy a cell owns it
-			}
+	m.PartitionsMerged += len(st.order)
+	for ref, seg := range st.entries {
+		if !st.isNew {
+			st.mf.entries[ref] = seg
+		}
+		if seg.sharedFrom != "" {
+			m.SegmentsShared++
+			continue
+		}
+		m.segmentsWritten++
+		if !m.cfg.ShareSegments {
+			continue // the cross-file index is only read with sharing on
+		}
+		if _, owned := m.segIndex[ref]; !owned {
+			m.segIndex[ref] = st.key // the first file to copy a cell owns it
 		}
 	}
 	m.touch(st.mf)
@@ -681,13 +689,9 @@ func (m *Merger) touchCombo(key ComboKey) {
 // reference when present; the underlying run read aborts at the page
 // boundary where the context expired.
 func (m *Merger) ReadSegmentCtx(ctx context.Context, dst []object.Object, mf *MergeFile, key octree.Key, ds object.DatasetID) (cellContent, error) {
-	segs, ok := mf.entries[key]
+	seg, ok := mf.entries[scanKey{ds: ds, cell: key}]
 	if !ok {
-		return cellContent{}, fmt.Errorf("merge file %s has no entry %v", mf.combo, key)
-	}
-	seg, ok := segs[ds]
-	if !ok {
-		return cellContent{}, fmt.Errorf("merge file %s entry %v has no dataset %d", mf.combo, key, ds)
+		return cellContent{}, fmt.Errorf("merge file %s has no segment of dataset %d at %v", mf.combo, ds, key)
 	}
 	m.touch(mf)
 	m.accMu.Lock()
@@ -746,12 +750,12 @@ func (m *Merger) dropReferencesTo(owner ComboKey) {
 		}
 	}
 	for _, f := range m.files {
-		for key, segs := range f.entries {
-			for _, seg := range segs {
-				if seg.sharedFrom == owner {
-					delete(f.entries, key)
-					break
-				}
+		for ref, seg := range f.entries {
+			if seg.sharedFrom != owner {
+				continue
+			}
+			for _, ds := range f.members { // the whole entry goes
+				delete(f.entries, scanKey{ds: ds, cell: ref.cell})
 			}
 		}
 	}

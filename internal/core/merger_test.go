@@ -46,7 +46,7 @@ func mkMergeFile(m *Merger, dev *simdisk.Device, datasets ...object.DatasetID) *
 		combo:    key,
 		members:  datasets,
 		memberOf: memberOf,
-		entries:  make(map[octree.Key]map[object.DatasetID]segment),
+		entries:  make(map[scanKey]segment),
 	}
 	m.files[key] = mf
 	return mf
@@ -172,9 +172,9 @@ func TestReadSegmentErrors(t *testing.T) {
 	if _, err := m.ReadSegmentCtx(context.Background(), nil, mf, octree.Key{Level: 1}, 1); err == nil {
 		t.Fatal("missing entry accepted")
 	}
-	mf.entries[octree.Key{Level: 1}] = map[object.DatasetID]segment{}
+	mf.entries[scanKey{ds: 2, cell: octree.Key{Level: 1}}] = segment{}
 	if _, err := m.ReadSegmentCtx(context.Background(), nil, mf, octree.Key{Level: 1}, 1); err == nil {
-		t.Fatal("missing dataset segment accepted")
+		t.Fatal("another dataset's segment of the cell answered")
 	}
 }
 

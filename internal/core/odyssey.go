@@ -446,11 +446,12 @@ type dsWants struct {
 // alias them (the maintainer and the merge step copy the members they keep,
 // the collector copies the keys into its sets).
 type queryScratch struct {
-	ordered []object.DatasetID // the requested datasets, sorted, duplicates dropped
-	exts    []geom.Box         // per dataset of ordered, the window its walk trusts (see queryAcc.ext)
-	touched []octree.Key       // every leaf hit, for the statistics collector
-	served  []mergeRead        // segments readMerged owes, one per served leaf until it dedups them
-	hits    []cellContent      // readMerged's current run of cache hits, filtered outside the cache lock
+	ordered []object.DatasetID  // the requested datasets, sorted, duplicates dropped
+	exts    []geom.Box          // per dataset of ordered, the window its walk trusts (see queryAcc.ext)
+	leaves  []*octree.Partition // the current walk's leaves hit (QueryResult.Touched)
+	touched []octree.Key        // every leaf hit, for the statistics collector
+	served  []mergeRead         // segments readMerged owes, one per served leaf until it dedups them
+	hits    []cellContent       // readMerged's current run of cache hits, filtered outside the cache lock
 }
 
 var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -461,11 +462,14 @@ const maxPooledQueryKeys = 1 << 12
 
 // release empties the slices and returns the scratch to the pool.
 func (qs *queryScratch) release() {
-	if max(cap(qs.ordered), cap(qs.touched), cap(qs.served), cap(qs.hits)) > maxPooledQueryKeys {
+	if max(cap(qs.ordered), cap(qs.leaves), cap(qs.touched), cap(qs.served), cap(qs.hits)) > maxPooledQueryKeys {
 		return
 	}
-	clear(qs.hits[:cap(qs.hits)]) // the pool must not keep evicted cells alive
-	qs.ordered, qs.exts, qs.touched, qs.served, qs.hits = qs.ordered[:0], qs.exts[:0], qs.touched[:0], qs.served[:0], qs.hits[:0]
+	// The pool must keep no tree partition or evicted cell alive.
+	clear(qs.leaves[:cap(qs.leaves)])
+	clear(qs.hits[:cap(qs.hits)])
+	qs.ordered, qs.exts, qs.leaves, qs.touched = qs.ordered[:0], qs.exts[:0], qs.leaves[:0], qs.touched[:0]
+	qs.served, qs.hits = qs.served[:0], qs.hits[:0]
 	queryScratchPool.Put(qs)
 }
 
@@ -666,26 +670,23 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 	// the merge file do not force the exclusive path.
 	var serve, covered func(*octree.Partition) bool
 	if mf := acc.mf; mf != nil && mf.memberOf[ds] {
-		covered = func(p *octree.Partition) bool {
-			_, _, ok := mf.covering(p.Key(), acc.fanout)
-			return ok
-		}
+		covered = func(p *octree.Partition) bool { return mf.covers(p.Key(), acc.fanout) }
 		serve = func(p *octree.Partition) bool {
-			entry, segs, ok := mf.covering(p.Key(), acc.fanout)
+			entry, seg, ok := mf.covering(p.Key(), ds, acc.fanout)
 			if ok {
-				acc.serve(ds, entry, segs[ds])
+				acc.serve(ds, entry, seg)
 			}
 			return ok
 		}
 	}
 	var res octree.QueryResult
 	if o.maint != nil || !tree.NeedsWrite(acc.q, covered) {
-		res, err = tree.QueryIntoCtx(ctx, acc.out, acc.q, serve, false)
+		res, err = tree.QueryIntoCtx(ctx, acc.out, acc.leaves[:0], acc.q, serve, false)
 		lk.RUnlock()
 	} else {
 		lk.RUnlock()
 		lk.Lock()
-		res, err = tree.QueryIntoCtx(ctx, acc.out, acc.q, serve, true)
+		res, err = tree.QueryIntoCtx(ctx, acc.out, acc.leaves[:0], acc.q, serve, true)
 		if res.Refined > 0 {
 			// Refinements that completed before an abort still publish. They
 			// read the device outside readCell, so the query was not answered
@@ -696,6 +697,7 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 		lk.Unlock()
 	}
 	acc.out = res.Objects // the walk appended this dataset's matches
+	acc.leaves = res.Touched
 	acc.tested += res.Tested
 	if err != nil {
 		return fmt.Errorf("core: dataset %d: %w", ds, err)
@@ -1139,8 +1141,7 @@ func (o *Odyssey) regionCovered(ds object.DatasetID, t refineTask) bool {
 	if mf == nil || !mf.memberOf[ds] {
 		return false
 	}
-	_, _, covered := mf.covering(t.key, tree.FanoutPerDim())
-	return covered
+	return mf.covers(t.key, tree.FanoutPerDim())
 }
 
 // runMergeTask executes one background merge task: the merge step for the

@@ -10,7 +10,6 @@ import (
 	"spaceodyssey/internal/engine"
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
-	"spaceodyssey/internal/octree"
 	"spaceodyssey/internal/rawfile"
 	"spaceodyssey/internal/simdisk"
 )
@@ -377,10 +376,7 @@ func TestMergeRequiresSameRefinementLevel(t *testing.T) {
 	if mf == nil {
 		t.Skip("no merge file created for this layout")
 	}
-	var all []octree.Key
-	for k := range mf.entries {
-		all = append(all, k)
-	}
+	all := mf.EntryKeys()
 	fanout := eng.Tree(0).FanoutPerDim()
 	for i := 0; i < len(all); i++ {
 		for j := i + 1; j < len(all); j++ {

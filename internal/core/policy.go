@@ -110,7 +110,7 @@ func (m *Merger) planCoarsestCover(
 	if minLevel < 1 {
 		minLevel = 1 // never merge the whole volume as a single entry
 	}
-	key := cand.Ancestor(uint8(minLevel), fanout)
+	key := cand.Ancestor(uint32(minLevel), fanout)
 	job := mergeJob{key: key}
 	for _, ds := range datasets {
 		tree := trees[ds]
@@ -137,8 +137,8 @@ func (m *Merger) planCoarsestCover(
 // of mf — appending it would create overlapping entries. The covering()
 // check handles the opposite direction (key inside an existing entry).
 func overlapsEntry(mf *MergeFile, key octree.Key, fanout int) bool {
-	for existing := range mf.entries {
-		if key.AncestorOf(existing, fanout) {
+	for cell := range mf.cells {
+		if key.AncestorOf(cell, fanout) {
 			return true
 		}
 	}

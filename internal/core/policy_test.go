@@ -8,7 +8,6 @@ import (
 	"spaceodyssey/internal/engine"
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
-	"spaceodyssey/internal/octree"
 )
 
 func TestLevelPolicyString(t *testing.T) {
@@ -100,10 +99,7 @@ func TestCoarsestCoverEntriesDisjoint(t *testing.T) {
 		t.Skip("no merge file created for this layout")
 	}
 	fanout := eng.Tree(0).FanoutPerDim()
-	keys := make([]octree.Key, 0, len(mf.entries))
-	for k := range mf.entries {
-		keys = append(keys, k)
-	}
+	keys := mf.EntryKeys()
 	for i := 0; i < len(keys); i++ {
 		for j := i + 1; j < len(keys); j++ {
 			if keys[i].AncestorOf(keys[j], fanout) || keys[j].AncestorOf(keys[i], fanout) {

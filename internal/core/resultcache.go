@@ -45,10 +45,10 @@ type cachedScan struct {
 	posScore float64
 }
 
-// touch books one hit: the access count, and under Config.HeatHalfLife the
-// decayed score as of tick. Both only ever rise — bumpScore is monotone, and
-// the max pins that against the last bit of its rounding — which is what
-// lets the eviction heap go unrepaired between evictions.
+// touch books one hit on the entry: the access count, and under
+// Config.HeatHalfLife the decayed score as of tick. Both only ever rise —
+// bumpScore never returns less than the score it bumps — which is what lets
+// the eviction heap go unrepaired between evictions.
 func (s *cachedScan) touch(tick int64, halfLife float64) {
 	s.heat.Add(1)
 	if halfLife <= 0 {
@@ -57,7 +57,7 @@ func (s *cachedScan) touch(tick int64, halfLife float64) {
 	for {
 		old := s.score.Load()
 		score := math.Float64frombits(old)
-		next := max(bumpScore(score, tick, halfLife), score)
+		next := bumpScore(score, tick, halfLife)
 		if next == score || s.score.CompareAndSwap(old, math.Float64bits(next)) {
 			return
 		}
@@ -119,8 +119,8 @@ func (h *coldHeap) Pop() any {
 }
 
 // maxProbeLevel is the deepest cell level the containment probe indexes:
-// cellAt cannot address a grid of more than 2^32 cells a side, which every
-// fanout (>= 2) exceeds past level 31.
+// octree.CellAt cannot address a grid of more than 2^32 cells a side, which
+// every fanout (>= 2) exceeds past level 31.
 const maxProbeLevel = 31
 
 // levelIndex counts one dataset's cached entries per cell level, with a bit
@@ -131,7 +131,7 @@ type levelIndex struct {
 	count [maxProbeLevel + 1]int32
 }
 
-func (l *levelIndex) add(level uint8, delta int32) {
+func (l *levelIndex) add(level uint32, delta int32) {
 	if level > maxProbeLevel {
 		return
 	}
@@ -191,8 +191,8 @@ type resultCache struct {
 	// low occupancy with no evictions shrinks it back. Tuning runs between
 	// layout epochs (Invalidate) and every tuneEvery operations, entirely
 	// under the exclusive mu (sinceTune, the cadence counter, is atomic
-	// because hits count too); capacity only changes what the cache
-	// retains, never what a query returns.
+	// because hits, booked outside the lock, count too); capacity only
+	// changes what the cache retains, never what a query returns.
 	adaptive       bool // set before the first operation, constant afterwards
 	minCap, maxCap int64
 	ghost          map[scanKey]struct{}
@@ -282,30 +282,40 @@ func (c *resultCache) pushGhostLocked(key scanKey) {
 	c.ghostRing = append(c.ghostRing, key)
 }
 
-// tuneDue counts one cache operation toward the tuner's cadence and reports
-// whether the tuner falls due on it. The counter is atomic because hits,
-// which share the lock, count too.
-func (c *resultCache) tuneDue() bool {
-	return c.adaptive && c.sinceTune.Add(1) >= tuneEvery
-}
-
-// maybeTuneLocked counts one operation and tunes if due. Caller holds mu
-// exclusively.
+// maybeTuneLocked counts one operation toward the tuner's cadence and tunes if
+// due. Caller holds mu exclusively.
 func (c *resultCache) maybeTuneLocked() {
-	if c.tuneDue() {
-		c.tuneLocked()
+	if c.adaptive && c.sinceTune.Add(1) >= tuneEvery {
+		c.tuneDueLocked()
 	}
 }
 
-// tune runs the tuner a hit found due — at the same operation a hit under
-// the exclusive lock would have — for a caller holding no lock. Of the hits
-// that cross the cadence together, one tunes.
-func (c *resultCache) tune() {
-	c.mu.Lock()
-	if c.sinceTune.Load() >= tuneEvery {
-		c.tuneLocked()
+// book counts n hits served under the shared lock, on the ledger and toward
+// the tuner's cadence, once for the lot, for a caller holding no lock, and
+// tunes if they made the tuner due. Hits change none of the tuner's inputs,
+// so a tune falling due inside a run of hits decides the same after it. Of
+// the callers that cross the cadence together, one tunes.
+func (c *resultCache) book(n int) {
+	if n == 0 {
+		return
 	}
-	c.mu.Unlock()
+	c.hits.Add(int64(n))
+	if c.adaptive && c.sinceTune.Add(int64(n)) >= tuneEvery {
+		c.mu.Lock()
+		c.tuneDueLocked()
+		c.mu.Unlock()
+	}
+}
+
+// tuneDueLocked tunes once for every tuneEvery operations counted since the
+// last tune and carries the excess, so the tuner runs at the operation counts
+// it would if every operation were counted on its own. Caller holds mu
+// exclusively.
+func (c *resultCache) tuneDueLocked() {
+	for c.sinceTune.Load() >= tuneEvery {
+		c.tuneLocked()
+		c.sinceTune.Add(-tuneEvery)
+	}
 }
 
 // tuneLocked moves capacity toward the knee of the observed hit curve:
@@ -336,18 +346,17 @@ func (c *resultCache) tuneLocked() {
 	c.ghostHitsWin = 0
 	c.evictionsWin = 0
 	c.peakObjects = c.objects
-	c.sinceTune.Store(0)
 }
 
 // hit is the lookup proper, under mu held either way: the content of key if
-// cached at epoch, with the hit booked on the entry.
+// cached at epoch, with the hit booked on the entry. The caller books it on
+// the cache.
 func (c *resultCache) hit(key scanKey, epoch int64) (cellContent, bool) {
 	it, ok := c.entries[key]
 	if !ok || it.epoch != epoch {
 		return cellContent{}, false
 	}
 	it.touch(c.now(), c.halfLife)
-	c.hits.Add(1)
 	return it.content, true
 }
 
@@ -371,13 +380,13 @@ func (c *resultCache) Lookup(ds object.DatasetID, cell octree.Key, epoch int64) 
 	content, ok := c.hit(key, epoch)
 	c.mu.RUnlock()
 	if ok {
-		if c.tuneDue() {
-			c.tune()
-		}
+		c.book(1)
 		return content, true
 	}
 	c.mu.Lock()
-	if content, ok = c.hit(key, epoch); !ok {
+	if content, ok = c.hit(key, epoch); ok {
+		c.hits.Add(1)
+	} else {
 		if dead := c.entries[key]; dead != nil {
 			c.removeLocked(dead)
 		} else {
@@ -395,8 +404,10 @@ func (c *resultCache) Lookup(ds object.DatasetID, cell octree.Key, epoch int64) 
 // that does not hit at the layout epoch current when its turn comes, and
 // returns hits. The read that ended the run is not booked — it is the
 // caller's to Lookup, miss and Insert before the next run — so a query issues
-// the cache the operations of one Lookup per read, in order.
+// the cache the operations of one Lookup per read, in order. The run's hits
+// are booked together once the shared lock is released.
 func (c *resultCache) LookupRun(hits []cellContent, reads []mergeRead, epoch *atomic.Int64) []cellContent {
+	n := len(hits)
 	c.mu.RLock()
 	for _, r := range reads {
 		content, ok := c.hit(scanKey{ds: r.ds, cell: r.entry}, epoch.Load())
@@ -404,13 +415,9 @@ func (c *resultCache) LookupRun(hits []cellContent, reads []mergeRead, epoch *at
 			break
 		}
 		hits = append(hits, content)
-		if c.tuneDue() {
-			c.mu.RUnlock()
-			c.tune()
-			c.mu.RLock()
-		}
 	}
 	c.mu.RUnlock()
+	c.book(len(hits) - n)
 	return hits
 }
 
@@ -454,9 +461,9 @@ func (c *resultCache) probe(ds object.DatasetID, fanout int, epoch int64, ext ge
 		return cellContent{}, octree.Key{}, false, false
 	}
 	for mask := lv.mask; mask != 0; {
-		level := uint8(bits.Len32(mask) - 1)
+		level := uint32(bits.Len32(mask) - 1)
 		mask &^= 1 << level
-		cell, ok := cellAt(c.bounds, fanout, level, ext.Min)
+		cell, ok := octree.CellAt(c.bounds, fanout, level, ext.Min)
 		if !ok {
 			continue
 		}
@@ -478,36 +485,6 @@ func (c *resultCache) probe(ds object.DatasetID, fanout int, epoch int64, ext ge
 		return it.content, cell, true, false
 	}
 	return cellContent{}, octree.Key{}, false, false
-}
-
-// cellAt returns the key of the level-cell of the uniform fanout^level grid
-// over bounds containing point p, false when p lies outside bounds or the
-// level's grid exceeds the key coordinate space.
-func cellAt(bounds geom.Box, fanout int, level uint8, p geom.Vec) (octree.Key, bool) {
-	if !bounds.ContainsPoint(p) {
-		return octree.Key{}, false
-	}
-	cells := math.Pow(float64(fanout), float64(level))
-	if cells > float64(math.MaxUint32) {
-		return octree.Key{}, false
-	}
-	size := bounds.Size()
-	idx := func(lo, sz, v float64) uint32 {
-		i := int64((v - lo) / sz * cells)
-		if i < 0 {
-			i = 0
-		}
-		if i >= int64(cells) {
-			i = int64(cells) - 1
-		}
-		return uint32(i)
-	}
-	return octree.Key{
-		Level: level,
-		X:     idx(bounds.Min.X, size.X, p.X),
-		Y:     idx(bounds.Min.Y, size.Y, p.Y),
-		Z:     idx(bounds.Min.Z, size.Z, p.Z),
-	}, true
 }
 
 // Insert retains a completed scan of (ds, cell): region is the cell box
@@ -540,7 +517,7 @@ func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, epoch int64,
 	}
 	it := &cachedScan{key: key, epoch: epoch, region: region, content: content, posHeat: 1}
 	if c.halfLife > 0 {
-		it.posScore = heatScore(1, c.tick(), c.halfLife)
+		it.posScore = newScore(c.tick(), c.halfLife)
 	}
 	if old, ok := c.entries[key]; ok {
 		it.posHeat = old.heat.Load() + 1
@@ -604,8 +581,10 @@ func (c *resultCache) Invalidate() {
 	if c.adaptive {
 		// The epoch boundary is the tuning point the hit curve was observed
 		// for; ghosts from the dying epoch would misread the coming
-		// compulsory misses as capacity misses, so they flush too.
+		// compulsory misses as capacity misses, so they flush too. The
+		// cadence restarts from it.
 		c.tuneLocked()
+		c.sinceTune.Store(0)
 		c.ghost = make(map[scanKey]struct{})
 		c.ghostRing = nil
 	}

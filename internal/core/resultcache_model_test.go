@@ -34,8 +34,8 @@ type eagerCache struct {
 	ghostRing                                        []scanKey
 	ghostHitsWin, evictionsWin, peakObjects, sinceOp int64
 
-	hits, misses, evictions, ghostHits int64
-	evicted                            []scanKey
+	hits, misses, evictions, ghostHits, grows, shrinks int64
+	evicted                                            []scanKey
 }
 
 type eagerEntry struct {
@@ -86,8 +86,10 @@ func (m *eagerCache) tune() {
 	switch {
 	case m.ghostHitsWin >= growAfter && m.capacity < m.maxCap:
 		m.capacity = min(m.capacity*2, m.maxCap)
+		m.grows++
 	case m.evictionsWin == 0 && m.ghostHitsWin == 0 && m.peakObjects*4 <= m.capacity && m.capacity > m.minCap:
 		m.capacity = max(m.capacity/2, m.minCap)
+		m.shrinks++
 	}
 	m.ghostHitsWin, m.evictionsWin, m.peakObjects, m.sinceOp = 0, 0, m.objects, 0
 }
@@ -115,7 +117,7 @@ func (m *eagerCache) lookup(key scanKey, epoch int64) (cellContent, bool) {
 // contained probes the cached levels deepest first, as the cache documents.
 func (m *eagerCache) contained(ds object.DatasetID, fanout int, epoch int64, ext geom.Box) (cellContent, octree.Key, bool) {
 	for level := 32; level >= 0; level-- {
-		cell, ok := cellAt(m.bounds, fanout, uint8(level), ext.Min)
+		cell, ok := octree.CellAt(m.bounds, fanout, uint32(level), ext.Min)
 		if !ok {
 			continue
 		}
@@ -143,6 +145,7 @@ func (m *eagerCache) insert(key scanKey, epoch int64, content cellContent) {
 			m.capacity *= 2
 		}
 		m.capacity = min(m.capacity, m.maxCap)
+		m.grows++
 	}
 	e := &eagerEntry{key: key, epoch: epoch, content: content, heat: 1}
 	if m.halfLife > 0 {
@@ -214,7 +217,7 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 	const fanout = 2
 	bounds := geom.UnitBox()
 	var cells []octree.Key
-	for level := uint8(1); level <= 3; level++ {
+	for level := uint32(1); level <= 3; level++ {
 		side := uint32(1) << level
 		for x := uint32(0); x < side; x++ {
 			for y := uint32(0); y < side; y++ {
@@ -313,9 +316,10 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 				}
 				st := c.Stats()
 				if st.Evictions != m.evictions || st.Hits != m.hits || st.Misses != m.misses ||
-					st.GhostHits != m.ghostHits || st.Capacity != m.capacity {
-					t.Fatalf("ledger: cache %+v; model evictions %d hits %d misses %d ghost hits %d capacity %d",
-						st, m.evictions, m.hits, m.misses, m.ghostHits, m.capacity)
+					st.GhostHits != m.ghostHits || st.Capacity != m.capacity ||
+					st.CapacityGrows != m.grows || st.CapacityShrinks != m.shrinks {
+					t.Fatalf("ledger: cache %+v; model evictions %d hits %d misses %d ghost hits %d capacity %d grows %d shrinks %d",
+						st, m.evictions, m.hits, m.misses, m.ghostHits, m.capacity, m.grows, m.shrinks)
 				}
 				if st.Evictions < 1000 || st.Hits < 1000 || adaptive && st.CapacityGrows+st.CapacityShrinks == 0 {
 					t.Fatalf("the sequence exercised too little: %+v", st)
@@ -323,6 +327,121 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestResultCacheRunTunesOnCadence: a run of hits is booked once, after the
+// run, yet the tuner must decide what it would have with every hit booked on
+// its own. The tape drives LookupRun beside the per-Lookup model: a run that
+// crosses tuneEvery in its middle, with enough ghost hits in the window to
+// grow the budget, and, after an epoch boundary, a run long enough to cross it
+// three times over an idle budget, which shrinks it twice. The capacity, the
+// tuner's moves, the ghost hits and the hits must match the model's at every
+// step, and the hits must be the hits served.
+func TestResultCacheRunTunesOnCadence(t *testing.T) {
+	var tick int64
+	var epoch atomic.Int64
+	epoch.Store(1)
+	c := newResultCache(geom.UnitBox(), 300)
+	c.halfLife, c.tick = 16, func() int64 { return tick }
+	m := &eagerCache{bounds: geom.UnitBox(), halfLife: 16, tick: &tick, capacity: 300}
+	c.enableAdaptive()
+	m.enableAdaptive()
+	c.minCap, c.maxCap, c.capacity = 100, 1200, 300
+	m.minCap, m.maxCap, m.capacity = 100, 1200, 300
+	cells := make([]octree.Key, 32) // 16 objects each: twice what 300 holds
+	for i := range cells {
+		cells[i] = testKeyAt(3, uint32(i%8), uint32(i/8), 0)
+	}
+	content := cellContent{objs: make([]object.Object, 16)}
+	var served int64
+	check := func(step string) {
+		t.Helper()
+		st := c.Stats()
+		if st.Capacity != m.capacity || st.CapacityGrows != m.grows || st.CapacityShrinks != m.shrinks ||
+			st.GhostHits != m.ghostHits || st.Hits != m.hits || st.Hits != served || c.sinceTune.Load() != m.sinceOp {
+			t.Fatalf("%s: cache %+v, cadence %d; model capacity %d grows %d shrinks %d ghost hits %d hits %d, cadence %d; %d hits served",
+				step, st, c.sinceTune.Load(), m.capacity, m.grows, m.shrinks, m.ghostHits, m.hits, m.sinceOp, served)
+		}
+	}
+	// read is one cell read as readCell issues it: a lookup, and an insert of
+	// what missed.
+	read := func(cell octree.Key) {
+		key := scanKey{ds: 1, cell: cell}
+		_, ok := c.Lookup(1, cell, epoch.Load())
+		if _, want := m.lookup(key, epoch.Load()); ok != want {
+			t.Fatalf("lookup of %v: the cache hit %v, the model %v", cell, ok, want)
+		}
+		if ok {
+			served++
+			return
+		}
+		c.Insert(1, cell, epoch.Load(), geom.UnitBox(), content)
+		m.insert(key, epoch.Load(), content)
+	}
+	// run is readMerged's run of hits: the model books them one by one.
+	run := func(cells ...octree.Key) {
+		reads := make([]mergeRead, len(cells))
+		for i, cell := range cells {
+			reads[i] = mergeRead{entry: cell, ds: 1}
+		}
+		hits := c.LookupRun(nil, reads, &epoch)
+		for _, cell := range cells[:len(hits)] {
+			if _, ok := m.lookup(scanKey{ds: 1, cell: cell}, epoch.Load()); !ok {
+				t.Fatalf("the cache hit %v, the model missed it", cell)
+			}
+		}
+		if len(hits) < len(cells) && m.find(scanKey{ds: 1, cell: cells[len(hits)]}) >= 0 {
+			t.Fatalf("the run ended at %v, which the model holds", cells[len(hits)])
+		}
+		served += int64(len(hits))
+	}
+
+	for _, cell := range cells { // fill past the budget: evictions, ghosts
+		read(cell)
+	}
+	for _, cell := range cells[:12] { // the first ones again: ghost hits
+		read(cell)
+	}
+	check("filled")
+	hot := cells[len(cells)-1]
+	for m.sinceOp < tuneEvery-5 {
+		read(hot)
+	}
+	check("before the run")
+	if m.ghostHitsWin < growAfter {
+		t.Fatalf("the window holds %d ghost hits, too few to grow the budget", m.ghostHitsWin)
+	}
+	long := make([]octree.Key, 20)
+	for i := range long {
+		long[i] = hot
+	}
+	run(long...) // the fifth hit is due to tune
+	check("after a run crossing the cadence")
+	if m.grows == 0 {
+		t.Fatal("the tune inside the run did not grow the budget")
+	}
+
+	epoch.Add(1)
+	c.Invalidate()
+	m.invalidate()
+	read(cells[0])
+	read(cells[1])
+	check("after the epoch boundary")
+	long = make([]octree.Key, 3*tuneEvery+10)
+	for i := range long {
+		long[i] = cells[i%2]
+	}
+	before := m.shrinks
+	// Due to tune three times over two cells of a grown budget: the first tune
+	// still sees the flushed epoch's peak, the next two shrink.
+	run(long...)
+	check("after a run crossing the cadence twice")
+	if m.shrinks-before != 2 {
+		t.Fatalf("the run's two tunes shrank the budget %d times, want 2", m.shrinks-before)
+	}
+	run(cells[0], cells[1], cells[2]) // a run ended by a miss books only its hits
+	read(cells[2])
+	check("after a run ended by a miss")
 }
 
 // TestAdaptiveCacheStartsInsideItsRange: enabling the tuner puts the capacity

@@ -150,17 +150,17 @@ func TestResultCacheContainment(t *testing.T) {
 // rejection.
 func TestCellAt(t *testing.T) {
 	b := geom.UnitBox()
-	if k, ok := cellAt(b, 2, 1, geom.V(0.75, 0.2, 0.6)); !ok || k != testKeyAt(1, 1, 0, 1) {
-		t.Fatalf("cellAt level 1 = %v, %v; want {1 1 0 1}", k, ok)
+	if k, ok := octree.CellAt(b, 2, 1, geom.V(0.75, 0.2, 0.6)); !ok || k != testKeyAt(1, 1, 0, 1) {
+		t.Fatalf("CellAt level 1 = %v, %v; want {1 1 0 1}", k, ok)
 	}
-	if k, ok := cellAt(b, 2, 0, geom.V(0.3, 0.9, 0.1)); !ok || k != testKeyAt(0, 0, 0, 0) {
-		t.Fatalf("cellAt level 0 = %v, %v; want the root cell", k, ok)
+	if k, ok := octree.CellAt(b, 2, 0, geom.V(0.3, 0.9, 0.1)); !ok || k != testKeyAt(0, 0, 0, 0) {
+		t.Fatalf("CellAt level 0 = %v, %v; want the root cell", k, ok)
 	}
 	// The far wall belongs to the last cell, not a phantom one past it.
-	if k, ok := cellAt(b, 2, 2, geom.V(1, 1, 1)); !ok || k != testKeyAt(2, 3, 3, 3) {
-		t.Fatalf("cellAt far corner = %v, %v; want the last cell", k, ok)
+	if k, ok := octree.CellAt(b, 2, 2, geom.V(1, 1, 1)); !ok || k != testKeyAt(2, 3, 3, 3) {
+		t.Fatalf("CellAt far corner = %v, %v; want the last cell", k, ok)
 	}
-	if _, ok := cellAt(b, 2, 1, geom.V(1.5, 0, 0)); ok {
+	if _, ok := octree.CellAt(b, 2, 1, geom.V(1.5, 0, 0)); ok {
 		t.Fatal("point outside bounds mapped to a cell")
 	}
 }

@@ -20,7 +20,7 @@ import (
 )
 
 // shareConfig returns the default configuration with scan sharing on.
-func testKeyAt(level uint8, x, y, z uint32) octree.Key {
+func testKeyAt(level uint32, x, y, z uint32) octree.Key {
 	return octree.Key{Level: level, X: x, Y: y, Z: z}
 }
 

@@ -95,15 +95,25 @@ func TestSharedSegmentOwnerEvictionInvalidatesReferences(t *testing.T) {
 	// No surviving entry may reference an evicted file, and queries must
 	// still be exact.
 	for _, f := range m.files {
-		for key, segs := range f.entries {
-			for ds, seg := range segs {
-				if seg.sharedFrom == "" {
-					continue
-				}
-				if _, live := m.files[seg.sharedFrom]; !live {
-					t.Fatalf("entry %v ds %d references evicted file %s", key, ds, seg.sharedFrom)
+		for ref, seg := range f.entries {
+			if seg.sharedFrom == "" {
+				continue
+			}
+			if _, live := m.files[seg.sharedFrom]; !live {
+				t.Fatalf("entry %v ds %d references evicted file %s", ref.cell, ref.ds, seg.sharedFrom)
+			}
+		}
+		// An entry goes whole: every cell left has a segment of every member.
+		cells := f.EntryKeys()
+		for _, cell := range cells {
+			for _, ds := range f.members {
+				if _, ok := f.entries[scanKey{ds: ds, cell: cell}]; !ok {
+					t.Fatalf("entry %v of %s lost the segment of ds %d", cell, f.combo, ds)
 				}
 			}
+		}
+		if len(f.entries) != len(cells)*len(f.members) {
+			t.Fatalf("merge file %s holds %d segments for %d entries of %d members", f.combo, len(f.entries), len(cells), len(f.members))
 		}
 	}
 	q := geom.Cube(geom.V(0.45, 0.45, 0.45), 0.05)

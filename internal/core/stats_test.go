@@ -52,7 +52,7 @@ func TestCollectorPartitionsOrderDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for i := range keys {
 		keys[i] = octree.Key{
-			Level: uint8(r.Intn(4)),
+			Level: uint32(r.Intn(4)),
 			X:     uint32(r.Intn(16)), Y: uint32(r.Intn(16)), Z: uint32(r.Intn(16)),
 		}
 	}

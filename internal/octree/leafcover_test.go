@@ -9,7 +9,7 @@ import (
 
 // deepen refines the tree along a query until some partition reaches at
 // least the given level, returning one such leaf.
-func deepen(t *testing.T, tree *Tree, level uint8) *Partition {
+func deepen(t *testing.T, tree *Tree, level uint32) *Partition {
 	t.Helper()
 	q := geom.Cube(geom.V(0.3, 0.3, 0.3), 1e-4)
 	for i := 0; i < 20; i++ {

@@ -68,8 +68,12 @@ func (c Config) withDefaults() (Config, int, error) {
 // Key globally identifies a partition: the cell (X, Y, Z) of the uniform
 // k^Level × k^Level × k^Level grid over the exploration volume. Trees that
 // share bounds and ppl produce identical keys for identical regions.
+//
+// The level is as wide as a coordinate so that the key is 16 bytes with no
+// padding: maps keyed on it (or on a struct of it and a 4-byte id) hash it as
+// one block of memory instead of field by field.
 type Key struct {
-	Level   uint8
+	Level   uint32
 	X, Y, Z uint32
 }
 
@@ -85,7 +89,7 @@ func (k Key) Child(fanoutPerDim, cx, cy, cz int) Key {
 
 // Ancestor returns k's ancestor cell at the given (shallower or equal)
 // level. It panics if level exceeds k's.
-func (k Key) Ancestor(level uint8, fanoutPerDim int) Key {
+func (k Key) Ancestor(level uint32, fanoutPerDim int) Key {
 	if level > k.Level {
 		panic(fmt.Sprintf("octree: ancestor level %d below key level %d", level, k.Level))
 	}
@@ -110,7 +114,7 @@ func (k Key) AncestorOf(other Key, fanoutPerDim int) bool {
 // live partitions satisfy p.Box() == p.Key().Box(bounds, fanout).
 func (k Key) Box(bounds geom.Box, fanoutPerDim int) geom.Box {
 	cellsPerDim := 1
-	for i := uint8(0); i < k.Level; i++ {
+	for i := uint32(0); i < k.Level; i++ {
 		cellsPerDim *= fanoutPerDim
 	}
 	size := bounds.Size().Div(float64(cellsPerDim))
@@ -120,6 +124,37 @@ func (k Key) Box(bounds geom.Box, fanoutPerDim int) geom.Box {
 		Z: size.Z * float64(k.Z),
 	})
 	return geom.NewBox(min, min.Add(size))
+}
+
+// CellAt is Box's inverse: the key of the cell of the uniform
+// fanout^level grid over bounds that contains point p, false when p lies
+// outside bounds or the level's grid exceeds the key coordinate space. The
+// bounds' far wall belongs to the last cell.
+func CellAt(bounds geom.Box, fanoutPerDim int, level uint32, p geom.Vec) (Key, bool) {
+	if !bounds.ContainsPoint(p) {
+		return Key{}, false
+	}
+	cells := math.Pow(float64(fanoutPerDim), float64(level))
+	if cells > float64(math.MaxUint32) {
+		return Key{}, false
+	}
+	size := bounds.Size()
+	idx := func(lo, sz, v float64) uint32 {
+		i := int64((v - lo) / sz * cells)
+		if i < 0 {
+			i = 0
+		}
+		if i >= int64(cells) {
+			i = int64(cells) - 1
+		}
+		return uint32(i)
+	}
+	return Key{
+		Level: level,
+		X:     idx(bounds.Min.X, size.X, p.X),
+		Y:     idx(bounds.Min.Y, size.Y, p.Y),
+		Z:     idx(bounds.Min.Z, size.Z, p.Z),
+	}, true
 }
 
 // Partition is a leaf of the tree: a spatial cell plus the disk runs holding
@@ -399,7 +434,7 @@ func (t *Tree) appendLeaves(dst []*Partition, p *Partition, area geom.Box) []*Pa
 // coarser than the key. The tree must be built.
 func (t *Tree) descend(key Key) *Partition {
 	p := t.root
-	for lvl := uint8(0); lvl < key.Level && !p.IsLeaf(); lvl++ {
+	for lvl := uint32(0); lvl < key.Level && !p.IsLeaf(); lvl++ {
 		div := pow(t.k, int(key.Level-lvl-1))
 		cx := int(key.X) / div % t.k
 		cy := int(key.Y) / div % t.k

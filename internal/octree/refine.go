@@ -145,16 +145,18 @@ type QueryResult struct {
 // tree lock. Leaves that qualify for refinement under the rt rule are served
 // as-is and reported in res.WantRefine, for the caller to hand to an
 // asynchronous maintenance scheduler. It is QueryIntoCtx with a nil dst and
-// refine off, kept as the name the benchmark's octree layer calls.
+// touched and refine off, kept as the name the benchmark's octree layer calls.
 func (t *Tree) QueryReadOnlyCtx(ctx context.Context, q geom.Box, serveFromStore func(*Partition) bool) (QueryResult, error) {
-	return t.QueryIntoCtx(ctx, nil, q, serveFromStore, false)
+	return t.QueryIntoCtx(ctx, nil, nil, q, serveFromStore, false)
 }
 
 // QueryIntoCtx runs a range query against this tree alone: it locates the
 // hit partitions via the extended query window and appends the intersecting
 // objects to dst (res.Objects is the extended dst), so a caller can
-// accumulate one result over several trees. The tree must already be built
-// (EnsureBuiltCtx).
+// accumulate one result over several trees, and the leaves it hit to touched
+// (res.Touched is the extended touched), grown once to the walk's leaf count:
+// a caller's scratch with room costs no allocation. The tree must already be
+// built (EnsureBuiltCtx).
 //
 // serveFromStore, when non-nil, lets the caller intercept a partition: if it
 // returns true the partition's objects are assumed served elsewhere (e.g.
@@ -177,8 +179,9 @@ func (t *Tree) QueryReadOnlyCtx(ctx context.Context, q geom.Box, serveFromStore 
 // Phase times are exact per-query attribution when the context carries a
 // QoS scope (any topology); the device-clock fallback is exact only for a
 // serial caller on C=1 D=1.
-func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, q geom.Box, serveFromStore func(*Partition) bool, refine bool) (QueryResult, error) {
-	res := QueryResult{Objects: dst}
+func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, touched []*Partition, q geom.Box,
+	serveFromStore func(*Partition) bool, refine bool) (QueryResult, error) {
+	res := QueryResult{Objects: dst, Touched: touched}
 	if !t.Built() {
 		return res, fmt.Errorf("octree: query on unbuilt tree")
 	}
@@ -191,13 +194,11 @@ func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, q geom.Box
 	extended := q.Expand(t.maxExtent)
 	qVol := q.Volume()
 	// The walk's own leaf list is pooled scratch and never escapes; Touched,
-	// which does, is the caller's, sized once (a refining walk can outgrow
-	// it: a refined leaf is replaced by the children the window hits).
+	// which does, is the caller's (a refining walk can outgrow it: a refined
+	// leaf is replaced by the children the window hits).
 	sp, leaves := t.scratchLeaves(extended)
 	defer putLeafScratch(sp, leaves)
-	if len(leaves) > 0 {
-		res.Touched = make([]*Partition, 0, len(leaves))
-	}
+	res.Touched = slices.Grow(res.Touched, len(leaves))
 	for _, leaf := range leaves {
 		if serveFromStore != nil && serveFromStore(leaf) {
 			res.Touched = append(res.Touched, leaf)

@@ -119,7 +119,7 @@ func TestLookupIsTheExhaustiveWalk(t *testing.T) {
 	for _, bounds := range []geom.Box{geom.UnitBox(), skewed} {
 		for _, ppl := range []int{8, 27, 64} {
 			tree := walkTree(t, bounds, ppl, int64(ppl))
-			depth := uint8(0)
+			depth := uint32(0)
 			for _, p := range tree.Lookup(bounds) {
 				depth = max(depth, p.key.Level)
 			}
