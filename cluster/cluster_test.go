@@ -215,7 +215,7 @@ func TestLatencyTracker(t *testing.T) {
 // TestKnobCensus pins the cluster's serving knobs so they cannot re-accrete;
 // the failure message carries the rule for whoever wants to add a field.
 func TestKnobCensus(t *testing.T) {
-	const rule = "a new knob needs two callers outside tests and examples that need different values — else make it a constant (see ROADMAP item 2)"
+	const rule = "a new knob needs two callers outside tests and examples that need different values — else make it a constant (see the ROADMAP standing constraint \"Knob rule\")"
 	fields := func(v any) []string {
 		var names []string
 		typ := reflect.TypeOf(v)

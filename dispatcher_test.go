@@ -331,7 +331,7 @@ func TestDispatcherCanceledQueuedJobsNeverRun(t *testing.T) {
 // TestKnobCensus pins the configuration surface so it cannot re-accrete; the
 // failure message carries the rule for whoever wants to add a field.
 func TestKnobCensus(t *testing.T) {
-	const rule = "a new knob needs two callers outside tests and examples that need different values — else make it a constant (see ROADMAP item 2)"
+	const rule = "a new knob needs two callers outside tests and examples that need different values — else make it a constant (see the ROADMAP standing constraint \"Knob rule\")"
 	var got []string
 	adm := reflect.TypeOf(AdmissionConfig{})
 	for i := 0; i < adm.NumField(); i++ {

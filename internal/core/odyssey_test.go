@@ -400,7 +400,7 @@ func TestMergeRequiresSameRefinementLevel(t *testing.T) {
 // re-accrete; the failure message carries the rule for whoever wants to add
 // a field.
 func TestKnobCensus(t *testing.T) {
-	const rule = "a new knob needs two callers outside tests and examples that need different values — else make it a constant (see ROADMAP item 2)"
+	const rule = "a new knob needs two callers outside tests and examples that need different values — else make it a constant (see the ROADMAP standing constraint \"Knob rule\")"
 	var got []string
 	cfg := reflect.TypeOf(Config{})
 	for i := 0; i < cfg.NumField(); i++ {

@@ -361,15 +361,19 @@ func TestPoolRetentionBound(t *testing.T) {
 }
 
 // readRunInto is the measured operation of the read guard and benchmark: one
-// 4-page run decoded into a dst with room.
-func readRunInto(tb testing.TB) (f *File, run Run, dst []object.Object) {
+// 4-page run of perPage records a page, decoded into a dst with room.
+func readRunInto(tb testing.TB, perPage int) (f *File, run Run, dst []object.Object) {
 	tb.Helper()
 	f = Create(simdisk.NewDevice(simdisk.CostModel{}, 0), "test")
-	run, err := f.AppendObjectsCtx(context.Background(), mkObjs(4*object.PageCapacity, 21))
-	if err != nil {
-		tb.Fatal(err)
+	objs := mkObjs(4*perPage, 21)
+	for p := 0; p < 4; p++ {
+		r, err := f.AppendObjectsCtx(context.Background(), objs[p*perPage:(p+1)*perPage])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		run.Count += r.Count
 	}
-	return f, run, make([]object.Object, 0, 4*object.PageCapacity)
+	return f, run, make([]object.Object, 0, 4*perPage)
 }
 
 // Allocation guards of the page path. A run read into a pre-sized dst on a
@@ -381,7 +385,7 @@ func TestPagePathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	f, run, dst := readRunInto(t)
+	f, run, dst := readRunInto(t, object.PageCapacity)
 	if got := bytesPerOp(500, func() {
 		if _, err := f.ReadRunIntoCtx(context.Background(), dst, run); err != nil {
 			t.Fatal(err)
@@ -415,13 +419,23 @@ func bytesPerOp(runs int, op func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
+// BenchmarkReadRunInto reads full pages, and pages at the 30 % fill of the
+// paper workload's octree and merge files, where the device copies the
+// stored third of each page and clears the rest.
 func BenchmarkReadRunInto(b *testing.B) {
-	f, run, dst := readRunInto(b)
-	b.ReportAllocs()
-	b.SetBytes(run.Count * simdisk.PageSize)
-	for b.Loop() {
-		if _, err := f.ReadRunIntoCtx(context.Background(), dst, run); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name    string
+		perPage int
+	}{{"full", object.PageCapacity}, {"fill30", 19}} {
+		b.Run(bc.name, func(b *testing.B) {
+			f, run, dst := readRunInto(b, bc.perPage)
+			b.ReportAllocs()
+			b.SetBytes(run.Count * simdisk.PageSize)
+			for b.Loop() {
+				if _, err := f.ReadRunIntoCtx(context.Background(), dst, run); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

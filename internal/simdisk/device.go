@@ -2,6 +2,7 @@ package simdisk
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -98,37 +99,61 @@ func (s *Stats) Add(o Stats) {
 // file is one page file stored entirely in memory. Its pages are guarded by
 // a per-file RWMutex so parallel readers of the same file never serialize on
 // device-wide state.
+//
+// A stored page keeps only what the page holds: its bytes up to the end of
+// its last non-zero 64-byte block (usedLen). The zero tail is not stored, and
+// a read restores it. A page's slot is its slice's capacity, so a rewrite
+// that fits reuses it.
 type file struct {
 	name    string
 	mu      sync.RWMutex
 	pages   [][]byte
-	chunk   []byte // what is left of the allocation appended pages are carved from
+	chunk   []byte // what is left of the allocation slots are carved from
+	stored  int    // bytes carved into slots so far: what sizes the next chunk
 	deleted bool
 }
 
-// Appended pages are carved from chunks that grow with the file — one
-// allocation per chunk, not per page: a chunk is a 64th of the file's length,
-// at least one page and at most maxChunkPages, rounded down to a power of two
-// (sizes the allocator serves without rounding up; an odd number of pages
-// above 32 KB costs another half page each). The unused end of the last chunk
-// is the only memory the device holds beyond its pages: under 1/64 of the
-// file, and under 128 KB.
+// Slots are carved from chunks that grow with the file — one allocation per
+// chunk, not per page: a chunk is a 64th of the file's stored bytes, at least
+// minChunk and at most maxChunk, rounded down to a power of two (sizes the
+// allocator serves without rounding up; an odd number of pages above 32 KB
+// costs another half page each). The unused end of the last chunk is under
+// 1/64 of the stored bytes (or one page), and under 128 KB; a chunk's end too
+// short for the next slot is left unused.
 const (
-	chunkGrowth   = 64
-	maxChunkPages = 32
+	chunkGrowth = 64
+	minChunk    = PageSize
+	maxChunk    = 32 * PageSize
+	blockSize   = 64 // the granule of usedLen; slots stay 64-byte aligned
 )
 
-// newPage returns the file's next stored page, its content unspecified; the
-// caller holds f.mu and appends it to f.pages.
-func (f *file) newPage() []byte {
-	if len(f.chunk) < PageSize {
-		n := min(max(len(f.pages)/chunkGrowth, 1), maxChunkPages)
-		n = 1 << (bits.Len(uint(n)) - 1)
-		f.chunk = make([]byte, n*PageSize)
+// newPage returns a slot of n bytes (a multiple of blockSize), its content
+// unspecified; the caller holds f.mu.
+func (f *file) newPage(n int) []byte {
+	if len(f.chunk) < n {
+		size := min(max(f.stored/chunkGrowth, minChunk), maxChunk)
+		f.chunk = make([]byte, 1<<(bits.Len(uint(size))-1))
 	}
-	page := f.chunk[:PageSize:PageSize]
-	f.chunk = f.chunk[PageSize:]
+	f.stored += n
+	page := f.chunk[:n:n]
+	f.chunk = f.chunk[n:]
 	return page
+}
+
+// usedLen is the length of page up to the end of its last blockSize-byte
+// block that holds a non-zero byte: 0 for an all-zero page. It reads each
+// block as eight 64-bit words, from the tail.
+func usedLen(page []byte) int {
+	for end := len(page); end >= blockSize; end -= blockSize {
+		b := page[end-blockSize : end]
+		if binary.LittleEndian.Uint64(b[0:])|binary.LittleEndian.Uint64(b[8:])|
+			binary.LittleEndian.Uint64(b[16:])|binary.LittleEndian.Uint64(b[24:])|
+			binary.LittleEndian.Uint64(b[32:])|binary.LittleEndian.Uint64(b[40:])|
+			binary.LittleEndian.Uint64(b[48:])|binary.LittleEndian.Uint64(b[56:]) != 0 {
+			return end
+		}
+	}
+	return 0
 }
 
 // channel is one independent I/O channel of a Device: its own platter head
@@ -419,8 +444,11 @@ func (d *Device) readPage(ctx context.Context, id FileID, idx int64, buf []byte)
 		d.pageReads.Add(1)
 		d.bytesRead.Add(PageSize)
 	}
-	copy(buf, f.pages[idx])
+	// The stored prefix, then the zero tail it dropped: buf may be a pooled
+	// run buffer holding another page's bytes.
+	n := copy(buf, f.pages[idx])
 	f.mu.RUnlock()
+	clear(buf[n:])
 	// A latency spike stretches only the wall-clock emulation sleep the
 	// caller performs — the simulated clock and scope charges above saw the
 	// normal service time, so a limping head slows serving without changing
@@ -451,6 +479,7 @@ func (d *Device) WritePageCtx(ctx context.Context, id FileID, idx int64, data []
 	if err != nil {
 		return err
 	}
+	used := usedLen(data)
 	f.mu.Lock()
 	if f.deleted {
 		f.mu.Unlock()
@@ -465,8 +494,15 @@ func (d *Device) WritePageCtx(ctx context.Context, id FileID, idx int64, data []
 	dt := d.chargePlatter(s, key)
 	d.pageWrites.Add(1)
 	d.bytesWritten.Add(PageSize)
-	// In place: stored pages are only ever copied out, under the read lock.
-	copy(f.pages[idx], data)
+	// In place when the page still fits its slot, else in a new one: stored
+	// pages are only ever copied out, under the read lock.
+	slot := f.pages[idx]
+	if used > cap(slot) {
+		slot = f.newPage(used)
+	}
+	slot = slot[:used]
+	copy(slot, data)
+	f.pages[idx] = slot
 	// Insert under f.mu so DeleteFile's purge (which takes f.mu first)
 	// cannot interleave and leave a dead key cached.
 	d.cache.Insert(key)
@@ -494,6 +530,7 @@ func (d *Device) AppendPageCtx(ctx context.Context, id FileID, data []byte) (int
 	if err != nil {
 		return 0, err
 	}
+	used := usedLen(data)
 	f.mu.Lock()
 	if f.deleted {
 		f.mu.Unlock()
@@ -504,7 +541,7 @@ func (d *Device) AppendPageCtx(ctx context.Context, id FileID, data []byte) (int
 	dt := d.chargePlatter(s, key)
 	d.pageWrites.Add(1)
 	d.bytesWritten.Add(PageSize)
-	page := f.newPage()
+	page := f.newPage(used)
 	copy(page, data)
 	f.pages = append(f.pages, page)
 	d.cache.Insert(key) // under f.mu; see WritePageCtx

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math/bits"
 	"runtime"
 	"testing"
 	"time"
@@ -302,54 +304,101 @@ func TestWriteIsolation(t *testing.T) {
 	}
 }
 
-// TestAppendAllocatesPerChunk: appended pages are carved from chunks that grow
-// with the file, so N appends cost O(N/maxChunkPages) allocations, not N; the
-// chunk the file ends in is never more than a 64th of it (or one page); and a
-// stored page still shares nothing with its neighbours or the caller's buffer.
+// TestAppendAllocatesPerChunk: a file of pages of k records each holds what
+// its pages hold and little more. Each slot is within 64 B of its page's used
+// bytes; the last chunk's unused end is under a 64th of the stored bytes (or
+// one page) and under 128 KB; the appends allocate one chunk at a time, as
+// many as the byte policy cuts; and a stored page still shares nothing with
+// its neighbours or the caller's buffer.
 func TestAppendAllocatesPerChunk(t *testing.T) {
 	const pages = 4096
-	d := NewDevice(CostModel{}, 0)
-	id := d.CreateFileInGroup("f", "")
-	data := make([]byte, PageSize)
-	ctx := context.Background()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for p := 0; p < pages; p++ {
-		data[0], data[PageSize-1] = byte(p), byte(p>>8)
-		if _, err := d.AppendPageCtx(ctx, id, data); err != nil {
-			t.Fatal(err)
-		}
-		if f := d.files[id]; len(f.chunk) > PageSize*max(len(f.pages)/chunkGrowth, 1) {
-			t.Fatalf("after %d pages the file holds %d unused bytes", len(f.pages), len(f.chunk))
-		}
+	for _, k := range []int{0, 1, 10, 63} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			d := NewDevice(CostModel{}, 0)
+			id := d.CreateFileInGroup("f", "")
+			f := d.files[id]
+			data := make([]byte, PageSize)
+			ctx := context.Background()
+			var stored int
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for p := 0; p < pages; p++ {
+				recordPage(data, k, p)
+				if _, err := d.AppendPageCtx(ctx, id, data); err != nil {
+					t.Fatal(err)
+				}
+				stored += cap(f.pages[p])
+				if len(f.chunk) >= max(stored/64, PageSize) || len(f.chunk) >= 128<<10 {
+					t.Fatalf("after %d pages (%d B stored) the file holds %d unused bytes", p+1, stored, len(f.chunk))
+				}
+			}
+			runtime.ReadMemStats(&after)
+			used := recordPage(data, k, 0)
+			if stored > pages*(used+64) {
+				t.Errorf("%d pages of %d used bytes are stored in %d B of slots, want at most %d", pages, used, stored, pages*(used+64))
+			}
+			// For k = 63, 128 4 KB chunks, then 64 of each size from 8 KB to
+			// 128 KB: 448. Beyond them, the growth of f.pages.
+			chunks := policyChunks(pages, cap(f.pages[0]))
+			if n := int(after.Mallocs - before.Mallocs); n < chunks || n > chunks+64 {
+				t.Errorf("%d appends made %d allocations, want %d chunks and the growth of the page list", pages, n, chunks)
+			}
+			clear(data) // the device kept copies
+			buf := make([]byte, PageSize)
+			readBack := func(p int) {
+				t.Helper()
+				if _, err := d.readPage(ctx, id, int64(p), buf); err != nil {
+					t.Fatal(err)
+				}
+				if recordPage(data, k, p); !bytes.Equal(buf, data) {
+					t.Fatalf("page %d reads back changed", p)
+				}
+			}
+			for p := 0; p < pages; p++ {
+				readBack(p)
+			}
+			// Rewriting one page empty, then full (a grow for k < 63), leaves
+			// its chunk neighbours alone.
+			want := make([]byte, PageSize)
+			for _, full := range []bool{false, true} {
+				if clear(want); full {
+					recordPage(want, 63, 3000)
+				}
+				if err := d.WritePageCtx(ctx, id, 3000, want); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.readPage(ctx, id, 3000, buf); err != nil || !bytes.Equal(buf, want) {
+					t.Fatalf("rewritten page 3000 (full %v) reads back changed: %v", full, err)
+				}
+				readBack(2999)
+				readBack(3001)
+			}
+		})
 	}
-	runtime.ReadMemStats(&after)
-	// 128 one-page chunks, then 64 of each size from 2 to 32 — 448 — plus the
-	// growth of f.pages; from 2,048 pages on it is one allocation per 32.
-	if n := after.Mallocs - before.Mallocs; n > pages/8 {
-		t.Errorf("%d appends made %d allocations, want at most %d (one per chunk)", pages, n, pages/8)
+}
+
+// recordPage fills data as a page of k records: a 16-byte header and k
+// 64-byte records, no byte of them zero, then zeros. It returns the bytes the
+// page holds.
+func recordPage(data []byte, k, p int) int {
+	used := 16 + 64*k
+	for i := range data[:used] {
+		data[i] = byte(p+i) | 1
 	}
-	data[0], data[PageSize-1] = 0xEE, 0xEE // the device kept copies
-	buf := make([]byte, PageSize)
-	for p := 0; p < pages; p++ {
-		if _, err := d.readPage(ctx, id, int64(p), buf); err != nil {
-			t.Fatal(err)
-		}
-		if buf[0] != byte(p) || buf[PageSize-1] != byte(p>>8) {
-			t.Fatalf("page %d reads back %#x..%#x", p, buf[0], buf[PageSize-1])
-		}
+	clear(data[used:])
+	return used
+}
+
+// policyChunks is how many chunks the byte policy cuts for n slots of slot
+// bytes each: a chunk is a 64th of the bytes stored before it, rounded down
+// to a power of two from 4 KB to 128 KB, and holds as many whole slots as fit.
+func policyChunks(n, slot int) int {
+	chunks := 0
+	for stored := 0; n > 0; chunks++ {
+		size := min(max(stored/64, 4<<10), 128<<10)
+		fit := min((1<<(bits.Len(uint(size))-1))/slot, n)
+		stored += fit * slot
+		n -= fit
 	}
-	// Overwriting one page in place leaves its chunk neighbours alone.
-	clear(data)
-	if err := d.WritePageCtx(ctx, id, 3000, data); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int64{2999, 3001} {
-		if _, err := d.readPage(ctx, id, p, buf); err != nil {
-			t.Fatal(err)
-		}
-		if buf[0] != byte(p) || buf[PageSize-1] != byte(p>>8) {
-			t.Fatalf("page %d changed when page 3000 was overwritten", p)
-		}
-	}
+	return chunks
 }

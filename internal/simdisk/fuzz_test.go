@@ -1,6 +1,8 @@
 package simdisk
 
 import (
+	"bytes"
+	"context"
 	"sync"
 	"testing"
 )
@@ -63,6 +65,87 @@ func FuzzLRU(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzStoredPage: the device stores a page up to its last non-zero 64-byte
+// block and a read restores the zero tail, so every page comes back byte for
+// byte — through ReadPageCtx into a buffer of 0xFF, through ReadRunCtx into a
+// pooled buffer last filled with 0xFF, and after an in-place rewrite that
+// grows the page past its slot or shrinks it within it. The page is body
+// repeated, then a zero tail of tail bytes (mod PageSize+1) whose first
+// preceding byte is non-zero.
+func FuzzStoredPage(f *testing.F) {
+	body := []byte{0x5D, 0, 7, 0, 0, 0, 0, 0, 0xFF}
+	for _, tail := range []uint16{0, 1, 63, 64, 65, PageSize} {
+		f.Add(body, tail)
+	}
+	lastOnly := make([]byte, PageSize) // the only non-zero byte is the last
+	lastOnly[PageSize-1] = 1
+	f.Add(lastOnly, uint16(0))
+	f.Add([]byte{}, uint16(100))
+	f.Fuzz(func(t *testing.T, body []byte, tail uint16) {
+		pg := storedPage(body, PageSize-int(tail)%(PageSize+1))
+		d := NewDevice(CostModel{}, 4)
+		id := d.CreateFileInGroup("f", "")
+		ctx := context.Background()
+		for range 2 { // page 1 is page 0's neighbour in its chunk
+			if _, err := d.AppendPageCtx(ctx, id, pg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func(what string, idx int64, want []byte) {
+			t.Helper()
+			buf := bytes.Repeat([]byte{0xFF}, PageSize)
+			if err := d.ReadPageCtx(ctx, id, idx, buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, want) {
+				t.Fatalf("%s: ReadPageCtx of page %d differs from what was written", what, idx)
+			}
+			stale := getRunBuf(2)
+			for i := range stale {
+				stale[i] = 0xFF
+			}
+			PutRunBuf(stale)
+			run, err := d.ReadRunCtx(ctx, id, idx, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(run, want) {
+				t.Fatalf("%s: ReadRunCtx of page %d differs from what was written", what, idx)
+			}
+			PutRunBuf(run)
+		}
+		check("append", 0, pg)
+		used := usedLen(pg)
+		longer := storedPage(body, min(used+blockSize, PageSize))
+		shorter := storedPage(body, used/2)
+		for _, w := range []struct {
+			what string
+			pg   []byte
+		}{{"longer rewrite", longer}, {"shorter rewrite", shorter}} {
+			if err := d.WritePageCtx(ctx, id, 0, w.pg); err != nil {
+				t.Fatal(err)
+			}
+			check(w.what, 0, w.pg)
+			check(w.what+", neighbour", 1, pg)
+		}
+	})
+}
+
+// storedPage is a page of body repeated over its first n bytes, the n-th of
+// them made non-zero, then zeros.
+func storedPage(body []byte, n int) []byte {
+	pg := make([]byte, PageSize)
+	if len(body) > 0 {
+		for i := range pg[:n] {
+			pg[i] = body[i%len(body)]
+		}
+	}
+	if n > 0 && pg[n-1] == 0 {
+		pg[n-1] = 1
+	}
+	return pg
 }
 
 // FuzzLRUSequential checks exact single-threaded semantics the sharded
