@@ -2,12 +2,14 @@
 // N Explorer shards (dataset-partitioned, with replication factor R) behind
 // a Router that fans range queries out to the shards owning the requested
 // datasets, merges the sub-results deterministically, and survives shard
-// failure. It promotes the fault-tolerance discipline PR 8 built at the
-// device level to a new fault domain — the whole shard:
+// failure. It promotes the device layer's fault-tolerance discipline to a
+// new fault domain — the whole shard:
 //
-//   - Per-shard health checking: a probe loop per shard feeds an up/down
-//     state machine with hysteresis, so routing prefers live replicas
-//     without flapping on one stray probe.
+//   - Routing on the fault it reads: a shard is down when it is manually
+//     crashed or inside a crash window of the plan at the query's ordinal.
+//     Live replicas are tried first, down ones only as a last resort, so a
+//     query's routing is a function of the plan, the placement and its
+//     ordinal — no probe loop, no ticker.
 //   - Automatic failover: reads retry against the next replica under a
 //     budgeted retry/backoff policy (the RetryPolicy shape of the
 //     storage-read retries), so a crashed shard costs a failover, not an
@@ -17,24 +19,22 @@
 //     first response wins by CAS arbitration and the loser is canceled
 //     through the ordinary QueryCtx machinery. Every leg runs under its own
 //     fresh charge scope, so hedging can never double-count cache or charge
-//     statistics — the loser's partial charges are ledgered as
-//     HedgeWastedSim, keeping the cluster-wide charge conservation identity
-//     exact.
+//     statistics — the loser's partial charges are ledgered as WastedSim,
+//     keeping the cluster-wide charge conservation identity exact.
 //   - Graceful degradation: when a dataset has no live replica the Router
 //     either fails fast (default) or, under ServePartial, returns the
 //     served subset with a PartialError naming the missing datasets.
 //
-// Shard-level fault injection (ShardFaultPlan: crash windows, slow-shard
-// storms, probe flaps) is deterministic — windows are expressed in query
-// and probe ordinals, not wall clock — so every failure mode above is
-// testable and benchmarkable; results are pinned byte-identical to a
-// single Explorer over the union of datasets, including mid-crash.
+// Shard-level fault injection (ShardFaultPlan: crash windows and slow-shard
+// storms) is deterministic — windows are expressed in query ordinals, not
+// wall clock — so every failure mode above is testable; results are pinned
+// byte-identical to a single Explorer over the union of datasets, including
+// mid-crash.
 package cluster
 
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	odyssey "spaceodyssey"
 )
@@ -95,14 +95,6 @@ const (
 	ServePartial
 )
 
-// HealthConfig tunes the per-shard probe loop. Its hysteresis is fixed:
-// probeDownAfter consecutive failures mark a shard down, probeUpAfter
-// consecutive successes bring it back.
-type HealthConfig struct {
-	// ProbeInterval is the probe loop's period (default 5ms).
-	ProbeInterval time.Duration
-}
-
 // HedgeConfig tunes hedged sub-queries (off by default).
 type HedgeConfig struct {
 	// Enabled turns hedging on: a sub-query that outlives the hedge delay —
@@ -133,8 +125,6 @@ type Config struct {
 	// (doubling per retry), Budget caps the cumulative backoff. The shape
 	// is the storage layer's RetryPolicy, one fault domain up.
 	Failover odyssey.RetryPolicy
-	// Health tunes the per-shard probe loop.
-	Health HealthConfig
 	// Hedge tunes hedged sub-queries.
 	Hedge HedgeConfig
 }

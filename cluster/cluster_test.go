@@ -137,51 +137,6 @@ func TestRingPlacement(t *testing.T) {
 	}
 }
 
-// TestProberHysteresis pins the health state machine's trajectory without
-// clocks: one flapped probe moves nothing, probeDownAfter consecutive
-// failures mark the shard down, and probeUpAfter consecutive successes bring
-// it back.
-func TestProberHysteresis(t *testing.T) {
-	s := &shard{}
-	p := &prober{s: s}
-	boom := errors.New("probe failed")
-	state := func() ShardState { return ShardState(s.state.Load()) }
-
-	p.step(nil)
-	if state() != StateUp {
-		t.Fatalf("after clean probe: %v, want up", state())
-	}
-	for i := 1; i < probeDownAfter; i++ {
-		p.step(boom)
-		if state() != StateUp {
-			t.Fatalf("%d flapped probe(s) moved the verdict to %v", i, state())
-		}
-	}
-	p.step(boom)
-	if state() != StateDown {
-		t.Fatalf("after %d consecutive failures: %v, want down", probeDownAfter, state())
-	}
-	for i := 1; i < probeUpAfter; i++ {
-		p.step(nil)
-		if state() != StateDown {
-			t.Fatalf("%d success(es) resurrected a down shard: %v", i, state())
-		}
-	}
-	p.step(boom) // the boundary flap the streak reset exists for
-	for i := 0; i < probeUpAfter; i++ {
-		if state() != StateDown {
-			t.Fatalf("a broken streak brought the shard back after %d successes: %v", i, state())
-		}
-		p.step(nil)
-	}
-	if state() != StateUp {
-		t.Fatalf("after %d consecutive successes: %v, want up", probeUpAfter, state())
-	}
-	if got := s.transitions.Load(); got != 2 {
-		t.Fatalf("transitions = %d, want 2 (up->down->up)", got)
-	}
-}
-
 // TestLatencyTracker pins the hedge trigger: a cold tracker answers
 // hedgeMinDelay, the p99 reflects the tail of the retained window, and the
 // delay clamps into [hedgeMinDelay, hedgeMaxDelay].
@@ -224,8 +179,8 @@ func TestKnobCensus(t *testing.T) {
 		}
 		return names
 	}
-	if got, want := fields(HealthConfig{}), []string{"ProbeInterval"}; !slices.Equal(got, want) {
-		t.Errorf("HealthConfig has fields %v, want %v: %s", got, want, rule)
+	if got, want := fields(Config{}), []string{"Shards", "Replicas", "Options", "Policy", "Failover", "Hedge"}; !slices.Equal(got, want) {
+		t.Errorf("Config has fields %v, want %v: %s", got, want, rule)
 	}
 	if got, want := fields(HedgeConfig{}), []string{"Enabled"}; !slices.Equal(got, want) {
 		t.Errorf("HedgeConfig has fields %v, want %v: %s", got, want, rule)
@@ -236,14 +191,13 @@ func TestKnobCensus(t *testing.T) {
 // window is half-open [After, After+For), and the nil plan injects nothing.
 func TestShardFaultPlanWindows(t *testing.T) {
 	var nilPlan *ShardFaultPlan
-	if nilPlan.crashed(0, 0) || nilPlan.slow(0, 0) != 0 || nilPlan.flapped(0, 0) {
+	if nilPlan.crashed(0, 0) || nilPlan.slow(0, 0) != 0 {
 		t.Fatal("nil plan injected a fault")
 	}
 	p := &ShardFaultPlan{Faults: []ShardFault{{
 		Shard:      1,
 		CrashAfter: 10, CrashFor: 5,
 		SlowAfter: 20, SlowFor: 3, SlowDelay: 7 * time.Millisecond,
-		FlapAfter: 2, FlapFor: 2,
 	}}}
 	for ord, want := range map[int64]bool{9: false, 10: true, 14: true, 15: false} {
 		if got := p.crashed(1, ord); got != want {
@@ -258,9 +212,6 @@ func TestShardFaultPlanWindows(t *testing.T) {
 	}
 	if d := p.slow(1, 23); d != 0 {
 		t.Fatalf("slow(1, 23) = %v, want 0 (window closed)", d)
-	}
-	if !p.flapped(1, 3) || p.flapped(1, 4) {
-		t.Fatal("flap window arithmetic wrong")
 	}
 }
 
@@ -294,6 +245,9 @@ func TestFailoverSurvivesCrash(t *testing.T) {
 	}
 
 	r.Crash(0)
+	if h := r.Health(); !h[0].Down || h[1].Down {
+		t.Fatalf("Health after Crash(0) = %+v, want shard 0 down and shard 1 up", h)
+	}
 	got, err = r.Query(q, dss)
 	if err != nil {
 		t.Fatalf("query with one of two replicas crashed: %v", err)
@@ -345,9 +299,9 @@ func TestFailoverOnDeviceFault(t *testing.T) {
 	ref := newOracle(t, odyssey.Options{}, data)
 	defer ref.Close()
 
-	// Every device read on shard 0 now faults permanently; health probes
-	// still succeed (the shard process is alive), so routing keeps trying
-	// it — the failover path is what saves those queries. The two datasets'
+	// Every device read on shard 0 now faults permanently; the shard is not
+	// down (its process is alive), so routing keeps trying it — the failover
+	// path is what saves those queries. The two datasets'
 	// replica arcs are (0,1) and (1,0) and the rotation follows the query's
 	// ordinal, so one of every query's two groups tries shard 0 first.
 	r.shards[0].ex.SetFaultPlan(odyssey.FaultPlan{Seed: 9, PermanentRate: 1})
@@ -377,6 +331,122 @@ func TestFailoverOnDeviceFault(t *testing.T) {
 	}
 	if st.Failovers == 0 {
 		t.Fatalf("a fully faulted replica cost no failover: %+v", st)
+	}
+}
+
+// TestCrashWindowsMatchClosedForm holds shard crash windows to their closed
+// form: the zipf hot-region workload through a 4-shard R=2 ServePartial
+// cluster while shard 1 is down
+// for the middle third of the replay and shard 2 for an overlapping eighth,
+// so any dataset replicated exactly on that pair is unreachable for a while.
+// Routing reads only shard.down at the query's ordinal, so every count is a
+// function of the plan, the placement and the ordinal: two fresh routers
+// agree, and both equal the closed form — a group is lost exactly when every
+// replica is down at its ordinal, and a lost group walks all `attempts`
+// candidates, costing attempts rejects and attempts-1 failovers (and
+// retries). A group with one replica down costs nothing: the live replica is
+// tried first. Every answer equals the single-Explorer oracle over the
+// datasets it was served from.
+func TestCrashWindowsMatchClosedForm(t *testing.T) {
+	const shards, replicas, attempts = 4, 2, 3
+	data := odyssey.GenerateDatasets(odyssey.DataConfig{Seed: 7, NumObjects: 2000, Clusters: 4}, 6)
+	w, err := odyssey.GenerateWorkload(odyssey.WorkloadConfig{
+		Seed: 12, NumQueries: 120, NumDatasets: 6, DatasetsPerQuery: 2, QueryVolumeFrac: 1e-3,
+		RangeDist: odyssey.RangeClustered, CombDist: odyssey.CombZipf, ClusterCenters: 4, SigmaFactor: 0.2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(len(w.Queries))
+	plan := ShardFaultPlan{Faults: []ShardFault{
+		{Shard: 1, CrashAfter: n / 4, CrashFor: n / 3},
+		{Shard: 2, CrashAfter: n / 3, CrashFor: n / 8},
+	}}
+
+	// The closed form, from the plan and the ring placement (dataset d on
+	// shards d, d+1 mod N; TestRingPlacement) alone.
+	var want RouterStats
+	var oneDown int
+	missing := make([][]odyssey.DatasetID, n)
+	for i, q := range w.Queries {
+		lost := map[int]bool{} // lost groups of this query, by primary shard
+		for _, ds := range q.Datasets {
+			down := 0
+			for k := 0; k < replicas; k++ {
+				if plan.crashed((int(ds)+k)%shards, int64(i)) {
+					down++
+				}
+			}
+			switch down {
+			case replicas:
+				missing[i] = append(missing[i], ds)
+				lost[int(ds)%shards] = true
+			case 1:
+				oneDown++
+			}
+		}
+		switch len(missing[i]) {
+		case 0:
+			want.Served++
+		case len(q.Datasets):
+			want.Failed++
+		default:
+			want.Partial++
+		}
+		want.ShardRejects += int64(attempts * len(lost))
+		want.Failovers += int64((attempts - 1) * len(lost))
+	}
+	want.Retries = want.Failovers
+	if want.Partial == 0 || want.Failed == 0 || oneDown == 0 {
+		t.Fatalf("the plan exercises too little: %d partial, %d failed, %d groups with one replica down",
+			want.Partial, want.Failed, oneDown)
+	}
+
+	ref := newOracle(t, odyssey.Options{}, data)
+	defer ref.Close()
+	oracle := make([][]odyssey.Object, n)
+	for i, q := range w.Queries {
+		if oracle[i], err = ref.Query(q.Range, q.Datasets); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counts := func(st RouterStats) RouterStats {
+		return RouterStats{Served: st.Served, Partial: st.Partial, Failed: st.Failed,
+			Failovers: st.Failovers, Retries: st.Retries, ShardRejects: st.ShardRejects}
+	}
+	run := func() RouterStats {
+		r := newCluster(t, Config{
+			Shards: shards, Replicas: replicas, Policy: ServePartial,
+			Failover: odyssey.RetryPolicy{MaxAttempts: attempts, Backoff: 200 * time.Microsecond, Budget: 50 * time.Millisecond},
+		}, data)
+		defer r.Close()
+		r.SetShardFaultPlan(plan)
+		for i, q := range w.Queries {
+			got, err := r.Query(q.Range, q.Datasets)
+			var pe *PartialError
+			switch {
+			case err == nil && missing[i] == nil:
+			case errors.As(err, &pe) && slices.Equal(pe.Missing, missing[i]):
+			case errors.Is(err, ErrNoReplica) && !errors.Is(err, ErrPartial) && len(missing[i]) == len(q.Datasets):
+				continue
+			default:
+				t.Fatalf("query %d: err %v, want datasets %v missing", i, err, missing[i])
+			}
+			served := slices.DeleteFunc(slices.Clone(oracle[i]), func(o odyssey.Object) bool {
+				return slices.Contains(missing[i], o.Dataset)
+			})
+			if !sameObjects(got, served) {
+				t.Fatalf("query %d: cluster returned %d objects, oracle %d over the served datasets", i, len(got), len(served))
+			}
+		}
+		return counts(r.Stats())
+	}
+	first, second := run(), run()
+	if first != second {
+		t.Fatalf("two fresh routers disagree:\n%+v\n%+v", first, second)
+	}
+	if first != want {
+		t.Fatalf("router counts %+v, closed form %+v", first, want)
 	}
 }
 

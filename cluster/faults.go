@@ -4,11 +4,10 @@ import "time"
 
 // ShardFaultPlan is the shard-level fault-injection plan — the device
 // FaultPlan's discipline promoted one fault domain up. It is fully
-// deterministic: every window is expressed in ordinals the cluster itself
-// counts (router query ordinals for crash and slow windows, per-shard probe
-// ordinals for flaps), never in wall-clock time, so the same workload
-// replayed through the same plan sees exactly the same faults. Install it
-// with Router.SetShardFaultPlan; the zero plan injects nothing.
+// deterministic: every window is expressed in router query ordinals, never
+// in wall-clock time, so the same workload replayed through the same plan
+// sees exactly the same faults. Install it with Router.SetShardFaultPlan;
+// the zero plan injects nothing.
 type ShardFaultPlan struct {
 	// Faults is the list of injected shard faults; multiple entries may
 	// target the same shard.
@@ -24,8 +23,8 @@ type ShardFault struct {
 	// Crash window, in router query ordinals: while the router's query
 	// count is inside [CrashAfter, CrashAfter+CrashFor), every sub-query
 	// routed to this shard is rejected with ErrShardDown (zero charge — a
-	// crashed shard does no work) and its health probes fail. CrashFor <= 0
-	// injects no crash.
+	// crashed shard does no work), and the router tries it only after every
+	// live replica. CrashFor <= 0 injects no crash.
 	CrashAfter, CrashFor int64
 
 	// Slow-shard storm, in router query ordinals: while the query count is
@@ -37,12 +36,6 @@ type ShardFault struct {
 	// spikes. SlowFor <= 0 or SlowDelay <= 0 injects no storm.
 	SlowAfter, SlowFor int64
 	SlowDelay          time.Duration
-
-	// Probe flap window, in this shard's probe ordinals: probes numbered
-	// [FlapAfter, FlapAfter+FlapFor) fail without the shard being any less
-	// able to serve — the failure mode the health state machine's
-	// hysteresis exists to absorb. FlapFor <= 0 injects no flaps.
-	FlapAfter, FlapFor int64
 }
 
 // crashed reports whether shard is inside a crash window at query ordinal
@@ -73,19 +66,4 @@ func (p *ShardFaultPlan) slow(shard int, ord int64) time.Duration {
 		}
 	}
 	return 0
-}
-
-// flapped reports whether shard's probe number probeOrd is inside a flap
-// window.
-func (p *ShardFaultPlan) flapped(shard int, probeOrd int64) bool {
-	if p == nil {
-		return false
-	}
-	for _, f := range p.Faults {
-		if f.Shard == shard && f.FlapFor > 0 &&
-			probeOrd >= f.FlapAfter && probeOrd < f.FlapAfter+f.FlapFor {
-			return true
-		}
-	}
-	return false
 }

@@ -51,13 +51,11 @@ type RouterStats struct {
 
 // Router fans range queries out over a set of Explorer shards, merges the
 // sub-results deterministically, and survives shard failure through
-// health-checked failover, hedged reads and (optionally) partial serving.
-// It is safe for concurrent use; Close drains in-flight work and closes
-// every shard.
+// failover, hedged reads and (optionally) partial serving. It is safe for
+// concurrent use; Close drains in-flight work and closes every shard.
 type Router struct {
 	cfg     Config
 	shards  []*shard
-	probers []*prober
 	place   *placement
 	tracker *latencyTracker
 
@@ -92,9 +90,9 @@ type Router struct {
 	wastedSim      atomic.Int64
 }
 
-// New builds a cluster: cfg.Shards Explorers (each with its own simulated
-// device) and their health probers. Datasets are registered afterwards with
-// AddDataset / AddDatasetReplicated.
+// New builds a cluster of cfg.Shards Explorers, each with its own simulated
+// device. Datasets are registered afterwards with AddDataset /
+// AddDatasetReplicated.
 func New(cfg Config) (*Router, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 2
@@ -104,9 +102,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if cfg.Replicas > cfg.Shards {
 		cfg.Replicas = cfg.Shards
-	}
-	if cfg.Health.ProbeInterval <= 0 {
-		cfg.Health.ProbeInterval = 5 * time.Millisecond
 	}
 	r := &Router{
 		cfg:       cfg,
@@ -123,9 +118,6 @@ func New(cfg Config) (*Router, error) {
 			return nil, err
 		}
 		r.shards = append(r.shards, &shard{id: i, ex: ex, r: r})
-	}
-	for _, s := range r.shards {
-		r.probers = append(r.probers, startProber(s, cfg.Health.ProbeInterval))
 	}
 	return r, nil
 }
@@ -192,8 +184,8 @@ func (r *Router) SetShardFaultPlan(plan ShardFaultPlan) {
 }
 
 // Crash manually fails a shard: its sub-queries reject with ErrShardDown
-// and its probes fail until Restore. The fault-injection surface tests and
-// benchmarks drive; out of range indices are ignored.
+// until Restore. The fault-injection surface tests and benchmarks drive;
+// out of range indices are ignored.
 func (r *Router) Crash(shard int) {
 	if shard >= 0 && shard < len(r.shards) {
 		r.shards[shard].crashed.Store(true)
@@ -314,8 +306,9 @@ func failoverable(err error) bool {
 
 // orderCandidates orders a group's replica shards for serving: up shards
 // first, then down — down shards stay in the list as a last resort, so a
-// stale or flapped health verdict can cost a failed attempt but never
-// manufacture an outage on its own. The up shards are rotated by the
+// manual Restore between the read and the serve is still found. Up or down
+// is shard.down at the query's ordinal, so a group is lost exactly when
+// every replica is down at that ordinal. The up shards are rotated by the
 // query's ordinal, so reads spread across replicas as a function of the
 // query alone: the groups of one query, whose replica arcs start on
 // different shards, start on different shards too, however their goroutines
@@ -324,7 +317,7 @@ func (r *Router) orderCandidates(replicas []int, ord int64) []*shard {
 	var up, down []*shard
 	for _, id := range replicas {
 		s := r.shards[id]
-		if s.down(ord) || ShardState(s.state.Load()) == StateDown {
+		if s.down(ord) {
 			down = append(down, s)
 		} else {
 			up = append(up, s)
@@ -484,20 +477,27 @@ func (r *Router) Stats() RouterStats {
 	}
 }
 
-// Health snapshots every shard's health: prober verdict, probe and serve
-// ledgers.
+// ShardHealth is one shard's externally visible health snapshot
+// (Router.Health).
+type ShardHealth struct {
+	// Shard is the shard index.
+	Shard int
+	// Down is what routing reads for the next query: the shard is manually
+	// crashed or inside a planned crash window at the current ordinal.
+	Down bool
+	// Serves and Rejects count sub-queries this shard answered and
+	// sub-queries it rejected while down.
+	Serves  int64
+	Rejects int64
+}
+
+// Health snapshots every shard's health: its down verdict at the current
+// ordinal and its serve ledger.
 func (r *Router) Health() []ShardHealth {
+	ord := r.ord.Load()
 	out := make([]ShardHealth, len(r.shards))
 	for i, s := range r.shards {
-		out[i] = ShardHealth{
-			Shard:         i,
-			State:         ShardState(s.state.Load()),
-			Probes:        s.probes.Load(),
-			ProbeFailures: s.probeErr.Load(),
-			Transitions:   s.transitions.Load(),
-			Serves:        s.serves.Load(),
-			Rejects:       s.rejects.Load(),
-		}
+		out[i] = ShardHealth{Shard: i, Down: s.down(ord), Serves: s.serves.Load(), Rejects: s.rejects.Load()}
 	}
 	return out
 }
@@ -568,17 +568,12 @@ func (r *Router) Quiesce(ctx context.Context) error {
 
 // Close shuts the cluster down: new queries and registrations fail fast
 // with ErrClosed, in-flight queries are waited out, stray hedge losers are
-// drained, the probers stop, and every shard Explorer is closed (which
-// itself drains shard-side maintenance before closing its device).
+// drained, and every shard Explorer is closed (which itself drains
+// shard-side maintenance before closing its device).
 // Idempotent and safe to call concurrently with queries.
 func (r *Router) Close() error {
 	r.closeOnce.Do(func() {
 		r.closed.Store(true)
-		// Probers go first: they read shard health snapshots and must be
-		// gone before the shard Explorers shut down.
-		for _, p := range r.probers {
-			p.stop()
-		}
 		// Taking mu exclusively waits out every in-flight query; new ones
 		// fail fast on the flag.
 		r.mu.Lock()

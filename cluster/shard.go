@@ -9,31 +9,8 @@ import (
 	"spaceodyssey/internal/simdisk"
 )
 
-// ShardState is the health state machine's verdict on one shard.
-type ShardState int32
-
-const (
-	// StateUp: probes succeed. Up replicas are preferred for every
-	// sub-query.
-	StateUp ShardState = iota
-	// StateDown: probeDownAfter consecutive probes failed (crash window,
-	// flap window or manual Crash). Down replicas are tried only as a last
-	// resort, so a stale verdict can delay a query but never fail one.
-	StateDown
-)
-
-func (s ShardState) String() string {
-	switch s {
-	case StateUp:
-		return "up"
-	case StateDown:
-		return "down"
-	}
-	return "unknown"
-}
-
 // shard wraps one member Explorer with its routing identity, its manual
-// crash switch, and the counters the fault plan's ordinal windows consume.
+// crash switch, and its traffic ledger.
 type shard struct {
 	id int
 	ex *odyssey.Explorer
@@ -44,21 +21,16 @@ type shard struct {
 	// cannot cancel a planned window.
 	crashed atomic.Bool
 
-	// state is owned by the shard's prober; the router reads it when
-	// ordering candidates.
-	state atomic.Int32
-
-	// serves / rejects / probes ledger the shard's traffic; transitions
-	// counts the state machine's verdict changes.
-	serves      atomic.Int64
-	rejects     atomic.Int64
-	probes      atomic.Int64
-	probeErr    atomic.Int64
-	transitions atomic.Int64
+	// serves / rejects ledger the sub-queries this shard answered and those
+	// it rejected while down.
+	serves  atomic.Int64
+	rejects atomic.Int64
 }
 
 // down reports whether the shard is unable to serve right now: manually
-// crashed or inside a planned crash window at query ordinal ord.
+// crashed or inside a planned crash window at query ordinal ord. It is the
+// router's one health signal — read, not sampled, so a query's routing is a
+// function of the plan, the placement and its ordinal alone.
 func (s *shard) down(ord int64) bool {
 	return s.crashed.Load() || s.r.plan.Load().crashed(s.id, ord)
 }
@@ -89,20 +61,4 @@ func (s *shard) serve(ctx context.Context, q odyssey.Box, datasets []odyssey.Dat
 	s.serves.Add(1)
 	ctx, _ = simdisk.WithOpScope(ctx, simdisk.PriForeground)
 	return s.ex.QueryTimedCtx(ctx, q, datasets)
-}
-
-// probe is one health check: it fails while the shard is crashed (manual
-// or planned) or while the plan flaps this probe's ordinal. A shard's
-// Explorer closes only after Router.Close has stopped every prober.
-func (s *shard) probe() error {
-	n := s.probes.Add(1)
-	if s.r.plan.Load().flapped(s.id, n-1) {
-		s.probeErr.Add(1)
-		return ErrShardDown
-	}
-	if s.down(s.r.ord.Load()) {
-		s.probeErr.Add(1)
-		return ErrShardDown
-	}
-	return nil
 }

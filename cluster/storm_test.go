@@ -2,11 +2,11 @@ package cluster
 
 // Race-mode oracle storm for the cluster layer: the drift scenario replayed
 // through a 4-shard R=2 cluster from many submitting goroutines at once —
-// with a shard crashed mid-storm, probes flapping, and a slow-shard storm
-// engaging hedged reads — must return byte-identical results to a single
-// Explorer over the union of the datasets, serve every query, and leak no
-// goroutines. `go test -race ./cluster` sweeps the router fan-out, the CAS
-// hedge arbitration, the probers and the fault windows under contention.
+// with a shard crashed mid-storm and a slow-shard storm engaging hedged
+// reads — must return byte-identical results to a single Explorer over the
+// union of the datasets, serve every query, and leak no goroutines.
+// `go test -race ./cluster` sweeps the router fan-out, the CAS hedge
+// arbitration and the fault windows under contention.
 
 import (
 	"context"
@@ -37,8 +37,7 @@ func stormWorkload(t *testing.T) ([][]odyssey.Object, workload.ScenarioWorkload)
 
 // TestClusterStormMatchesOracle is the acceptance storm: 8 concurrent
 // submitters through a 4-shard R=2 cluster whose fault plan crashes one
-// shard mid-storm, flaps another's probes, and stalls a third long enough
-// for hedged reads to fire. Every answer must be byte-identical to the
+// shard mid-storm and stalls another long enough for hedged reads to fire. Every answer must be byte-identical to the
 // single-Explorer oracle, every query must be served (a crashed shard with
 // a live replica is a failover, never an outage), and Close must wind every
 // goroutine down.
@@ -60,15 +59,12 @@ func TestClusterStormMatchesOracle(t *testing.T) {
 		Shards: 4, Replicas: 2,
 		Failover: odyssey.RetryPolicy{MaxAttempts: 3, Backoff: 200 * time.Microsecond, Budget: 50 * time.Millisecond},
 		Hedge:    HedgeConfig{Enabled: true},
-		Health:   HealthConfig{ProbeInterval: time.Millisecond},
 	}, data)
-	// Deterministic weather, in query/probe ordinals: shard 1 crashes for a
-	// third of the storm, shard 2's probes flap (serving untouched — the
-	// hysteresis must absorb it), and shard 3 stalls every serve in a late
-	// window so hedges fire against its replica peers.
+	// Deterministic weather, in query ordinals: shard 1 crashes for a third
+	// of the storm, and shard 3 stalls every serve in a late window so hedges
+	// fire against its replica peers.
 	r.SetShardFaultPlan(ShardFaultPlan{Faults: []ShardFault{
 		{Shard: 1, CrashAfter: 20, CrashFor: 40},
-		{Shard: 2, FlapAfter: 3, FlapFor: 2},
 		{Shard: 3, SlowAfter: 60, SlowFor: 40, SlowDelay: 15 * time.Millisecond},
 	}})
 
@@ -127,8 +123,8 @@ func TestClusterStormMatchesOracle(t *testing.T) {
 // TestRouterCloseDuringHedgedStorm mirrors the Explorer's mid-storm close
 // test one fault domain up: Close lands while hedged sub-queries are in
 // flight against a stalled shard and another shard is crashed. Every
-// goroutine — probers, hedge losers sleeping in the stall, shard
-// maintenance pipelines — must wind down, the maintenance ledgers must
+// goroutine — hedge losers sleeping in the stall, shard maintenance
+// pipelines — must wind down, the maintenance ledgers must
 // balance, and the closed Router must fail fast with ErrClosed everywhere.
 func TestRouterCloseDuringHedgedStorm(t *testing.T) {
 	before := runtime.NumGoroutine()

@@ -23,8 +23,8 @@ func TestCommittedArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 5 {
-		t.Fatalf("found %d committed artifacts, want 5: %v", len(files), files)
+	if len(files) != 4 {
+		t.Fatalf("found %d committed artifacts, want 4: %v", len(files), files)
 	}
 	for _, path := range files {
 		if err := validateFile(path); err != nil {
@@ -89,15 +89,6 @@ func TestValidateWantsTheCompleteRecording(t *testing.T) {
 	if validateFile(narrowed("pinned.json", &sc)) == nil {
 		t.Error("validate passed a scenarios artifact whose cache tuner never left its start")
 	}
-	var cl clusterReport
-	committed(t, "BENCH_cluster.json", &cl)
-	cl.ShardFaults, cl.Crash, cl.SlowUnhedged, cl.SlowHedged = false, nil, nil, nil
-	if err := cl.check(); err != nil {
-		t.Fatalf("a report without -shardfaults is a valid fresh run: %v", err)
-	}
-	if validateFile(narrowed("cluster.json", &cl)) == nil {
-		t.Error("validate passed a cluster artifact without the shard-fault phases")
-	}
 	var pa paperReport
 	committed(t, "BENCH_paper.json", &pa)
 	pa.Figure5 = pa.Figure5[:1]
@@ -123,15 +114,9 @@ func TestChecksCatchABrokenInvariant(t *testing.T) {
 	var as asyncReport
 	load("BENCH_async.json", &as)
 	as.Contention.Throttled.QueuedDelaySeconds = 2 * as.Contention.Unthrottled.QueuedDelaySeconds
-	var fa faultsReport
-	load("BENCH_faults.json", &fa)
-	fa.Storm.ServedFraction = 0.9
 	var cl clusterReport
 	load("BENCH_cluster.json", &cl)
 	cl.SlowHedged.P99 = 2 * cl.SlowUnhedged.P99
-	var noPhases clusterReport
-	load("BENCH_cluster.json", &noPhases)
-	noPhases.Crash = nil
 	// The adaptive mode is the last of a scenario's sweep.
 	var drift, zipf, capacity scenariosReport
 	load("BENCH_scenarios.json", &drift)
@@ -157,7 +142,7 @@ func TestChecksCatchABrokenInvariant(t *testing.T) {
 	}
 	noGain.Figure5c.GainPercent = -1
 	for name, rep := range map[string]report{
-		"async": &as, "faults": &fa, "cluster": &cl, "cluster without phases": &noPhases,
+		"async": &as, "cluster": &cl,
 		"scenarios drift": &drift, "scenarios zipf": &zipf, "scenarios capacity": &capacity,
 		"paper fig4a": &slower, "paper fig5c": &noGain,
 	} {
@@ -198,7 +183,7 @@ func TestTable(t *testing.T) {
 			}
 		}
 	}
-	for _, id := range append(slices.Clone(figureIDs), "gridsweep", "async", "faults", "cluster", "scenarios", "validate") {
+	for _, id := range append(slices.Clone(figureIDs), "gridsweep", "async", "cluster", "scenarios", "validate") {
 		if !names[id] {
 			t.Errorf("experiment %q is missing from the table", id)
 		}
@@ -317,10 +302,8 @@ func runRows(t *testing.T, experiment, args string) string {
 // a test failure. (cluster and scenarios stay CI steps: hedged against
 // unhedged is wall-clock at every size, and the lab sweeps 30 replays.)
 func TestServingRowsEndToEnd(t *testing.T) {
-	array := "-devices 2 -channels 2 -datasets 3"
 	for _, tc := range []struct{ name, args string }{
-		{"async", "-parallel 2 " + array + " -objects 2000 -queries 40 -realtime-scale 0.02"},
-		{"faults", "-parallel 8 -share -cache -async " + array + " -objects 4000 -queries 80 -qvol 1e-3 -faultrate 0.02 -realtime-scale 0.05"},
+		{"async", "-parallel 2 -devices 2 -channels 2 -datasets 3 -objects 2000 -queries 40 -realtime-scale 0.02"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := validateFile(runRows(t, tc.name, tc.args)); err != nil {

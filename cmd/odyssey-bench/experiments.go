@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -64,7 +63,7 @@ var figureIDs = []string{"fig4a", "fig4b", "fig4c", "fig4d", "fig5a", "fig5b", "
 
 // experiments is the table. The figure rows reproduce the paper in
 // simulated seconds; every other row carries evidence the repository
-// benchmark (benchmark/) does not — fault tolerance, the cluster, the QoS
+// benchmark (benchmark/) does not — the cluster's hedged reads, the QoS
 // throttle, the tuners — and exists for its invariant, which its report's
 // check asserts.
 var experiments []experiment
@@ -77,15 +76,10 @@ func init() { // not an initializer: validate's row reads the table it is in
 			run:   runAsync, report: func() report { return new(asyncReport) },
 		},
 		{
-			name: "faults", id: "fault-storm", title: "fault-storm availability", shape: &zipfShape, workers: 8,
-			flags: slices.Concat(sizing, topology, pooled, []string{"share", "cache", "async", "maintworkers", "faultrate"}),
-			run:   runFaults, report: func() report { return new(faultsReport) },
-		},
-		{
-			// Availability is measured on the instant disk with a fixed
-			// submitter count: no pool flags.
+			// Measured on the instant disk with a fixed submitter count: no
+			// pool flags.
 			name: "cluster", id: "cluster-serving", title: "cluster serving", shape: &zipfShape, workers: 8,
-			flags: slices.Concat(sizing, topology, []string{"json", "shards", "replicas", "shardfaults"}),
+			flags: slices.Concat(sizing, topology, []string{"json", "shards", "replicas"}),
 			run:   runCluster, report: func() report { return new(clusterReport) },
 		},
 		{
@@ -166,13 +160,11 @@ func ratio(num, den float64) float64 {
 
 func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// engine is the option preset behind -async/-maintworkers/-share/-cache,
-// the engine modifiers that compose with the rows reading them; more is the
-// row's own setting on top.
+// engine is the option preset behind -maintworkers; more is the row's own
+// setting on top.
 func (p *params) engine(more func(*odyssey.Options)) func(*odyssey.Options) {
 	return func(o *odyssey.Options) {
-		o.AsyncMaintenance, o.MaintenanceWorkers = p.async, p.maintWorkers
-		o.ShareScans, o.CacheResults = p.share, p.cache
+		o.MaintenanceWorkers = p.maintWorkers
 		if more != nil {
 			more(o)
 		}
@@ -311,70 +303,14 @@ func runContention(p *params, f *fixture) contentionReport {
 	}
 }
 
-// runFaults replays the converged zipf workload fault-free, then again under
-// a seeded transient-fault plan with periodic 10x storm windows, read
-// retries on throughout. The report is the availability ledger, plus
-// fingerprint identity of every query served mid-storm with its fault-free
-// answer: a degraded device may fail queries, never corrupt them. The result
-// cache (-cache) is the degradation backstop — windows it contains are
-// answered with zero device reads no matter how sick the platter is.
-func runFaults(p *params, f *fixture, queries []odyssey.Query) report {
-	const retryAttempts = 4
-	if p.faultRate <= 0 || p.faultRate >= 1 {
-		fatalf("-faultrate must be in (0,1)")
-	}
-	fmt.Printf("faults: transient rate %g (10x in storm windows), retries: %d attempts\n\n", p.faultRate, retryAttempts)
-	ex, converged := f.steady(queries, p.engine(func(o *odyssey.Options) {
-		o.Retry = odyssey.RetryPolicy{MaxAttempts: retryAttempts, Backoff: 200 * time.Microsecond}
-	}), p.scale)
-	defer shut(ex)
-
-	phase := func(name string) (faultsModeReport, map[int]uint64) {
-		// Both replays start cold-cache so their device traffic is
-		// symmetric: misses hit the (possibly faulting) platter, and the
-		// zipf repeats re-populate and then hit the cache mid-replay.
-		ps := replay(ex, queries, replayOpts{workers: p.workers, coldCache: true, tolerate: true})
-		prints, ds := ps.prints(), ps.after.disk
-		rep := faultsModeReport{
-			timing: ps.timing(), Served: len(prints), Failed: len(queries) - len(prints),
-			ServedFraction: ratio(float64(len(prints)), float64(len(queries))),
-			latencyReport:  ps.served().latency(serviceTime),
-			PagesRead:      ds.PageReads, TransientFaults: ds.TransientFaults, PermanentFaults: ds.PermanentFaults,
-			LatencySpikes: ds.LatencySpikes, RetriedOps: ds.RetriedOps, RetryExhausted: ds.RetryExhausted,
-			ZeroReadQueries: ps.after.cache.ZeroReadQueries - ps.before.cache.ZeroReadQueries,
-		}
-		fmt.Printf("%-11s %4d/%d served (%.2f%%)  wall %7.3fs  %v\n",
-			name, rep.Served, len(queries), 100*rep.ServedFraction, rep.WallSeconds, rep.latencyReport)
-		if rep.TransientFaults+rep.PermanentFaults > 0 {
-			fmt.Printf("            faults: %d transient, %d permanent, %d spikes; retries: %d performed, %d exhausted; %d zero-read queries\n",
-				rep.TransientFaults, rep.PermanentFaults, rep.LatencySpikes, rep.RetriedOps, rep.RetryExhausted, rep.ZeroReadQueries)
-		}
-		return rep, prints
-	}
-	clean, cleanPrints := phase("fault-free")
-	ex.SetFaultPlan(odyssey.FaultPlan{
-		Seed: p.wcfg.Seed + 101, TransientRate: p.faultRate,
-		StormEvery: 2048, StormLength: 256, StormFactor: 10,
-	})
-	storm, stormPrints := phase("fault-storm")
-	rep := &faultsReport{
-		header: p.header,
-		Share:  p.share, Cache: p.cache, Async: p.async, Converged: converged,
-		FaultRate: p.faultRate, RetryMaxAttempts: retryAttempts,
-		Clean: clean, Storm: storm, ServedResultsIdentical: samePrints(stormPrints, cleanPrints),
-	}
-	fmt.Printf("\nserved fraction mid-storm: %.2f%%  served results identical to fault-free: %v\n\n",
-		100*storm.ServedFraction, rep.ServedResultsIdentical)
-	return rep
-}
-
 // runCluster replays the zipf workload through a sharded, replicated Router
-// — clean, through a deterministic crash window, and through a slow-shard
-// storm hedged and unhedged — against a single Explorer over the union of
-// the datasets as the oracle. Every fully-served answer must fingerprint
-// identical to the oracle's, and the cluster-wide charge ledger must
-// conserve exactly: ChargedSim + WastedSim equals the shards' device-side
-// charges — hedging re-routes work, it never double-counts it.
+// — clean, then through a slow-shard storm unhedged and hedged — against a
+// single Explorer over the union of the datasets as the oracle. Every answer
+// must fingerprint identical to the oracle's, and the cluster-wide charge
+// ledger must conserve exactly: ChargedSim + WastedSim equals the shards'
+// device-side charges — hedging re-routes work, it never double-counts it.
+// Crash windows are deterministic in the query ordinal and are held by
+// cluster's TestCrashWindowsMatchClosedForm, not here.
 func runCluster(p *params, f *fixture, queries []odyssey.Query) report {
 	const slowDelay = 25 * time.Millisecond
 	if p.shards < 2 || p.replicas < 1 {
@@ -384,7 +320,7 @@ func runCluster(p *params, f *fixture, queries []odyssey.Query) report {
 	// The one row that keeps the buffer cache across queries — the setting
 	// BENCH_cluster.json's baseline_sim_seconds was recorded under.
 	warm := func(o *odyssey.Options) { o.DropCachesPerQuery = false }
-	fmt.Printf("%d shards, R=%d; shard faults: %v\n\n", p.shards, p.replicas, p.shardFaults)
+	fmt.Printf("%d shards, R=%d\n\n", p.shards, p.replicas)
 
 	base, converged := f.measure(queries, warm, 0, replayOpts{})
 	basePrints := base.prints()
@@ -393,10 +329,7 @@ func runCluster(p *params, f *fixture, queries []odyssey.Query) report {
 	newRouter := func(hedged bool) *cluster.Router {
 		r := ok(cluster.New(cluster.Config{
 			Shards: p.shards, Replicas: p.replicas, Options: f.options(warm),
-			Policy:   cluster.ServePartial,
-			Failover: odyssey.RetryPolicy{MaxAttempts: 3, Backoff: 200 * time.Microsecond, Budget: 50 * time.Millisecond},
-			Health:   cluster.HealthConfig{ProbeInterval: 2 * time.Millisecond},
-			Hedge:    cluster.HedgeConfig{Enabled: hedged},
+			Hedge: cluster.HedgeConfig{Enabled: hedged},
 		}))
 		f.load(r)
 		// A Router converges like a single Explorer, on its shards' summed
@@ -415,32 +348,24 @@ func runCluster(p *params, f *fixture, queries []odyssey.Query) report {
 		converged = converged && quiet
 		return r
 	}
-	phase := func(name string, r *cluster.Router) *clusterPhaseReport {
+	phase := func(name string, r *cluster.Router) clusterPhaseReport {
 		st0 := r.Stats()
 		ps := direct(r, queries, p.workers, false)
 		st := r.Stats()
-		rep := &clusterPhaseReport{
+		rep := clusterPhaseReport{
 			WallSeconds: ps.wall.Seconds(), ResultsIdentical: samePrints(ps.prints(), basePrints),
 			latencyReport: ps.latency(serviceTime),
-			Failovers:     st.Failovers - st0.Failovers, Retries: st.Retries - st0.Retries,
-			HedgesFired: st.HedgesFired - st0.HedgesFired, HedgeWins: st.HedgeWins - st0.HedgeWins,
-			ShardRejects: st.ShardRejects - st0.ShardRejects,
+			HedgesFired:   st.HedgesFired - st0.HedgesFired, HedgeWins: st.HedgeWins - st0.HedgeWins,
 		}
 		for _, o := range ps.outcomes {
-			switch {
-			case o.err == nil:
+			if o.err == nil {
 				rep.Served++
-			case errors.Is(o.err, cluster.ErrPartial):
-				rep.Partial++
-			default:
+			} else {
 				rep.Failed++
 			}
 		}
-		rep.Availability = float64(rep.Served+rep.Partial) / float64(n)
-		rep.FullFraction = float64(rep.Served) / float64(n)
-		fmt.Printf("%-15s %d/%d full + %d partial (availability %.2f%%)  wall %.3fs  %v  failovers %d  rejects %d  hedges %d (%d won)  identical %v\n",
-			name, rep.Served, n, rep.Partial, 100*rep.Availability, rep.WallSeconds, rep.latencyReport,
-			rep.Failovers, rep.ShardRejects, rep.HedgesFired, rep.HedgeWins, rep.ResultsIdentical)
+		fmt.Printf("%-15s %d/%d served  wall %.3fs  %v  hedges %d (%d won)  identical %v\n",
+			name, rep.Served, n, rep.WallSeconds, rep.latencyReport, rep.HedgesFired, rep.HedgeWins, rep.ResultsIdentical)
 		return rep
 	}
 	// conservation closes r and compares the cluster charge ledger with the
@@ -463,49 +388,28 @@ func runCluster(p *params, f *fixture, queries []odyssey.Query) report {
 	r := newRouter(true)
 	rep := &clusterReport{
 		header: p.header,
-		Shards: p.shards, Replicas: p.replicas, Datasets: len(f.data), ShardFaults: p.shardFaults,
-		BaselineSimSeconds: base.sim.Seconds(), Clean: *phase("clean", r),
+		Shards: p.shards, Replicas: p.replicas, Datasets: len(f.data),
+		BaselineSimSeconds: base.sim.Seconds(), Clean: phase("clean", r),
 	}
-	if p.shardFaults {
-		// Crash window, in query ordinals relative to this replay: shard 1
-		// is down for the middle third, and for a brief overlap shard 2 dies
-		// too — any dataset replicated exactly on that pair is unreachable,
-		// so the partial path and the reject ledger are exercised for real.
-		ord, nn := r.Stats().Queries, int64(n)
-		r.SetShardFaultPlan(cluster.ShardFaultPlan{Faults: []cluster.ShardFault{
-			{Shard: 1 % p.shards, CrashAfter: ord + nn/4, CrashFor: nn / 3},
-			{Shard: 2 % p.shards, CrashAfter: ord + nn/3, CrashFor: nn / 8},
-		}})
-		rep.Crash = phase("crash-window", r)
-		r.SetShardFaultPlan(cluster.ShardFaultPlan{})
-
-		// Slow-shard storm, unhedged first (a fresh Router with hedging off,
-		// converged the same way), then hedged on the main Router: identical
-		// storms, so the p99 delta is the hedging win.
-		slow := func(r *cluster.Router) {
-			r.SetShardFaultPlan(cluster.ShardFaultPlan{Faults: []cluster.ShardFault{{
-				Shard: 0, SlowAfter: r.Stats().Queries, SlowFor: nn, SlowDelay: slowDelay,
-			}}})
-		}
-		ru := newRouter(false)
-		slow(ru)
-		rep.SlowUnhedged = phase("slow-unhedged", ru)
-		if charged, wasted, ledger := conservation(ru); charged+wasted != ledger {
-			fatalf("unhedged charge conservation broken: charged %v + wasted %v != device ledger %v", charged, wasted, ledger)
-		}
-		slow(r)
-		rep.SlowHedged = phase("slow-hedged", r)
-		r.SetShardFaultPlan(cluster.ShardFaultPlan{})
-		rep.HedgeP99Speedup = ratio(rep.SlowUnhedged.P99, rep.SlowHedged.P99)
-		fmt.Printf("\nslow-shard storm p99: unhedged %.1fms, hedged %.1fms (speedup x%.1f)\n",
-			1e3*rep.SlowUnhedged.P99, 1e3*rep.SlowHedged.P99, rep.HedgeP99Speedup)
+	// Slow-shard storm, unhedged first (a fresh Router with hedging off,
+	// converged the same way), then hedged on the main Router: identical
+	// storms, so the p99 delta is the hedging win.
+	slow := func(r *cluster.Router) {
+		r.SetShardFaultPlan(cluster.ShardFaultPlan{Faults: []cluster.ShardFault{{
+			Shard: 0, SlowAfter: r.Stats().Queries, SlowFor: int64(n), SlowDelay: slowDelay,
+		}}})
 	}
-	for _, h := range r.Health() {
-		rep.ShardHealth = append(rep.ShardHealth, shardHealthReport{
-			Shard: h.Shard, State: h.State.String(), Probes: h.Probes, ProbeFailures: h.ProbeFailures,
-			Transitions: h.Transitions, Serves: h.Serves, Rejects: h.Rejects,
-		})
+	ru := newRouter(false)
+	slow(ru)
+	rep.SlowUnhedged = phase("slow-unhedged", ru)
+	if charged, wasted, ledger := conservation(ru); charged+wasted != ledger {
+		fatalf("unhedged charge conservation broken: charged %v + wasted %v != device ledger %v", charged, wasted, ledger)
 	}
+	slow(r)
+	rep.SlowHedged = phase("slow-hedged", r)
+	rep.HedgeP99Speedup = ratio(rep.SlowUnhedged.P99, rep.SlowHedged.P99)
+	fmt.Printf("\nslow-shard storm p99: unhedged %.1fms, hedged %.1fms (speedup x%.1f)\n",
+		1e3*rep.SlowUnhedged.P99, 1e3*rep.SlowHedged.P99, rep.HedgeP99Speedup)
 	charged, wasted, ledger := conservation(r)
 	rep.Converged = converged
 	rep.ChargedSimSeconds, rep.WastedSimSeconds, rep.DeviceLedgerSeconds = charged.Seconds(), wasted.Seconds(), ledger.Seconds()

@@ -5,7 +5,7 @@
 //	odyssey-bench -experiment fig4a                         # one figure
 //	odyssey-bench -experiment all -json BENCH_paper.json    # all seven, recorded (slow)
 //	odyssey-bench -experiment fig4a -verify                 # check engines vs oracle first
-//	odyssey-bench -experiment faults -json out.json         # one serving row, with its report
+//	odyssey-bench -experiment cluster -json out.json        # one serving row, with its report
 //	odyssey-bench -experiment validate BENCH_*.json         # re-check committed reports
 //
 // -experiment selects a row of the table in experiments.go:
@@ -16,9 +16,10 @@
 //     deterministic in its sizes and seeds, matching the paper's disk-bound
 //     methodology (README, "Reproduction scale"); gridsweep is the sweep
 //     the grid baseline's defaults come from.
-//   - async (the QoS contention leg), faults, cluster, scenarios (the tuner
-//     lab): each drives a workload through the Explorer's worker pool on a
-//     real-time emulated disk and prints a summary.
+//   - async (the QoS contention leg), cluster (hedged against unhedged
+//     reads), scenarios (the tuner lab): each drives a workload through the
+//     Explorer's worker pool or a cluster Router on a real-time emulated
+//     disk and prints a summary.
 //   - validate FILE...: re-runs the checks on written reports.
 //
 // Every row but gridsweep writes its report to -json PATH and exits non-zero
@@ -46,12 +47,12 @@ type params struct {
 	cfg  bench.Config
 	wcfg bench.WorkloadConfig
 
-	experiment, layout, ksList, jsonPath, scenario     string
-	seekUS, transferUS, workers, maintWorkers          int
-	shards, replicas                                   int
-	verify, async, share, cache, adaptive, shardFaults bool
-	scale, maintBudget, faultRate                      float64
-	gap                                                time.Duration
+	experiment, layout, ksList, jsonPath, scenario string
+	seekUS, transferUS, workers, maintWorkers      int
+	shards, replicas                               int
+	verify, adaptive                               bool
+	scale, maintBudget                             float64
+	gap                                            time.Duration
 
 	header header       // the envelope of the report of the row being run
 	ks     []int        // figure 4's datasets-per-query sweep, parsed from -ks
@@ -66,7 +67,7 @@ type params struct {
 func flags(p *params) *flag.FlagSet {
 	fs := flag.NewFlagSet("odyssey-bench", flag.ExitOnError)
 	p.cfg = bench.DefaultConfig()
-	fs.StringVar(&p.experiment, "experiment", "all", "table row to run: a figure id (fig4a..fig4d, fig5a..fig5c, gridsweep), a comma list of them or 'all'; async, faults, cluster, scenarios; or 'validate FILE...' to re-check written reports")
+	fs.StringVar(&p.experiment, "experiment", "all", "table row to run: a figure id (fig4a..fig4d, fig5a..fig5c, gridsweep), a comma list of them or 'all'; async, cluster, scenarios; or 'validate FILE...' to re-check written reports")
 	fs.IntVar(&p.cfg.Datasets, "datasets", 10, "number of datasets (paper: 10)")
 	fs.IntVar(&p.cfg.ObjectsPerDataset, "objects", 100000, "objects per dataset")
 	fs.IntVar(&p.wcfg.Queries, "queries", 1000, "queries per workload (paper: 1000)")
@@ -84,18 +85,13 @@ func flags(p *params) *flag.FlagSet {
 	fs.IntVar(&p.cfg.Devices, "devices", 1, "number of simulated member devices to place files on")
 	fs.IntVar(&p.cfg.Channels, "channels", 1, "independent I/O channels (platter heads) per device")
 	fs.StringVar(&p.jsonPath, "json", "", "write the row's report as JSON to this file (the figure rows of one invocation share one)")
-	fs.BoolVar(&p.async, "async", false, "faults: run the engine with asynchronous layout maintenance")
 	fs.IntVar(&p.maintWorkers, "maintworkers", 2, "maintenance worker pool size for async-maintenance engines")
-	fs.BoolVar(&p.share, "share", false, "faults: run the engine with scan sharing on")
-	fs.BoolVar(&p.cache, "cache", false, "faults: run the engine with the result cache on")
-	fs.Float64Var(&p.faultRate, "faultrate", 0.01, "faults: base transient fault probability per read attempt (storm windows run at 10x this rate)")
 	fs.Float64Var(&p.maintBudget, "maintbudget", 0.2, "async: background I/O budget of the contention leg — the share of platter busy time maintenance may consume while foreground queries are in flight")
 	fs.StringVar(&p.scenario, "scenario", "all", "scenarios: the named scenario to sweep (zipf|drift|scanheavy|pointheavy|diurnal|adversarial) or 'all'")
 	fs.BoolVar(&p.adaptive, "adaptive", false, "scenarios: include the adaptive self-tuning mode (auto-sized result cache and heat decay, on the fixed 4 ms window) in the sweep")
 	fs.DurationVar(&p.gap, "gap", 2*time.Millisecond, "scenarios: base open-loop inter-arrival unit; each scenario scales it by its own pacing curve")
 	fs.IntVar(&p.shards, "shards", 4, "cluster: shard count N")
 	fs.IntVar(&p.replicas, "replicas", 2, "cluster: replication factor R (clamped to -shards)")
-	fs.BoolVar(&p.shardFaults, "shardfaults", false, "cluster: additionally replay under deterministic shard fault plans — a crash window (availability + failover) and a slow-shard storm (hedged vs unhedged tail latency)")
 	return fs
 }
 

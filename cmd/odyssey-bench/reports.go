@@ -102,8 +102,7 @@ type asyncModeReport struct {
 	Maintenance        *maintenanceReport `json:"maintenance,omitempty"`
 }
 
-// maintenanceReport, like shardHealthReport below, mirrors the library's
-// stats struct with snake_case keys so the whole JSON document keeps one
+// maintenanceReport mirrors the library's stats struct with snake_case keys so the whole JSON document keeps one
 // naming convention.
 type maintenanceReport struct {
 	Queued              int64 `json:"queued"`
@@ -152,89 +151,37 @@ type contentionLegReport struct {
 	QueuedDelaySeconds float64 `json:"queued_delay_seconds"`
 }
 
-// faultsModeReport's device counters are deltas over the replay; its
-// latency percentiles cover served queries only.
-type faultsModeReport struct {
-	timing
-	Served         int     `json:"served"`
-	Failed         int     `json:"failed"`
-	ServedFraction float64 `json:"served_fraction"`
-	latencyReport
-	PagesRead       int64 `json:"pages_read"`
-	TransientFaults int64 `json:"transient_faults"`
-	PermanentFaults int64 `json:"permanent_faults"`
-	LatencySpikes   int64 `json:"latency_spikes"`
-	RetriedOps      int64 `json:"retried_ops"`
-	RetryExhausted  int64 `json:"retry_exhausted"`
-	ZeroReadQueries int64 `json:"zero_read_queries"`
-}
-
-// faultsReport is the faults row's report (BENCH_faults.json).
-type faultsReport struct {
-	header
-	Share                  bool             `json:"share"`
-	Cache                  bool             `json:"cache"`
-	Async                  bool             `json:"async"`
-	Converged              bool             `json:"converged"`
-	FaultRate              float64          `json:"fault_rate"`
-	RetryMaxAttempts       int              `json:"retry_max_attempts"`
-	Clean                  faultsModeReport `json:"clean"`
-	Storm                  faultsModeReport `json:"storm"`
-	ServedResultsIdentical bool             `json:"served_results_identical"`
-}
-
-// clusterPhaseReport is one replay's availability ledger: counters are
-// deltas over the replay, latency percentiles cover every query.
+// clusterPhaseReport is one replay's ledger: counters are deltas over the
+// replay, latency percentiles cover every query.
 type clusterPhaseReport struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	Served      int     `json:"served"`
-	Partial     int     `json:"partial"`
 	Failed      int     `json:"failed"`
-	// Availability counts every answered query (full or partial) against
-	// the workload; FullFraction counts only complete answers.
-	Availability float64 `json:"availability"`
-	FullFraction float64 `json:"full_fraction"`
-	// ResultsIdentical reports whether every fully-served query
-	// fingerprint-matched the single-Explorer oracle.
+	// ResultsIdentical reports whether every served query fingerprint-matched
+	// the single-Explorer oracle.
 	ResultsIdentical bool `json:"results_identical"`
 	latencyReport
-	Failovers    int64 `json:"failovers"`
-	Retries      int64 `json:"retries"`
-	HedgesFired  int64 `json:"hedges_fired"`
-	HedgeWins    int64 `json:"hedge_wins"`
-	ShardRejects int64 `json:"shard_rejects"`
-}
-
-type shardHealthReport struct {
-	Shard         int    `json:"shard"`
-	State         string `json:"state"`
-	Probes        int64  `json:"probes"`
-	ProbeFailures int64  `json:"probe_failures"`
-	Transitions   int64  `json:"transitions"`
-	Serves        int64  `json:"serves"`
-	Rejects       int64  `json:"rejects"`
+	HedgesFired int64 `json:"hedges_fired"`
+	HedgeWins   int64 `json:"hedge_wins"`
 }
 
 // clusterReport is the cluster row's report (BENCH_cluster.json). The
 // topology fields of the header describe each shard's storage.
 type clusterReport struct {
 	header
-	Shards              int                 `json:"shards"`
-	Replicas            int                 `json:"replicas"`
-	Datasets            int                 `json:"datasets"`
-	ShardFaults         bool                `json:"shard_faults"`
-	Converged           bool                `json:"converged"`
-	BaselineSimSeconds  float64             `json:"baseline_sim_seconds"`
-	Clean               clusterPhaseReport  `json:"clean"`
-	Crash               *clusterPhaseReport `json:"crash,omitempty"`
-	SlowUnhedged        *clusterPhaseReport `json:"slow_unhedged,omitempty"`
-	SlowHedged          *clusterPhaseReport `json:"slow_hedged,omitempty"`
-	HedgeP99Speedup     float64             `json:"hedge_p99_speedup"`
-	ChargedSimSeconds   float64             `json:"charged_sim_seconds"`
-	WastedSimSeconds    float64             `json:"wasted_sim_seconds"`
-	DeviceLedgerSeconds float64             `json:"device_ledger_seconds"`
-	ChargeConserved     bool                `json:"charge_conserved"`
-	ShardHealth         []shardHealthReport `json:"shard_health"`
+	Shards              int                `json:"shards"`
+	Replicas            int                `json:"replicas"`
+	Datasets            int                `json:"datasets"`
+	Converged           bool               `json:"converged"`
+	BaselineSimSeconds  float64            `json:"baseline_sim_seconds"`
+	Clean               clusterPhaseReport `json:"clean"`
+	SlowUnhedged        clusterPhaseReport `json:"slow_unhedged"`
+	SlowHedged          clusterPhaseReport `json:"slow_hedged"`
+	HedgeP99Speedup     float64            `json:"hedge_p99_speedup"`
+	ChargedSimSeconds   float64            `json:"charged_sim_seconds"`
+	WastedSimSeconds    float64            `json:"wasted_sim_seconds"`
+	DeviceLedgerSeconds float64            `json:"device_ledger_seconds"`
+	ChargeConserved     bool               `json:"charge_conserved"`
 }
 
 type scenarioModeReport struct {
@@ -327,36 +274,13 @@ func (r *asyncReport) check() error {
 	return v.err()
 }
 
-func (r *faultsReport) check() error {
-	var v violations
-	clean, storm := r.Clean, r.Storm
-	v.require(r.ServedResultsIdentical, "a query served mid-storm returned a different result than fault-free — partial results leaked")
-	v.require(r.RetryMaxAttempts > 1, "the experiment ran without read retries")
-	v.require(clean.Failed == 0 && clean.ServedFraction == 1, "the healthy device failed %d queries", clean.Failed)
-	v.require(clean.TransientFaults == 0 && clean.RetriedOps == 0, "the fault-free replay saw %d faults", clean.TransientFaults)
-	v.require(storm.TransientFaults > 0, "the storm replay injected no faults — the plan is not wired")
-	v.require(storm.RetriedOps > 0, "faults were injected but nothing retried — the retry policy is not wired")
-	v.require(storm.ServedFraction >= 0.95, "only %.1f%% of queries were served mid-storm", 100*storm.ServedFraction)
-	return v.err()
-}
-
 func (r *clusterReport) check() error {
 	var v violations
-	v.require(r.Clean.Served == r.Queries && r.Clean.Failed == 0, "the healthy cluster fully served %d of %d queries", r.Clean.Served, r.Queries)
+	v.require(r.Clean.Served == r.Queries && r.Clean.Failed == 0, "the healthy cluster served %d of %d queries", r.Clean.Served, r.Queries)
 	v.require(r.Clean.ResultsIdentical, "a healthy cluster query diverged from the single-Explorer oracle")
 	v.require(r.ChargeConserved, "charge conservation broken: hedged reads double- or under-counted device work")
-	v.require(len(r.ShardHealth) == r.Shards, "%d shard health rows for %d shards", len(r.ShardHealth), r.Shards)
-	if !r.ShardFaults {
-		return v.err()
-	}
-	crash, un, he := r.Crash, r.SlowUnhedged, r.SlowHedged
-	if crash == nil || un == nil || he == nil {
-		return errors.New("a shard-fault phase is missing from the report")
-	}
-	v.require(crash.ShardRejects > 0, "the crash window injected no shard faults — the plan is not wired")
-	v.require(crash.Failovers > 0, "shards were down but nothing failed over — the retry loop is not wired")
-	v.require(crash.Availability >= 0.99, "availability through the crash window was %.2f%%", 100*crash.Availability)
-	v.require(crash.ResultsIdentical && un.ResultsIdentical && he.ResultsIdentical, "a query fully served under shard faults diverged from the oracle")
+	un, he := r.SlowUnhedged, r.SlowHedged
+	v.require(un.ResultsIdentical && he.ResultsIdentical, "a query served under the slow-shard storm diverged from the oracle")
 	v.require(he.HedgesFired > 0, "the slow-shard storm fired no hedges — the p99 trigger is not wired")
 	// The one ordering left in wall time, and asserted at every scale: the
 	// injected 25 ms shard delay is wall-clock by construction and dwarfs
@@ -463,8 +387,8 @@ func (r *paperReport) check() error {
 }
 
 // complete is what validate further asks of the artifacts a fresh run may
-// legitimately be narrower than (one figure, -scenario NAME, no -adaptive,
-// no -shardfaults): check skips what a report does not contain, so an
+// legitimately be narrower than (one figure, -scenario NAME, no -adaptive):
+// check skips what a report does not contain, so an
 // ordering the committed recording left out would be evaluated nowhere.
 func (r *paperReport) complete() error {
 	var got []string
@@ -499,11 +423,4 @@ func (r *scenariosReport) complete() error {
 	// under another name.
 	v.require(moved, "the cache tuner ended at its starting capacity on every scenario")
 	return v.err()
-}
-
-func (r *clusterReport) complete() error {
-	if !r.ShardFaults {
-		return errors.New("recorded without the shard-fault phases (crash window, slow-shard storm)")
-	}
-	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"slices"
 	"sync"
 	"time"
 
@@ -163,9 +162,6 @@ type replayOpts struct {
 	coldCache bool
 	// discard drops the results unfingerprinted (convergence passes).
 	discard bool
-	// tolerate marks a replay whose query errors the experiment counts
-	// instead of stopping on.
-	tolerate bool
 	// overlapped marks a replay sharing its engine with another one still
 	// running: it must not wait out the other's maintenance, and its clock
 	// delta would include the other's charges, so neither is taken.
@@ -219,13 +215,6 @@ func (p pass) prints() map[int]uint64 {
 	return m
 }
 
-// served narrows the pass to the queries answered without error: a failed
-// query's time-to-error is not a latency.
-func (p pass) served() pass {
-	p.outcomes = slices.DeleteFunc(slices.Clone(p.outcomes), func(o outcome) bool { return o.err != nil })
-	return p
-}
-
 // latency profiles one duration per query.
 func (p pass) latency(of func(outcome) time.Duration) latencyReport {
 	ds := make([]time.Duration, len(p.outcomes))
@@ -259,7 +248,7 @@ func replay(ex *odyssey.Explorer, queries []odyssey.Query, o replayOpts) pass {
 	}
 	p.before, p.after = before, snapshot(ex)
 	for i, oc := range p.outcomes {
-		if oc.err != nil && !o.tolerate {
+		if oc.err != nil {
 			fatalf("query %d: %v", i, oc.err)
 		}
 	}

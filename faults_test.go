@@ -1,6 +1,7 @@
 package odyssey
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"sync"
@@ -155,5 +156,103 @@ func TestExplorerRetryPolicy(t *testing.T) {
 	// more than the noise of layout work already done.
 	if stormy > 2*clean+time.Millisecond {
 		t.Fatalf("retries extended the simulated clock: clean %v, stormy %v", clean, stormy)
+	}
+}
+
+// TestFaultStormServesFaultFreeResults holds the serving stack's fault
+// claim: a converged zipf workload replayed cold-cache by four submitters on
+// a 2×2 array, with scan sharing, the result cache and background
+// maintenance on, under a seeded transient-fault storm (2 % a read, 10× in
+// storm windows) with four read attempts, serves at least 95 % of its queries
+// — and every query it serves returns exactly what the fault-free replay
+// returned. A degraded device may fail a query, never change its answer.
+func TestFaultStormServesFaultFreeResults(t *testing.T) {
+	const submitters = 4
+	ex, err := NewExplorer(Options{
+		ShareScans: true, CacheResults: true, AsyncMaintenance: true,
+		Devices: 2, Channels: 2, DropCachesPerQuery: true,
+		Retry: RetryPolicy{MaxAttempts: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	for i, objs := range GenerateDatasets(DataConfig{Seed: 1, NumObjects: 10000, Clusters: 4}, 3) {
+		if err := ex.AddDataset(DatasetID(i), objs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, err := GenerateWorkload(WorkloadConfig{
+		Seed: 7, NumQueries: 120, NumDatasets: 3, DatasetsPerQuery: 2, QueryVolumeFrac: 1e-2,
+		RangeDist: RangeClustered, CombDist: CombZipf, ClusterCenters: 4, SigmaFactor: 0.2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// replay runs the workload cold-cache from the submitters, query i on
+	// submitter i mod submitters, and drains the maintenance it scheduled.
+	replay := func() ([][]Object, []error) {
+		ex.FlushResultCache()
+		ex.ResetStats()
+		results, errs := make([][]Object, len(w.Queries)), make([]error, len(w.Queries))
+		var wg sync.WaitGroup
+		for s := 0; s < submitters; s++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := s; i < len(w.Queries); i += submitters {
+					results[i], errs[i] = ex.Query(w.Queries[i].Range, w.Queries[i].Datasets)
+				}
+			}()
+		}
+		wg.Wait()
+		if err := ex.Quiesce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return results, errs
+	}
+	// Converge: replay until a pass leaves the layout alone.
+	for pass := 0; ; pass++ {
+		before := ex.Metrics()
+		replay()
+		after := ex.Metrics()
+		if after.Refinements == before.Refinements && after.PartitionsMerged == before.PartitionsMerged {
+			break
+		}
+		if pass == 8 {
+			t.Fatal("layout still adapting after 8 passes")
+		}
+	}
+
+	clean, errs := replay()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("fault-free query %d: %v", i, err)
+		}
+	}
+	ex.SetFaultPlan(FaultPlan{Seed: 108, TransientRate: 0.02, StormEvery: 2048, StormLength: 256, StormFactor: 10})
+	stormy, errs := replay()
+	ds := ex.DiskStats()
+	served := 0
+	for i, err := range errs {
+		if err != nil {
+			if !errors.Is(err, ErrTransient) {
+				t.Fatalf("storm query %d failed with a non-transient error: %v", i, err)
+			}
+			continue
+		}
+		served++
+		if !sameObjects(stormy[i], clean[i]) {
+			t.Fatalf("storm query %d returned %d objects, fault-free %d", i, len(stormy[i]), len(clean[i]))
+		}
+	}
+	t.Logf("storm: %d/%d served, %d pages read, %d transient faults, %d retried, %d exhausted",
+		served, len(w.Queries), ds.PageReads, ds.TransientFaults, ds.RetriedOps, ds.RetryExhausted)
+	if ds.TransientFaults == 0 || ds.RetriedOps == 0 {
+		t.Fatalf("the storm injected %d faults and retried %d reads — the plan or the retry policy is not wired",
+			ds.TransientFaults, ds.RetriedOps)
+	}
+	if 100*served < 95*len(w.Queries) {
+		t.Fatalf("only %d of %d queries served mid-storm", served, len(w.Queries))
 	}
 }
