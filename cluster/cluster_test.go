@@ -10,6 +10,7 @@ import (
 	"time"
 
 	odyssey "spaceodyssey"
+	"spaceodyssey/internal/simdisk"
 )
 
 // testData generates n clustered datasets shared by the cluster tests.
@@ -331,6 +332,80 @@ func TestFailoverOnDeviceFault(t *testing.T) {
 	}
 	if st.Failovers == 0 {
 		t.Fatalf("a fully faulted replica cost no failover: %+v", st)
+	}
+}
+
+// TestShardRepairsInsteadOfFailingOver is TestFailoverOnDeviceFault with the
+// faults confined to derived data: a 2-shard R=2 cluster converges a zipf
+// workload over all six datasets (so each replica group of three earns a
+// merge file), then every page shard 0's tree and merge files hold goes
+// permanently bad, its raw files untouched. The shard rebuilds what it
+// cannot read instead of failing the sub-query: every query is served, equal
+// to the oracle, and none fails over.
+func TestShardRepairsInsteadOfFailingOver(t *testing.T) {
+	data := testData(6)
+	r := newCluster(t, Config{Shards: 2, Replicas: 2}, data)
+	defer r.Close()
+	ref := newOracle(t, odyssey.Options{}, data)
+	defer ref.Close()
+	w, err := odyssey.GenerateWorkload(odyssey.WorkloadConfig{
+		Seed: 5, NumQueries: 60, NumDatasets: 6, DatasetsPerQuery: 6, QueryVolumeFrac: 1e-3,
+		RangeDist: odyssey.RangeClustered, CombDist: odyssey.CombZipf, ClusterCenters: 3, SigmaFactor: 0.2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 3; pass++ {
+		for i, q := range w.Queries {
+			if _, err := r.Query(q.Range, q.Datasets); err != nil {
+				t.Fatalf("pass %d query %d: %v", pass, i, err)
+			}
+		}
+	}
+
+	eng := r.shards[0].ex.Engine()
+	var plan odyssey.FaultPlan
+	add := func(id simdisk.FileID, pages int64) {
+		for p := int64(0); p < pages; p++ {
+			plan.Pages = append(plan.Pages, odyssey.PageFault{File: id, Page: p, Kind: odyssey.FaultPermanent})
+		}
+	}
+	for id := range data {
+		f := eng.Tree(odyssey.DatasetID(id)).File()
+		n, err := f.NumPages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(f.ID(), n)
+	}
+	for _, mf := range eng.Merger().Files() {
+		add(mf.File().ID(), mf.Pages())
+	}
+	r.shards[0].ex.SetFaultPlan(plan)
+	before := r.Stats()
+
+	for i, q := range w.Queries {
+		want, err := ref.Query(q.Range, q.Datasets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Query(q.Range, q.Datasets)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if !sameObjects(got, want) {
+			t.Fatalf("query %d diverged from the oracle: %d objects, want %d", i, len(got), len(want))
+		}
+	}
+	st, m := r.Stats(), r.ShardMetrics()[0]
+	t.Logf("%d faulted pages on shard 0: %d partitions re-derived, %d merge files evicted",
+		len(plan.Pages), m.PartitionsRepaired, m.MergeFilesRepaired)
+	if served, failovers := st.Served-before.Served, st.Failovers-before.Failovers; served != int64(len(w.Queries)) || failovers != 0 {
+		t.Fatalf("served %d of %d with %d failovers, want all and none", served, len(w.Queries), failovers)
+	}
+	if m.PartitionsRepaired == 0 || m.MergeFilesRepaired == 0 {
+		t.Fatalf("shard 0 repaired %d partitions and %d merge files; both kinds must be exercised",
+			m.PartitionsRepaired, m.MergeFilesRepaired)
 	}
 }
 

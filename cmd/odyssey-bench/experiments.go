@@ -71,7 +71,7 @@ var experiments []experiment
 func init() { // not an initializer: validate's row reads the table it is in
 	experiments = []experiment{
 		{
-			name: "async", id: "async-maintenance", title: "async-maintenance comparison", shape: &fig4aShape, workers: 8,
+			name: "async", id: "async-maintenance", title: "async-maintenance contention", workers: 8,
 			flags: slices.Concat(sizing, topology, pooled, []string{"maintworkers", "maintbudget"}),
 			run:   runAsync, report: func() report { return new(asyncReport) },
 		},
@@ -171,61 +171,21 @@ func (p *params) engine(more func(*odyssey.Options)) func(*odyssey.Options) {
 	}
 }
 
-// asyncPasses caps the async row's replays, the cold measured pass included.
+// asyncPasses caps the replays that converge the contention leg's
+// foreground datasets.
 const asyncPasses = 10
 
-// runAsync compares inline against background layout maintenance: both
-// modes serve the same COLD workload through the pool, so the measured pass
-// includes level-0 builds, refinements and merges. In sync mode the unlucky
-// queries pay for them inline; in async mode they answer from the current
-// layout while a scheduler converges it. Both then keep replaying through
-// the pool until the layout is quiescent: deferred maintenance is not free,
-// it is just off the query path, and time-to-convergence shows its price.
-func runAsync(p *params, f *fixture, queries []odyssey.Query) report {
+// runAsync is the QoS contention row (see runContention): background
+// maintenance beside paced foreground traffic, with and without the I/O
+// budget.
+func runAsync(p *params, f *fixture, _ []odyssey.Query) report {
 	if p.cfg.Datasets < 2 || p.maintBudget <= 0 || p.maintBudget >= 1 {
-		fatalf("the async row needs -datasets >= 2 (its contention leg serves one half while churning the other) and -maintbudget in (0,1)")
+		fatalf("the async row needs -datasets >= 2 (it serves one half while churning the other) and -maintbudget in (0,1)")
 	}
-	mode := func(name string, async bool) asyncModeReport {
-		ex := f.explorer(p.engine(func(o *odyssey.Options) { o.AsyncMaintenance = async }))
-		defer shut(ex)
-		ex.SetRealTimeScale(p.scale)
-		t0 := time.Now()
-		cold := replay(ex, queries, replayOpts{workers: p.workers})
-		passes, converged := converge(ex, queries, asyncPasses-1, p.workers)
-		convergedWall := time.Since(t0)
-		must(ex.MaintenanceErr())
-		m, disk := ex.Metrics(), ex.DiskStats()
-		rep := asyncModeReport{
-			timing: cold.timing(), latencyReport: cold.latency(serviceTime),
-			Converged: converged, ConvergenceWallSeconds: convergedWall.Seconds(), ConvergencePasses: 1 + passes,
-			Refinements: m.Refinements, PartitionsMerged: m.PartitionsMerged, MergeFiles: ex.MergeFileCount(),
-			ThrottledOps: disk.ThrottledOps, QueuedDelaySeconds: disk.QueuedDelay.Seconds(),
-		}
-		fmt.Printf("%-5s measured pass: %8.3fs wall  %8.3fs simulated  %7.1f q/s\n      latency: %v\n",
-			name, rep.WallSeconds, rep.SimSeconds, ratio(float64(len(queries)), rep.WallSeconds), rep.latencyReport)
-		fmt.Printf("      converged after %d pass(es), %.3fs wall (%d refinements, %d partitions merged, %d merge files)\n",
-			rep.ConvergencePasses, rep.ConvergenceWallSeconds, m.Refinements, m.PartitionsMerged, rep.MergeFiles)
-		if async {
-			st := ex.MaintenanceStats()
-			rep.Maintenance = &maintenanceReport{
-				Queued: st.Queued, Coalesced: st.Coalesced, Completed: st.Completed, Failed: st.Failed, Dropped: st.Dropped,
-				RefineTasks: st.RefineTasks, MergeTasks: st.MergeTasks,
-				Refinements: st.Refinements, QueueDepthHighWater: st.QueueDepthHighWater,
-			}
-			fmt.Printf("      maintenance: %d queued, %d coalesced, %d completed, %d refine / %d merge tasks, queue high-water %d\n",
-				st.Queued, st.Coalesced, st.Completed, st.RefineTasks, st.MergeTasks, st.QueueDepthHighWater)
-		}
-		fmt.Println()
-		return rep
-	}
-	rep := &asyncReport{header: p.header, MaintenanceWorkers: p.maintWorkers, Sync: mode("sync", false), Async: mode("async", true)}
-	rep.P99Speedup = ratio(rep.Sync.P99, rep.Async.P99)
-	fmt.Printf("p99 latency: sync %.2fms  async %.2fms  (%.2fx)\n\n", 1e3*rep.Sync.P99, 1e3*rep.Async.P99, rep.P99Speedup)
-	rep.Contention = runContention(p, f)
-	return rep
+	return &asyncReport{header: p.header, MaintenanceWorkers: p.maintWorkers, Contention: runContention(p, f)}
 }
 
-// runContention is the async row's second leg (see contentionReport). The
+// runContention is the async row's measurement (see contentionReport). The
 // foreground workload touches only the first half of the datasets, the churn
 // only the second. Per leg (budget off, then -maintbudget) a fresh async
 // engine converges the foreground datasets with emulation off (setup, not

@@ -83,50 +83,14 @@ func (l latencyReport) String() string {
 	return fmt.Sprintf("p50 %8.2fms  p95 %8.2fms  p99 %8.2fms", 1e3*l.P50, 1e3*l.P95, 1e3*l.P99)
 }
 
-type asyncModeReport struct {
-	timing
-	latencyReport
-	Converged              bool    `json:"converged"`
-	ConvergenceWallSeconds float64 `json:"convergence_wall_seconds"`
-	ConvergencePasses      int     `json:"convergence_passes"`
-	Refinements            int     `json:"refinements"`
-	PartitionsMerged       int     `json:"partitions_merged"`
-	MergeFiles             int     `json:"merge_files"`
-	// MaintenanceBudget is the background I/O budget this mode ran under (0
-	// = unthrottled); ThrottledOps counts maintenance device operations the
-	// budget gated, and QueuedDelaySeconds is the total arrival-gated
-	// queueing delay the contention model attributed to queries.
-	MaintenanceBudget  float64            `json:"maintenance_budget"`
-	ThrottledOps       int64              `json:"throttled_ops"`
-	QueuedDelaySeconds float64            `json:"queued_delay_seconds"`
-	Maintenance        *maintenanceReport `json:"maintenance,omitempty"`
-}
-
-// maintenanceReport mirrors the library's stats struct with snake_case keys so the whole JSON document keeps one
-// naming convention.
-type maintenanceReport struct {
-	Queued              int64 `json:"queued"`
-	Coalesced           int64 `json:"coalesced"`
-	Completed           int64 `json:"completed"`
-	Failed              int64 `json:"failed"`
-	Dropped             int64 `json:"dropped"`
-	RefineTasks         int64 `json:"refine_tasks"`
-	MergeTasks          int64 `json:"merge_tasks"`
-	Refinements         int64 `json:"refinements"`
-	QueueDepthHighWater int   `json:"queue_depth_high_water"`
-}
-
 // asyncReport is the async row's report (BENCH_async.json).
 type asyncReport struct {
 	header
 	MaintenanceWorkers int              `json:"maintenance_workers"`
-	Sync               asyncModeReport  `json:"sync"`
-	Async              asyncModeReport  `json:"async"`
-	P99Speedup         float64          `json:"p99_speedup_sync_over_async"`
 	Contention         contentionReport `json:"contention"`
 }
 
-// contentionReport is the async row's second leg (see runContention):
+// contentionReport is the async row's measurement (see runContention):
 // foreground QoS in the regime the background I/O budget targets, its two
 // legs differing only in the budget. Throttling moves maintenance work in
 // wall-clock time only — results and simulated charges are identical — so a
@@ -253,15 +217,6 @@ type paperReport struct {
 
 func (r *asyncReport) check() error {
 	var v violations
-	for name, m := range map[string]asyncModeReport{"sync": r.Sync, "async": r.Async} {
-		v.require(m.Converged && m.ConvergencePasses >= 1, "%s mode did not converge (%d passes)", name, m.ConvergencePasses)
-	}
-	if mt := r.Async.Maintenance; mt == nil {
-		v.require(false, "async mode reports no maintenance pipeline")
-	} else {
-		v.require(mt.Queued > 0 && mt.QueueDepthHighWater >= 1, "async mode scheduled no background maintenance")
-		v.require(mt.Failed == 0 && mt.Completed == mt.Queued-mt.Dropped, "maintenance ledger does not balance: %+v", *mt)
-	}
 	c := r.Contention
 	v.require(c.MaintenanceBudget > 0 && c.ArrivalGapSeconds > 0, "contention leg ran without a budget or pacing")
 	v.require(c.ForegroundDatasets >= 1 && c.BackgroundQueries > 0, "contention leg had no foreground datasets or no churn")

@@ -525,24 +525,9 @@ func (e *Explorer) MaintenanceStats() MaintenanceStats {
 
 // MaintenanceErr returns the most recent background maintenance task error
 // (nil when every task succeeded or AsyncMaintenance is off). A failed task
-// leaves the layout consistent but unconverged in its region. It is the
-// compatibility accessor over the failure ring; MaintenanceHealth returns
-// the full history.
+// leaves the layout consistent but unconverged in its region, until the
+// next query that wants the work enqueues it again.
 func (e *Explorer) MaintenanceErr() error { return e.engine.MaintenanceErr() }
-
-// MaintenanceHealth snapshots the background maintenance pipeline's health
-// ledger: the bounded failure history and the quarantine list. Zero-valued
-// when AsyncMaintenance is off.
-func (e *Explorer) MaintenanceHealth() MaintenanceHealth {
-	return e.engine.MaintenanceHealth()
-}
-
-// Unquarantine re-admits one maintenance unit a permanent fault quarantined
-// (identified by a QuarantinedCell from MaintenanceHealth). Returns whether
-// the unit was quarantined.
-func (e *Explorer) Unquarantine(q QuarantinedCell) bool {
-	return e.engine.Unquarantine(q)
-}
 
 // SetFaultPlan installs (or, with the zero plan, clears) a deterministic
 // device fault-injection plan across every member device of the storage
@@ -550,7 +535,9 @@ func (e *Explorer) Unquarantine(q QuarantinedCell) bool {
 // transient/permanent fault rates, latency spikes, and periodic storm
 // windows. Same seed, same read sequence, same faults. Fault-injection is a
 // test-and-benchmark surface; it composes with Options.Retry (transient
-// faults are retried) and the maintenance quarantine.
+// faults are retried) and with repair: a permanent fault on a tree partition
+// or a merge file is rebuilt from the raw files on the path that read it,
+// while one on a raw file fails the query.
 func (e *Explorer) SetFaultPlan(plan FaultPlan) { e.dev.SetFaultPlan(plan) }
 
 // SetRetryPolicy changes the storage-read retry policy at runtime (see

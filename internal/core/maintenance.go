@@ -35,10 +35,6 @@ type MaintenanceStats struct {
 	MergeTasks  int64
 	// Refinements is how many refinement operations maintenance applied.
 	Refinements int64
-	// Quarantined is how many units (dataset cells, combinations) a
-	// permanent device fault quarantined (lifetime count; see Health for the
-	// current list).
-	Quarantined int64
 	// QueueDepth is the current number of queued (not yet running) tasks.
 	QueueDepth int
 	// QueueDepthHighWater is the deepest the queue has ever been — the
@@ -140,11 +136,7 @@ type maintainer struct {
 	queueLen int
 	inFlight int
 	stats    MaintenanceStats
-
-	// Health state (see health.go): the bounded failure ring and the
-	// quarantine set, each quarantined unit with the error that tripped it.
-	ring       []MaintenanceFailure
-	quarantine map[healthKey]error
+	lastErr  error // the most recent task error
 
 	idleNow bool
 	idle    chan struct{}
@@ -169,7 +161,6 @@ func newMaintainer(o *Odyssey, workers int) *maintainer {
 		activeRefine:  make(map[object.DatasetID]bool),
 		mergePending:  make(map[ComboKey]*heatItem[mergeTask]),
 		activeMerge:   make(map[ComboKey]bool),
-		quarantine:    make(map[healthKey]error),
 		idleNow:       true,
 		idle:          make(chan struct{}),
 	}
@@ -210,8 +201,7 @@ func (m *maintainer) maybeIdleLocked() {
 // the priority heap. box and qVol describe the query that demanded the
 // refinement (the worker refines the region to convergence for that
 // demand); members is that query's combination, for the worker's
-// merge-coverage re-check. Quarantined cells are dropped here — the one gate
-// that keeps a poisoned cell from ever occupying a worker again.
+// merge-coverage re-check.
 func (m *maintainer) EnqueueRefine(ds object.DatasetID, keys []octree.Key, box geom.Box, qVol float64, members []object.DatasetID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -233,9 +223,6 @@ func (m *maintainer) EnqueueRefine(ds object.DatasetID, keys []octree.Key, box g
 	members = append([]object.DatasetID(nil), members...)
 	added := false
 	for _, k := range keys {
-		if m.quarantinedLocked(healthKey{ds: ds, cell: k}) {
-			continue
-		}
 		if it := pend[k]; it != nil {
 			m.stats.Coalesced++
 			it.heat++
@@ -276,7 +263,7 @@ func (m *maintainer) freshScore() float64 {
 func (m *maintainer) EnqueueMerge(key ComboKey, members []object.DatasetID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed || m.quarantinedLocked(healthKey{merge: true, combo: key}) {
+	if m.closed {
 		return
 	}
 	if it := m.mergePending[key]; it != nil {
@@ -409,7 +396,7 @@ func (m *maintainer) worker() {
 		}
 		if err != nil {
 			m.stats.Failed++
-			m.noteFailureLocked(task, err)
+			m.lastErr = err
 		} else {
 			m.stats.Completed++
 			if task.isMerge {
@@ -495,16 +482,12 @@ func (m *maintainer) Stats() MaintenanceStats {
 	return s
 }
 
-// Err returns the most recent task error (nil when everything succeeded so
-// far, or the ring has aged the last failure out). It is the compatibility
-// accessor over the failure ring — Health returns the full history.
+// Err returns the most recent task error (nil when every task succeeded so
+// far).
 func (m *maintainer) Err() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.ring) == 0 {
-		return nil
-	}
-	return m.ring[len(m.ring)-1].Err
+	return m.lastErr
 }
 
 // SetPaused freezes (true) or thaws (false) task pickup; queued work stays

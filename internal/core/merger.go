@@ -96,6 +96,9 @@ func (m *MergeFile) Combo() ComboKey { return m.combo }
 // Members returns the datasets stored in the file.
 func (m *MergeFile) Members() []object.DatasetID { return m.members }
 
+// File exposes the page file holding the merged copies.
+func (m *MergeFile) File() *pagefile.File { return m.file }
+
 // NumEntries returns the number of merged partitions.
 func (m *MergeFile) NumEntries() int { return len(m.entries) / len(m.members) }
 
@@ -687,7 +690,8 @@ func (m *Merger) touchCombo(key ComboKey) {
 // segment's alone); the content it returns carries the segment's child
 // directory (nil for a one-page segment). It follows a shared-segment
 // reference when present; the underlying run read aborts at the page
-// boundary where the context expired.
+// boundary where the context expired. A failed read returns a
+// *mergeReadError naming the file read.
 func (m *Merger) ReadSegmentCtx(ctx context.Context, dst []object.Object, mf *MergeFile, key octree.Key, ds object.DatasetID) (cellContent, error) {
 	seg, ok := mf.entries[scanKey{ds: ds, cell: key}]
 	if !ok {
@@ -697,7 +701,6 @@ func (m *Merger) ReadSegmentCtx(ctx context.Context, dst []object.Object, mf *Me
 	m.accMu.Lock()
 	m.segmentsRead++
 	m.accMu.Unlock()
-	file := mf.file
 	if seg.sharedFrom != "" {
 		owner, live := m.files[seg.sharedFrom]
 		if !live {
@@ -705,11 +708,11 @@ func (m *Merger) ReadSegmentCtx(ctx context.Context, dst []object.Object, mf *Me
 				mf.combo, key, seg.sharedFrom)
 		}
 		m.touch(owner)
-		file = owner.file
+		mf = owner
 	}
-	objs, err := file.ReadRunIntoCtx(ctx, slices.Grow(dst[:0], seg.count), seg.run)
+	objs, err := mf.file.ReadRunIntoCtx(ctx, slices.Grow(dst[:0], seg.count), seg.run)
 	if err != nil {
-		return cellContent{}, err
+		return cellContent{}, &mergeReadError{combo: mf.combo, err: err}
 	}
 	return cellContent{objs: objs, children: seg.children}, nil
 }
@@ -729,15 +732,26 @@ func (m *Merger) EnforceBudget() ([]ComboKey, error) {
 				victim = f
 			}
 		}
-		if err := victim.file.Delete(); err != nil {
-			return evicted, fmt.Errorf("evict %s: %w", victim.combo, err)
+		if err := m.evict(victim); err != nil {
+			return evicted, err
 		}
-		delete(m.files, victim.combo)
-		m.dropReferencesTo(victim.combo)
 		evicted = append(evicted, victim.combo)
-		m.Evictions++
 	}
 	return evicted, nil
+}
+
+// evict deletes merge file f and everything that routes to it: its
+// directory entry, its cells' ownership in the segment index and the entries
+// of other files that share its pages. The budget and the repair of an
+// unreadable file both evict through it.
+func (m *Merger) evict(f *MergeFile) error {
+	if err := f.file.Delete(); err != nil {
+		return fmt.Errorf("evict %s: %w", f.combo, err)
+	}
+	delete(m.files, f.combo)
+	m.dropReferencesTo(f.combo)
+	m.Evictions++
+	return nil
 }
 
 // dropReferencesTo removes segment-index ownership of an evicted file and

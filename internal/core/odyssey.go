@@ -133,6 +133,12 @@ type Metrics struct {
 	// in the children the window meets.
 	ObjectsTested int64
 	ObjectsKept   int64
+	// PartitionsRepaired and MergeFilesRepaired count the derived data
+	// rebuilt after a read that could never succeed (see repair):
+	// partitions re-derived from their raw files, and merge files evicted
+	// (also counted in MergeEvictions).
+	PartitionsRepaired int
+	MergeFilesRepaired int
 }
 
 // Odyssey is the Space Odyssey engine: adaptive per-dataset octrees plus
@@ -222,6 +228,8 @@ type Odyssey struct {
 	phases         PhaseTimes
 	objectsTested  int64
 	objectsKept    int64
+	partsRepaired  int
+	mergesRepaired int
 }
 
 // New creates the engine over the given raw files. Nothing is indexed until
@@ -411,6 +419,7 @@ func (o *Odyssey) Metrics() Metrics {
 	m.RelationCounts = rel
 	m.Phases = o.phases
 	m.ObjectsTested, m.ObjectsKept = o.objectsTested, o.objectsKept
+	m.PartitionsRepaired, m.MergeFilesRepaired = o.partsRepaired, o.mergesRepaired
 	o.statsMu.Unlock()
 	return m
 }
@@ -500,6 +509,26 @@ type queryAcc struct {
 	mark     futileMark
 	tried    bool
 	mergeDue bool
+
+	// repaired is set once the query repaired derived data and read again:
+	// its walks then only read, so no region is refined twice by one query.
+	repaired bool
+}
+
+// restart empties what the read stages accumulated, for a query that reads
+// again after a repair, and re-routes it: the repair may have evicted the
+// routed merge file and reset the combination's count. The phase charges
+// stay — the query paid them.
+func (o *Odyssey) restart(acc *queryAcc) {
+	acc.exts, acc.leaves, acc.touched, acc.served = acc.exts[:0], acc.leaves[:0], acc.touched[:0], acc.served[:0]
+	acc.out, acc.tested, acc.servedLeaves, acc.wants = acc.out[:0], 0, 0, acc.wants[:0]
+	acc.repaired = true
+	if !o.cfg.DisableMerging {
+		acc.mf, _ = o.merger.route(acc.key, acc.ordered)
+	}
+	o.statsMu.Lock()
+	acc.count = o.stats.Count(acc.key)
+	o.statsMu.Unlock()
 }
 
 // serve books one leaf as served by the routed merge file's segment seg for
@@ -560,7 +589,9 @@ func (o *Odyssey) Query(q geom.Box, datasets []object.DatasetID) ([]object.Objec
 
 // QueryCtx is Query with cancellation: five stages over one accumulator —
 // route, readDataset per dataset, readMerged, record, maintain — the first
-// four under the shared layout lock.
+// four under the shared layout lock. A read of a tree partition or merge
+// file that can never succeed is repaired off the lock, and the query reads
+// again (see repair).
 //
 // The context is observed on the read side only — between and inside the
 // per-dataset tree walks and the merge-segment reads, down to page-boundary
@@ -582,14 +613,18 @@ func (o *Odyssey) QueryCtx(ctx context.Context, q geom.Box, datasets []object.Da
 	acc := queryAcc{queryScratch: queryScratchPool.Get().(*queryScratch), q: q, out: *scratch}
 	o.mu.RLock()
 	ctx, err := o.route(ctx, &acc, datasets)
-	for i := 0; err == nil && i < len(acc.ordered); i++ {
-		err = o.readDataset(ctx, &acc, acc.ordered[i])
-	}
-	if err == nil {
-		err = o.readMerged(ctx, &acc)
-	}
-	if err == nil {
-		o.record(ctx, &acc)
+	var done []repairUnit
+	for err == nil {
+		if err = o.read(ctx, &acc); err == nil {
+			o.record(ctx, &acc)
+			break
+		}
+		o.mu.RUnlock()
+		done, err = o.repair(ctx, err, done)
+		o.mu.RLock()
+		if err == nil {
+			o.restart(&acc)
+		}
 	}
 	o.mu.RUnlock()
 	if err == nil {
@@ -644,6 +679,16 @@ func (o *Odyssey) route(ctx context.Context, acc *queryAcc, datasets []object.Da
 	return ctx, nil
 }
 
+// read runs the read stages: readDataset per dataset, then readMerged.
+func (o *Odyssey) read(ctx context.Context, acc *queryAcc) error {
+	for _, ds := range acc.ordered {
+		if err := o.readDataset(ctx, acc, ds); err != nil {
+			return err
+		}
+	}
+	return o.readMerged(ctx, acc)
+}
+
 // readDataset is stage two, run once per dataset: make sure level 0 exists,
 // then answer from a cached region containing the query, or walk the tree.
 // Leaves the routed merge file covers are left to readMerged (and, per
@@ -680,7 +725,7 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 		}
 	}
 	var res octree.QueryResult
-	if o.maint != nil || !tree.NeedsWrite(acc.q, covered) {
+	if o.maint != nil || acc.repaired || !tree.NeedsWrite(acc.q, covered) {
 		res, err = tree.QueryIntoCtx(ctx, acc.out, acc.leaves[:0], acc.q, serve, false)
 		lk.RUnlock()
 	} else {
@@ -911,10 +956,21 @@ func (o *Odyssey) maintain(ctx context.Context, acc *queryAcc) error {
 }
 
 // mergeOnce runs the merge step for one combination, single-flight with
-// every other trigger of it.
+// every other trigger of it. A partition the step's copies cannot read is
+// repaired, and the step runs again: what it staged before the fault is
+// published, so the rerun copies only the rest.
 func (o *Odyssey) mergeOnce(ctx context.Context, key ComboKey, members []object.DatasetID) error {
 	_, _, err := o.mergeFlight.Do(ctx, key, func() (struct{}, error) {
-		return struct{}{}, o.mergeStep(ctx, key, members)
+		var done []repairUnit
+		for {
+			err := o.mergeStep(ctx, key, members)
+			if err == nil {
+				return struct{}{}, nil
+			}
+			if done, err = o.repair(ctx, err, done); err != nil {
+				return struct{}{}, err
+			}
+		}
 	})
 	return err
 }
@@ -1038,8 +1094,7 @@ func (o *Odyssey) mergeStep(ctx context.Context, key ComboKey, ordered []object.
 		// from its old candidates, thrashing the budget. Evicted
 		// combinations must re-earn merging from zero.
 		for _, combo := range evicted {
-			delete(o.futile, combo)
-			o.stats.Reset(combo)
+			o.forgetLocked(combo)
 		}
 		o.statsMu.Unlock()
 	}
@@ -1088,6 +1143,7 @@ func (o *Odyssey) runRefineTask(ds object.DatasetID, t refineTask) (int, error) 
 	refined := 0
 	var dt time.Duration
 	var taskErr error
+	var done []repairUnit
 	for {
 		// Re-check merge coverage before every step: a merge published
 		// since the demanding query ran may now cover this cell for the
@@ -1107,6 +1163,11 @@ func (o *Odyssey) runRefineTask(ds object.DatasetID, t refineTask) (int, error) 
 		dt += clock.Now() - t0
 		lk.Unlock()
 		if err != nil {
+			// A partition the step could not read is re-derived, and the
+			// step tried again.
+			if done, err = o.repair(ctx, err, done); err == nil {
+				continue
+			}
 			taskErr = err
 			break
 		}
@@ -1188,34 +1249,12 @@ func (o *Odyssey) MaintenanceStats() MaintenanceStats {
 }
 
 // MaintenanceErr returns the most recent background task error, nil when
-// every task succeeded or maintenance is synchronous. It is the
-// compatibility accessor over the bounded failure ring — MaintenanceHealth
-// returns the full history and the quarantine list.
+// every task succeeded or maintenance is synchronous.
 func (o *Odyssey) MaintenanceErr() error {
 	if o.maint == nil {
 		return nil
 	}
 	return o.maint.Err()
-}
-
-// MaintenanceHealth snapshots the background pipeline's structured health
-// ledger: the bounded failure history and the currently quarantined units.
-// Zero when maintenance is synchronous.
-func (o *Odyssey) MaintenanceHealth() MaintenanceHealth {
-	if o.maint == nil {
-		return MaintenanceHealth{}
-	}
-	return o.maint.Health()
-}
-
-// Unquarantine re-admits one quarantined maintenance unit (operator
-// recovery after replacing a bad device, say). Returns whether the unit was
-// quarantined.
-func (o *Odyssey) Unquarantine(q QuarantinedCell) bool {
-	if o.maint == nil {
-		return false
-	}
-	return o.maint.Unquarantine(q)
 }
 
 // FlushResultCache drops every entry of the result cache (a no-op with

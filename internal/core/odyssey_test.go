@@ -411,7 +411,7 @@ func TestKnobCensus(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Errorf("Config has fields %v, want %v: %s", got, want, rule)
 	}
-	if n := reflect.TypeOf(MaintenanceStats{}).NumField(); n != 11 {
-		t.Errorf("MaintenanceStats has %d fields, want 11: a counter nothing reads is a knob's shadow", n)
+	if n := reflect.TypeOf(MaintenanceStats{}).NumField(); n != 10 {
+		t.Errorf("MaintenanceStats has %d fields, want 10: a counter nothing reads is a knob's shadow", n)
 	}
 }

@@ -460,9 +460,84 @@ func (t *Tree) LeafAt(key Key) *Partition {
 // ReadPartitionIntoCtx reads every object stored in p from disk and appends
 // them to dst, grown once to fit: a nil dst costs one allocation of exactly
 // the partition's size (the read to keep), pooled scratch with room costs
-// none (the read only the caller sees).
+// none (the read only the caller sees). A failed read returns a *ReadError
+// naming p.
 func (t *Tree) ReadPartitionIntoCtx(ctx context.Context, dst []object.Object, p *Partition) ([]object.Object, error) {
-	return t.file.ReadRunsIntoCtx(ctx, slices.Grow(dst, p.count), p.runs)
+	objs, err := t.file.ReadRunsIntoCtx(ctx, slices.Grow(dst, p.count), p.runs)
+	if err != nil {
+		err = &ReadError{Dataset: t.Dataset(), Partition: p, runs: p.runs, Err: err}
+	}
+	return objs, err
+}
+
+// ReadError is a failed read of one partition's pages: every error a
+// partition read returns is one, wrapping the storage error.
+type ReadError struct {
+	Dataset   object.DatasetID
+	Partition *Partition
+	runs      []pagefile.Run // the pages the read failed on
+	Err       error
+}
+
+func (e *ReadError) Error() string {
+	k := e.Partition.key
+	return fmt.Sprintf("octree ds %d partition %d/%d.%d.%d: %v", e.Dataset, k.Level, k.X, k.Y, k.Z, e.Err)
+}
+
+func (e *ReadError) Unwrap() error { return e.Err }
+
+// Rederive rebuilds the partition whose read failed with e from the raw
+// file, for pages that can never be read again. One raw scan keeps, in file
+// order, the objects the tree's own bucketing assigns to the partition — the
+// BucketByCell grid index within every box on its path from the root — and
+// writes them to fresh pages at the end of the tree file. Every bucketing is
+// a stable counting sort of raw-file order, so the partition holds exactly
+// what it held, in the same order. It reports false, doing nothing, when the
+// partition is no longer stored where e's read failed (refined or
+// re-derived since). Only the scan observes ctx; once it has completed, the
+// write always does. The caller holds the tree's write lock.
+func (t *Tree) Rederive(ctx context.Context, e *ReadError) (bool, error) {
+	p := e.Partition
+	if !p.IsLeaf() || !slices.Equal(p.runs, e.runs) {
+		return false, nil
+	}
+	type step struct {
+		grid geom.CellGrid
+		ci   int
+	}
+	var path []step
+	n, k := t.root, uint32(t.k)
+	for lvl := uint32(1); lvl <= p.key.Level && !n.IsLeaf(); lvl++ {
+		a := p.key.Ancestor(lvl, t.k)
+		ci := int((a.Z%k*k+a.Y%k)*k + a.X%k)
+		path = append(path, step{grid: n.box.Grid(t.k), ci: ci})
+		n = n.children[ci]
+	}
+	sp := pagefile.GetObjSlice()
+	defer pagefile.PutObjSlice(sp)
+	objs := (*sp)[:0]
+	err := t.raw.ScanCtx(ctx, func(o object.Object) error {
+		for i := range path {
+			if path[i].grid.Index(o.Center) != path[i].ci {
+				return nil
+			}
+		}
+		objs = append(objs, o)
+		return nil
+	})
+	*sp = objs
+	if err != nil {
+		return false, fmt.Errorf("octree re-derive scan: %w", err)
+	}
+	if len(objs) != p.count {
+		return false, fmt.Errorf("octree: re-derived %d objects for partition %v, which held %d", len(objs), p.key, p.count)
+	}
+	run, err := t.file.AppendObjectsCtx(context.WithoutCancel(ctx), objs)
+	if err != nil {
+		return false, fmt.Errorf("octree re-derive write: %w", err)
+	}
+	p.runs = []pagefile.Run{run}
+	return true, nil
 }
 
 // File exposes the partition storage file (merge copies read through it).

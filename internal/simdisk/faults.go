@@ -10,7 +10,8 @@ import (
 // Fault taxonomy. Every injected read failure the device produces wraps one
 // of these sentinels, so the layers above can decide policy with errors.Is
 // alone: transient faults are worth retrying (a re-read may succeed),
-// permanent faults are not (the page is gone until an operator intervenes).
+// permanent faults are not (the page is gone for good; the engine rebuilds a
+// derived page from its raw file, and only a lost raw page fails the read).
 // Both compose with the cancellation taxonomy — a retry loop aborted by its
 // context returns an error matching ErrCanceled and the fault it was
 // retrying.
@@ -19,7 +20,8 @@ var (
 	// recoverable ECC hiccup, a storm-mode probabilistic failure.
 	ErrTransient = errors.New("simdisk: transient read fault")
 	// ErrPermanent marks an unrecoverable fault: the page is bad and every
-	// future read fails the same way. Callers must not retry.
+	// future read of it fails the same way. Callers must not retry; what
+	// the page held is rebuilt elsewhere or lost.
 	ErrPermanent = errors.New("simdisk: permanent read fault")
 )
 
@@ -30,7 +32,7 @@ const (
 	// FaultTransient faults clear on retry (subject to the pattern's Count).
 	FaultTransient FaultKind = iota
 	// FaultPermanent faults are sticky: once a page has failed permanently it
-	// fails on every subsequent read.
+	// fails on every subsequent read, until a new plan is installed.
 	FaultPermanent
 	// FaultSpike is a latency-spike ("limping head") fault: the read succeeds
 	// but stalls for the plan's SpikeLatency in wall-clock emulation. Spikes

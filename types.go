@@ -50,14 +50,6 @@ type (
 	// MaintenanceStats counts the background maintenance pipeline's
 	// activity (see Options.AsyncMaintenance).
 	MaintenanceStats = core.MaintenanceStats
-	// MaintenanceHealth is the pipeline's structured health ledger: bounded
-	// failure history and quarantine list.
-	MaintenanceHealth = core.MaintenanceHealth
-	// MaintenanceFailure is one entry of the failure history.
-	MaintenanceFailure = core.MaintenanceFailure
-	// QuarantinedCell is one maintenance unit the scheduler has stopped
-	// working on after a permanent fault (see Explorer.Unquarantine).
-	QuarantinedCell = core.QuarantinedCell
 	// FaultPlan is a deterministic device fault-injection plan (see
 	// Explorer.SetFaultPlan).
 	FaultPlan = simdisk.FaultPlan
