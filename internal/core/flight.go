@@ -25,17 +25,27 @@ import (
 // leader failed and calls Do again leads (or attaches to) a fresh flight,
 // never the dead one. Do must not be re-entered for the same key from inside
 // fn (the leader would wait on itself).
+//
+// A flight nobody waits on allocates nothing: its record comes from the
+// group's free list, and the channel a waiter blocks on is made by the first
+// waiter, under mu. A leader that deregisters its record with no channel on
+// it — nobody attached, and nobody can any more — puts the record back on
+// the free list; a record someone waited on is left to the collector, since
+// a waiter may still read it.
 type flightGroup[K comparable, V any] struct {
 	mu       sync.Mutex
 	inflight map[K]*flightCall[V]
+	free     *flightCall[V] // records no waiter ever saw, linked by next
 }
 
 // flightCall is one in-flight leader execution. The leader fills val and err
-// before closing done; attached callers treat val as read-only.
+// before closing done; attached callers treat val as read-only. done and
+// next are guarded by the group's mu.
 type flightCall[V any] struct {
-	done chan struct{}
+	done chan struct{} // nil until the first waiter attaches
 	val  V
 	err  error
+	next *flightCall[V]
 }
 
 // Do runs fn under single-flight per key. It reports whether this call
@@ -49,22 +59,39 @@ func (g *flightGroup[K, V]) Do(ctx context.Context, key K, fn func() (V, error))
 		g.inflight = make(map[K]*flightCall[V])
 	}
 	if c, ok := g.inflight[key]; ok {
+		if c.done == nil {
+			c.done = make(chan struct{})
+		}
+		done := c.done
 		g.mu.Unlock()
-		if err := simdisk.WaitDone(ctx, c.done); err != nil {
+		if err := simdisk.WaitDone(ctx, done); err != nil {
 			var zero V
 			return zero, true, err
 		}
 		return c.val, true, c.err
 	}
-	c := &flightCall[V]{done: make(chan struct{})}
+	c := g.free
+	if c != nil {
+		g.free, c.next = c.next, nil
+	} else {
+		c = new(flightCall[V])
+	}
 	g.inflight[key] = c
 	g.mu.Unlock()
 
-	c.val, c.err = fn()
+	val, err := fn()
 
 	g.mu.Lock()
 	delete(g.inflight, key)
+	done := c.done
+	if done == nil {
+		c.next, g.free = g.free, c
+	} else {
+		c.val, c.err = val, err
+	}
 	g.mu.Unlock()
-	close(c.done)
-	return c.val, false, c.err
+	if done != nil {
+		close(done)
+	}
+	return val, false, err
 }

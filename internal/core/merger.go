@@ -520,12 +520,13 @@ func (m *Merger) stage(
 		dirScratchPool.Put(dir)
 	}()
 	segs := make([]segment, len(datasets)) // one job's, by member
+	job := mergeJobPool.Get().(*mergeJob)
+	defer putMergeJob(job)
 	for _, cand := range candidates {
 		if st.covering(cand, fanout) {
 			continue
 		}
-		job, ok := m.planJob(cand, datasets, trees)
-		if !ok {
+		if !m.planJob(job, cand, datasets, trees) {
 			continue
 		}
 		// The policy may have lifted or kept the key; re-check both
@@ -564,7 +565,7 @@ func (m *Merger) stage(
 // trees' fanout k), its child bounds appended to dir; a one-page copy — which
 // the directory could only make slower to read (a per-child walk over a
 // handful of objects) — is written in file order, as read.
-func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.DatasetID, job mergeJob,
+func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.DatasetID, job *mergeJob,
 	bounds geom.Box, k int, dir *[]int32, segs []segment) error {
 	// One pooled slice is the source of every member's copy in turn, another
 	// the grouped copy of a member of more than one page.
@@ -583,9 +584,14 @@ func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.D
 				}
 			}
 		}
-		objs, err := job.readers[i](ctx, (*scratch)[:0])
-		if err != nil {
-			return fmt.Errorf("merge read %v ds %d: %w", job.key, ds, err)
+		tree, leaves := job.member(i)
+		objs := (*scratch)[:0]
+		for _, leaf := range leaves {
+			var err error
+			if objs, err = tree.ReadPartitionIntoCtx(ctx, objs, leaf); err != nil {
+				*scratch = objs
+				return fmt.Errorf("merge read %v ds %d: %w", job.key, ds, err)
+			}
 		}
 		*scratch = objs
 		var children []int32
@@ -602,6 +608,18 @@ func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.D
 		segs[i] = segment{run: run, count: len(objs), children: children}
 	}
 	return nil
+}
+
+// mergeJobPool recycles the job a stage plans its candidates into.
+var mergeJobPool = sync.Pool{New: func() any { return new(mergeJob) }}
+
+// putMergeJob returns a stage's job to the pool, its lists cleared so that
+// the pool keeps no tree or partition alive.
+func putMergeJob(job *mergeJob) {
+	clear(job.trees[:cap(job.trees)])
+	clear(job.leaves[:cap(job.leaves)])
+	job.reset(octree.Key{})
+	mergeJobPool.Put(job)
 }
 
 // dirScratchPool recycles the scratch a merge stage appends its segments'

@@ -952,7 +952,7 @@ func (o *Odyssey) maintain(ctx context.Context, acc *queryAcc) error {
 	if !acc.mergeDue {
 		return nil
 	}
-	return o.mergeOnce(context.WithoutCancel(ctx), acc.key, acc.ordered)
+	return o.mergeOnce(simdisk.Detach(ctx), acc.key, acc.ordered)
 }
 
 // mergeOnce runs the merge step for one combination, single-flight with

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"spaceodyssey/internal/object"
@@ -37,68 +36,94 @@ func (p LevelPolicy) String() string {
 }
 
 // mergeJob describes one partition to copy into a merge file: the cell key
-// of the new entry and, per member dataset (in order), a reader appending
-// the objects of that cell to dst (the copy's scratch: nobody else sees the
-// source of a copy). Readers take the merge's context so the read I/O is
-// charged to the merge's QoS scope.
+// of the new entry and, per member dataset (in order), the tree and the
+// leaves whose objects make up that member's copy — member i's are
+// leaves[ends[i-1]:ends[i]]. A stage plans every candidate into one job,
+// reusing its lists.
 type mergeJob struct {
-	key     octree.Key
-	readers []func(ctx context.Context, dst []object.Object) ([]object.Object, error)
+	key    octree.Key
+	trees  []*octree.Tree
+	leaves []*octree.Partition
+	ends   []int
 }
 
-// planJob applies the level policy to one candidate key, returning the
-// entry key and per-dataset readers, or ok=false when the candidate cannot
-// be merged under the policy.
+// reset empties the job for a candidate planned at key.
+func (j *mergeJob) reset(key octree.Key) {
+	j.key = key
+	j.trees, j.leaves, j.ends = j.trees[:0], j.leaves[:0], j.ends[:0]
+}
+
+// endMember closes the member whose tree is tree: its leaves are the ones
+// appended since the previous member closed.
+func (j *mergeJob) endMember(tree *octree.Tree) {
+	j.trees = append(j.trees, tree)
+	j.ends = append(j.ends, len(j.leaves))
+}
+
+// member returns member i's tree and leaves.
+func (j *mergeJob) member(i int) (*octree.Tree, []*octree.Partition) {
+	start := 0
+	if i > 0 {
+		start = j.ends[i-1]
+	}
+	return j.trees[i], j.leaves[start:j.ends[i]]
+}
+
+// planJob applies the level policy to one candidate key, planning into job
+// the entry key and every member's leaves, or reports false when the
+// candidate cannot be merged under the policy.
 func (m *Merger) planJob(
+	job *mergeJob,
 	cand octree.Key,
 	datasets []object.DatasetID,
 	trees map[object.DatasetID]*octree.Tree,
-) (mergeJob, bool) {
+) bool {
 	if m.cfg.LevelPolicy == CoarsestCover {
-		return m.planCoarsestCover(cand, datasets, trees)
+		return m.planCoarsestCover(job, cand, datasets, trees)
 	}
-	return m.planSameLevel(cand, datasets, trees)
+	return m.planSameLevel(job, cand, datasets, trees)
 }
 
 // planSameLevel is the paper's rule: all members must hold a leaf at
 // exactly the candidate key.
 func (m *Merger) planSameLevel(
+	job *mergeJob,
 	cand octree.Key,
 	datasets []object.DatasetID,
 	trees map[object.DatasetID]*octree.Tree,
-) (mergeJob, bool) {
-	job := mergeJob{key: cand}
+) bool {
+	job.reset(cand)
 	for _, ds := range datasets {
 		tree := trees[ds]
 		if tree == nil {
-			return mergeJob{}, false
+			return false
 		}
 		leaf := tree.LeafAt(cand)
 		if leaf == nil {
-			return mergeJob{}, false
+			return false
 		}
-		job.readers = append(job.readers, func(ctx context.Context, dst []object.Object) ([]object.Object, error) {
-			return tree.ReadPartitionIntoCtx(ctx, dst, leaf)
-		})
+		job.leaves = append(job.leaves, leaf)
+		job.endMember(tree)
 	}
-	return job, true
+	return true
 }
 
 // planCoarsestCover lifts the candidate to the coarsest cell that is a
 // leaf in at least one member dataset, and aggregates the finer members'
 // leaves under that cell.
 func (m *Merger) planCoarsestCover(
+	job *mergeJob,
 	cand octree.Key,
 	datasets []object.DatasetID,
 	trees map[object.DatasetID]*octree.Tree,
-) (mergeJob, bool) {
+) bool {
 	// Find the coarsest covering-leaf level among members.
 	minLevel := int(cand.Level)
 	fanout := 0
 	for _, ds := range datasets {
 		tree := trees[ds]
 		if tree == nil || !tree.Built() {
-			return mergeJob{}, false
+			return false
 		}
 		fanout = tree.FanoutPerDim()
 		if cover := tree.LeafCovering(cand); cover != nil {
@@ -110,27 +135,18 @@ func (m *Merger) planCoarsestCover(
 	if minLevel < 1 {
 		minLevel = 1 // never merge the whole volume as a single entry
 	}
-	key := cand.Ancestor(uint32(minLevel), fanout)
-	job := mergeJob{key: key}
+	job.reset(cand.Ancestor(uint32(minLevel), fanout))
 	for _, ds := range datasets {
 		tree := trees[ds]
-		leaves := tree.LeavesUnder(key)
-		if len(leaves) == 0 {
+		n := len(job.leaves)
+		if job.leaves = tree.AppendLeavesUnder(job.leaves, job.key); len(job.leaves) == n {
 			// Tree is coarser than even the lifted key in this area (its
 			// leaf sits above the key); aggregation is impossible.
-			return mergeJob{}, false
+			return false
 		}
-		job.readers = append(job.readers, func(ctx context.Context, dst []object.Object) ([]object.Object, error) {
-			for _, leaf := range leaves {
-				var err error
-				if dst, err = tree.ReadPartitionIntoCtx(ctx, dst, leaf); err != nil {
-					return nil, err
-				}
-			}
-			return dst, nil
-		})
+		job.endMember(tree)
 	}
-	return job, true
+	return true
 }
 
 // overlapsEntry reports whether key contains (or equals) an existing entry

@@ -148,29 +148,35 @@ func (b Box) Subdivide(k int) []Box {
 	if k < 1 {
 		panic(fmt.Sprintf("geom: subdivide k=%d must be >= 1", k))
 	}
-	step := b.Size().Div(float64(k))
 	cells := make([]Box, 0, k*k*k)
 	for z := 0; z < k; z++ {
 		for y := 0; y < k; y++ {
 			for x := 0; x < k; x++ {
-				lo := b.Min.Add(Vec{step.X * float64(x), step.Y * float64(y), step.Z * float64(z)})
-				hi := b.Min.Add(Vec{step.X * float64(x+1), step.Y * float64(y+1), step.Z * float64(z+1)})
-				// Snap the outer faces to the parent box to avoid
-				// floating-point gaps at the boundary.
-				if x == k-1 {
-					hi.X = b.Max.X
-				}
-				if y == k-1 {
-					hi.Y = b.Max.Y
-				}
-				if z == k-1 {
-					hi.Z = b.Max.Z
-				}
-				cells = append(cells, Box{Min: lo, Max: hi})
+				cells = append(cells, b.Cell(k, x, y, z))
 			}
 		}
 	}
 	return cells
+}
+
+// Cell returns cell (x, y, z) of b's k×k×k subdivision — Subdivide's cell
+// (z*k+y)*k+x, bit for bit — without building the others.
+func (b Box) Cell(k, x, y, z int) Box {
+	step := b.Size().Div(float64(k))
+	lo := b.Min.Add(Vec{step.X * float64(x), step.Y * float64(y), step.Z * float64(z)})
+	hi := b.Min.Add(Vec{step.X * float64(x+1), step.Y * float64(y+1), step.Z * float64(z+1)})
+	// Snap the outer faces to the parent box to avoid floating-point gaps at
+	// the boundary.
+	if x == k-1 {
+		hi.X = b.Max.X
+	}
+	if y == k-1 {
+		hi.Y = b.Max.Y
+	}
+	if z == k-1 {
+		hi.Z = b.Max.Z
+	}
+	return Box{Min: lo, Max: hi}
 }
 
 // CellGrid is the k^3 subdivision of a box prepared for locating many points:

@@ -193,3 +193,38 @@ func BenchmarkLevelZeroBuild(b *testing.B) {
 		}
 	}
 }
+
+// TestRefinementAllocatesAConstant: a split carves its children from one
+// slice and their runs from another, and its scratch is pooled, so a
+// refinement allocates a constant whatever the fanout — four objects (the
+// detached context's two, the children, their runs) plus the device chunks
+// its overflow pages land in — not a partition, a run list and a reuse list
+// per child as it used to (over 130 at ppl=64).
+func TestRefinementAllocatesAConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	for _, ppl := range []int{8, 64, 216} {
+		tree, _, _ := testTree(t, 20_000, Config{PartitionsPerLevel: ppl}, 3)
+		if err := tree.EnsureBuiltCtx(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		var leaves []*Partition
+		for _, p := range tree.Lookup(geom.UnitBox()) {
+			if p.Count() > 0 {
+				leaves = append(leaves, p)
+			}
+		}
+		scratch := new([]object.Object)
+		next := 0
+		n := testing.AllocsPerRun(min(len(leaves)-1, 20), func() {
+			if _, err := tree.refineCtx(context.Background(), leaves[next], scratch); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		if n > 10 {
+			t.Errorf("ppl=%d: a refinement allocates %v objects, want at most 10", ppl, n)
+		}
+	}
+}

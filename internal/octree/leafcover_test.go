@@ -58,14 +58,14 @@ func TestLeafCovering(t *testing.T) {
 
 func TestLeavesUnder(t *testing.T) {
 	tree, _, _ := testTree(t, 4000, DefaultConfig(), 44)
-	if tree.LeavesUnder(Key{}) != nil {
+	if tree.AppendLeavesUnder(nil, Key{}) != nil {
 		t.Fatal("unbuilt tree returned leaves")
 	}
 	if err := tree.EnsureBuiltCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Under the root: all leaves.
-	all := tree.LeavesUnder(Key{})
+	all := tree.AppendLeavesUnder(nil, Key{})
 	if len(all) != tree.NumLeaves() {
 		t.Fatalf("LeavesUnder(root) = %d, want %d", len(all), tree.NumLeaves())
 	}
@@ -73,7 +73,7 @@ func TestLeavesUnder(t *testing.T) {
 	// equal the original leaf's objects.
 	deep := deepen(t, tree, 2)
 	anc := deep.Key().Ancestor(1, tree.FanoutPerDim())
-	under := tree.LeavesUnder(anc)
+	under := tree.AppendLeavesUnder(nil, anc)
 	if len(under) < 2 {
 		t.Fatalf("refined cell has %d leaves under it", len(under))
 	}
@@ -97,7 +97,7 @@ func TestLeavesUnder(t *testing.T) {
 	}
 	if coarse != nil {
 		sub := coarse.Key().Child(tree.FanoutPerDim(), 0, 0, 0)
-		if got := tree.LeavesUnder(sub); got != nil {
+		if got := tree.AppendLeavesUnder(nil, sub); got != nil {
 			t.Fatalf("LeavesUnder below a leaf = %v", got)
 		}
 	}

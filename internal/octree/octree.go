@@ -164,7 +164,7 @@ type Partition struct {
 	box      geom.Box
 	runs     []pagefile.Run
 	count    int
-	children []*Partition // non-nil once refined (then no longer a leaf)
+	children []Partition // non-nil once refined (then no longer a leaf)
 }
 
 // Key returns the partition's global cell key.
@@ -198,6 +198,11 @@ type Tree struct {
 	maxExtent  geom.Vec    // per-dimension max object half-extent (query-window extension)
 	numObjects int
 	numLeaves  int
+
+	// Scratch of split, which runs under the caller's write lock: the runs
+	// the children are written to before they move to one allocation, and
+	// the parent's pages handed to one child for reuse.
+	written, reuse []pagefile.Run
 
 	// ShareReader, when non-nil, intercepts leaf-partition reads on the
 	// query path (the walk's non-refining reads): it is called with the
@@ -283,34 +288,18 @@ func (t *Tree) EnsureBuiltCtx(ctx context.Context) error {
 	for i := range all {
 		maxExt = maxExt.Max(all[i].HalfExtent)
 	}
-	slab := make([]object.Object, len(all))
-	bounds := BucketByCell(nil, t.bounds, t.k, all, slab)
-
-	cells := t.bounds.Subdivide(t.k)
-	root := &Partition{
-		key:      Key{},
-		box:      t.bounds,
-		children: make([]*Partition, 0, len(cells)),
+	// The scan is the one dataset-sized slice the build holds: rather than
+	// into a bucketed copy, it is sorted into a bucket order, through which
+	// split gathers each cell as it writes it.
+	ints := make([]int32, 2*len(all))
+	pos, order := ints[:len(all)], ints[len(all):]
+	bounds := bucketPositions(nil, pos, t.bounds, t.k, all)
+	for i, j := range pos {
+		order[j] = int32(i)
 	}
-	// The cell writes always complete (the built state commits atomically),
-	// but their I/O is still attributed to the caller's QoS scope: strip
-	// cancellation, keep context values.
-	wctx := context.WithoutCancel(ctx)
-	for ci, cell := range cells {
-		cx := ci % t.k
-		cy := (ci / t.k) % t.k
-		cz := ci / (t.k * t.k)
-		objs := slab[bounds[ci]:bounds[ci+1]]
-		runs, err := t.file.WriteIntoCtx(wctx, nil, objs)
-		if err != nil {
-			return fmt.Errorf("octree level-0 write: %w", err)
-		}
-		root.children = append(root.children, &Partition{
-			key:   root.key.Child(t.k, cx, cy, cz),
-			box:   cell,
-			runs:  runs,
-			count: len(objs),
-		})
+	root := &Partition{key: Key{}, box: t.bounds}
+	if err := t.split(ctx, root, all, order, bounds, nil); err != nil {
+		return fmt.Errorf("octree level-0 write: %w", err)
 	}
 	t.root = root
 	t.maxExtent = maxExt
@@ -320,19 +309,94 @@ func (t *Tree) EnsureBuiltCtx(ctx context.Context) error {
 	return nil
 }
 
+// split makes p, a leaf, internal: child ci holds bucket ci of objs, which
+// is objs[bounds[ci]:bounds[ci+1]] or, given an order, the objects it lists
+// there, gathered into scratch. Each bucket is written over the pages of
+// free, in order, appending what does not fit (§3.1.2; free is nil for the
+// level-0 build). The children are one allocation and their runs another,
+// each child's a capped slice of it: a split allocates what the tree keeps
+// and nothing per child. The writes always run to completion (the caller
+// never observes a half-split partition), still charged to ctx's scope. The
+// caller holds the tree's write lock; p is left unchanged when a write fails.
+func (t *Tree) split(ctx context.Context, p *Partition, objs []object.Object, order, bounds []int32, free []pagefile.Run) error {
+	var gathered []object.Object
+	if order != nil {
+		most := int32(0)
+		for ci := range len(bounds) - 1 {
+			most = max(most, bounds[ci+1]-bounds[ci])
+		}
+		gathered = make([]object.Object, most)
+	}
+	wctx := simdisk.Detach(ctx)
+	alloc := runAllocator{free: free}
+	written := t.written[:0]
+	children := make([]Partition, len(bounds)-1)
+	for ci := range children {
+		cx, cy, cz := ci%t.k, ci/t.k%t.k, ci/(t.k*t.k)
+		bucket := objs[bounds[ci]:bounds[ci+1]]
+		if order != nil {
+			bucket = gathered[:len(bucket)]
+			for j, i := range order[bounds[ci]:bounds[ci+1]] {
+				bucket[j] = objs[i]
+			}
+		}
+		t.reuse = alloc.take(t.reuse[:0], object.PagesFor(len(bucket)))
+		n := len(written)
+		var err error
+		if written, err = t.file.WriteIntoCtx(wctx, written, t.reuse, bucket); err != nil {
+			t.written = written[:0]
+			return err
+		}
+		children[ci] = Partition{
+			key:   p.key.Child(t.k, cx, cy, cz),
+			box:   p.box.Cell(t.k, cx, cy, cz),
+			runs:  written[n:], // its length, until the runs move below
+			count: len(bucket),
+		}
+	}
+	t.written = written[:0]
+	runs, start := slices.Clone(written), 0
+	for ci := range children {
+		c := &children[ci]
+		end := start + len(c.runs)
+		c.runs = nil
+		if end > start {
+			c.runs = runs[start:end:end]
+		}
+		start = end
+	}
+	p.children = children
+	return nil
+}
+
 // BucketByCell groups objs by the cell of box's k×k×k subdivision that holds
-// their center — the one bucketing behind the level-0 build, every refinement
-// and the child grouping of a multi-page merge segment. It is a stable
-// counting sort into slab (len(objs) long), so each bucket keeps objs' order
-// and the pages written from it are byte for byte what per-bucket appends
-// produced. The k³+1 bucket bounds are appended to dst and the extended dst
-// returned: bucket ci is slab[b[ci]:b[ci+1]] of the appended b. A dst with
-// room costs no allocation (int32: a bucketing never holds 2³¹ objects).
+// their center — the bucketing behind every refinement and the child
+// grouping of a multi-page merge segment. It is a stable counting sort into
+// slab (len(objs) long), so each bucket keeps objs' order and the pages
+// written from it are byte for byte what per-bucket appends produced. The
+// k³+1 bucket bounds are appended to dst and the extended dst returned:
+// bucket ci is slab[b[ci]:b[ci+1]] of the appended b. A dst with room costs
+// no allocation (int32: a bucketing never holds 2³¹ objects).
 func BucketByCell(dst []int32, box geom.Box, k int, objs, slab []object.Object) []int32 {
-	// Each object's cell is worked out once, into pooled scratch the placing
-	// pass reads back.
-	cp := cellScratchPool.Get().(*[]int32)
-	cells := slices.Grow((*cp)[:0], len(objs))[:len(objs)]
+	pp := int32Pool.Get().(*[]int32)
+	pos := slices.Grow((*pp)[:0], len(objs))[:len(objs)]
+	dst = bucketPositions(dst, pos, box, k, objs)
+	// Placing reads objs in order and writes k³ sequential streams, which a
+	// busy host's caches serve better than the k³ sparse passes over objs
+	// that gathering through the bucket order makes.
+	for i, j := range pos {
+		slab[j] = objs[i]
+	}
+	putInt32s(pp, pos, len(objs))
+	return dst
+}
+
+// bucketPositions is the one bucketing: a stable counting sort of objs by the
+// cell of box's k×k×k subdivision holding their center. It writes to pos
+// (len(objs) long) the index each object takes in bucket order, and appends
+// the k³+1 bucket bounds to dst as BucketByCell does: bucket ci takes indices
+// b[ci] to b[ci+1].
+func bucketPositions(dst, pos []int32, box geom.Box, k int, objs []object.Object) []int32 {
 	// Counts go in two slots up, so that after the prefix sum b[ci+1] is
 	// bucket ci's start; placing advances it to the bucket's end, which is
 	// bucket ci+1's start — leaving b[ci] the start of every bucket and
@@ -342,32 +406,38 @@ func BucketByCell(dst []int32, box geom.Box, k int, objs, slab []object.Object) 
 	dst = slices.Grow(dst, k*k*k+2)
 	b := dst[n : n+k*k*k+2]
 	clear(b)
+	// Each object's cell is worked out once, into pos, which placing turns
+	// into the object's position.
 	grid := box.Grid(k)
 	for i := range objs {
 		ci := grid.Index(objs[i].Center)
-		cells[i] = int32(ci)
+		pos[i] = int32(ci)
 		b[ci+2]++
 	}
 	for j := 1; j < len(b); j++ {
 		b[j] += b[j-1]
 	}
-	for i, ci := range cells {
-		slab[b[ci+1]] = objs[i]
+	for i, ci := range pos {
+		pos[i] = b[ci+1]
 		b[ci+1]++
 	}
-	if len(cells) <= pagefile.MaxPooledObjs {
-		*cp = cells
-	}
-	cellScratchPool.Put(cp)
 	return dst[:n+k*k*k+1]
 }
 
-// cellScratchPool recycles BucketByCell's per-object cell indices (int32: the
-// k³ cells are far below 2³¹), so that a refinement allocates only its
-// bounds. Retention follows the object pools' bound (pagefile.MaxPooledObjs):
-// the indices of a level-0 build — a whole dataset's — are left to the
-// collector like that build's two object slices.
-var cellScratchPool = sync.Pool{New: func() any { return new([]int32) }}
+// int32Pool recycles the per-object scratch of bucketing and the bounds of a
+// refinement — int32, since the k³ cells and a bucketing's objects are far
+// below 2³¹ — so that a refinement allocates only what the tree keeps.
+var int32Pool = sync.Pool{New: func() any { return new([]int32) }}
+
+// putInt32s hands s, grown from *p for a bucketing of n objects, back to
+// int32Pool. Retention follows the object pools' bound
+// (pagefile.MaxPooledObjs).
+func putInt32s(p *[]int32, s []int32, n int) {
+	if n <= pagefile.MaxPooledObjs {
+		*p = s[:0]
+	}
+	int32Pool.Put(p)
+}
 
 // Lookup returns the leaf partitions intersecting area, in child order
 // (ascending z, y, x at every level). The caller is responsible for
@@ -422,7 +492,7 @@ func (t *Tree) appendLeaves(dst []*Partition, p *Partition, area geom.Box) []*Pa
 		for y := y0; y <= y1; y++ {
 			row := (z*k + y) * k
 			for x := x0; x <= x1; x++ {
-				dst = t.appendLeaves(dst, c[row+x], area)
+				dst = t.appendLeaves(dst, &c[row+x], area)
 			}
 		}
 	}
@@ -439,7 +509,7 @@ func (t *Tree) descend(key Key) *Partition {
 		cx := int(key.X) / div % t.k
 		cy := int(key.Y) / div % t.k
 		cz := int(key.Z) / div % t.k
-		p = p.children[(cz*t.k+cy)*t.k+cx]
+		p = &p.children[(cz*t.k+cy)*t.k+cx]
 	}
 	return p
 }
@@ -511,7 +581,7 @@ func (t *Tree) Rederive(ctx context.Context, e *ReadError) (bool, error) {
 		a := p.key.Ancestor(lvl, t.k)
 		ci := int((a.Z%k*k+a.Y%k)*k + a.X%k)
 		path = append(path, step{grid: n.box.Grid(t.k), ci: ci})
-		n = n.children[ci]
+		n = &n.children[ci]
 	}
 	sp := pagefile.GetObjSlice()
 	defer pagefile.PutObjSlice(sp)
@@ -532,7 +602,7 @@ func (t *Tree) Rederive(ctx context.Context, e *ReadError) (bool, error) {
 	if len(objs) != p.count {
 		return false, fmt.Errorf("octree: re-derived %d objects for partition %v, which held %d", len(objs), p.key, p.count)
 	}
-	run, err := t.file.AppendObjectsCtx(context.WithoutCancel(ctx), objs)
+	run, err := t.file.AppendObjectsCtx(simdisk.Detach(ctx), objs)
 	if err != nil {
 		return false, fmt.Errorf("octree re-derive write: %w", err)
 	}

@@ -435,7 +435,7 @@ func TestLeafAt(t *testing.T) {
 		if tree.LeafAt(target.Key()) != nil {
 			t.Fatal("refined key still reported as leaf")
 		}
-		child := target.children[0]
+		child := &target.children[0]
 		if tree.LeafAt(child.Key()) != child {
 			t.Fatal("child key not found as leaf")
 		}
@@ -548,8 +548,8 @@ func TestRefineNonLeafFails(t *testing.T) {
 			refined = p
 			return
 		}
-		for _, c := range p.children {
-			findInternal(c)
+		for i := range p.children {
+			findInternal(&p.children[i])
 		}
 	}
 	findInternal(tree.root)

@@ -47,42 +47,20 @@ func (t *Tree) refineCtx(ctx context.Context, p *Partition, scratch *[]object.Ob
 		return nil, fmt.Errorf("octree refine read: %w", err)
 	}
 	*scratch = objs
-
-	// Bucket objects into the k^3 children by center.
 	sp := pagefile.GetObjSlice()
 	defer pagefile.PutObjSlice(sp)
-	slab := slices.Grow(*sp, len(objs))[:len(objs)]
+	slab := slices.Grow((*sp)[:0], len(objs))[:len(objs)]
 	*sp = slab
-	bounds := BucketByCell(nil, p.box, t.k, objs, slab)
-
-	// The parent's pages become the free pool children draw from in order.
-	// The rewrite phase always completes (no half-rewritten partition), but
-	// its I/O is still attributed to the caller's QoS scope: strip
-	// cancellation, keep context values.
-	wctx := context.WithoutCancel(ctx)
-	alloc := &runAllocator{free: p.runs}
-	cells := p.box.Subdivide(t.k)
-	children := make([]*Partition, 0, len(cells))
-	for ci, cell := range cells {
-		cx := ci % t.k
-		cy := (ci / t.k) % t.k
-		cz := ci / (t.k * t.k)
-		bucket := slab[bounds[ci]:bounds[ci+1]]
-		reuse := alloc.take(object.PagesFor(len(bucket)))
-		runs, err := t.file.WriteIntoCtx(wctx, reuse, bucket)
-		if err != nil {
-			return nil, fmt.Errorf("octree refine write: %w", err)
-		}
-		children = append(children, &Partition{
-			key:   p.key.Child(t.k, cx, cy, cz),
-			box:   cell,
-			runs:  runs,
-			count: len(bucket),
-		})
+	bp := int32Pool.Get().(*[]int32)
+	bounds := BucketByCell((*bp)[:0], p.box, t.k, objs, slab)
+	defer putInt32s(bp, bounds, 0)
+	// The parent's pages become the free pool its children draw from in
+	// order.
+	if err := t.split(ctx, p, slab, nil, bounds, p.runs); err != nil {
+		return nil, fmt.Errorf("octree refine write: %w", err)
 	}
-	p.children = children
 	p.runs = nil
-	t.numLeaves += len(children) - 1
+	t.numLeaves += len(p.children) - 1
 	t.Refinements++
 	return objs, nil
 }
@@ -218,8 +196,8 @@ func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, touched []
 					return res, err
 				}
 				res.Refined++
-				for _, c := range leaf.children {
-					if c.box.Intersects(extended) {
+				for i := range leaf.children {
+					if c := &leaf.children[i]; c.box.Intersects(extended) {
 						res.Touched = append(res.Touched, c)
 					}
 				}
@@ -304,7 +282,7 @@ func (t *Tree) RefineRegionStep(ctx context.Context, key Key, q geom.Box, qVol f
 	if !t.Built() {
 		return false, nil
 	}
-	stack := t.LeavesUnder(key)
+	stack := t.AppendLeavesUnder(nil, key)
 	if len(stack) == 0 {
 		// The tree is coarser than the key here (it cannot un-refine, but a
 		// caller may schedule conservatively): the covering leaf owns the
@@ -363,30 +341,29 @@ func (t *Tree) LeafCovering(key Key) *Partition {
 	return nil // refined deeper than key
 }
 
-// LeavesUnder returns every leaf whose cell lies inside the given key's
-// cell (including a leaf exactly at the key). The coarsest-cover merge
-// strategy reads them all to build one segment.
-func (t *Tree) LeavesUnder(key Key) []*Partition {
+// AppendLeavesUnder appends every leaf whose cell lies inside the given
+// key's cell (including a leaf exactly at the key) to dst. The coarsest-cover
+// merge strategy reads them all to build one segment.
+func (t *Tree) AppendLeavesUnder(dst []*Partition, key Key) []*Partition {
 	if !t.Built() {
-		return nil
+		return dst
 	}
 	start := t.descend(key)
 	if start.key.Level < key.Level {
-		return nil // tree coarser than the key: nothing strictly under it
+		return dst // tree coarser than the key: nothing strictly under it
 	}
-	var out []*Partition
-	var walk func(p *Partition)
-	walk = func(p *Partition) {
-		if p.IsLeaf() {
-			out = append(out, p)
-			return
-		}
-		for _, c := range p.children {
-			walk(c)
-		}
+	return appendSubtreeLeaves(dst, start)
+}
+
+// appendSubtreeLeaves appends every leaf under p, in child order, to dst.
+func appendSubtreeLeaves(dst []*Partition, p *Partition) []*Partition {
+	if p.IsLeaf() {
+		return append(dst, p)
 	}
-	walk(start)
-	return out
+	for i := range p.children {
+		dst = appendSubtreeLeaves(dst, &p.children[i])
+	}
+	return dst
 }
 
 // runAllocator hands out pages from a free pool of runs in order.
@@ -394,21 +371,20 @@ type runAllocator struct {
 	free []pagefile.Run
 }
 
-// take removes up to n pages from the pool and returns them as runs.
-func (a *runAllocator) take(n int64) []pagefile.Run {
-	var out []pagefile.Run
+// take removes up to n pages from the pool and appends them as runs to dst.
+func (a *runAllocator) take(dst []pagefile.Run, n int64) []pagefile.Run {
 	for n > 0 && len(a.free) > 0 {
 		r := &a.free[0]
 		if r.Count <= n {
-			out = append(out, *r)
+			dst = append(dst, *r)
 			n -= r.Count
 			a.free = a.free[1:]
 			continue
 		}
-		out = append(out, pagefile.Run{Start: r.Start, Count: n})
+		dst = append(dst, pagefile.Run{Start: r.Start, Count: n})
 		r.Start += n
 		r.Count -= n
 		n = 0
 	}
-	return out
+	return dst
 }

@@ -22,8 +22,8 @@ func referenceLeaves(out []*Partition, p *Partition, area geom.Box) []*Partition
 	if p.IsLeaf() {
 		return append(out, p)
 	}
-	for _, c := range p.children {
-		out = referenceLeaves(out, c, area)
+	for i := range p.children {
+		out = referenceLeaves(out, &p.children[i], area)
 	}
 	return out
 }
@@ -102,8 +102,8 @@ func adversarialBoxes(tree *Tree) []geom.Box {
 			geom.Box{Min: lo, Max: geom.V(hi.X, hi.Y, lo.Z)}, // the low z face
 			geom.Box{Min: hi, Max: lo},                       // inverted
 		)
-		for _, c := range p.children {
-			nodes(c)
+		for i := range p.children {
+			nodes(&p.children[i])
 		}
 	}
 	nodes(tree.root)
@@ -179,7 +179,8 @@ func TestLookupVisitsCandidateChildrenOnly(t *testing.T) {
 		}
 		internal++
 		ix, iy, iz := p.box.CellIndex(k, window.Center())
-		for ci, c := range p.children {
+		for ci := range p.children {
+			c := &p.children[ci]
 			cx, cy, cz := ci%k, ci/k%k, ci/(k*k)
 			switch onAxes := min(cx, cy)+min(cy, cz)+min(cx, cz) == 0; {
 			case !away(cx, ix) && !away(cy, iy) && !away(cz, iz):

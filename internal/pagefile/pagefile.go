@@ -69,7 +69,7 @@ func (f *File) Delete() error { return f.dev.DeleteFile(f.id) }
 // they occupy. An empty slice returns a zero-length run at EOF. The context
 // is threaded to the device, so the write I/O is charged to the context's
 // QoS scope. Callers that must not leave a partial append pass a
-// non-cancelable context (context.WithoutCancel keeps the scope).
+// non-cancelable context (simdisk.Detach keeps the scope).
 func (f *File) AppendObjectsCtx(ctx context.Context, objs []object.Object) (Run, error) {
 	end, err := f.dev.NumPages(f.id)
 	if err != nil {
@@ -208,12 +208,15 @@ func poolableObjs(capObjs int) bool { return capObjs <= MaxPooledObjs }
 
 // WriteIntoCtx distributes objs across the free capacity described by reuse
 // (pages to overwrite, in order) and appends whatever does not fit. It
-// returns the runs now holding the data. This is the primitive behind the
-// paper's in-place partition refinement: children reuse the parent's pages
-// first, overflow goes to end of file. The context is threaded to the
-// device for QoS charge attribution (see AppendObjectsCtx).
-func (f *File) WriteIntoCtx(ctx context.Context, reuse []Run, objs []object.Object) ([]Run, error) {
-	var out []Run
+// appends the runs now holding the data to dst and returns the extended dst:
+// a caller writing several partitions carves all their runs from one slice.
+// Contiguous runs are merged only among those this call appends, so one
+// partition's last run never swallows the next one's first. This is the
+// primitive behind the paper's in-place partition refinement: children reuse
+// the parent's pages first, overflow goes to end of file. The context is
+// threaded to the device for QoS charge attribution (see AppendObjectsCtx).
+func (f *File) WriteIntoCtx(ctx context.Context, dst, reuse []Run, objs []object.Object) ([]Run, error) {
+	base := len(dst)
 	remaining := objs
 	for _, r := range reuse {
 		if len(remaining) == 0 {
@@ -226,28 +229,29 @@ func (f *File) WriteIntoCtx(ctx context.Context, reuse []Run, objs []object.Obje
 		}
 		used, err := f.OverwriteObjectsCtx(ctx, r, remaining[:take])
 		if err != nil {
-			return nil, err
+			return dst[:base], err
 		}
 		if used.Count > 0 {
-			out = appendRun(out, used)
+			dst = appendRun(dst, base, used)
 		}
 		remaining = remaining[take:]
 	}
 	if len(remaining) > 0 {
 		run, err := f.AppendObjectsCtx(ctx, remaining)
 		if err != nil {
-			return nil, err
+			return dst[:base], err
 		}
 		if run.Count > 0 {
-			out = appendRun(out, run)
+			dst = appendRun(dst, base, run)
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
-// appendRun adds r to runs, merging with the previous run when contiguous.
-func appendRun(runs []Run, r Run) []Run {
-	if n := len(runs); n > 0 && runs[n-1].Start+runs[n-1].Count == r.Start {
+// appendRun adds r to runs, merging with the previous run when that run lies
+// at or past base and is contiguous with r.
+func appendRun(runs []Run, base int, r Run) []Run {
+	if n := len(runs); n > base && runs[n-1].Start+runs[n-1].Count == r.Start {
 		runs[n-1].Count += r.Count
 		return runs
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"spaceodyssey/internal/geom"
@@ -156,7 +157,7 @@ func TestWriteIntoReusesPagesThenAppends(t *testing.T) {
 	}
 	// Write 7 pages worth: 5 reused + 2 appended.
 	objs := mkObjs(object.PageCapacity*7, 9)
-	runs, err := f.WriteIntoCtx(context.Background(), []Run{parent}, objs)
+	runs, err := f.WriteIntoCtx(context.Background(), nil, []Run{parent}, objs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,12 +193,33 @@ func TestWriteIntoMergesAdjacentRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	objs := mkObjs(object.PageCapacity*4, 11)
-	runs, err := f.WriteIntoCtx(context.Background(), []Run{{0, 2}, {2, 2}}, objs)
+	runs, err := f.WriteIntoCtx(context.Background(), nil, []Run{{0, 2}, {2, 2}}, objs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(runs) != 1 || runs[0] != (Run{0, 4}) {
 		t.Fatalf("adjacent runs not merged: %+v", runs)
+	}
+}
+
+// Runs a caller already holds are never merged into: two partitions written
+// back to back into one slice keep their own runs, even where the second's
+// first page follows the first's last.
+func TestWriteIntoAppendsToCallerRuns(t *testing.T) {
+	f := newFile(t)
+	if _, err := f.AppendObjectsCtx(context.Background(), mkObjs(object.PageCapacity*4, 18)); err != nil {
+		t.Fatal(err)
+	}
+	first, err := f.WriteIntoCtx(context.Background(), nil, []Run{{0, 2}}, mkObjs(object.PageCapacity*2, 19))
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := f.WriteIntoCtx(context.Background(), append(make([]Run, 0, 4), first...), []Run{{2, 1}, {3, 1}}, mkObjs(object.PageCapacity*2, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Run{{0, 2}, {2, 2}}; !slices.Equal(all, want) {
+		t.Fatalf("runs = %+v, want %+v (the second write's pages merged among themselves only)", all, want)
 	}
 }
 
@@ -208,7 +230,7 @@ func TestWriteIntoSmallData(t *testing.T) {
 	}
 	// One object: should use a single reused page, no appends.
 	objs := mkObjs(1, 13)
-	runs, err := f.WriteIntoCtx(context.Background(), []Run{{0, 4}}, objs)
+	runs, err := f.WriteIntoCtx(context.Background(), nil, []Run{{0, 4}}, objs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +245,7 @@ func TestWriteIntoSmallData(t *testing.T) {
 func TestWriteIntoNoReuse(t *testing.T) {
 	f := newFile(t)
 	objs := mkObjs(5, 14)
-	runs, err := f.WriteIntoCtx(context.Background(), nil, objs)
+	runs, err := f.WriteIntoCtx(context.Background(), nil, nil, objs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +338,7 @@ func TestWriteIntoRoundTripProperty(t *testing.T) {
 		}
 		n := r.Intn(object.PageCapacity * 8)
 		objs := mkObjs(n, int64(trial*31))
-		runs, err := f.WriteIntoCtx(context.Background(), reuse, objs)
+		runs, err := f.WriteIntoCtx(context.Background(), nil, reuse, objs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,21 +399,26 @@ func readRunInto(tb testing.TB, perPage int) (f *File, run Run, dst []object.Obj
 }
 
 // Allocation guards of the page path. A run read into a pre-sized dst on a
-// warm pool allocates nothing page-sized (it used to allocate the run's
-// n*PageSize buffer and a temporary slice per page), and an append allocates
-// the pages the device stores and nothing page-sized beside them (it used to
-// allocate every page twice: the encoder's and the device's copy).
+// warm pool allocates nothing at all (it used to allocate the run's
+// n*PageSize buffer and a temporary slice per page, and then the header its
+// buffer went back to the pool in), and an append allocates the pages the
+// device stores and nothing page-sized beside them (it used to allocate every
+// page twice: the encoder's and the device's copy).
 func TestPagePathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	f, run, dst := readRunInto(t, object.PageCapacity)
-	if got := bytesPerOp(500, func() {
+	read := func() {
 		if _, err := f.ReadRunIntoCtx(context.Background(), dst, run); err != nil {
 			t.Fatal(err)
 		}
-	}); got >= 1024 {
+	}
+	if got := bytesPerOp(500, read); got >= 1024 {
 		t.Errorf("ReadRunIntoCtx of a 4-page run: %d B/op, want < 1 KB", got)
+	}
+	if n := testing.AllocsPerRun(500, read); n != 0 {
+		t.Errorf("ReadRunIntoCtx of a 4-page run: %v allocations, want 0", n)
 	}
 
 	objs := mkObjs(4*object.PageCapacity, 22)

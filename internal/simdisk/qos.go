@@ -73,6 +73,18 @@ func WithOpScope(ctx context.Context, pri Priority) (context.Context, *OpScope) 
 	return context.WithValue(orBackground(ctx), opScopeKey{}, s), s
 }
 
+// Detach returns a context that is never canceled but keeps ctx's values,
+// for work that must run to completion once begun (a layout mutation, the
+// merge step a query triggers) and is still charged to ctx's scope. It is
+// context.WithoutCancel with the scope re-attached on top: a value lookup
+// that reaches a WithoutCancel context boxes it on the heap, and ScopeFrom
+// runs once per page operation, so the scope must be found before that
+// layer. Detaching costs two allocations; the page operations under it none.
+func Detach(ctx context.Context) context.Context {
+	ctx = orBackground(ctx)
+	return context.WithValue(context.WithoutCancel(ctx), opScopeKey{}, ScopeFrom(ctx))
+}
+
 // ScopeFrom returns the OpScope attached to ctx, or nil.
 func ScopeFrom(ctx context.Context) *OpScope {
 	if ctx == nil {

@@ -272,3 +272,38 @@ func TestPhaseClockReadsScopeOrDevice(t *testing.T) {
 		t.Fatalf("PhaseClock allocates %v times per pair of readings, want 0", n)
 	}
 }
+
+// TestDetachKeepsScopeWithoutAllocating: a detached context outlives its
+// parent's cancellation, its page operations are charged to the parent's
+// scope, and they allocate nothing — a lookup that reaches a bare
+// context.WithoutCancel boxes it on every page.
+func TestDetachKeepsScopeWithoutAllocating(t *testing.T) {
+	d := qosTestDevice(t, 1)
+	id := fillFile(t, d, "f", 4)
+	parent, cancel := context.WithCancel(context.Background())
+	ctx, scope := WithOpScope(parent, PriForeground)
+	detached := Detach(ctx)
+	cancel()
+	if ScopeFrom(detached) != scope {
+		t.Fatal("Detach lost the scope")
+	}
+	page := make([]byte, PageSize)
+	before := scope.Total()
+	op := func() {
+		if err := d.WritePageCtx(detached, id, 1, page); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.ReadPageCtx(detached, id, 2, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, op); n != 0 {
+		t.Fatalf("a page write and read under Detach: %v allocations, want 0", n)
+	}
+	if scope.Total() <= before {
+		t.Fatal("the detached page operations were not charged to the scope")
+	}
+	if ScopeFrom(Detach(context.Background())) != nil {
+		t.Fatal("Detach of a scope-less context invented a scope")
+	}
+}

@@ -15,6 +15,10 @@ const MaxPooledRunPages = 128
 // slices of at most MaxPooledRunPages pages.
 var runBufPool sync.Pool
 
+// runBufHeaders recycles the *[]byte headers getRunBuf empties, so that
+// PutRunBuf hands a buffer back without allocating a header for it.
+var runBufHeaders = sync.Pool{New: func() any { return new([]byte) }}
+
 // poolableRunBuf is the retention bound: whether a buffer of capBytes
 // capacity is worth keeping (at least one page, at most the bound).
 func poolableRunBuf(capBytes int) bool {
@@ -30,8 +34,13 @@ func getRunBuf(n int64) []byte {
 	if !poolableRunBuf(size) { // a zero-length run, or one past the bound
 		return make([]byte, size)
 	}
-	if p, _ := runBufPool.Get().(*[]byte); p != nil && cap(*p) >= size {
-		return (*p)[:size]
+	if p, _ := runBufPool.Get().(*[]byte); p != nil {
+		buf := *p
+		*p = nil
+		runBufHeaders.Put(p)
+		if cap(buf) >= size {
+			return buf[:size]
+		}
 	}
 	// Pool empty, or its buffer too small (dropped: the pool converges on
 	// the larger sizes).
@@ -49,5 +58,7 @@ func PutRunBuf(buf []byte) {
 	if !poolableRunBuf(cap(buf)) {
 		return
 	}
-	runBufPool.Put(&buf)
+	p := runBufHeaders.Get().(*[]byte)
+	*p = buf
+	runBufPool.Put(p)
 }

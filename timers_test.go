@@ -17,9 +17,16 @@ import (
 var wallClockCalls = []string{"NewTicker", "NewTimer", "Sleep", "After", "AfterFunc", "Tick"}
 
 // timerSites lists every wall-clock timer, ticker or sleep in the module's
-// library code as "file function time.Call", sorted. Commands, examples and
-// the benchmark module are not library code; neither are tests.
+// library code as "file function time.Call", sorted.
 func timerSites(t *testing.T) []string {
+	return librarySites(t, "time", wallClockCalls)
+}
+
+// librarySites lists every call of one of calls from the standard package
+// pkg (an import path of one element, such as "time") in the module's
+// library code as "file function pkg.Call", sorted. Commands, examples and
+// the benchmark module are not library code; neither are tests.
+func librarySites(t *testing.T, pkg string, calls []string) []string {
 	t.Helper()
 	var sites []string
 	fset := token.NewFileSet()
@@ -42,16 +49,16 @@ func timerSites(t *testing.T) []string {
 		if err != nil {
 			return err
 		}
-		timePkg := ""
+		local := ""
 		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "time" {
-				timePkg = "time"
+			if p, _ := strconv.Unquote(imp.Path.Value); p == pkg {
+				local = pkg
 				if imp.Name != nil {
-					timePkg = imp.Name.Name
+					local = imp.Name.Name
 				}
 			}
 		}
-		if timePkg == "" {
+		if local == "" {
 			return nil
 		}
 		for _, decl := range f.Decls {
@@ -68,8 +75,8 @@ func timerSites(t *testing.T) []string {
 				if !ok {
 					return true
 				}
-				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == timePkg && slices.Contains(wallClockCalls, sel.Sel.Name) {
-					sites = append(sites, filepath.ToSlash(path)+" "+funcName(fn)+" time."+sel.Sel.Name)
+				if id, ok := sel.X.(*ast.Ident); ok && id.Name == local && slices.Contains(calls, sel.Sel.Name) {
+					sites = append(sites, filepath.ToSlash(path)+" "+funcName(fn)+" "+pkg+"."+sel.Sel.Name)
 				}
 				return true
 			})
