@@ -259,7 +259,7 @@ func TestDirectoryTravelsWithContent(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		f.mf = eng.merger.files[KeyOf(merged)]
+		f.mf = eng.merger.file(KeyOf(merged))
 		if f.mf == nil {
 			t.Fatal("the merged combination has no merge file")
 		}
@@ -387,7 +387,7 @@ func TestDirectoryTravelsWithContent(t *testing.T) {
 		sharing := []object.DatasetID{0, 1, 3}
 		ask(t, f, sharing)
 		ask(t, f, sharing)
-		ref := f.eng.merger.files[KeyOf(sharing)]
+		ref := f.eng.merger.file(KeyOf(sharing))
 		if ref == nil {
 			t.Fatal("the sharing combination has no merge file")
 		}

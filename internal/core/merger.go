@@ -4,9 +4,11 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
@@ -86,8 +88,12 @@ type MergeFile struct {
 	// entries holds one segment per (entry cell, member): an entry is added
 	// and dropped with a segment of every member, so the segments of any one
 	// member name every entry cell (cells and covers read the first's).
-	entries  map[scanKey]segment
-	lastUsed int64
+	entries map[scanKey]segment
+	// lastUsed is the recency tick budget eviction orders files by, under
+	// Merger.accMu. Every version of a combination's file (see
+	// Merger.publish) shares the one cell, so a tick by a query still
+	// reading an older version counts.
+	lastUsed *int64
 }
 
 // Combo returns the combination the file was merged for.
@@ -200,20 +206,34 @@ type MergerConfig struct {
 // Merger owns the merge files and the directory that maps combinations to
 // them (§3.2).
 //
-// Synchronization: the engine's layout lock serializes every structural
-// mutation (publish, EnforceBudget) against the shared read path (Lookup,
-// ReadSegment). The read path still mutates accounting state —
-// recency ticks, segment-read counts, the adaptive threshold — so those
-// fields live under the internal accMu, making Lookup/ReadSegment safe for
-// parallel readers.
+// Synchronization: the directory and the files are read under the engine's
+// layout lock, shared or exclusive, and take no lock of their own. A merge
+// step staged under the shared lock publishes beside the readers: it
+// installs the next version of the combination's file, in the next version
+// of the directory, and never takes the layout lock exclusively. A published
+// version — of a file or of the directory — is immutable while any reader can
+// hold it: queries keep reading what they routed to. Only under the
+// exclusive layout lock, where no reader holds one, does a version change in
+// place: the paper's merge step extends its file, and an eviction (the space
+// budget, a repair) drops the file and other files' shared references to it.
+// dirMu serializes the writers. The read path mutates accounting state —
+// recency ticks, segment-read counts, the adaptive threshold — under accMu.
+// The two leaf locks are never held together.
 type Merger struct {
-	cfg   MergerConfig
-	dev   simdisk.Storage
-	files map[ComboKey]*MergeFile
+	cfg MergerConfig
+	dev simdisk.Storage
+
+	// files is the directory: the current version of each combination's
+	// merge file.
+	files atomic.Pointer[map[ComboKey]*MergeFile]
+	// dirMu serializes the directory's writers, publish and evict, and
+	// guards the lifetime counters they write (MergesCreated,
+	// PartitionsMerged, Evictions, SegmentsShared).
+	dirMu sync.Mutex
 
 	// accMu guards the accounting fields mutated under the engine's shared
-	// (read) lock: tick, every MergeFile.lastUsed, segmentsRead,
-	// queriesSeen, currentMT and the threshold counters.
+	// (read) lock: tick, every MergeFile.lastUsed, segmentsWritten,
+	// segmentsRead, queriesSeen, currentMT and the threshold counters.
 	accMu     sync.Mutex
 	tick      int64
 	currentMT int // effective merge threshold (adapts when enabled)
@@ -251,13 +271,14 @@ func NewMerger(dev simdisk.Storage, cfg MergerConfig) *Merger {
 	if cfg.MaxMergeThreshold <= 0 {
 		cfg.MaxMergeThreshold = 8
 	}
-	return &Merger{
+	m := &Merger{
 		cfg:       cfg,
 		dev:       dev,
-		files:     make(map[ComboKey]*MergeFile),
 		currentMT: cfg.MergeThreshold,
 		segIndex:  make(map[scanKey]ComboKey),
 	}
+	m.files.Store(&map[ComboKey]*MergeFile{})
+	return m
 }
 
 // Config returns the effective configuration.
@@ -296,14 +317,24 @@ func (m *Merger) OnQuery() {
 	}
 }
 
-// NumFiles returns how many merge files exist.
-func (m *Merger) NumFiles() int { return len(m.files) }
+// dir returns the current directory, for reading only.
+func (m *Merger) dir() map[ComboKey]*MergeFile { return *m.files.Load() }
 
-// Files returns the merge files ordered by combination key (for layout
-// comparison and diagnostics). Caller must hold the engine's layout lock.
+// NumFiles returns how many merge files exist.
+func (m *Merger) NumFiles() int { return len(m.dir()) }
+
+// file returns the current version of the combination's merge file, nil if
+// it has none.
+func (m *Merger) file(key ComboKey) *MergeFile { return m.dir()[key] }
+
+// Files returns the current version of every merge file, ordered by
+// combination key (for layout comparison and diagnostics). Under the
+// engine's shared layout lock they are versions no one writes; without it
+// the engine must be quiescent.
 func (m *Merger) Files() []*MergeFile {
-	out := make([]*MergeFile, 0, len(m.files))
-	for _, f := range m.files {
+	files := m.dir()
+	out := make([]*MergeFile, 0, len(files))
+	for _, f := range files {
 		out = append(out, f)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].combo < out[j].combo })
@@ -313,10 +344,22 @@ func (m *Merger) Files() []*MergeFile {
 // TotalPages returns the disk space merge files currently occupy.
 func (m *Merger) TotalPages() int64 {
 	var n int64
-	for _, f := range m.files {
+	for _, f := range m.dir() {
 		n += f.Pages()
 	}
 	return n
+}
+
+// overBudget reports whether the merge files exceed the space budget.
+func (m *Merger) overBudget() bool {
+	return m.cfg.SpaceBudgetPages > 0 && m.TotalPages() > m.cfg.SpaceBudgetPages
+}
+
+// counters snapshots the lifetime counters dirMu guards.
+func (m *Merger) counters() (created, merged, evictions, shared int) {
+	m.dirMu.Lock()
+	defer m.dirMu.Unlock()
+	return m.MergesCreated, m.PartitionsMerged, m.Evictions, m.SegmentsShared
 }
 
 // Lookup applies the paper's routing: exact combination first, then the
@@ -346,7 +389,8 @@ func (m *Merger) route(key ComboKey, datasets []object.DatasetID) (*MergeFile, R
 
 // lookup is the routing rule; key must be KeyOf(datasets).
 func (m *Merger) lookup(key ComboKey, datasets []object.DatasetID) (*MergeFile, Relation) {
-	if f, ok := m.files[key]; ok {
+	files := m.dir()
+	if f, ok := files[key]; ok {
 		return f, RelExact
 	}
 	want := make(map[object.DatasetID]bool, len(datasets))
@@ -355,7 +399,7 @@ func (m *Merger) lookup(key ComboKey, datasets []object.DatasetID) (*MergeFile, 
 	}
 	var best *MergeFile
 	bestRel := RelNone
-	for _, f := range m.files {
+	for _, f := range files {
 		super, sub := true, true
 		for _, ds := range datasets {
 			if !f.memberOf[ds] {
@@ -399,7 +443,7 @@ func (m *Merger) NeedsMerge(key ComboKey, datasets []object.DatasetID, candidate
 	if len(datasets) < m.cfg.MinCombination || len(candidates) == 0 {
 		return false
 	}
-	mf := m.files[key]
+	mf := m.file(key)
 	if mf == nil {
 		return true
 	}
@@ -422,20 +466,28 @@ func (m *Merger) newMergeFile(key ComboKey, datasets []object.DatasetID) *MergeF
 	for _, ds := range members {
 		memberOf[ds] = true
 	}
-	return &MergeFile{
+	// The first version and the recency cell every later one shares are
+	// one allocation.
+	first := new(struct {
+		mf       MergeFile
+		lastUsed int64
+	})
+	first.mf = MergeFile{
 		combo:    key,
 		members:  members,
 		memberOf: memberOf,
 		file:     pagefile.Create(m.dev, "merge:"+string(key)),
+		lastUsed: &first.lastUsed,
 	}
+	return &first.mf
 }
 
 // stagedMerge is one merge step between its two halves: partition copies
 // already appended to the merge file's pages but not yet registered. No
 // reader can reach pages that have no directory entry, so the copy I/O of
-// stage may run under shared locks while queries keep flowing, and publish
-// flips the entries in under the exclusive layout lock in O(entries) map
-// inserts.
+// stage may run under shared locks while queries keep flowing; publish then
+// makes the entries reachable all at once — beside the readers, as a new
+// version of the file, when the stage ran under shared locks.
 type stagedMerge struct {
 	key     ComboKey
 	mf      *MergeFile // the combination's file; private while isNew
@@ -471,7 +523,8 @@ func (st *stagedMerge) overlaps(key octree.Key, fanout int) bool {
 // shared locks: the paper's SameLevel policy with segment sharing off. No
 // plan mutates a tree, so both exclusions are about what a stage reads.
 // Segment sharing reads the cross-file segment index and other combinations'
-// entries, which a concurrent publish writes under the exclusive layout lock.
+// entries, which a publish and an eviction edit in place — only under the
+// exclusive layout lock.
 // CoarsestCover lifts a candidate to an ancestor cell and copies leaves the
 // triggering queries never touched; its layouts (oracle storms, its pinned
 // clock row) have only been established under the exclusive stage, whose
@@ -507,7 +560,7 @@ func (m *Merger) stage(
 	candidates []octree.Key,
 	trees map[object.DatasetID]*octree.Tree,
 ) (*stagedMerge, error) {
-	st := &stagedMerge{key: key, mf: m.files[key]}
+	st := &stagedMerge{key: key, mf: m.file(key)}
 	if len(datasets) < m.cfg.MinCombination {
 		return st, nil
 	}
@@ -576,7 +629,7 @@ func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.D
 		ref := scanKey{ds: ds, cell: job.key}
 		if m.cfg.ShareSegments {
 			if owner, ok := m.segIndex[ref]; ok && owner != mf.combo {
-				if ownerFile, live := m.files[owner]; live {
+				if ownerFile := m.file(owner); ownerFile != nil {
 					if seg, ok := ownerFile.entries[ref]; ok && seg.sharedFrom == "" {
 						segs[i] = segment{run: seg.run, count: seg.count, children: seg.children, sharedFrom: owner}
 						continue
@@ -650,39 +703,57 @@ func (st *stagedMerge) carveChildren(scratch []int32) {
 
 // publish is the second half of a merge step: it registers the staged
 // entries (and, for a fresh combination, the merge file itself) so readers
-// can route to them. The caller holds the exclusive layout lock, so
-// publication is atomic — a query sees either none or all of the staged
-// entries, never a partial merge step. If the target merge file was evicted
-// between the halves the staged pages died with the file and nothing is
-// published. Returns the number of entries published.
-func (m *Merger) publish(st *stagedMerge) int {
+// can route to them, all at once — a query sees either none or all of the
+// staged entries, never a partial merge step. If the target merge file was
+// evicted between the halves the staged pages died with the file and
+// nothing is published. Returns the number of entries published.
+//
+// cow says whether readers may hold the combination's file and the
+// directory: a step staged under the shared layout lock installs the next
+// version of the file — a copy whose entries are the old ones plus the
+// staged segments — in the next version of the directory, and what readers
+// routed to stays as it was. Under the exclusive lock (cow false) no reader
+// holds either, and both are extended in place, copying nothing.
+func (m *Merger) publish(st *stagedMerge, cow bool) int {
 	if len(st.order) == 0 {
 		return 0
 	}
-	if st.isNew {
-		if m.files[st.key] != nil {
-			// A competing merge registered the combination mid-stage; the
-			// engine's single-flight rule makes this unreachable, but
-			// dropping the stage (and its private file) is always safe.
-			_ = st.mf.file.Delete()
-			return 0
-		}
-		m.files[st.key] = st.mf
+	written := 0
+	var into map[scanKey]segment // where the staged entries go; nil: they are the file's
+	m.dirMu.Lock()
+	files := m.dir()
+	switch cur := files[st.key]; {
+	case st.isNew && cur != nil:
+		// A competing merge registered the combination mid-stage; the
+		// engine's single-flight rule makes this unreachable, but dropping
+		// the stage (and its private file) is always safe.
+		m.dirMu.Unlock()
+		_ = st.mf.file.Delete()
+		return 0
+	case st.isNew:
 		st.mf.entries = st.entries // a new file's entries are the staged ones
 		m.MergesCreated++
-	} else if m.files[st.key] != st.mf {
+	case cur != st.mf:
+		m.dirMu.Unlock()
 		return 0 // evicted mid-stage; the staged pages are gone with the file
+	case cow:
+		next := *cur
+		next.entries = make(map[scanKey]segment, len(cur.entries)+len(st.entries))
+		maps.Copy(next.entries, cur.entries)
+		st.mf, into = &next, next.entries
+	default:
+		into = cur.entries
 	}
 	m.PartitionsMerged += len(st.order)
 	for ref, seg := range st.entries {
-		if !st.isNew {
-			st.mf.entries[ref] = seg
+		if into != nil {
+			into[ref] = seg
 		}
 		if seg.sharedFrom != "" {
 			m.SegmentsShared++
 			continue
 		}
-		m.segmentsWritten++
+		written++
 		if !m.cfg.ShareSegments {
 			continue // the cross-file index is only read with sharing on
 		}
@@ -690,6 +761,19 @@ func (m *Merger) publish(st *stagedMerge) int {
 			m.segIndex[ref] = st.key // the first file to copy a cell owns it
 		}
 	}
+	// Routing reads the directory without a lock: the version goes in only
+	// once its entries are complete.
+	if cow {
+		dir := maps.Clone(files)
+		dir[st.key] = st.mf
+		m.files.Store(&dir)
+	} else {
+		files[st.key] = st.mf
+	}
+	m.dirMu.Unlock()
+	m.accMu.Lock()
+	m.segmentsWritten += written
+	m.accMu.Unlock()
 	m.touch(st.mf)
 	return len(st.order)
 }
@@ -697,7 +781,7 @@ func (m *Merger) publish(st *stagedMerge) int {
 // touchCombo ticks the recency of the combination's merge file, if it has
 // one.
 func (m *Merger) touchCombo(key ComboKey) {
-	if mf := m.files[key]; mf != nil {
+	if mf := m.file(key); mf != nil {
 		m.touch(mf)
 	}
 }
@@ -720,8 +804,8 @@ func (m *Merger) ReadSegmentCtx(ctx context.Context, dst []object.Object, mf *Me
 	m.segmentsRead++
 	m.accMu.Unlock()
 	if seg.sharedFrom != "" {
-		owner, live := m.files[seg.sharedFrom]
-		if !live {
+		owner := m.file(seg.sharedFrom)
+		if owner == nil {
 			return cellContent{}, fmt.Errorf("merge file %s entry %v: shared owner %s evicted",
 				mf.combo, key, seg.sharedFrom)
 		}
@@ -739,14 +823,11 @@ func (m *Merger) ReadSegmentCtx(ctx context.Context, dst []object.Object, mf *Me
 // budget is met (§3.2.4). It returns the evicted combinations so the engine
 // can reset their statistics.
 func (m *Merger) EnforceBudget() ([]ComboKey, error) {
-	if m.cfg.SpaceBudgetPages <= 0 {
-		return nil, nil
-	}
 	var evicted []ComboKey
-	for m.TotalPages() > m.cfg.SpaceBudgetPages && len(m.files) > 0 {
+	for m.overBudget() {
 		var victim *MergeFile
-		for _, f := range m.files {
-			if victim == nil || f.lastUsed < victim.lastUsed {
+		for _, f := range m.Files() {
+			if victim == nil || *f.lastUsed < *victim.lastUsed {
 				victim = f
 			}
 		}
@@ -761,12 +842,14 @@ func (m *Merger) EnforceBudget() ([]ComboKey, error) {
 // evict deletes merge file f and everything that routes to it: its
 // directory entry, its cells' ownership in the segment index and the entries
 // of other files that share its pages. The budget and the repair of an
-// unreadable file both evict through it.
+// unreadable file both evict through it, under the exclusive layout lock.
 func (m *Merger) evict(f *MergeFile) error {
 	if err := f.file.Delete(); err != nil {
 		return fmt.Errorf("evict %s: %w", f.combo, err)
 	}
-	delete(m.files, f.combo)
+	m.dirMu.Lock()
+	defer m.dirMu.Unlock()
+	delete(m.dir(), f.combo)
 	m.dropReferencesTo(f.combo)
 	m.Evictions++
 	return nil
@@ -774,14 +857,15 @@ func (m *Merger) evict(f *MergeFile) error {
 
 // dropReferencesTo removes segment-index ownership of an evicted file and
 // invalidates entries in other files that shared its pages (they lose
-// coverage and will re-merge on demand).
+// coverage and will re-merge on demand). Called under dirMu and the
+// exclusive layout lock: it edits other files' entries in place.
 func (m *Merger) dropReferencesTo(owner ComboKey) {
 	for ref, who := range m.segIndex {
 		if who == owner {
 			delete(m.segIndex, ref)
 		}
 	}
-	for _, f := range m.files {
+	for _, f := range m.dir() {
 		for ref, seg := range f.entries {
 			if seg.sharedFrom != owner {
 				continue
@@ -806,6 +890,6 @@ func EntryBox(bounds geom.Box, key octree.Key, fanout int) geom.Box {
 func (m *Merger) touch(f *MergeFile) {
 	m.accMu.Lock()
 	m.tick++
-	f.lastUsed = m.tick
+	*f.lastUsed = m.tick
 	m.accMu.Unlock()
 }

@@ -47,8 +47,9 @@ func mkMergeFile(m *Merger, dev *simdisk.Device, datasets ...object.DatasetID) *
 		members:  datasets,
 		memberOf: memberOf,
 		entries:  make(map[scanKey]segment),
+		lastUsed: new(int64),
 	}
-	m.files[key] = mf
+	m.dir()[key] = mf
 	return mf
 }
 
@@ -75,22 +76,22 @@ func TestLookupPriorities(t *testing.T) {
 	}
 
 	// Remove exact: smallest superset wins.
-	delete(m.files, exact.combo)
+	delete(m.dir(), exact.combo)
 	if mf, rel := m.Lookup([]object.DatasetID{1, 2, 3}); mf != small || rel != RelSuperset {
 		t.Fatalf("superset lookup = %v %v", mf.combo, rel)
 	}
 
 	// Remove supersets: largest subset wins ({1,2} is the only subset;
 	// {1,2,5} is not a subset because 5 is not requested).
-	delete(m.files, small.combo)
-	delete(m.files, big.combo)
+	delete(m.dir(), small.combo)
+	delete(m.dir(), big.combo)
 	if mf, rel := m.Lookup([]object.DatasetID{1, 2, 3}); mf != sub2 || rel != RelSubset {
 		t.Fatalf("subset lookup = %v %v", mf, rel)
 	}
 
 	// Only the partial-overlap file left: none (paper describes only the
 	// exact/superset/subset cases).
-	delete(m.files, sub2.combo)
+	delete(m.dir(), sub2.combo)
 	if mf, rel := m.Lookup([]object.DatasetID{1, 2, 3}); mf != nil || rel != RelNone {
 		t.Fatalf("overlap lookup = %v %v", mf, rel)
 	}
@@ -139,7 +140,7 @@ func TestMergeStageRespectsMinCombination(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stage: %v", err)
 	}
-	if n := m.publish(st); n != 0 {
+	if n := m.publish(st, false); n != 0 {
 		t.Fatalf("small combination merged: n=%d", n)
 	}
 	if m.NumFiles() != 0 {

@@ -149,9 +149,12 @@ type Metrics struct {
 //
 //   - mu (the layout lock) is held shared for the whole read side of a
 //     query — merge-file routing, the per-dataset tree walks, merge-segment
-//     reads — and exclusively only by layout mutations: the merge step's
-//     publication (and, unless Merger.CanStageMerges, its copy stage too)
-//     and AddRaw.
+//     reads — and by a merge step staged under shared locks (a maintainer
+//     attached and Merger.CanStageMerges), which publishes beside the
+//     readers as the next version of the merge file (Merger.publish). It is
+//     held exclusively to evict merge files (the space budget, a repair),
+//     by AddRaw, and by every other merge step: the paper's inline one,
+//     segment sharing and CoarsestCover.
 //   - treeMu[ds] guards one dataset's octree. Queries take it shared for a
 //     read-only walk, exclusive for the level-0 build and — with no
 //     maintainer attached, when octree.Tree.NeedsWrite finds a leaf to
@@ -163,7 +166,7 @@ type Metrics struct {
 //
 // Lock order is always mu -> treeMu[ds] -> statsMu; treeMu locks are never
 // nested during queries and are taken in sorted dataset order by the merge
-// step.
+// step. The merger's directory and accounting locks are leaves.
 type Odyssey struct {
 	dev    simdisk.Storage
 	cfg    Config
@@ -397,16 +400,13 @@ func (o *Odyssey) Metrics() Metrics {
 		}
 		lk.RUnlock()
 	}
+	o.mu.RUnlock()
 	m := Metrics{
 		Refinements:        refinements,
 		TreesBuilt:         built,
-		MergeFilesCreated:  o.merger.MergesCreated,
-		PartitionsMerged:   o.merger.PartitionsMerged,
-		MergeEvictions:     o.merger.Evictions,
-		SegmentsShared:     o.merger.SegmentsShared,
 		CurrentMergeThresh: o.merger.Threshold(),
 	}
-	o.mu.RUnlock()
+	m.MergeFilesCreated, m.PartitionsMerged, m.MergeEvictions, m.SegmentsShared = o.merger.counters()
 
 	o.statsMu.Lock()
 	m.Queries = o.queries
@@ -1014,11 +1014,15 @@ func (o *Odyssey) mergeDue(ctx context.Context, acc *queryAcc) bool {
 // and pass a non-cancelable context whose QoS scope the copy I/O is charged
 // to.
 //
-// The copy stage takes the layout lock and every member's tree lock — shared
-// when a maintainer is attached and the merge configuration allows it
-// (CanStageMerges), so queries keep flowing during the copy I/O; exclusive
-// otherwise. Publication always happens under the exclusive layout lock, so
-// a racing query observes either none or all of the step's entries.
+// When a maintainer is attached and the merge configuration allows it
+// (CanStageMerges), the whole step holds the layout lock and every member's
+// tree lock shared, so queries keep flowing: the copies are published
+// beside the readers as the next version of the combination's merge file
+// (Merger.publish), and the layout lock is taken exclusively only when the
+// space budget must evict (publishShared). Otherwise — the paper's inline
+// step, segment sharing, CoarsestCover — the step holds them exclusively
+// throughout. Either way a racing query observes none or all of the step's
+// entries.
 func (o *Odyssey) mergeStep(ctx context.Context, key ComboKey, ordered []object.DatasetID) error {
 	shared := o.maint != nil && o.merger.CanStageMerges()
 	lock, unlock := (*sync.RWMutex).Lock, (*sync.RWMutex).Unlock
@@ -1037,28 +1041,43 @@ func (o *Odyssey) mergeStep(ctx context.Context, key ComboKey, ordered []object.
 	o.statsMu.Unlock()
 	t0 := clock.Now()
 	st, stageErr := o.merger.stage(ctx, key, ordered, candidates, o.trees)
-	dt := clock.Now() - t0
 	for i := len(ordered) - 1; i >= 0; i-- {
 		unlock(o.treeMu[ordered[i]])
 	}
-	if shared {
-		o.mu.RUnlock()
-		o.mu.Lock()
-	}
-
 	// Publish even after a stage error: the entries staged before the
 	// failure are kept (see Merger.stage).
-	t1 := clock.Now()
-	appended := o.merger.publish(st)
-	if appended == 0 && !shared {
+	var err error
+	if shared {
+		err = o.publishShared(key, st, len(candidates), epochBefore, stageErr)
+	} else {
+		err = o.publishExclusive(key, st, len(candidates), stageErr)
+	}
+	dt := clock.Now() - t0
+	if err == nil {
+		err = stageErr
+	}
+	if err != nil {
+		return err
+	}
+	o.statsMu.Lock()
+	o.phases.MergeWrites += dt
+	o.statsMu.Unlock()
+	return nil
+}
+
+// publishExclusive ends a merge step staged under the exclusive locks, and
+// releases the layout lock: publish, enforce the budget, and book the
+// outcome while nothing else can change the layout.
+func (o *Odyssey) publishExclusive(key ComboKey, st *stagedMerge, nCand int, stageErr error) error {
+	appended := o.merger.publish(st, false)
+	if appended == 0 {
 		// The paper's clock depends on it: under the exclusive locks an
 		// attempt that appended nothing has always counted as a use of the
-		// combination's file for LRU eviction. The shared stage has never
+		// combination's file for LRU eviction. The shared step has never
 		// ticked it, and keeps not to.
 		o.merger.touchCombo(key)
 	}
 	evicted, err := o.merger.EnforceBudget()
-	dt += clock.Now() - t1
 	bumped := false
 	if err == nil {
 		// Advance the epoch only on real layout change (appends, evictions;
@@ -1073,48 +1092,73 @@ func (o *Odyssey) mergeStep(ctx context.Context, key ComboKey, ordered []object.
 		if appended == 0 && stageErr == nil {
 			// Futility is memoized only on a clean no-op (a failed stage saw
 			// an incomplete picture, so the next query must re-attempt).
-			// Under the exclusive locks nothing else can publish during the
-			// step, and the mark takes the epoch after it — this step's own
-			// evictions included — so the next query skips.
-			// A shared stage takes the epoch from before it: if anything (a
-			// racing refinement of another region) advanced the layout
-			// mid-stage, the stale mark makes the next query re-attempt
-			// rather than wedge the combination.
-			epoch := epochBefore
-			if !shared {
-				epoch = o.layoutEpoch.Load()
-			}
-			o.futile[key] = futileMark{candidates: len(candidates), epoch: epoch}
+			// Nothing else can publish during the step, and the mark takes
+			// the epoch after it — this step's own evictions included — so
+			// the next query skips.
+			o.futile[key] = futileMark{candidates: nCand, epoch: o.layoutEpoch.Load()}
 		} else {
 			delete(o.futile, key)
 		}
-		// Reset evicted combinations' statistics before releasing the layout
-		// lock: a concurrent query that observed the eviction with stale
-		// pre-eviction counts would immediately re-merge the combination
-		// from its old candidates, thrashing the budget. Evicted
-		// combinations must re-earn merging from zero.
-		for _, combo := range evicted {
-			o.forgetLocked(combo)
-		}
+		o.forgetLocked(evicted...)
 		o.statsMu.Unlock()
 	}
 	o.mu.Unlock()
-	if bumped && o.maint != nil {
-		// The publish may have covered cells with pending refinement
-		// demands; drop them from the heat ledger (behavior-identical — the
-		// worker would skip them — but the heap stays bounded).
-		o.maint.PruneCoveredRefines(o.regionCovered)
-	}
-	if err == nil {
-		err = stageErr
-	}
-	if err != nil {
-		return err
+	o.pruneCoveredRefines(bumped)
+	return err
+}
+
+// publishShared ends a merge step staged under the shared locks, and
+// releases the layout lock. A step that staged nothing records its futility
+// and returns; one that did publishes beside the readers and takes the
+// layout lock exclusively only if the space budget must evict.
+func (o *Odyssey) publishShared(key ComboKey, st *stagedMerge, nCand int, epochBefore int64, stageErr error) error {
+	appended := o.merger.publish(st, true)
+	if appended > 0 {
+		o.bumpLayoutEpoch() // after the publish: a query that reads the new epoch routes to it
 	}
 	o.statsMu.Lock()
-	o.phases.MergeWrites += dt
+	if appended == 0 && stageErr == nil {
+		// The mark takes the epoch from before the stage: if anything (a
+		// racing refinement of another region) advanced the layout
+		// mid-stage, the stale mark makes the next query re-attempt rather
+		// than wedge the combination.
+		o.futile[key] = futileMark{candidates: nCand, epoch: epochBefore}
+	} else {
+		delete(o.futile, key)
+	}
 	o.statsMu.Unlock()
-	return nil
+	over := appended > 0 && o.merger.overBudget()
+	o.mu.RUnlock()
+	if appended == 0 {
+		return nil
+	}
+	var err error
+	if over {
+		o.mu.Lock()
+		var evicted []ComboKey
+		evicted, err = o.merger.EnforceBudget()
+		if len(evicted) > 0 {
+			o.bumpLayoutEpoch()
+			// Reset evicted combinations' statistics before releasing the
+			// layout lock (see forgetLocked).
+			o.statsMu.Lock()
+			o.forgetLocked(evicted...)
+			o.statsMu.Unlock()
+		}
+		o.mu.Unlock()
+	}
+	o.pruneCoveredRefines(true)
+	return err
+}
+
+// pruneCoveredRefines drops, after a layout change, the pending refinement
+// demands a publish covered from the heat ledger (behavior-identical — the
+// worker would skip them — but the heap stays bounded). Called with no
+// engine lock held.
+func (o *Odyssey) pruneCoveredRefines(bumped bool) {
+	if bumped && o.maint != nil {
+		o.maint.PruneCoveredRefines(o.regionCovered)
+	}
 }
 
 // runRefineTask executes one background refinement task: the region under

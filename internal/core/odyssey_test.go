@@ -372,7 +372,7 @@ func TestMergeRequiresSameRefinementLevel(t *testing.T) {
 	// The invariant we guarantee: every merged entry key corresponds to a
 	// leaf at the same level in all member trees at merge time, which means
 	// entries must be pairwise non-overlapping.
-	mf := eng.Merger().files[KeyOf(dss)]
+	mf := eng.Merger().file(KeyOf(dss))
 	if mf == nil {
 		t.Skip("no merge file created for this layout")
 	}

@@ -94,7 +94,7 @@ func TestCoarsestCoverEntriesDisjoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mf := eng.Merger().files[KeyOf(dss)]
+	mf := eng.Merger().file(KeyOf(dss))
 	if mf == nil {
 		t.Skip("no merge file created for this layout")
 	}

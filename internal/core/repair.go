@@ -100,7 +100,7 @@ func (o *Odyssey) rederive(ctx context.Context, e *octree.ReadError) error {
 func (o *Odyssey) dropMergeFile(combo ComboKey) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	mf := o.merger.files[combo]
+	mf := o.merger.file(combo)
 	if mf == nil {
 		return nil
 	}
@@ -115,9 +115,14 @@ func (o *Odyssey) dropMergeFile(combo ComboKey) error {
 	return nil
 }
 
-// forgetLocked is the bookkeeping of an evicted merge file: its combination
-// must re-earn merging from zero. Called under statsMu.
-func (o *Odyssey) forgetLocked(combo ComboKey) {
-	delete(o.futile, combo)
-	o.stats.Reset(combo)
+// forgetLocked is the bookkeeping of evicted merge files: their
+// combinations must re-earn merging from zero. Called under statsMu, before
+// the eviction releases the layout lock: a concurrent query that observed
+// the eviction with stale pre-eviction counts would immediately re-merge the
+// combination from its old candidates, thrashing the budget.
+func (o *Odyssey) forgetLocked(combos ...ComboKey) {
+	for _, combo := range combos {
+		delete(o.futile, combo)
+		o.stats.Reset(combo)
+	}
 }

@@ -94,12 +94,12 @@ func TestSharedSegmentOwnerEvictionInvalidatesReferences(t *testing.T) {
 
 	// No surviving entry may reference an evicted file, and queries must
 	// still be exact.
-	for _, f := range m.files {
+	for _, f := range m.dir() {
 		for ref, seg := range f.entries {
 			if seg.sharedFrom == "" {
 				continue
 			}
-			if _, live := m.files[seg.sharedFrom]; !live {
+			if _, live := m.dir()[seg.sharedFrom]; !live {
 				t.Fatalf("entry %v ds %d references evicted file %s", ref.cell, ref.ds, seg.sharedFrom)
 			}
 		}
