@@ -284,9 +284,11 @@ func BenchmarkServingHotQuery(b *testing.B) {
 	}
 	ctx := context.Background()
 	// Converge, then pass once more over the settled layout to cache it: a
-	// layout change flushes the cache, so the last pass must make none.
+	// refinement or a merge drops the cells it changed, so the last pass must
+	// make none.
+	moves := func() int { m := ex.Metrics(); return m.Refinements + m.PartitionsMerged }
 	for pass := 0; ; pass++ {
-		before := ex.CacheStats().Invalidations
+		before := moves()
 		for _, q := range w.Queries {
 			if _, err := ex.QueryCtx(ctx, q.Range, q.Datasets); err != nil {
 				b.Fatal(err)
@@ -295,7 +297,7 @@ func BenchmarkServingHotQuery(b *testing.B) {
 		if err := ex.Quiesce(ctx); err != nil {
 			b.Fatal(err)
 		}
-		if pass > 0 && ex.CacheStats().Invalidations == before {
+		if pass > 0 && moves() == before {
 			break
 		}
 		if pass == 20 {

@@ -107,13 +107,14 @@ type Options struct {
 	// pays its own reads, and single-worker behaviour is bit-for-bit the
 	// original model.
 	ShareScans bool
-	// CacheResults turns on the epoch-scoped result cache: completed
-	// partition scans are retained keyed on (dataset, cell, layout epoch)
-	// and answer later queries of the same cell — or queries whose range a
-	// cached region fully contains (containment answering) — with zero
-	// device reads. Every layout publish (refinement, merge, eviction)
-	// flushes the cache, so a cached result can never cross a layout
-	// epoch; query results are byte-identical to an uncached run. See
+	// CacheResults turns on the result cache: completed partition scans
+	// are retained keyed on (dataset, cell) and answer later queries of the
+	// same cell — or queries whose range a cached region fully contains
+	// (containment answering) — with zero device reads. A cell's content
+	// does not depend on the layout, so an entry survives layout changes;
+	// a refinement drops its dataset's cells and a merge the cells it
+	// published, so what is cached stays as fine and as indexed as the
+	// layout. Query results are byte-identical to an uncached run. See
 	// CacheStats for the ledger. Default off: behaviour is bit-for-bit
 	// the uncached model.
 	CacheResults bool
@@ -126,7 +127,7 @@ type Options struct {
 	// instead of holding it fixed: evicted keys leave ghost entries in a
 	// bounded shadow list, a miss that hits a ghost is a capacity miss (a
 	// bigger cache would have served it), and at each tuning point — every
-	// few hundred operations and at every layout-epoch flush — a window with
+	// few hundred operations and at every flush — a window with
 	// enough ghost hits doubles the capacity while an eviction-free window
 	// with occupancy far below budget halves it, converging toward the knee
 	// of the hit curve. CacheCapacity becomes the starting point and the
@@ -552,13 +553,13 @@ func (e *Explorer) SharingStats() SharingStats { return e.engine.SharingStats() 
 
 // CacheStats returns the result-cache ledger (Options.CacheResults): exact
 // and containment hits, queries served with zero device reads, inserts,
-// evictions, and epoch-flush invalidations. All zeros when caching is off.
+// evictions, and invalidations. All zeros when caching is off.
 func (e *Explorer) CacheStats() CacheStats { return e.engine.CacheStats() }
 
 // FlushResultCache drops every entry of the result cache (a no-op with
 // Options.CacheResults off). Benchmarks use it to start a measured phase
-// cold-cache; the flush counts in CacheStats.Invalidations like any
-// layout-publish flush.
+// cold-cache; the flush counts in CacheStats.Invalidations like a
+// publish's targeted drop.
 func (e *Explorer) FlushResultCache() { e.engine.FlushResultCache() }
 
 // SetMaintenanceBudget changes the background I/O budget at runtime (see

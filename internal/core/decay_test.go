@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"spaceodyssey/internal/geom"
@@ -134,7 +135,7 @@ func TestHeatDecayHalfLifeMath(t *testing.T) {
 // TestResultCacheEvictsColdestFirst shows.)
 func TestResultCacheDecayReleasesStaleHotspot(t *testing.T) {
 	var tick int64
-	c := newResultCache(geom.UnitBox(), 4)
+	c := newResultCache(geom.UnitBox(), 4, new(atomic.Int64))
 	c.halfLife = 2
 	c.tick = func() int64 { return tick }
 
@@ -142,20 +143,20 @@ func TestResultCacheDecayReleasesStaleHotspot(t *testing.T) {
 	two := []object.Object{{ID: 1}, {ID: 2}}
 
 	// Phase 1: a is the hotspot — inserted and hit repeatedly at tick 0.
-	c.Insert(0, a, 1, geom.UnitBox(), cellContent{objs: two})
+	c.Insert(0, a, 0, geom.UnitBox(), cellContent{objs: two})
 	for i := 0; i < 7; i++ {
-		c.Lookup(0, a, 1)
+		c.Lookup(0, a)
 	}
 	// Phase 2, 20 ticks later: the hotspot migrated; b arrives once.
 	tick = 20
-	c.Insert(0, b, 1, geom.UnitBox(), cellContent{objs: two})
+	c.Insert(0, b, 0, geom.UnitBox(), cellContent{objs: two})
 	// Capacity overflow: the decayed-out a must go, not the fresh b.
-	c.Insert(0, cc, 1, geom.UnitBox(), cellContent{objs: two})
+	c.Insert(0, cc, 0, geom.UnitBox(), cellContent{objs: two})
 
-	if _, ok := c.Lookup(0, a, 1); ok {
+	if _, ok := c.Lookup(0, a); ok {
 		t.Fatal("stale hotspot entry survived eviction despite decay")
 	}
-	if _, ok := c.Lookup(0, b, 1); !ok {
+	if _, ok := c.Lookup(0, b); !ok {
 		t.Fatal("fresh entry was evicted instead of the stale hotspot")
 	}
 }
@@ -164,7 +165,7 @@ func TestResultCacheDecayReleasesStaleHotspot(t *testing.T) {
 // path: a working set larger than the budget causes evict/re-miss churn,
 // the ghosts witness it, and the next tuning point doubles the capacity.
 func TestResultCacheAdaptiveGrowsOnGhostHits(t *testing.T) {
-	c := newResultCache(geom.UnitBox(), 2048)
+	c := newResultCache(geom.UnitBox(), 2048, new(atomic.Int64))
 	c.enableAdaptive()
 
 	one := []object.Object{{ID: 1}}
@@ -173,8 +174,8 @@ func TestResultCacheAdaptiveGrowsOnGhostHits(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 3000; i++ {
 			k := testKeyAt(6, uint32(i%64), uint32(i/64), 0)
-			if _, ok := c.Lookup(0, k, 1); !ok {
-				c.Insert(0, k, 1, geom.UnitBox(), cellContent{objs: one})
+			if _, ok := c.Lookup(0, k); !ok {
+				c.Insert(0, k, 0, geom.UnitBox(), cellContent{objs: one})
 			}
 		}
 	}
@@ -189,18 +190,18 @@ func TestResultCacheAdaptiveGrowsOnGhostHits(t *testing.T) {
 
 // TestResultCacheAdaptiveShrinksWhenIdle pins the shrink path: windows with
 // no evictions and occupancy far below budget halve the capacity down
-// toward the floor, and Invalidate (the epoch boundary) is a tuning point.
+// toward the floor, and Invalidate (a flush) is a tuning point.
 func TestResultCacheAdaptiveShrinksWhenIdle(t *testing.T) {
-	c := newResultCache(geom.UnitBox(), 1<<16)
+	c := newResultCache(geom.UnitBox(), 1<<16, new(atomic.Int64))
 	c.enableAdaptive()
 
 	// A tiny steady working set: 4 entries, hit over and over.
 	one := []object.Object{{ID: 1}}
 	for i := 0; i < 4; i++ {
-		c.Insert(0, testKeyAt(2, uint32(i), 0, 0), 1, geom.UnitBox(), cellContent{objs: one})
+		c.Insert(0, testKeyAt(2, uint32(i), 0, 0), 0, geom.UnitBox(), cellContent{objs: one})
 	}
 	for op := 0; op < 3*tuneEvery; op++ {
-		c.Lookup(0, testKeyAt(2, uint32(op%4), 0, 0), 1)
+		c.Lookup(0, testKeyAt(2, uint32(op%4), 0, 0))
 	}
 	st := c.Stats()
 	if st.CapacityShrinks == 0 || st.Capacity >= 1<<16 {
@@ -210,7 +211,7 @@ func TestResultCacheAdaptiveShrinksWhenIdle(t *testing.T) {
 		t.Fatalf("capacity %d fell below the floor %d", st.Capacity, c.minCap)
 	}
 
-	// The epoch boundary also tunes: force another shrink via Invalidate.
+	// A flush also tunes: force another shrink via Invalidate.
 	before := c.Stats().Capacity
 	c.Invalidate()
 	if after := c.Stats().Capacity; after > before {

@@ -45,14 +45,15 @@ type Config struct {
 	// every query pays its own I/O, the original cost model bit for bit.
 	// (Level-0 builds are single-flight either way.)
 	ShareScans bool
-	// CacheResults turns on the epoch-scoped result cache: completed
-	// partition scans and merge-segment reads are retained keyed on
-	// (dataset, cell, layout epoch), so later queries of the same cells —
-	// and queries whose extended window is contained in a cached region —
-	// are answered without device reads. The cache is flushed on every
-	// layout publish through bumpLayoutEpoch, results are byte-identical to
-	// the uncached engine. Default off: behavior and I/O accounting are
-	// bit-for-bit the original model.
+	// CacheResults turns on the result cache: completed partition scans and
+	// merge-segment reads are retained keyed on (dataset, cell), so later
+	// queries of the same cells — and queries whose extended window is
+	// contained in a cached region — are answered without device reads. A
+	// cached cell stays exact across layout changes; a refinement drops its
+	// dataset's cells and a merge the keys it published, which keeps what is
+	// cached as fine and as indexed as the layout (see resultCache). Results
+	// are byte-identical to the uncached engine. Default off: behavior and
+	// I/O accounting are bit-for-bit the original model.
 	CacheResults bool
 	// CacheCapacity bounds the result cache in cached objects (<= 0
 	// defaults to DefaultCacheCapacity). Eviction is heat-aware: coldest
@@ -66,8 +67,8 @@ type Config struct {
 	// disables decay: all orderings are bit-for-bit the legacy
 	// cumulative-count behavior.
 	HeatHalfLife int
-	// AdaptiveCache lets the result cache tune its own capacity between
-	// layout epochs: shadow-LRU ghost entries record recently evicted keys,
+	// AdaptiveCache lets the result cache tune its own capacity as it
+	// runs: shadow-LRU ghost entries record recently evicted keys,
 	// a re-miss on a ghost is evidence the cache is undersized (grow toward
 	// the knee of the hit curve), sustained low occupancy with no evictions
 	// is evidence it is oversized (shrink). CacheCapacity becomes the
@@ -198,7 +199,7 @@ type Odyssey struct {
 	// Config.AsyncMaintenance is set. See maintenance.go.
 	maint *maintainer
 
-	// rcache is the epoch-scoped result cache; nil unless
+	// rcache is the result cache; nil unless
 	// Config.CacheResults is set. See resultcache.go.
 	rcache *resultCache
 
@@ -251,7 +252,7 @@ func New(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Config) 
 		halfLife:       float64(cfg.HeatHalfLife),
 	}
 	if cfg.CacheResults {
-		o.rcache = newResultCache(bounds, cfg.CacheCapacity)
+		o.rcache = newResultCache(bounds, cfg.CacheCapacity, &o.layoutEpoch)
 		o.rcache.halfLife = o.halfLife
 		o.rcache.tick = o.heatTick.Load
 		if cfg.AdaptiveCache {
@@ -736,7 +737,7 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 			// Refinements that completed before an abort still publish. They
 			// read the device outside readCell, so the query was not answered
 			// read-free.
-			o.bumpLayoutEpoch()
+			o.publishRefined(ds)
 			missCacheScope(ctx)
 		}
 		lk.Unlock()
@@ -806,7 +807,7 @@ func (o *Odyssey) ensureBuilt(ctx context.Context, ds object.DatasetID, tree *oc
 // accumulated either (the layout keeps converging from the queries that do
 // walk). Only called with caching on.
 func (o *Odyssey) answerContained(acc *queryAcc, ds object.DatasetID, ext geom.Box) bool {
-	c, cell, ok := o.rcache.AnswerContained(ds, acc.fanout, o.layoutEpoch.Load(), ext)
+	c, cell, ok := o.rcache.AnswerContained(ds, acc.fanout, ext)
 	if ok {
 		o.keepContent(acc, ds, cell, c)
 	}
@@ -857,7 +858,7 @@ func (o *Odyssey) readMerged(ctx context.Context, acc *queryAcc) error {
 	t0 := clock.Now()
 	for reads := acc.served; ; reads = reads[1:] {
 		if o.rcache != nil {
-			acc.hits = o.rcache.LookupRun(acc.hits[:0], reads, &o.layoutEpoch)
+			acc.hits = o.rcache.LookupRun(acc.hits[:0], reads)
 			for i, c := range acc.hits {
 				o.keepContent(acc, reads[i].ds, reads[i].entry, c)
 			}
@@ -1088,6 +1089,9 @@ func (o *Odyssey) publishExclusive(key ComboKey, st *stagedMerge, nCand int, sta
 			o.bumpLayoutEpoch()
 			bumped = true
 		}
+		if appended > 0 {
+			o.dropMerged(st)
+		}
 		o.statsMu.Lock()
 		if appended == 0 && stageErr == nil {
 			// Futility is memoized only on a clean no-op (a failed stage saw
@@ -1115,6 +1119,7 @@ func (o *Odyssey) publishShared(key ComboKey, st *stagedMerge, nCand int, epochB
 	appended := o.merger.publish(st, true)
 	if appended > 0 {
 		o.bumpLayoutEpoch() // after the publish: a query that reads the new epoch routes to it
+		o.dropMerged(st)
 	}
 	o.statsMu.Lock()
 	if appended == 0 && stageErr == nil {
@@ -1221,7 +1226,7 @@ func (o *Odyssey) runRefineTask(ds object.DatasetID, t refineTask) (int, error) 
 		refined++
 	}
 	if refined > 0 {
-		o.bumpLayoutEpoch()
+		o.publishRefined(ds)
 	}
 	o.statsMu.Lock()
 	o.phases.Refinement += dt

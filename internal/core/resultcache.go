@@ -3,6 +3,7 @@ package core
 import (
 	"container/heap"
 	"context"
+	"iter"
 	"math"
 	"math/bits"
 	"sync"
@@ -20,15 +21,13 @@ import (
 const DefaultCacheCapacity = 1 << 17
 
 // cachedScan is one completed partition or merge-segment scan the cache
-// retains: the full content of region (a cell box) as of the layout epoch it
-// was read under, with the child directory of the content it is (see
-// cellContent). Everything but its eviction state is immutable once
-// inserted: the content is shared with every query the entry answers and
-// must be treated as read-only (the engine only filters from it — objects
-// are values).
+// retains: the full content of region (a cell box), with the child directory
+// of the content it is (see cellContent). Everything but its eviction state
+// is immutable once inserted: the content is shared with every query the
+// entry answers and must be treated as read-only (the engine only filters
+// from it — objects are values).
 type cachedScan struct {
 	key     scanKey
-	epoch   int64
 	region  geom.Box
 	content cellContent
 
@@ -142,16 +141,24 @@ func (l *levelIndex) add(level uint32, delta int32) {
 	}
 }
 
-// resultCache is the epoch-scoped result cache behind Config.CacheResults:
-// completed partition scans and merge-segment reads are retained keyed on
-// (dataset, cell) and tagged with the global layout epoch they were read
-// under, so a later query of the same cell within the same epoch is served
-// without touching the device — the temporal extension of readCell's
-// single-flight sharing. Every layout publish (bumpLayoutEpoch)
-// flushes the cache; entries inserted with a stale epoch are dropped lazily
-// on their next lookup. Capacity is bounded in cached objects with
-// heat-aware eviction: every hit bumps the entry's access count, eviction
-// removes the coldest entry first.
+// resultCache is the result cache behind Config.CacheResults: completed
+// partition scans and merge-segment reads are retained keyed on (dataset,
+// cell), so a later query of the same cell is served without touching the
+// device — the temporal extension of readCell's single-flight sharing.
+// Capacity is bounded in cached objects with heat-aware eviction: every hit
+// bumps the entry's access count, eviction removes the coldest entry first.
+//
+// An entry is exact for as long as it is cached, whatever the layout does
+// meanwhile. Every representation of a cell — a level-0 partition, a refined
+// child, a merge segment of either level policy, a re-derived partition —
+// holds exactly the objects of its dataset whose centres the tree's
+// bucketing puts in the cell (see octree.Tree.Rederive), and a dataset never
+// changes once registered. What a layout change can make stale is only how
+// cheap an entry is to filter, so a publish drops only what it made coarse
+// or unindexed: a refinement drops its dataset's entries (DropDataset), a
+// merge the keys it published, whose segments carry child directories
+// (DropKeys). Builds, merge-file evictions and re-derivations drop nothing.
+// A read that raced a publish is not kept (Insert).
 //
 // Beyond exact per-cell hits, the cache answers by containment: a query
 // whose extended window lies inside a cached region is answered by
@@ -159,15 +166,18 @@ func (l *levelIndex) add(level uint32, delta int32) {
 // object intersecting the query has its center inside the extended window
 // and therefore inside the cached cell. AnswerContained is the probe.
 //
-// Locking: mu is a leaf lock (never held while acquiring any engine lock);
-// callers hold the engine's shared layout lock, so entry content cannot be
-// invalidated between a lookup and the caller's use of the slice. A hit —
-// exact or by containment — holds mu shared: a map lookup and the atomics of
-// cachedScan.touch. Everything that changes the cache's structure holds it
-// exclusively: a miss (ghost accounting, dropping a dead entry), Insert and
-// its evictions, the tuner, Invalidate.
+// Locking: mu is a leaf lock (never held while acquiring any engine lock).
+// Content is immutable and outlives its entry, so a caller may use what a
+// lookup returned after a drop removed it. A hit — exact or by containment —
+// holds mu shared: a map lookup and the atomics of cachedScan.touch.
+// Everything that changes the cache's structure holds it exclusively: a miss
+// (ghost accounting), Insert and its evictions, the tuner, the drops and
+// Invalidate.
 type resultCache struct {
 	bounds geom.Box
+	// epoch is the engine's layout epoch, which Insert holds a read's
+	// against.
+	epoch *atomic.Int64
 
 	// halfLife and tick wire heat decay in (see decay.go); both zero-valued
 	// when Config.HeatHalfLife is off.
@@ -185,14 +195,14 @@ type resultCache struct {
 	seq     int64 // FIFO tiebreak for equal heat
 
 	// Adaptive capacity (Config.AdaptiveCache): evicted keys linger as
-	// shadow-LRU ghosts; a miss that hits a ghost within the same epoch is
-	// a capacity miss — the entry would have hit had the cache been bigger
-	// — and grows the budget toward the knee of the hit curve. Sustained
-	// low occupancy with no evictions shrinks it back. Tuning runs between
-	// layout epochs (Invalidate) and every tuneEvery operations, entirely
-	// under the exclusive mu (sinceTune, the cadence counter, is atomic
-	// because hits, booked outside the lock, count too); capacity only
-	// changes what the cache retains, never what a query returns.
+	// shadow-LRU ghosts; a miss that hits a ghost is a capacity miss — the
+	// entry would have hit had the cache been bigger — and grows the budget
+	// toward the knee of the hit curve. Sustained low occupancy with no
+	// evictions shrinks it back. Tuning runs on a flush (Invalidate) and
+	// every tuneEvery operations, entirely under the exclusive mu
+	// (sinceTune, the cadence counter, is atomic because hits, booked
+	// outside the lock, count too); capacity only changes what the cache
+	// retains, never what a query returns.
 	adaptive       bool // set before the first operation, constant afterwards
 	minCap, maxCap int64
 	ghost          map[scanKey]struct{}
@@ -216,7 +226,7 @@ type resultCache struct {
 
 // Adaptive-capacity tuning constants: the ghost list remembers up to
 // ghostCap evicted keys, tuning runs every tuneEvery cache operations (and
-// on every layout epoch), growth needs growAfter capacity misses in a
+// on every flush), growth needs growAfter capacity misses in a
 // window, and a shrink fires when peak occupancy stayed under capacity/4
 // with no evictions.
 const (
@@ -226,13 +236,15 @@ const (
 )
 
 // newResultCache creates an empty cache over the engine's exploration
-// bounds. capacity <= 0 selects DefaultCacheCapacity.
-func newResultCache(bounds geom.Box, capacity int64) *resultCache {
+// bounds; epoch is the engine's layout epoch (see Insert). capacity <= 0
+// selects DefaultCacheCapacity.
+func newResultCache(bounds geom.Box, capacity int64, epoch *atomic.Int64) *resultCache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
 	return &resultCache{
 		bounds:   bounds,
+		epoch:    epoch,
 		capacity: capacity,
 		entries:  make(map[scanKey]*cachedScan),
 		levels:   make(map[object.DatasetID]*levelIndex),
@@ -349,11 +361,10 @@ func (c *resultCache) tuneLocked() {
 }
 
 // hit is the lookup proper, under mu held either way: the content of key if
-// cached at epoch, with the hit booked on the entry. The caller books it on
-// the cache.
-func (c *resultCache) hit(key scanKey, epoch int64) (cellContent, bool) {
+// cached, with the hit booked on the entry. The caller books it on the cache.
+func (c *resultCache) hit(key scanKey) (cellContent, bool) {
 	it, ok := c.entries[key]
-	if !ok || it.epoch != epoch {
+	if !ok {
 		return cellContent{}, false
 	}
 	it.touch(c.now(), c.halfLife)
@@ -368,30 +379,24 @@ func (c *resultCache) now() int64 {
 	return c.tick()
 }
 
-// Lookup returns the cached content of (ds, cell) if present at the given
-// layout epoch. A present entry from an older epoch is dead (the global
-// epoch only advances) and is dropped on sight. ok distinguishes a cached
-// empty cell from a miss. A hit shares the lock; only what did not hit takes
-// it exclusively, and looks again (the cell may have been inserted between
-// the two).
-func (c *resultCache) Lookup(ds object.DatasetID, cell octree.Key, epoch int64) (cellContent, bool) {
+// Lookup returns the cached content of (ds, cell) if present. ok
+// distinguishes a cached empty cell from a miss. A hit shares the lock; only
+// what did not hit takes it exclusively, and looks again (the cell may have
+// been inserted between the two).
+func (c *resultCache) Lookup(ds object.DatasetID, cell octree.Key) (cellContent, bool) {
 	key := scanKey{ds: ds, cell: cell}
 	c.mu.RLock()
-	content, ok := c.hit(key, epoch)
+	content, ok := c.hit(key)
 	c.mu.RUnlock()
 	if ok {
 		c.book(1)
 		return content, true
 	}
 	c.mu.Lock()
-	if content, ok = c.hit(key, epoch); ok {
+	if content, ok = c.hit(key); ok {
 		c.hits.Add(1)
 	} else {
-		if dead := c.entries[key]; dead != nil {
-			c.removeLocked(dead)
-		} else {
-			c.noteGhostLocked(key)
-		}
+		c.noteGhostLocked(key)
 		c.misses.Add(1)
 	}
 	c.maybeTuneLocked()
@@ -401,16 +406,16 @@ func (c *resultCache) Lookup(ds object.DatasetID, cell octree.Key, epoch int64) 
 
 // LookupRun is Lookup for the leading hits of reads, under one shared
 // acquisition: it appends to hits the content of every read up to the first
-// that does not hit at the layout epoch current when its turn comes, and
-// returns hits. The read that ended the run is not booked — it is the
-// caller's to Lookup, miss and Insert before the next run — so a query issues
-// the cache the operations of one Lookup per read, in order. The run's hits
-// are booked together once the shared lock is released.
-func (c *resultCache) LookupRun(hits []cellContent, reads []mergeRead, epoch *atomic.Int64) []cellContent {
+// that does not hit, and returns hits. The read that ended the run is not
+// booked — it is the caller's to Lookup, miss and Insert before the next run
+// — so a query issues the cache the operations of one Lookup per read, in
+// order. The run's hits are booked together once the shared lock is
+// released.
+func (c *resultCache) LookupRun(hits []cellContent, reads []mergeRead) []cellContent {
 	n := len(hits)
 	c.mu.RLock()
 	for _, r := range reads {
-		content, ok := c.hit(scanKey{ds: r.ds, cell: r.entry}, epoch.Load())
+		content, ok := c.hit(scanKey{ds: r.ds, cell: r.entry})
 		if !ok {
 			break
 		}
@@ -421,44 +426,31 @@ func (c *resultCache) LookupRun(hits []cellContent, reads []mergeRead, epoch *at
 	return hits
 }
 
-// AnswerContained probes for a cached region of ds (at the given epoch)
-// containing ext, the query window already extended by the tree's max
-// object half-extent. Because cached regions are cell boxes of the uniform
-// k^level grid, the only candidate at each level is the cell containing
-// ext's min corner — one map lookup per cached level, not a scan. Levels are
-// probed deepest first: of several regions containing the window the
-// smallest answers, the one with the fewest objects to filter (and always
-// the same one). The returned content is the full region content and cell
-// the key it is cached under (a child directory indexes the content by the
-// key's box); the caller filters by the original query box.
-//
-// The probe shares the lock like any hit. Meeting a dead entry sends it
-// round again under the exclusive lock, before it booked anything, to drop
-// what is dead on the way.
-func (c *resultCache) AnswerContained(ds object.DatasetID, fanout int, epoch int64,
-	ext geom.Box) (content cellContent, cell octree.Key, ok bool) {
+// AnswerContained probes for a cached region of ds containing ext, the query
+// window already extended by the tree's max object half-extent. Because
+// cached regions are cell boxes of the uniform k^level grid, the only
+// candidate at each level is the cell containing ext's min corner — one map
+// lookup per cached level, not a scan. Levels are probed deepest first: of
+// several regions containing the window the smallest answers, the one with
+// the fewest objects to filter (and always the same one). The returned
+// content is the full region content and cell the key it is cached under (a
+// child directory indexes the content by the key's box); the caller filters
+// by the original query box. The probe shares the lock like any hit.
+func (c *resultCache) AnswerContained(ds object.DatasetID, fanout int, ext geom.Box) (content cellContent, cell octree.Key, ok bool) {
 	c.mu.RLock()
-	content, cell, ok, dead := c.probe(ds, fanout, epoch, ext, false)
+	content, cell, ok = c.probe(ds, fanout, ext)
 	c.mu.RUnlock()
-	if dead {
-		c.mu.Lock()
-		content, cell, ok, _ = c.probe(ds, fanout, epoch, ext, true)
-		c.mu.Unlock()
-	}
 	if ok {
 		c.containmentHits.Add(1)
 	}
 	return content, cell, ok
 }
 
-// probe is AnswerContained under mu: held exclusively when drop is set, and
-// dead entries are dropped on sight; shared otherwise, and the first dead
-// entry ends the probe (dead reports it).
-func (c *resultCache) probe(ds object.DatasetID, fanout int, epoch int64, ext geom.Box,
-	drop bool) (content cellContent, cell octree.Key, ok, dead bool) {
+// probe is AnswerContained under mu, held shared.
+func (c *resultCache) probe(ds object.DatasetID, fanout int, ext geom.Box) (cellContent, octree.Key, bool) {
 	lv := c.levels[ds]
 	if lv == nil {
-		return cellContent{}, octree.Key{}, false, false
+		return cellContent{}, octree.Key{}, false
 	}
 	for mask := lv.mask; mask != 0; {
 		level := uint32(bits.Len32(mask) - 1)
@@ -468,37 +460,33 @@ func (c *resultCache) probe(ds object.DatasetID, fanout int, epoch int64, ext ge
 			continue
 		}
 		it, ok := c.entries[scanKey{ds: ds, cell: cell}]
-		if !ok {
-			continue
-		}
-		if it.epoch != epoch {
-			if !drop {
-				return cellContent{}, octree.Key{}, false, true
-			}
-			c.removeLocked(it)
-			continue
-		}
-		if !it.region.Contains(ext) {
+		if !ok || !it.region.Contains(ext) {
 			continue
 		}
 		it.touch(c.now(), c.halfLife)
-		return it.content, cell, true, false
+		return it.content, cell, true
 	}
-	return cellContent{}, octree.Key{}, false, false
+	return cellContent{}, octree.Key{}, false
 }
 
 // Insert retains a completed scan of (ds, cell): region is the cell box
-// content is the full content of, epoch the global layout epoch loaded
-// before the read began (a publish racing the read leaves a dead entry that
-// never hits — conservative, correct). Entries larger than the whole budget
-// are not admitted; otherwise the coldest entries are evicted until the new
-// one fits. Re-inserting a present key replaces its content and keeps its
-// heat — the region is evidently hot.
+// content is the full content of, epoch the layout epoch loaded before the
+// read began. The read is kept only if that epoch is still current: a
+// publish advances the epoch before it drops what it changed, so a read that
+// raced one — and may hold the cell as it was laid out before — is never
+// kept past the drop. Entries larger than the whole budget are not
+// admitted; otherwise the coldest entries are evicted until the new one
+// fits. Re-inserting a present key replaces its content and keeps its heat —
+// the region is evidently hot.
 func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, epoch int64,
 	region geom.Box, content cellContent) {
 	key := scanKey{ds: ds, cell: cell}
 	objs := content.objs
 	c.mu.Lock()
+	if epoch != c.epoch.Load() {
+		c.mu.Unlock()
+		return
+	}
 	if int64(len(objs)) > c.capacity {
 		// An entry that cannot fit at all is the strongest undersizing
 		// signal there is: with adaptive capacity, grow until it can
@@ -515,7 +503,7 @@ func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, epoch int64,
 		}
 		c.grows++
 	}
-	it := &cachedScan{key: key, epoch: epoch, region: region, content: content, posHeat: 1}
+	it := &cachedScan{key: key, region: region, content: content, posHeat: 1}
 	if c.halfLife > 0 {
 		it.posScore = newScore(c.tick(), c.halfLife)
 	}
@@ -573,16 +561,59 @@ func (c *resultCache) removeLocked(it *cachedScan) {
 	c.levels[it.key.ds].add(it.key.cell.Level, -1)
 }
 
-// Invalidate flushes the cache on a layout publish. A publish that finds the
-// cache empty is not counted — Invalidations measures actual flushes.
+// DropDataset removes every entry of ds and its level index: ds was refined,
+// and its cached cells may now be coarser than its leaves. Counted as an
+// invalidation when it removed anything.
+func (c *resultCache) DropDataset(ds object.DatasetID) {
+	c.mu.Lock()
+	kept := c.cold[:0]
+	for _, it := range c.cold {
+		if it.key.ds != ds {
+			it.index = len(kept)
+			kept = append(kept, it)
+			continue
+		}
+		delete(c.entries, it.key)
+		c.objects -= int64(len(it.content.objs))
+	}
+	dropped := len(kept) < len(c.cold)
+	clear(c.cold[len(kept):])
+	c.cold = kept
+	heap.Init(&c.cold)
+	delete(c.levels, ds)
+	c.mu.Unlock()
+	if dropped {
+		c.invalidations.Add(1)
+	}
+}
+
+// DropKeys removes the entries of keys: a merge published segments for them,
+// and a cached copy may be a partition in file order, without the segment's
+// child directory. Counted as an invalidation when it removed anything.
+func (c *resultCache) DropKeys(keys iter.Seq[scanKey]) {
+	dropped := false
+	c.mu.Lock()
+	for key := range keys {
+		if it := c.entries[key]; it != nil {
+			c.removeLocked(it)
+			dropped = true
+		}
+	}
+	c.mu.Unlock()
+	if dropped {
+		c.invalidations.Add(1)
+	}
+}
+
+// Invalidate flushes the cache (Odyssey.FlushResultCache). A flush that finds
+// the cache empty is not counted.
 func (c *resultCache) Invalidate() {
 	c.mu.Lock()
 	flushed := len(c.entries) > 0
 	if c.adaptive {
-		// The epoch boundary is the tuning point the hit curve was observed
-		// for; ghosts from the dying epoch would misread the coming
-		// compulsory misses as capacity misses, so they flush too. The
-		// cadence restarts from it.
+		// A flush is the tuning point the hit curve was observed for; ghosts
+		// from before it would misread the coming compulsory misses as
+		// capacity misses, so they flush too. The cadence restarts from it.
 		c.tuneLocked()
 		c.sinceTune.Store(0)
 		c.ghost = make(map[scanKey]struct{})

@@ -16,10 +16,10 @@ import (
 
 // eagerCache is the result cache's specification, written the slow way:
 // entries in a slice, every key current at all times, the victim found by a
-// full scan for min (score, heat, seq). The lazy heap, the shared-lock hit
-// and the atomic tuner cadence of resultCache must be indistinguishable from
-// it on a serial run. An entry's content is one value, objects and child
-// directory together, as the cache must keep it.
+// full scan for min (score, heat, seq), the drops by a full scan. The lazy
+// heap, the shared-lock hit and the atomic tuner cadence of resultCache must
+// be indistinguishable from it on a serial run. An entry's content is one
+// value, objects and child directory together, as the cache must keep it.
 type eagerCache struct {
 	bounds   geom.Box
 	halfLife float64
@@ -34,13 +34,12 @@ type eagerCache struct {
 	ghostRing                                        []scanKey
 	ghostHitsWin, evictionsWin, peakObjects, sinceOp int64
 
-	hits, misses, evictions, ghostHits, grows, shrinks int64
-	evicted                                            []scanKey
+	hits, misses, evictions, ghostHits, grows, shrinks, invalidations int64
+	evicted                                                           []scanKey
 }
 
 type eagerEntry struct {
 	key     scanKey
-	epoch   int64
 	content cellContent
 	heat    int64
 	score   float64
@@ -94,48 +93,42 @@ func (m *eagerCache) tune() {
 	m.ghostHitsWin, m.evictionsWin, m.peakObjects, m.sinceOp = 0, 0, m.objects, 0
 }
 
-func (m *eagerCache) lookup(key scanKey, epoch int64) (cellContent, bool) {
+func (m *eagerCache) lookup(key scanKey) (cellContent, bool) {
 	defer m.op()
-	i := m.find(key)
-	switch {
-	case i < 0:
-		if m.adaptive && m.ghost[key] {
-			m.ghostHitsWin++
-			m.ghostHits++
-		}
-	case m.entries[i].epoch != epoch:
-		m.remove(i)
-	default:
+	if i := m.find(key); i >= 0 {
 		m.touch(m.entries[i])
 		m.hits++
 		return m.entries[i].content, true
+	}
+	if m.adaptive && m.ghost[key] {
+		m.ghostHitsWin++
+		m.ghostHits++
 	}
 	m.misses++
 	return cellContent{}, false
 }
 
 // contained probes the cached levels deepest first, as the cache documents.
-func (m *eagerCache) contained(ds object.DatasetID, fanout int, epoch int64, ext geom.Box) (cellContent, octree.Key, bool) {
+func (m *eagerCache) contained(ds object.DatasetID, fanout int, ext geom.Box) (cellContent, octree.Key, bool) {
 	for level := 32; level >= 0; level-- {
 		cell, ok := octree.CellAt(m.bounds, fanout, uint32(level), ext.Min)
 		if !ok {
 			continue
 		}
-		i := m.find(scanKey{ds: ds, cell: cell})
-		if i < 0 {
-			continue
-		}
-		if e := m.entries[i]; e.epoch != epoch {
-			m.remove(i)
-		} else if cell.Box(m.bounds, fanout).Contains(ext) {
-			m.touch(e)
-			return e.content, cell, true
+		if i := m.find(scanKey{ds: ds, cell: cell}); i >= 0 && cell.Box(m.bounds, fanout).Contains(ext) {
+			m.touch(m.entries[i])
+			return m.entries[i].content, cell, true
 		}
 	}
 	return cellContent{}, octree.Key{}, false
 }
 
-func (m *eagerCache) insert(key scanKey, epoch int64, content cellContent) {
+// insert keeps a read that began at epoch at only while at is the current
+// epoch.
+func (m *eagerCache) insert(key scanKey, at, current int64, content cellContent) {
+	if at != current {
+		return
+	}
 	n := int64(len(content.objs))
 	if n > m.capacity {
 		if !m.adaptive || n > m.maxCap {
@@ -147,7 +140,7 @@ func (m *eagerCache) insert(key scanKey, epoch int64, content cellContent) {
 		m.capacity = min(m.capacity, m.maxCap)
 		m.grows++
 	}
-	e := &eagerEntry{key: key, epoch: epoch, content: content, heat: 1}
+	e := &eagerEntry{key: key, content: content, heat: 1}
 	if m.halfLife > 0 {
 		e.score = heatScore(1, *m.tick, m.halfLife)
 	}
@@ -203,16 +196,35 @@ func (m *eagerCache) invalidate() {
 		m.tune()
 		m.ghost, m.ghostRing = map[scanKey]bool{}, nil
 	}
+	if len(m.entries) > 0 {
+		m.invalidations++
+	}
 	m.entries, m.objects = nil, 0
+}
+
+// drop removes the entries drop selects, and counts an invalidation if there
+// were any.
+func (m *eagerCache) drop(drop func(scanKey) bool) {
+	n := len(m.entries)
+	for i := len(m.entries) - 1; i >= 0; i-- {
+		if drop(m.entries[i].key) {
+			m.remove(i)
+		}
+	}
+	if len(m.entries) < n {
+		m.invalidations++
+	}
 }
 
 // TestResultCacheLazyEvictionIsEager drives the cache and the eager model
 // with one seeded sequence of inserts, lookups, containment probes, clock
-// advances and epoch changes at a capacity that forces evictions — with and
-// without heat decay, with and without the capacity tuner — and requires the
-// same answers — the same objects with the same child directory, which every
-// insert makes its own — the same cached set after every operation (so the
-// same victims, in the same order), and the same ledger.
+// advances, epoch advances, dataset and key drops, flushes, and inserts of
+// reads that raced an epoch advance, over two datasets at a capacity that
+// forces evictions — with and without heat decay, with and without the
+// capacity tuner — and requires the same answers — the same objects with the
+// same child directory, which every insert makes its own — the same cached
+// set after every operation (so the same victims, in the same order, and the
+// same survivors of every drop), and the same ledger.
 func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 	const fanout = 2
 	bounds := geom.UnitBox()
@@ -231,8 +243,9 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 	for _, halfLife := range []float64{0, 16} {
 		for _, adaptive := range []bool{false, true} {
 			t.Run(fmt.Sprintf("halfLife=%v/adaptive=%v", halfLife, adaptive), func(t *testing.T) {
-				var tick, epoch int64 = 0, 1
-				c := newResultCache(bounds, 300)
+				var tick int64
+				var epoch atomic.Int64
+				c := newResultCache(bounds, 300, &epoch)
 				c.halfLife, c.tick = halfLife, func() int64 { return tick }
 				m := &eagerCache{bounds: bounds, halfLife: halfLife, tick: &tick, capacity: 300}
 				if adaptive {
@@ -251,51 +264,68 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 					}
 					return keys
 				}
-				byCell := func(a, b scanKey) int { return compareKeys(a.cell, b.cell) }
-				for i := 0; i < 40000; i++ {
-					// A skewed choice of cell, so that some entries are hot.
+				byKey := func(a, b scanKey) int {
+					if a.ds != b.ds {
+						return int(a.ds) - int(b.ds)
+					}
+					return compareKeys(a.cell, b.cell)
+				}
+				// A skewed choice of cell, so that some entries are hot.
+				pick := func() scanKey {
 					u := r.Float64()
-					cell := cells[int(float64(len(cells))*u*u*u)]
-					key := scanKey{ds: 1, cell: cell}
+					return scanKey{ds: object.DatasetID(1 + r.Intn(2)), cell: cells[int(float64(len(cells))*u*u*u)]}
+				}
+				for i := 0; i < 40000; i++ {
+					key := pick()
 					var got, want cellContent
 					var gotAt, wantAt octree.Key
 					var gotOK, wantOK bool
 					p := r.Float64()
 					switch {
 					case p < 0.75: // a cell read: what misses is inserted below
-						got, gotOK = c.Lookup(key.ds, cell, epoch)
-						want, wantOK = m.lookup(key, epoch)
+						got, gotOK = c.Lookup(key.ds, key.cell)
+						want, wantOK = m.lookup(key)
 					case p < 0.85:
 						ext := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), 0.05*r.Float64())
-						got, gotAt, gotOK = c.AnswerContained(1, fanout, epoch, ext)
-						want, wantAt, wantOK = m.contained(1, fanout, epoch, ext)
+						got, gotAt, gotOK = c.AnswerContained(key.ds, fanout, ext)
+						want, wantAt, wantOK = m.contained(key.ds, fanout, ext)
 					case p < 0.95:
 						tick += int64(r.Intn(12))
-					case p < 0.951:
-						epoch++
+					case p < 0.96: // a publish that drops nothing: a build, an eviction
+						epoch.Add(1)
+					case p < 0.961: // a refinement
+						epoch.Add(1)
+						c.DropDataset(key.ds)
+						m.drop(func(k scanKey) bool { return k.ds == key.ds })
+					case p < 0.966: // a merge: a few keys, cached or not
+						epoch.Add(1)
+						keys := []scanKey{key, pick(), pick()}
+						c.DropKeys(slices.Values(keys))
+						m.drop(func(k scanKey) bool { return slices.Contains(keys, k) })
+					case p < 0.9665:
 						c.Invalidate()
 						m.invalidate()
 					}
-					if p < 0.75 && !gotOK || p >= 0.951 {
-						at := epoch
+					if p < 0.75 && !gotOK || p >= 0.95 {
+						at := epoch.Load()
 						if r.Intn(20) == 0 {
-							at-- // a read that raced a publish: dead on arrival
+							at-- // a read that raced a publish: not kept
 						}
 						in := cellContent{objs: content[:r.Intn(len(content))]}
 						if r.Intn(3) > 0 {
 							in.children = []int32{int32(i), int32(len(in.objs))} // this insert's own directory
 						}
 						before, mark := cached(), len(m.evicted)
-						c.Insert(key.ds, cell, at, cell.Box(bounds, fanout), in)
-						m.insert(key, at, in)
+						c.Insert(key.ds, key.cell, at, key.cell.Box(bounds, fanout), in)
+						m.insert(key, at, epoch.Load(), in)
 						// What this insert pushed out of the cache, against what it
 						// pushed out of the model: insert by insert, so the victims
 						// come in the same order (as sets within one insert, where
 						// only the model shows an order).
 						evicted := slices.DeleteFunc(before, func(k scanKey) bool { return k == key || c.entries[k] != nil })
 						wantEvicted := slices.Clone(m.evicted[mark:])
-						slices.SortFunc(evicted, byCell)
-						slices.SortFunc(wantEvicted, byCell)
+						slices.SortFunc(evicted, byKey)
+						slices.SortFunc(wantEvicted, byKey)
 						if !slices.Equal(evicted, wantEvicted) {
 							t.Fatalf("op %d, insert of %v: the cache evicted %v, the model %v", i, key, evicted, wantEvicted)
 						}
@@ -317,11 +347,12 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 				st := c.Stats()
 				if st.Evictions != m.evictions || st.Hits != m.hits || st.Misses != m.misses ||
 					st.GhostHits != m.ghostHits || st.Capacity != m.capacity ||
-					st.CapacityGrows != m.grows || st.CapacityShrinks != m.shrinks {
-					t.Fatalf("ledger: cache %+v; model evictions %d hits %d misses %d ghost hits %d capacity %d grows %d shrinks %d",
-						st, m.evictions, m.hits, m.misses, m.ghostHits, m.capacity, m.grows, m.shrinks)
+					st.CapacityGrows != m.grows || st.CapacityShrinks != m.shrinks ||
+					st.Invalidations != m.invalidations {
+					t.Fatalf("ledger: cache %+v; model evictions %d hits %d misses %d ghost hits %d capacity %d grows %d shrinks %d invalidations %d",
+						st, m.evictions, m.hits, m.misses, m.ghostHits, m.capacity, m.grows, m.shrinks, m.invalidations)
 				}
-				if st.Evictions < 1000 || st.Hits < 1000 || adaptive && st.CapacityGrows+st.CapacityShrinks == 0 {
+				if st.Evictions < 1000 || st.Hits < 1000 || st.Invalidations < 100 || adaptive && st.CapacityGrows+st.CapacityShrinks == 0 {
 					t.Fatalf("the sequence exercised too little: %+v", st)
 				}
 			})
@@ -333,7 +364,7 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 // run, yet the tuner must decide what it would have with every hit booked on
 // its own. The tape drives LookupRun beside the per-Lookup model: a run that
 // crosses tuneEvery in its middle, with enough ghost hits in the window to
-// grow the budget, and, after an epoch boundary, a run long enough to cross it
+// grow the budget, and, after a flush, a run long enough to cross it
 // three times over an idle budget, which shrinks it twice. The capacity, the
 // tuner's moves, the ghost hits and the hits must match the model's at every
 // step, and the hits must be the hits served.
@@ -341,7 +372,7 @@ func TestResultCacheRunTunesOnCadence(t *testing.T) {
 	var tick int64
 	var epoch atomic.Int64
 	epoch.Store(1)
-	c := newResultCache(geom.UnitBox(), 300)
+	c := newResultCache(geom.UnitBox(), 300, &epoch)
 	c.halfLife, c.tick = 16, func() int64 { return tick }
 	m := &eagerCache{bounds: geom.UnitBox(), halfLife: 16, tick: &tick, capacity: 300}
 	c.enableAdaptive()
@@ -367,8 +398,8 @@ func TestResultCacheRunTunesOnCadence(t *testing.T) {
 	// what missed.
 	read := func(cell octree.Key) {
 		key := scanKey{ds: 1, cell: cell}
-		_, ok := c.Lookup(1, cell, epoch.Load())
-		if _, want := m.lookup(key, epoch.Load()); ok != want {
+		_, ok := c.Lookup(1, cell)
+		if _, want := m.lookup(key); ok != want {
 			t.Fatalf("lookup of %v: the cache hit %v, the model %v", cell, ok, want)
 		}
 		if ok {
@@ -376,7 +407,7 @@ func TestResultCacheRunTunesOnCadence(t *testing.T) {
 			return
 		}
 		c.Insert(1, cell, epoch.Load(), geom.UnitBox(), content)
-		m.insert(key, epoch.Load(), content)
+		m.insert(key, epoch.Load(), epoch.Load(), content)
 	}
 	// run is readMerged's run of hits: the model books them one by one.
 	run := func(cells ...octree.Key) {
@@ -384,9 +415,9 @@ func TestResultCacheRunTunesOnCadence(t *testing.T) {
 		for i, cell := range cells {
 			reads[i] = mergeRead{entry: cell, ds: 1}
 		}
-		hits := c.LookupRun(nil, reads, &epoch)
+		hits := c.LookupRun(nil, reads)
 		for _, cell := range cells[:len(hits)] {
-			if _, ok := m.lookup(scanKey{ds: 1, cell: cell}, epoch.Load()); !ok {
+			if _, ok := m.lookup(scanKey{ds: 1, cell: cell}); !ok {
 				t.Fatalf("the cache hit %v, the model missed it", cell)
 			}
 		}
@@ -421,19 +452,18 @@ func TestResultCacheRunTunesOnCadence(t *testing.T) {
 		t.Fatal("the tune inside the run did not grow the budget")
 	}
 
-	epoch.Add(1)
 	c.Invalidate()
 	m.invalidate()
 	read(cells[0])
 	read(cells[1])
-	check("after the epoch boundary")
+	check("after the flush")
 	long = make([]octree.Key, 3*tuneEvery+10)
 	for i := range long {
 		long[i] = cells[i%2]
 	}
 	before := m.shrinks
 	// Due to tune three times over two cells of a grown budget: the first tune
-	// still sees the flushed epoch's peak, the next two shrink.
+	// still sees the peak from before the flush, the next two shrink.
 	run(long...)
 	check("after a run crossing the cadence twice")
 	if m.shrinks-before != 2 {
@@ -455,7 +485,7 @@ func TestAdaptiveCacheStartsInsideItsRange(t *testing.T) {
 		{1024, 1024, 1024, 65536},
 		{131072, 131072, 8192, 8388608},
 	} {
-		c := newResultCache(geom.UnitBox(), tc.start)
+		c := newResultCache(geom.UnitBox(), tc.start, new(atomic.Int64))
 		m := &eagerCache{capacity: tc.start}
 		c.enableAdaptive()
 		m.enableAdaptive()
@@ -471,41 +501,53 @@ func TestAdaptiveCacheStartsInsideItsRange(t *testing.T) {
 }
 
 // TestResultCacheStorm hammers the cache from every side at once — single
-// lookups, run lookups, inserts, and publishes that advance the epoch and
-// flush — and holds the two things sharing the lock on a hit could break:
-// the ledger still counts every lookup exactly once (a run books its hits,
-// never the read that ended it), and no lookup is ever answered from another
-// epoch's entry — nor with another entry's child directory.
+// lookups, run lookups, inserts of reads that may have raced a publish, and
+// publishes that advance the epoch and then drop a dataset, a few keys,
+// everything or nothing — and holds the things sharing the lock on a hit and
+// dropping by target could break: the ledger still counts every lookup
+// exactly once (a run books its hits, never the read that ended it), no
+// lookup returns content whose read began before the epoch advance of the
+// last drop that covered its key and had finished when the lookup began, and
+// none returns another entry's child directory.
 func TestResultCacheStorm(t *testing.T) {
 	const fanout = 2
 	bounds := geom.UnitBox()
-	c := newResultCache(bounds, 32)
+	var epoch atomic.Int64
+	epoch.Store(1)
+	c := newResultCache(bounds, 32, &epoch)
 	var tick atomic.Int64
 	c.halfLife, c.tick = 8, tick.Load
 	c.enableAdaptive()
-	c.capacity, c.maxCap = 32, 128 // the 64 cells below hold 256 objects: the tuner grows the budget, evictions never stop
-	var epoch atomic.Int64
-	epoch.Store(1)
+	c.capacity, c.maxCap = 32, 256 // the 128 cells below hold 512 objects: the tuner grows the budget, evictions never stop
 
-	// A run of reads over the level-2 cells, in a fixed order.
+	// A run of reads over the level-2 cells of two datasets, in a fixed order.
 	var run []mergeRead
-	for x := uint32(0); x < 4; x++ {
-		for y := uint32(0); y < 4; y++ {
-			for z := uint32(0); z < 4; z++ {
-				run = append(run, mergeRead{entry: testKeyAt(2, x, y, z), ds: 1, start: int64(len(run))})
+	for ds := object.DatasetID(1); ds <= 2; ds++ {
+		for x := uint32(0); x < 4; x++ {
+			for y := uint32(0); y < 4; y++ {
+				for z := uint32(0); z < 4; z++ {
+					run = append(run, mergeRead{entry: testKeyAt(2, x, y, z), ds: ds, start: int64(len(run))})
+				}
 			}
 		}
 	}
-	// An entry's content names the epoch it was inserted under, in its
-	// objects and in its directory.
-	insert := func(r mergeRead) {
-		at := epoch.Load()
+	// floors[i] is the epoch the last finished drop covering run[i] advanced
+	// to: no lookup that began after the drop may be answered by a read that
+	// began before that epoch.
+	floors := make([]atomic.Int64, len(run))
+	// An entry's content names the epoch its read began at, in its objects
+	// and in its directory.
+	insert := func(r mergeRead, at int64) {
 		objs := make([]object.Object, 4)
 		objs[0].ID = uint64(at)
 		c.Insert(r.ds, r.entry, at, r.entry.Box(bounds, fanout), cellContent{objs: objs, children: []int32{int32(at)}})
 	}
-	// torn reports content whose objects and directory came from two entries.
-	torn := func(got cellContent) bool { return got.objs[0].ID != uint64(got.children[0]) }
+	// stale reports content read before floor or after hi (the epoch after
+	// the lookup), or whose objects and directory came from two entries.
+	stale := func(got cellContent, floor, hi int64) bool {
+		id := got.objs[0].ID
+		return id < uint64(floor) || id > uint64(hi) || id != uint64(got.children[0])
+	}
 	var lookups atomic.Int64
 	errc := make(chan error, 16)
 	fail := func(format string, args ...any) {
@@ -525,8 +567,9 @@ func TestResultCacheStorm(t *testing.T) {
 			}
 		}()
 	}
-	// Publishes, for as long as the lookups run: the epoch advances, then the
-	// cache is flushed, as bumpLayoutEpoch does.
+	// Publishes, for as long as the lookups run: the epoch advances, then
+	// what the publish changed is dropped, as publishRefined and dropMerged
+	// do — and the floors of the dropped keys rise once the drop is done.
 	stop, published := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(published)
@@ -537,43 +580,68 @@ func TestResultCacheStorm(t *testing.T) {
 				return
 			case <-time.After(50 * time.Microsecond):
 			}
-			epoch.Add(1)
-			c.Invalidate()
-			c.AnswerContained(1, fanout, epoch.Load(), geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), 0.01))
+			e := epoch.Add(1)
+			covered := func(int) bool { return false } // a build or an eviction drops nothing
+			switch op := r.Intn(8); {
+			case op == 1:
+				c.Invalidate()
+				covered = func(int) bool { return true }
+			case op < 4:
+				ds := object.DatasetID(1 + r.Intn(2))
+				c.DropDataset(ds)
+				covered = func(i int) bool { return run[i].ds == ds }
+			case op < 8:
+				var keys []scanKey
+				for range 4 {
+					rd := run[r.Intn(len(run))]
+					keys = append(keys, scanKey{ds: rd.ds, cell: rd.entry})
+				}
+				c.DropKeys(slices.Values(keys))
+				covered = func(i int) bool { return slices.Contains(keys, scanKey{ds: run[i].ds, cell: run[i].entry}) }
+			}
+			for i := range floors {
+				if covered(i) {
+					floors[i].Store(e)
+				}
+			}
+			c.AnswerContained(object.DatasetID(1+r.Intn(2)), fanout, geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), 0.01))
 		}
 	}()
+	// lookup is one cell read as readCell issues it: the epoch loaded first,
+	// then the lookup, and an insert of what missed.
+	lookup := func(i int) {
+		at, floor := epoch.Load(), floors[i].Load()
+		got, ok := c.Lookup(run[i].ds, run[i].entry)
+		lookups.Add(1)
+		if !ok {
+			insert(run[i], at)
+		} else if hi := epoch.Load(); stale(got, floor, hi) {
+			fail("Lookup of %v past the drop to epoch %d answered with the read of epoch %d (directory %v)", run[i], floor, got.objs[0].ID, got.children)
+		}
+	}
 	for g := int64(0); g < 2; g++ {
-		worker(g, func(r *rand.Rand) { // single lookups, inserting what missed
+		worker(g, func(r *rand.Rand) { // single lookups
 			tick.Add(1)
-			rd := run[r.Intn(len(run))]
-			at := epoch.Load()
-			got, ok := c.Lookup(rd.ds, rd.entry, at)
-			lookups.Add(1)
-			if ok && (got.objs[0].ID != uint64(at) || torn(got)) {
-				fail("Lookup at epoch %d answered from epoch %d's entry (directory %v)", at, got.objs[0].ID, got.children)
-			}
-			if !ok {
-				insert(rd)
-			}
+			lookup(r.Intn(len(run)))
 		})
-		worker(10+g, func(r *rand.Rand) { // run lookups, as readMerged issues them
-			reads := run[r.Intn(len(run)):]
-			for len(reads) > 0 {
-				lo := epoch.Load()
-				hits := c.LookupRun(nil, reads, &epoch)
+		worker(10+g, func(r *rand.Rand) { // run lookups, as readMerged issues them, 16 reads at most
+			var floor [16]int64
+			for i := r.Intn(len(run)); i < len(run); {
+				reads := run[i:min(i+len(floor), len(run))]
+				for j := range reads {
+					floor[j] = floors[i+j].Load()
+				}
+				hits := c.LookupRun(nil, reads)
 				hi := epoch.Load()
 				lookups.Add(int64(len(hits)))
-				for _, got := range hits {
-					if id := got.objs[0].ID; id < uint64(lo) || id > uint64(hi) || torn(got) {
-						fail("LookupRun between epochs %d and %d answered from epoch %d's entry (directory %v)", lo, hi, id, got.children)
+				for j, got := range hits {
+					if stale(got, floor[j], hi) {
+						fail("LookupRun of %v past the drop to epoch %d answered with the read of epoch %d (directory %v)", reads[j], floor[j], got.objs[0].ID, got.children)
 					}
 				}
-				if reads = reads[len(hits):]; len(reads) > 0 {
-					if _, ok := c.Lookup(reads[0].ds, reads[0].entry, epoch.Load()); !ok {
-						insert(reads[0])
-					}
-					lookups.Add(1)
-					reads = reads[1:]
+				if i += len(hits); len(hits) < len(reads) {
+					lookup(i)
+					i++
 				}
 			}
 		})

@@ -1,24 +1,32 @@
 package core
 
 import (
+	"slices"
+	"sync/atomic"
 	"testing"
 
+	"spaceodyssey/internal/datagen"
+	"spaceodyssey/internal/engine"
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
 	"spaceodyssey/internal/octree"
 )
 
 // TestResultCacheExactHitAndEpochDrop pins the cache's key contract: an
-// insert at epoch E answers a lookup at E (a cached empty cell included),
-// and any other epoch is a miss that drops the dead entry on sight.
+// insert answers a lookup of its key (a cached empty cell included) for as
+// long as it is cached — across layout-epoch advances and drops of other
+// datasets and other keys — and an insert whose read began at an epoch that
+// is no longer current (it raced a publish) is dropped, not kept.
 func TestResultCacheExactHitAndEpochDrop(t *testing.T) {
-	c := newResultCache(geom.UnitBox(), 100)
+	var epoch atomic.Int64
+	epoch.Store(5)
+	c := newResultCache(geom.UnitBox(), 100, &epoch)
 	cell := testKeyAt(1, 0, 0, 0)
 	region := cell.Box(geom.UnitBox(), 2)
 	objs := []object.Object{{ID: 1, Dataset: 3}, {ID: 2, Dataset: 3}}
 
 	c.Insert(3, cell, 5, region, cellContent{objs: objs})
-	got, ok := c.Lookup(3, cell, 5)
+	got, ok := c.Lookup(3, cell)
 	if !ok || len(got.objs) != 2 {
 		t.Fatalf("Lookup = %v, %v; want the 2 inserted objects", got, ok)
 	}
@@ -26,26 +34,38 @@ func TestResultCacheExactHitAndEpochDrop(t *testing.T) {
 	// A cached empty cell is a hit, not a miss — ok carries the answer.
 	empty := testKeyAt(1, 1, 0, 0)
 	c.Insert(3, empty, 5, empty.Box(geom.UnitBox(), 2), cellContent{})
-	if got, ok := c.Lookup(3, empty, 5); !ok || len(got.objs) != 0 {
+	if got, ok := c.Lookup(3, empty); !ok || len(got.objs) != 0 {
 		t.Fatalf("cached empty cell: Lookup = %v, %v; want [], true", got, ok)
 	}
 
-	// A later epoch kills the entry: the stale lookup misses AND removes it,
-	// so even the original epoch misses afterwards.
-	if _, ok := c.Lookup(3, cell, 6); ok {
-		t.Fatal("stale-epoch entry served")
+	// The layout moves on: the epoch advances, and the publish drops another
+	// dataset and other keys — one of them the same cell of another dataset.
+	epoch.Add(1)
+	c.DropDataset(4)
+	c.DropKeys(slices.Values([]scanKey{{ds: 3, cell: testKeyAt(1, 1, 1, 1)}, {ds: 4, cell: cell}}))
+	if got, ok := c.Lookup(3, cell); !ok || len(got.objs) != 2 {
+		t.Fatalf("after an epoch advance and unrelated drops: Lookup = %v, %v; want the 2 objects", got, ok)
 	}
-	if _, ok := c.Lookup(3, cell, 5); ok {
-		t.Fatal("stale entry not dropped on sight")
+
+	// A read that began at epoch 5 raced the publish: it is not kept, neither
+	// as a new entry nor over a current one.
+	raced := testKeyAt(1, 0, 1, 0)
+	c.Insert(3, raced, 5, raced.Box(geom.UnitBox(), 2), cellContent{objs: objs[:1]})
+	if _, ok := c.Lookup(3, raced); ok {
+		t.Fatal("a read that raced a publish was kept")
+	}
+	c.Insert(3, cell, 5, region, cellContent{})
+	if got, ok := c.Lookup(3, cell); !ok || len(got.objs) != 2 {
+		t.Fatalf("a raced read replaced a current entry: Lookup = %v, %v", got, ok)
 	}
 
 	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 2 || st.Inserts != 2 {
-		t.Fatalf("ledger = %+v, want 2 hits / 2 misses / 2 inserts", st)
+	if st.Hits != 4 || st.Misses != 1 || st.Inserts != 2 {
+		t.Fatalf("ledger = %+v, want 4 hits / 1 miss / 2 inserts", st)
 	}
-	if st.Entries != 1 || st.CachedObjects != 0 {
-		t.Fatalf("entries/objects = %d/%d, want 1/0 (only the empty cell left)",
-			st.Entries, st.CachedObjects)
+	if st.Entries != 2 || st.CachedObjects != 2 || st.Invalidations != 0 {
+		t.Fatalf("entries/objects/invalidations = %d/%d/%d, want 2/2/0 (the drops removed nothing)",
+			st.Entries, st.CachedObjects, st.Invalidations)
 	}
 }
 
@@ -53,22 +73,22 @@ func TestResultCacheExactHitAndEpochDrop(t *testing.T) {
 // overflows, the entry with the fewest hits goes first and hot entries
 // survive; an entry bigger than the whole budget is never admitted.
 func TestResultCacheEvictsColdestFirst(t *testing.T) {
-	c := newResultCache(geom.UnitBox(), 4)
+	c := newResultCache(geom.UnitBox(), 4, new(atomic.Int64))
 	a, b, cc := testKeyAt(2, 0, 0, 0), testKeyAt(2, 1, 0, 0), testKeyAt(2, 2, 0, 0)
 	two := []object.Object{{ID: 1}, {ID: 2}}
 
-	c.Insert(0, a, 1, geom.UnitBox(), cellContent{objs: two})
-	c.Insert(0, b, 1, geom.UnitBox(), cellContent{objs: two})
-	c.Lookup(0, a, 1) // heat a above b
-	c.Insert(0, cc, 1, geom.UnitBox(), cellContent{objs: two})
+	c.Insert(0, a, 0, geom.UnitBox(), cellContent{objs: two})
+	c.Insert(0, b, 0, geom.UnitBox(), cellContent{objs: two})
+	c.Lookup(0, a) // heat a above b
+	c.Insert(0, cc, 0, geom.UnitBox(), cellContent{objs: two})
 
-	if _, ok := c.Lookup(0, b, 1); ok {
+	if _, ok := c.Lookup(0, b); ok {
 		t.Fatal("coldest entry survived eviction")
 	}
-	if _, ok := c.Lookup(0, a, 1); !ok {
+	if _, ok := c.Lookup(0, a); !ok {
 		t.Fatal("hot entry was evicted instead of the coldest")
 	}
-	if _, ok := c.Lookup(0, cc, 1); !ok {
+	if _, ok := c.Lookup(0, cc); !ok {
 		t.Fatal("freshly inserted entry missing")
 	}
 	st := c.Stats()
@@ -78,8 +98,8 @@ func TestResultCacheEvictsColdestFirst(t *testing.T) {
 
 	// An oversized scan must not flush the whole cache just to fail to fit.
 	five := make([]object.Object, 5)
-	c.Insert(0, testKeyAt(2, 3, 0, 0), 1, geom.UnitBox(), cellContent{objs: five})
-	if _, ok := c.Lookup(0, testKeyAt(2, 3, 0, 0), 1); ok {
+	c.Insert(0, testKeyAt(2, 3, 0, 0), 0, geom.UnitBox(), cellContent{objs: five})
+	if _, ok := c.Lookup(0, testKeyAt(2, 3, 0, 0)); ok {
 		t.Fatal("entry larger than the whole budget was admitted")
 	}
 	if st := c.Stats(); st.Entries != 2 {
@@ -88,14 +108,17 @@ func TestResultCacheEvictsColdestFirst(t *testing.T) {
 }
 
 // TestResultCacheInvalidateCountsOnlyFlushes pins the Invalidations
-// semantics: a publish over an empty cache is a no-op and is not counted.
+// semantics: a flush or a targeted drop that removes nothing is a no-op and
+// is not counted; one that removes something counts once, however much it
+// removed.
 func TestResultCacheInvalidateCountsOnlyFlushes(t *testing.T) {
-	c := newResultCache(geom.UnitBox(), 100)
+	c := newResultCache(geom.UnitBox(), 100, new(atomic.Int64))
 	c.Invalidate()
 	if st := c.Stats(); st.Invalidations != 0 {
 		t.Fatalf("empty-cache invalidate counted: %d", st.Invalidations)
 	}
-	c.Insert(0, testKeyAt(1, 0, 0, 0), 1, geom.UnitBox(), cellContent{objs: []object.Object{{ID: 1}}})
+	one := []object.Object{{ID: 1}}
+	c.Insert(0, testKeyAt(1, 0, 0, 0), 0, geom.UnitBox(), cellContent{objs: one})
 	c.Invalidate()
 	st := c.Stats()
 	if st.Invalidations != 1 {
@@ -108,40 +131,76 @@ func TestResultCacheInvalidateCountsOnlyFlushes(t *testing.T) {
 	if st := c.Stats(); st.Invalidations != 1 {
 		t.Fatalf("second empty invalidate counted: %d", st.Invalidations)
 	}
+
+	for ds := object.DatasetID(0); ds < 2; ds++ {
+		c.Insert(ds, testKeyAt(1, 0, 0, 0), 0, geom.UnitBox(), cellContent{objs: one})
+		c.Insert(ds, testKeyAt(1, 1, 0, 0), 0, geom.UnitBox(), cellContent{objs: one})
+	}
+	c.DropDataset(2)
+	c.DropKeys(slices.Values([]scanKey{{ds: 2, cell: testKeyAt(1, 0, 0, 0)}}))
+	if st := c.Stats(); st.Invalidations != 1 || st.Entries != 4 {
+		t.Fatalf("drops that removed nothing: %d invalidations, %d entries; want 1, 4", st.Invalidations, st.Entries)
+	}
+	c.DropKeys(slices.Values([]scanKey{{ds: 0, cell: testKeyAt(1, 0, 0, 0)}, {ds: 1, cell: testKeyAt(1, 0, 0, 0)}}))
+	c.DropDataset(0)
+	if st := c.Stats(); st.Invalidations != 3 || st.Entries != 1 {
+		t.Fatalf("two drops that removed entries: %d invalidations, %d entries; want 3, 1", st.Invalidations, st.Entries)
+	}
 }
 
 // TestResultCacheContainment pins containment answering: a query window
 // inside a cached cell box is answered from that entry, a window crossing
-// the cell boundary is not, and a stale-epoch region never answers.
+// the cell boundary is not, and the region outlives an epoch advance and
+// another dataset's drop. A drop of its own dataset removes exactly that
+// dataset's entries and its level index, so the probe finds nothing.
 func TestResultCacheContainment(t *testing.T) {
 	bounds := geom.UnitBox()
-	c := newResultCache(bounds, 1000)
+	var epoch atomic.Int64
+	c := newResultCache(bounds, 1000, &epoch)
 	cell := testKeyAt(1, 0, 0, 0) // [0,0.5]^3 at fanout 2
-	c.Insert(1, cell, 7, cell.Box(bounds, 2), cellContent{objs: []object.Object{{ID: 9, Dataset: 1}}})
+	c.Insert(1, cell, 0, cell.Box(bounds, 2), cellContent{objs: []object.Object{{ID: 9, Dataset: 1}}})
+	c.Insert(2, cell, 0, cell.Box(bounds, 2), cellContent{objs: []object.Object{{ID: 8, Dataset: 2}}})
+	c.Insert(3, testKeyAt(2, 0, 0, 0), 0, testKeyAt(2, 0, 0, 0).Box(bounds, 2), cellContent{})
 
 	inside := geom.Cube(geom.V(0.25, 0.25, 0.25), 0.4)
-	got, at, ok := c.AnswerContained(1, 2, 7, inside)
+	got, at, ok := c.AnswerContained(1, 2, inside)
 	if !ok || len(got.objs) != 1 || got.objs[0].ID != 9 || at != cell {
 		t.Fatalf("contained probe = %v at %v, %v; want the cached region content at %v", got, at, ok, cell)
 	}
 
 	spanning := geom.Cube(geom.V(0.5, 0.25, 0.25), 0.4) // crosses the cell wall
-	if _, _, ok := c.AnswerContained(1, 2, 7, spanning); ok {
+	if _, _, ok := c.AnswerContained(1, 2, spanning); ok {
 		t.Fatal("region answered a window it does not contain")
 	}
-	if _, _, ok := c.AnswerContained(2, 2, 7, inside); ok {
+	if _, _, ok := c.AnswerContained(4, 2, inside); ok {
 		t.Fatal("region answered another dataset's window")
 	}
-	if _, _, ok := c.AnswerContained(1, 2, 8, inside); ok {
-		t.Fatal("stale-epoch region answered by containment")
+
+	// The layout moves on, and dataset 3 is refined: dataset 1's region still
+	// answers.
+	epoch.Add(1)
+	c.DropDataset(3)
+	if got, _, ok := c.AnswerContained(1, 2, inside); !ok || got.objs[0].ID != 9 {
+		t.Fatalf("after an epoch advance and another dataset's drop: probe = %v, %v; want the region", got, ok)
+	}
+	if st := c.Stats(); st.Entries != 2 || c.levels[3] != nil {
+		t.Fatalf("dataset 3's drop left %d entries and level index %v; want 2 and none", st.Entries, c.levels[3])
+	}
+
+	// Dataset 1 is refined: its entry and level index go, dataset 2's stay.
+	c.DropDataset(1)
+	if _, _, ok := c.AnswerContained(1, 2, inside); ok {
+		t.Fatal("a dropped dataset's region answered by containment")
+	}
+	if c.levels[1] != nil || c.entries[scanKey{ds: 1, cell: cell}] != nil {
+		t.Fatal("the dataset drop left its entry or level index behind")
+	}
+	if got, _, ok := c.AnswerContained(2, 2, inside); !ok || got.objs[0].ID != 8 {
+		t.Fatalf("another dataset's drop took dataset 2's region: probe = %v, %v", got, ok)
 	}
 	st := c.Stats()
-	if st.ContainmentHits != 1 {
-		t.Fatalf("ContainmentHits = %d, want 1", st.ContainmentHits)
-	}
-	// The stale probe dropped the dead entry.
-	if st.Entries != 0 {
-		t.Fatalf("stale entry survived the containment probe: %d entries", st.Entries)
+	if st.ContainmentHits != 3 || st.Entries != 1 || st.CachedObjects != 1 || st.Invalidations != 2 {
+		t.Fatalf("ledger = %+v; want 3 containment hits, 1 entry of 1 object, 2 invalidations", st)
 	}
 }
 
@@ -168,21 +227,23 @@ func TestCellAt(t *testing.T) {
 // TestResultCacheContainmentDeepestFirst pins the probe's order: when cached
 // regions at two levels both contain the window, the deeper — smaller — one
 // answers and takes the hit, whatever order the entries went in — which one
-// is bumped decides later evictions, so it must not be left to map order.
+// is bumped decides later evictions, so it must not be left to map order. A
+// key drop removes exactly its keys: with the deeper region dropped, the
+// coarser one answers.
 func TestResultCacheContainmentDeepestFirst(t *testing.T) {
 	bounds := geom.UnitBox()
 	coarse, fine := testKeyAt(1, 0, 0, 0), testKeyAt(2, 0, 0, 0) // [0,0.5]^3 and [0,0.25]^3 at fanout 2
 	window := geom.Cube(geom.V(0.1, 0.1, 0.1), 0.1)
 	for round := 0; round < 64; round++ {
-		c := newResultCache(bounds, 1000)
+		c := newResultCache(bounds, 1000, new(atomic.Int64))
 		keys := []octree.Key{coarse, fine}
 		if round%2 == 1 {
 			keys[0], keys[1] = fine, coarse
 		}
 		for _, k := range keys {
-			c.Insert(1, k, 7, k.Box(bounds, 2), cellContent{objs: []object.Object{{ID: uint64(k.Level), Dataset: 1}}})
+			c.Insert(1, k, 0, k.Box(bounds, 2), cellContent{objs: []object.Object{{ID: uint64(k.Level), Dataset: 1}}})
 		}
-		got, _, ok := c.AnswerContained(1, 2, 7, window)
+		got, _, ok := c.AnswerContained(1, 2, window)
 		if !ok || len(got.objs) != 1 || got.objs[0].ID != uint64(fine.Level) {
 			t.Fatalf("round %d: probe = %v, %v; want the level-%d region's content", round, got, ok, fine.Level)
 		}
@@ -192,15 +253,126 @@ func TestResultCacheContainmentDeepestFirst(t *testing.T) {
 		if heat := c.entries[scanKey{ds: 1, cell: coarse}].heat.Load(); heat != 1 {
 			t.Fatalf("round %d: the coarser region's heat = %d, want 1 (untouched)", round, heat)
 		}
-		// A dead entry on the way is dropped, and the probe goes on to the
-		// next level.
-		c.Insert(1, fine, 6, fine.Box(bounds, 2), cellContent{})
-		got, _, ok = c.AnswerContained(1, 2, 7, window)
+		// A merge published the deeper cell's key: the drop removes it, and
+		// the probe goes on to the next level.
+		c.DropKeys(slices.Values([]scanKey{{ds: 1, cell: fine}, {ds: 2, cell: coarse}}))
+		got, _, ok = c.AnswerContained(1, 2, window)
 		if !ok || len(got.objs) != 1 || got.objs[0].ID != uint64(coarse.Level) {
-			t.Fatalf("round %d: probe past a dead region = %v, %v; want the level-%d region's content", round, got, ok, coarse.Level)
+			t.Fatalf("round %d: probe past a dropped region = %v, %v; want the level-%d region's content", round, got, ok, coarse.Level)
 		}
-		if st := c.Stats(); st.Entries != 1 || st.ContainmentHits != 2 {
-			t.Fatalf("round %d: %d entries, %d containment hits; want the dead entry dropped and 2 hits", round, st.Entries, st.ContainmentHits)
+		if st := c.Stats(); st.Entries != 1 || st.ContainmentHits != 2 || c.levels[1].mask != 1<<coarse.Level {
+			t.Fatalf("round %d: %d entries, %d containment hits, levels %b; want only the coarse region left and 2 hits",
+				round, st.Entries, st.ContainmentHits, c.levels[1].mask)
 		}
+	}
+}
+
+// TestPublishDropsOnlyWhatItChanged drives an inline-maintenance engine with
+// the result cache on through the two publishes that change cells, and holds
+// what each may drop. A refinement of one dataset leaves another dataset's
+// cached cells cached: re-querying them reads nothing from the device. A
+// merge publish leaves the cells of a dataset outside the combination cached,
+// and drops the keys it published, so the next read of one carries the
+// segment's child directory instead of the file-order partition cached
+// before. Every answer is checked against a brute-force scan.
+func TestPublishDropsOnlyWhatItChanged(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheResults = true
+	eng, raws, dev := testSetup(t, 4, 16000, 57, cfg)
+	oracle := engine.NewNaiveScan(raws)
+	q := geom.Cube(geom.V(0.5, 0.5, 0.5), 0.3)
+	reads := func() int64 { st := dev.Stats(); return st.PageReads + st.CacheHits }
+	// ask answers one query, and reports how many pages the engine read for
+	// it (the scan behind the oracle shares the device).
+	ask := func(q geom.Box, dss ...object.DatasetID) int64 {
+		t.Helper()
+		before := reads()
+		got, err := eng.Query(q, dss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages := reads() - before
+		want, err := oracle.Query(q, dss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !engine.SameObjects(got, want) {
+			t.Fatalf("%v over %v: %d objects, the brute-force scan %d", q, dss, len(got), len(want))
+		}
+		return pages
+	}
+	// settle queries dss until a query changes no layout, so that its cells
+	// are all cached.
+	settle := func(q geom.Box, dss ...object.DatasetID) {
+		t.Helper()
+		for i := 0; ; i++ {
+			epoch := eng.layoutEpoch.Load()
+			ask(q, dss...)
+			if eng.layoutEpoch.Load() == epoch {
+				return
+			}
+			if i == 20 {
+				t.Fatalf("%v still changes the layout after 20 queries", dss)
+			}
+		}
+	}
+	// cached holds that re-querying dss is answered from the cache alone.
+	cached := func(step string, q geom.Box, dss ...object.DatasetID) {
+		t.Helper()
+		zero := eng.CacheStats().ZeroReadQueries
+		pages := ask(q, dss...)
+		if got := eng.CacheStats().ZeroReadQueries - zero; got != 1 || pages != 0 {
+			t.Fatalf("%s: re-querying %v was %d zero-read queries and read %d pages; want 1 and none",
+				step, dss, got, pages)
+		}
+	}
+
+	settle(q, 0)
+	cached("settled", q, 0)
+	// Dataset 1's level-0 build, and refinements around one of its objects
+	// away from q, where the merge below takes the level-0 cells.
+	var far geom.Vec
+	for _, o := range datagen.GenerateDatasets(datagen.Config{Seed: 57, NumObjects: 16000, Clusters: 6}, 2)[1] {
+		if !q.Expand(geom.Splat(0.2)).ContainsPoint(o.Center) {
+			far = o.Center
+			break
+		}
+	}
+	refinements := eng.Metrics().Refinements
+	ask(geom.Cube(far, 0.02), 1)
+	if eng.Metrics().Refinements == refinements {
+		t.Fatal("the query on dataset 1 refined nothing")
+	}
+	cached("after dataset 1 was refined", q, 0)
+
+	settle(q, 3)
+	merged := []object.DatasetID{0, 1, 2}
+	for eng.merger.file(KeyOf(merged)) == nil {
+		ask(q, merged...)
+		if eng.Metrics().Queries > 60 {
+			t.Fatal("the combination never merged")
+		}
+	}
+	cached("after the merge published", q, 3)
+
+	mf := eng.merger.file(KeyOf(merged))
+	ask(q, merged...)
+	indexed := 0
+	for key, seg := range mf.entries {
+		if len(seg.children) == 0 {
+			continue
+		}
+		it := eng.rcache.entries[key]
+		if it == nil {
+			t.Fatalf("the read of published key %v after the merge is not cached", key)
+		}
+		if !slices.Equal(it.content.children, seg.children) {
+			t.Fatalf("the read of published key %v after the merge is cached with directory %v, not the segment's %v",
+				key, it.content.children, seg.children)
+		}
+		indexed++
+	}
+	if indexed == 0 {
+		t.Fatal("the merge published no segment with a child directory")
 	}
 }

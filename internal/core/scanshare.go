@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
@@ -61,23 +62,21 @@ type cellRead = func(context.Context) (cellContent, error)
 // readCell is the one cell read of the serving stack, shared by tree
 // partitions (through octree.Tree.ShareReader) and merge segments, which live
 // in one (dataset, cell) key space — either is the full content of its cell:
-// the result cache first (an exact hit within the layout epoch costs
-// nothing), then the in-flight reads of the cell (sharing on), then the
-// device read itself, whose completed result is retained in the cache for
-// queries that arrive after the read finished. box is the cell's region,
+// the result cache first (an exact hit costs nothing), then the in-flight
+// reads of the cell (sharing on), then the device read itself, whose
+// completed result is retained in the cache for queries that arrive after the
+// read finished. box is the cell's region,
 // which the cache keys containment answering on. Callers hold the shared
 // layout lock — and, for a partition, the dataset's shared tree lock — while
 // publishers take them exclusively, so the cell's bytes cannot change under
 // the read or its attached waiters. The returned content may be shared with
 // concurrent queries and must be treated as read-only.
 func (o *Odyssey) readCell(ctx context.Context, ds object.DatasetID, cell octree.Key, box geom.Box, read cellRead) (cellContent, error) {
-	// The epoch is loaded before the read: a layout publish racing the read
-	// flushes the cache and leaves the later insert dead on arrival (its
-	// stored epoch can never match a future lookup) — conservative, never
-	// wrong.
+	// The epoch is loaded before the read: the cache does not keep a read
+	// that a layout publish raced (see resultCache.Insert).
 	epoch := o.layoutEpoch.Load()
 	if o.rcache != nil {
-		if c, ok := o.rcache.Lookup(ds, cell, epoch); ok {
+		if c, ok := o.rcache.Lookup(ds, cell); ok {
 			return c, nil
 		}
 	}
@@ -123,13 +122,30 @@ func (o *Odyssey) sharedRead(ctx context.Context, key flightKey, device func() (
 	}
 }
 
-// bumpLayoutEpoch publishes a layout change: the global epoch advances — so
-// no new reader attaches to a pre-publish read — and the result cache (when
-// caching is on) is flushed so no post-publish query is answered from a
-// pre-publish scan.
+// bumpLayoutEpoch publishes a layout change: the global epoch advances, so
+// no new reader attaches to a pre-publish read and the result cache keeps no
+// read that began before it. It drops no cached cell: a cell's content
+// depends only on (dataset, cell) — see resultCache — and the publishes that
+// make cached cells stale in format drop them after the bump
+// (publishRefined, dropMerged).
 func (o *Odyssey) bumpLayoutEpoch() {
 	o.layoutEpoch.Add(1)
+}
+
+// publishRefined publishes refinements of ds: its cached cells may now be
+// coarser than its leaves, and are dropped.
+func (o *Odyssey) publishRefined(ds object.DatasetID) {
+	o.bumpLayoutEpoch()
 	if o.rcache != nil {
-		o.rcache.Invalidate()
+		o.rcache.DropDataset(ds)
+	}
+}
+
+// dropMerged drops the cached cells of the keys a merge step published, after
+// the step's epoch bump: a cached copy may be a partition in file order,
+// without the segment's child directory.
+func (o *Odyssey) dropMerged(st *stagedMerge) {
+	if o.rcache != nil {
+		o.rcache.DropKeys(maps.Keys(st.entries))
 	}
 }

@@ -19,27 +19,28 @@ import (
 type ComboKey string
 
 // CacheStats is the result-cache ledger (Config.CacheResults): what the
-// epoch-scoped cache saved and how it is being maintained. All zeros with
+// cache saved and how it is being maintained. All zeros with
 // caching off. See resultcache.go for the mechanism.
 type CacheStats struct {
 	// Hits counts partition and merge-segment reads answered from the
-	// cache: an exact (dataset, cell) match within the current layout epoch.
+	// cache: an exact (dataset, cell) match.
 	Hits int64
 	// ContainmentHits counts whole per-dataset answers served by filtering
 	// a cached region that contains the query's extended window — zero
 	// device reads, no tree walk.
 	ContainmentHits int64
-	// Misses counts exact lookups that found nothing (or only a dead entry
-	// from an older epoch).
+	// Misses counts exact lookups that found nothing.
 	Misses int64
 	// Inserts counts completed scans retained.
 	Inserts int64
 	// Evictions counts entries removed by the capacity bound (coldest
 	// first).
 	Evictions int64
-	// Invalidations counts layout publishes that actually flushed cached
-	// entries. Publishes that found the cache empty are not counted — the
-	// field measures flushes, not publish frequency.
+	// Invalidations counts flushes (FlushResultCache) plus the targeted
+	// drops of layout publishes — a refinement's dataset, a merge's
+	// published keys — that removed at least one entry. A flush or drop
+	// that removed nothing is not counted — the field measures removals,
+	// not publish frequency.
 	Invalidations int64
 	// ZeroReadQueries counts queries whose whole read side was served
 	// without any device read: every partition or segment came from the
