@@ -40,14 +40,23 @@ func premiseHolds(objs []object.Object, q, ext geom.Box) bool {
 
 // checkChildDirectory stores objs as a merge segment of the entry cell key is
 // stored — grouped by groupByChildren, the merge copy's own layout — and
-// requires keepCell over each window, extended by the objects' max
-// half-extent as readDataset does, to keep exactly the multiset that
-// AppendIntersecting over the whole cell keeps. It returns how many objects
-// the directory walk tested over all windows.
+// requires the directory to be on the k grid for fewer than (2k)³ objects
+// and on the 2k grid from (2k)³ on, and keepCell over each window, extended
+// by the objects' max half-extent as readDataset does, to keep exactly the
+// multiset that AppendIntersecting over the whole cell keeps. It returns how
+// many objects the directory walk tested over all windows.
 func checkChildDirectory(t testing.TB, bounds geom.Box, key octree.Key, k int, objs []object.Object, windows []geom.Box) (tested int) {
 	t.Helper()
 	slab := make([]object.Object, len(objs))
 	c := cellContent{objs: slab, children: groupByChildren(nil, bounds, key, k, objs, slab)}
+	grid := k
+	if len(objs) >= (2*k)*(2*k)*(2*k) {
+		grid = 2 * k
+	}
+	if len(c.children) != grid*grid*grid+1 {
+		t.Fatalf("key %v k=%d, %d objects: a directory of %d bounds, want the %d grid's %d",
+			key, k, len(objs), len(c.children), grid, grid*grid*grid+1)
+	}
 	var maxExt geom.Vec
 	for i := range objs {
 		maxExt = maxExt.Max(objs[i].HalfExtent)
@@ -76,10 +85,10 @@ func checkChildDirectory(t testing.TB, bounds geom.Box, key octree.Key, k int, o
 }
 
 // childDirAxes returns, per axis, the coordinates that exercise every
-// decision of the grid arithmetic over box's k children: each child
-// boundary as CellGrid places it with the floats on either side, and a
-// coordinate outside the box beyond each face (which the bucketing clamps
-// into the edge children).
+// decision of the grid arithmetic over box's k×k×k grid: each cell boundary
+// as CellGrid places it with the floats on either side, and a coordinate
+// outside the box beyond each face (which the bucketing clamps into the edge
+// cells).
 func childDirAxes(box geom.Box, k int) [3][]float64 {
 	step := box.Size().Div(float64(k))
 	var axes [3][]float64
@@ -94,26 +103,33 @@ func childDirAxes(box geom.Box, k int) [3][]float64 {
 	return axes
 }
 
-// childDirObjects generates a cell's content: centers on every child
-// boundary and one float either side (the diagonal, then random mixes of one
+// childDirObjects generates n objects of a cell's content: centers on every
+// cell boundary of both directory grids over box — its k children and the 2k
+// grid — and one float either side (the diagonals, then random mixes of one
 // coordinate per axis), outside the box on every face, and inside it at
 // random; half-extents zero, maximal (maxHalf) and in between.
-func childDirObjects(r *rand.Rand, box geom.Box, k int, maxHalf geom.Vec) []object.Object {
-	axes := childDirAxes(box, k)
+func childDirObjects(r *rand.Rand, box geom.Box, k int, maxHalf geom.Vec, n int) []object.Object {
 	var centers []geom.Vec
-	for i := range axes[0] {
-		centers = append(centers, geom.V(axes[0][i], axes[1][i], axes[2][i]))
+	var axes [3][]float64
+	for _, grid := range []int{k, 2 * k} {
+		ga := childDirAxes(box, grid)
+		for i := range ga[0] {
+			centers = append(centers, geom.V(ga[0][i], ga[1][i], ga[2][i]))
+		}
+		for d := range axes {
+			axes[d] = append(axes[d], ga[d]...)
+		}
 	}
 	pick := func(d int) float64 { return axes[d][r.Intn(len(axes[d]))] }
-	for i := 0; i < 300; i++ {
+	for mixes := (n - len(centers)) * 3 / 5; mixes > 0; mixes-- {
 		centers = append(centers, geom.V(pick(0), pick(1), pick(2)))
 	}
 	size := box.Size()
-	for i := 0; i < 200; i++ {
+	for len(centers) < n {
 		centers = append(centers, box.Min.Add(geom.V(size.X*r.Float64(), size.Y*r.Float64(), size.Z*r.Float64())))
 	}
-	objs := make([]object.Object, len(centers))
-	for i, c := range centers {
+	objs := make([]object.Object, n)
+	for i, c := range centers[:n] {
 		var h geom.Vec
 		switch i % 3 {
 		case 1:
@@ -127,8 +143,8 @@ func childDirObjects(r *rand.Rand, box geom.Box, k int, maxHalf geom.Vec) []obje
 	return objs
 }
 
-// childDirWindows returns query windows against box's k children: inside one
-// child, straddling a child boundary, faces exactly on child boundaries,
+// childDirWindows returns query windows against box's k×k×k grid: inside
+// one cell, straddling a cell boundary, faces exactly on cell boundaries,
 // covering the whole cell, just outside a face and far outside it.
 func childDirWindows(r *rand.Rand, box geom.Box, k int) []geom.Box {
 	step := box.Size().Div(float64(k))
@@ -159,16 +175,18 @@ func childDirWindows(r *rand.Rand, box geom.Box, k int) []geom.Box {
 
 // TestChildDirectoryMatchesWholeFilter is the reference model of the child
 // directory: over generated cells at levels 1-3 for every fanout in
-// {2, 3, 4}, in two exploration volumes, filtering a child-grouped segment
-// through its directory keeps exactly what filtering the whole cell keeps —
-// boundary centers, clamped outside centers, zero and maximal half-extents,
-// windows inside, across, around and outside the cell. It also requires the
-// directory to have narrowed something: a model that always filtered the
-// whole cell would pass the comparison.
+// {2, 3, 4}, in two exploration volumes, one object short of (2k)³ (the k³
+// children) and at (2k)³ (the 2k grid), filtering a grouped segment through
+// its directory keeps exactly what filtering the whole cell keeps — boundary
+// centers of both grids, clamped outside centers, zero and maximal
+// half-extents, windows inside, across, around and outside the cells of both
+// grids. It also requires the directory to have narrowed something: a model
+// that always filtered the whole cell would pass the comparison.
 func TestChildDirectoryMatchesWholeFilter(t *testing.T) {
 	r := rand.New(rand.NewSource(25))
 	for _, bounds := range childDirBounds {
 		for _, k := range []int{2, 3, 4} {
+			fine := (2 * k) * (2 * k) * (2 * k)
 			for level := uint32(1); level <= 3; level++ {
 				side := uint32(math.Pow(float64(k), float64(level)))
 				for cell := 0; cell < 3; cell++ {
@@ -176,12 +194,14 @@ func TestChildDirectoryMatchesWholeFilter(t *testing.T) {
 					box := EntryBox(bounds, key, k)
 					step := box.Size().Div(float64(k))
 					for _, maxHalf := range []geom.Vec{{}, step.Mul(0.4)} {
-						objs := childDirObjects(r, box, k, maxHalf)
-						windows := childDirWindows(r, box, k)
-						tested := checkChildDirectory(t, bounds, key, k, objs, windows)
-						if whole := len(objs) * len(windows); tested >= whole {
-							t.Fatalf("bounds %v key %v k=%d: the directory tested %d objects over the windows, the whole filter %d",
-								bounds, key, k, tested, whole)
+						for _, n := range []int{fine - 1, fine} {
+							objs := childDirObjects(r, box, k, maxHalf, n)
+							windows := append(childDirWindows(r, box, k), childDirWindows(r, box, 2*k)...)
+							tested := checkChildDirectory(t, bounds, key, k, objs, windows)
+							if whole := len(objs) * len(windows); tested >= whole {
+								t.Fatalf("bounds %v key %v k=%d: the directory tested %d objects over the windows, the whole filter %d",
+									bounds, key, k, tested, whole)
+							}
 						}
 					}
 				}
@@ -192,13 +212,14 @@ func TestChildDirectoryMatchesWholeFilter(t *testing.T) {
 
 // FuzzChildDirectory drives the reference model from fuzzed coordinates: a
 // cell at a fuzzed fanout, level and position, the boundary objects of the
-// model plus one fuzzed object, and a fuzzed window. Inputs outside the read
-// path's premise (see premiseHolds) are not the directory's to answer and
-// are skipped.
+// model plus one fuzzed object — one short of (2k)³ objects or (2k)³, by the
+// seed — and a fuzzed window. Inputs outside the read path's premise (see
+// premiseHolds) are not the directory's to answer and are skipped.
 func FuzzChildDirectory(f *testing.F) {
 	f.Add(uint8(2), uint8(1), uint32(1), uint32(2), uint32(3), 0.6, 0.3, 0.55, 0.01, 0.6, 0.35, 0.5, 0.05, int64(1))
 	f.Add(uint8(0), uint8(2), uint32(3), uint32(0), uint32(2), 0.375, 0.125, 0.25, 0.0, 0.375, 0.1, 0.3, 0.02, int64(2))
 	f.Add(uint8(1), uint8(0), uint32(0), uint32(0), uint32(0), 0.5, 0.5, 0.5, 0.2, 0.1, 0.9, 0.2, 0.3, int64(3))
+	f.Add(uint8(2), uint8(0), uint32(2), uint32(1), uint32(0), 0.625, 0.375, 0.125, 0.0, 0.625, 0.375, 0.125, 0.0, int64(4))
 	f.Fuzz(func(t *testing.T, kSel, levelSel uint8, x, y, z uint32, ox, oy, oz, oh, qx, qy, qz, qh float64, seed int64) {
 		for _, v := range []float64{ox, oy, oz, oh, qx, qy, qz, qh} {
 			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e6 {
@@ -215,7 +236,8 @@ func FuzzChildDirectory(f *testing.F) {
 		key := octree.Key{Level: level, X: x % side, Y: y % side, Z: z % side}
 		box := EntryBox(bounds, key, k)
 		r := rand.New(rand.NewSource(seed))
-		objs := childDirObjects(r, box, k, box.Size().Div(float64(k)).Mul(0.4*r.Float64()))
+		n := (2*k)*(2*k)*(2*k) - 2 + int(seed>>1&1)
+		objs := childDirObjects(r, box, k, box.Size().Div(float64(k)).Mul(0.4*r.Float64()), n)
 		objs = append(objs, object.Object{ID: uint64(len(objs)), Dataset: 1, Center: geom.V(ox, oy, oz), HalfExtent: geom.Splat(oh)})
 		q := geom.BoxFromCenter(geom.V(qx, qy, qz), geom.Splat(qh))
 		var maxExt geom.Vec
@@ -399,66 +421,103 @@ func TestDirectoryTravelsWithContent(t *testing.T) {
 	})
 }
 
-// BenchmarkMergedCellFilter is the filter of a merged cell in host time: one
-// clustered 100,000-object dataset bucketed into the level-1 cells of the
-// paper's fanout, each stored child-grouped as a merge copy stores it, and
-// 2,000 windows of volume 1e-4 centred on objects, each filtered out of every
-// cell its extended window meets — through the child directory, and with the
-// directory dropped (the whole cell, as every merged cell was filtered
-// before). It reports the objects tested per query beside the time.
-func BenchmarkMergedCellFilter(b *testing.B) {
+// mergedCells is BenchmarkMergedCellFilter's fixture: one clustered
+// 100,000-object dataset bucketed into the level-1 cells of the paper's
+// fanout, each stored grouped as a merge copy stores it, and 2,000 windows
+// of volume 1e-4 centred on objects (seed 7).
+type mergedCells struct {
+	k       int
+	maxExt  geom.Vec
+	cells   []mergedCell
+	windows []geom.Box
+}
+
+type mergedCell struct {
+	box     geom.Box
+	content cellContent
+}
+
+func newMergedCells() *mergedCells {
 	const k = 4
 	bounds := geom.UnitBox()
 	objs := datagen.Generate(datagen.Config{Seed: 1, NumObjects: 100_000}, 1)
-	var maxExt geom.Vec
+	f := &mergedCells{k: k}
 	for i := range objs {
-		maxExt = maxExt.Max(objs[i].HalfExtent)
+		f.maxExt = f.maxExt.Max(objs[i].HalfExtent)
 	}
 	byCell := make([]object.Object, len(objs))
 	cellBounds := octree.BucketByCell(nil, bounds, k, objs, byCell)
-	type cell struct {
-		key     octree.Key
-		box     geom.Box
-		content cellContent
-	}
-	var cells []cell
 	for ci := 0; ci < k*k*k; ci++ {
 		key := octree.Key{Level: 1, X: uint32(ci % k), Y: uint32(ci / k % k), Z: uint32(ci / (k * k))}
 		in := byCell[cellBounds[ci]:cellBounds[ci+1]]
 		slab := make([]object.Object, len(in))
 		c := cellContent{objs: slab, children: groupByChildren(nil, bounds, key, k, in, slab)}
-		cells = append(cells, cell{key: key, box: EntryBox(bounds, key, k), content: c})
+		f.cells = append(f.cells, mergedCell{box: EntryBox(bounds, key, k), content: c})
 	}
 	r := rand.New(rand.NewSource(7))
 	side := math.Cbrt(1e-4)
-	windows := make([]geom.Box, 2000)
-	for i := range windows {
-		windows[i] = geom.Cube(objs[r.Intn(len(objs))].Center, side)
+	f.windows = make([]geom.Box, 2000)
+	for i := range f.windows {
+		f.windows[i] = geom.Cube(objs[r.Intn(len(objs))].Center, side)
 	}
+	return f
+}
+
+// filter runs every window through acc out of every cell its extended window
+// meets — through the cells' directories, or, whole, with the directories
+// dropped — and returns the objects tested.
+func (f *mergedCells) filter(acc *queryAcc, whole bool) int {
+	acc.fanout, acc.tested = f.k, 0
+	for _, q := range f.windows {
+		acc.q, acc.out = q, acc.out[:0]
+		ext := q.Expand(f.maxExt)
+		for i := range f.cells {
+			if !f.cells[i].box.Intersects(ext) {
+				continue
+			}
+			c := f.cells[i].content
+			if whole {
+				c.children = nil
+			}
+			acc.keepCell(c, f.cells[i].box, ext)
+		}
+	}
+	return acc.tested
+}
+
+// TestFineDirectoryTestsFewer holds the directory's resolution to its count:
+// over BenchmarkMergedCellFilter's fixture, a query tests at most 1,000
+// objects. With the k³ children on every segment it tested 1,698; the 2k
+// grid on the segments of at least (2k)³ objects brings that under 950. The
+// count is exact: no timing enters it.
+func TestFineDirectoryTestsFewer(t *testing.T) {
+	f := newMergedCells()
+	var acc queryAcc
+	tested := f.filter(&acc, false)
+	perQuery := float64(tested) / float64(len(f.windows))
+	t.Logf("%.1f objects tested a query through the directories, %d cells", perQuery, len(f.cells))
+	if perQuery > 1000 {
+		t.Fatalf("%.1f objects tested a query through the directories, want at most 1,000", perQuery)
+	}
+}
+
+// BenchmarkMergedCellFilter is the filter of a merged cell in host time, over
+// the mergedCells fixture: each window is filtered out of every cell its
+// extended window meets — through the directory, and with the directory
+// dropped (the whole cell, as every merged cell was filtered before). It
+// reports the objects tested per query beside the time.
+func BenchmarkMergedCellFilter(b *testing.B) {
+	f := newMergedCells()
 	for _, mode := range []string{"directory", "whole"} {
 		b.Run(mode, func(b *testing.B) {
-			acc := queryAcc{fanout: k}
+			var acc queryAcc
 			tested := 0
 			b.ReportAllocs()
 			for b.Loop() {
-				for _, q := range windows {
-					acc.q, acc.out = q, acc.out[:0]
-					ext := q.Expand(maxExt)
-					for i := range cells {
-						if !cells[i].box.Intersects(ext) {
-							continue
-						}
-						c := cells[i].content
-						if mode == "whole" {
-							c.children = nil
-						}
-						acc.keepCell(c, cells[i].box, ext)
-					}
-				}
-				tested, acc.tested = acc.tested, 0
+				tested = f.filter(&acc, mode == "whole")
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(windows)), "ns/query")
-			b.ReportMetric(float64(tested)/float64(len(windows)), "tested/query")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(f.windows)), "ns/query")
+			b.ReportMetric(float64(tested)/float64(len(f.windows)), "tested/query")
 		})
 	}
 }

@@ -56,7 +56,8 @@ type segment struct {
 	run   pagefile.Run
 	count int // objects in run: what a read of the segment allocates, exactly
 	// children is the in-memory directory of a segment of more than one
-	// page, whose objects are stored grouped by the entry cell's children
+	// page, whose objects are stored grouped by the entry cell's k³
+	// children, or by its (2k)³ grid from (2k)³ objects on
 	// (groupByChildren); nil for a one-page segment, stored in file order.
 	// A shared reference carries its owner's.
 	children []int32
@@ -66,14 +67,24 @@ type segment struct {
 }
 
 // groupByChildren is the layout of a merge segment of more than one page:
-// objs, stored into slab (len(objs) long), grouped by the k³ children of the
-// entry cell key (its box within bounds) with octree.BucketByCell, the
-// bucketing a refinement of the cell would apply; the k³+1 child bounds are
-// appended to dir. A merged cell is never refined (§3.2.2), so the grouping
-// is what lets a read filter only the children the query's window meets
-// (queryAcc.keepCell) instead of the whole coarse cell.
+// objs, stored into slab (len(objs) long), grouped by the cells of a grid
+// over the entry cell key (its box within bounds) with octree.BucketByCell,
+// the bucketing a refinement of the cell would apply; the grid's cell bounds
+// are appended to dir. The grid is the k³ children of the cell, or — for a
+// segment of at least (2k)³ objects — the (2k)³ cells of the same box, about
+// one object each; the directory's length tells a reader which
+// (queryAcc.keepCell). Below (2k)³ objects the fine grid has more cells than
+// objects, and its bounds, kept in memory for as long as the merge file
+// lives, would cost more heap than the objects they spare the filter. A
+// merged cell is never refined (§3.2.2), so the grouping is what lets a read
+// filter only the grid cells the query's window meets instead of the whole
+// coarse cell.
 func groupByChildren(dir []int32, bounds geom.Box, key octree.Key, k int, objs, slab []object.Object) []int32 {
-	return octree.BucketByCell(dir, EntryBox(bounds, key, k), k, objs, slab)
+	grid := k
+	if len(objs) >= (2*k)*(2*k)*(2*k) {
+		grid = 2 * k
+	}
+	return octree.BucketByCell(dir, EntryBox(bounds, key, k), grid, objs, slab)
 }
 
 // MergeFile stores copies of partitions from the datasets of one
@@ -614,8 +625,9 @@ func (m *Merger) stage(
 // each member dataset to segs, in order: the objects are read from the
 // original partitions and appended — unless sharing is on and another live
 // merge file owns that exact copy. A copy of more than one page is stored
-// grouped by the entry cell's children (the cell's box within bounds, at the
-// trees' fanout k), its child bounds appended to dir; a one-page copy — which
+// grouped on a grid over the entry cell (the cell's box within bounds: its k³
+// children at the trees' fanout k, or a grid twice as fine for a large copy;
+// see groupByChildren), its cell bounds appended to dir; a one-page copy — which
 // the directory could only make slower to read (a per-child walk over a
 // handful of objects) — is written in file order, as read.
 func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.DatasetID, job *mergeJob,

@@ -130,8 +130,8 @@ type Metrics struct {
 	// ObjectsTested and ObjectsKept are the query filter's input and output,
 	// summed over queries: the objects tested against a query window — of
 	// tree leaves, merge segments and containment answers alike — and the
-	// matches returned. A merge segment stored child-grouped is tested only
-	// in the children the window meets.
+	// matches returned. A merge segment stored with a directory is tested
+	// only in the grid cells the window meets.
 	ObjectsTested int64
 	ObjectsKept   int64
 	// PartitionsRepaired and MergeFilesRepaired count the derived data
@@ -555,19 +555,24 @@ func (a *queryAcc) keep(objs []object.Object) {
 }
 
 // keepCell adds the objects of one cell that intersect the query to the
-// result. Content in file order is filtered whole. Content with a child
-// directory is filtered only in the children ext meets: box is the cell's key
-// box, the one its objects were grouped on (groupByChildren), and the child
-// range on each axis is from ext.Min's cell to ext.Max's under the same
-// geom.CellGrid arithmetic — which is monotone, so a center inside ext lies
-// in a child of the range, clamped edge children included. Each (z, y) row of
-// the range is one contiguous run of objects and one filter call.
+// result. Content in file order is filtered whole. Content with a directory
+// is filtered only in the grid cells ext meets: box is the cell's key box,
+// the one its objects were grouped on (groupByChildren), on the grid the
+// directory's length names (k³+1 bounds: the k³ children; otherwise the 2k
+// grid of a large segment), and the range on each axis is from ext.Min's
+// cell to ext.Max's under the same geom.CellGrid arithmetic — which is
+// monotone, so a center inside ext lies in a cell of the range, clamped edge
+// cells included. Each (z, y) row of the range is one contiguous run of
+// objects and one filter call.
 func (a *queryAcc) keepCell(c cellContent, box, ext geom.Box) {
 	if c.children == nil {
 		a.keep(c.objs)
 		return
 	}
 	k := a.fanout
+	if len(c.children) != k*k*k+1 {
+		k *= 2
+	}
 	g := box.Grid(k)
 	lx, ly, lz := g.Cell(ext.Min)
 	hx, hy, hz := g.Cell(ext.Max)
@@ -832,8 +837,8 @@ func (o *Odyssey) keepContent(acc *queryAcc, ds object.DatasetID, cell octree.Ke
 // entry cell, and merged cells are frozen coarse (merged partitions are never
 // refined, §3.2.2), which makes their cached regions the prime source of
 // containment answers — and why a segment of more than one page is stored
-// grouped by its entry cell's children, so that it is filtered only in the
-// children the dataset's extended window meets (keepCell). With the result
+// grouped on a grid over its entry cell, so that it is filtered only in the
+// grid cells the dataset's extended window meets (keepCell). With the result
 // cache on, every run of consecutive hits is answered under one shared
 // acquisition of its lock; the read that ends a run goes down readCell like
 // any cell — looked up, missed, read, inserted — before the next run starts.

@@ -39,11 +39,13 @@ type flightKey struct {
 }
 
 // cellContent is the full content of one cell as the read path carries it:
-// the objects and, for a merge segment stored grouped by its entry cell's k³
-// children, the child directory — children[ci]..children[ci+1] delimit child
-// ci's objects, ci in geom.CellGrid order over the entry cell's key box (see
-// groupByChildren). A tree partition, and a merge segment of one page, is in
-// file order with nil children and is filtered whole.
+// the objects and, for a merge segment stored grouped on a grid over its
+// entry cell — its k³ children, or the (2k)³ grid of a segment of at least
+// (2k)³ objects — the directory: children[ci]..children[ci+1] delimit grid
+// cell ci's objects, ci in geom.CellGrid order over the entry cell's key box,
+// and the directory's length names the grid (see groupByChildren). A tree
+// partition, and a merge segment of one page, is in file order with nil
+// children and is filtered whole.
 //
 // The two travel as one value — through readCell, the in-flight reads and
 // the result cache — and are never looked up beside each other, because tree

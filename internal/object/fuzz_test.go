@@ -195,21 +195,34 @@ func FuzzObjectIntersects(f *testing.F) {
 
 // TestAppendIntersectingMatchesIntersects: over generated cells — clustered
 // around the query so that faces touch, with point objects and objects far
-// away — the cell filter keeps exactly the objects Intersects accepts one by
-// one, in order, after whatever dst already held; filtering in place
-// (dst = cell[:0]) gives the same.
+// away, from empty to several filter blocks long, with runs of kept objects
+// across block edges — the cell filter keeps exactly the objects Intersects
+// accepts one by one, in order, after a dst prefix it leaves untouched, and
+// grows dst by at most one block beyond what it keeps; filtering in place
+// (dst = cell[:0]) gives the same in the cell's own array.
 func TestAppendIntersectingMatchesIntersects(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	grid := func() float64 { return float64(r.Intn(9)) / 8 } // coordinates collide
+	lengths := []int{0, 1, filterBlock - 1, filterBlock, filterBlock + 1, 2*filterBlock + 3}
 	for trial := 0; trial < 300; trial++ {
 		q := geom.Box{Min: geom.V(grid(), grid(), grid())}
 		q.Max = q.Min.Add(geom.V(grid(), grid(), grid()))
-		cell := make([]Object, r.Intn(3*PageCapacity))
+		n := r.Intn(3*filterBlock + 2)
+		if trial < len(lengths) {
+			n = lengths[trial]
+		}
+		cell := make([]Object, n)
 		for i := range cell {
 			cell[i] = Object{
 				ID:         uint64(i),
 				Center:     geom.V(grid()*2-0.5, grid()*2-0.5, grid()*2-0.5),
 				HalfExtent: geom.V(grid()/2, grid()/2, grid()/2),
+			}
+		}
+		// A run of points on q's corner, kept, across each block edge.
+		for edge := filterBlock; edge < n; edge += filterBlock {
+			for i := edge - 3; i < min(edge+3, n); i++ {
+				cell[i].Center, cell[i].HalfExtent = q.Min, geom.Vec{}
 			}
 		}
 		prefix := []Object{{ID: 1 << 40}, {ID: 1<<40 + 1}}
@@ -219,11 +232,32 @@ func TestAppendIntersectingMatchesIntersects(t *testing.T) {
 				want = append(want, o)
 			}
 		}
-		if got := AppendIntersecting(slices.Clone(prefix), cell, q); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: kept %d objects of %d, Intersects keeps %d", trial, len(got)-len(prefix), len(cell), len(want)-len(prefix))
+		for _, room := range []int{0, n} {
+			dst := append(make([]Object, 0, len(prefix)+room), prefix...)
+			got := AppendIntersecting(dst, cell, q)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d: kept %d objects of %d after a %d-object prefix, not the %d Intersects keeps, in order, after it",
+					trial, len(got)-len(prefix), n, len(prefix), len(want)-len(prefix))
+			}
+			if !slices.Equal(dst, prefix) {
+				t.Fatalf("trial %d: the filter changed dst's prefix to %v", trial, dst)
+			}
+			// A block is what the filter asks room for beyond what it kept;
+			// append's growth at most doubles what it is asked for.
+			if bound := cap(slices.Grow([]Object(nil), 2*(len(got)+filterBlock))); cap(got) > max(cap(dst), bound) {
+				t.Fatalf("trial %d: cap(dst) grew from %d to %d keeping %d objects of %d, over the bound %d",
+					trial, cap(dst), cap(got), len(got), n, bound)
+			}
+			if room == n && len(got) > 0 && &got[0] != &dst[0] {
+				t.Fatalf("trial %d: the filter reallocated a dst with room for the whole cell", trial)
+			}
 		}
-		if got := AppendIntersecting(cell[:0], cell, q); !slices.Equal(got, want[len(prefix):]) {
+		got := AppendIntersecting(cell[:0], cell, q)
+		if !slices.Equal(got, want[len(prefix):]) {
 			t.Fatalf("trial %d: in place kept %d objects, Intersects keeps %d", trial, len(got), len(want)-len(prefix))
+		}
+		if cap(got) != cap(cell) {
+			t.Fatalf("trial %d: in place, the filter reallocated the cell", trial)
 		}
 	}
 }

@@ -55,27 +55,61 @@ func (o Object) Intersects(q geom.Box) bool {
 		loZ <= q.Max.Z && q.Min.Z <= hiZ
 }
 
+// filterBlock is how many objects AppendIntersecting tests between two
+// growths of dst: dst is grown by a block before the block is filtered, so
+// its spare capacity stays within one block of what the filter kept.
+const filterBlock = 4 * PageCapacity
+
+// b2i is 1 for true and 0 for false, which the compiler emits without a
+// branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // AppendIntersecting appends the objects of cell whose box intersects q to
 // dst and returns the extended slice: Intersects over a whole cell, and the
 // one filter loop of the stack (the engine's result accumulator, the octree
 // walk and the unindexed scan all read cells through it). The test is
-// Intersects' own, written out so that an object costs six additions and its
-// comparisons with no call and no copy; an invalid half-extent panics as it
-// does there. dst may be cell[:0]: the filter then runs in place.
+// Intersects' own — closed boxes, and the same panic on an invalid
+// half-extent — written out without a branch on its outcome: the six
+// comparisons are one 0/1 verdict, every tested object is copied to the next
+// free slot, and the slot advances by the verdict. A kept fraction between
+// the extremes (the usual one) thus costs no mispredicted branches. The
+// filter may therefore write past the length it returns, within dst's
+// capacity, which it grows by at most one block of the cell beyond what it
+// keeps. dst may be cell[:0]: the filter then runs in place, each write
+// landing at or before the object it reads.
 func AppendIntersecting(dst, cell []Object, q geom.Box) []Object {
-	for i := range cell {
-		o := &cell[i]
-		loX, hiX := o.Center.X-o.HalfExtent.X, o.Center.X+o.HalfExtent.X
-		loY, hiY := o.Center.Y-o.HalfExtent.Y, o.Center.Y+o.HalfExtent.Y
-		loZ, hiZ := o.Center.Z-o.HalfExtent.Z, o.Center.Z+o.HalfExtent.Z
-		if !(loX <= hiX && loY <= hiY && loZ <= hiZ) {
-			o.Box() // invalid: panics, with geom.NewBox's message
+	// The window's bounds in locals and no call in the loop keep them in
+	// registers.
+	qMinX, qMinY, qMinZ, qMaxX, qMaxY, qMaxZ := q.Min.X, q.Min.Y, q.Min.Z, q.Max.X, q.Max.Y, q.Max.Z
+	for len(cell) > 0 {
+		blk := cell[:min(len(cell), filterBlock)]
+		cell = cell[len(blk):]
+		n := len(dst)
+		dst = slices.Grow(dst, len(blk))
+		out := dst[n : n+len(blk)]
+		i, j := 0, 0
+		for ; i < len(blk); i++ {
+			o := &blk[i]
+			loX, hiX := o.Center.X-o.HalfExtent.X, o.Center.X+o.HalfExtent.X
+			loY, hiY := o.Center.Y-o.HalfExtent.Y, o.Center.Y+o.HalfExtent.Y
+			loZ, hiZ := o.Center.Z-o.HalfExtent.Z, o.Center.Z+o.HalfExtent.Z
+			if b2i(loX <= hiX)&b2i(loY <= hiY)&b2i(loZ <= hiZ) == 0 {
+				break // invalid: panics below
+			}
+			out[j] = *o
+			j += b2i(loX <= qMaxX) & b2i(qMinX <= hiX) &
+				b2i(loY <= qMaxY) & b2i(qMinY <= hiY) &
+				b2i(loZ <= qMaxZ) & b2i(qMinZ <= hiZ)
 		}
-		if loX <= q.Max.X && q.Min.X <= hiX &&
-			loY <= q.Max.Y && q.Min.Y <= hiY &&
-			loZ <= q.Max.Z && q.Min.Z <= hiZ {
-			dst = append(dst, *o)
+		if i < len(blk) {
+			blk[i].Box() // panics, with geom.NewBox's message; no write reached blk[i]
 		}
+		dst = dst[:n+j]
 	}
 	return dst
 }
