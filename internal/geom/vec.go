@@ -41,14 +41,19 @@ func (v Vec) MulVec(o Vec) Vec { return Vec{v.X * o.X, v.Y * o.Y, v.Z * o.Z} }
 // Div returns the component-wise division of v by s.
 func (v Vec) Div(s float64) Vec { return Vec{v.X / s, v.Y / s, v.Z / s} }
 
-// Min returns the component-wise minimum of v and o.
+// Min returns the component-wise minimum of v and o. The builtin min it
+// uses inlines where math.Min does not, and on every pair of non-NaN
+// components it is math.Min bit for bit, -0 < +0 included. A NaN component
+// yields NaN even against -Inf, where math.Min returns -Inf; the bulk loads
+// and bounds folds calling it see validated, finite objects only.
 func (v Vec) Min(o Vec) Vec {
-	return Vec{math.Min(v.X, o.X), math.Min(v.Y, o.Y), math.Min(v.Z, o.Z)}
+	return Vec{min(v.X, o.X), min(v.Y, o.Y), min(v.Z, o.Z)}
 }
 
-// Max returns the component-wise maximum of v and o.
+// Max returns the component-wise maximum of v and o: math.Max bit for bit on
+// non-NaN components, as Min is math.Min (a NaN wins even against +Inf).
 func (v Vec) Max(o Vec) Vec {
-	return Vec{math.Max(v.X, o.X), math.Max(v.Y, o.Y), math.Max(v.Z, o.Z)}
+	return Vec{max(v.X, o.X), max(v.Y, o.Y), max(v.Z, o.Z)}
 }
 
 // Component returns the i-th component (0=X, 1=Y, 2=Z).

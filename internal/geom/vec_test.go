@@ -41,6 +41,53 @@ func TestVecMinMax(t *testing.T) {
 	}
 }
 
+// Vec.Min and Vec.Max use the builtin min and max, which must be math.Min
+// and math.Max bit for bit on every pair of non-NaN components — signed
+// zeros, infinities and subnormals included — because Box.Union folds and
+// the bulk loads built on them feed the layout and the simulated clock. With
+// a NaN component the builtins return NaN (math.Min(-Inf, NaN) is -Inf, a
+// case no caller reaches: objects are validated finite first).
+func TestVecMinMaxMatchMath(t *testing.T) {
+	check := func(x, y float64) bool {
+		nan := math.IsNaN(x) || math.IsNaN(y)
+		// Both argument orders: component X and Z are (x, y), Y is (y, x).
+		mn, mx := V(x, y, x).Min(V(y, x, y)), V(x, y, x).Max(V(y, x, y))
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"Min", mn.X, math.Min(x, y)}, {"Min", mn.Y, math.Min(y, x)}, {"Min", mn.Z, math.Min(x, y)},
+			{"Max", mx.X, math.Max(x, y)}, {"Max", mx.Y, math.Max(y, x)}, {"Max", mx.Z, math.Max(x, y)},
+		} {
+			if nan && !math.IsNaN(c.got) || !nan && math.Float64bits(c.got) != math.Float64bits(c.want) {
+				t.Errorf("%s of %v and %v = %v (%#x), math.%s = %v (%#x)", c.name, x, y,
+					c.got, math.Float64bits(c.got), c.name, c.want, math.Float64bits(c.want))
+				return false
+			}
+		}
+		return true
+	}
+	specials := []float64{
+		0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1022 / 2, -0x1p-1022 / 2, math.MaxFloat64, -math.MaxFloat64,
+	}
+	for _, x := range specials {
+		for _, y := range specials {
+			check(x, y)
+		}
+	}
+	cfg := &quick.Config{MaxCount: 5000, Rand: rand.New(rand.NewSource(3))}
+	if err := quick.Check(check, cfg); err != nil {
+		t.Error(err)
+	}
+	// Raw bit patterns reach every sign, exponent and payload.
+	bits := func(x, y uint64) bool { return check(math.Float64frombits(x), math.Float64frombits(y)) }
+	if err := quick.Check(bits, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestVecComponent(t *testing.T) {
 	v := V(7, 8, 9)
 	for i, want := range []float64{7, 8, 9} {

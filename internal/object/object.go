@@ -119,6 +119,7 @@ func AppendIntersecting(dst, cell []Object, q geom.Box) []Object {
 const RecordSize = 64
 
 // pageHeaderSize is the per-page header: magic(2) count(2) crc32(4) pad(8).
+// The crc32 covers the page but its own four bytes (pageCRC).
 const pageHeaderSize = 16
 
 // PageCapacity is the number of object records per 4 KB page.
@@ -221,20 +222,29 @@ func EncodePageInto(buf []byte, objs []Object) error {
 	for i, o := range objs {
 		EncodeRecord(buf[pageHeaderSize+i*RecordSize:], o)
 	}
-	// A stale tail would sit under the checksum and resurface as records
-	// after a count bump.
+	// A stale tail would make the page depend on buf's history, and store
+	// as more than its records (simdisk keeps a page up to its last non-zero
+	// block).
 	clear(buf[pageHeaderSize+len(objs)*RecordSize:])
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(buf[pageHeaderSize:]))
+	binary.LittleEndian.PutUint32(buf[4:], pageCRC(buf))
 	return nil
 }
 
+// pageCRC is the checksum of a page: everything but the crc32 field itself,
+// so a flipped record count fails it as a flipped record does. Update on
+// IEEETable keeps the hardware-accelerated path of ChecksumIEEE.
+func pageCRC(page []byte) uint32 {
+	crc := crc32.Update(0, crc32.IEEETable, page[0:4])
+	return crc32.Update(crc, crc32.IEEETable, page[8:simdisk.PageSize])
+}
+
 // DecodePage decodes the objects stored in one page, verifying the header
-// magic and payload checksum.
+// magic and page checksum.
 func DecodePage(buf []byte) ([]Object, error) {
 	return AppendPageInto(nil, buf)
 }
 
-// AppendPageInto validates one page — length, magic, record count and payload
+// AppendPageInto validates one page — length, magic, record count and page
 // checksum, on every call — and appends its records to dst, returning the
 // extended slice. dst grows once, by the page's record count, and the records
 // are decoded straight into it; a rejected page returns dst unchanged. The
@@ -252,7 +262,7 @@ func AppendPageInto(dst []Object, buf []byte) ([]Object, error) {
 		return dst, fmt.Errorf("%w: %d", ErrBadCount, count)
 	}
 	wantCRC := binary.LittleEndian.Uint32(buf[4:])
-	if crc32.ChecksumIEEE(buf[pageHeaderSize:simdisk.PageSize]) != wantCRC {
+	if pageCRC(buf) != wantCRC {
 		return dst, ErrBadChecksum
 	}
 	n := len(dst)

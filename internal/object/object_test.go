@@ -201,7 +201,10 @@ func TestRecordRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: any single-bit corruption of the payload is detected.
+// Property: any single-bit corruption of a page is detected — in a record,
+// the zero tail, the magic, the crc32 field, and the record count, which a
+// checksum over the records alone let decode as more or fewer records. Every
+// bit of the header and the records is flipped, then random bits anywhere.
 func TestChecksumDetectsBitFlipsProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	objs := []Object{randObject(r), randObject(r), randObject(r)}
@@ -209,14 +212,18 @@ func TestChecksumDetectsBitFlipsProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for trial := 0; trial < 200; trial++ {
+	flip := func(bit int) {
 		bad := append([]byte(nil), page...)
-		// Flip a random payload bit (past the header).
-		byteIdx := 16 + r.Intn(simdisk.PageSize-16)
-		bad[byteIdx] ^= 1 << uint(r.Intn(8))
-		if _, err := DecodePage(bad); err == nil {
-			t.Fatalf("bit flip at byte %d undetected", byteIdx)
+		bad[bit/8] ^= 1 << uint(bit%8)
+		if got, err := DecodePage(bad); err == nil {
+			t.Fatalf("bit flip at byte %d bit %d undetected: decoded %d records", bit/8, bit%8, len(got))
 		}
+	}
+	for bit := range 8 * (pageHeaderSize + len(objs)*RecordSize) {
+		flip(bit)
+	}
+	for trial := 0; trial < 200; trial++ {
+		flip(r.Intn(8 * simdisk.PageSize))
 	}
 }
 

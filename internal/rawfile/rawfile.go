@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
@@ -48,16 +49,9 @@ type Raw struct {
 func Write(dev simdisk.Storage, name string, dataset object.DatasetID, objs []object.Object) (*Raw, error) {
 	// Validate before the first append: a rejected dataset must leave no
 	// file on the device and no write time on its clock.
-	bounds := geom.Box{}
-	for i, o := range objs {
-		if err := o.Validate(); err != nil {
-			return nil, fmt.Errorf("rawfile %q: %w", name, err)
-		}
-		if i == 0 {
-			bounds = o.Box()
-		} else {
-			bounds = bounds.Union(o.Box())
-		}
+	bounds, err := validBounds(objs)
+	if err != nil {
+		return nil, fmt.Errorf("rawfile %q: %w", name, err)
 	}
 	f := pagefile.CreateInGroup(dev, name, GroupName(dataset))
 	run, err := f.AppendObjectsCtx(context.Background(), objs)
@@ -72,6 +66,34 @@ func Write(dev simdisk.Storage, name string, dataset object.DatasetID, objs []ob
 		count:   len(objs),
 		bounds:  bounds,
 	}, nil
+}
+
+// validBounds validates objs and folds their boxes into the dataset's bounds
+// (the zero Box when there are none) in one pass, building no box. The
+// bounds are bit for bit the o.Box().Union fold: a box's corners are c-h and
+// c+h, min and max pass the other operand through from the starting
+// infinities, and the builtin min and max are math.Min and math.Max on the
+// non-NaN values a valid object has. An object is valid when its
+// half-extents are >= 0 (false for NaN) and its six coordinates are finite,
+// which is when every x-x is 0 (Inf-Inf and NaN-x are NaN). Only an object
+// failing that test calls Validate, so the error is Validate's for the first
+// invalid object.
+func validBounds(objs []object.Object) (geom.Box, error) {
+	if len(objs) == 0 {
+		return geom.Box{}, nil
+	}
+	lo, hi := geom.Splat(math.Inf(1)), geom.Splat(math.Inf(-1))
+	for i := range objs {
+		c, h := objs[i].Center, objs[i].HalfExtent
+		if !(h.X >= 0 && h.Y >= 0 && h.Z >= 0 &&
+			(c.X-c.X)+(c.Y-c.Y)+(c.Z-c.Z)+(h.X-h.X)+(h.Y-h.Y)+(h.Z-h.Z) == 0) {
+			if err := objs[i].Validate(); err != nil {
+				return geom.Box{}, err
+			}
+		}
+		lo, hi = lo.Min(c.Sub(h)), hi.Max(c.Add(h))
+	}
+	return geom.Box{Min: lo, Max: hi}, nil
 }
 
 // Name returns the file's name.

@@ -3,6 +3,8 @@ package rawfile
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -134,6 +136,145 @@ func TestWriteRejectsInvalidObjects(t *testing.T) {
 	bad := []object.Object{{ID: 1, HalfExtent: geom.V(-1, 0, 0)}}
 	if _, err := Write(dev, "bad", 0, bad); err == nil {
 		t.Fatal("invalid object accepted")
+	}
+}
+
+// unionFold is the bounds fold Write once made, box by box: o.Box() folded
+// with math.Min and math.Max — the reference validBounds must equal bit for
+// bit, since the bounds place every octree cell.
+func unionFold(objs []object.Object) geom.Box {
+	var b geom.Box
+	for i, o := range objs {
+		ob := o.Box()
+		if i == 0 {
+			b = ob
+			continue
+		}
+		b.Min = geom.V(math.Min(b.Min.X, ob.Min.X), math.Min(b.Min.Y, ob.Min.Y), math.Min(b.Min.Z, ob.Min.Z))
+		b.Max = geom.V(math.Max(b.Max.X, ob.Max.X), math.Max(b.Max.Y, ob.Max.Y), math.Max(b.Max.Z, ob.Max.Z))
+	}
+	return b
+}
+
+func sameBits(a, b geom.Box) bool {
+	bits := func(b geom.Box) [6]uint64 {
+		return [6]uint64{
+			math.Float64bits(b.Min.X), math.Float64bits(b.Min.Y), math.Float64bits(b.Min.Z),
+			math.Float64bits(b.Max.X), math.Float64bits(b.Max.Y), math.Float64bits(b.Max.Z),
+		}
+	}
+	return bits(a) == bits(b)
+}
+
+// edgyObjs draws n valid objects whose coordinates mix plain values with the
+// ones a fold can get wrong: -0 centres, zero, -0 and subnormal extents, and
+// finite coordinates so large that a corner overflows to ±Inf.
+func edgyObjs(r *rand.Rand, n int) []object.Object {
+	coord := func() float64 {
+		switch r.Intn(8) {
+		case 0:
+			return math.Copysign(0, -1)
+		case 1:
+			return 0
+		case 2:
+			return math.MaxFloat64 * float64(2*r.Intn(2)-1)
+		case 3:
+			return math.SmallestNonzeroFloat64 * float64(2*r.Intn(2)-1)
+		default:
+			return r.NormFloat64() * 100
+		}
+	}
+	ext := func() float64 {
+		switch r.Intn(6) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return math.SmallestNonzeroFloat64 * float64(1+r.Intn(4))
+		case 3:
+			return math.MaxFloat64 / float64(1+r.Intn(2))
+		default:
+			return r.Float64()
+		}
+	}
+	objs := make([]object.Object, n)
+	for i := range objs {
+		objs[i] = object.Object{
+			ID:         uint64(i),
+			Center:     geom.V(coord(), coord(), coord()),
+			HalfExtent: geom.V(ext(), ext(), ext()),
+		}
+	}
+	return objs
+}
+
+// Write's one pass is the per-object Validate-then-Union fold it replaced:
+// the bounds equal that fold bit for bit; the first invalid object — NaN,
+// ±Inf or a negative extent, first, in the middle or last, a second bad one
+// after it — fails the write with exactly its Validate error, before the
+// device holds a page or charges a tick.
+func TestWriteMatchesPerObjectFold(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	dev := simdisk.NewDevice(simdisk.CostModel{Seek: 1000, Transfer: 1}, 0)
+	nan, inf := math.NaN(), math.Inf(1)
+	corrupt := []func(*object.Object){
+		func(o *object.Object) { o.Center.X = nan },
+		func(o *object.Object) { o.Center.Y = inf },
+		func(o *object.Object) { o.Center.Z = -inf },
+		func(o *object.Object) { o.HalfExtent.X = nan },
+		func(o *object.Object) { o.HalfExtent.Y = inf },
+		func(o *object.Object) { o.HalfExtent.Z = -inf },
+		func(o *object.Object) { o.HalfExtent.X = -1 },
+		func(o *object.Object) { o.HalfExtent.Z = -math.SmallestNonzeroFloat64 },
+	}
+	for trial := range 300 {
+		objs := edgyObjs(r, 1+r.Intn(200))
+		name := fmt.Sprintf("t%d", trial)
+		raw, err := Write(dev, name, 0, objs)
+		if err != nil {
+			t.Fatalf("trial %d: valid dataset rejected: %v", trial, err)
+		}
+		if got, want := raw.Bounds(), unionFold(objs); !sameBits(got, want) {
+			t.Fatalf("trial %d: Bounds = %v, fold of boxes %v", trial, got, want)
+		}
+		if err := raw.Delete(); err != nil {
+			t.Fatal(err)
+		}
+
+		at := []int{0, len(objs) / 2, len(objs) - 1}[r.Intn(3)]
+		corrupt[r.Intn(len(corrupt))](&objs[at])
+		if at+1 < len(objs) {
+			corrupt[r.Intn(len(corrupt))](&objs[at+1+r.Intn(len(objs)-at-1)])
+		}
+		want := fmt.Errorf("rawfile %q: %w", name, objs[at].Validate())
+		pages, clock := dev.TotalPages(), dev.Clock()
+		_, err = Write(dev, name, 0, objs)
+		if err == nil || err.Error() != want.Error() || errors.Is(err, object.ErrNonFiniteVec) != errors.Is(want, object.ErrNonFiniteVec) {
+			t.Fatalf("trial %d: bad object %v at %d of %d: err = %v, want %v", trial, objs[at], at, len(objs), err, want)
+		}
+		if dev.TotalPages() != pages || dev.Clock() != clock {
+			t.Fatalf("trial %d: rejected write left %d pages (was %d), clock %v (was %v)",
+				trial, dev.TotalPages(), pages, dev.Clock(), clock)
+		}
+	}
+}
+
+// A -0 half-extent is no extent, not a negative one: Validate accepts it, and
+// so must the pass that skips Validate for objects it can tell are valid.
+func TestWriteAcceptsNegativeZeroExtent(t *testing.T) {
+	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	negZero := math.Copysign(0, -1)
+	objs := []object.Object{
+		{ID: 1, Center: geom.V(negZero, 1, 2), HalfExtent: geom.Splat(negZero)},
+		{ID: 2, Center: geom.V(3, negZero, 4), HalfExtent: geom.V(negZero, 0.5, negZero)},
+	}
+	raw, err := Write(dev, "negzero", 0, objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := raw.Bounds(), unionFold(objs); !sameBits(got, want) {
+		t.Fatalf("Bounds = %v, fold of boxes %v", got, want)
 	}
 }
 
@@ -294,4 +435,19 @@ func TestAppendAllMatchesScan(t *testing.T) {
 	if _, err := raw.AppendAllCtx(context.Background(), nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("AppendAllCtx on a deleted file: %v", err)
 	}
+}
+
+// BenchmarkRawWrite is AddDataset's device-side cost: validating, bounding,
+// encoding and appending a 100,000-object dataset to a fresh device.
+func BenchmarkRawWrite(b *testing.B) {
+	const n = 100_000
+	objs := mkObjs(n, 12)
+	b.ReportAllocs()
+	for b.Loop() {
+		dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+		if _, err := Write(dev, "bench", 3, objs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/object")
 }
