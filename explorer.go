@@ -113,8 +113,10 @@ type Options struct {
 	// (containment answering) — with zero device reads. A cell's content
 	// does not depend on the layout, so an entry survives layout changes;
 	// a refinement drops its dataset's cells and a merge the cells it
-	// published, so what is cached stays as fine and as indexed as the
-	// layout. Query results are byte-identical to an uncached run. See
+	// published with a child directory, so what is cached stays as fine and
+	// as indexed as the layout. Refinements and merge copies take the cells
+	// the cache holds instead of reading them from the device, and write
+	// the same pages. Query results are byte-identical to an uncached run. See
 	// CacheStats for the ledger. Default off: behaviour is bit-for-bit
 	// the uncached model.
 	CacheResults bool

@@ -253,6 +253,10 @@ type Merger struct {
 	// for segment sharing.
 	segIndex map[scanKey]ComboKey
 
+	// cache is the engine's result cache (nil with it off), the first source
+	// of the leaves a copy reads (cachedLeaf).
+	cache *resultCache
+
 	// adaptation bookkeeping
 	queriesSeen     int
 	segmentsWritten int
@@ -595,11 +599,15 @@ func (m *Merger) stage(
 		}
 		// The policy may have lifted or kept the key; re-check both
 		// directions against published and staged entries to keep them
-		// disjoint.
+		// disjoint. Under SameLevel no entry can lie strictly inside an
+		// accepted candidate, so the scan of every entry is skipped: every
+		// member holds a leaf at the candidate now, an entry strictly inside
+		// it was copied when every member held a leaf there, below it, and
+		// trees never coarsen (only a split sets children).
 		if job.key != cand && st.covering(job.key, fanout) {
 			continue
 		}
-		if st.overlaps(job.key, fanout) {
+		if m.cfg.LevelPolicy != SameLevel && st.overlaps(job.key, fanout) {
 			continue
 		}
 		if st.mf == nil {
@@ -622,14 +630,16 @@ func (m *Merger) stage(
 }
 
 // copyJob copies one partition into mf's pages, and writes the segment of
-// each member dataset to segs, in order: the objects are read from the
-// original partitions and appended — unless sharing is on and another live
-// merge file owns that exact copy. A copy of more than one page is stored
-// grouped on a grid over the entry cell (the cell's box within bounds: its k³
-// children at the trees' fanout k, or a grid twice as fine for a large copy;
-// see groupByChildren), its cell bounds appended to dir; a one-page copy — which
-// the directory could only make slower to read (a per-child walk over a
-// handful of objects) — is written in file order, as read.
+// each member dataset to segs, in order: the objects are taken from the
+// original partitions — from the result cache where it holds them
+// (cachedLeaf), from the device otherwise — and appended, unless sharing is
+// on and another live merge file owns that exact copy. A copy of more than
+// one page is stored grouped on a grid over the entry cell (the cell's box
+// within bounds: its k³ children at the trees' fanout k, or a grid twice as
+// fine for a large copy; see groupByChildren), its cell bounds appended to
+// dir; a one-page copy — which the directory could only make slower to read
+// (a per-child walk over a handful of objects) — is written in file order, as
+// read.
 func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.DatasetID, job *mergeJob,
 	bounds geom.Box, k int, dir *[]int32, segs []segment) error {
 	// One pooled slice is the source of every member's copy in turn, another
@@ -652,6 +662,10 @@ func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.D
 		tree, leaves := job.member(i)
 		objs := (*scratch)[:0]
 		for _, leaf := range leaves {
+			if c, ok := m.cachedLeaf(ds, leaf, job.key); ok {
+				objs = append(objs, c...)
+				continue
+			}
 			var err error
 			if objs, err = tree.ReadPartitionIntoCtx(ctx, objs, leaf); err != nil {
 				*scratch = objs
@@ -673,6 +687,23 @@ func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.D
 		segs[i] = segment{run: run, count: len(objs), children: children}
 	}
 	return nil
+}
+
+// cachedLeaf returns the result cache's content of a member leaf a copy at
+// entry reads, where appending it writes the bytes a device read of the leaf
+// would: content with no directory is in the leaf's own order; content with
+// one — a merge segment of the leaf's cell — is taken only for a copy of that
+// one leaf at its own key, which groupByChildren regroups on the same grid
+// (the grid follows the object count, which is the same), leaving it as it
+// is. A directory of a leaf under a CoarsestCover lift would reorder the
+// concatenation, and goes to the device. The content is read-only: the caller
+// copies it out.
+func (m *Merger) cachedLeaf(ds object.DatasetID, leaf *octree.Partition, entry octree.Key) ([]object.Object, bool) {
+	if m.cache == nil {
+		return nil, false
+	}
+	c, ok := m.cache.Peek(ds, leaf.Key())
+	return c.objs, ok && (c.children == nil || leaf.Key() == entry)
 }
 
 // mergeJobPool recycles the job a stage plans its candidates into.

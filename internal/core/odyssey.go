@@ -50,8 +50,10 @@ type Config struct {
 	// queries of the same cells — and queries whose extended window is
 	// contained in a cached region — are answered without device reads. A
 	// cached cell stays exact across layout changes; a refinement drops its
-	// dataset's cells and a merge the keys it published, which keeps what is
-	// cached as fine and as indexed as the layout (see resultCache). Results
+	// dataset's cells and a merge the keys it published with a child
+	// directory, which keeps what is cached as fine and as indexed as the
+	// layout, and refinements and merge copies read the cells it holds
+	// instead of the device (see resultCache). Results
 	// are byte-identical to the uncached engine. Default off: behavior and
 	// I/O accounting are bit-for-bit the original model.
 	CacheResults bool
@@ -258,6 +260,7 @@ func New(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Config) 
 		if cfg.AdaptiveCache {
 			o.rcache.enableAdaptive()
 		}
+		o.merger.cache = o.rcache
 	}
 	for _, raw := range raws {
 		if err := o.AddRaw(raw); err != nil {
@@ -302,6 +305,23 @@ func (o *Odyssey) AddRaw(raw *rawfile.Raw) error {
 				return cellContent{objs: objs}, err
 			})
 			return c.objs, err
+		}
+	}
+	if o.rcache != nil {
+		// A refinement takes its leaf's objects from the cache where bucketing
+		// them by the leaf's k³ children writes what bucketing the device's
+		// file order would: content with no directory is in that order, and a
+		// merge segment grouped on the same k³ cells of the same box is that
+		// bucketing already (a stable sort leaves it as it is). A (2k)³
+		// directory orders each child by its finer cells, and goes to the
+		// device.
+		k := tree.FanoutPerDim()
+		tree.RefineSource = func(p *octree.Partition) ([]object.Object, bool) {
+			c, ok := o.rcache.Peek(ds, p.Key())
+			if ok && c.children != nil {
+				ok = len(c.children) == k*k*k+1 && EntryBox(o.bounds, p.Key(), k) == p.Box()
+			}
+			return c.objs, ok
 		}
 	}
 	o.trees[ds] = tree
@@ -740,7 +760,8 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 		res, err = tree.QueryIntoCtx(ctx, acc.out, acc.leaves[:0], acc.q, serve, true)
 		if res.Refined > 0 {
 			// Refinements that completed before an abort still publish. They
-			// read the device outside readCell, so the query was not answered
+			// use the device outside readCell — their writes, and their reads
+			// of leaves the cache did not hold — so the query was not answered
 			// read-free.
 			o.publishRefined(ds)
 			missCacheScope(ctx)

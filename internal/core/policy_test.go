@@ -8,6 +8,7 @@ import (
 	"spaceodyssey/internal/engine"
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
+	"spaceodyssey/internal/octree"
 )
 
 func TestLevelPolicyString(t *testing.T) {
@@ -151,5 +152,52 @@ func TestMergeStepNeverRefines(t *testing.T) {
 				t.Fatalf("the merge step refined a tree: leaves %v -> %v, refinements %d -> %d", before, after, refBefore, ref)
 			}
 		})
+	}
+}
+
+// TestSameLevelCandidatesNeverOverlap holds the argument a SameLevel stage
+// skips its overlap scan on: once planSameLevel accepts a candidate, no merge
+// entry lies inside it. Every member holds a leaf at the candidate, an entry
+// strictly inside it was copied when every member held a leaf there, below
+// it, and trees never coarsen. Over a converging engine whose trees refine to
+// mixed levels, after every query, no leaf key of a merge file's members that
+// the file does not cover and the policy accepts overlaps an entry.
+func TestSameLevelCandidatesNeverOverlap(t *testing.T) {
+	eng, _, _ := testSetup(t, 4, 2000, 23, DefaultConfig())
+	fanout := eng.Tree(0).FanoutPerDim()
+	r := rand.New(rand.NewSource(24))
+	hot := geom.V(0.4, 0.4, 0.4)
+	job, checked := new(mergeJob), 0
+	for trial := 0; trial < 120; trial++ {
+		c := geom.V(hot.X+r.NormFloat64()*0.05, hot.Y+r.NormFloat64()*0.05, hot.Z+r.NormFloat64()*0.05)
+		q, ok := geom.Cube(c, 0.005+r.Float64()*0.08).Clip(geom.UnitBox())
+		if !ok || q.Volume() == 0 {
+			continue
+		}
+		dss := []object.DatasetID{object.DatasetID(r.Intn(4))}
+		if r.Intn(4) > 0 {
+			dss = []object.DatasetID{0, 1, 2, 3}[:3+r.Intn(2)]
+		}
+		if _, err := eng.Query(q, dss); err != nil {
+			t.Fatal(err)
+		}
+		for _, mf := range eng.merger.Files() {
+			st := &stagedMerge{key: mf.combo, mf: mf}
+			for _, ds := range mf.members {
+				for _, leaf := range eng.Tree(ds).AppendLeavesUnder(nil, octree.Key{}) {
+					cand := leaf.Key()
+					if st.covering(cand, fanout) || !eng.merger.planSameLevel(job, cand, mf.members, eng.trees) {
+						continue
+					}
+					checked++
+					if st.overlaps(cand, fanout) {
+						t.Fatalf("query %d: accepted candidate %v of %s contains a merge entry", trial, cand, mf.combo)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no candidate was accepted: the argument was not exercised")
 	}
 }

@@ -156,9 +156,17 @@ func (l *levelIndex) add(level uint32, delta int32) {
 // changes once registered. What a layout change can make stale is only how
 // cheap an entry is to filter, so a publish drops only what it made coarse
 // or unindexed: a refinement drops its dataset's entries (DropDataset), a
-// merge the keys it published, whose segments carry child directories
-// (DropKeys). Builds, merge-file evictions and re-derivations drop nothing.
-// A read that raced a publish is not kept (Insert).
+// merge only the keys whose published segments carry a child directory
+// (DropKeys) — a one-page segment stores, in file order, the cell an entry
+// already holds. Builds, merge-file evictions and re-derivations drop
+// nothing. A read that raced a publish is not kept (Insert).
+//
+// Being exact, an entry is also the first source of the cells adaptation
+// reads: a refinement takes its leaf's objects from the cache, and a merge
+// copy each member leaf's, wherever the pages written from the entry are
+// byte for byte those a device read would give (see Odyssey.AddRaw and
+// Merger.cachedLeaf). Maintenance reads entries through Peek, read-only and
+// unbooked: adapting the layout never changes what the cache thinks is hot.
 //
 // Beyond exact per-cell hits, the cache answers by containment: a query
 // whose extended window lies inside a cached region is answered by
@@ -404,6 +412,19 @@ func (c *resultCache) Lookup(ds object.DatasetID, cell octree.Key) (cellContent,
 	return content, ok
 }
 
+// Peek returns the cached content of (ds, cell) for layout maintenance — a
+// refinement's source, a merge copy's — under the shared lock. It books no
+// hit, touches no heat and inserts nothing: maintenance reading the cache
+// never changes what the cache thinks is hot.
+func (c *resultCache) Peek(ds object.DatasetID, cell octree.Key) (cellContent, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if it, ok := c.entries[scanKey{ds: ds, cell: cell}]; ok {
+		return it.content, true
+	}
+	return cellContent{}, false
+}
+
 // LookupRun is Lookup for the leading hits of reads, under one shared
 // acquisition: it appends to hits the content of every read up to the first
 // that does not hit, and returns hits. The read that ended the run is not
@@ -587,9 +608,10 @@ func (c *resultCache) DropDataset(ds object.DatasetID) {
 	}
 }
 
-// DropKeys removes the entries of keys: a merge published segments for them,
-// and a cached copy may be a partition in file order, without the segment's
-// child directory. Counted as an invalidation when it removed anything.
+// DropKeys removes the entries of keys: a merge published segments with
+// child directories for them, and a cached copy may be a partition in file
+// order, without the directory. Counted as an invalidation when it removed
+// anything.
 func (c *resultCache) DropKeys(keys iter.Seq[scanKey]) {
 	dropped := false
 	c.mu.Lock()

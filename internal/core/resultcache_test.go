@@ -272,9 +272,11 @@ func TestResultCacheContainmentDeepestFirst(t *testing.T) {
 // what each may drop. A refinement of one dataset leaves another dataset's
 // cached cells cached: re-querying them reads nothing from the device. A
 // merge publish leaves the cells of a dataset outside the combination cached,
-// and drops the keys it published, so the next read of one carries the
-// segment's child directory instead of the file-order partition cached
-// before. Every answer is checked against a brute-force scan.
+// and drops the keys it published with a child directory, so the next read of
+// one carries the directory instead of the file-order partition cached
+// before; the keys of one-page segments, which hold what the cache held in
+// the same order, stay cached. Every answer is checked against a brute-force
+// scan.
 func TestPublishDropsOnlyWhatItChanged(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheResults = true
@@ -355,7 +357,32 @@ func TestPublishDropsOnlyWhatItChanged(t *testing.T) {
 	}
 	cached("after the merge published", q, 3)
 
+	// The publish dropped every key its segment gave a directory, and kept
+	// the one-page segments' keys, whose cells the cache already held in the
+	// segment's order: re-querying one of those cells reads nothing.
 	mf := eng.merger.file(KeyOf(merged))
+	var onePage []octree.Key
+	for _, cell := range mf.EntryKeys() {
+		whole := true // every member's segment is one page, and cached
+		for _, ds := range merged {
+			key := scanKey{ds: ds, cell: cell}
+			_, kept := eng.rcache.entries[key]
+			one := mf.entries[key].children == nil
+			if !one && kept {
+				t.Fatalf("published key %v gained a directory and is still cached", key)
+			}
+			whole = whole && one && kept
+		}
+		if whole {
+			onePage = append(onePage, cell)
+		}
+	}
+	if len(onePage) == 0 {
+		t.Fatal("the merge kept no published cell of one-page segments cached")
+	}
+	cell := EntryBox(geom.UnitBox(), onePage[0], 4)
+	cached("a one-page published cell", geom.BoxFromCenter(cell.Center(), cell.Size().Mul(0.1)), merged...)
+
 	ask(q, merged...)
 	indexed := 0
 	for key, seg := range mf.entries {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"maps"
 
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
@@ -135,7 +134,9 @@ func (o *Odyssey) bumpLayoutEpoch() {
 }
 
 // publishRefined publishes refinements of ds: its cached cells may now be
-// coarser than its leaves, and are dropped.
+// coarser than its leaves, and are dropped. The refinements may have taken
+// their sources from those cells (Odyssey.AddRaw) — read-only, so what the
+// drop releases is unchanged.
 func (o *Odyssey) publishRefined(ds object.DatasetID) {
 	o.bumpLayoutEpoch()
 	if o.rcache != nil {
@@ -143,11 +144,19 @@ func (o *Odyssey) publishRefined(ds object.DatasetID) {
 	}
 }
 
-// dropMerged drops the cached cells of the keys a merge step published, after
-// the step's epoch bump: a cached copy may be a partition in file order,
-// without the segment's child directory.
+// dropMerged drops, after the step's epoch bump, the cached cells of the keys
+// a merge step published with a child directory: a cached copy may be a
+// partition in file order, without the directory. A one-page segment has
+// none — it stores, in file order, the cell a cached entry already holds —
+// so its key stays cached.
 func (o *Odyssey) dropMerged(st *stagedMerge) {
 	if o.rcache != nil {
-		o.rcache.DropKeys(maps.Keys(st.entries))
+		o.rcache.DropKeys(func(yield func(scanKey) bool) {
+			for ref, seg := range st.entries {
+				if seg.children != nil && !yield(ref) {
+					return
+				}
+			}
+		})
 	}
 }

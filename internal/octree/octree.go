@@ -217,6 +217,18 @@ type Tree struct {
 	// before queries run.
 	ShareReader func(ctx context.Context, p *Partition, read func(context.Context) ([]object.Object, error)) ([]object.Object, error)
 
+	// RefineSource, when non-nil, is asked for a leaf's objects before a
+	// refinement — inline or background — reads them from the device. It
+	// returns the partition's objects in an order its k³ children bucket
+	// (BucketByCell, a stable sort) exactly as they bucket its own file
+	// order — that order, or one already bucketed by those children — so the
+	// pages the children are written to are byte for byte those a device read
+	// gives; false sends the refinement to the device. The slice is
+	// read-only (a result cache shares it with its readers): the refinement
+	// buckets it into scratch of its own and keeps no reference to it. Called
+	// under the caller's tree write lock. Set once before queries run.
+	RefineSource func(p *Partition) ([]object.Object, bool)
+
 	// Refinements counts completed refinement operations (for stats).
 	Refinements int
 }

@@ -29,24 +29,32 @@ func (t *Tree) NeedsRefinement(p *Partition, qVol float64) bool {
 // refineCtx splits leaf p into ppl children, reassigning its objects by
 // center and rewriting them in place: children reuse p's pages first and
 // overflow is appended at end of file, exactly as §3.1.2 describes. The
-// partition is read into scratch (a slice from pagefile.GetObjSlice that only
-// the caller sees), and the objects read are returned — valid until scratch is
-// next used — so callers answering a query can filter them without a second
-// read. Cancellation is limited to the read phase: aborting while the
-// partition is being read leaves it exactly as it was (runs and children
-// untouched), while the split-and-rewrite phase always runs to completion so
-// the tree can never hold a half-rewritten partition. This is the "check
-// cancellation between level steps, never inside a layout mutation" rule the
-// concurrent storm tests pin down.
+// objects come from RefineSource when it has them, or else are read into
+// scratch (a slice from pagefile.GetObjSlice that only the caller sees); they
+// are returned — read-only, valid until scratch is next used — so callers
+// answering a query can filter them without a second read. Cancellation is
+// limited to the read phase: aborting while the partition is being read
+// leaves it exactly as it was (runs and children untouched), while the
+// split-and-rewrite phase always runs to completion so the tree can never
+// hold a half-rewritten partition. This is the "check cancellation between
+// level steps, never inside a layout mutation" rule the concurrent storm
+// tests pin down.
 func (t *Tree) refineCtx(ctx context.Context, p *Partition, scratch *[]object.Object) ([]object.Object, error) {
 	if !p.IsLeaf() {
 		return nil, fmt.Errorf("octree: refine on non-leaf %v", p.key)
 	}
-	objs, err := t.ReadPartitionIntoCtx(ctx, (*scratch)[:0], p)
-	if err != nil {
-		return nil, fmt.Errorf("octree refine read: %w", err)
+	var objs []object.Object
+	var ok bool
+	if t.RefineSource != nil {
+		objs, ok = t.RefineSource(p)
 	}
-	*scratch = objs
+	if !ok {
+		var err error
+		if objs, err = t.ReadPartitionIntoCtx(ctx, (*scratch)[:0], p); err != nil {
+			return nil, fmt.Errorf("octree refine read: %w", err)
+		}
+		*scratch = objs // only a device read goes into the caller's scratch
+	}
 	sp := pagefile.GetObjSlice()
 	defer pagefile.PutObjSlice(sp)
 	slab := slices.Grow((*sp)[:0], len(objs))[:len(objs)]

@@ -6,6 +6,8 @@ import (
 	"hash/fnv"
 	"sort"
 	"testing"
+
+	"spaceodyssey/internal/pagefile"
 )
 
 // pinGolden is what one fixed exploration must reproduce exactly: the
@@ -18,6 +20,7 @@ type pinGolden struct {
 	totalPages   int64
 	layout       string // FNV-1a of Engine().LayoutSignature()
 	results      string // FNV-1a over every query's sorted (dataset, id) list
+	pages        string // FNV-1a over every page of every tree and merge file
 }
 
 // pinCombos is the cycle of dataset combinations the fixed exploration
@@ -99,7 +102,7 @@ func runPin(t *testing.T, opts Options) pinGolden {
 	layout := fnv.New64a()
 	layout.Write([]byte(ex.Engine().LayoutSignature()))
 	st := ex.DiskStats()
-	return pinGolden{
+	got := pinGolden{
 		clockNs:      int64(ex.Clock()),
 		pagesRead:    st.PageReads,
 		pagesWritten: st.PageWrites,
@@ -107,6 +110,39 @@ func runPin(t *testing.T, opts Options) pinGolden {
 		layout:       fmt.Sprintf("%016x", layout.Sum64()),
 		results:      fmt.Sprintf("%016x", results.Sum64()),
 	}
+	got.pages = pinPages(t, ex, len(data))
+	return got
+}
+
+// pinPages hashes the stored bytes of the adapted layout: every page of the
+// trees of datasets 0..n-1, then of every merge file in combination order.
+// It reads through the device, so it runs after the clock and the counters
+// are taken.
+func pinPages(t *testing.T, ex *Explorer, n int) string {
+	t.Helper()
+	h := fnv.New64a()
+	hashFile := func(name string, f *pagefile.File) {
+		pages, err := f.NumPages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s:%d;", name, pages)
+		if pages == 0 {
+			return
+		}
+		buf, err := ex.dev.ReadRunCtx(context.Background(), f.ID(), 0, pages)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		h.Write(buf)
+	}
+	for ds := range n {
+		hashFile(fmt.Sprintf("tree %d", ds), ex.Engine().Tree(DatasetID(ds)).File())
+	}
+	for _, mf := range ex.Engine().Merger().Files() {
+		hashFile("merge "+string(mf.Combo()), mf.File())
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // TestPaperClockPinned pins the contract every simulated figure rests on:
@@ -120,7 +156,11 @@ func runPin(t *testing.T, opts Options) pinGolden {
 // repeatable (20 of 20 runs at the recording commit) because a single
 // maintenance worker then runs each query's refinements and merge in a
 // fixed order. Its clock was re-recorded when publishes began dropping only
-// the cached cells they change; its page counts, layout and results held.
+// the cached cells they change, and again when refinements and merge copies
+// began taking the cells the result cache holds instead of reading them
+// from the device; both times its page counts, layout, results and stored
+// pages held. The stored pages — every page of every tree and merge file —
+// were recorded for all five rows at the commit before the second change.
 //
 // share-segments pins no clock: at the recording commit its page counts and
 // layout repeated but its clock did not (14 values in 20 runs) — shared
@@ -134,17 +174,22 @@ func TestPaperClockPinned(t *testing.T) {
 		want pinGolden
 	}{
 		{"paper", Options{DropCachesPerQuery: true},
-			pinGolden{6451093800, 1211, 1471, 1602, "4c6a44966b00bb40", "d2ffad6ef41806e1"}},
+			pinGolden{6451093800, 1211, 1471, 1602, "4c6a44966b00bb40", "d2ffad6ef41806e1",
+				"13b391f5a87872de"}},
 		{"coarsest-cover", Options{DropCachesPerQuery: true, MergeLevelPolicy: MergeCoarsestCover},
-			pinGolden{6252395200, 1241, 1493, 1624, "8d6a816c1af4e3bd", "d2ffad6ef41806e1"}},
+			pinGolden{6252395200, 1241, 1493, 1624, "8d6a816c1af4e3bd", "d2ffad6ef41806e1",
+				"38d94adeddac003a"}},
 		{"share-segments", Options{DropCachesPerQuery: true, ShareMergeSegments: true},
-			pinGolden{0, 1203, 1365, 1496, "4c6a44966b00bb40", "d2ffad6ef41806e1"}},
+			pinGolden{0, 1203, 1365, 1496, "4c6a44966b00bb40", "d2ffad6ef41806e1",
+				"f1cf384c3274ced6"}},
 		{"space-budget", Options{DropCachesPerQuery: true, MergeSpaceBudgetPages: 48},
-			pinGolden{9397110600, 1369, 1713, 1421, "27009fea1a7cb5cb", "d2ffad6ef41806e1"}},
+			pinGolden{9397110600, 1369, 1713, 1421, "27009fea1a7cb5cb", "d2ffad6ef41806e1",
+				"94d907f5adb425b7"}},
 		{"serving", Options{
 			AsyncMaintenance: true, MaintenanceWorkers: 1, ShareScans: true,
 			CacheResults: true, AdaptiveCache: true, HeatHalfLife: 64,
-		}, pinGolden{1795435200, 276, 1455, 1586, "cd5af44a3327ae4f", "d2ffad6ef41806e1"}},
+		}, pinGolden{1795367000, 276, 1455, 1586, "cd5af44a3327ae4f", "d2ffad6ef41806e1",
+			"92603d77e8c8001f"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
