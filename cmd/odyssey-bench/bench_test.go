@@ -13,6 +13,7 @@ import (
 
 	odyssey "spaceodyssey"
 	"spaceodyssey/internal/bench"
+	"spaceodyssey/internal/workload"
 )
 
 // TestCommittedArtifacts pins the report schemas: every committed
@@ -23,8 +24,8 @@ func TestCommittedArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != 4 {
-		t.Fatalf("found %d committed artifacts, want 4: %v", len(files), files)
+	if len(files) != 3 {
+		t.Fatalf("found %d committed artifacts, want 3: %v", len(files), files)
 	}
 	for _, path := range files {
 		if err := validateFile(path); err != nil {
@@ -111,9 +112,6 @@ func TestChecksCatchABrokenInvariant(t *testing.T) {
 			t.Fatalf("%s as committed: %v", name, err)
 		}
 	}
-	var as asyncReport
-	load("BENCH_async.json", &as)
-	as.Contention.Throttled.QueuedDelaySeconds = 2 * as.Contention.Unthrottled.QueuedDelaySeconds
 	var cl clusterReport
 	load("BENCH_cluster.json", &cl)
 	cl.SlowHedged.P99 = 2 * cl.SlowUnhedged.P99
@@ -142,9 +140,8 @@ func TestChecksCatchABrokenInvariant(t *testing.T) {
 	}
 	noGain.Figure5c.GainPercent = -1
 	for name, rep := range map[string]report{
-		"async": &as, "cluster": &cl,
+		"cluster": &cl, "paper fig4a": &slower, "paper fig5c": &noGain,
 		"scenarios drift": &drift, "scenarios zipf": &zipf, "scenarios capacity": &capacity,
-		"paper fig4a": &slower, "paper fig5c": &noGain,
 	} {
 		if rep.check() == nil {
 			t.Errorf("%s: check passed a report with its invariant broken", name)
@@ -183,19 +180,22 @@ func TestTable(t *testing.T) {
 			}
 		}
 	}
-	for _, id := range append(slices.Clone(figureIDs), "gridsweep", "async", "cluster", "scenarios", "validate") {
+	for _, id := range append(slices.Clone(figureIDs), "gridsweep", "cluster", "scenarios", "validate") {
 		if !names[id] {
 			t.Errorf("experiment %q is missing from the table", id)
 		}
 	}
 }
 
-// smallFixture is the runner tests' 3-dataset x 2,000-object environment.
+// smallFixture is the runner tests' 3-dataset x 2,000-object environment,
+// queried in fig4a's distributions (the paper's default exploration).
 func smallFixture() (*fixture, []odyssey.Query) {
 	cfg := bench.DefaultConfig()
 	cfg.Datasets, cfg.ObjectsPerDataset = 3, 2000
 	wcfg := bench.WorkloadConfig{Queries: 40, QueryVolumeFrac: 1e-3, Seed: 7}
-	return newFixture(cfg), generate(wcfg, cfg.Datasets, wcfg.Seed, fig4aShape)
+	spec := ok(bench.FigureByID("fig4a"))
+	shape := workload.Config{RangeDist: spec.RangeDist, CombDist: spec.CombDist, ClusterCenters: spec.ClusterCenters}
+	return newFixture(cfg), generate(wcfg, cfg.Datasets, wcfg.Seed, shape)
 }
 
 func TestFingerprint(t *testing.T) {
@@ -294,23 +294,6 @@ func runRows(t *testing.T, experiment, args string) string {
 		}
 	}
 	return path
-}
-
-// TestServingRowsEndToEnd drives the serving rows whose checks hold at any
-// size through execute — fixture, replay, report, check — at the smoke sizes
-// CI used to run them at as separate steps, so a row whose own check fails is
-// a test failure. (cluster and scenarios stay CI steps: hedged against
-// unhedged is wall-clock at every size, and the lab sweeps 30 replays.)
-func TestServingRowsEndToEnd(t *testing.T) {
-	for _, tc := range []struct{ name, args string }{
-		{"async", "-parallel 2 -devices 2 -channels 2 -datasets 3 -objects 2000 -queries 40 -realtime-scale 0.02"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := validateFile(runRows(t, tc.name, tc.args)); err != nil {
-				t.Errorf("the written report does not validate: %v", err)
-			}
-		})
-	}
 }
 
 // TestFiguresPinned pins the paper: all seven figures at a reduced scale,

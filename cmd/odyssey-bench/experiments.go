@@ -39,42 +39,28 @@ type experiment struct {
 var (
 	sizing   = []string{"experiment", "datasets", "objects", "queries", "qvol", "seed", "data-seed", "layout", "seek-us", "transfer-us"}
 	topology = []string{"devices", "channels"}
-	pooled   = []string{"parallel", "realtime-scale", "json"}
 	figure   = slices.Concat(sizing, topology, []string{"grid-cells", "ks", "verify"})
 )
 
-// Workload shapes. The fig4a distributions are the paper's default
-// exploration; the zipf one is what a shared archive portal sees.
-var (
-	fig4aShape = func() workload.Config {
-		spec := ok(bench.FigureByID("fig4a"))
-		return workload.Config{RangeDist: spec.RangeDist, CombDist: spec.CombDist, ClusterCenters: spec.ClusterCenters}
-	}()
-	// Zipf hot regions: a few regions and dataset bundles draw most of the
-	// traffic, with a long tail that keeps some datasets unrefined.
-	zipfShape = workload.Config{
-		RangeDist: workload.RangeClustered, CombDist: workload.CombZipf,
-		ClusterCenters: 4, SigmaFactor: 0.2,
-	}
-)
+// zipfShape is the cluster row's workload, what a shared archive portal
+// sees: a few regions and dataset bundles draw most of the traffic, with a
+// long tail that keeps some datasets unrefined.
+var zipfShape = workload.Config{
+	RangeDist: workload.RangeClustered, CombDist: workload.CombZipf,
+	ClusterCenters: 4, SigmaFactor: 0.2,
+}
 
 // figureIDs is what "-experiment all" expands to.
 var figureIDs = []string{"fig4a", "fig4b", "fig4c", "fig4d", "fig5a", "fig5b", "fig5c"}
 
 // experiments is the table. The figure rows reproduce the paper in
 // simulated seconds; every other row carries evidence the repository
-// benchmark (benchmark/) does not — the cluster's hedged reads, the QoS
-// throttle, the tuners — and exists for its invariant, which its report's
-// check asserts.
+// benchmark (benchmark/) does not — the cluster's hedged reads, the tuners —
+// and exists for its invariant, which its report's check asserts.
 var experiments []experiment
 
 func init() { // not an initializer: validate's row reads the table it is in
 	experiments = []experiment{
-		{
-			name: "async", id: "async-maintenance", title: "async-maintenance contention", workers: 8,
-			flags: slices.Concat(sizing, topology, pooled, []string{"maintworkers", "maintbudget"}),
-			run:   runAsync, report: func() report { return new(asyncReport) },
-		},
 		{
 			// Measured on the instant disk with a fixed submitter count: no
 			// pool flags.
@@ -87,7 +73,7 @@ func init() { // not an initializer: validate's row reads the table it is in
 			// then decides which queries run concurrently, which is where
 			// batching earns its sharing wins.
 			name: "scenarios", id: "scenario-lab", title: "scenario lab", workers: 4,
-			flags: slices.Concat(sizing, topology, pooled, []string{"scenario", "adaptive", "gap"}),
+			flags: slices.Concat(sizing, topology, []string{"parallel", "realtime-scale", "json", "scenario", "adaptive", "gap"}),
 			run:   runScenarios, report: func() report { return new(scenariosReport) },
 		},
 		{name: "validate", flags: []string{"experiment"}, run: runValidate},
@@ -159,109 +145,6 @@ func ratio(num, den float64) float64 {
 }
 
 func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// engine is the option preset behind -maintworkers; more is the row's own
-// setting on top.
-func (p *params) engine(more func(*odyssey.Options)) func(*odyssey.Options) {
-	return func(o *odyssey.Options) {
-		o.MaintenanceWorkers = p.maintWorkers
-		if more != nil {
-			more(o)
-		}
-	}
-}
-
-// asyncPasses caps the replays that converge the contention leg's
-// foreground datasets.
-const asyncPasses = 10
-
-// runAsync is the QoS contention row (see runContention): background
-// maintenance beside paced foreground traffic, with and without the I/O
-// budget.
-func runAsync(p *params, f *fixture, _ []odyssey.Query) report {
-	if p.cfg.Datasets < 2 || p.maintBudget <= 0 || p.maintBudget >= 1 {
-		fatalf("the async row needs -datasets >= 2 (it serves one half while churning the other) and -maintbudget in (0,1)")
-	}
-	return &asyncReport{header: p.header, MaintenanceWorkers: p.maintWorkers, Contention: runContention(p, f)}
-}
-
-// runContention is the async row's measurement (see contentionReport). The
-// foreground workload touches only the first half of the datasets, the churn
-// only the second. Per leg (budget off, then -maintbudget) a fresh async
-// engine converges the foreground datasets with emulation off (setup, not
-// measurement); then a 2-worker side pool fires the cold churn batch, every
-// query scheduling refinement and merge work, while the main pool serves the
-// paced foreground workload. The foreground layout no longer changes, so any
-// latency difference between the legs is maintenance interference —
-// channel-frontier pushes lengthening foreground emulation sleeps, plus CPU
-// and lock pressure — which the throttle confines to foreground-idle gaps.
-func runContention(p *params, f *fixture) contentionReport {
-	fgN := p.cfg.Datasets / 2
-	bgN := p.cfg.Datasets - fgN
-	fg := generate(p.wcfg, fgN, p.wcfg.Seed+101, fig4aShape)
-	churn := generate(p.wcfg, bgN, p.wcfg.Seed+202, fig4aShape)
-	// Shift the churn workload onto the background half of the datasets.
-	// Copy each combination first: generated queries may share one
-	// underlying slice (the heavy-hitter combination), and shifting in place
-	// would compound across the queries aliasing it.
-	for i := range churn {
-		shifted := slices.Clone(churn[i].Datasets)
-		for j := range shifted {
-			shifted[j] += odyssey.DatasetID(fgN)
-		}
-		churn[i].Datasets = shifted
-	}
-	fmt.Printf("contention comparison: foreground = %d converged dataset(s), churn = %d cold queries over %d dataset(s), budget %.2f\n",
-		fgN, len(churn), bgN, p.maintBudget)
-
-	var gap time.Duration // derived once in the first leg, shared by both
-	leg := func(name string, budget float64) contentionLegReport {
-		ex := f.explorer(p.engine(func(o *odyssey.Options) { o.AsyncMaintenance = true }))
-		defer shut(ex)
-		converge(ex, fg, asyncPasses, 0)
-		ex.SetRealTimeScale(p.scale)
-		if gap == 0 {
-			// Capacity probe (first leg only): one unpaced pooled replay of
-			// the converged foreground workload, no churn. Open-loop arrivals
-			// in both legs then target ~60% of that capacity.
-			probe := replay(ex, fg, replayOpts{workers: p.workers})
-			gap = time.Duration(float64(probe.wall) / (0.6 * float64(len(fg))))
-			fmt.Printf("  open-loop arrival gap %v (~60%% of measured foreground capacity)\n", gap.Round(10*time.Microsecond))
-		}
-		ex.SetMaintenanceBudget(budget)
-		before := ex.DiskStats()
-		churned := make(chan struct{})
-		go func() {
-			defer close(churned)
-			replay(ex, churn, replayOpts{workers: 2, overlapped: true})
-		}()
-		served := replay(ex, fg, replayOpts{workers: p.workers, gap: gap, overlapped: true})
-		<-churned
-		// Drain deferred maintenance at full speed before tearing down.
-		ex.SetRealTimeScale(0)
-		ex.SetMaintenanceBudget(0)
-		must(ex.Quiesce(context.Background()))
-		must(ex.MaintenanceErr())
-		after := ex.DiskStats()
-		rep := contentionLegReport{
-			MaintenanceBudget: budget, latencyReport: served.latency(serviceTime),
-			ThrottledOps:       after.ThrottledOps - before.ThrottledOps,
-			QueuedDelaySeconds: (after.QueuedDelay - before.QueuedDelay).Seconds(),
-		}
-		fmt.Printf("%-5s fg latency: %v   (%d maintenance waits gated)\n", name, rep.latencyReport, rep.ThrottledOps)
-		return rep
-	}
-	unthr, thr := leg("unthr", 0), leg("thrtl", p.maintBudget)
-	fmt.Printf("\nfg p99 under churn: unthrottled %.2fms  budget %.2f %.2fms  (%.2fx)\n\n",
-		1e3*unthr.P99, p.maintBudget, 1e3*thr.P99, ratio(unthr.P99, thr.P99))
-	return contentionReport{
-		MaintenanceBudget: p.maintBudget, ArrivalGapSeconds: gap.Seconds(),
-		ForegroundDatasets: fgN, BackgroundDatasets: bgN, BackgroundQueries: len(churn),
-		Unthrottled: unthr, Throttled: thr,
-		FgP99UnderContentionSeconds: unthr.P99, FgP99ThrottledSeconds: thr.P99,
-		P99Improvement: ratio(unthr.P99, thr.P99),
-	}
-}
 
 // runCluster replays the zipf workload through a sharded, replicated Router
 // — clean, then through a slow-shard storm unhedged and hedged — against a

@@ -16,10 +16,9 @@
 //     deterministic in its sizes and seeds, matching the paper's disk-bound
 //     methodology (README, "Reproduction scale"); gridsweep is the sweep
 //     the grid baseline's defaults come from.
-//   - async (QoS contention under the maintenance I/O budget), cluster
-//     (hedged against unhedged reads), scenarios (the tuner lab): each
-//     drives a workload through the Explorer's worker pool or a cluster
-//     Router on a real-time emulated disk and prints a summary.
+//   - cluster (hedged against unhedged reads), scenarios (the tuner lab):
+//     each drives a workload through the Explorer's worker pool or a
+//     cluster Router on a real-time emulated disk and prints a summary.
 //   - validate FILE...: re-runs the checks on written reports.
 //
 // Every row but gridsweep writes its report to -json PATH and exits non-zero
@@ -48,10 +47,10 @@ type params struct {
 	wcfg bench.WorkloadConfig
 
 	experiment, layout, ksList, jsonPath, scenario string
-	seekUS, transferUS, workers, maintWorkers      int
+	seekUS, transferUS, workers                    int
 	shards, replicas                               int
 	verify, adaptive                               bool
-	scale, maintBudget                             float64
+	scale                                          float64
 	gap                                            time.Duration
 
 	header header       // the envelope of the report of the row being run
@@ -67,7 +66,7 @@ type params struct {
 func flags(p *params) *flag.FlagSet {
 	fs := flag.NewFlagSet("odyssey-bench", flag.ExitOnError)
 	p.cfg = bench.DefaultConfig()
-	fs.StringVar(&p.experiment, "experiment", "all", "table row to run: a figure id (fig4a..fig4d, fig5a..fig5c, gridsweep), a comma list of them or 'all'; async, cluster, scenarios; or 'validate FILE...' to re-check written reports")
+	fs.StringVar(&p.experiment, "experiment", "all", "table row to run: a figure id (fig4a..fig4d, fig5a..fig5c, gridsweep), a comma list of them or 'all'; cluster, scenarios; or 'validate FILE...' to re-check written reports")
 	fs.IntVar(&p.cfg.Datasets, "datasets", 10, "number of datasets (paper: 10)")
 	fs.IntVar(&p.cfg.ObjectsPerDataset, "objects", 100000, "objects per dataset")
 	fs.IntVar(&p.wcfg.Queries, "queries", 1000, "queries per workload (paper: 1000)")
@@ -85,8 +84,6 @@ func flags(p *params) *flag.FlagSet {
 	fs.IntVar(&p.cfg.Devices, "devices", 1, "number of simulated member devices to place files on")
 	fs.IntVar(&p.cfg.Channels, "channels", 1, "independent I/O channels (platter heads) per device")
 	fs.StringVar(&p.jsonPath, "json", "", "write the row's report as JSON to this file (the figure rows of one invocation share one)")
-	fs.IntVar(&p.maintWorkers, "maintworkers", 2, "maintenance worker pool size for async-maintenance engines")
-	fs.Float64Var(&p.maintBudget, "maintbudget", 0.2, "async: background I/O budget of the contention leg — the share of platter busy time maintenance may consume while foreground queries are in flight")
 	fs.StringVar(&p.scenario, "scenario", "all", "scenarios: the named scenario to sweep (zipf|drift|scanheavy|pointheavy|diurnal|adversarial) or 'all'")
 	fs.BoolVar(&p.adaptive, "adaptive", false, "scenarios: include the adaptive self-tuning mode (auto-sized result cache and heat decay, on the fixed 4 ms window) in the sweep")
 	fs.DurationVar(&p.gap, "gap", 2*time.Millisecond, "scenarios: base open-loop inter-arrival unit; each scenario scales it by its own pacing curve")

@@ -38,10 +38,10 @@ func (v violations) err() error {
 }
 
 // fullScaleQueries is the workload size from which a serving report's
-// orderings (throttled queued delay below unthrottled, adaptive below best
-// static) are asserted. Below it — the CI smoke sizes — a handful of queries
-// decide them and only the structural invariants hold reliably; every
-// committed artifact was recorded at or above it. The orderings compare
+// orderings (adaptive below best static) are asserted. Below it — the CI
+// smoke sizes — a handful of queries decide them and only the structural
+// invariants hold reliably; every committed artifact was recorded at or
+// above it. The orderings compare
 // simulated quantities, which the device charges exactly, so a report passes
 // or fails the same on every host; the one wall-clock ordering left is
 // hedged against unhedged (see clusterReport.check).
@@ -56,8 +56,6 @@ type header struct {
 	Queries       int     `json:"queries"`
 	RealtimeScale float64 `json:"realtime_scale"`
 }
-
-func (h header) fullScale() bool { return h.Queries >= fullScaleQueries }
 
 type timing struct {
 	WallSeconds float64 `json:"wall_seconds"`
@@ -81,38 +79,6 @@ func latencyOf(ds []time.Duration) latencyReport {
 
 func (l latencyReport) String() string {
 	return fmt.Sprintf("p50 %8.2fms  p95 %8.2fms  p99 %8.2fms", 1e3*l.P50, 1e3*l.P95, 1e3*l.P99)
-}
-
-// asyncReport is the async row's report (BENCH_async.json).
-type asyncReport struct {
-	header
-	MaintenanceWorkers int              `json:"maintenance_workers"`
-	Contention         contentionReport `json:"contention"`
-}
-
-// contentionReport is the async row's measurement (see runContention):
-// foreground QoS in the regime the background I/O budget targets, its two
-// legs differing only in the budget. Throttling moves maintenance work in
-// wall-clock time only — results and simulated charges are identical — so a
-// foreground tail improvement is contention relief, not skipped work.
-type contentionReport struct {
-	MaintenanceBudget           float64             `json:"maintenance_budget"`
-	ArrivalGapSeconds           float64             `json:"arrival_gap_seconds"`
-	ForegroundDatasets          int                 `json:"foreground_datasets"`
-	BackgroundDatasets          int                 `json:"background_datasets"`
-	BackgroundQueries           int                 `json:"background_queries"`
-	Unthrottled                 contentionLegReport `json:"unthrottled"`
-	Throttled                   contentionLegReport `json:"throttled"`
-	FgP99UnderContentionSeconds float64             `json:"fg_p99_under_contention_seconds"`
-	FgP99ThrottledSeconds       float64             `json:"fg_p99_throttled_seconds"`
-	P99Improvement              float64             `json:"p99_improvement_unthrottled_over_throttled"`
-}
-
-type contentionLegReport struct {
-	MaintenanceBudget float64 `json:"maintenance_budget"`
-	latencyReport
-	ThrottledOps       int64   `json:"throttled_ops"`
-	QueuedDelaySeconds float64 `json:"queued_delay_seconds"`
 }
 
 // clusterPhaseReport is one replay's ledger: counters are deltas over the
@@ -214,20 +180,6 @@ type paperReport struct {
 
 // The checks. Each holds its row to the invariant the row exists to show;
 // orderings wait for fullScaleQueries.
-
-func (r *asyncReport) check() error {
-	var v violations
-	c := r.Contention
-	v.require(c.MaintenanceBudget > 0 && c.ArrivalGapSeconds > 0, "contention leg ran without a budget or pacing")
-	v.require(c.ForegroundDatasets >= 1 && c.BackgroundQueries > 0, "contention leg had no foreground datasets or no churn")
-	v.require(c.Unthrottled.ThrottledOps == 0, "the unthrottled leg gated %d maintenance ops", c.Unthrottled.ThrottledOps)
-	v.require(c.FgP99UnderContentionSeconds > 0 && c.FgP99ThrottledSeconds > 0, "contention leg measured no foreground latency")
-	// The relief, in the simulated time operations spent queued behind
-	// others on their channel: a throttled maintainer works in the gaps.
-	v.require(!r.fullScale() || c.Throttled.QueuedDelaySeconds < c.Unthrottled.QueuedDelaySeconds,
-		"the I/O budget did not relieve the device queue: %vs queued throttled >= %vs unthrottled", c.Throttled.QueuedDelaySeconds, c.Unthrottled.QueuedDelaySeconds)
-	return v.err()
-}
 
 func (r *clusterReport) check() error {
 	var v violations

@@ -162,10 +162,6 @@ type replayOpts struct {
 	coldCache bool
 	// discard drops the results unfingerprinted (convergence passes).
 	discard bool
-	// overlapped marks a replay sharing its engine with another one still
-	// running: it must not wait out the other's maintenance, and its clock
-	// delta would include the other's charges, so neither is taken.
-	overlapped bool
 }
 
 // outcome is one query's result within a pass.
@@ -242,10 +238,8 @@ func replay(ex *odyssey.Explorer, queries []odyssey.Query, o replayOpts) pass {
 	} else {
 		p = direct(ex, queries, 1, o.discard)
 	}
-	if !o.overlapped {
-		must(ex.Quiesce(context.Background()))
-		p.sim = ex.Clock() - sim0
-	}
+	must(ex.Quiesce(context.Background()))
+	p.sim = ex.Clock() - sim0
 	p.before, p.after = before, snapshot(ex)
 	for i, oc := range p.outcomes {
 		if oc.err != nil {

@@ -343,7 +343,7 @@ func TestKnobCensus(t *testing.T) {
 	if n := reflect.TypeOf(AdmissionStats{}).NumField(); n != 7 {
 		t.Errorf("AdmissionStats has %d fields, want 7: a counter nothing reads is a knob's shadow", n)
 	}
-	if n := reflect.TypeOf(Options{}).NumField(); n != 24 {
-		t.Errorf("Options has %d fields, want 24: %s", n, rule)
+	if n := reflect.TypeOf(Options{}).NumField(); n != 23 {
+		t.Errorf("Options has %d fields, want 23: %s", n, rule)
 	}
 }

@@ -86,17 +86,6 @@ type Options struct {
 	// MaintenanceWorkers bounds the background scheduler's pool (<= 0
 	// defaults to 2). Only meaningful with AsyncMaintenance.
 	MaintenanceWorkers int
-	// MaintenanceBudget caps the fraction of platter busy time background
-	// maintenance I/O may consume while foreground queries are in flight
-	// (0.2 = at most 20%). Over budget, maintenance operations wait — in
-	// wall-clock time only, never on the simulated clock — until the
-	// foreground goes idle or the share drops, so query results, simulated
-	// charges and converged layouts are byte-identical with the budget on or
-	// off; only wall-clock scheduling changes. <= 0 (default) or >= 1
-	// disables throttling. Only meaningful with AsyncMaintenance and
-	// RealTimeScale (without emulated I/O waits there is no wall-clock
-	// contention to arbitrate).
-	MaintenanceBudget float64
 	// ShareScans turns on work sharing across concurrent queries: a query
 	// attaches to another query's in-flight read of the same (dataset,
 	// cell) — a tree partition or a merge segment — within a layout epoch
@@ -250,9 +239,6 @@ func NewExplorer(opts Options) (*Explorer, error) {
 	if opts.RealTimeScale > 0 {
 		dev.SetRealTimeScale(opts.RealTimeScale)
 	}
-	if opts.MaintenanceBudget > 0 {
-		dev.SetMaintenanceBudget(opts.MaintenanceBudget)
-	}
 	if opts.Retry != (RetryPolicy{}) {
 		dev.SetRetryPolicy(opts.Retry)
 	}
@@ -351,7 +337,7 @@ func (e *Explorer) QueryCtx(ctx context.Context, q Box, datasets []DatasetID) ([
 // Options.DropCachesPerQuery is set, the buffer cache is cleared first,
 // like the paper's cold-cache methodology. The latency is an exact
 // per-query charge attribution on every topology: the query's context
-// carries a QoS scope the storage layer charges directly — platter service
+// carries an OpScope the storage layer charges directly — platter service
 // time, cache-hit time, and the arrival-gated queueing delay the query's
 // operations spent waiting behind earlier arrivals on their channels — so
 // concurrent queries never inflate (or shadow) each other's durations, and
@@ -387,7 +373,7 @@ func (e *Explorer) QueryTimedCtx(ctx context.Context, q Box, datasets []DatasetI
 	if e.opts.DropCachesPerQuery {
 		e.dev.DropCaches()
 	}
-	// The query runs under a QoS scope: the storage layer charges every
+	// The query runs under an OpScope: the storage layer charges every
 	// device operation the query performs — including queueing delay behind
 	// concurrent queries' operations — to it, making the returned duration an
 	// exact per-query attribution on any topology. A scope already on the
@@ -563,14 +549,6 @@ func (e *Explorer) CacheStats() CacheStats { return e.engine.CacheStats() }
 // cold-cache; the flush counts in CacheStats.Invalidations like a
 // publish's targeted drop.
 func (e *Explorer) FlushResultCache() { e.engine.FlushResultCache() }
-
-// SetMaintenanceBudget changes the background I/O budget at runtime (see
-// Options.MaintenanceBudget); <= 0 turns throttling off. Benchmarks use it
-// to compare serving behaviour with and without the budget on one Explorer.
-func (e *Explorer) SetMaintenanceBudget(frac float64) { e.dev.SetMaintenanceBudget(frac) }
-
-// MaintenanceBudget returns the current background I/O budget (0 = off).
-func (e *Explorer) MaintenanceBudget() float64 { return e.dev.MaintenanceBudget() }
 
 // Close shuts the Explorer down: new queries and dataset registrations
 // fail fast with ErrClosed, in-flight queries are waited out, the

@@ -1207,11 +1207,8 @@ func (o *Odyssey) runRefineTask(ds object.DatasetID, t refineTask) (int, error) 
 	if tree == nil {
 		return 0, nil
 	}
-	// Background refinement runs under a maintenance-priority scope: the
-	// scope's charges attribute the task's exact cost, and each step waits
-	// out the background I/O budget before taking the dataset's write lock
-	// — the wait sits at a lock-free point, so a throttled refinement never
-	// blocks the foreground queries the budget protects. The context is
+	// Background refinement runs under a maintenance-priority scope, whose
+	// charges attribute the task's exact cost. The context is
 	// non-cancelable — layout mutations are never interrupted mid-way.
 	ctx, _ := simdisk.WithOpScope(context.Background(), simdisk.PriMaintenance)
 	clock := simdisk.PhaseClock(ctx, o.dev)
@@ -1226,10 +1223,6 @@ func (o *Odyssey) runRefineTask(ds object.DatasetID, t refineTask) (int, error) 
 		// (§3.2.2) — a refining walk enforces this with its covered
 		// predicate, a background task re-evaluates it across the gap.
 		if o.regionCovered(ds, t) {
-			break
-		}
-		if err := o.dev.AwaitMaintenanceTurn(ctx); err != nil {
-			taskErr = err
 			break
 		}
 		lk.Lock()
@@ -1282,16 +1275,9 @@ func (o *Odyssey) regionCovered(ds object.DatasetID, t refineTask) bool {
 
 // runMergeTask executes one background merge task: the merge step for the
 // task's combination, single-flight with any direct trigger, under a
-// maintenance-priority scope — so a storage budget can throttle the copy I/O
-// while foreground queries are in flight, and the scope's charges attribute
-// the task's exact cost. The budget is honored before the step acquires any
-// lock (a gated wait under the member tree locks would stall racing writers
-// and, behind them, foreground readers).
+// maintenance-priority scope whose charges attribute the task's exact cost.
 func (o *Odyssey) runMergeTask(t mergeTask) error {
 	ctx, _ := simdisk.WithOpScope(context.Background(), simdisk.PriMaintenance)
-	if err := o.dev.AwaitMaintenanceTurn(ctx); err != nil {
-		return err
-	}
 	return o.mergeOnce(ctx, t.key, t.members)
 }
 

@@ -101,9 +101,6 @@ func sleepCtx(ctx context.Context, dt time.Duration) error {
 // and the real-time emulation sleep (if any) aborts early on ctx.Done.
 func (d *Device) ReadPageCtx(ctx context.Context, id FileID, idx int64, buf []byte) error {
 	ctx = orBackground(ctx)
-	s := ScopeFrom(ctx)
-	d.gateOp(s)
-	defer d.ungateOp(s)
 	dt, err := d.readPageRetry(ctx, id, idx, buf)
 	if err != nil {
 		return err
@@ -130,9 +127,6 @@ func (d *Device) ReadRunCtx(ctx context.Context, id FileID, start, n int64) ([]b
 		return nil, fmt.Errorf("simdisk: negative run length %d", n)
 	}
 	ctx = orBackground(ctx)
-	s := ScopeFrom(ctx)
-	d.gateOp(s)
-	defer d.ungateOp(s)
 	buf := getRunBuf(n)
 	var total time.Duration
 	for i := int64(0); i < n; i++ {

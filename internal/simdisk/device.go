@@ -49,10 +49,6 @@ type Stats struct {
 	// work — channel busy time and Clock() never include it. Zero on serial
 	// single-stream workloads.
 	QueuedDelay time.Duration
-	// ThrottledOps counts maintenance operations that waited (wall-clock
-	// only) for the background I/O budget (SetMaintenanceBudget) at least
-	// once before proceeding.
-	ThrottledOps int64
 	// Fault-injection and retry ledger (see FaultPlan / RetryPolicy).
 	// Faulted read attempts are rejected before any charge, so none of them
 	// appear in PageReads or the clock; LatencySpikes stall wall-clock
@@ -88,7 +84,6 @@ func (s *Stats) Add(o Stats) {
 	s.BytesWritten += o.BytesWritten
 	s.CanceledOps += o.CanceledOps
 	s.QueuedDelay += o.QueuedDelay
-	s.ThrottledOps += o.ThrottledOps
 	s.TransientFaults += o.TransientFaults
 	s.PermanentFaults += o.PermanentFaults
 	s.LatencySpikes += o.LatencySpikes
@@ -234,18 +229,9 @@ type Device struct {
 	retriedOps      atomic.Int64
 	retryExhausted  atomic.Int64
 
-	// QoS state (see qos.go): queuedDelay and throttledOps are the Stats
-	// counters; fgInFlight counts scoped foreground operations
-	// currently inside the device (the signal the maintenance throttle
-	// watches); maintBudget holds the float64 bits of the background I/O
-	// budget fraction (0 = throttling off); fgBusy/maintBusy split platter
-	// time by class for the budget's share test.
-	queuedDelay  atomic.Int64
-	throttledOps atomic.Int64
-	fgInFlight   atomic.Int64
-	maintBudget  atomic.Uint64
-	fgBusy       atomic.Int64
-	maintBusy    atomic.Int64
+	// queuedDelay is the Stats counter of arrival-gated queueing delay
+	// charged to scopes (see qos.go).
+	queuedDelay atomic.Int64
 
 	// realTime holds the float64 bits of the real-time emulation scale
 	// (0 = off). See SetRealTimeScale.
@@ -473,8 +459,6 @@ func (d *Device) WritePageCtx(ctx context.Context, id FileID, idx int64, data []
 		return ErrBadPageSize
 	}
 	s := ScopeFrom(ctx)
-	d.gateOp(s)
-	defer d.ungateOp(s)
 	f, err := d.lookup(id)
 	if err != nil {
 		return err
@@ -512,7 +496,7 @@ func (d *Device) WritePageCtx(ctx context.Context, id FileID, idx int64, data []
 
 // AppendPageCtx appends data as a new page at the end of the file and
 // returns its index. Appends to the file most recently touched at its tail
-// are sequential. Cancellation and QoS follow the same contract as
+// are sequential. Cancellation and attribution follow the same contract as
 // WritePageCtx: abort before the charge costs nothing; once the page is
 // appended it is charged and durable.
 func (d *Device) AppendPageCtx(ctx context.Context, id FileID, data []byte) (int64, error) {
@@ -524,8 +508,6 @@ func (d *Device) AppendPageCtx(ctx context.Context, id FileID, data []byte) (int
 		return 0, ErrBadPageSize
 	}
 	s := ScopeFrom(ctx)
-	d.gateOp(s)
-	defer d.ungateOp(s)
 	f, err := d.lookup(id)
 	if err != nil {
 		return 0, err
@@ -593,11 +575,6 @@ func (d *Device) chargePlatter(s *OpScope, key pageKey) time.Duration {
 		ch.seeks.Add(1)
 	}
 	ch.busy.Add(int64(svc))
-	if s == nil || s.pri != PriMaintenance {
-		d.fgBusy.Add(int64(svc))
-	} else {
-		d.maintBusy.Add(int64(svc))
-	}
 	if s != nil {
 		s.charged.Add(int64(svc))
 		if delay > 0 {
@@ -688,7 +665,6 @@ func (d *Device) Stats() Stats {
 		BytesWritten:    d.bytesWritten.Load(),
 		CanceledOps:     d.canceledOps.Load(),
 		QueuedDelay:     time.Duration(d.queuedDelay.Load()),
-		ThrottledOps:    d.throttledOps.Load(),
 		TransientFaults: d.transientFaults.Load(),
 		PermanentFaults: d.permanentFaults.Load(),
 		LatencySpikes:   d.latencySpikes.Load(),
@@ -710,14 +686,11 @@ func (d *Device) ResetStats() {
 	d.bytesWritten.Store(0)
 	d.canceledOps.Store(0)
 	d.queuedDelay.Store(0)
-	d.throttledOps.Store(0)
 	d.transientFaults.Store(0)
 	d.permanentFaults.Store(0)
 	d.latencySpikes.Store(0)
 	d.retriedOps.Store(0)
 	d.retryExhausted.Store(0)
-	d.fgBusy.Store(0)
-	d.maintBusy.Store(0)
 	for i := range d.channels {
 		d.channels[i].seeks.Store(0)
 		d.channels[i].seqPages.Store(0)

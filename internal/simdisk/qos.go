@@ -2,27 +2,22 @@ package simdisk
 
 import (
 	"context"
-	"math"
 	"sync/atomic"
 	"time"
 )
 
-// Priority classifies a device operation for QoS purposes. It rides on the
-// operation's context inside an OpScope: the maintenance scheduler tags its
-// background I/O PriMaintenance, and everything else is PriForeground.
+// Priority labels the work an OpScope is opened for: the maintenance
+// scheduler opens its scopes PriMaintenance, everything else PriForeground.
+// It is a label only: both classes queue behind earlier operations on their
+// channel and are charged the arrival-gated delay they actually wait, and a
+// scope's charges are its own whatever its class.
 type Priority uint8
 
 const (
-	// PriForeground is the default class: interactive query I/O. It queues
-	// behind earlier operations on the same channel and is charged the
-	// arrival-gated queueing delay it actually waits.
+	// PriForeground is the default class: interactive query I/O.
 	PriForeground Priority = iota
 	// PriMaintenance marks background layout maintenance (refinement and
-	// merge I/O). It queues like foreground work, but when a maintenance
-	// I/O budget is set (SetMaintenanceBudget) its platter operations
-	// additionally wait — in wall-clock time only, never on the simulated
-	// clock — while foreground operations are in flight and maintenance
-	// exceeds its busy-time share.
+	// merge I/O).
 	PriMaintenance
 )
 
@@ -42,8 +37,6 @@ const (
 // channel another scope has pushed ahead is charged the wait, exactly as a
 // request queueing behind a busy head would be.
 type OpScope struct {
-	pri Priority
-
 	// now is the scope's virtual timeline position in simulated nanoseconds
 	// (same epoch as the channel busy clocks): the arrival time of its next
 	// operation. -1 until the first operation positions the scope.
@@ -54,10 +47,11 @@ type OpScope struct {
 	queued  atomic.Int64 // arrival-gated queueing delay
 }
 
-// NewOpScope creates an unattached scope of the given priority. Most
-// callers want WithOpScope, which also attaches it to a context.
-func NewOpScope(pri Priority) *OpScope {
-	s := &OpScope{pri: pri}
+// NewOpScope creates an unattached scope; the priority only labels it (see
+// Priority). Most callers want WithOpScope, which also attaches it to a
+// context.
+func NewOpScope(Priority) *OpScope {
+	s := &OpScope{}
 	s.now.Store(-1)
 	return s
 }
@@ -156,112 +150,4 @@ func (c PhaseReader) Now() time.Duration {
 		return c.scope.Total()
 	}
 	return c.dev.Clock()
-}
-
-// SetMaintenanceBudget sets the background I/O budget: the maximum fraction
-// of platter busy time maintenance operations may consume while foreground
-// operations are in flight. With a budget in (0, 1), a PriMaintenance
-// platter operation whose class is over its share waits — in wall-clock
-// time only — until the foreground goes idle or the share drops. frac <= 0
-// (the default) or >= 1 disables throttling. The simulated clock, charges
-// and results are identical either way; only wall-clock scheduling changes.
-func (d *Device) SetMaintenanceBudget(frac float64) {
-	if frac <= 0 || math.IsNaN(frac) {
-		d.maintBudget.Store(0)
-		return
-	}
-	d.maintBudget.Store(math.Float64bits(frac))
-}
-
-// MaintenanceBudget returns the current background I/O budget (0 = off).
-func (d *Device) MaintenanceBudget() float64 {
-	bits := d.maintBudget.Load()
-	if bits == 0 {
-		return 0
-	}
-	return math.Float64frombits(bits)
-}
-
-// SetMaintenanceBudget fans the background I/O budget out to every member;
-// throttling is per member, matching the per-member foreground in-flight
-// accounting.
-func (a *DeviceArray) SetMaintenanceBudget(frac float64) {
-	for _, m := range a.members {
-		m.SetMaintenanceBudget(frac)
-	}
-}
-
-// MaintenanceBudget returns the members' common budget.
-func (a *DeviceArray) MaintenanceBudget() float64 { return a.members[0].MaintenanceBudget() }
-
-// gateOp is the QoS entry gate every page I/O operation passes: foreground
-// scoped operations register as in flight — the signal the
-// maintenance throttle watches. Maintenance operations pass freely: the
-// budget wait happens at task boundaries (AwaitMaintenanceTurn), never
-// mid-operation, because a maintenance step may be holding an engine lock
-// (a tree's write lock during refinement) and pausing it there would block
-// the very foreground queries the budget protects. The matching ungateOp
-// must be called when the operation (including its real-time emulation
-// sleep) finishes.
-func (d *Device) gateOp(s *OpScope) {
-	if s != nil && s.pri != PriMaintenance {
-		d.fgInFlight.Add(1)
-	}
-}
-
-// ungateOp undoes gateOp's in-flight registration.
-func (d *Device) ungateOp(s *OpScope) {
-	if s != nil && s.pri != PriMaintenance {
-		d.fgInFlight.Add(-1)
-	}
-}
-
-// AwaitMaintenanceTurn blocks — wall-clock only — while foreground
-// operations are in flight and maintenance platter time exceeds its
-// budgeted share (see SetMaintenanceBudget). Maintenance schedulers call it
-// at task boundaries, BEFORE acquiring engine locks: the wait must happen at
-// a lock-free point, or throttling would extend lock holds and invert
-// priorities. The wait never touches the simulated clock, so results and
-// charges are byte-identical with throttling on or off; it only reorders
-// wall-clock execution so background I/O yields the device to interactive
-// queries. Returns a cancellation error when ctx dies mid-wait; immediate
-// when no budget is set.
-func (d *Device) AwaitMaintenanceTurn(ctx context.Context) error {
-	bits := d.maintBudget.Load()
-	if bits == 0 {
-		return nil
-	}
-	frac := math.Float64frombits(bits)
-	if frac >= 1 {
-		return nil
-	}
-	waited := false
-	for d.fgInFlight.Load() > 0 && !d.closed.Load() {
-		mb, fb := d.maintBusy.Load(), d.fgBusy.Load()
-		if float64(mb) <= frac*float64(mb+fb) {
-			break // within budget: proceed even under foreground load
-		}
-		if err := d.checkCtx(ctx); err != nil {
-			return err
-		}
-		if !waited {
-			waited = true
-			d.throttledOps.Add(1)
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	return nil
-}
-
-// AwaitMaintenanceTurn waits for every member's turn: a maintenance task
-// may touch files on any member, so it proceeds when all members are
-// within budget (each member's wait is independent and self-limiting — a
-// gated class stops accruing busy time, so its share only falls).
-func (a *DeviceArray) AwaitMaintenanceTurn(ctx context.Context) error {
-	for _, m := range a.members {
-		if err := m.AwaitMaintenanceTurn(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -165,88 +165,6 @@ func TestSerialScopeMatchesClock(t *testing.T) {
 	}
 }
 
-// TestMaintenanceThrottleGate pins the task-boundary budget wait
-// deterministically by driving the in-flight and busy counters directly:
-// over budget with foreground in flight blocks (and counts the wait once);
-// within budget, or with no budget set, proceeds. A maintenance operation
-// itself (gateOp) never waits — the budget is honored between tasks, not
-// mid-operation under engine locks.
-func TestMaintenanceThrottleGate(t *testing.T) {
-	d := qosTestDevice(t, 1)
-	sm := NewOpScope(PriMaintenance)
-
-	// No budget set: never throttles.
-	d.fgInFlight.Store(1)
-	d.maintBusy.Store(1e9)
-	d.fgBusy.Store(1)
-	if err := d.AwaitMaintenanceTurn(context.Background()); err != nil {
-		t.Fatalf("await without budget: %v", err)
-	}
-	if got := d.throttledOps.Load(); got != 0 {
-		t.Fatalf("throttledOps %d, want 0", got)
-	}
-
-	// Budget set, maintenance over its share, foreground in flight: the wait
-	// blocks until the context dies, and counts as throttled once — while a
-	// maintenance *operation* still passes the per-op gate untouched.
-	d.SetMaintenanceBudget(0.2)
-	d.gateOp(sm) // returns at once, and registers nothing in flight
-	if got := d.fgInFlight.Load(); got != 1 {
-		t.Fatalf("maintenance op registered as foreground in flight: %d, want 1", got)
-	}
-	d.ungateOp(sm)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
-	if err := d.AwaitMaintenanceTurn(ctx); err == nil {
-		t.Fatal("await over budget should block until cancellation")
-	}
-	if got := d.throttledOps.Load(); got != 1 {
-		t.Fatalf("throttledOps %d, want 1", got)
-	}
-
-	// Within budget: proceeds despite foreground in flight.
-	d.maintBusy.Store(1)
-	d.fgBusy.Store(1e9)
-	if err := d.AwaitMaintenanceTurn(context.Background()); err != nil {
-		t.Fatalf("await within budget: %v", err)
-	}
-
-	// Foreground idle: proceeds regardless of share.
-	d.fgInFlight.Store(0)
-	d.maintBusy.Store(1e9)
-	d.fgBusy.Store(1)
-	if err := d.AwaitMaintenanceTurn(context.Background()); err != nil {
-		t.Fatalf("await with idle foreground: %v", err)
-	}
-}
-
-// TestForegroundGateCounts pins that scoped foreground operations register
-// in flight for exactly the duration of the op.
-func TestForegroundGateCounts(t *testing.T) {
-	d := qosTestDevice(t, 1)
-	sf := NewOpScope(PriForeground)
-	d.gateOp(sf)
-	if got := d.fgInFlight.Load(); got != 1 {
-		t.Fatalf("fgInFlight %d, want 1", got)
-	}
-	d.ungateOp(sf)
-	if got := d.fgInFlight.Load(); got != 0 {
-		t.Fatalf("fgInFlight %d, want 0", got)
-	}
-	// Unscoped and maintenance ops never count as foreground in flight.
-	d.gateOp(nil)
-	d.ungateOp(nil)
-	sm := NewOpScope(PriMaintenance)
-	d.gateOp(sm)
-	d.ungateOp(sm)
-	if got := d.fgInFlight.Load(); got != 0 {
-		t.Fatalf("fgInFlight %d, want 0", got)
-	}
-}
-
 // TestPhaseClockReadsScopeOrDevice pins PhaseClock's two sources — the
 // context's scope when it carries one, the device clock otherwise — and that
 // taking and reading one allocates nothing: four are taken per query.

@@ -10,7 +10,7 @@ import (
 // whole files on several devices, or a wrapper embedding either (a tracer, a
 // future file-backed store). Everything above this interface is
 // placement-oblivious — the same engine code runs on one single-head SAS
-// disk or on an array of multi-channel devices. Fifteen methods, one
+// disk or on an array of multi-channel devices. Fourteen methods, one
 // flavour of I/O: every page operation takes a context.
 type Storage interface {
 	// File lifecycle. CreateFileInGroup carries an affinity hint ("" when
@@ -22,11 +22,10 @@ type Storage interface {
 	TotalPages() int64
 
 	// Page I/O. The context carries cancellation (checked before every
-	// charge, down to the page boundary inside a run) and QoS: the platter
-	// charge is attributed to the context's OpScope (exact per-query
-	// accounting on any topology), and foreground-scoped operations
-	// register in flight for the maintenance throttle. A nil context is
-	// accepted and treated as context.Background().
+	// charge, down to the page boundary inside a run) and attribution: the
+	// platter charge lands on the context's OpScope (exact per-query
+	// accounting on any topology). A nil context is accepted and treated as
+	// context.Background().
 	//
 	// Buffer ownership: an implementation must not retain data past
 	// WritePageCtx / AppendPageCtx (callers reuse the page for the next
@@ -44,12 +43,6 @@ type Storage interface {
 	ResetStats()
 	DropCaches()
 
-	// AwaitMaintenanceTurn is where maintenance schedulers honor the
-	// background I/O budget (Control.SetMaintenanceBudget): they call it at
-	// task boundaries, before acquiring engine locks; operations themselves
-	// are never paused mid-flight. Immediate when no budget is set.
-	AwaitMaintenanceTurn(ctx context.Context) error
-
 	// Close marks the storage closed: subsequent file operations fail with
 	// ErrDeviceClosed, and the buffer cache is released. The owner (the
 	// Explorer) drains background layout maintenance before closing, so a
@@ -59,22 +52,15 @@ type Storage interface {
 
 // Control is the handle NewStorage returns to the storage's owner: the data
 // path plus the control plane only the owner (the Explorer) drives —
-// wall-clock emulation, the background I/O budget, the fault plan and retry
-// policy of the robustness harness, and the per-member reports. The layers
-// below the owner take the Storage it embeds and never name Control.
+// wall-clock emulation, the fault plan and retry policy of the robustness
+// harness, and the per-member reports. The layers below the owner take the
+// Storage it embeds and never name Control.
 type Control interface {
 	Storage
 
 	// SetRealTimeScale makes every charged simulated duration additionally
 	// sleep scale times that duration in wall-clock time (0 = off).
 	SetRealTimeScale(scale float64)
-
-	// Background I/O budget (QoS): the maximum fraction of platter busy
-	// time PriMaintenance operations may consume while foreground operations
-	// are in flight. 0 (the default) disables throttling. Wall-clock only —
-	// the simulated clock and every result are identical either way.
-	SetMaintenanceBudget(frac float64)
-	MaintenanceBudget() float64
 
 	// Fault injection and retry (see faults.go / retry.go): SetFaultPlan
 	// installs a seeded, deterministic fault plan (a DeviceArray

@@ -6,13 +6,13 @@ import (
 	"testing"
 )
 
-// TestStorageMethodSet pins the data-path interface to its fifteen methods,
+// TestStorageMethodSet pins the data-path interface to its fourteen methods,
 // so it cannot re-accrete: a method added for one caller's convenience must
 // go on the concrete type or on Control, and a second flavour of an I/O
 // method fails here.
 func TestStorageMethodSet(t *testing.T) {
 	want := []string{
-		"AppendPageCtx", "AwaitMaintenanceTurn", "Clock", "Close",
+		"AppendPageCtx", "Clock", "Close",
 		"CreateFileInGroup", "DeleteFile", "DropCaches", "NumPages",
 		"ReadPageCtx", "ReadRunCtx", "ResetClock", "ResetStats",
 		"Stats", "TotalPages", "WritePageCtx",

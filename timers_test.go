@@ -112,7 +112,6 @@ func TestTimerSiteCensus(t *testing.T) {
 		"cluster/shard.go (*shard).serve time.NewTimer",
 		"dispatcher.go (*Dispatcher).batcher time.NewTimer",
 		"internal/simdisk/cancel.go sleepCtx time.NewTimer",
-		"internal/simdisk/qos.go (*Device).AwaitMaintenanceTurn time.Sleep",
 	}
 	if got := timerSites(t); !slices.Equal(got, want) {
 		t.Errorf("library wall-clock timer sites:\n  %s\nwant:\n  %s\n"+
