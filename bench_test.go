@@ -259,7 +259,6 @@ func BenchmarkServingHotQuery(b *testing.B) {
 	ex, err := NewExplorer(Options{
 		Cost:             simdisk.ReducedScaleCostModel(),
 		AsyncMaintenance: true,
-		ShareScans:       true,
 		CacheResults:     true,
 		AdaptiveCache:    true,
 		HeatHalfLife:     64,

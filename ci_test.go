@@ -134,9 +134,10 @@ type goTest struct {
 	pkgDir []string
 }
 
-// goTests lists the go test commands of every step, following a cd that
-// precedes them in the same script.
-func goTests(steps []workflowStep) []goTest {
+// goTests lists the go test commands of every step of file, following a cd
+// that precedes them in the same script; a command that names no package
+// tests the one it runs in.
+func goTests(file string, steps []workflowStep) []goTest {
 	var out []goTest
 	for _, st := range steps {
 		cwd := ""
@@ -148,7 +149,7 @@ func goTests(steps []workflowStep) []goTest {
 			if len(w) < 2 || w[0] != "go" || w[1] != "test" {
 				continue
 			}
-			gt := goTest{step: fmt.Sprintf("%s:%d %q", workflowPath, st.line, st.name)}
+			gt := goTest{step: fmt.Sprintf("%s:%d %q", file, st.line, st.name)}
 			for i := 2; i < len(w); i++ {
 				flag, val, hasVal := strings.Cut(w[i], "=")
 				var dst *[]string
@@ -169,6 +170,9 @@ func goTests(steps []workflowStep) []goTest {
 				case w[i] == "." || strings.HasPrefix(w[i], "./"):
 					gt.pkgDir = append(gt.pkgDir, path.Join(cwd, strings.TrimSuffix(w[i], "/")))
 				}
+			}
+			if len(gt.pkgDir) == 0 {
+				gt.pkgDir = []string{cwd}
 			}
 			out = append(out, gt)
 		}
@@ -258,7 +262,7 @@ func inPackages(dir string, pkgs, modules []string) bool {
 	return false
 }
 
-// alternatives splits a -run or -bench pattern into the top-level
+// alternatives splits a -run, -bench or -fuzz pattern into the top-level
 // alternatives that name a test, dropping anchors; "^$" (run nothing) and
 // subtest patterns name none.
 func alternatives(pattern string) []string {
@@ -272,40 +276,50 @@ func alternatives(pattern string) []string {
 	return out
 }
 
+// patternProblems lists every -run, -bench or -fuzz alternative of a go test
+// command that names no function of its kind in the packages the command
+// tests.
+func patternProblems(c goTest, funcs []testFunc, modules []string) []string {
+	var problems []string
+	for _, sel := range []struct {
+		flag     string
+		patterns []string
+		kinds    []string // the name prefixes of the functions the flag selects
+	}{
+		{"-run", c.run, []string{"Test", "Fuzz", "Example"}},
+		{"-bench", c.bench, []string{"Benchmark"}},
+		{"-fuzz", c.fuzz, []string{"Fuzz"}},
+	} {
+		for _, pattern := range sel.patterns {
+			for _, alt := range alternatives(pattern) {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					problems = append(problems, fmt.Sprintf("%s: %s %q: %v", c.step, sel.flag, pattern, err))
+					continue
+				}
+				if !slices.ContainsFunc(funcs, func(f testFunc) bool {
+					return slices.ContainsFunc(sel.kinds, func(k string) bool { return strings.HasPrefix(f.name, k) }) &&
+						re.MatchString(f.name) && inPackages(f.dir, c.pkgDir, modules)
+				}) {
+					problems = append(problems, fmt.Sprintf("%s: %s %q: %q matches nothing in %v",
+						c.step, sel.flag, pattern, alt, c.pkgDir))
+				}
+			}
+		}
+	}
+	return problems
+}
+
 // workflowProblems lists every way the workflow's steps fail to run what
 // they name, given the tree's test functions.
 func workflowProblems(src string, funcs []testFunc, modules []string) []string {
 	steps, problems := parseWorkflow(src)
-	cmds := goTests(steps)
-	names := func(prefixes ...string) func(testFunc) bool {
-		return func(f testFunc) bool {
-			return slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(f.name, p) })
-		}
-	}
-	isRunnable, isBench, isFuzz := names("Test", "Fuzz", "Example"), names("Benchmark"), names("Fuzz")
+	cmds := goTests(workflowPath, steps)
 	for _, c := range cmds {
-		check := func(flag string, patterns []string, kind func(testFunc) bool) {
-			for _, pattern := range patterns {
-				for _, alt := range alternatives(pattern) {
-					re, err := regexp.Compile(alt)
-					if err != nil {
-						problems = append(problems, fmt.Sprintf("%s: %s %q: %v", c.step, flag, pattern, err))
-						continue
-					}
-					if !slices.ContainsFunc(funcs, func(f testFunc) bool {
-						return kind(f) && re.MatchString(f.name) && inPackages(f.dir, c.pkgDir, modules)
-					}) {
-						problems = append(problems, fmt.Sprintf("%s: %s %q: %q matches nothing in %v",
-							c.step, flag, pattern, alt, c.pkgDir))
-					}
-				}
-			}
-		}
-		check("-run", c.run, isRunnable)
-		check("-bench", c.bench, isBench)
+		problems = append(problems, patternProblems(c, funcs, modules)...)
 	}
 	for _, f := range funcs {
-		if !isFuzz(f) {
+		if !strings.HasPrefix(f.name, "Fuzz") {
 			continue
 		}
 		if !slices.ContainsFunc(cmds, func(c goTest) bool {
@@ -324,9 +338,9 @@ func workflowProblems(src string, funcs []testFunc, modules []string) []string {
 //   - a one-line plain-scalar name: or run: value holding ": " or " #": YAML
 //     reads a mapping or a comment there, and the whole file stops parsing;
 //   - a Fuzz target that no -fuzz command runs in its package;
-//   - a -run or -bench alternative that names no test, fuzz target, example
-//     or benchmark in the packages its command tests: a renamed test would
-//     make its step pass by running nothing.
+//   - a -run, -bench or -fuzz alternative that names no test, fuzz target,
+//     example or benchmark in the packages its command tests: a renamed test
+//     would make its step pass by running nothing.
 func TestWorkflowRuns(t *testing.T) {
 	src, err := os.ReadFile(workflowPath)
 	if err != nil {

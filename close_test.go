@@ -93,10 +93,8 @@ func TestExplorerCloseDrainsMaintenance(t *testing.T) {
 // the device must close cleanly.
 func TestExplorerCloseDuringFaultStorm(t *testing.T) {
 	before := runtime.NumGoroutine()
-	ex := asyncEnv(t, Options{
-		MaintenanceWorkers: 3,
-		Retry:              RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond},
-	})
+	ex := asyncEnv(t, Options{MaintenanceWorkers: 3})
+	ex.SetRetryPolicy(RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond})
 	ex.SetRealTimeScale(0.05)
 	ex.SetFaultPlan(FaultPlan{
 		Seed:          33,

@@ -330,7 +330,7 @@ func runScenarios(p *params, f *fixture, _ []odyssey.Query) report {
 // scenario stream have to re-earn their hits under each mode's capacity.
 func runScenarioMode(p *params, f *fixture, w workload.ScenarioWorkload, mode scenarioMode) (scenarioModeReport, map[int]uint64) {
 	ps, converged := f.measure(w.Queries, func(o *odyssey.Options) {
-		o.ShareScans, o.CacheResults, o.CacheCapacity = true, true, mode.capacity
+		o.CacheResults, o.CacheCapacity = true, mode.capacity
 		if mode.adaptive {
 			o.AdaptiveCache, o.HeatHalfLife = true, 64
 		}

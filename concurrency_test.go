@@ -142,26 +142,37 @@ func TestConcurrentQueriesMatchOracleNoMerge(t *testing.T) {
 // kept together on one member by group affinity, merge files dealt across
 // members, every cache miss routed to a per-file channel head. Result sets
 // must stay equal to the NaiveScan oracle — placement moves I/O between
-// spindles, it must never change what a query returns.
+// spindles, it must never change what a query returns. The cache case runs
+// it with the result cache, and so scan sharing, on: the real-time emulation
+// stretches device latencies into wall-clock windows so that queries attach
+// to each other's in-flight reads under the race detector.
 func TestConcurrentQueriesMatchOracleDeviceArray(t *testing.T) {
-	t.Run("affinity", func(t *testing.T) {
-		env := newOracleEnv(t, Options{Devices: 2, Channels: 2}, 3, 2000)
-		if topo := env.ex.Topology(); topo.Devices != 2 || topo.Channels != 2 {
-			t.Fatalf("Topology() = %+v, want 2 devices x 2 channels", topo)
-		}
-		runConcurrentOracle(t, env, 8, 20)
-		if m := env.ex.Metrics(); m.Queries != 8*20 {
-			t.Errorf("engine recorded %d queries, want %d", m.Queries, 8*20)
-		}
-		// Per-device counters must sum to the aggregate view.
-		var sum DiskStats
-		for _, s := range env.ex.DeviceStats() {
-			sum.Add(s)
-		}
-		if sum != env.ex.DiskStats() {
-			t.Errorf("DeviceStats sum %+v != DiskStats %+v", sum, env.ex.DiskStats())
-		}
-	})
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"affinity", Options{Devices: 2, Channels: 2}},
+		{"cache", Options{Devices: 2, Channels: 2, CacheResults: true, RealTimeScale: 0.002}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newOracleEnv(t, tc.opts, 3, 2000)
+			if topo := env.ex.Topology(); topo.Devices != 2 || topo.Channels != 2 {
+				t.Fatalf("Topology() = %+v, want 2 devices x 2 channels", topo)
+			}
+			runConcurrentOracle(t, env, 8, 20)
+			if m := env.ex.Metrics(); m.Queries != 8*20 {
+				t.Errorf("engine recorded %d queries, want %d", m.Queries, 8*20)
+			}
+			// Per-device counters must sum to the aggregate view.
+			var sum DiskStats
+			for _, s := range env.ex.DeviceStats() {
+				sum.Add(s)
+			}
+			if sum != env.ex.DiskStats() {
+				t.Errorf("DeviceStats sum %+v != DiskStats %+v", sum, env.ex.DiskStats())
+			}
+		})
+	}
 }
 
 // TestConcurrentQueriesMatchOracleAsync is the stale-read regression for

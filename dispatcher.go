@@ -78,7 +78,7 @@ type AdmissionConfig struct {
 	// are staged for up to this long and released to the worker pool
 	// grouped by dataset combination and query locality (a coarse spatial
 	// cell of the query center), so concurrent workers pull overlapping
-	// work scan sharing (Options.ShareScans) can coalesce into
+	// work scan sharing (Options.CacheResults) can coalesce into
 	// single-flight reads. The window adds up to ~2x its length to queue
 	// wait (it buys coalesced I/O with a little latency); 0 (the default)
 	// dispatches every submission immediately. Staging never blocks, and

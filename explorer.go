@@ -86,28 +86,28 @@ type Options struct {
 	// MaintenanceWorkers bounds the background scheduler's pool (<= 0
 	// defaults to 2). Only meaningful with AsyncMaintenance.
 	MaintenanceWorkers int
-	// ShareScans turns on work sharing across concurrent queries: a query
-	// attaches to another query's in-flight read of the same (dataset,
-	// cell) — a tree partition or a merge segment — within a layout epoch
-	// instead of reading it again. (A cold dataset's level-0 first-touch
-	// build is single-flight per dataset with or without this switch.)
-	// Query results are unchanged — only redundant physical work is
-	// removed; see SharingStats for the ledger. Default off: every query
-	// pays its own reads, and single-worker behaviour is bit-for-bit the
-	// original model.
+	// ShareScans is ignored, and kept only so that code which sets it still
+	// compiles: scan sharing runs exactly when CacheResults is on.
+	//
+	// Deprecated: set CacheResults.
 	ShareScans bool
-	// CacheResults turns on the result cache: completed partition scans
-	// are retained keyed on (dataset, cell) and answer later queries of the
-	// same cell — or queries whose range a cached region fully contains
-	// (containment answering) — with zero device reads. A cell's content
-	// does not depend on the layout, so an entry survives layout changes;
-	// a refinement drops its dataset's cells and a merge the cells it
-	// published with a child directory, so what is cached stays as fine and
-	// as indexed as the layout. Refinements and merge copies take the cells
-	// the cache holds instead of reading them from the device, and write
-	// the same pages. Query results are byte-identical to an uncached run. See
-	// CacheStats for the ledger. Default off: behaviour is bit-for-bit
-	// the uncached model.
+	// CacheResults turns on the result cache, and with it scan sharing: a
+	// query attaches to another query's in-flight read of the same
+	// (dataset, cell) — a tree partition or a merge segment — within a
+	// layout epoch instead of reading it again (see SharingStats), and
+	// completed partition scans are retained keyed on (dataset, cell) and
+	// answer later queries of the same cell — or queries whose range a
+	// cached region fully contains (containment answering) — with zero
+	// device reads. A cell's content does not depend on the layout, so an
+	// entry survives layout changes; a refinement drops its dataset's cells
+	// and a merge the cells it published with a child directory, so what is
+	// cached stays as fine and as indexed as the layout. Refinements and
+	// merge copies take the cells the cache holds instead of reading them
+	// from the device, and write the same pages. Query results are
+	// byte-identical to an uncached run. See CacheStats for the ledger.
+	// Default off: every query pays its own reads, and behaviour is
+	// bit-for-bit the original model. (A cold dataset's level-0 first-touch
+	// build is single-flight per dataset either way.)
 	CacheResults bool
 	// CacheCapacity bounds the result cache in total cached objects
 	// (<= 0 defaults to core.DefaultCacheCapacity, 128Ki objects). When
@@ -136,15 +136,6 @@ type Options struct {
 	// order — never query results. 0 (default) keeps heat cumulative
 	// forever, the original behaviour bit-for-bit.
 	HeatHalfLife int
-	// Retry is the storage-read retry policy: transient device read faults
-	// (ErrTransient) are retried up to MaxAttempts times with exponential
-	// wall-clock backoff, bounded by an optional per-read budget. Retries
-	// never extend the simulated clock — a faulted attempt charges nothing,
-	// so a retried read that succeeds costs exactly one clean read of
-	// simulated time. Permanent faults (ErrPermanent) fail fast without
-	// retrying. The zero value disables retries (every fault surfaces on
-	// first sight, the pre-fault-harness behaviour).
-	Retry RetryPolicy
 }
 
 // Topology describes the storage layout an Explorer runs on.
@@ -176,7 +167,6 @@ func (o Options) engineConfig() core.Config {
 	cfg.DisableMerging = o.DisableMerging
 	cfg.AsyncMaintenance = o.AsyncMaintenance
 	cfg.MaintenanceWorkers = o.MaintenanceWorkers
-	cfg.ShareScans = o.ShareScans
 	cfg.CacheResults = o.CacheResults
 	cfg.CacheCapacity = o.CacheCapacity
 	cfg.AdaptiveCache = o.AdaptiveCache
@@ -238,9 +228,6 @@ func NewExplorer(opts Options) (*Explorer, error) {
 	dev := simdisk.NewStorage(opts.Cost, opts.CachePages, opts.Devices, opts.Channels, nil)
 	if opts.RealTimeScale > 0 {
 		dev.SetRealTimeScale(opts.RealTimeScale)
-	}
-	if opts.Retry != (RetryPolicy{}) {
-		dev.SetRetryPolicy(opts.Retry)
 	}
 	eng, err := core.New(dev, nil, opts.Bounds, opts.engineConfig())
 	if err != nil {
@@ -523,20 +510,26 @@ func (e *Explorer) MaintenanceErr() error { return e.engine.MaintenanceErr() }
 // topology: explicit per-file/page fault patterns, seeded probabilistic
 // transient/permanent fault rates, latency spikes, and periodic storm
 // windows. Same seed, same read sequence, same faults. Fault-injection is a
-// test-and-benchmark surface; it composes with Options.Retry (transient
+// test-and-benchmark surface; it composes with SetRetryPolicy (transient
 // faults are retried) and with repair: a permanent fault on a tree partition
 // or a merge file is rebuilt from the raw files on the path that read it,
 // while one on a raw file fails the query.
 func (e *Explorer) SetFaultPlan(plan FaultPlan) { e.dev.SetFaultPlan(plan) }
 
-// SetRetryPolicy changes the storage-read retry policy at runtime (see
-// Options.Retry); the zero policy disables retries.
+// SetRetryPolicy sets the storage-read retry policy, at any time: transient
+// device read faults (ErrTransient) are retried up to MaxAttempts times with
+// exponential wall-clock backoff, bounded by an optional per-read budget.
+// Retries never extend the simulated clock — a faulted attempt charges
+// nothing, so a retried read that succeeds costs exactly one clean read of
+// simulated time. Permanent faults (ErrPermanent) fail fast without retrying.
+// The zero policy, an Explorer's default, disables retries: every fault
+// surfaces on first sight.
 func (e *Explorer) SetRetryPolicy(p RetryPolicy) { e.dev.SetRetryPolicy(p) }
 
 // SharingStats returns the scan-sharing ledger: cell reads answered by
 // attaching to another query's in-flight read, and queries that waited out
-// another's level-0 build. With Options.ShareScans off only SharedBuilds can
-// count.
+// another's level-0 build. With Options.CacheResults off only SharedBuilds
+// can count.
 func (e *Explorer) SharingStats() SharingStats { return e.engine.SharingStats() }
 
 // CacheStats returns the result-cache ledger (Options.CacheResults): exact

@@ -43,7 +43,7 @@ func objIDs(objs []Object) []int64 {
 // region must all see the error rather than a truncated buffer, and once the
 // device heals the same query must return the full, correct result.
 func TestFaultNeverCachesPartialScan(t *testing.T) {
-	ex := faultEnv(t, Options{ShareScans: true, CacheResults: true})
+	ex := faultEnv(t, Options{CacheResults: true})
 	defer ex.Close()
 	dss := []DatasetID{0, 1}
 	warm := Cube(V(0.3, 0.3, 0.3), 0.08)
@@ -113,15 +113,14 @@ func TestFaultNeverCachesPartialScan(t *testing.T) {
 	}
 }
 
-// TestExplorerRetryPolicy pins the Options.Retry wiring: under a transient
+// TestExplorerRetryPolicy pins the SetRetryPolicy wiring: under a transient
 // fault storm a retrying Explorer answers queries that a retry-less one
 // would fail, the retries are ledgered in DiskStats, and none of them
 // extends the simulated clock (a faulted attempt charges nothing).
 func TestExplorerRetryPolicy(t *testing.T) {
-	ex := faultEnv(t, Options{
-		Retry: RetryPolicy{MaxAttempts: 8, Backoff: 50 * time.Microsecond},
-	})
+	ex := faultEnv(t, Options{})
 	defer ex.Close()
+	ex.SetRetryPolicy(RetryPolicy{MaxAttempts: 8, Backoff: 50 * time.Microsecond})
 	dss := []DatasetID{0, 1}
 	q := Cube(V(0.7, 0.7, 0.7), 0.08)
 	if _, err := ex.Query(q, dss); err != nil {
@@ -169,14 +168,14 @@ func TestExplorerRetryPolicy(t *testing.T) {
 func TestFaultStormServesFaultFreeResults(t *testing.T) {
 	const submitters = 4
 	ex, err := NewExplorer(Options{
-		ShareScans: true, CacheResults: true, AsyncMaintenance: true,
+		CacheResults: true, AsyncMaintenance: true,
 		Devices: 2, Channels: 2, DropCachesPerQuery: true,
-		Retry: RetryPolicy{MaxAttempts: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ex.Close()
+	ex.SetRetryPolicy(RetryPolicy{MaxAttempts: 4})
 	for i, objs := range GenerateDatasets(DataConfig{Seed: 1, NumObjects: 10000, Clusters: 4}, 3) {
 		if err := ex.AddDataset(DatasetID(i), objs); err != nil {
 			t.Fatal(err)

@@ -373,7 +373,7 @@ func TestDirectoryTravelsWithContent(t *testing.T) {
 		}
 	}
 	t.Run("flight/segment-reader-attaches-to-partition", func(t *testing.T) {
-		f := setup(t, shareConfig())
+		f := setup(t, cacheConfig())
 		tree := f.eng.trees[0]
 		leaf := tree.LeafAt(f.entry)
 		inFlight(t, f, func(read func() (cellContent, error)) {
@@ -390,7 +390,7 @@ func TestDirectoryTravelsWithContent(t *testing.T) {
 		})
 	})
 	t.Run("flight/partition-reader-attaches-to-segment", func(t *testing.T) {
-		f := setup(t, shareConfig())
+		f := setup(t, cacheConfig())
 		inFlight(t, f, func(read func() (cellContent, error)) {
 			if _, err := f.eng.readCell(context.Background(), 0, f.entry, geom.Box{}, func(context.Context) (cellContent, error) {
 				return read()

@@ -18,7 +18,7 @@ import (
 // steps for the same work; level-0 builds keyed by dataset, so a cold
 // dataset is built once while every other query of it waits on the flight
 // rather than herding on the tree's exclusive lock; and cell reads keyed by
-// (dataset, cell, layout epoch), the scan sharing of Config.ShareScans.
+// (dataset, cell, layout epoch), the scan sharing of Config.CacheResults.
 //
 // A flight lives only while fn runs — this is not a cache — and is
 // deregistered before its outcome is published, so a waiter that finds the

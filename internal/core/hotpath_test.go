@@ -126,7 +126,6 @@ func TestMergeReadsOrderedByFilePosition(t *testing.T) {
 func servingConfig() Config {
 	cfg := DefaultConfig()
 	cfg.AsyncMaintenance = true
-	cfg.ShareScans = true
 	cfg.CacheResults = true
 	cfg.AdaptiveCache = true
 	cfg.HeatHalfLife = 64

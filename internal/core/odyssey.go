@@ -38,24 +38,26 @@ type Config struct {
 	// MaintenanceWorkers bounds the background scheduler's worker pool
 	// (<= 0 defaults to 2). Only meaningful with AsyncMaintenance.
 	MaintenanceWorkers int
-	// ShareScans turns on work sharing across concurrent queries: a query
-	// attaches to another query's in-flight read of the same (dataset,
-	// cell) — partition or merge segment — within a layout epoch. Results
-	// are unchanged — only the redundant physical work is. Default off:
-	// every query pays its own I/O, the original cost model bit for bit.
-	// (Level-0 builds are single-flight either way.)
+	// ShareScans is ignored, and kept only so that configurations which set
+	// it still compile: scan sharing runs exactly when CacheResults is on.
+	//
+	// Deprecated: set CacheResults.
 	ShareScans bool
-	// CacheResults turns on the result cache: completed partition scans and
-	// merge-segment reads are retained keyed on (dataset, cell), so later
-	// queries of the same cells — and queries whose extended window is
-	// contained in a cached region — are answered without device reads. A
-	// cached cell stays exact across layout changes; a refinement drops its
-	// dataset's cells and a merge the keys it published with a child
-	// directory, which keeps what is cached as fine and as indexed as the
-	// layout, and refinements and merge copies read the cells it holds
-	// instead of the device (see resultCache). Results
-	// are byte-identical to the uncached engine. Default off: behavior and
-	// I/O accounting are bit-for-bit the original model.
+	// CacheResults turns on the result cache, and with it scan sharing: a
+	// query attaches to another query's in-flight read of the same
+	// (dataset, cell) — partition or merge segment — within a layout epoch,
+	// and completed partition scans and merge-segment reads are retained
+	// keyed on (dataset, cell), so later queries of the same cells — and
+	// queries whose extended window is contained in a cached region — are
+	// answered without device reads. A cached cell stays exact across layout
+	// changes; a refinement drops its dataset's cells and a merge the keys
+	// it published with a child directory, which keeps what is cached as
+	// fine and as indexed as the layout, and refinements and merge copies
+	// read the cells it holds instead of the device (see resultCache).
+	// Results are byte-identical to the uncached engine. Default off: every
+	// query pays its own I/O, and behavior and I/O accounting are
+	// bit-for-bit the original model. (Level-0 builds are single-flight
+	// either way.)
 	CacheResults bool
 	// CacheCapacity bounds the result cache in cached objects (<= 0
 	// defaults to DefaultCacheCapacity). Eviction is heat-aware: coldest
@@ -189,7 +191,7 @@ type Odyssey struct {
 	// same for level-0 first-touch builds, per dataset, carrying the build's
 	// simulated time; sharedBuilds counts the queries that waited on one
 	// (see ensureBuilt). cellFlight does it for cell reads when
-	// Config.ShareScans is on; attachedScans counts the reads it answered
+	// Config.CacheResults is on; attachedScans counts the reads it answered
 	// (see readCell).
 	mergeFlight   flightGroup[ComboKey, struct{}]
 	buildFlight   flightGroup[object.DatasetID, time.Duration]
@@ -294,11 +296,11 @@ func (o *Odyssey) AddRaw(raw *rawfile.Raw) error {
 	if err != nil {
 		return err
 	}
-	if o.retainsReads() {
-		// Sharing and caching both ride the tree's partition reads; either
-		// one alone still needs the hook. Without them the tree keeps its
-		// pooled direct read. A partition is read in file order; whatever
-		// answers its key, the walk filters the objects whole.
+	if o.rcache != nil {
+		// The result cache and scan sharing ride the tree's partition reads;
+		// without them the tree keeps its pooled direct read. A partition is
+		// read in file order; whatever answers its key, the walk filters the
+		// objects whole.
 		tree.ShareReader = func(ctx context.Context, p *octree.Partition, read func(context.Context) ([]object.Object, error)) ([]object.Object, error) {
 			c, err := o.readCell(ctx, ds, p.Key(), p.Box(), func(ctx context.Context) (cellContent, error) {
 				objs, err := read(ctx)
@@ -328,12 +330,6 @@ func (o *Odyssey) AddRaw(raw *rawfile.Raw) error {
 	o.treeMu[ds] = new(sync.RWMutex)
 	return nil
 }
-
-// retainsReads reports whether a cell read can outlive the query that
-// performed it — retained by the result cache, or handed to the queries
-// attached to it. Such a read allocates its own exact-size slice; any other
-// decodes into pooled scratch.
-func (o *Odyssey) retainsReads() bool { return o.cfg.ShareScans || o.rcache != nil }
 
 // Name implements engine.Engine.
 func (o *Odyssey) Name() string {
@@ -872,11 +868,13 @@ func (o *Odyssey) readMerged(ctx context.Context, acc *queryAcc) error {
 	}
 	slices.SortFunc(acc.served, compareMergeReads)
 	acc.served = slices.Compact(acc.served)
-	// A segment read that readCell may retain or share is a fresh slice of
-	// the segment's exact size (a nil destination); one nobody else can see
-	// decodes into pooled scratch, filtered before the next segment reuses it.
+	// With the result cache on, a segment read may outlive its query —
+	// retained by the cache, or handed to the queries attached to it — and is
+	// a fresh slice of the segment's exact size (a nil destination); one
+	// nobody else can see decodes into pooled scratch, filtered before the
+	// next segment reuses it.
 	var scratch *[]object.Object
-	if !o.retainsReads() {
+	if o.rcache == nil {
 		scratch = pagefile.GetObjSlice()
 		defer pagefile.PutObjSlice(scratch)
 	}
@@ -1292,7 +1290,7 @@ func (o *Odyssey) CacheStats() CacheStats {
 
 // SharingStats snapshots the sharing counters. SharedBuilds counts on every
 // configuration (level-0 builds are always single-flight); AttachedScans
-// stays zero when Config.ShareScans is off.
+// stays zero when Config.CacheResults is off.
 func (o *Odyssey) SharingStats() SharingStats {
 	return SharingStats{
 		AttachedScans: o.attachedScans.Load(),

@@ -144,7 +144,8 @@ func (l *levelIndex) add(level uint32, delta int32) {
 // resultCache is the result cache behind Config.CacheResults: completed
 // partition scans and merge-segment reads are retained keyed on (dataset,
 // cell), so a later query of the same cell is served without touching the
-// device — the temporal extension of readCell's single-flight sharing.
+// device — the temporal extension of the single-flight sharing that readCell
+// runs beside it.
 // Capacity is bounded in cached objects with heat-aware eviction: every hit
 // bumps the entry's access count, eviction removes the coldest entry first.
 //

@@ -9,8 +9,8 @@ import (
 	"spaceodyssey/internal/simdisk"
 )
 
-// SharingStats counts the work concurrent queries shared: cell reads
-// (Config.ShareScans) and level-0 builds (always single-flight).
+// SharingStats counts the work concurrent queries shared: cell reads (with
+// the result cache on) and level-0 builds (always single-flight).
 type SharingStats struct {
 	// AttachedScans is how many cell reads (partitions and merge segments)
 	// were answered by attaching to another query's in-flight read of the
@@ -62,25 +62,18 @@ type cellRead = func(context.Context) (cellContent, error)
 
 // readCell is the one cell read of the serving stack, shared by tree
 // partitions (through octree.Tree.ShareReader) and merge segments, which live
-// in one (dataset, cell) key space — either is the full content of its cell:
-// the result cache first (an exact hit costs nothing), then the in-flight
-// reads of the cell (sharing on), then the device read itself, whose
-// completed result is retained in the cache for queries that arrive after the
-// read finished. box is the cell's region,
-// which the cache keys containment answering on. Callers hold the shared
-// layout lock — and, for a partition, the dataset's shared tree lock — while
-// publishers take them exclusively, so the cell's bytes cannot change under
-// the read or its attached waiters. The returned content may be shared with
-// concurrent queries and must be treated as read-only.
+// in one (dataset, cell) key space — either is the full content of its cell.
+// Without the result cache it is the device read itself. With it, the cache
+// answers first (an exact hit costs nothing), then the in-flight reads of the
+// cell (scan sharing: a read that outlives its query is what the cache
+// already pays for), then the device read, whose completed result the cache
+// retains for queries that arrive after the read finished. box is the cell's
+// region, which the cache keys containment answering on. Callers hold the
+// shared layout lock — and, for a partition, the dataset's shared tree lock —
+// while publishers take them exclusively, so the cell's bytes cannot change
+// under the read or its attached waiters. The returned content may be shared
+// with concurrent queries and must be treated as read-only.
 func (o *Odyssey) readCell(ctx context.Context, ds object.DatasetID, cell octree.Key, box geom.Box, read cellRead) (cellContent, error) {
-	// The epoch is loaded before the read: the cache does not keep a read
-	// that a layout publish raced (see resultCache.Insert).
-	epoch := o.layoutEpoch.Load()
-	if o.rcache != nil {
-		if c, ok := o.rcache.Lookup(ds, cell); ok {
-			return c, nil
-		}
-	}
 	// Only the goroutine performing the device read marks its own query's
 	// cache scope; queries attached to this read stay clean (they charged no
 	// device read).
@@ -88,14 +81,17 @@ func (o *Odyssey) readCell(ctx context.Context, ds object.DatasetID, cell octree
 		missCacheScope(ctx)
 		return read(ctx)
 	}
-	var c cellContent
-	var err error
-	if o.cfg.ShareScans {
-		c, err = o.sharedRead(ctx, flightKey{scanKey{ds: ds, cell: cell}, epoch}, device)
-	} else {
-		c, err = device()
+	if o.rcache == nil {
+		return device()
 	}
-	if err == nil && o.rcache != nil {
+	// The epoch is loaded before the read: the cache does not keep a read
+	// that a layout publish raced (see resultCache.Insert).
+	epoch := o.layoutEpoch.Load()
+	if c, ok := o.rcache.Lookup(ds, cell); ok {
+		return c, nil
+	}
+	c, err := o.sharedRead(ctx, flightKey{scanKey{ds: ds, cell: cell}, epoch}, device)
+	if err == nil {
 		o.rcache.Insert(ds, cell, epoch, box, c)
 	}
 	return c, err

@@ -19,22 +19,24 @@ import (
 	"spaceodyssey/internal/simdisk"
 )
 
-// shareConfig returns the default configuration with scan sharing on.
 func testKeyAt(level uint32, x, y, z uint32) octree.Key {
 	return octree.Key{Level: level, X: x, Y: y, Z: z}
 }
 
-func shareConfig() Config {
+// cacheConfig returns the default configuration with the result cache, and
+// with it scan sharing, on.
+func cacheConfig() Config {
 	cfg := DefaultConfig()
-	cfg.ShareScans = true
+	cfg.CacheResults = true
 	return cfg
 }
 
-// TestShareScansOracleStorm fires concurrent mixed queries at a sharing
-// engine while it builds, refines and merges, checking every result against
-// the oracle — shared scans must change I/O, never answers.
+// TestShareScansOracleStorm fires concurrent mixed queries at a caching, so
+// scan-sharing, engine while it builds, refines and merges, checking every
+// result against the oracle — shared and cached scans must change I/O, never
+// answers.
 func TestShareScansOracleStorm(t *testing.T) {
-	eng, raws, _ := testSetup(t, 3, 2500, 17, shareConfig())
+	eng, raws, _ := testSetup(t, 3, 2500, 17, cacheConfig())
 	oracle := engine.NewNaiveScan(raws)
 	hot := []geom.Box{
 		geom.Cube(geom.V(0.4, 0.45, 0.5), 0.08),
@@ -44,7 +46,6 @@ func TestShareScansOracleStorm(t *testing.T) {
 	var wg sync.WaitGroup
 	errc := make(chan error, 8)
 	for g := 0; g < 8; g++ {
-		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -62,7 +63,7 @@ func TestShareScansOracleStorm(t *testing.T) {
 					return
 				}
 				if !engine.SameObjects(got, want) {
-					errc <- errDiverged(g, i)
+					errc <- fmt.Errorf("goroutine %d query %d diverged from the oracle", g, i)
 					return
 				}
 			}
@@ -82,23 +83,12 @@ func TestShareScansOracleStorm(t *testing.T) {
 	}
 }
 
-type divergedErr struct{ g, i int }
-
-func (e divergedErr) Error() string {
-	return "shared-scan query diverged from oracle"
-}
-
-func errDiverged(g, i int) error { return divergedErr{g, i} }
-
-// TestShareScansSingleFlightBuild pins the first-touch contract: many
-// concurrent queries of one cold dataset trigger exactly one level-0 build,
-// and the waiters are counted in SharedBuilds.
+// TestShareScansSingleFlightBuild pins the first-touch contract, which holds
+// on every configuration, the paper's included: many concurrent queries of
+// one cold dataset trigger exactly one level-0 build, and the waiters are
+// counted in SharedBuilds.
 func TestShareScansSingleFlightBuild(t *testing.T) {
-	eng, _, dev := testSetup(t, 2, 3000, 23, shareConfig())
-	// A real cost model makes the build take simulated time; the real-time
-	// emulation stretches it into a wall-clock window concurrent queries
-	// land in.
-	_ = dev
+	eng, _, _ := testSetup(t, 2, 3000, 23, DefaultConfig())
 	q := geom.Cube(geom.V(0.5, 0.5, 0.5), 0.05)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -172,8 +162,8 @@ func (c attachSpy) Done() <-chan struct{} {
 	return c.Context.Done()
 }
 
-// sharedCell is the fixture of the readCell tests: a sharing engine, one cell
-// of dataset 0, and a read of it held in flight until the test lets it go.
+// sharedCell is the fixture of the readCell tests: an engine, one cell of
+// dataset 0, and a read of it held in flight until the test lets it go.
 type sharedCell struct {
 	eng  *Odyssey
 	cell octree.Key
@@ -182,8 +172,8 @@ type sharedCell struct {
 	spy      context.Context
 }
 
-func newSharedCell(t *testing.T) *sharedCell {
-	eng, _, _ := testSetup(t, 1, 100, 41, shareConfig())
+func newSharedCell(t *testing.T, cfg Config) *sharedCell {
+	eng, _, _ := testSetup(t, 1, 100, 41, cfg)
 	attached := make(chan struct{}, 64) // every signal of a test fits: nobody blocks in Done
 	return &sharedCell{
 		eng: eng, cell: testKeyAt(1, 2, 3, 1), attached: attached,
@@ -222,37 +212,56 @@ func (c *sharedCell) awaitAttached(n int) {
 	}
 }
 
-// TestReadCellConcurrentReadersShareOneRead pins scan sharing's contract: N
-// concurrent readers of one cell cost one device read, and the N-1 that
-// attached are counted in AttachedScans.
+// TestReadCellConcurrentReadersShareOneRead pins scan sharing's contract and
+// when it runs: exactly when the result cache is on. With it, N concurrent
+// readers of one cell cost one device read, and the N-1 that attached are
+// counted in AttachedScans. Without it, every reader reads the device itself,
+// none attaches, and the tree keeps its pooled direct partition read.
 func TestReadCellConcurrentReadersShareOneRead(t *testing.T) {
-	c := newSharedCell(t)
-	want := []object.Object{{ID: 7, Dataset: 0}}
-	release, leader := c.lead(want, nil)
-
-	const followers = 7
-	var wg sync.WaitGroup
-	for g := 0; g < followers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, err := c.read(c.spy, func(context.Context) ([]object.Object, error) {
-				t.Error("a reader performed its own device read beside the one in flight")
-				return nil, nil
-			})
-			if err != nil || len(got) != 1 || got[0].ID != want[0].ID {
-				t.Errorf("attached read returned %v, %v; want the leader's objects", got, err)
+	for _, cache := range []bool{true, false} {
+		t.Run(fmt.Sprintf("cache=%v", cache), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.CacheResults = cache
+			c := newSharedCell(t, cfg)
+			want := []object.Object{{ID: 7, Dataset: 0}}
+			// A reader that reads the device holds its read open until every
+			// reader has arrived, so that none is cached before all have looked.
+			const readers = 8
+			var reads atomic.Int64
+			gate := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < readers; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got, err := c.read(c.spy, func(context.Context) ([]object.Object, error) {
+						reads.Add(1)
+						c.attached <- struct{}{} // arrived, as a reader of its own
+						<-gate
+						return want, nil
+					})
+					if err != nil || len(got) != 1 || got[0].ID != want[0].ID {
+						t.Errorf("read returned %v, %v; want the cell's objects", got, err)
+					}
+				}()
 			}
-		}()
-	}
-	c.awaitAttached(followers)
-	release()
-	wg.Wait()
-	if err := <-leader; err != nil {
-		t.Fatal(err)
-	}
-	if n := c.eng.SharingStats().AttachedScans; n != followers {
-		t.Fatalf("AttachedScans = %d, want %d", n, followers)
+			c.awaitAttached(readers)
+			close(gate)
+			wg.Wait()
+			wantReads, wantAttached := int64(1), int64(readers-1)
+			if !cache {
+				wantReads, wantAttached = readers, 0
+			}
+			if n := reads.Load(); n != wantReads {
+				t.Errorf("%d readers read the device, want %d", n, wantReads)
+			}
+			if n := c.eng.SharingStats().AttachedScans; n != wantAttached {
+				t.Errorf("AttachedScans = %d, want %d", n, wantAttached)
+			}
+			if hooked := c.eng.trees[0].ShareReader != nil; hooked != cache {
+				t.Errorf("tree partition reads go through readCell: %v, want %v", hooked, cache)
+			}
+		})
 	}
 }
 
@@ -270,9 +279,7 @@ func TestReadCellConcurrentReadersShareOneRead(t *testing.T) {
 // brute-force scan. Under -race a pooled cached slice is a reported race as
 // well.
 func TestReadCellRetainedSlicesNeverPooled(t *testing.T) {
-	cfg := shareConfig()
-	cfg.CacheResults = true
-	eng, raws, _ := testSetup(t, 3, 4000, 31, cfg)
+	eng, raws, _ := testSetup(t, 3, 4000, 31, cacheConfig())
 	churn, _, _ := testSetup(t, 3, 4000, 32, DefaultConfig())
 	type probe struct {
 		q    geom.Box
@@ -377,7 +384,7 @@ func TestReadCellRetainedSlicesNeverPooled(t *testing.T) {
 // flight moves later readers of the cell to a new flight key — the reader at
 // epoch e+1 performs its own read and is not counted as attached.
 func TestReadCellNeverAttachesAcrossEpochs(t *testing.T) {
-	c := newSharedCell(t)
+	c := newSharedCell(t, cacheConfig())
 	release, leader := c.lead(nil, nil)
 	c.eng.bumpLayoutEpoch()
 	ownRead := false
@@ -404,7 +411,7 @@ func TestReadCellNeverAttachesAcrossEpochs(t *testing.T) {
 // back to an independent read — they re-enter the flight, so exactly one of
 // them performs the retry and the rest attach to it.
 func TestReadCellFailedLeaderSingleRetry(t *testing.T) {
-	c := newSharedCell(t)
+	c := newSharedCell(t, cacheConfig())
 	want := []object.Object{{ID: 42, Dataset: 0}}
 	fail, leader := c.lead(nil, context.DeadlineExceeded)
 
@@ -448,7 +455,7 @@ func TestReadCellFailedLeaderSingleRetry(t *testing.T) {
 // read returns as soon as its own context expires; the read in flight is not
 // disturbed.
 func TestReadCellWaiterObservesItsContext(t *testing.T) {
-	c := newSharedCell(t)
+	c := newSharedCell(t, cacheConfig())
 	release, leader := c.lead(nil, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	waiter := make(chan error, 1)

@@ -186,7 +186,7 @@ func TestPaperClockPinned(t *testing.T) {
 			pinGolden{9397110600, 1369, 1713, 1421, "27009fea1a7cb5cb", "d2ffad6ef41806e1",
 				"94d907f5adb425b7"}},
 		{"serving", Options{
-			AsyncMaintenance: true, MaintenanceWorkers: 1, ShareScans: true,
+			AsyncMaintenance: true, MaintenanceWorkers: 1,
 			CacheResults: true, AdaptiveCache: true, HeatHalfLife: 64,
 		}, pinGolden{1795367000, 276, 1455, 1586, "cd5af44a3327ae4f", "d2ffad6ef41806e1",
 			"92603d77e8c8001f"}},

@@ -86,9 +86,30 @@ var (
 	fileRef = regexp.MustCompile(`[\w./*-]+\.(?:go|json|yml|sh)\b`)
 )
 
+// splitReadme splits README into its prose, one line a line, and the go test
+// commands its fenced blocks show.
+func splitReadme(readme string) (prose []string, cmds []workflowStep) {
+	fenced := false
+	for i, line := range strings.Split(readme, "\n") {
+		line = strings.TrimSpace(line)
+		switch {
+		case strings.HasPrefix(line, "```"):
+			fenced = !fenced
+		case !fenced:
+			prose = append(prose, line)
+		case strings.HasPrefix(line, "go test "):
+			cmd, _, _ := strings.Cut(line, " #") // a comment may hold a quote
+			cmd = strings.TrimSpace(cmd)
+			cmds = append(cmds, workflowStep{name: cmd, line: i + 1, run: cmd})
+		}
+	}
+	return prose, cmds
+}
+
 // TestReadmeNamesWhatExists: every Go name and file README points a reader at
 // in an inline code span is there (a file: in git ls-files; a bare name
-// matches any path). Fenced blocks are commands to copy, and
+// matches any path), and every test a go test command of a fenced block
+// selects by name exists. Fenced blocks are commands to copy, and
 // the files they write need not exist. A lower-case name after simdisk. or
 // core. is a benchmark metric (core.cache_hit_frac), not a Go name.
 func TestReadmeNamesWhatExists(t *testing.T) {
@@ -96,15 +117,7 @@ func TestReadmeNamesWhatExists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var prose []string
-	fenced := false
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "```") {
-			fenced = !fenced
-		} else if !fenced {
-			prose = append(prose, strings.TrimSpace(line))
-		}
-	}
+	prose, cmds := splitReadme(string(data))
 	pkgs := map[string]map[string]bool{
 		"simdisk": declaredNames(t, "internal/simdisk"),
 		"core":    declaredNames(t, "internal/core"),
@@ -153,5 +166,17 @@ func TestReadmeNamesWhatExists(t *testing.T) {
 				t.Errorf("README names the file `%s`, which the repository does not hold", ref)
 			}
 		}
+	}
+	// Every -run, -bench or -fuzz pattern names a test that exists, and the
+	// check catches one that does not.
+	funcs, modules := testFuncs(t)
+	for _, c := range goTests("README.md", cmds) {
+		for _, p := range patternProblems(c, funcs, modules) {
+			t.Error(p)
+		}
+	}
+	_, gone := splitReadme("```sh\ngo test -run 'TestReadmeNamesWhatExists|TestGone' .  # it's gone\n```")
+	if p := patternProblems(goTests("README.md", gone)[0], funcs, modules); len(p) != 1 {
+		t.Errorf("a command naming a test that does not exist: %d problems %q, want 1", len(p), p)
 	}
 }

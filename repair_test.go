@@ -55,7 +55,7 @@ func TestDerivedFaultsAreRepaired(t *testing.T) {
 	}{
 		{"paper", Options{}, 1},
 		{"serving", Options{
-			AsyncMaintenance: true, ShareScans: true, CacheResults: true, AdaptiveCache: true, HeatHalfLife: 64,
+			AsyncMaintenance: true, CacheResults: true, AdaptiveCache: true, HeatHalfLife: 64,
 		}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

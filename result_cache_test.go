@@ -7,13 +7,16 @@ import (
 )
 
 // Result-cache oracle storms: the race-mode equivalence suite with
-// Options.CacheResults on — exact hits, containment answers and epoch
-// flushes must change I/O accounting, never what a query returns, even
-// while refinement and merging republish the layout underneath.
+// Options.CacheResults on — exact hits, containment answers, scans attached
+// to another query's in-flight read and epoch flushes must change I/O
+// accounting, never what a query returns, even while refinement and merging
+// republish the layout underneath. The real-time emulation stretches device
+// latencies into wall-clock windows so attachment genuinely happens under the
+// race detector.
 
 func TestConcurrentQueriesMatchOracleCacheResults(t *testing.T) {
 	env := newOracleEnv(t, Options{
-		CacheResults: true, ShareScans: true, RealTimeScale: 0.002,
+		CacheResults: true, RealTimeScale: 0.002,
 	}, 3, 2000)
 	runConcurrentOracle(t, env, 8, 20)
 	if m := env.ex.Metrics(); m.Queries != 8*20 {
@@ -23,8 +26,7 @@ func TestConcurrentQueriesMatchOracleCacheResults(t *testing.T) {
 
 func TestConcurrentQueriesMatchOracleCacheAsync(t *testing.T) {
 	env := newOracleEnv(t, Options{
-		CacheResults: true, ShareScans: true,
-		AsyncMaintenance: true, MaintenanceWorkers: 3,
+		CacheResults: true, AsyncMaintenance: true, MaintenanceWorkers: 3,
 		RealTimeScale: 0.002,
 	}, 3, 2000)
 	defer env.ex.Close()

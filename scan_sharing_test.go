@@ -1,76 +1,19 @@
 package odyssey
 
 import (
-	"context"
 	"testing"
 	"time"
 )
 
-// Scan-sharing oracle storms: the full race-mode equivalence suite with
-// Options.ShareScans on — coalesced device reads, attached scans and
-// single-flight builds must change I/O accounting, never what a query
-// returns. The real-time emulation stretches device latencies into
-// wall-clock windows so attachment genuinely happens under the race
-// detector.
-
-func TestConcurrentQueriesMatchOracleShareScans(t *testing.T) {
-	env := newOracleEnv(t, Options{ShareScans: true, RealTimeScale: 0.002}, 3, 2000)
-	runConcurrentOracle(t, env, 8, 20)
-	if m := env.ex.Metrics(); m.Queries != 8*20 {
-		t.Errorf("engine recorded %d queries, want %d", m.Queries, 8*20)
-	}
-}
-
-func TestConcurrentQueriesMatchOracleShareScansAsync(t *testing.T) {
-	env := newOracleEnv(t, Options{
-		ShareScans: true, AsyncMaintenance: true, MaintenanceWorkers: 3,
-		RealTimeScale: 0.002,
-	}, 3, 2000)
-	defer env.ex.Close()
-	runConcurrentOracle(t, env, 8, 15)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := env.ex.Quiesce(ctx); err != nil {
-		t.Fatalf("Quiesce: %v", err)
-	}
-	if err := env.ex.MaintenanceErr(); err != nil {
-		t.Fatalf("background maintenance task failed: %v", err)
-	}
-	env.ex.SetRealTimeScale(0)
-	// Post-quiesce, the converged sharing engine still matches the oracle.
-	for i, q := range []Query{
-		{Range: Cube(V(0.35, 0.4, 0.4), 0.06), Datasets: []DatasetID{0, 1, 2}},
-		{Range: Cube(V(0.5, 0.5, 0.5), 0.12), Datasets: []DatasetID{0, 2}},
-	} {
-		if err := env.check(q); err != nil {
-			t.Fatalf("post-quiesce query %d: %v", i, err)
-		}
-	}
-}
-
-func TestConcurrentQueriesMatchOracleShareScansArray(t *testing.T) {
-	env := newOracleEnv(t, Options{
-		ShareScans: true, Devices: 2, Channels: 2, RealTimeScale: 0.002,
-	}, 3, 2000)
-	runConcurrentOracle(t, env, 8, 15)
-	// Conservation still holds with sharing: per-device counters sum to the
-	// aggregate view.
-	var sum DiskStats
-	for _, s := range env.ex.DeviceStats() {
-		sum.Add(s)
-	}
-	if sum != env.ex.DiskStats() {
-		t.Errorf("DeviceStats sum %+v != DiskStats %+v", sum, env.ex.DiskStats())
-	}
-}
-
-// TestSharingStatsLedger drives a hot-region pooled workload twice — with
-// and without sharing — and checks that (a) the sharing run reports saved
-// work in its ledger and (b) both runs return identical result multisets.
+// TestSharingStatsLedger drives a hot-region pooled workload twice — without
+// and with the result cache, which carries scan sharing — and checks that
+// (a) no cell read is shared without the cache, (b) the cached run reports
+// saved work in its ledger and (c) both runs return identical result
+// multisets.
 func TestSharingStatsLedger(t *testing.T) {
-	build := func(share bool) (*Explorer, []BatchResult) {
+	build := func(cache bool) (*Explorer, []BatchResult) {
 		ex, err := NewExplorer(Options{
-			ShareScans:         share,
+			CacheResults:       cache,
 			DropCachesPerQuery: true, // the paper's cold-cache methodology: misses galore
 			RealTimeScale:      0.002,
 		})
@@ -98,23 +41,24 @@ func TestSharingStatsLedger(t *testing.T) {
 	exOff, resOff := build(false)
 	exOn, resOn := build(true)
 
-	// Level-0 builds are single-flight with or without sharing, so waiting
-	// on one is the only thing the ledger may count with sharing off.
-	if st := exOff.SharingStats(); st != (SharingStats{SharedBuilds: st.SharedBuilds}) {
-		t.Fatalf("sharing off but ledger non-zero: %+v", st)
+	// Level-0 builds are single-flight on every configuration, so waiting on
+	// one is the only thing the ledger may count without the cache.
+	if st := exOff.SharingStats(); st.AttachedScans != 0 {
+		t.Fatalf("cache off but %d cell reads attached: %+v", st.AttachedScans, st)
 	}
 	st := exOn.SharingStats()
 	if st.AttachedScans+st.SharedBuilds == 0 {
 		t.Fatalf("hot-region pooled run shared nothing: %+v", st)
 	}
 
-	// Identical queries, identical answers — sharing may only change I/O.
+	// Identical queries, identical answers — sharing and caching may only
+	// change I/O.
 	for i := range resOff {
 		if resOff[i].Err != nil || resOn[i].Err != nil {
 			t.Fatalf("query %d errored: off=%v on=%v", i, resOff[i].Err, resOn[i].Err)
 		}
 		if len(resOff[i].Objects) != len(resOn[i].Objects) {
-			t.Fatalf("query %d: %d objects without sharing, %d with",
+			t.Fatalf("query %d: %d objects without the cache, %d with",
 				i, len(resOff[i].Objects), len(resOn[i].Objects))
 		}
 	}

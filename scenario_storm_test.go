@@ -56,7 +56,7 @@ func TestScenarioStormAdaptiveMatchesStaticOracle(t *testing.T) {
 	// window, from a starting capacity under the tuner's floor (raised to it
 	// at construction) so capacity misses and ghosts churn mid-storm.
 	ex, _ := stormEnv(t, Options{
-		ShareScans: true, CacheResults: true, CacheCapacity: 64,
+		CacheResults: true, CacheCapacity: 64,
 		AdaptiveCache: true, HeatHalfLife: 16,
 	})
 	defer ex.Close()

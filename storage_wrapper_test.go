@@ -107,7 +107,7 @@ func TestStorageWrapperTransparency(t *testing.T) {
 
 	serving := Options{
 		AsyncMaintenance: true, MaintenanceWorkers: 1, // one worker: a serial device history
-		ShareScans: true, CacheResults: true, AdaptiveCache: true, HeatHalfLife: 64,
+		CacheResults: true, AdaptiveCache: true, HeatHalfLife: 64,
 	}
 	for _, preset := range []struct {
 		name string

@@ -58,11 +58,12 @@ type (
 	// FaultKind classifies an injected fault: transient, permanent, or a
 	// latency spike.
 	FaultKind = simdisk.FaultKind
-	// RetryPolicy is the storage-read retry policy (see Options.Retry).
+	// RetryPolicy is the storage-read retry policy (see
+	// Explorer.SetRetryPolicy).
 	RetryPolicy = simdisk.RetryPolicy
 	// CacheStats is the result-cache ledger (see Options.CacheResults).
 	CacheStats = core.CacheStats
-	// SharingStats is the scan-sharing ledger (see Options.ShareScans):
+	// SharingStats is the scan-sharing ledger (see Options.CacheResults):
 	// the reads and level-0 builds concurrent queries shared.
 	SharingStats = core.SharingStats
 	// Query couples a range with the datasets it targets.
@@ -86,9 +87,9 @@ const (
 var ErrCanceled = simdisk.ErrCanceled
 
 // Fault classification sentinels: every injected device read fault wraps
-// exactly one of them. Transient faults are worth retrying (Options.Retry
-// does, automatically); permanent faults are not, and fail fast through
-// every retry policy.
+// exactly one of them. Transient faults are worth retrying (a policy set
+// with Explorer.SetRetryPolicy does, automatically); permanent faults are
+// not, and fail fast through every retry policy.
 var (
 	// ErrTransient marks a fault that may succeed on retry.
 	ErrTransient = simdisk.ErrTransient
