@@ -99,8 +99,6 @@ func TestExplorerCloseDuringFaultStorm(t *testing.T) {
 	ex.SetFaultPlan(FaultPlan{
 		Seed:          33,
 		TransientRate: 0.3,
-		SpikeRate:     0.05,
-		SpikeLatency:  2 * time.Millisecond,
 	})
 
 	hot := Cube(V(0.4, 0.45, 0.5), 0.1)

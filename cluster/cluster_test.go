@@ -103,38 +103,25 @@ func TestPlacementGroups(t *testing.T) {
 }
 
 // TestRingPlacement pins the replica layout: dataset d with replication r
-// lives on shards (d+i) mod N, AddDatasetReplicated overrides the default
-// factor, and duplicate registration errors.
+// lives on shards (d+i) mod N, a factor above the shard count clamps to it,
+// and duplicate registration errors.
 func TestRingPlacement(t *testing.T) {
-	data := odyssey.GenerateDatasets(odyssey.DataConfig{Seed: 7, NumObjects: 200, Clusters: 2}, 7)
-	r, err := New(Config{Shards: 4, Replicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := odyssey.GenerateDatasets(odyssey.DataConfig{Seed: 7, NumObjects: 200, Clusters: 2}, 6)
+	r := newCluster(t, Config{Shards: 4, Replicas: 2}, data)
 	defer r.Close()
-	for i := 0; i < 6; i++ {
-		if err := r.AddDataset(odyssey.DatasetID(i), data[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for d := 0; d < 6; d++ {
 		want := []int{d % 4, (d + 1) % 4}
-		if got := r.Replicas(odyssey.DatasetID(d)); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got := r.place.replicas[odyssey.DatasetID(d)]; fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("dataset %d replicas = %v, want %v", d, got, want)
 		}
-	}
-	// Per-dataset override, clamped to the shard count.
-	if err := r.AddDatasetReplicated(6, data[6], 9); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Replicas(6); len(got) != 4 {
-		t.Fatalf("replication 9 on 4 shards = %v, want all 4", got)
 	}
 	if err := r.AddDataset(3, data[3]); err == nil {
 		t.Fatal("duplicate AddDataset did not error")
 	}
-	if got := r.Replicas(99); got != nil {
-		t.Fatalf("unknown dataset replicas = %v, want nil", got)
+	all := newCluster(t, Config{Shards: 4, Replicas: 9}, data[:1])
+	defer all.Close()
+	if got := all.place.replicas[0]; len(got) != 4 {
+		t.Fatalf("replication 9 on 4 shards = %v, want all 4", got)
 	}
 }
 
@@ -180,7 +167,7 @@ func TestKnobCensus(t *testing.T) {
 		}
 		return names
 	}
-	if got, want := fields(Config{}), []string{"Shards", "Replicas", "Options", "Policy", "Failover", "Hedge"}; !slices.Equal(got, want) {
+	if got, want := fields(Config{}), []string{"Shards", "Replicas", "Options", "Hedge"}; !slices.Equal(got, want) {
 		t.Errorf("Config has fields %v, want %v: %s", got, want, rule)
 	}
 	if got, want := fields(HedgeConfig{}), []string{"Enabled"}; !slices.Equal(got, want) {
@@ -219,13 +206,19 @@ func TestShardFaultPlanWindows(t *testing.T) {
 // TestFailoverSurvivesCrash pins availability through shard failure: with
 // R=2 a crashed shard costs nothing visible (the live replica serves), a
 // fully crashed replica set fails fast wrapping ErrNoReplica after walking
-// every candidate, and restoring a shard restores serving.
+// every candidate, and the end of the crash windows restores serving. The
+// plan's windows, in query ordinals: query 0 healthy, query 1 with shard 0
+// down, query 2 with both down, query 3 healthy again.
 func TestFailoverSurvivesCrash(t *testing.T) {
 	data := testData(2)
 	r := newCluster(t, Config{Shards: 2, Replicas: 2}, data)
 	defer r.Close()
 	ref := newOracle(t, odyssey.Options{}, data)
 	defer ref.Close()
+	r.SetShardFaultPlan(ShardFaultPlan{Faults: []ShardFault{
+		{Shard: 0, CrashAfter: 1, CrashFor: 2},
+		{Shard: 1, CrashAfter: 2, CrashFor: 1},
+	}})
 
 	q := odyssey.Cube(odyssey.V(0.3, 0.3, 0.3), 0.3)
 	dss := []odyssey.DatasetID{0, 1}
@@ -237,41 +230,22 @@ func TestFailoverSurvivesCrash(t *testing.T) {
 		t.Fatal("reference query empty; test region misses the data")
 	}
 
-	got, err := r.Query(q, dss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameObjects(got, want) {
-		t.Fatalf("healthy cluster returned %d objects, oracle %d", len(got), len(want))
-	}
-
-	r.Crash(0)
-	if h := r.Health(); !h[0].Down || h[1].Down {
-		t.Fatalf("Health after Crash(0) = %+v, want shard 0 down and shard 1 up", h)
-	}
-	got, err = r.Query(q, dss)
-	if err != nil {
-		t.Fatalf("query with one of two replicas crashed: %v", err)
-	}
-	if !sameObjects(got, want) {
-		t.Fatalf("one-replica answer diverged: %d objects, oracle %d", len(got), len(want))
-	}
-
-	r.Crash(1)
-	if _, err := r.Query(q, dss); !errors.Is(err, ErrNoReplica) {
-		t.Fatalf("query with every replica crashed = %v, want ErrNoReplica", err)
-	} else if !errors.Is(err, ErrShardDown) {
-		t.Fatalf("exhaustion error lost its cause: %v", err)
-	}
-
-	r.Restore(0)
-	r.Restore(1)
-	got, err = r.Query(q, dss)
-	if err != nil {
-		t.Fatalf("query after Restore: %v", err)
-	}
-	if !sameObjects(got, want) {
-		t.Fatal("restored cluster diverged from the oracle")
+	for ord, state := range []string{"healthy", "shard 0 crashed", "every replica crashed", "restored"} {
+		got, err := r.Query(q, dss)
+		if ord == 2 {
+			if !errors.Is(err, ErrNoReplica) {
+				t.Fatalf("query with %s = %v, want ErrNoReplica", state, err)
+			} else if !errors.Is(err, ErrShardDown) {
+				t.Fatalf("exhaustion error lost its cause: %v", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("query %s: %v", state, err)
+		}
+		if !sameObjects(got, want) {
+			t.Fatalf("query %s returned %d objects, oracle %d", state, len(got), len(want))
+		}
 	}
 
 	st := r.Stats()
@@ -281,10 +255,10 @@ func TestFailoverSurvivesCrash(t *testing.T) {
 	if st.Failed != 1 || st.Served != 3 {
 		t.Fatalf("outcome ledger = served %d / failed %d, want 3 / 1", st.Served, st.Failed)
 	}
-	if st.Retries == 0 || st.Failovers == 0 {
-		t.Fatalf("walking the dead replica set ledgered no retries/failovers: %+v", st)
+	if st.Failovers == 0 {
+		t.Fatalf("walking the dead replica set ledgered no failovers: %+v", st)
 	}
-	if st.Queries != st.Served+st.Partial+st.Failed {
+	if st.Queries != st.Served+st.Failed {
 		t.Fatalf("query ledger does not balance: %+v", st)
 	}
 }
@@ -410,20 +384,19 @@ func TestShardRepairsInsteadOfFailingOver(t *testing.T) {
 }
 
 // TestCrashWindowsMatchClosedForm holds shard crash windows to their closed
-// form: the zipf hot-region workload through a 4-shard R=2 ServePartial
-// cluster while shard 1 is down
-// for the middle third of the replay and shard 2 for an overlapping eighth,
-// so any dataset replicated exactly on that pair is unreachable for a while.
-// Routing reads only shard.down at the query's ordinal, so every count is a
-// function of the plan, the placement and the ordinal: two fresh routers
-// agree, and both equal the closed form — a group is lost exactly when every
-// replica is down at its ordinal, and a lost group walks all `attempts`
-// candidates, costing attempts rejects and attempts-1 failovers (and
-// retries). A group with one replica down costs nothing: the live replica is
-// tried first. Every answer equals the single-Explorer oracle over the
-// datasets it was served from.
+// form: the zipf hot-region workload through a 4-shard R=2 cluster while
+// shard 1 is down for the middle third of the replay and shard 2 for an
+// overlapping eighth, so any dataset replicated exactly on that pair is
+// unreachable for a while. Routing reads only shard.down at the query's
+// ordinal, so every count is a function of the plan, the placement and the
+// ordinal: two fresh routers agree, and both equal the closed form — a group
+// is lost exactly when every replica is down at its ordinal, a lost group
+// tries each of its replicas once, costing R rejects and R-1 failovers, and
+// a query with a lost group fails. A group with one replica down costs
+// nothing: the live replica is tried first. Every served answer equals the
+// single-Explorer oracle.
 func TestCrashWindowsMatchClosedForm(t *testing.T) {
-	const shards, replicas, attempts = 4, 2, 3
+	const shards, replicas = 4, 2
 	data := odyssey.GenerateDatasets(odyssey.DataConfig{Seed: 7, NumObjects: 2000, Clusters: 4}, 6)
 	w, err := odyssey.GenerateWorkload(odyssey.WorkloadConfig{
 		Seed: 12, NumQueries: 120, NumDatasets: 6, DatasetsPerQuery: 2, QueryVolumeFrac: 1e-3,
@@ -442,9 +415,9 @@ func TestCrashWindowsMatchClosedForm(t *testing.T) {
 	// shards d, d+1 mod N; TestRingPlacement) alone.
 	var want RouterStats
 	var oneDown int
-	missing := make([][]odyssey.DatasetID, n)
+	lost := make([]bool, n)
 	for i, q := range w.Queries {
-		lost := map[int]bool{} // lost groups of this query, by primary shard
+		groups := map[int]bool{} // lost groups of this query, by primary shard
 		for _, ds := range q.Datasets {
 			down := 0
 			for k := 0; k < replicas; k++ {
@@ -454,27 +427,21 @@ func TestCrashWindowsMatchClosedForm(t *testing.T) {
 			}
 			switch down {
 			case replicas:
-				missing[i] = append(missing[i], ds)
-				lost[int(ds)%shards] = true
+				groups[int(ds)%shards] = true
 			case 1:
 				oneDown++
 			}
 		}
-		switch len(missing[i]) {
-		case 0:
-			want.Served++
-		case len(q.Datasets):
+		if lost[i] = len(groups) > 0; lost[i] {
 			want.Failed++
-		default:
-			want.Partial++
+		} else {
+			want.Served++
 		}
-		want.ShardRejects += int64(attempts * len(lost))
-		want.Failovers += int64((attempts - 1) * len(lost))
+		want.ShardRejects += int64(replicas * len(groups))
+		want.Failovers += int64((replicas - 1) * len(groups))
 	}
-	want.Retries = want.Failovers
-	if want.Partial == 0 || want.Failed == 0 || oneDown == 0 {
-		t.Fatalf("the plan exercises too little: %d partial, %d failed, %d groups with one replica down",
-			want.Partial, want.Failed, oneDown)
+	if want.Failed == 0 || oneDown == 0 {
+		t.Fatalf("the plan exercises too little: %d failed, %d groups with one replica down", want.Failed, oneDown)
 	}
 
 	ref := newOracle(t, odyssey.Options{}, data)
@@ -486,32 +453,20 @@ func TestCrashWindowsMatchClosedForm(t *testing.T) {
 		}
 	}
 	counts := func(st RouterStats) RouterStats {
-		return RouterStats{Served: st.Served, Partial: st.Partial, Failed: st.Failed,
-			Failovers: st.Failovers, Retries: st.Retries, ShardRejects: st.ShardRejects}
+		return RouterStats{Served: st.Served, Failed: st.Failed, Failovers: st.Failovers, ShardRejects: st.ShardRejects}
 	}
 	run := func() RouterStats {
-		r := newCluster(t, Config{
-			Shards: shards, Replicas: replicas, Policy: ServePartial,
-			Failover: odyssey.RetryPolicy{MaxAttempts: attempts, Backoff: 200 * time.Microsecond, Budget: 50 * time.Millisecond},
-		}, data)
+		r := newCluster(t, Config{Shards: shards, Replicas: replicas}, data)
 		defer r.Close()
 		r.SetShardFaultPlan(plan)
 		for i, q := range w.Queries {
 			got, err := r.Query(q.Range, q.Datasets)
-			var pe *PartialError
 			switch {
-			case err == nil && missing[i] == nil:
-			case errors.As(err, &pe) && slices.Equal(pe.Missing, missing[i]):
-			case errors.Is(err, ErrNoReplica) && !errors.Is(err, ErrPartial) && len(missing[i]) == len(q.Datasets):
-				continue
-			default:
-				t.Fatalf("query %d: err %v, want datasets %v missing", i, err, missing[i])
-			}
-			served := slices.DeleteFunc(slices.Clone(oracle[i]), func(o odyssey.Object) bool {
-				return slices.Contains(missing[i], o.Dataset)
-			})
-			if !sameObjects(got, served) {
-				t.Fatalf("query %d: cluster returned %d objects, oracle %d over the served datasets", i, len(got), len(served))
+			case lost[i] && errors.Is(err, ErrNoReplica):
+			case lost[i] || err != nil:
+				t.Fatalf("query %d: err %v, want a failure exactly when a dataset is unreachable (%v)", i, err, lost[i])
+			case !sameObjects(got, oracle[i]):
+				t.Fatalf("query %d: cluster returned %d objects, oracle %d", i, len(got), len(oracle[i]))
 			}
 		}
 		return counts(r.Stats())
@@ -525,11 +480,9 @@ func TestCrashWindowsMatchClosedForm(t *testing.T) {
 	}
 }
 
-// TestPartialPolicy pins the graceful-degradation contract when a dataset
-// has no live replica: FailFast fails the whole query wrapping ErrNoReplica;
-// ServePartial answers from the reachable datasets with a *PartialError
-// naming the missing ones; an all-missing query is a failure under either
-// policy.
+// TestPartialPolicy pins what a query returns when a requested dataset has
+// no live replica: the whole query fails wrapping ErrNoReplica — never a
+// truncated answer — while a query naming only reachable datasets serves.
 func TestPartialPolicy(t *testing.T) {
 	data := testData(2)
 	ref := newOracle(t, odyssey.Options{}, data)
@@ -547,11 +500,10 @@ func TestPartialPolicy(t *testing.T) {
 	t.Run("fail_fast", func(t *testing.T) {
 		r := newCluster(t, Config{Shards: 2, Replicas: 1}, data)
 		defer r.Close()
-		r.Crash(1) // dataset 1's only replica
-		if objs, err := r.Query(q, dss); !errors.Is(err, ErrNoReplica) {
-			t.Fatalf("FailFast query = (%d objects, %v), want ErrNoReplica", len(objs), err)
-		} else if errors.Is(err, ErrPartial) {
-			t.Fatalf("FailFast produced a partial marker: %v", err)
+		// Shard 1 holds dataset 1's only replica, down for good.
+		r.SetShardFaultPlan(ShardFaultPlan{Faults: []ShardFault{{Shard: 1, CrashFor: 1 << 40}}})
+		if objs, err := r.Query(q, dss); !errors.Is(err, ErrNoReplica) || objs != nil {
+			t.Fatalf("query = (%d objects, %v), want no objects and ErrNoReplica", len(objs), err)
 		}
 		// The reachable dataset alone still serves.
 		got, err := r.Query(q, []odyssey.DatasetID{0})
@@ -561,40 +513,8 @@ func TestPartialPolicy(t *testing.T) {
 		if !sameObjects(got, wantDS0) {
 			t.Fatal("reachable dataset diverged from the oracle")
 		}
-	})
-
-	t.Run("serve_partial", func(t *testing.T) {
-		r := newCluster(t, Config{Shards: 2, Replicas: 1, Policy: ServePartial}, data)
-		defer r.Close()
-		r.Crash(1)
-		got, err := r.Query(q, dss)
-		if !errors.Is(err, ErrPartial) {
-			t.Fatalf("ServePartial query error = %v, want ErrPartial", err)
-		}
-		var pe *PartialError
-		if !errors.As(err, &pe) {
-			t.Fatalf("partial error is not a *PartialError: %v", err)
-		}
-		if len(pe.Missing) != 1 || pe.Missing[0] != 1 {
-			t.Fatalf("Missing = %v, want [1]", pe.Missing)
-		}
-		if !errors.Is(pe.Cause, ErrNoReplica) {
-			t.Fatalf("partial cause = %v, want ErrNoReplica", pe.Cause)
-		}
-		if !sameObjects(got, wantDS0) {
-			t.Fatalf("partial answer incomplete for the served dataset: %d objects, want %d",
-				len(got), len(wantDS0))
-		}
-		// Nothing reachable is a failure, not an empty partial answer.
-		if objs, err := r.Query(q, []odyssey.DatasetID{1}); err == nil || errors.Is(err, ErrPartial) {
-			t.Fatalf("all-missing query = (%d objects, %v), want a plain failure", len(objs), err)
-		}
-		st := r.Stats()
-		if st.Partial != 1 || st.Failed != 1 {
-			t.Fatalf("outcome ledger = %+v, want 1 partial / 1 failed", st)
-		}
-		if st.Queries != st.Served+st.Partial+st.Failed {
-			t.Fatalf("query ledger does not balance: %+v", st)
+		if st := r.Stats(); st.Served != 1 || st.Failed != 1 || st.Queries != st.Served+st.Failed {
+			t.Fatalf("outcome ledger = %+v, want 1 served / 1 failed", st)
 		}
 	})
 }

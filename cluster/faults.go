@@ -32,8 +32,8 @@ type ShardFault struct {
 	// shard first sleeps SlowDelay of wall-clock time (canceled early if
 	// the sub-query's context dies — a hedge winner cuts the sleeping
 	// loser short). The delay is pure wall clock: simulated charges and
-	// query results are untouched, exactly like the device layer's latency
-	// spikes. SlowFor <= 0 or SlowDelay <= 0 injects no storm.
+	// query results are untouched. SlowFor <= 0 or SlowDelay <= 0 injects
+	// no storm.
 	SlowAfter, SlowFor int64
 	SlowDelay          time.Duration
 }

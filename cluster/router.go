@@ -15,21 +15,17 @@ import (
 // RouterStats is the cluster serving ledger.
 type RouterStats struct {
 	// Queries counts queries submitted to the Router; every one ends in
-	// exactly one of Served, Partial or Failed.
+	// exactly one of Served or Failed.
 	Queries int64
-	// SubQueries counts shard legs executed (failover retries and hedge
+	// SubQueries counts shard legs executed (failover attempts and hedge
 	// legs included).
 	SubQueries int64
-	// Served, Partial and Failed classify query outcomes: complete answer,
-	// ServePartial subset, or error.
-	Served  int64
-	Partial int64
-	Failed  int64
+	// Served and Failed classify query outcomes: complete answer or error.
+	Served int64
+	Failed int64
 	// Failovers counts sub-queries moved to another replica after a
-	// failoverable error; Retries counts the failover loop's non-first
-	// attempts (each retry that switches shards is also a failover).
+	// failoverable error.
 	Failovers int64
-	Retries   int64
 	// HedgesFired counts hedge legs launched after the p99 delay expired;
 	// HedgeWins counts hedged legs whose response was the one returned;
 	// HedgeDiscarded counts legs that completed successfully but lost the
@@ -51,8 +47,8 @@ type RouterStats struct {
 
 // Router fans range queries out over a set of Explorer shards, merges the
 // sub-results deterministically, and survives shard failure through
-// failover, hedged reads and (optionally) partial serving. It is safe for
-// concurrent use; Close drains in-flight work and closes every shard.
+// failover and hedged reads. It is safe for concurrent use; Close drains
+// in-flight work and closes every shard.
 type Router struct {
 	cfg     Config
 	shards  []*shard
@@ -79,10 +75,8 @@ type Router struct {
 
 	subQueries     atomic.Int64
 	served         atomic.Int64
-	partialCnt     atomic.Int64
 	failed         atomic.Int64
 	failovers      atomic.Int64
-	retries        atomic.Int64
 	hedgesFired    atomic.Int64
 	hedgeWins      atomic.Int64
 	hedgeDiscarded atomic.Int64
@@ -91,8 +85,7 @@ type Router struct {
 }
 
 // New builds a cluster of cfg.Shards Explorers, each with its own simulated
-// device. Datasets are registered afterwards with AddDataset /
-// AddDatasetReplicated.
+// device. Datasets are registered afterwards with AddDataset.
 func New(cfg Config) (*Router, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 2
@@ -122,26 +115,10 @@ func New(cfg Config) (*Router, error) {
 	return r, nil
 }
 
-// NumShards returns the shard count.
-func (r *Router) NumShards() int { return len(r.shards) }
-
 // AddDataset registers a dataset on its cfg.Replicas replica shards.
 func (r *Router) AddDataset(id odyssey.DatasetID, objs []odyssey.Object) error {
-	return r.AddDatasetReplicated(id, objs, r.cfg.Replicas)
-}
-
-// AddDatasetReplicated registers a dataset with an explicit replication
-// factor, overriding cfg.Replicas — the lever for keeping extra replicas of
-// hot datasets. replicas is clamped to [1, Shards].
-func (r *Router) AddDatasetReplicated(id odyssey.DatasetID, objs []odyssey.Object, replicas int) error {
 	if r.closed.Load() {
 		return ErrClosed
-	}
-	if replicas <= 0 {
-		replicas = 1
-	}
-	if replicas > len(r.shards) {
-		replicas = len(r.shards)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -151,7 +128,7 @@ func (r *Router) AddDatasetReplicated(id odyssey.DatasetID, objs []odyssey.Objec
 	if _, dup := r.place.replicas[id]; dup {
 		return fmt.Errorf("cluster: dataset %d already added", id)
 	}
-	set := make([]int, replicas)
+	set := make([]int, r.cfg.Replicas)
 	for i := range set {
 		set[i] = (int(id) + i) % len(r.shards)
 	}
@@ -164,15 +141,6 @@ func (r *Router) AddDatasetReplicated(id odyssey.DatasetID, objs []odyssey.Objec
 	return nil
 }
 
-// Replicas returns the ordered replica shard set of a dataset (nil when
-// unknown).
-func (r *Router) Replicas(id odyssey.DatasetID) []int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	set := r.place.replicas[id]
-	return append([]int(nil), set...)
-}
-
 // SetShardFaultPlan installs (or, with the zero plan, clears) the
 // deterministic shard-level fault plan.
 func (r *Router) SetShardFaultPlan(plan ShardFaultPlan) {
@@ -181,22 +149,6 @@ func (r *Router) SetShardFaultPlan(plan ShardFaultPlan) {
 		return
 	}
 	r.plan.Store(&plan)
-}
-
-// Crash manually fails a shard: its sub-queries reject with ErrShardDown
-// until Restore. The fault-injection surface tests and benchmarks drive;
-// out of range indices are ignored.
-func (r *Router) Crash(shard int) {
-	if shard >= 0 && shard < len(r.shards) {
-		r.shards[shard].crashed.Store(true)
-	}
-}
-
-// Restore clears a manual Crash.
-func (r *Router) Restore(shard int) {
-	if shard >= 0 && shard < len(r.shards) {
-		r.shards[shard].crashed.Store(false)
-	}
 }
 
 // Query returns all objects intersecting q in the requested datasets, by
@@ -210,9 +162,8 @@ func (r *Router) Query(q odyssey.Box, datasets []odyssey.DatasetID) ([]odyssey.O
 // QueryCtx is Query with cancellation and deadline support. Sub-queries
 // inherit ctx; each leg additionally runs under its own fresh charge scope
 // (hedge legs never share one). When every replica of some requested
-// dataset is unreachable the outcome follows cfg.Policy: FailFast returns
-// an error wrapping ErrNoReplica; ServePartial returns the objects of the
-// reachable datasets plus a *PartialError naming the missing ones.
+// dataset is unreachable the query fails with an error wrapping
+// ErrNoReplica.
 func (r *Router) QueryCtx(ctx context.Context, q odyssey.Box, datasets []odyssey.DatasetID) ([]odyssey.Object, error) {
 	if len(datasets) == 0 {
 		return nil, fmt.Errorf("cluster: query names no datasets")
@@ -251,42 +202,16 @@ func (r *Router) QueryCtx(ctx context.Context, q odyssey.Box, datasets []odyssey
 	wg.Wait()
 
 	var merged []odyssey.Object
-	var missing []odyssey.DatasetID
-	var cause error
-	for i, o := range outs {
-		switch {
-		case o.err == nil:
-			merged = append(merged, o.objs...)
-		case errors.Is(o.err, ErrNoReplica):
-			// An availability failure: every replica of this group was
-			// exhausted. ServePartial keeps going; FailFast fails the query.
-			if r.cfg.Policy == ServePartial {
-				missing = append(missing, groups[i].datasets...)
-				if cause == nil {
-					cause = o.err
-				}
-				continue
-			}
-			r.failed.Add(1)
-			return nil, o.err
-		default:
-			// A hard failure (cancellation, structural error) fails the
-			// query under either policy.
+	for _, o := range outs {
+		if o.err != nil {
+			// An unreachable dataset (ErrNoReplica), a cancellation or a
+			// structural error fails the whole query.
 			r.failed.Add(1)
 			return nil, o.err
 		}
-	}
-	if len(missing) == len(datasets) {
-		// Nothing was served; a "partial" result with zero datasets is a
-		// failure under any policy.
-		r.failed.Add(1)
-		return nil, cause
+		merged = append(merged, o.objs...)
 	}
 	sortObjects(merged)
-	if missing != nil {
-		r.partialCnt.Add(1)
-		return merged, &PartialError{Missing: missing, Cause: cause}
-	}
 	r.served.Add(1)
 	return merged, nil
 }
@@ -305,14 +230,15 @@ func failoverable(err error) bool {
 }
 
 // orderCandidates orders a group's replica shards for serving: up shards
-// first, then down — down shards stay in the list as a last resort, so a
-// manual Restore between the read and the serve is still found. Up or down
-// is shard.down at the query's ordinal, so a group is lost exactly when
-// every replica is down at that ordinal. The up shards are rotated by the
-// query's ordinal, so reads spread across replicas as a function of the
-// query alone: the groups of one query, whose replica arcs start on
-// different shards, start on different shards too, however their goroutines
-// interleave (a counter shared by the groups sent them to the same one).
+// first, then down. Up or down is shard.down at the query's ordinal, so a
+// group is lost exactly when every replica is down at that ordinal. Down
+// shards stay in the list, last: each one tried rejects (ShardRejects) at no
+// charge, which keeps a lost group's cost a fixed function of its replica
+// count. The up shards are rotated by the query's ordinal, so reads spread
+// across replicas as a function of the query alone: the groups of one
+// query, whose replica arcs start on different shards, start on different
+// shards too, however their goroutines interleave (a counter shared by the
+// groups sent them to the same one).
 func (r *Router) orderCandidates(replicas []int, ord int64) []*shard {
 	var up, down []*shard
 	for _, id := range replicas {
@@ -333,29 +259,13 @@ func (r *Router) orderCandidates(replicas []int, ord int64) []*shard {
 	return append(up, down...)
 }
 
-// serveGroup answers one fan-out group, failing over across its replicas
-// under the budgeted retry/backoff policy. Exhausting every attempt wraps
-// ErrNoReplica — the signal the partial policy keys on.
+// serveGroup answers one fan-out group, trying each of its replicas once in
+// orderCandidates' order and failing over to the next on a failoverable
+// error. Exhausting every replica wraps ErrNoReplica.
 func (r *Router) serveGroup(ctx context.Context, q odyssey.Box, g group, ord int64) ([]odyssey.Object, error) {
 	cands := r.orderCandidates(g.replicas, ord)
-	pol := r.cfg.Failover
-	attempts := pol.MaxAttempts
-	if attempts <= 1 {
-		attempts = len(cands)
-	}
-	sched := pol.Schedule()
 	var lastErr error
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			r.retries.Add(1)
-			if ok, err := sched.Wait(ctx); err != nil {
-				return nil, err
-			} else if !ok {
-				return nil, fmt.Errorf("%w: failover budget %v exhausted after %d attempts: %w",
-					ErrNoReplica, pol.Budget, a, lastErr)
-			}
-		}
-		s := cands[a%len(cands)]
+	for a, s := range cands {
 		var alt *shard
 		if r.cfg.Hedge.Enabled && len(cands) > 1 {
 			alt = cands[(a+1)%len(cands)]
@@ -368,7 +278,7 @@ func (r *Router) serveGroup(ctx context.Context, q odyssey.Box, g group, ord int
 		if !failoverable(err) {
 			return nil, err
 		}
-		if a+1 < attempts {
+		if a+1 < len(cands) {
 			r.failovers.Add(1)
 		}
 	}
@@ -464,10 +374,8 @@ func (r *Router) Stats() RouterStats {
 		Queries:        r.ord.Load(),
 		SubQueries:     r.subQueries.Load(),
 		Served:         r.served.Load(),
-		Partial:        r.partialCnt.Load(),
 		Failed:         r.failed.Load(),
 		Failovers:      r.failovers.Load(),
-		Retries:        r.retries.Load(),
 		HedgesFired:    r.hedgesFired.Load(),
 		HedgeWins:      r.hedgeWins.Load(),
 		HedgeDiscarded: r.hedgeDiscarded.Load(),
@@ -475,31 +383,6 @@ func (r *Router) Stats() RouterStats {
 		ChargedSim:     time.Duration(r.chargedSim.Load()),
 		WastedSim:      time.Duration(r.wastedSim.Load()),
 	}
-}
-
-// ShardHealth is one shard's externally visible health snapshot
-// (Router.Health).
-type ShardHealth struct {
-	// Shard is the shard index.
-	Shard int
-	// Down is what routing reads for the next query: the shard is manually
-	// crashed or inside a planned crash window at the current ordinal.
-	Down bool
-	// Serves and Rejects count sub-queries this shard answered and
-	// sub-queries it rejected while down.
-	Serves  int64
-	Rejects int64
-}
-
-// Health snapshots every shard's health: its down verdict at the current
-// ordinal and its serve ledger.
-func (r *Router) Health() []ShardHealth {
-	ord := r.ord.Load()
-	out := make([]ShardHealth, len(r.shards))
-	for i, s := range r.shards {
-		out[i] = ShardHealth{Shard: i, Down: s.down(ord), Serves: s.serves.Load(), Rejects: s.rejects.Load()}
-	}
-	return out
 }
 
 // ShardMetrics returns each shard Explorer's engine counters — the
@@ -530,30 +413,6 @@ func (r *Router) ShardChannelStats() [][][]odyssey.ChannelStats {
 		out[i] = s.ex.ChannelStats()
 	}
 	return out
-}
-
-// ResetStats zeroes every shard's device counters (see
-// Explorer.ResetStats); ResetClocks zeroes their simulated clocks.
-// Measurement harnesses call them between phases; must not race in-flight
-// queries whose numbers matter.
-func (r *Router) ResetStats() {
-	for _, s := range r.shards {
-		s.ex.ResetStats()
-	}
-}
-
-// ResetClocks zeroes every shard's simulated clock.
-func (r *Router) ResetClocks() {
-	for _, s := range r.shards {
-		s.ex.ResetClock()
-	}
-}
-
-// SetRealTimeScale fans the real-time emulation scale out to every shard.
-func (r *Router) SetRealTimeScale(scale float64) {
-	for _, s := range r.shards {
-		s.ex.SetRealTimeScale(scale)
-	}
 }
 
 // Quiesce drains every shard's background maintenance pipeline.

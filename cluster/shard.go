@@ -9,30 +9,22 @@ import (
 	"spaceodyssey/internal/simdisk"
 )
 
-// shard wraps one member Explorer with its routing identity, its manual
-// crash switch, and its traffic ledger.
+// shard wraps one member Explorer with its routing identity and the count
+// of sub-queries it rejected while down.
 type shard struct {
 	id int
 	ex *odyssey.Explorer
 	r  *Router
 
-	// crashed is the manual failure switch (Router.Crash/Restore); the
-	// fault plan's crash windows are evaluated separately, so a restore
-	// cannot cancel a planned window.
-	crashed atomic.Bool
-
-	// serves / rejects ledger the sub-queries this shard answered and those
-	// it rejected while down.
-	serves  atomic.Int64
 	rejects atomic.Int64
 }
 
-// down reports whether the shard is unable to serve right now: manually
-// crashed or inside a planned crash window at query ordinal ord. It is the
-// router's one health signal — read, not sampled, so a query's routing is a
-// function of the plan, the placement and its ordinal alone.
+// down reports whether the shard is inside a planned crash window at query
+// ordinal ord. It is the router's one health signal — read, not sampled, so
+// a query's routing is a function of the plan, the placement and its
+// ordinal alone.
 func (s *shard) down(ord int64) bool {
-	return s.crashed.Load() || s.r.plan.Load().crashed(s.id, ord)
+	return s.r.plan.Load().crashed(s.id, ord)
 }
 
 // serve runs one sub-query leg on this shard under a fresh charge scope.
@@ -58,7 +50,6 @@ func (s *shard) serve(ctx context.Context, q odyssey.Box, datasets []odyssey.Dat
 			return nil, 0, simdisk.Canceled(ctx.Err())
 		}
 	}
-	s.serves.Add(1)
 	ctx, _ = simdisk.WithOpScope(ctx, simdisk.PriForeground)
 	return s.ex.QueryTimedCtx(ctx, q, datasets)
 }

@@ -2,7 +2,7 @@ package cluster
 
 // Race-mode oracle storm for the cluster layer: the drift scenario replayed
 // through a 4-shard R=2 cluster from many submitting goroutines at once —
-// with a shard crashed mid-storm and a slow-shard storm engaging hedged
+// with a shard crash window mid-storm and a slow-shard storm engaging hedged
 // reads — must return byte-identical results to a single Explorer over the
 // union of the datasets, serve every query, and leak no goroutines.
 // `go test -race ./cluster` sweeps the router fan-out, the CAS hedge
@@ -55,11 +55,7 @@ func TestClusterStormMatchesOracle(t *testing.T) {
 	}
 	ref.Close()
 
-	r := newCluster(t, Config{
-		Shards: 4, Replicas: 2,
-		Failover: odyssey.RetryPolicy{MaxAttempts: 3, Backoff: 200 * time.Microsecond, Budget: 50 * time.Millisecond},
-		Hedge:    HedgeConfig{Enabled: true},
-	}, data)
+	r := newCluster(t, Config{Shards: 4, Replicas: 2, Hedge: HedgeConfig{Enabled: true}}, data)
 	// Deterministic weather, in query ordinals: shard 1 crashes for a third
 	// of the storm, and shard 3 stalls every serve in a late window so hedges
 	// fire against its replica peers.
@@ -98,10 +94,10 @@ func TestClusterStormMatchesOracle(t *testing.T) {
 	}
 
 	st := r.Stats()
-	if st.Served != int64(len(w.Queries)) || st.Partial != 0 || st.Failed != 0 {
+	if st.Served != int64(len(w.Queries)) || st.Failed != 0 {
 		t.Fatalf("outcome ledger = %+v, want all %d served", st, len(w.Queries))
 	}
-	if st.Queries != st.Served+st.Partial+st.Failed {
+	if st.Queries != st.Served+st.Failed {
 		t.Fatalf("query ledger does not balance: %+v", st)
 	}
 	if st.HedgesFired == 0 {
@@ -136,10 +132,12 @@ func TestRouterCloseDuringHedgedStorm(t *testing.T) {
 	}, data)
 	// Shard 0 stalls every serve far past the hedge delay: most queries
 	// have a hedge leg in flight (and a loser sleeping in the stall) when
-	// Close lands.
-	r.SetShardFaultPlan(ShardFaultPlan{Faults: []ShardFault{{
-		Shard: 0, SlowAfter: 0, SlowFor: 1 << 40, SlowDelay: 40 * time.Millisecond,
-	}}})
+	// Close lands. Shard 1, the fast replica, crashes from the ninth query
+	// on, while the first eight submitters' hedges are still in flight.
+	r.SetShardFaultPlan(ShardFaultPlan{Faults: []ShardFault{
+		{Shard: 0, SlowAfter: 0, SlowFor: 1 << 40, SlowDelay: 40 * time.Millisecond},
+		{Shard: 1, CrashAfter: 8, CrashFor: 1 << 40},
+	}})
 
 	hot := odyssey.Cube(odyssey.V(0.4, 0.45, 0.5), 0.1)
 	dss := []odyssey.DatasetID{0, 1, 2}
@@ -154,7 +152,6 @@ func TestRouterCloseDuringHedgedStorm(t *testing.T) {
 		}()
 	}
 	time.Sleep(15 * time.Millisecond)
-	r.Crash(1) // the fast replica dies with hedges still in flight
 	if err := r.Close(); err != nil {
 		t.Fatalf("Close mid-storm: %v", err)
 	}

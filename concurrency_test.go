@@ -156,8 +156,8 @@ func TestConcurrentQueriesMatchOracleDeviceArray(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := newOracleEnv(t, tc.opts, 3, 2000)
-			if topo := env.ex.Topology(); topo.Devices != 2 || topo.Channels != 2 {
-				t.Fatalf("Topology() = %+v, want 2 devices x 2 channels", topo)
+			if cs := env.ex.ChannelStats(); len(cs) != 2 || len(cs[0]) != 2 {
+				t.Fatalf("ChannelStats shape = %dx%d, want 2 devices x 2 channels", len(cs), len(cs[0]))
 			}
 			runConcurrentOracle(t, env, 8, 20)
 			if m := env.ex.Metrics(); m.Queries != 8*20 {

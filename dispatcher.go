@@ -30,7 +30,7 @@ func IsCanceled(err error) bool {
 // BatchResult is the outcome of one query executed by the worker pool.
 type BatchResult struct {
 	// Index identifies the query: its position in the QueryBatch slice, or
-	// its arrival order on the QueryConcurrent input channel.
+	// the index its submitter gave Dispatcher.Submit.
 	Index int
 	// Query is the executed query.
 	Query Query
@@ -59,15 +59,6 @@ type WorkerStats struct {
 	Canceled int
 	// Busy is the wall-clock time the worker spent inside Explorer.Query.
 	Busy time.Duration
-}
-
-// Throughput returns the worker's queries per wall-clock second of busy
-// time (0 when idle).
-func (w WorkerStats) Throughput() float64 {
-	if w.Busy <= 0 {
-		return 0
-	}
-	return float64(w.Queries) / w.Busy.Seconds()
 }
 
 // AdmissionConfig configures how the dispatcher hands submissions to its
@@ -197,9 +188,6 @@ func NewDispatcherWithAdmission(ex *Explorer, workers int, cfg AdmissionConfig) 
 	}
 	return d
 }
-
-// Workers returns the pool size.
-func (d *Dispatcher) Workers() int { return len(d.stats) }
 
 // AdmissionStats returns a snapshot of the admission counters. Under
 // concurrent load the snapshot is a consistent per-counter sum, not an
@@ -480,45 +468,4 @@ func (e *Explorer) QueryBatchCtx(ctx context.Context, queries []Query, workers i
 		}
 	}
 	return results, firstErr
-}
-
-// QueryConcurrent streams queries from a channel through a bounded worker
-// pool, delivering results on the returned channel as they complete (not in
-// input order — Index carries the arrival order). The result channel closes
-// once the input channel is closed and drained.
-//
-// Production and consumption must run concurrently: the pipeline's buffers
-// hold only a few in-flight queries (jobs 2x workers, results 1x), so a
-// caller that pushes every query into the input channel before reading any
-// results deadlocks once the buffers fill — feed the input from its own
-// goroutine (or select over both channels), as in the package tests. For a
-// fixed slice of queries, QueryBatch handles this for you. Likewise the
-// result channel must be consumed to completion: abandoning it while
-// queries are in flight blocks the pool's workers forever — to bail out
-// early, cancel the context passed to QueryConcurrentCtx and keep draining.
-// workers <= 0 defaults to GOMAXPROCS.
-func (e *Explorer) QueryConcurrent(queries <-chan Query, workers int) <-chan BatchResult {
-	return e.QueryConcurrentCtx(context.Background(), queries, workers)
-}
-
-// QueryConcurrentCtx is QueryConcurrent under one shared context; canceling
-// it turns the remaining stream into fast cancellation results (the result
-// channel still closes only when the input channel does).
-func (e *Explorer) QueryConcurrentCtx(ctx context.Context, queries <-chan Query, workers int) <-chan BatchResult {
-	d := NewDispatcher(e, workers)
-	out := make(chan BatchResult, d.Workers())
-	go func() {
-		i := 0
-		for q := range queries {
-			// Private dispatcher, never closed here; a dead context is
-			// reported through the result stream like any other outcome.
-			if err := d.SubmitCtx(ctx, i, q, out); err != nil {
-				out <- BatchResult{Index: i, Query: q, Err: err}
-			}
-			i++
-		}
-		d.Close()
-		close(out)
-	}()
-	return out
 }

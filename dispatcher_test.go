@@ -86,18 +86,24 @@ func TestQueryBatchReportsQueryError(t *testing.T) {
 	}
 }
 
-func TestQueryConcurrentStreams(t *testing.T) {
+// TestDispatcherStreams: a producer submitting a stream of queries beside
+// the consumer that drains them gets every result back exactly once.
+func TestDispatcherStreams(t *testing.T) {
 	ex, queries := batchEnv(t)
-	in := make(chan Query)
+	d := NewDispatcher(ex, 4)
+	out := make(chan BatchResult, 4)
 	go func() {
-		for _, q := range queries {
-			in <- q
+		for i, q := range queries {
+			if err := d.Submit(i, q, out); err != nil {
+				out <- BatchResult{Index: i, Query: q, Err: err}
+			}
 		}
-		close(in)
+		d.Close()
+		close(out)
 	}()
 	seen := make(map[int]bool)
 	total := 0
-	for r := range ex.QueryConcurrent(in, 4) {
+	for r := range out {
 		if r.Err != nil {
 			t.Fatalf("query %d failed: %v", r.Index, r.Err)
 		}
@@ -115,9 +121,6 @@ func TestQueryConcurrentStreams(t *testing.T) {
 func TestDispatcherWorkerStats(t *testing.T) {
 	ex, queries := batchEnv(t)
 	d := NewDispatcher(ex, 4)
-	if d.Workers() != 4 {
-		t.Fatalf("Workers = %d", d.Workers())
-	}
 	out := make(chan BatchResult, len(queries))
 	for i, q := range queries {
 		if err := d.Submit(i, q, out); err != nil {
@@ -129,8 +132,12 @@ func TestDispatcherWorkerStats(t *testing.T) {
 	if err := d.Submit(0, queries[0], out); err != ErrClosed {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
+	stats := d.WorkerStats()
+	if len(stats) != 4 {
+		t.Fatalf("%d workers, want 4", len(stats))
+	}
 	served := 0
-	for _, st := range d.WorkerStats() {
+	for _, st := range stats {
 		served += st.Queries
 		if st.Queries > 0 && st.Busy <= 0 {
 			t.Errorf("worker %d served %d queries in zero time", st.Worker, st.Queries)
@@ -332,13 +339,19 @@ func TestDispatcherCanceledQueuedJobsNeverRun(t *testing.T) {
 // failure message carries the rule for whoever wants to add a field.
 func TestKnobCensus(t *testing.T) {
 	const rule = "a new knob needs two callers outside tests and examples that need different values — else make it a constant (see the ROADMAP standing constraint \"Knob rule\")"
-	var got []string
-	adm := reflect.TypeOf(AdmissionConfig{})
-	for i := 0; i < adm.NumField(); i++ {
-		got = append(got, adm.Field(i).Name)
+	fields := func(v any) []string {
+		var names []string
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			names = append(names, typ.Field(i).Name)
+		}
+		return names
 	}
-	if want := []string{"BatchWindow"}; !slices.Equal(got, want) {
+	if got, want := fields(AdmissionConfig{}), []string{"BatchWindow"}; !slices.Equal(got, want) {
 		t.Errorf("AdmissionConfig has fields %v, want %v: %s", got, want, rule)
+	}
+	if got, want := fields(FaultPlan{}), []string{"Seed", "TransientRate", "PermanentRate", "Pages"}; !slices.Equal(got, want) {
+		t.Errorf("FaultPlan has fields %v, want %v: %s", got, want, rule)
 	}
 	if n := reflect.TypeOf(AdmissionStats{}).NumField(); n != 7 {
 		t.Errorf("AdmissionStats has %d fields, want 7: a counter nothing reads is a knob's shadow", n)

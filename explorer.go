@@ -58,7 +58,7 @@ type Options struct {
 	// charged costs in wall-clock time (each charge sleeps scale times the
 	// simulated duration, outside all locks). Concurrent queries then
 	// genuinely overlap their simulated I/O waits — the serving behaviour
-	// QueryBatch/QueryConcurrent exist to exploit. 0 (default) keeps the
+	// QueryBatch and the Dispatcher exist to exploit. 0 (default) keeps the
 	// disk purely virtual and instant.
 	RealTimeScale float64
 	// Devices is the number of simulated member devices files are placed
@@ -138,14 +138,6 @@ type Options struct {
 	HeatHalfLife int
 }
 
-// Topology describes the storage layout an Explorer runs on.
-type Topology struct {
-	// Devices is the member-device count D (1 = single device).
-	Devices int
-	// Channels is the per-device I/O channel count C.
-	Channels int
-}
-
 // engineConfig translates Options into the internal configuration.
 func (o Options) engineConfig() core.Config {
 	cfg := core.DefaultConfig()
@@ -179,7 +171,7 @@ func (o Options) engineConfig() core.Config {
 // adaptive engine.
 //
 // An Explorer is safe for concurrent use: queries may run in parallel with
-// each other (see QueryBatch and QueryConcurrent for pooled execution) and
+// each other (see QueryBatch and the Dispatcher for pooled execution) and
 // with AddDataset. Read-only queries proceed concurrently; queries that
 // trigger indexing, refinement or merging exclude other users of only the
 // affected datasets. AddDataset itself briefly excludes all queries — it
@@ -406,12 +398,6 @@ func (e *Explorer) DiskStats() DiskStats { return e.dev.Stats() }
 // concurrently with in-flight queries whose statistics matter.
 func (e *Explorer) ResetStats() { e.dev.ResetStats() }
 
-// Topology reports the storage layout: device count and channels per device,
-// with the same defaulting simdisk.NewStorage applied to these options.
-func (e *Explorer) Topology() Topology {
-	return Topology{Devices: max(e.opts.Devices, 1), Channels: max(e.opts.Channels, 1)}
-}
-
 // DeviceStats returns per-member-device counters (one entry per device;
 // a single-device Explorer returns one entry equal to DiskStats).
 func (e *Explorer) DeviceStats() []DiskStats { return e.dev.DeviceStats() }
@@ -507,9 +493,9 @@ func (e *Explorer) MaintenanceErr() error { return e.engine.MaintenanceErr() }
 
 // SetFaultPlan installs (or, with the zero plan, clears) a deterministic
 // device fault-injection plan across every member device of the storage
-// topology: explicit per-file/page fault patterns, seeded probabilistic
-// transient/permanent fault rates, latency spikes, and periodic storm
-// windows. Same seed, same read sequence, same faults. Fault-injection is a
+// topology: explicit per-file/page fault patterns and seeded probabilistic
+// transient/permanent fault rates. Same seed, same reads of a page, same
+// faults. Fault-injection is a
 // test-and-benchmark surface; it composes with SetRetryPolicy (transient
 // faults are retried) and with repair: a permanent fault on a tree partition
 // or a merge file is rebuilt from the raw files on the path that read it,

@@ -392,10 +392,6 @@ func TestTopologyDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo := ex.Topology()
-	if topo.Devices != 1 || topo.Channels != 1 {
-		t.Fatalf("default Topology() = %+v", topo)
-	}
 	if ds := ex.DeviceStats(); len(ds) != 1 || ds[0] != ex.DiskStats() {
 		t.Fatalf("single-device DeviceStats = %+v, DiskStats %+v", ds, ex.DiskStats())
 	}

@@ -161,8 +161,8 @@ func TestExplorerRetryPolicy(t *testing.T) {
 // TestFaultStormServesFaultFreeResults holds the serving stack's fault
 // claim: a converged zipf workload replayed cold-cache by four submitters on
 // a 2×2 array, with scan sharing, the result cache and background
-// maintenance on, under a seeded transient-fault storm (2 % a read, 10× in
-// storm windows) with four read attempts, serves at least 95 % of its queries
+// maintenance on, under a seeded transient-fault storm (20 % of reads) with
+// four read attempts, serves at least 95 % of its queries
 // — and every query it serves returns exactly what the fault-free replay
 // returned. A degraded device may fail a query, never change its answer.
 func TestFaultStormServesFaultFreeResults(t *testing.T) {
@@ -229,7 +229,7 @@ func TestFaultStormServesFaultFreeResults(t *testing.T) {
 			t.Fatalf("fault-free query %d: %v", i, err)
 		}
 	}
-	ex.SetFaultPlan(FaultPlan{Seed: 108, TransientRate: 0.02, StormEvery: 2048, StormLength: 256, StormFactor: 10})
+	ex.SetFaultPlan(FaultPlan{Seed: 108, TransientRate: 0.2})
 	stormy, errs := replay()
 	ds := ex.DiskStats()
 	served := 0

@@ -24,11 +24,6 @@ const (
 // paper's Human Brain Project meshes; see README, "Reproduction scale").
 type DataConfig = datagen.Config
 
-// GenerateObjects produces one synthetic dataset tagged with id.
-func GenerateObjects(cfg DataConfig, id DatasetID) []Object {
-	return datagen.Generate(cfg, id)
-}
-
 // GenerateDatasets produces n datasets sharing cfg.Bounds, with ids 0..n-1.
 func GenerateDatasets(cfg DataConfig, n int) [][]Object {
 	return datagen.GenerateDatasets(cfg, n)

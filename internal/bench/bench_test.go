@@ -231,25 +231,7 @@ func TestVerifyAgainstOracle(t *testing.T) {
 	}
 }
 
-func TestPopularComboDatasets(t *testing.T) {
-	got := PopularComboDatasets("1,3,10")
-	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 10 {
-		t.Fatalf("parsed %v", got)
-	}
-	if len(PopularComboDatasets("")) != 0 {
-		t.Fatal("empty key parsed to datasets")
-	}
-	single := PopularComboDatasets("7")
-	if len(single) != 1 || single[0] != 7 {
-		t.Fatalf("single = %v", single)
-	}
-}
-
 func TestWorkloadConfigDefaults(t *testing.T) {
-	w := DefaultWorkloadConfig()
-	if w.Queries != 1000 || w.QueryVolumeFrac != 1e-4 {
-		t.Fatalf("defaults = %+v", w)
-	}
 	if len(Figure4Engines) != 5 {
 		t.Fatalf("Figure4Engines = %v", Figure4Engines)
 	}

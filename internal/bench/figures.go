@@ -5,13 +5,11 @@ import (
 	"io"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"spaceodyssey/internal/core"
 	"spaceodyssey/internal/datagen"
 	"spaceodyssey/internal/geom"
-	"spaceodyssey/internal/object"
 	"spaceodyssey/internal/workload"
 )
 
@@ -66,11 +64,6 @@ type WorkloadConfig struct {
 	QueryVolumeFrac float64
 	// Seed drives workload generation.
 	Seed int64
-}
-
-// DefaultWorkloadConfig returns harness-scale defaults.
-func DefaultWorkloadConfig() WorkloadConfig {
-	return WorkloadConfig{Queries: 1000, QueryVolumeFrac: 1e-4, Seed: 7}
 }
 
 // WorkloadForSpec builds the workload of a figure for k datasets per query.
@@ -472,28 +465,4 @@ func Mean(ds []time.Duration) time.Duration {
 		sum += d
 	}
 	return sum / time.Duration(len(ds))
-}
-
-// PopularComboDatasets parses a ComboKey back into dataset ids, sorted.
-func PopularComboDatasets(key core.ComboKey) []object.DatasetID {
-	var out []object.DatasetID
-	cur := 0
-	has := false
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if c == ',' {
-			if has {
-				out = append(out, object.DatasetID(cur))
-			}
-			cur, has = 0, false
-			continue
-		}
-		cur = cur*10 + int(c-'0')
-		has = true
-	}
-	if has {
-		out = append(out, object.DatasetID(cur))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -141,26 +141,9 @@ func (b Box) Octant(i int) Box {
 	return Box{Min: lo, Max: hi}
 }
 
-// Subdivide splits b into k^3 equal cells (k per dimension) and returns them
-// ordered x-fastest. k must be >= 1. The cells tile b exactly: cell (i,j,l)
-// spans [Min + step*(i,j,l), Min + step*(i+1,j+1,l+1)].
-func (b Box) Subdivide(k int) []Box {
-	if k < 1 {
-		panic(fmt.Sprintf("geom: subdivide k=%d must be >= 1", k))
-	}
-	cells := make([]Box, 0, k*k*k)
-	for z := 0; z < k; z++ {
-		for y := 0; y < k; y++ {
-			for x := 0; x < k; x++ {
-				cells = append(cells, b.Cell(k, x, y, z))
-			}
-		}
-	}
-	return cells
-}
-
-// Cell returns cell (x, y, z) of b's k×k×k subdivision — Subdivide's cell
-// (z*k+y)*k+x, bit for bit — without building the others.
+// Cell returns cell (x, y, z) of b's k×k×k subdivision into equal cells,
+// without building the others. Cells are numbered x-fastest: cell (x, y, z)
+// is number (z*k+y)*k+x. They tile b exactly: the outer faces are b's own.
 func (b Box) Cell(k, x, y, z int) Box {
 	step := b.Size().Div(float64(k))
 	lo := b.Min.Add(Vec{step.X * float64(x), step.Y * float64(y), step.Z * float64(z)})
@@ -192,7 +175,7 @@ type CellGrid struct {
 }
 
 // Grid returns the k^3 subdivision of b (k >= 1), cells ordered x-fastest as
-// in Subdivide.
+// as in Cell.
 func (b Box) Grid(k int) CellGrid {
 	return CellGrid{lo: b.Min, step: b.Size().Div(float64(k)), k: k}
 }
@@ -219,7 +202,7 @@ func (g *CellGrid) Cell(p Vec) (ix, iy, iz int) {
 	return g.axis(p.X, g.lo.X, g.step.X), g.axis(p.Y, g.lo.Y, g.step.Y), g.axis(p.Z, g.lo.Z, g.step.Z)
 }
 
-// Index returns the position of p's cell in Subdivide's order:
+// Index returns the number of p's cell in Cell's order:
 // (iz*k + iy)*k + ix. It spells the three axes out instead of calling Cell,
 // which is past the inliner's budget: the bulk loops pay one call an object.
 func (g *CellGrid) Index(p Vec) int {

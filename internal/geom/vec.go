@@ -35,9 +35,6 @@ func (v Vec) Sub(o Vec) Vec { return Vec{v.X - o.X, v.Y - o.Y, v.Z - o.Z} }
 // Mul returns the component-wise scaling of v by s.
 func (v Vec) Mul(s float64) Vec { return Vec{v.X * s, v.Y * s, v.Z * s} }
 
-// MulVec returns the component-wise (Hadamard) product of v and o.
-func (v Vec) MulVec(o Vec) Vec { return Vec{v.X * o.X, v.Y * o.Y, v.Z * o.Z} }
-
 // Div returns the component-wise division of v by s.
 func (v Vec) Div(s float64) Vec { return Vec{v.X / s, v.Y / s, v.Z / s} }
 
@@ -69,21 +66,6 @@ func (v Vec) Component(i int) float64 {
 	panic(fmt.Sprintf("geom: component index %d out of range", i))
 }
 
-// WithComponent returns a copy of v with the i-th component set to val.
-func (v Vec) WithComponent(i int, val float64) Vec {
-	switch i {
-	case 0:
-		v.X = val
-	case 1:
-		v.Y = val
-	case 2:
-		v.Z = val
-	default:
-		panic(fmt.Sprintf("geom: component index %d out of range", i))
-	}
-	return v
-}
-
 // Dot returns the dot product of v and o.
 func (v Vec) Dot(o Vec) float64 { return v.X*o.X + v.Y*o.Y + v.Z*o.Z }
 
@@ -98,9 +80,6 @@ func (v Vec) Less(o Vec) bool { return v.X < o.X && v.Y < o.Y && v.Z < o.Z }
 
 // LessEq reports whether every component of v is <= o's.
 func (v Vec) LessEq(o Vec) bool { return v.X <= o.X && v.Y <= o.Y && v.Z <= o.Z }
-
-// Eq reports exact component-wise equality.
-func (v Vec) Eq(o Vec) bool { return v == o }
 
 // Finite reports whether all components are finite numbers.
 func (v Vec) Finite() bool {

@@ -22,9 +22,6 @@ func TestVecArithmetic(t *testing.T) {
 	if got := a.Div(2); got != V(0.5, 1, 1.5) {
 		t.Errorf("Div = %v", got)
 	}
-	if got := a.MulVec(b); got != V(4, 10, 18) {
-		t.Errorf("MulVec = %v", got)
-	}
 	if got := a.Dot(b); got != 32 {
 		t.Errorf("Dot = %v", got)
 	}
@@ -93,17 +90,6 @@ func TestVecComponent(t *testing.T) {
 	for i, want := range []float64{7, 8, 9} {
 		if got := v.Component(i); got != want {
 			t.Errorf("Component(%d) = %v, want %v", i, got, want)
-		}
-	}
-	for i := 0; i < Dims; i++ {
-		got := v.WithComponent(i, 42)
-		if got.Component(i) != 42 {
-			t.Errorf("WithComponent(%d) did not set component", i)
-		}
-		for j := 0; j < Dims; j++ {
-			if j != i && got.Component(j) != v.Component(j) {
-				t.Errorf("WithComponent(%d) disturbed component %d", i, j)
-			}
 		}
 	}
 }

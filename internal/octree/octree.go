@@ -466,7 +466,7 @@ func (t *Tree) Lookup(area geom.Box) []*Partition {
 // an internal node it descends only into the children that can: on each axis
 // the first and last child whose stored interval meets area's (closed, as in
 // Box.Intersects), found from the node's two ends. Children with equal index
-// on an axis share its interval — geom.Box.Subdivide cuts every axis on its
+// on an axis share its interval — geom.Box.Cell cuts every axis on its
 // own — so the k children along each axis from the first stand for their
 // slabs, and the product of the three spans is exactly the set of children a
 // walk box-testing all k^3 would enter, in the same (z, y, x) order. Nothing

@@ -51,13 +51,11 @@ type Stats struct {
 	QueuedDelay time.Duration
 	// Fault-injection and retry ledger (see FaultPlan / RetryPolicy).
 	// Faulted read attempts are rejected before any charge, so none of them
-	// appear in PageReads or the clock; LatencySpikes stall wall-clock
-	// emulation only. RetriedOps counts retry attempts performed;
-	// RetryExhausted counts reads that still failed after their last attempt
-	// or that the backoff budget cut off.
+	// appear in PageReads or the clock. RetriedOps counts retry attempts
+	// performed; RetryExhausted counts reads that still failed after their
+	// last attempt or that the backoff budget cut off.
 	TransientFaults int64
 	PermanentFaults int64
-	LatencySpikes   int64
 	RetriedOps      int64
 	RetryExhausted  int64
 }
@@ -86,7 +84,6 @@ func (s *Stats) Add(o Stats) {
 	s.QueuedDelay += o.QueuedDelay
 	s.TransientFaults += o.TransientFaults
 	s.PermanentFaults += o.PermanentFaults
-	s.LatencySpikes += o.LatencySpikes
 	s.RetriedOps += o.RetriedOps
 	s.RetryExhausted += o.RetryExhausted
 }
@@ -225,7 +222,6 @@ type Device struct {
 	retry           atomic.Pointer[RetryPolicy]
 	transientFaults atomic.Int64
 	permanentFaults atomic.Int64
-	latencySpikes   atomic.Int64
 	retriedOps      atomic.Int64
 	retryExhausted  atomic.Int64
 
@@ -410,14 +406,11 @@ func (d *Device) readPage(ctx context.Context, id FileID, idx int64, buf []byte)
 		return 0, fmt.Errorf("%w: file %d page %d of %d", ErrOutOfRange, id, idx, n)
 	}
 	key := pageKey{id, idx}
-	var spike time.Duration
 	if d.faultsArmed.Load() {
-		sp, ferr := d.takeFault(key)
-		if ferr != nil {
+		if ferr := d.takeFault(key); ferr != nil {
 			f.mu.RUnlock()
 			return 0, ferr
 		}
-		spike = sp
 	}
 	var dt time.Duration
 	s := ScopeFrom(ctx)
@@ -435,11 +428,7 @@ func (d *Device) readPage(ctx context.Context, id FileID, idx int64, buf []byte)
 	n := copy(buf, f.pages[idx])
 	f.mu.RUnlock()
 	clear(buf[n:])
-	// A latency spike stretches only the wall-clock emulation sleep the
-	// caller performs — the simulated clock and scope charges above saw the
-	// normal service time, so a limping head slows serving without changing
-	// any cost accounting.
-	return dt + spike, nil
+	return dt, nil
 }
 
 // WritePageCtx overwrites an existing page in place (partition refinement
@@ -667,7 +656,6 @@ func (d *Device) Stats() Stats {
 		QueuedDelay:     time.Duration(d.queuedDelay.Load()),
 		TransientFaults: d.transientFaults.Load(),
 		PermanentFaults: d.permanentFaults.Load(),
-		LatencySpikes:   d.latencySpikes.Load(),
 		RetriedOps:      d.retriedOps.Load(),
 		RetryExhausted:  d.retryExhausted.Load(),
 	}
@@ -688,7 +676,6 @@ func (d *Device) ResetStats() {
 	d.queuedDelay.Store(0)
 	d.transientFaults.Store(0)
 	d.permanentFaults.Store(0)
-	d.latencySpikes.Store(0)
 	d.retriedOps.Store(0)
 	d.retryExhausted.Store(0)
 	for i := range d.channels {

@@ -3,8 +3,6 @@ package simdisk
 import (
 	"errors"
 	"fmt"
-	"math"
-	"time"
 )
 
 // Fault taxonomy. Every injected read failure the device produces wraps one
@@ -17,7 +15,7 @@ import (
 // retrying.
 var (
 	// ErrTransient marks a fault that may clear on re-read: a timeout, a
-	// recoverable ECC hiccup, a storm-mode probabilistic failure.
+	// recoverable ECC hiccup, a probabilistic failure of the plan's rate.
 	ErrTransient = errors.New("simdisk: transient read fault")
 	// ErrPermanent marks an unrecoverable fault: the page is bad and every
 	// future read of it fails the same way. Callers must not retry; what
@@ -34,11 +32,6 @@ const (
 	// FaultPermanent faults are sticky: once a page has failed permanently it
 	// fails on every subsequent read, until a new plan is installed.
 	FaultPermanent
-	// FaultSpike is a latency-spike ("limping head") fault: the read succeeds
-	// but stalls for the plan's SpikeLatency in wall-clock emulation. Spikes
-	// never advance the simulated clock and are never charged to an OpScope —
-	// they model a drive that is slow, not a workload that is heavier.
-	FaultSpike
 )
 
 func (k FaultKind) String() string {
@@ -47,8 +40,6 @@ func (k FaultKind) String() string {
 		return "transient"
 	case FaultPermanent:
 		return "permanent"
-	case FaultSpike:
-		return "spike"
 	default:
 		return fmt.Sprintf("FaultKind(%d)", int(k))
 	}
@@ -109,31 +100,17 @@ type FaultPlan struct {
 	// TransientRate is the probability in [0, 1] that a read returns a
 	// transient fault. PermanentRate is the probability that a read discovers
 	// the page has gone permanently bad (the page then fails forever).
-	// SpikeRate is the probability that a read stalls for SpikeLatency.
 	TransientRate float64
 	PermanentRate float64
-	SpikeRate     float64
-	SpikeLatency  time.Duration
 
 	// Pages lists explicit per-file/page fault patterns, checked before any
 	// probabilistic evaluation.
 	Pages []PageFault
-
-	// Storm mode: when StormEvery > 0, reads [k*StormEvery, k*StormEvery+
-	// StormLength) of the device's read sequence (for every k >= 0) fall in
-	// a storm window during which the probabilistic rates are multiplied by
-	// StormFactor (default 10, capped at rate 1). Storm phase follows the
-	// device's global read order, so under concurrency the window's position
-	// depends on interleaving even though each page's fault decisions stay
-	// seed-deterministic.
-	StormEvery  int
-	StormLength int
-	StormFactor float64
 }
 
 // active reports whether the plan can ever inject anything.
 func (p *FaultPlan) active() bool {
-	return p.TransientRate > 0 || p.PermanentRate > 0 || p.SpikeRate > 0 || len(p.Pages) > 0
+	return p.TransientRate > 0 || p.PermanentRate > 0 || len(p.Pages) > 0
 }
 
 // faultState is the device-side evaluation state of a FaultPlan, guarded by
@@ -148,8 +125,6 @@ type faultState struct {
 	// perm pins pages the probabilistic PermanentRate has condemned, so they
 	// fail on every later read like an explicit permanent pattern.
 	perm map[pageKey]bool
-	// reads is the global read counter driving the storm window.
-	reads uint64
 }
 
 // splitmix64 is the avalanche mixer the probabilistic decisions hash with.
@@ -172,12 +147,11 @@ func faultRoll(seed int64, key pageKey, occ uint64, salt uint64) float64 {
 const (
 	saltTransient = 0x7472616e7369656e // "transien"
 	saltPermanent = 0x7065726d616e656e // "permanen"
-	saltSpike     = 0x7370696b65000000 // "spike"
 )
 
 // SetFaultPlan installs (or, with a zero plan, clears) the device's fault
 // plan. Installing a plan resets all evaluation state — page read ordinals,
-// sticky permanent pages, pattern budgets, the storm counter — so the same
+// sticky permanent pages, pattern budgets — so the same
 // plan replays the same fault sequence.
 func (d *Device) SetFaultPlan(plan FaultPlan) {
 	d.faultMu.Lock()
@@ -200,9 +174,6 @@ func (d *Device) SetFaultPlan(plan FaultPlan) {
 			st.patLeft[i] = pf.Count
 		}
 	}
-	if st.plan.StormFactor <= 0 {
-		st.plan.StormFactor = 10
-	}
 	d.faults = st
 	d.faultsArmed.Store(true)
 }
@@ -214,37 +185,20 @@ func (d *Device) FaultPlanActive() bool {
 	return d.faults != nil
 }
 
-// stormBoost returns the rate multiplier for read position pos (0-based
-// device read order): storm windows cover [k*StormEvery, k*StormEvery+
-// StormLength) for every k >= 0.
-func (st *faultState) stormBoost(pos uint64) float64 {
-	p := &st.plan
-	if p.StormEvery <= 0 || p.StormLength <= 0 {
-		return 1
-	}
-	if pos%uint64(p.StormEvery) < uint64(p.StormLength) {
-		return p.StormFactor
-	}
-	return 1
-}
-
-// takeFault decides the fate of one platter-path read of key: a latency
-// spike to add to the read's wall-clock emulation (never to the simulated
-// clock), an injected error, or neither. Called from readPage's fault hook
+// takeFault decides the fate of one platter-path read of key: an injected
+// error, or none. Called from readPage's fault hook
 // before any cache touch or platter charge — a faulted read costs nothing,
 // which is what lets the retry layer promise that retries never extend
 // simulated charges beyond I/O actually performed.
-func (d *Device) takeFault(key pageKey) (spike time.Duration, err error) {
+func (d *Device) takeFault(key pageKey) error {
 	d.faultMu.Lock()
 	defer d.faultMu.Unlock()
 	st := d.faults
 	if st == nil {
-		return 0, nil
+		return nil
 	}
 	ordinal := st.occ[key]
 	st.occ[key] = ordinal + 1
-	pos := st.reads
-	st.reads++
 
 	// Explicit patterns first.
 	for i := range st.plan.Pages {
@@ -258,40 +212,30 @@ func (d *Device) takeFault(key pageKey) (spike time.Duration, err error) {
 		if st.patLeft[i] > 0 {
 			st.patLeft[i]--
 		}
-		switch pf.Kind {
-		case FaultSpike:
-			d.latencySpikes.Add(1)
-			return st.plan.SpikeLatency, nil
-		case FaultPermanent:
+		if pf.Kind == FaultPermanent {
 			d.permanentFaults.Add(1)
-			return 0, &faultErr{kind: FaultPermanent, file: key.file, page: key.page, cause: pf.Err}
-		default:
-			d.transientFaults.Add(1)
-			return 0, &faultErr{kind: FaultTransient, file: key.file, page: key.page, cause: pf.Err}
+			return &faultErr{kind: FaultPermanent, file: key.file, page: key.page, cause: pf.Err}
 		}
+		d.transientFaults.Add(1)
+		return &faultErr{kind: FaultTransient, file: key.file, page: key.page, cause: pf.Err}
 	}
 
 	// Sticky probabilistic permanents.
 	if st.perm[key] {
 		d.permanentFaults.Add(1)
-		return 0, &faultErr{kind: FaultPermanent, file: key.file, page: key.page}
+		return &faultErr{kind: FaultPermanent, file: key.file, page: key.page}
 	}
 
-	boost := st.stormBoost(pos)
-	if r := st.plan.PermanentRate * boost; r > 0 && faultRoll(st.plan.Seed, key, ordinal, saltPermanent) < math.Min(r, 1) {
+	if r := st.plan.PermanentRate; r > 0 && faultRoll(st.plan.Seed, key, ordinal, saltPermanent) < r {
 		st.perm[key] = true
 		d.permanentFaults.Add(1)
-		return 0, &faultErr{kind: FaultPermanent, file: key.file, page: key.page}
+		return &faultErr{kind: FaultPermanent, file: key.file, page: key.page}
 	}
-	if r := st.plan.TransientRate * boost; r > 0 && faultRoll(st.plan.Seed, key, ordinal, saltTransient) < math.Min(r, 1) {
+	if r := st.plan.TransientRate; r > 0 && faultRoll(st.plan.Seed, key, ordinal, saltTransient) < r {
 		d.transientFaults.Add(1)
-		return 0, &faultErr{kind: FaultTransient, file: key.file, page: key.page}
+		return &faultErr{kind: FaultTransient, file: key.file, page: key.page}
 	}
-	if r := st.plan.SpikeRate * boost; r > 0 && faultRoll(st.plan.Seed, key, ordinal, saltSpike) < math.Min(r, 1) {
-		d.latencySpikes.Add(1)
-		return st.plan.SpikeLatency, nil
-	}
-	return 0, nil
+	return nil
 }
 
 // SetFaultPlan fans the plan out to every member with a per-member seed

@@ -75,7 +75,7 @@ func faultSequence(t *testing.T, plan FaultPlan, pages, nReads int64) []string {
 // TestFaultPlanDeterministic pins that the same seed replays the same fault
 // sequence, and a different seed a different one.
 func TestFaultPlanDeterministic(t *testing.T) {
-	plan := FaultPlan{Seed: 42, TransientRate: 0.2, PermanentRate: 0.02, SpikeRate: 0.1}
+	plan := FaultPlan{Seed: 42, TransientRate: 0.2, PermanentRate: 0.02}
 	a := faultSequence(t, plan, 64, 512)
 	b := faultSequence(t, plan, 64, 512)
 	for i := range a {
@@ -295,61 +295,6 @@ func TestRetryCancelDuringBackoff(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("retry backoff ignored cancellation")
-	}
-}
-
-// TestLatencySpikeWallClockOnly pins that spike faults stall wall-clock
-// emulation without advancing the simulated clock.
-func TestLatencySpikeWallClockOnly(t *testing.T) {
-	d, id := faultDev(t, 2)
-	buf := make([]byte, PageSize)
-	// Clean read first: page 0's charge without any plan.
-	before := d.Clock()
-	if err := d.ReadPageCtx(context.Background(), id, 0, buf); err != nil {
-		t.Fatal(err)
-	}
-	clean := d.Clock() - before
-
-	d.DropCaches()
-	d.SetFaultPlan(FaultPlan{Seed: 1, SpikeLatency: time.Hour, Pages: []PageFault{{File: id, Page: 0, Kind: FaultSpike, Count: 1}}})
-	before = d.Clock()
-	if err := d.ReadPageCtx(context.Background(), id, 0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Clock() - before; got > clean {
-		t.Fatalf("spike advanced the simulated clock: %v > clean %v", got, clean)
-	}
-	if st := d.Stats(); st.LatencySpikes != 1 {
-		t.Fatalf("LatencySpikes = %d, want 1", st.LatencySpikes)
-	}
-}
-
-// TestStormModeWindows pins that storm windows multiply the fault rate: a
-// plan whose base rate is zero outside the window faults only inside it.
-func TestStormModeWindows(t *testing.T) {
-	d, id := faultDev(t, 8)
-	// Base rate 0.1 boosted x10 => rate 1.0 inside the storm window: reads
-	// 0-3 of every 16 fault deterministically, the rest roll at 0.1.
-	d.SetFaultPlan(FaultPlan{Seed: 5, TransientRate: 0.1, StormEvery: 16, StormLength: 4, StormFactor: 10})
-	buf := make([]byte, PageSize)
-	var inStorm, faulted int
-	for i := 0; i < 64; i++ {
-		err := d.ReadPageCtx(context.Background(), id, int64(i%8), buf)
-		if i%16 < 4 {
-			inStorm++
-			if !errors.Is(err, ErrTransient) {
-				t.Fatalf("storm-window read %d did not fault: %v", i, err)
-			}
-		}
-		if err != nil {
-			faulted++
-		}
-	}
-	if inStorm != 16 {
-		t.Fatalf("expected 16 storm reads, saw %d", inStorm)
-	}
-	if faulted >= 64 {
-		t.Fatal("every read faulted; storm boost leaked outside its window")
 	}
 }
 

@@ -29,21 +29,19 @@ type RetryPolicy struct {
 
 func (p RetryPolicy) enabled() bool { return p.MaxAttempts > 1 }
 
-// Backoff is one operation's walk through a RetryPolicy's sleep schedule:
-// the device's page-read retries and the cluster Router's failover follow
-// the same one, a fault domain apart.
-type Backoff struct {
+// backoff is one page read's walk through a RetryPolicy's sleep schedule.
+type backoff struct {
 	next, slept, budget time.Duration
 }
 
-// Schedule starts the policy's schedule for one operation.
-func (p RetryPolicy) Schedule() Backoff { return Backoff{next: p.Backoff, budget: p.Budget} }
+// schedule starts the policy's schedule for one page read.
+func (p RetryPolicy) schedule() backoff { return backoff{next: p.Backoff, budget: p.Budget} }
 
-// Wait sleeps before the next retry — Backoff the first time, doubling on
+// wait sleeps before the next retry — Backoff the first time, doubling on
 // each later one — and reports false, without sleeping, once the cumulative
 // sleep would pass Budget. A ctx canceled mid-sleep aborts it with the
 // wrapped cancellation error.
-func (b *Backoff) Wait(ctx context.Context) (bool, error) {
+func (b *backoff) wait(ctx context.Context) (bool, error) {
 	if b.next <= 0 {
 		return true, nil
 	}
@@ -98,9 +96,9 @@ func (d *Device) readPageRetry(ctx context.Context, id FileID, idx int64, buf []
 	if !p.enabled() {
 		return 0, err
 	}
-	sched := p.Schedule()
+	sched := p.schedule()
 	for attempt := 2; attempt <= p.MaxAttempts; attempt++ {
-		if ok, serr := sched.Wait(ctx); serr != nil {
+		if ok, serr := sched.wait(ctx); serr != nil {
 			d.canceledOps.Add(1)
 			return 0, fmt.Errorf("%w (while backing off from %w)", serr, err)
 		} else if !ok {

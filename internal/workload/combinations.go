@@ -31,19 +31,3 @@ func Combinations(n, k int) [][]object.DatasetID {
 	rec(0)
 	return out
 }
-
-// Binomial returns C(n, k) without overflow for the small arguments used
-// here (n <= 30).
-func Binomial(n, k int) int {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	res := 1
-	for i := 0; i < k; i++ {
-		res = res * (n - i) / (i + 1)
-	}
-	return res
-}

@@ -30,9 +30,6 @@ func TestCombinationsPaperSizes(t *testing.T) {
 		if got := len(Combinations(10, k)); got != want {
 			t.Errorf("C(10,%d) = %d, want %d", k, got, want)
 		}
-		if got := Binomial(10, k); got != want {
-			t.Errorf("Binomial(10,%d) = %d, want %d", k, got, want)
-		}
 	}
 }
 
@@ -46,15 +43,6 @@ func TestCombinationsPanics(t *testing.T) {
 			}()
 			Combinations(4, k)
 		}()
-	}
-}
-
-func TestBinomialEdges(t *testing.T) {
-	if Binomial(10, -1) != 0 || Binomial(10, 11) != 0 {
-		t.Error("out-of-range Binomial nonzero")
-	}
-	if Binomial(0, 0) != 1 || Binomial(5, 0) != 1 || Binomial(5, 5) != 1 {
-		t.Error("Binomial edge cases wrong")
 	}
 }
 

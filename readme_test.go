@@ -79,9 +79,10 @@ func declaredNames(t *testing.T, dir string) map[string]bool {
 var (
 	codeSpan = regexp.MustCompile("`([^`]+)`")
 	// goRef is a name README points a reader at: a field or method of
-	// Options or Explorer, or a name in simdisk or core, optionally followed
-	// by a field or method of it.
-	goRef = regexp.MustCompile(`(?:^|[^\w.])(Options|Explorer|simdisk|core)\.(\w+)(?:\.(\w+))?`)
+	// Options, Explorer, Dispatcher or cluster's Router, or a name in
+	// simdisk, core or cluster, optionally followed by a field or method of
+	// it.
+	goRef = regexp.MustCompile(`(?:^|[^\w.])(Options|Explorer|Dispatcher|Router|simdisk|core|cluster)\.(\w+)(?:\.(\w+))?`)
 	// fileRef is a file README names, bare or as a path; * globs.
 	fileRef = regexp.MustCompile(`[\w./*-]+\.(?:go|json|yml|sh)\b`)
 )
@@ -110,8 +111,9 @@ func splitReadme(readme string) (prose []string, cmds []workflowStep) {
 // in an inline code span is there (a file: in git ls-files; a bare name
 // matches any path), and every test a go test command of a fenced block
 // selects by name exists. Fenced blocks are commands to copy, and
-// the files they write need not exist. A lower-case name after simdisk. or
-// core. is a benchmark metric (core.cache_hit_frac), not a Go name.
+// the files they write need not exist. A lower-case name after simdisk.,
+// core. or cluster. is a benchmark metric (core.cache_hit_frac), not a Go
+// name.
 func TestReadmeNamesWhatExists(t *testing.T) {
 	data, err := os.ReadFile("README.md")
 	if err != nil {
@@ -121,6 +123,7 @@ func TestReadmeNamesWhatExists(t *testing.T) {
 	pkgs := map[string]map[string]bool{
 		"simdisk": declaredNames(t, "internal/simdisk"),
 		"core":    declaredNames(t, "internal/core"),
+		"cluster": declaredNames(t, "cluster"),
 	}
 	root := declaredNames(t, ".")
 	out, gitErr := exec.Command("git", "ls-files").Output()
@@ -150,8 +153,12 @@ func TestReadmeNamesWhatExists(t *testing.T) {
 			ref := strings.TrimSuffix(qual+"."+name+"."+member, ".")
 			var ok bool
 			switch names := pkgs[qual]; {
-			case names == nil: // Options, Explorer
-				ok = root[qual+"."+name]
+			case names == nil: // a member of Options, Explorer, Dispatcher or Router
+				members := root
+				if qual == "Router" {
+					members = pkgs["cluster"]
+				}
+				ok = members[qual+"."+name]
 			case !unicode.IsUpper(rune(name[0])):
 				continue
 			default: // a member is checked where the name is a type that has some

@@ -55,8 +55,7 @@ type (
 	FaultPlan = simdisk.FaultPlan
 	// PageFault is one explicit per-file/page fault pattern of a FaultPlan.
 	PageFault = simdisk.PageFault
-	// FaultKind classifies an injected fault: transient, permanent, or a
-	// latency spike.
+	// FaultKind classifies an injected fault: transient or permanent.
 	FaultKind = simdisk.FaultKind
 	// RetryPolicy is the storage-read retry policy (see
 	// Explorer.SetRetryPolicy).
@@ -104,8 +103,6 @@ const (
 	FaultTransient = simdisk.FaultTransient
 	// FaultPermanent injects unretryable read failures.
 	FaultPermanent = simdisk.FaultPermanent
-	// FaultSpike injects wall-clock latency spikes (reads succeed, slowly).
-	FaultSpike = simdisk.FaultSpike
 )
 
 // Geometry constructors, re-exported for convenience.
