@@ -12,21 +12,17 @@
 //     loop, no ticker.
 //   - Automatic failover: a sub-query that fails on one replica moves to
 //     the next, each replica tried once, so a crashed shard costs a
-//     failover, not an outage, as long as a replica lives.
-//   - Hedged requests: when a sub-query outlives the tracked p99 of recent
-//     served latencies, a hedge fires against another live replica; the
-//     first response wins by CAS arbitration and the loser is canceled
-//     through the ordinary QueryCtx machinery. Every leg runs under its own
-//     fresh charge scope, so hedging can never double-count cache or charge
-//     statistics — the loser's partial charges are ledgered as WastedSim,
-//     keeping the cluster-wide charge conservation identity exact.
+//     failover, not an outage, as long as a replica lives. Every leg runs
+//     under its own fresh charge scope: the served leg's charge is ledgered
+//     as ChargedSim and a failed leg's as WastedSim, keeping the
+//     cluster-wide charge conservation identity exact.
 //   - Failing fast: when a requested dataset has no live replica the whole
 //     query fails with an error wrapping ErrNoReplica — never a silently
 //     truncated result set.
 //
-// Shard-level fault injection (ShardFaultPlan: crash windows and slow-shard
-// storms) is deterministic — windows are expressed in query ordinals, not
-// wall clock — so every failure mode above is testable; results are pinned
+// Shard-level fault injection (ShardFaultPlan: crash windows) is
+// deterministic — windows are expressed in query ordinals, not wall clock —
+// so every failure mode above is testable; results are pinned
 // byte-identical to a single Explorer over the union of datasets, including
 // mid-crash.
 package cluster
@@ -53,15 +49,6 @@ var (
 	ErrNoReplica = errors.New("cluster: no live replica for dataset")
 )
 
-// HedgeConfig tunes hedged sub-queries (off by default).
-type HedgeConfig struct {
-	// Enabled turns hedging on: a sub-query that outlives the hedge delay —
-	// the p99 of recent served latencies, clamped into [hedgeMinDelay,
-	// hedgeMaxDelay] — fires a second leg against another live replica;
-	// first response wins.
-	Enabled bool
-}
-
 // Config configures a cluster.
 type Config struct {
 	// Shards is the shard count N (default 2).
@@ -72,6 +59,4 @@ type Config struct {
 	// Options configures each shard's Explorer. Every shard gets the same
 	// options (its own simulated device, cache, and maintenance pipeline).
 	Options odyssey.Options
-	// Hedge tunes hedged sub-queries.
-	Hedge HedgeConfig
 }

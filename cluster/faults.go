@@ -1,7 +1,5 @@
 package cluster
 
-import "time"
-
 // ShardFaultPlan is the shard-level fault-injection plan — the device
 // FaultPlan's discipline promoted one fault domain up. It is fully
 // deterministic: every window is expressed in router query ordinals, never
@@ -14,8 +12,8 @@ type ShardFaultPlan struct {
 	Faults []ShardFault
 }
 
-// ShardFault describes the injected failure modes of one shard. Each
-// window is half-open — active for ordinals in [After, After+For).
+// ShardFault describes the injected crash window of one shard. The window
+// is half-open — active for ordinals in [CrashAfter, CrashAfter+CrashFor).
 type ShardFault struct {
 	// Shard is the target shard index.
 	Shard int
@@ -26,16 +24,6 @@ type ShardFault struct {
 	// crashed shard does no work), and the router tries it only after every
 	// live replica. CrashFor <= 0 injects no crash.
 	CrashAfter, CrashFor int64
-
-	// Slow-shard storm, in router query ordinals: while the query count is
-	// inside [SlowAfter, SlowAfter+SlowFor), every sub-query served by this
-	// shard first sleeps SlowDelay of wall-clock time (canceled early if
-	// the sub-query's context dies — a hedge winner cuts the sleeping
-	// loser short). The delay is pure wall clock: simulated charges and
-	// query results are untouched. SlowFor <= 0 or SlowDelay <= 0 injects
-	// no storm.
-	SlowAfter, SlowFor int64
-	SlowDelay          time.Duration
 }
 
 // crashed reports whether shard is inside a crash window at query ordinal
@@ -51,19 +39,4 @@ func (p *ShardFaultPlan) crashed(shard int, ord int64) bool {
 		}
 	}
 	return false
-}
-
-// slow returns the injected wall-clock delay for a sub-query served by
-// shard at query ordinal ord (0 when outside every storm window).
-func (p *ShardFaultPlan) slow(shard int, ord int64) time.Duration {
-	if p == nil {
-		return 0
-	}
-	for _, f := range p.Faults {
-		if f.Shard == shard && f.SlowFor > 0 && f.SlowDelay > 0 &&
-			ord >= f.SlowAfter && ord < f.SlowAfter+f.SlowFor {
-			return f.SlowDelay
-		}
-	}
-	return 0
 }

@@ -57,7 +57,7 @@ func (p *placement) groups(datasets []odyssey.DatasetID) ([]group, error) {
 
 // sortObjects orders a merged result set deterministically by
 // (dataset, id): the fan-out's concatenation order must never show through
-// to callers, whichever shards or hedge legs happened to answer first.
+// to callers, whichever shards happened to answer first.
 func sortObjects(objs []odyssey.Object) {
 	sort.Slice(objs, func(i, j int) bool {
 		if objs[i].Dataset != objs[j].Dataset {

@@ -17,8 +17,7 @@ type RouterStats struct {
 	// Queries counts queries submitted to the Router; every one ends in
 	// exactly one of Served or Failed.
 	Queries int64
-	// SubQueries counts shard legs executed (failover attempts and hedge
-	// legs included).
+	// SubQueries counts shard legs executed (failover attempts included).
 	SubQueries int64
 	// Served and Failed classify query outcomes: complete answer or error.
 	Served int64
@@ -26,43 +25,32 @@ type RouterStats struct {
 	// Failovers counts sub-queries moved to another replica after a
 	// failoverable error.
 	Failovers int64
-	// HedgesFired counts hedge legs launched after the p99 delay expired;
-	// HedgeWins counts hedged legs whose response was the one returned;
-	// HedgeDiscarded counts legs that completed successfully but lost the
-	// first-response race.
-	HedgesFired    int64
-	HedgeWins      int64
-	HedgeDiscarded int64
 	// ShardRejects counts sub-queries rejected by crashed shards.
 	ShardRejects int64
 	// ChargedSim is the simulated time attributed to returned answers (the
-	// winning leg of every served sub-query); WastedSim is the simulated
-	// time charged by legs whose result was not returned — hedge losers and
-	// failed or canceled legs. Their sum equals the shards' device-side
-	// charge ledger exactly (busy + cache-hit + queueing): hedging
-	// re-routes charges, it never double-counts them.
+	// served leg of every sub-query); WastedSim is the simulated time
+	// charged by legs whose result was not returned — failed or canceled
+	// legs. Their sum equals the shards' device-side charge ledger exactly
+	// (busy + cache-hit + queueing): failover re-routes charges, it never
+	// double-counts them.
 	ChargedSim time.Duration
 	WastedSim  time.Duration
 }
 
 // Router fans range queries out over a set of Explorer shards, merges the
 // sub-results deterministically, and survives shard failure through
-// failover and hedged reads. It is safe for concurrent use; Close drains
-// in-flight work and closes every shard.
+// failover. It is safe for concurrent use; Close drains in-flight work and
+// closes every shard.
 type Router struct {
-	cfg     Config
-	shards  []*shard
-	place   *placement
-	tracker *latencyTracker
+	cfg    Config
+	shards []*shard
+	place  *placement
 
 	// plan is the installed shard fault plan (nil = none).
 	plan atomic.Pointer[ShardFaultPlan]
-	// ord numbers queries; the fault plan's crash and slow windows are
-	// evaluated against it.
+	// ord numbers queries; the fault plan's crash windows are evaluated
+	// against it.
 	ord atomic.Int64
-	// legs tracks in-flight sub-query goroutines: a hedge loser may outlive
-	// its query, and Close must wait it out before closing the shards.
-	legs sync.WaitGroup
 
 	// mu orders queries (shared) against AddDataset and Close (exclusive),
 	// the Explorer's own discipline one level up.
@@ -73,15 +61,12 @@ type Router struct {
 	closeDone chan struct{}
 	closeErr  error
 
-	subQueries     atomic.Int64
-	served         atomic.Int64
-	failed         atomic.Int64
-	failovers      atomic.Int64
-	hedgesFired    atomic.Int64
-	hedgeWins      atomic.Int64
-	hedgeDiscarded atomic.Int64
-	chargedSim     atomic.Int64
-	wastedSim      atomic.Int64
+	subQueries atomic.Int64
+	served     atomic.Int64
+	failed     atomic.Int64
+	failovers  atomic.Int64
+	chargedSim atomic.Int64
+	wastedSim  atomic.Int64
 }
 
 // New builds a cluster of cfg.Shards Explorers, each with its own simulated
@@ -99,7 +84,6 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg:       cfg,
 		place:     newPlacement(cfg.Shards),
-		tracker:   newLatencyTracker(),
 		closeDone: make(chan struct{}),
 	}
 	for i := 0; i < cfg.Shards; i++ {
@@ -160,10 +144,9 @@ func (r *Router) Query(q odyssey.Box, datasets []odyssey.DatasetID) ([]odyssey.O
 }
 
 // QueryCtx is Query with cancellation and deadline support. Sub-queries
-// inherit ctx; each leg additionally runs under its own fresh charge scope
-// (hedge legs never share one). When every replica of some requested
-// dataset is unreachable the query fails with an error wrapping
-// ErrNoReplica.
+// inherit ctx; each leg additionally runs under its own fresh charge scope.
+// When every replica of some requested dataset is unreachable the query
+// fails with an error wrapping ErrNoReplica.
 func (r *Router) QueryCtx(ctx context.Context, q odyssey.Box, datasets []odyssey.DatasetID) ([]odyssey.Object, error) {
 	if len(datasets) == 0 {
 		return nil, fmt.Errorf("cluster: query names no datasets")
@@ -219,8 +202,8 @@ func (r *Router) QueryCtx(ctx context.Context, q odyssey.Box, datasets []odyssey
 // failoverable classifies an error as a shard-availability failure worth
 // trying another replica for: a crashed shard, a closed shard Explorer, or
 // a device-level read fault that survived the shard's own page retries.
-// Cancellations are never failed over — the caller gave up, and a
-// canceled hedge loser must not look like an outage.
+// Cancellations are never failed over — the caller gave up, which is not
+// an outage.
 func failoverable(err error) bool {
 	if err == nil || odyssey.IsCanceled(err) {
 		return false
@@ -261,19 +244,21 @@ func (r *Router) orderCandidates(replicas []int, ord int64) []*shard {
 
 // serveGroup answers one fan-out group, trying each of its replicas once in
 // orderCandidates' order and failing over to the next on a failoverable
-// error. Exhausting every replica wraps ErrNoReplica.
+// error. Each leg's charge is booked once: the served leg's as ChargedSim,
+// every other leg's — device work whose result is not returned — as
+// WastedSim, so conservation stays exact. Exhausting every replica wraps
+// ErrNoReplica.
 func (r *Router) serveGroup(ctx context.Context, q odyssey.Box, g group, ord int64) ([]odyssey.Object, error) {
 	cands := r.orderCandidates(g.replicas, ord)
 	var lastErr error
 	for a, s := range cands {
-		var alt *shard
-		if r.cfg.Hedge.Enabled && len(cands) > 1 {
-			alt = cands[(a+1)%len(cands)]
-		}
-		objs, err := r.runHedged(ctx, q, g.datasets, s, alt, ord)
+		objs, dur, err := s.serve(ctx, q, g.datasets, ord)
+		r.subQueries.Add(1)
 		if err == nil {
+			r.chargedSim.Add(int64(dur))
 			return objs, nil
 		}
+		r.wastedSim.Add(int64(dur))
 		lastErr = err
 		if !failoverable(err) {
 			return nil, err
@@ -285,84 +270,6 @@ func (r *Router) serveGroup(ctx context.Context, q odyssey.Box, g group, ord int
 	return nil, fmt.Errorf("%w: %v replicas exhausted: %w", ErrNoReplica, len(cands), lastErr)
 }
 
-// runHedged executes one sub-query on shard s, hedging onto alt (when
-// non-nil) if s has not answered within the tracked p99 delay. First
-// response wins by CAS arbitration, and winning cancels the other leg
-// mid-flight through the ordinary QueryCtx machinery. Every leg runs under
-// its own fresh charge scope inside shard.serve, and a losing leg's charges
-// are ledgered as WastedSim by the leg itself, so charge conservation stays
-// exact and nothing is ever double-counted.
-func (r *Router) runHedged(ctx context.Context, q odyssey.Box, dss []odyssey.DatasetID, s, alt *shard, ord int64) ([]odyssey.Object, error) {
-	type legOut struct {
-		objs []odyssey.Object
-		err  error
-		won  bool
-	}
-	lctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	won := new(atomic.Bool)
-	out := make(chan legOut, 2)
-	leg := func(sh *shard, hedge bool) {
-		r.legs.Add(1)
-		go func() {
-			defer r.legs.Done()
-			t0 := time.Now()
-			objs, dur, err := sh.serve(lctx, q, dss, ord)
-			r.subQueries.Add(1)
-			if err == nil && won.CompareAndSwap(false, true) {
-				r.chargedSim.Add(int64(dur))
-				// Only returned latencies feed the hedge trigger: the p99
-				// tracks what callers experience, so a slow-shard storm
-				// cannot disarm hedging by inflating it.
-				r.tracker.observe(time.Since(t0))
-				if hedge {
-					r.hedgeWins.Add(1)
-				}
-				cancel() // cut the losing leg short
-				out <- legOut{objs: objs, won: true}
-				return
-			}
-			// Lost the race, or failed: real device work whose result is
-			// not returned — ledger it so conservation stays exact.
-			r.wastedSim.Add(int64(dur))
-			if err == nil {
-				r.hedgeDiscarded.Add(1)
-			}
-			out <- legOut{err: err}
-		}()
-	}
-	leg(s, false)
-	launched := 1
-	var hedgeCh <-chan time.Time
-	if alt != nil {
-		timer := time.NewTimer(r.tracker.delay())
-		defer timer.Stop()
-		hedgeCh = timer.C
-	}
-	var lastErr error
-	for got := 0; got < launched; {
-		select {
-		case o := <-out:
-			got++
-			if o.won {
-				return o.objs, nil
-			}
-			if o.err != nil {
-				lastErr = o.err
-			}
-		case <-hedgeCh:
-			hedgeCh = nil
-			r.hedgesFired.Add(1)
-			launched++
-			leg(alt, true)
-		}
-	}
-	if lastErr == nil {
-		lastErr = ErrShardDown
-	}
-	return nil, lastErr
-}
-
 // Stats snapshots the cluster serving ledger. Under concurrent load the
 // snapshot is per-counter consistent; after Close it is exact.
 func (r *Router) Stats() RouterStats {
@@ -371,17 +278,14 @@ func (r *Router) Stats() RouterStats {
 		rejects += s.rejects.Load()
 	}
 	return RouterStats{
-		Queries:        r.ord.Load(),
-		SubQueries:     r.subQueries.Load(),
-		Served:         r.served.Load(),
-		Failed:         r.failed.Load(),
-		Failovers:      r.failovers.Load(),
-		HedgesFired:    r.hedgesFired.Load(),
-		HedgeWins:      r.hedgeWins.Load(),
-		HedgeDiscarded: r.hedgeDiscarded.Load(),
-		ShardRejects:   rejects,
-		ChargedSim:     time.Duration(r.chargedSim.Load()),
-		WastedSim:      time.Duration(r.wastedSim.Load()),
+		Queries:      r.ord.Load(),
+		SubQueries:   r.subQueries.Load(),
+		Served:       r.served.Load(),
+		Failed:       r.failed.Load(),
+		Failovers:    r.failovers.Load(),
+		ShardRejects: rejects,
+		ChargedSim:   time.Duration(r.chargedSim.Load()),
+		WastedSim:    time.Duration(r.wastedSim.Load()),
 	}
 }
 
@@ -426,9 +330,9 @@ func (r *Router) Quiesce(ctx context.Context) error {
 }
 
 // Close shuts the cluster down: new queries and registrations fail fast
-// with ErrClosed, in-flight queries are waited out, stray hedge losers are
-// drained, and every shard Explorer is closed (which itself drains
-// shard-side maintenance before closing its device).
+// with ErrClosed, in-flight queries are waited out, and every shard
+// Explorer is closed (which itself drains shard-side maintenance before
+// closing its device).
 // Idempotent and safe to call concurrently with queries.
 func (r *Router) Close() error {
 	r.closeOnce.Do(func() {
@@ -437,10 +341,6 @@ func (r *Router) Close() error {
 		// fail fast on the flag.
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		// A hedge loser can outlive the query that launched it; no new leg
-		// can start now (legs are launched under the query's read lock), so
-		// this wait is bounded by the losers' cancellation latency.
-		r.legs.Wait()
 		for _, s := range r.shards {
 			if err := s.ex.Close(); err != nil && r.closeErr == nil {
 				r.closeErr = err

@@ -29,26 +29,12 @@ func (s *shard) down(ord int64) bool {
 
 // serve runs one sub-query leg on this shard under a fresh charge scope.
 // The returned duration is exactly the simulated time this leg charged —
-// for a canceled leg, the I/O it performed before aborting — so the router
-// can conserve charges across hedges without ever double-counting: two
-// legs of one query can never share a scope, because serve always attaches
-// a fresh foreground one.
+// for a failed or canceled leg, the I/O it performed before aborting — so
+// the router books every leg's charge once, as served or as wasted.
 func (s *shard) serve(ctx context.Context, q odyssey.Box, datasets []odyssey.DatasetID, ord int64) ([]odyssey.Object, time.Duration, error) {
 	if s.down(ord) {
 		s.rejects.Add(1)
 		return nil, 0, ErrShardDown
-	}
-	// Slow-shard storm: the injected stall is wall clock only, charged to
-	// nobody, and cut short the moment the leg's context dies (a hedge
-	// winner canceling the loser mid-stall).
-	if d := s.r.plan.Load().slow(s.id, ord); d > 0 {
-		timer := time.NewTimer(d)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return nil, 0, simdisk.Canceled(ctx.Err())
-		}
 	}
 	ctx, _ = simdisk.WithOpScope(ctx, simdisk.PriForeground)
 	return s.ex.QueryTimedCtx(ctx, q, datasets)

@@ -2,11 +2,10 @@ package cluster
 
 // Race-mode oracle storm for the cluster layer: the drift scenario replayed
 // through a 4-shard R=2 cluster from many submitting goroutines at once —
-// with a shard crash window mid-storm and a slow-shard storm engaging hedged
-// reads — must return byte-identical results to a single Explorer over the
-// union of the datasets, serve every query, and leak no goroutines.
-// `go test -race ./cluster` sweeps the router fan-out, the CAS hedge
-// arbitration and the fault windows under contention.
+// with a shard crash window mid-storm — must return byte-identical results
+// to a single Explorer over the union of the datasets, serve every query,
+// and leak no goroutines. `go test -race ./cluster` sweeps the router
+// fan-out, failover and the fault windows under contention.
 
 import (
 	"context"
@@ -37,7 +36,7 @@ func stormWorkload(t *testing.T) ([][]odyssey.Object, workload.ScenarioWorkload)
 
 // TestClusterStormMatchesOracle is the acceptance storm: 8 concurrent
 // submitters through a 4-shard R=2 cluster whose fault plan crashes one
-// shard mid-storm and stalls another long enough for hedged reads to fire. Every answer must be byte-identical to the
+// shard mid-storm. Every answer must be byte-identical to the
 // single-Explorer oracle, every query must be served (a crashed shard with
 // a live replica is a failover, never an outage), and Close must wind every
 // goroutine down.
@@ -55,14 +54,10 @@ func TestClusterStormMatchesOracle(t *testing.T) {
 	}
 	ref.Close()
 
-	r := newCluster(t, Config{Shards: 4, Replicas: 2, Hedge: HedgeConfig{Enabled: true}}, data)
+	r := newCluster(t, Config{Shards: 4, Replicas: 2}, data)
 	// Deterministic weather, in query ordinals: shard 1 crashes for a third
-	// of the storm, and shard 3 stalls every serve in a late window so hedges
-	// fire against its replica peers.
-	r.SetShardFaultPlan(ShardFaultPlan{Faults: []ShardFault{
-		{Shard: 1, CrashAfter: 20, CrashFor: 40},
-		{Shard: 3, SlowAfter: 60, SlowFor: 40, SlowDelay: 15 * time.Millisecond},
-	}})
+	// of the storm.
+	r.SetShardFaultPlan(ShardFaultPlan{Faults: []ShardFault{{Shard: 1, CrashAfter: 20, CrashFor: 40}}})
 
 	got := make([][]odyssey.Object, len(w.Queries))
 	const stormers = 8
@@ -100,9 +95,6 @@ func TestClusterStormMatchesOracle(t *testing.T) {
 	if st.Queries != st.Served+st.Failed {
 		t.Fatalf("query ledger does not balance: %+v", st)
 	}
-	if st.HedgesFired == 0 {
-		t.Fatalf("the slow-shard window fired no hedges: %+v", st)
-	}
 	if err := r.Close(); err != nil {
 		t.Fatalf("Close after the storm: %v", err)
 	}
@@ -116,42 +108,46 @@ func TestClusterStormMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestRouterCloseDuringHedgedStorm mirrors the Explorer's mid-storm close
-// test one fault domain up: Close lands while hedged sub-queries are in
-// flight against a stalled shard and another shard is crashed. Every
-// goroutine — hedge losers sleeping in the stall, shard maintenance
-// pipelines — must wind down, the maintenance ledgers must
-// balance, and the closed Router must fail fast with ErrClosed everywhere.
-func TestRouterCloseDuringHedgedStorm(t *testing.T) {
+// TestRouterCloseDuringStorm mirrors the Explorer's mid-storm close test
+// one fault domain up: Close lands while queries are in flight against a
+// cluster whose shards crash in turn, so some queries fail over and some
+// find no live replica. Every goroutine — submitters, shard maintenance
+// pipelines — must wind down, the maintenance ledgers must balance, and the
+// closed Router must fail fast with ErrClosed everywhere.
+func TestRouterCloseDuringStorm(t *testing.T) {
 	before := runtime.NumGoroutine()
 	data := testData(3)
 	r := newCluster(t, Config{
 		Shards: 2, Replicas: 2,
 		Options: odyssey.Options{AsyncMaintenance: true, MaintenanceWorkers: 2},
-		Hedge:   HedgeConfig{Enabled: true},
 	}, data)
-	// Shard 0 stalls every serve far past the hedge delay: most queries
-	// have a hedge leg in flight (and a loser sleeping in the stall) when
-	// Close lands. Shard 1, the fast replica, crashes from the ninth query
-	// on, while the first eight submitters' hedges are still in flight.
+	// Shard 0 is down for queries 4 to 11 and shard 1 from the ninth query
+	// on: the storm walks through failover, lost groups and recovery.
 	r.SetShardFaultPlan(ShardFaultPlan{Faults: []ShardFault{
-		{Shard: 0, SlowAfter: 0, SlowFor: 1 << 40, SlowDelay: 40 * time.Millisecond},
+		{Shard: 0, CrashAfter: 4, CrashFor: 8},
 		{Shard: 1, CrashAfter: 8, CrashFor: 1 << 40},
 	}})
 
 	hot := odyssey.Cube(odyssey.V(0.4, 0.45, 0.5), 0.1)
 	dss := []odyssey.DatasetID{0, 1, 2}
+	const submitters, each = 8, 4
+	returned := make(chan struct{}, submitters*each)
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for i := 0; i < submitters; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < 4; j++ {
-				r.Query(hot, dss) // hedges, stalls and ErrClosed all expected
+			for j := 0; j < each; j++ {
+				r.Query(hot, dss) // failovers, ErrNoReplica and ErrClosed all expected
+				returned <- struct{}{}
 			}
 		}()
 	}
-	time.Sleep(15 * time.Millisecond)
+	// Close once a quarter of the queries have returned: the rest are in
+	// flight or yet to be submitted.
+	for i := 0; i < submitters*each/4; i++ {
+		<-returned
+	}
 	if err := r.Close(); err != nil {
 		t.Fatalf("Close mid-storm: %v", err)
 	}

@@ -112,9 +112,11 @@ func TestChecksCatchABrokenInvariant(t *testing.T) {
 			t.Fatalf("%s as committed: %v", name, err)
 		}
 	}
-	var cl clusterReport
-	load("BENCH_cluster.json", &cl)
-	cl.SlowHedged.P99 = 2 * cl.SlowUnhedged.P99
+	var wasted, unconserved clusterReport
+	load("BENCH_cluster.json", &wasted)
+	load("BENCH_cluster.json", &unconserved)
+	wasted.WastedSimSeconds = 0.01
+	unconserved.ChargeConserved = false
 	// The adaptive mode is the last of a scenario's sweep.
 	var drift, zipf, capacity scenariosReport
 	load("BENCH_scenarios.json", &drift)
@@ -140,7 +142,7 @@ func TestChecksCatchABrokenInvariant(t *testing.T) {
 	}
 	noGain.Figure5c.GainPercent = -1
 	for name, rep := range map[string]report{
-		"cluster": &cl, "paper fig4a": &slower, "paper fig5c": &noGain,
+		"cluster wasted": &wasted, "cluster conservation": &unconserved, "paper fig4a": &slower, "paper fig5c": &noGain,
 		"scenarios drift": &drift, "scenarios zipf": &zipf, "scenarios capacity": &capacity,
 	} {
 		if rep.check() == nil {

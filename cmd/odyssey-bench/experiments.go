@@ -55,8 +55,9 @@ var figureIDs = []string{"fig4a", "fig4b", "fig4c", "fig4d", "fig5a", "fig5b", "
 
 // experiments is the table. The figure rows reproduce the paper in
 // simulated seconds; every other row carries evidence the repository
-// benchmark (benchmark/) does not — the cluster's hedged reads, the tuners —
-// and exists for its invariant, which its report's check asserts.
+// benchmark (benchmark/) does not — the cluster's oracle identity and charge
+// conservation, the tuners — and exists for its invariant, which its
+// report's check asserts.
 var experiments []experiment
 
 func init() { // not an initializer: validate's row reads the table it is in
@@ -137,25 +138,16 @@ func (e experiment) execute(p *params) error {
 	return rep.check()
 }
 
-func ratio(num, den float64) float64 {
-	if den <= 0 {
-		return 0
-	}
-	return num / den
-}
-
 func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // runCluster replays the zipf workload through a sharded, replicated Router
-// — clean, then through a slow-shard storm unhedged and hedged — against a
-// single Explorer over the union of the datasets as the oracle. Every answer
-// must fingerprint identical to the oracle's, and the cluster-wide charge
-// ledger must conserve exactly: ChargedSim + WastedSim equals the shards'
-// device-side charges — hedging re-routes work, it never double-counts it.
-// Crash windows are deterministic in the query ordinal and are held by
-// cluster's TestCrashWindowsMatchClosedForm, not here.
+// against a single Explorer over the union of the datasets as the oracle.
+// Every answer must fingerprint identical to the oracle's, and the
+// cluster-wide charge ledger must conserve exactly: ChargedSim + WastedSim
+// equals the shards' device-side charges, and a fault-free replay wastes
+// nothing. Crash windows are deterministic in the query ordinal and are held
+// by cluster's TestCrashWindowsMatchClosedForm, not here.
 func runCluster(p *params, f *fixture, queries []odyssey.Query) report {
-	const slowDelay = 25 * time.Millisecond
 	if p.shards < 2 || p.replicas < 1 {
 		fatalf("-shards must be >= 2 and -replicas >= 1")
 	}
@@ -166,98 +158,62 @@ func runCluster(p *params, f *fixture, queries []odyssey.Query) report {
 	fmt.Printf("%d shards, R=%d\n\n", p.shards, p.replicas)
 
 	base, converged := f.measure(queries, warm, 0, replayOpts{})
-	basePrints := base.prints()
 	fmt.Printf("%-15s %d/%d served, sim %.3fs (single Explorer, serial)\n", "baseline", n, n, base.sim.Seconds())
 
-	newRouter := func(hedged bool) *cluster.Router {
-		r := ok(cluster.New(cluster.Config{
-			Shards: p.shards, Replicas: p.replicas, Options: f.options(warm),
-			Hedge: cluster.HedgeConfig{Enabled: hedged},
-		}))
-		f.load(r)
-		// A Router converges like a single Explorer, on its shards' summed
-		// adaptation counters.
-		_, quiet := untilQuiet(steadyPasses, func() (sum odyssey.Metrics) {
-			for _, m := range r.ShardMetrics() {
-				sum.Refinements += m.Refinements
-				sum.PartitionsMerged += m.PartitionsMerged
-				sum.MergeEvictions += m.MergeEvictions
-			}
-			return sum
-		}, func() {
-			direct(r, queries, 1, true)
-			must(r.Quiesce(context.Background()))
-		})
-		converged = converged && quiet
-		return r
-	}
-	phase := func(name string, r *cluster.Router) clusterPhaseReport {
-		st0 := r.Stats()
-		ps := direct(r, queries, p.workers, false)
-		st := r.Stats()
-		rep := clusterPhaseReport{
-			WallSeconds: ps.wall.Seconds(), ResultsIdentical: samePrints(ps.prints(), basePrints),
-			latencyReport: ps.latency(serviceTime),
-			HedgesFired:   st.HedgesFired - st0.HedgesFired, HedgeWins: st.HedgeWins - st0.HedgeWins,
+	r := ok(cluster.New(cluster.Config{Shards: p.shards, Replicas: p.replicas, Options: f.options(warm)}))
+	f.load(r)
+	// A Router converges like a single Explorer, on its shards' summed
+	// adaptation counters.
+	_, quiet := untilQuiet(steadyPasses, func() (sum odyssey.Metrics) {
+		for _, m := range r.ShardMetrics() {
+			sum.Refinements += m.Refinements
+			sum.PartitionsMerged += m.PartitionsMerged
+			sum.MergeEvictions += m.MergeEvictions
 		}
-		for _, o := range ps.outcomes {
-			if o.err == nil {
-				rep.Served++
-			} else {
-				rep.Failed++
-			}
-		}
-		fmt.Printf("%-15s %d/%d served  wall %.3fs  %v  hedges %d (%d won)  identical %v\n",
-			name, rep.Served, n, rep.WallSeconds, rep.latencyReport, rep.HedgesFired, rep.HedgeWins, rep.ResultsIdentical)
-		return rep
-	}
-	// conservation closes r and compares the cluster charge ledger with the
-	// shards' device-side charges.
-	conservation := func(r *cluster.Router) (charged, wasted, ledger time.Duration) {
-		shut(r)
-		disks := r.ShardDiskStats()
-		for si, dev := range r.ShardChannelStats() {
-			for _, chans := range dev {
-				for _, ch := range chans {
-					ledger += ch.Busy
-				}
-			}
-			ledger += time.Duration(disks[si].CacheHits)*f.base.Cost.CacheHit + disks[si].QueuedDelay
-		}
-		st := r.Stats()
-		return st.ChargedSim, st.WastedSim, ledger
-	}
+		return sum
+	}, func() {
+		direct(r, queries, 1, true)
+		must(r.Quiesce(context.Background()))
+	})
 
-	r := newRouter(true)
+	ps := direct(r, queries, p.workers, false)
+	clean := clusterPhaseReport{
+		WallSeconds: ps.wall.Seconds(), ResultsIdentical: samePrints(ps.prints(), base.prints()),
+		latencyReport: ps.latency(serviceTime),
+	}
+	for _, o := range ps.outcomes {
+		if o.err == nil {
+			clean.Served++
+		} else {
+			clean.Failed++
+		}
+	}
+	fmt.Printf("%-15s %d/%d served  wall %.3fs  %v  identical %v\n",
+		"clean", clean.Served, n, clean.WallSeconds, clean.latencyReport, clean.ResultsIdentical)
+
+	// Close r, then compare its charge ledger with the shards' device-side
+	// charges.
+	shut(r)
+	var ledger time.Duration
+	disks := r.ShardDiskStats()
+	for si, dev := range r.ShardChannelStats() {
+		for _, chans := range dev {
+			for _, ch := range chans {
+				ledger += ch.Busy
+			}
+		}
+		ledger += time.Duration(disks[si].CacheHits)*f.base.Cost.CacheHit + disks[si].QueuedDelay
+	}
+	st := r.Stats()
+	charged, wasted := st.ChargedSim, st.WastedSim
 	rep := &clusterReport{
 		header: p.header,
 		Shards: p.shards, Replicas: p.replicas, Datasets: len(f.data),
-		BaselineSimSeconds: base.sim.Seconds(), Clean: phase("clean", r),
+		Converged: converged && quiet, BaselineSimSeconds: base.sim.Seconds(), Clean: clean,
+		ChargedSimSeconds: charged.Seconds(), WastedSimSeconds: wasted.Seconds(), DeviceLedgerSeconds: ledger.Seconds(),
+		ChargeConserved: charged+wasted == ledger,
 	}
-	// Slow-shard storm, unhedged first (a fresh Router with hedging off,
-	// converged the same way), then hedged on the main Router: identical
-	// storms, so the p99 delta is the hedging win.
-	slow := func(r *cluster.Router) {
-		r.SetShardFaultPlan(cluster.ShardFaultPlan{Faults: []cluster.ShardFault{{
-			Shard: 0, SlowAfter: r.Stats().Queries, SlowFor: int64(n), SlowDelay: slowDelay,
-		}}})
-	}
-	ru := newRouter(false)
-	slow(ru)
-	rep.SlowUnhedged = phase("slow-unhedged", ru)
-	if charged, wasted, ledger := conservation(ru); charged+wasted != ledger {
-		fatalf("unhedged charge conservation broken: charged %v + wasted %v != device ledger %v", charged, wasted, ledger)
-	}
-	slow(r)
-	rep.SlowHedged = phase("slow-hedged", r)
-	rep.HedgeP99Speedup = ratio(rep.SlowUnhedged.P99, rep.SlowHedged.P99)
-	fmt.Printf("\nslow-shard storm p99: unhedged %.1fms, hedged %.1fms (speedup x%.1f)\n",
-		1e3*rep.SlowUnhedged.P99, 1e3*rep.SlowHedged.P99, rep.HedgeP99Speedup)
-	charged, wasted, ledger := conservation(r)
-	rep.Converged = converged
-	rep.ChargedSimSeconds, rep.WastedSimSeconds, rep.DeviceLedgerSeconds = charged.Seconds(), wasted.Seconds(), ledger.Seconds()
-	rep.ChargeConserved = charged+wasted == ledger
-	fmt.Printf("charge ledger: attributed %.3fs + wasted %.3fs vs device %.3fs — conserved: %v\n\n",
+	fmt.Printf("\ncharge ledger: attributed %.3fs + wasted %.3fs vs device %.3fs — conserved: %v\n\n",
 		charged.Seconds(), wasted.Seconds(), ledger.Seconds(), rep.ChargeConserved)
 	return rep
 }

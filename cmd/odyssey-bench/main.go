@@ -16,9 +16,9 @@
 //     deterministic in its sizes and seeds, matching the paper's disk-bound
 //     methodology (README, "Reproduction scale"); gridsweep is the sweep
 //     the grid baseline's defaults come from.
-//   - cluster (hedged against unhedged reads), scenarios (the tuner lab):
-//     each drives a workload through the Explorer's worker pool or a
-//     cluster Router on a real-time emulated disk and prints a summary.
+//   - cluster (oracle identity and charge conservation), scenarios (the
+//     tuner lab): each drives a workload through a cluster Router or the
+//     Explorer's worker pool and prints a summary.
 //   - validate FILE...: re-runs the checks on written reports.
 //
 // Every row but gridsweep writes its report to -json PATH and exits non-zero

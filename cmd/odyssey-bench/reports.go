@@ -43,8 +43,7 @@ func (v violations) err() error {
 // invariants hold reliably; every committed artifact was recorded at or
 // above it. The orderings compare
 // simulated quantities, which the device charges exactly, so a report passes
-// or fails the same on every host; the one wall-clock ordering left is
-// hedged against unhedged (see clusterReport.check).
+// or fails the same on every host.
 const fullScaleQueries = 300
 
 // header is the envelope every serving report opens with.
@@ -81,8 +80,8 @@ func (l latencyReport) String() string {
 	return fmt.Sprintf("p50 %8.2fms  p95 %8.2fms  p99 %8.2fms", 1e3*l.P50, 1e3*l.P95, 1e3*l.P99)
 }
 
-// clusterPhaseReport is one replay's ledger: counters are deltas over the
-// replay, latency percentiles cover every query.
+// clusterPhaseReport is one replay's ledger: counts cover the replay,
+// latency percentiles every query.
 type clusterPhaseReport struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	Served      int     `json:"served"`
@@ -91,8 +90,6 @@ type clusterPhaseReport struct {
 	// the single-Explorer oracle.
 	ResultsIdentical bool `json:"results_identical"`
 	latencyReport
-	HedgesFired int64 `json:"hedges_fired"`
-	HedgeWins   int64 `json:"hedge_wins"`
 }
 
 // clusterReport is the cluster row's report (BENCH_cluster.json). The
@@ -105,9 +102,6 @@ type clusterReport struct {
 	Converged           bool               `json:"converged"`
 	BaselineSimSeconds  float64            `json:"baseline_sim_seconds"`
 	Clean               clusterPhaseReport `json:"clean"`
-	SlowUnhedged        clusterPhaseReport `json:"slow_unhedged"`
-	SlowHedged          clusterPhaseReport `json:"slow_hedged"`
-	HedgeP99Speedup     float64            `json:"hedge_p99_speedup"`
 	ChargedSimSeconds   float64            `json:"charged_sim_seconds"`
 	WastedSimSeconds    float64            `json:"wasted_sim_seconds"`
 	DeviceLedgerSeconds float64            `json:"device_ledger_seconds"`
@@ -185,14 +179,8 @@ func (r *clusterReport) check() error {
 	var v violations
 	v.require(r.Clean.Served == r.Queries && r.Clean.Failed == 0, "the healthy cluster served %d of %d queries", r.Clean.Served, r.Queries)
 	v.require(r.Clean.ResultsIdentical, "a healthy cluster query diverged from the single-Explorer oracle")
-	v.require(r.ChargeConserved, "charge conservation broken: hedged reads double- or under-counted device work")
-	un, he := r.SlowUnhedged, r.SlowHedged
-	v.require(un.ResultsIdentical && he.ResultsIdentical, "a query served under the slow-shard storm diverged from the oracle")
-	v.require(he.HedgesFired > 0, "the slow-shard storm fired no hedges — the p99 trigger is not wired")
-	// The one ordering left in wall time, and asserted at every scale: the
-	// injected 25 ms shard delay is wall-clock by construction and dwarfs
-	// the 1 ms timer tick.
-	v.require(he.P99 < un.P99, "hedged reads did not beat the unhedged tail under the slow-shard storm: %vs >= %vs", he.P99, un.P99)
+	v.require(r.ChargeConserved, "charge conservation broken: the router double- or under-counted device work")
+	v.require(r.WastedSimSeconds == 0, "a fault-free replay wasted %vs of device work", r.WastedSimSeconds)
 	return v.err()
 }
 

@@ -124,7 +124,7 @@ type Dispatcher struct {
 	cfg   AdmissionConfig
 	jobs  chan dispatchJob
 	wg    sync.WaitGroup
-	stats []WorkerStats
+	stats []workerCounters
 
 	admitted  atomic.Int64
 	canceled  atomic.Int64
@@ -148,6 +148,15 @@ type Dispatcher struct {
 	batchDone chan struct{}
 	batches   atomic.Int64
 	batched   atomic.Int64
+}
+
+// workerCounters is one worker's stats slot: written by its worker alone,
+// readable by WorkerStats at any time, and cache-line padded so that
+// neighbouring workers do not false-share.
+type workerCounters struct {
+	queries, canceled atomic.Int64
+	busy              atomic.Int64 // nanoseconds
+	_                 [40]byte
 }
 
 type dispatchJob struct {
@@ -175,7 +184,7 @@ func NewDispatcherWithAdmission(ex *Explorer, workers int, cfg AdmissionConfig) 
 		ex:    ex,
 		cfg:   cfg,
 		jobs:  make(chan dispatchJob, 2*workers),
-		stats: make([]WorkerStats, workers),
+		stats: make([]workerCounters, workers),
 	}
 	if cfg.BatchWindow > 0 {
 		d.batchStop = make(chan struct{})
@@ -377,23 +386,26 @@ func (d *Dispatcher) Close() {
 	d.wg.Wait()
 }
 
-// WorkerStats returns per-worker activity. Call after Close; during a run
-// the slice is being written by the workers.
+// WorkerStats returns per-worker activity. Under load the snapshot is
+// per-counter consistent; after Close it is exact.
 func (d *Dispatcher) WorkerStats() []WorkerStats {
 	out := make([]WorkerStats, len(d.stats))
-	copy(out, d.stats)
+	for w := range d.stats {
+		c := &d.stats[w]
+		out[w] = WorkerStats{Worker: w, Queries: int(c.queries.Load()),
+			Canceled: int(c.canceled.Load()), Busy: time.Duration(c.busy.Load())}
+	}
 	return out
 }
 
 // worker serves jobs until the queue closes. Each worker owns its stats
-// slot, so no locking is needed on the hot path. A job whose context died
+// slot, so its counter updates never contend. A job whose context died
 // in the queue is skipped, not executed — delivered straight back with the
 // cancellation error — so no worker time is spent on dead-on-arrival
 // queries and the queue drains at full speed during a cancellation storm.
 func (d *Dispatcher) worker(w int) {
 	defer d.wg.Done()
 	st := &d.stats[w]
-	st.Worker = w
 	for job := range d.jobs {
 		wait := time.Since(job.submitted)
 		var objs []Object
@@ -403,13 +415,13 @@ func (d *Dispatcher) worker(w int) {
 			objs, err = d.ex.QueryCtx(job.ctx, job.query.Range, job.query.Datasets)
 		}
 		wall := time.Since(t0)
-		st.Queries++
-		st.Busy += wall
+		st.queries.Add(1)
+		st.busy.Add(int64(wall))
 		switch {
 		case err == nil:
 			d.completed.Add(1)
 		case IsCanceled(err):
-			st.Canceled++
+			st.canceled.Add(1)
 			d.canceled.Add(1)
 		default:
 			d.failed.Add(1)

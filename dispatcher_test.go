@@ -118,16 +118,25 @@ func TestDispatcherStreams(t *testing.T) {
 	}
 }
 
+// TestDispatcherWorkerStats reads the per-worker counters while the workers
+// serve — under -race, a counter a worker writes without synchronisation
+// fails it — and checks them after Close.
 func TestDispatcherWorkerStats(t *testing.T) {
 	ex, queries := batchEnv(t)
 	d := NewDispatcher(ex, 4)
 	out := make(chan BatchResult, len(queries))
-	for i, q := range queries {
-		if err := d.Submit(i, q, out); err != nil {
-			t.Fatal(err)
+	go func() {
+		for i, q := range queries {
+			if err := d.Submit(i, q, out); err != nil {
+				t.Error(err)
+			}
 		}
+		d.Close()
+		close(out)
+	}()
+	for range out {
+		d.WorkerStats()
 	}
-	d.Close()
 	d.Close() // idempotent
 	if err := d.Submit(0, queries[0], out); err != ErrClosed {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)

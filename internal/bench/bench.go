@@ -7,7 +7,8 @@
 // Scale note: the paper uses 10 datasets of ~5 GB each (tens of millions of
 // objects). The harness defaults to 10 datasets of 50k objects and a query
 // volume chosen so that converged partitions span several pages, preserving
-// the paper's partition-size-to-query-size ratio; see EXPERIMENTS.md.
+// the paper's partition-size-to-query-size ratio; see README's
+// "Reproduction scale".
 package bench
 
 import (
@@ -69,7 +70,7 @@ type Config struct {
 	CachePages int
 	// GridCells is the Grid baseline's cells per dimension (paper: 60 at
 	// full scale, found by a parameter sweep; harness default 6, found by
-	// the same sweep at harness scale — see EXPERIMENTS.md).
+	// the same sweep at harness scale — odyssey-bench -experiment gridsweep).
 	GridCells int
 	// Devices is the number of simulated member devices files are placed
 	// on (0 or 1 = a single device, the original setup).
@@ -81,7 +82,7 @@ type Config struct {
 	// modelling the paper's 1 GB memory limit: cells fragment into
 	// multiple runs across flushes. Default: 50% of one dataset, the
 	// Grid-favoring calibration at reduced scale (the paper's footnote 2
-	// likewise favors Grid); see EXPERIMENTS.md for the sweep.
+	// likewise favors Grid); odyssey-bench -experiment gridsweep is the sweep.
 	GridMemBudgetObjects int
 	// Odyssey is Space Odyssey's configuration.
 	Odyssey core.Config

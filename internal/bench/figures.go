@@ -60,7 +60,7 @@ type WorkloadConfig struct {
 	// QueryVolumeFrac (paper: 1e-6 of the volume; harness default 1e-4 so
 	// that the partition-size-to-query-size ratio — which controls how
 	// many refinement levels a hot area needs — matches the paper's at
-	// 1/100 data scale; see EXPERIMENTS.md).
+	// 1/100 data scale; see README's "Reproduction scale").
 	QueryVolumeFrac float64
 	// Seed drives workload generation.
 	Seed int64

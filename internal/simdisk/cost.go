@@ -65,9 +65,9 @@ func SSDCostModel() CostModel {
 // down by the same factor the data shrank (8 ms -> 80 us... too extreme;
 // empirically 0.5 ms preserves the paper's ratios: Grid's build lands
 // mid-workload for Odyssey, and the sophisticated indexes' builds dwarf
-// it) restores the relative geometry of Figures 4 and 5. EXPERIMENTS.md
-// documents the calibration and shows a sensitivity run under the
-// unscaled SAS model.
+// it) restores the relative geometry of Figures 4 and 5. README's
+// "Reproduction scale" documents the calibration; odyssey-bench's
+// -seek-us 8000 runs the unscaled SAS model.
 func ReducedScaleCostModel() CostModel {
 	return CostModel{
 		Seek:     500 * time.Microsecond,

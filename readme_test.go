@@ -83,8 +83,9 @@ var (
 	// simdisk, core or cluster, optionally followed by a field or method of
 	// it.
 	goRef = regexp.MustCompile(`(?:^|[^\w.])(Options|Explorer|Dispatcher|Router|simdisk|core|cluster)\.(\w+)(?:\.(\w+))?`)
-	// fileRef is a file README names, bare or as a path; * globs.
-	fileRef = regexp.MustCompile(`[\w./*-]+\.(?:go|json|yml|sh)\b`)
+	// fileRef is a file README or a Go comment names, bare or as a path;
+	// * globs.
+	fileRef = regexp.MustCompile(`[\w./*-]+\.(?:go|json|yml|sh|md)\b`)
 )
 
 // splitReadme splits README into its prose, one line a line, and the go test
@@ -109,11 +110,11 @@ func splitReadme(readme string) (prose []string, cmds []workflowStep) {
 
 // TestReadmeNamesWhatExists: every Go name and file README points a reader at
 // in an inline code span is there (a file: in git ls-files; a bare name
-// matches any path), and every test a go test command of a fenced block
-// selects by name exists. Fenced blocks are commands to copy, and
-// the files they write need not exist. A lower-case name after simdisk.,
-// core. or cluster. is a benchmark metric (core.cache_hit_frac), not a Go
-// name.
+// matches any path), so is every .md file a Go comment cites, and every
+// test a go test command of a fenced block selects by name exists. Fenced
+// blocks are commands to copy, and the files they write need not exist. A
+// lower-case name after simdisk., core. or cluster. is a benchmark metric
+// (core.cache_hit_frac), not a Go name.
 func TestReadmeNamesWhatExists(t *testing.T) {
 	data, err := os.ReadFile("README.md")
 	if err != nil {
@@ -171,6 +172,23 @@ func TestReadmeNamesWhatExists(t *testing.T) {
 		for _, ref := range fileRef.FindAllString(code, -1) {
 			if !exists(ref) {
 				t.Errorf("README names the file `%s`, which the repository does not hold", ref)
+			}
+		}
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if !strings.HasSuffix(name, ".go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range f.Comments {
+			for _, ref := range fileRef.FindAllString(c.Text(), -1) {
+				if strings.HasSuffix(ref, ".md") && !exists(ref) {
+					t.Errorf("%s cites %s, which the repository does not hold", fset.Position(c.Pos()), ref)
+				}
 			}
 		}
 	}

@@ -108,8 +108,6 @@ func funcName(fn *ast.FuncDecl) string {
 // the list may shrink but must not grow unnoticed.
 func TestTimerSiteCensus(t *testing.T) {
 	want := []string{
-		"cluster/router.go (*Router).runHedged time.NewTimer",
-		"cluster/shard.go (*shard).serve time.NewTimer",
 		"dispatcher.go (*Dispatcher).batcher time.NewTimer",
 		"internal/simdisk/cancel.go sleepCtx time.NewTimer",
 	}
