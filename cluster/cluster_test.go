@@ -537,7 +537,9 @@ func TestClusterMatchesOracle(t *testing.T) {
 // cluster-wide charge ledger conserves exactly — every simulated duration
 // any leg charged is attributed once, as ChargedSim (returned answers) or
 // WastedSim (failed legs), matching the shards' device-side ledger to the
-// nanosecond. Failover re-routes charges; it never double-counts them.
+// nanosecond. Failover re-routes charges; it never double-counts them. The
+// failover legs run after the first round, in group order, so a fresh
+// cluster charges the same to the nanosecond on every repetition.
 func TestFailoverChargeConservation(t *testing.T) {
 	cost := odyssey.CostModel{
 		Seek:     500 * time.Microsecond,
@@ -545,55 +547,67 @@ func TestFailoverChargeConservation(t *testing.T) {
 		CacheHit: 200 * time.Nanosecond,
 	}
 	data := testData(2)
-	r := newCluster(t, Config{Shards: 2, Replicas: 2, Options: odyssey.Options{Cost: cost}}, data)
 	ref := newOracle(t, odyssey.Options{Cost: cost}, data)
 	defer ref.Close()
-	r.shards[0].ex.SetFaultPlan(odyssey.FaultPlan{Seed: 9, TransientRate: 0.3})
-
 	dss := []odyssey.DatasetID{0, 1}
-	centers := []odyssey.Vec{
+	var queries []odyssey.Box
+	var wants [][]odyssey.Object
+	for _, c := range []odyssey.Vec{
 		odyssey.V(0.3, 0.3, 0.3), odyssey.V(0.7, 0.7, 0.7), odyssey.V(0.5, 0.4, 0.6), odyssey.V(0.25, 0.6, 0.45),
-	}
-	for i, c := range centers {
+	} {
 		q := odyssey.Cube(c, 0.08)
 		want, err := ref.Query(q, dss)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.Query(q, dss)
-		if err != nil {
-			t.Fatalf("query %d failed despite a healthy replica: %v", i, err)
-		}
-		if !sameObjects(got, want) {
-			t.Fatalf("query %d under failover diverged from the oracle", i)
-		}
+		queries, wants = append(queries, q), append(wants, want)
 	}
 
-	if err := r.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	// Every query has one group whose rotation tries shard 0 first, and at
-	// this seed each of those legs fails after charging some reads.
-	st := r.Stats()
-	if st.Failovers != int64(len(centers)) || st.WastedSim == 0 {
-		t.Fatalf("%d failovers wasting %v, want one a query wasting more than nothing: %+v",
-			st.Failovers, st.WastedSim, st)
-	}
-	var want time.Duration
-	for si, dev := range r.ShardChannelStats() {
-		for _, chans := range dev {
-			for _, ch := range chans {
-				want += ch.Busy
+	var first RouterStats
+	for rep := range 8 {
+		r := newCluster(t, Config{Shards: 2, Replicas: 2, Options: odyssey.Options{Cost: cost}}, data)
+		r.shards[0].ex.SetFaultPlan(odyssey.FaultPlan{Seed: 9, TransientRate: 0.3})
+		for i, q := range queries {
+			got, err := r.Query(q, dss)
+			if err != nil {
+				t.Fatalf("repetition %d: query %d failed despite a healthy replica: %v", rep, i, err)
+			}
+			if !sameObjects(got, wants[i]) {
+				t.Fatalf("repetition %d: query %d under failover diverged from the oracle", rep, i)
 			}
 		}
-		ds := r.ShardDiskStats()[si]
-		want += time.Duration(ds.CacheHits)*cost.CacheHit + ds.QueuedDelay
-	}
-	if got := st.ChargedSim + st.WastedSim; got != want {
-		t.Fatalf("charge conservation broken: charged %v + wasted %v = %v, device ledger %v",
-			st.ChargedSim, st.WastedSim, got, want)
-	}
-	if st.ChargedSim == 0 {
-		t.Fatal("no simulated time attributed to served answers")
+		if err := r.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		// Every query has one group whose rotation tries shard 0 first, and at
+		// this seed each of those legs fails after charging some reads.
+		st := r.Stats()
+		if st.Failovers != int64(len(queries)) || st.WastedSim == 0 {
+			t.Fatalf("repetition %d: %d failovers wasting %v, want one a query wasting more than nothing: %+v",
+				rep, st.Failovers, st.WastedSim, st)
+		}
+		var want time.Duration
+		for si, dev := range r.ShardChannelStats() {
+			for _, chans := range dev {
+				for _, ch := range chans {
+					want += ch.Busy
+				}
+			}
+			ds := r.ShardDiskStats()[si]
+			want += time.Duration(ds.CacheHits)*cost.CacheHit + ds.QueuedDelay
+		}
+		if got := st.ChargedSim + st.WastedSim; got != want {
+			t.Fatalf("repetition %d: charge conservation broken: charged %v + wasted %v = %v, device ledger %v",
+				rep, st.ChargedSim, st.WastedSim, got, want)
+		}
+		if st.ChargedSim == 0 {
+			t.Fatal("no simulated time attributed to served answers")
+		}
+		if rep == 0 {
+			first = st
+		} else if st.ChargedSim != first.ChargedSim || st.WastedSim != first.WastedSim {
+			t.Fatalf("repetition %d charged %v and wasted %v, repetition 0 %v and %v",
+				rep, st.ChargedSim, st.WastedSim, first.ChargedSim, first.WastedSim)
+		}
 	}
 }

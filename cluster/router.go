@@ -168,21 +168,24 @@ func (r *Router) QueryCtx(ctx context.Context, q odyssey.Box, datasets []odyssey
 		r.failed.Add(1)
 		return nil, err
 	}
-	type groupOut struct {
-		objs []odyssey.Object
-		err  error
-	}
+	// The first round runs every group's first leg at once; the failover legs
+	// run after it, one at a time in group order, so that a failover leg never
+	// runs beside another leg of its query on the shard it moves to, and what
+	// it charges does not depend on how the legs interleaved.
 	outs := make([]groupOut, len(groups))
 	var wg sync.WaitGroup
 	for i := range groups {
+		outs[i].cands = r.orderCandidates(groups[i].replicas, ord)
 		wg.Add(1)
-		go func(i int) {
+		go func(o *groupOut, g group) {
 			defer wg.Done()
-			objs, err := r.serveGroup(ctx, q, groups[i], ord)
-			outs[i] = groupOut{objs, err}
-		}(i)
+			o.objs, o.err = r.serveLeg(ctx, q, g, o.cands[0], ord)
+		}(&outs[i], groups[i])
 	}
 	wg.Wait()
+	for i := range outs {
+		r.failover(ctx, q, groups[i], &outs[i], ord)
+	}
 
 	var merged []odyssey.Object
 	for _, o := range outs {
@@ -242,32 +245,42 @@ func (r *Router) orderCandidates(replicas []int, ord int64) []*shard {
 	return append(up, down...)
 }
 
-// serveGroup answers one fan-out group, trying each of its replicas once in
-// orderCandidates' order and failing over to the next on a failoverable
-// error. Each leg's charge is booked once: the served leg's as ChargedSim,
-// every other leg's — device work whose result is not returned — as
-// WastedSim, so conservation stays exact. Exhausting every replica wraps
-// ErrNoReplica.
-func (r *Router) serveGroup(ctx context.Context, q odyssey.Box, g group, ord int64) ([]odyssey.Object, error) {
-	cands := r.orderCandidates(g.replicas, ord)
-	var lastErr error
-	for a, s := range cands {
-		objs, dur, err := s.serve(ctx, q, g.datasets, ord)
-		r.subQueries.Add(1)
-		if err == nil {
-			r.chargedSim.Add(int64(dur))
-			return objs, nil
-		}
+// groupOut is one fan-out group's outcome: its replica shards in
+// orderCandidates' order, and the answer or error of the last leg tried.
+type groupOut struct {
+	cands []*shard
+	objs  []odyssey.Object
+	err   error
+}
+
+// serveLeg runs one leg of group g on shard s and books its charge once: a
+// served leg's as ChargedSim, any other — device work whose result is not
+// returned — as WastedSim, so conservation stays exact.
+func (r *Router) serveLeg(ctx context.Context, q odyssey.Box, g group, s *shard, ord int64) ([]odyssey.Object, error) {
+	objs, dur, err := s.serve(ctx, q, g.datasets, ord)
+	r.subQueries.Add(1)
+	if err != nil {
 		r.wastedSim.Add(int64(dur))
-		lastErr = err
-		if !failoverable(err) {
-			return nil, err
-		}
-		if a+1 < len(cands) {
-			r.failovers.Add(1)
-		}
+		return nil, err
 	}
-	return nil, fmt.Errorf("%w: %v replicas exhausted: %w", ErrNoReplica, len(cands), lastErr)
+	r.chargedSim.Add(int64(dur))
+	return objs, nil
+}
+
+// failover goes on with a group whose first leg failed with a failoverable
+// error, trying each of its other replicas once, in order, until one serves
+// or fails for another reason. Exhausting every replica wraps ErrNoReplica.
+func (r *Router) failover(ctx context.Context, q odyssey.Box, g group, o *groupOut, ord int64) {
+	for _, s := range o.cands[1:] {
+		if !failoverable(o.err) {
+			return
+		}
+		r.failovers.Add(1)
+		o.objs, o.err = r.serveLeg(ctx, q, g, s, ord)
+	}
+	if failoverable(o.err) {
+		o.err = fmt.Errorf("%w: %v replicas exhausted: %w", ErrNoReplica, len(o.cands), o.err)
+	}
 }
 
 // Stats snapshots the cluster serving ledger. Under concurrent load the

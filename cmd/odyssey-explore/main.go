@@ -124,6 +124,7 @@ func dispatch(ex *odyssey.Explorer, args []string) bool {
 		fmt.Printf("  refinements:            %d\n", m.Refinements)
 		fmt.Printf("  partitions from tree:   %d\n", m.PartitionsFromTree)
 		fmt.Printf("  partitions from merge:  %d\n", m.PartitionsFromMerge)
+		fmt.Printf("  partitions skipped:     %d\n", m.PartitionsSkipped)
 		fmt.Printf("  merge files created:    %d\n", m.MergeFilesCreated)
 		fmt.Printf("  partitions merged:      %d\n", m.PartitionsMerged)
 		fmt.Printf("  merge evictions:        %d\n", m.MergeEvictions)

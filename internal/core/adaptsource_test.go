@@ -221,7 +221,7 @@ func TestLiftedCopyReadsGroupedLeavesFromTheDevice(t *testing.T) {
 			}
 			slab := make([]object.Object, len(objs))
 			dir := groupByChildren(nil, eng.bounds, leaf.Key(), tree.FanoutPerDim(), objs, slab)
-			eng.rcache.Insert(0, leaf.Key(), eng.layoutEpoch.Load(), leaf.Box(), cellContent{objs: slab, children: dir})
+			eng.rcache.Insert(0, leaf.Key(), nil, eng.layoutEpoch.Load(), leaf.Box(), cellContent{objs: slab, children: dir})
 			grouped++
 		}
 		if grouped == 0 {

@@ -392,7 +392,7 @@ func TestDirectoryTravelsWithContent(t *testing.T) {
 	t.Run("flight/partition-reader-attaches-to-segment", func(t *testing.T) {
 		f := setup(t, cacheConfig())
 		inFlight(t, f, func(read func() (cellContent, error)) {
-			if _, err := f.eng.readCell(context.Background(), 0, f.entry, geom.Box{}, func(context.Context) (cellContent, error) {
+			if _, err := f.eng.readCell(context.Background(), 0, f.entry, nil, geom.Box{}, func(context.Context) (cellContent, error) {
 				return read()
 			}); err != nil {
 				t.Error(err)

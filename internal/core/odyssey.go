@@ -124,13 +124,18 @@ type Metrics struct {
 	TreesBuilt          int
 	PartitionsFromTree  int
 	PartitionsFromMerge int
-	MergeFilesCreated   int
-	PartitionsMerged    int
-	MergeEvictions      int
-	SegmentsShared      int
-	CurrentMergeThresh  int
-	RelationCounts      map[Relation]int
-	Phases              PhaseTimes
+	// PartitionsSkipped counts the leaves read-only walks did not visit:
+	// cached cells whose extent missed the query (octree.QueryResult.Skipped),
+	// booked as cache hits and counted in neither PartitionsFromTree nor
+	// PartitionsFromMerge.
+	PartitionsSkipped  int
+	MergeFilesCreated  int
+	PartitionsMerged   int
+	MergeEvictions     int
+	SegmentsShared     int
+	CurrentMergeThresh int
+	RelationCounts     map[Relation]int
+	Phases             PhaseTimes
 	// ObjectsTested and ObjectsKept are the query filter's input and output,
 	// summed over queries: the objects tested against a query window — of
 	// tree leaves, merge segments and containment answers alike — and the
@@ -232,6 +237,7 @@ type Odyssey struct {
 	queries        int
 	partsFromTree  int
 	partsFromMerge int
+	partsSkipped   int
 	relationCounts map[Relation]int
 	phases         PhaseTimes
 	objectsTested  int64
@@ -302,7 +308,7 @@ func (o *Odyssey) AddRaw(raw *rawfile.Raw) error {
 		// read in file order; whatever answers its key, the walk filters the
 		// objects whole.
 		tree.ShareReader = func(ctx context.Context, p *octree.Partition, read func(context.Context) ([]object.Object, error)) ([]object.Object, error) {
-			c, err := o.readCell(ctx, ds, p.Key(), p.Box(), func(ctx context.Context) (cellContent, error) {
+			c, err := o.readCell(ctx, ds, p.Key(), p, p.Box(), func(ctx context.Context) (cellContent, error) {
 				objs, err := read(ctx)
 				return cellContent{objs: objs}, err
 			})
@@ -429,6 +435,7 @@ func (o *Odyssey) Metrics() Metrics {
 	m.Queries = o.queries
 	m.PartitionsFromTree = o.partsFromTree
 	m.PartitionsFromMerge = o.partsFromMerge
+	m.PartitionsSkipped = o.partsSkipped
 	rel := make(map[Relation]int, len(o.relationCounts))
 	for k, v := range o.relationCounts {
 		rel[k] = v
@@ -443,11 +450,13 @@ func (o *Odyssey) Metrics() Metrics {
 
 // mergeRead names one merge-file segment a query reads: an entry cell and one
 // member dataset's copy of it, with the file position (the segment's
-// run.Start) readMerged orders the reads by.
+// run.Start) readMerged orders the reads by, and the served leaf whose key is
+// the entry (nil when the entry is coarser), which the cache marks.
 type mergeRead struct {
 	entry octree.Key
 	ds    object.DatasetID
 	start int64
+	leaf  *octree.Partition
 }
 
 // compareMergeReads orders segment reads by file position. Shared segments
@@ -493,6 +502,7 @@ func (qs *queryScratch) release() {
 	}
 	// The pool must keep no tree partition or evicted cell alive.
 	clear(qs.leaves[:cap(qs.leaves)])
+	clear(qs.served[:cap(qs.served)])
 	clear(qs.hits[:cap(qs.hits)])
 	qs.ordered, qs.exts, qs.leaves, qs.touched = qs.ordered[:0], qs.exts[:0], qs.leaves[:0], qs.touched[:0]
 	qs.served, qs.hits = qs.served[:0], qs.hits[:0]
@@ -517,6 +527,7 @@ type queryAcc struct {
 	out          []object.Object
 	tested       int // objects the read stages' filters tested; len(out) is what they kept
 	servedLeaves int // leaves among touched that a segment serves
+	skipped      int // leaves among touched the walks skipped (octree.QueryResult.Skipped)
 	wants        []dsWants
 	phases       PhaseTimes
 
@@ -538,7 +549,7 @@ type queryAcc struct {
 // stay — the query paid them.
 func (o *Odyssey) restart(acc *queryAcc) {
 	acc.exts, acc.leaves, acc.touched, acc.served = acc.exts[:0], acc.leaves[:0], acc.touched[:0], acc.served[:0]
-	acc.out, acc.tested, acc.servedLeaves, acc.wants = acc.out[:0], 0, 0, acc.wants[:0]
+	acc.out, acc.tested, acc.servedLeaves, acc.skipped, acc.wants = acc.out[:0], 0, 0, 0, acc.wants[:0]
 	acc.repaired = true
 	if !o.cfg.DisableMerging {
 		acc.mf, _ = o.merger.route(acc.key, acc.ordered)
@@ -548,10 +559,14 @@ func (o *Odyssey) restart(acc *queryAcc) {
 	o.statsMu.Unlock()
 }
 
-// serve books one leaf as served by the routed merge file's segment seg for
+// serve books leaf as served by the routed merge file's segment seg for
 // (ds, entry); several leaves may share a segment, which is read once.
-func (a *queryAcc) serve(ds object.DatasetID, entry octree.Key, seg segment) {
-	a.served = append(a.served, mergeRead{entry: entry, ds: ds, start: seg.run.Start})
+func (a *queryAcc) serve(ds object.DatasetID, entry octree.Key, seg segment, leaf *octree.Partition) {
+	r := mergeRead{entry: entry, ds: ds, start: seg.run.Start}
+	if leaf.Key() == entry {
+		r.leaf = leaf
+	}
+	a.served = append(a.served, r)
 	a.servedLeaves++
 }
 
@@ -741,19 +756,24 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 		serve = func(p *octree.Partition) bool {
 			entry, seg, ok := mf.covering(p.Key(), ds, acc.fanout)
 			if ok {
-				acc.serve(ds, entry, seg)
+				acc.serve(ds, entry, seg, p)
 			}
 			return ok
 		}
 	}
 	var res octree.QueryResult
 	if o.maint != nil || acc.repaired || !tree.NeedsWrite(acc.q, covered) {
-		res, err = tree.QueryIntoCtx(ctx, acc.out, acc.leaves[:0], acc.q, serve, false)
+		res, err = tree.QueryIntoCtx(ctx, acc.out, acc.leaves[:0], acc.q, serve, covered, false)
 		lk.RUnlock()
+		if res.Skipped > 0 {
+			// Marked by the cache: the hits the skipped cells would have been.
+			o.rcache.book(res.Skipped)
+			acc.skipped += res.Skipped
+		}
 	} else {
 		lk.RUnlock()
 		lk.Lock()
-		res, err = tree.QueryIntoCtx(ctx, acc.out, acc.leaves[:0], acc.q, serve, true)
+		res, err = tree.QueryIntoCtx(ctx, acc.out, acc.leaves[:0], acc.q, serve, covered, true)
 		if res.Refined > 0 {
 			// Refinements that completed before an abort still publish. They
 			// use the device outside readCell — their writes, and their reads
@@ -909,7 +929,7 @@ func (o *Odyssey) readSegment(ctx context.Context, acc *queryAcc, r mergeRead, s
 	if o.rcache != nil {
 		box = EntryBox(o.bounds, r.entry, acc.fanout) // what the insert keys containment on
 	}
-	return o.readCell(ctx, r.ds, r.entry, box, func(ctx context.Context) (cellContent, error) {
+	return o.readCell(ctx, r.ds, r.entry, r.leaf, box, func(ctx context.Context) (cellContent, error) {
 		var dst []object.Object
 		if scratch != nil {
 			dst = (*scratch)[:0]
@@ -940,7 +960,8 @@ func (o *Odyssey) record(ctx context.Context, acc *queryAcc) {
 	o.objectsTested += int64(acc.tested)
 	o.objectsKept += int64(len(acc.out))
 	o.partsFromMerge += len(acc.served)
-	o.partsFromTree += len(acc.touched) - acc.servedLeaves
+	o.partsFromTree += len(acc.touched) - acc.servedLeaves - acc.skipped
+	o.partsSkipped += acc.skipped
 	o.stats.RecordPartitions(acc.key, acc.touched)
 	acc.nCand = o.stats.NumPartitions(acc.key)
 	acc.mark, acc.tried = o.futile[acc.key]

@@ -30,6 +30,9 @@ type cachedScan struct {
 	key     scanKey
 	region  geom.Box
 	content cellContent
+	// part is the tree partition whose key the entry stores, marked while the
+	// entry is cached (nil when the read that inserted it did not know it).
+	part *octree.Partition
 
 	// The live eviction key is (score, heat, seq). Hits raise heat and score
 	// with atomics, under the cache's shared lock; seq is fixed at insert.
@@ -60,6 +63,14 @@ func (s *cachedScan) touch(tick int64, halfLife float64) {
 		if next == score || s.score.CompareAndSwap(old, math.Float64bits(next)) {
 			return
 		}
+	}
+}
+
+// unmark clears the mark of the entry's partition, if it has one. Caller
+// holds the cache's lock exclusively.
+func (s *cachedScan) unmark() {
+	if s.part != nil {
+		s.part.SetMarked(false)
 	}
 }
 
@@ -174,6 +185,14 @@ func (l *levelIndex) add(level uint32, delta int32) {
 // filtering that region's objects — objects are keyed by center, so every
 // object intersecting the query has its center inside the extended window
 // and therefore inside the cached cell. AnswerContained is the probe.
+//
+// An entry also marks the tree partition whose key it stores, when the read
+// that inserted it knew the partition (octree.Partition.SetMarked), and every
+// removal clears the mark under the exclusive lock: a read-only walk leaves a
+// marked leaf whose extent misses the query unvisited, and books it here as
+// the hit it would have been (book). A mark only decides whether a cell whose
+// extent misses the query is read: a cell that is not cached still is, so the
+// device sees the reads it always did.
 //
 // Locking: mu is a leaf lock (never held while acquiring any engine lock).
 // Content is immutable and outlives its entry, so a caller may use what a
@@ -452,12 +471,13 @@ func (c *resultCache) LookupRun(hits []cellContent, reads []mergeRead) []cellCon
 // window already extended by the tree's max object half-extent. Because
 // cached regions are cell boxes of the uniform k^level grid, the only
 // candidate at each level is the cell containing ext's min corner — one map
-// lookup per cached level, not a scan. Levels are probed deepest first: of
-// several regions containing the window the smallest answers, the one with
-// the fewest objects to filter (and always the same one). The returned
-// content is the full region content and cell the key it is cached under (a
-// child directory indexes the content by the key's box); the caller filters
-// by the original query box. The probe shares the lock like any hit.
+// lookup per cached level whose cells are as wide as ext, not a scan. Levels
+// are probed deepest first: of several regions containing the window the
+// smallest answers, the one with the fewest objects to filter (and always the
+// same one). The returned content is the full region content and cell the
+// key it is cached under (a child directory indexes the content by the key's
+// box); the caller filters by the original query box. The probe shares the
+// lock like any hit.
 func (c *resultCache) AnswerContained(ds object.DatasetID, fanout int, ext geom.Box) (content cellContent, cell octree.Key, ok bool) {
 	c.mu.RLock()
 	content, cell, ok = c.probe(ds, fanout, ext)
@@ -474,9 +494,13 @@ func (c *resultCache) probe(ds object.DatasetID, fanout int, ext geom.Box) (cell
 	if lv == nil {
 		return cellContent{}, octree.Key{}, false
 	}
+	size, span := c.bounds.Size(), ext.Size()
 	for mask := lv.mask; mask != 0; {
 		level := uint32(bits.Len32(mask) - 1)
 		mask &^= 1 << level
+		if !wideEnough(size, span, fanout, level) {
+			continue
+		}
 		cell, ok := octree.CellAt(c.bounds, fanout, level, ext.Min)
 		if !ok {
 			continue
@@ -491,16 +515,29 @@ func (c *resultCache) probe(ds object.DatasetID, fanout int, ext geom.Box) (cell
 	return cellContent{}, octree.Key{}, false
 }
 
+// wideEnough reports whether a cell of the fanout^level grid over a volume of
+// the given size is at least span wide on every axis, as a cell containing a
+// window of that span must be. The margin, 1e-9 of the volume's side, errs
+// toward yes: it is far above the rounding of a cell box's faces, so a level
+// it rules out holds no cell containing the window.
+func wideEnough(size, span geom.Vec, fanout int, level uint32) bool {
+	cells := math.Pow(float64(fanout), float64(level))
+	return span.X <= (size.X/cells)+1e-9*size.X &&
+		span.Y <= (size.Y/cells)+1e-9*size.Y &&
+		span.Z <= (size.Z/cells)+1e-9*size.Z
+}
+
 // Insert retains a completed scan of (ds, cell): region is the cell box
 // content is the full content of, epoch the layout epoch loaded before the
-// read began. The read is kept only if that epoch is still current: a
+// read began, part the tree partition at cell the read served, if it knew it
+// (nil otherwise), which the entry marks while it is cached. The read is kept only if that epoch is still current: a
 // publish advances the epoch before it drops what it changed, so a read that
 // raced one — and may hold the cell as it was laid out before — is never
 // kept past the drop. Entries larger than the whole budget are not
 // admitted; otherwise the coldest entries are evicted until the new one
 // fits. Re-inserting a present key replaces its content and keeps its heat —
 // the region is evidently hot.
-func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, epoch int64,
+func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, part *octree.Partition, epoch int64,
 	region geom.Box, content cellContent) {
 	key := scanKey{ds: ds, cell: cell}
 	objs := content.objs
@@ -525,7 +562,7 @@ func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, epoch int64,
 		}
 		c.grows++
 	}
-	it := &cachedScan{key: key, region: region, content: content, posHeat: 1}
+	it := &cachedScan{key: key, region: region, content: content, part: part, posHeat: 1}
 	if c.halfLife > 0 {
 		it.posScore = newScore(c.tick(), c.halfLife)
 	}
@@ -554,6 +591,9 @@ func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, epoch int64,
 	it.score.Store(math.Float64bits(it.posScore))
 	heap.Push(&c.cold, it)
 	c.entries[key] = it
+	if part != nil {
+		part.SetMarked(true)
+	}
 	lv := c.levels[ds]
 	if lv == nil {
 		lv = new(levelIndex)
@@ -575,8 +615,9 @@ func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, epoch int64,
 }
 
 // removeLocked unlinks one entry from the map, the heap, the level index
-// and the object budget. Caller holds mu exclusively.
+// and the object budget, and clears its mark. Caller holds mu exclusively.
 func (c *resultCache) removeLocked(it *cachedScan) {
+	it.unmark()
 	delete(c.entries, it.key)
 	heap.Remove(&c.cold, it.index)
 	c.objects -= int64(len(it.content.objs))
@@ -595,6 +636,7 @@ func (c *resultCache) DropDataset(ds object.DatasetID) {
 			kept = append(kept, it)
 			continue
 		}
+		it.unmark()
 		delete(c.entries, it.key)
 		c.objects -= int64(len(it.content.objs))
 	}
@@ -643,6 +685,9 @@ func (c *resultCache) Invalidate() {
 		c.ghostRing = nil
 	}
 	if flushed {
+		for _, it := range c.cold {
+			it.unmark()
+		}
 		c.entries = make(map[scanKey]*cachedScan)
 		c.levels = make(map[object.DatasetID]*levelIndex)
 		c.cold = nil

@@ -224,7 +224,9 @@ func (m *eagerCache) drop(drop func(scanKey) bool) {
 // capacity tuner — and requires the same answers — the same objects with the
 // same child directory, which every insert makes its own — the same cached
 // set after every operation (so the same victims, in the same order, and the
-// same survivors of every drop), and the same ledger.
+// same survivors of every drop), and the same ledger. Every insert passes
+// the cell's partition, and after every operation a partition is marked
+// exactly when the cache holds its key.
 func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 	const fanout = 2
 	bounds := geom.UnitBox()
@@ -269,6 +271,36 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 						return int(a.ds) - int(b.ds)
 					}
 					return compareKeys(a.cell, b.cell)
+				}
+				// One partition per cell. A partition is marked exactly when the
+				// cache holds its key: after an operation, every entry's partition
+				// is marked, and of the partitions that could be — those of the
+				// entries before it and the one it inserted, the only partition
+				// handed to the cache since — no other is.
+				parts := map[scanKey]*octree.Partition{}
+				var held, next []*octree.Partition // the entries' partitions before the operation, and after
+				var inserted *octree.Partition     // by the operation
+				checkMarks := func(op int) {
+					marked := 0
+					for _, p := range held {
+						if p.Marked() {
+							marked++
+						}
+					}
+					if inserted != nil && inserted.Marked() && !slices.Contains(held, inserted) {
+						marked++
+					}
+					next = next[:0]
+					for _, it := range c.cold {
+						if !it.part.Marked() {
+							t.Fatalf("op %d: %v is held, its partition unmarked", op, it.key)
+						}
+						next = append(next, it.part)
+					}
+					if marked != len(next) {
+						t.Fatalf("op %d: %d partitions marked, %d cells held", op, marked, len(next))
+					}
+					held, next, inserted = next, held, nil
 				}
 				// A skewed choice of cell, so that some entries are hot.
 				pick := func() scanKey {
@@ -316,7 +348,11 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 							in.children = []int32{int32(i), int32(len(in.objs))} // this insert's own directory
 						}
 						before, mark := cached(), len(m.evicted)
-						c.Insert(key.ds, key.cell, at, key.cell.Box(bounds, fanout), in)
+						if parts[key] == nil {
+							parts[key] = new(octree.Partition)
+						}
+						inserted = parts[key]
+						c.Insert(key.ds, key.cell, parts[key], at, key.cell.Box(bounds, fanout), in)
 						m.insert(key, at, epoch.Load(), in)
 						// What this insert pushed out of the cache, against what it
 						// pushed out of the model: insert by insert, so the victims
@@ -337,6 +373,7 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 					if len(c.entries) != len(m.entries) || c.objects != m.objects {
 						t.Fatalf("op %d: the cache holds %d entries / %d objects, the model %d / %d", i, len(c.entries), c.objects, len(m.entries), m.objects)
 					}
+					checkMarks(i)
 				}
 				for _, e := range m.entries {
 					it := c.entries[e.key]
@@ -406,7 +443,7 @@ func TestResultCacheRunTunesOnCadence(t *testing.T) {
 			served++
 			return
 		}
-		c.Insert(1, cell, epoch.Load(), geom.UnitBox(), content)
+		c.Insert(1, cell, nil, epoch.Load(), geom.UnitBox(), content)
 		m.insert(key, epoch.Load(), epoch.Load(), content)
 	}
 	// run is readMerged's run of hits: the model books them one by one.
@@ -540,7 +577,7 @@ func TestResultCacheStorm(t *testing.T) {
 	insert := func(r mergeRead, at int64) {
 		objs := make([]object.Object, 4)
 		objs[0].ID = uint64(at)
-		c.Insert(r.ds, r.entry, at, r.entry.Box(bounds, fanout), cellContent{objs: objs, children: []int32{int32(at)}})
+		c.Insert(r.ds, r.entry, nil, at, r.entry.Box(bounds, fanout), cellContent{objs: objs, children: []int32{int32(at)}})
 	}
 	// stale reports content read before floor or after hi (the epoch after
 	// the lookup), or whose objects and directory came from two entries.

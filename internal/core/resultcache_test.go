@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"math/bits"
+	"math/rand"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -25,7 +28,7 @@ func TestResultCacheExactHitAndEpochDrop(t *testing.T) {
 	region := cell.Box(geom.UnitBox(), 2)
 	objs := []object.Object{{ID: 1, Dataset: 3}, {ID: 2, Dataset: 3}}
 
-	c.Insert(3, cell, 5, region, cellContent{objs: objs})
+	c.Insert(3, cell, nil, 5, region, cellContent{objs: objs})
 	got, ok := c.Lookup(3, cell)
 	if !ok || len(got.objs) != 2 {
 		t.Fatalf("Lookup = %v, %v; want the 2 inserted objects", got, ok)
@@ -33,7 +36,7 @@ func TestResultCacheExactHitAndEpochDrop(t *testing.T) {
 
 	// A cached empty cell is a hit, not a miss — ok carries the answer.
 	empty := testKeyAt(1, 1, 0, 0)
-	c.Insert(3, empty, 5, empty.Box(geom.UnitBox(), 2), cellContent{})
+	c.Insert(3, empty, nil, 5, empty.Box(geom.UnitBox(), 2), cellContent{})
 	if got, ok := c.Lookup(3, empty); !ok || len(got.objs) != 0 {
 		t.Fatalf("cached empty cell: Lookup = %v, %v; want [], true", got, ok)
 	}
@@ -50,11 +53,11 @@ func TestResultCacheExactHitAndEpochDrop(t *testing.T) {
 	// A read that began at epoch 5 raced the publish: it is not kept, neither
 	// as a new entry nor over a current one.
 	raced := testKeyAt(1, 0, 1, 0)
-	c.Insert(3, raced, 5, raced.Box(geom.UnitBox(), 2), cellContent{objs: objs[:1]})
+	c.Insert(3, raced, nil, 5, raced.Box(geom.UnitBox(), 2), cellContent{objs: objs[:1]})
 	if _, ok := c.Lookup(3, raced); ok {
 		t.Fatal("a read that raced a publish was kept")
 	}
-	c.Insert(3, cell, 5, region, cellContent{})
+	c.Insert(3, cell, nil, 5, region, cellContent{})
 	if got, ok := c.Lookup(3, cell); !ok || len(got.objs) != 2 {
 		t.Fatalf("a raced read replaced a current entry: Lookup = %v, %v", got, ok)
 	}
@@ -77,10 +80,10 @@ func TestResultCacheEvictsColdestFirst(t *testing.T) {
 	a, b, cc := testKeyAt(2, 0, 0, 0), testKeyAt(2, 1, 0, 0), testKeyAt(2, 2, 0, 0)
 	two := []object.Object{{ID: 1}, {ID: 2}}
 
-	c.Insert(0, a, 0, geom.UnitBox(), cellContent{objs: two})
-	c.Insert(0, b, 0, geom.UnitBox(), cellContent{objs: two})
+	c.Insert(0, a, nil, 0, geom.UnitBox(), cellContent{objs: two})
+	c.Insert(0, b, nil, 0, geom.UnitBox(), cellContent{objs: two})
 	c.Lookup(0, a) // heat a above b
-	c.Insert(0, cc, 0, geom.UnitBox(), cellContent{objs: two})
+	c.Insert(0, cc, nil, 0, geom.UnitBox(), cellContent{objs: two})
 
 	if _, ok := c.Lookup(0, b); ok {
 		t.Fatal("coldest entry survived eviction")
@@ -98,7 +101,7 @@ func TestResultCacheEvictsColdestFirst(t *testing.T) {
 
 	// An oversized scan must not flush the whole cache just to fail to fit.
 	five := make([]object.Object, 5)
-	c.Insert(0, testKeyAt(2, 3, 0, 0), 0, geom.UnitBox(), cellContent{objs: five})
+	c.Insert(0, testKeyAt(2, 3, 0, 0), nil, 0, geom.UnitBox(), cellContent{objs: five})
 	if _, ok := c.Lookup(0, testKeyAt(2, 3, 0, 0)); ok {
 		t.Fatal("entry larger than the whole budget was admitted")
 	}
@@ -118,7 +121,7 @@ func TestResultCacheInvalidateCountsOnlyFlushes(t *testing.T) {
 		t.Fatalf("empty-cache invalidate counted: %d", st.Invalidations)
 	}
 	one := []object.Object{{ID: 1}}
-	c.Insert(0, testKeyAt(1, 0, 0, 0), 0, geom.UnitBox(), cellContent{objs: one})
+	c.Insert(0, testKeyAt(1, 0, 0, 0), nil, 0, geom.UnitBox(), cellContent{objs: one})
 	c.Invalidate()
 	st := c.Stats()
 	if st.Invalidations != 1 {
@@ -133,8 +136,8 @@ func TestResultCacheInvalidateCountsOnlyFlushes(t *testing.T) {
 	}
 
 	for ds := object.DatasetID(0); ds < 2; ds++ {
-		c.Insert(ds, testKeyAt(1, 0, 0, 0), 0, geom.UnitBox(), cellContent{objs: one})
-		c.Insert(ds, testKeyAt(1, 1, 0, 0), 0, geom.UnitBox(), cellContent{objs: one})
+		c.Insert(ds, testKeyAt(1, 0, 0, 0), nil, 0, geom.UnitBox(), cellContent{objs: one})
+		c.Insert(ds, testKeyAt(1, 1, 0, 0), nil, 0, geom.UnitBox(), cellContent{objs: one})
 	}
 	c.DropDataset(2)
 	c.DropKeys(slices.Values([]scanKey{{ds: 2, cell: testKeyAt(1, 0, 0, 0)}}))
@@ -158,9 +161,9 @@ func TestResultCacheContainment(t *testing.T) {
 	var epoch atomic.Int64
 	c := newResultCache(bounds, 1000, &epoch)
 	cell := testKeyAt(1, 0, 0, 0) // [0,0.5]^3 at fanout 2
-	c.Insert(1, cell, 0, cell.Box(bounds, 2), cellContent{objs: []object.Object{{ID: 9, Dataset: 1}}})
-	c.Insert(2, cell, 0, cell.Box(bounds, 2), cellContent{objs: []object.Object{{ID: 8, Dataset: 2}}})
-	c.Insert(3, testKeyAt(2, 0, 0, 0), 0, testKeyAt(2, 0, 0, 0).Box(bounds, 2), cellContent{})
+	c.Insert(1, cell, nil, 0, cell.Box(bounds, 2), cellContent{objs: []object.Object{{ID: 9, Dataset: 1}}})
+	c.Insert(2, cell, nil, 0, cell.Box(bounds, 2), cellContent{objs: []object.Object{{ID: 8, Dataset: 2}}})
+	c.Insert(3, testKeyAt(2, 0, 0, 0), nil, 0, testKeyAt(2, 0, 0, 0).Box(bounds, 2), cellContent{})
 
 	inside := geom.Cube(geom.V(0.25, 0.25, 0.25), 0.4)
 	got, at, ok := c.AnswerContained(1, 2, inside)
@@ -241,7 +244,7 @@ func TestResultCacheContainmentDeepestFirst(t *testing.T) {
 			keys[0], keys[1] = fine, coarse
 		}
 		for _, k := range keys {
-			c.Insert(1, k, 0, k.Box(bounds, 2), cellContent{objs: []object.Object{{ID: uint64(k.Level), Dataset: 1}}})
+			c.Insert(1, k, nil, 0, k.Box(bounds, 2), cellContent{objs: []object.Object{{ID: uint64(k.Level), Dataset: 1}}})
 		}
 		got, _, ok := c.AnswerContained(1, 2, window)
 		if !ok || len(got.objs) != 1 || got.objs[0].ID != uint64(fine.Level) {
@@ -263,6 +266,86 @@ func TestResultCacheContainmentDeepestFirst(t *testing.T) {
 		if st := c.Stats(); st.Entries != 1 || st.ContainmentHits != 2 || c.levels[1].mask != 1<<coarse.Level {
 			t.Fatalf("round %d: %d entries, %d containment hits, levels %b; want only the coarse region left and 2 hits",
 				round, st.Entries, st.ContainmentHits, c.levels[1].mask)
+		}
+	}
+}
+
+// probeReference is the containment probe without its width test: every
+// cached level, deepest first, looked up at the cell holding ext's min
+// corner.
+func probeReference(c *resultCache, ds object.DatasetID, fanout int, ext geom.Box) (cellContent, octree.Key, bool) {
+	lv := c.levels[ds]
+	if lv == nil {
+		return cellContent{}, octree.Key{}, false
+	}
+	for mask := lv.mask; mask != 0; {
+		level := uint32(bits.Len32(mask) - 1)
+		mask &^= 1 << level
+		cell, ok := octree.CellAt(c.bounds, fanout, level, ext.Min)
+		if !ok {
+			continue
+		}
+		if it, ok := c.entries[scanKey{ds: ds, cell: cell}]; ok && it.region.Contains(ext) {
+			return it.content, cell, true
+		}
+	}
+	return cellContent{}, octree.Key{}, false
+}
+
+// TestProbeSkipsOnlyLevelsTooNarrow: the probe passes over the cached levels
+// whose cells are narrower than the window, and must answer exactly as the
+// probe that looks every level up. Over fanouts 2 to 4, the unit and a skewed
+// volume, random cached sets over levels 0 to 9 and random windows — a
+// cached cell's own box, a box a hair wider or narrower than a cell of some
+// level, or any box — the two give the same answer, by the same cell.
+func TestProbeSkipsOnlyLevelsTooNarrow(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, bounds := range []geom.Box{geom.UnitBox(), {Min: geom.V(-1.3, 0.1, 7), Max: geom.V(2.9, 0.7, 1e3/3.0)}} {
+		for fanout := 2; fanout <= 4; fanout++ {
+			c := newResultCache(bounds, 1<<20, new(atomic.Int64))
+			var keys []octree.Key
+			for i := range 400 {
+				level := uint32(r.Intn(10))
+				side := uint32(math.Pow(float64(fanout), float64(level)))
+				// Half the cells near the volume's min corner, where the levels
+				// nest, so that windows find several candidates.
+				x, y, z := uint32(r.Int63n(int64(side))), uint32(r.Int63n(int64(side))), uint32(r.Int63n(int64(side)))
+				if i%2 == 0 {
+					x, y, z = x%2, y%2, z%2
+				}
+				k := octree.Key{Level: level, X: x, Y: y, Z: z}
+				keys = append(keys, k)
+				c.Insert(1, k, nil, 0, k.Box(bounds, fanout), cellContent{objs: []object.Object{{ID: uint64(i), Dataset: 1}}})
+			}
+			hits := 0
+			for range 20000 {
+				var ext geom.Box
+				switch k := keys[r.Intn(len(keys))]; r.Intn(3) {
+				case 0:
+					ext = k.Box(bounds, fanout)
+				case 1:
+					b := k.Box(bounds, fanout)
+					f := []float64{1 - 1e-12, 1 + 1e-12, 0.5, 1 - 1e-7, 1 + 1e-7}[r.Intn(5)]
+					ext = geom.Box{Min: b.Min, Max: b.Min.Add(b.Size().Mul(f))}
+				default:
+					lo := geom.V(r.Float64(), r.Float64(), r.Float64())
+					size := bounds.Size()
+					lo = geom.Vec{X: bounds.Min.X + lo.X*size.X, Y: bounds.Min.Y + lo.Y*size.Y, Z: bounds.Min.Z + lo.Z*size.Z}
+					ext = geom.Box{Min: lo, Max: lo.Add(size.Mul(math.Pow(r.Float64(), 4)))}
+				}
+				got, gotCell, gotOK := c.probe(1, fanout, ext)
+				want, wantCell, wantOK := probeReference(c, 1, fanout, ext)
+				if gotOK != wantOK || gotCell != wantCell || gotOK && got.objs[0].ID != want.objs[0].ID {
+					t.Fatalf("fanout %d, bounds %v, window %v: the probe answered %v at %v, the reference %v at %v",
+						fanout, bounds, ext, gotOK, gotCell, wantOK, wantCell)
+				}
+				if gotOK {
+					hits++
+				}
+			}
+			if hits < 2000 {
+				t.Fatalf("fanout %d, bounds %v: only %d of the windows were answered", fanout, bounds, hits)
+			}
 		}
 	}
 }

@@ -159,12 +159,23 @@ func CellAt(bounds geom.Box, fanoutPerDim int, level uint32, p geom.Vec) (Key, b
 
 // Partition is a leaf of the tree: a spatial cell plus the disk runs holding
 // the objects whose centers fall inside it.
+//
+// A partition also keeps its extent: a box holding every one of its objects'
+// boxes (center ± half-extent, as object.AppendIntersecting computes them),
+// set where its content is (split) and unchanged by Rederive. It is stored as
+// float32 rounded outward, so it may be larger than the union of those boxes,
+// never smaller; an empty partition's extent meets nothing. A query the
+// extent misses meets none of the partition's objects.
 type Partition struct {
 	key      Key
 	box      geom.Box
 	runs     []pagefile.Run
 	count    int
 	children []Partition // non-nil once refined (then no longer a leaf)
+	ext      extent
+	// marked is set while a result cache holds the partition's content (see
+	// SetMarked).
+	marked atomic.Bool
 }
 
 // Key returns the partition's global cell key.
@@ -172,6 +183,73 @@ func (p *Partition) Key() Key { return p.key }
 
 // Box returns the partition's cell box.
 func (p *Partition) Box() geom.Box { return p.box }
+
+// Extent returns the partition's extent as a box: it holds every object's
+// box. An empty partition's is inverted (Min +Inf, Max −Inf) and intersects
+// no finite box.
+func (p *Partition) Extent() geom.Box {
+	e := &p.ext
+	return geom.Box{
+		Min: geom.Vec{X: float64(e.min[0]), Y: float64(e.min[1]), Z: float64(e.min[2])},
+		Max: geom.Vec{X: float64(e.max[0]), Y: float64(e.max[1]), Z: float64(e.max[2])},
+	}
+}
+
+// SetMarked records whether the caller's cache holds the partition's
+// content. A read-only walk does not visit a marked leaf whose extent misses
+// the query: it counts it in QueryResult.Skipped, for the cache to book as the
+// hit it would have been. Safe beside walks under the shared tree lock.
+func (p *Partition) SetMarked(on bool) { p.marked.Store(on) }
+
+// Marked reports what SetMarked last recorded.
+func (p *Partition) Marked() bool { return p.marked.Load() }
+
+// extent is the compact form of a partition's extent: a box in float32,
+// min rounded down and max rounded up.
+type extent struct {
+	min, max [3]float32
+}
+
+// extentOf returns the extent of objs' boxes; of none, the inverted extent
+// (+Inf, −Inf).
+func extentOf(objs []object.Object) extent {
+	lo := geom.Vec{X: math.Inf(1), Y: math.Inf(1), Z: math.Inf(1)}
+	hi := lo.Mul(-1)
+	for i := range objs {
+		o := &objs[i]
+		lo = lo.Min(o.Center.Sub(o.HalfExtent))
+		hi = hi.Max(o.Center.Add(o.HalfExtent))
+	}
+	return extent{
+		min: [3]float32{down32(lo.X), down32(lo.Y), down32(lo.Z)},
+		max: [3]float32{up32(hi.X), up32(hi.Y), up32(hi.Z)},
+	}
+}
+
+// down32 and up32 round x to a float32 no greater and no less than it.
+func down32(x float64) float32 {
+	f := float32(x)
+	if float64(f) > x {
+		f = math.Nextafter32(f, float32(math.Inf(-1)))
+	}
+	return f
+}
+
+func up32(x float64) float32 {
+	f := float32(x)
+	if float64(f) < x {
+		f = math.Nextafter32(f, float32(math.Inf(1)))
+	}
+	return f
+}
+
+// meets reports whether the extent intersects q (closed, as
+// geom.Box.Intersects).
+func (e *extent) meets(q geom.Box) bool {
+	return float64(e.min[0]) <= q.Max.X && q.Min.X <= float64(e.max[0]) &&
+		float64(e.min[1]) <= q.Max.Y && q.Min.Y <= float64(e.max[1]) &&
+		float64(e.min[2]) <= q.Max.Z && q.Min.Z <= float64(e.max[2])
+}
 
 // Count returns the number of objects stored in the partition.
 func (p *Partition) Count() int { return p.count }
@@ -325,11 +403,13 @@ func (t *Tree) EnsureBuiltCtx(ctx context.Context) error {
 // is objs[bounds[ci]:bounds[ci+1]] or, given an order, the objects it lists
 // there, gathered into scratch. Each bucket is written over the pages of
 // free, in order, appending what does not fit (§3.1.2; free is nil for the
-// level-0 build). The children are one allocation and their runs another,
-// each child's a capped slice of it: a split allocates what the tree keeps
-// and nothing per child. The writes always run to completion (the caller
-// never observes a half-split partition), still charged to ctx's scope. The
-// caller holds the tree's write lock; p is left unchanged when a write fails.
+// level-0 build), and the child keeps the bucket's extent: split is the one
+// place a partition's content is set. The children are one allocation and
+// their runs another, each child's a capped slice of it: a split allocates
+// what the tree keeps and nothing per child. The writes always run to
+// completion (the caller never observes a half-split partition), still
+// charged to ctx's scope. The caller holds the tree's write lock; p is left
+// unchanged when a write fails.
 func (t *Tree) split(ctx context.Context, p *Partition, objs []object.Object, order, bounds []int32, free []pagefile.Run) error {
 	var gathered []object.Object
 	if order != nil {
@@ -364,6 +444,7 @@ func (t *Tree) split(ctx context.Context, p *Partition, objs []object.Object, or
 			box:   p.box.Cell(t.k, cx, cy, cz),
 			runs:  written[n:], // its length, until the runs move below
 			count: len(bucket),
+			ext:   extentOf(bucket),
 		}
 	}
 	t.written = written[:0]
@@ -577,7 +658,8 @@ func (e *ReadError) Unwrap() error { return e.Err }
 // what it held, in the same order. It reports false, doing nothing, when the
 // partition is no longer stored where e's read failed (refined or
 // re-derived since). Only the scan observes ctx; once it has completed, the
-// write always does. The caller holds the tree's write lock.
+// write always does. The content, and with it the extent, is unchanged. The
+// caller holds the tree's write lock.
 func (t *Tree) Rederive(ctx context.Context, e *ReadError) (bool, error) {
 	p := e.Partition
 	if !p.IsLeaf() || !slices.Equal(p.runs, e.runs) {

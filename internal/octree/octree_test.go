@@ -36,7 +36,7 @@ func queryRefining(tree *Tree, q geom.Box, serveFromStore func(*Partition) bool)
 	if err := tree.EnsureBuiltCtx(context.Background()); err != nil {
 		return QueryResult{}, err
 	}
-	return tree.QueryIntoCtx(context.Background(), nil, nil, q, serveFromStore, true)
+	return tree.QueryIntoCtx(context.Background(), nil, nil, q, serveFromStore, serveFromStore, true)
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -123,6 +123,10 @@ type QueryResult struct {
 	// Tested counts the objects the walk tested against q: its filter's
 	// input, of which the objects appended to Objects are the output.
 	Tested int
+	// Skipped counts the leaves of Touched a read-only walk did not visit:
+	// marked leaves (Partition.SetMarked) whose extent misses q, which hold
+	// no answer and whose content the marking cache holds.
+	Skipped int
 }
 
 // QueryReadOnlyCtx answers q strictly from the current layout: the tree must
@@ -131,9 +135,10 @@ type QueryResult struct {
 // tree lock. Leaves that qualify for refinement under the rt rule are served
 // as-is and reported in res.WantRefine, for the caller to hand to an
 // asynchronous maintenance scheduler. It is QueryIntoCtx with a nil dst and
-// touched and refine off, kept as the name the benchmark's octree layer calls.
-func (t *Tree) QueryReadOnlyCtx(ctx context.Context, q geom.Box, serveFromStore func(*Partition) bool) (QueryResult, error) {
-	return t.QueryIntoCtx(ctx, nil, nil, q, serveFromStore, false)
+// touched and refine off, kept as the name the benchmark's octree layer calls;
+// servedElsewhere, a predicate, is its serveFromStore and covered both.
+func (t *Tree) QueryReadOnlyCtx(ctx context.Context, q geom.Box, servedElsewhere func(*Partition) bool) (QueryResult, error) {
+	return t.QueryIntoCtx(ctx, nil, nil, q, servedElsewhere, servedElsewhere, false)
 }
 
 // QueryIntoCtx runs a range query against this tree alone: it locates the
@@ -148,7 +153,15 @@ func (t *Tree) QueryReadOnlyCtx(ctx context.Context, q geom.Box, serveFromStore 
 // returns true the partition's objects are assumed served elsewhere (e.g.
 // from a merge file) — it is neither read, refined nor reported in
 // WantRefine here (merged partitions are not refined, §3.2.2). The core
-// engine uses this hook to route partitions to merge files.
+// engine uses this hook to route partitions to merge files. covered is its
+// side-effect-free twin (nil when serveFromStore is), as NeedsWrite takes it.
+//
+// A read-only walk does not visit a marked leaf whose extent misses q
+// (Partition.SetMarked): none of its objects can meet q, and the cache that
+// marked it holds its content. The leaf is not served, read or filtered; it
+// is still reported in Touched and counted in Skipped, and its refinement
+// demand still goes to WantRefine unless covered claims it. A refining walk
+// visits every leaf.
 //
 // refine selects the single decision a refining and a read-only walk differ
 // in, taken on a leaf that qualifies for refinement: refine it now, by at
@@ -166,7 +179,7 @@ func (t *Tree) QueryReadOnlyCtx(ctx context.Context, q geom.Box, serveFromStore 
 // QoS scope (any topology); the device-clock fallback is exact only for a
 // serial caller on C=1 D=1.
 func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, touched []*Partition, q geom.Box,
-	serveFromStore func(*Partition) bool, refine bool) (QueryResult, error) {
+	serveFromStore, covered func(*Partition) bool, refine bool) (QueryResult, error) {
 	res := QueryResult{Objects: dst, Touched: touched}
 	if !t.Built() {
 		return res, fmt.Errorf("octree: query on unbuilt tree")
@@ -186,6 +199,14 @@ func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, touched []
 	defer putLeafScratch(sp, leaves)
 	res.Touched = slices.Grow(res.Touched, len(leaves))
 	for _, leaf := range leaves {
+		if !refine && leaf.marked.Load() && !leaf.ext.meets(q) {
+			res.Touched = append(res.Touched, leaf)
+			res.Skipped++
+			if t.NeedsRefinement(leaf, qVol) && (covered == nil || !covered(leaf)) {
+				res.WantRefine = append(res.WantRefine, leaf.key)
+			}
+			continue
+		}
 		if serveFromStore != nil && serveFromStore(leaf) {
 			res.Touched = append(res.Touched, leaf)
 			continue
