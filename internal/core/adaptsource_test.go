@@ -105,7 +105,7 @@ func TestAdaptationTakesCachedCells(t *testing.T) {
 	for _, tw := range twins {
 		tw.query(t, whole, merged...)
 		tw.query(t, whole, merged...)
-		pages := tw.step(t, func() error { return tw.eng.mergeStep(context.Background(), key, merged) })
+		pages := tw.step(t, func() error { return tw.eng.mergeStep(context.Background(), recordOf(tw.eng, merged...)) })
 		if !tw.flushed && pages != 0 {
 			t.Fatalf("the merge step copied cached cells and read %d device pages; want none", pages)
 		}
@@ -148,7 +148,7 @@ func TestAdaptationTakesCachedCells(t *testing.T) {
 		// times: one refinement converges it.
 		box := EntryBox(geom.UnitBox(), cell, k)
 		q := geom.BoxFromCenter(box.Center(), box.Size().Mul(0.15))
-		task := refineTask{key: cell, box: q, qVol: q.Volume(), members: []object.DatasetID{0, 3}}
+		task := refineTask{key: cell, box: q, qVol: q.Volume(), combo: testCombo(0, 3)}
 		for _, tw := range twins {
 			refinements := tw.eng.Metrics().Refinements
 			pages := tw.step(t, func() error {
@@ -230,7 +230,7 @@ func TestLiftedCopyReadsGroupedLeavesFromTheDevice(t *testing.T) {
 		if i == 1 {
 			eng.FlushResultCache()
 		}
-		if err := eng.mergeStep(context.Background(), KeyOf(dss), dss); err != nil {
+		if err := eng.mergeStep(context.Background(), recordOf(eng, dss...)); err != nil {
 			t.Fatal(err)
 		}
 		mf := eng.merger.file(KeyOf(dss))

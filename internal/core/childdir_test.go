@@ -414,7 +414,7 @@ func TestDirectoryTravelsWithContent(t *testing.T) {
 			t.Fatal("the sharing combination has no merge file")
 		}
 		seg, owner := ref.entries[scanKey{ds: 0, cell: f.entry}], f.mf.entries[scanKey{ds: 0, cell: f.entry}]
-		if seg.sharedFrom != f.mf.combo || len(seg.children) == 0 || !slices.Equal(seg.children, owner.children) {
+		if seg.sharedFrom != f.mf.combo.key || len(seg.children) == 0 || !slices.Equal(seg.children, owner.children) {
 			t.Fatalf("the referencing segment %+v does not carry its owner's directory %v", seg, owner.children)
 		}
 		ask(t, f, sharing)

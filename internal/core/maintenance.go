@@ -43,22 +43,16 @@ type MaintenanceStats struct {
 }
 
 // refineTask asks for one partition of one dataset to be refined to
-// convergence for the query window that demanded it. members is the
-// demanding query's (sorted) combination: the worker re-checks the
-// combination's merge-file coverage before each step, so a partition a
-// concurrent merge covered in the meantime is not refined (§3.2.2's
-// merged-partitions-are-not-refined rule holds across the async gap).
+// convergence for the query window that demanded it. combo is the demanding
+// query's combination: the worker re-checks the combination's merge-file
+// coverage before each step, so a partition a concurrent merge covered in the
+// meantime is not refined (§3.2.2's merged-partitions-are-not-refined rule
+// holds across the async gap).
 type refineTask struct {
-	key     octree.Key
-	box     geom.Box
-	qVol    float64
-	members []object.DatasetID
-}
-
-// mergeTask asks for one combination's merge step to run.
-type mergeTask struct {
-	key     ComboKey
-	members []object.DatasetID
+	key   octree.Key
+	box   geom.Box
+	qVol  float64
+	combo *combo
 }
 
 // heatItem is one queued maintenance task with its scheduling state: heat
@@ -108,12 +102,15 @@ func (h *heatHeap[T]) Pop() any {
 // merge step for a combination only once its member datasets have no
 // refinement work queued or running, so merges see converged trees.
 //
-// Synchronization: mu guards every queue, the coalescing maps, the active
-// sets and the statistics; cond wakes workers when work arrives or gating
-// state changes; idle is the broadcast channel Quiesce waits on (closed
-// whenever the pipeline has neither queued nor in-flight work, replaced
-// with a fresh channel when work arrives). Task execution itself runs
-// outside mu under the engine's own locks.
+// A merge task is the combination's record, which holds its queued item and
+// its active flag (combo.mergeItem, combo.merging).
+//
+// Synchronization: mu guards every queue, the refinements' coalescing maps
+// and active set, the records' merge fields and the statistics; cond wakes
+// workers when work arrives or gating state changes; idle is the broadcast
+// channel Quiesce waits on (closed whenever the pipeline has neither queued
+// nor in-flight work, replaced with a fresh channel when work arrives). Task
+// execution itself runs outside mu under the engine's own locks.
 type maintainer struct {
 	o       *Odyssey
 	workers int
@@ -127,9 +124,7 @@ type maintainer struct {
 	refinePending map[object.DatasetID]map[octree.Key]*heatItem[refineTask]
 	activeRefine  map[object.DatasetID]bool
 
-	mergeQ       heatHeap[mergeTask]
-	mergePending map[ComboKey]*heatItem[mergeTask]
-	activeMerge  map[ComboKey]bool
+	mergeQ heatHeap[*combo]
 
 	seq      int64   // FIFO tiebreak for equal-heat tasks
 	halfLife float64 // heat half-life in queries; 0 = no decay
@@ -159,8 +154,6 @@ func newMaintainer(o *Odyssey, workers int) *maintainer {
 		refineQ:       make(map[object.DatasetID]*heatHeap[refineTask]),
 		refinePending: make(map[object.DatasetID]map[octree.Key]*heatItem[refineTask]),
 		activeRefine:  make(map[object.DatasetID]bool),
-		mergePending:  make(map[ComboKey]*heatItem[mergeTask]),
-		activeMerge:   make(map[ComboKey]bool),
 		idleNow:       true,
 		idle:          make(chan struct{}),
 	}
@@ -200,9 +193,9 @@ func (m *maintainer) maybeIdleLocked() {
 // a coalesced demand bumps the pending task's heat, moving the region up
 // the priority heap. box and qVol describe the query that demanded the
 // refinement (the worker refines the region to convergence for that
-// demand); members is that query's combination, for the worker's
-// merge-coverage re-check.
-func (m *maintainer) EnqueueRefine(ds object.DatasetID, keys []octree.Key, box geom.Box, qVol float64, members []object.DatasetID) {
+// demand); c is that query's combination, for the worker's merge-coverage
+// re-check.
+func (m *maintainer) EnqueueRefine(ds object.DatasetID, keys []octree.Key, box geom.Box, qVol float64, c *combo) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
@@ -218,9 +211,6 @@ func (m *maintainer) EnqueueRefine(ds object.DatasetID, keys []octree.Key, box g
 		h = &heatHeap[refineTask]{}
 		m.refineQ[ds] = h
 	}
-	// Defensive copy, like EnqueueMerge: the tasks outlive the call and a
-	// caller reusing its slice must not corrupt the coverage re-check.
-	members = append([]object.DatasetID(nil), members...)
 	added := false
 	for _, k := range keys {
 		if it := pend[k]; it != nil {
@@ -234,7 +224,7 @@ func (m *maintainer) EnqueueRefine(ds object.DatasetID, keys []octree.Key, box g
 		}
 		m.seq++
 		it := &heatItem[refineTask]{
-			task:  refineTask{key: k, box: box, qVol: qVol, members: members},
+			task:  refineTask{key: k, box: box, qVol: qVol, combo: c},
 			heat:  1,
 			score: m.freshScore(),
 			seq:   m.seq,
@@ -260,13 +250,13 @@ func (m *maintainer) freshScore() float64 {
 
 // EnqueueMerge schedules one combination's merge step, coalescing with (and
 // heating up) a pending task for the same combination.
-func (m *maintainer) EnqueueMerge(key ComboKey, members []object.DatasetID) {
+func (m *maintainer) EnqueueMerge(c *combo) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return
 	}
-	if it := m.mergePending[key]; it != nil {
+	if it := c.mergeItem; it != nil {
 		m.stats.Coalesced++
 		it.heat++
 		if m.halfLife > 0 {
@@ -276,13 +266,13 @@ func (m *maintainer) EnqueueMerge(key ComboKey, members []object.DatasetID) {
 		return
 	}
 	m.seq++
-	it := &heatItem[mergeTask]{
-		task:  mergeTask{key: key, members: append([]object.DatasetID(nil), members...)},
+	it := &heatItem[*combo]{
+		task:  c,
 		heat:  1,
 		score: m.freshScore(),
 		seq:   m.seq,
 	}
-	m.mergePending[key] = it
+	c.mergeItem = it
 	heap.Push(&m.mergeQ, it)
 	m.noteWorkLocked()
 	m.cond.Broadcast()
@@ -290,10 +280,9 @@ func (m *maintainer) EnqueueMerge(key ComboKey, members []object.DatasetID) {
 
 // execTask is one unit of work a worker picked off the queues.
 type execTask struct {
-	isMerge bool
-	ds      object.DatasetID // refine
-	refine  refineTask       // refine
-	merge   mergeTask        // merge
+	merge  *combo           // a merge step's combination; nil for a refinement
+	ds     object.DatasetID // refine
+	refine refineTask       // refine
 }
 
 // membersBusyLocked reports whether any member dataset still has refinement
@@ -340,9 +329,9 @@ func (m *maintainer) pickLocked() (execTask, bool) {
 	}
 	// The heap orders merges by heat, but gating (active members, pending
 	// refinements) can veto the top — scan for the hottest runnable one.
-	var best *heatItem[mergeTask]
+	var best *heatItem[*combo]
 	for _, it := range m.mergeQ {
-		if m.activeMerge[it.task.key] || m.membersBusyLocked(it.task.members) {
+		if it.task.merging || m.membersBusyLocked(it.task.members) {
 			continue
 		}
 		if best == nil || hotter(it, best) {
@@ -351,11 +340,11 @@ func (m *maintainer) pickLocked() (execTask, bool) {
 	}
 	if best != nil {
 		heap.Remove(&m.mergeQ, best.index)
-		delete(m.mergePending, best.task.key)
-		m.activeMerge[best.task.key] = true
+		best.task.mergeItem = nil
+		best.task.merging = true
 		m.queueLen--
 		m.stats.QueueDepth = m.queueLen
-		return execTask{isMerge: true, merge: best.task}, true
+		return execTask{merge: best.task}, true
 	}
 	return execTask{}, false
 }
@@ -381,7 +370,7 @@ func (m *maintainer) worker() {
 
 		var refined int
 		var err error
-		if task.isMerge {
+		if task.merge != nil {
 			err = m.o.runMergeTask(task.merge)
 		} else {
 			refined, err = m.o.runRefineTask(task.ds, task.refine)
@@ -389,8 +378,8 @@ func (m *maintainer) worker() {
 
 		m.mu.Lock()
 		m.inFlight--
-		if task.isMerge {
-			delete(m.activeMerge, task.merge.key)
+		if task.merge != nil {
+			task.merge.merging = false
 		} else {
 			delete(m.activeRefine, task.ds)
 		}
@@ -399,7 +388,7 @@ func (m *maintainer) worker() {
 			m.lastErr = err
 		} else {
 			m.stats.Completed++
-			if task.isMerge {
+			if task.merge != nil {
 				m.stats.MergeTasks++
 			} else {
 				m.stats.RefineTasks++
@@ -522,8 +511,10 @@ func (m *maintainer) Close() {
 		m.stats.QueueDepth = 0
 		m.refineQ = make(map[object.DatasetID]*heatHeap[refineTask])
 		m.refinePending = make(map[object.DatasetID]map[octree.Key]*heatItem[refineTask])
+		for _, it := range m.mergeQ {
+			it.task.mergeItem = nil
+		}
 		m.mergeQ = nil
-		m.mergePending = make(map[ComboKey]*heatItem[mergeTask])
 		m.paused = false // a paused pipeline must still wind down
 		m.maybeIdleLocked()
 		m.cond.Broadcast()

@@ -92,32 +92,28 @@ func groupByChildren(dir []int32, bounds geom.Box, key octree.Key, k int, objs, 
 // partition key, the objects of every member dataset are laid out one after
 // another; the file is append-only.
 type MergeFile struct {
-	combo    ComboKey
-	members  []object.DatasetID
+	// combo is the record of the combination the file was merged for, which
+	// every version of the file points at; it holds the file's recency.
+	combo    *combo
 	memberOf map[object.DatasetID]bool
 	file     *pagefile.File
 	// entries holds one segment per (entry cell, member): an entry is added
 	// and dropped with a segment of every member, so the segments of any one
 	// member name every entry cell (cells and covers read the first's).
 	entries map[scanKey]segment
-	// lastUsed is the recency tick budget eviction orders files by, under
-	// Merger.accMu. Every version of a combination's file (see
-	// Merger.publish) shares the one cell, so a tick by a query still
-	// reading an older version counts.
-	lastUsed *int64
 }
 
 // Combo returns the combination the file was merged for.
-func (m *MergeFile) Combo() ComboKey { return m.combo }
+func (m *MergeFile) Combo() ComboKey { return m.combo.key }
 
 // Members returns the datasets stored in the file.
-func (m *MergeFile) Members() []object.DatasetID { return m.members }
+func (m *MergeFile) Members() []object.DatasetID { return m.combo.members }
 
 // File exposes the page file holding the merged copies.
 func (m *MergeFile) File() *pagefile.File { return m.file }
 
 // NumEntries returns the number of merged partitions.
-func (m *MergeFile) NumEntries() int { return len(m.entries) / len(m.members) }
+func (m *MergeFile) NumEntries() int { return len(m.entries) / len(m.combo.members) }
 
 // Pages returns the file size in pages.
 func (m *MergeFile) Pages() int64 {
@@ -138,7 +134,7 @@ func (m *MergeFile) covering(key octree.Key, ds object.DatasetID, fanout int) (o
 // covers reports whether an entry's cell contains key. Every entry holds a
 // segment of every member, so the first member's segments answer it.
 func (m *MergeFile) covers(key octree.Key, fanout int) bool {
-	_, _, ok := m.covering(key, m.members[0], fanout)
+	_, _, ok := m.covering(key, m.combo.members[0], fanout)
 	return ok
 }
 
@@ -146,7 +142,7 @@ func (m *MergeFile) covers(key octree.Key, fanout int) bool {
 // segments name them all.
 func (m *MergeFile) cells(yield func(octree.Key) bool) {
 	for ref := range m.entries {
-		if ref.ds == m.members[0] && !yield(ref.cell) {
+		if ref.ds == m.combo.members[0] && !yield(ref.cell) {
 			return
 		}
 	}
@@ -243,8 +239,9 @@ type Merger struct {
 	dirMu sync.Mutex
 
 	// accMu guards the accounting fields mutated under the engine's shared
-	// (read) lock: tick, every MergeFile.lastUsed, segmentsWritten,
-	// segmentsRead, queriesSeen, currentMT and the threshold counters.
+	// (read) lock: tick, the recency (combo.lastUsed) of every combination,
+	// segmentsWritten, segmentsRead, queriesSeen, currentMT and the threshold
+	// counters.
 	accMu     sync.Mutex
 	tick      int64
 	currentMT int // effective merge threshold (adapts when enabled)
@@ -295,9 +292,6 @@ func NewMerger(dev simdisk.Storage, cfg MergerConfig) *Merger {
 	m.files.Store(&map[ComboKey]*MergeFile{})
 	return m
 }
-
-// Config returns the effective configuration.
-func (m *Merger) Config() MergerConfig { return m.cfg }
 
 // Threshold returns the current (possibly adapted) merge threshold mt.
 func (m *Merger) Threshold() int {
@@ -352,7 +346,7 @@ func (m *Merger) Files() []*MergeFile {
 	for _, f := range files {
 		out = append(out, f)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].combo < out[j].combo })
+	sort.Slice(out, func(i, j int) bool { return out[i].combo.key < out[j].combo.key })
 	return out
 }
 
@@ -377,32 +371,28 @@ func (m *Merger) counters() (created, merged, evictions, shared int) {
 	return m.MergesCreated, m.PartitionsMerged, m.Evictions, m.SegmentsShared
 }
 
-// Lookup applies the paper's routing: exact combination first, then the
-// smallest superset, then the subset covering the most requested datasets;
-// among equally good candidates the lowest ComboKey wins, so routing — and
-// with it the simulated clock and the converged layout — never depends on
-// map order. The chosen file's recency is ticked for budget eviction.
-func (m *Merger) Lookup(datasets []object.DatasetID) (*MergeFile, Relation) {
-	return m.route(KeyOf(datasets), datasets)
-}
-
-// LookupNoTouch is Lookup without the recency tick: background maintenance
-// re-checks coverage through it so observation never perturbs the LRU
-// eviction order queries establish.
+// LookupNoTouch returns the merge file that routes the datasets, as a query
+// of them would be routed (see lookup), without the recency tick: observing
+// the layout never perturbs the LRU eviction order queries establish.
 func (m *Merger) LookupNoTouch(datasets []object.DatasetID) (*MergeFile, Relation) {
 	return m.lookup(KeyOf(datasets), datasets)
 }
 
-// route is Lookup for a caller that already holds the combination's key.
+// route is a query's lookup: the chosen file's recency is ticked for budget
+// eviction.
 func (m *Merger) route(key ComboKey, datasets []object.DatasetID) (*MergeFile, Relation) {
 	f, rel := m.lookup(key, datasets)
 	if f != nil {
-		m.touch(f)
+		m.touch(f.combo)
 	}
 	return f, rel
 }
 
-// lookup is the routing rule; key must be KeyOf(datasets).
+// lookup applies the paper's routing: exact combination first, then the
+// smallest superset, then the subset covering the most requested datasets;
+// among equally good candidates the lowest ComboKey wins, so routing — and
+// with it the simulated clock and the converged layout — never depends on
+// map order. key must be KeyOf(datasets).
 func (m *Merger) lookup(key ComboKey, datasets []object.DatasetID) (*MergeFile, Relation) {
 	files := m.dir()
 	if f, ok := files[key]; ok {
@@ -422,7 +412,7 @@ func (m *Merger) lookup(key ComboKey, datasets []object.DatasetID) (*MergeFile, 
 				break
 			}
 		}
-		for _, ds := range f.members {
+		for _, ds := range f.combo.members {
 			if !want[ds] {
 				sub = false
 				break
@@ -432,14 +422,14 @@ func (m *Merger) lookup(key ComboKey, datasets []object.DatasetID) (*MergeFile, 
 		case super:
 			// Prefer the smallest superset (fewest segments to skip); any
 			// superset beats any subset.
-			if bestRel != RelSuperset || len(f.members) < len(best.members) ||
-				len(f.members) == len(best.members) && f.combo < best.combo {
+			if bestRel != RelSuperset || len(f.combo.members) < len(best.combo.members) ||
+				len(f.combo.members) == len(best.combo.members) && f.combo.key < best.combo.key {
 				best, bestRel = f, RelSuperset
 			}
 		case sub && bestRel != RelSuperset:
 			// Prefer the subset holding the most requested datasets.
-			if bestRel != RelSubset || len(f.members) > len(best.members) ||
-				len(f.members) == len(best.members) && f.combo < best.combo {
+			if bestRel != RelSubset || len(f.combo.members) > len(best.combo.members) ||
+				len(f.combo.members) == len(best.combo.members) && f.combo.key < best.combo.key {
 				best, bestRel = f, RelSubset
 			}
 		}
@@ -454,11 +444,11 @@ func (m *Merger) lookup(key ComboKey, datasets []object.DatasetID) (*MergeFile, 
 // engine layers a futility check on top so repeated no-op attempts do not
 // serialize steady-state traffic. Safe under the engine's shared lock, and
 // the candidate order is irrelevant.
-func (m *Merger) NeedsMerge(key ComboKey, datasets []object.DatasetID, candidates []octree.Key, fanout int) bool {
-	if len(datasets) < m.cfg.MinCombination || len(candidates) == 0 {
+func (m *Merger) NeedsMerge(c *combo, candidates []octree.Key, fanout int) bool {
+	if len(c.members) < m.cfg.MinCombination || len(candidates) == 0 {
 		return false
 	}
-	mf := m.file(key)
+	mf := m.file(c.key)
 	if mf == nil {
 		return true
 	}
@@ -475,26 +465,12 @@ func (m *Merger) NeedsMerge(key ComboKey, datasets []object.DatasetID, candidate
 // until publish, which hands it the staged entries. It holds several
 // datasets, so it is created with no affinity group: a device array deals
 // merge files across its members.
-func (m *Merger) newMergeFile(key ComboKey, datasets []object.DatasetID) *MergeFile {
-	members := append([]object.DatasetID(nil), datasets...)
-	memberOf := make(map[object.DatasetID]bool, len(members))
-	for _, ds := range members {
+func (m *Merger) newMergeFile(c *combo) *MergeFile {
+	memberOf := make(map[object.DatasetID]bool, len(c.members))
+	for _, ds := range c.members {
 		memberOf[ds] = true
 	}
-	// The first version and the recency cell every later one shares are
-	// one allocation.
-	first := new(struct {
-		mf       MergeFile
-		lastUsed int64
-	})
-	first.mf = MergeFile{
-		combo:    key,
-		members:  members,
-		memberOf: memberOf,
-		file:     pagefile.Create(m.dev, "merge:"+string(key)),
-		lastUsed: &first.lastUsed,
-	}
-	return &first.mf
+	return &MergeFile{combo: c, memberOf: memberOf, file: pagefile.Create(m.dev, "merge:"+string(c.key))}
 }
 
 // stagedMerge is one merge step between its two halves: partition copies
@@ -504,7 +480,7 @@ func (m *Merger) newMergeFile(key ComboKey, datasets []object.DatasetID) *MergeF
 // makes the entries reachable all at once — beside the readers, as a new
 // version of the file, when the stage ran under shared locks.
 type stagedMerge struct {
-	key     ComboKey
+	combo   *combo
 	mf      *MergeFile // the combination's file; private while isNew
 	isNew   bool
 	entries map[scanKey]segment // as MergeFile.entries
@@ -517,7 +493,7 @@ func (st *stagedMerge) covering(key octree.Key, fanout int) bool {
 	if st.mf == nil {
 		return false // no file yet: nothing is published or staged
 	}
-	staged := MergeFile{members: st.mf.members, entries: st.entries}
+	staged := MergeFile{combo: st.combo, entries: st.entries}
 	return st.mf.covers(key, fanout) || staged.covers(key, fanout)
 }
 
@@ -570,12 +546,12 @@ func (m *Merger) CanStageMerges() bool {
 // whatever it gets back.
 func (m *Merger) stage(
 	ctx context.Context,
-	key ComboKey,
-	datasets []object.DatasetID,
+	c *combo,
 	candidates []octree.Key,
 	trees map[object.DatasetID]*octree.Tree,
 ) (*stagedMerge, error) {
-	st := &stagedMerge{key: key, mf: m.file(key)}
+	datasets := c.members
+	st := &stagedMerge{combo: c, mf: m.file(c.key)}
 	if len(datasets) < m.cfg.MinCombination {
 		return st, nil
 	}
@@ -611,7 +587,7 @@ func (m *Merger) stage(
 			continue
 		}
 		if st.mf == nil {
-			st.mf = m.newMergeFile(key, datasets)
+			st.mf = m.newMergeFile(c)
 			st.isNew = true
 		}
 		if err := m.copyJob(ctx, st.mf, datasets, job, bounds, fanout, dir, segs); err != nil {
@@ -650,7 +626,7 @@ func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.D
 	for i, ds := range datasets {
 		ref := scanKey{ds: ds, cell: job.key}
 		if m.cfg.ShareSegments {
-			if owner, ok := m.segIndex[ref]; ok && owner != mf.combo {
+			if owner, ok := m.segIndex[ref]; ok && owner != mf.combo.key {
 				if ownerFile := m.file(owner); ownerFile != nil {
 					if seg, ok := ownerFile.entries[ref]; ok && seg.sharedFrom == "" {
 						segs[i] = segment{run: seg.run, count: seg.count, children: seg.children, sharedFrom: owner}
@@ -765,7 +741,7 @@ func (m *Merger) publish(st *stagedMerge, cow bool) int {
 	var into map[scanKey]segment // where the staged entries go; nil: they are the file's
 	m.dirMu.Lock()
 	files := m.dir()
-	switch cur := files[st.key]; {
+	switch cur := files[st.combo.key]; {
 	case st.isNew && cur != nil:
 		// A competing merge registered the combination mid-stage; the
 		// engine's single-flight rule makes this unreachable, but dropping
@@ -801,31 +777,31 @@ func (m *Merger) publish(st *stagedMerge, cow bool) int {
 			continue // the cross-file index is only read with sharing on
 		}
 		if _, owned := m.segIndex[ref]; !owned {
-			m.segIndex[ref] = st.key // the first file to copy a cell owns it
+			m.segIndex[ref] = st.combo.key // the first file to copy a cell owns it
 		}
 	}
 	// Routing reads the directory without a lock: the version goes in only
 	// once its entries are complete.
 	if cow {
 		dir := maps.Clone(files)
-		dir[st.key] = st.mf
+		dir[st.combo.key] = st.mf
 		m.files.Store(&dir)
 	} else {
-		files[st.key] = st.mf
+		files[st.combo.key] = st.mf
 	}
 	m.dirMu.Unlock()
 	m.accMu.Lock()
 	m.segmentsWritten += written
 	m.accMu.Unlock()
-	m.touch(st.mf)
+	m.touch(st.combo)
 	return len(st.order)
 }
 
 // touchCombo ticks the recency of the combination's merge file, if it has
 // one.
-func (m *Merger) touchCombo(key ComboKey) {
-	if mf := m.file(key); mf != nil {
-		m.touch(mf)
+func (m *Merger) touchCombo(c *combo) {
+	if m.file(c.key) != nil {
+		m.touch(c)
 	}
 }
 
@@ -840,9 +816,9 @@ func (m *Merger) touchCombo(key ComboKey) {
 func (m *Merger) ReadSegmentCtx(ctx context.Context, dst []object.Object, mf *MergeFile, key octree.Key, ds object.DatasetID) (cellContent, error) {
 	seg, ok := mf.entries[scanKey{ds: ds, cell: key}]
 	if !ok {
-		return cellContent{}, fmt.Errorf("merge file %s has no segment of dataset %d at %v", mf.combo, ds, key)
+		return cellContent{}, fmt.Errorf("merge file %s has no segment of dataset %d at %v", mf.combo.key, ds, key)
 	}
-	m.touch(mf)
+	m.touch(mf.combo)
 	m.accMu.Lock()
 	m.segmentsRead++
 	m.accMu.Unlock()
@@ -850,27 +826,27 @@ func (m *Merger) ReadSegmentCtx(ctx context.Context, dst []object.Object, mf *Me
 		owner := m.file(seg.sharedFrom)
 		if owner == nil {
 			return cellContent{}, fmt.Errorf("merge file %s entry %v: shared owner %s evicted",
-				mf.combo, key, seg.sharedFrom)
+				mf.combo.key, key, seg.sharedFrom)
 		}
-		m.touch(owner)
+		m.touch(owner.combo)
 		mf = owner
 	}
 	objs, err := mf.file.ReadRunIntoCtx(ctx, slices.Grow(dst[:0], seg.count), seg.run)
 	if err != nil {
-		return cellContent{}, &mergeReadError{combo: mf.combo, err: err}
+		return cellContent{}, &mergeReadError{combo: mf.combo.key, err: err}
 	}
 	return cellContent{objs: objs, children: seg.children}, nil
 }
 
 // EnforceBudget evicts least-recently-used merge files until the space
-// budget is met (§3.2.4). It returns the evicted combinations so the engine
-// can reset their statistics.
-func (m *Merger) EnforceBudget() ([]ComboKey, error) {
-	var evicted []ComboKey
+// budget is met (§3.2.4). It returns the evicted combinations' records so the
+// engine can forget them.
+func (m *Merger) EnforceBudget() ([]*combo, error) {
+	var evicted []*combo
 	for m.overBudget() {
 		var victim *MergeFile
 		for _, f := range m.Files() {
-			if victim == nil || *f.lastUsed < *victim.lastUsed {
+			if victim == nil || f.combo.lastUsed < victim.combo.lastUsed {
 				victim = f
 			}
 		}
@@ -888,12 +864,12 @@ func (m *Merger) EnforceBudget() ([]ComboKey, error) {
 // unreadable file both evict through it, under the exclusive layout lock.
 func (m *Merger) evict(f *MergeFile) error {
 	if err := f.file.Delete(); err != nil {
-		return fmt.Errorf("evict %s: %w", f.combo, err)
+		return fmt.Errorf("evict %s: %w", f.combo.key, err)
 	}
 	m.dirMu.Lock()
 	defer m.dirMu.Unlock()
-	delete(m.dir(), f.combo)
-	m.dropReferencesTo(f.combo)
+	delete(m.dir(), f.combo.key)
+	m.dropReferencesTo(f.combo.key)
 	m.Evictions++
 	return nil
 }
@@ -913,7 +889,7 @@ func (m *Merger) dropReferencesTo(owner ComboKey) {
 			if seg.sharedFrom != owner {
 				continue
 			}
-			for _, ds := range f.members { // the whole entry goes
+			for _, ds := range f.combo.members { // the whole entry goes
 				delete(f.entries, scanKey{ds: ds, cell: ref.cell})
 			}
 		}
@@ -928,11 +904,11 @@ func EntryBox(bounds geom.Box, key octree.Key, fanout int) geom.Box {
 	return key.Box(bounds, fanout)
 }
 
-// touch marks f as most recently used for budget eviction. Safe under the
-// engine's shared lock.
-func (m *Merger) touch(f *MergeFile) {
+// touch marks the combination's merge file as most recently used for budget
+// eviction. Safe under the engine's shared lock.
+func (m *Merger) touch(c *combo) {
 	m.accMu.Lock()
 	m.tick++
-	*f.lastUsed = m.tick
+	c.lastUsed = m.tick
 	m.accMu.Unlock()
 }

@@ -27,30 +27,28 @@ func TestRelationString(t *testing.T) {
 func TestMergerDefaults(t *testing.T) {
 	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
 	m := NewMerger(dev, MergerConfig{})
-	if m.Config().MergeThreshold != 2 || m.Config().MinCombination != 3 {
-		t.Fatalf("defaults = %+v", m.Config())
+	if m.cfg.MergeThreshold != 2 || m.cfg.MinCombination != 3 {
+		t.Fatalf("defaults = %+v", m.cfg)
 	}
 	if m.NumFiles() != 0 || m.TotalPages() != 0 {
 		t.Fatal("fresh merger not empty")
 	}
 }
 
-// mkMergeFile registers a fake merge file directly for Lookup tests.
+// mkMergeFile registers a fake merge file directly for routing tests.
 func mkMergeFile(m *Merger, dev *simdisk.Device, datasets ...object.DatasetID) *MergeFile {
 	memberOf := make(map[object.DatasetID]bool)
 	for _, ds := range datasets {
 		memberOf[ds] = true
 	}
-	key := KeyOf(datasets)
-	mf := &MergeFile{
-		combo:    key,
-		members:  datasets,
-		memberOf: memberOf,
-		entries:  make(map[scanKey]segment),
-		lastUsed: new(int64),
-	}
-	m.dir()[key] = mf
+	mf := &MergeFile{combo: testCombo(datasets...), memberOf: memberOf, entries: make(map[scanKey]segment)}
+	m.dir()[mf.combo.key] = mf
 	return mf
+}
+
+// routeOf routes a query of datasets, as the engine does.
+func routeOf(m *Merger, datasets ...object.DatasetID) (*MergeFile, Relation) {
+	return m.route(KeyOf(datasets), datasets)
 }
 
 func TestLookupPriorities(t *testing.T) {
@@ -58,7 +56,7 @@ func TestLookupPriorities(t *testing.T) {
 	m := NewMerger(dev, MergerConfig{})
 
 	// No files: none.
-	if mf, rel := m.Lookup([]object.DatasetID{1, 2, 3}); mf != nil || rel != RelNone {
+	if mf, rel := routeOf(m, 1, 2, 3); mf != nil || rel != RelNone {
 		t.Fatalf("empty lookup = %v %v", mf, rel)
 	}
 
@@ -71,28 +69,28 @@ func TestLookupPriorities(t *testing.T) {
 	_ = sub3
 
 	// Exact wins.
-	if mf, rel := m.Lookup([]object.DatasetID{3, 2, 1}); mf != exact || rel != RelExact {
-		t.Fatalf("exact lookup = %v %v", mf.combo, rel)
+	if mf, rel := routeOf(m, 3, 2, 1); mf != exact || rel != RelExact {
+		t.Fatalf("exact lookup = %v %v", mf.Combo(), rel)
 	}
 
 	// Remove exact: smallest superset wins.
-	delete(m.dir(), exact.combo)
-	if mf, rel := m.Lookup([]object.DatasetID{1, 2, 3}); mf != small || rel != RelSuperset {
-		t.Fatalf("superset lookup = %v %v", mf.combo, rel)
+	delete(m.dir(), exact.combo.key)
+	if mf, rel := routeOf(m, 1, 2, 3); mf != small || rel != RelSuperset {
+		t.Fatalf("superset lookup = %v %v", mf.Combo(), rel)
 	}
 
 	// Remove supersets: largest subset wins ({1,2} is the only subset;
 	// {1,2,5} is not a subset because 5 is not requested).
-	delete(m.dir(), small.combo)
-	delete(m.dir(), big.combo)
-	if mf, rel := m.Lookup([]object.DatasetID{1, 2, 3}); mf != sub2 || rel != RelSubset {
+	delete(m.dir(), small.combo.key)
+	delete(m.dir(), big.combo.key)
+	if mf, rel := routeOf(m, 1, 2, 3); mf != sub2 || rel != RelSubset {
 		t.Fatalf("subset lookup = %v %v", mf, rel)
 	}
 
 	// Only the partial-overlap file left: none (paper describes only the
 	// exact/superset/subset cases).
-	delete(m.dir(), sub2.combo)
-	if mf, rel := m.Lookup([]object.DatasetID{1, 2, 3}); mf != nil || rel != RelNone {
+	delete(m.dir(), sub2.combo.key)
+	if mf, rel := routeOf(m, 1, 2, 3); mf != nil || rel != RelNone {
 		t.Fatalf("overlap lookup = %v %v", mf, rel)
 	}
 }
@@ -102,7 +100,7 @@ func TestLookupPrefersLargerSubset(t *testing.T) {
 	m := NewMerger(dev, MergerConfig{})
 	mkMergeFile(m, dev, 1, 2)
 	sub3 := mkMergeFile(m, dev, 1, 2, 3)
-	mf, rel := m.Lookup([]object.DatasetID{1, 2, 3, 4})
+	mf, rel := routeOf(m, 1, 2, 3, 4)
 	if mf != sub3 || rel != RelSubset {
 		t.Fatalf("lookup = %v %v, want larger subset", mf, rel)
 	}
@@ -119,15 +117,15 @@ func TestLookupBreaksTiesByLowestKey(t *testing.T) {
 		mkMergeFile(m, dev, 1, 2, 3, 6)
 		mkMergeFile(m, dev, 1, 2, 3, 4)
 		mkMergeFile(m, dev, 1, 2, 3, 5)
-		if mf, rel := m.Lookup([]object.DatasetID{1, 2, 3}); rel != RelSuperset || mf.combo != "1,2,3,4" {
-			t.Fatalf("merger %d: superset lookup = %s (%v), want 1,2,3,4", i, mf.combo, rel)
+		if mf, rel := routeOf(m, 1, 2, 3); rel != RelSuperset || mf.Combo() != "1,2,3,4" {
+			t.Fatalf("merger %d: superset lookup = %s (%v), want 1,2,3,4", i, mf.Combo(), rel)
 		}
 		m = NewMerger(dev, MergerConfig{})
 		mkMergeFile(m, dev, 2, 3)
 		mkMergeFile(m, dev, 1, 3)
 		mkMergeFile(m, dev, 1, 2)
-		if mf, rel := m.LookupNoTouch([]object.DatasetID{1, 2, 3}); rel != RelSubset || mf.combo != "1,2" {
-			t.Fatalf("merger %d: subset lookup = %s (%v), want 1,2", i, mf.combo, rel)
+		if mf, rel := m.LookupNoTouch([]object.DatasetID{1, 2, 3}); rel != RelSubset || mf.Combo() != "1,2" {
+			t.Fatalf("merger %d: subset lookup = %s (%v), want 1,2", i, mf.Combo(), rel)
 		}
 	}
 }
@@ -135,8 +133,7 @@ func TestLookupBreaksTiesByLowestKey(t *testing.T) {
 func TestMergeStageRespectsMinCombination(t *testing.T) {
 	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
 	m := NewMerger(dev, MergerConfig{MinCombination: 3})
-	st, err := m.stage(context.Background(), "1,2", []object.DatasetID{1, 2},
-		[]octree.Key{{Level: 1}}, nil)
+	st, err := m.stage(context.Background(), testCombo(1, 2), []octree.Key{{Level: 1}}, nil)
 	if err != nil {
 		t.Fatalf("stage: %v", err)
 	}

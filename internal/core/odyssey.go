@@ -171,12 +171,16 @@ type Metrics struct {
 //     refine — for a refining walk, so refinement excludes only readers of
 //     the affected dataset, never the whole engine. The merge step's copy
 //     stage takes every member's lock, shared or exclusive like mu.
-//   - statsMu guards the statistics collector and the metric counters;
-//     critical sections are a few map operations.
+//   - statsMu guards combos, each combination's record (combo) — its query
+//     count, partition set and futility mark — and the metric counters;
+//     critical sections are a few map operations. A record's recency tick is
+//     under Merger.accMu, and its queued merge task and active flag under
+//     maintainer.mu.
 //
 // Lock order is always mu -> treeMu[ds] -> statsMu; treeMu locks are never
 // nested during queries and are taken in sorted dataset order by the merge
-// step. The merger's directory and accounting locks are leaves.
+// step. The merger's directory and accounting locks are leaves, and so is
+// the maintainer's.
 type Odyssey struct {
 	dev    simdisk.Storage
 	cfg    Config
@@ -215,30 +219,23 @@ type Odyssey struct {
 	// layoutEpoch counts physical-layout changes: level-0 builds,
 	// refinements, merge appends and merge-file evictions. The
 	// steady-state fast path uses it to recognize that a previously futile
-	// merge attempt cannot succeed now either.
+	// merge attempt cannot succeed now either (see futileMark).
 	layoutEpoch atomic.Int64
-	// futile (guarded by statsMu) records, per combination, the candidate
-	// count and layout epoch as of the last time merging was found to have
-	// no work: a merge step that appended nothing (candidates
-	// can be unmergeable under the level policy — e.g. a key one tree has
-	// refined past), or a NeedsMerge scan that found everything covered.
-	// While neither count nor epoch has changed, the merge step would be a
-	// no-op and both the exclusive lock and the coverage re-scan are
-	// skipped.
-	futile map[ComboKey]futileMark
 
 	// heatTick is the logical clock heat decay runs on: one tick per query.
 	// halfLife mirrors Config.HeatHalfLife as a float (0 = no decay).
 	heatTick atomic.Int64
 	halfLife float64
 
-	statsMu        sync.Mutex // guards everything below
-	stats          *Collector
+	// relations counts merge-file routings by Relation.
+	relations [RelSubset + 1]atomic.Int64
+
+	statsMu        sync.Mutex          // guards everything below
+	combos         map[ComboKey]*combo // every combination queried, interned by route
 	queries        int
 	partsFromTree  int
 	partsFromMerge int
 	partsSkipped   int
-	relationCounts map[Relation]int
 	phases         PhaseTimes
 	objectsTested  int64
 	objectsKept    int64
@@ -250,16 +247,14 @@ type Odyssey struct {
 // queries arrive.
 func New(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Config) (*Odyssey, error) {
 	o := &Odyssey{
-		dev:            dev,
-		cfg:            cfg,
-		bounds:         bounds,
-		trees:          make(map[object.DatasetID]*octree.Tree, len(raws)),
-		treeMu:         make(map[object.DatasetID]*sync.RWMutex, len(raws)),
-		futile:         make(map[ComboKey]futileMark),
-		stats:          NewCollector(),
-		merger:         NewMerger(dev, cfg.Merger),
-		relationCounts: make(map[Relation]int),
-		halfLife:       float64(cfg.HeatHalfLife),
+		dev:      dev,
+		cfg:      cfg,
+		bounds:   bounds,
+		trees:    make(map[object.DatasetID]*octree.Tree, len(raws)),
+		treeMu:   make(map[object.DatasetID]*sync.RWMutex, len(raws)),
+		combos:   make(map[ComboKey]*combo),
+		merger:   NewMerger(dev, cfg.Merger),
+		halfLife: float64(cfg.HeatHalfLife),
 	}
 	if cfg.CacheResults {
 		o.rcache = newResultCache(bounds, cfg.CacheCapacity, &o.layoutEpoch)
@@ -279,13 +274,6 @@ func New(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Config) 
 		o.maint = newMaintainer(o, cfg.MaintenanceWorkers)
 	}
 	return o, nil
-}
-
-// futileMark snapshots the state under which a merge attempt appended
-// nothing; see Odyssey.futile.
-type futileMark struct {
-	candidates int
-	epoch      int64
 }
 
 // AddRaw registers one more raw dataset with the engine. The dataset is
@@ -405,10 +393,6 @@ func (o *Odyssey) MergeSpacePages() int64 {
 	return o.merger.TotalPages()
 }
 
-// Stats exposes the statistics collector for inspection. The collector is
-// guarded by the engine during queries; single-threaded inspection only.
-func (o *Odyssey) Stats() *Collector { return o.stats }
-
 // Metrics returns a snapshot of the engine counters.
 func (o *Odyssey) Metrics() Metrics {
 	o.mu.RLock()
@@ -436,15 +420,16 @@ func (o *Odyssey) Metrics() Metrics {
 	m.PartitionsFromTree = o.partsFromTree
 	m.PartitionsFromMerge = o.partsFromMerge
 	m.PartitionsSkipped = o.partsSkipped
-	rel := make(map[Relation]int, len(o.relationCounts))
-	for k, v := range o.relationCounts {
-		rel[k] = v
-	}
-	m.RelationCounts = rel
 	m.Phases = o.phases
 	m.ObjectsTested, m.ObjectsKept = o.objectsTested, o.objectsKept
 	m.PartitionsRepaired, m.MergeFilesRepaired = o.partsRepaired, o.mergesRepaired
 	o.statsMu.Unlock()
+	m.RelationCounts = make(map[Relation]int)
+	for r := range o.relations {
+		if n := o.relations[r].Load(); n > 0 {
+			m.RelationCounts[Relation(r)] = int(n)
+		}
+	}
 	return m
 }
 
@@ -478,13 +463,13 @@ type dsWants struct {
 
 // queryScratch is the garbage of one query that QueryCtx recycles: the
 // slices of a queryAcc that die with it. Nothing that outlives the query may
-// alias them (the maintainer and the merge step copy the members they keep,
-// the collector copies the keys into its sets).
+// alias them (a combination's record copies the members and the keys it
+// keeps).
 type queryScratch struct {
 	ordered []object.DatasetID  // the requested datasets, sorted, duplicates dropped
 	exts    []geom.Box          // per dataset of ordered, the window its walk trusts (see queryAcc.ext)
 	leaves  []*octree.Partition // the current walk's leaves hit (QueryResult.Touched)
-	touched []octree.Key        // every leaf hit, for the statistics collector
+	touched []octree.Key        // every leaf hit, for the combination's partition set
 	served  []mergeRead         // segments readMerged owes, one per served leaf until it dedups them
 	hits    []cellContent       // readMerged's current run of cache hits, filtered outside the cache lock
 }
@@ -515,10 +500,10 @@ func (qs *queryScratch) release() {
 type queryAcc struct {
 	*queryScratch // pooled: QueryCtx takes it and releases it
 	q             geom.Box
-	key           ComboKey // of ordered
-	fanout        int      // per-dimension fanout every tree of the engine shares
+	fanout        int // per-dimension fanout every tree of the engine shares
 
 	// Set by route.
+	combo *combo     // the record of ordered
 	count int        // times the combination has been queried, this one included
 	mf    *MergeFile // the merge file serving the combination (nil: none)
 	scope *cacheScope
@@ -535,7 +520,6 @@ type queryAcc struct {
 	epoch    int64
 	nCand    int
 	mark     futileMark
-	tried    bool
 	mergeDue bool
 
 	// repaired is set once the query repaired derived data and read again:
@@ -552,10 +536,10 @@ func (o *Odyssey) restart(acc *queryAcc) {
 	acc.out, acc.tested, acc.servedLeaves, acc.skipped, acc.wants = acc.out[:0], 0, 0, 0, acc.wants[:0]
 	acc.repaired = true
 	if !o.cfg.DisableMerging {
-		acc.mf, _ = o.merger.route(acc.key, acc.ordered)
+		acc.mf, _ = o.merger.route(acc.combo.key, acc.combo.members)
 	}
 	o.statsMu.Lock()
-	acc.count = o.stats.Count(acc.key)
+	acc.count = acc.combo.count
 	o.statsMu.Unlock()
 }
 
@@ -679,9 +663,11 @@ func (o *Odyssey) QueryCtx(ctx context.Context, q geom.Box, datasets []object.Da
 
 // route is stage one: it canonicalises the requested datasets (sorted,
 // duplicates dropped — a dataset named twice is still one member of the
-// combination and is read once), derives the combination's key once for
-// every later stage, ticks the heat clock and the statistics collector, and
-// asks the merger which merge file, if any, serves the combination (§3.2.3).
+// combination and is read once), fetches the combination's record once for
+// every later stage — interning it on the combination's first query — ticks
+// the heat clock and the record's query count, and asks the merger which
+// merge file, if any, serves the combination (§3.2.3). The key is rendered
+// on the stack: only a new record allocates it.
 // With the result cache on it returns a context carrying the query's cache
 // scope, so the layers that actually perform device I/O can mark it; a query
 // whose scope stays clean is counted as served with zero device reads.
@@ -694,21 +680,29 @@ func (o *Odyssey) route(ctx context.Context, acc *queryAcc, datasets []object.Da
 			return ctx, fmt.Errorf("core: unknown dataset %d", ds)
 		}
 	}
-	acc.key = keyOfSorted(acc.ordered)
 	if len(acc.ordered) > 0 {
 		acc.fanout = o.trees[acc.ordered[0]].FanoutPerDim()
 	}
-	rel := RelNone
-	if !o.cfg.DisableMerging {
-		acc.mf, rel = o.merger.route(acc.key, acc.ordered)
-	}
+	var buf [64]byte
+	key := appendKey(buf[:0], acc.ordered)
 
 	o.heatTick.Add(1) // one decay tick per query
 	o.statsMu.Lock()
+	c := o.combos[ComboKey(key)]
+	if c == nil {
+		c = &combo{key: ComboKey(key), members: slices.Clone(acc.ordered)}
+		o.combos[c.key] = c
+	}
 	o.queries++
-	acc.count = o.stats.RecordQuery(acc.key)
-	o.relationCounts[rel]++
+	c.count++
+	acc.combo, acc.count = c, c.count
 	o.statsMu.Unlock()
+
+	rel := RelNone
+	if !o.cfg.DisableMerging {
+		acc.mf, rel = o.merger.route(c.key, c.members)
+	}
+	o.relations[rel].Add(1)
 
 	if o.rcache != nil {
 		ctx, acc.scope = withCacheScope(ctx)
@@ -944,7 +938,7 @@ func (o *Odyssey) readSegment(ctx context.Context, acc *queryAcc, r mergeRead, s
 
 // record is stage four, the query's one statsMu section on the steady-state
 // path: it books the phase charges and partition counts, adds the touched
-// leaves to the combination's statistics and snapshots what the merge-due
+// leaves to the combination's partition set and snapshots what the merge-due
 // test needs, then advances the merger's adaptation clock and — while the
 // layout lock the coverage scan needs is still held — decides whether a
 // merge step is due. The read side is complete here; a cache scope no I/O
@@ -962,9 +956,9 @@ func (o *Odyssey) record(ctx context.Context, acc *queryAcc) {
 	o.partsFromMerge += len(acc.served)
 	o.partsFromTree += len(acc.touched) - acc.servedLeaves - acc.skipped
 	o.partsSkipped += acc.skipped
-	o.stats.RecordPartitions(acc.key, acc.touched)
-	acc.nCand = o.stats.NumPartitions(acc.key)
-	acc.mark, acc.tried = o.futile[acc.key]
+	acc.combo.addParts(acc.touched)
+	acc.nCand = len(acc.combo.parts)
+	acc.mark = acc.combo.futile
 	o.statsMu.Unlock()
 	if acc.scope != nil && !acc.scope.missed.Load() {
 		o.rcache.zeroReads.Add(1)
@@ -988,28 +982,28 @@ func (o *Odyssey) maintain(ctx context.Context, acc *queryAcc) error {
 	if o.maint != nil {
 		qVol := acc.q.Volume()
 		for _, w := range acc.wants {
-			o.maint.EnqueueRefine(w.ds, w.keys, acc.q, qVol, acc.ordered)
+			o.maint.EnqueueRefine(w.ds, w.keys, acc.q, qVol, acc.combo)
 		}
 		if acc.mergeDue {
-			o.maint.EnqueueMerge(acc.key, acc.ordered)
+			o.maint.EnqueueMerge(acc.combo)
 		}
 		return nil
 	}
 	if !acc.mergeDue {
 		return nil
 	}
-	return o.mergeOnce(simdisk.Detach(ctx), acc.key, acc.ordered)
+	return o.mergeOnce(simdisk.Detach(ctx), acc.combo)
 }
 
 // mergeOnce runs the merge step for one combination, single-flight with
 // every other trigger of it. A partition the step's copies cannot read is
 // repaired, and the step runs again: what it staged before the fault is
 // published, so the rerun copies only the rest.
-func (o *Odyssey) mergeOnce(ctx context.Context, key ComboKey, members []object.DatasetID) error {
-	_, _, err := o.mergeFlight.Do(ctx, key, func() (struct{}, error) {
+func (o *Odyssey) mergeOnce(ctx context.Context, c *combo) error {
+	_, _, err := o.mergeFlight.Do(ctx, c.key, func() (struct{}, error) {
 		var done []repairUnit
 		for {
-			err := o.mergeStep(ctx, key, members)
+			err := o.mergeStep(ctx, c)
 			if err == nil {
 				return struct{}{}, nil
 			}
@@ -1036,18 +1030,18 @@ func (o *Odyssey) mergeDue(ctx context.Context, acc *queryAcc) bool {
 	if o.cfg.DisableMerging || acc.count < o.merger.Threshold() || simdisk.CheckCtx(ctx) != nil {
 		return false
 	}
-	if acc.nCand == 0 || acc.tried && acc.nCand <= acc.mark.candidates && acc.epoch == acc.mark.epoch {
+	if acc.nCand == 0 || acc.mark.set && acc.nCand <= acc.mark.candidates && acc.epoch == acc.mark.epoch {
 		return false
 	}
 	o.statsMu.Lock()
-	candidates := o.stats.PartitionsUnsorted(acc.key)
+	candidates := acc.combo.partitionsUnsorted()
 	o.statsMu.Unlock()
-	due := o.merger.NeedsMerge(acc.key, acc.ordered, candidates, acc.fanout)
+	due := o.merger.NeedsMerge(acc.combo, candidates, acc.fanout)
 	if !due {
 		// Everything covered: memoize so converged steady-state traffic
 		// skips even this coverage scan next time.
 		o.statsMu.Lock()
-		o.futile[acc.key] = futileMark{candidates: acc.nCand, epoch: acc.epoch}
+		acc.combo.futile = futileMark{set: true, candidates: acc.nCand, epoch: acc.epoch}
 		o.statsMu.Unlock()
 	}
 	return due
@@ -1055,8 +1049,8 @@ func (o *Odyssey) mergeDue(ctx context.Context, acc *queryAcc) bool {
 
 // mergeStep is the one merge step: merge (or extend the merge file with)
 // every qualifying partition the combination accumulated, enforce the space
-// budget, and maintain the layout epoch, the futility memo and the evicted
-// combinations' statistics. Callers hold the combination's mergeFlight slot
+// budget, and maintain the layout epoch, the futility mark and the evicted
+// combinations' records. Callers hold the combination's mergeFlight slot
 // and pass a non-cancelable context whose QoS scope the copy I/O is charged
 // to.
 //
@@ -1069,7 +1063,7 @@ func (o *Odyssey) mergeDue(ctx context.Context, acc *queryAcc) bool {
 // step, segment sharing, CoarsestCover — the step holds them exclusively
 // throughout. Either way a racing query observes none or all of the step's
 // entries.
-func (o *Odyssey) mergeStep(ctx context.Context, key ComboKey, ordered []object.DatasetID) error {
+func (o *Odyssey) mergeStep(ctx context.Context, c *combo) error {
 	shared := o.maint != nil && o.merger.CanStageMerges()
 	lock, unlock := (*sync.RWMutex).Lock, (*sync.RWMutex).Unlock
 	if shared {
@@ -1079,24 +1073,24 @@ func (o *Odyssey) mergeStep(ctx context.Context, key ComboKey, ordered []object.
 	epochBefore := o.layoutEpoch.Load()
 
 	lock(&o.mu)
-	for _, ds := range ordered {
+	for _, ds := range c.members {
 		lock(o.treeMu[ds])
 	}
 	o.statsMu.Lock()
-	candidates := o.stats.Partitions(key)
+	candidates := c.partitions()
 	o.statsMu.Unlock()
 	t0 := clock.Now()
-	st, stageErr := o.merger.stage(ctx, key, ordered, candidates, o.trees)
-	for i := len(ordered) - 1; i >= 0; i-- {
-		unlock(o.treeMu[ordered[i]])
+	st, stageErr := o.merger.stage(ctx, c, candidates, o.trees)
+	for i := len(c.members) - 1; i >= 0; i-- {
+		unlock(o.treeMu[c.members[i]])
 	}
 	// Publish even after a stage error: the entries staged before the
 	// failure are kept (see Merger.stage).
 	var err error
 	if shared {
-		err = o.publishShared(key, st, len(candidates), epochBefore, stageErr)
+		err = o.publishShared(c, st, len(candidates), epochBefore, stageErr)
 	} else {
-		err = o.publishExclusive(key, st, len(candidates), stageErr)
+		err = o.publishExclusive(c, st, len(candidates), stageErr)
 	}
 	dt := clock.Now() - t0
 	if err == nil {
@@ -1114,14 +1108,14 @@ func (o *Odyssey) mergeStep(ctx context.Context, key ComboKey, ordered []object.
 // publishExclusive ends a merge step staged under the exclusive locks, and
 // releases the layout lock: publish, enforce the budget, and book the
 // outcome while nothing else can change the layout.
-func (o *Odyssey) publishExclusive(key ComboKey, st *stagedMerge, nCand int, stageErr error) error {
+func (o *Odyssey) publishExclusive(c *combo, st *stagedMerge, nCand int, stageErr error) error {
 	appended := o.merger.publish(st, false)
 	if appended == 0 {
 		// The paper's clock depends on it: under the exclusive locks an
 		// attempt that appended nothing has always counted as a use of the
 		// combination's file for LRU eviction. The shared step has never
 		// ticked it, and keeps not to.
-		o.merger.touchCombo(key)
+		o.merger.touchCombo(c)
 	}
 	evicted, err := o.merger.EnforceBudget()
 	bumped := false
@@ -1144,11 +1138,13 @@ func (o *Odyssey) publishExclusive(key ComboKey, st *stagedMerge, nCand int, sta
 			// Nothing else can publish during the step, and the mark takes
 			// the epoch after it — this step's own evictions included — so
 			// the next query skips.
-			o.futile[key] = futileMark{candidates: nCand, epoch: o.layoutEpoch.Load()}
+			c.futile = futileMark{set: true, candidates: nCand, epoch: o.layoutEpoch.Load()}
 		} else {
-			delete(o.futile, key)
+			c.futile = futileMark{}
 		}
-		o.forgetLocked(evicted...)
+		for _, e := range evicted {
+			e.forget()
+		}
 		o.statsMu.Unlock()
 	}
 	o.mu.Unlock()
@@ -1160,7 +1156,7 @@ func (o *Odyssey) publishExclusive(key ComboKey, st *stagedMerge, nCand int, sta
 // releases the layout lock. A step that staged nothing records its futility
 // and returns; one that did publishes beside the readers and takes the
 // layout lock exclusively only if the space budget must evict.
-func (o *Odyssey) publishShared(key ComboKey, st *stagedMerge, nCand int, epochBefore int64, stageErr error) error {
+func (o *Odyssey) publishShared(c *combo, st *stagedMerge, nCand int, epochBefore int64, stageErr error) error {
 	appended := o.merger.publish(st, true)
 	if appended > 0 {
 		o.bumpLayoutEpoch() // after the publish: a query that reads the new epoch routes to it
@@ -1172,9 +1168,9 @@ func (o *Odyssey) publishShared(key ComboKey, st *stagedMerge, nCand int, epochB
 		// racing refinement of another region) advanced the layout
 		// mid-stage, the stale mark makes the next query re-attempt rather
 		// than wedge the combination.
-		o.futile[key] = futileMark{candidates: nCand, epoch: epochBefore}
+		c.futile = futileMark{set: true, candidates: nCand, epoch: epochBefore}
 	} else {
-		delete(o.futile, key)
+		c.futile = futileMark{}
 	}
 	o.statsMu.Unlock()
 	over := appended > 0 && o.merger.overBudget()
@@ -1185,14 +1181,16 @@ func (o *Odyssey) publishShared(key ComboKey, st *stagedMerge, nCand int, epochB
 	var err error
 	if over {
 		o.mu.Lock()
-		var evicted []ComboKey
+		var evicted []*combo
 		evicted, err = o.merger.EnforceBudget()
 		if len(evicted) > 0 {
 			o.bumpLayoutEpoch()
-			// Reset evicted combinations' statistics before releasing the
-			// layout lock (see forgetLocked).
+			// Forget the evicted combinations before releasing the layout
+			// lock (see combo.forget).
 			o.statsMu.Lock()
-			o.forgetLocked(evicted...)
+			for _, e := range evicted {
+				e.forget()
+			}
 			o.statsMu.Unlock()
 		}
 		o.mu.Unlock()
@@ -1276,7 +1274,7 @@ func (o *Odyssey) runRefineTask(ds object.DatasetID, t refineTask) (int, error) 
 // combination now covers the task's cell — then the refinement demand is
 // void (the partition is served from the merge file and never refined).
 func (o *Odyssey) regionCovered(ds object.DatasetID, t refineTask) bool {
-	if o.cfg.DisableMerging || len(t.members) == 0 {
+	if o.cfg.DisableMerging {
 		return false
 	}
 	o.mu.RLock()
@@ -1285,7 +1283,7 @@ func (o *Odyssey) regionCovered(ds object.DatasetID, t refineTask) bool {
 	if tree == nil {
 		return true // dataset vanished; nothing to refine
 	}
-	mf, _ := o.merger.LookupNoTouch(t.members)
+	mf, _ := o.merger.lookup(t.combo.key, t.combo.members)
 	if mf == nil || !mf.memberOf[ds] {
 		return false
 	}
@@ -1295,9 +1293,9 @@ func (o *Odyssey) regionCovered(ds object.DatasetID, t refineTask) bool {
 // runMergeTask executes one background merge task: the merge step for the
 // task's combination, single-flight with any direct trigger, under a
 // maintenance-priority scope whose charges attribute the task's exact cost.
-func (o *Odyssey) runMergeTask(t mergeTask) error {
+func (o *Odyssey) runMergeTask(c *combo) error {
 	ctx, _ := simdisk.WithOpScope(context.Background(), simdisk.PriMaintenance)
-	return o.mergeOnce(ctx, t.key, t.members)
+	return o.mergeOnce(ctx, c)
 }
 
 // CacheStats snapshots the result-cache ledger (all zero when

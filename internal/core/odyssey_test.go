@@ -141,8 +141,8 @@ func TestQueryMatchesOracle(t *testing.T) {
 	if m.Queries == 0 || m.Refinements == 0 {
 		t.Fatalf("suspicious metrics: %+v", m)
 	}
-	if n := eng.Stats().Combinations(); n != len(combos) {
-		t.Fatalf("collector saw %d combinations, the workload has %d distinct dataset sets", n, len(combos))
+	if n := len(eng.combos); n != len(combos) {
+		t.Fatalf("the engine holds %d combination records, the workload has %d distinct dataset sets", n, len(combos))
 	}
 }
 

@@ -142,7 +142,7 @@ func TestMergeStepNeverRefines(t *testing.T) {
 				return n
 			}
 			before, refBefore := leaves(), eng.Metrics().Refinements
-			if err := eng.mergeStep(context.Background(), KeyOf(dss), dss); err != nil {
+			if err := eng.mergeStep(context.Background(), recordOf(eng, dss...)); err != nil {
 				t.Fatal(err)
 			}
 			if eng.Merger().PartitionsMerged == 0 {
@@ -182,16 +182,16 @@ func TestSameLevelCandidatesNeverOverlap(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mf := range eng.merger.Files() {
-			st := &stagedMerge{key: mf.combo, mf: mf}
-			for _, ds := range mf.members {
+			st := &stagedMerge{combo: mf.combo, mf: mf}
+			for _, ds := range mf.combo.members {
 				for _, leaf := range eng.Tree(ds).AppendLeavesUnder(nil, octree.Key{}) {
 					cand := leaf.Key()
-					if st.covering(cand, fanout) || !eng.merger.planSameLevel(job, cand, mf.members, eng.trees) {
+					if st.covering(cand, fanout) || !eng.merger.planSameLevel(job, cand, mf.combo.members, eng.trees) {
 						continue
 					}
 					checked++
 					if st.overlaps(cand, fanout) {
-						t.Fatalf("query %d: accepted candidate %v of %s contains a merge entry", trial, cand, mf.combo)
+						t.Fatalf("query %d: accepted candidate %v of %s contains a merge entry", trial, cand, mf.combo.key)
 					}
 				}
 			}

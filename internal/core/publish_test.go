@@ -66,7 +66,8 @@ func TestSharedMergePublishesBesideAParkedReader(t *testing.T) {
 	defer eng.Close()
 	eng.maint.SetPaused(true) // the test runs every merge step itself
 	oracle := engine.NewNaiveScan(raws)
-	key := KeyOf(dss)
+	rec := recordOf(eng, dss...)
+	key := rec.key
 	ctx := context.Background()
 	query := func(q geom.Box) []object.Object {
 		t.Helper()
@@ -93,7 +94,7 @@ func TestSharedMergePublishesBesideAParkedReader(t *testing.T) {
 	// The combination crosses mt on first's cell, which is merged.
 	query(first)
 	query(first)
-	if err := eng.mergeStep(ctx, key, dss); err != nil {
+	if err := eng.mergeStep(ctx, rec); err != nil {
 		t.Fatal(err)
 	}
 	v1 := eng.merger.file(key)
@@ -131,7 +132,7 @@ func TestSharedMergePublishesBesideAParkedReader(t *testing.T) {
 	step := func(what string) {
 		t.Helper()
 		done := make(chan error, 1)
-		go func() { done <- eng.mergeStep(ctx, key, dss) }()
+		go func() { done <- eng.mergeStep(ctx, rec) }()
 		select {
 		case err := <-done:
 			if err != nil {
@@ -152,7 +153,7 @@ func TestSharedMergePublishesBesideAParkedReader(t *testing.T) {
 		t.Fatal("a merge step that staged nothing published a version")
 	}
 	eng.statsMu.Lock()
-	_, marked := eng.futile[key]
+	marked := rec.futile.set
 	eng.statsMu.Unlock()
 	if !marked {
 		t.Fatal("a merge step that staged nothing left no futility mark")
@@ -197,29 +198,29 @@ func TestExclusivePublishCopiesNothing(t *testing.T) {
 			staged[scanKey{ds: ds, cell: cell}] = segment{count: 2}
 		}
 	}
-	st := &stagedMerge{key: mf.combo, mf: mf, entries: staged, order: order}
+	st := &stagedMerge{combo: mf.combo, mf: mf, entries: staged, order: order}
 	// Every staged key is already an entry, so an in-place publish cannot
 	// grow the map: any allocation is a copy.
 	if n := testing.AllocsPerRun(20, func() { m.publish(st, false) }); n != 0 {
 		t.Fatalf("exclusive publish of an existing file allocated %.0f times, want 0", n)
 	}
-	if m.file(mf.combo) != mf || mf.NumEntries() != cells {
+	if m.file(mf.combo.key) != mf || mf.NumEntries() != cells {
 		t.Fatal("exclusive publish replaced the file's version")
 	}
 
 	cell := octree.Key{Level: 2}
-	st = &stagedMerge{key: mf.combo, mf: mf, entries: map[scanKey]segment{}, order: []octree.Key{cell}}
+	st = &stagedMerge{combo: mf.combo, mf: mf, entries: map[scanKey]segment{}, order: []octree.Key{cell}}
 	for _, ds := range dss {
 		st.entries[scanKey{ds: ds, cell: cell}] = segment{count: 3}
 	}
 	m.publish(st, true)
-	next := m.file(mf.combo)
+	next := m.file(mf.combo.key)
 	if next == mf || next.NumEntries() != cells+1 || mf.NumEntries() != cells {
 		t.Fatalf("publish beside readers: new version %v with %d entries, old version %d entries; want a new version of %d beside the old of %d",
 			next != mf, next.NumEntries(), mf.NumEntries(), cells+1, cells)
 	}
-	if next.lastUsed != mf.lastUsed {
-		t.Fatal("versions of one file do not share their recency cell")
+	if next.combo != mf.combo {
+		t.Fatal("versions of one file do not share their combination's record")
 	}
 }
 
@@ -246,7 +247,7 @@ func TestSharedPublishIsWholeWhenRoutable(t *testing.T) {
 					return
 				default:
 				}
-				f := m.file(mf.combo)
+				f := m.file(mf.combo.key)
 				for cell := range f.cells {
 					for _, ds := range dss {
 						if _, ok := f.entries[scanKey{ds: ds, cell: cell}]; !ok {
@@ -261,14 +262,14 @@ func TestSharedPublishIsWholeWhenRoutable(t *testing.T) {
 	cur := mf
 	for i := range versions {
 		cell := octree.Key{Level: 3, X: uint32(i % 8), Y: uint32(i / 8 % 8), Z: uint32(i / 64)}
-		st := &stagedMerge{key: mf.combo, mf: cur, entries: map[scanKey]segment{}, order: []octree.Key{cell}}
+		st := &stagedMerge{combo: mf.combo, mf: cur, entries: map[scanKey]segment{}, order: []octree.Key{cell}}
 		for _, ds := range dss {
 			st.entries[scanKey{ds: ds, cell: cell}] = segment{count: 1}
 		}
 		if m.publish(st, true) != 1 {
 			t.Fatalf("version %d was not published", i)
 		}
-		cur = m.file(mf.combo)
+		cur = m.file(mf.combo.key)
 	}
 	close(done)
 	wg.Wait()

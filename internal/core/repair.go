@@ -40,9 +40,9 @@ type repairUnit struct {
 //   - a tree partition is re-derived from its raw file under its dataset's
 //     write lock (octree.Tree.Rederive), charged to ctx's scope;
 //   - a merge file is evicted, with a budget eviction's bookkeeping: the
-//     combination's statistics reset, its futility mark cleared and the
-//     layout epoch bumped. Its cells are answered from the trees until the
-//     combination earns its merge again.
+//     combination forgotten (combo.forget) and the layout epoch bumped. Its
+//     cells are answered from the trees until the combination earns its
+//     merge again.
 //
 // Only a permanent fault or a checksum failure is repaired, and a unit once
 // per caller (done, which repair extends): a unit that fails again after its
@@ -95,12 +95,12 @@ func (o *Odyssey) rederive(ctx context.Context, e *octree.ReadError) error {
 	return err
 }
 
-// dropMergeFile evicts the merge file of combo, unless a racing caller
-// already has.
-func (o *Odyssey) dropMergeFile(combo ComboKey) error {
+// dropMergeFile evicts the merge file of the combination key, unless a
+// racing caller already has.
+func (o *Odyssey) dropMergeFile(key ComboKey) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	mf := o.merger.file(combo)
+	mf := o.merger.file(key)
 	if mf == nil {
 		return nil
 	}
@@ -109,20 +109,8 @@ func (o *Odyssey) dropMergeFile(combo ComboKey) error {
 	}
 	o.bumpLayoutEpoch()
 	o.statsMu.Lock()
-	o.forgetLocked(combo)
+	mf.combo.forget()
 	o.mergesRepaired++
 	o.statsMu.Unlock()
 	return nil
-}
-
-// forgetLocked is the bookkeeping of evicted merge files: their
-// combinations must re-earn merging from zero. Called under statsMu, before
-// the eviction releases the layout lock: a concurrent query that observed
-// the eviction with stale pre-eviction counts would immediately re-merge the
-// combination from its old candidates, thrashing the budget.
-func (o *Odyssey) forgetLocked(combos ...ComboKey) {
-	for _, combo := range combos {
-		delete(o.futile, combo)
-		o.stats.Reset(combo)
-	}
 }

@@ -489,8 +489,6 @@ func TestMaintenancePriorityHottestFirst(t *testing.T) {
 		refineQ:       make(map[object.DatasetID]*heatHeap[refineTask]),
 		refinePending: make(map[object.DatasetID]map[octree.Key]*heatItem[refineTask]),
 		activeRefine:  make(map[object.DatasetID]bool),
-		mergePending:  make(map[ComboKey]*heatItem[mergeTask]),
-		activeMerge:   make(map[ComboKey]bool),
 	}
 	m.cond = sync.NewCond(&m.mu)
 
@@ -498,7 +496,7 @@ func TestMaintenancePriorityHottestFirst(t *testing.T) {
 	cold := testKeyAt(1, 0, 0, 0)
 	warm := testKeyAt(1, 1, 0, 0)
 	hotK := testKeyAt(1, 2, 0, 0)
-	members := []object.DatasetID{0}
+	members := testCombo(0)
 	m.EnqueueRefine(0, []octree.Key{cold, warm, hotK}, q, 0.001, members)
 	// Heat the tasks: warm gets one duplicate demand, hot gets three.
 	m.EnqueueRefine(0, []octree.Key{warm}, q, 0.001, members)
@@ -513,7 +511,7 @@ func TestMaintenancePriorityHottestFirst(t *testing.T) {
 		if !ok {
 			t.Fatal("queue empty")
 		}
-		if task.isMerge {
+		if task.merge != nil {
 			t.Fatal("merge popped before refinements drained")
 		}
 		// One writer per dataset: release the claim so the next pop works.
@@ -532,19 +530,18 @@ func TestMaintenancePriorityHottestFirst(t *testing.T) {
 
 	// Merge heat: two combinations, the second demanded twice — it runs
 	// first despite arriving later.
-	a := KeyOf([]object.DatasetID{0, 1, 2})
-	b := KeyOf([]object.DatasetID{1, 2, 3})
+	a, b := testCombo(0, 1, 2), testCombo(1, 2, 3)
 	m.mu.Unlock()
-	m.EnqueueMerge(a, []object.DatasetID{0, 1, 2})
-	m.EnqueueMerge(b, []object.DatasetID{1, 2, 3})
-	m.EnqueueMerge(b, []object.DatasetID{1, 2, 3})
+	m.EnqueueMerge(a)
+	m.EnqueueMerge(b)
+	m.EnqueueMerge(b)
 	m.mu.Lock()
 	task, ok := m.pickLocked()
-	if !ok || !task.isMerge || task.merge.key != b {
+	if !ok || task.merge != b {
 		t.Fatalf("hot merge not popped first: %+v ok=%v", task, ok)
 	}
 	task, ok = m.pickLocked()
-	if !ok || !task.isMerge || task.merge.key != a {
+	if !ok || task.merge != a {
 		t.Fatalf("cold merge not popped second: %+v ok=%v", task, ok)
 	}
 }

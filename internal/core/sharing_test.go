@@ -87,8 +87,8 @@ func TestSharedSegmentOwnerEvictionInvalidatesReferences(t *testing.T) {
 	if len(evicted) == 0 {
 		t.Fatal("nothing evicted under 1-page budget")
 	}
-	for _, combo := range evicted {
-		eng.Stats().Reset(combo)
+	for _, c := range evicted {
+		c.forget()
 	}
 	m.cfg.SpaceBudgetPages = 0 // lift the budget again
 
@@ -106,14 +106,14 @@ func TestSharedSegmentOwnerEvictionInvalidatesReferences(t *testing.T) {
 		// An entry goes whole: every cell left has a segment of every member.
 		cells := f.EntryKeys()
 		for _, cell := range cells {
-			for _, ds := range f.members {
+			for _, ds := range f.combo.members {
 				if _, ok := f.entries[scanKey{ds: ds, cell: cell}]; !ok {
-					t.Fatalf("entry %v of %s lost the segment of ds %d", cell, f.combo, ds)
+					t.Fatalf("entry %v of %s lost the segment of ds %d", cell, f.combo.key, ds)
 				}
 			}
 		}
-		if len(f.entries) != len(cells)*len(f.members) {
-			t.Fatalf("merge file %s holds %d segments for %d entries of %d members", f.combo, len(f.entries), len(cells), len(f.members))
+		if len(f.entries) != len(cells)*len(f.combo.members) {
+			t.Fatalf("merge file %s holds %d segments for %d entries of %d members", f.combo.key, len(f.entries), len(cells), len(f.combo.members))
 		}
 	}
 	q := geom.Cube(geom.V(0.45, 0.45, 0.45), 0.05)

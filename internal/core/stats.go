@@ -1,9 +1,10 @@
 // Package core implements Space Odyssey itself: the Query Processor that
 // orchestrates query execution, the Adaptor (incremental per-dataset
-// octrees, package octree), the Statistics Collector that tracks which
-// dataset combinations are queried together and which partitions they
-// touch, and the Merger that reorganizes the disk layout by copying
-// partitions of frequently co-queried datasets into sequential merge files.
+// octrees, package octree), the Statistics Collector — one record per
+// dataset combination (combo) counting its queries and the partitions they
+// touch, beside the rest of its merge state — and the Merger that
+// reorganizes the disk layout by copying partitions of frequently co-queried
+// datasets into sequential merge files.
 package core
 
 import (
@@ -66,94 +67,102 @@ type CacheStats struct {
 func KeyOf(datasets []object.DatasetID) ComboKey {
 	ids := append([]object.DatasetID(nil), datasets...)
 	slices.Sort(ids)
-	return keyOfSorted(ids)
+	var buf [64]byte
+	return ComboKey(appendKey(buf[:0], ids))
 }
 
-// keyOfSorted is KeyOf for ids already in ascending order. It renders into a
-// buffer on the stack (for combinations of the usual few members): the one
-// allocation is the key itself.
-func keyOfSorted(ids []object.DatasetID) ComboKey {
-	var buf [64]byte
-	b := buf[:0]
+// appendKey renders the key of ids, already in ascending order, onto b. A
+// caller that renders into a buffer on its stack (64 bytes hold the usual few
+// members) can look a key up without allocating it.
+func appendKey(b []byte, ids []object.DatasetID) []byte {
 	for i, ds := range ids {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = strconv.AppendUint(b, uint64(ds), 10)
 	}
-	return ComboKey(b)
+	return b
 }
 
-// Collector is the Statistics Collector of Figure 1: it records, per
-// combination C, (1) how often C has been queried and (2) which partitions
-// have been retrieved in the context of C.
-type Collector struct {
-	counts     map[ComboKey]int
-	partitions map[ComboKey]map[octree.Key]struct{}
+// combo is the engine's one record of a dataset combination, interned per
+// ComboKey in Odyssey.combos by the combination's first query. It is the
+// Statistics Collector's entry of Figure 1 — how often the combination was
+// queried and which partitions were retrieved in its context — and holds the
+// rest of what merging keeps per combination: the futility mark, the merge
+// file's recency and the maintainer's queue state. A record is never
+// deleted: forget resets it in place, so a queued or running maintenance
+// task never points at a dead record, and no key ever has two records.
+//
+// key and members are immutable; every other field is guarded by the lock
+// named above it.
+type combo struct {
+	key     ComboKey
+	members []object.DatasetID // sorted, no duplicates
+
+	// Under Odyssey.statsMu.
+	count  int                     // times queried since the last forget
+	parts  map[octree.Key]struct{} // partitions retrieved in its context; nil for none
+	futile futileMark
+
+	// Under Merger.accMu: the tick of the last use of the combination's merge
+	// file, which budget eviction orders files by. Every version of the file
+	// (see Merger.publish) points at the record, so a tick by a query still
+	// reading an older version counts.
+	lastUsed int64
+
+	// Under maintainer.mu.
+	mergeItem *heatItem[*combo] // its queued merge task; nil when none is queued
+	merging   bool              // a worker runs its merge step
 }
 
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{
-		counts:     make(map[ComboKey]int),
-		partitions: make(map[ComboKey]map[octree.Key]struct{}),
-	}
+// futileMark snapshots the state under which merging last had no work for a
+// combination: a merge step that appended nothing (candidates can be
+// unmergeable under the level policy — e.g. a key one tree has refined
+// past), or a NeedsMerge scan that found everything covered. While neither
+// the candidate count nor the layout epoch has changed, the merge step would
+// be a no-op and both the exclusive lock and the coverage re-scan are
+// skipped. The zero mark (set false) marks nothing.
+type futileMark struct {
+	set        bool
+	candidates int
+	epoch      int64
 }
 
-// RecordQuery increments the retrieval count of the combination and returns
-// the new count.
-func (c *Collector) RecordQuery(key ComboKey) int {
-	c.counts[key]++
-	return c.counts[key]
-}
-
-// RecordPartitions adds the partitions a query touched to the combination's
-// accumulated set.
-func (c *Collector) RecordPartitions(key ComboKey, parts []octree.Key) {
-	set, ok := c.partitions[key]
-	if !ok {
-		set = make(map[octree.Key]struct{})
-		c.partitions[key] = set
+// addParts adds the partitions a query touched to the combination's set.
+func (c *combo) addParts(parts []octree.Key) {
+	if c.parts == nil {
+		c.parts = make(map[octree.Key]struct{})
 	}
 	for _, p := range parts {
-		set[p] = struct{}{}
+		c.parts[p] = struct{}{}
 	}
 }
 
-// Count returns how many times the combination has been queried.
-func (c *Collector) Count(key ComboKey) int { return c.counts[key] }
-
-// NumPartitions returns the size of the combination's accumulated partition
-// set without copying it.
-func (c *Collector) NumPartitions(key ComboKey) int { return len(c.partitions[key]) }
-
-// PartitionsUnsorted returns a copy of the combination's accumulated
-// partition keys in map order. Callers that do not need the deterministic
-// layout order of Partitions (e.g. coverage checks) use it to skip the
-// sort.
-func (c *Collector) PartitionsUnsorted(key ComboKey) []octree.Key {
-	set := c.partitions[key]
-	out := make([]octree.Key, 0, len(set))
-	for k := range set {
+// partitionsUnsorted returns a copy of the combination's partition keys in
+// map order, for callers that need no order (coverage checks).
+func (c *combo) partitionsUnsorted() []octree.Key {
+	out := make([]octree.Key, 0, len(c.parts))
+	for k := range c.parts {
 		out = append(out, k)
 	}
 	return out
 }
 
-// Partitions returns the accumulated partition keys of the combination in
-// the canonical (level, z, y, x) order.
-func (c *Collector) Partitions(key ComboKey) []octree.Key {
-	out := c.PartitionsUnsorted(key)
+// partitions returns a copy of the combination's partition keys in the
+// canonical (level, z, y, x) order, the order a merge step copies them in.
+func (c *combo) partitions() []octree.Key {
+	out := c.partitionsUnsorted()
 	sortKeys(out)
 	return out
 }
 
-// Reset clears the statistics of one combination (used after a merge file
-// for it is evicted, so it must re-earn merging).
-func (c *Collector) Reset(key ComboKey) {
-	delete(c.counts, key)
-	delete(c.partitions, key)
+// forget resets a combination whose merge file was evicted (the space
+// budget, a repair): it must re-earn merging from zero. Called under statsMu
+// before the eviction releases the layout lock: a concurrent query that
+// observed the eviction with stale pre-eviction counts would immediately
+// re-merge the combination from its old candidates, thrashing the budget.
+func (c *combo) forget() {
+	c.count = 0
+	c.parts = nil
+	c.futile = futileMark{}
 }
-
-// Combinations returns the number of distinct combinations seen.
-func (c *Collector) Combinations() int { return len(c.counts) }

@@ -1,43 +1,67 @@
 package core
 
 import (
+	"context"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
 	"spaceodyssey/internal/octree"
 )
 
+// testCombo returns a fresh record of the combination of dss, interned
+// nowhere.
+func testCombo(dss ...object.DatasetID) *combo {
+	members := slices.Compact(slices.Sorted(slices.Values(dss)))
+	return &combo{key: KeyOf(members), members: members}
+}
+
+// recordOf returns eng's record of the combination of dss, interning it as a
+// query of dss would.
+func recordOf(eng *Odyssey, dss ...object.DatasetID) *combo {
+	c := testCombo(dss...)
+	eng.statsMu.Lock()
+	defer eng.statsMu.Unlock()
+	if old := eng.combos[c.key]; old != nil {
+		return old
+	}
+	eng.combos[c.key] = c
+	return c
+}
+
 func TestCollectorCounts(t *testing.T) {
-	c := NewCollector()
-	key := KeyOf([]object.DatasetID{2, 0})
-	if c.Count(key) != 0 {
-		t.Fatal("fresh collector has counts")
+	eng, _, _ := testSetup(t, 3, 500, 3, DefaultConfig())
+	q := geom.Cube(geom.V(0.5, 0.5, 0.5), 0.05)
+	for _, dss := range [][]object.DatasetID{{2, 0}, {0, 2}, {0, 2, 0}, {1}} {
+		if _, err := eng.Query(q, dss); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := c.RecordQuery(key); got != 1 {
-		t.Fatalf("first record = %d", got)
+	if len(eng.combos) != 2 {
+		t.Fatalf("%d records, want one per distinct combination: 2", len(eng.combos))
 	}
-	if got := c.RecordQuery(key); got != 2 {
-		t.Fatalf("second record = %d", got)
+	pair, single := eng.combos[KeyOf([]object.DatasetID{0, 2})], eng.combos["1"]
+	if pair == nil || single == nil || pair.count != 3 || single.count != 1 {
+		t.Fatalf("records %+v and %+v, want counts 3 and 1", pair, single)
 	}
-	other := KeyOf([]object.DatasetID{1})
-	c.RecordQuery(other)
-	if c.Count(key) != 2 || c.Count(other) != 1 {
-		t.Fatal("counts mixed up")
+	if !slices.Equal(pair.members, []object.DatasetID{0, 2}) {
+		t.Fatalf("members %v, want the sorted combination", pair.members)
 	}
-	if c.Combinations() != 2 {
-		t.Fatalf("Combinations = %d", c.Combinations())
+	if recordOf(eng, 2, 0) != pair {
+		t.Fatal("a combination has two records")
 	}
 }
 
 func TestCollectorPartitionsDeduplicated(t *testing.T) {
-	c := NewCollector()
-	key := ComboKey("0,1,2")
+	c := testCombo(0, 1, 2)
 	a := octree.Key{Level: 1, X: 1}
 	b := octree.Key{Level: 2, X: 5, Y: 3}
-	c.RecordPartitions(key, []octree.Key{a, b})
-	c.RecordPartitions(key, []octree.Key{a}) // duplicate
-	got := c.Partitions(key)
+	c.addParts([]octree.Key{b, a})
+	c.addParts([]octree.Key{a}) // duplicate
+	got := c.partitions()
 	if len(got) != 2 {
 		t.Fatalf("partitions = %v", got)
 	}
@@ -56,42 +80,145 @@ func TestCollectorPartitionsOrderDeterministic(t *testing.T) {
 			X:     uint32(r.Intn(16)), Y: uint32(r.Intn(16)), Z: uint32(r.Intn(16)),
 		}
 	}
-	c1 := NewCollector()
-	c2 := NewCollector()
-	c1.RecordPartitions("x", keys)
-	rev := make([]octree.Key, len(keys))
-	for i, k := range keys {
-		rev[len(keys)-1-i] = k
+	c1, c2 := testCombo(1), testCombo(1)
+	c1.addParts(keys)
+	rev := slices.Clone(keys)
+	slices.Reverse(rev)
+	c2.addParts(rev)
+	a, b := c1.partitions(), c2.partitions()
+	if !slices.Equal(a, b) {
+		t.Fatalf("order depends on insertion: %v vs %v", a, b)
 	}
-	c2.RecordPartitions("x", rev)
-	a, b := c1.Partitions("x"), c2.Partitions("x")
-	if len(a) != len(b) {
-		t.Fatal("lengths differ")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("order differs at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	// Sorted by level, then z, y, x.
-	for i := 1; i < len(a); i++ {
-		if a[i].Level < a[i-1].Level {
-			t.Fatal("not sorted by level")
-		}
+	if !slices.IsSortedFunc(a, compareKeys) {
+		t.Fatalf("not in (level, z, y, x) order: %v", a)
 	}
 }
 
 func TestCollectorReset(t *testing.T) {
-	c := NewCollector()
-	key := ComboKey("3,4,5")
-	c.RecordQuery(key)
-	c.RecordPartitions(key, []octree.Key{{Level: 1}})
-	c.Reset(key)
-	if c.Count(key) != 0 || len(c.Partitions(key)) != 0 {
-		t.Fatal("reset did not clear")
+	c := testCombo(3, 4, 5)
+	c.count = 2
+	c.addParts([]octree.Key{{Level: 1}})
+	c.futile = futileMark{set: true, candidates: 1, epoch: 7}
+	c.forget()
+	if c.count != 0 || len(c.partitions()) != 0 || c.futile.set {
+		t.Fatalf("forget left %+v", c)
 	}
-	// Resetting an unknown key is a no-op.
-	c.Reset("9,9")
+	if c.key != "3,4,5" || len(c.members) != 3 {
+		t.Fatal("forget touched the combination's identity")
+	}
+	c.forget() // forgetting a forgotten record is a no-op
+}
+
+// TestEvictionForgetsTheCombination evicts a combination's merge file on
+// both paths — the space budget, enforced by another combination's merge
+// step, and a repair's dropMergeFile — and checks that the record is reset
+// in place: the combination's next query counts 1, its partition set holds
+// only that query's leaves, it has no futility mark, and the merge task
+// queued for it before the eviction stays queued exactly once.
+func TestEvictionForgetsTheCombination(t *testing.T) {
+	ctx := context.Background()
+	a, b := []object.DatasetID{0, 1, 2}, []object.DatasetID{1, 2, 3}
+	wide := geom.NewBox(geom.V(0.3, 0.3, 0.3), geom.V(0.7, 0.7, 0.7))
+	small := geom.Cube(geom.V(0.125, 0.125, 0.125), 0.02)
+	other := geom.Cube(geom.V(0.875, 0.875, 0.875), 0.02)
+	for _, path := range []string{"budget", "repair"} {
+		t.Run(path, func(t *testing.T) {
+			eng, _, _ := testSetup(t, 4, 2000, 29, asyncConfig(1))
+			defer eng.Close()
+			eng.maint.SetPaused(true) // the test runs every merge step itself
+			query := func(q geom.Box, dss []object.DatasetID) {
+				t.Helper()
+				if _, err := eng.Query(q, dss); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step := func(dss []object.DatasetID) {
+				t.Helper()
+				if err := eng.mergeStep(ctx, recordOf(eng, dss...)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// a crosses mt, which queues its merge task; the first step
+			// merges its cells and the second finds nothing left: a futility
+			// mark.
+			query(wide, a)
+			query(wide, a)
+			step(a)
+			step(a)
+			rec := recordOf(eng, a...)
+			eng.statsMu.Lock()
+			if rec.count != 2 || !rec.futile.set {
+				t.Fatalf("before the eviction: count %d, futility mark %v; want 2 and a mark", rec.count, rec.futile.set)
+			}
+			eng.statsMu.Unlock()
+			if eng.merger.file(rec.key) == nil {
+				t.Fatal("the combination was not merged")
+			}
+
+			switch path {
+			case "budget":
+				// b's second step extends its file past a budget of what both
+				// files held: the least recently used, a's, goes.
+				query(small, b)
+				query(small, b)
+				step(b)
+				eng.merger.cfg.SpaceBudgetPages = eng.merger.TotalPages()
+				query(other, b)
+				step(b)
+				if eng.merger.file(KeyOf(b)) == nil {
+					t.Fatal("the budget evicted the file it was extending")
+				}
+			case "repair":
+				if err := eng.dropMergeFile(rec.key); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if eng.merger.file(rec.key) != nil {
+				t.Fatalf("%s: the combination's merge file survived", path)
+			}
+
+			query(other, a)
+			want := map[octree.Key]struct{}{}
+			for _, ds := range a {
+				tree := eng.Tree(ds)
+				for _, p := range tree.Lookup(other.Expand(tree.MaxExtent())) {
+					want[p.Key()] = struct{}{}
+				}
+			}
+			if recordOf(eng, a...) != rec {
+				t.Fatal("the eviction replaced the combination's record")
+			}
+			eng.statsMu.Lock()
+			if rec.count != 1 {
+				t.Errorf("the next query counts %d, want 1", rec.count)
+			}
+			if !maps.Equal(rec.parts, want) {
+				t.Errorf("the partition set holds %d keys, want the %d leaves of the next query", len(rec.parts), len(want))
+			}
+			if rec.futile.set {
+				t.Error("the futility mark survived the eviction")
+			}
+			eng.statsMu.Unlock()
+
+			// The task queued before the eviction is still the one queued: a
+			// new demand coalesces with it.
+			eng.maint.EnqueueMerge(rec)
+			eng.maint.mu.Lock()
+			defer eng.maint.mu.Unlock()
+			queued := 0
+			for _, it := range eng.maint.mergeQ {
+				if it.task == rec {
+					queued++
+					if rec.mergeItem != it || it.heat != 2 {
+						t.Errorf("the queued task has heat %d (item on the record: %v), want the one item, demanded twice", it.heat, rec.mergeItem == it)
+					}
+				}
+			}
+			if queued != 1 {
+				t.Errorf("the combination's merge task is queued %d times, want 1", queued)
+			}
+		})
+	}
 }
 
 func TestKeyOfEmptyAndSingle(t *testing.T) {
