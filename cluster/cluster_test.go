@@ -78,7 +78,7 @@ func sameObjects(a, b []odyssey.Object) bool {
 // set form one group in first-appearance order, and unknown datasets keep
 // the single-Explorer error contract.
 func TestPlacementGroups(t *testing.T) {
-	p := newPlacement(4)
+	p := newPlacement()
 	p.replicas[0] = []int{0, 1}
 	p.replicas[1] = []int{1, 2}
 	p.replicas[4] = []int{0, 1}

@@ -15,14 +15,13 @@ import (
 // which is what makes group failover well-defined: every candidate shard
 // of a fan-out group hosts every dataset of the group.
 type placement struct {
-	shards int
 	// replicas maps each registered dataset to its ordered replica shard
 	// list (primary first). Guarded by the router's mu.
 	replicas map[odyssey.DatasetID][]int
 }
 
-func newPlacement(shards int) *placement {
-	return &placement{shards: shards, replicas: make(map[odyssey.DatasetID][]int)}
+func newPlacement() *placement {
+	return &placement{replicas: make(map[odyssey.DatasetID][]int)}
 }
 
 // group is one fan-out unit of a query: the datasets sharing a replica

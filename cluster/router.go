@@ -83,7 +83,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:       cfg,
-		place:     newPlacement(cfg.Shards),
+		place:     newPlacement(),
 		closeDone: make(chan struct{}),
 	}
 	for i := 0; i < cfg.Shards; i++ {

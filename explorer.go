@@ -398,10 +398,6 @@ func (e *Explorer) DiskStats() DiskStats { return e.dev.Stats() }
 // concurrently with in-flight queries whose statistics matter.
 func (e *Explorer) ResetStats() { e.dev.ResetStats() }
 
-// DeviceStats returns per-member-device counters (one entry per device;
-// a single-device Explorer returns one entry equal to DiskStats).
-func (e *Explorer) DeviceStats() []DiskStats { return e.dev.DeviceStats() }
-
 // ChannelStats returns per-device, per-channel counters: busy platter time
 // and the seek/sequential split of each channel, the utilization breakdown
 // the serving benchmarks report.

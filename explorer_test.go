@@ -1,10 +1,13 @@
 package odyssey
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"spaceodyssey/internal/engine"
+	"spaceodyssey/internal/geom"
+	"spaceodyssey/internal/simdisk"
 )
 
 func testData(n, perDS int, seed int64) [][]Object {
@@ -96,12 +99,32 @@ func TestAddDatasetRejectedLeavesNoTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	created := &createdFiles{Control: bad.dev}
+	bad.dev = created
 	if err := bad.AddDataset(0, data); err == nil {
 		t.Fatal("dataset accepted under an invalid octree fanout")
 	}
-	if pages := bad.dev.TotalPages(); pages != 0 {
-		t.Fatalf("refused dataset left %d pages on the device", pages)
+	if len(created.ids) == 0 {
+		t.Fatal("the refused dataset wrote no raw file")
 	}
+	for _, id := range created.ids {
+		if pages, err := bad.dev.NumPages(id); !errors.Is(err, simdisk.ErrNoSuchFile) {
+			t.Fatalf("refused dataset left file %d of %d pages on the device (%v)", id, pages, err)
+		}
+	}
+}
+
+// createdFiles is a pass-through storage control that records the ids of the
+// files created through it.
+type createdFiles struct {
+	simdisk.Control
+	ids []simdisk.FileID
+}
+
+func (c *createdFiles) CreateFileInGroup(name, group string) simdisk.FileID {
+	id := c.Control.CreateFileInGroup(name, group)
+	c.ids = append(c.ids, id)
+	return id
 }
 
 func TestQueryLifecycle(t *testing.T) {
@@ -170,10 +193,10 @@ func TestQueryErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.Query(UnitBox(), nil); err == nil {
+	if _, err := ex.Query(geom.UnitBox(), nil); err == nil {
 		t.Fatal("empty dataset list accepted")
 	}
-	if _, err := ex.Query(UnitBox(), []DatasetID{9}); err == nil {
+	if _, err := ex.Query(geom.UnitBox(), []DatasetID{9}); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 	if _, err := ex.Dataset(4); err == nil {
@@ -391,9 +414,6 @@ func TestTopologyDefaults(t *testing.T) {
 	ex, err := NewExplorer(Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ds := ex.DeviceStats(); len(ds) != 1 || ds[0] != ex.DiskStats() {
-		t.Fatalf("single-device DeviceStats = %+v, DiskStats %+v", ds, ex.DiskStats())
 	}
 	cs := ex.ChannelStats()
 	if len(cs) != 1 || len(cs[0]) != 1 {

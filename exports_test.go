@@ -1,16 +1,18 @@
 package odyssey
 
 import (
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
-	"maps"
+	"path"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -26,19 +28,45 @@ type sourceTree struct {
 	std   types.Importer
 }
 
-// loadSourceTree parses every package under the working directory (the root
-// module's directory; the benchmark module's import paths sit under it) and
-// type-checks them all.
-func loadSourceTree(t *testing.T) *sourceTree {
-	t.Helper()
+func newSourceTree() *sourceTree {
 	fset := token.NewFileSet()
-	s := &sourceTree{
+	return &sourceTree{
 		fset:  fset,
 		files: map[string][]*ast.File{},
 		pkgs:  map[string]*types.Package{},
 		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
 		std:   importer.ForCompiler(fset, "source", nil),
 	}
+}
+
+// add parses the file name of the package imp (from src, or from disk when
+// src is nil). A test file is left out: what only tests use is what the
+// censuses look for.
+func (s *sourceTree) add(imp, name string, src any) error {
+	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return nil
+	}
+	f, err := parser.ParseFile(s.fset, name, src, parser.SkipObjectResolution)
+	if err != nil {
+		return err
+	}
+	s.files[imp] = append(s.files[imp], f)
+	return nil
+}
+
+// check type-checks every package added.
+func (s *sourceTree) check() error {
+	for imp := range s.files {
+		if _, err := s.Import(imp); err != nil {
+			return fmt.Errorf("type-checking %s: %w", imp, err)
+		}
+	}
+	return nil
+}
+
+// repoTree is the repository's source tree, loaded once per test binary.
+var repoTree = sync.OnceValues(func() (*sourceTree, error) {
+	s := newSourceTree()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -49,27 +77,26 @@ func loadSourceTree(t *testing.T) *sourceTree {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
 		imp := "spaceodyssey"
 		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
 			imp += "/" + dir
 		}
-		s.files[imp] = append(s.files[imp], f)
-		return nil
+		return s.add(imp, path, nil)
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	for imp := range s.files {
-		if _, err := s.Import(imp); err != nil {
-			t.Fatalf("type-checking %s: %v", imp, err)
-		}
+	return s, s.check()
+})
+
+// loadSourceTree parses every package under the working directory (the root
+// module's directory; the benchmark module's import paths sit under it) and
+// type-checks them all.
+func loadSourceTree(t *testing.T) *sourceTree {
+	t.Helper()
+	s, err := repoTree()
+	if err != nil {
+		t.Fatal(err)
 	}
 	return s
 }
@@ -93,11 +120,10 @@ func (s *sourceTree) Import(path string) (*types.Package, error) {
 	return p, nil
 }
 
-// used returns every function and method some non-test file refers to
-// outside the function's own declaration, and, separately, every interface
-// method referred to.
-func (s *sourceTree) used() (funcs map[*types.Func]bool, ifaceMethods []*types.Func) {
-	funcs = map[*types.Func]bool{}
+// used returns every object some non-test file refers to outside its own
+// declaration, and, separately, every interface method referred to.
+func (s *sourceTree) used() (objs map[types.Object]bool, ifaceMethods []*types.Func) {
+	objs = map[types.Object]bool{}
 	for _, files := range s.files {
 		for _, f := range files {
 			for _, decl := range f.Decls {
@@ -110,21 +136,24 @@ func (s *sourceTree) used() (funcs map[*types.Func]bool, ifaceMethods []*types.F
 					if !ok {
 						return true
 					}
-					fn, ok := s.info.Uses[id].(*types.Func)
-					if !ok || fn == own {
+					obj := s.info.Uses[id]
+					if obj == nil || obj == own {
 						return true
 					}
-					fn = fn.Origin()
-					if !funcs[fn] && isInterfaceMethod(fn) {
-						ifaceMethods = append(ifaceMethods, fn)
+					if fn, ok := obj.(*types.Func); ok {
+						fn = fn.Origin()
+						if !objs[fn] && isInterfaceMethod(fn) {
+							ifaceMethods = append(ifaceMethods, fn)
+						}
+						obj = fn
 					}
-					funcs[fn] = true
+					objs[obj] = true
 					return true
 				})
 			}
 		}
 	}
-	return funcs, ifaceMethods
+	return objs, ifaceMethods
 }
 
 // isInterfaceMethod reports whether fn is a method of an interface type.
@@ -133,97 +162,277 @@ func isInterfaceMethod(fn *types.Func) bool {
 	return recv != nil && types.IsInterface(recv.Type())
 }
 
-// exportedFuncs lists a package's exported functions and the exported
-// methods of its named, non-alias, non-interface types, by qualified name
-// (cluster.Router.Query).
-func exportedFuncs(pkg *types.Package) map[string]*types.Func {
-	out := map[string]*types.Func{}
+// declared lists what a package declares that a caller can use, by
+// qualified name (cluster.Router.Query; a command or example by its
+// directory, odyssey-bench.run): its functions but main and init, its
+// func-valued package vars, the methods of its named types and the explicit
+// methods of its interfaces.
+func declared(pkg *types.Package) map[string]types.Object {
+	qual := pkg.Name()
+	if qual == "main" {
+		qual = path.Base(pkg.Path())
+	}
+	out := map[string]types.Object{}
 	scope := pkg.Scope()
 	for _, name := range scope.Names() {
 		switch obj := scope.Lookup(name).(type) {
 		case *types.Func:
-			if obj.Exported() {
-				out[pkg.Name()+"."+name] = obj
+			if name != "init" && !(name == "main" && pkg.Name() == "main") {
+				out[qual+"."+name] = obj
+			}
+		case *types.Var:
+			if _, ok := obj.Type().Underlying().(*types.Signature); ok {
+				out[qual+"."+name] = obj
 			}
 		case *types.TypeName:
 			named, ok := obj.Type().(*types.Named)
-			if !ok || obj.IsAlias() || types.IsInterface(named) {
+			if !ok || obj.IsAlias() {
+				continue
+			}
+			if iface, ok := named.Underlying().(*types.Interface); ok {
+				for i := 0; i < iface.NumExplicitMethods(); i++ {
+					m := iface.ExplicitMethod(i)
+					out[qual+"."+name+"."+m.Name()] = m
+				}
 				continue
 			}
 			for i := 0; i < named.NumMethods(); i++ {
-				if m := named.Method(i); m.Exported() {
-					out[pkg.Name()+"."+name+"."+m.Name()] = m
-				}
+				m := named.Method(i)
+				out[qual+"."+name+"."+m.Name()] = m
 			}
 		}
 	}
 	return out
 }
 
+// receiver returns the named type a method is declared on, or nil for a
+// function.
+func receiver(m *types.Func) types.Type {
+	recv := m.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	if p, ok := recv.Type().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return recv.Type()
+}
+
+// implementsOne reports whether method m's type implements one of ifaces and
+// m is a method of that interface.
+func implementsOne(m *types.Func, ifaces []*types.Interface) bool {
+	typ := receiver(m)
+	if typ == nil {
+		return false
+	}
+	for _, iface := range ifaces {
+		for i := 0; i < iface.NumMethods(); i++ {
+			if iface.Method(i).Name() == m.Name() && types.Implements(types.NewPointer(typ), iface) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // implementsUsed reports whether method m implements one of the interface
 // methods some non-test file calls.
 func implementsUsed(m *types.Func, ifaceMethods []*types.Func) bool {
-	recv := m.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return false
-	}
-	typ := recv.Type()
-	if p, ok := typ.(*types.Pointer); ok {
-		typ = p.Elem()
-	}
 	for _, im := range ifaceMethods {
-		if im.Name() != m.Name() {
-			continue
-		}
-		iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
-		if types.Implements(types.NewPointer(typ), iface) {
+		iface := receiver(im).Underlying().(*types.Interface)
+		if im.Name() == m.Name() && implementsOne(m, []*types.Interface{iface}) {
 			return true
 		}
 	}
 	return false
 }
 
-// exportsWithoutCallers keeps the names that stay although nothing outside
-// tests calls them, each with its reason.
-var exportsWithoutCallers = map[string]string{
-	"odyssey.Explorer.MaintenanceErr": "stores the first background maintenance fault so it can be detected; the storm tests assert on it",
-	"odyssey.Explorer.DeviceStats":    "one of the stats accessors ROADMAP item 8 folds into one snapshot",
-	"odyssey.Dispatcher.WorkerStats":  "one of the stats accessors ROADMAP item 8 folds into one snapshot",
+// stdCallbacks are the standard-library interfaces whose methods the
+// standard library calls on a value handed to it (container/heap, sort,
+// encoding/json and the text codecs): such a method has a caller no
+// repository file shows.
+var stdCallbacks = []struct{ pkg, name string }{
+	{"container/heap", "Interface"},
+	{"sort", "Interface"},
+	{"encoding", "TextMarshaler"},
+	{"encoding", "TextUnmarshaler"},
+	{"encoding/json", "Marshaler"},
+	{"encoding/json", "Unmarshaler"},
 }
 
-// TestExportsHaveCallers: every exported function and method of the root and
-// cluster packages is used by a non-test file of the repository other than
-// its own declaration — the benchmark, the commands and the examples count.
-// A method also counts as used when an interface method it implements is,
-// and Error, Unwrap, Is and String count always. The check is type-aware, so
-// Router.ResetStats is not mistaken for Explorer.ResetStats.
-func TestExportsHaveCallers(t *testing.T) {
-	s := loadSourceTree(t)
-	funcs, ifaceMethods := s.used()
-	declared := exportedFuncs(s.pkgs["spaceodyssey"])
-	maps.Copy(declared, exportedFuncs(s.pkgs["spaceodyssey/cluster"]))
-	var missing []string
-	for name, fn := range declared {
-		_, allowed := exportsWithoutCallers[name]
-		switch {
-		case slices.Contains([]string{"Error", "Unwrap", "Is", "String"}, fn.Name()):
-		case funcs[fn] || implementsUsed(fn, ifaceMethods):
-			if allowed {
-				t.Errorf("%s is on the allowlist but has a caller: take it off", name)
+// callers maps every name declared outside the benchmark module to whether
+// it has a caller. A name counts as called when a non-test file anywhere —
+// the benchmark, the commands and the examples included — uses it outside
+// its own declaration. A method also counts when it implements an interface
+// method that is called, or a method of one of stdCallbacks; Error, Unwrap,
+// Is and String count always. The census is type-aware, so Router.ResetStats
+// is not mistaken for Explorer.ResetStats, and it is one pass: a name whose
+// only caller is itself uncalled shows once that caller goes.
+func (s *sourceTree) callers() (map[string]bool, error) {
+	var std []*types.Interface
+	for _, cb := range stdCallbacks {
+		p, err := s.Import(cb.pkg)
+		if err != nil {
+			return nil, err
+		}
+		std = append(std, p.Scope().Lookup(cb.name).Type().Underlying().(*types.Interface))
+	}
+	objs, ifaceMethods := s.used()
+	out := map[string]bool{}
+	for imp, pkg := range s.pkgs {
+		if imp == "spaceodyssey/benchmark" || strings.HasPrefix(imp, "spaceodyssey/benchmark/") {
+			continue
+		}
+		for name, obj := range declared(pkg) {
+			called := objs[obj]
+			if fn, ok := obj.(*types.Func); ok && !called && receiver(fn) != nil && !isInterfaceMethod(fn) {
+				called = slices.Contains([]string{"Error", "Unwrap", "Is", "String"}, fn.Name()) ||
+					implementsUsed(fn, ifaceMethods) || implementsOne(fn, std)
 			}
-		case !allowed:
+			out[name] = called
+		}
+	}
+	return out, nil
+}
+
+// withoutCallers keeps the names that stay although nothing outside tests
+// calls them, each with its reason.
+var withoutCallers = map[string]string{
+	"odyssey.Explorer.MaintenanceErr": "stores the most recent background maintenance fault so it can be detected; the storm tests assert on it",
+	"odyssey.Dispatcher.WorkerStats":  "one of the stats accessors ROADMAP item 8 folds into one snapshot",
+	"core.Odyssey.LayoutSignature":    "the layout oracle: core's sync-versus-async tests compare layouts through it, and the root package's TestPaperClockPinned pins its hash",
+	"core.MergeFile.File":             "how tests reach a merge file's pages: the root and cluster fault tests fault every one, TestPaperClockPinned hashes them",
+	"octree.Partition.Extent":         "the walk reads the extent inline; octree's extent tests and the root package's skip test check the skip rule through it",
+	"octree.Partition.Marked":         "the walk reads the mark inline; core's result-cache model test and the root package's skip test check it through it",
+	"geom.Box.Intersection":           "tests of five packages clip their random query cubes to the data bounds with it, and geom's fuzz target checks it against Intersects",
+}
+
+// TestEverythingHasACaller: every function, method, func-valued package var
+// and interface method the repository declares outside the benchmark module
+// has a caller outside tests (see callers), or is on withoutCallers.
+func TestEverythingHasACaller(t *testing.T) {
+	called, err := loadSourceTree(t).callers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var missing []string
+	for name, ok := range called {
+		_, allowed := withoutCallers[name]
+		switch {
+		case ok && allowed:
+			t.Errorf("%s is on the allowlist but has a caller: take it off", name)
+		case !ok && !allowed:
 			missing = append(missing, name)
 		}
 	}
 	slices.Sort(missing)
 	if len(missing) > 0 {
-		t.Errorf("%d exported functions have no caller outside tests:\n  %s\n"+
-			"delete each with the tests that test only it, or put it on exportsWithoutCallers with its reason",
+		t.Errorf("%d names have no caller outside tests:\n  %s\n"+
+			"delete each with the tests that test only it, move a probe only its own package's tests use into "+
+			"a _test.go file of that package, or put it on withoutCallers with its reason",
 			len(missing), strings.Join(missing, "\n  "))
 	}
-	for name := range exportsWithoutCallers {
-		if declared[name] == nil {
+	for name := range withoutCallers {
+		if _, ok := called[name]; !ok {
 			t.Errorf("allowlisted %s is not declared: take it off", name)
 		}
+	}
+}
+
+// TestCallerCensusCatches holds the census to what it is for, on sources
+// written for it: it flags exactly the names that only a test, or only the
+// name itself, calls, and none that the standard library or a call through
+// an interface reaches.
+func TestCallerCensusCatches(t *testing.T) {
+	sources := map[string]string{
+		"p/p.go": `package p
+
+import "container/heap"
+
+type Shape interface{ Area() float64 }
+
+type Outline interface{ Perimeter() float64 }
+
+type Square struct{ Side float64 }
+
+func (s Square) Area() float64 { return s.Side * s.Side }
+
+func (s Square) Perimeter() float64 { return 4 * s.Side }
+
+func (s Square) MarshalText() ([]byte, error) { return []byte("square"), nil }
+
+func (s Square) Halve(n int) float64 {
+	if n == 0 {
+		return s.Side
+	}
+	return Square{s.Side / 2}.Halve(n - 1)
+}
+
+func Total(shapes []Shape) (sum float64) {
+	for _, s := range shapes {
+		sum += s.Area()
+	}
+	return sum
+}
+
+type ints []int
+
+func (h ints) Len() int           { return len(h) }
+func (h ints) Less(i, j int) bool { return h[i] < h[j] }
+func (h ints) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *ints) Push(x any)        { *h = append(*h, x.(int)) }
+func (h *ints) Pop() any {
+	x := (*h)[len(*h)-1]
+	*h = (*h)[:len(*h)-1]
+	return x
+}
+
+func Smallest(xs []int) int {
+	h := ints(xs)
+	heap.Init(&h)
+	return heap.Pop(&h).(int)
+}
+
+func OnlyTested() int { return 1 }
+
+var Double = func(x int) int { return 2 * x }
+`,
+		"p/p_test.go": `package p
+
+func use() float64 { return float64(OnlyTested()+Double(1)) + Square{}.Perimeter() }
+`,
+		"cmd/demo/main.go": `package main
+
+import "spaceodyssey/p"
+
+func main() {
+	_ = p.Total([]p.Shape{p.Square{Side: 1}})
+	_ = p.Smallest([]int{3, 1})
+}
+`,
+	}
+	s := newSourceTree()
+	for name, src := range sources {
+		if err := s.add("spaceodyssey/"+path.Dir(name), name, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.check(); err != nil {
+		t.Fatal(err)
+	}
+	called, err := s.callers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flagged []string
+	for name, ok := range called {
+		if !ok {
+			flagged = append(flagged, name)
+		}
+	}
+	slices.Sort(flagged)
+	want := []string{"p.Double", "p.OnlyTested", "p.Outline.Perimeter", "p.Square.Halve", "p.Square.Perimeter"}
+	if !slices.Equal(flagged, want) {
+		t.Errorf("flagged %q, want %q", flagged, want)
 	}
 }

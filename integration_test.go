@@ -7,8 +7,10 @@ package odyssey
 
 import (
 	"testing"
+	"time"
 
 	"spaceodyssey/internal/bench"
+	"spaceodyssey/internal/simdisk"
 	"spaceodyssey/internal/workload"
 )
 
@@ -91,8 +93,8 @@ func TestIntegrationEvictionUnderPressure(t *testing.T) {
 	}
 }
 
-// TestIntegrationSSDCostModel runs the engine under the SSD model; results
-// must be identical, only cheaper.
+// TestIntegrationSSDCostModel runs the engine under an SSD-like model (a
+// SATA SSD's seek and transfer); results must be identical, only cheaper.
 func TestIntegrationSSDCostModel(t *testing.T) {
 	run := func(cost CostModel) (int, int64) {
 		ex, err := NewExplorer(Options{Cost: cost, DropCachesPerQuery: true})
@@ -115,8 +117,8 @@ func TestIntegrationSSDCostModel(t *testing.T) {
 		}
 		return total, int64(ex.Clock())
 	}
-	sasObjs, sasTime := run(DefaultCostModel())
-	ssdObjs, ssdTime := run(SSDCostModel())
+	sasObjs, sasTime := run(simdisk.DefaultCostModel())
+	ssdObjs, ssdTime := run(CostModel{Seek: 80 * time.Microsecond, Transfer: 8 * time.Microsecond, CacheHit: 200 * time.Nanosecond})
 	if sasObjs != ssdObjs {
 		t.Fatalf("results differ across cost models: %d vs %d", sasObjs, ssdObjs)
 	}

@@ -112,8 +112,7 @@ func (h *heatHeap[T]) Pop() any {
 // nor in-flight work, replaced with a fresh channel when work arrives). Task
 // execution itself runs outside mu under the engine's own locks.
 type maintainer struct {
-	o       *Odyssey
-	workers int
+	o *Odyssey
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -149,7 +148,6 @@ func newMaintainer(o *Odyssey, workers int) *maintainer {
 	}
 	m := &maintainer{
 		o:             o,
-		workers:       workers,
 		halfLife:      o.halfLife,
 		refineQ:       make(map[object.DatasetID]*heatHeap[refineTask]),
 		refinePending: make(map[object.DatasetID]map[octree.Key]*heatItem[refineTask]),
@@ -477,15 +475,6 @@ func (m *maintainer) Err() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.lastErr
-}
-
-// SetPaused freezes (true) or thaws (false) task pickup; queued work stays
-// queued while paused. Tests use it to observe coalescing deterministically.
-func (m *maintainer) SetPaused(paused bool) {
-	m.mu.Lock()
-	m.paused = paused
-	m.mu.Unlock()
-	m.cond.Broadcast()
 }
 
 // Quiesce blocks until the pipeline has no queued or running tasks — the

@@ -106,9 +106,6 @@ type MergeFile struct {
 // Combo returns the combination the file was merged for.
 func (m *MergeFile) Combo() ComboKey { return m.combo.key }
 
-// Members returns the datasets stored in the file.
-func (m *MergeFile) Members() []object.DatasetID { return m.combo.members }
-
 // File exposes the page file holding the merged copies.
 func (m *MergeFile) File() *pagefile.File { return m.file }
 

@@ -25,7 +25,7 @@ func TestRelationString(t *testing.T) {
 }
 
 func TestMergerDefaults(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	m := NewMerger(dev, MergerConfig{})
 	if m.cfg.MergeThreshold != 2 || m.cfg.MinCombination != 3 {
 		t.Fatalf("defaults = %+v", m.cfg)
@@ -52,7 +52,7 @@ func routeOf(m *Merger, datasets ...object.DatasetID) (*MergeFile, Relation) {
 }
 
 func TestLookupPriorities(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	m := NewMerger(dev, MergerConfig{})
 
 	// No files: none.
@@ -96,7 +96,7 @@ func TestLookupPriorities(t *testing.T) {
 }
 
 func TestLookupPrefersLargerSubset(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	m := NewMerger(dev, MergerConfig{})
 	mkMergeFile(m, dev, 1, 2)
 	sub3 := mkMergeFile(m, dev, 1, 2, 3)
@@ -111,7 +111,7 @@ func TestLookupPrefersLargerSubset(t *testing.T) {
 // whatever order the directory map happens to iterate in — 200 fresh mergers
 // see 200 fresh map layouts.
 func TestLookupBreaksTiesByLowestKey(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	for i := 0; i < 200; i++ {
 		m := NewMerger(dev, MergerConfig{})
 		mkMergeFile(m, dev, 1, 2, 3, 6)
@@ -131,7 +131,7 @@ func TestLookupBreaksTiesByLowestKey(t *testing.T) {
 }
 
 func TestMergeStageRespectsMinCombination(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	m := NewMerger(dev, MergerConfig{MinCombination: 3})
 	st, err := m.stage(context.Background(), testCombo(1, 2), []octree.Key{{Level: 1}}, nil)
 	if err != nil {
@@ -164,7 +164,7 @@ func TestEntryBox(t *testing.T) {
 }
 
 func TestReadSegmentErrors(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	m := NewMerger(dev, MergerConfig{})
 	mf := mkMergeFile(m, dev, 1, 2, 3)
 	if _, err := m.ReadSegmentCtx(context.Background(), nil, mf, octree.Key{Level: 1}, 1); err == nil {
@@ -177,7 +177,7 @@ func TestReadSegmentErrors(t *testing.T) {
 }
 
 func TestEnforceBudgetNoBudget(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	m := NewMerger(dev, MergerConfig{})
 	evicted, err := m.EnforceBudget()
 	if err != nil || evicted != nil {

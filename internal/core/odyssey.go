@@ -112,11 +112,6 @@ type PhaseTimes struct {
 	MergeWrites time.Duration
 }
 
-// Total sums all phases.
-func (p PhaseTimes) Total() time.Duration {
-	return p.LevelZeroBuild + p.Refinement + p.TreeReads + p.MergeReads + p.MergeWrites
-}
-
 // Metrics aggregates engine activity for reporting.
 type Metrics struct {
 	Queries             int
@@ -323,14 +318,6 @@ func (o *Odyssey) AddRaw(raw *rawfile.Raw) error {
 	o.trees[ds] = tree
 	o.treeMu[ds] = new(sync.RWMutex)
 	return nil
-}
-
-// Name implements engine.Engine.
-func (o *Odyssey) Name() string {
-	if o.cfg.DisableMerging {
-		return "Odyssey-NoMerge"
-	}
-	return "Odyssey"
 }
 
 // Build implements engine.Engine. Space Odyssey never indexes up front;
@@ -1371,9 +1358,9 @@ func (o *Odyssey) Close() {
 // LayoutSignature renders the physical layout deterministically: per
 // dataset the sorted leaf cell keys, per merge file the combination and its
 // sorted entry keys. Two engines that converged to the same layout produce
-// identical strings — the async-vs-sync equivalence tests and the bench's
-// convergence check compare layouts through it. Meaningful on a quiescent
-// engine; safe (but racy in content) while queries run.
+// identical strings — the async-vs-sync equivalence tests compare layouts
+// through it, and TestPaperClockPinned pins its hash. Meaningful on a
+// quiescent engine; safe (but racy in content) while queries run.
 func (o *Odyssey) LayoutSignature() string {
 	o.mu.RLock()
 	defer o.mu.RUnlock()

@@ -17,7 +17,7 @@ import (
 // testSetup creates n datasets on a fresh device plus the engine.
 func testSetup(t *testing.T, n, perDS int, seed int64, cfg Config) (*Odyssey, []*rawfile.Raw, *simdisk.Device) {
 	t.Helper()
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	dss := datagen.GenerateDatasets(datagen.Config{Seed: seed, NumObjects: perDS, Clusters: 6}, n)
 	raws := make([]*rawfile.Raw, n)
 	for i, objs := range dss {
@@ -35,7 +35,7 @@ func testSetup(t *testing.T, n, perDS int, seed int64, cfg Config) (*Odyssey, []
 }
 
 func TestNewRejectsDuplicateDatasets(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	objs := datagen.Generate(datagen.Config{Seed: 1, NumObjects: 10}, 3)
 	a, err := rawfile.Write(dev, "a", 3, objs)
 	if err != nil {
@@ -57,17 +57,8 @@ func TestUnknownDatasetRejected(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
+func TestBuildIsNoOp(t *testing.T) {
 	eng, _, _ := testSetup(t, 1, 10, 3, DefaultConfig())
-	if eng.Name() != "Odyssey" {
-		t.Fatalf("Name = %q", eng.Name())
-	}
-	cfg := DefaultConfig()
-	cfg.DisableMerging = true
-	nm, _, _ := testSetup(t, 1, 10, 3, cfg)
-	if nm.Name() != "Odyssey-NoMerge" {
-		t.Fatalf("Name = %q", nm.Name())
-	}
 	if err := eng.Build(); err != nil {
 		t.Fatal("Build must be a no-op")
 	}
@@ -103,7 +94,7 @@ func TestQueryMatchesOracle(t *testing.T) {
 			c = geom.V(r.Float64(), r.Float64(), r.Float64())
 		}
 		side := 0.01 + r.Float64()*0.08
-		q, ok := geom.Cube(c, side).Clip(geom.UnitBox())
+		q, ok := geom.Cube(c, side).Intersection(geom.UnitBox())
 		if !ok || q.Volume() == 0 {
 			continue
 		}
@@ -335,7 +326,7 @@ func TestSpaceBudgetEvictsLRU(t *testing.T) {
 	}
 	for i := 0; i < 40; i++ {
 		c := combos[r.Intn(len(combos))]
-		q, ok := geom.Cube(geom.V(0.3+r.Float64()*0.4, 0.3+r.Float64()*0.4, 0.3+r.Float64()*0.4), 0.05).Clip(geom.UnitBox())
+		q, ok := geom.Cube(geom.V(0.3+r.Float64()*0.4, 0.3+r.Float64()*0.4, 0.3+r.Float64()*0.4), 0.05).Intersection(geom.UnitBox())
 		if !ok {
 			continue
 		}

@@ -13,7 +13,7 @@ import (
 )
 
 func TestPhaseTimesAccounting(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.ReducedScaleCostModel(), 0)
+	dev := simdisk.NewDeviceChannels(simdisk.ReducedScaleCostModel(), 0, 1)
 	eng, err := New(dev, nil, geom.UnitBox(), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestPhaseTimesAccounting(t *testing.T) {
 }
 
 func TestPhaseTimesNoMerge(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.ReducedScaleCostModel(), 0)
+	dev := simdisk.NewDeviceChannels(simdisk.ReducedScaleCostModel(), 0, 1)
 	cfg := DefaultConfig()
 	cfg.DisableMerging = true
 	eng, err := New(dev, nil, geom.UnitBox(), cfg)

@@ -53,7 +53,7 @@ func policyOracleCheck(t *testing.T, policy LevelPolicy, seed int64) {
 		} else {
 			c = geom.V(r.Float64(), r.Float64(), r.Float64())
 		}
-		q, ok := geom.Cube(c, 0.01+r.Float64()*0.05).Clip(geom.UnitBox())
+		q, ok := geom.Cube(c, 0.01+r.Float64()*0.05).Intersection(geom.UnitBox())
 		if !ok || q.Volume() == 0 {
 			continue
 		}
@@ -170,7 +170,7 @@ func TestSameLevelCandidatesNeverOverlap(t *testing.T) {
 	job, checked := new(mergeJob), 0
 	for trial := 0; trial < 120; trial++ {
 		c := geom.V(hot.X+r.NormFloat64()*0.05, hot.Y+r.NormFloat64()*0.05, hot.Z+r.NormFloat64()*0.05)
-		q, ok := geom.Cube(c, 0.005+r.Float64()*0.08).Clip(geom.UnitBox())
+		q, ok := geom.Cube(c, 0.005+r.Float64()*0.08).Intersection(geom.UnitBox())
 		if !ok || q.Volume() == 0 {
 			continue
 		}

@@ -44,7 +44,7 @@ func (s *parkingStorage) ReadRunCtx(ctx context.Context, id simdisk.FileID, star
 // the oracle's and it is served no segment the step published, which the
 // next query is.
 func TestSharedMergePublishesBesideAParkedReader(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	store := &parkingStorage{Storage: dev, parked: make(chan struct{}), release: make(chan struct{})}
 	var releaseOnce sync.Once
 	unpark := func() { releaseOnce.Do(func() { close(store.release) }) }
@@ -183,7 +183,7 @@ func TestSharedMergePublishesBesideAParkedReader(t *testing.T) {
 // publish beside readers installs a new version and leaves the old one as it
 // was.
 func TestExclusivePublishCopiesNothing(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	m := NewMerger(dev, MergerConfig{})
 	dss := []object.DatasetID{1, 2, 3}
 	mf := mkMergeFile(m, dev, dss...)
@@ -230,7 +230,7 @@ func TestExclusivePublishCopiesNothing(t *testing.T) {
 // cells. Under -race, a version made routable before its entries are
 // complete is reported as a race as well.
 func TestSharedPublishIsWholeWhenRoutable(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	m := NewMerger(dev, MergerConfig{})
 	dss := []object.DatasetID{1, 2, 3}
 	mf := mkMergeFile(m, dev, dss...)

@@ -56,7 +56,7 @@ func derivedFaults(t *testing.T, eng *Odyssey) simdisk.FaultPlan {
 // untouched. A second repair from the same stale error does nothing.
 func TestRederiveIsThePartitionItReplaces(t *testing.T) {
 	cost := simdisk.DefaultCostModel()
-	dev := simdisk.NewDevice(cost, 0)
+	dev := simdisk.NewDeviceChannels(cost, 0, 1)
 	objs := datagen.GenerateDatasets(datagen.Config{Seed: 11, NumObjects: 3000, Clusters: 6}, 1)[0]
 	// Centers on cell walls, where a box test would keep an object in both
 	// neighbours and only the grid index picks the one a bucketing chose.
@@ -108,10 +108,11 @@ func TestRederiveIsThePartitionItReplaces(t *testing.T) {
 		}
 		// The head leaves the tree file for the raw file and comes back to
 		// the tree file's end: two seeks, and every page moved once.
-		want := 2*cost.Seek + time.Duration(raw.NumPages()+leaf.Pages())*cost.Transfer
+		pages := pagefile.Pages(leaf.Runs())
+		want := 2*cost.Seek + time.Duration(raw.NumPages()+pages)*cost.Transfer
 		if got := scope.Total(); got != want {
 			t.Fatalf("leaf %v: re-derive charged %v, want one raw scan plus %d page writes = %v",
-				leaf.Key(), got, leaf.Pages(), want)
+				leaf.Key(), got, pages, want)
 		}
 		after, err := tree.ReadPartitionIntoCtx(ctx, nil, leaf) // fresh pages: the plan misses them
 		if err != nil {

@@ -147,7 +147,7 @@ func TestAdaptiveThresholdRaisesOnLowReuse(t *testing.T) {
 	}
 	for i := 0; i < 80; i++ {
 		f := float64(i%40)/40*0.8 + 0.1
-		q, ok := geom.Cube(geom.V(f, f, f), 0.04).Clip(geom.UnitBox())
+		q, ok := geom.Cube(geom.V(f, f, f), 0.04).Intersection(geom.UnitBox())
 		if !ok {
 			continue
 		}

@@ -46,7 +46,7 @@ func TestStressAllFeatureInteractions(t *testing.T) {
 					c = geom.V(r.Float64(), r.Float64(), r.Float64())
 				}
 				side := 0.01 + r.Float64()*0.06
-				q, ok := geom.Cube(c, side).Clip(geom.UnitBox())
+				q, ok := geom.Cube(c, side).Intersection(geom.UnitBox())
 				if !ok || q.Volume() == 0 {
 					continue
 				}

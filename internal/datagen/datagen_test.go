@@ -210,7 +210,7 @@ func TestAnatomyMatchesGeneratedClusters(t *testing.T) {
 	near := 0
 	for _, o := range objs {
 		for _, c := range centers {
-			if o.Center.Dist(c) < 0.15 {
+			if o.Center.Sub(c).Len() < 0.15 {
 				near++
 				break
 			}

@@ -19,7 +19,6 @@ import (
 // no-op and amortize indexing into Query. Query returns every object from
 // the requested datasets whose box intersects q, in unspecified order.
 type Engine interface {
-	Name() string
 	Build() error
 	Query(q geom.Box, datasets []object.DatasetID) ([]object.Object, error)
 }
@@ -38,9 +37,6 @@ func NewNaiveScan(raws []*rawfile.Raw) *NaiveScan {
 	}
 	return &NaiveScan{raws: m}
 }
-
-// Name implements Engine.
-func (e *NaiveScan) Name() string { return "NaiveScan" }
 
 // Build implements Engine; raw files need no preparation.
 func (e *NaiveScan) Build() error { return nil }

@@ -14,7 +14,7 @@ import (
 
 func mkRaws(t *testing.T, n, perDS int) []*rawfile.Raw {
 	t.Helper()
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	dss := datagen.GenerateDatasets(datagen.Config{Seed: 1, NumObjects: perDS}, n)
 	raws := make([]*rawfile.Raw, n)
 	for i, objs := range dss {
@@ -30,9 +30,6 @@ func mkRaws(t *testing.T, n, perDS int) []*rawfile.Raw {
 func TestNaiveScanBasics(t *testing.T) {
 	raws := mkRaws(t, 2, 500)
 	e := NewNaiveScan(raws)
-	if e.Name() != "NaiveScan" {
-		t.Fatalf("Name = %q", e.Name())
-	}
 	if err := e.Build(); err != nil {
 		t.Fatal("Build must be a no-op")
 	}

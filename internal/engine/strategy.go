@@ -83,9 +83,6 @@ func (e *AllInOne[I]) Query(q geom.Box, datasets []object.DatasetID) ([]object.O
 	return e.idx.Query(q, filter)
 }
 
-// Index exposes the built index (the zero I before Build).
-func (e *AllInOne[I]) Index() I { return e.idx }
-
 // OneForEach is the "1fE" strategy: one index per dataset; a query probes
 // only the indexes of the datasets it touches.
 type OneForEach[I Index] struct {

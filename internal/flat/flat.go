@@ -256,12 +256,6 @@ func (idx *Index) computeNeighbors() [][]uint32 {
 	return lists
 }
 
-// NumObjects returns the number of indexed objects.
-func (idx *Index) NumObjects() int { return idx.numObj }
-
-// NumLeaves returns the number of dense leaf pages.
-func (idx *Index) NumLeaves() int { return len(idx.leaves) }
-
 // Query returns every object intersecting q, restricted to filter when
 // non-nil. It runs FLAT's seed phase then crawls the neighbor graph.
 func (idx *Index) Query(q geom.Box, filter map[object.DatasetID]bool) ([]object.Object, error) {

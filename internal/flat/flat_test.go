@@ -14,7 +14,7 @@ import (
 
 func buildTestIndex(t *testing.T, n int, seed int64, cfg Config) (*Index, []object.Object, *simdisk.Device) {
 	t.Helper()
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	objs := datagen.Generate(datagen.Config{Seed: seed, NumObjects: n, Clusters: 6}, 1)
 	cp := append([]object.Object(nil), objs...)
 	idx, err := BuildIndex(dev, "f", cp, cfg)
@@ -40,7 +40,7 @@ func TestQueryMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 60; trial++ {
 		side := 0.01 + r.Float64()*0.25
-		q, ok := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), side).Clip(geom.UnitBox())
+		q, ok := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), side).Intersection(geom.UnitBox())
 		if !ok {
 			continue
 		}
@@ -69,7 +69,7 @@ func TestCrawlFindsAlmostEverything(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	queries := 0
 	for trial := 0; trial < 100; trial++ {
-		q, ok := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), 0.05).Clip(geom.UnitBox())
+		q, ok := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), 0.05).Intersection(geom.UnitBox())
 		if !ok {
 			continue
 		}
@@ -86,7 +86,7 @@ func TestCrawlFindsAlmostEverything(t *testing.T) {
 func TestEmptyRegionQueryIsCheap(t *testing.T) {
 	// Data confined to a corner; queries elsewhere must return nothing and
 	// read almost nothing (the seed probe proves emptiness).
-	dev := simdisk.NewDevice(simdisk.CostModel{Seek: 1000, Transfer: 1}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{Seek: 1000, Transfer: 1}, 0, 1)
 	objs := datagen.Generate(datagen.Config{
 		Seed: 6, NumObjects: 3000,
 		Bounds:         geom.NewBox(geom.V(0, 0, 0), geom.V(0.2, 0.2, 0.2)),
@@ -113,7 +113,7 @@ func TestEmptyRegionQueryIsCheap(t *testing.T) {
 }
 
 func TestEmptyIndex(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	idx, err := BuildIndex(dev, "e", nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestEmptyIndex(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	bad := []Config{
 		{LeafCapacity: -1},
 		{LeafCapacity: object.PageCapacity + 1},
@@ -140,7 +140,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestAdjacencyRoundTrip(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	lists := [][]uint32{
 		{1},
 		{0, 2},
@@ -172,7 +172,7 @@ func TestAdjacencyRoundTrip(t *testing.T) {
 func TestAdjacencyPacksManyRecords(t *testing.T) {
 	// Enough records to span multiple pages: each record is 4+n*4 bytes,
 	// so 5000 records of 150 neighbors each need several pages.
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	n := 5000
 	lists := make([][]uint32, n)
 	for i := range lists {
@@ -200,7 +200,7 @@ func TestAdjacencyPacksManyRecords(t *testing.T) {
 }
 
 func TestAdjacencyRejectsOversizedRecord(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	huge := make([]uint32, simdisk.PageSize) // record > one page
 	if _, err := buildAdjacency(dev, "adj", [][]uint32{huge}); err == nil {
 		t.Fatal("oversized record accepted")
@@ -208,7 +208,7 @@ func TestAdjacencyRejectsOversizedRecord(t *testing.T) {
 }
 
 func TestStrategiesMatchOracle(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	dss := datagen.GenerateDatasets(datagen.Config{Seed: 7, NumObjects: 1500}, 4)
 	raws := make([]*rawfile.Raw, 4)
 	for i, objs := range dss {
@@ -237,13 +237,10 @@ func TestStrategiesMatchOracle(t *testing.T) {
 	if err := ofe.Build(); err != nil {
 		t.Fatal(err)
 	}
-	if ain1.Index() == nil {
-		t.Fatal("Index() nil after build")
-	}
 
 	r := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 25; trial++ {
-		q, ok := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), 0.1).Clip(geom.UnitBox())
+		q, ok := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), 0.1).Intersection(geom.UnitBox())
 		if !ok {
 			continue
 		}
@@ -279,14 +276,14 @@ func TestFlatQueryCheaperThanGridStyleRead(t *testing.T) {
 	// Once built, FLAT must answer small queries with very few page reads —
 	// the property that makes it the paper's fastest-querying baseline.
 	cost := simdisk.CostModel{Seek: 1000, Transfer: 1}
-	dev := simdisk.NewDevice(cost, 0)
+	dev := simdisk.NewDeviceChannels(cost, 0, 1)
 	objs := datagen.Generate(datagen.Config{Seed: 9, NumObjects: 20000, Clusters: 6}, 1)
 	idx, err := BuildIndex(dev, "f", objs, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Query centered on a data cluster.
-	q, ok := geom.Cube(objs[0].Center, 0.02).Clip(geom.UnitBox())
+	q, ok := geom.Cube(objs[0].Center, 0.02).Intersection(geom.UnitBox())
 	if !ok {
 		t.Fatal("query construction failed")
 	}

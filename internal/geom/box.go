@@ -34,12 +34,6 @@ func Cube(c Vec, side float64) Box {
 // UnitBox returns the box [0,1]^3.
 func UnitBox() Box { return Box{Min: Vec{}, Max: Splat(1)} }
 
-// Valid reports whether the box has Min <= Max in every dimension and all
-// finite coordinates.
-func (b Box) Valid() bool {
-	return b.Min.Finite() && b.Max.Finite() && b.Min.LessEq(b.Max)
-}
-
 // Center returns the box's center point.
 func (b Box) Center() Vec { return b.Min.Add(b.Max).Mul(0.5) }
 
@@ -73,15 +67,6 @@ func (b Box) ContainsPoint(p Vec) bool {
 	return b.Min.LessEq(p) && p.LessEq(b.Max)
 }
 
-// ContainsPointHalfOpen reports whether p lies in the half-open box
-// [Min, Max). Space-oriented partitioning uses half-open cells so that a
-// point on a shared cell boundary belongs to exactly one cell.
-func (b Box) ContainsPointHalfOpen(p Vec) bool {
-	return b.Min.X <= p.X && p.X < b.Max.X &&
-		b.Min.Y <= p.Y && p.Y < b.Max.Y &&
-		b.Min.Z <= p.Z && p.Z < b.Max.Z
-}
-
 // Intersection returns the overlap of b and o and whether it is non-empty.
 func (b Box) Intersection(o Box) (Box, bool) {
 	min := b.Min.Max(o.Min)
@@ -104,41 +89,10 @@ func (b Box) Expand(ext Vec) Box {
 	return Box{Min: b.Min.Sub(ext), Max: b.Max.Add(ext)}
 }
 
-// Clip returns b clipped to bounds. The second result is false when b lies
-// entirely outside bounds.
-func (b Box) Clip(bounds Box) (Box, bool) { return b.Intersection(bounds) }
-
 // LongestSide returns the length of the box's longest edge.
 func (b Box) LongestSide() float64 {
 	s := b.Size()
 	return math.Max(s.X, math.Max(s.Y, s.Z))
-}
-
-// Octant returns the i-th of the 2^3 equal sub-boxes of b, ordered by the
-// bit pattern (x, y, z) of i. It panics when i is out of range.
-func (b Box) Octant(i int) Box {
-	if i < 0 || i >= 8 {
-		panic(fmt.Sprintf("geom: octant index %d out of range", i))
-	}
-	c := b.Center()
-	min, max := b.Min, b.Max
-	var lo, hi Vec
-	if i&1 == 0 {
-		lo.X, hi.X = min.X, c.X
-	} else {
-		lo.X, hi.X = c.X, max.X
-	}
-	if i&2 == 0 {
-		lo.Y, hi.Y = min.Y, c.Y
-	} else {
-		lo.Y, hi.Y = c.Y, max.Y
-	}
-	if i&4 == 0 {
-		lo.Z, hi.Z = min.Z, c.Z
-	} else {
-		lo.Z, hi.Z = c.Z, max.Z
-	}
-	return Box{Min: lo, Max: hi}
 }
 
 // Cell returns cell (x, y, z) of b's k×k×k subdivision into equal cells,
@@ -165,10 +119,10 @@ func (b Box) Cell(k, x, y, z int) Box {
 // CellGrid is the k^3 subdivision of a box prepared for locating many points:
 // the origin and the cell edge are worked out once, so bucketing a dataset
 // costs one division per axis per object. It is the one implementation of the
-// cell arithmetic — Box.CellIndex is written on it — and that arithmetic is
-// part of every layout: int((coord-lo)/step) with step = size/k, clamped to
-// [0, k), a degenerate axis mapping to 0. (Multiplying by a precomputed 1/step
-// instead rounds boundary points into the neighbour cell.)
+// cell arithmetic, and that arithmetic is part of every layout:
+// int((coord-lo)/step) with step = size/k, clamped to [0, k), a degenerate
+// axis mapping to 0. (Multiplying by a precomputed 1/step instead rounds
+// boundary points into the neighbour cell.)
 type CellGrid struct {
 	lo, step Vec
 	k        int
@@ -210,14 +164,6 @@ func (g *CellGrid) Index(p Vec) int {
 	iy := g.axis(p.Y, g.lo.Y, g.step.Y)
 	iz := g.axis(p.Z, g.lo.Z, g.step.Z)
 	return (iz*g.k+iy)*g.k + ix
-}
-
-// CellIndex returns the (i,j,l) grid coordinates of the cell of a k^3
-// subdivision of b that contains point p; see CellGrid, which callers
-// locating more than one point build once instead.
-func (b Box) CellIndex(k int, p Vec) (ix, iy, iz int) {
-	g := b.Grid(k)
-	return g.Cell(p)
 }
 
 // Dist returns the minimum Euclidean distance between b and o; zero when

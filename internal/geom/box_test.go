@@ -124,36 +124,6 @@ func TestBoxExpand(t *testing.T) {
 	}
 }
 
-func TestBoxOctants(t *testing.T) {
-	b := NewBox(V(0, 0, 0), V(2, 2, 2))
-	var vol float64
-	for i := 0; i < 8; i++ {
-		o := b.Octant(i)
-		vol += o.Volume()
-		if !b.Contains(o) {
-			t.Errorf("octant %d %v outside parent", i, o)
-		}
-	}
-	if math.Abs(vol-b.Volume()) > 1e-12 {
-		t.Errorf("octant volumes sum to %v, want %v", vol, b.Volume())
-	}
-	if b.Octant(0).Min != b.Min {
-		t.Error("octant 0 does not start at Min")
-	}
-	if b.Octant(7).Max != b.Max {
-		t.Error("octant 7 does not end at Max")
-	}
-}
-
-func TestBoxOctantPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Octant(8) did not panic")
-		}
-	}()
-	UnitBox().Octant(8)
-}
-
 // subdivision lists b's k^3 subdivision cell by cell, x fastest.
 func subdivision(b Box, k int) []Box {
 	var out []Box
@@ -194,37 +164,37 @@ func TestBoxCellsTile(t *testing.T) {
 }
 
 func TestBoxCellIndex(t *testing.T) {
-	b := NewBox(V(0, 0, 0), V(10, 10, 10))
-	ix, iy, iz := b.CellIndex(5, V(0, 5, 9.999))
+	g := NewBox(V(0, 0, 0), V(10, 10, 10)).Grid(5)
+	ix, iy, iz := g.Cell(V(0, 5, 9.999))
 	if ix != 0 || iy != 2 || iz != 4 {
-		t.Errorf("CellIndex = (%d,%d,%d)", ix, iy, iz)
+		t.Errorf("Grid(5).Cell = (%d,%d,%d)", ix, iy, iz)
 	}
 	// Boundary max clamps into the last cell.
-	ix, iy, iz = b.CellIndex(5, V(10, 10, 10))
+	ix, iy, iz = g.Cell(V(10, 10, 10))
 	if ix != 4 || iy != 4 || iz != 4 {
-		t.Errorf("CellIndex at max = (%d,%d,%d)", ix, iy, iz)
+		t.Errorf("Grid(5).Cell at max = (%d,%d,%d)", ix, iy, iz)
 	}
 	// Below-min clamps to 0.
-	ix, _, _ = b.CellIndex(5, V(-1, 0, 0))
+	ix, _, _ = g.Cell(V(-1, 0, 0))
 	if ix != 0 {
-		t.Errorf("CellIndex below min = %d", ix)
+		t.Errorf("Grid(5).Cell below min = %d", ix)
 	}
 }
 
 // Property: every point of a k^3 subdivision belongs (half-open) to exactly
-// the cell CellIndex names, and to no other cell.
+// the cell Grid(k).Cell names, and to no other cell.
 func TestCellCellIndexAgreeProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	b := NewBox(V(-5, -5, -5), V(7, 9, 11))
 	for _, k := range []int{1, 2, 4} {
-		cells := subdivision(b, k)
+		cells, g := subdivision(b, k), b.Grid(k)
 		for trial := 0; trial < 300; trial++ {
 			p := V(
 				b.Min.X+r.Float64()*b.Size().X,
 				b.Min.Y+r.Float64()*b.Size().Y,
 				b.Min.Z+r.Float64()*b.Size().Z,
 			)
-			ix, iy, iz := b.CellIndex(k, p)
+			ix, iy, iz := g.Cell(p)
 			idx := (iz*k+iy)*k + ix
 			count := 0
 			for _, c := range cells {
@@ -234,12 +204,12 @@ func TestCellCellIndexAgreeProperty(t *testing.T) {
 			}
 			// Points exactly on inner boundaries belong to 1 cell; points on
 			// the outer max faces belong to 0 under half-open semantics but
-			// CellIndex still clamps them into the last cell.
+			// Cell still clamps them into the last cell.
 			if count > 1 {
 				t.Fatalf("k=%d: point %v in %d cells", k, p, count)
 			}
 			if count == 1 && !cells[idx].ContainsPointHalfOpen(p) {
-				t.Fatalf("k=%d: CellIndex cell %d does not contain %v", k, idx, p)
+				t.Fatalf("k=%d: Grid cell %d does not contain %v", k, idx, p)
 			}
 		}
 	}

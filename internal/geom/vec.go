@@ -72,12 +72,6 @@ func (v Vec) Dot(o Vec) float64 { return v.X*o.X + v.Y*o.Y + v.Z*o.Z }
 // Len returns the Euclidean length of v.
 func (v Vec) Len() float64 { return math.Sqrt(v.Dot(v)) }
 
-// Dist returns the Euclidean distance between v and o.
-func (v Vec) Dist(o Vec) float64 { return v.Sub(o).Len() }
-
-// Less reports whether every component of v is strictly less than o's.
-func (v Vec) Less(o Vec) bool { return v.X < o.X && v.Y < o.Y && v.Z < o.Z }
-
 // LessEq reports whether every component of v is <= o's.
 func (v Vec) LessEq(o Vec) bool { return v.X <= o.X && v.Y <= o.Y && v.Z <= o.Z }
 

@@ -107,21 +107,15 @@ func TestVecLenDist(t *testing.T) {
 	if got := V(3, 4, 0).Len(); got != 5 {
 		t.Errorf("Len = %v", got)
 	}
-	if got := V(1, 1, 1).Dist(V(1, 1, 1)); got != 0 {
+	if got := V(1, 1, 1).Sub(V(1, 1, 1)).Len(); got != 0 {
 		t.Errorf("Dist(self) = %v", got)
 	}
-	if got := V(0, 0, 0).Dist(V(0, 0, 2)); got != 2 {
+	if got := V(0, 0, 0).Sub(V(0, 0, 2)).Len(); got != 2 {
 		t.Errorf("Dist = %v", got)
 	}
 }
 
 func TestVecOrdering(t *testing.T) {
-	if !V(0, 0, 0).Less(V(1, 1, 1)) {
-		t.Error("Less false for strictly smaller")
-	}
-	if V(0, 2, 0).Less(V(1, 1, 1)) {
-		t.Error("Less true despite a larger component")
-	}
 	if !V(1, 1, 1).LessEq(V(1, 1, 1)) {
 		t.Error("LessEq false for equal")
 	}

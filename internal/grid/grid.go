@@ -35,11 +35,6 @@ type Config struct {
 	Replicate bool
 }
 
-// DefaultConfig returns the paper's configuration.
-func DefaultConfig() Config {
-	return Config{CellsPerDim: 60}
-}
-
 // check validates the configuration against the bounds it will grid and
 // fills in the defaults.
 func (c Config) check(bounds geom.Box) (Config, error) {
@@ -90,15 +85,6 @@ func NewIndex(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Con
 		counts: make([]int, k*k*k),
 	}, nil
 }
-
-// Built reports whether Build has completed.
-func (g *Index) Built() bool { return g.built }
-
-// NumObjects returns the number of indexed objects.
-func (g *Index) NumObjects() int { return g.total }
-
-// MaxExtent returns the per-dimension maximum object half-extent.
-func (g *Index) MaxExtent() geom.Vec { return g.maxExtent }
 
 // Build scans every raw file, assigns objects to cells by center, and
 // flushes cell buffers to disk whenever the memory budget is exceeded.
@@ -229,10 +215,4 @@ func (g *Index) Query(q geom.Box, filter map[object.DatasetID]bool) ([]object.Ob
 type objKey struct {
 	ds object.DatasetID
 	id uint64
-}
-
-// CellRuns returns the number of storage runs of the cell holding p; tests
-// use it to observe flush fragmentation.
-func (g *Index) CellRuns(p geom.Vec) int {
-	return len(g.cells[g.grid.Index(p)])
 }

@@ -28,21 +28,18 @@ func mkRaws(t *testing.T, dev *simdisk.Device, n, perDS int, seed int64) []*rawf
 }
 
 func TestConfigValidation(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	raws := mkRaws(t, dev, 1, 10, 1)
 	if _, err := NewIndex(dev, raws, geom.UnitBox(), Config{CellsPerDim: -1}); err == nil {
 		t.Error("negative CellsPerDim accepted")
 	}
-	if _, err := NewIndex(dev, raws, geom.Box{}, DefaultConfig()); err == nil {
+	if _, err := NewIndex(dev, raws, geom.Box{}, Config{CellsPerDim: 60}); err == nil {
 		t.Error("zero-volume bounds accepted")
-	}
-	if DefaultConfig().CellsPerDim != 60 {
-		t.Error("paper default is 60 cells per dimension")
 	}
 }
 
 func TestQueryBeforeBuildFails(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	raws := mkRaws(t, dev, 1, 10, 2)
 	idx, err := NewIndex(dev, raws, geom.UnitBox(), Config{CellsPerDim: 4})
 	if err != nil {
@@ -54,7 +51,7 @@ func TestQueryBeforeBuildFails(t *testing.T) {
 }
 
 func TestIndexMatchesNaiveScan(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	raws := mkRaws(t, dev, 1, 4000, 3)
 	idx, err := NewIndex(dev, raws, geom.UnitBox(), Config{CellsPerDim: 8})
 	if err != nil {
@@ -70,7 +67,7 @@ func TestIndexMatchesNaiveScan(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		side := 0.01 + r.Float64()*0.3
 		c := geom.V(r.Float64(), r.Float64(), r.Float64())
-		q, ok := geom.Cube(c, side).Clip(geom.UnitBox())
+		q, ok := geom.Cube(c, side).Intersection(geom.UnitBox())
 		if !ok {
 			continue
 		}
@@ -92,7 +89,7 @@ func TestIndexMatchesNaiveScan(t *testing.T) {
 }
 
 func TestMemBudgetCausesFragmentation(t *testing.T) {
-	devA := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	devA := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	rawsA := mkRaws(t, devA, 1, 5000, 5)
 	big, err := NewIndex(devA, rawsA, geom.UnitBox(), Config{CellsPerDim: 2})
 	if err != nil {
@@ -102,7 +99,7 @@ func TestMemBudgetCausesFragmentation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	devB := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	devB := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	rawsB := mkRaws(t, devB, 1, 5000, 5)
 	small, err := NewIndex(devB, rawsB, geom.UnitBox(),
 		Config{CellsPerDim: 2, MemBudgetObjects: 500})
@@ -138,7 +135,7 @@ func TestMemBudgetCausesFragmentation(t *testing.T) {
 }
 
 func TestOneForEachMatchesOracle(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	raws := mkRaws(t, dev, 4, 1500, 6)
 	eng, err := NewOneForEach(dev, raws, geom.UnitBox(), Config{CellsPerDim: 6})
 	if err != nil {
@@ -153,7 +150,7 @@ func TestOneForEachMatchesOracle(t *testing.T) {
 	oracle := engine.NewNaiveScan(raws)
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
-		q, ok := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), 0.1).Clip(geom.UnitBox())
+		q, ok := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), 0.1).Intersection(geom.UnitBox())
 		if !ok {
 			continue
 		}
@@ -176,7 +173,7 @@ func TestOneForEachMatchesOracle(t *testing.T) {
 }
 
 func TestOneForEachUnknownDataset(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	raws := mkRaws(t, dev, 2, 100, 8)
 	eng, err := NewOneForEach(dev, raws, geom.UnitBox(), Config{CellsPerDim: 2})
 	if err != nil {
@@ -191,7 +188,7 @@ func TestOneForEachUnknownDataset(t *testing.T) {
 }
 
 func TestAllInOneFiltersDatasets(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	raws := mkRaws(t, dev, 4, 1500, 9)
 	eng, err := NewAllInOne(dev, raws, geom.UnitBox(), Config{CellsPerDim: 6})
 	if err != nil {
@@ -206,7 +203,7 @@ func TestAllInOneFiltersDatasets(t *testing.T) {
 	oracle := engine.NewNaiveScan(raws)
 	r := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 30; trial++ {
-		q, ok := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), 0.15).Clip(geom.UnitBox())
+		q, ok := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), 0.15).Intersection(geom.UnitBox())
 		if !ok {
 			continue
 		}
@@ -231,7 +228,7 @@ func TestAllInOneFiltersDatasets(t *testing.T) {
 }
 
 func TestReplicatingGridMatchesOracle(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	raws := mkRaws(t, dev, 1, 3000, 12)
 	idx, err := NewIndex(dev, raws, geom.UnitBox(), Config{CellsPerDim: 6, Replicate: true})
 	if err != nil {
@@ -243,7 +240,7 @@ func TestReplicatingGridMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 40; trial++ {
 		side := 0.01 + r.Float64()*0.3
-		q, ok := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), side).Clip(geom.UnitBox())
+		q, ok := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), side).Intersection(geom.UnitBox())
 		if !ok {
 			continue
 		}
@@ -269,7 +266,7 @@ func TestReplicationUsesMoreSpace(t *testing.T) {
 	// Objects spanning cell boundaries are stored once per overlapped cell,
 	// so the replicated grid writes strictly more pages.
 	build := func(replicate bool) int64 {
-		dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+		dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 		// Objects a third of a cell wide straddle boundaries frequently.
 		objs := datagen.Generate(datagen.Config{
 			Seed: 14, NumObjects: 4000, ObjectSizeFrac: 0.02,
@@ -286,7 +283,11 @@ func TestReplicationUsesMoreSpace(t *testing.T) {
 		if err := idx.Build(); err != nil {
 			t.Fatal(err)
 		}
-		return dev.TotalPages()
+		n, err := idx.file.NumPages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw.NumPages() + n
 	}
 	plain := build(false)
 	repl := build(true)
@@ -296,7 +297,7 @@ func TestReplicationUsesMoreSpace(t *testing.T) {
 }
 
 func TestBuildIsIdempotent(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{Seek: 1, Transfer: 1}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{Seek: 1, Transfer: 1}, 0, 1)
 	raws := mkRaws(t, dev, 1, 500, 11)
 	idx, err := NewIndex(dev, raws, geom.UnitBox(), Config{CellsPerDim: 4})
 	if err != nil {

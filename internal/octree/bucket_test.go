@@ -16,7 +16,7 @@ import (
 
 // bucketByCellReference is BucketByCell as it was before geom.CellGrid: two
 // passes that each work out every object's cell from scratch, step and all
-// (cellOf is Box.CellIndex's old body). Which bucket an object lands in, and
+// (cellOf is the cell arithmetic's old body). Which bucket an object lands in, and
 // in what order, decides the bytes of every page a build or a refinement
 // writes, so BucketByCell must reproduce it exactly.
 func bucketByCellReference(box geom.Box, k int, objs, slab []object.Object) (bounds []int32) {
@@ -76,7 +76,8 @@ func bucketPoints(r *rand.Rand, box geom.Box, k int) []geom.Vec {
 		pts = append(pts, geom.V(pick(0), pick(1), pick(2)))
 	}
 	for c := 0; c < 8; c++ {
-		pts = append(pts, box.Octant(c).Min, box.Octant(c).Max)
+		octant := box.Cell(2, c&1, c>>1&1, c>>2)
+		pts = append(pts, octant.Min, octant.Max)
 	}
 	size := box.Size()
 	for _, f := range []float64{-1e6, -1, -0.001, 1.001, 2, 1e6} {
@@ -174,7 +175,7 @@ func BenchmarkBucketByCell(b *testing.B) {
 // time: one in-situ scan of a 100,000-object raw file, the bucketing and the
 // ppl cell writes, on the reduced-scale device model.
 func BenchmarkLevelZeroBuild(b *testing.B) {
-	dev := simdisk.NewDevice(simdisk.ReducedScaleCostModel(), 1024)
+	dev := simdisk.NewDeviceChannels(simdisk.ReducedScaleCostModel(), 1024, 1)
 	raw, err := rawfile.Write(dev, "ds1", 1, benchObjects(100_000))
 	if err != nil {
 		b.Fatal(err)

@@ -46,7 +46,7 @@ func FuzzPartitionExtent(f *testing.F) {
 				HalfExtent: geom.Vec{X: he * size.X, Y: he * r.Float64() * size.Y, Z: he * size.Z},
 			}
 		}
-		dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+		dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 		raw, err := rawfile.Write(dev, "ds1", 1, objs)
 		if err != nil {
 			t.Fatal(err)

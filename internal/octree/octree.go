@@ -260,9 +260,6 @@ func (p *Partition) Runs() []pagefile.Run { return p.runs }
 // IsLeaf reports whether the partition has not been refined.
 func (p *Partition) IsLeaf() bool { return p.children == nil }
 
-// Pages returns the partition's size on disk in pages.
-func (p *Partition) Pages() int64 { return pagefile.Pages(p.runs) }
-
 // Tree is the incremental octree over one dataset.
 type Tree struct {
 	cfg    Config
@@ -348,9 +345,6 @@ func (t *Tree) MaxExtent() geom.Vec { return t.maxExtent }
 
 // Bounds returns the exploration volume the tree partitions.
 func (t *Tree) Bounds() geom.Box { return t.bounds }
-
-// NumObjects returns the number of indexed objects (0 before build).
-func (t *Tree) NumObjects() int { return t.numObjects }
 
 // NumLeaves returns the number of leaf partitions (0 before build).
 func (t *Tree) NumLeaves() int { return t.numLeaves }

@@ -15,7 +15,7 @@ import (
 // testTree builds a tree over a synthetic dataset.
 func testTree(t *testing.T, n int, cfg Config, seed int64) (*Tree, *rawfile.Raw, *simdisk.Device) {
 	t.Helper()
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	objs := datagen.Generate(datagen.Config{
 		Seed: seed, NumObjects: n, Clusters: 5,
 	}, 1)
@@ -40,7 +40,7 @@ func queryRefining(tree *Tree, q geom.Box, serveFromStore func(*Partition) bool)
 }
 
 func TestConfigValidation(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	raw, err := rawfile.Write(dev, "d", 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func leafInvariants(t *testing.T, tree *Tree) {
 		}
 		for _, o := range objs {
 			seen[o.ID]++
-			if !p.Box().ContainsPointHalfOpen(o.Center) && !onUpperBoundary(o.Center, p.Box(), tree.Bounds()) {
+			if !inHalfOpen(o.Center, p.Box()) && !onUpperBoundary(o.Center, p.Box(), tree.Bounds()) {
 				t.Fatalf("object %d center %v outside its partition %v", o.ID, o.Center, p.Box())
 			}
 		}
@@ -136,8 +136,17 @@ func leafInvariants(t *testing.T, tree *Tree) {
 	}
 }
 
+// inHalfOpen reports whether p lies in the half-open box [b.Min, b.Max): the
+// cells of a subdivision tile it so, a point on a shared face belonging to
+// exactly one cell.
+func inHalfOpen(p geom.Vec, b geom.Box) bool {
+	return b.Min.X <= p.X && p.X < b.Max.X &&
+		b.Min.Y <= p.Y && p.Y < b.Max.Y &&
+		b.Min.Z <= p.Z && p.Z < b.Max.Z
+}
+
 // onUpperBoundary allows centers sitting exactly on the global upper faces,
-// which CellIndex clamps into the last cell.
+// which the cell grid clamps into the last cell.
 func onUpperBoundary(p geom.Vec, cell, bounds geom.Box) bool {
 	return (p.X == bounds.Max.X && cell.Max.X == bounds.Max.X) ||
 		(p.Y == bounds.Max.Y && cell.Max.Y == bounds.Max.Y) ||
@@ -158,7 +167,7 @@ func TestQueryMatchesNaiveScan(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		side := 0.02 + r.Float64()*0.2
 		c := geom.V(r.Float64(), r.Float64(), r.Float64())
-		q, ok := geom.Cube(c, side).Clip(geom.UnitBox())
+		q, ok := geom.Cube(c, side).Intersection(geom.UnitBox())
 		if !ok {
 			continue
 		}
@@ -314,7 +323,7 @@ func TestTargetLevelsEdges(t *testing.T) {
 func TestEmptyPartitionsNeverRefine(t *testing.T) {
 	// A dataset confined to one octant leaves other cells empty; queries
 	// into empty space must not refine anything.
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	objs := datagen.Generate(datagen.Config{
 		Seed: 9, NumObjects: 500,
 		Bounds:         geom.NewBox(geom.V(0, 0, 0), geom.V(0.1, 0.1, 0.1)),
@@ -372,7 +381,7 @@ func TestInPlaceReuseBoundsFileGrowth(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for i := 0; i < 40; i++ {
 		c := geom.V(r.Float64(), r.Float64(), r.Float64())
-		q, ok := geom.Cube(c, 0.01).Clip(geom.UnitBox())
+		q, ok := geom.Cube(c, 0.01).Intersection(geom.UnitBox())
 		if !ok {
 			continue
 		}
@@ -420,7 +429,7 @@ func TestLeafAt(t *testing.T) {
 	// child key is a leaf.
 	target := leaves[0]
 	for tree.LeafAt(target.Key()) != nil {
-		q, ok := geom.Cube(target.Box().Center(), target.Box().LongestSide()/100).Clip(tree.Bounds())
+		q, ok := geom.Cube(target.Box().Center(), target.Box().LongestSide()/100).Intersection(tree.Bounds())
 		if !ok {
 			t.Fatal("query construction failed")
 		}
@@ -475,7 +484,7 @@ func TestServeFromStoreHookSkipsReads(t *testing.T) {
 
 func TestKeysShareGeometryAcrossTrees(t *testing.T) {
 	// Two trees over the same bounds must agree on keys and boxes.
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	mk := func(ds object.DatasetID, seed int64) *Tree {
 		objs := datagen.Generate(datagen.Config{Seed: seed, NumObjects: 2000}, ds)
 		raw, err := rawfile.Write(dev, "d", ds, objs)
@@ -570,7 +579,7 @@ func TestRandomWorkloadInvariantsProperty(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			side := 0.005 + r.Float64()*0.1
 			c := geom.V(r.Float64(), r.Float64(), r.Float64())
-			q, ok := geom.Cube(c, side).Clip(geom.UnitBox())
+			q, ok := geom.Cube(c, side).Intersection(geom.UnitBox())
 			if !ok || q.Volume() == 0 {
 				continue
 			}

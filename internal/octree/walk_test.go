@@ -33,7 +33,7 @@ func referenceLeaves(out []*Partition, p *Partition, area geom.Box) []*Partition
 // and 4.
 func walkTree(t *testing.T, bounds geom.Box, ppl int, seed int64) *Tree {
 	t.Helper()
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	objs := datagen.Generate(datagen.Config{Seed: seed, NumObjects: 3000, Clusters: 5, Bounds: bounds, ObjectSizeFrac: 1e-5}, 1)
 	objs[0].Center, objs[1].Center = bounds.Min, bounds.Max
 	raw, err := rawfile.Write(dev, "walk", 1, objs)
@@ -178,7 +178,8 @@ func TestLookupVisitsCandidateChildrenOnly(t *testing.T) {
 			return
 		}
 		internal++
-		ix, iy, iz := p.box.CellIndex(k, window.Center())
+		g := p.box.Grid(k)
+		ix, iy, iz := g.Cell(window.Center())
 		for ci := range p.children {
 			c := &p.children[ci]
 			cx, cy, cz := ci%k, ci/k%k, ci/(k*k)

@@ -15,7 +15,7 @@ import (
 
 func newFile(t *testing.T) *File {
 	t.Helper()
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	return Create(dev, "test")
 }
 
@@ -255,7 +255,7 @@ func TestWriteIntoNoReuse(t *testing.T) {
 }
 
 func TestReadRunPropagatesDeviceError(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	f := Create(dev, "test")
 	run, err := f.AppendObjectsCtx(context.Background(), mkObjs(object.PageCapacity*2, 15))
 	if err != nil {
@@ -269,7 +269,7 @@ func TestReadRunPropagatesDeviceError(t *testing.T) {
 }
 
 func TestReadRunDetectsCorruption(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	f := Create(dev, "test")
 	run, err := f.AppendObjectsCtx(context.Background(), mkObjs(object.PageCapacity, 16))
 	if err != nil {
@@ -386,7 +386,7 @@ func TestPoolRetentionBound(t *testing.T) {
 // 4-page run of perPage records a page, decoded into a dst with room.
 func readRunInto(tb testing.TB, perPage int) (f *File, run Run, dst []object.Object) {
 	tb.Helper()
-	f = Create(simdisk.NewDevice(simdisk.CostModel{}, 0), "test")
+	f = Create(simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1), "test")
 	objs := mkObjs(4*perPage, 21)
 	for p := 0; p < 4; p++ {
 		r, err := f.AppendObjectsCtx(context.Background(), objs[p*perPage:(p+1)*perPage])
@@ -422,7 +422,7 @@ func TestPagePathAllocations(t *testing.T) {
 	}
 
 	objs := mkObjs(4*object.PageCapacity, 22)
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	if got, limit := bytesPerOp(500, func() {
 		if _, err := Create(dev, "test").AppendObjectsCtx(context.Background(), objs); err != nil {
 			t.Fatal(err)

@@ -108,9 +108,6 @@ func (r *Raw) NumObjects() int { return r.count }
 // NumPages returns the file length in pages.
 func (r *Raw) NumPages() int64 { return r.run.Count }
 
-// Bounds returns the union of all object boxes (dataset metadata).
-func (r *Raw) Bounds() geom.Box { return r.bounds }
-
 // scanChunkPages is the run size in-situ scans read at a time: large enough
 // that a chunk is a genuine sequential run, small enough that huge files
 // never need one giant buffer (128 pages = 512 KB). It is this package's
@@ -185,15 +182,6 @@ func (r *Raw) AppendAllCtx(ctx context.Context, dst []object.Object) ([]object.O
 		return err
 	})
 	return dst, err
-}
-
-// All reads every record into memory.
-func (r *Raw) All(ctx context.Context) ([]object.Object, error) {
-	out, err := r.AppendAllCtx(ctx, make([]object.Object, 0, r.count))
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // scanPages performs a full scan handing fn the records of one page at a

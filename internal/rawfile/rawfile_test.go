@@ -32,7 +32,7 @@ func mkObjs(n int, seed int64) []object.Object {
 }
 
 func TestWriteAndScan(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	objs := mkObjs(200, 1)
 	raw, err := Write(dev, "ds3.raw", 3, objs)
 	if err != nil {
@@ -47,7 +47,7 @@ func TestWriteAndScan(t *testing.T) {
 	if want := object.PagesFor(200); raw.NumPages() != want {
 		t.Fatalf("NumPages = %d, want %d", raw.NumPages(), want)
 	}
-	got, err := raw.All(context.Background())
+	got, err := raw.AppendAllCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestWriteAndScan(t *testing.T) {
 }
 
 func TestBounds(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	objs := []object.Object{
 		{ID: 1, Center: geom.V(0, 0, 0), HalfExtent: geom.V(1, 1, 1)},
 		{ID: 2, Center: geom.V(10, 10, 10), HalfExtent: geom.V(2, 2, 2)},
@@ -78,7 +78,7 @@ func TestBounds(t *testing.T) {
 }
 
 func TestScanRange(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	objs := mkObjs(500, 2)
 	raw, err := Write(dev, "r", 0, objs)
 	if err != nil {
@@ -109,7 +109,7 @@ func TestScanRange(t *testing.T) {
 }
 
 func TestScanAbortsOnCallbackError(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	raw, err := Write(dev, "r", 0, mkObjs(100, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestScanAbortsOnCallbackError(t *testing.T) {
 }
 
 func TestWriteRejectsInvalidObjects(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	bad := []object.Object{{ID: 1, HalfExtent: geom.V(-1, 0, 0)}}
 	if _, err := Write(dev, "bad", 0, bad); err == nil {
 		t.Fatal("invalid object accepted")
@@ -216,7 +216,7 @@ func edgyObjs(r *rand.Rand, n int) []object.Object {
 // device holds a page or charges a tick.
 func TestWriteMatchesPerObjectFold(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	dev := simdisk.NewDevice(simdisk.CostModel{Seek: 1000, Transfer: 1}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{Seek: 1000, Transfer: 1}, 0, 1)
 	nan, inf := math.NaN(), math.Inf(1)
 	corrupt := []func(*object.Object){
 		func(o *object.Object) { o.Center.X = nan },
@@ -248,14 +248,14 @@ func TestWriteMatchesPerObjectFold(t *testing.T) {
 			corrupt[r.Intn(len(corrupt))](&objs[at+1+r.Intn(len(objs)-at-1)])
 		}
 		want := fmt.Errorf("rawfile %q: %w", name, objs[at].Validate())
-		pages, clock := dev.TotalPages(), dev.Clock()
+		pages, clock := dev.Stats().PageWrites, dev.Clock()
 		_, err = Write(dev, name, 0, objs)
 		if err == nil || err.Error() != want.Error() || errors.Is(err, object.ErrNonFiniteVec) != errors.Is(want, object.ErrNonFiniteVec) {
 			t.Fatalf("trial %d: bad object %v at %d of %d: err = %v, want %v", trial, objs[at], at, len(objs), err, want)
 		}
-		if dev.TotalPages() != pages || dev.Clock() != clock {
-			t.Fatalf("trial %d: rejected write left %d pages (was %d), clock %v (was %v)",
-				trial, dev.TotalPages(), pages, dev.Clock(), clock)
+		if dev.Stats().PageWrites != pages || dev.Clock() != clock {
+			t.Fatalf("trial %d: rejected write wrote %d pages (was %d), clock %v (was %v)",
+				trial, dev.Stats().PageWrites, pages, dev.Clock(), clock)
 		}
 	}
 }
@@ -263,7 +263,7 @@ func TestWriteMatchesPerObjectFold(t *testing.T) {
 // A -0 half-extent is no extent, not a negative one: Validate accepts it, and
 // so must the pass that skips Validate for objects it can tell are valid.
 func TestWriteAcceptsNegativeZeroExtent(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	negZero := math.Copysign(0, -1)
 	objs := []object.Object{
 		{ID: 1, Center: geom.V(negZero, 1, 2), HalfExtent: geom.Splat(negZero)},
@@ -279,7 +279,7 @@ func TestWriteAcceptsNegativeZeroExtent(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	raw, err := Write(dev, "r", 0, mkObjs(10, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestDelete(t *testing.T) {
 
 func TestScanChargesSequentialCost(t *testing.T) {
 	cost := simdisk.CostModel{Seek: 1000, Transfer: 1}
-	dev := simdisk.NewDevice(cost, 0)
+	dev := simdisk.NewDeviceChannels(cost, 0, 1)
 	raw, err := Write(dev, "r", 0, mkObjs(object.PageCapacity*10, 5))
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +315,7 @@ func TestScanChargesSequentialCost(t *testing.T) {
 }
 
 func TestScanPropagatesDeviceFault(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	raw, err := Write(dev, "r", 0, mkObjs(object.PageCapacity*3, 6))
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +329,7 @@ func TestScanPropagatesDeviceFault(t *testing.T) {
 }
 
 func TestEmptyRawFile(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	raw, err := Write(dev, "empty", 0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func (s *runRecorder) ReadRunCtx(ctx context.Context, id simdisk.FileID, start, 
 // chunk boundary.
 func TestAppendAllMatchesScan(t *testing.T) {
 	cost := simdisk.CostModel{Seek: 1000, Transfer: 7, CacheHit: 1}
-	rec := &runRecorder{Storage: simdisk.NewDevice(cost, 64)}
+	rec := &runRecorder{Storage: simdisk.NewDeviceChannels(cost, 64, 1)}
 	objs := mkObjs(object.PageCapacity*300+17, 9) // two full chunks and a partial one
 	raw, err := Write(rec, "r", 0, objs)
 	if err != nil {
@@ -444,7 +444,7 @@ func BenchmarkRawWrite(b *testing.B) {
 	objs := mkObjs(n, 12)
 	b.ReportAllocs()
 	for b.Loop() {
-		dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+		dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 		if _, err := Write(dev, "bench", 3, objs); err != nil {
 			b.Fatal(err)
 		}

@@ -45,28 +45,13 @@ func TestFirstHit(t *testing.T) {
 }
 
 func TestFirstHitEmptyTree(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	tree, err := Build(dev, "e", nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, found, err := tree.FirstHit(geom.UnitBox()); err != nil || found {
 		t.Fatalf("empty tree FirstHit: found=%v err=%v", found, err)
-	}
-}
-
-func TestAllInOneTreeAccessor(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
-	raws := mkRaws(t, dev, 2, 200, 52)
-	eng := NewAllInOne(dev, raws, DefaultConfig())
-	if eng.Index() != nil {
-		t.Fatal("Tree non-nil before build")
-	}
-	if err := eng.Build(); err != nil {
-		t.Fatal(err)
-	}
-	if eng.Index() == nil || eng.Index().NumObjects() != 400 {
-		t.Fatal("Tree accessor wrong after build")
 	}
 }
 

@@ -136,18 +136,6 @@ func Build(dev simdisk.Storage, name string, objs []object.Object, cfg Config) (
 	return t, nil
 }
 
-// NumObjects returns the number of indexed objects.
-func (t *Tree) NumObjects() int { return t.numObjs }
-
-// NumLeaves returns the number of leaf pages.
-func (t *Tree) NumLeaves() int { return t.numLeafs }
-
-// Height returns the number of node levels above the leaves.
-func (t *Tree) Height() int { return t.height }
-
-// Bounds returns the root MBR (zero Box for an empty tree).
-func (t *Tree) Bounds() geom.Box { return t.bounds }
-
 // Query returns all objects intersecting q, optionally restricted to the
 // datasets in filter (nil = no filtering). Every node and leaf page visited
 // costs a device read.
@@ -256,40 +244,4 @@ func (t *Tree) FirstHit(q geom.Box) (object.Object, bool, error) {
 		return object.Object{}, false, nil
 	}
 	return visit(t.rootPage)
-}
-
-// LeafMBRs returns the MBR and page index of every leaf by scanning the
-// level-0 node pages. FLAT's builder uses it; tests use it for invariants.
-func (t *Tree) LeafMBRs() ([]geom.Box, []int64, error) {
-	var boxes []geom.Box
-	var pages []int64
-	if t.numObjs == 0 {
-		return nil, nil, nil
-	}
-	buf := make([]byte, simdisk.PageSize)
-	var visit func(page int64) error
-	visit = func(page int64) error {
-		if err := t.dev.ReadPageCtx(context.Background(), t.file, page, buf); err != nil {
-			return err
-		}
-		entries, level, err := decodeNode(buf)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			if level > 0 {
-				if err := visit(e.child); err != nil {
-					return err
-				}
-			} else {
-				boxes = append(boxes, e.box)
-				pages = append(pages, e.child)
-			}
-		}
-		return nil
-	}
-	if err := visit(t.rootPage); err != nil {
-		return nil, nil, err
-	}
-	return boxes, pages, nil
 }

@@ -130,7 +130,7 @@ func leafVolume(objs []object.Object, str bool) float64 {
 
 func buildTestTree(t *testing.T, n int, seed int64) (*Tree, []object.Object, *simdisk.Device) {
 	t.Helper()
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	objs := datagen.Generate(datagen.Config{Seed: seed, NumObjects: n}, 1)
 	cp := append([]object.Object(nil), objs...)
 	tree, err := Build(dev, "t", cp, DefaultConfig())
@@ -151,7 +151,7 @@ func TestBuildAndQueryMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 50; trial++ {
 		side := 0.01 + r.Float64()*0.2
-		q, ok := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), side).Clip(geom.UnitBox())
+		q, ok := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), side).Intersection(geom.UnitBox())
 		if !ok {
 			continue
 		}
@@ -172,7 +172,7 @@ func TestBuildAndQueryMatchesNaive(t *testing.T) {
 }
 
 func TestEmptyTree(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	tree, err := Build(dev, "e", nil, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestEmptyTree(t *testing.T) {
 }
 
 func TestSingleObjectTree(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	objs := []object.Object{{ID: 9, Center: geom.V(0.5, 0.5, 0.5), HalfExtent: geom.V(0.01, 0.01, 0.01)}}
 	tree, err := Build(dev, "s", objs, DefaultConfig())
 	if err != nil {
@@ -236,7 +236,7 @@ func TestLeafMBRsInvariant(t *testing.T) {
 func TestBuildChargesSortPasses(t *testing.T) {
 	cost := simdisk.CostModel{Seek: 0, Transfer: 1}
 	mk := func(passes int) int64 {
-		dev := simdisk.NewDevice(cost, 0)
+		dev := simdisk.NewDeviceChannels(cost, 0, 1)
 		objs := datagen.Generate(datagen.Config{Seed: 6, NumObjects: 6300}, 1)
 		cfg := DefaultConfig()
 		cfg.SortPasses = passes
@@ -256,7 +256,7 @@ func TestBuildChargesSortPasses(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	for _, cfg := range []Config{
 		{Fanout: 1}, {Fanout: MaxFanout + 1},
 		{LeafCapacity: -1}, {LeafCapacity: object.PageCapacity + 1},
@@ -283,7 +283,7 @@ func mkRaws(t *testing.T, dev *simdisk.Device, n, perDS int, seed int64) []*rawf
 }
 
 func TestStrategiesMatchOracle(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{}, 0, 1)
 	raws := mkRaws(t, dev, 4, 1200, 7)
 	oracle := engine.NewNaiveScan(raws)
 
@@ -307,7 +307,7 @@ func TestStrategiesMatchOracle(t *testing.T) {
 
 	r := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 25; trial++ {
-		q, ok := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), 0.12).Clip(geom.UnitBox())
+		q, ok := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), 0.12).Intersection(geom.UnitBox())
 		if !ok {
 			continue
 		}
@@ -340,7 +340,7 @@ func TestStrategiesMatchOracle(t *testing.T) {
 }
 
 func TestBuildIsIdempotent(t *testing.T) {
-	dev := simdisk.NewDevice(simdisk.CostModel{Seek: 1, Transfer: 1}, 0)
+	dev := simdisk.NewDeviceChannels(simdisk.CostModel{Seek: 1, Transfer: 1}, 0, 1)
 	raws := mkRaws(t, dev, 2, 300, 9)
 	eng := NewAllInOne(dev, raws, DefaultConfig())
 	if err := eng.Build(); err != nil {

@@ -81,9 +81,6 @@ func NewDeviceArray(cost CostModel, cacheCapacity, devices, channels int, policy
 	return &DeviceArray{members: members, policy: policy}
 }
 
-// Members exposes the member devices (for tests and reports).
-func (a *DeviceArray) Members() []*Device { return a.members }
-
 // encode maps (member, member-local id) to an array-global FileID.
 func (a *DeviceArray) encode(member int, local FileID) FileID {
 	return FileID(uint32(local)*uint32(len(a.members)) + uint32(member))
@@ -109,36 +106,16 @@ func (a *DeviceArray) CreateFileInGroup(name, group string) FileID {
 	return a.encode(m, local)
 }
 
-// MemberOf returns the index of the member device holding id.
-func (a *DeviceArray) MemberOf(id FileID) int {
-	return int(uint32(id) % uint32(len(a.members)))
-}
-
 // DeleteFile removes a file from its member device.
 func (a *DeviceArray) DeleteFile(id FileID) error {
 	dev, local := a.decode(id)
 	return dev.DeleteFile(local)
 }
 
-// FileName returns the debug name a file was created with.
-func (a *DeviceArray) FileName(id FileID) (string, error) {
-	dev, local := a.decode(id)
-	return dev.FileName(local)
-}
-
 // NumPages returns the file length in pages.
 func (a *DeviceArray) NumPages(id FileID) (int64, error) {
 	dev, local := a.decode(id)
 	return dev.NumPages(local)
-}
-
-// TotalPages sums disk usage across members.
-func (a *DeviceArray) TotalPages() int64 {
-	var total int64
-	for _, m := range a.members {
-		total += m.TotalPages()
-	}
-	return total
 }
 
 // ReadPageCtx reads one page on the file's member device.
@@ -212,15 +189,6 @@ func (a *DeviceArray) DropCaches() {
 	for _, m := range a.members {
 		m.DropCaches()
 	}
-}
-
-// DeviceStats snapshots each member's counters.
-func (a *DeviceArray) DeviceStats() []Stats {
-	out := make([]Stats, len(a.members))
-	for i, m := range a.members {
-		out[i] = m.Stats()
-	}
-	return out
 }
 
 // DeviceChannelStats snapshots each member's per-channel counters.

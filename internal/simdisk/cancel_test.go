@@ -14,7 +14,7 @@ import (
 func cancelTestDevice(t *testing.T, pages int64) (*Device, FileID, CostModel) {
 	t.Helper()
 	cost := CostModel{Seek: time.Millisecond, Transfer: 100 * time.Microsecond, CacheHit: time.Microsecond}
-	d := NewDevice(cost, 0)
+	d := NewDeviceChannels(cost, 0, 1)
 	id := d.CreateFileInGroup("cancel-test", "")
 	page := make([]byte, PageSize)
 	for i := int64(0); i < pages; i++ {
@@ -138,7 +138,7 @@ func TestCancelClockLimitExactBoundary(t *testing.T) {
 // — an abandoned query stops occupying its worker almost immediately.
 func TestCancelAbortsRealTimeEmulationWait(t *testing.T) {
 	cost := CostModel{Seek: time.Second, Transfer: 250 * time.Millisecond, CacheHit: time.Microsecond}
-	d := NewDevice(cost, 0)
+	d := NewDeviceChannels(cost, 0, 1)
 	id := d.CreateFileInGroup("rt", "")
 	page := make([]byte, PageSize)
 	for i := 0; i < 4; i++ {

@@ -57,7 +57,7 @@ func TestChannelsIndependentHeads(t *testing.T) {
 	}
 
 	// The same interleave on a single-channel device seeks every access.
-	d1 := NewDevice(DefaultCostModel(), 0)
+	d1 := NewDeviceChannels(DefaultCostModel(), 0, 1)
 	a1 := d1.CreateFileInGroup("a", "")
 	b1 := d1.CreateFileInGroup("b", "")
 	for p := 0; p < 4; p++ {
@@ -122,7 +122,7 @@ func TestChannelClockIsCriticalPath(t *testing.T) {
 // model did.
 func TestSingleChannelClockUnchanged(t *testing.T) {
 	cost := CostModel{Seek: 8 * time.Millisecond, Transfer: 25 * time.Microsecond, CacheHit: 200 * time.Nanosecond}
-	d := NewDevice(cost, 16)
+	d := NewDeviceChannels(cost, 16, 1)
 	f := d.CreateFileInGroup("f", "")
 	for p := 0; p < 3; p++ {
 		if _, err := d.AppendPageCtx(context.Background(), f, page(byte(p))); err != nil {

@@ -10,7 +10,7 @@ import (
 // -race to verify the locking discipline. Engines are single-threaded like
 // the paper's, but the device promises thread safety.
 func TestConcurrentAccess(t *testing.T) {
-	d := NewDefaultDevice(32)
+	d := NewDeviceChannels(DefaultCostModel(), 32, 1)
 	f := d.CreateFileInGroup("shared", "")
 	for i := 0; i < 64; i++ {
 		if _, err := d.AppendPageCtx(context.Background(), f, page(byte(i))); err != nil {
@@ -41,7 +41,7 @@ func TestConcurrentAccess(t *testing.T) {
 					d.Clock()
 					d.Stats()
 				case 3:
-					d.CachedPages()
+					d.cache.Len()
 					d.TotalPages()
 				case 4:
 					if i%50 == 4 {
@@ -60,7 +60,7 @@ func TestConcurrentAccess(t *testing.T) {
 
 // TestConcurrentFileCreation checks file-id allocation under contention.
 func TestConcurrentFileCreation(t *testing.T) {
-	d := NewDefaultDevice(0)
+	d := NewDeviceChannels(DefaultCostModel(), 0, 1)
 	var wg sync.WaitGroup
 	ids := make(chan FileID, 100)
 	for g := 0; g < 10; g++ {

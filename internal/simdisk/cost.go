@@ -45,16 +45,6 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// SSDCostModel returns parameters approximating a SATA SSD; useful for
-// sensitivity runs (the paper's conclusions assume spinning disks).
-func SSDCostModel() CostModel {
-	return CostModel{
-		Seek:     80 * time.Microsecond,
-		Transfer: 8 * time.Microsecond,
-		CacheHit: 200 * time.Nanosecond,
-	}
-}
-
 // ReducedScaleCostModel returns the cost model the experiment harness uses
 // at laptop scale. The paper runs on ~50 GB of data (12.5M pages); the
 // harness runs on ~1/100 of that. Index builds are transfer-bound (they

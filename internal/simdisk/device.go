@@ -97,7 +97,6 @@ func (s *Stats) Add(o Stats) {
 // a read restores it. A page's slot is its slice's capacity, so a rewrite
 // that fits reuses it.
 type file struct {
-	name    string
 	mu      sync.RWMutex
 	pages   [][]byte
 	chunk   []byte // what is left of the allocation slots are carved from
@@ -239,16 +238,11 @@ type Device struct {
 	closed atomic.Bool
 }
 
-// NewDevice creates a single-channel Device with the given cost model and
-// buffer-cache capacity in pages. cacheCapacity <= 0 disables caching
-// entirely.
-func NewDevice(cost CostModel, cacheCapacity int) *Device {
-	return NewDeviceChannels(cost, cacheCapacity, 1)
-}
-
-// NewDeviceChannels creates a Device with channels independent I/O channels
-// (per-channel head position and busy time). channels <= 0 defaults to 1,
-// which reproduces the original single-head cost model exactly.
+// NewDeviceChannels creates a Device with the given cost model, buffer-cache
+// capacity in pages (<= 0 disables caching entirely) and channels
+// independent I/O channels (per-channel head position and busy time).
+// channels <= 0 defaults to 1, which reproduces the original single-head
+// cost model exactly.
 func NewDeviceChannels(cost CostModel, cacheCapacity, channels int) *Device {
 	if err := cost.Validate(); err != nil {
 		panic(err)
@@ -277,12 +271,6 @@ func (d *Device) channelOf(id FileID) *channel {
 	// id patterns keep biased).
 	h := uint32(id) * 2654435761
 	return &d.channels[(uint64(h)*uint64(len(d.channels)))>>32]
-}
-
-// NewDefaultDevice creates a Device with the paper's SAS cost model and a
-// cache of cachePages pages.
-func NewDefaultDevice(cachePages int) *Device {
-	return NewDevice(DefaultCostModel(), cachePages)
 }
 
 // lookup resolves a file handle under the shared map lock.
@@ -320,7 +308,7 @@ func (d *Device) CreateFileInGroup(name, group string) FileID {
 	defer d.mu.Unlock()
 	id := d.next
 	d.next++
-	d.files[id] = &file{name: name}
+	d.files[id] = &file{}
 	return id
 }
 
@@ -353,15 +341,6 @@ func (d *Device) DeleteFile(id FileID) error {
 	}
 	ch.mu.Unlock()
 	return nil
-}
-
-// FileName returns the debug name a file was created with.
-func (d *Device) FileName(id FileID) (string, error) {
-	f, err := d.lookup(id)
-	if err != nil {
-		return "", err
-	}
-	return f.name, nil
 }
 
 // NumPages returns the current length of the file in pages.
@@ -713,28 +692,7 @@ func (d *Device) ChannelStats() []ChannelStats {
 	return out
 }
 
-// DeviceStats implements Control: the per-member view of a single device.
-func (d *Device) DeviceStats() []Stats { return []Stats{d.Stats()} }
-
 // DeviceChannelStats implements Control: per-member, per-channel counters.
 func (d *Device) DeviceChannelStats() [][]ChannelStats {
 	return [][]ChannelStats{d.ChannelStats()}
-}
-
-// CachedPages returns the number of pages currently cached.
-func (d *Device) CachedPages() int {
-	return d.cache.Len()
-}
-
-// TotalPages returns the number of pages across all files (disk usage).
-func (d *Device) TotalPages() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var total int64
-	for _, f := range d.files {
-		f.mu.RLock()
-		total += int64(len(f.pages))
-		f.mu.RUnlock()
-	}
-	return total
 }

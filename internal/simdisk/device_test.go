@@ -20,7 +20,7 @@ func page(fill byte) []byte {
 }
 
 func TestCreateWriteRead(t *testing.T) {
-	d := NewDefaultDevice(16)
+	d := NewDeviceChannels(DefaultCostModel(), 16, 1)
 	f := d.CreateFileInGroup("data", "")
 	idx, err := d.AppendPageCtx(context.Background(), f, page(0xAB))
 	if err != nil {
@@ -39,14 +39,10 @@ func TestCreateWriteRead(t *testing.T) {
 	if n, _ := d.NumPages(f); n != 1 {
 		t.Fatalf("NumPages = %d", n)
 	}
-	name, err := d.FileName(f)
-	if err != nil || name != "data" {
-		t.Fatalf("FileName = %q, %v", name, err)
-	}
 }
 
 func TestWriteInPlace(t *testing.T) {
-	d := NewDefaultDevice(16)
+	d := NewDeviceChannels(DefaultCostModel(), 16, 1)
 	f := d.CreateFileInGroup("data", "")
 	if _, err := d.AppendPageCtx(context.Background(), f, page(1)); err != nil {
 		t.Fatal(err)
@@ -64,7 +60,7 @@ func TestWriteInPlace(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	d := NewDefaultDevice(16)
+	d := NewDeviceChannels(DefaultCostModel(), 16, 1)
 	f := d.CreateFileInGroup("data", "")
 	buf := make([]byte, PageSize)
 
@@ -92,7 +88,7 @@ func TestErrors(t *testing.T) {
 }
 
 func TestDeleteFile(t *testing.T) {
-	d := NewDefaultDevice(16)
+	d := NewDeviceChannels(DefaultCostModel(), 16, 1)
 	f := d.CreateFileInGroup("data", "")
 	if _, err := d.AppendPageCtx(context.Background(), f, page(1)); err != nil {
 		t.Fatal(err)
@@ -111,7 +107,7 @@ func TestDeleteFile(t *testing.T) {
 
 func TestSequentialVsRandomCost(t *testing.T) {
 	cost := CostModel{Seek: time.Millisecond, Transfer: time.Microsecond}
-	d := NewDevice(cost, 0) // no cache
+	d := NewDeviceChannels(cost, 0, 1) // no cache
 	f := d.CreateFileInGroup("data", "")
 	for i := 0; i < 10; i++ {
 		if _, err := d.AppendPageCtx(context.Background(), f, page(byte(i))); err != nil {
@@ -153,7 +149,7 @@ func TestSequentialVsRandomCost(t *testing.T) {
 
 func TestCacheHitsAreCheap(t *testing.T) {
 	cost := CostModel{Seek: time.Millisecond, Transfer: time.Microsecond, CacheHit: time.Nanosecond}
-	d := NewDevice(cost, 8)
+	d := NewDeviceChannels(cost, 8, 1)
 	f := d.CreateFileInGroup("data", "")
 	if _, err := d.AppendPageCtx(context.Background(), f, page(1)); err != nil {
 		t.Fatal(err)
@@ -184,7 +180,7 @@ func TestCacheHitsAreCheap(t *testing.T) {
 }
 
 func TestCacheEviction(t *testing.T) {
-	d := NewDevice(CostModel{Seek: 1, Transfer: 1, CacheHit: 0}, 2)
+	d := NewDeviceChannels(CostModel{Seek: 1, Transfer: 1, CacheHit: 0}, 2, 1)
 	f := d.CreateFileInGroup("data", "")
 	for i := 0; i < 3; i++ {
 		if _, err := d.AppendPageCtx(context.Background(), f, page(byte(i))); err != nil {
@@ -192,8 +188,8 @@ func TestCacheEviction(t *testing.T) {
 		}
 	}
 	// Cache capacity 2: appends of pages 0,1,2 leave {1,2} cached.
-	if got := d.CachedPages(); got != 2 {
-		t.Fatalf("CachedPages = %d", got)
+	if got := d.cache.Len(); got != 2 {
+		t.Fatalf("cached pages = %d", got)
 	}
 	buf := make([]byte, PageSize)
 	if err := d.ReadPageCtx(context.Background(), f, 0, buf); err != nil {
@@ -206,7 +202,7 @@ func TestCacheEviction(t *testing.T) {
 }
 
 func TestReadRun(t *testing.T) {
-	d := NewDefaultDevice(0)
+	d := NewDeviceChannels(DefaultCostModel(), 0, 1)
 	f := d.CreateFileInGroup("data", "")
 	for i := 0; i < 4; i++ {
 		if _, err := d.AppendPageCtx(context.Background(), f, page(byte(i))); err != nil {
@@ -229,7 +225,7 @@ func TestReadRun(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	d := NewDevice(CostModel{Seek: 1, Transfer: 1}, 4)
+	d := NewDeviceChannels(CostModel{Seek: 1, Transfer: 1}, 4, 1)
 	f := d.CreateFileInGroup("data", "")
 	for i := 0; i < 3; i++ {
 		if _, err := d.AppendPageCtx(context.Background(), f, page(0)); err != nil {
@@ -270,25 +266,19 @@ func TestStatsAdd(t *testing.T) {
 	}
 }
 
-func TestDefaultAndSSDCostModels(t *testing.T) {
+func TestCostModelValidate(t *testing.T) {
 	if err := DefaultCostModel().Validate(); err != nil {
-		t.Error(err)
-	}
-	if err := SSDCostModel().Validate(); err != nil {
 		t.Error(err)
 	}
 	bad := CostModel{Seek: -1}
 	if err := bad.Validate(); err == nil {
 		t.Error("negative cost validated")
 	}
-	if DefaultCostModel().Seek <= SSDCostModel().Seek {
-		t.Error("SAS seek should exceed SSD seek")
-	}
 }
 
 func TestWriteIsolation(t *testing.T) {
 	// The device must copy page data on write so callers can reuse buffers.
-	d := NewDefaultDevice(4)
+	d := NewDeviceChannels(DefaultCostModel(), 4, 1)
 	f := d.CreateFileInGroup("data", "")
 	buf := page(1)
 	if _, err := d.AppendPageCtx(context.Background(), f, buf); err != nil {
@@ -314,7 +304,7 @@ func TestAppendAllocatesPerChunk(t *testing.T) {
 	const pages = 4096
 	for _, k := range []int{0, 1, 10, 63} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			d := NewDevice(CostModel{}, 0)
+			d := NewDeviceChannels(CostModel{}, 0, 1)
 			id := d.CreateFileInGroup("f", "")
 			f := d.files[id]
 			data := make([]byte, PageSize)

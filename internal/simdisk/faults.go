@@ -178,13 +178,6 @@ func (d *Device) SetFaultPlan(plan FaultPlan) {
 	d.faultsArmed.Store(true)
 }
 
-// FaultPlanActive reports whether a fault plan is currently installed.
-func (d *Device) FaultPlanActive() bool {
-	d.faultMu.Lock()
-	defer d.faultMu.Unlock()
-	return d.faults != nil
-}
-
 // takeFault decides the fate of one platter-path read of key: an injected
 // error, or none. Called from readPage's fault hook
 // before any cache touch or platter charge — a faulted read costs nothing,
@@ -258,14 +251,4 @@ func (a *DeviceArray) SetFaultPlan(plan FaultPlan) {
 		}
 		m.SetFaultPlan(p)
 	}
-}
-
-// FaultPlanActive reports whether any member has a plan installed.
-func (a *DeviceArray) FaultPlanActive() bool {
-	for _, m := range a.members {
-		if m.FaultPlanActive() {
-			return true
-		}
-	}
-	return false
 }

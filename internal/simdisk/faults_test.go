@@ -11,7 +11,7 @@ import (
 // faultDev builds a cacheless single-channel device with one file of n pages.
 func faultDev(t *testing.T, n int64) (*Device, FileID) {
 	t.Helper()
-	d := NewDevice(CostModel{Seek: 8 * time.Millisecond, Transfer: 25 * time.Microsecond, CacheHit: 5 * time.Microsecond}, 0)
+	d := NewDeviceChannels(CostModel{Seek: 8 * time.Millisecond, Transfer: 25 * time.Microsecond, CacheHit: 5 * time.Microsecond}, 0, 1)
 	id := d.CreateFileInGroup("f", "")
 	page := make([]byte, PageSize)
 	for i := int64(0); i < n; i++ {
@@ -303,25 +303,24 @@ func TestRetryCancelDuringBackoff(t *testing.T) {
 func TestArrayFaultPlanFanOut(t *testing.T) {
 	a := NewDeviceArray(CostModel{Seek: time.Millisecond, Transfer: 10 * time.Microsecond, CacheHit: time.Microsecond}, 0, 2, 1, nil)
 	a.SetFaultPlan(FaultPlan{Seed: 9, TransientRate: 0.5})
-	if !a.FaultPlanActive() {
-		t.Fatal("plan not active on array")
-	}
-	for i, m := range a.Members() {
+	for i, m := range a.members {
 		if !m.FaultPlanActive() {
 			t.Fatalf("member %d has no plan", i)
 		}
 	}
-	s0, s1 := a.Members()[0].faults.plan.Seed, a.Members()[1].faults.plan.Seed
+	s0, s1 := a.members[0].faults.plan.Seed, a.members[1].faults.plan.Seed
 	if s0 == s1 {
 		t.Fatal("member seeds not decorrelated")
 	}
 	a.SetRetryPolicy(RetryPolicy{MaxAttempts: 3})
-	if got := a.RetryPolicy().MaxAttempts; got != 3 {
+	if got := a.members[0].RetryPolicy().MaxAttempts; got != 3 {
 		t.Fatalf("array retry policy = %d attempts, want 3", got)
 	}
 	a.SetFaultPlan(FaultPlan{})
-	if a.FaultPlanActive() {
-		t.Fatal("zero plan did not clear")
+	for i, m := range a.members {
+		if m.FaultPlanActive() {
+			t.Fatalf("zero plan did not clear member %d", i)
+		}
 	}
 
 	// An explicit page entry names an array-global file: it reaches the
@@ -337,7 +336,7 @@ func TestArrayFaultPlanFanOut(t *testing.T) {
 	boom := errors.New("boom")
 	a.SetRetryPolicy(RetryPolicy{}) // or the retries above absorb the one fault
 	a.SetFaultPlan(FaultPlan{Pages: []PageFault{{File: files[1], Page: 0, Count: 1, Err: boom}}})
-	if owner := a.MemberOf(files[1]); !a.Members()[owner].FaultPlanActive() || a.Members()[1-owner].FaultPlanActive() {
+	if owner := a.MemberOf(files[1]); !a.members[owner].FaultPlanActive() || a.members[1-owner].FaultPlanActive() {
 		t.Fatalf("page entry for a file on member %d armed the wrong members", owner)
 	}
 	buf := make([]byte, PageSize)

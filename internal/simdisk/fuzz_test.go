@@ -85,7 +85,7 @@ func FuzzStoredPage(f *testing.F) {
 	f.Add([]byte{}, uint16(100))
 	f.Fuzz(func(t *testing.T, body []byte, tail uint16) {
 		pg := storedPage(body, PageSize-int(tail)%(PageSize+1))
-		d := NewDevice(CostModel{}, 4)
+		d := NewDeviceChannels(CostModel{}, 4, 1)
 		id := d.CreateFileInGroup("f", "")
 		ctx := context.Background()
 		for range 2 { // page 1 is page 0's neighbour in its chunk

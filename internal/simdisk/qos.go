@@ -88,20 +88,6 @@ func ScopeFrom(ctx context.Context) *OpScope {
 	return s
 }
 
-// Charged returns the platter service time (seeks + transfers) attributed
-// to this scope. Concurrent scopes' Charged durations sum exactly to the
-// device's total busy time.
-func (s *OpScope) Charged() time.Duration { return time.Duration(s.charged.Load()) }
-
-// Shared returns the shared-clock time (cache hits) attributed to this
-// scope.
-func (s *OpScope) Shared() time.Duration { return time.Duration(s.shared.Load()) }
-
-// Queued returns the arrival-gated queueing delay this scope's operations
-// waited behind earlier operations on their channels. Always zero on
-// single-stream serial workloads.
-func (s *OpScope) Queued() time.Duration { return time.Duration(s.queued.Load()) }
-
 // Total returns the scope's complete simulated latency: service time plus
 // shared time plus queueing delay. On a serial single-channel workload this
 // is bit-for-bit the clock delta of the original single-head model.

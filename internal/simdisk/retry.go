@@ -77,9 +77,6 @@ func (a *DeviceArray) SetRetryPolicy(p RetryPolicy) {
 	}
 }
 
-// RetryPolicy returns the members' common retry policy.
-func (a *DeviceArray) RetryPolicy() RetryPolicy { return a.members[0].RetryPolicy() }
-
 // readPageRetry is readPage wrapped in the retry policy: transient faults
 // are retried with exponential wall-clock backoff until they clear, attempts
 // run out, or the backoff budget is exhausted. Every retry attempt is

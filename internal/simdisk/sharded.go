@@ -124,17 +124,6 @@ func (c *shardedCache) Clear() {
 	}
 }
 
-// Len returns the cached page count across shards.
-func (c *shardedCache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.lru.Len()
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // Hits aggregates the per-shard hit counters.
 func (c *shardedCache) Hits() int64 {
 	var n int64

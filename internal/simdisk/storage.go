@@ -10,7 +10,7 @@ import (
 // whole files on several devices, or a wrapper embedding either (a tracer, a
 // future file-backed store). Everything above this interface is
 // placement-oblivious — the same engine code runs on one single-head SAS
-// disk or on an array of multi-channel devices. Fourteen methods, one
+// disk or on an array of multi-channel devices. Thirteen methods, one
 // flavour of I/O: every page operation takes a context.
 type Storage interface {
 	// File lifecycle. CreateFileInGroup carries an affinity hint ("" when
@@ -19,7 +19,6 @@ type Storage interface {
 	CreateFileInGroup(name, group string) FileID
 	DeleteFile(id FileID) error
 	NumPages(id FileID) (int64, error)
-	TotalPages() int64
 
 	// Page I/O. The context carries cancellation (checked before every
 	// charge, down to the page boundary inside a run) and attribution: the
@@ -70,8 +69,7 @@ type Control interface {
 	SetFaultPlan(plan FaultPlan)
 	SetRetryPolicy(p RetryPolicy)
 
-	// Per-member and per-channel counters, for serving-layer reports.
-	DeviceStats() []Stats
+	// Per-member, per-channel counters, for serving-layer reports.
 	DeviceChannelStats() [][]ChannelStats
 }
 
@@ -88,8 +86,8 @@ func NewStorage(cost CostModel, cachePages, devices, channels int, policy Placem
 	return NewDeviceArray(cost, cachePages, devices, channels, policy)
 }
 
-// Clocker is the clock-reading capability WithClockLimit and PhaseClock
-// need; every Storage provides it.
+// Clocker is the clock-reading capability PhaseClock needs; every Storage
+// provides it.
 type Clocker interface {
 	Clock() time.Duration
 }

@@ -82,7 +82,7 @@ func TestDriftHotspotMigrates(t *testing.T) {
 	n := len(w.Queries)
 	first := Centroid(w.Queries, 0, n/3)
 	last := Centroid(w.Queries, 2*n/3, n)
-	if d := first.Dist(last); d < 0.05 {
+	if d := first.Sub(last).Len(); d < 0.05 {
 		t.Fatalf("drift phases barely moved: centroid distance %g", d)
 	}
 	// Bursty arrivals: mostly zero gaps punctuated by long idles.

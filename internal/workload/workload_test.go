@@ -169,7 +169,7 @@ func TestExplicitCentersRespected(t *testing.T) {
 	}
 	// All query centers should be near the single cluster center.
 	for _, q := range w.Queries {
-		if q.Range.Center().Dist(centers[0]) > 0.2 {
+		if q.Range.Center().Sub(centers[0]).Len() > 0.2 {
 			t.Fatalf("query center %v far from cluster center", q.Range.Center())
 		}
 	}

@@ -7,7 +7,9 @@ import (
 	"sort"
 	"testing"
 
+	"spaceodyssey/internal/core"
 	"spaceodyssey/internal/pagefile"
+	"spaceodyssey/internal/rawfile"
 )
 
 // pinGolden is what one fixed exploration must reproduce exactly: the
@@ -106,12 +108,31 @@ func runPin(t *testing.T, opts Options) pinGolden {
 		clockNs:      int64(ex.Clock()),
 		pagesRead:    st.PageReads,
 		pagesWritten: st.PageWrites,
-		totalPages:   ex.dev.TotalPages(),
+		totalPages:   storedPages(t, ex.engine, ex.raws),
 		layout:       fmt.Sprintf("%016x", layout.Sum64()),
 		results:      fmt.Sprintf("%016x", results.Sum64()),
 	}
 	got.pages = pinPages(t, ex, len(data))
 	return got
+}
+
+// storedPages sums the pages of the files an engine keeps: its datasets' raw
+// files and trees, and its merge files. Those are all the files its device
+// holds.
+func storedPages(t *testing.T, eng *core.Odyssey, raws map[DatasetID]*rawfile.Raw) int64 {
+	t.Helper()
+	var total int64
+	for id, raw := range raws {
+		n, err := eng.Tree(id).File().NumPages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += raw.NumPages() + n
+	}
+	for _, mf := range eng.Merger().Files() {
+		total += mf.Pages()
+	}
+	return total
 }
 
 // pinPages hashes the stored bytes of the adapted layout: every page of the

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"spaceodyssey/internal/engine"
+	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/rawfile"
 )
 
@@ -51,7 +52,7 @@ func halfSpaceEnv(t *testing.T, opts Options, nds int) *oracleEnv {
 func TestConvergedQuerySkipsCellsItCannotMeet(t *testing.T) {
 	env := halfSpaceEnv(t, Options{CacheResults: true, AsyncMaintenance: true, DisableMerging: true}, 2)
 	defer env.ex.Close()
-	q := Query{Range: NewBox(V(0.35, 0.2, 0.2), V(0.65, 0.5, 0.5)), Datasets: []DatasetID{0, 1}}
+	q := Query{Range: geom.NewBox(V(0.35, 0.2, 0.2), V(0.65, 0.5, 0.5)), Datasets: []DatasetID{0, 1}}
 	converged := func() int {
 		if err := env.check(q); err != nil {
 			t.Fatal(err)

@@ -77,6 +77,7 @@ func TestStorageWrapperTransparency(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer eng.Close()
+		raws := map[DatasetID]*rawfile.Raw{}
 		for i, objs := range data {
 			raw, err := rawfile.Write(dev, fmt.Sprintf("ds%d.raw", i), DatasetID(i), objs)
 			if err != nil {
@@ -85,6 +86,7 @@ func TestStorageWrapperTransparency(t *testing.T) {
 			if err := eng.AddRaw(raw); err != nil {
 				t.Fatal(err)
 			}
+			raws[DatasetID(i)] = raw
 		}
 		var out outcome
 		for _, q := range w.Queries {
@@ -101,7 +103,7 @@ func TestStorageWrapperTransparency(t *testing.T) {
 			}
 			out.results = append(out.results, objs)
 		}
-		out.clock, out.stats, out.pages = dev.Clock(), dev.Stats(), dev.TotalPages()
+		out.clock, out.stats, out.pages = dev.Clock(), dev.Stats(), storedPages(t, eng, raws)
 		return out
 	}
 
@@ -118,8 +120,8 @@ func TestStorageWrapperTransparency(t *testing.T) {
 	} {
 		t.Run(preset.name, func(t *testing.T) {
 			cfg, drop := preset.opts.engineConfig(), preset.opts.DropCachesPerQuery
-			bare := run(t, simdisk.NewDevice(simdisk.ReducedScaleCostModel(), 256), cfg, drop)
-			wrapped := &countingStorage{Storage: simdisk.NewDevice(simdisk.ReducedScaleCostModel(), 256)}
+			bare := run(t, simdisk.NewDeviceChannels(simdisk.ReducedScaleCostModel(), 256, 1), cfg, drop)
+			wrapped := &countingStorage{Storage: simdisk.NewDeviceChannels(simdisk.ReducedScaleCostModel(), 256, 1)}
 			got := run(t, wrapped, cfg, drop)
 
 			if !reflect.DeepEqual(got.results, bare.results) {

@@ -2,13 +2,9 @@ package odyssey
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
 	"go/types"
-	"io/fs"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -22,69 +18,45 @@ func timerSites(t *testing.T) []string {
 	return librarySites(t, "time", wallClockCalls)
 }
 
-// librarySites lists every call of one of calls from the standard package
-// pkg (an import path of one element, such as "time") in the module's
-// library code as "file function pkg.Call", sorted. Commands, examples and
-// the benchmark module are not library code; neither are tests.
+// librarySites lists every call of one of calls, functions of the standard
+// package pkg, in the module's library code as "file function pkg.Call",
+// sorted. Calls resolve through the type checker, so a renamed import counts
+// and a method of the same name (time.Time.After) does not. Commands,
+// examples and the benchmark module are not library code; neither are tests.
 func librarySites(t *testing.T, pkg string, calls []string) []string {
 	t.Helper()
+	s := loadSourceTree(t)
 	var sites []string
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	for imp, files := range s.files {
+		dir, _, _ := strings.Cut(strings.TrimPrefix(imp, "spaceodyssey/"), "/")
+		if slices.Contains([]string{"cmd", "examples", "benchmark"}, dir) {
+			continue
 		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata" ||
-				slices.Contains([]string{"cmd", "examples", "benchmark"}, path)) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		local := ""
-		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == pkg {
-				local = pkg
-				if imp.Name != nil {
-					local = imp.Name.Name
-				}
-			}
-		}
-		if local == "" {
-			return nil
-		}
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			ast.Inspect(fn, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
 				if !ok {
+					continue
+				}
+				ast.Inspect(fn, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					callee, ok := s.info.Uses[sel.Sel].(*types.Func)
+					if ok && callee.Pkg() != nil && callee.Pkg().Path() == pkg && receiver(callee) == nil &&
+						slices.Contains(calls, callee.Name()) {
+						site := filepath.ToSlash(s.fset.Position(f.Pos()).Filename)
+						sites = append(sites, site+" "+funcName(fn)+" "+pkg+"."+callee.Name())
+					}
 					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if id, ok := sel.X.(*ast.Ident); ok && id.Name == local && slices.Contains(calls, sel.Sel.Name) {
-					sites = append(sites, filepath.ToSlash(path)+" "+funcName(fn)+" "+pkg+"."+sel.Sel.Name)
-				}
-				return true
-			})
+				})
+			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	slices.Sort(sites)
 	return sites

@@ -109,17 +109,6 @@ const (
 var (
 	// V constructs a Vec.
 	V = geom.V
-	// NewBox constructs a Box from min and max corners.
-	NewBox = geom.NewBox
 	// Cube constructs an axis-aligned cube from center and side.
 	Cube = geom.Cube
-	// BoxFromCenter constructs a Box from center and half-extent.
-	BoxFromCenter = geom.BoxFromCenter
-	// UnitBox returns [0,1]^3.
-	UnitBox = geom.UnitBox
-	// DefaultCostModel returns the SAS-disk cost model used by the paper's
-	// experiments.
-	DefaultCostModel = simdisk.DefaultCostModel
-	// SSDCostModel returns an SSD-like cost model for sensitivity runs.
-	SSDCostModel = simdisk.SSDCostModel
 )
