@@ -9,12 +9,11 @@ import (
 	"time"
 )
 
-// asyncEnv builds an Explorer with background maintenance on plus a few
-// datasets.
-func asyncEnv(t testing.TB, opts Options) *Explorer {
+// asyncEnv builds an Explorer with background maintenance on, its pool
+// bounded at workers (0 for the default), plus a few datasets.
+func asyncEnv(t testing.TB, workers int) *Explorer {
 	t.Helper()
-	opts.AsyncMaintenance = true
-	ex, err := NewExplorer(opts)
+	ex, err := tunedExplorer(Options{AsyncMaintenance: true}, maintenanceWorkers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +33,7 @@ func asyncEnv(t testing.TB, opts Options) *Explorer {
 // down, and leave Query/QueryCtx/AddDataset failing fast with ErrClosed.
 func TestExplorerCloseDrainsMaintenance(t *testing.T) {
 	before := runtime.NumGoroutine()
-	ex := asyncEnv(t, Options{MaintenanceWorkers: 3})
+	ex := asyncEnv(t, 3)
 	// Slow the simulated device slightly so background refinements are
 	// still in flight when Close lands.
 	ex.SetRealTimeScale(0.05)
@@ -93,7 +92,7 @@ func TestExplorerCloseDrainsMaintenance(t *testing.T) {
 // the device must close cleanly.
 func TestExplorerCloseDuringFaultStorm(t *testing.T) {
 	before := runtime.NumGoroutine()
-	ex := asyncEnv(t, Options{MaintenanceWorkers: 3})
+	ex := asyncEnv(t, 3)
 	ex.SetRetryPolicy(RetryPolicy{MaxAttempts: 4, Backoff: time.Millisecond})
 	ex.SetRealTimeScale(0.05)
 	ex.SetFaultPlan(FaultPlan{
@@ -141,7 +140,7 @@ func TestExplorerCloseDuringFaultStorm(t *testing.T) {
 // and a worker serving a closed Explorer delivers ErrClosed through the
 // result — never a panic or a device error.
 func TestSubmitAfterExplorerClose(t *testing.T) {
-	ex := asyncEnv(t, Options{})
+	ex := asyncEnv(t, 0)
 	hot := Cube(V(0.4, 0.45, 0.5), 0.1)
 	q := Query{Range: hot, Datasets: []DatasetID{0, 1, 2}}
 

@@ -119,7 +119,7 @@ func TestRouterCloseDuringStorm(t *testing.T) {
 	data := testData(3)
 	r := newCluster(t, Config{
 		Shards: 2, Replicas: 2,
-		Options: odyssey.Options{AsyncMaintenance: true, MaintenanceWorkers: 2},
+		Options: odyssey.Options{AsyncMaintenance: true},
 	}, data)
 	// Shard 0 is down for queries 4 to 11 and shard 1 from the ninth query
 	// on: the storm walks through failover, lost groups and recovery.

@@ -33,8 +33,9 @@ type ComparisonResult struct {
 	QueryTime time.Duration
 	// Total = IndexTime + QueryTime.
 	Total time.Duration
-	// FirstQuery and LastQuery expose the convergence shape.
-	FirstQuery, LastQuery time.Duration
+	// FirstQuery is the first query's time: the cold start an adaptive
+	// engine pays.
+	FirstQuery time.Duration
 	// PerQuery holds every individual latency.
 	PerQuery []time.Duration
 	// Objects is the total result cardinality (identical across engines
@@ -94,7 +95,6 @@ func Compare(data [][]Object, w Workload, engines []BaselineKind, opts CompareOp
 		}
 		if len(r.QueryTimes) > 0 {
 			cr.FirstQuery = r.QueryTimes[0]
-			cr.LastQuery = r.QueryTimes[len(r.QueryTimes)-1]
 		}
 		out = append(out, cr)
 	}

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"spaceodyssey/internal/core"
 	"spaceodyssey/internal/engine"
 	"spaceodyssey/internal/rawfile"
 )
@@ -28,11 +29,12 @@ type oracleEnv struct {
 	nds    int
 }
 
-// newOracleEnv builds an Explorer with nds generated datasets and the
-// oracle over the same raw files.
-func newOracleEnv(t testing.TB, opts Options, nds, objects int) *oracleEnv {
+// newOracleEnv builds an Explorer of opts, its engine tuned by tune (see
+// tunedExplorer), with nds generated datasets and the oracle over the same
+// raw files.
+func newOracleEnv(t testing.TB, opts Options, tune func(*core.Config), nds, objects int) *oracleEnv {
 	t.Helper()
-	ex, err := NewExplorer(opts)
+	ex, err := tunedExplorer(opts, tune)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func runConcurrentOracle(t *testing.T, env *oracleEnv, workers, queriesEach int)
 // goroutines of mixed popular/random queries, with the full pipeline
 // (incremental indexing, refinement, merging) adapting underneath.
 func TestConcurrentQueriesMatchOracle(t *testing.T) {
-	env := newOracleEnv(t, Options{}, 3, 2000)
+	env := newOracleEnv(t, Options{}, nil, 3, 2000)
 	runConcurrentOracle(t, env, 8, 20)
 	if m := env.ex.Metrics(); m.Queries != 8*20 {
 		t.Errorf("engine recorded %d queries, want %d", m.Queries, 8*20)
@@ -130,7 +132,7 @@ func TestConcurrentQueriesMatchOracle(t *testing.T) {
 // disabled (the paper's ablation), so the octree read/refine split is
 // exercised without the merge step's exclusive phases.
 func TestConcurrentQueriesMatchOracleNoMerge(t *testing.T) {
-	env := newOracleEnv(t, Options{DisableMerging: true}, 3, 2000)
+	env := newOracleEnv(t, Options{}, disableMerging, 3, 2000)
 	runConcurrentOracle(t, env, 8, 20)
 	if n := env.ex.MergeFileCount(); n != 0 {
 		t.Errorf("merging disabled but %d merge files exist", n)
@@ -155,7 +157,7 @@ func TestConcurrentQueriesMatchOracleDeviceArray(t *testing.T) {
 		{"cache", Options{Devices: 2, Channels: 2, CacheResults: true, RealTimeScale: 0.002}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			env := newOracleEnv(t, tc.opts, 3, 2000)
+			env := newOracleEnv(t, tc.opts, nil, 3, 2000)
 			if cs := env.ex.ChannelStats(); len(cs) != 2 || len(cs[0]) != 2 {
 				t.Fatalf("ChannelStats shape = %dx%d, want 2 devices x 2 channels", len(cs), len(cs[0]))
 			}
@@ -177,7 +179,7 @@ func TestConcurrentQueriesMatchOracleDeviceArray(t *testing.T) {
 // synchronous contract (the oracle), and no background task may have
 // failed.
 func TestConcurrentQueriesMatchOracleAsync(t *testing.T) {
-	env := newOracleEnv(t, Options{AsyncMaintenance: true, MaintenanceWorkers: 3}, 3, 2000)
+	env := newOracleEnv(t, Options{AsyncMaintenance: true}, maintenanceWorkers(3), 3, 2000)
 	defer env.ex.Close()
 	runConcurrentOracle(t, env, 8, 20)
 	if m := env.ex.Metrics(); m.Queries != 8*20 {
@@ -210,10 +212,7 @@ func TestConcurrentQueriesMatchOracleAsync(t *testing.T) {
 // a 2x2 storage array: background maintenance I/O lands on per-channel
 // heads across member devices and must never change what a query returns.
 func TestConcurrentQueriesMatchOracleAsyncDeviceArray(t *testing.T) {
-	env := newOracleEnv(t, Options{
-		AsyncMaintenance: true, MaintenanceWorkers: 2,
-		Devices: 2, Channels: 2,
-	}, 3, 2000)
+	env := newOracleEnv(t, Options{AsyncMaintenance: true, Devices: 2, Channels: 2}, nil, 3, 2000)
 	defer env.ex.Close()
 	runConcurrentOracle(t, env, 8, 15)
 	if err := env.ex.Quiesce(context.Background()); err != nil {
@@ -234,7 +233,7 @@ func TestConcurrentQueriesMatchOracleAsyncDeviceArray(t *testing.T) {
 // through the sharded LRU while queries race (capacity far below the
 // working set, so shards churn constantly).
 func TestConcurrentQueriesSmallCache(t *testing.T) {
-	env := newOracleEnv(t, Options{CachePages: 64}, 3, 1500)
+	env := newOracleEnv(t, Options{CachePages: 64}, nil, 3, 1500)
 	runConcurrentOracle(t, env, 8, 12)
 }
 
@@ -247,7 +246,7 @@ func TestConcurrentQueriesSmallCache(t *testing.T) {
 // result, and the engine must serve correct un-canceled queries afterwards —
 // no poisoned locks, no leaked exclusive holds, no half-applied refinements.
 func TestCancellationStormOracle(t *testing.T) {
-	env := newOracleEnv(t, Options{RealTimeScale: 0.01}, 3, 2000)
+	env := newOracleEnv(t, Options{RealTimeScale: 0.01}, nil, 3, 2000)
 	var completed, canceled atomic.Int64
 	var wg sync.WaitGroup
 	errc := make(chan error, 8)
@@ -332,7 +331,7 @@ func TestCancellationStormOracle(t *testing.T) {
 // storm on the already-registered datasets, then verifies the newcomers
 // answer correctly too.
 func TestConcurrentAddDataset(t *testing.T) {
-	env := newOracleEnv(t, Options{}, 3, 1200)
+	env := newOracleEnv(t, Options{}, nil, 3, 1200)
 	extra := GenerateDatasets(DataConfig{Seed: 99, NumObjects: 800, Clusters: 3}, 5)[3:]
 
 	var wg sync.WaitGroup

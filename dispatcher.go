@@ -49,18 +49,6 @@ type BatchResult struct {
 	Err error
 }
 
-// WorkerStats summarizes one pool worker's activity.
-type WorkerStats struct {
-	// Worker is the worker's index in the pool.
-	Worker int
-	// Queries is how many queries the worker served (canceled included).
-	Queries int
-	// Canceled is how many of those ended in a cancellation error.
-	Canceled int
-	// Busy is the wall-clock time the worker spent inside Explorer.Query.
-	Busy time.Duration
-}
-
 // AdmissionConfig configures how the dispatcher hands submissions to its
 // pool. The zero value dispatches every submission immediately, with the
 // bounded job queue providing blocking backpressure.
@@ -114,17 +102,16 @@ type AdmissionStats struct {
 
 // Dispatcher is a bounded worker pool serving queries against one Explorer.
 // It is the concurrency front-end the batch APIs are built on: submit jobs
-// from any goroutine, close the dispatcher to drain, then read per-worker
-// statistics. A query is bounded one way, by its context: its deadline or
+// from any goroutine, close the dispatcher to drain, then read its
+// AdmissionStats. A query is bounded one way, by its context: its deadline or
 // cancellation abandons a blocked submit, skips the query if it is still
 // queued, and aborts it mid-execution. A Dispatcher must not be reused
 // after Close.
 type Dispatcher struct {
-	ex    *Explorer
-	cfg   AdmissionConfig
-	jobs  chan dispatchJob
-	wg    sync.WaitGroup
-	stats []workerCounters
+	ex   *Explorer
+	cfg  AdmissionConfig
+	jobs chan dispatchJob
+	wg   sync.WaitGroup
 
 	admitted  atomic.Int64
 	canceled  atomic.Int64
@@ -150,15 +137,6 @@ type Dispatcher struct {
 	batched   atomic.Int64
 }
 
-// workerCounters is one worker's stats slot: written by its worker alone,
-// readable by WorkerStats at any time, and cache-line padded so that
-// neighbouring workers do not false-share.
-type workerCounters struct {
-	queries, canceled atomic.Int64
-	busy              atomic.Int64 // nanoseconds
-	_                 [40]byte
-}
-
 type dispatchJob struct {
 	index     int
 	query     Query
@@ -181,10 +159,9 @@ func NewDispatcherWithAdmission(ex *Explorer, workers int, cfg AdmissionConfig) 
 		workers = runtime.GOMAXPROCS(0)
 	}
 	d := &Dispatcher{
-		ex:    ex,
-		cfg:   cfg,
-		jobs:  make(chan dispatchJob, 2*workers),
-		stats: make([]workerCounters, workers),
+		ex:   ex,
+		cfg:  cfg,
+		jobs: make(chan dispatchJob, 2*workers),
 	}
 	if cfg.BatchWindow > 0 {
 		d.batchStop = make(chan struct{})
@@ -386,26 +363,12 @@ func (d *Dispatcher) Close() {
 	d.wg.Wait()
 }
 
-// WorkerStats returns per-worker activity. Under load the snapshot is
-// per-counter consistent; after Close it is exact.
-func (d *Dispatcher) WorkerStats() []WorkerStats {
-	out := make([]WorkerStats, len(d.stats))
-	for w := range d.stats {
-		c := &d.stats[w]
-		out[w] = WorkerStats{Worker: w, Queries: int(c.queries.Load()),
-			Canceled: int(c.canceled.Load()), Busy: time.Duration(c.busy.Load())}
-	}
-	return out
-}
-
-// worker serves jobs until the queue closes. Each worker owns its stats
-// slot, so its counter updates never contend. A job whose context died
+// worker serves jobs until the queue closes. A job whose context died
 // in the queue is skipped, not executed — delivered straight back with the
 // cancellation error — so no worker time is spent on dead-on-arrival
 // queries and the queue drains at full speed during a cancellation storm.
 func (d *Dispatcher) worker(w int) {
 	defer d.wg.Done()
-	st := &d.stats[w]
 	for job := range d.jobs {
 		wait := time.Since(job.submitted)
 		var objs []Object
@@ -415,13 +378,10 @@ func (d *Dispatcher) worker(w int) {
 			objs, err = d.ex.QueryCtx(job.ctx, job.query.Range, job.query.Datasets)
 		}
 		wall := time.Since(t0)
-		st.queries.Add(1)
-		st.busy.Add(int64(wall))
 		switch {
 		case err == nil:
 			d.completed.Add(1)
 		case IsCanceled(err):
-			st.canceled.Add(1)
 			d.canceled.Add(1)
 		default:
 			d.failed.Add(1)

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -118,10 +119,11 @@ func TestDispatcherStreams(t *testing.T) {
 	}
 }
 
-// TestDispatcherWorkerStats reads the per-worker counters while the workers
-// serve — under -race, a counter a worker writes without synchronisation
-// fails it — and checks them after Close.
-func TestDispatcherWorkerStats(t *testing.T) {
+// TestDispatcherCloseAfterStream closes the dispatcher once its stream is
+// submitted: every query comes back exactly once, from one of the pool's
+// workers; a second Close is a no-op, and Submit after Close fails with
+// ErrClosed.
+func TestDispatcherCloseAfterStream(t *testing.T) {
 	ex, queries := batchEnv(t)
 	d := NewDispatcher(ex, 4)
 	out := make(chan BatchResult, len(queries))
@@ -134,26 +136,21 @@ func TestDispatcherWorkerStats(t *testing.T) {
 		d.Close()
 		close(out)
 	}()
-	for range out {
-		d.WorkerStats()
+	served := make([]int, len(queries))
+	for r := range out {
+		if r.Worker < 0 || r.Worker >= 4 {
+			t.Errorf("query %d served by worker %d of a pool of 4", r.Index, r.Worker)
+		}
+		served[r.Index]++
 	}
 	d.Close() // idempotent
 	if err := d.Submit(0, queries[0], out); err != ErrClosed {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
-	stats := d.WorkerStats()
-	if len(stats) != 4 {
-		t.Fatalf("%d workers, want 4", len(stats))
-	}
-	served := 0
-	for _, st := range stats {
-		served += st.Queries
-		if st.Queries > 0 && st.Busy <= 0 {
-			t.Errorf("worker %d served %d queries in zero time", st.Worker, st.Queries)
+	for i, n := range served {
+		if n != 1 {
+			t.Fatalf("query %d delivered %d times, want once", i, n)
 		}
-	}
-	if served != len(queries) {
-		t.Fatalf("workers served %d queries, want %d", served, len(queries))
 	}
 }
 
@@ -345,7 +342,9 @@ func TestDispatcherCanceledQueuedJobsNeverRun(t *testing.T) {
 }
 
 // TestKnobCensus pins the configuration surface so it cannot re-accrete; the
-// failure message carries the rule for whoever wants to add a field.
+// failure message carries the rule for whoever wants to add a field. On
+// Options it is a census too: every field must have a setter outside tests
+// and examples (see sourceTree.setters).
 func TestKnobCensus(t *testing.T) {
 	const rule = "a new knob needs two callers outside tests and examples that need different values — else make it a constant (see the ROADMAP standing constraint \"Knob rule\")"
 	fields := func(v any) []string {
@@ -365,7 +364,20 @@ func TestKnobCensus(t *testing.T) {
 	if n := reflect.TypeOf(AdmissionStats{}).NumField(); n != 7 {
 		t.Errorf("AdmissionStats has %d fields, want 7: a counter nothing reads is a knob's shadow", n)
 	}
-	if n := reflect.TypeOf(Options{}).NumField(); n != 22 {
-		t.Errorf("Options has %d fields, want 22: %s", n, rule)
+	options := []string{"Bounds", "Cost", "CachePages", "DropCachesPerQuery", "RealTimeScale", "Devices", "Channels",
+		"AsyncMaintenance", "ShareScans", "CacheResults", "CacheCapacity", "AdaptiveCache", "HeatHalfLife"}
+	if got := fields(Options{}); !slices.Equal(got, options) {
+		t.Errorf("Options has fields %v, want %v: %s", got, options, rule)
+	}
+	set := loadSourceTree(t).setters()
+	var unset []string
+	for _, name := range fields(Options{}) {
+		if !set[name] {
+			unset = append(unset, name)
+		}
+	}
+	if len(unset) > 0 {
+		t.Errorf("no non-test file outside examples/ sets Options.%s, and benchmark/presets.go names none of them: "+
+			"a field nothing sets is no knob — delete it and reach the engine through core.Config", strings.Join(unset, ", Options."))
 	}
 }

@@ -13,9 +13,14 @@ import (
 	"spaceodyssey/internal/simdisk"
 )
 
-// Options configures an Explorer. The zero value uses the paper's defaults:
-// rt=4, ppl=64, mt=2, |C|>=3, SAS-disk cost model, 1024-page cache, unit
-// exploration volume.
+// Options configures an Explorer: its simulated storage and the serving
+// modes of its engine. The engine runs the paper's defaults, with no setting
+// to change them here: refinement threshold rt = 4, ppl = 64 partitions per
+// level, merge threshold mt = 2 for combinations of |C| >= 3 datasets,
+// same-level merges with no disk-space budget, and, with AsyncMaintenance,
+// two background maintenance workers. The zero value is that engine on the
+// SAS-disk cost model, a 1024-page buffer cache and the unit exploration
+// volume, every serving mode off.
 type Options struct {
 	// Bounds is the shared exploration volume all datasets live in.
 	// Defaults to the unit box.
@@ -24,32 +29,6 @@ type Options struct {
 	Cost CostModel
 	// CachePages is the buffer-cache capacity in 4 KB pages (default 1024).
 	CachePages int
-	// RefinementThreshold is rt: a partition is refined when its volume
-	// exceeds rt times the query volume (default 4).
-	RefinementThreshold float64
-	// PartitionsPerLevel is ppl, the refinement fanout; must be a cube
-	// (default 64).
-	PartitionsPerLevel int
-	// MergeThreshold is mt: a combination is merged after this many
-	// queries (default 2).
-	MergeThreshold int
-	// MergeSpaceBudgetPages caps merge-file disk usage with LRU eviction
-	// (default 0 = unlimited).
-	MergeSpaceBudgetPages int64
-	// DisableMerging turns the layout reorganization off (incremental
-	// indexing only).
-	DisableMerging bool
-	// MergeLevelPolicy selects how partitions at different refinement
-	// levels merge: MergeSameLevel (paper default) or MergeCoarsestCover,
-	// the one §3.2.5 future-work strategy a recording shows paying.
-	MergeLevelPolicy MergeLevelPolicy
-	// ShareMergeSegments references partition copies that already exist in
-	// other merge files instead of duplicating them (§3.2.5's improved
-	// disk space management).
-	ShareMergeSegments bool
-	// AdaptiveMergeThresholds lets the engine adjust the merge threshold
-	// at runtime from observed segment reuse (§3.2.5's cost model).
-	AdaptiveMergeThresholds bool
 	// DropCachesPerQuery clears the buffer cache before every query,
 	// matching the paper's measurement methodology (default false for API
 	// users; the benchmark harness always drops).
@@ -83,9 +62,6 @@ type Options struct {
 	// pipeline down. Default off — maintenance runs inline on the query that
 	// triggered it, as in the paper.
 	AsyncMaintenance bool
-	// MaintenanceWorkers bounds the background scheduler's pool (<= 0
-	// defaults to 2). Only meaningful with AsyncMaintenance.
-	MaintenanceWorkers int
 	// ShareScans is ignored, and kept only so that code which sets it still
 	// compiles: scan sharing runs exactly when CacheResults is on.
 	//
@@ -138,27 +114,11 @@ type Options struct {
 	HeatHalfLife int
 }
 
-// engineConfig translates Options into the internal configuration.
+// engineConfig is the engine configuration of Options: the paper defaults
+// with the serving modes Options switches on. ShareScans is not read.
 func (o Options) engineConfig() core.Config {
 	cfg := core.DefaultConfig()
-	if o.RefinementThreshold > 0 {
-		cfg.Octree.RefinementThreshold = o.RefinementThreshold
-	}
-	if o.PartitionsPerLevel > 0 {
-		cfg.Octree.PartitionsPerLevel = o.PartitionsPerLevel
-	}
-	if o.MergeThreshold > 0 {
-		cfg.Merger.MergeThreshold = o.MergeThreshold
-	}
-	if o.MergeSpaceBudgetPages > 0 {
-		cfg.Merger.SpaceBudgetPages = o.MergeSpaceBudgetPages
-	}
-	cfg.Merger.LevelPolicy = o.MergeLevelPolicy
-	cfg.Merger.ShareSegments = o.ShareMergeSegments
-	cfg.Merger.AdaptiveThresholds = o.AdaptiveMergeThresholds
-	cfg.DisableMerging = o.DisableMerging
 	cfg.AsyncMaintenance = o.AsyncMaintenance
-	cfg.MaintenanceWorkers = o.MaintenanceWorkers
 	cfg.CacheResults = o.CacheResults
 	cfg.CacheCapacity = o.CacheCapacity
 	cfg.AdaptiveCache = o.AdaptiveCache
@@ -204,6 +164,12 @@ type Explorer struct {
 
 // NewExplorer creates an Explorer with the given options.
 func NewExplorer(opts Options) (*Explorer, error) {
+	return newExplorer(opts, opts.engineConfig())
+}
+
+// newExplorer creates an Explorer on opts' storage whose engine runs cfg.
+// Options' serving modes are read only through cfg.
+func newExplorer(opts Options, cfg core.Config) (*Explorer, error) {
 	if opts.Bounds.Volume() == 0 {
 		opts.Bounds = geom.UnitBox()
 	}
@@ -221,7 +187,7 @@ func NewExplorer(opts Options) (*Explorer, error) {
 	if opts.RealTimeScale > 0 {
 		dev.SetRealTimeScale(opts.RealTimeScale)
 	}
-	eng, err := core.New(dev, nil, opts.Bounds, opts.engineConfig())
+	eng, err := core.New(dev, nil, opts.Bounds, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -409,13 +375,12 @@ func (e *Explorer) Metrics() Metrics { return e.engine.Metrics() }
 
 // DatasetInfo describes the indexing state of one dataset.
 type DatasetInfo struct {
-	ID         DatasetID
-	Objects    int
-	Indexed    bool // level-0 partitioning has run
-	Leaves     int  // current number of leaf partitions
-	MaxExtent  Vec
-	RawPages   int64
-	Refineable bool
+	ID        DatasetID
+	Objects   int
+	Indexed   bool // level-0 partitioning has run
+	Leaves    int  // current number of leaf partitions
+	MaxExtent Vec
+	RawPages  int64
 }
 
 // Dataset returns the indexing state of one dataset. The tree state is a
@@ -438,7 +403,6 @@ func (e *Explorer) Dataset(id DatasetID) (DatasetInfo, error) {
 	if tree.Built {
 		info.Leaves = tree.Leaves
 		info.MaxExtent = tree.MaxExtent
-		info.Refineable = true
 	}
 	return info, nil
 }

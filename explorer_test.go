@@ -5,10 +5,35 @@ import (
 	"math"
 	"testing"
 
+	"spaceodyssey/internal/core"
 	"spaceodyssey/internal/engine"
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/simdisk"
 )
+
+// tunedExplorer opens an Explorer whose engine runs opts' configuration
+// with tune applied (nil for none): how tests reach the engine settings
+// Options does not carry.
+func tunedExplorer(opts Options, tune func(*core.Config)) (*Explorer, error) {
+	cfg := opts.engineConfig()
+	if tune != nil {
+		tune(&cfg)
+	}
+	return newExplorer(opts, cfg)
+}
+
+// maintenanceWorkers bounds the background maintenance pool at n workers.
+func maintenanceWorkers(n int) func(*core.Config) {
+	return func(c *core.Config) { c.MaintenanceWorkers = n }
+}
+
+// shareSegments references partition copies other merge files already hold
+// instead of duplicating them (§3.2.5's disk space management).
+func shareSegments(c *core.Config) { c.Merger.ShareSegments = true }
+
+// disableMerging turns the merge step off: incremental indexing only, the
+// paper's fig5c ablation.
+func disableMerging(c *core.Config) { c.DisableMerging = true }
 
 func testData(n, perDS int, seed int64) [][]Object {
 	return GenerateDatasets(DataConfig{Seed: seed, NumObjects: perDS, Clusters: 5}, n)
@@ -95,7 +120,7 @@ func TestAddDatasetRejectedLeavesNoTrace(t *testing.T) {
 
 	// A dataset the engine refuses after its raw file was written (here: a
 	// fanout no octree can have) takes the file back off the device.
-	bad, err := NewExplorer(Options{PartitionsPerLevel: 10})
+	bad, err := tunedExplorer(Options{}, func(c *core.Config) { c.Octree.PartitionsPerLevel = 10 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +262,7 @@ func TestMergingVisibleThroughAPI(t *testing.T) {
 }
 
 func TestDisableMergingOption(t *testing.T) {
-	ex, err := NewExplorer(Options{DisableMerging: true})
+	ex, err := tunedExplorer(Options{}, disableMerging)
 	if err != nil {
 		t.Fatal(err)
 	}

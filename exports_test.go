@@ -11,6 +11,7 @@ import (
 	"path"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -299,7 +300,6 @@ func (s *sourceTree) callers() (map[string]bool, error) {
 // calls them, each with its reason.
 var withoutCallers = map[string]string{
 	"odyssey.Explorer.MaintenanceErr": "stores the most recent background maintenance fault so it can be detected; the storm tests assert on it",
-	"odyssey.Dispatcher.WorkerStats":  "one of the stats accessors ROADMAP item 8 folds into one snapshot",
 	"core.Odyssey.LayoutSignature":    "the layout oracle: core's sync-versus-async tests compare layouts through it, and the root package's TestPaperClockPinned pins its hash",
 	"core.MergeFile.File":             "how tests reach a merge file's pages: the root and cluster fault tests fault every one, TestPaperClockPinned hashes them",
 	"octree.Partition.Extent":         "the walk reads the extent inline; octree's extent tests and the root package's skip test check the skip rule through it",
@@ -434,5 +434,138 @@ func main() {
 	want := []string{"p.Double", "p.OnlyTested", "p.Outline.Perimeter", "p.Square.Halve", "p.Square.Perimeter"}
 	if !slices.Equal(flagged, want) {
 		t.Errorf("flagged %q, want %q", flagged, want)
+	}
+}
+
+// setters returns the fields of the root package's Options that some
+// non-test file outside examples/ sets: as a composite-literal key, as the
+// target of a selector assignment or increment, or as a string key of a
+// composite literal in benchmark/presets.go (the frozen benchmark names its
+// presets' fields as strings). The root package's own assignments do not
+// count: newExplorer defaulting what its caller left zero sets no knob.
+func (s *sourceTree) setters() map[string]bool {
+	st := s.pkgs["spaceodyssey"].Scope().Lookup("Options").Type().Underlying().(*types.Struct)
+	fields := map[types.Object]bool{}
+	names := map[string]bool{}
+	for i := 0; i < st.NumFields(); i++ {
+		fields[st.Field(i)] = true
+		names[st.Field(i).Name()] = true
+	}
+	set := map[string]bool{}
+	mark := func(id *ast.Ident) {
+		if obj := s.info.Uses[id]; fields[obj] {
+			set[obj.Name()] = true
+		}
+	}
+	targets := func(exprs ...ast.Expr) {
+		for _, e := range exprs {
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				mark(sel.Sel)
+			}
+		}
+	}
+	for imp, files := range s.files {
+		own := imp == "spaceodyssey"
+		for _, f := range files {
+			name := filepath.ToSlash(s.fset.Position(f.Pos()).Filename)
+			if strings.HasPrefix(name, "examples/") {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := x.Key.(*ast.Ident); ok {
+						mark(id)
+					}
+					if lit, ok := x.Key.(*ast.BasicLit); ok && lit.Kind == token.STRING && name == "benchmark/presets.go" {
+						if key, err := strconv.Unquote(lit.Value); err == nil && names[key] {
+							set[key] = true
+						}
+					}
+				case *ast.AssignStmt:
+					if !own {
+						targets(x.Lhs...)
+					}
+				case *ast.IncDecStmt:
+					if !own {
+						targets(x.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return set
+}
+
+// TestSetterCensusCatches holds the Options census to its rule, on sources
+// written for it: a composite-literal key, a selector assignment or
+// increment and a presets.go string key set a field; a test, an example, the root package's
+// own defaulting and a same-named field of another type do not.
+func TestSetterCensusCatches(t *testing.T) {
+	sources := map[string]string{
+		"odyssey.go": `package odyssey
+
+type Options struct{ Literal, Assigned, Incremented, Named, Defaulted, Example, Tested, Other int }
+
+func NewExplorer(opts Options) Options {
+	if opts.Defaulted == 0 {
+		opts.Defaulted = 1
+	}
+	return opts
+}
+`,
+		"odyssey_test.go": `package odyssey
+
+var _ = Options{Tested: 1}
+`,
+		"cmd/demo/main.go": `package main
+
+import odyssey "spaceodyssey"
+
+type other struct{ Other int }
+
+func main() {
+	opts := odyssey.Options{Literal: 1}
+	opts.Assigned = 2
+	opts.Incremented++
+	o := other{Other: 1}
+	o.Other = 2
+	_ = odyssey.NewExplorer(opts)
+}
+`,
+		"examples/demo/main.go": `package main
+
+import odyssey "spaceodyssey"
+
+func main() { _ = odyssey.NewExplorer(odyssey.Options{Example: 1}) }
+`,
+		"benchmark/presets.go": `package main
+
+var preset = map[string]any{"Named": true, "Missing": 1}
+
+func main() {}
+`,
+	}
+	s := newSourceTree()
+	for name, src := range sources {
+		imp := "spaceodyssey"
+		if dir := path.Dir(name); dir != "." {
+			imp += "/" + dir
+		}
+		if err := s.add(imp, name, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.check(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for name := range s.setters() {
+		got = append(got, name)
+	}
+	slices.Sort(got)
+	if want := []string{"Assigned", "Incremented", "Literal", "Named"}; !slices.Equal(got, want) {
+		t.Errorf("setters found %q, want %q", got, want)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"spaceodyssey/internal/bench"
+	"spaceodyssey/internal/core"
 	"spaceodyssey/internal/simdisk"
 	"spaceodyssey/internal/workload"
 )
@@ -50,7 +51,7 @@ func TestIntegrationAllEnginesAgreeOnSkewedWorkload(t *testing.T) {
 // merge budget through the public API and checks correctness plus budget
 // adherence throughout.
 func TestIntegrationEvictionUnderPressure(t *testing.T) {
-	ex, err := NewExplorer(Options{MergeSpaceBudgetPages: 64})
+	ex, err := tunedExplorer(Options{}, func(c *core.Config) { c.Merger.SpaceBudgetPages = 64 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +208,10 @@ func TestIntegrationGrowingDatasetCollection(t *testing.T) {
 // the seeks charged — once followed map iteration. Five runs of the pinned
 // exploration (pin_test.go) must agree to the nanosecond.
 func TestSharedSegmentClockRepeats(t *testing.T) {
-	opts := Options{DropCachesPerQuery: true, ShareMergeSegments: true}
-	want := runPin(t, opts)
+	opts := Options{DropCachesPerQuery: true}
+	want := runPin(t, opts, shareSegments)
 	for i := 1; i < 5; i++ {
-		if got := runPin(t, opts); got != want {
+		if got := runPin(t, opts, shareSegments); got != want {
 			t.Fatalf("run %d diverged from run 0:\n got  %#v\n want %#v", i, got, want)
 		}
 	}

@@ -85,7 +85,6 @@ type Index struct {
 	adj    *adjacencyStore
 	seed   *rtree.Tree
 	slack  float64
-	numObj int
 
 	// CrawlMisses counts intersecting leaves the paranoid check had to
 	// rescue; a high number would indicate the neighbor graph is too sparse.
@@ -102,7 +101,7 @@ func BuildIndex(dev simdisk.Storage, name string, objs []object.Object, cfg Conf
 	if err := rtree.ChargeExternalSort(dev, object.PagesFor(len(objs)), cfg.SortPasses); err != nil {
 		return nil, err
 	}
-	idx := &Index{cfg: cfg, dev: dev, file: dev.CreateFileInGroup(name+".leaves", ""), numObj: len(objs)}
+	idx := &Index{cfg: cfg, dev: dev, file: dev.CreateFileInGroup(name+".leaves", "")}
 
 	// Dense leaf pages in STR order.
 	packed := rtree.STRPack(objs, cfg.LeafCapacity)

@@ -269,10 +269,9 @@ type Tree struct {
 	file   *pagefile.File
 	root   *Partition
 
-	built      atomic.Bool // see Built
-	maxExtent  geom.Vec    // per-dimension max object half-extent (query-window extension)
-	numObjects int
-	numLeaves  int
+	built     atomic.Bool // see Built
+	maxExtent geom.Vec    // per-dimension max object half-extent (query-window extension)
+	numLeaves int
 
 	// Scratch of split, which runs under the caller's write lock: the runs
 	// the children are written to before they move to one allocation, and
@@ -387,7 +386,6 @@ func (t *Tree) EnsureBuiltCtx(ctx context.Context) error {
 	}
 	t.root = root
 	t.maxExtent = maxExt
-	t.numObjects = len(all)
 	t.numLeaves = len(root.children)
 	t.built.Store(true)
 	return nil

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
@@ -35,22 +34,18 @@ type Raw struct {
 	file    *pagefile.File
 	run     pagefile.Run
 	count   int
-	bounds  geom.Box
 	deleted bool
 }
 
 // Write materializes objs as a raw file on dev. The write is charged to the
 // device clock; callers that model pre-existing data (the usual case — the
-// paper's datasets already sit on disk) should ResetClock afterwards.
-// The dataset's bounding box is recorded for engines that need the indexed
-// space (it would be dataset metadata in a real deployment). On a device
-// array the file is placed under the dataset's affinity group, so the raw
-// file and the octree built over it land on the same member device.
+// paper's datasets already sit on disk) should ResetClock afterwards. On a
+// device array the file is placed under the dataset's affinity group, so the
+// raw file and the octree built over it land on the same member device.
 func Write(dev simdisk.Storage, name string, dataset object.DatasetID, objs []object.Object) (*Raw, error) {
 	// Validate before the first append: a rejected dataset must leave no
 	// file on the device and no write time on its clock.
-	bounds, err := validBounds(objs)
-	if err != nil {
+	if err := validate(objs); err != nil {
 		return nil, fmt.Errorf("rawfile %q: %w", name, err)
 	}
 	f := pagefile.CreateInGroup(dev, name, GroupName(dataset))
@@ -64,36 +59,25 @@ func Write(dev simdisk.Storage, name string, dataset object.DatasetID, objs []ob
 		file:    f,
 		run:     run,
 		count:   len(objs),
-		bounds:  bounds,
 	}, nil
 }
 
-// validBounds validates objs and folds their boxes into the dataset's bounds
-// (the zero Box when there are none) in one pass, building no box. The
-// bounds are bit for bit the o.Box().Union fold: a box's corners are c-h and
-// c+h, min and max pass the other operand through from the starting
-// infinities, and the builtin min and max are math.Min and math.Max on the
-// non-NaN values a valid object has. An object is valid when its
-// half-extents are >= 0 (false for NaN) and its six coordinates are finite,
-// which is when every x-x is 0 (Inf-Inf and NaN-x are NaN). Only an object
-// failing that test calls Validate, so the error is Validate's for the first
-// invalid object.
-func validBounds(objs []object.Object) (geom.Box, error) {
-	if len(objs) == 0 {
-		return geom.Box{}, nil
-	}
-	lo, hi := geom.Splat(math.Inf(1)), geom.Splat(math.Inf(-1))
+// validate checks objs in one pass, building no box. An object is valid when
+// its half-extents are >= 0 (false for NaN) and its six coordinates are
+// finite, which is when every x-x is 0 (Inf-Inf and NaN-x are NaN). Only an
+// object failing that test calls Validate, so the error is Validate's for
+// the first invalid object.
+func validate(objs []object.Object) error {
 	for i := range objs {
 		c, h := objs[i].Center, objs[i].HalfExtent
 		if !(h.X >= 0 && h.Y >= 0 && h.Z >= 0 &&
 			(c.X-c.X)+(c.Y-c.Y)+(c.Z-c.Z)+(h.X-h.X)+(h.Y-h.Y)+(h.Z-h.Z) == 0) {
 			if err := objs[i].Validate(); err != nil {
-				return geom.Box{}, err
+				return err
 			}
 		}
-		lo, hi = lo.Min(c.Sub(h)), hi.Max(c.Add(h))
 	}
-	return geom.Box{Min: lo, Max: hi}, nil
+	return nil
 }
 
 // Name returns the file's name.

@@ -139,9 +139,9 @@ func TestWriteRejectsInvalidObjects(t *testing.T) {
 	}
 }
 
-// unionFold is the bounds fold Write once made, box by box: o.Box() folded
-// with math.Min and math.Max — the reference validBounds must equal bit for
-// bit, since the bounds place every octree cell.
+// unionFold is the bounds fold box by box: o.Box() folded with math.Min and
+// math.Max — the reference the one-pass fold of the Bounds probe must equal
+// bit for bit over the objects Write stored.
 func unionFold(objs []object.Object) geom.Box {
 	var b geom.Box
 	for i, o := range objs {
@@ -209,11 +209,11 @@ func edgyObjs(r *rand.Rand, n int) []object.Object {
 	return objs
 }
 
-// Write's one pass is the per-object Validate-then-Union fold it replaced:
-// the bounds equal that fold bit for bit; the first invalid object — NaN,
-// ±Inf or a negative extent, first, in the middle or last, a second bad one
-// after it — fails the write with exactly its Validate error, before the
-// device holds a page or charges a tick.
+// Write stores what it was given and validates it in one pass: the bounds
+// of the stored objects equal the per-object Union fold bit for bit; the
+// first invalid object — NaN, ±Inf or a negative extent, first, in the
+// middle or last, a second bad one after it — fails the write with exactly
+// its Validate error, before the device holds a page or charges a tick.
 func TestWriteMatchesPerObjectFold(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	dev := simdisk.NewDeviceChannels(simdisk.CostModel{Seek: 1000, Transfer: 1}, 0, 1)

@@ -56,10 +56,7 @@ type Tree struct {
 	dev      simdisk.Storage
 	file     simdisk.FileID
 	rootPage int64
-	height   int // number of node levels above the leaves (0 = empty tree)
 	numObjs  int
-	numLeafs int
-	bounds   geom.Box
 }
 
 // Build bulk-loads a tree over objs (which it reorders in place). The
@@ -82,7 +79,6 @@ func Build(dev simdisk.Storage, name string, objs []object.Object, cfg Config) (
 
 	// Pack and write leaf pages in STR order.
 	leaves := STRPack(objs, cfg.LeafCapacity)
-	t.numLeafs = len(leaves)
 	entries := make([]entry, 0, len(leaves))
 	for _, leaf := range leaves {
 		page, err := object.EncodePage(leaf)
@@ -99,11 +95,6 @@ func Build(dev simdisk.Storage, name string, objs []object.Object, cfg Config) (
 		}
 		entries = append(entries, entry{box: mbr, child: idx})
 	}
-	t.bounds = entries[0].box
-	for _, e := range entries[1:] {
-		t.bounds = t.bounds.Union(e.box)
-	}
-
 	// Build node levels bottom-up until a single root remains.
 	level := 0
 	for len(entries) > 1 || level == 0 {
@@ -132,7 +123,6 @@ func Build(dev simdisk.Storage, name string, objs []object.Object, cfg Config) (
 		}
 	}
 	t.rootPage = entries[0].child
-	t.height = level
 	return t, nil
 }
 

@@ -72,10 +72,10 @@ func pinWorkload(t *testing.T) ([][]Object, []Query) {
 // runPin drives the fixed exploration through one Explorer and reads the
 // golden quantities off it. quiesce drains background maintenance after
 // every query (a no-op when maintenance is synchronous).
-func runPin(t *testing.T, opts Options) pinGolden {
+func runPin(t *testing.T, opts Options, tune func(*core.Config)) pinGolden {
 	t.Helper()
 	data, qs := pinWorkload(t)
-	ex, err := NewExplorer(opts)
+	ex, err := tunedExplorer(opts, tune)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,24 +197,30 @@ func TestPaperClockPinned(t *testing.T) {
 		{"paper", Options{DropCachesPerQuery: true},
 			pinGolden{6451093800, 1211, 1471, 1602, "4c6a44966b00bb40", "d2ffad6ef41806e1",
 				"13b391f5a87872de"}},
-		{"coarsest-cover", Options{DropCachesPerQuery: true, MergeLevelPolicy: MergeCoarsestCover},
+		{"coarsest-cover", Options{DropCachesPerQuery: true},
 			pinGolden{6252395200, 1241, 1493, 1624, "8d6a816c1af4e3bd", "d2ffad6ef41806e1",
 				"38d94adeddac003a"}},
-		{"share-segments", Options{DropCachesPerQuery: true, ShareMergeSegments: true},
+		{"share-segments", Options{DropCachesPerQuery: true},
 			pinGolden{0, 1203, 1365, 1496, "4c6a44966b00bb40", "d2ffad6ef41806e1",
 				"f1cf384c3274ced6"}},
-		{"space-budget", Options{DropCachesPerQuery: true, MergeSpaceBudgetPages: 48},
+		{"space-budget", Options{DropCachesPerQuery: true},
 			pinGolden{9397110600, 1369, 1713, 1421, "27009fea1a7cb5cb", "d2ffad6ef41806e1",
 				"94d907f5adb425b7"}},
 		{"serving", Options{
-			AsyncMaintenance: true, MaintenanceWorkers: 1,
-			CacheResults: true, AdaptiveCache: true, HeatHalfLife: 64,
+			AsyncMaintenance: true, CacheResults: true, AdaptiveCache: true, HeatHalfLife: 64,
 		}, pinGolden{1795367000, 276, 1455, 1586, "cd5af44a3327ae4f", "d2ffad6ef41806e1",
 			"92603d77e8c8001f"}},
 	}
+	// The engine settings of the rows beyond what Options carries.
+	tunes := map[string]func(*core.Config){
+		"coarsest-cover": func(c *core.Config) { c.Merger.LevelPolicy = core.CoarsestCover },
+		"share-segments": shareSegments,
+		"space-budget":   func(c *core.Config) { c.Merger.SpaceBudgetPages = 48 },
+		"serving":        maintenanceWorkers(1), // one worker: a serial device history
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := runPin(t, tc.opts)
+			got := runPin(t, tc.opts, tunes[tc.name])
 			if tc.want.clockNs == 0 {
 				got.clockNs = 0
 			}

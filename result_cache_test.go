@@ -15,9 +15,7 @@ import (
 // race detector.
 
 func TestConcurrentQueriesMatchOracleCacheResults(t *testing.T) {
-	env := newOracleEnv(t, Options{
-		CacheResults: true, RealTimeScale: 0.002,
-	}, 3, 2000)
+	env := newOracleEnv(t, Options{CacheResults: true, RealTimeScale: 0.002}, nil, 3, 2000)
 	runConcurrentOracle(t, env, 8, 20)
 	if m := env.ex.Metrics(); m.Queries != 8*20 {
 		t.Errorf("engine recorded %d queries, want %d", m.Queries, 8*20)
@@ -26,9 +24,8 @@ func TestConcurrentQueriesMatchOracleCacheResults(t *testing.T) {
 
 func TestConcurrentQueriesMatchOracleCacheAsync(t *testing.T) {
 	env := newOracleEnv(t, Options{
-		CacheResults: true, AsyncMaintenance: true, MaintenanceWorkers: 3,
-		RealTimeScale: 0.002,
-	}, 3, 2000)
+		CacheResults: true, AsyncMaintenance: true, RealTimeScale: 0.002,
+	}, maintenanceWorkers(3), 3, 2000)
 	defer env.ex.Close()
 	runConcurrentOracle(t, env, 8, 15)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"spaceodyssey/internal/core"
 	"spaceodyssey/internal/engine"
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/rawfile"
@@ -17,12 +18,13 @@ import (
 // cache holds unvisited when the leaf's extent — the box of its objects'
 // boxes — misses the query, and books it as the cache hit it would have been.
 
-// halfSpaceEnv is an Explorer over datasets whose object centers all lie in
-// x < 0.5, so every cell right of it is empty, and the NaiveScan oracle over
-// the same raw files.
-func halfSpaceEnv(t *testing.T, opts Options, nds int) *oracleEnv {
+// halfSpaceEnv is an Explorer of opts, its engine tuned by tune (see
+// tunedExplorer), over datasets whose object centers all lie in x < 0.5, so
+// every cell right of it is empty, and the NaiveScan oracle over the same raw
+// files.
+func halfSpaceEnv(t *testing.T, opts Options, tune func(*core.Config), nds int) *oracleEnv {
 	t.Helper()
-	ex, err := NewExplorer(opts)
+	ex, err := tunedExplorer(opts, tune)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func halfSpaceEnv(t *testing.T, opts Options, nds int) *oracleEnv {
 // of the window, and returns the oracle's answer. Merging is off, so every
 // visited cell is a tree read filtered whole.
 func TestConvergedQuerySkipsCellsItCannotMeet(t *testing.T) {
-	env := halfSpaceEnv(t, Options{CacheResults: true, AsyncMaintenance: true, DisableMerging: true}, 2)
+	env := halfSpaceEnv(t, Options{CacheResults: true, AsyncMaintenance: true}, disableMerging, 2)
 	defer env.ex.Close()
 	q := Query{Range: geom.NewBox(V(0.35, 0.2, 0.2), V(0.65, 0.5, 0.5)), Datasets: []DatasetID{0, 1}}
 	converged := func() int {
@@ -130,7 +132,7 @@ func TestConvergedQuerySkipsCellsItCannotMeet(t *testing.T) {
 // merges. Every answer must be
 // the oracle's, whichever cells were marked when each walk looked.
 func TestSkipStormMatchesOracle(t *testing.T) {
-	env := halfSpaceEnv(t, Options{CacheResults: true, AsyncMaintenance: true, MaintenanceWorkers: 2}, 3)
+	env := halfSpaceEnv(t, Options{CacheResults: true, AsyncMaintenance: true}, nil, 3)
 	defer env.ex.Close()
 	var wg sync.WaitGroup
 	errc := make(chan error, 4)

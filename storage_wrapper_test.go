@@ -107,19 +107,18 @@ func TestStorageWrapperTransparency(t *testing.T) {
 		return out
 	}
 
-	serving := Options{
-		AsyncMaintenance: true, MaintenanceWorkers: 1, // one worker: a serial device history
-		CacheResults: true, AdaptiveCache: true, HeatHalfLife: 64,
-	}
+	serving := Options{AsyncMaintenance: true, CacheResults: true, AdaptiveCache: true, HeatHalfLife: 64}.engineConfig()
+	serving.MaintenanceWorkers = 1 // one worker: a serial device history
 	for _, preset := range []struct {
 		name string
-		opts Options
+		cfg  core.Config
+		drop bool
 	}{
-		{"paper", Options{DropCachesPerQuery: true}},
-		{"serving", serving},
+		{"paper", Options{}.engineConfig(), true},
+		{"serving", serving, false},
 	} {
 		t.Run(preset.name, func(t *testing.T) {
-			cfg, drop := preset.opts.engineConfig(), preset.opts.DropCachesPerQuery
+			cfg, drop := preset.cfg, preset.drop
 			bare := run(t, simdisk.NewDeviceChannels(simdisk.ReducedScaleCostModel(), 256, 1), cfg, drop)
 			wrapped := &countingStorage{Storage: simdisk.NewDeviceChannels(simdisk.ReducedScaleCostModel(), 256, 1)}
 			got := run(t, wrapped, cfg, drop)

@@ -67,16 +67,6 @@ type (
 	SharingStats = core.SharingStats
 	// Query couples a range with the datasets it targets.
 	Query = workload.Query
-	// MergeLevelPolicy selects the mixed-refinement-level merge strategy.
-	MergeLevelPolicy = core.LevelPolicy
-)
-
-// Merge level policies (paper §3.2.5).
-const (
-	// MergeSameLevel merges only equal-level partitions (paper default).
-	MergeSameLevel = core.SameLevel
-	// MergeCoarsestCover merges at the coarsest covering cell.
-	MergeCoarsestCover = core.CoarsestCover
 )
 
 // ErrCanceled is the storage stack's cancellation sentinel: every error a
