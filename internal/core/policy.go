@@ -11,7 +11,7 @@ import (
 // level differs across the datasets of a combination. The paper's current
 // implementation merges only equal-level partitions and names merging across
 // levels as an open issue (§3.2.5); CoarsestCover is the one such strategy
-// that pays at the recorded scale, on mixed-volume workloads (ROADMAP 1(c)).
+// that pays at the recorded scale, on mixed-volume workloads (ROADMAP 1(d)).
 type LevelPolicy int
 
 const (

@@ -62,13 +62,19 @@ func Save(path string, ds object.DatasetID, objs []object.Object) error {
 	return f.Close()
 }
 
-// Load reads a dataset file.
+// Load reads a dataset file. The header's record count must match the
+// file's size before anything is allocated for the records, so a corrupt
+// count cannot ask for more memory than the file could fill.
 func Load(path string) (object.DatasetID, []object.Object, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, nil, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, nil, err
+	}
 	r := bufio.NewReader(f)
 	header := make([]byte, headerSize)
 	if _, err := io.ReadFull(r, header); err != nil {
@@ -82,6 +88,10 @@ func Load(path string) (object.DatasetID, []object.Object, error) {
 	}
 	ds := object.DatasetID(binary.LittleEndian.Uint32(header[8:]))
 	count := binary.LittleEndian.Uint64(header[16:])
+	if rest := fi.Size() - headerSize; rest%object.RecordSize != 0 || uint64(rest/object.RecordSize) != count {
+		return 0, nil, fmt.Errorf("%w: header claims %d records, the file holds %d bytes after its header",
+			ErrTruncated, count, rest)
+	}
 	objs := make([]object.Object, 0, count)
 	rec := make([]byte, object.RecordSize)
 	for i := uint64(0); i < count; i++ {

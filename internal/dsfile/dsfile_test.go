@@ -1,6 +1,7 @@
 package dsfile
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -95,5 +96,42 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, _, err := Load(verPath); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("bad version: %v", err)
+	}
+}
+
+// TestLoadChecksCountBeforeAllocating: a header whose record count the file
+// cannot hold is refused as truncated before the records are allocated — a
+// count of 1<<62 would panic the allocation, one of 1<<32 would ask for
+// 256 GB — as is a file one record short of its count.
+func TestLoadChecksCountBeforeAllocating(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.sod")
+	if err := Save(good, 1, datagen.Generate(datagen.Config{Seed: 3, NumObjects: 5}, 1)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	claims := func(count uint64) []byte {
+		h := append([]byte(nil), data[:headerSize]...)
+		binary.LittleEndian.PutUint64(h[16:], count)
+		return h
+	}
+	for _, c := range []struct {
+		name string
+		file []byte
+	}{
+		{"claims 1<<62 records", claims(1 << 62)},
+		{"claims 1<<32 records", claims(1 << 32)},
+		{"one record short", data[:len(data)-object.RecordSize]},
+	} {
+		path := filepath.Join(dir, "bad.sod")
+		if err := os.WriteFile(path, c.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, objs, err := Load(path); !errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: loaded %d objects, err %v; want ErrTruncated", c.name, len(objs), err)
+		}
 	}
 }

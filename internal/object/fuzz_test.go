@@ -2,6 +2,7 @@ package object
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -123,6 +124,69 @@ func FuzzEncodePageInto(f *testing.F) {
 		}
 		if !bytes.Equal(buf, want) {
 			t.Fatalf("%d objects into a dirty page: differs from EncodePage (err %v)", len(objs), err)
+		}
+	})
+}
+
+// FuzzPageCodecMatchesRecordCodec holds the page codec, which moves a page's
+// records as one copy of the objects' memory, to the field-by-field record
+// codec that defines the format, on arbitrary records — NaNs, negative zeros
+// and any pad bytes: EncodePageInto writes the page built from EncodeRecord,
+// the header and pageCRC, and AppendPageInto returns DecodeRecord of each
+// record. A page whose records carry non-zero pad bytes decodes to the same
+// objects, and re-encoding them clears the pads again.
+func FuzzPageCodecMatchesRecordCodec(f *testing.F) {
+	rec := make([]byte, RecordSize)
+	EncodeRecord(rec, Object{ID: 1 << 60, Dataset: 3, Center: geom.V(math.NaN(), math.Copysign(0, -1), 1),
+		HalfExtent: geom.V(math.Inf(1), 0.25, math.Copysign(0, -1))})
+	binary.LittleEndian.PutUint32(rec[recordPad:], 0xDEADBEEF)
+	f.Add(bytes.Repeat(rec, 3))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, PageCapacity*RecordSize))
+	f.Fuzz(func(t *testing.T, recs []byte) {
+		n := min(len(recs)/RecordSize, PageCapacity)
+		recs = recs[:n*RecordSize]
+		objs := make([]Object, n)
+		for i := range objs {
+			objs[i] = DecodeRecord(recs[i*RecordSize:])
+		}
+		ref := make([]byte, simdisk.PageSize)
+		binary.LittleEndian.PutUint16(ref[0:], pageMagic)
+		binary.LittleEndian.PutUint16(ref[2:], uint16(n))
+		for i, o := range objs {
+			EncodeRecord(ref[pageHeaderSize+i*RecordSize:], o)
+		}
+		binary.LittleEndian.PutUint32(ref[4:], pageCRC(ref))
+
+		page := bytes.Repeat([]byte{0xA5}, simdisk.PageSize)
+		if err := EncodePageInto(page, objs); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(page, ref) {
+			t.Fatalf("%d records: EncodePageInto differs from the page EncodeRecord builds", n)
+		}
+		got, err := AppendPageInto(nil, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameRecords(got, objs) {
+			t.Fatalf("%d records: AppendPageInto decoded %v, DecodeRecord %v", n, got, objs)
+		}
+
+		dirty := slices.Clone(ref)
+		copy(dirty[pageHeaderSize:], recs)
+		binary.LittleEndian.PutUint32(dirty[4:], pageCRC(dirty))
+		if got, err = AppendPageInto(got[:0], dirty); err != nil {
+			t.Fatal(err)
+		}
+		if !sameRecords(got, objs) {
+			t.Fatalf("%d records with their pad bytes: decoded %v, DecodeRecord %v", n, got, objs)
+		}
+		if err := EncodePageInto(page, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(page, ref) {
+			t.Fatalf("%d records decoded with their pad bytes: re-encoding differs from the reference page", n)
 		}
 	})
 }

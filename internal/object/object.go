@@ -6,6 +6,12 @@
 // Space-oriented partitioning (octree, grid) assigns objects by their center
 // point and answers queries via the query-window extension, so the record
 // stores center + half-extent explicitly.
+//
+// A record is the little-endian memory image of an Object, with its four pad
+// bytes zero: EncodeRecord and DecodeRecord define it field by field, and the
+// page codec moves a page's records as one copy of the objects' memory. The
+// package therefore needs a little-endian host, and panics at init on any
+// other.
 package object
 
 import (
@@ -15,6 +21,7 @@ import (
 	"hash/crc32"
 	"math"
 	"slices"
+	"unsafe"
 
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/simdisk"
@@ -118,6 +125,32 @@ func AppendIntersecting(dst, cell []Object, q geom.Box) []Object {
 // id(8) + dataset(4) + pad(4) + center(3*8) + halfExtent(3*8) = 64 bytes.
 const RecordSize = 64
 
+// recordPad is where a record's four pad bytes sit, between Dataset and
+// Center.
+const recordPad = 12
+
+// init refuses a host or a layout on which an Object's memory is not its
+// record, which recordBytes takes it to be.
+func init() {
+	var o Object
+	if unsafe.Sizeof(o) != RecordSize || unsafe.Sizeof(o.Dataset) != 4 ||
+		unsafe.Offsetof(o.Dataset) != 8 || unsafe.Offsetof(o.Center) != 16 ||
+		unsafe.Offsetof(o.HalfExtent) != 40 || binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		panic("object: the page codec needs a little-endian host and a 64-byte Object " +
+			"with ID, Dataset (4 bytes), Center and HalfExtent at offsets 0, 8, 16 and 40")
+	}
+}
+
+// recordBytes is the memory of objs as len(objs) records, the only view of
+// an Object's memory the package takes: writing a record into it writes the
+// object, pad bytes aside (Go says nothing of what padding holds).
+func recordBytes(objs []Object) []byte {
+	if len(objs) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&objs[0])), len(objs)*RecordSize)
+}
+
 // pageHeaderSize is the per-page header: magic(2) count(2) crc32(4) pad(8).
 // The crc32 covers the page but its own four bytes (pageCRC).
 const pageHeaderSize = 16
@@ -171,27 +204,21 @@ func EncodeRecord(buf []byte, o Object) {
 	buf = buf[:RecordSize] // one bounds check for the whole record
 	binary.LittleEndian.PutUint64(buf[0:], o.ID)
 	binary.LittleEndian.PutUint32(buf[8:], uint32(o.Dataset))
-	binary.LittleEndian.PutUint32(buf[12:], 0) // padding
+	binary.LittleEndian.PutUint32(buf[recordPad:], 0)
 	off := putVec(buf, 16, o.Center)
 	putVec(buf, off, o.HalfExtent)
 }
 
 // DecodeRecord reads an Object from buf (at least RecordSize bytes).
 func DecodeRecord(buf []byte) Object {
-	var o Object
-	decodeRecordInto(&o, buf)
-	return o
-}
-
-// decodeRecordInto is DecodeRecord writing through a pointer: a page decodes
-// its records straight into their slots of the destination slice.
-func decodeRecordInto(o *Object, buf []byte) {
 	buf = buf[:RecordSize] // one bounds check for the whole record
+	var o Object
 	o.ID = binary.LittleEndian.Uint64(buf[0:])
 	o.Dataset = DatasetID(binary.LittleEndian.Uint32(buf[8:]))
 	var off int
 	o.Center, off = getVec(buf, 16)
 	o.HalfExtent, _ = getVec(buf, off)
+	return o
 }
 
 // EncodePage encodes up to PageCapacity objects into a fresh PageSize
@@ -207,7 +234,9 @@ func EncodePage(objs []Object) ([]byte, error) {
 // EncodePageInto encodes up to PageCapacity objects into the first PageSize
 // bytes of buf, which the caller owns and may hold anything: header, records,
 // the unused tail and the header padding are all written, so the page is
-// byte for byte what EncodePage returns. On error buf is untouched.
+// byte for byte what EncodePage returns. On error buf is untouched. The
+// records are one copy of the objects' memory, each pad then cleared: the
+// bytes EncodeRecord writes.
 func EncodePageInto(buf []byte, objs []Object) error {
 	if len(objs) > PageCapacity {
 		return fmt.Errorf("%w: %d > %d", ErrPageFull, len(objs), PageCapacity)
@@ -219,8 +248,9 @@ func EncodePageInto(buf []byte, objs []Object) error {
 	binary.LittleEndian.PutUint16(buf[0:], pageMagic)
 	binary.LittleEndian.PutUint16(buf[2:], uint16(len(objs)))
 	clear(buf[8:pageHeaderSize])
-	for i, o := range objs {
-		EncodeRecord(buf[pageHeaderSize+i*RecordSize:], o)
+	end := pageHeaderSize + copy(buf[pageHeaderSize:], recordBytes(objs))
+	for off := pageHeaderSize + recordPad; off < end; off += RecordSize {
+		binary.LittleEndian.PutUint32(buf[off:], 0)
 	}
 	// A stale tail would make the page depend on buf's history, and store
 	// as more than its records (simdisk keeps a page up to its last non-zero
@@ -247,9 +277,9 @@ func DecodePage(buf []byte) ([]Object, error) {
 // AppendPageInto validates one page — length, magic, record count and page
 // checksum, on every call — and appends its records to dst, returning the
 // extended slice. dst grows once, by the page's record count, and the records
-// are decoded straight into it; a rejected page returns dst unchanged. The
-// result shares nothing with buf (objects are pointer-free values), so the
-// caller may recycle the page as soon as the call returns.
+// are copied straight into its memory; a rejected page returns dst
+// unchanged. The result shares nothing with buf (objects are pointer-free
+// values), so the caller may recycle the page as soon as the call returns.
 func AppendPageInto(dst []Object, buf []byte) ([]Object, error) {
 	if len(buf) < simdisk.PageSize {
 		return dst, ErrShortBuffer
@@ -267,9 +297,7 @@ func AppendPageInto(dst []Object, buf []byte) ([]Object, error) {
 	}
 	n := len(dst)
 	dst = slices.Grow(dst, count)[:n+count]
-	for i := range dst[n:] {
-		decodeRecordInto(&dst[n+i], buf[pageHeaderSize+i*RecordSize:])
-	}
+	copy(recordBytes(dst[n:]), buf[pageHeaderSize:])
 	return dst, nil
 }
 
