@@ -95,8 +95,8 @@ func TestDecodePageErrors(t *testing.T) {
 	}
 
 	bad = append([]byte(nil), page...)
-	bad[2] = 0xFF // absurd count (and checksum covers payload, not header,
-	bad[3] = 0xFF // so the count check fires first)
+	bad[2] = 0xFF // absurd count: the checksum covers it too, but
+	bad[3] = 0xFF // AppendPageInto checks the count before the checksum
 	if _, err := DecodePage(bad); !errors.Is(err, ErrBadCount) {
 		t.Errorf("bad count: %v", err)
 	}

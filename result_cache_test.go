@@ -4,6 +4,9 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"spaceodyssey/internal/core"
+	"spaceodyssey/internal/workload"
 )
 
 // Result-cache oracle storms: the race-mode equivalence suite with
@@ -112,5 +115,65 @@ func TestCacheStatsLedger(t *testing.T) {
 			t.Fatalf("query %d: %d objects without caching, %d with",
 				i, len(resOff[i].Objects), len(resOn[i].Objects))
 		}
+	}
+}
+
+// TestDeprecatedSwitchesAreInert: a deprecated Options field is ignored, so
+// a serial caching engine with it set runs exactly as one without: the same
+// answers and the same cache ledger after every query, at the default budget
+// throughout.
+func TestDeprecatedSwitchesAreInert(t *testing.T) {
+	data := GenerateDatasets(DataConfig{Seed: 7, NumObjects: 2000, Clusters: 4}, 3)
+	w, err := workload.GenerateScenario("zipf", workload.ScenarioConfig{
+		Seed: 5, NumQueries: 600, NumDatasets: 3, DatasetsPerQuery: 2, QueryVolumeFrac: 1e-3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(opts Options) *Explorer {
+		ex, err := NewExplorer(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ex.Close() })
+		for i, objs := range data {
+			if err := ex.AddDataset(DatasetID(i), objs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ex
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"ShareScans", func(o *Options) { o.ShareScans = true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{CacheResults: true, HeatHalfLife: 64}
+			off := open(opts)
+			tc.set(&opts)
+			on := open(opts)
+			for i, q := range w.Queries {
+				want, err := off.Query(q.Range, q.Datasets)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := on.Query(q.Range, q.Datasets)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameObjects(got, want) {
+					t.Fatalf("query %d: %d objects with %s set, %d without", i, len(got), tc.name, len(want))
+				}
+				if st, base := on.CacheStats(), off.CacheStats(); st != base || st.Capacity != core.DefaultCacheCapacity {
+					t.Fatalf("query %d: with %s set the ledger is %+v, without %+v; the default budget is %d",
+						i, tc.name, st, base, core.DefaultCacheCapacity)
+				}
+			}
+			if st := on.CacheStats(); st.Hits+st.ContainmentHits == 0 || st.Inserts == 0 {
+				t.Fatalf("the stream exercised too little: %+v", st)
+			}
+		})
 	}
 }
