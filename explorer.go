@@ -75,9 +75,10 @@ type Options struct {
 	// answer later queries of the same cell — or queries whose range a
 	// cached region fully contains (containment answering) — with zero
 	// device reads. A cell's content does not depend on the layout, so an
-	// entry survives layout changes; a refinement drops its dataset's cells
-	// and a merge the cells it published with a child directory, so what is
-	// cached stays as fine and as indexed as the layout. Refinements and
+	// entry survives layout changes; a refinement drops the cells it split
+	// and their ancestors, and a merge regroups the cached cells it published
+	// with a child directory, so what is cached stays as fine and as indexed
+	// as the layout. Refinements and
 	// merge copies take the cells the cache holds instead of reading them
 	// from the device, and write the same pages. Query results are
 	// byte-identical to an uncached run. See CacheStats for the ledger.

@@ -323,6 +323,9 @@ func TestDirectoryTravelsWithContent(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.CacheResults = true
 		f := setup(t, cfg)
+		// The merge publish left the cell cached grouped: flushed, the walk
+		// below caches it as its partition.
+		f.eng.FlushResultCache()
 		before, epoch := f.eng.Metrics(), f.eng.layoutEpoch.Load()
 		kept := ask(t, f, other)
 		it := f.eng.rcache.entries[scanKey{ds: 0, cell: f.entry}]
@@ -344,8 +347,11 @@ func TestDirectoryTravelsWithContent(t *testing.T) {
 	})
 
 	// A read of the cell is held in flight by the test while a query attaches
-	// to it, and lets it go once the query has attached.
+	// to it, and lets it go once the query has attached. The merge publish
+	// left the cell cached, grouped (resultCache.Regroup), where the query
+	// would find it and never attach: the cache is flushed first.
 	inFlight := func(t *testing.T, f fixture, lead func(read func() (cellContent, error)), dss []object.DatasetID, content func() (cellContent, error)) {
+		f.eng.FlushResultCache()
 		started, gate, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
 		go func() {
 			defer close(done)

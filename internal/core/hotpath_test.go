@@ -67,7 +67,7 @@ func TestReadMergedReadsASharedSegmentOnce(t *testing.T) {
 	entries := mf.EntryKeys()
 	entry := entries[slices.IndexFunc(entries, func(k octree.Key) bool { return tree.LeafAt(k).Count() > 0 })]
 	cell := EntryBox(eng.bounds, entry, tree.FanoutPerDim())
-	if step, err := tree.RefineRegionStep(context.Background(), entry, cell, cell.Volume()/(2*cfg.Octree.RefinementThreshold)); err != nil || !step {
+	if _, step, err := tree.RefineRegionStep(context.Background(), entry, cell, cell.Volume()/(2*cfg.Octree.RefinementThreshold)); err != nil || !step {
 		t.Fatalf("refining the merged cell: step %v, err %v", step, err)
 	}
 	window := geom.Box{Min: cell.Min.Add(cell.Size().Mul(0.3)), Max: cell.Max.Sub(cell.Size().Mul(0.3))}

@@ -50,10 +50,11 @@ type Config struct {
 	// keyed on (dataset, cell), so later queries of the same cells — and
 	// queries whose extended window is contained in a cached region — are
 	// answered without device reads. A cached cell stays exact across layout
-	// changes; a refinement drops its dataset's cells and a merge the keys
-	// it published with a child directory, which keeps what is cached as
-	// fine and as indexed as the layout, and refinements and merge copies
-	// read the cells it holds instead of the device (see resultCache).
+	// changes; a refinement drops the cells it split and their ancestors,
+	// and a merge regroups the cached keys it published with a child
+	// directory, which keeps what is cached as fine and as indexed as the
+	// layout, and refinements and merge copies read the cells it holds
+	// instead of the device (see resultCache).
 	// Results are byte-identical to the uncached engine. Default off: every
 	// query pays its own I/O, and behavior and I/O accounting are
 	// bit-for-bit the original model. (Level-0 builds are single-flight
@@ -457,6 +458,7 @@ type queryScratch struct {
 	exts    []geom.Box          // per dataset of ordered, the window its walk trusts (see queryAcc.ext)
 	leaves  []*octree.Partition // the current walk's leaves hit (QueryResult.Touched)
 	touched []octree.Key        // every leaf hit, for the combination's partition set
+	split   []octree.Key        // the leaves the current refining walk split (QueryResult.Split)
 	served  []mergeRead         // segments readMerged owes, one per served leaf until it dedups them
 	hits    []cellContent       // readMerged's current run of cache hits, filtered outside the cache lock
 }
@@ -469,7 +471,7 @@ const maxPooledQueryKeys = 1 << 12
 
 // release empties the slices and returns the scratch to the pool.
 func (qs *queryScratch) release() {
-	if max(cap(qs.ordered), cap(qs.leaves), cap(qs.touched), cap(qs.served), cap(qs.hits)) > maxPooledQueryKeys {
+	if max(cap(qs.ordered), cap(qs.leaves), cap(qs.touched), cap(qs.split), cap(qs.served), cap(qs.hits)) > maxPooledQueryKeys {
 		return
 	}
 	// The pool must keep no tree partition or evicted cell alive.
@@ -477,7 +479,7 @@ func (qs *queryScratch) release() {
 	clear(qs.served[:cap(qs.served)])
 	clear(qs.hits[:cap(qs.hits)])
 	qs.ordered, qs.exts, qs.leaves, qs.touched = qs.ordered[:0], qs.exts[:0], qs.leaves[:0], qs.touched[:0]
-	qs.served, qs.hits = qs.served[:0], qs.hits[:0]
+	qs.split, qs.served, qs.hits = qs.split[:0], qs.served[:0], qs.hits[:0]
 	queryScratchPool.Put(qs)
 }
 
@@ -744,7 +746,7 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 	}
 	var res octree.QueryResult
 	if o.maint != nil || acc.repaired || !tree.NeedsWrite(acc.q, covered) {
-		res, err = tree.QueryIntoCtx(ctx, acc.out, acc.leaves[:0], acc.q, serve, covered, false)
+		res, err = tree.QueryIntoCtx(ctx, acc.out, acc.leaves[:0], nil, acc.q, serve, covered, false)
 		lk.RUnlock()
 		if res.Skipped > 0 {
 			// Marked by the cache: the hits the skipped cells would have been.
@@ -754,13 +756,14 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 	} else {
 		lk.RUnlock()
 		lk.Lock()
-		res, err = tree.QueryIntoCtx(ctx, acc.out, acc.leaves[:0], acc.q, serve, covered, true)
-		if res.Refined > 0 {
+		res, err = tree.QueryIntoCtx(ctx, acc.out, acc.leaves[:0], acc.split[:0], acc.q, serve, covered, true)
+		acc.split = res.Split
+		if len(res.Split) > 0 {
 			// Refinements that completed before an abort still publish. They
 			// use the device outside readCell — their writes, and their reads
 			// of leaves the cache did not hold — so the query was not answered
 			// read-free.
-			o.publishRefined(ds)
+			o.publishRefined(ds, tree.FanoutPerDim(), res.Split)
 			missCacheScope(ctx)
 		}
 		lk.Unlock()
@@ -1116,7 +1119,7 @@ func (o *Odyssey) publishExclusive(c *combo, st *stagedMerge, nCand int, stageEr
 			bumped = true
 		}
 		if appended > 0 {
-			o.dropMerged(st)
+			o.regroupMerged(st)
 		}
 		o.statsMu.Lock()
 		if appended == 0 && stageErr == nil {
@@ -1147,7 +1150,7 @@ func (o *Odyssey) publishShared(c *combo, st *stagedMerge, nCand int, epochBefor
 	appended := o.merger.publish(st, true)
 	if appended > 0 {
 		o.bumpLayoutEpoch() // after the publish: a query that reads the new epoch routes to it
-		o.dropMerged(st)
+		o.regroupMerged(st)
 	}
 	o.statsMu.Lock()
 	if appended == 0 && stageErr == nil {
@@ -1216,7 +1219,7 @@ func (o *Odyssey) runRefineTask(ds object.DatasetID, t refineTask) (int, error) 
 	// non-cancelable — layout mutations are never interrupted mid-way.
 	ctx, _ := simdisk.WithOpScope(context.Background(), simdisk.PriMaintenance)
 	clock := simdisk.PhaseClock(ctx, o.dev)
-	refined := 0
+	var split []octree.Key
 	var dt time.Duration
 	var taskErr error
 	var done []repairUnit
@@ -1231,7 +1234,7 @@ func (o *Odyssey) runRefineTask(ds object.DatasetID, t refineTask) (int, error) 
 		}
 		lk.Lock()
 		t0 := clock.Now()
-		step, err := tree.RefineRegionStep(ctx, t.key, t.box, t.qVol)
+		key, step, err := tree.RefineRegionStep(ctx, t.key, t.box, t.qVol)
 		dt += clock.Now() - t0
 		lk.Unlock()
 		if err != nil {
@@ -1246,15 +1249,15 @@ func (o *Odyssey) runRefineTask(ds object.DatasetID, t refineTask) (int, error) 
 		if !step {
 			break
 		}
-		refined++
+		split = append(split, key)
 	}
-	if refined > 0 {
-		o.publishRefined(ds)
+	if len(split) > 0 {
+		o.publishRefined(ds, tree.FanoutPerDim(), split)
 	}
 	o.statsMu.Lock()
 	o.phases.Refinement += dt
 	o.statsMu.Unlock()
-	return refined, taskErr
+	return len(split), taskErr
 }
 
 // regionCovered reports whether the merge file routing the task's

@@ -6,6 +6,7 @@ import (
 	"iter"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -23,9 +24,10 @@ const DefaultCacheCapacity = 1 << 17
 // cachedScan is one completed partition or merge-segment scan the cache
 // retains: the full content of region (a cell box), with the child directory
 // of the content it is (see cellContent). Everything but its eviction state
-// is immutable once inserted: the content is shared with every query the
-// entry answers and must be treated as read-only (the engine only filters
-// from it — objects are values).
+// and its content field is immutable once inserted, and the content field
+// changes only from file order to the same objects grouped (Regroup): the
+// content is shared with every query the entry answers and must be treated
+// as read-only (the engine only filters from it — objects are values).
 type cachedScan struct {
 	key     scanKey
 	region  geom.Box
@@ -166,12 +168,14 @@ func (l *levelIndex) add(level uint32, delta int32) {
 // holds exactly the objects of its dataset whose centres the tree's
 // bucketing puts in the cell (see octree.Tree.Rederive), and a dataset never
 // changes once registered. What a layout change can make stale is only how
-// cheap an entry is to filter, so a publish drops only what it made coarse
-// or unindexed: a refinement drops its dataset's entries (DropDataset), a
-// merge only the keys whose published segments carry a child directory
-// (DropKeys) — a one-page segment stores, in file order, the cell an entry
-// already holds. Builds, merge-file evictions and re-derivations drop
-// nothing. A read that raced a publish is not kept (Insert).
+// cheap an entry is to filter, so a publish hands the cache only what it
+// changed: a refinement drops the cells it split and their cached ancestors
+// (DropKeys), which are now coarser than the leaves below them, and a merge
+// swaps the file-order entries of the keys whose published segments carry a
+// child directory for the segments' grouped content (Regroup) — a one-page
+// segment stores, in file order, the cell an entry already holds. Builds,
+// merge-file evictions and re-derivations drop nothing. A read that raced a
+// publish is not kept (Insert).
 //
 // Being exact, an entry is also the first source of the cells adaptation
 // reads: a refinement takes its leaf's objects from the cache, and a merge
@@ -196,11 +200,12 @@ func (l *levelIndex) add(level uint32, delta int32) {
 //
 // Locking: mu is a leaf lock (never held while acquiring any engine lock).
 // Content is immutable and outlives its entry, so a caller may use what a
-// lookup returned after a drop removed it. A hit — exact or by containment —
-// holds mu shared: a map lookup and the atomics of cachedScan.touch.
-// Everything that changes the cache's structure holds it exclusively: a miss
-// (ghost accounting), Insert and its evictions, the tuner, the drops and
-// Invalidate.
+// lookup returned after a drop removed it or a regroup replaced it. A hit —
+// exact or by containment — holds mu shared: a map lookup and the atomics of
+// cachedScan.touch.
+// Everything that changes the cache's structure or an entry's content holds
+// it exclusively: a miss (ghost accounting), Insert and its evictions, the
+// tuner, DropKeys, Regroup's swaps and Invalidate.
 type resultCache struct {
 	bounds geom.Box
 	// epoch is the engine's layout epoch, which Insert holds a read's
@@ -624,42 +629,83 @@ func (c *resultCache) removeLocked(it *cachedScan) {
 	c.levels[it.key.ds].add(it.key.cell.Level, -1)
 }
 
-// DropDataset removes every entry of ds and its level index: ds was refined,
-// and its cached cells may now be coarser than its leaves. Counted as an
-// invalidation when it removed anything.
-func (c *resultCache) DropDataset(ds object.DatasetID) {
+// DropKeys removes the entries of keys: a refinement split the cells, or
+// split cells below them, so a cached copy is coarser than the leaves now
+// there (splitCells). Counted as an invalidation when it removed anything.
+func (c *resultCache) DropKeys(keys iter.Seq[scanKey]) {
+	dropped := false
 	c.mu.Lock()
-	kept := c.cold[:0]
-	for _, it := range c.cold {
-		if it.key.ds != ds {
-			it.index = len(kept)
-			kept = append(kept, it)
-			continue
+	for key := range keys {
+		if it := c.entries[key]; it != nil {
+			c.removeLocked(it)
+			dropped = true
 		}
-		it.unmark()
-		delete(c.entries, it.key)
-		c.objects -= int64(len(it.content.objs))
 	}
-	dropped := len(kept) < len(c.cold)
-	clear(c.cold[len(kept):])
-	c.cold = kept
-	heap.Init(&c.cold)
-	delete(c.levels, ds)
 	c.mu.Unlock()
 	if dropped {
 		c.invalidations.Add(1)
 	}
 }
 
-// DropKeys removes the entries of keys: a merge published segments with
-// child directories for them, and a cached copy may be a partition in file
-// order, without the directory. Counted as an invalidation when it removed
-// anything.
-func (c *resultCache) DropKeys(keys iter.Seq[scanKey]) {
+// Regroup hands the cache the segments a merge step published, keyed as the
+// merge file's entries, at the trees' fanout. An entry holding in file order
+// the cell of a segment with a child directory takes the content a read of
+// the segment returns: its objects grouped on the segment's grid
+// (groupByChildren), with the segment's directory. The entry keeps its heat,
+// region and mark, and the swap is not an invalidation. Every tree partition
+// holds its cell's objects in raw-file order (see octree.Tree.Rederive), as
+// does the one-leaf copy a merge groups, so the regrouped objects are byte
+// for byte the segment's; an entry whose count or regrouped directory
+// differs from the segment's is removed instead. Keys the cache does not
+// hold stay uncached, and entries already holding a directory are left as
+// they are.
+//
+// The grouping runs off the lock on what a shared acquisition found; the
+// exclusive one swaps an entry only if it is still the one found, with its
+// content still in file order, and removes it if it was replaced by another
+// file-order read.
+func (c *resultCache) Regroup(fanout int, segs map[scanKey]segment) {
+	type swap struct {
+		it      *cachedScan
+		objs    []object.Object // the entry's file-order objects, as found
+		content cellContent     // the grouped content; zero when it differs
+	}
+	var swaps []swap
+	c.mu.RLock()
+	for key, seg := range segs {
+		if seg.children == nil {
+			continue
+		}
+		if it := c.entries[key]; it != nil && it.content.children == nil {
+			swaps = append(swaps, swap{it: it, objs: it.content.objs})
+		}
+	}
+	c.mu.RUnlock()
+	if len(swaps) == 0 {
+		return
+	}
+	var dir []int32
+	for i := range swaps {
+		s := &swaps[i]
+		seg := segs[s.it.key]
+		if len(s.objs) != seg.count {
+			continue
+		}
+		slab := make([]object.Object, len(s.objs))
+		if dir = groupByChildren(dir[:0], c.bounds, s.it.key.cell, fanout, s.objs, slab); slices.Equal(dir, seg.children) {
+			s.content = cellContent{objs: slab, children: seg.children}
+		}
+	}
 	dropped := false
 	c.mu.Lock()
-	for key := range keys {
-		if it := c.entries[key]; it != nil {
+	for _, s := range swaps {
+		it := c.entries[s.it.key]
+		switch {
+		case it == nil || it.content.children != nil:
+			// Evicted, or grouped by another publish or read, since the peek.
+		case it == s.it && s.content.objs != nil:
+			it.content = s.content
+		default:
 			c.removeLocked(it)
 			dropped = true
 		}

@@ -34,8 +34,8 @@ type eagerCache struct {
 	ghostRing                                        []scanKey
 	ghostHitsWin, evictionsWin, peakObjects, sinceOp int64
 
-	hits, misses, evictions, ghostHits, grows, shrinks, invalidations int64
-	evicted                                                           []scanKey
+	hits, misses, evictions, ghostHits, grows, shrinks, invalidations, regrouped int64
+	evicted                                                                      []scanKey
 }
 
 type eagerEntry struct {
@@ -202,6 +202,55 @@ func (m *eagerCache) invalidate() {
 	m.entries, m.objects = nil, 0
 }
 
+// groupedAs is a merge segment's layout, written the slow way: objs sorted
+// stably by the cell of the segment's grid holding their centres — the k³
+// children of cell, or its (2k)³ grid from (2k)³ objects — and the grid's
+// cell bounds.
+func groupedAs(bounds geom.Box, cell octree.Key, fanout int, objs []object.Object) ([]object.Object, []int32) {
+	grid := fanout
+	if len(objs) >= 8*fanout*fanout*fanout {
+		grid = 2 * fanout
+	}
+	cells := EntryBox(bounds, cell, fanout).Grid(grid)
+	sorted := slices.Clone(objs)
+	slices.SortStableFunc(sorted, func(a, b object.Object) int {
+		return cells.Index(a.Center) - cells.Index(b.Center)
+	})
+	dir := make([]int32, grid*grid*grid+1)
+	for _, o := range sorted {
+		dir[cells.Index(o.Center)+1]++
+	}
+	for i := 1; i < len(dir); i++ {
+		dir[i] += dir[i-1]
+	}
+	return sorted, dir
+}
+
+// regroup is a merge publish: an entry held in file order whose key a
+// segment with a directory names takes its objects as the segment lays them
+// out, with the segment's directory, when its count and that layout's
+// directory are the segment's, and is removed otherwise. It counts an
+// invalidation if it removed any.
+func (m *eagerCache) regroup(fanout int, segs map[scanKey]segment) {
+	n := len(m.entries)
+	for key, seg := range segs {
+		i := m.find(key)
+		if i < 0 || seg.children == nil || m.entries[i].content.children != nil {
+			continue
+		}
+		objs, dir := groupedAs(m.bounds, key.cell, fanout, m.entries[i].content.objs)
+		if len(objs) == seg.count && slices.Equal(dir, seg.children) {
+			m.entries[i].content = cellContent{objs: objs, children: seg.children}
+			m.regrouped++
+		} else {
+			m.remove(i)
+		}
+	}
+	if len(m.entries) < n {
+		m.invalidations++
+	}
+}
+
 // drop removes the entries drop selects, and counts an invalidation if there
 // were any.
 func (m *eagerCache) drop(drop func(scanKey) bool) {
@@ -218,15 +267,16 @@ func (m *eagerCache) drop(drop func(scanKey) bool) {
 
 // TestResultCacheLazyEvictionIsEager drives the cache and the eager model
 // with one seeded sequence of inserts, lookups, containment probes, clock
-// advances, epoch advances, dataset and key drops, flushes, and inserts of
-// reads that raced an epoch advance, over two datasets at a capacity that
-// forces evictions — with and without heat decay, with and without the
-// capacity tuner — and requires the same answers — the same objects with the
-// same child directory, which every insert makes its own — the same cached
-// set after every operation (so the same victims, in the same order, and the
-// same survivors of every drop), and the same ledger. Every insert passes
-// the cell's partition, and after every operation a partition is marked
-// exactly when the cache holds its key.
+// advances, epoch advances, refinement drops (split cells and their
+// ancestors), merge regroups, flushes, and inserts of reads that raced an
+// epoch advance, over two datasets at a capacity that forces evictions —
+// with and without heat decay, with and without the capacity tuner — and
+// requires the same answers — the same objects in the same order with the
+// same child directory, which an insert makes its own or leaves off — the
+// same cached set after every operation (so the same victims, in the same
+// order, and the same survivors of every drop), and the same ledger. Every
+// insert passes the cell's partition, and after every operation a partition
+// is marked exactly when the cache holds its key.
 func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 	const fanout = 2
 	bounds := geom.UnitBox()
@@ -241,7 +291,11 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 			}
 		}
 	}
-	content := make([]object.Object, 16)
+	content := make([]object.Object, 16) // centres spread over the volume: a regroup reorders them
+	cr := rand.New(rand.NewSource(3))
+	for i := range content {
+		content[i] = object.Object{ID: uint64(i), Dataset: 1, Center: geom.V(cr.Float64(), cr.Float64(), cr.Float64())}
+	}
 	for _, halfLife := range []float64{0, 16} {
 		for _, adaptive := range []bool{false, true} {
 			t.Run(fmt.Sprintf("halfLife=%v/adaptive=%v", halfLife, adaptive), func(t *testing.T) {
@@ -325,16 +379,37 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 						tick += int64(r.Intn(12))
 					case p < 0.96: // a publish that drops nothing: a build, an eviction
 						epoch.Add(1)
-					case p < 0.961: // a refinement
+					case p < 0.963: // a refinement: two split cells of one dataset, cached or not
 						epoch.Add(1)
-						c.DropDataset(key.ds)
-						m.drop(func(k scanKey) bool { return k.ds == key.ds })
-					case p < 0.966: // a merge: a few keys, cached or not
+						split := []octree.Key{key.cell, pick().cell}
+						c.DropKeys(splitCells(key.ds, fanout, split))
+						m.drop(func(k scanKey) bool {
+							return k.ds == key.ds && slices.ContainsFunc(split, func(s octree.Key) bool { return k.cell.AncestorOf(s, fanout) })
+						})
+					case p < 0.968: // a merge: a few keys, cached or not, one-page, matching or not
 						epoch.Add(1)
-						keys := []scanKey{key, pick(), pick()}
-						c.DropKeys(slices.Values(keys))
-						m.drop(func(k scanKey) bool { return slices.Contains(keys, k) })
-					case p < 0.9665:
+						segs := map[scanKey]segment{}
+						for _, k := range []scanKey{key, pick(), pick(), pick()} {
+							n := r.Intn(len(content))
+							if e := m.find(k); e >= 0 {
+								n = len(m.entries[e].content.objs)
+							}
+							_, dir := groupedAs(bounds, k.cell, fanout, content[:n])
+							seg := segment{count: n, children: dir}
+							switch r.Intn(6) {
+							case 0: // one page: no directory
+								seg.children = nil
+							case 1: // a count the entry does not hold
+								seg.count++
+							case 2: // a directory the entry's objects do not give
+								seg.children = slices.Clone(dir)
+								seg.children[len(dir)/2]++
+							}
+							segs[k] = seg
+						}
+						c.Regroup(fanout, segs)
+						m.regroup(fanout, segs)
+					case p < 0.9685:
 						c.Invalidate()
 						m.invalidate()
 					}
@@ -366,7 +441,7 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 							t.Fatalf("op %d, insert of %v: the cache evicted %v, the model %v", i, key, evicted, wantEvicted)
 						}
 					}
-					if gotOK != wantOK || len(got.objs) != len(want.objs) || !slices.Equal(got.children, want.children) || gotAt != wantAt {
+					if gotOK != wantOK || !slices.Equal(got.objs, want.objs) || !slices.Equal(got.children, want.children) || gotAt != wantAt {
 						t.Fatalf("op %d on %v: the cache answered %d objects with directory %v at %v (%v), the model %d with %v at %v (%v)",
 							i, key, len(got.objs), got.children, gotAt, gotOK, len(want.objs), want.children, wantAt, wantOK)
 					}
@@ -389,8 +464,8 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 					t.Fatalf("ledger: cache %+v; model evictions %d hits %d misses %d ghost hits %d capacity %d grows %d shrinks %d invalidations %d",
 						st, m.evictions, m.hits, m.misses, m.ghostHits, m.capacity, m.grows, m.shrinks, m.invalidations)
 				}
-				if st.Evictions < 1000 || st.Hits < 1000 || st.Invalidations < 100 || adaptive && st.CapacityGrows+st.CapacityShrinks == 0 {
-					t.Fatalf("the sequence exercised too little: %+v", st)
+				if st.Evictions < 1000 || st.Hits < 1000 || st.Invalidations < 100 || m.regrouped < 20 || adaptive && st.CapacityGrows+st.CapacityShrinks == 0 {
+					t.Fatalf("the sequence exercised too little: %+v, %d entries regrouped", st, m.regrouped)
 				}
 			})
 		}
@@ -539,13 +614,17 @@ func TestAdaptiveCacheStartsInsideItsRange(t *testing.T) {
 
 // TestResultCacheStorm hammers the cache from every side at once — single
 // lookups, run lookups, inserts of reads that may have raced a publish, and
-// publishes that advance the epoch and then drop a dataset, a few keys,
-// everything or nothing — and holds the things sharing the lock on a hit and
-// dropping by target could break: the ledger still counts every lookup
-// exactly once (a run books its hits, never the read that ended it), no
-// lookup returns content whose read began before the epoch advance of the
-// last drop that covered its key and had finished when the lookup began, and
-// none returns another entry's child directory.
+// publishes that advance the epoch and then drop a cell a refinement split
+// with its ancestors, regroup a few keys for a merge, flush everything or
+// drop nothing — and holds the things sharing the lock on a hit, dropping by
+// target and swapping content in place could break: the ledger still counts
+// every lookup exactly once (a run books its hits, never the read that ended
+// it), no lookup returns content whose read began before the epoch advance
+// of the last drop that covered its key and had finished when the lookup
+// began, and every content returned is one read's, whole: its objects in
+// file order, alone or with the read's own directory, or grouped by the
+// merge with the merge's directory — never one entry's objects with another
+// entry's directory.
 func TestResultCacheStorm(t *testing.T) {
 	const fanout = 2
 	bounds := geom.UnitBox()
@@ -568,24 +647,67 @@ func TestResultCacheStorm(t *testing.T) {
 			}
 		}
 	}
+	// A cell's four objects in file order lie on its diagonal from the far
+	// corner, so a merge's grouping reverses their pairs; grouped and dir
+	// are that grouping, which a merge publishes for the cell.
+	type layout struct {
+		file, grouped []object.Object
+		dir           []int32
+	}
+	layouts := make([]layout, len(run))
+	index := map[scanKey]int{}
+	for i, rd := range run {
+		box := rd.entry.Box(bounds, fanout)
+		l := &layouts[i]
+		for _, f := range []float64{0.875, 0.625, 0.375, 0.125} {
+			l.file = append(l.file, object.Object{Dataset: rd.ds, Center: box.Min.Add(box.Size().Mul(f))})
+		}
+		l.grouped, l.dir = groupedAs(bounds, rd.entry, fanout, l.file)
+		index[scanKey{ds: rd.ds, cell: rd.entry}] = i
+	}
 	// floors[i] is the epoch the last finished drop covering run[i] advanced
 	// to: no lookup that began after the drop may be answered by a read that
 	// began before that epoch.
 	floors := make([]atomic.Int64, len(run))
-	// An entry's content names the epoch its read began at, in its objects
-	// and in its directory.
-	insert := func(r mergeRead, at int64) {
-		objs := make([]object.Object, 4)
-		objs[0].ID = uint64(at)
-		c.Insert(r.ds, r.entry, nil, at, r.entry.Box(bounds, fanout), cellContent{objs: objs, children: []int32{int32(at)}})
+	// An entry's content names the epoch its read began at in its objects,
+	// and in its own directory when the read carries one (every other read).
+	insert := func(i int, at int64) {
+		objs := slices.Clone(layouts[i].file)
+		for j := range objs {
+			objs[j].ID = uint64(at)
+		}
+		var dir []int32
+		if at%2 == 0 {
+			dir = []int32{int32(at)}
+		}
+		c.Insert(run[i].ds, run[i].entry, nil, at, run[i].entry.Box(bounds, fanout), cellContent{objs: objs, children: dir})
 	}
-	// stale reports content read before floor or after hi (the epoch after
-	// the lookup), or whose objects and directory came from two entries.
-	stale := func(got cellContent, floor, hi int64) bool {
+	// stale reports content of run[i] read before floor or after hi (the
+	// epoch after the lookup), or that is not one read's, whole.
+	stale := func(i int, got cellContent, floor, hi int64) bool {
 		id := got.objs[0].ID
-		return id < uint64(floor) || id > uint64(hi) || id != uint64(got.children[0])
+		want := layouts[i].file
+		switch len(got.children) {
+		case 0:
+		case 1:
+			if got.children[0] != int32(id) {
+				return true
+			}
+		default:
+			if !slices.Equal(got.children, layouts[i].dir) {
+				return true
+			}
+			want = layouts[i].grouped
+		}
+		for j := range got.objs {
+			if got.objs[j].ID != id || got.objs[j].Center != want[j].Center {
+				return true
+			}
+		}
+		return id < uint64(floor) || id > uint64(hi)
 	}
 	var lookups atomic.Int64
+	var regrouped atomic.Int64
 	errc := make(chan error, 16)
 	fail := func(format string, args ...any) {
 		select {
@@ -605,8 +727,10 @@ func TestResultCacheStorm(t *testing.T) {
 		}()
 	}
 	// Publishes, for as long as the lookups run: the epoch advances, then
-	// what the publish changed is dropped, as publishRefined and dropMerged
-	// do — and the floors of the dropped keys rise once the drop is done.
+	// what the publish changed is handed to the cache, as publishRefined and
+	// regroupMerged do — and the floors of the dropped keys rise once the
+	// drop is done. A regroup drops nothing: what it swaps in is the same
+	// read, grouped.
 	stop, published := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(published)
@@ -623,18 +747,27 @@ func TestResultCacheStorm(t *testing.T) {
 			case op == 1:
 				c.Invalidate()
 				covered = func(int) bool { return true }
-			case op < 4:
-				ds := object.DatasetID(1 + r.Intn(2))
-				c.DropDataset(ds)
-				covered = func(i int) bool { return run[i].ds == ds }
+			case op < 4: // a refinement split one of the cells, or a child of one
+				rd := run[r.Intn(len(run))]
+				split := rd.entry
+				if r.Intn(2) == 0 {
+					split = split.Child(fanout, r.Intn(fanout), r.Intn(fanout), r.Intn(fanout))
+				}
+				c.DropKeys(splitCells(rd.ds, fanout, []octree.Key{split}))
+				covered = func(i int) bool { return run[i].ds == rd.ds && run[i].entry.AncestorOf(split, fanout) }
 			case op < 8:
-				var keys []scanKey
+				segs := map[scanKey]segment{}
 				for range 4 {
 					rd := run[r.Intn(len(run))]
-					keys = append(keys, scanKey{ds: rd.ds, cell: rd.entry})
+					key := scanKey{ds: rd.ds, cell: rd.entry}
+					segs[key] = segment{count: 4, children: layouts[index[key]].dir}
 				}
-				c.DropKeys(slices.Values(keys))
-				covered = func(i int) bool { return slices.Contains(keys, scanKey{ds: run[i].ds, cell: run[i].entry}) }
+				c.Regroup(fanout, segs)
+				for key := range segs {
+					if got, ok := c.Peek(key.ds, key.cell); ok && len(got.children) > 1 {
+						regrouped.Add(1)
+					}
+				}
 			}
 			for i := range floors {
 				if covered(i) {
@@ -651,9 +784,9 @@ func TestResultCacheStorm(t *testing.T) {
 		got, ok := c.Lookup(run[i].ds, run[i].entry)
 		lookups.Add(1)
 		if !ok {
-			insert(run[i], at)
-		} else if hi := epoch.Load(); stale(got, floor, hi) {
-			fail("Lookup of %v past the drop to epoch %d answered with the read of epoch %d (directory %v)", run[i], floor, got.objs[0].ID, got.children)
+			insert(i, at)
+		} else if hi := epoch.Load(); stale(i, got, floor, hi) {
+			fail("Lookup of %v past the drop to epoch %d answered with %v, directory %v", run[i], floor, got.objs, got.children)
 		}
 	}
 	for g := int64(0); g < 2; g++ {
@@ -672,8 +805,8 @@ func TestResultCacheStorm(t *testing.T) {
 				hi := epoch.Load()
 				lookups.Add(int64(len(hits)))
 				for j, got := range hits {
-					if stale(got, floor[j], hi) {
-						fail("LookupRun of %v past the drop to epoch %d answered with the read of epoch %d (directory %v)", reads[j], floor[j], got.objs[0].ID, got.children)
+					if stale(i+j, got, floor[j], hi) {
+						fail("LookupRun of %v past the drop to epoch %d answered with %v, directory %v", reads[j], floor[j], got.objs, got.children)
 					}
 				}
 				if i += len(hits); len(hits) < len(reads) {
@@ -694,7 +827,7 @@ func TestResultCacheStorm(t *testing.T) {
 	if st.Hits+st.Misses != lookups.Load() {
 		t.Fatalf("%d hits + %d misses, %d lookups issued", st.Hits, st.Misses, lookups.Load())
 	}
-	if st.Hits == 0 || st.Misses == 0 || st.Evictions == 0 || st.Invalidations == 0 {
-		t.Fatalf("the storm exercised too little: %+v", st)
+	if st.Hits == 0 || st.Misses == 0 || st.Evictions == 0 || st.Invalidations == 0 || regrouped.Load() == 0 {
+		t.Fatalf("the storm exercised too little: %+v, %d regrouped entries found", st, regrouped.Load())
 	}
 }

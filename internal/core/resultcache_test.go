@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -41,11 +42,12 @@ func TestResultCacheExactHitAndEpochDrop(t *testing.T) {
 		t.Fatalf("cached empty cell: Lookup = %v, %v; want [], true", got, ok)
 	}
 
-	// The layout moves on: the epoch advances, and the publish drops another
-	// dataset and other keys — one of them the same cell of another dataset.
+	// The layout moves on: the epoch advances, and refinements drop the cells
+	// they split and their ancestors — in another dataset the same cell, in
+	// this one a cell elsewhere.
 	epoch.Add(1)
-	c.DropDataset(4)
-	c.DropKeys(slices.Values([]scanKey{{ds: 3, cell: testKeyAt(1, 1, 1, 1)}, {ds: 4, cell: cell}}))
+	c.DropKeys(splitCells(4, 2, []octree.Key{cell}))
+	c.DropKeys(splitCells(3, 2, []octree.Key{testKeyAt(2, 3, 3, 3)}))
 	if got, ok := c.Lookup(3, cell); !ok || len(got.objs) != 2 {
 		t.Fatalf("after an epoch advance and unrelated drops: Lookup = %v, %v; want the 2 objects", got, ok)
 	}
@@ -139,13 +141,13 @@ func TestResultCacheInvalidateCountsOnlyFlushes(t *testing.T) {
 		c.Insert(ds, testKeyAt(1, 0, 0, 0), nil, 0, geom.UnitBox(), cellContent{objs: one})
 		c.Insert(ds, testKeyAt(1, 1, 0, 0), nil, 0, geom.UnitBox(), cellContent{objs: one})
 	}
-	c.DropDataset(2)
+	c.DropKeys(splitCells(2, 2, []octree.Key{testKeyAt(1, 0, 0, 0)}))
 	c.DropKeys(slices.Values([]scanKey{{ds: 2, cell: testKeyAt(1, 0, 0, 0)}}))
 	if st := c.Stats(); st.Invalidations != 1 || st.Entries != 4 {
 		t.Fatalf("drops that removed nothing: %d invalidations, %d entries; want 1, 4", st.Invalidations, st.Entries)
 	}
 	c.DropKeys(slices.Values([]scanKey{{ds: 0, cell: testKeyAt(1, 0, 0, 0)}, {ds: 1, cell: testKeyAt(1, 0, 0, 0)}}))
-	c.DropDataset(0)
+	c.DropKeys(splitCells(0, 2, []octree.Key{testKeyAt(2, 2, 0, 0)})) // a child of {1 1 0 0}
 	if st := c.Stats(); st.Invalidations != 3 || st.Entries != 1 {
 		t.Fatalf("two drops that removed entries: %d invalidations, %d entries; want 3, 1", st.Invalidations, st.Entries)
 	}
@@ -153,9 +155,10 @@ func TestResultCacheInvalidateCountsOnlyFlushes(t *testing.T) {
 
 // TestResultCacheContainment pins containment answering: a query window
 // inside a cached cell box is answered from that entry, a window crossing
-// the cell boundary is not, and the region outlives an epoch advance and
-// another dataset's drop. A drop of its own dataset removes exactly that
-// dataset's entries and its level index, so the probe finds nothing.
+// the cell boundary is not, and the region outlives an epoch advance,
+// another dataset's refinement and its own dataset's refinement elsewhere. A
+// refinement below the region removes exactly it, and its level from the
+// level index, so the probe finds nothing.
 func TestResultCacheContainment(t *testing.T) {
 	bounds := geom.UnitBox()
 	var epoch atomic.Int64
@@ -179,27 +182,29 @@ func TestResultCacheContainment(t *testing.T) {
 		t.Fatal("region answered another dataset's window")
 	}
 
-	// The layout moves on, and dataset 3 is refined: dataset 1's region still
-	// answers.
+	// The layout moves on: dataset 3's cached cell is split, and dataset 1 is
+	// refined in another cell. Dataset 1's region still answers.
 	epoch.Add(1)
-	c.DropDataset(3)
+	c.DropKeys(splitCells(3, 2, []octree.Key{testKeyAt(2, 0, 0, 0)}))
+	c.DropKeys(splitCells(1, 2, []octree.Key{testKeyAt(2, 3, 3, 3)}))
 	if got, _, ok := c.AnswerContained(1, 2, inside); !ok || got.objs[0].ID != 9 {
-		t.Fatalf("after an epoch advance and another dataset's drop: probe = %v, %v; want the region", got, ok)
+		t.Fatalf("after an epoch advance and refinements elsewhere: probe = %v, %v; want the region", got, ok)
 	}
-	if st := c.Stats(); st.Entries != 2 || c.levels[3] != nil {
-		t.Fatalf("dataset 3's drop left %d entries and level index %v; want 2 and none", st.Entries, c.levels[3])
+	if st := c.Stats(); st.Entries != 2 || c.levels[3].mask != 0 {
+		t.Fatalf("dataset 3's split left %d entries and levels %b; want 2 and none", st.Entries, c.levels[3].mask)
 	}
 
-	// Dataset 1 is refined: its entry and level index go, dataset 2's stay.
-	c.DropDataset(1)
+	// Dataset 1 is refined below its region: the entry and its level go,
+	// dataset 2's stay.
+	c.DropKeys(splitCells(1, 2, []octree.Key{testKeyAt(2, 1, 1, 1)}))
 	if _, _, ok := c.AnswerContained(1, 2, inside); ok {
-		t.Fatal("a dropped dataset's region answered by containment")
+		t.Fatal("a region refined below answered by containment")
 	}
-	if c.levels[1] != nil || c.entries[scanKey{ds: 1, cell: cell}] != nil {
-		t.Fatal("the dataset drop left its entry or level index behind")
+	if c.levels[1].mask != 0 || c.entries[scanKey{ds: 1, cell: cell}] != nil {
+		t.Fatal("the split left its ancestor's entry or level behind")
 	}
 	if got, _, ok := c.AnswerContained(2, 2, inside); !ok || got.objs[0].ID != 8 {
-		t.Fatalf("another dataset's drop took dataset 2's region: probe = %v, %v", got, ok)
+		t.Fatalf("another dataset's split took dataset 2's region: probe = %v, %v", got, ok)
 	}
 	st := c.Stats()
 	if st.ContainmentHits != 3 || st.Entries != 1 || st.CachedObjects != 1 || st.Invalidations != 2 {
@@ -352,14 +357,16 @@ func TestProbeSkipsOnlyLevelsTooNarrow(t *testing.T) {
 
 // TestPublishDropsOnlyWhatItChanged drives an inline-maintenance engine with
 // the result cache on through the two publishes that change cells, and holds
-// what each may drop. A refinement of one dataset leaves another dataset's
-// cached cells cached: re-querying them reads nothing from the device. A
-// merge publish leaves the cells of a dataset outside the combination cached,
-// and drops the keys it published with a child directory, so the next read of
-// one carries the directory instead of the file-order partition cached
-// before; the keys of one-page segments, which hold what the cache held in
-// the same order, stay cached. Every answer is checked against a brute-force
-// scan.
+// what each may drop. A refinement drops only the cells it split and their
+// cached ancestors: another dataset's cached cells, and the refined
+// dataset's cells elsewhere, stay cached, and re-querying them reads nothing
+// from the device. A merge publish leaves the cells of a dataset outside the
+// combination cached, and hands the cache the keys it published with a child
+// directory: a key cached before is either gone or holds exactly what a read
+// of its segment returns, objects in order and directory, and the next read
+// of a key that is gone carries the directory too; the keys of one-page
+// segments, which hold what the cache held in the same order, stay cached.
+// Every answer is checked against a brute-force scan.
 func TestPublishDropsOnlyWhatItChanged(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheResults = true
@@ -414,13 +421,23 @@ func TestPublishDropsOnlyWhatItChanged(t *testing.T) {
 
 	settle(q, 0)
 	cached("settled", q, 0)
-	// Dataset 1's level-0 build, and refinements around one of its objects
-	// away from q, where the merge below takes the level-0 cells.
+	// Dataset 1's level-0 build, its cells cached around one of its objects
+	// away from q, where the merge below takes the level-0 cells, and
+	// refinements of some of them.
 	var far geom.Vec
 	for _, o := range datagen.GenerateDatasets(datagen.Config{Seed: 57, NumObjects: 16000, Clusters: 6}, 2)[1] {
 		if !q.Expand(geom.Splat(0.2)).ContainsPoint(o.Center) {
 			far = o.Center
 			break
+		}
+	}
+	wide := geom.Cube(far, 0.15)
+	settle(wide, 1)
+	tree := eng.trees[1]
+	var before []octree.Key
+	for key := range eng.rcache.entries {
+		if key.ds == 1 {
+			before = append(before, key.cell)
 		}
 	}
 	refinements := eng.Metrics().Refinements
@@ -429,6 +446,37 @@ func TestPublishDropsOnlyWhatItChanged(t *testing.T) {
 		t.Fatal("the query on dataset 1 refined nothing")
 	}
 	cached("after dataset 1 was refined", q, 0)
+	// Every cell of dataset 1 cached before the refinement that is still a
+	// leaf is still cached; every cached cell of dataset 1 is a leaf: the
+	// split cells and any ancestor of them are gone.
+	split, kept := 0, 0
+	for _, cell := range before {
+		_, ok := eng.rcache.entries[scanKey{ds: 1, cell: cell}]
+		switch leaf := tree.LeafAt(cell) != nil; {
+		case leaf && !ok:
+			t.Fatalf("dataset 1's cell %v is still a leaf, and the refinement dropped it", cell)
+		case leaf:
+			kept++
+		default:
+			split++
+		}
+	}
+	for key := range eng.rcache.entries {
+		if key.ds == 1 && tree.LeafAt(key.cell) == nil {
+			t.Fatalf("dataset 1's cached cell %v is no leaf since the refinement", key.cell)
+		}
+	}
+	if split == 0 || kept == 0 {
+		t.Fatalf("of dataset 1's %d cached cells the refinement split %d and kept %d; want some of each", len(before), split, kept)
+	}
+	// A window inside the cached, unrefined part of the wide window.
+	for _, cell := range before {
+		if p := tree.LeafAt(cell); p != nil && p.Count() > 0 {
+			box := p.Box()
+			cached("dataset 1 after its refinement elsewhere", geom.BoxFromCenter(box.Center(), box.Size().Mul(0.1)), 1)
+			break
+		}
+	}
 
 	settle(q, 3)
 	merged := []object.DatasetID{0, 1, 2}
@@ -440,25 +488,38 @@ func TestPublishDropsOnlyWhatItChanged(t *testing.T) {
 	}
 	cached("after the merge published", q, 3)
 
-	// The publish dropped every key its segment gave a directory, and kept
-	// the one-page segments' keys, whose cells the cache already held in the
-	// segment's order: re-querying one of those cells reads nothing.
+	// Every key the publish gave a directory is either gone or holds what a
+	// read of its segment returns, and the one-page segments' keys, whose
+	// cells the cache already held in the segment's order, stay cached:
+	// re-querying one of those cells reads nothing.
 	mf := eng.merger.file(KeyOf(merged))
 	var onePage []octree.Key
+	grouped := 0
 	for _, cell := range mf.EntryKeys() {
 		whole := true // every member's segment is one page, and cached
 		for _, ds := range merged {
 			key := scanKey{ds: ds, cell: cell}
-			_, kept := eng.rcache.entries[key]
+			it, kept := eng.rcache.entries[key]
 			one := mf.entries[key].children == nil
 			if !one && kept {
-				t.Fatalf("published key %v gained a directory and is still cached", key)
+				want, err := eng.merger.ReadSegmentCtx(context.Background(), nil, mf, cell, ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(it.content.objs, want.objs) || !slices.Equal(it.content.children, want.children) {
+					t.Fatalf("published key %v is cached with %d objects and directory %v, not its segment's %d objects and %v",
+						key, len(it.content.objs), it.content.children, len(want.objs), want.children)
+				}
+				grouped++
 			}
 			whole = whole && one && kept
 		}
 		if whole {
 			onePage = append(onePage, cell)
 		}
+	}
+	if grouped == 0 {
+		t.Fatal("the merge kept no published cell with a directory cached")
 	}
 	if len(onePage) == 0 {
 		t.Fatal("the merge kept no published cell of one-page segments cached")

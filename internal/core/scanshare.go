@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"iter"
 
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
@@ -125,36 +126,53 @@ func (o *Odyssey) sharedRead(ctx context.Context, key flightKey, device func() (
 // no new reader attaches to a pre-publish read and the result cache keeps no
 // read that began before it. It drops no cached cell: a cell's content
 // depends only on (dataset, cell) — see resultCache — and the publishes that
-// make cached cells stale in format drop them after the bump
-// (publishRefined, dropMerged).
+// change how cached cells are best held hand the cache what they changed
+// after the bump (publishRefined, regroupMerged).
 func (o *Odyssey) bumpLayoutEpoch() {
 	o.layoutEpoch.Add(1)
 }
 
-// publishRefined publishes refinements of ds: its cached cells may now be
-// coarser than its leaves, and are dropped. The refinements may have taken
-// their sources from those cells (Odyssey.AddRaw) — read-only, so what the
-// drop releases is unchanged.
-func (o *Odyssey) publishRefined(ds object.DatasetID) {
+// publishRefined publishes refinements of ds, which split the leaves at the
+// keys of split: their cached cells, and any cached ancestor of them, are now
+// coarser than the leaves below them, and are dropped under one exclusive
+// acquisition. The dataset's other cached cells keep their exact
+// granularity and stay cached. The refinements may have taken their sources
+// from the dropped cells (Odyssey.AddRaw) — read-only, so what the drop
+// releases is unchanged.
+func (o *Odyssey) publishRefined(ds object.DatasetID, fanout int, split []octree.Key) {
 	o.bumpLayoutEpoch()
 	if o.rcache != nil {
-		o.rcache.DropDataset(ds)
+		o.rcache.DropKeys(splitCells(ds, fanout, split))
 	}
 }
 
-// dropMerged drops, after the step's epoch bump, the cached cells of the keys
-// a merge step published with a child directory: a cached copy may be a
-// partition in file order, without the directory. A one-page segment has
-// none — it stores, in file order, the cell a cached entry already holds —
-// so its key stays cached.
-func (o *Odyssey) dropMerged(st *stagedMerge) {
-	if o.rcache != nil {
-		o.rcache.DropKeys(func(yield func(scanKey) bool) {
-			for ref, seg := range st.entries {
-				if seg.children != nil && !yield(ref) {
+// splitCells yields the keys of ds a refinement made coarse: each key of
+// split, and every ancestor of it up to the root.
+func splitCells(ds object.DatasetID, fanout int, split []octree.Key) iter.Seq[scanKey] {
+	return func(yield func(scanKey) bool) {
+		for _, key := range split {
+			for cell := key; ; cell = cell.Ancestor(cell.Level-1, fanout) {
+				if !yield(scanKey{ds: ds, cell: cell}) {
 					return
 				}
+				if cell.Level == 0 {
+					break
+				}
 			}
-		})
+		}
+	}
+}
+
+// regroupMerged hands the result cache, after the step's epoch bump, the
+// segments a merge step published: a cached cell whose segment carries a
+// child directory, held in the file order of the partition it was read
+// from, is swapped for the grouped content the merge wrote
+// (resultCache.Regroup), so a query of the combination filters it by its
+// directory without reading it back. A one-page segment has no directory —
+// it stores, in file order, the cell a cached entry already holds — so its
+// key stays as it is.
+func (o *Odyssey) regroupMerged(st *stagedMerge) {
+	if o.rcache != nil {
+		o.rcache.Regroup(o.trees[st.combo.members[0]].FanoutPerDim(), st.entries)
 	}
 }

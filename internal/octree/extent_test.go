@@ -90,7 +90,7 @@ func FuzzPartitionExtent(f *testing.F) {
 		}
 		check("after the build")
 		for range 3 {
-			if _, err := tree.QueryIntoCtx(context.Background(), nil, nil, q, nil, nil, true); err != nil {
+			if _, err := tree.QueryIntoCtx(context.Background(), nil, nil, nil, q, nil, nil, true); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -36,7 +36,7 @@ func queryRefining(tree *Tree, q geom.Box, serveFromStore func(*Partition) bool)
 	if err := tree.EnsureBuiltCtx(context.Background()); err != nil {
 		return QueryResult{}, err
 	}
-	return tree.QueryIntoCtx(context.Background(), nil, nil, q, serveFromStore, serveFromStore, true)
+	return tree.QueryIntoCtx(context.Background(), nil, nil, nil, q, serveFromStore, serveFromStore, true)
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -223,8 +223,8 @@ func TestRefinementOneLevelPerQuery(t *testing.T) {
 		t.Fatal("query did not build")
 	}
 	first := tree.Refinements
-	if res.Refined != first {
-		t.Fatalf("result.Refined=%d, tree.Refinements=%d", res.Refined, first)
+	if len(res.Split) != first {
+		t.Fatalf("len(result.Split)=%d, tree.Refinements=%d", len(res.Split), first)
 	}
 
 	// The same query again refines at most one more level of the hit cells.
@@ -233,12 +233,12 @@ func TestRefinementOneLevelPerQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Refined > 8 { // a tiny query touches at most 2^3 partitions
-		t.Fatalf("second query refined %d partitions", res2.Refined)
+	if len(res2.Split) > 8 { // a tiny query touches at most 2^3 partitions
+		t.Fatalf("second query refined %d partitions", len(res2.Split))
 	}
 	grown := tree.NumLeaves() - prevLeaves
-	if grown > res2.Refined*64 {
-		t.Fatalf("leaves grew by %d after %d refinements", grown, res2.Refined)
+	if grown > len(res2.Split)*64 {
+		t.Fatalf("leaves grew by %d after %d refinements", grown, len(res2.Split))
 	}
 }
 
@@ -252,7 +252,7 @@ func TestRefinementConverges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		last = res.Refined
+		last = len(res.Split)
 	}
 	if last != 0 {
 		t.Fatalf("still refining after 12 identical queries (refined=%d)", last)
@@ -287,7 +287,7 @@ func TestConvergenceMatchesTargetLevels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Refined == 0 && hits > 0 {
+		if len(res.Split) == 0 && hits > 0 {
 			break
 		}
 	}
@@ -346,7 +346,7 @@ func TestEmptyPartitionsNeverRefine(t *testing.T) {
 		if len(res.Objects) != 0 {
 			t.Fatal("objects found in empty space")
 		}
-		if res.Refined != 0 {
+		if len(res.Split) != 0 {
 			t.Fatal("empty partition was refined")
 		}
 	}
@@ -471,7 +471,7 @@ func TestServeFromStoreHookSkipsReads(t *testing.T) {
 	if len(res.Objects) != 0 {
 		t.Fatal("hook did not suppress object reads")
 	}
-	if res.Refined != 0 {
+	if len(res.Split) != 0 {
 		t.Fatal("hook did not suppress refinement")
 	}
 	if len(res.Touched) == 0 {

@@ -33,7 +33,7 @@ func TestQueryReadOnlyMatchesQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ro.Refined != 0 || roTree.Refinements != 0 {
+	if len(ro.Split) != 0 || roTree.Refinements != 0 {
 		t.Fatalf("read-only walk refined (%d ops)", roTree.Refinements)
 	}
 	if len(ro.WantRefine) == 0 {
@@ -44,7 +44,7 @@ func TestQueryReadOnlyMatchesQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rw.Refined == 0 {
+	if len(rw.Split) == 0 {
 		t.Fatal("mutating walk refined nothing; the comparison is vacuous")
 	}
 	sortObjs(ro.Objects)
@@ -59,9 +59,9 @@ func TestQueryReadOnlyMatchesQuery(t *testing.T) {
 		}
 	}
 	// The demand set is exactly the leaves the mutating walk refined.
-	if len(ro.WantRefine) != rw.Refined {
+	if len(ro.WantRefine) != len(rw.Split) {
 		t.Fatalf("WantRefine reports %d leaves, mutating walk refined %d",
-			len(ro.WantRefine), rw.Refined)
+			len(ro.WantRefine), len(rw.Split))
 	}
 }
 
@@ -89,12 +89,15 @@ func TestRefineRegionConverges(t *testing.T) {
 	total := 0
 	for _, key := range ro.WantRefine {
 		for {
-			step, err := bgTree.RefineRegionStep(context.Background(), key, q, qVol)
+			split, step, err := bgTree.RefineRegionStep(context.Background(), key, q, qVol)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !step {
 				break
+			}
+			if bgTree.LeafAt(split) != nil || len(bgTree.AppendLeavesUnder(nil, split)) < 2 {
+				t.Fatalf("the step reported %v as split, which is not a split partition", split)
 			}
 			total++
 		}
@@ -117,7 +120,7 @@ func TestRefineRegionConverges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Refined == 0 {
+		if len(res.Split) == 0 {
 			break
 		}
 	}

@@ -109,8 +109,10 @@ type QueryResult struct {
 	Objects []object.Object
 	// Touched lists the leaf partitions (post-refinement) the query hit.
 	Touched []*Partition
-	// Refined is the number of refinement operations the query triggered.
-	Refined int
+	// Split lists the keys of the leaves the query refined, in the order it
+	// refined them: the cells a caller caching their content made coarse.
+	// QueryIntoCtx appends them to the caller's split.
+	Split []Key
 	// WantRefine lists, after a read-only walk (QueryReadOnlyCtx), the keys
 	// of leaves that qualified for refinement but were served as-is. The
 	// caller schedules their refinement asynchronously.
@@ -138,7 +140,7 @@ type QueryResult struct {
 // touched and refine off, kept as the name the benchmark's octree layer calls;
 // servedElsewhere, a predicate, is its serveFromStore and covered both.
 func (t *Tree) QueryReadOnlyCtx(ctx context.Context, q geom.Box, servedElsewhere func(*Partition) bool) (QueryResult, error) {
-	return t.QueryIntoCtx(ctx, nil, nil, q, servedElsewhere, servedElsewhere, false)
+	return t.QueryIntoCtx(ctx, nil, nil, nil, q, servedElsewhere, servedElsewhere, false)
 }
 
 // QueryIntoCtx runs a range query against this tree alone: it locates the
@@ -146,8 +148,9 @@ func (t *Tree) QueryReadOnlyCtx(ctx context.Context, q geom.Box, servedElsewhere
 // objects to dst (res.Objects is the extended dst), so a caller can
 // accumulate one result over several trees, and the leaves it hit to touched
 // (res.Touched is the extended touched), grown once to the walk's leaf count:
-// a caller's scratch with room costs no allocation. The tree must already be
-// built (EnsureBuiltCtx).
+// a caller's scratch with room costs no allocation. A refining walk appends
+// the keys of the leaves it splits to split (res.Split is the extended
+// split). The tree must already be built (EnsureBuiltCtx).
 //
 // serveFromStore, when non-nil, lets the caller intercept a partition: if it
 // returns true the partition's objects are assumed served elsewhere (e.g.
@@ -178,9 +181,9 @@ func (t *Tree) QueryReadOnlyCtx(ctx context.Context, q geom.Box, servedElsewhere
 // Phase times are exact per-query attribution when the context carries a
 // QoS scope (any topology); the device-clock fallback is exact only for a
 // serial caller on C=1 D=1.
-func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, touched []*Partition, q geom.Box,
+func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, touched []*Partition, split []Key, q geom.Box,
 	serveFromStore, covered func(*Partition) bool, refine bool) (QueryResult, error) {
-	res := QueryResult{Objects: dst, Touched: touched}
+	res := QueryResult{Objects: dst, Touched: touched, Split: split}
 	if !t.Built() {
 		return res, fmt.Errorf("octree: query on unbuilt tree")
 	}
@@ -224,7 +227,7 @@ func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, touched []
 				if err != nil {
 					return res, err
 				}
-				res.Refined++
+				res.Split = append(res.Split, leaf.key)
 				for i := range leaf.children {
 					if c := &leaf.children[i]; c.box.Intersects(extended) {
 						res.Touched = append(res.Touched, c)
@@ -300,16 +303,16 @@ func (t *Tree) readLeaf(ctx context.Context, p *Partition, scratch *[]object.Obj
 // RefineRegionStep performs at most one refinement toward the convergence
 // of the region under key for the query window that demanded it: the first
 // leaf under key that intersects the (extended) window and whose volume
-// still exceeds rt times qVol is refined. It reports whether a refinement
-// happened — false means the region has converged for this demand. The
-// caller must hold the tree's write lock; a background scheduler calls it
-// in a lock-release loop so queries interleave between steps instead of
-// waiting out a whole region's convergence. The context carries the
-// caller's QoS scope — the maintenance scheduler's refinement
-// I/O is charged as PriMaintenance through it.
-func (t *Tree) RefineRegionStep(ctx context.Context, key Key, q geom.Box, qVol float64) (bool, error) {
+// still exceeds rt times qVol is refined. It reports the key of the leaf it
+// split and whether a refinement happened — false means the region has
+// converged for this demand. The caller must hold the tree's write lock; a
+// background scheduler calls it in a lock-release loop so queries interleave
+// between steps instead of waiting out a whole region's convergence. The
+// context carries the caller's QoS scope — the maintenance scheduler's
+// refinement I/O is charged as PriMaintenance through it.
+func (t *Tree) RefineRegionStep(ctx context.Context, key Key, q geom.Box, qVol float64) (Key, bool, error) {
 	if !t.Built() {
-		return false, nil
+		return Key{}, false, nil
 	}
 	stack := t.AppendLeavesUnder(nil, key)
 	if len(stack) == 0 {
@@ -330,9 +333,9 @@ func (t *Tree) RefineRegionStep(ctx context.Context, key Key, q geom.Box, qVol f
 		scratch := pagefile.GetObjSlice()
 		defer pagefile.PutObjSlice(scratch)
 		_, err := t.refineCtx(ctx, p, scratch)
-		return err == nil, err
+		return p.key, err == nil, err
 	}
-	return false, nil
+	return Key{}, false, nil
 }
 
 // TargetLevels returns the number of refinement levels (queries hitting the

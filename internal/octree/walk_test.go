@@ -59,7 +59,7 @@ func walkTree(t *testing.T, bounds geom.Box, ppl int, seed int64) *Tree {
 		}
 		for _, c := range at {
 			for step := true; step; {
-				if step, err = tree.RefineRegionStep(ctx, Key{}, geom.Box{Min: c, Max: c}, qVol); err != nil {
+				if _, step, err = tree.RefineRegionStep(ctx, Key{}, geom.Box{Min: c, Max: c}, qVol); err != nil {
 					t.Fatal(err)
 				}
 			}

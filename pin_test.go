@@ -177,10 +177,11 @@ func pinPages(t *testing.T, ex *Explorer, n int) string {
 // repeatable (20 of 20 runs at the recording commit) because a single
 // maintenance worker then runs each query's refinements and merge in a
 // fixed order. Its clock was re-recorded when publishes began dropping only
-// the cached cells they change, and again when refinements and merge copies
-// began taking the cells the result cache holds instead of reading them
-// from the device; both times its page counts, layout, results and stored
-// pages held. The stored pages — every page of every tree and merge file —
+// the cached cells they change, when refinements and merge copies began
+// taking the cells the result cache holds instead of reading them from the
+// device, and when a refinement began dropping only the cells it split and
+// a merge regrouping the cached cells it gave a directory; each time its
+// page counts, layout, results and stored pages held. The stored pages — every page of every tree and merge file —
 // were recorded for all five rows at the commit before the second change.
 //
 // share-segments pins no clock: at the recording commit its page counts and
@@ -208,7 +209,7 @@ func TestPaperClockPinned(t *testing.T) {
 				"94d907f5adb425b7"}},
 		{"serving", Options{
 			AsyncMaintenance: true, CacheResults: true, AdaptiveCache: true, HeatHalfLife: 64,
-		}, pinGolden{1795367000, 276, 1455, 1586, "cd5af44a3327ae4f", "d2ffad6ef41806e1",
+		}, pinGolden{1795319600, 276, 1455, 1586, "cd5af44a3327ae4f", "d2ffad6ef41806e1",
 			"92603d77e8c8001f"}},
 	}
 	// The engine settings of the rows beyond what Options carries.
