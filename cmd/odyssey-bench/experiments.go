@@ -298,7 +298,7 @@ func runScenarioMode(p *params, f *fixture, w workload.ScenarioWorkload, mode sc
 		Refinements:   ps.after.metrics.Refinements - ps.before.metrics.Refinements,
 		Merges:        ps.after.metrics.PartitionsMerged - ps.before.metrics.PartitionsMerged,
 		latencyReport: ps.latency(func(o outcome) time.Duration { return o.e2e }),
-		CacheHits:     cs.Hits - cs0.Hits + cs.ContainmentHits - cs0.ContainmentHits,
+		CacheHits:     cs.Hits - cs0.Hits,
 		GhostHits:     cs.GhostHits - cs0.GhostHits, FinalCapacity: cs.Capacity,
 		CapGrows: cs.CapacityGrows - cs0.CapacityGrows, CapShrinks: cs.CapacityShrinks - cs0.CapacityShrinks,
 		Batches: ps.admission.Batches,

@@ -72,16 +72,15 @@ type Options struct {
 	// (dataset, cell) — a tree partition or a merge segment — within a
 	// layout epoch instead of reading it again (see SharingStats), and
 	// completed partition scans are retained keyed on (dataset, cell) and
-	// answer later queries of the same cell — or queries whose range a
-	// cached region fully contains (containment answering) — with zero
-	// device reads. A cell's content does not depend on the layout, so an
-	// entry survives layout changes; a refinement drops the cells it split
-	// and their ancestors, and a merge regroups the cached cells it published
-	// with a child directory, so what is cached stays as fine and as indexed
-	// as the layout. Refinements and
-	// merge copies take the cells the cache holds instead of reading them
-	// from the device, and write the same pages. Query results are
-	// byte-identical to an uncached run. See CacheStats for the ledger.
+	// answer later queries of the same cell with zero device reads. A cell's
+	// content does not depend on the layout, so an entry survives layout
+	// changes; a refinement drops the cells it split and their ancestors,
+	// and a merge regroups the cached cells it published with a child
+	// directory, so what is cached stays as fine and as indexed as the
+	// layout. Refinements and merge copies take the cells the cache holds
+	// instead of reading them from the device, and write the same pages.
+	// Query results are byte-identical to an uncached run. See CacheStats
+	// for the ledger.
 	// Default off: every query pays its own reads, and behaviour is
 	// bit-for-bit the original model. (A cold dataset's level-0 first-touch
 	// build is single-flight per dataset either way.)
@@ -479,9 +478,9 @@ func (e *Explorer) SetRetryPolicy(p RetryPolicy) { e.dev.SetRetryPolicy(p) }
 // can count.
 func (e *Explorer) SharingStats() SharingStats { return e.engine.SharingStats() }
 
-// CacheStats returns the result-cache ledger (Options.CacheResults): exact
-// and containment hits, queries served with zero device reads, inserts,
-// evictions, and invalidations. All zeros when caching is off.
+// CacheStats returns the result-cache ledger (Options.CacheResults): hits,
+// queries served with zero device reads, inserts, evictions, and
+// invalidations. All zeros when caching is off.
 func (e *Explorer) CacheStats() CacheStats { return e.engine.CacheStats() }
 
 // FlushResultCache drops every entry of the result cache (a no-op with

@@ -205,9 +205,7 @@ func TestLiftedCopyReadsGroupedLeavesFromTheDevice(t *testing.T) {
 				dense = leaf
 			}
 		}
-		// Without the cache, which would answer it by containment, a window
-		// a fifteenth of the cell's volume refines the cell one level.
-		eng.FlushResultCache()
+		// A window a fifteenth of the cell's volume refines the cell one level.
 		query(geom.BoxFromCenter(dense.Box().Center(), geom.Splat(0.05)), 0)
 		query(geom.UnitBox(), dss...)
 		grouped := 0
@@ -221,7 +219,7 @@ func TestLiftedCopyReadsGroupedLeavesFromTheDevice(t *testing.T) {
 			}
 			slab := make([]object.Object, len(objs))
 			dir := groupByChildren(nil, eng.bounds, leaf.Key(), tree.FanoutPerDim(), objs, slab)
-			eng.rcache.Insert(0, leaf.Key(), nil, eng.layoutEpoch.Load(), leaf.Box(), cellContent{objs: slab, children: dir})
+			eng.rcache.Insert(0, leaf.Key(), nil, eng.layoutEpoch.Load(), cellContent{objs: slab, children: dir})
 			grouped++
 		}
 		if grouped == 0 {

@@ -25,13 +25,12 @@ var childDirBounds = []geom.Box{
 
 // premiseHolds reports whether every object of objs intersecting q has its
 // center inside ext — the premise of the whole read path: the tree walk
-// reads the leaves ext meets, a containment answer needs ext inside a cached
-// region, and keepCell the children ext meets. The directory is exact under
+// reads the leaves ext meets, and keepCell the children ext meets. The directory is exact under
 // it; an input violating it (a center a rounding step outside ext) would be
 // missed by the walk as well.
 func premiseHolds(objs []object.Object, q, ext geom.Box) bool {
 	for i := range objs {
-		if objs[i].Intersects(q) && !ext.ContainsPoint(objs[i].Center) {
+		if objs[i].Intersects(q) && !ext.Intersects(geom.Box{Min: objs[i].Center, Max: objs[i].Center}) {
 			return false
 		}
 	}
@@ -398,7 +397,7 @@ func TestDirectoryTravelsWithContent(t *testing.T) {
 	t.Run("flight/partition-reader-attaches-to-segment", func(t *testing.T) {
 		f := setup(t, cacheConfig())
 		inFlight(t, f, func(read func() (cellContent, error)) {
-			if _, err := f.eng.readCell(context.Background(), 0, f.entry, nil, geom.Box{}, func(context.Context) (cellContent, error) {
+			if _, err := f.eng.readCell(context.Background(), 0, f.entry, nil, func(context.Context) (cellContent, error) {
 				return read()
 			}); err != nil {
 				t.Error(err)

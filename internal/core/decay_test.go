@@ -143,15 +143,15 @@ func TestResultCacheDecayReleasesStaleHotspot(t *testing.T) {
 	two := []object.Object{{ID: 1}, {ID: 2}}
 
 	// Phase 1: a is the hotspot — inserted and hit repeatedly at tick 0.
-	c.Insert(0, a, nil, 0, geom.UnitBox(), cellContent{objs: two})
+	c.Insert(0, a, nil, 0, cellContent{objs: two})
 	for i := 0; i < 7; i++ {
 		c.Lookup(0, a)
 	}
 	// Phase 2, 20 ticks later: the hotspot migrated; b arrives once.
 	tick = 20
-	c.Insert(0, b, nil, 0, geom.UnitBox(), cellContent{objs: two})
+	c.Insert(0, b, nil, 0, cellContent{objs: two})
 	// Capacity overflow: the decayed-out a must go, not the fresh b.
-	c.Insert(0, cc, nil, 0, geom.UnitBox(), cellContent{objs: two})
+	c.Insert(0, cc, nil, 0, cellContent{objs: two})
 
 	if _, ok := c.Lookup(0, a); ok {
 		t.Fatal("stale hotspot entry survived eviction despite decay")
@@ -175,7 +175,7 @@ func TestResultCacheAdaptiveGrowsOnGhostHits(t *testing.T) {
 		for i := 0; i < 3000; i++ {
 			k := testKeyAt(6, uint32(i%64), uint32(i/64), 0)
 			if _, ok := c.Lookup(0, k); !ok {
-				c.Insert(0, k, nil, 0, geom.UnitBox(), cellContent{objs: one})
+				c.Insert(0, k, nil, 0, cellContent{objs: one})
 			}
 		}
 	}
@@ -198,7 +198,7 @@ func TestResultCacheAdaptiveShrinksWhenIdle(t *testing.T) {
 	// A tiny steady working set: 4 entries, hit over and over.
 	one := []object.Object{{ID: 1}}
 	for i := 0; i < 4; i++ {
-		c.Insert(0, testKeyAt(2, uint32(i), 0, 0), nil, 0, geom.UnitBox(), cellContent{objs: one})
+		c.Insert(0, testKeyAt(2, uint32(i), 0, 0), nil, 0, cellContent{objs: one})
 	}
 	for op := 0; op < 3*tuneEvery; op++ {
 		c.Lookup(0, testKeyAt(2, uint32(op%4), 0, 0))

@@ -47,8 +47,7 @@ type Config struct {
 	// query attaches to another query's in-flight read of the same
 	// (dataset, cell) — partition or merge segment — within a layout epoch,
 	// and completed partition scans and merge-segment reads are retained
-	// keyed on (dataset, cell), so later queries of the same cells — and
-	// queries whose extended window is contained in a cached region — are
+	// keyed on (dataset, cell), so later queries of the same cells are
 	// answered without device reads. A cached cell stays exact across layout
 	// changes; a refinement drops the cells it split and their ancestors,
 	// and a merge regroups the cached keys it published with a child
@@ -134,7 +133,7 @@ type Metrics struct {
 	Phases             PhaseTimes
 	// ObjectsTested and ObjectsKept are the query filter's input and output,
 	// summed over queries: the objects tested against a query window — of
-	// tree leaves, merge segments and containment answers alike — and the
+	// tree leaves and merge segments alike — and the
 	// matches returned. A merge segment stored with a directory is tested
 	// only in the grid cells the window meets.
 	ObjectsTested int64
@@ -292,7 +291,7 @@ func (o *Odyssey) AddRaw(raw *rawfile.Raw) error {
 		// read in file order; whatever answers its key, the walk filters the
 		// objects whole.
 		tree.ShareReader = func(ctx context.Context, p *octree.Partition, read func(context.Context) ([]object.Object, error)) ([]object.Object, error) {
-			c, err := o.readCell(ctx, ds, p.Key(), p, p.Box(), func(ctx context.Context) (cellContent, error) {
+			c, err := o.readCell(ctx, ds, p.Key(), p, func(ctx context.Context) (cellContent, error) {
 				objs, err := read(ctx)
 				return cellContent{objs: objs}, err
 			})
@@ -457,7 +456,8 @@ type queryScratch struct {
 	ordered []object.DatasetID  // the requested datasets, sorted, duplicates dropped
 	exts    []geom.Box          // per dataset of ordered, the window its walk trusts (see queryAcc.ext)
 	leaves  []*octree.Partition // the current walk's leaves hit (QueryResult.Touched)
-	touched []octree.Key        // every leaf hit, for the combination's partition set
+	touched []octree.Key        // every leaf hit that the combination's own merge file does not serve, for its partition set
+	own     []*octree.Partition // the current walk's leaves the combination's own merge file serves, in walk order
 	split   []octree.Key        // the leaves the current refining walk split (QueryResult.Split)
 	served  []mergeRead         // segments readMerged owes, one per served leaf until it dedups them
 	hits    []cellContent       // readMerged's current run of cache hits, filtered outside the cache lock
@@ -471,15 +471,16 @@ const maxPooledQueryKeys = 1 << 12
 
 // release empties the slices and returns the scratch to the pool.
 func (qs *queryScratch) release() {
-	if max(cap(qs.ordered), cap(qs.leaves), cap(qs.touched), cap(qs.split), cap(qs.served), cap(qs.hits)) > maxPooledQueryKeys {
+	if max(cap(qs.ordered), cap(qs.leaves), cap(qs.touched), cap(qs.own), cap(qs.split), cap(qs.served), cap(qs.hits)) > maxPooledQueryKeys {
 		return
 	}
 	// The pool must keep no tree partition or evicted cell alive.
 	clear(qs.leaves[:cap(qs.leaves)])
+	clear(qs.own[:cap(qs.own)])
 	clear(qs.served[:cap(qs.served)])
 	clear(qs.hits[:cap(qs.hits)])
 	qs.ordered, qs.exts, qs.leaves, qs.touched = qs.ordered[:0], qs.exts[:0], qs.leaves[:0], qs.touched[:0]
-	qs.split, qs.served, qs.hits = qs.split[:0], qs.served[:0], qs.hits[:0]
+	qs.own, qs.split, qs.served, qs.hits = qs.own[:0], qs.split[:0], qs.served[:0], qs.hits[:0]
 	queryScratchPool.Put(qs)
 }
 
@@ -500,7 +501,7 @@ type queryAcc struct {
 	// Accumulated by the read stages.
 	out          []object.Object
 	tested       int // objects the read stages' filters tested; len(out) is what they kept
-	servedLeaves int // leaves among touched that a segment serves
+	servedLeaves int // leaves among touched that a segment of another combination's merge file serves
 	skipped      int // leaves among touched the walks skipped (octree.QueryResult.Skipped)
 	wants        []dsWants
 	phases       PhaseTimes
@@ -521,7 +522,7 @@ type queryAcc struct {
 // routed merge file and reset the combination's count. The phase charges
 // stay — the query paid them.
 func (o *Odyssey) restart(acc *queryAcc) {
-	acc.exts, acc.leaves, acc.touched, acc.served = acc.exts[:0], acc.leaves[:0], acc.touched[:0], acc.served[:0]
+	acc.exts, acc.leaves, acc.touched, acc.own, acc.served = acc.exts[:0], acc.leaves[:0], acc.touched[:0], acc.own[:0], acc.served[:0]
 	acc.out, acc.tested, acc.servedLeaves, acc.skipped, acc.wants = acc.out[:0], 0, 0, 0, acc.wants[:0]
 	acc.repaired = true
 	if !o.cfg.DisableMerging {
@@ -533,14 +534,22 @@ func (o *Odyssey) restart(acc *queryAcc) {
 }
 
 // serve books leaf as served by the routed merge file's segment seg for
-// (ds, entry); several leaves may share a segment, which is read once.
+// (ds, entry); several leaves may share a segment, which is read once. A leaf
+// the combination's own file serves is set aside, to be left out of touched:
+// a merge step skips every candidate its own file covers
+// (stagedMerge.covering), so recording it would only grow the combination's
+// partition set.
 func (a *queryAcc) serve(ds object.DatasetID, entry octree.Key, seg segment, leaf *octree.Partition) {
 	r := mergeRead{entry: entry, ds: ds, start: seg.run.Start}
 	if leaf.Key() == entry {
 		r.leaf = leaf
 	}
 	a.served = append(a.served, r)
-	a.servedLeaves++
+	if a.mf.combo == a.combo {
+		a.own = append(a.own, leaf)
+	} else {
+		a.servedLeaves++
+	}
 }
 
 // ext returns the window readDataset recorded for ds, a requested dataset:
@@ -710,7 +719,7 @@ func (o *Odyssey) read(ctx context.Context, acc *queryAcc) error {
 }
 
 // readDataset is stage two, run once per dataset: make sure level 0 exists,
-// then answer from a cached region containing the query, or walk the tree.
+// then walk the tree.
 // Leaves the routed merge file covers are left to readMerged (and, per
 // §3.2.2, not refined). With a maintainer attached the walk is read-only
 // under the shared tree lock and reports the leaves that want refining; with
@@ -725,12 +734,7 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 	acc.phases.LevelZeroBuild += built
 
 	lk.RLock()
-	ext := acc.q.Expand(tree.MaxExtent())
-	acc.exts = append(acc.exts, ext)
-	if o.rcache != nil && o.answerContained(acc, ds, ext) {
-		lk.RUnlock()
-		return nil
-	}
+	acc.exts = append(acc.exts, acc.q.Expand(tree.MaxExtent()))
 	// covered is the side-effect-free twin of serve, so leaves served from
 	// the merge file do not force the exclusive path.
 	var serve, covered func(*octree.Partition) bool
@@ -779,9 +783,16 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 	}
 	acc.phases.Refinement += res.RefineTime
 	acc.phases.TreeReads += res.ReadTime
+	// The walk reports the leaves it served in the order it served them.
+	own := acc.own
 	for _, p := range res.Touched {
+		if len(own) > 0 && p == own[0] {
+			own = own[1:]
+			continue
+		}
 		acc.touched = append(acc.touched, p.Key())
 	}
+	acc.own = acc.own[:0]
 	return nil
 }
 
@@ -823,23 +834,6 @@ func (o *Odyssey) ensureBuilt(ctx context.Context, ds object.DatasetID, tree *oc
 	return 0, nil
 }
 
-// answerContained tries to answer one dataset's share of a query entirely
-// from the result cache: ext, the query window extended by the tree's max
-// object half-extent, is probed against the cached regions. On a hit the
-// region's content is filtered by the original query box — exact, because
-// objects are keyed by center: every object intersecting q has its center
-// inside the extended window, hence inside the region. No walk, no merge
-// routing, zero device reads for this dataset; partition statistics are not
-// accumulated either (the layout keeps converging from the queries that do
-// walk). Only called with caching on.
-func (o *Odyssey) answerContained(acc *queryAcc, ds object.DatasetID, ext geom.Box) bool {
-	c, cell, ok := o.rcache.AnswerContained(ds, acc.fanout, ext)
-	if ok {
-		o.keepContent(acc, ds, cell, c)
-	}
-	return ok
-}
-
 // keepContent filters one cell of ds into the result. The cell's key box and
 // the dataset's window, which a child directory is read through, are worked
 // out only for content that has one: the cached query's cells are one page.
@@ -856,8 +850,7 @@ func (o *Odyssey) keepContent(acc *queryAcc, ds object.DatasetID, cell octree.Ke
 // so the device sees a (mostly) sequential pass over the merge file. Segments
 // are cells like partitions: a segment is the full per-dataset content of its
 // entry cell, and merged cells are frozen coarse (merged partitions are never
-// refined, §3.2.2), which makes their cached regions the prime source of
-// containment answers — and why a segment of more than one page is stored
+// refined, §3.2.2) — which is why a segment of more than one page is stored
 // grouped on a grid over its entry cell, so that it is filtered only in the
 // grid cells the dataset's extended window meets (keepCell). With the result
 // cache on, every run of consecutive hits is answered under one shared
@@ -909,11 +902,7 @@ func (o *Odyssey) readMerged(ctx context.Context, acc *queryAcc) error {
 // scratch is the pooled destination of a read nobody else can see, nil when
 // the read may be retained or shared.
 func (o *Odyssey) readSegment(ctx context.Context, acc *queryAcc, r mergeRead, scratch *[]object.Object) (cellContent, error) {
-	var box geom.Box
-	if o.rcache != nil {
-		box = EntryBox(o.bounds, r.entry, acc.fanout) // what the insert keys containment on
-	}
-	return o.readCell(ctx, r.ds, r.entry, r.leaf, box, func(ctx context.Context) (cellContent, error) {
+	return o.readCell(ctx, r.ds, r.entry, r.leaf, func(ctx context.Context) (cellContent, error) {
 		var dst []object.Object
 		if scratch != nil {
 			dst = (*scratch)[:0]
@@ -928,10 +917,10 @@ func (o *Odyssey) readSegment(ctx context.Context, acc *queryAcc, r mergeRead, s
 
 // record is stage four, the query's one statsMu section on the steady-state
 // path: it books the phase charges and partition counts, adds the touched
-// leaves to the combination's partition set and snapshots what the merge-due
-// test needs, then advances the merger's adaptation clock and — while the
-// layout lock the coverage scan needs is still held — decides whether a
-// merge step is due. The read side is complete here; a cache scope no I/O
+// leaves its own merge file does not serve to the combination's partition
+// set and snapshots what the merge-due test needs, then advances the
+// merger's adaptation clock and — while the layout lock the coverage scan
+// needs is still held — decides whether a merge step is due. The read side is complete here; a cache scope no I/O
 // layer marked means every partition and segment came from the result cache
 // (or another query's in-flight scan) — the query cost zero device reads.
 func (o *Odyssey) record(ctx context.Context, acc *queryAcc) {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"iter"
 	"math"
-	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -22,15 +21,14 @@ import (
 const DefaultCacheCapacity = 1 << 17
 
 // cachedScan is one completed partition or merge-segment scan the cache
-// retains: the full content of region (a cell box), with the child directory
-// of the content it is (see cellContent). Everything but its eviction state
+// retains: the full content of its cell, with the child directory of the
+// content it is (see cellContent). Everything but its eviction state
 // and its content field is immutable once inserted, and the content field
 // changes only from file order to the same objects grouped (Regroup): the
 // content is shared with every query the entry answers and must be treated
 // as read-only (the engine only filters from it — objects are values).
 type cachedScan struct {
 	key     scanKey
-	region  geom.Box
 	content cellContent
 	// part is the tree partition whose key the entry stores, marked while the
 	// entry is cached (nil when the read that inserted it did not know it).
@@ -130,30 +128,6 @@ func (h *coldHeap) Pop() any {
 	return it
 }
 
-// maxProbeLevel is the deepest cell level the containment probe indexes:
-// octree.CellAt cannot address a grid of more than 2^32 cells a side, which
-// every fanout (>= 2) exceeds past level 31.
-const maxProbeLevel = 31
-
-// levelIndex counts one dataset's cached entries per cell level, with a bit
-// per occupied level, so the containment probe visits exactly the levels
-// that can hit, deepest first.
-type levelIndex struct {
-	mask  uint32
-	count [maxProbeLevel + 1]int32
-}
-
-func (l *levelIndex) add(level uint32, delta int32) {
-	if level > maxProbeLevel {
-		return
-	}
-	if l.count[level] += delta; l.count[level] > 0 {
-		l.mask |= 1 << level
-	} else {
-		l.mask &^= 1 << level
-	}
-}
-
 // resultCache is the result cache behind Config.CacheResults: completed
 // partition scans and merge-segment reads are retained keyed on (dataset,
 // cell), so a later query of the same cell is served without touching the
@@ -184,12 +158,6 @@ func (l *levelIndex) add(level uint32, delta int32) {
 // Merger.cachedLeaf). Maintenance reads entries through Peek, read-only and
 // unbooked: adapting the layout never changes what the cache thinks is hot.
 //
-// Beyond exact per-cell hits, the cache answers by containment: a query
-// whose extended window lies inside a cached region is answered by
-// filtering that region's objects — objects are keyed by center, so every
-// object intersecting the query has its center inside the extended window
-// and therefore inside the cached cell. AnswerContained is the probe.
-//
 // An entry also marks the tree partition whose key it stores, when the read
 // that inserted it knew the partition (octree.Partition.SetMarked), and every
 // removal clears the mark under the exclusive lock: a read-only walk leaves a
@@ -200,9 +168,8 @@ func (l *levelIndex) add(level uint32, delta int32) {
 //
 // Locking: mu is a leaf lock (never held while acquiring any engine lock).
 // Content is immutable and outlives its entry, so a caller may use what a
-// lookup returned after a drop removed it or a regroup replaced it. A hit —
-// exact or by containment — holds mu shared: a map lookup and the atomics of
-// cachedScan.touch.
+// lookup returned after a drop removed it or a regroup replaced it. A hit
+// holds mu shared: a map lookup and the atomics of cachedScan.touch.
 // Everything that changes the cache's structure or an entry's content holds
 // it exclusively: a miss (ghost accounting), Insert and its evictions, the
 // tuner, DropKeys, Regroup's swaps and Invalidate.
@@ -220,12 +187,9 @@ type resultCache struct {
 	mu       sync.RWMutex
 	capacity int64 // max cached objects across all entries
 	entries  map[scanKey]*cachedScan
-	// levels indexes the cached cell levels per dataset for the containment
-	// probe.
-	levels  map[object.DatasetID]*levelIndex
-	cold    coldHeap
-	objects int64 // cached objects across all entries
-	seq     int64 // FIFO tiebreak for equal heat
+	cold     coldHeap
+	objects  int64 // cached objects across all entries
+	seq      int64 // FIFO tiebreak for equal heat
 
 	// Adaptive capacity (Config.AdaptiveCache): evicted keys linger as
 	// shadow-LRU ghosts; a miss that hits a ghost is a capacity miss — the
@@ -248,13 +212,12 @@ type resultCache struct {
 	grows          int64
 	shrinks        int64
 
-	hits            atomic.Int64
-	containmentHits atomic.Int64
-	misses          atomic.Int64
-	inserts         atomic.Int64
-	evictions       atomic.Int64
-	invalidations   atomic.Int64
-	zeroReads       atomic.Int64
+	hits          atomic.Int64
+	misses        atomic.Int64
+	inserts       atomic.Int64
+	evictions     atomic.Int64
+	invalidations atomic.Int64
+	zeroReads     atomic.Int64
 }
 
 // Adaptive-capacity tuning constants: the ghost list remembers up to
@@ -280,7 +243,6 @@ func newResultCache(bounds geom.Box, capacity int64, epoch *atomic.Int64) *resul
 		epoch:    epoch,
 		capacity: capacity,
 		entries:  make(map[scanKey]*cachedScan),
-		levels:   make(map[object.DatasetID]*levelIndex),
 	}
 }
 
@@ -472,78 +434,17 @@ func (c *resultCache) LookupRun(hits []cellContent, reads []mergeRead) []cellCon
 	return hits
 }
 
-// AnswerContained probes for a cached region of ds containing ext, the query
-// window already extended by the tree's max object half-extent. Because
-// cached regions are cell boxes of the uniform k^level grid, the only
-// candidate at each level is the cell containing ext's min corner — one map
-// lookup per cached level whose cells are as wide as ext, not a scan. Levels
-// are probed deepest first: of several regions containing the window the
-// smallest answers, the one with the fewest objects to filter (and always the
-// same one). The returned content is the full region content and cell the
-// key it is cached under (a child directory indexes the content by the key's
-// box); the caller filters by the original query box. The probe shares the
-// lock like any hit.
-func (c *resultCache) AnswerContained(ds object.DatasetID, fanout int, ext geom.Box) (content cellContent, cell octree.Key, ok bool) {
-	c.mu.RLock()
-	content, cell, ok = c.probe(ds, fanout, ext)
-	c.mu.RUnlock()
-	if ok {
-		c.containmentHits.Add(1)
-	}
-	return content, cell, ok
-}
-
-// probe is AnswerContained under mu, held shared.
-func (c *resultCache) probe(ds object.DatasetID, fanout int, ext geom.Box) (cellContent, octree.Key, bool) {
-	lv := c.levels[ds]
-	if lv == nil {
-		return cellContent{}, octree.Key{}, false
-	}
-	size, span := c.bounds.Size(), ext.Size()
-	for mask := lv.mask; mask != 0; {
-		level := uint32(bits.Len32(mask) - 1)
-		mask &^= 1 << level
-		if !wideEnough(size, span, fanout, level) {
-			continue
-		}
-		cell, ok := octree.CellAt(c.bounds, fanout, level, ext.Min)
-		if !ok {
-			continue
-		}
-		it, ok := c.entries[scanKey{ds: ds, cell: cell}]
-		if !ok || !it.region.Contains(ext) {
-			continue
-		}
-		it.touch(c.now(), c.halfLife)
-		return it.content, cell, true
-	}
-	return cellContent{}, octree.Key{}, false
-}
-
-// wideEnough reports whether a cell of the fanout^level grid over a volume of
-// the given size is at least span wide on every axis, as a cell containing a
-// window of that span must be. The margin, 1e-9 of the volume's side, errs
-// toward yes: it is far above the rounding of a cell box's faces, so a level
-// it rules out holds no cell containing the window.
-func wideEnough(size, span geom.Vec, fanout int, level uint32) bool {
-	cells := math.Pow(float64(fanout), float64(level))
-	return span.X <= (size.X/cells)+1e-9*size.X &&
-		span.Y <= (size.Y/cells)+1e-9*size.Y &&
-		span.Z <= (size.Z/cells)+1e-9*size.Z
-}
-
-// Insert retains a completed scan of (ds, cell): region is the cell box
-// content is the full content of, epoch the layout epoch loaded before the
-// read began, part the tree partition at cell the read served, if it knew it
-// (nil otherwise), which the entry marks while it is cached. The read is kept only if that epoch is still current: a
-// publish advances the epoch before it drops what it changed, so a read that
-// raced one — and may hold the cell as it was laid out before — is never
-// kept past the drop. Entries larger than the whole budget are not
+// Insert retains a completed scan of (ds, cell): content is the cell's full
+// content, epoch the layout epoch loaded before the read began, part the tree
+// partition at cell the read served, if it knew it (nil otherwise), which the
+// entry marks while it is cached. The read is kept only if that epoch is
+// still current: a publish advances the epoch before it drops what it
+// changed, so a read that raced one — and may hold the cell as it was laid
+// out before — is never kept past the drop. Entries larger than the whole budget are not
 // admitted; otherwise the coldest entries are evicted until the new one
 // fits. Re-inserting a present key replaces its content and keeps its heat —
-// the region is evidently hot.
-func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, part *octree.Partition, epoch int64,
-	region geom.Box, content cellContent) {
+// the cell is evidently hot.
+func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, part *octree.Partition, epoch int64, content cellContent) {
 	key := scanKey{ds: ds, cell: cell}
 	objs := content.objs
 	c.mu.Lock()
@@ -567,7 +468,7 @@ func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, part *octree.
 		}
 		c.grows++
 	}
-	it := &cachedScan{key: key, region: region, content: content, part: part, posHeat: 1}
+	it := &cachedScan{key: key, content: content, part: part, posHeat: 1}
 	if c.halfLife > 0 {
 		it.posScore = newScore(c.tick(), c.halfLife)
 	}
@@ -599,12 +500,6 @@ func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, part *octree.
 	if part != nil {
 		part.SetMarked(true)
 	}
-	lv := c.levels[ds]
-	if lv == nil {
-		lv = new(levelIndex)
-		c.levels[ds] = lv
-	}
-	lv.add(cell.Level, 1)
 	c.objects += int64(len(objs))
 	if c.objects > c.peakObjects {
 		c.peakObjects = c.objects
@@ -619,14 +514,13 @@ func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, part *octree.
 	c.inserts.Add(1)
 }
 
-// removeLocked unlinks one entry from the map, the heap, the level index
-// and the object budget, and clears its mark. Caller holds mu exclusively.
+// removeLocked unlinks one entry from the map, the heap and the object
+// budget, and clears its mark. Caller holds mu exclusively.
 func (c *resultCache) removeLocked(it *cachedScan) {
 	it.unmark()
 	delete(c.entries, it.key)
 	heap.Remove(&c.cold, it.index)
 	c.objects -= int64(len(it.content.objs))
-	c.levels[it.key.ds].add(it.key.cell.Level, -1)
 }
 
 // DropKeys removes the entries of keys: a refinement split the cells, or
@@ -651,8 +545,8 @@ func (c *resultCache) DropKeys(keys iter.Seq[scanKey]) {
 // merge file's entries, at the trees' fanout. An entry holding in file order
 // the cell of a segment with a child directory takes the content a read of
 // the segment returns: its objects grouped on the segment's grid
-// (groupByChildren), with the segment's directory. The entry keeps its heat,
-// region and mark, and the swap is not an invalidation. Every tree partition
+// (groupByChildren), with the segment's directory. The entry keeps its heat
+// and mark, and the swap is not an invalidation. Every tree partition
 // holds its cell's objects in raw-file order (see octree.Tree.Rederive), as
 // does the one-leaf copy a merge groups, so the regrouped objects are byte
 // for byte the segment's; an entry whose count or regrouped directory
@@ -735,7 +629,6 @@ func (c *resultCache) Invalidate() {
 			it.unmark()
 		}
 		c.entries = make(map[scanKey]*cachedScan)
-		c.levels = make(map[object.DatasetID]*levelIndex)
 		c.cold = nil
 		c.objects = 0
 	}
@@ -754,7 +647,6 @@ func (c *resultCache) Stats() CacheStats {
 	c.mu.RUnlock()
 	return CacheStats{
 		Hits:            c.hits.Load(),
-		ContainmentHits: c.containmentHits.Load(),
 		Misses:          c.misses.Load(),
 		Inserts:         c.inserts.Load(),
 		Evictions:       c.evictions.Load(),

@@ -108,21 +108,6 @@ func (m *eagerCache) lookup(key scanKey) (cellContent, bool) {
 	return cellContent{}, false
 }
 
-// contained probes the cached levels deepest first, as the cache documents.
-func (m *eagerCache) contained(ds object.DatasetID, fanout int, ext geom.Box) (cellContent, octree.Key, bool) {
-	for level := 32; level >= 0; level-- {
-		cell, ok := octree.CellAt(m.bounds, fanout, uint32(level), ext.Min)
-		if !ok {
-			continue
-		}
-		if i := m.find(scanKey{ds: ds, cell: cell}); i >= 0 && cell.Box(m.bounds, fanout).Contains(ext) {
-			m.touch(m.entries[i])
-			return m.entries[i].content, cell, true
-		}
-	}
-	return cellContent{}, octree.Key{}, false
-}
-
 // insert keeps a read that began at epoch at only while at is the current
 // epoch.
 func (m *eagerCache) insert(key scanKey, at, current int64, content cellContent) {
@@ -266,8 +251,7 @@ func (m *eagerCache) drop(drop func(scanKey) bool) {
 }
 
 // TestResultCacheLazyEvictionIsEager drives the cache and the eager model
-// with one seeded sequence of inserts, lookups, containment probes, clock
-// advances, epoch advances, refinement drops (split cells and their
+// with one seeded sequence of inserts, lookups, clock advances, epoch advances, refinement drops (split cells and their
 // ancestors), merge regroups, flushes, and inserts of reads that raced an
 // epoch advance, over two datasets at a capacity that forces evictions —
 // with and without heat decay, with and without the capacity tuner — and
@@ -364,17 +348,12 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 				for i := 0; i < 40000; i++ {
 					key := pick()
 					var got, want cellContent
-					var gotAt, wantAt octree.Key
 					var gotOK, wantOK bool
 					p := r.Float64()
 					switch {
 					case p < 0.75: // a cell read: what misses is inserted below
 						got, gotOK = c.Lookup(key.ds, key.cell)
 						want, wantOK = m.lookup(key)
-					case p < 0.85:
-						ext := geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), 0.05*r.Float64())
-						got, gotAt, gotOK = c.AnswerContained(key.ds, fanout, ext)
-						want, wantAt, wantOK = m.contained(key.ds, fanout, ext)
 					case p < 0.95:
 						tick += int64(r.Intn(12))
 					case p < 0.96: // a publish that drops nothing: a build, an eviction
@@ -427,7 +406,7 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 							parts[key] = new(octree.Partition)
 						}
 						inserted = parts[key]
-						c.Insert(key.ds, key.cell, parts[key], at, key.cell.Box(bounds, fanout), in)
+						c.Insert(key.ds, key.cell, parts[key], at, in)
 						m.insert(key, at, epoch.Load(), in)
 						// What this insert pushed out of the cache, against what it
 						// pushed out of the model: insert by insert, so the victims
@@ -441,9 +420,9 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 							t.Fatalf("op %d, insert of %v: the cache evicted %v, the model %v", i, key, evicted, wantEvicted)
 						}
 					}
-					if gotOK != wantOK || !slices.Equal(got.objs, want.objs) || !slices.Equal(got.children, want.children) || gotAt != wantAt {
-						t.Fatalf("op %d on %v: the cache answered %d objects with directory %v at %v (%v), the model %d with %v at %v (%v)",
-							i, key, len(got.objs), got.children, gotAt, gotOK, len(want.objs), want.children, wantAt, wantOK)
+					if gotOK != wantOK || !slices.Equal(got.objs, want.objs) || !slices.Equal(got.children, want.children) {
+						t.Fatalf("op %d on %v: the cache answered %d objects with directory %v (%v), the model %d with %v (%v)",
+							i, key, len(got.objs), got.children, gotOK, len(want.objs), want.children, wantOK)
 					}
 					if len(c.entries) != len(m.entries) || c.objects != m.objects {
 						t.Fatalf("op %d: the cache holds %d entries / %d objects, the model %d / %d", i, len(c.entries), c.objects, len(m.entries), m.objects)
@@ -518,7 +497,7 @@ func TestResultCacheRunTunesOnCadence(t *testing.T) {
 			served++
 			return
 		}
-		c.Insert(1, cell, nil, epoch.Load(), geom.UnitBox(), content)
+		c.Insert(1, cell, nil, epoch.Load(), content)
 		m.insert(key, epoch.Load(), epoch.Load(), content)
 	}
 	// run is readMerged's run of hits: the model books them one by one.
@@ -680,7 +659,7 @@ func TestResultCacheStorm(t *testing.T) {
 		if at%2 == 0 {
 			dir = []int32{int32(at)}
 		}
-		c.Insert(run[i].ds, run[i].entry, nil, at, run[i].entry.Box(bounds, fanout), cellContent{objs: objs, children: dir})
+		c.Insert(run[i].ds, run[i].entry, nil, at, cellContent{objs: objs, children: dir})
 	}
 	// stale reports content of run[i] read before floor or after hi (the
 	// epoch after the lookup), or that is not one read's, whole.
@@ -774,7 +753,6 @@ func TestResultCacheStorm(t *testing.T) {
 					floors[i].Store(e)
 				}
 			}
-			c.AnswerContained(object.DatasetID(1+r.Intn(2)), fanout, geom.Cube(geom.V(r.Float64(), r.Float64(), r.Float64()), 0.01))
 		}
 	}()
 	// lookup is one cell read as readCell issues it: the epoch loaded first,

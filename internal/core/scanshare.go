@@ -4,7 +4,6 @@ import (
 	"context"
 	"iter"
 
-	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
 	"spaceodyssey/internal/octree"
 	"spaceodyssey/internal/simdisk"
@@ -68,15 +67,14 @@ type cellRead = func(context.Context) (cellContent, error)
 // answers first (an exact hit costs nothing), then the in-flight reads of the
 // cell (scan sharing: a read that outlives its query is what the cache
 // already pays for), then the device read, whose completed result the cache
-// retains for queries that arrive after the read finished. box is the cell's
-// region, which the cache keys containment answering on, and part the tree
+// retains for queries that arrive after the read finished. part is the tree
 // partition at cell the read serves, nil when it is not known, which the
 // cache marks while it holds the cell. Callers hold the shared layout lock —
 // and, for a partition, the dataset's shared tree lock — while publishers
 // take them exclusively, so the cell's bytes cannot change under the read or
 // its attached waiters. The returned content may be shared with concurrent
 // queries and must be treated as read-only.
-func (o *Odyssey) readCell(ctx context.Context, ds object.DatasetID, cell octree.Key, part *octree.Partition, box geom.Box, read cellRead) (cellContent, error) {
+func (o *Odyssey) readCell(ctx context.Context, ds object.DatasetID, cell octree.Key, part *octree.Partition, read cellRead) (cellContent, error) {
 	// Only the goroutine performing the device read marks its own query's
 	// cache scope; queries attached to this read stay clean (they charged no
 	// device read).
@@ -95,7 +93,7 @@ func (o *Odyssey) readCell(ctx context.Context, ds object.DatasetID, cell octree
 	}
 	c, err := o.sharedRead(ctx, flightKey{scanKey{ds: ds, cell: cell}, epoch}, device)
 	if err == nil {
-		o.rcache.Insert(ds, cell, part, epoch, box, c)
+		o.rcache.Insert(ds, cell, part, epoch, c)
 	}
 	return c, err
 }

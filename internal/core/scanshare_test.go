@@ -182,7 +182,7 @@ func newSharedCell(t *testing.T, cfg Config) *sharedCell {
 }
 
 func (c *sharedCell) read(ctx context.Context, read func(context.Context) ([]object.Object, error)) ([]object.Object, error) {
-	got, err := c.eng.readCell(ctx, 0, c.cell, nil, geom.UnitBox(), func(ctx context.Context) (cellContent, error) {
+	got, err := c.eng.readCell(ctx, 0, c.cell, nil, func(ctx context.Context) (cellContent, error) {
 		objs, err := read(ctx)
 		return cellContent{objs: objs}, err
 	})

@@ -26,9 +26,11 @@ type CacheStats struct {
 	// Hits counts partition and merge-segment reads answered from the
 	// cache: an exact (dataset, cell) match.
 	Hits int64
-	// ContainmentHits counts whole per-dataset answers served by filtering
-	// a cached region that contains the query's extended window — zero
-	// device reads, no tree walk.
+	// ContainmentHits is always zero: every dataset of a query walks its
+	// tree, and the cache answers only exact (dataset, cell) lookups. Kept so
+	// that readers of the field still compile.
+	//
+	// Deprecated: read Hits.
 	ContainmentHits int64
 	// Misses counts exact lookups that found nothing.
 	Misses int64

@@ -235,3 +235,59 @@ func TestKeyOfEmptyAndSingle(t *testing.T) {
 		t.Error("KeyOf mutated input")
 	}
 }
+
+// TestRecordLeavesOutWhatItsOwnFileServes pins which touched leaves a query
+// adds to its combination's partition set: not those its combination's own
+// merge file serves, which a merge step would skip as covered, but every
+// leaf a superset's file serves. A triple is queried until its merge file
+// serves every leaf the window touches; with its set emptied, one more query
+// of it records nothing, and a query of a pair inside it, routed to the
+// triple's file, records every leaf that file serves it. Both keep
+// Metrics' meaning: every leaf comes from the merge file, none from a tree.
+func TestRecordLeavesOutWhatItsOwnFileServes(t *testing.T) {
+	eng, _, _ := testSetup(t, 3, 8000, 61, DefaultConfig())
+	q := geom.Cube(geom.V(0.5, 0.5, 0.5), 0.2)
+	triple, pair := []object.DatasetID{0, 1, 2}, []object.DatasetID{0, 1}
+	ask := func(dss []object.DatasetID) (fromTree, fromMerge int) {
+		t.Helper()
+		before := eng.Metrics()
+		if _, err := eng.Query(q, dss); err != nil {
+			t.Fatal(err)
+		}
+		after := eng.Metrics()
+		return after.PartitionsFromTree - before.PartitionsFromTree, after.PartitionsFromMerge - before.PartitionsFromMerge
+	}
+	for i := 0; ; i++ {
+		epoch := eng.layoutEpoch.Load()
+		fromTree, _ := ask(triple)
+		if eng.layoutEpoch.Load() == epoch && fromTree == 0 && eng.merger.file(KeyOf(triple)) != nil {
+			break
+		}
+		if i == 40 {
+			t.Fatal("the triple's merge file does not serve the window after 40 queries")
+		}
+	}
+	own := eng.combos[KeyOf(triple)]
+	eng.statsMu.Lock()
+	own.parts = nil
+	eng.statsMu.Unlock()
+	if fromTree, fromMerge := ask(triple); fromTree != 0 || fromMerge == 0 || len(own.parts) != 0 {
+		t.Fatalf("a query its own merge file serves read %d leaves from trees and %d segments, and recorded %d leaves; want 0, some and 0",
+			fromTree, fromMerge, len(own.parts))
+	}
+
+	if mf, rel := eng.merger.route(KeyOf(pair), pair); rel != RelSuperset || mf != eng.merger.file(KeyOf(triple)) {
+		t.Fatalf("the pair routes %v to %v; want the triple's file as a superset", rel, mf)
+	}
+	fromTree, fromMerge := ask(pair)
+	sup := eng.combos[KeyOf(pair)]
+	if fromTree != 0 || fromMerge == 0 || len(sup.parts) == 0 {
+		t.Fatalf("a query a superset's file serves read %d leaves from trees and %d segments, and recorded %d leaves; want 0, some and some",
+			fromTree, fromMerge, len(sup.parts))
+	}
+	for key := range sup.parts {
+		if !eng.merger.file(KeyOf(triple)).covers(key, eng.trees[0].FanoutPerDim()) {
+			t.Fatalf("the pair recorded %v, which the triple's file does not serve", key)
+		}
+	}
+}

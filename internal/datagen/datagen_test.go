@@ -47,7 +47,7 @@ func TestGenerateRespectsBoundsAndIDs(t *testing.T) {
 			if o.Dataset != 4 {
 				t.Fatalf("%v: object %d has dataset %d", layout, i, o.Dataset)
 			}
-			if !bounds.ContainsPoint(o.Center) {
+			if !bounds.Intersects(geom.Box{Min: o.Center, Max: o.Center}) {
 				t.Fatalf("%v: center %v outside bounds", layout, o.Center)
 			}
 			if err := o.Validate(); err != nil {
@@ -169,7 +169,7 @@ func TestAnatomy(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("anatomy not deterministic")
 		}
-		if !bounds.ContainsPoint(a[i]) {
+		if !bounds.Intersects(geom.Box{Min: a[i], Max: a[i]}) {
 			t.Fatalf("anatomy point %v outside bounds", a[i])
 		}
 	}
@@ -231,7 +231,7 @@ func TestGaussianClampedNotNaN(t *testing.T) {
 		if math.IsNaN(o.Center.X) {
 			t.Fatal("NaN center")
 		}
-		if !b.ContainsPoint(o.Center) {
+		if !b.Intersects(geom.Box{Min: o.Center, Max: o.Center}) {
 			t.Fatalf("center %v escaped bounds", o.Center)
 		}
 		if o.Center.X == 0 || o.Center.X == 1 {

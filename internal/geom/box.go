@@ -57,16 +57,6 @@ func (b Box) Intersects(o Box) bool {
 		b.Min.Z <= o.Max.Z && o.Min.Z <= b.Max.Z
 }
 
-// Contains reports whether o lies entirely inside b.
-func (b Box) Contains(o Box) bool {
-	return b.Min.LessEq(o.Min) && o.Max.LessEq(b.Max)
-}
-
-// ContainsPoint reports whether point p lies inside b (closed).
-func (b Box) ContainsPoint(p Vec) bool {
-	return b.Min.LessEq(p) && p.LessEq(b.Max)
-}
-
 // Intersection returns the overlap of b and o and whether it is non-empty.
 func (b Box) Intersection(o Box) (Box, bool) {
 	min := b.Min.Max(o.Min)

@@ -17,3 +17,13 @@ func (b Box) ContainsPointHalfOpen(p Vec) bool {
 		b.Min.Y <= p.Y && p.Y < b.Max.Y &&
 		b.Min.Z <= p.Z && p.Z < b.Max.Z
 }
+
+// Contains reports whether o lies entirely inside b.
+func (b Box) Contains(o Box) bool {
+	return b.Min.LessEq(o.Min) && o.Max.LessEq(b.Max)
+}
+
+// ContainsPoint reports whether point p lies inside b (closed).
+func (b Box) ContainsPoint(p Vec) bool {
+	return b.Min.LessEq(p) && p.LessEq(b.Max)
+}

@@ -216,7 +216,7 @@ func TestRefinementAllocatesAConstant(t *testing.T) {
 				leaves = append(leaves, p)
 			}
 		}
-		scratch := new([]object.Object)
+		scratch := &objScratch{p: new([]object.Object)}
 		next := 0
 		n := testing.AllocsPerRun(min(len(leaves)-1, 20), func() {
 			if _, err := tree.refineCtx(context.Background(), leaves[next], scratch); err != nil {

@@ -1,6 +1,7 @@
 package octree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -96,10 +97,60 @@ func TestAncestorOfAntisymmetryProperty(t *testing.T) {
 	}
 }
 
+// cellAt is Box's inverse: the key of the cell of the uniform
+// fanout^level grid over bounds that contains point p, false when p lies
+// outside bounds or the level's grid exceeds the key coordinate space. The
+// bounds' far wall belongs to the last cell.
+func cellAt(bounds geom.Box, fanoutPerDim int, level uint32, p geom.Vec) (Key, bool) {
+	if !bounds.Intersects(geom.Box{Min: p, Max: p}) {
+		return Key{}, false
+	}
+	cells := math.Pow(float64(fanoutPerDim), float64(level))
+	if cells > float64(math.MaxUint32) {
+		return Key{}, false
+	}
+	size := bounds.Size()
+	idx := func(lo, sz, v float64) uint32 {
+		i := int64((v - lo) / sz * cells)
+		if i < 0 {
+			i = 0
+		}
+		if i >= int64(cells) {
+			i = int64(cells) - 1
+		}
+		return uint32(i)
+	}
+	return Key{
+		Level: level,
+		X:     idx(bounds.Min.X, size.X, p.X),
+		Y:     idx(bounds.Min.Y, size.Y, p.Y),
+		Z:     idx(bounds.Min.Z, size.Z, p.Z),
+	}, true
+}
+
+// TestCellAt pins cellAt's grid arithmetic: the cell of a point at each
+// level, the clamped far wall, and the out-of-bounds rejection.
+func TestCellAt(t *testing.T) {
+	b := geom.UnitBox()
+	if k, ok := cellAt(b, 2, 1, geom.V(0.75, 0.2, 0.6)); !ok || k != (Key{Level: 1, X: 1, Y: 0, Z: 1}) {
+		t.Fatalf("cellAt level 1 = %v, %v; want {1 1 0 1}", k, ok)
+	}
+	if k, ok := cellAt(b, 2, 0, geom.V(0.3, 0.9, 0.1)); !ok || k != (Key{}) {
+		t.Fatalf("cellAt level 0 = %v, %v; want the root cell", k, ok)
+	}
+	// The far wall belongs to the last cell, not a phantom one past it.
+	if k, ok := cellAt(b, 2, 2, geom.V(1, 1, 1)); !ok || k != (Key{Level: 2, X: 3, Y: 3, Z: 3}) {
+		t.Fatalf("cellAt far corner = %v, %v; want the last cell", k, ok)
+	}
+	if _, ok := cellAt(b, 2, 1, geom.V(1.5, 0, 0)); ok {
+		t.Fatal("point outside bounds mapped to a cell")
+	}
+}
+
 // FuzzKeyAncestor holds the key arithmetic to the geometry it names, for
 // fanouts 2-4 and levels up to 10, in two exploration volumes: a key is its
 // own ancestor at its level, and its child's; AncestorOf(a, b) holds exactly
-// when a's box contains b's; and CellAt maps the center of a key's box back
+// when a's box contains b's; and cellAt maps the center of a key's box back
 // to the key. b is a descendant of a (depth > 0) or any key.
 func FuzzKeyAncestor(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint32(5), uint32(6), uint32(7), uint8(1), uint8(0), uint8(1), uint8(2), uint8(5), uint32(9), uint32(4), uint32(11), false)
@@ -123,8 +174,8 @@ func FuzzKeyAncestor(f *testing.F) {
 		if got := child.Ancestor(a.Level, fanout); got != a {
 			t.Fatalf("child %v of %v has ancestor %v at its level", child, a, got)
 		}
-		if got, ok := CellAt(bounds, fanout, a.Level, a.Box(bounds, fanout).Center()); !ok || got != a {
-			t.Fatalf("CellAt the center of %v's box = %v, %v (fanout %d, bounds %v)", a, got, ok, fanout, bounds)
+		if got, ok := cellAt(bounds, fanout, a.Level, a.Box(bounds, fanout).Center()); !ok || got != a {
+			t.Fatalf("cellAt the center of %v's box = %v, %v (fanout %d, bounds %v)", a, got, ok, fanout, bounds)
 		}
 		b := keyAt(uint32(bLevel%11), bx, by, bz)
 		if d := int(depth % 4); d > 0 && int(a.Level)+d <= 10 {
@@ -140,7 +191,8 @@ func FuzzKeyAncestor(f *testing.F) {
 		contains := func(outer, inner Key) bool {
 			ib := inner.Box(bounds, fanout)
 			s := ib.Size()
-			return outer.Box(bounds, fanout).Expand(geom.Splat(min(s.X, s.Y, s.Z) / 1000)).Contains(ib)
+			grown := outer.Box(bounds, fanout).Expand(geom.Splat(min(s.X, s.Y, s.Z) / 1000))
+			return grown.Union(ib) == grown
 		}
 		for _, p := range [][2]Key{{a, b}, {b, a}} {
 			if got, want := p[0].AncestorOf(p[1], fanout), contains(p[0], p[1]); got != want {

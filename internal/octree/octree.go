@@ -107,11 +107,8 @@ func (k Key) AncestorOf(other Key, fanoutPerDim int) bool {
 }
 
 // Box returns k's cell as a spatial box within bounds, for trees of the
-// given per-dimension fanout. It is the region metadata consumers of
-// partition reads key spatial decisions on: the engine's result cache uses
-// it for containment answering (a query window inside the box is fully
-// answerable from the cell's content), the merger for diagnostics. Keys of
-// live partitions satisfy p.Box() == p.Key().Box(bounds, fanout).
+// given per-dimension fanout. Keys of live partitions satisfy
+// p.Box() == p.Key().Box(bounds, fanout).
 func (k Key) Box(bounds geom.Box, fanoutPerDim int) geom.Box {
 	cellsPerDim := 1
 	for i := uint32(0); i < k.Level; i++ {
@@ -124,37 +121,6 @@ func (k Key) Box(bounds geom.Box, fanoutPerDim int) geom.Box {
 		Z: size.Z * float64(k.Z),
 	})
 	return geom.NewBox(min, min.Add(size))
-}
-
-// CellAt is Box's inverse: the key of the cell of the uniform
-// fanout^level grid over bounds that contains point p, false when p lies
-// outside bounds or the level's grid exceeds the key coordinate space. The
-// bounds' far wall belongs to the last cell.
-func CellAt(bounds geom.Box, fanoutPerDim int, level uint32, p geom.Vec) (Key, bool) {
-	if !bounds.ContainsPoint(p) {
-		return Key{}, false
-	}
-	cells := math.Pow(float64(fanoutPerDim), float64(level))
-	if cells > float64(math.MaxUint32) {
-		return Key{}, false
-	}
-	size := bounds.Size()
-	idx := func(lo, sz, v float64) uint32 {
-		i := int64((v - lo) / sz * cells)
-		if i < 0 {
-			i = 0
-		}
-		if i >= int64(cells) {
-			i = int64(cells) - 1
-		}
-		return uint32(i)
-	}
-	return Key{
-		Level: level,
-		X:     idx(bounds.Min.X, size.X, p.X),
-		Y:     idx(bounds.Min.Y, size.Y, p.Y),
-		Z:     idx(bounds.Min.Z, size.Z, p.Z),
-	}, true
 }
 
 // Partition is a leaf of the tree: a spatial cell plus the disk runs holding

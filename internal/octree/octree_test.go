@@ -565,7 +565,7 @@ func TestRefineNonLeafFails(t *testing.T) {
 	if refined == nil {
 		t.Skip("no refined partition produced")
 	}
-	if _, err := tree.refineCtx(context.Background(), refined, new([]object.Object)); err == nil {
+	if _, err := tree.refineCtx(context.Background(), refined, &objScratch{p: new([]object.Object)}); err == nil {
 		t.Fatal("refining a non-leaf succeeded")
 	}
 }

@@ -26,20 +26,39 @@ func (t *Tree) NeedsRefinement(p *Partition, qVol float64) bool {
 	return p.box.Volume()/qVol > t.cfg.RefinementThreshold
 }
 
+// objScratch is a walk's decode scratch: a slice from pagefile.GetObjSlice
+// that only the walk sees, taken from the pool on first use, so that a walk
+// that decodes nothing into it touches no pool.
+type objScratch struct{ p *[]object.Object }
+
+// get returns the scratch, taking it from the pool on the first call.
+func (s *objScratch) get() *[]object.Object {
+	if s.p == nil {
+		s.p = pagefile.GetObjSlice()
+	}
+	return s.p
+}
+
+// release returns the scratch to the pool, if it was taken.
+func (s *objScratch) release() {
+	if s.p != nil {
+		pagefile.PutObjSlice(s.p)
+	}
+}
+
 // refineCtx splits leaf p into ppl children, reassigning its objects by
 // center and rewriting them in place: children reuse p's pages first and
 // overflow is appended at end of file, exactly as §3.1.2 describes. The
 // objects come from RefineSource when it has them, or else are read into
-// scratch (a slice from pagefile.GetObjSlice that only the caller sees); they
-// are returned — read-only, valid until scratch is next used — so callers
-// answering a query can filter them without a second read. Cancellation is
+// scratch; they are returned — read-only, valid until scratch is next used —
+// so callers answering a query can filter them without a second read. Cancellation is
 // limited to the read phase: aborting while the partition is being read
 // leaves it exactly as it was (runs and children untouched), while the
 // split-and-rewrite phase always runs to completion so the tree can never
 // hold a half-rewritten partition. This is the "check cancellation between
 // level steps, never inside a layout mutation" rule the concurrent storm
 // tests pin down.
-func (t *Tree) refineCtx(ctx context.Context, p *Partition, scratch *[]object.Object) ([]object.Object, error) {
+func (t *Tree) refineCtx(ctx context.Context, p *Partition, scratch *objScratch) ([]object.Object, error) {
 	if !p.IsLeaf() {
 		return nil, fmt.Errorf("octree: refine on non-leaf %v", p.key)
 	}
@@ -50,10 +69,11 @@ func (t *Tree) refineCtx(ctx context.Context, p *Partition, scratch *[]object.Ob
 	}
 	if !ok {
 		var err error
-		if objs, err = t.ReadPartitionIntoCtx(ctx, (*scratch)[:0], p); err != nil {
+		dst := scratch.get()
+		if objs, err = t.ReadPartitionIntoCtx(ctx, (*dst)[:0], p); err != nil {
 			return nil, fmt.Errorf("octree refine read: %w", err)
 		}
-		*scratch = objs // only a device read goes into the caller's scratch
+		*dst = objs // only a device read goes into the caller's scratch
 	}
 	sp := pagefile.GetObjSlice()
 	defer pagefile.PutObjSlice(sp)
@@ -190,8 +210,8 @@ func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, touched []
 	// Every read nobody else can see — a refinement's source, a leaf read
 	// with no ShareReader — decodes into this one slice, filtered before the
 	// next read reuses it.
-	scratch := pagefile.GetObjSlice()
-	defer pagefile.PutObjSlice(scratch)
+	var scratch objScratch
+	defer scratch.release()
 	clock := simdisk.PhaseClock(ctx, t.file.Device())
 	extended := q.Expand(t.maxExtent)
 	qVol := q.Volume()
@@ -222,7 +242,7 @@ func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, touched []
 				// Refinement reads the partition; reuse those objects and
 				// descend to the children actually intersecting the query.
 				t1 := clock.Now()
-				objs, err := t.refineCtx(ctx, leaf, scratch)
+				objs, err := t.refineCtx(ctx, leaf, &scratch)
 				res.RefineTime += clock.Now() - t1
 				if err != nil {
 					return res, err
@@ -240,7 +260,7 @@ func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, touched []
 			res.WantRefine = append(res.WantRefine, leaf.key)
 		}
 		t1 := clock.Now()
-		objs, err := t.readLeaf(ctx, leaf, scratch)
+		objs, err := t.readLeaf(ctx, leaf, &scratch)
 		res.ReadTime += clock.Now() - t1
 		if err != nil {
 			return res, err
@@ -286,17 +306,18 @@ func putLeafScratch(sp *[]*Partition, leaves []*Partition) {
 // queries attach to it), so it is one fresh slice of exactly the partition's
 // size, immutable afterwards. Otherwise nobody else can see it: it decodes
 // into the walk's pooled scratch and is valid until the next read.
-func (t *Tree) readLeaf(ctx context.Context, p *Partition, scratch *[]object.Object) ([]object.Object, error) {
+func (t *Tree) readLeaf(ctx context.Context, p *Partition, scratch *objScratch) ([]object.Object, error) {
 	if t.ShareReader != nil {
 		return t.ShareReader(ctx, p, func(ctx context.Context) ([]object.Object, error) {
 			return t.ReadPartitionIntoCtx(ctx, nil, p)
 		})
 	}
-	objs, err := t.ReadPartitionIntoCtx(ctx, (*scratch)[:0], p)
+	sp := scratch.get()
+	objs, err := t.ReadPartitionIntoCtx(ctx, (*sp)[:0], p)
 	if err != nil {
 		return nil, err
 	}
-	*scratch = objs
+	*sp = objs
 	return objs, nil
 }
 
@@ -330,9 +351,9 @@ func (t *Tree) RefineRegionStep(ctx context.Context, key Key, q geom.Box, qVol f
 		if !p.IsLeaf() || !p.box.Intersects(extended) || !t.NeedsRefinement(p, qVol) {
 			continue
 		}
-		scratch := pagefile.GetObjSlice()
-		defer pagefile.PutObjSlice(scratch)
-		_, err := t.refineCtx(ctx, p, scratch)
+		var scratch objScratch
+		defer scratch.release()
+		_, err := t.refineCtx(ctx, p, &scratch)
 		return p.key, err == nil, err
 	}
 	return Key{}, false, nil

@@ -216,7 +216,7 @@ func TestLeafMBRsInvariant(t *testing.T) {
 	for _, o := range objs[:200] {
 		found := false
 		for _, b := range boxes {
-			if b.Contains(o.Box()) {
+			if b.Union(o.Box()) == b {
 				found = true
 				break
 			}
@@ -227,7 +227,7 @@ func TestLeafMBRsInvariant(t *testing.T) {
 	}
 	// Root bounds contain all leaf MBRs.
 	for _, b := range boxes {
-		if !tree.Bounds().Contains(b) {
+		if tree.Bounds().Union(b) != tree.Bounds() {
 			t.Fatalf("leaf MBR %v outside root bounds %v", b, tree.Bounds())
 		}
 	}

@@ -30,7 +30,7 @@ func TestScenarioNamesAllGenerate(t *testing.T) {
 			if q.ID != i {
 				t.Fatalf("%s: query %d has ID %d", name, i, q.ID)
 			}
-			if !bounds.Contains(q.Range) {
+			if bounds.Union(q.Range) != bounds {
 				t.Fatalf("%s: query %d range %v escapes bounds", name, i, q.Range)
 			}
 			if len(q.Datasets) != 3 {

@@ -78,7 +78,7 @@ func TestGenerateQueryGeometry(t *testing.T) {
 	bounds := geom.UnitBox()
 	wantVol := 1e-6 * bounds.Volume()
 	for _, q := range w.Queries {
-		if !bounds.Contains(q.Range) {
+		if bounds.Union(q.Range) != bounds {
 			t.Fatalf("query %d range %v outside bounds", q.ID, q.Range)
 		}
 		if math.Abs(q.Range.Volume()-wantVol) > 1e-12 {

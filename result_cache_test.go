@@ -10,7 +10,7 @@ import (
 )
 
 // Result-cache oracle storms: the race-mode equivalence suite with
-// Options.CacheResults on — exact hits, containment answers, scans attached
+// Options.CacheResults on — exact hits, scans attached
 // to another query's in-flight read and epoch flushes must change I/O
 // accounting, never what a query returns, even while refinement and merging
 // republish the layout underneath. The real-time emulation stretches device
@@ -51,7 +51,7 @@ func TestConcurrentQueriesMatchOracleCacheAsync(t *testing.T) {
 		t.Fatalf("post-quiesce repeat query: %v", err)
 	}
 	after := env.ex.CacheStats()
-	if after.Hits+after.ContainmentHits <= before.Hits+before.ContainmentHits {
+	if after.Hits <= before.Hits {
 		t.Fatalf("repeat query over a frozen layout hit nothing: before %+v after %+v",
 			before, after)
 	}
@@ -99,7 +99,7 @@ func TestCacheStatsLedger(t *testing.T) {
 		t.Fatalf("caching off but ledger non-zero: %+v", st)
 	}
 	st := exOn.CacheStats()
-	if st.Inserts == 0 || st.Hits+st.ContainmentHits == 0 {
+	if st.Inserts == 0 || st.Hits == 0 {
 		t.Fatalf("hot repeated run cached nothing: %+v", st)
 	}
 	if st.ZeroReadQueries == 0 {
@@ -171,7 +171,7 @@ func TestDeprecatedSwitchesAreInert(t *testing.T) {
 						i, tc.name, st, base, core.DefaultCacheCapacity)
 				}
 			}
-			if st := on.CacheStats(); st.Hits+st.ContainmentHits == 0 || st.Inserts == 0 {
+			if st := on.CacheStats(); st.Hits == 0 || st.Inserts == 0 {
 				t.Fatalf("the stream exercised too little: %+v", st)
 			}
 		})
