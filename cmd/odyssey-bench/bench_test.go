@@ -79,17 +79,6 @@ func TestValidateWantsTheCompleteRecording(t *testing.T) {
 	if validateFile(narrowed("static.json", &sc)) == nil {
 		t.Error("validate passed a scenarios artifact without the adaptive mode")
 	}
-	committed(t, "BENCH_scenarios.json", &sc)
-	for i := range sc.Scenarios {
-		ad := sc.Scenarios[i].adaptive()
-		ad.FinalCapacity = ad.CacheCapacity
-	}
-	if err := sc.check(); err != nil {
-		t.Fatalf("a tuner that stayed at its start is inside its range: %v", err)
-	}
-	if validateFile(narrowed("pinned.json", &sc)) == nil {
-		t.Error("validate passed a scenarios artifact whose cache tuner never left its start")
-	}
 	var pa paperReport
 	committed(t, "BENCH_paper.json", &pa)
 	pa.Figure5 = pa.Figure5[:1]
@@ -118,11 +107,11 @@ func TestChecksCatchABrokenInvariant(t *testing.T) {
 	wasted.WastedSimSeconds = 0.01
 	unconserved.ChargeConserved = false
 	// The adaptive mode is the last of a scenario's sweep.
-	var drift, zipf, capacity scenariosReport
+	var drift, zipf, unconverged scenariosReport
 	load("BENCH_scenarios.json", &drift)
 	load("BENCH_scenarios.json", &zipf)
-	load("BENCH_scenarios.json", &capacity)
-	capacity.Scenarios[0].adaptive().FinalCapacity = 16 // the lab's old start, under the tuner's floor
+	load("BENCH_scenarios.json", &unconverged)
+	unconverged.Scenarios[0].Modes[0].Converged = false // a static mode: every mode of a full-scale sweep converges
 	for i, s := range drift.Scenarios {
 		switch ad := len(s.Modes) - 1; s.Scenario {
 		case "drift": // level with a static setting: not a win
@@ -143,7 +132,7 @@ func TestChecksCatchABrokenInvariant(t *testing.T) {
 	noGain.Figure5c.GainPercent = -1
 	for name, rep := range map[string]report{
 		"cluster wasted": &wasted, "cluster conservation": &unconserved, "paper fig4a": &slower, "paper fig5c": &noGain,
-		"scenarios drift": &drift, "scenarios zipf": &zipf, "scenarios capacity": &capacity,
+		"scenarios drift": &drift, "scenarios zipf": &zipf, "scenarios converged": &unconverged,
 	} {
 		if rep.check() == nil {
 			t.Errorf("%s: check passed a report with its invariant broken", name)

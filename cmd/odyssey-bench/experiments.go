@@ -56,8 +56,8 @@ var figureIDs = []string{"fig4a", "fig4b", "fig4c", "fig4d", "fig5a", "fig5b", "
 // experiments is the table. The figure rows reproduce the paper in
 // simulated seconds; every other row carries evidence the repository
 // benchmark (benchmark/) does not — the cluster's oracle identity and charge
-// conservation, the tuners — and exists for its invariant, which its
-// report's check asserts.
+// conservation, heat decay against static settings — and exists for its
+// invariant, which its report's check asserts.
 var experiments []experiment
 
 func init() { // not an initializer: validate's row reads the table it is in
@@ -230,22 +230,23 @@ type scenarioMode struct {
 // thrashes on any repeating hotspot; the large one comfortably holds a whole
 // phase's working set — but not every phase of a drifting workload at once,
 // which is exactly the regime where frequency-kept heat goes stale and decay
-// earns its keep. The adaptive mode is static-w4-large plus the two
-// self-tuning loops: the cache tuner, whose range around that start is
-// [1,024, 65,536] objects, and heat decay.
+// earns its keep. The adaptive mode, decay, is heat decay (half-life 64
+// queries) on the fixed 4 ms window, with a cache of 65,536 objects: the
+// serving stack's one self-tuning loop on a budget that holds every
+// scenario's working set.
 var scenarioModes = []scenarioMode{
 	{name: "static-w0-small", window: 0, capacity: 16},
 	{name: "static-w0-large", window: 0, capacity: 1 << 10},
 	{name: "static-w4-small", window: 4 * time.Millisecond, capacity: 16},
 	{name: "static-w4-large", window: 4 * time.Millisecond, capacity: 1 << 10},
-	{name: "adaptive", window: 4 * time.Millisecond, capacity: 1 << 10, adaptive: true},
+	{name: "decay", window: 4 * time.Millisecond, capacity: 1 << 16, adaptive: true},
 }
 
 // runScenarios is the scenario lab: each named scenario of
 // internal/workload's matrix is replayed open-loop — queries submitted on
 // the scenario's own arrival pacing, in units of -gap — once per serving
-// mode: the static grid, and with -adaptive the self-tuning mode (auto-sized
-// result cache + heat decay on the fixed window). Latency is taken
+// mode: the static grid, and with -adaptive the self-tuning mode (heat
+// decay on the fixed window). Latency is taken
 // from scheduled arrival, and every mode must return identical results.
 func runScenarios(p *params, f *fixture, _ []odyssey.Query) report {
 	names := []string{p.scenario}
@@ -288,7 +289,7 @@ func runScenarioMode(p *params, f *fixture, w workload.ScenarioWorkload, mode sc
 	ps, converged := f.measure(w.Queries, func(o *odyssey.Options) {
 		o.CacheResults, o.CacheCapacity = true, mode.capacity
 		if mode.adaptive {
-			o.AdaptiveCache, o.HeatHalfLife = true, 64
+			o.HeatHalfLife = 64
 		}
 	}, p.scale, replayOpts{workers: p.workers, admission: odyssey.AdmissionConfig{BatchWindow: mode.window}, gap: p.gap, gaps: w.Gaps, coldCache: true})
 	cs, cs0 := ps.after.cache, ps.before.cache
@@ -299,11 +300,9 @@ func runScenarioMode(p *params, f *fixture, w workload.ScenarioWorkload, mode sc
 		Merges:        ps.after.metrics.PartitionsMerged - ps.before.metrics.PartitionsMerged,
 		latencyReport: ps.latency(func(o outcome) time.Duration { return o.e2e }),
 		CacheHits:     cs.Hits - cs0.Hits,
-		GhostHits:     cs.GhostHits - cs0.GhostHits, FinalCapacity: cs.Capacity,
-		CapGrows: cs.CapacityGrows - cs0.CapacityGrows, CapShrinks: cs.CapacityShrinks - cs0.CapacityShrinks,
-		Batches: ps.admission.Batches,
+		Batches:       ps.admission.Batches,
 	}
-	fmt.Printf("%-16s %v  %7d pages  cap %6d\n", mode.name, rep.latencyReport, rep.PagesRead, rep.FinalCapacity)
+	fmt.Printf("%-16s %v  %7d pages\n", mode.name, rep.latencyReport, rep.PagesRead)
 	return rep, ps.prints()
 }
 

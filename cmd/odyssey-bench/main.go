@@ -17,7 +17,7 @@
 //     methodology (README, "Reproduction scale"); gridsweep is the sweep
 //     the grid baseline's defaults come from.
 //   - cluster (oracle identity and charge conservation), scenarios (the
-//     tuner lab): each drives a workload through a cluster Router or the
+//     workload lab): each drives a workload through a cluster Router or the
 //     Explorer's worker pool and prints a summary.
 //   - validate FILE...: re-runs the checks on written reports.
 //

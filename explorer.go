@@ -86,21 +86,14 @@ type Options struct {
 	// build is single-flight per dataset either way.)
 	CacheResults bool
 	// CacheCapacity bounds the result cache in total cached objects
-	// (<= 0 defaults to core.DefaultCacheCapacity, 128Ki objects). When
+	// (<= 0 defaults to core.DefaultCacheCapacity, 2Mi objects). When
 	// full, the coldest cached scans — fewest hits, oldest first — are
 	// evicted. Only meaningful with CacheResults.
 	CacheCapacity int64
-	// AdaptiveCache lets the result cache tune CacheCapacity at runtime
-	// instead of holding it fixed: evicted keys leave ghost entries in a
-	// bounded shadow list, a miss that hits a ghost is a capacity miss (a
-	// bigger cache would have served it), and at each tuning point — every
-	// few hundred operations and at every flush — a window with
-	// enough ghost hits doubles the capacity while an eviction-free window
-	// with occupancy far below budget halves it, converging toward the knee
-	// of the hit curve. CacheCapacity becomes the starting point and the
-	// bounds derive from it (capacity/16 floor, capacity x64 ceiling).
-	// Query results are unaffected — only the retention budget moves. Only
-	// meaningful with CacheResults; see CacheStats.Capacity/GhostHits.
+	// AdaptiveCache is ignored, and kept only so that code which sets it
+	// still compiles: the result cache's budget is CacheCapacity.
+	//
+	// Deprecated: set CacheCapacity, or leave it at the default.
 	AdaptiveCache bool
 	// HeatHalfLife, when positive, applies exponential decay to the
 	// engine's heat ledgers — the result cache's eviction order and the
@@ -115,13 +108,13 @@ type Options struct {
 }
 
 // engineConfig is the engine configuration of Options: the paper defaults
-// with the serving modes Options switches on. ShareScans is not read.
+// with the serving modes Options switches on. ShareScans and AdaptiveCache
+// are not read.
 func (o Options) engineConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.AsyncMaintenance = o.AsyncMaintenance
 	cfg.CacheResults = o.CacheResults
 	cfg.CacheCapacity = o.CacheCapacity
-	cfg.AdaptiveCache = o.AdaptiveCache
 	cfg.HeatHalfLife = o.HeatHalfLife
 	return cfg
 }

@@ -160,61 +160,3 @@ func TestResultCacheDecayReleasesStaleHotspot(t *testing.T) {
 		t.Fatal("fresh entry was evicted instead of the stale hotspot")
 	}
 }
-
-// TestResultCacheAdaptiveGrowsOnGhostHits pins the capacity tuner's grow
-// path: a working set larger than the budget causes evict/re-miss churn,
-// the ghosts witness it, and the next tuning point doubles the capacity.
-func TestResultCacheAdaptiveGrowsOnGhostHits(t *testing.T) {
-	c := newResultCache(geom.UnitBox(), 2048, new(atomic.Int64))
-	c.enableAdaptive()
-
-	one := []object.Object{{ID: 1}}
-	// Working set of 3000 single-object entries vs a 2048 budget: inserts
-	// evict, re-lookups hit ghosts.
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 3000; i++ {
-			k := testKeyAt(6, uint32(i%64), uint32(i/64), 0)
-			if _, ok := c.Lookup(0, k); !ok {
-				c.Insert(0, k, nil, 0, cellContent{objs: one})
-			}
-		}
-	}
-	st := c.Stats()
-	if st.GhostHits == 0 {
-		t.Fatalf("no ghost hits recorded on a thrashing working set: %+v", st)
-	}
-	if st.CapacityGrows == 0 || st.Capacity <= 2048 {
-		t.Fatalf("capacity did not grow under capacity misses: %+v", st)
-	}
-}
-
-// TestResultCacheAdaptiveShrinksWhenIdle pins the shrink path: windows with
-// no evictions and occupancy far below budget halve the capacity down
-// toward the floor, and Invalidate (a flush) is a tuning point.
-func TestResultCacheAdaptiveShrinksWhenIdle(t *testing.T) {
-	c := newResultCache(geom.UnitBox(), 1<<16, new(atomic.Int64))
-	c.enableAdaptive()
-
-	// A tiny steady working set: 4 entries, hit over and over.
-	one := []object.Object{{ID: 1}}
-	for i := 0; i < 4; i++ {
-		c.Insert(0, testKeyAt(2, uint32(i), 0, 0), nil, 0, cellContent{objs: one})
-	}
-	for op := 0; op < 3*tuneEvery; op++ {
-		c.Lookup(0, testKeyAt(2, uint32(op%4), 0, 0))
-	}
-	st := c.Stats()
-	if st.CapacityShrinks == 0 || st.Capacity >= 1<<16 {
-		t.Fatalf("oversized idle cache did not shrink: %+v", st)
-	}
-	if st.Capacity < c.minCap {
-		t.Fatalf("capacity %d fell below the floor %d", st.Capacity, c.minCap)
-	}
-
-	// A flush also tunes: force another shrink via Invalidate.
-	before := c.Stats().Capacity
-	c.Invalidate()
-	if after := c.Stats().Capacity; after > before {
-		t.Fatalf("epoch-boundary tune grew an idle cache: %d -> %d", before, after)
-	}
-}

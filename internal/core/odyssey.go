@@ -71,13 +71,10 @@ type Config struct {
 	// disables decay: all orderings are bit-for-bit the legacy
 	// cumulative-count behavior.
 	HeatHalfLife int
-	// AdaptiveCache lets the result cache tune its own capacity as it
-	// runs: shadow-LRU ghost entries record recently evicted keys,
-	// a re-miss on a ghost is evidence the cache is undersized (grow toward
-	// the knee of the hit curve), sustained low occupancy with no evictions
-	// is evidence it is oversized (shrink). CacheCapacity becomes the
-	// starting point instead of a fixed bound. Capacity only affects which
-	// reads hit the cache — results are identical regardless.
+	// AdaptiveCache is ignored, and kept only so that configurations which
+	// set it still compile: the result cache's budget is CacheCapacity.
+	//
+	// Deprecated: set CacheCapacity, or leave it at DefaultCacheCapacity.
 	AdaptiveCache bool
 }
 
@@ -255,9 +252,6 @@ func New(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Config) 
 		o.rcache = newResultCache(bounds, cfg.CacheCapacity, &o.layoutEpoch)
 		o.rcache.halfLife = o.halfLife
 		o.rcache.tick = o.heatTick.Load
-		if cfg.AdaptiveCache {
-			o.rcache.enableAdaptive()
-		}
 		o.merger.cache = o.rcache
 	}
 	for _, raw := range raws {
@@ -754,7 +748,7 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 		lk.RUnlock()
 		if res.Skipped > 0 {
 			// Marked by the cache: the hits the skipped cells would have been.
-			o.rcache.book(res.Skipped)
+			o.rcache.hits.Add(int64(res.Skipped))
 			acc.skipped += res.Skipped
 		}
 	} else {

@@ -15,10 +15,11 @@ import (
 )
 
 // DefaultCacheCapacity is the result cache's object budget when
-// Config.CacheCapacity is zero: enough for the hot working set of the
-// paper-scale experiments (~10 MB of object records) without letting an
-// exploratory sweep pin every partition it ever touched.
-const DefaultCacheCapacity = 1 << 17
+// Config.CacheCapacity is zero: 2 Mi objects. On the repository benchmark's
+// scan workload a smaller budget evicts cells the sweep reads again. The
+// budget is a bound, not a reservation: a cache whose working set is smaller
+// holds only that.
+const DefaultCacheCapacity = 1 << 21
 
 // cachedScan is one completed partition or merge-segment scan the cache
 // retains: the full content of its cell, with the child directory of the
@@ -162,17 +163,17 @@ func (h *coldHeap) Pop() any {
 // that inserted it knew the partition (octree.Partition.SetMarked), and every
 // removal clears the mark under the exclusive lock: a read-only walk leaves a
 // marked leaf whose extent misses the query unvisited, and books it here as
-// the hit it would have been (book). A mark only decides whether a cell whose
+// the hit it would have been (hits). A mark only decides whether a cell whose
 // extent misses the query is read: a cell that is not cached still is, so the
 // device sees the reads it always did.
 //
 // Locking: mu is a leaf lock (never held while acquiring any engine lock).
 // Content is immutable and outlives its entry, so a caller may use what a
-// lookup returned after a drop removed it or a regroup replaced it. A hit
-// holds mu shared: a map lookup and the atomics of cachedScan.touch.
-// Everything that changes the cache's structure or an entry's content holds
-// it exclusively: a miss (ghost accounting), Insert and its evictions, the
-// tuner, DropKeys, Regroup's swaps and Invalidate.
+// lookup returned after a drop removed it or a regroup replaced it. A
+// lookup, hit or miss, holds mu shared: a map lookup and the atomics of
+// cachedScan.touch. Everything that changes the cache's structure or an
+// entry's content holds it exclusively: Insert and its evictions, DropKeys,
+// Regroup's swaps and Invalidate.
 type resultCache struct {
 	bounds geom.Box
 	// epoch is the engine's layout epoch, which Insert holds a read's
@@ -183,34 +184,13 @@ type resultCache struct {
 	// when Config.HeatHalfLife is off.
 	halfLife float64
 	tick     func() int64
-
-	mu       sync.RWMutex
 	capacity int64 // max cached objects across all entries
-	entries  map[scanKey]*cachedScan
-	cold     coldHeap
-	objects  int64 // cached objects across all entries
-	seq      int64 // FIFO tiebreak for equal heat
 
-	// Adaptive capacity (Config.AdaptiveCache): evicted keys linger as
-	// shadow-LRU ghosts; a miss that hits a ghost is a capacity miss — the
-	// entry would have hit had the cache been bigger — and grows the budget
-	// toward the knee of the hit curve. Sustained low occupancy with no
-	// evictions shrinks it back. Tuning runs on a flush (Invalidate) and
-	// every tuneEvery operations, entirely under the exclusive mu
-	// (sinceTune, the cadence counter, is atomic because hits, booked
-	// outside the lock, count too); capacity only changes what the cache
-	// retains, never what a query returns.
-	adaptive       bool // set before the first operation, constant afterwards
-	minCap, maxCap int64
-	ghost          map[scanKey]struct{}
-	ghostRing      []scanKey // FIFO bound for the ghost set
-	ghostHitsWin   int64     // capacity misses since the last tune
-	evictionsWin   int64
-	peakObjects    int64
-	sinceTune      atomic.Int64
-	ghostHits      int64 // lifetime counters, guarded by mu
-	grows          int64
-	shrinks        int64
+	mu      sync.RWMutex
+	entries map[scanKey]*cachedScan
+	cold    coldHeap
+	objects int64 // cached objects across all entries
+	seq     int64 // FIFO tiebreak for equal heat
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -219,17 +199,6 @@ type resultCache struct {
 	invalidations atomic.Int64
 	zeroReads     atomic.Int64
 }
-
-// Adaptive-capacity tuning constants: the ghost list remembers up to
-// ghostCap evicted keys, tuning runs every tuneEvery cache operations (and
-// on every flush), growth needs growAfter capacity misses in a
-// window, and a shrink fires when peak occupancy stayed under capacity/4
-// with no evictions.
-const (
-	ghostCap  = 4096
-	tuneEvery = 256
-	growAfter = 8
-)
 
 // newResultCache creates an empty cache over the engine's exploration
 // bounds; epoch is the engine's layout epoch (see Insert). capacity <= 0
@@ -244,115 +213,6 @@ func newResultCache(bounds geom.Box, capacity int64, epoch *atomic.Int64) *resul
 		capacity: capacity,
 		entries:  make(map[scanKey]*cachedScan),
 	}
-}
-
-// enableAdaptive turns on self-tuning capacity around the configured
-// starting capacity: the budget floats in [capacity/16, capacity*64], the
-// floor at least 1,024 objects, and a start below the floor is raised to it
-// (neither tuner case could ever move it from there).
-func (c *resultCache) enableAdaptive() {
-	c.mu.Lock()
-	c.adaptive = true
-	c.minCap = max(c.capacity/16, 1024)
-	c.maxCap = max(c.capacity*64, c.minCap)
-	c.capacity = max(c.capacity, c.minCap)
-	c.ghost = make(map[scanKey]struct{})
-	c.mu.Unlock()
-}
-
-// noteGhostLocked records a capacity miss when the missed key is still on
-// the ghost list. Caller holds mu exclusively.
-func (c *resultCache) noteGhostLocked(key scanKey) {
-	if !c.adaptive {
-		return
-	}
-	if _, ok := c.ghost[key]; ok {
-		c.ghostHitsWin++
-		c.ghostHits++
-	}
-}
-
-// pushGhostLocked remembers an evicted key on the bounded shadow list.
-// Caller holds mu exclusively.
-func (c *resultCache) pushGhostLocked(key scanKey) {
-	if !c.adaptive {
-		return
-	}
-	if _, ok := c.ghost[key]; ok {
-		return
-	}
-	if len(c.ghostRing) >= ghostCap {
-		delete(c.ghost, c.ghostRing[0])
-		c.ghostRing = c.ghostRing[1:]
-	}
-	c.ghost[key] = struct{}{}
-	c.ghostRing = append(c.ghostRing, key)
-}
-
-// maybeTuneLocked counts one operation toward the tuner's cadence and tunes if
-// due. Caller holds mu exclusively.
-func (c *resultCache) maybeTuneLocked() {
-	if c.adaptive && c.sinceTune.Add(1) >= tuneEvery {
-		c.tuneDueLocked()
-	}
-}
-
-// book counts n hits served under the shared lock, on the ledger and toward
-// the tuner's cadence, once for the lot, for a caller holding no lock, and
-// tunes if they made the tuner due. Hits change none of the tuner's inputs,
-// so a tune falling due inside a run of hits decides the same after it. Of
-// the callers that cross the cadence together, one tunes.
-func (c *resultCache) book(n int) {
-	if n == 0 {
-		return
-	}
-	c.hits.Add(int64(n))
-	if c.adaptive && c.sinceTune.Add(int64(n)) >= tuneEvery {
-		c.mu.Lock()
-		c.tuneDueLocked()
-		c.mu.Unlock()
-	}
-}
-
-// tuneDueLocked tunes once for every tuneEvery operations counted since the
-// last tune and carries the excess, so the tuner runs at the operation counts
-// it would if every operation were counted on its own. Caller holds mu
-// exclusively.
-func (c *resultCache) tuneDueLocked() {
-	for c.sinceTune.Load() >= tuneEvery {
-		c.tuneLocked()
-		c.sinceTune.Add(-tuneEvery)
-	}
-}
-
-// tuneLocked moves capacity toward the knee of the observed hit curve:
-// ghost re-misses in the window mean entries the budget pushed out were
-// still wanted (grow — the hit curve is still climbing past the current
-// size); an eviction-free window that never filled a quarter of the budget
-// means the curve flattened well below it (shrink). Caller holds mu
-// exclusively.
-func (c *resultCache) tuneLocked() {
-	if c.peakObjects < c.objects {
-		c.peakObjects = c.objects
-	}
-	switch {
-	case c.ghostHitsWin >= growAfter && c.capacity < c.maxCap:
-		c.capacity *= 2
-		if c.capacity > c.maxCap {
-			c.capacity = c.maxCap
-		}
-		c.grows++
-	case c.evictionsWin == 0 && c.ghostHitsWin == 0 &&
-		c.peakObjects*4 <= c.capacity && c.capacity > c.minCap:
-		c.capacity /= 2
-		if c.capacity < c.minCap {
-			c.capacity = c.minCap
-		}
-		c.shrinks++
-	}
-	c.ghostHitsWin = 0
-	c.evictionsWin = 0
-	c.peakObjects = c.objects
 }
 
 // hit is the lookup proper, under mu held either way: the content of key if
@@ -375,27 +235,16 @@ func (c *resultCache) now() int64 {
 }
 
 // Lookup returns the cached content of (ds, cell) if present. ok
-// distinguishes a cached empty cell from a miss. A hit shares the lock; only
-// what did not hit takes it exclusively, and looks again (the cell may have
-// been inserted between the two).
+// distinguishes a cached empty cell from a miss. A lookup shares the lock.
 func (c *resultCache) Lookup(ds object.DatasetID, cell octree.Key) (cellContent, bool) {
-	key := scanKey{ds: ds, cell: cell}
 	c.mu.RLock()
-	content, ok := c.hit(key)
+	content, ok := c.hit(scanKey{ds: ds, cell: cell})
 	c.mu.RUnlock()
 	if ok {
-		c.book(1)
-		return content, true
-	}
-	c.mu.Lock()
-	if content, ok = c.hit(key); ok {
 		c.hits.Add(1)
 	} else {
-		c.noteGhostLocked(key)
 		c.misses.Add(1)
 	}
-	c.maybeTuneLocked()
-	c.mu.Unlock()
 	return content, ok
 }
 
@@ -430,7 +279,7 @@ func (c *resultCache) LookupRun(hits []cellContent, reads []mergeRead) []cellCon
 		hits = append(hits, content)
 	}
 	c.mu.RUnlock()
-	c.book(len(hits) - n)
+	c.hits.Add(int64(len(hits) - n))
 	return hits
 }
 
@@ -448,25 +297,9 @@ func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, part *octree.
 	key := scanKey{ds: ds, cell: cell}
 	objs := content.objs
 	c.mu.Lock()
-	if epoch != c.epoch.Load() {
+	if epoch != c.epoch.Load() || int64(len(objs)) > c.capacity {
 		c.mu.Unlock()
 		return
-	}
-	if int64(len(objs)) > c.capacity {
-		// An entry that cannot fit at all is the strongest undersizing
-		// signal there is: with adaptive capacity, grow until it can
-		// (bounded by maxCap); otherwise reject as before.
-		if !c.adaptive || int64(len(objs)) > c.maxCap {
-			c.mu.Unlock()
-			return
-		}
-		for c.capacity < int64(len(objs)) && c.capacity < c.maxCap {
-			c.capacity *= 2
-		}
-		if c.capacity > c.maxCap {
-			c.capacity = c.maxCap
-		}
-		c.grows++
 	}
 	it := &cachedScan{key: key, content: content, part: part, posHeat: 1}
 	if c.halfLife > 0 {
@@ -486,10 +319,8 @@ func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, part *octree.
 			heap.Fix(&c.cold, 0)
 			continue
 		}
-		c.pushGhostLocked(victim.key)
 		c.removeLocked(victim)
 		c.evictions.Add(1)
-		c.evictionsWin++
 	}
 	c.seq++
 	it.seq = c.seq
@@ -501,15 +332,6 @@ func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, part *octree.
 		part.SetMarked(true)
 	}
 	c.objects += int64(len(objs))
-	if c.objects > c.peakObjects {
-		c.peakObjects = c.objects
-	}
-	if c.adaptive {
-		// The key is cached again — it is no longer a ghost (the ring keeps
-		// a harmless stale copy that pushGhostLocked dedupes against).
-		delete(c.ghost, key)
-	}
-	c.maybeTuneLocked()
 	c.mu.Unlock()
 	c.inserts.Add(1)
 }
@@ -615,15 +437,6 @@ func (c *resultCache) Regroup(fanout int, segs map[scanKey]segment) {
 func (c *resultCache) Invalidate() {
 	c.mu.Lock()
 	flushed := len(c.entries) > 0
-	if c.adaptive {
-		// A flush is the tuning point the hit curve was observed for; ghosts
-		// from before it would misread the coming compulsory misses as
-		// capacity misses, so they flush too. The cadence restarts from it.
-		c.tuneLocked()
-		c.sinceTune.Store(0)
-		c.ghost = make(map[scanKey]struct{})
-		c.ghostRing = nil
-	}
 	if flushed {
 		for _, it := range c.cold {
 			it.unmark()
@@ -642,8 +455,6 @@ func (c *resultCache) Invalidate() {
 func (c *resultCache) Stats() CacheStats {
 	c.mu.RLock()
 	entries, objects := len(c.entries), c.objects
-	capacity := c.capacity
-	ghostHits, grows, shrinks := c.ghostHits, c.grows, c.shrinks
 	c.mu.RUnlock()
 	return CacheStats{
 		Hits:            c.hits.Load(),
@@ -654,10 +465,7 @@ func (c *resultCache) Stats() CacheStats {
 		ZeroReadQueries: c.zeroReads.Load(),
 		Entries:         entries,
 		CachedObjects:   objects,
-		Capacity:        capacity,
-		GhostHits:       ghostHits,
-		CapacityGrows:   grows,
-		CapacityShrinks: shrinks,
+		Capacity:        c.capacity,
 	}
 }
 

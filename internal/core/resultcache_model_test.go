@@ -17,8 +17,8 @@ import (
 // eagerCache is the result cache's specification, written the slow way:
 // entries in a slice, every key current at all times, the victim found by a
 // full scan for min (score, heat, seq), the drops by a full scan. The lazy
-// heap, the shared-lock hit and the atomic tuner cadence of resultCache must
-// be indistinguishable from it on a serial run. An entry's content is one
+// heap and the shared-lock hit of resultCache must be indistinguishable
+// from it on a serial run. An entry's content is one
 // value, objects and child directory together, as the cache must keep it.
 type eagerCache struct {
 	bounds   geom.Box
@@ -28,14 +28,8 @@ type eagerCache struct {
 	capacity, objects, seq int64
 	entries                []*eagerEntry
 
-	adaptive                                         bool
-	minCap, maxCap                                   int64
-	ghost                                            map[scanKey]bool
-	ghostRing                                        []scanKey
-	ghostHitsWin, evictionsWin, peakObjects, sinceOp int64
-
-	hits, misses, evictions, ghostHits, grows, shrinks, invalidations, regrouped int64
-	evicted                                                                      []scanKey
+	hits, misses, evictions, invalidations, regrouped int64
+	evicted                                           []scanKey
 }
 
 type eagerEntry struct {
@@ -62,47 +56,11 @@ func (m *eagerCache) remove(i int) {
 	m.entries = slices.Delete(m.entries, i, i+1)
 }
 
-// enableAdaptive is the tuner's range rule: [start/16, 64 x start], the
-// floor at least 1,024 objects, and the start itself inside the range.
-func (m *eagerCache) enableAdaptive() {
-	m.adaptive, m.ghost = true, map[scanKey]bool{}
-	m.minCap = max(m.capacity/16, 1024)
-	m.maxCap = max(64*m.capacity, m.minCap)
-	m.capacity = min(max(m.capacity, m.minCap), m.maxCap)
-}
-
-func (m *eagerCache) op() {
-	if !m.adaptive {
-		return
-	}
-	if m.sinceOp++; m.sinceOp >= tuneEvery {
-		m.tune()
-	}
-}
-
-func (m *eagerCache) tune() {
-	m.peakObjects = max(m.peakObjects, m.objects)
-	switch {
-	case m.ghostHitsWin >= growAfter && m.capacity < m.maxCap:
-		m.capacity = min(m.capacity*2, m.maxCap)
-		m.grows++
-	case m.evictionsWin == 0 && m.ghostHitsWin == 0 && m.peakObjects*4 <= m.capacity && m.capacity > m.minCap:
-		m.capacity = max(m.capacity/2, m.minCap)
-		m.shrinks++
-	}
-	m.ghostHitsWin, m.evictionsWin, m.peakObjects, m.sinceOp = 0, 0, m.objects, 0
-}
-
 func (m *eagerCache) lookup(key scanKey) (cellContent, bool) {
-	defer m.op()
 	if i := m.find(key); i >= 0 {
 		m.touch(m.entries[i])
 		m.hits++
 		return m.entries[i].content, true
-	}
-	if m.adaptive && m.ghost[key] {
-		m.ghostHitsWin++
-		m.ghostHits++
 	}
 	m.misses++
 	return cellContent{}, false
@@ -111,19 +69,9 @@ func (m *eagerCache) lookup(key scanKey) (cellContent, bool) {
 // insert keeps a read that began at epoch at only while at is the current
 // epoch.
 func (m *eagerCache) insert(key scanKey, at, current int64, content cellContent) {
-	if at != current {
-		return
-	}
 	n := int64(len(content.objs))
-	if n > m.capacity {
-		if !m.adaptive || n > m.maxCap {
-			return
-		}
-		for m.capacity < n && m.capacity < m.maxCap {
-			m.capacity *= 2
-		}
-		m.capacity = min(m.capacity, m.maxCap)
-		m.grows++
+	if at != current || n > m.capacity {
+		return
 	}
 	e := &eagerEntry{key: key, content: content, heat: 1}
 	if m.halfLife > 0 {
@@ -153,34 +101,17 @@ func (m *eagerCache) insert(key scanKey, at, current int64, content cellContent)
 				coldest = i
 			}
 		}
-		victim := m.entries[coldest].key
-		if m.adaptive && !m.ghost[victim] {
-			if len(m.ghostRing) >= ghostCap {
-				delete(m.ghost, m.ghostRing[0])
-				m.ghostRing = m.ghostRing[1:]
-			}
-			m.ghost[victim] = true
-			m.ghostRing = append(m.ghostRing, victim)
-		}
-		m.evicted = append(m.evicted, victim)
+		m.evicted = append(m.evicted, m.entries[coldest].key)
 		m.remove(coldest)
 		m.evictions++
-		m.evictionsWin++
 	}
 	m.seq++
 	e.seq = m.seq
 	m.entries = append(m.entries, e)
 	m.objects += n
-	m.peakObjects = max(m.peakObjects, m.objects)
-	delete(m.ghost, key)
-	m.op()
 }
 
 func (m *eagerCache) invalidate() {
-	if m.adaptive {
-		m.tune()
-		m.ghost, m.ghostRing = map[scanKey]bool{}, nil
-	}
 	if len(m.entries) > 0 {
 		m.invalidations++
 	}
@@ -254,8 +185,7 @@ func (m *eagerCache) drop(drop func(scanKey) bool) {
 // with one seeded sequence of inserts, lookups, clock advances, epoch advances, refinement drops (split cells and their
 // ancestors), merge regroups, flushes, and inserts of reads that raced an
 // epoch advance, over two datasets at a capacity that forces evictions —
-// with and without heat decay, with and without the capacity tuner — and
-// requires the same answers — the same objects in the same order with the
+// with and without heat decay — and requires the same answers — the same objects in the same order with the
 // same child directory, which an insert makes its own or leaves off — the
 // same cached set after every operation (so the same victims, in the same
 // order, and the same survivors of every drop), and the same ledger. Every
@@ -281,184 +211,170 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 		content[i] = object.Object{ID: uint64(i), Dataset: 1, Center: geom.V(cr.Float64(), cr.Float64(), cr.Float64())}
 	}
 	for _, halfLife := range []float64{0, 16} {
-		for _, adaptive := range []bool{false, true} {
-			t.Run(fmt.Sprintf("halfLife=%v/adaptive=%v", halfLife, adaptive), func(t *testing.T) {
-				var tick int64
-				var epoch atomic.Int64
-				c := newResultCache(bounds, 300, &epoch)
-				c.halfLife, c.tick = halfLife, func() int64 { return tick }
-				m := &eagerCache{bounds: bounds, halfLife: halfLife, tick: &tick, capacity: 300}
-				if adaptive {
-					c.enableAdaptive()
-					m.enableAdaptive()
-					// The budget floats, below what the cells hold: the tuner moves
-					// both ways and evictions never stop.
-					c.minCap, c.maxCap, c.capacity = 100, 1200, 300
-					m.minCap, m.maxCap, m.capacity = 100, 1200, 300
+		t.Run(fmt.Sprintf("halfLife=%v", halfLife), func(t *testing.T) {
+			var tick int64
+			var epoch atomic.Int64
+			c := newResultCache(bounds, 300, &epoch)
+			c.halfLife, c.tick = halfLife, func() int64 { return tick }
+			m := &eagerCache{bounds: bounds, halfLife: halfLife, tick: &tick, capacity: 300}
+			r := rand.New(rand.NewSource(int64(halfLife)*2 + 41))
+			cached := func() []scanKey {
+				keys := make([]scanKey, 0, len(c.entries))
+				for k := range c.entries {
+					keys = append(keys, k)
 				}
-				r := rand.New(rand.NewSource(int64(halfLife)*2 + 41))
-				cached := func() []scanKey {
-					keys := make([]scanKey, 0, len(c.entries))
-					for k := range c.entries {
-						keys = append(keys, k)
-					}
-					return keys
+				return keys
+			}
+			byKey := func(a, b scanKey) int {
+				if a.ds != b.ds {
+					return int(a.ds) - int(b.ds)
 				}
-				byKey := func(a, b scanKey) int {
-					if a.ds != b.ds {
-						return int(a.ds) - int(b.ds)
-					}
-					return compareKeys(a.cell, b.cell)
-				}
-				// One partition per cell. A partition is marked exactly when the
-				// cache holds its key: after an operation, every entry's partition
-				// is marked, and of the partitions that could be — those of the
-				// entries before it and the one it inserted, the only partition
-				// handed to the cache since — no other is.
-				parts := map[scanKey]*octree.Partition{}
-				var held, next []*octree.Partition // the entries' partitions before the operation, and after
-				var inserted *octree.Partition     // by the operation
-				checkMarks := func(op int) {
-					marked := 0
-					for _, p := range held {
-						if p.Marked() {
-							marked++
-						}
-					}
-					if inserted != nil && inserted.Marked() && !slices.Contains(held, inserted) {
+				return compareKeys(a.cell, b.cell)
+			}
+			// One partition per cell. A partition is marked exactly when the
+			// cache holds its key: after an operation, every entry's partition
+			// is marked, and of the partitions that could be — those of the
+			// entries before it and the one it inserted, the only partition
+			// handed to the cache since — no other is.
+			parts := map[scanKey]*octree.Partition{}
+			var held, next []*octree.Partition // the entries' partitions before the operation, and after
+			var inserted *octree.Partition     // by the operation
+			checkMarks := func(op int) {
+				marked := 0
+				for _, p := range held {
+					if p.Marked() {
 						marked++
 					}
-					next = next[:0]
-					for _, it := range c.cold {
-						if !it.part.Marked() {
-							t.Fatalf("op %d: %v is held, its partition unmarked", op, it.key)
-						}
-						next = append(next, it.part)
-					}
-					if marked != len(next) {
-						t.Fatalf("op %d: %d partitions marked, %d cells held", op, marked, len(next))
-					}
-					held, next, inserted = next, held, nil
 				}
-				// A skewed choice of cell, so that some entries are hot.
-				pick := func() scanKey {
-					u := r.Float64()
-					return scanKey{ds: object.DatasetID(1 + r.Intn(2)), cell: cells[int(float64(len(cells))*u*u*u)]}
+				if inserted != nil && inserted.Marked() && !slices.Contains(held, inserted) {
+					marked++
 				}
-				for i := 0; i < 40000; i++ {
-					key := pick()
-					var got, want cellContent
-					var gotOK, wantOK bool
-					p := r.Float64()
-					switch {
-					case p < 0.75: // a cell read: what misses is inserted below
-						got, gotOK = c.Lookup(key.ds, key.cell)
-						want, wantOK = m.lookup(key)
-					case p < 0.95:
-						tick += int64(r.Intn(12))
-					case p < 0.96: // a publish that drops nothing: a build, an eviction
-						epoch.Add(1)
-					case p < 0.963: // a refinement: two split cells of one dataset, cached or not
-						epoch.Add(1)
-						split := []octree.Key{key.cell, pick().cell}
-						c.DropKeys(splitCells(key.ds, fanout, split))
-						m.drop(func(k scanKey) bool {
-							return k.ds == key.ds && slices.ContainsFunc(split, func(s octree.Key) bool { return k.cell.AncestorOf(s, fanout) })
-						})
-					case p < 0.968: // a merge: a few keys, cached or not, one-page, matching or not
-						epoch.Add(1)
-						segs := map[scanKey]segment{}
-						for _, k := range []scanKey{key, pick(), pick(), pick()} {
-							n := r.Intn(len(content))
-							if e := m.find(k); e >= 0 {
-								n = len(m.entries[e].content.objs)
-							}
-							_, dir := groupedAs(bounds, k.cell, fanout, content[:n])
-							seg := segment{count: n, children: dir}
-							switch r.Intn(6) {
-							case 0: // one page: no directory
-								seg.children = nil
-							case 1: // a count the entry does not hold
-								seg.count++
-							case 2: // a directory the entry's objects do not give
-								seg.children = slices.Clone(dir)
-								seg.children[len(dir)/2]++
-							}
-							segs[k] = seg
-						}
-						c.Regroup(fanout, segs)
-						m.regroup(fanout, segs)
-					case p < 0.9685:
-						c.Invalidate()
-						m.invalidate()
+				next = next[:0]
+				for _, it := range c.cold {
+					if !it.part.Marked() {
+						t.Fatalf("op %d: %v is held, its partition unmarked", op, it.key)
 					}
-					if p < 0.75 && !gotOK || p >= 0.95 {
-						at := epoch.Load()
-						if r.Intn(20) == 0 {
-							at-- // a read that raced a publish: not kept
-						}
-						in := cellContent{objs: content[:r.Intn(len(content))]}
-						if r.Intn(3) > 0 {
-							in.children = []int32{int32(i), int32(len(in.objs))} // this insert's own directory
-						}
-						before, mark := cached(), len(m.evicted)
-						if parts[key] == nil {
-							parts[key] = new(octree.Partition)
-						}
-						inserted = parts[key]
-						c.Insert(key.ds, key.cell, parts[key], at, in)
-						m.insert(key, at, epoch.Load(), in)
-						// What this insert pushed out of the cache, against what it
-						// pushed out of the model: insert by insert, so the victims
-						// come in the same order (as sets within one insert, where
-						// only the model shows an order).
-						evicted := slices.DeleteFunc(before, func(k scanKey) bool { return k == key || c.entries[k] != nil })
-						wantEvicted := slices.Clone(m.evicted[mark:])
-						slices.SortFunc(evicted, byKey)
-						slices.SortFunc(wantEvicted, byKey)
-						if !slices.Equal(evicted, wantEvicted) {
-							t.Fatalf("op %d, insert of %v: the cache evicted %v, the model %v", i, key, evicted, wantEvicted)
-						}
-					}
-					if gotOK != wantOK || !slices.Equal(got.objs, want.objs) || !slices.Equal(got.children, want.children) {
-						t.Fatalf("op %d on %v: the cache answered %d objects with directory %v (%v), the model %d with %v (%v)",
-							i, key, len(got.objs), got.children, gotOK, len(want.objs), want.children, wantOK)
-					}
-					if len(c.entries) != len(m.entries) || c.objects != m.objects {
-						t.Fatalf("op %d: the cache holds %d entries / %d objects, the model %d / %d", i, len(c.entries), c.objects, len(m.entries), m.objects)
-					}
-					checkMarks(i)
+					next = append(next, it.part)
 				}
-				for _, e := range m.entries {
-					it := c.entries[e.key]
-					if it == nil || it.heat.Load() != e.heat || it.seq != e.seq {
-						t.Fatalf("entry %v: cache %+v, model heat %d seq %d", e.key, it, e.heat, e.seq)
+				if marked != len(next) {
+					t.Fatalf("op %d: %d partitions marked, %d cells held", op, marked, len(next))
+				}
+				held, next, inserted = next, held, nil
+			}
+			// A skewed choice of cell, so that some entries are hot.
+			pick := func() scanKey {
+				u := r.Float64()
+				return scanKey{ds: object.DatasetID(1 + r.Intn(2)), cell: cells[int(float64(len(cells))*u*u*u)]}
+			}
+			for i := 0; i < 40000; i++ {
+				key := pick()
+				var got, want cellContent
+				var gotOK, wantOK bool
+				p := r.Float64()
+				switch {
+				case p < 0.75: // a cell read: what misses is inserted below
+					got, gotOK = c.Lookup(key.ds, key.cell)
+					want, wantOK = m.lookup(key)
+				case p < 0.95:
+					tick += int64(r.Intn(12))
+				case p < 0.96: // a publish that drops nothing: a build, an eviction
+					epoch.Add(1)
+				case p < 0.963: // a refinement: two split cells of one dataset, cached or not
+					epoch.Add(1)
+					split := []octree.Key{key.cell, pick().cell}
+					c.DropKeys(splitCells(key.ds, fanout, split))
+					m.drop(func(k scanKey) bool {
+						return k.ds == key.ds && slices.ContainsFunc(split, func(s octree.Key) bool { return k.cell.AncestorOf(s, fanout) })
+					})
+				case p < 0.968: // a merge: a few keys, cached or not, one-page, matching or not
+					epoch.Add(1)
+					segs := map[scanKey]segment{}
+					for _, k := range []scanKey{key, pick(), pick(), pick()} {
+						n := r.Intn(len(content))
+						if e := m.find(k); e >= 0 {
+							n = len(m.entries[e].content.objs)
+						}
+						_, dir := groupedAs(bounds, k.cell, fanout, content[:n])
+						seg := segment{count: n, children: dir}
+						switch r.Intn(6) {
+						case 0: // one page: no directory
+							seg.children = nil
+						case 1: // a count the entry does not hold
+							seg.count++
+						case 2: // a directory the entry's objects do not give
+							seg.children = slices.Clone(dir)
+							seg.children[len(dir)/2]++
+						}
+						segs[k] = seg
+					}
+					c.Regroup(fanout, segs)
+					m.regroup(fanout, segs)
+				case p < 0.9685:
+					c.Invalidate()
+					m.invalidate()
+				}
+				if p < 0.75 && !gotOK || p >= 0.95 {
+					at := epoch.Load()
+					if r.Intn(20) == 0 {
+						at-- // a read that raced a publish: not kept
+					}
+					in := cellContent{objs: content[:r.Intn(len(content))]}
+					if r.Intn(3) > 0 {
+						in.children = []int32{int32(i), int32(len(in.objs))} // this insert's own directory
+					}
+					before, mark := cached(), len(m.evicted)
+					if parts[key] == nil {
+						parts[key] = new(octree.Partition)
+					}
+					inserted = parts[key]
+					c.Insert(key.ds, key.cell, parts[key], at, in)
+					m.insert(key, at, epoch.Load(), in)
+					// What this insert pushed out of the cache, against what it
+					// pushed out of the model: insert by insert, so the victims
+					// come in the same order (as sets within one insert, where
+					// only the model shows an order).
+					evicted := slices.DeleteFunc(before, func(k scanKey) bool { return k == key || c.entries[k] != nil })
+					wantEvicted := slices.Clone(m.evicted[mark:])
+					slices.SortFunc(evicted, byKey)
+					slices.SortFunc(wantEvicted, byKey)
+					if !slices.Equal(evicted, wantEvicted) {
+						t.Fatalf("op %d, insert of %v: the cache evicted %v, the model %v", i, key, evicted, wantEvicted)
 					}
 				}
-				st := c.Stats()
-				if st.Evictions != m.evictions || st.Hits != m.hits || st.Misses != m.misses ||
-					st.GhostHits != m.ghostHits || st.Capacity != m.capacity ||
-					st.CapacityGrows != m.grows || st.CapacityShrinks != m.shrinks ||
-					st.Invalidations != m.invalidations {
-					t.Fatalf("ledger: cache %+v; model evictions %d hits %d misses %d ghost hits %d capacity %d grows %d shrinks %d invalidations %d",
-						st, m.evictions, m.hits, m.misses, m.ghostHits, m.capacity, m.grows, m.shrinks, m.invalidations)
+				if gotOK != wantOK || !slices.Equal(got.objs, want.objs) || !slices.Equal(got.children, want.children) {
+					t.Fatalf("op %d on %v: the cache answered %d objects with directory %v (%v), the model %d with %v (%v)",
+						i, key, len(got.objs), got.children, gotOK, len(want.objs), want.children, wantOK)
 				}
-				if st.Evictions < 1000 || st.Hits < 1000 || st.Invalidations < 100 || m.regrouped < 20 || adaptive && st.CapacityGrows+st.CapacityShrinks == 0 {
-					t.Fatalf("the sequence exercised too little: %+v, %d entries regrouped", st, m.regrouped)
+				if len(c.entries) != len(m.entries) || c.objects != m.objects {
+					t.Fatalf("op %d: the cache holds %d entries / %d objects, the model %d / %d", i, len(c.entries), c.objects, len(m.entries), m.objects)
 				}
-			})
-		}
+				checkMarks(i)
+			}
+			for _, e := range m.entries {
+				it := c.entries[e.key]
+				if it == nil || it.heat.Load() != e.heat || it.seq != e.seq {
+					t.Fatalf("entry %v: cache %+v, model heat %d seq %d", e.key, it, e.heat, e.seq)
+				}
+			}
+			st := c.Stats()
+			if st.Evictions != m.evictions || st.Hits != m.hits || st.Misses != m.misses ||
+				st.Capacity != m.capacity || st.Invalidations != m.invalidations {
+				t.Fatalf("ledger: cache %+v; model evictions %d hits %d misses %d capacity %d invalidations %d",
+					st, m.evictions, m.hits, m.misses, m.capacity, m.invalidations)
+			}
+			if st.Evictions < 1000 || st.Hits < 1000 || st.Invalidations < 100 || m.regrouped < 20 {
+				t.Fatalf("the sequence exercised too little: %+v, %d entries regrouped", st, m.regrouped)
+			}
+		})
 	}
 }
 
 // TestResultCacheRunTunesOnCadence: a run of hits is booked once, after the
-// run, yet the tuner must decide what it would have with every hit booked on
-// its own. The tape drives LookupRun beside the per-Lookup model: a run that
-// crosses tuneEvery in its middle, with enough ghost hits in the window to
-// grow the budget, and, after a flush, a run long enough to cross it
-// three times over an idle budget, which shrinks it twice. The capacity, the
-// tuner's moves, the ghost hits and the hits must match the model's at every
-// step, and the hits must be the hits served.
+// run, and books exactly its hits — never the read that ended it, which is
+// the caller's to Lookup. The tape drives LookupRun beside the per-Lookup
+// model over more cells than the budget holds, so runs end at evicted cells;
+// the hits and misses must match the model's at every step, and the hits
+// must be the hits served.
 func TestResultCacheRunTunesOnCadence(t *testing.T) {
 	var tick int64
 	var epoch atomic.Int64
@@ -466,10 +382,6 @@ func TestResultCacheRunTunesOnCadence(t *testing.T) {
 	c := newResultCache(geom.UnitBox(), 300, &epoch)
 	c.halfLife, c.tick = 16, func() int64 { return tick }
 	m := &eagerCache{bounds: geom.UnitBox(), halfLife: 16, tick: &tick, capacity: 300}
-	c.enableAdaptive()
-	m.enableAdaptive()
-	c.minCap, c.maxCap, c.capacity = 100, 1200, 300
-	m.minCap, m.maxCap, m.capacity = 100, 1200, 300
 	cells := make([]octree.Key, 32) // 16 objects each: twice what 300 holds
 	for i := range cells {
 		cells[i] = testKeyAt(3, uint32(i%8), uint32(i/8), 0)
@@ -478,11 +390,8 @@ func TestResultCacheRunTunesOnCadence(t *testing.T) {
 	var served int64
 	check := func(step string) {
 		t.Helper()
-		st := c.Stats()
-		if st.Capacity != m.capacity || st.CapacityGrows != m.grows || st.CapacityShrinks != m.shrinks ||
-			st.GhostHits != m.ghostHits || st.Hits != m.hits || st.Hits != served || c.sinceTune.Load() != m.sinceOp {
-			t.Fatalf("%s: cache %+v, cadence %d; model capacity %d grows %d shrinks %d ghost hits %d hits %d, cadence %d; %d hits served",
-				step, st, c.sinceTune.Load(), m.capacity, m.grows, m.shrinks, m.ghostHits, m.hits, m.sinceOp, served)
+		if st := c.Stats(); st.Hits != m.hits || st.Misses != m.misses || st.Hits != served {
+			t.Fatalf("%s: cache %+v; model hits %d misses %d; %d hits served", step, st, m.hits, m.misses, served)
 		}
 	}
 	// read is one cell read as readCell issues it: a lookup, and an insert of
@@ -518,76 +427,25 @@ func TestResultCacheRunTunesOnCadence(t *testing.T) {
 		served += int64(len(hits))
 	}
 
-	for _, cell := range cells { // fill past the budget: evictions, ghosts
-		read(cell)
-	}
-	for _, cell := range cells[:12] { // the first ones again: ghost hits
+	for _, cell := range cells { // fill past the budget: the first cells are evicted
 		read(cell)
 	}
 	check("filled")
 	hot := cells[len(cells)-1]
-	for m.sinceOp < tuneEvery-5 {
-		read(hot)
-	}
-	check("before the run")
-	if m.ghostHitsWin < growAfter {
-		t.Fatalf("the window holds %d ghost hits, too few to grow the budget", m.ghostHitsWin)
-	}
 	long := make([]octree.Key, 20)
 	for i := range long {
 		long[i] = hot
 	}
-	run(long...) // the fifth hit is due to tune
-	check("after a run crossing the cadence")
-	if m.grows == 0 {
-		t.Fatal("the tune inside the run did not grow the budget")
-	}
-
-	c.Invalidate()
-	m.invalidate()
-	read(cells[0])
-	read(cells[1])
-	check("after the flush")
-	long = make([]octree.Key, 3*tuneEvery+10)
-	for i := range long {
-		long[i] = cells[i%2]
-	}
-	before := m.shrinks
-	// Due to tune three times over two cells of a grown budget: the first tune
-	// still sees the peak from before the flush, the next two shrink.
 	run(long...)
-	check("after a run crossing the cadence twice")
-	if m.shrinks-before != 2 {
-		t.Fatalf("the run's two tunes shrank the budget %d times, want 2", m.shrinks-before)
-	}
-	run(cells[0], cells[1], cells[2]) // a run ended by a miss books only its hits
-	read(cells[2])
+	check("after a run of hits")
+	run(cells[0]) // a run ended by its first read books nothing
+	check("after an empty run")
+	run(cells[30], cells[31], cells[0], cells[31]) // a run ended by a miss books only its hits
 	check("after a run ended by a miss")
-}
-
-// TestAdaptiveCacheStartsInsideItsRange: enabling the tuner puts the capacity
-// inside the range it will float in before the first operation — a start
-// under the floor could otherwise only leave it by an oversized insert — and
-// leaves a start already inside (the benchmark's 131,072) where it was.
-func TestAdaptiveCacheStartsInsideItsRange(t *testing.T) {
-	for _, tc := range []struct{ start, want, lo, hi int64 }{
-		{16, 1024, 1024, 1024},
-		{300, 1024, 1024, 19200},
-		{1024, 1024, 1024, 65536},
-		{131072, 131072, 8192, 8388608},
-	} {
-		c := newResultCache(geom.UnitBox(), tc.start, new(atomic.Int64))
-		m := &eagerCache{capacity: tc.start}
-		c.enableAdaptive()
-		m.enableAdaptive()
-		if c.capacity != m.capacity || c.minCap != m.minCap || c.maxCap != m.maxCap {
-			t.Errorf("start %d: the cache is at %d in [%d, %d], the model at %d in [%d, %d]",
-				tc.start, c.capacity, c.minCap, c.maxCap, m.capacity, m.minCap, m.maxCap)
-		}
-		if st := c.Stats(); st.Capacity != tc.want || c.minCap != tc.lo || c.maxCap != tc.hi {
-			t.Errorf("start %d: capacity %d in [%d, %d], want %d in [%d, %d]",
-				tc.start, st.Capacity, c.minCap, c.maxCap, tc.want, tc.lo, tc.hi)
-		}
+	read(cells[0])
+	check("after the read that ended it")
+	if served != 22 || m.misses != int64(len(cells))+1 {
+		t.Fatalf("the tape exercised too little: %d hits served, %d misses", served, m.misses)
 	}
 }
 
@@ -611,9 +469,7 @@ func TestResultCacheStorm(t *testing.T) {
 	epoch.Store(1)
 	c := newResultCache(bounds, 32, &epoch)
 	var tick atomic.Int64
-	c.halfLife, c.tick = 8, tick.Load
-	c.enableAdaptive()
-	c.capacity, c.maxCap = 32, 256 // the 128 cells below hold 512 objects: the tuner grows the budget, evictions never stop
+	c.halfLife, c.tick = 8, tick.Load // the 128 cells below hold 512 objects: evictions never stop
 
 	// A run of reads over the level-2 cells of two datasets, in a fixed order.
 	var run []mergeRead

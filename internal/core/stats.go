@@ -40,10 +40,10 @@ type CacheStats struct {
 	// first).
 	Evictions int64
 	// Invalidations counts flushes (FlushResultCache) plus the targeted
-	// drops of layout publishes — a refinement's dataset, a merge's
-	// published keys — that removed at least one entry. A flush or drop
-	// that removed nothing is not counted — the field measures removals,
-	// not publish frequency.
+	// drops of layout publishes — the cells a refinement split and their
+	// cached ancestors, the published keys a merge could not regroup — that
+	// removed at least one entry. A flush or drop that removed nothing is
+	// not counted — the field measures removals, not publish frequency.
 	Invalidations int64
 	// ZeroReadQueries counts queries whose whole read side was served
 	// without any device read: every partition or segment came from the
@@ -53,16 +53,9 @@ type CacheStats struct {
 	// Entries and CachedObjects describe the current cache occupancy.
 	Entries       int
 	CachedObjects int64
-	// Capacity is the current object budget — fixed at Config.CacheCapacity
-	// normally, floating under Config.AdaptiveCache.
+	// Capacity is the object budget: Config.CacheCapacity, or
+	// DefaultCacheCapacity when that is zero.
 	Capacity int64
-	// GhostHits counts capacity misses: lookups that missed the cache but
-	// hit a shadow-LRU ghost of a recently evicted key — reads a bigger
-	// cache would have served. Only tracked under AdaptiveCache.
-	GhostHits int64
-	// CapacityGrows and CapacityShrinks count the adaptive tuner's moves.
-	CapacityGrows   int64
-	CapacityShrinks int64
 }
 
 // KeyOf returns the canonical key for a set of datasets.

@@ -148,6 +148,7 @@ func TestDeprecatedSwitchesAreInert(t *testing.T) {
 		set  func(*Options)
 	}{
 		{"ShareScans", func(o *Options) { o.ShareScans = true }},
+		{"AdaptiveCache", func(o *Options) { o.AdaptiveCache = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := Options{CacheResults: true, HeatHalfLife: 64}
