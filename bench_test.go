@@ -249,7 +249,7 @@ func BenchmarkExplorerQuery(b *testing.B) {
 // BenchmarkServingHotQuery is the frozen benchmark's serve_hot workload at
 // micro-benchmark scale, for profiling the cached query without patching the
 // benchmark: the serving preset (background maintenance, scan sharing, the
-// result cache, heat decay), the layout converged on a pool of
+// result cache), the layout converged on a pool of
 // clustered queries and quiesced, the working set cached — so a query is
 // routing, walks, cache hits and filters, zero device reads — driven from
 // GOMAXPROCS goroutines at once.
@@ -260,7 +260,6 @@ func BenchmarkServingHotQuery(b *testing.B) {
 		Cost:             simdisk.ReducedScaleCostModel(),
 		AsyncMaintenance: true,
 		CacheResults:     true,
-		HeatHalfLife:     64,
 	})
 	if err != nil {
 		b.Fatal(err)

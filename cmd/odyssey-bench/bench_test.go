@@ -69,15 +69,18 @@ func TestValidateWantsTheCompleteRecording(t *testing.T) {
 		t.Fatalf("a one-scenario report is a valid fresh run: %v", err)
 	}
 	if validateFile(narrowed("scenarios.json", &sc)) == nil {
-		t.Error("validate passed a scenarios artifact without drift and zipf")
+		t.Error("validate passed a scenarios artifact without drift")
 	}
 	committed(t, "BENCH_scenarios.json", &sc)
 	for i := range sc.Scenarios {
 		s := &sc.Scenarios[i]
 		s.Modes = s.Modes[:len(s.Modes)-1]
 	}
-	if validateFile(narrowed("static.json", &sc)) == nil {
-		t.Error("validate passed a scenarios artifact without the adaptive mode")
+	if err := sc.check(); err != nil {
+		t.Fatalf("a report of fewer modes passes its check: %v", err)
+	}
+	if validateFile(narrowed("small.json", &sc)) == nil {
+		t.Error("validate passed a scenarios artifact without the 65,536-object mode")
 	}
 	var pa paperReport
 	committed(t, "BENCH_paper.json", &pa)
@@ -106,18 +109,14 @@ func TestChecksCatchABrokenInvariant(t *testing.T) {
 	load("BENCH_cluster.json", &unconserved)
 	wasted.WastedSimSeconds = 0.01
 	unconserved.ChargeConserved = false
-	// The adaptive mode is the last of a scenario's sweep.
-	var drift, zipf, unconverged scenariosReport
+	// The 65,536-object mode is the last of a scenario's sweep.
+	var drift, unconverged scenariosReport
 	load("BENCH_scenarios.json", &drift)
-	load("BENCH_scenarios.json", &zipf)
 	load("BENCH_scenarios.json", &unconverged)
-	unconverged.Scenarios[0].Modes[0].Converged = false // a static mode: every mode of a full-scale sweep converges
+	unconverged.Scenarios[0].Modes[0].Converged = false // every mode of a full-scale sweep converges
 	for i, s := range drift.Scenarios {
-		switch ad := len(s.Modes) - 1; s.Scenario {
-		case "drift": // level with a static setting: not a win
-			drift.Scenarios[i].Modes[ad].SimSeconds = s.Modes[0].SimSeconds
-		case "zipf":
-			zipf.Scenarios[i].Modes[ad].SimSeconds = 1.2 * s.Modes[0].SimSeconds
+		if s.Scenario == "drift" { // level with a smaller budget: not below it
+			drift.Scenarios[i].Modes[len(s.Modes)-1].SimSeconds = s.Modes[0].SimSeconds
 		}
 	}
 	// One figure shape per kind: a total ordering, and the merge gain.
@@ -132,7 +131,7 @@ func TestChecksCatchABrokenInvariant(t *testing.T) {
 	noGain.Figure5c.GainPercent = -1
 	for name, rep := range map[string]report{
 		"cluster wasted": &wasted, "cluster conservation": &unconserved, "paper fig4a": &slower, "paper fig5c": &noGain,
-		"scenarios drift": &drift, "scenarios zipf": &zipf, "scenarios converged": &unconverged,
+		"scenarios drift": &drift, "scenarios converged": &unconverged,
 	} {
 		if rep.check() == nil {
 			t.Errorf("%s: check passed a report with its invariant broken", name)

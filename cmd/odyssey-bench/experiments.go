@@ -56,8 +56,8 @@ var figureIDs = []string{"fig4a", "fig4b", "fig4c", "fig4d", "fig5a", "fig5b", "
 // experiments is the table. The figure rows reproduce the paper in
 // simulated seconds; every other row carries evidence the repository
 // benchmark (benchmark/) does not — the cluster's oracle identity and charge
-// conservation, heat decay against static settings — and exists for its
-// invariant, which its report's check asserts.
+// conservation, the serving modes' results and charges on the scenario
+// matrix — and exists for its invariant, which its report's check asserts.
 var experiments []experiment
 
 func init() { // not an initializer: validate's row reads the table it is in
@@ -74,7 +74,7 @@ func init() { // not an initializer: validate's row reads the table it is in
 			// then decides which queries run concurrently, which is where
 			// batching earns its sharing wins.
 			name: "scenarios", id: "scenario-lab", title: "scenario lab", workers: 4,
-			flags: slices.Concat(sizing, topology, []string{"parallel", "realtime-scale", "json", "scenario", "adaptive", "gap"}),
+			flags: slices.Concat(sizing, topology, []string{"parallel", "realtime-scale", "json", "scenario", "gap"}),
 			run:   runScenarios, report: func() report { return new(scenariosReport) },
 		},
 		{name: "validate", flags: []string{"experiment"}, run: runValidate},
@@ -222,32 +222,27 @@ type scenarioMode struct {
 	name     string
 	window   time.Duration
 	capacity int64
-	adaptive bool
 }
 
-// scenarioModes is the sweep, the adaptive mode last. The static grid crosses
-// both batch-window extremes with both capacity extremes: the small capacity
-// thrashes on any repeating hotspot; the large one comfortably holds a whole
-// phase's working set — but not every phase of a drifting workload at once,
-// which is exactly the regime where frequency-kept heat goes stale and decay
-// earns its keep. The adaptive mode, decay, is heat decay (half-life 64
-// queries) on the fixed 4 ms window, with a cache of 65,536 objects: the
-// serving stack's one self-tuning loop on a budget that holds every
+// scenarioModes is the sweep. Every mode is a fixed setting: the first four
+// cross both batch-window extremes with two small cache budgets — 16 objects
+// thrash on any repeating hotspot, and 1,024 hold a whole phase's working set
+// but not every phase of a drifting workload at once — and the last is the
+// 4 ms window with a cache of 65,536 objects, a budget that holds every
 // scenario's working set.
 var scenarioModes = []scenarioMode{
 	{name: "static-w0-small", window: 0, capacity: 16},
 	{name: "static-w0-large", window: 0, capacity: 1 << 10},
 	{name: "static-w4-small", window: 4 * time.Millisecond, capacity: 16},
 	{name: "static-w4-large", window: 4 * time.Millisecond, capacity: 1 << 10},
-	{name: "decay", window: 4 * time.Millisecond, capacity: 1 << 16, adaptive: true},
+	{name: "static-w4-64k", window: 4 * time.Millisecond, capacity: 1 << 16},
 }
 
 // runScenarios is the scenario lab: each named scenario of
 // internal/workload's matrix is replayed open-loop — queries submitted on
 // the scenario's own arrival pacing, in units of -gap — once per serving
-// mode: the static grid, and with -adaptive the self-tuning mode (heat
-// decay on the fixed window). Latency is taken
-// from scheduled arrival, and every mode must return identical results.
+// mode of scenarioModes. Latency is taken from scheduled arrival, and every
+// mode must return identical results.
 func runScenarios(p *params, f *fixture, _ []odyssey.Query) report {
 	names := []string{p.scenario}
 	if p.scenario == "all" {
@@ -266,9 +261,6 @@ func runScenarios(p *params, f *fixture, _ []odyssey.Query) report {
 		srep := scenarioReport{Scenario: name, Description: w.Description, Queries: len(w.Queries), ResultsIdentical: true}
 		var basePrints map[int]uint64
 		for _, mode := range scenarioModes {
-			if mode.adaptive && !p.adaptive {
-				continue
-			}
 			mrep, prints := runScenarioMode(p, f, w, mode)
 			srep.Modes = append(srep.Modes, mrep)
 			if basePrints == nil {
@@ -288,13 +280,10 @@ func runScenarios(p *params, f *fixture, _ []odyssey.Query) report {
 func runScenarioMode(p *params, f *fixture, w workload.ScenarioWorkload, mode scenarioMode) (scenarioModeReport, map[int]uint64) {
 	ps, converged := f.measure(w.Queries, func(o *odyssey.Options) {
 		o.CacheResults, o.CacheCapacity = true, mode.capacity
-		if mode.adaptive {
-			o.HeatHalfLife = 64
-		}
 	}, p.scale, replayOpts{workers: p.workers, admission: odyssey.AdmissionConfig{BatchWindow: mode.window}, gap: p.gap, gaps: w.Gaps, coldCache: true})
 	cs, cs0 := ps.after.cache, ps.before.cache
 	rep := scenarioModeReport{
-		Mode: mode.name, BatchWindowMS: millis(mode.window), Adaptive: mode.adaptive, CacheCapacity: mode.capacity,
+		Mode: mode.name, BatchWindowMS: millis(mode.window), CacheCapacity: mode.capacity,
 		Converged: converged, timing: ps.timing(), PagesRead: ps.after.disk.PageReads,
 		Refinements:   ps.after.metrics.Refinements - ps.before.metrics.Refinements,
 		Merges:        ps.after.metrics.PartitionsMerged - ps.before.metrics.PartitionsMerged,

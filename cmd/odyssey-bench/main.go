@@ -49,7 +49,7 @@ type params struct {
 	experiment, layout, ksList, jsonPath, scenario string
 	seekUS, transferUS, workers                    int
 	shards, replicas                               int
-	verify, adaptive                               bool
+	verify                                         bool
 	scale                                          float64
 	gap                                            time.Duration
 
@@ -85,7 +85,6 @@ func flags(p *params) *flag.FlagSet {
 	fs.IntVar(&p.cfg.Channels, "channels", 1, "independent I/O channels (platter heads) per device")
 	fs.StringVar(&p.jsonPath, "json", "", "write the row's report as JSON to this file (the figure rows of one invocation share one)")
 	fs.StringVar(&p.scenario, "scenario", "all", "scenarios: the named scenario to sweep (zipf|drift|scanheavy|pointheavy|diurnal|adversarial) or 'all'")
-	fs.BoolVar(&p.adaptive, "adaptive", false, "scenarios: include the adaptive self-tuning mode (auto-sized result cache and heat decay, on the fixed 4 ms window) in the sweep")
 	fs.DurationVar(&p.gap, "gap", 2*time.Millisecond, "scenarios: base open-loop inter-arrival unit; each scenario scales it by its own pacing curve")
 	fs.IntVar(&p.shards, "shards", 4, "cluster: shard count N")
 	fs.IntVar(&p.replicas, "replicas", 2, "cluster: replication factor R (clamped to -shards)")

@@ -1,9 +1,9 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"time"
@@ -38,10 +38,10 @@ func (v violations) err() error {
 }
 
 // fullScaleQueries is the workload size from which a serving report's
-// orderings (adaptive below best static) are asserted. Below it — the CI
-// smoke sizes — a handful of queries decide them and only the structural
-// invariants hold reliably; every committed artifact was recorded at or
-// above it. The orderings compare
+// orderings (on drift, the largest cache budget below every smaller one) are
+// asserted. Below it — the CI smoke sizes — a handful of queries decide them
+// and only the structural invariants hold reliably; every committed artifact
+// was recorded at or above it. The orderings compare
 // simulated quantities, which the device charges exactly, so a report passes
 // or fails the same on every host.
 const fullScaleQueries = 300
@@ -111,7 +111,6 @@ type clusterReport struct {
 type scenarioModeReport struct {
 	Mode          string  `json:"mode"`
 	BatchWindowMS float64 `json:"batch_window_ms"`
-	Adaptive      bool    `json:"adaptive"`
 	CacheCapacity int64   `json:"cache_capacity"`
 	Converged     bool    `json:"converged"`
 	timing
@@ -129,15 +128,6 @@ type scenarioReport struct {
 	Queries          int                  `json:"queries"`
 	Modes            []scenarioModeReport `json:"modes"`
 	ResultsIdentical bool                 `json:"results_identical"`
-}
-
-// adaptive returns the scenario's self-tuning mode — the last of the sweep —
-// or nil for a static-only sweep.
-func (s *scenarioReport) adaptive() *scenarioModeReport {
-	if n := len(s.Modes); n > 0 && s.Modes[n-1].Adaptive {
-		return &s.Modes[n-1]
-	}
-	return nil
 }
 
 // scenariosReport is the scenarios row's report (BENCH_scenarios.json).
@@ -192,22 +182,17 @@ func (r *scenariosReport) check() error {
 		for _, m := range s.Modes {
 			v.require(!full || m.Converged, "%s: %s replayed a layout that had not converged", s.Scenario, m.Mode)
 		}
-		ad := s.adaptive()
-		if ad == nil { // static-only sweep
+		if !full || s.Scenario != "drift" || len(s.Modes) == 0 {
 			continue
 		}
-		v.require(len(s.Modes) == len(scenarioModes), "%s: a mode is missing from the sweep", s.Scenario)
-		// The two orderings the adaptive stack is held to, in the simulated
-		// time the replay charged: it wins the scenario built for it, and
-		// costs at most 10% on the static hotspot.
-		best := math.Inf(1)
-		for _, m := range s.Modes[:len(s.Modes)-1] {
-			best = min(best, m.SimSeconds)
+		// The ordering the recording shows, in the simulated time the replay
+		// charged: drift's phases together outgrow every budget but the
+		// largest, which charges less than every smaller one.
+		big := slices.MaxFunc(s.Modes, func(a, b scenarioModeReport) int { return cmp.Compare(a.CacheCapacity, b.CacheCapacity) })
+		for _, m := range s.Modes {
+			v.require(m.CacheCapacity == big.CacheCapacity || big.SimSeconds < m.SimSeconds,
+				"drift: %s charged %vs simulated, not below %s's %vs", big.Mode, big.SimSeconds, m.Mode, m.SimSeconds)
 		}
-		v.require(!full || s.Scenario != "drift" || ad.SimSeconds < best,
-			"drift: adaptive charged %vs simulated, not below the best static setting's %vs", ad.SimSeconds, best)
-		v.require(!full || s.Scenario != "zipf" || ad.SimSeconds <= 1.10*best,
-			"zipf: adaptive charged %vs simulated, past 1.10x the best static setting's %vs", ad.SimSeconds, best)
 	}
 	return v.err()
 }
@@ -279,7 +264,7 @@ func (r *paperReport) check() error {
 }
 
 // complete is what validate further asks of the artifacts a fresh run may
-// legitimately be narrower than (one figure, -scenario NAME, no -adaptive):
+// legitimately be narrower than (one figure, -scenario NAME):
 // check skips what a report does not contain, so an
 // ordering the committed recording left out would be evaluated nowhere.
 func (r *paperReport) complete() error {
@@ -301,10 +286,17 @@ func (r *paperReport) complete() error {
 
 func (r *scenariosReport) complete() error {
 	var v violations
-	var got []string
+	var got, want []string
+	for _, m := range scenarioModes {
+		want = append(want, m.name)
+	}
 	for _, s := range r.Scenarios {
 		got = append(got, s.Scenario)
-		v.require(s.adaptive() != nil, "%s: recorded without the adaptive mode", s.Scenario)
+		var modes []string
+		for _, m := range s.Modes {
+			modes = append(modes, m.Mode)
+		}
+		v.require(slices.Equal(modes, want), "%s: records modes %v, not all of %v", s.Scenario, modes, want)
 	}
 	v.require(slices.Equal(got, workload.ScenarioNames()), "records scenarios %v, not all of %v", got, workload.ScenarioNames())
 	return v.err()

@@ -95,27 +95,23 @@ type Options struct {
 	//
 	// Deprecated: set CacheCapacity, or leave it at the default.
 	AdaptiveCache bool
-	// HeatHalfLife, when positive, applies exponential decay to the
-	// engine's heat ledgers — the result cache's eviction order and the
-	// maintenance scheduler's task priorities — with this half-life measured
-	// in queries: an entry untouched for HeatHalfLife queries counts half its
-	// accumulated heat, so a migrated hotspot releases its resources instead
-	// of pinning them forever. Decay is applied lazily in log-space on read
-	// (no background rescoring) and changes only eviction and scheduling
-	// order — never query results. 0 (default) keeps heat cumulative
-	// forever, the original behaviour bit-for-bit.
+	// HeatHalfLife is ignored, and kept only so that code which sets it
+	// still compiles: the result cache evicts the entry with the fewest hits,
+	// oldest first, and background maintenance runs the most-demanded region
+	// first, ties in arrival order.
+	//
+	// Deprecated: leave it unset.
 	HeatHalfLife int
 }
 
 // engineConfig is the engine configuration of Options: the paper defaults
-// with the serving modes Options switches on. ShareScans and AdaptiveCache
-// are not read.
+// with the serving modes Options switches on. ShareScans, AdaptiveCache and
+// HeatHalfLife are not read.
 func (o Options) engineConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.AsyncMaintenance = o.AsyncMaintenance
 	cfg.CacheResults = o.CacheResults
 	cfg.CacheCapacity = o.CacheCapacity
-	cfg.HeatHalfLife = o.HeatHalfLife
 	return cfg
 }
 

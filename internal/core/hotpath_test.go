@@ -127,7 +127,6 @@ func servingConfig() Config {
 	cfg := DefaultConfig()
 	cfg.AsyncMaintenance = true
 	cfg.CacheResults = true
-	cfg.HeatHalfLife = 64
 	return cfg
 }
 

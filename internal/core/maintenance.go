@@ -60,22 +60,24 @@ type refineTask struct {
 // coalesced duplicate demand), seq breaks heat ties FIFO. The maintenance
 // queues are max-heaps on (heat, -seq), so the hottest region's work runs
 // first — under backlog, the partitions concurrent traffic keeps hitting
-// converge before cold stragglers. With Config.HeatHalfLife set, score is
-// the log-space decayed-heat key (see decay.go) and takes precedence; it
-// stays 0 with decay off, restoring the exact legacy order.
+// converge before cold stragglers.
 type heatItem[T any] struct {
 	task  T
 	heat  int64
-	score float64 // decayed-heat key; 0 unless decay is on
 	seq   int64
 	index int // position in its heap, maintained by the heap interface
 }
 
-// heatHeap is a max-heap of maintenance tasks by (decayed heat, FIFO).
+// hotter orders maintenance work: more heat first, heat ties FIFO.
+func (a *heatItem[T]) hotter(b *heatItem[T]) bool {
+	return a.heat > b.heat || a.heat == b.heat && a.seq < b.seq
+}
+
+// heatHeap is a max-heap of maintenance tasks by (heat, FIFO).
 type heatHeap[T any] []*heatItem[T]
 
 func (h heatHeap[T]) Len() int           { return len(h) }
-func (h heatHeap[T]) Less(i, j int) bool { return hotter(h[i], h[j]) }
+func (h heatHeap[T]) Less(i, j int) bool { return h[i].hotter(h[j]) }
 func (h heatHeap[T]) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index, h[j].index = i, j
@@ -125,8 +127,7 @@ type maintainer struct {
 
 	mergeQ heatHeap[*combo]
 
-	seq      int64   // FIFO tiebreak for equal-heat tasks
-	halfLife float64 // heat half-life in queries; 0 = no decay
+	seq      int64 // FIFO tiebreak for equal-heat tasks
 	queueLen int
 	inFlight int
 	stats    MaintenanceStats
@@ -148,7 +149,6 @@ func newMaintainer(o *Odyssey, workers int) *maintainer {
 	}
 	m := &maintainer{
 		o:             o,
-		halfLife:      o.halfLife,
 		refineQ:       make(map[object.DatasetID]*heatHeap[refineTask]),
 		refinePending: make(map[object.DatasetID]map[octree.Key]*heatItem[refineTask]),
 		activeRefine:  make(map[object.DatasetID]bool),
@@ -214,18 +214,14 @@ func (m *maintainer) EnqueueRefine(ds object.DatasetID, keys []octree.Key, box g
 		if it := pend[k]; it != nil {
 			m.stats.Coalesced++
 			it.heat++
-			if m.halfLife > 0 {
-				it.score = bumpScore(it.score, m.o.heatTick.Load(), m.halfLife)
-			}
 			heap.Fix(h, it.index)
 			continue
 		}
 		m.seq++
 		it := &heatItem[refineTask]{
-			task:  refineTask{key: k, box: box, qVol: qVol, combo: c},
-			heat:  1,
-			score: m.freshScore(),
-			seq:   m.seq,
+			task: refineTask{key: k, box: box, qVol: qVol, combo: c},
+			heat: 1,
+			seq:  m.seq,
 		}
 		pend[k] = it
 		heap.Push(h, it)
@@ -235,15 +231,6 @@ func (m *maintainer) EnqueueRefine(ds object.DatasetID, keys []octree.Key, box g
 	if added {
 		m.cond.Broadcast()
 	}
-}
-
-// freshScore keys a newly queued task: one demand as of the current query
-// tick (0 — the legacy ordering — when decay is off).
-func (m *maintainer) freshScore() float64 {
-	if m.halfLife <= 0 {
-		return 0
-	}
-	return newScore(m.o.heatTick.Load(), m.halfLife)
 }
 
 // EnqueueMerge schedules one combination's merge step, coalescing with (and
@@ -257,18 +244,14 @@ func (m *maintainer) EnqueueMerge(c *combo) {
 	if it := c.mergeItem; it != nil {
 		m.stats.Coalesced++
 		it.heat++
-		if m.halfLife > 0 {
-			it.score = bumpScore(it.score, m.o.heatTick.Load(), m.halfLife)
-		}
 		heap.Fix(&m.mergeQ, it.index)
 		return
 	}
 	m.seq++
 	it := &heatItem[*combo]{
-		task:  c,
-		heat:  1,
-		score: m.freshScore(),
-		seq:   m.seq,
+		task: c,
+		heat: 1,
+		seq:  m.seq,
 	}
 	c.mergeItem = it
 	heap.Push(&m.mergeQ, it)
@@ -313,7 +296,7 @@ func (m *maintainer) pickLocked() (execTask, bool) {
 			continue
 		}
 		top := (*h)[0]
-		if bestH == nil || hotter(top, (*bestH)[0]) {
+		if bestH == nil || top.hotter((*bestH)[0]) {
 			bestDS, bestH = ds, h
 		}
 	}
@@ -332,7 +315,7 @@ func (m *maintainer) pickLocked() (execTask, bool) {
 		if it.task.merging || m.membersBusyLocked(it.task.members) {
 			continue
 		}
-		if best == nil || hotter(it, best) {
+		if best == nil || it.hotter(best) {
 			best = it
 		}
 	}

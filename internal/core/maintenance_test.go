@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
 	"spaceodyssey/internal/engine"
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
+	"spaceodyssey/internal/octree"
 )
 
 // asyncConfig returns the default configuration with the background
@@ -252,5 +254,121 @@ func TestAsyncQuiesceCancellation(t *testing.T) {
 	eng.maint.SetPaused(false)
 	if err := eng.Quiesce(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMaintenancePriorityHottestFirst pins the scheduler's priority rule:
+// with tasks of different access counts queued, pickLocked pops the hottest
+// region first, heat ties break FIFO — within a dataset's queue and between
+// the tops of two datasets' — and a merge whose member is still refining
+// yields to the hottest runnable one. The maintainer is constructed without
+// workers so the test owns the queue.
+func TestMaintenancePriorityHottestFirst(t *testing.T) {
+	m := &maintainer{
+		refineQ:       make(map[object.DatasetID]*heatHeap[refineTask]),
+		refinePending: make(map[object.DatasetID]map[octree.Key]*heatItem[refineTask]),
+		activeRefine:  make(map[object.DatasetID]bool),
+	}
+	m.cond = sync.NewCond(&m.mu)
+
+	q := geom.Cube(geom.V(0.5, 0.5, 0.5), 0.1)
+	cold := testKeyAt(1, 0, 0, 0)
+	warm := testKeyAt(1, 1, 0, 0)
+	hotK := testKeyAt(1, 2, 0, 0)
+	members := testCombo(0)
+	m.EnqueueRefine(0, []octree.Key{cold, warm, hotK}, q, 0.001, members)
+	// Heat the tasks: warm gets one duplicate demand, hot gets three.
+	m.EnqueueRefine(0, []octree.Key{warm}, q, 0.001, members)
+	for i := 0; i < 3; i++ {
+		m.EnqueueRefine(0, []octree.Key{hotK}, q, 0.001, members)
+	}
+
+	pop := func() (object.DatasetID, octree.Key) {
+		t.Helper()
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		task, ok := m.pickLocked()
+		if !ok {
+			t.Fatal("queue empty")
+		}
+		if task.merge != nil {
+			t.Fatal("merge popped before refinements drained")
+		}
+		// One writer per dataset: release the claim so the next pop works.
+		delete(m.activeRefine, task.ds)
+		return task.ds, task.refine.key
+	}
+	for i, want := range []octree.Key{hotK, warm, cold} {
+		if _, k := pop(); k != want {
+			t.Fatalf("pop %d = %v, want %v", i, k, want)
+		}
+	}
+
+	// Equal heat: two demands each, on two datasets, first come first
+	// served — across the datasets' queues as within one.
+	first, second := testKeyAt(2, 0, 0, 0), testKeyAt(2, 1, 0, 0)
+	m.EnqueueRefine(1, []octree.Key{first}, q, 0.001, members)
+	m.EnqueueRefine(2, []octree.Key{second}, q, 0.001, members)
+	m.EnqueueRefine(1, []octree.Key{second}, q, 0.001, members)
+	m.EnqueueRefine(2, []octree.Key{first}, q, 0.001, members)
+	for _, k := range []octree.Key{first, second} {
+		m.EnqueueRefine(1, []octree.Key{k}, q, 0.001, members)
+		m.EnqueueRefine(2, []octree.Key{k}, q, 0.001, members)
+	}
+	for i, want := range []struct {
+		ds  object.DatasetID
+		key octree.Key
+	}{{1, first}, {2, second}, {1, second}, {2, first}} {
+		if ds, k := pop(); ds != want.ds || k != want.key {
+			t.Fatalf("tied pop %d = dataset %d %v, want dataset %d %v", i, ds, k, want.ds, want.key)
+		}
+	}
+
+	// Merge heat: two combinations, the second demanded twice — it runs
+	// first despite arriving later.
+	merge := func() *combo {
+		t.Helper()
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		task, ok := m.pickLocked()
+		if !ok || task.merge == nil {
+			t.Fatalf("no merge popped: %+v ok=%v", task, ok)
+		}
+		task.merge.merging = false
+		return task.merge
+	}
+	a, b := testCombo(0, 1, 2), testCombo(1, 2, 3)
+	m.EnqueueMerge(a)
+	m.EnqueueMerge(b)
+	m.EnqueueMerge(b)
+	if c := merge(); c != b {
+		t.Fatal("hot merge not popped first")
+	}
+	if c := merge(); c != a {
+		t.Fatal("cold merge not popped second")
+	}
+
+	// A member still refining vetoes the hottest merge: the hottest
+	// runnable one goes instead, and the vetoed one once the member is done.
+	hot, warmC, coldC := testCombo(4, 5, 6), testCombo(0, 1, 2), testCombo(1, 2, 3)
+	m.EnqueueMerge(coldC)
+	m.EnqueueMerge(warmC)
+	m.EnqueueMerge(warmC)
+	for i := 0; i < 3; i++ {
+		m.EnqueueMerge(hot)
+	}
+	m.mu.Lock()
+	m.activeRefine[5] = true
+	m.mu.Unlock()
+	if c := merge(); c != warmC {
+		t.Fatalf("popped %s past a busy member, want the hottest runnable %s", c.key, warmC.key)
+	}
+	m.mu.Lock()
+	delete(m.activeRefine, 5)
+	m.mu.Unlock()
+	for i, want := range []*combo{hot, coldC} {
+		if c := merge(); c != want {
+			t.Fatalf("merge %d after the member finished = %s, want %s", i, c.key, want.key)
+		}
 	}
 }

@@ -63,13 +63,11 @@ type Config struct {
 	// defaults to DefaultCacheCapacity). Eviction is heat-aware: coldest
 	// entries (fewest hits, oldest among equals) leave first.
 	CacheCapacity int64
-	// HeatHalfLife decays every heat ledger — maintenance task priority and
-	// result-cache eviction order — with the given half-life in queries: an
-	// access count halves every HeatHalfLife queries, applied lazily on read
-	// (see decay.go). A migrated hotspot then releases its cache entries and
-	// scheduling priority instead of pinning them forever. 0 (the default)
-	// disables decay: all orderings are bit-for-bit the legacy
-	// cumulative-count behavior.
+	// HeatHalfLife is ignored, and kept only so that configurations which
+	// set it still compile: heat is a plain access count, and the heat
+	// ledgers order by it with ties FIFO.
+	//
+	// Deprecated: leave it unset.
 	HeatHalfLife int
 	// AdaptiveCache is ignored, and kept only so that configurations which
 	// set it still compile: the result cache's budget is CacheCapacity.
@@ -214,11 +212,6 @@ type Odyssey struct {
 	// merge attempt cannot succeed now either (see futileMark).
 	layoutEpoch atomic.Int64
 
-	// heatTick is the logical clock heat decay runs on: one tick per query.
-	// halfLife mirrors Config.HeatHalfLife as a float (0 = no decay).
-	heatTick atomic.Int64
-	halfLife float64
-
 	// relations counts merge-file routings by Relation.
 	relations [RelSubset + 1]atomic.Int64
 
@@ -239,19 +232,16 @@ type Odyssey struct {
 // queries arrive.
 func New(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Config) (*Odyssey, error) {
 	o := &Odyssey{
-		dev:      dev,
-		cfg:      cfg,
-		bounds:   bounds,
-		trees:    make(map[object.DatasetID]*octree.Tree, len(raws)),
-		treeMu:   make(map[object.DatasetID]*sync.RWMutex, len(raws)),
-		combos:   make(map[ComboKey]*combo),
-		merger:   NewMerger(dev, cfg.Merger),
-		halfLife: float64(cfg.HeatHalfLife),
+		dev:    dev,
+		cfg:    cfg,
+		bounds: bounds,
+		trees:  make(map[object.DatasetID]*octree.Tree, len(raws)),
+		treeMu: make(map[object.DatasetID]*sync.RWMutex, len(raws)),
+		combos: make(map[ComboKey]*combo),
+		merger: NewMerger(dev, cfg.Merger),
 	}
 	if cfg.CacheResults {
 		o.rcache = newResultCache(bounds, cfg.CacheCapacity, &o.layoutEpoch)
-		o.rcache.halfLife = o.halfLife
-		o.rcache.tick = o.heatTick.Load
 		o.merger.cache = o.rcache
 	}
 	for _, raw := range raws {
@@ -678,7 +668,6 @@ func (o *Odyssey) route(ctx context.Context, acc *queryAcc, datasets []object.Da
 	var buf [64]byte
 	key := appendKey(buf[:0], acc.ordered)
 
-	o.heatTick.Add(1) // one decay tick per query
 	o.statsMu.Lock()
 	c := o.combos[ComboKey(key)]
 	if c == nil {

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"iter"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -35,36 +34,15 @@ type cachedScan struct {
 	// entry is cached (nil when the read that inserted it did not know it).
 	part *octree.Partition
 
-	// The live eviction key is (score, heat, seq). Hits raise heat and score
-	// with atomics, under the cache's shared lock; seq is fixed at insert.
-	heat  atomic.Int64
-	score atomic.Uint64 // math.Float64bits of the decayed-heat key (decay.go); 0 with decay off
-	seq   int64
+	// The live eviction key is (heat, seq). A hit raises heat with an
+	// atomic, under the cache's shared lock; seq is fixed at insert.
+	heat atomic.Int64
+	seq  int64
 
 	// Guarded by the cache's exclusive lock: the entry's slot in the eviction
-	// heap and the key that slot was chosen by (see coldHeap).
-	index    int
-	posHeat  int64
-	posScore float64
-}
-
-// touch books one hit on the entry: the access count, and under
-// Config.HeatHalfLife the decayed score as of tick. Both only ever rise —
-// bumpScore never returns less than the score it bumps — which is what lets
-// the eviction heap go unrepaired between evictions.
-func (s *cachedScan) touch(tick int64, halfLife float64) {
-	s.heat.Add(1)
-	if halfLife <= 0 {
-		return
-	}
-	for {
-		old := s.score.Load()
-		score := math.Float64frombits(old)
-		next := bumpScore(score, tick, halfLife)
-		if next == score || s.score.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
+	// heap and the heat that slot was chosen by (see coldHeap).
+	index   int
+	posHeat int64
 }
 
 // unmark clears the mark of the entry's partition, if it has one. Caller
@@ -79,19 +57,16 @@ func (s *cachedScan) unmark() {
 // and reports whether it had fallen behind. Caller holds the exclusive lock
 // (no hit is in flight) and fixes the heap.
 func (s *cachedScan) reposition() bool {
-	heat, score := s.heat.Load(), math.Float64frombits(s.score.Load())
-	if heat == s.posHeat && score == s.posScore {
+	heat := s.heat.Load()
+	if heat == s.posHeat {
 		return false
 	}
-	s.posHeat, s.posScore = heat, score
+	s.posHeat = heat
 	return true
 }
 
-// coldHeap is a min-heap of cached scans by (score, heat, FIFO): the coldest
-// — and, among equals, oldest — entry surfaces first for eviction. Under
-// Config.HeatHalfLife the decayed-heat score takes precedence (zero scores
-// with decay off restore the legacy order), so a stale hotspot's once-hot
-// entries cool down and become evictable.
+// coldHeap is a min-heap of cached scans by (heat, FIFO): the coldest —
+// and, among equals, oldest — entry surfaces first for eviction.
 //
 // The heap is lazy. A hit does no heap work: it raises the entry's live key
 // and leaves the heap ordered by the keys entries were last positioned by,
@@ -103,13 +78,7 @@ type coldHeap []*cachedScan
 
 func (h coldHeap) Len() int { return len(h) }
 func (h coldHeap) Less(i, j int) bool {
-	if h[i].posScore != h[j].posScore {
-		return h[i].posScore < h[j].posScore
-	}
-	if h[i].posHeat != h[j].posHeat {
-		return h[i].posHeat < h[j].posHeat
-	}
-	return h[i].seq < h[j].seq
+	return h[i].posHeat < h[j].posHeat || h[i].posHeat == h[j].posHeat && h[i].seq < h[j].seq
 }
 func (h coldHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
@@ -170,8 +139,8 @@ func (h *coldHeap) Pop() any {
 // Locking: mu is a leaf lock (never held while acquiring any engine lock).
 // Content is immutable and outlives its entry, so a caller may use what a
 // lookup returned after a drop removed it or a regroup replaced it. A
-// lookup, hit or miss, holds mu shared: a map lookup and the atomics of
-// cachedScan.touch. Everything that changes the cache's structure or an
+// lookup, hit or miss, holds mu shared: a map lookup and the atomic add of
+// the entry's heat. Everything that changes the cache's structure or an
 // entry's content holds it exclusively: Insert and its evictions, DropKeys,
 // Regroup's swaps and Invalidate.
 type resultCache struct {
@@ -180,10 +149,6 @@ type resultCache struct {
 	// against.
 	epoch *atomic.Int64
 
-	// halfLife and tick wire heat decay in (see decay.go); both zero-valued
-	// when Config.HeatHalfLife is off.
-	halfLife float64
-	tick     func() int64
 	capacity int64 // max cached objects across all entries
 
 	mu      sync.RWMutex
@@ -222,16 +187,8 @@ func (c *resultCache) hit(key scanKey) (cellContent, bool) {
 	if !ok {
 		return cellContent{}, false
 	}
-	it.touch(c.now(), c.halfLife)
+	it.heat.Add(1)
 	return it.content, true
-}
-
-// now reads the decay clock (0 with decay off).
-func (c *resultCache) now() int64 {
-	if c.halfLife <= 0 {
-		return 0
-	}
-	return c.tick()
 }
 
 // Lookup returns the cached content of (ds, cell) if present. ok
@@ -302,14 +259,8 @@ func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, part *octree.
 		return
 	}
 	it := &cachedScan{key: key, content: content, part: part, posHeat: 1}
-	if c.halfLife > 0 {
-		it.posScore = newScore(c.tick(), c.halfLife)
-	}
 	if old, ok := c.entries[key]; ok {
 		it.posHeat = old.heat.Load() + 1
-		if c.halfLife > 0 {
-			it.posScore = bumpScore(math.Float64frombits(old.score.Load()), c.tick(), c.halfLife)
-		}
 		c.removeLocked(old)
 	}
 	for c.objects+int64(len(objs)) > c.capacity && len(c.cold) > 0 {
@@ -325,7 +276,6 @@ func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, part *octree.
 	c.seq++
 	it.seq = c.seq
 	it.heat.Store(it.posHeat)
-	it.score.Store(math.Float64bits(it.posScore))
 	heap.Push(&c.cold, it)
 	c.entries[key] = it
 	if part != nil {

@@ -16,14 +16,12 @@ import (
 
 // eagerCache is the result cache's specification, written the slow way:
 // entries in a slice, every key current at all times, the victim found by a
-// full scan for min (score, heat, seq), the drops by a full scan. The lazy
+// full scan for min (heat, seq), the drops by a full scan. The lazy
 // heap and the shared-lock hit of resultCache must be indistinguishable
 // from it on a serial run. An entry's content is one
 // value, objects and child directory together, as the cache must keep it.
 type eagerCache struct {
-	bounds   geom.Box
-	halfLife float64
-	tick     *int64
+	bounds geom.Box
 
 	capacity, objects, seq int64
 	entries                []*eagerEntry
@@ -36,19 +34,11 @@ type eagerEntry struct {
 	key     scanKey
 	content cellContent
 	heat    int64
-	score   float64
 	seq     int64
 }
 
 func (m *eagerCache) find(key scanKey) int {
 	return slices.IndexFunc(m.entries, func(e *eagerEntry) bool { return e.key == key })
-}
-
-func (m *eagerCache) touch(e *eagerEntry) {
-	e.heat++
-	if m.halfLife > 0 {
-		e.score = bumpScore(e.score, *m.tick, m.halfLife)
-	}
 }
 
 func (m *eagerCache) remove(i int) {
@@ -58,7 +48,7 @@ func (m *eagerCache) remove(i int) {
 
 func (m *eagerCache) lookup(key scanKey) (cellContent, bool) {
 	if i := m.find(key); i >= 0 {
-		m.touch(m.entries[i])
+		m.entries[i].heat++
 		m.hits++
 		return m.entries[i].content, true
 	}
@@ -74,30 +64,14 @@ func (m *eagerCache) insert(key scanKey, at, current int64, content cellContent)
 		return
 	}
 	e := &eagerEntry{key: key, content: content, heat: 1}
-	if m.halfLife > 0 {
-		e.score = heatScore(1, *m.tick, m.halfLife)
-	}
 	if i := m.find(key); i >= 0 {
-		old := m.entries[i]
-		e.heat = old.heat + 1
-		if m.halfLife > 0 {
-			e.score = bumpScore(old.score, *m.tick, m.halfLife)
-		}
+		e.heat = m.entries[i].heat + 1
 		m.remove(i)
 	}
 	for m.objects+n > m.capacity && len(m.entries) > 0 {
 		coldest := 0
 		for i, c := range m.entries {
-			v := m.entries[coldest]
-			if c.score != v.score {
-				if c.score < v.score {
-					coldest = i
-				}
-			} else if c.heat != v.heat {
-				if c.heat < v.heat {
-					coldest = i
-				}
-			} else if c.seq < v.seq {
+			if v := m.entries[coldest]; c.heat < v.heat || c.heat == v.heat && c.seq < v.seq {
 				coldest = i
 			}
 		}
@@ -182,10 +156,11 @@ func (m *eagerCache) drop(drop func(scanKey) bool) {
 }
 
 // TestResultCacheLazyEvictionIsEager drives the cache and the eager model
-// with one seeded sequence of inserts, lookups, clock advances, epoch advances, refinement drops (split cells and their
-// ancestors), merge regroups, flushes, and inserts of reads that raced an
-// epoch advance, over two datasets at a capacity that forces evictions —
-// with and without heat decay — and requires the same answers — the same objects in the same order with the
+// with one seeded sequence of inserts, lookups, maintenance peeks, epoch
+// advances, refinement drops (split cells and their ancestors), merge
+// regroups, flushes, and inserts of reads that raced an epoch advance, over
+// two datasets at a capacity that forces evictions, and requires the same
+// answers — the same objects in the same order with the
 // same child directory, which an insert makes its own or leaves off — the
 // same cached set after every operation (so the same victims, in the same
 // order, and the same survivors of every drop), and the same ledger. Every
@@ -210,163 +185,163 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 	for i := range content {
 		content[i] = object.Object{ID: uint64(i), Dataset: 1, Center: geom.V(cr.Float64(), cr.Float64(), cr.Float64())}
 	}
-	for _, halfLife := range []float64{0, 16} {
-		t.Run(fmt.Sprintf("halfLife=%v", halfLife), func(t *testing.T) {
-			var tick int64
-			var epoch atomic.Int64
-			c := newResultCache(bounds, 300, &epoch)
-			c.halfLife, c.tick = halfLife, func() int64 { return tick }
-			m := &eagerCache{bounds: bounds, halfLife: halfLife, tick: &tick, capacity: 300}
-			r := rand.New(rand.NewSource(int64(halfLife)*2 + 41))
-			cached := func() []scanKey {
-				keys := make([]scanKey, 0, len(c.entries))
-				for k := range c.entries {
-					keys = append(keys, k)
-				}
-				return keys
+	// The heat does not decay: the cache ranks its entries by (heat, seq).
+	t.Run("halfLife=0", func(t *testing.T) {
+		var epoch atomic.Int64
+		c := newResultCache(bounds, 300, &epoch)
+		m := &eagerCache{bounds: bounds, capacity: 300}
+		r := rand.New(rand.NewSource(41))
+		cached := func() []scanKey {
+			keys := make([]scanKey, 0, len(c.entries))
+			for k := range c.entries {
+				keys = append(keys, k)
 			}
-			byKey := func(a, b scanKey) int {
-				if a.ds != b.ds {
-					return int(a.ds) - int(b.ds)
-				}
-				return compareKeys(a.cell, b.cell)
+			return keys
+		}
+		byKey := func(a, b scanKey) int {
+			if a.ds != b.ds {
+				return int(a.ds) - int(b.ds)
 			}
-			// One partition per cell. A partition is marked exactly when the
-			// cache holds its key: after an operation, every entry's partition
-			// is marked, and of the partitions that could be — those of the
-			// entries before it and the one it inserted, the only partition
-			// handed to the cache since — no other is.
-			parts := map[scanKey]*octree.Partition{}
-			var held, next []*octree.Partition // the entries' partitions before the operation, and after
-			var inserted *octree.Partition     // by the operation
-			checkMarks := func(op int) {
-				marked := 0
-				for _, p := range held {
-					if p.Marked() {
-						marked++
-					}
-				}
-				if inserted != nil && inserted.Marked() && !slices.Contains(held, inserted) {
+			return compareKeys(a.cell, b.cell)
+		}
+		// One partition per cell. A partition is marked exactly when the
+		// cache holds its key: after an operation, every entry's partition
+		// is marked, and of the partitions that could be — those of the
+		// entries before it and the one it inserted, the only partition
+		// handed to the cache since — no other is.
+		parts := map[scanKey]*octree.Partition{}
+		var held, next []*octree.Partition // the entries' partitions before the operation, and after
+		var inserted *octree.Partition     // by the operation
+		checkMarks := func(op int) {
+			marked := 0
+			for _, p := range held {
+				if p.Marked() {
 					marked++
 				}
-				next = next[:0]
-				for _, it := range c.cold {
-					if !it.part.Marked() {
-						t.Fatalf("op %d: %v is held, its partition unmarked", op, it.key)
-					}
-					next = append(next, it.part)
-				}
-				if marked != len(next) {
-					t.Fatalf("op %d: %d partitions marked, %d cells held", op, marked, len(next))
-				}
-				held, next, inserted = next, held, nil
 			}
-			// A skewed choice of cell, so that some entries are hot.
-			pick := func() scanKey {
-				u := r.Float64()
-				return scanKey{ds: object.DatasetID(1 + r.Intn(2)), cell: cells[int(float64(len(cells))*u*u*u)]}
+			if inserted != nil && inserted.Marked() && !slices.Contains(held, inserted) {
+				marked++
 			}
-			for i := 0; i < 40000; i++ {
-				key := pick()
-				var got, want cellContent
-				var gotOK, wantOK bool
-				p := r.Float64()
-				switch {
-				case p < 0.75: // a cell read: what misses is inserted below
-					got, gotOK = c.Lookup(key.ds, key.cell)
-					want, wantOK = m.lookup(key)
-				case p < 0.95:
-					tick += int64(r.Intn(12))
-				case p < 0.96: // a publish that drops nothing: a build, an eviction
-					epoch.Add(1)
-				case p < 0.963: // a refinement: two split cells of one dataset, cached or not
-					epoch.Add(1)
-					split := []octree.Key{key.cell, pick().cell}
-					c.DropKeys(splitCells(key.ds, fanout, split))
-					m.drop(func(k scanKey) bool {
-						return k.ds == key.ds && slices.ContainsFunc(split, func(s octree.Key) bool { return k.cell.AncestorOf(s, fanout) })
-					})
-				case p < 0.968: // a merge: a few keys, cached or not, one-page, matching or not
-					epoch.Add(1)
-					segs := map[scanKey]segment{}
-					for _, k := range []scanKey{key, pick(), pick(), pick()} {
-						n := r.Intn(len(content))
-						if e := m.find(k); e >= 0 {
-							n = len(m.entries[e].content.objs)
-						}
-						_, dir := groupedAs(bounds, k.cell, fanout, content[:n])
-						seg := segment{count: n, children: dir}
-						switch r.Intn(6) {
-						case 0: // one page: no directory
-							seg.children = nil
-						case 1: // a count the entry does not hold
-							seg.count++
-						case 2: // a directory the entry's objects do not give
-							seg.children = slices.Clone(dir)
-							seg.children[len(dir)/2]++
-						}
-						segs[k] = seg
-					}
-					c.Regroup(fanout, segs)
-					m.regroup(fanout, segs)
-				case p < 0.9685:
-					c.Invalidate()
-					m.invalidate()
+			next = next[:0]
+			for _, it := range c.cold {
+				if !it.part.Marked() {
+					t.Fatalf("op %d: %v is held, its partition unmarked", op, it.key)
 				}
-				if p < 0.75 && !gotOK || p >= 0.95 {
-					at := epoch.Load()
-					if r.Intn(20) == 0 {
-						at-- // a read that raced a publish: not kept
-					}
-					in := cellContent{objs: content[:r.Intn(len(content))]}
-					if r.Intn(3) > 0 {
-						in.children = []int32{int32(i), int32(len(in.objs))} // this insert's own directory
-					}
-					before, mark := cached(), len(m.evicted)
-					if parts[key] == nil {
-						parts[key] = new(octree.Partition)
-					}
-					inserted = parts[key]
-					c.Insert(key.ds, key.cell, parts[key], at, in)
-					m.insert(key, at, epoch.Load(), in)
-					// What this insert pushed out of the cache, against what it
-					// pushed out of the model: insert by insert, so the victims
-					// come in the same order (as sets within one insert, where
-					// only the model shows an order).
-					evicted := slices.DeleteFunc(before, func(k scanKey) bool { return k == key || c.entries[k] != nil })
-					wantEvicted := slices.Clone(m.evicted[mark:])
-					slices.SortFunc(evicted, byKey)
-					slices.SortFunc(wantEvicted, byKey)
-					if !slices.Equal(evicted, wantEvicted) {
-						t.Fatalf("op %d, insert of %v: the cache evicted %v, the model %v", i, key, evicted, wantEvicted)
-					}
-				}
-				if gotOK != wantOK || !slices.Equal(got.objs, want.objs) || !slices.Equal(got.children, want.children) {
-					t.Fatalf("op %d on %v: the cache answered %d objects with directory %v (%v), the model %d with %v (%v)",
-						i, key, len(got.objs), got.children, gotOK, len(want.objs), want.children, wantOK)
-				}
-				if len(c.entries) != len(m.entries) || c.objects != m.objects {
-					t.Fatalf("op %d: the cache holds %d entries / %d objects, the model %d / %d", i, len(c.entries), c.objects, len(m.entries), m.objects)
-				}
-				checkMarks(i)
+				next = append(next, it.part)
 			}
-			for _, e := range m.entries {
-				it := c.entries[e.key]
-				if it == nil || it.heat.Load() != e.heat || it.seq != e.seq {
-					t.Fatalf("entry %v: cache %+v, model heat %d seq %d", e.key, it, e.heat, e.seq)
+			if marked != len(next) {
+				t.Fatalf("op %d: %d partitions marked, %d cells held", op, marked, len(next))
+			}
+			held, next, inserted = next, held, nil
+		}
+		// A skewed choice of cell, so that some entries are hot.
+		pick := func() scanKey {
+			u := r.Float64()
+			return scanKey{ds: object.DatasetID(1 + r.Intn(2)), cell: cells[int(float64(len(cells))*u*u*u)]}
+		}
+		for i := 0; i < 40000; i++ {
+			key := pick()
+			var got, want cellContent
+			var gotOK, wantOK bool
+			p := r.Float64()
+			switch {
+			case p < 0.75: // a cell read: what misses is inserted below
+				got, gotOK = c.Lookup(key.ds, key.cell)
+				want, wantOK = m.lookup(key)
+			case p < 0.95: // a maintenance read: it books nothing and heats nothing
+				got, gotOK = c.Peek(key.ds, key.cell)
+				if e := m.find(key); e >= 0 {
+					want, wantOK = m.entries[e].content, true
+				}
+			case p < 0.96: // a publish that drops nothing: a build, an eviction
+				epoch.Add(1)
+			case p < 0.963: // a refinement: two split cells of one dataset, cached or not
+				epoch.Add(1)
+				split := []octree.Key{key.cell, pick().cell}
+				c.DropKeys(splitCells(key.ds, fanout, split))
+				m.drop(func(k scanKey) bool {
+					return k.ds == key.ds && slices.ContainsFunc(split, func(s octree.Key) bool { return k.cell.AncestorOf(s, fanout) })
+				})
+			case p < 0.968: // a merge: a few keys, cached or not, one-page, matching or not
+				epoch.Add(1)
+				segs := map[scanKey]segment{}
+				for _, k := range []scanKey{key, pick(), pick(), pick()} {
+					n := r.Intn(len(content))
+					if e := m.find(k); e >= 0 {
+						n = len(m.entries[e].content.objs)
+					}
+					_, dir := groupedAs(bounds, k.cell, fanout, content[:n])
+					seg := segment{count: n, children: dir}
+					switch r.Intn(6) {
+					case 0: // one page: no directory
+						seg.children = nil
+					case 1: // a count the entry does not hold
+						seg.count++
+					case 2: // a directory the entry's objects do not give
+						seg.children = slices.Clone(dir)
+						seg.children[len(dir)/2]++
+					}
+					segs[k] = seg
+				}
+				c.Regroup(fanout, segs)
+				m.regroup(fanout, segs)
+			case p < 0.9685:
+				c.Invalidate()
+				m.invalidate()
+			}
+			if p < 0.75 && !gotOK || p >= 0.95 {
+				at := epoch.Load()
+				if r.Intn(20) == 0 {
+					at-- // a read that raced a publish: not kept
+				}
+				in := cellContent{objs: content[:r.Intn(len(content))]}
+				if r.Intn(3) > 0 {
+					in.children = []int32{int32(i), int32(len(in.objs))} // this insert's own directory
+				}
+				before, mark := cached(), len(m.evicted)
+				if parts[key] == nil {
+					parts[key] = new(octree.Partition)
+				}
+				inserted = parts[key]
+				c.Insert(key.ds, key.cell, parts[key], at, in)
+				m.insert(key, at, epoch.Load(), in)
+				// What this insert pushed out of the cache, against what it
+				// pushed out of the model: insert by insert, so the victims
+				// come in the same order (as sets within one insert, where
+				// only the model shows an order).
+				evicted := slices.DeleteFunc(before, func(k scanKey) bool { return k == key || c.entries[k] != nil })
+				wantEvicted := slices.Clone(m.evicted[mark:])
+				slices.SortFunc(evicted, byKey)
+				slices.SortFunc(wantEvicted, byKey)
+				if !slices.Equal(evicted, wantEvicted) {
+					t.Fatalf("op %d, insert of %v: the cache evicted %v, the model %v", i, key, evicted, wantEvicted)
 				}
 			}
-			st := c.Stats()
-			if st.Evictions != m.evictions || st.Hits != m.hits || st.Misses != m.misses ||
-				st.Capacity != m.capacity || st.Invalidations != m.invalidations {
-				t.Fatalf("ledger: cache %+v; model evictions %d hits %d misses %d capacity %d invalidations %d",
-					st, m.evictions, m.hits, m.misses, m.capacity, m.invalidations)
+			if gotOK != wantOK || !slices.Equal(got.objs, want.objs) || !slices.Equal(got.children, want.children) {
+				t.Fatalf("op %d on %v: the cache answered %d objects with directory %v (%v), the model %d with %v (%v)",
+					i, key, len(got.objs), got.children, gotOK, len(want.objs), want.children, wantOK)
 			}
-			if st.Evictions < 1000 || st.Hits < 1000 || st.Invalidations < 100 || m.regrouped < 20 {
-				t.Fatalf("the sequence exercised too little: %+v, %d entries regrouped", st, m.regrouped)
+			if len(c.entries) != len(m.entries) || c.objects != m.objects {
+				t.Fatalf("op %d: the cache holds %d entries / %d objects, the model %d / %d", i, len(c.entries), c.objects, len(m.entries), m.objects)
 			}
-		})
-	}
+			checkMarks(i)
+		}
+		for _, e := range m.entries {
+			it := c.entries[e.key]
+			if it == nil || it.heat.Load() != e.heat || it.seq != e.seq {
+				t.Fatalf("entry %v: cache %+v, model heat %d seq %d", e.key, it, e.heat, e.seq)
+			}
+		}
+		st := c.Stats()
+		if st.Evictions != m.evictions || st.Hits != m.hits || st.Misses != m.misses ||
+			st.Capacity != m.capacity || st.Invalidations != m.invalidations {
+			t.Fatalf("ledger: cache %+v; model evictions %d hits %d misses %d capacity %d invalidations %d",
+				st, m.evictions, m.hits, m.misses, m.capacity, m.invalidations)
+		}
+		if st.Evictions < 1000 || st.Hits < 1000 || st.Invalidations < 100 || m.regrouped < 20 {
+			t.Fatalf("the sequence exercised too little: %+v, %d entries regrouped", st, m.regrouped)
+		}
+	})
 }
 
 // TestResultCacheRunTunesOnCadence: a run of hits is booked once, after the
@@ -376,12 +351,10 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 // the hits and misses must match the model's at every step, and the hits
 // must be the hits served.
 func TestResultCacheRunTunesOnCadence(t *testing.T) {
-	var tick int64
 	var epoch atomic.Int64
 	epoch.Store(1)
 	c := newResultCache(geom.UnitBox(), 300, &epoch)
-	c.halfLife, c.tick = 16, func() int64 { return tick }
-	m := &eagerCache{bounds: geom.UnitBox(), halfLife: 16, tick: &tick, capacity: 300}
+	m := &eagerCache{bounds: geom.UnitBox(), capacity: 300}
 	cells := make([]octree.Key, 32) // 16 objects each: twice what 300 holds
 	for i := range cells {
 		cells[i] = testKeyAt(3, uint32(i%8), uint32(i/8), 0)
@@ -467,9 +440,7 @@ func TestResultCacheStorm(t *testing.T) {
 	bounds := geom.UnitBox()
 	var epoch atomic.Int64
 	epoch.Store(1)
-	c := newResultCache(bounds, 32, &epoch)
-	var tick atomic.Int64
-	c.halfLife, c.tick = 8, tick.Load // the 128 cells below hold 512 objects: evictions never stop
+	c := newResultCache(bounds, 32, &epoch) // the 128 cells below hold 512 objects: evictions never stop
 
 	// A run of reads over the level-2 cells of two datasets, in a fixed order.
 	var run []mergeRead
@@ -625,7 +596,6 @@ func TestResultCacheStorm(t *testing.T) {
 	}
 	for g := int64(0); g < 2; g++ {
 		worker(g, func(r *rand.Rand) { // single lookups
-			tick.Add(1)
 			lookup(r.Intn(len(run)))
 		})
 		worker(10+g, func(r *rand.Rand) { // run lookups, as readMerged issues them, 16 reads at most

@@ -479,69 +479,3 @@ func TestReadCellWaiterObservesItsContext(t *testing.T) {
 		t.Fatalf("AttachedScans = %d, want 0 (the waiter gave up)", n)
 	}
 }
-
-// TestMaintenancePriorityHottestFirst pins the scheduler's priority rule:
-// with tasks of different access counts queued, pickLocked pops the hottest
-// region first, and heat ties break FIFO. The maintainer is constructed
-// without workers so the test owns the queue.
-func TestMaintenancePriorityHottestFirst(t *testing.T) {
-	m := &maintainer{
-		refineQ:       make(map[object.DatasetID]*heatHeap[refineTask]),
-		refinePending: make(map[object.DatasetID]map[octree.Key]*heatItem[refineTask]),
-		activeRefine:  make(map[object.DatasetID]bool),
-	}
-	m.cond = sync.NewCond(&m.mu)
-
-	q := geom.Cube(geom.V(0.5, 0.5, 0.5), 0.1)
-	cold := testKeyAt(1, 0, 0, 0)
-	warm := testKeyAt(1, 1, 0, 0)
-	hotK := testKeyAt(1, 2, 0, 0)
-	members := testCombo(0)
-	m.EnqueueRefine(0, []octree.Key{cold, warm, hotK}, q, 0.001, members)
-	// Heat the tasks: warm gets one duplicate demand, hot gets three.
-	m.EnqueueRefine(0, []octree.Key{warm}, q, 0.001, members)
-	for i := 0; i < 3; i++ {
-		m.EnqueueRefine(0, []octree.Key{hotK}, q, 0.001, members)
-	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	pop := func() octree.Key {
-		task, ok := m.pickLocked()
-		if !ok {
-			t.Fatal("queue empty")
-		}
-		if task.merge != nil {
-			t.Fatal("merge popped before refinements drained")
-		}
-		// One writer per dataset: release the claim so the next pop works.
-		delete(m.activeRefine, task.ds)
-		return task.refine.key
-	}
-	if k := pop(); k != hotK {
-		t.Fatalf("first pop = %v, want the hottest %v", k, hotK)
-	}
-	if k := pop(); k != warm {
-		t.Fatalf("second pop = %v, want %v", k, warm)
-	}
-	if k := pop(); k != cold {
-		t.Fatalf("third pop = %v, want %v", k, cold)
-	}
-
-	// Merge heat: two combinations, the second demanded twice — it runs
-	// first despite arriving later.
-	a, b := testCombo(0, 1, 2), testCombo(1, 2, 3)
-	m.mu.Unlock()
-	m.EnqueueMerge(a)
-	m.EnqueueMerge(b)
-	m.EnqueueMerge(b)
-	m.mu.Lock()
-	task, ok := m.pickLocked()
-	if !ok || task.merge != b {
-		t.Fatalf("hot merge not popped first: %+v ok=%v", task, ok)
-	}
-	task, ok = m.pickLocked()
-	if !ok || task.merge != a {
-		t.Fatalf("cold merge not popped second: %+v ok=%v", task, ok)
-	}
-}

@@ -207,9 +207,7 @@ func TestPaperClockPinned(t *testing.T) {
 		{"space-budget", Options{DropCachesPerQuery: true},
 			pinGolden{9397110600, 1369, 1713, 1421, "27009fea1a7cb5cb", "d2ffad6ef41806e1",
 				"94d907f5adb425b7"}},
-		{"serving", Options{
-			AsyncMaintenance: true, CacheResults: true, HeatHalfLife: 64,
-		}, pinGolden{1795319600, 276, 1455, 1586, "cd5af44a3327ae4f", "d2ffad6ef41806e1",
+		{"serving", Options{AsyncMaintenance: true, CacheResults: true}, pinGolden{1795319600, 276, 1455, 1586, "cd5af44a3327ae4f", "d2ffad6ef41806e1",
 			"92603d77e8c8001f"}},
 	}
 	// The engine settings of the rows beyond what Options carries.

@@ -54,9 +54,7 @@ func TestDerivedFaultsAreRepaired(t *testing.T) {
 		submitters int
 	}{
 		{"paper", Options{}, 1},
-		{"serving", Options{
-			AsyncMaintenance: true, CacheResults: true, HeatHalfLife: 64,
-		}, 2},
+		{"serving", Options{AsyncMaintenance: true, CacheResults: true}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ex, err := NewExplorer(tc.opts)

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"spaceodyssey/internal/core"
 	"spaceodyssey/internal/workload"
 )
 
@@ -120,8 +119,9 @@ func TestCacheStatsLedger(t *testing.T) {
 
 // TestDeprecatedSwitchesAreInert: a deprecated Options field is ignored, so
 // a serial caching engine with it set runs exactly as one without: the same
-// answers and the same cache ledger after every query, at the default budget
-// throughout.
+// answers and the same cache ledger after every query. Both run on a budget
+// of 64 objects, which the stream must overflow: an eviction order the field
+// still reached would show in the ledger.
 func TestDeprecatedSwitchesAreInert(t *testing.T) {
 	data := GenerateDatasets(DataConfig{Seed: 7, NumObjects: 2000, Clusters: 4}, 3)
 	w, err := workload.GenerateScenario("zipf", workload.ScenarioConfig{
@@ -143,15 +143,17 @@ func TestDeprecatedSwitchesAreInert(t *testing.T) {
 		}
 		return ex
 	}
+	const budget = 64
 	for _, tc := range []struct {
 		name string
 		set  func(*Options)
 	}{
 		{"ShareScans", func(o *Options) { o.ShareScans = true }},
 		{"AdaptiveCache", func(o *Options) { o.AdaptiveCache = true }},
+		{"HeatHalfLife", func(o *Options) { o.HeatHalfLife = 64 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{CacheResults: true, HeatHalfLife: 64}
+			opts := Options{CacheResults: true, CacheCapacity: budget}
 			off := open(opts)
 			tc.set(&opts)
 			on := open(opts)
@@ -167,12 +169,12 @@ func TestDeprecatedSwitchesAreInert(t *testing.T) {
 				if !sameObjects(got, want) {
 					t.Fatalf("query %d: %d objects with %s set, %d without", i, len(got), tc.name, len(want))
 				}
-				if st, base := on.CacheStats(), off.CacheStats(); st != base || st.Capacity != core.DefaultCacheCapacity {
-					t.Fatalf("query %d: with %s set the ledger is %+v, without %+v; the default budget is %d",
-						i, tc.name, st, base, core.DefaultCacheCapacity)
+				if st, base := on.CacheStats(), off.CacheStats(); st != base || st.Capacity != budget {
+					t.Fatalf("query %d: with %s set the ledger is %+v, without %+v; the budget is %d",
+						i, tc.name, st, base, budget)
 				}
 			}
-			if st := on.CacheStats(); st.Hits == 0 || st.Inserts == 0 {
+			if st := on.CacheStats(); st.Hits == 0 || st.Inserts == 0 || st.Evictions == 0 {
 				t.Fatalf("the stream exercised too little: %+v", st)
 			}
 		})

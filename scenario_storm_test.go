@@ -1,12 +1,12 @@
 package odyssey
 
-// Race-mode oracle storm for the adaptive serving stack: the drift scenario
-// replayed through the adaptive pipeline (fixed batch window, a small
-// result cache, heat decay) from many submitting goroutines at once
-// must return byte-identical results to a plain static dispatcher with no
-// caching at all. Decay and eviction may move latency and I/O, never
-// answers. The test is deliberately heavy on concurrency so `go test -race`
-// sweeps eviction and the lazy decay paths under contention.
+// Race-mode oracle storm for the serving stack: the drift scenario replayed
+// through the serving pipeline (fixed batch window, a result cache on a
+// static budget of 64 objects) from many submitting goroutines at once must
+// return byte-identical results to a plain static dispatcher with no caching
+// at all. Eviction may move latency and I/O, never answers. The test is
+// deliberately heavy on concurrency so `go test -race` sweeps eviction and
+// the lazy eviction heap under contention.
 
 import (
 	"sync"
@@ -52,9 +52,9 @@ func TestScenarioStormAdaptiveMatchesStaticOracle(t *testing.T) {
 		want[i] = objs
 	}
 
-	// Candidate: heat decay behind the fixed batch window, on a budget of 64
-	// objects, so evictions churn mid-storm.
-	ex, _ := stormEnv(t, Options{CacheResults: true, CacheCapacity: 64, HeatHalfLife: 16})
+	// Candidate: the result cache behind the fixed batch window, on a static
+	// budget of 64 objects, so evictions churn mid-storm.
+	ex, _ := stormEnv(t, Options{CacheResults: true, CacheCapacity: 64})
 	defer ex.Close()
 	d := NewDispatcherWithAdmission(ex, 4, AdmissionConfig{BatchWindow: time.Millisecond})
 	out := make(chan BatchResult, len(w.Queries))
@@ -65,7 +65,7 @@ func TestScenarioStormAdaptiveMatchesStaticOracle(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			// Interleave submitters across the drift phases so cache
-			// epochs, decay, and the batcher all churn concurrently.
+			// epochs, evictions and the batcher all churn concurrently.
 			for i := s; i < len(w.Queries); i += stormers {
 				if err := d.Submit(i, w.Queries[i], out); err != nil {
 					t.Error(err)
@@ -84,7 +84,7 @@ func TestScenarioStormAdaptiveMatchesStaticOracle(t *testing.T) {
 			t.Fatalf("query %d failed: %v", r.Index, r.Err)
 		}
 		if !sameObjects(r.Objects, want[r.Index]) {
-			t.Fatalf("query %d: adaptive pipeline returned %d objects, oracle %d",
+			t.Fatalf("query %d: the serving pipeline returned %d objects, oracle %d",
 				r.Index, len(r.Objects), len(want[r.Index]))
 		}
 		got++

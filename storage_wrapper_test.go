@@ -107,7 +107,7 @@ func TestStorageWrapperTransparency(t *testing.T) {
 		return out
 	}
 
-	serving := Options{AsyncMaintenance: true, CacheResults: true, HeatHalfLife: 64}.engineConfig()
+	serving := Options{AsyncMaintenance: true, CacheResults: true}.engineConfig()
 	serving.MaintenanceWorkers = 1 // one worker: a serial device history
 	for _, preset := range []struct {
 		name string
