@@ -303,7 +303,6 @@ var withoutCallers = map[string]string{
 	"core.Odyssey.LayoutSignature":    "the layout oracle: core's sync-versus-async tests compare layouts through it, and the root package's TestPaperClockPinned pins its hash",
 	"core.MergeFile.File":             "how tests reach a merge file's pages: the root and cluster fault tests fault every one, TestPaperClockPinned hashes them",
 	"octree.Partition.Extent":         "the walk reads the extent inline; octree's extent tests and the root package's skip test check the skip rule through it",
-	"octree.Partition.Marked":         "the walk reads the mark inline; core's result-cache model test and the root package's skip test check it through it",
 	"geom.Box.Intersection":           "tests of five packages clip their random query cubes to the data bounds with it, and geom's fuzz target checks it against Intersects",
 }
 

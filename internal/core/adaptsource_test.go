@@ -219,7 +219,10 @@ func TestLiftedCopyReadsGroupedLeavesFromTheDevice(t *testing.T) {
 			}
 			slab := make([]object.Object, len(objs))
 			dir := groupByChildren(nil, eng.bounds, leaf.Key(), tree.FanoutPerDim(), objs, slab)
-			eng.rcache.Insert(0, leaf.Key(), nil, eng.layoutEpoch.Load(), cellContent{objs: slab, children: dir})
+			eng.rcache.Insert(0, leaf.Key(), leaf, eng.layoutEpoch.Load(), cellContent{objs: slab, children: dir})
+			if e := leaf.Cached(); e == nil || e.Children == nil {
+				t.Fatalf("leaf %v does not point at its grouped entry", leaf.Key())
+			}
 			grouped++
 		}
 		if grouped == 0 {

@@ -328,7 +328,7 @@ func TestDirectoryTravelsWithContent(t *testing.T) {
 		before, epoch := f.eng.Metrics(), f.eng.layoutEpoch.Load()
 		kept := ask(t, f, other)
 		it := f.eng.rcache.entries[scanKey{ds: 0, cell: f.entry}]
-		if it == nil || it.content.children != nil || len(it.content.objs) != f.mf.entries[scanKey{ds: 0, cell: f.entry}].count {
+		if it == nil || it.content().children != nil || len(it.content().objs) != f.mf.entries[scanKey{ds: 0, cell: f.entry}].count {
 			t.Fatalf("the walk of %v did not leave the entry's cell cached as its partition, in file order", other)
 		}
 		hits := f.eng.CacheStats().Hits

@@ -1,6 +1,11 @@
 package core
 
-import "time"
+import (
+	"time"
+
+	"spaceodyssey/internal/object"
+	"spaceodyssey/internal/octree"
+)
 
 // Probes the package's tests read through. Nothing outside tests needs
 // them, so they live here.
@@ -18,3 +23,18 @@ func (m *maintainer) SetPaused(paused bool) {
 	m.mu.Unlock()
 	m.cond.Broadcast()
 }
+
+// Peek returns the cached content of (ds, cell) through the map, under the
+// shared lock, as a maintenance read without the partition would: it books
+// no hit and touches no heat.
+func (c *resultCache) Peek(ds object.DatasetID, cell octree.Key) (cellContent, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if it, ok := c.entries[scanKey{ds: ds, cell: cell}]; ok {
+		return it.content(), true
+	}
+	return cellContent{}, false
+}
+
+// content is the entry's cell content.
+func (s *cachedScan) content() cellContent { return contentOf(&s.CacheEntry) }

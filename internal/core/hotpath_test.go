@@ -12,6 +12,7 @@ import (
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
 	"spaceodyssey/internal/octree"
+	"spaceodyssey/internal/simdisk"
 )
 
 // TestKeyOfRendering pins KeyOf's output, byte for byte, to the fmt rendering
@@ -131,12 +132,14 @@ func servingConfig() Config {
 }
 
 // TestCachedQueryAllocations guards what a query over cached cells allocates
-// on a converged serving engine: the cache scope and its context, and the
-// reply. Measured here: 3 per query; the same queries cost 42 before the
-// merge reads became a sorted slice, the walk closure-free and the per-query
-// slices pooled, 7 while every walk allocated its own Touched list, and 4
-// while every query allocated its combination's key. The bound is the
-// measured count: AllocsPerRun truncates the mean, so a pool the collector
+// on a converged serving engine: the OpScope the engine attaches when the
+// caller brought none, and its context, and the reply — the reply alone when
+// the caller's context carries a scope, as the Explorer's does. Measured
+// here: 3 per query, and 1 with the caller's scope; the same queries cost 42
+// before the merge reads became a sorted slice, the walk closure-free and the
+// per-query slices pooled, 7 while every walk allocated its own Touched list,
+// and 4 while every query allocated its combination's key. The bounds are the
+// measured counts: AllocsPerRun truncates the mean, so a pool the collector
 // emptied once in the run does not move it.
 func TestCachedQueryAllocations(t *testing.T) {
 	if raceEnabled {
@@ -175,27 +178,38 @@ func TestCachedQueryAllocations(t *testing.T) {
 			t.Fatal("the layout is still moving after 30 passes")
 		}
 	}
-	before, merged := eng.CacheStats(), eng.Metrics().PartitionsFromMerge
-	const runs = 200
-	next, replied := 0, 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		objs, err := eng.QueryCtx(ctx, pool[next%len(pool)], dss)
-		if err != nil {
-			t.Fatal(err)
+	scoped, _ := simdisk.WithOpScope(ctx, simdisk.PriForeground)
+	for _, c := range []struct {
+		name  string
+		ctx   context.Context
+		bound float64
+	}{
+		{"no scope", ctx, 3},
+		{"the caller's scope", scoped, 1},
+	} {
+		before, merged := eng.CacheStats(), eng.Metrics().PartitionsFromMerge
+		const runs = 200
+		next, replied := 0, 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			objs, err := eng.QueryCtx(c.ctx, pool[next%len(pool)], dss)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next++
+			replied += len(objs)
+		})
+		after := eng.CacheStats()
+		if got := after.ZeroReadQueries - before.ZeroReadQueries; got != runs+1 {
+			t.Fatalf("%s: %d of %d queries were answered without a device read; the working set must be cached", c.name, got, runs+1)
 		}
-		next++
-		replied += len(objs)
-	})
-	after := eng.CacheStats()
-	if got := after.ZeroReadQueries - before.ZeroReadQueries; got != runs+1 {
-		t.Fatalf("%d of %d queries were answered without a device read; the working set must be cached", got, runs+1)
+		if after.Misses != before.Misses || eng.Metrics().PartitionsFromMerge == merged {
+			t.Fatalf("%s: the queries must hit the cache on merge segments: %d new misses, %d segments",
+				c.name, after.Misses-before.Misses, eng.Metrics().PartitionsFromMerge-merged)
+		}
+		if allocs > c.bound {
+			t.Fatalf("%s: a query over cached cells allocates %v times, want <= %v", c.name, allocs, c.bound)
+		}
+		t.Logf("%s: %v allocations per cached query of %.1f segments and %.1f objects", c.name, allocs,
+			float64(eng.Metrics().PartitionsFromMerge-merged)/(runs+1), float64(replied)/(runs+1))
 	}
-	if after.Misses != before.Misses || eng.Metrics().PartitionsFromMerge == merged {
-		t.Fatalf("the queries must hit the cache on merge segments: %d new misses, %d segments", after.Misses-before.Misses, eng.Metrics().PartitionsFromMerge-merged)
-	}
-	if allocs > 3 {
-		t.Fatalf("a query over cached cells allocates %v times, want <= 3", allocs)
-	}
-	t.Logf("%v allocations per cached query of %.1f segments and %.1f objects", allocs,
-		float64(eng.Metrics().PartitionsFromMerge-merged)/(runs+1), float64(replied)/(runs+1))
 }

@@ -247,10 +247,6 @@ type Merger struct {
 	// for segment sharing.
 	segIndex map[scanKey]ComboKey
 
-	// cache is the engine's result cache (nil with it off), the first source
-	// of the leaves a copy reads (cachedLeaf).
-	cache *resultCache
-
 	// adaptation bookkeeping
 	queriesSeen     int
 	segmentsWritten int
@@ -635,7 +631,7 @@ func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.D
 		tree, leaves := job.member(i)
 		objs := (*scratch)[:0]
 		for _, leaf := range leaves {
-			if c, ok := m.cachedLeaf(ds, leaf, job.key); ok {
+			if c, ok := m.cachedLeaf(leaf, job.key); ok {
 				objs = append(objs, c...)
 				continue
 			}
@@ -663,20 +659,20 @@ func (m *Merger) copyJob(ctx context.Context, mf *MergeFile, datasets []object.D
 }
 
 // cachedLeaf returns the result cache's content of a member leaf a copy at
-// entry reads, where appending it writes the bytes a device read of the leaf
-// would: content with no directory is in the leaf's own order; content with
-// one — a merge segment of the leaf's cell — is taken only for a copy of that
-// one leaf at its own key, which groupByChildren regroups on the same grid
-// (the grid follows the object count, which is the same), leaving it as it
-// is. A directory of a leaf under a CoarsestCover lift would reorder the
-// concatenation, and goes to the device. The content is read-only: the caller
-// copies it out.
-func (m *Merger) cachedLeaf(ds object.DatasetID, leaf *octree.Partition, entry octree.Key) ([]object.Object, bool) {
-	if m.cache == nil {
+// entry reads — the entry its partition points at — where appending it
+// writes the bytes a device read of the leaf would: content with no
+// directory is in the leaf's own order; content with one — a merge segment
+// of the leaf's cell — is taken only for a copy of that one leaf at its own
+// key, which groupByChildren regroups on the same grid (the grid follows the
+// object count, which is the same), leaving it as it is. A directory of a
+// leaf under a CoarsestCover lift would reorder the concatenation, and goes
+// to the device. The content is read-only: the caller copies it out.
+func (m *Merger) cachedLeaf(leaf *octree.Partition, entry octree.Key) ([]object.Object, bool) {
+	e := leaf.Cached()
+	if e == nil {
 		return nil, false
 	}
-	c, ok := m.cache.Peek(ds, leaf.Key())
-	return c.objs, ok && (c.children == nil || leaf.Key() == entry)
+	return e.Objs, e.Children == nil || leaf.Key() == entry
 }
 
 // mergeJobPool recycles the job a stage plans its candidates into.

@@ -242,7 +242,6 @@ func New(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Config) 
 	}
 	if cfg.CacheResults {
 		o.rcache = newResultCache(bounds, cfg.CacheCapacity, &o.layoutEpoch)
-		o.merger.cache = o.rcache
 	}
 	for _, raw := range raws {
 		if err := o.AddRaw(raw); err != nil {
@@ -283,20 +282,21 @@ func (o *Odyssey) AddRaw(raw *rawfile.Raw) error {
 		}
 	}
 	if o.rcache != nil {
-		// A refinement takes its leaf's objects from the cache where bucketing
-		// them by the leaf's k³ children writes what bucketing the device's
-		// file order would: content with no directory is in that order, and a
-		// merge segment grouped on the same k³ cells of the same box is that
-		// bucketing already (a stable sort leaves it as it is). A (2k)³
-		// directory orders each child by its finer cells, and goes to the
-		// device.
+		// A refinement takes its leaf's objects from the entry its partition
+		// points at, where bucketing them by the leaf's k³ children writes
+		// what bucketing the device's file order would: content with no
+		// directory is in that order, and a merge segment grouped on the
+		// same k³ cells of the same box is that bucketing already (a stable
+		// sort leaves it as it is). A (2k)³ directory orders each child by
+		// its finer cells, and goes to the device.
 		k := tree.FanoutPerDim()
 		tree.RefineSource = func(p *octree.Partition) ([]object.Object, bool) {
-			c, ok := o.rcache.Peek(ds, p.Key())
-			if ok && c.children != nil {
-				ok = len(c.children) == k*k*k+1 && EntryBox(o.bounds, p.Key(), k) == p.Box()
+			e := p.Cached()
+			if e == nil {
+				return nil, false
 			}
-			return c.objs, ok
+			ok := e.Children == nil || len(e.Children) == k*k*k+1 && EntryBox(o.bounds, p.Key(), k) == p.Box()
+			return e.Objs, ok
 		}
 	}
 	o.trees[ds] = tree
@@ -407,7 +407,8 @@ func (o *Odyssey) Metrics() Metrics {
 // mergeRead names one merge-file segment a query reads: an entry cell and one
 // member dataset's copy of it, with the file position (the segment's
 // run.Start) readMerged orders the reads by, and the served leaf whose key is
-// the entry (nil when the entry is coarser), which the cache marks.
+// the entry (nil when the entry is coarser), which the cache points at its
+// entry.
 type mergeRead struct {
 	entry octree.Key
 	ds    object.DatasetID
@@ -444,7 +445,17 @@ type queryScratch struct {
 	own     []*octree.Partition // the current walk's leaves the combination's own merge file serves, in walk order
 	split   []octree.Key        // the leaves the current refining walk split (QueryResult.Split)
 	served  []mergeRead         // segments readMerged owes, one per served leaf until it dedups them
+	cached  []servedHit         // served leaves at their entry's own key that the cache held, in walk order
 	hits    []cellContent       // readMerged's current run of cache hits, filtered outside the cache lock
+}
+
+// servedHit is a leaf the routed merge file serves at the leaf's own key,
+// answered by the cache entry its partition pointed at when the walk served
+// it (queryAcc.serve).
+type servedHit struct {
+	ds    object.DatasetID
+	cell  octree.Key
+	entry *octree.CacheEntry
 }
 
 var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -455,16 +466,17 @@ const maxPooledQueryKeys = 1 << 12
 
 // release empties the slices and returns the scratch to the pool.
 func (qs *queryScratch) release() {
-	if max(cap(qs.ordered), cap(qs.leaves), cap(qs.touched), cap(qs.own), cap(qs.split), cap(qs.served), cap(qs.hits)) > maxPooledQueryKeys {
+	if max(cap(qs.ordered), cap(qs.leaves), cap(qs.touched), cap(qs.own), cap(qs.split), cap(qs.served), cap(qs.cached), cap(qs.hits)) > maxPooledQueryKeys {
 		return
 	}
 	// The pool must keep no tree partition or evicted cell alive.
 	clear(qs.leaves[:cap(qs.leaves)])
 	clear(qs.own[:cap(qs.own)])
 	clear(qs.served[:cap(qs.served)])
+	clear(qs.cached[:cap(qs.cached)])
 	clear(qs.hits[:cap(qs.hits)])
 	qs.ordered, qs.exts, qs.leaves, qs.touched = qs.ordered[:0], qs.exts[:0], qs.leaves[:0], qs.touched[:0]
-	qs.own, qs.split, qs.served, qs.hits = qs.own[:0], qs.split[:0], qs.served[:0], qs.hits[:0]
+	qs.own, qs.split, qs.served, qs.cached, qs.hits = qs.own[:0], qs.split[:0], qs.served[:0], qs.cached[:0], qs.hits[:0]
 	queryScratchPool.Put(qs)
 }
 
@@ -480,7 +492,10 @@ type queryAcc struct {
 	combo *combo     // the record of ordered
 	count int        // times the combination has been queried, this one included
 	mf    *MergeFile // the merge file serving the combination (nil: none)
-	scope *cacheScope
+	// With the result cache on: the query's scope, and the device operations
+	// charged to it before the read side (see record).
+	scope *simdisk.OpScope
+	ops   int64
 
 	// Accumulated by the read stages.
 	out          []object.Object
@@ -506,7 +521,7 @@ type queryAcc struct {
 // routed merge file and reset the combination's count. The phase charges
 // stay — the query paid them.
 func (o *Odyssey) restart(acc *queryAcc) {
-	acc.exts, acc.leaves, acc.touched, acc.own, acc.served = acc.exts[:0], acc.leaves[:0], acc.touched[:0], acc.own[:0], acc.served[:0]
+	acc.exts, acc.leaves, acc.touched, acc.own, acc.served, acc.cached = acc.exts[:0], acc.leaves[:0], acc.touched[:0], acc.own[:0], acc.served[:0], acc.cached[:0]
 	acc.out, acc.tested, acc.servedLeaves, acc.skipped, acc.wants = acc.out[:0], 0, 0, 0, acc.wants[:0]
 	acc.repaired = true
 	if !o.cfg.DisableMerging {
@@ -519,16 +534,24 @@ func (o *Odyssey) restart(acc *queryAcc) {
 
 // serve books leaf as served by the routed merge file's segment seg for
 // (ds, entry); several leaves may share a segment, which is read once. A leaf
-// the combination's own file serves is set aside, to be left out of touched:
-// a merge step skips every candidate its own file covers
-// (stagedMerge.covering), so recording it would only grow the combination's
-// partition set.
+// at the entry's own key whose partition points at a cache entry is the
+// segment's cell, cached: it is booked as that hit (cached), for readMerged
+// to filter first, and never joins the reads it sorts. Only a leaf at the
+// entry's key is: a cached leaf under a coarser entry is read with the whole
+// segment, which holds it. A leaf the combination's own file serves is set
+// aside, to be left out of touched: a merge step skips every candidate its
+// own file covers (stagedMerge.covering), so recording it would only grow the
+// combination's partition set.
 func (a *queryAcc) serve(ds object.DatasetID, entry octree.Key, seg segment, leaf *octree.Partition) {
 	r := mergeRead{entry: entry, ds: ds, start: seg.run.Start}
 	if leaf.Key() == entry {
 		r.leaf = leaf
 	}
-	a.served = append(a.served, r)
+	if e := leaf.Cached(); e != nil && r.leaf != nil {
+		a.cached = append(a.cached, servedHit{ds: ds, cell: entry, entry: e})
+	} else {
+		a.served = append(a.served, r)
+	}
 	if a.mf.combo == a.combo {
 		a.own = append(a.own, leaf)
 	} else {
@@ -650,9 +673,10 @@ func (o *Odyssey) QueryCtx(ctx context.Context, q geom.Box, datasets []object.Da
 // the heat clock and the record's query count, and asks the merger which
 // merge file, if any, serves the combination (§3.2.3). The key is rendered
 // on the stack: only a new record allocates it.
-// With the result cache on it returns a context carrying the query's cache
-// scope, so the layers that actually perform device I/O can mark it; a query
-// whose scope stays clean is counted as served with zero device reads.
+// With the result cache on it returns a context carrying an OpScope — the
+// caller's, or a fresh one when it brought none — and notes the device
+// operations charged to it so far: a query that adds none by record is
+// counted as served with zero device reads.
 func (o *Odyssey) route(ctx context.Context, acc *queryAcc, datasets []object.DatasetID) (context.Context, error) {
 	acc.ordered = append(acc.ordered, datasets...)
 	slices.Sort(acc.ordered)
@@ -686,7 +710,10 @@ func (o *Odyssey) route(ctx context.Context, acc *queryAcc, datasets []object.Da
 	o.relations[rel].Add(1)
 
 	if o.rcache != nil {
-		ctx, acc.scope = withCacheScope(ctx)
+		if acc.scope = simdisk.ScopeFrom(ctx); acc.scope == nil {
+			ctx, acc.scope = simdisk.WithOpScope(ctx, simdisk.PriForeground)
+		}
+		acc.ops = acc.scope.Ops()
 	}
 	return ctx, nil
 }
@@ -736,7 +763,7 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 		res, err = tree.QueryIntoCtx(ctx, acc.out, acc.leaves[:0], nil, acc.q, serve, covered, false)
 		lk.RUnlock()
 		if res.Skipped > 0 {
-			// Marked by the cache: the hits the skipped cells would have been.
+			// Cached: the hits the skipped cells would have been.
 			o.rcache.hits.Add(int64(res.Skipped))
 			acc.skipped += res.Skipped
 		}
@@ -746,12 +773,8 @@ func (o *Odyssey) readDataset(ctx context.Context, acc *queryAcc, ds object.Data
 		res, err = tree.QueryIntoCtx(ctx, acc.out, acc.leaves[:0], acc.split[:0], acc.q, serve, covered, true)
 		acc.split = res.Split
 		if len(res.Split) > 0 {
-			// Refinements that completed before an abort still publish. They
-			// use the device outside readCell — their writes, and their reads
-			// of leaves the cache did not hold — so the query was not answered
-			// read-free.
+			// Refinements that completed before an abort still publish.
 			o.publishRefined(ds, tree.FanoutPerDim(), res.Split)
-			missCacheScope(ctx)
 		}
 		lk.Unlock()
 	}
@@ -795,7 +818,6 @@ func (o *Odyssey) ensureBuilt(ctx context.Context, ds object.DatasetID, tree *oc
 			if tree.Built() {
 				return 0, nil
 			}
-			missCacheScope(ctx)
 			clock := simdisk.PhaseClock(ctx, o.dev)
 			t0 := clock.Now()
 			err := tree.EnsureBuiltCtx(ctx)
@@ -839,10 +861,18 @@ func (o *Odyssey) keepContent(acc *queryAcc, ds object.DatasetID, cell octree.Ke
 // cache on, every run of consecutive hits is answered under one shared
 // acquisition of its lock; the read that ends a run goes down readCell like
 // any cell — looked up, missed, read, inserted — before the next run starts.
-// Hit or read, a segment is filtered through the directory its content
-// carries: a key's cached or in-flight content may be the tree partition,
-// in file order, read by a query of another combination.
+// The segments the walks found cached through their leaves (queryAcc.serve)
+// are filtered first, in walk order, and booked as hits: they join neither
+// the sort nor a run. Hit or read, a segment is filtered through the
+// directory its content carries: a key's cached or in-flight content may be
+// the tree partition, in file order, read by a query of another combination.
 func (o *Odyssey) readMerged(ctx context.Context, acc *queryAcc) error {
+	if len(acc.cached) > 0 {
+		for _, h := range acc.cached {
+			o.keepContent(acc, h.ds, h.cell, hitEntry(h.entry))
+		}
+		o.rcache.hits.Add(int64(len(acc.cached)))
+	}
 	if len(acc.served) == 0 {
 		return nil
 	}
@@ -903,9 +933,10 @@ func (o *Odyssey) readSegment(ctx context.Context, acc *queryAcc, r mergeRead, s
 // leaves its own merge file does not serve to the combination's partition
 // set and snapshots what the merge-due test needs, then advances the
 // merger's adaptation clock and — while the layout lock the coverage scan
-// needs is still held — decides whether a merge step is due. The read side is complete here; a cache scope no I/O
-// layer marked means every partition and segment came from the result cache
-// (or another query's in-flight scan) — the query cost zero device reads.
+// needs is still held — decides whether a merge step is due. The read side
+// is complete here; a query scope charged no device operation since route
+// means every partition and segment came from the result cache (or another
+// query's in-flight scan) — the query cost zero device reads.
 func (o *Odyssey) record(ctx context.Context, acc *queryAcc) {
 	acc.epoch = o.layoutEpoch.Load()
 	o.statsMu.Lock()
@@ -915,14 +946,14 @@ func (o *Odyssey) record(ctx context.Context, acc *queryAcc) {
 	o.phases.MergeReads += acc.phases.MergeReads
 	o.objectsTested += int64(acc.tested)
 	o.objectsKept += int64(len(acc.out))
-	o.partsFromMerge += len(acc.served)
+	o.partsFromMerge += len(acc.served) + len(acc.cached)
 	o.partsFromTree += len(acc.touched) - acc.servedLeaves - acc.skipped
 	o.partsSkipped += acc.skipped
 	acc.combo.addParts(acc.touched)
 	acc.nCand = len(acc.combo.parts)
 	acc.mark = acc.combo.futile
 	o.statsMu.Unlock()
-	if acc.scope != nil && !acc.scope.missed.Load() {
+	if acc.scope != nil && acc.scope.Ops() == acc.ops {
 		o.rcache.zeroReads.Add(1)
 	}
 	o.merger.OnQuery()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"container/heap"
-	"context"
 	"iter"
 	"slices"
 	"sync"
@@ -22,22 +21,24 @@ const DefaultCacheCapacity = 1 << 21
 
 // cachedScan is one completed partition or merge-segment scan the cache
 // retains: the full content of its cell, with the child directory of the
-// content it is (see cellContent). Everything but its eviction state
-// and its content field is immutable once inserted, and the content field
-// changes only from file order to the same objects grouped (Regroup): the
-// content is shared with every query the entry answers and must be treated
-// as read-only (the engine only filters from it — objects are values).
+// content it is (see cellContent), and its heat, in the entry a partition
+// points at (octree.CacheEntry). Everything but its eviction state is
+// immutable once inserted: Regroup, which changes a cell's content from file
+// order to the same objects grouped, installs a new entry. The content is
+// shared with every query the entry answers and must be treated as read-only
+// (the engine only filters from it — objects are values).
 type cachedScan struct {
-	key     scanKey
-	content cellContent
-	// part is the tree partition whose key the entry stores, marked while the
-	// entry is cached (nil when the read that inserted it did not know it).
+	// The content and the live heat: a hit raises Heat with an atomic, under
+	// the cache's shared lock or, through the partition, under none.
+	octree.CacheEntry
+	key scanKey
+	// part is the tree partition whose key the entry stores, which points at
+	// the entry while it is cached (nil when the read that inserted it did not
+	// know it).
 	part *octree.Partition
 
-	// The live eviction key is (heat, seq). A hit raises heat with an
-	// atomic, under the cache's shared lock; seq is fixed at insert.
-	heat atomic.Int64
-	seq  int64
+	// The live eviction key is (Heat, seq); seq is fixed at insert.
+	seq int64
 
 	// Guarded by the cache's exclusive lock: the entry's slot in the eviction
 	// heap and the heat that slot was chosen by (see coldHeap).
@@ -45,19 +46,33 @@ type cachedScan struct {
 	posHeat int64
 }
 
-// unmark clears the mark of the entry's partition, if it has one. Caller
+// contentOf is the cell content an entry holds.
+func contentOf(e *octree.CacheEntry) cellContent {
+	return cellContent{objs: e.Objs, children: e.Children}
+}
+
+// hitEntry books a hit on the entry's heat and returns its content; the
+// caller books it on the cache.
+func hitEntry(e *octree.CacheEntry) cellContent {
+	e.Heat.Add(1)
+	return contentOf(e)
+}
+
+// unlink clears its partition's pointer to the entry, if it has one. Caller
 // holds the cache's lock exclusively.
-func (s *cachedScan) unmark() {
+func (s *cachedScan) unlink() {
 	if s.part != nil {
-		s.part.SetMarked(false)
+		s.part.SetCached(nil)
 	}
 }
 
 // reposition brings the key the heap holds the entry by up to its live key
-// and reports whether it had fallen behind. Caller holds the exclusive lock
-// (no hit is in flight) and fixes the heap.
+// and reports whether it had fallen behind. Caller holds the exclusive lock,
+// which keeps out hits through the map but not lock-free ones through a
+// partition: one that lands after the load is seen by the next eviction, so
+// only the choice of victim can differ (see coldHeap). Caller fixes the heap.
 func (s *cachedScan) reposition() bool {
-	heat := s.heat.Load()
+	heat := s.Heat.Load()
 	if heat == s.posHeat {
 		return false
 	}
@@ -74,6 +89,9 @@ func (s *cachedScan) reposition() bool {
 // top until its recorded key is current; that entry's live key is then below
 // every other recorded — hence live — key, so the victim is exactly the one
 // a heap fixed on every hit would surface. Nothing else observes the order.
+// A hit through a partition takes no lock, so one may land while an eviction
+// runs: the eviction then sees the heat from just before it, and only the
+// choice of victim can differ.
 type coldHeap []*cachedScan
 
 func (h coldHeap) Len() int { return len(h) }
@@ -125,24 +143,32 @@ func (h *coldHeap) Pop() any {
 // reads: a refinement takes its leaf's objects from the cache, and a merge
 // copy each member leaf's, wherever the pages written from the entry are
 // byte for byte those a device read would give (see Odyssey.AddRaw and
-// Merger.cachedLeaf). Maintenance reads entries through Peek, read-only and
-// unbooked: adapting the layout never changes what the cache thinks is hot.
+// Merger.cachedLeaf). Maintenance reads an entry through the leaf's
+// partition, read-only and unbooked: adapting the layout never changes what
+// the cache thinks is hot.
 //
-// An entry also marks the tree partition whose key it stores, when the read
-// that inserted it knew the partition (octree.Partition.SetMarked), and every
-// removal clears the mark under the exclusive lock: a read-only walk leaves a
-// marked leaf whose extent misses the query unvisited, and books it here as
-// the hit it would have been (hits). A mark only decides whether a cell whose
+// An entry is also what the tree partition whose key it stores points at,
+// when the read that inserted it knew the partition (octree.Partition.
+// SetCached), and every removal clears the pointer under the exclusive lock.
+// A reader that knows its partition — a walk's leaf read, a merge read whose
+// entry is the served leaf's own key, the walk's merge hook, a refinement's or
+// a merge copy's source — reads the cell through that pointer, with no lock
+// and no map probe; the map stays the index of the keys that have no
+// partition (coarser merge entries, reads that did not know their leaf) and of
+// the cache's own maintenance. A read-only walk also leaves a leaf with an
+// entry whose extent misses the query unvisited, and books it here as the hit
+// it would have been (hits). A pointer only decides whether a cell whose
 // extent misses the query is read: a cell that is not cached still is, so the
 // device sees the reads it always did.
 //
 // Locking: mu is a leaf lock (never held while acquiring any engine lock).
 // Content is immutable and outlives its entry, so a caller may use what a
 // lookup returned after a drop removed it or a regroup replaced it. A
-// lookup, hit or miss, holds mu shared: a map lookup and the atomic add of
-// the entry's heat. Everything that changes the cache's structure or an
-// entry's content holds it exclusively: Insert and its evictions, DropKeys,
-// Regroup's swaps and Invalidate.
+// lookup through the map, hit or miss, holds mu shared: a map lookup and the
+// atomic add of the entry's heat; one through a partition holds nothing: an
+// atomic load of the pointer and the same add. Everything that changes the
+// cache's structure, or what a partition points at, holds it exclusively:
+// Insert and its evictions, DropKeys, Regroup's swaps and Invalidate.
 type resultCache struct {
 	bounds geom.Box
 	// epoch is the engine's layout epoch, which Insert holds a read's
@@ -187,16 +213,26 @@ func (c *resultCache) hit(key scanKey) (cellContent, bool) {
 	if !ok {
 		return cellContent{}, false
 	}
-	it.heat.Add(1)
-	return it.content, true
+	return hitEntry(&it.CacheEntry), true
 }
 
 // Lookup returns the cached content of (ds, cell) if present. ok
-// distinguishes a cached empty cell from a miss. A lookup shares the lock.
-func (c *resultCache) Lookup(ds object.DatasetID, cell octree.Key) (cellContent, bool) {
-	c.mu.RLock()
-	content, ok := c.hit(scanKey{ds: ds, cell: cell})
-	c.mu.RUnlock()
+// distinguishes a cached empty cell from a miss. part is the tree partition
+// at cell, nil when the caller does not know it: a lookup through a partition
+// reads the entry it points at and takes no lock, one without shares the
+// lock.
+func (c *resultCache) Lookup(ds object.DatasetID, cell octree.Key, part *octree.Partition) (cellContent, bool) {
+	var content cellContent
+	var ok bool
+	if part != nil {
+		if e := part.Cached(); e != nil {
+			content, ok = hitEntry(e), true
+		}
+	} else {
+		c.mu.RLock()
+		content, ok = c.hit(scanKey{ds: ds, cell: cell})
+		c.mu.RUnlock()
+	}
 	if ok {
 		c.hits.Add(1)
 	} else {
@@ -205,26 +241,15 @@ func (c *resultCache) Lookup(ds object.DatasetID, cell octree.Key) (cellContent,
 	return content, ok
 }
 
-// Peek returns the cached content of (ds, cell) for layout maintenance — a
-// refinement's source, a merge copy's — under the shared lock. It books no
-// hit, touches no heat and inserts nothing: maintenance reading the cache
-// never changes what the cache thinks is hot.
-func (c *resultCache) Peek(ds object.DatasetID, cell octree.Key) (cellContent, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if it, ok := c.entries[scanKey{ds: ds, cell: cell}]; ok {
-		return it.content, true
-	}
-	return cellContent{}, false
-}
-
 // LookupRun is Lookup for the leading hits of reads, under one shared
 // acquisition: it appends to hits the content of every read up to the first
 // that does not hit, and returns hits. The read that ended the run is not
 // booked — it is the caller's to Lookup, miss and Insert before the next run
-// — so a query issues the cache the operations of one Lookup per read, in
+// — so readMerged issues the cache the operations of one Lookup per read, in
 // order. The run's hits are booked together once the shared lock is
-// released.
+// released. The reads a query's merge hook answered through their leaves'
+// partitions are booked before, in walk order (queryAcc.serve): at a budget
+// that evicts, that order can change the victims, never a result.
 func (c *resultCache) LookupRun(hits []cellContent, reads []mergeRead) []cellContent {
 	n := len(hits)
 	c.mu.RLock()
@@ -242,8 +267,8 @@ func (c *resultCache) LookupRun(hits []cellContent, reads []mergeRead) []cellCon
 
 // Insert retains a completed scan of (ds, cell): content is the cell's full
 // content, epoch the layout epoch loaded before the read began, part the tree
-// partition at cell the read served, if it knew it (nil otherwise), which the
-// entry marks while it is cached. The read is kept only if that epoch is
+// partition at cell the read served, if it knew it (nil otherwise), which
+// points at the entry while it is cached. The read is kept only if that epoch is
 // still current: a publish advances the epoch before it drops what it
 // changed, so a read that raced one — and may hold the cell as it was laid
 // out before — is never kept past the drop. Entries larger than the whole budget are not
@@ -258,9 +283,9 @@ func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, part *octree.
 		c.mu.Unlock()
 		return
 	}
-	it := &cachedScan{key: key, content: content, part: part, posHeat: 1}
+	it := &cachedScan{CacheEntry: octree.CacheEntry{Objs: objs, Children: content.children}, key: key, part: part, posHeat: 1}
 	if old, ok := c.entries[key]; ok {
-		it.posHeat = old.heat.Load() + 1
+		it.posHeat = old.Heat.Load() + 1
 		c.removeLocked(old)
 	}
 	for c.objects+int64(len(objs)) > c.capacity && len(c.cold) > 0 {
@@ -275,24 +300,24 @@ func (c *resultCache) Insert(ds object.DatasetID, cell octree.Key, part *octree.
 	}
 	c.seq++
 	it.seq = c.seq
-	it.heat.Store(it.posHeat)
+	it.Heat.Store(it.posHeat)
 	heap.Push(&c.cold, it)
 	c.entries[key] = it
 	if part != nil {
-		part.SetMarked(true)
+		part.SetCached(&it.CacheEntry)
 	}
 	c.objects += int64(len(objs))
 	c.mu.Unlock()
 	c.inserts.Add(1)
 }
 
-// removeLocked unlinks one entry from the map, the heap and the object
-// budget, and clears its mark. Caller holds mu exclusively.
+// removeLocked unlinks one entry from the map, the heap, the object budget
+// and its partition. Caller holds mu exclusively.
 func (c *resultCache) removeLocked(it *cachedScan) {
-	it.unmark()
+	it.unlink()
 	delete(c.entries, it.key)
 	heap.Remove(&c.cold, it.index)
-	c.objects -= int64(len(it.content.objs))
+	c.objects -= int64(len(it.Objs))
 }
 
 // DropKeys removes the entries of keys: a refinement split the cells, or
@@ -317,19 +342,20 @@ func (c *resultCache) DropKeys(keys iter.Seq[scanKey]) {
 // merge file's entries, at the trees' fanout. An entry holding in file order
 // the cell of a segment with a child directory takes the content a read of
 // the segment returns: its objects grouped on the segment's grid
-// (groupByChildren), with the segment's directory. The entry keeps its heat
-// and mark, and the swap is not an invalidation. Every tree partition
-// holds its cell's objects in raw-file order (see octree.Tree.Rederive), as
-// does the one-leaf copy a merge groups, so the regrouped objects are byte
-// for byte the segment's; an entry whose count or regrouped directory
-// differs from the segment's is removed instead. Keys the cache does not
-// hold stay uncached, and entries already holding a directory are left as
-// they are.
+// (groupByChildren), with the segment's directory, and the swap is not an
+// invalidation. Every tree partition holds its cell's objects in raw-file
+// order (see octree.Tree.Rederive), as does the one-leaf copy a merge
+// groups, so the regrouped objects are byte for byte the segment's; an entry
+// whose count or regrouped directory differs from the segment's is removed
+// instead. Keys the cache does not hold stay uncached, and entries already
+// holding a directory are left as they are.
 //
 // The grouping runs off the lock on what a shared acquisition found; the
 // exclusive one swaps an entry only if it is still the one found, with its
 // content still in file order, and removes it if it was replaced by another
-// file-order read.
+// file-order read. A swap installs a new entry — same key, heat, seq, heap
+// slot and partition — and points the partition at it: a reader that loaded
+// the old one keeps whole content, file order and no directory.
 func (c *resultCache) Regroup(fanout int, segs map[scanKey]segment) {
 	type swap struct {
 		it      *cachedScan
@@ -342,8 +368,8 @@ func (c *resultCache) Regroup(fanout int, segs map[scanKey]segment) {
 		if seg.children == nil {
 			continue
 		}
-		if it := c.entries[key]; it != nil && it.content.children == nil {
-			swaps = append(swaps, swap{it: it, objs: it.content.objs})
+		if it := c.entries[key]; it != nil && it.Children == nil {
+			swaps = append(swaps, swap{it: it, objs: it.Objs})
 		}
 	}
 	c.mu.RUnlock()
@@ -367,10 +393,10 @@ func (c *resultCache) Regroup(fanout int, segs map[scanKey]segment) {
 	for _, s := range swaps {
 		it := c.entries[s.it.key]
 		switch {
-		case it == nil || it.content.children != nil:
+		case it == nil || it.Children != nil:
 			// Evicted, or grouped by another publish or read, since the peek.
 		case it == s.it && s.content.objs != nil:
-			it.content = s.content
+			c.replaceLocked(it, s.content)
 		default:
 			c.removeLocked(it)
 			dropped = true
@@ -382,6 +408,25 @@ func (c *resultCache) Regroup(fanout int, segs map[scanKey]segment) {
 	}
 }
 
+// replaceLocked installs an entry holding content in its place: the same
+// key, heat, seq, heap slot and partition, which it points at. Caller holds mu
+// exclusively. A lock-free hit through the partition that lands on the old
+// entry between the heat's copy and the re-point is lost from the heat: the
+// content it answered is exact, and only a later choice of victim can
+// differ.
+func (c *resultCache) replaceLocked(it *cachedScan, content cellContent) {
+	n := &cachedScan{
+		CacheEntry: octree.CacheEntry{Objs: content.objs, Children: content.children},
+		key:        it.key, part: it.part, seq: it.seq, index: it.index, posHeat: it.posHeat,
+	}
+	n.Heat.Store(it.Heat.Load())
+	c.entries[n.key] = n
+	c.cold[n.index] = n
+	if n.part != nil {
+		n.part.SetCached(&n.CacheEntry)
+	}
+}
+
 // Invalidate flushes the cache (Odyssey.FlushResultCache). A flush that finds
 // the cache empty is not counted.
 func (c *resultCache) Invalidate() {
@@ -389,7 +434,7 @@ func (c *resultCache) Invalidate() {
 	flushed := len(c.entries) > 0
 	if flushed {
 		for _, it := range c.cold {
-			it.unmark()
+			it.unlink()
 		}
 		c.entries = make(map[scanKey]*cachedScan)
 		c.cold = nil
@@ -416,34 +461,5 @@ func (c *resultCache) Stats() CacheStats {
 		Entries:         entries,
 		CachedObjects:   objects,
 		Capacity:        c.capacity,
-	}
-}
-
-// cacheScope tracks whether one query performed any device read on its read
-// side. QueryCtx installs a scope in the context; the layers that actually
-// perform I/O — the wrapped partition read under the share-reader hook,
-// merge-segment reads on a cache miss, level-0 builds and refinements —
-// mark it. A query whose scope stays clean was answered entirely from the
-// result cache: zero device reads.
-type cacheScope struct {
-	missed atomic.Bool
-}
-
-// cacheScopeKey is the context key for the per-query cacheScope.
-type cacheScopeKey struct{}
-
-// withCacheScope attaches a fresh scope to ctx.
-func withCacheScope(ctx context.Context) (context.Context, *cacheScope) {
-	s := &cacheScope{}
-	return context.WithValue(ctx, cacheScopeKey{}, s), s
-}
-
-// missCacheScope marks the context's query (if any) as having performed
-// device I/O. Called by the goroutine doing the read, inside the wrapped
-// read function — a query attached to another's single-flight scan stays
-// clean, which is correct: it charged no device read of its own.
-func missCacheScope(ctx context.Context) {
-	if s, _ := ctx.Value(cacheScopeKey{}).(*cacheScope); s != nil {
-		s.missed.Store(true)
 	}
 }

@@ -164,8 +164,11 @@ func (m *eagerCache) drop(drop func(scanKey) bool) {
 // same child directory, which an insert makes its own or leaves off — the
 // same cached set after every operation (so the same victims, in the same
 // order, and the same survivors of every drop), and the same ledger. Every
-// insert passes the cell's partition, and after every operation a partition
-// is marked exactly when the cache holds its key.
+// insert passes the cell's partition, and after every operation each held
+// entry is what its partition points at and every other partition points at
+// nothing; half the cell reads look up through the partition, which must
+// answer as the map does. A regroup swaps in a new entry that keeps the old
+// one's heat and seq.
 func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 	const fanout = 2
 	bounds := geom.UnitBox()
@@ -204,35 +207,19 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 			}
 			return compareKeys(a.cell, b.cell)
 		}
-		// One partition per cell. A partition is marked exactly when the
-		// cache holds its key: after an operation, every entry's partition
-		// is marked, and of the partitions that could be — those of the
-		// entries before it and the one it inserted, the only partition
-		// handed to the cache since — no other is.
+		// One partition per cell. A partition points at the entry the cache
+		// holds its key in, and at nothing when it holds none.
 		parts := map[scanKey]*octree.Partition{}
-		var held, next []*octree.Partition // the entries' partitions before the operation, and after
-		var inserted *octree.Partition     // by the operation
-		checkMarks := func(op int) {
-			marked := 0
-			for _, p := range held {
-				if p.Marked() {
-					marked++
+		checkPointers := func(op int) {
+			for key, p := range parts {
+				it := c.entries[key]
+				switch {
+				case it == nil && p.Cached() != nil:
+					t.Fatalf("op %d: %v is not held, its partition points at an entry", op, key)
+				case it != nil && p.Cached() != &it.CacheEntry:
+					t.Fatalf("op %d: %v is held, its partition points at %p, not at its entry", op, key, p.Cached())
 				}
 			}
-			if inserted != nil && inserted.Marked() && !slices.Contains(held, inserted) {
-				marked++
-			}
-			next = next[:0]
-			for _, it := range c.cold {
-				if !it.part.Marked() {
-					t.Fatalf("op %d: %v is held, its partition unmarked", op, it.key)
-				}
-				next = append(next, it.part)
-			}
-			if marked != len(next) {
-				t.Fatalf("op %d: %d partitions marked, %d cells held", op, marked, len(next))
-			}
-			held, next, inserted = next, held, nil
 		}
 		// A skewed choice of cell, so that some entries are hot.
 		pick := func() scanKey {
@@ -246,7 +233,11 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 			p := r.Float64()
 			switch {
 			case p < 0.75: // a cell read: what misses is inserted below
-				got, gotOK = c.Lookup(key.ds, key.cell)
+				var part *octree.Partition // half through the map, half through the partition
+				if r.Intn(2) == 0 {
+					part = parts[key]
+				}
+				got, gotOK = c.Lookup(key.ds, key.cell, part)
 				want, wantOK = m.lookup(key)
 			case p < 0.95: // a maintenance read: it books nothing and heats nothing
 				got, gotOK = c.Peek(key.ds, key.cell)
@@ -283,8 +274,28 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 					}
 					segs[k] = seg
 				}
+				type was struct {
+					it        *cachedScan
+					heat, seq int64
+				}
+				before := map[scanKey]was{}
+				for k := range segs {
+					if it := c.entries[k]; it != nil {
+						before[k] = was{it, it.Heat.Load(), it.seq}
+					}
+				}
 				c.Regroup(fanout, segs)
 				m.regroup(fanout, segs)
+				for k, b := range before {
+					it := c.entries[k]
+					if it == nil || it == b.it {
+						continue // removed, or left as it was
+					}
+					if it.Heat.Load() != b.heat || it.seq != b.seq || it.Children == nil {
+						t.Fatalf("op %d: %v regrouped to heat %d seq %d directory %v; it had heat %d seq %d",
+							i, k, it.Heat.Load(), it.seq, it.Children, b.heat, b.seq)
+					}
+				}
 			case p < 0.9685:
 				c.Invalidate()
 				m.invalidate()
@@ -302,7 +313,6 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 				if parts[key] == nil {
 					parts[key] = new(octree.Partition)
 				}
-				inserted = parts[key]
 				c.Insert(key.ds, key.cell, parts[key], at, in)
 				m.insert(key, at, epoch.Load(), in)
 				// What this insert pushed out of the cache, against what it
@@ -324,11 +334,11 @@ func TestResultCacheLazyEvictionIsEager(t *testing.T) {
 			if len(c.entries) != len(m.entries) || c.objects != m.objects {
 				t.Fatalf("op %d: the cache holds %d entries / %d objects, the model %d / %d", i, len(c.entries), c.objects, len(m.entries), m.objects)
 			}
-			checkMarks(i)
+			checkPointers(i)
 		}
 		for _, e := range m.entries {
 			it := c.entries[e.key]
-			if it == nil || it.heat.Load() != e.heat || it.seq != e.seq {
+			if it == nil || it.Heat.Load() != e.heat || it.seq != e.seq {
 				t.Fatalf("entry %v: cache %+v, model heat %d seq %d", e.key, it, e.heat, e.seq)
 			}
 		}
@@ -371,7 +381,7 @@ func TestResultCacheRunTunesOnCadence(t *testing.T) {
 	// what missed.
 	read := func(cell octree.Key) {
 		key := scanKey{ds: 1, cell: cell}
-		_, ok := c.Lookup(1, cell)
+		_, ok := c.Lookup(1, cell, nil)
 		if _, want := m.lookup(key); ok != want {
 			t.Fatalf("lookup of %v: the cache hit %v, the model %v", cell, ok, want)
 		}
@@ -423,7 +433,8 @@ func TestResultCacheRunTunesOnCadence(t *testing.T) {
 }
 
 // TestResultCacheStorm hammers the cache from every side at once — single
-// lookups, run lookups, inserts of reads that may have raced a publish, and
+// lookups, lock-free lookups through the cells' partitions, run lookups,
+// inserts of reads that may have raced a publish, and
 // publishes that advance the epoch and then drop a cell a refinement split
 // with its ancestors, regroup a few keys for a merge, flush everything or
 // drop nothing — and holds the things sharing the lock on a hit, dropping by
@@ -461,6 +472,7 @@ func TestResultCacheStorm(t *testing.T) {
 		dir           []int32
 	}
 	layouts := make([]layout, len(run))
+	parts := make([]octree.Partition, len(run)) // each cell's, which every insert passes
 	index := map[scanKey]int{}
 	for i, rd := range run {
 		box := rd.entry.Box(bounds, fanout)
@@ -486,7 +498,7 @@ func TestResultCacheStorm(t *testing.T) {
 		if at%2 == 0 {
 			dir = []int32{int32(at)}
 		}
-		c.Insert(run[i].ds, run[i].entry, nil, at, cellContent{objs: objs, children: dir})
+		c.Insert(run[i].ds, run[i].entry, &parts[i], at, cellContent{objs: objs, children: dir})
 	}
 	// stale reports content of run[i] read before floor or after hi (the
 	// epoch after the lookup), or that is not one read's, whole.
@@ -512,7 +524,7 @@ func TestResultCacheStorm(t *testing.T) {
 		}
 		return id < uint64(floor) || id > uint64(hi)
 	}
-	var lookups atomic.Int64
+	var lookups, partHits atomic.Int64
 	var regrouped atomic.Int64
 	errc := make(chan error, 16)
 	fail := func(format string, args ...any) {
@@ -583,11 +595,15 @@ func TestResultCacheStorm(t *testing.T) {
 		}
 	}()
 	// lookup is one cell read as readCell issues it: the epoch loaded first,
-	// then the lookup, and an insert of what missed.
-	lookup := func(i int) {
+	// then the lookup — through the map, or with no lock through the cell's
+	// partition — and an insert of what missed.
+	lookup := func(i int, part *octree.Partition) {
 		at, floor := epoch.Load(), floors[i].Load()
-		got, ok := c.Lookup(run[i].ds, run[i].entry)
+		got, ok := c.Lookup(run[i].ds, run[i].entry, part)
 		lookups.Add(1)
+		if ok && part != nil {
+			partHits.Add(1)
+		}
 		if !ok {
 			insert(i, at)
 		} else if hi := epoch.Load(); stale(i, got, floor, hi) {
@@ -596,7 +612,11 @@ func TestResultCacheStorm(t *testing.T) {
 	}
 	for g := int64(0); g < 2; g++ {
 		worker(g, func(r *rand.Rand) { // single lookups
-			lookup(r.Intn(len(run)))
+			lookup(r.Intn(len(run)), nil)
+		})
+		worker(20+g, func(r *rand.Rand) { // lock-free lookups through the partitions
+			i := r.Intn(len(run))
+			lookup(i, &parts[i])
 		})
 		worker(10+g, func(r *rand.Rand) { // run lookups, as readMerged issues them, 16 reads at most
 			var floor [16]int64
@@ -614,7 +634,7 @@ func TestResultCacheStorm(t *testing.T) {
 					}
 				}
 				if i += len(hits); len(hits) < len(reads) {
-					lookup(i)
+					lookup(i, nil)
 					i++
 				}
 			}
@@ -631,7 +651,7 @@ func TestResultCacheStorm(t *testing.T) {
 	if st.Hits+st.Misses != lookups.Load() {
 		t.Fatalf("%d hits + %d misses, %d lookups issued", st.Hits, st.Misses, lookups.Load())
 	}
-	if st.Hits == 0 || st.Misses == 0 || st.Evictions == 0 || st.Invalidations == 0 || regrouped.Load() == 0 {
-		t.Fatalf("the storm exercised too little: %+v, %d regrouped entries found", st, regrouped.Load())
+	if st.Hits == 0 || st.Misses == 0 || st.Evictions == 0 || st.Invalidations == 0 || regrouped.Load() == 0 || partHits.Load() == 0 {
+		t.Fatalf("the storm exercised too little: %+v, %d regrouped entries found, %d hits through partitions", st, regrouped.Load(), partHits.Load())
 	}
 }

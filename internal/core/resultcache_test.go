@@ -28,7 +28,7 @@ func TestResultCacheExactHitAndEpochDrop(t *testing.T) {
 	objs := []object.Object{{ID: 1, Dataset: 3}, {ID: 2, Dataset: 3}}
 
 	c.Insert(3, cell, nil, 5, cellContent{objs: objs})
-	got, ok := c.Lookup(3, cell)
+	got, ok := c.Lookup(3, cell, nil)
 	if !ok || len(got.objs) != 2 {
 		t.Fatalf("Lookup = %v, %v; want the 2 inserted objects", got, ok)
 	}
@@ -36,7 +36,7 @@ func TestResultCacheExactHitAndEpochDrop(t *testing.T) {
 	// A cached empty cell is a hit, not a miss — ok carries the answer.
 	empty := testKeyAt(1, 1, 0, 0)
 	c.Insert(3, empty, nil, 5, cellContent{})
-	if got, ok := c.Lookup(3, empty); !ok || len(got.objs) != 0 {
+	if got, ok := c.Lookup(3, empty, nil); !ok || len(got.objs) != 0 {
 		t.Fatalf("cached empty cell: Lookup = %v, %v; want [], true", got, ok)
 	}
 
@@ -46,7 +46,7 @@ func TestResultCacheExactHitAndEpochDrop(t *testing.T) {
 	epoch.Add(1)
 	c.DropKeys(splitCells(4, 2, []octree.Key{cell}))
 	c.DropKeys(splitCells(3, 2, []octree.Key{testKeyAt(2, 3, 3, 3)}))
-	if got, ok := c.Lookup(3, cell); !ok || len(got.objs) != 2 {
+	if got, ok := c.Lookup(3, cell, nil); !ok || len(got.objs) != 2 {
 		t.Fatalf("after an epoch advance and unrelated drops: Lookup = %v, %v; want the 2 objects", got, ok)
 	}
 
@@ -54,11 +54,11 @@ func TestResultCacheExactHitAndEpochDrop(t *testing.T) {
 	// as a new entry nor over a current one.
 	raced := testKeyAt(1, 0, 1, 0)
 	c.Insert(3, raced, nil, 5, cellContent{objs: objs[:1]})
-	if _, ok := c.Lookup(3, raced); ok {
+	if _, ok := c.Lookup(3, raced, nil); ok {
 		t.Fatal("a read that raced a publish was kept")
 	}
 	c.Insert(3, cell, nil, 5, cellContent{})
-	if got, ok := c.Lookup(3, cell); !ok || len(got.objs) != 2 {
+	if got, ok := c.Lookup(3, cell, nil); !ok || len(got.objs) != 2 {
 		t.Fatalf("a raced read replaced a current entry: Lookup = %v, %v", got, ok)
 	}
 
@@ -73,10 +73,10 @@ func TestResultCacheExactHitAndEpochDrop(t *testing.T) {
 
 	// Dataset 3 is refined below the cell: the cell goes, its sibling stays.
 	c.DropKeys(splitCells(3, 2, []octree.Key{testKeyAt(2, 1, 1, 1)}))
-	if _, ok := c.Lookup(3, cell); ok {
+	if _, ok := c.Lookup(3, cell, nil); ok {
 		t.Fatal("a cell refined below is still cached")
 	}
-	if _, ok := c.Lookup(3, empty); !ok {
+	if _, ok := c.Lookup(3, empty, nil); !ok {
 		t.Fatal("the refinement below a cell dropped its sibling")
 	}
 }
@@ -91,16 +91,16 @@ func TestResultCacheEvictsColdestFirst(t *testing.T) {
 
 	c.Insert(0, a, nil, 0, cellContent{objs: two})
 	c.Insert(0, b, nil, 0, cellContent{objs: two})
-	c.Lookup(0, a) // heat a above b
+	c.Lookup(0, a, nil) // heat a above b
 	c.Insert(0, cc, nil, 0, cellContent{objs: two})
 
-	if _, ok := c.Lookup(0, b); ok {
+	if _, ok := c.Lookup(0, b, nil); ok {
 		t.Fatal("coldest entry survived eviction")
 	}
-	if _, ok := c.Lookup(0, a); !ok {
+	if _, ok := c.Lookup(0, a, nil); !ok {
 		t.Fatal("hot entry was evicted instead of the coldest")
 	}
-	if _, ok := c.Lookup(0, cc); !ok {
+	if _, ok := c.Lookup(0, cc, nil); !ok {
 		t.Fatal("freshly inserted entry missing")
 	}
 	st := c.Stats()
@@ -111,7 +111,7 @@ func TestResultCacheEvictsColdestFirst(t *testing.T) {
 	// An oversized scan must not flush the whole cache just to fail to fit.
 	five := make([]object.Object, 5)
 	c.Insert(0, testKeyAt(2, 3, 0, 0), nil, 0, cellContent{objs: five})
-	if _, ok := c.Lookup(0, testKeyAt(2, 3, 0, 0)); ok {
+	if _, ok := c.Lookup(0, testKeyAt(2, 3, 0, 0), nil); ok {
 		t.Fatal("entry larger than the whole budget was admitted")
 	}
 	if st := c.Stats(); st.Entries != 2 {
@@ -318,9 +318,9 @@ func TestPublishDropsOnlyWhatItChanged(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !slices.Equal(it.content.objs, want.objs) || !slices.Equal(it.content.children, want.children) {
+				if !slices.Equal(it.content().objs, want.objs) || !slices.Equal(it.content().children, want.children) {
 					t.Fatalf("published key %v is cached with %d objects and directory %v, not its segment's %d objects and %v",
-						key, len(it.content.objs), it.content.children, len(want.objs), want.children)
+						key, len(it.content().objs), it.content().children, len(want.objs), want.children)
 				}
 				grouped++
 			}
@@ -349,13 +349,185 @@ func TestPublishDropsOnlyWhatItChanged(t *testing.T) {
 		if it == nil {
 			t.Fatalf("the read of published key %v after the merge is not cached", key)
 		}
-		if !slices.Equal(it.content.children, seg.children) {
+		if !slices.Equal(it.content().children, seg.children) {
 			t.Fatalf("the read of published key %v after the merge is cached with directory %v, not the segment's %v",
-				key, it.content.children, seg.children)
+				key, it.content().children, seg.children)
 		}
 		indexed++
 	}
 	if indexed == 0 {
 		t.Fatal("the merge published no segment with a child directory")
+	}
+}
+
+// TestCachedLeafUnderACoarserEntryIsReadOnce: a leaf the result cache holds
+// on its own, under a coarser entry of the merge file its combination routes
+// to, is answered by that entry's segment — read whole for the leaf's
+// siblings, it holds the leaf's objects — and never from its own cached
+// cell besides. Dataset 0's level-1 cell is merged with datasets 1 and 2,
+// then refined by a query of a combination no merge file serves, whose
+// second query caches the children it reads; the merged combination's query
+// over them must match a brute-force scan, with no object twice.
+func TestCachedLeafUnderACoarserEntryIsReadOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheResults = true
+	eng, raws, _ := testSetup(t, 4, 8000, 61, cfg)
+	oracle := engine.NewNaiveScan(raws)
+	q := geom.Cube(geom.V(0.5, 0.5, 0.5), 0.3) // level-1 cells are 4 times its volume at most: none is refined
+	merged := []object.DatasetID{0, 1, 2}
+	ask := func(q geom.Box, dss []object.DatasetID) []object.Object {
+		t.Helper()
+		got, err := eng.Query(q, dss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracle.Query(q, dss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type id struct {
+			ds object.DatasetID
+			id uint64
+		}
+		seen := map[id]bool{}
+		for _, o := range got {
+			if seen[id{o.Dataset, o.ID}] {
+				t.Fatalf("%v over %v returned object %d of dataset %d twice", q, dss, o.ID, o.Dataset)
+			}
+			seen[id{o.Dataset, o.ID}] = true
+		}
+		if !engine.SameObjects(got, slices.Clone(want)) {
+			t.Fatalf("%v over %v: %d objects, the brute-force scan %d", q, dss, len(got), len(want))
+		}
+		return got
+	}
+	for eng.merger.file(KeyOf(merged)) == nil {
+		ask(q, merged)
+		if eng.Metrics().Queries > 10 {
+			t.Fatal("the combination never merged")
+		}
+	}
+	mf := eng.merger.file(KeyOf(merged))
+	tree := eng.trees[0]
+	fanout := tree.FanoutPerDim()
+
+	// A window around an object of dataset 0 well inside q, in a merged
+	// level-1 cell: 72 times smaller than the cell, so the cell is refined,
+	// and about its children's volume, so they are not.
+	inner := geom.Cube(q.Center(), 0.2)
+	var w geom.Box
+	var cell octree.Key
+	for _, o := range datagen.GenerateDatasets(datagen.Config{Seed: 61, NumObjects: 8000, Clusters: 6}, 1)[0] {
+		if !inner.Intersects(geom.Box{Min: o.Center, Max: o.Center}) {
+			continue
+		}
+		leaves := tree.Lookup(geom.Box{Min: o.Center, Max: o.Center})
+		if len(leaves) == 1 && leaves[0].Key().Level == 1 && mf.covers(leaves[0].Key(), fanout) {
+			w, cell = geom.Cube(o.Center, 0.06), leaves[0].Key()
+			break
+		}
+	}
+	if cell.Level == 0 {
+		t.Fatal("no object of dataset 0 inside the window lies in a merged level-1 cell")
+	}
+	unmerged := []object.DatasetID{0, 3} // no merge file serves it, and too small to merge
+	ask(w, unmerged)
+	if tree.LeafAt(cell) != nil {
+		t.Fatalf("the window did not refine dataset 0's cell %v", cell)
+	}
+	ask(w, unmerged) // reads the children the window meets, and caches them
+
+	// Some of the cell's leaves are cached, one of them holding an answer to
+	// q, and some are not: the merged cell's segment is read for those.
+	var cachedLeaves, answering int
+	leaves := tree.AppendLeavesUnder(nil, cell)
+	for _, leaf := range leaves {
+		if leaf.Cached() == nil {
+			continue
+		}
+		if entry, _, ok := mf.covering(leaf.Key(), 0, fanout); !ok || entry != cell {
+			t.Fatalf("cached leaf %v is served by entry %v (%v), not by the merged cell %v", leaf.Key(), entry, ok, cell)
+		}
+		cachedLeaves++
+		if leaf.Count() > 0 && leaf.Extent().Intersects(q) {
+			answering++
+		}
+	}
+	if answering == 0 || cachedLeaves == len(leaves) {
+		t.Fatalf("%d of the merged cell's %d leaves are cached, %d of them meeting the query; want some, not all, and one meeting it",
+			cachedLeaves, len(leaves), answering)
+	}
+	fromMerge := eng.Metrics().PartitionsFromMerge
+	ask(q, merged)
+	if eng.Metrics().PartitionsFromMerge == fromMerge {
+		t.Fatal("the merged combination's query read no segment")
+	}
+}
+
+// TestZeroReadCountsAReadOfAnEmptyCell: a query that reads an uncached cell
+// is not served with zero device reads, even when the cell is empty and its
+// read touches no page. A small window around an object of dataset 0 is
+// asked until it changes no layout, and every cell it meets is cached,
+// among them an empty leaf of a refined cell; with that leaf's entry
+// dropped, the next query reads it alone, and the one after is zero-read
+// again.
+func TestZeroReadCountsAReadOfAnEmptyCell(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CacheResults = true
+	cfg.DisableMerging = true
+	eng, _, dev := testSetup(t, 1, 8000, 61, cfg)
+	dss := []object.DatasetID{0}
+	tree := eng.trees[0]
+	var w geom.Box
+	var empty *octree.Partition
+	for _, o := range datagen.GenerateDatasets(datagen.Config{Seed: 61, NumObjects: 8000, Clusters: 6}, 1)[0][:20] {
+		w = geom.Cube(o.Center, 0.02)
+		for i := 0; ; i++ {
+			epoch := eng.layoutEpoch.Load()
+			if _, err := eng.Query(w, dss); err != nil {
+				t.Fatal(err)
+			}
+			if eng.layoutEpoch.Load() == epoch {
+				break
+			}
+			if i == 20 {
+				t.Fatalf("%v still changes the layout after 20 queries", w)
+			}
+		}
+		for _, leaf := range tree.Lookup(w.Expand(tree.MaxExtent())) {
+			if leaf.Count() == 0 && leaf.Cached() != nil {
+				empty = leaf
+				break
+			}
+		}
+		if empty != nil {
+			break
+		}
+	}
+	if empty == nil {
+		t.Fatal("no window around 20 objects of dataset 0 meets an empty leaf")
+	}
+	// step asks w once and reports whether it was zero-read, how many cache
+	// misses and how many device pages it cost.
+	step := func() (zero bool, misses, pages int64) {
+		t.Helper()
+		st, pg := eng.CacheStats(), dev.Stats()
+		if _, err := eng.Query(w, dss); err != nil {
+			t.Fatal(err)
+		}
+		st2, pg2 := eng.CacheStats(), dev.Stats()
+		return st2.ZeroReadQueries > st.ZeroReadQueries, st2.Misses - st.Misses,
+			pg2.PageReads + pg2.CacheHits - pg.PageReads - pg.CacheHits
+	}
+	if zero, misses, _ := step(); !zero || misses != 0 {
+		t.Fatalf("settled: zero-read %v with %d misses; want a zero-read query and none", zero, misses)
+	}
+	eng.rcache.DropKeys(slices.Values([]scanKey{{ds: 0, cell: empty.Key()}}))
+	if zero, misses, pages := step(); zero || misses != 1 || pages != 0 {
+		t.Fatalf("empty leaf %v dropped: zero-read %v with %d misses and %d pages; want one miss, no page, not zero-read",
+			empty.Key(), zero, misses, pages)
+	}
+	if zero, misses, _ := step(); !zero || misses != 0 {
+		t.Fatalf("empty leaf read again: zero-read %v with %d misses; want a zero-read query and none", zero, misses)
 	}
 }

@@ -68,28 +68,30 @@ type cellRead = func(context.Context) (cellContent, error)
 // cell (scan sharing: a read that outlives its query is what the cache
 // already pays for), then the device read, whose completed result the cache
 // retains for queries that arrive after the read finished. part is the tree
-// partition at cell the read serves, nil when it is not known, which the
-// cache marks while it holds the cell. Callers hold the shared layout lock —
-// and, for a partition, the dataset's shared tree lock — while publishers
-// take them exclusively, so the cell's bytes cannot change under the read or
-// its attached waiters. The returned content may be shared with concurrent
-// queries and must be treated as read-only.
+// partition at cell the read serves, nil when it is not known: the cache
+// answers through it with no lock, and points it at the entry it keeps.
+// Callers hold the shared layout lock — and, for a partition, the dataset's
+// shared tree lock — while publishers take them exclusively, so the cell's
+// bytes cannot change under the read or its attached waiters. The returned
+// content may be shared with concurrent queries and must be treated as
+// read-only.
 func (o *Odyssey) readCell(ctx context.Context, ds object.DatasetID, cell octree.Key, part *octree.Partition, read cellRead) (cellContent, error) {
-	// Only the goroutine performing the device read marks its own query's
-	// cache scope; queries attached to this read stay clean (they charged no
-	// device read).
-	device := func() (cellContent, error) {
-		missCacheScope(ctx)
-		return read(ctx)
-	}
 	if o.rcache == nil {
-		return device()
+		return read(ctx)
 	}
 	// The epoch is loaded before the read: the cache does not keep a read
 	// that a layout publish raced (see resultCache.Insert).
 	epoch := o.layoutEpoch.Load()
-	if c, ok := o.rcache.Lookup(ds, cell); ok {
+	if c, ok := o.rcache.Lookup(ds, cell, part); ok {
 		return c, nil
+	}
+	// Only the goroutine performing the device read counts it on its own
+	// query's scope, once whatever the read costs — so the read of an empty
+	// cell counts too; queries attached to this read stay clean (they charged
+	// no device read).
+	device := func() (cellContent, error) {
+		simdisk.ScopeFrom(ctx).NoteRead()
+		return read(ctx)
 	}
 	c, err := o.sharedRead(ctx, flightKey{scanKey{ds: ds, cell: cell}, epoch}, device)
 	if err == nil {

@@ -46,9 +46,13 @@ type CacheStats struct {
 	// not counted — the field measures removals, not publish frequency.
 	Invalidations int64
 	// ZeroReadQueries counts queries whose whole read side was served
-	// without any device read: every partition or segment came from the
-	// cache (or from another query's in-flight scan). Maintenance I/O
-	// (refinement, merging) is not attributed to queries here.
+	// without any device read: no device operation was charged to the
+	// query's OpScope from routing to recording it, so every partition or
+	// segment came from the cache (or from another query's in-flight scan);
+	// the query's own read of an empty cell counts as one. A scope the
+	// caller shares between concurrent queries is charged each one's
+	// operations, as its Total is. Maintenance I/O (refinement, merging) is
+	// not attributed to queries here.
 	ZeroReadQueries int64
 	// Entries and CachedObjects describe the current cache occupancy.
 	Entries       int

@@ -139,9 +139,9 @@ type Partition struct {
 	count    int
 	children []Partition // non-nil once refined (then no longer a leaf)
 	ext      extent
-	// marked is set while a result cache holds the partition's content (see
-	// SetMarked).
-	marked atomic.Bool
+	// cached is the result cache's entry for the partition's cell while the
+	// cache holds one (see SetCached); it takes the slot a flag would pad to.
+	cached atomic.Pointer[CacheEntry]
 }
 
 // Key returns the partition's global cell key.
@@ -161,14 +161,28 @@ func (p *Partition) Extent() geom.Box {
 	}
 }
 
-// SetMarked records whether the caller's cache holds the partition's
-// content. A read-only walk does not visit a marked leaf whose extent misses
-// the query: it counts it in QueryResult.Skipped, for the cache to book as the
-// hit it would have been. Safe beside walks under the shared tree lock.
-func (p *Partition) SetMarked(on bool) { p.marked.Store(on) }
+// CacheEntry is a result cache's entry for one partition's cell: the cell's
+// content — its objects and, for content grouped on a grid over the cell, the
+// grid's directory, whose meaning is the cache owner's — and the count of the
+// entry's hits. Everything but Heat is immutable once a partition points at
+// the entry: a cache that holds the cell differently installs a new entry.
+type CacheEntry struct {
+	Objs     []object.Object
+	Children []int32
+	Heat     atomic.Int64
+}
 
-// Marked reports what SetMarked last recorded.
-func (p *Partition) Marked() bool { return p.marked.Load() }
+// SetCached points the partition at the entry a result cache holds its cell
+// in, or at nil once the cache stops holding it. A reader that knows the
+// partition then finds the cell's cached content with Cached, with no lock
+// and no lookup; and a read-only walk does not visit a leaf with an entry
+// whose extent misses the query: it counts it in QueryResult.Skipped, for the
+// cache to book as the hit it would have been. Safe beside walks under the
+// shared tree lock.
+func (p *Partition) SetCached(e *CacheEntry) { p.cached.Store(e) }
+
+// Cached returns the entry SetCached last recorded, nil if none.
+func (p *Partition) Cached() *CacheEntry { return p.cached.Load() }
 
 // extent is the compact form of a partition's extent: a box in float32,
 // min rounded down and max rounded up.

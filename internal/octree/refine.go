@@ -146,8 +146,8 @@ type QueryResult struct {
 	// input, of which the objects appended to Objects are the output.
 	Tested int
 	// Skipped counts the leaves of Touched a read-only walk did not visit:
-	// marked leaves (Partition.SetMarked) whose extent misses q, which hold
-	// no answer and whose content the marking cache holds.
+	// leaves pointing at a cache entry (Partition.SetCached) whose extent
+	// misses q, which hold no answer and whose content the cache holds.
 	Skipped int
 }
 
@@ -179,9 +179,9 @@ func (t *Tree) QueryReadOnlyCtx(ctx context.Context, q geom.Box, servedElsewhere
 // engine uses this hook to route partitions to merge files. covered is its
 // side-effect-free twin (nil when serveFromStore is), as NeedsWrite takes it.
 //
-// A read-only walk does not visit a marked leaf whose extent misses q
-// (Partition.SetMarked): none of its objects can meet q, and the cache that
-// marked it holds its content. The leaf is not served, read or filtered; it
+// A read-only walk does not visit a leaf pointing at a cache entry whose
+// extent misses q (Partition.SetCached): none of its objects can meet q, and
+// the cache holds its content. The leaf is not served, read or filtered; it
 // is still reported in Touched and counted in Skipped, and its refinement
 // demand still goes to WantRefine unless covered claims it. A refining walk
 // visits every leaf.
@@ -222,7 +222,7 @@ func (t *Tree) QueryIntoCtx(ctx context.Context, dst []object.Object, touched []
 	defer putLeafScratch(sp, leaves)
 	res.Touched = slices.Grow(res.Touched, len(leaves))
 	for _, leaf := range leaves {
-		if !refine && leaf.marked.Load() && !leaf.ext.meets(q) {
+		if !refine && leaf.cached.Load() != nil && !leaf.ext.meets(q) {
 			res.Touched = append(res.Touched, leaf)
 			res.Skipped++
 			if t.NeedsRefinement(leaf, qVol) && (covered == nil || !covered(leaf)) {

@@ -544,6 +544,7 @@ func (d *Device) chargePlatter(s *OpScope, key pageKey) time.Duration {
 	}
 	ch.busy.Add(int64(svc))
 	if s != nil {
+		s.ops.Add(1)
 		s.charged.Add(int64(svc))
 		if delay > 0 {
 			s.queued.Add(delay)

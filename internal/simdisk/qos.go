@@ -42,6 +42,7 @@ type OpScope struct {
 	// operation. -1 until the first operation positions the scope.
 	now atomic.Int64
 
+	ops     atomic.Int64 // device operations: page reads, buffer-cache hits included, writes, appends and NoteRead's reads
 	charged atomic.Int64 // platter service time (seek + transfer)
 	shared  atomic.Int64 // cache-hit (and other shared-clock) time
 	queued  atomic.Int64 // arrival-gated queueing delay
@@ -95,6 +96,22 @@ func (s *OpScope) Total() time.Duration {
 	return time.Duration(s.charged.Load() + s.shared.Load() + s.queued.Load())
 }
 
+// Ops returns how many device operations have been charged to the scope:
+// page reads, buffer-cache hits included, writes, appends and the reads
+// NoteRead counts. It counts the operations themselves, not their cost, so a
+// cost model that charges nothing still shows them: a span of work that
+// performed none reads the same count before and after.
+func (s *OpScope) Ops() int64 { return s.ops.Load() }
+
+// NoteRead counts one read its caller asks of the device as an operation of
+// the scope, at no cost and whatever pages the read then touches, so a read
+// of a cell with no page still shows in Ops. Safe on a nil scope: a no-op.
+func (s *OpScope) NoteRead() {
+	if s != nil {
+		s.ops.Add(1)
+	}
+}
+
 // noteShared attributes a shared-clock charge (cache hit) to the scope and
 // advances its virtual timeline by it. Safe on a nil scope (unattributed
 // operation): a no-op.
@@ -102,6 +119,7 @@ func (s *OpScope) noteShared(dt time.Duration) {
 	if s == nil {
 		return
 	}
+	s.ops.Add(1)
 	s.shared.Add(int64(dt))
 	for {
 		old := s.now.Load()

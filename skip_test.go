@@ -84,7 +84,7 @@ func TestConvergedQuerySkipsCellsItCannotMeet(t *testing.T) {
 		tree := env.ex.engine.Tree(ds)
 		for _, p := range tree.Lookup(q.Range.Expand(tree.MaxExtent())) {
 			cells++
-			if p.Marked() && !p.Extent().Intersects(q.Range) {
+			if p.Cached() != nil && !p.Extent().Intersects(q.Range) {
 				skipped++
 			} else {
 				visitedObjs += p.Count()
